@@ -27,7 +27,7 @@
 //! `crates/chain/tests/mempool_proptests.rs`.
 //!
 //! [`FlatMempool`] preserves the seed single-map implementation verbatim
-//! as the differential/benchmark reference, the same role
+//! as the differential reference, the same role
 //! `validate_block_sequential` plays for the validation pipeline.
 
 use crate::amount::Ether;
@@ -46,11 +46,6 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// shard-count-invariant — but a handful of shards keeps the per-shard
 /// `BTreeMap`s shallow at million-record occupancy.
 pub const DEFAULT_SHARDS: usize = 16;
-
-/// Environment variable overriding the shard count of pools built by
-/// [`Mempool::new`]/[`Mempool::default`] (the chaos CI job runs one
-/// seeded plan at 1 and 8 shards and asserts identical outcomes).
-pub const SHARDS_ENV: &str = "SMARTCROWD_MEMPOOL_SHARDS";
 
 /// The miner's total selection order over pending records: fee
 /// descending (miners maximize the `ψ·ω` term of Eq. 8) with id
@@ -144,15 +139,10 @@ pub struct Mempool {
 }
 
 impl Mempool {
-    /// Creates a pool bounded at `capacity` records, with the shard count
-    /// taken from [`SHARDS_ENV`] (default [`DEFAULT_SHARDS`]).
+    /// Creates a pool bounded at `capacity` records over
+    /// [`DEFAULT_SHARDS`] shards.
     pub fn new(capacity: usize) -> Self {
-        let shards = std::env::var(SHARDS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(DEFAULT_SHARDS);
-        Mempool::with_shards(capacity, shards)
+        Mempool::with_shards(capacity, DEFAULT_SHARDS)
     }
 
     /// Creates a pool with an explicit shard count (clamped to at least
@@ -368,6 +358,15 @@ impl Mempool {
             .collect()
     }
 
+    /// Removes one pending record by id (a record that turned out to be
+    /// invalid after admission), returning it if it was pending.
+    pub fn remove(&mut self, id: &Digest) -> Option<Record> {
+        let record = self.shard_of_mut(id).remove(id)?;
+        self.len -= 1;
+        self.update_occupancy();
+        Some(record)
+    }
+
     /// Drops records that appear in a newly-connected block.
     pub fn remove_included(&mut self, block: &Block) {
         for r in block.records() {
@@ -385,12 +384,11 @@ impl Default for Mempool {
     }
 }
 
-/// The seed single-`HashMap` pool, kept verbatim as the differential and
-/// benchmark reference for [`Mempool`] (the role
+/// The seed single-`HashMap` pool, kept verbatim as the differential
+/// reference for [`Mempool`] (the role
 /// `validate_block_sequential` plays for `validate_block`): `insert` pays
 /// an O(n) min-fee eviction scan and `take_best`/`peek_best` re-sort the
-/// whole pool. `pipeline_bench` gates the sharded pool against this
-/// baseline and `mempool_proptests` proves outcome equivalence.
+/// whole pool. `mempool_proptests` proves outcome equivalence.
 ///
 /// The one behavioural difference is deliberate: among equal-fee eviction
 /// candidates this reference picks a `HashMap`-iteration-order victim,

@@ -10,13 +10,10 @@
 //! reward shares (Fig. 3(a)) and the probabilistic deviations the paper
 //! remarks on ("discovering a Nonce of a block … is probabilistic").
 //!
-//! Blocks produced here are structurally complete (difficulty 1, so
+//! Slots sampled here are sealed at difficulty 1 (so
 //! [`crate::block::Block::validate_structure`] passes without a hash
 //! search); the *timing* comes from the sampled race.
 
-use crate::block::Block;
-use crate::difficulty::Difficulty;
-use crate::record::Record;
 use crate::rng::SimRng;
 use smartcrowd_crypto::Address;
 
@@ -145,15 +142,16 @@ impl SimMiner {
         MiningEvent { winner, interval }
     }
 
-    /// Samples an event and materializes the corresponding block on
-    /// `parent`, timestamped with the simulated clock.
-    pub fn mine_block(&mut self, parent: &Block, records: Vec<Record>) -> (MiningEvent, Block) {
+    /// Samples an event and resolves it to the block slot it opens on a
+    /// parent stamped `parent_timestamp`: the winner's reward address and
+    /// the child's timestamp on the simulated clock. The caller seals the
+    /// block (difficulty 1, so no hash search is needed).
+    pub fn next_slot(&mut self, parent_timestamp: u64) -> (Address, u64) {
         let event = self.next_event();
         let miner = self.participants[event.winner].address;
-        let timestamp = parent.header().timestamp + self.clock_delta_secs(event.interval);
-        let block = Block::assemble(parent, records, timestamp, Difficulty::from_u64(1), miner);
+        let timestamp = parent_timestamp + self.clock_delta_secs(event.interval);
         smartcrowd_telemetry::counter!("chain.miner.blocks_mined").inc();
-        (event, block)
+        (miner, timestamp)
     }
 
     fn clock_delta_secs(&self, interval: f64) -> u64 {
@@ -164,6 +162,8 @@ impl SimMiner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Block;
+    use crate::difficulty::Difficulty;
 
     #[test]
     fn winner_shares_converge_to_hash_power() {
@@ -222,19 +222,17 @@ mod tests {
     }
 
     #[test]
-    fn mined_blocks_chain_and_validate() {
+    fn slots_chain_and_validate() {
         let mut sim = SimMiner::paper_setup(15.35, 5);
         let genesis = Block::genesis(Difficulty::from_u64(1));
         let mut parent = genesis;
         for _ in 0..10 {
-            let (event, block) = sim.mine_block(&parent, vec![]);
+            let (miner, timestamp) = sim.next_slot(parent.header().timestamp);
+            assert!(timestamp > parent.header().timestamp);
+            assert!(sim.participants().iter().any(|p| p.address == miner));
+            let block = Block::assemble(&parent, vec![], timestamp, Difficulty::from_u64(1), miner);
             assert!(block.validate_structure().is_ok());
             assert_eq!(block.header().prev, parent.id());
-            assert!(block.header().timestamp > parent.header().timestamp);
-            assert_eq!(
-                block.header().miner,
-                sim.participants()[event.winner].address
-            );
             parent = block;
         }
     }

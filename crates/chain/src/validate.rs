@@ -107,7 +107,7 @@ pub fn validate_block_with<Q: ChainQuery + ?Sized>(
 /// reference: no signature cache, no fan-out, strict record-order early
 /// exit. `crates/chain/tests/validate_differential.rs` proves the
 /// parallel path returns the same verdict — including the same *first*
-/// error — and `validate_bench` uses it as the baseline.
+/// error.
 ///
 /// # Errors
 ///

@@ -1,8 +1,8 @@
 //! The chaos simulator: executes a [`FaultPlan`] deterministically.
 //!
-//! [`ChaosSim`] runs N [`ProviderNode`]s over a seeded [`GossipNet`] and a
-//! hash-power-weighted mining race, applying the plan's faults at round
-//! boundaries:
+//! [`ChaosSim`] drives the shared [`Fleet`] — N [`ProviderNode`]s over a
+//! seeded gossip fabric and a hash-power-weighted mining race — and
+//! applies the plan's faults at round boundaries:
 //!
 //! - **Partitions** cut and heal via the gossip fabric; a heal triggers
 //!   the anti-entropy rebroadcast so laggards reconcile before the next
@@ -10,7 +10,7 @@
 //! - **Crashes** export the node's chain through
 //!   [`smartcrowd_chain::persist::export_chain`] (the "disk"), drop all
 //!   soft state, and discard deliveries; restarts import the dump and
-//!   rebuild verification state with [`ProviderNode::restore`]. In
+//!   rebuild verification state with [`ProviderNode::restore_backend`]. In
 //!   *durable mode* ([`run_plan_durable`]) every node runs on a real
 //!   [`DurableStore`] directory instead: a crash tears the store
 //!   mid-commit at an injected sync point (full frame in the WAL, torn
@@ -38,25 +38,19 @@ use crate::settle::settle_confirmed;
 use smartcrowd_chain::persist::{export_chain, import_chain};
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_chain::simminer::{SimMiner, SimParticipant, PAPER_HASH_POWERS};
 use smartcrowd_chain::storage::{frame, CrashPoint, DurableStore, StoreConfig};
-use smartcrowd_chain::{Block, ChainQuery, Difficulty, Ether};
-use smartcrowd_core::node::{Outbox, ProviderNode};
+use smartcrowd_chain::{Block, ChainBackend, ChainQuery, ChainStore, Difficulty, Ether};
+use smartcrowd_core::node::ProviderNode;
 use smartcrowd_core::report::{create_report_pair, Findings};
 use smartcrowd_crypto::keys::KeyPair;
-use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_detect::vulnerability::VulnId;
-use smartcrowd_net::{GossipNet, Message, NodeId};
+use smartcrowd_net::Message;
+use smartcrowd_sim::fleet::{Fleet, BLOCK_CAPACITY};
+use smartcrowd_sim::SimError;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-
-/// Per-block record capacity.
-const BLOCK_CAPACITY: usize = 64;
-
-/// Safety bound on message-pump iterations per pump call.
-const PUMP_LIMIT: usize = 10_000;
 
 /// Extra honest rounds granted after the horizon for convergence
 /// (longest-chain convergence needs continued honest progress to break
@@ -125,8 +119,20 @@ impl fmt::Display for ChaosFailure {
 
 impl std::error::Error for ChaosFailure {}
 
+/// Node `i`'s store directory in durable mode.
+fn node_dir(root: &Path, i: usize) -> PathBuf {
+    root.join(format!("node-{i}"))
+}
+
+fn persist_failure(round: usize, e: impl fmt::Display) -> ChaosFailure {
+    ChaosFailure::Persist {
+        round,
+        detail: e.to_string(),
+    }
+}
+
 /// Summary of a passing run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosOutcome {
     /// Rounds executed (horizon plus any epilogue rounds).
     pub rounds: usize,
@@ -142,56 +148,27 @@ pub struct ChaosOutcome {
     pub duplicated: u64,
 }
 
-/// What a crashed node left behind: a legacy chain dump (in-memory
-/// mode) or a real store directory (durable mode).
-#[derive(Debug)]
-enum Disk {
-    Dump(Vec<u8>),
-    Dir(PathBuf),
+/// The planted bug: handlers' reconciliation messages (block re-gossip,
+/// gap-repair requests) never reach the wire.
+fn drop_reconciliation(m: &Message) -> bool {
+    !matches!(m, Message::Block(_) | Message::BlockRequest { .. })
 }
 
-/// A node slot: a running provider or a crash artifact on "disk".
-enum Slot {
-    Running(Box<ProviderNode>),
-    Crashed { disk: Disk },
-}
-
-impl fmt::Debug for Slot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Slot::Running(_) => f.write_str("Running"),
-            Slot::Crashed {
-                disk: Disk::Dump(bytes),
-            } => {
-                write!(f, "Crashed({} bytes)", bytes.len())
-            }
-            Slot::Crashed {
-                disk: Disk::Dir(dir),
-            } => {
-                write!(f, "Crashed({})", dir.display())
-            }
-        }
-    }
-}
-
-/// The deterministic chaos simulator for one `(plan, seed)` pair.
+/// The deterministic chaos simulator for one `(plan, seed)` pair: the
+/// shared [`Fleet`] driver plus the plan's faults.
 #[derive(Debug)]
 pub struct ChaosSim {
     plan: FaultPlan,
     seed: u64,
-    bug: Option<PlantedBug>,
-    slots: Vec<Slot>,
-    keypairs: Vec<KeyPair>,
-    node_ids: Vec<NodeId>,
+    fleet: Fleet,
+    /// In-memory mode: the legacy chain dump each crashed node left behind
+    /// (durable mode leaves its store directory under `durable_root`).
+    dumps: BTreeMap<usize, Vec<u8>>,
     groups: Vec<usize>,
     byzantine: BTreeMap<usize, ByzantineBehavior>,
     /// Withheld blocks: `(release_round, owner, block)` in prefix order.
     withheld: Vec<(usize, usize, Block)>,
-    net: GossipNet,
-    race: SimMiner,
     rng: SimRng,
-    library: VulnLibrary,
-    genesis: Block,
     durable_root: Option<PathBuf>,
     store_config: StoreConfig,
     round: usize,
@@ -220,13 +197,7 @@ impl ChaosSim {
         bug: Option<PlantedBug>,
         root: &Path,
     ) -> Result<ChaosSim, ChaosFailure> {
-        Self::build(
-            plan,
-            seed,
-            bug,
-            Some(root.to_path_buf()),
-            StoreConfig::default(),
-        )
+        Self::new_durable_with(plan, seed, bug, root, StoreConfig::default())
     }
 
     /// [`ChaosSim::new_durable`] with an explicit [`StoreConfig`], so
@@ -254,53 +225,36 @@ impl ChaosSim {
         durable_root: Option<PathBuf>,
         store_config: StoreConfig,
     ) -> Result<ChaosSim, ChaosFailure> {
-        assert!(plan.nodes > 0, "plan needs at least one node");
-        let genesis = Block::genesis(Difficulty::from_u64(1));
-        let library = VulnLibrary::synthetic(200, seed ^ 0x11b);
-        let mut net = GossipNet::new(plan.link, seed);
-        let mut slots = Vec::with_capacity(plan.nodes);
-        let mut keypairs = Vec::with_capacity(plan.nodes);
-        let mut node_ids = Vec::with_capacity(plan.nodes);
-        let mut participants = Vec::with_capacity(plan.nodes);
-        for i in 0..plan.nodes {
-            let keypair = KeyPair::from_seed(format!("chaos-node-{i}").as_bytes());
-            let node = if let Some(root) = &durable_root {
-                let dir = root.join(format!("node-{i}"));
+        let relay = match bug {
+            Some(PlantedBug::AcceptEquivocation) => drop_reconciliation,
+            None => |_: &Message| true,
+        };
+        let fleet = Fleet::boot(
+            plan.nodes,
+            seed,
+            plan.link,
+            "chaos-node",
+            relay,
+            |i, genesis| -> Result<Box<dyn ChainBackend>, ChaosFailure> {
+                let Some(root) = &durable_root else {
+                    return Ok(Box::new(ChainStore::new(genesis.clone())));
+                };
+                let dir = node_dir(root, i);
                 let _ = std::fs::remove_dir_all(&dir);
-                let store = DurableStore::open_with(&dir, &genesis, store_config).map_err(|e| {
-                    ChaosFailure::Persist {
-                        round: 0,
-                        detail: e.to_string(),
-                    }
-                })?;
-                ProviderNode::with_backend(keypair, Box::new(store), library.clone())
-            } else {
-                ProviderNode::new(keypair, genesis.clone(), library.clone())
-            };
-            participants.push(SimParticipant {
-                address: node.address(),
-                hash_power: PAPER_HASH_POWERS[i % PAPER_HASH_POWERS.len()],
-            });
-            node_ids.push(net.register());
-            keypairs.push(keypair);
-            slots.push(Slot::Running(Box::new(node)));
-        }
-        let race = SimMiner::new(participants, 15.35, seed ^ 0xace);
+                let store = DurableStore::open_with(&dir, genesis, store_config)
+                    .map_err(|e| persist_failure(0, e))?;
+                Ok(Box::new(store))
+            },
+        )?;
         Ok(ChaosSim {
             plan: plan.clone(),
             seed,
-            bug,
-            slots,
-            keypairs,
-            node_ids,
+            fleet,
+            dumps: BTreeMap::new(),
             groups: vec![0; plan.nodes],
             byzantine: BTreeMap::new(),
             withheld: Vec::new(),
-            net,
-            race,
             rng: SimRng::seed_from_u64(seed ^ 0x5eed),
-            library,
-            genesis,
             durable_root,
             store_config,
             round: 0,
@@ -311,14 +265,9 @@ impl ChaosSim {
     /// Oracle views of every node.
     #[must_use]
     pub fn views(&self) -> Vec<NodeView<'_>> {
-        self.slots
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| NodeView {
-                store: match slot {
-                    Slot::Running(node) => Some(node.store()),
-                    Slot::Crashed { .. } => None,
-                },
+        (0..self.plan.nodes)
+            .map(|i| NodeView {
+                store: self.fleet.node(i).map(ProviderNode::store),
                 honest: !self.byzantine.contains_key(&i),
                 group: self.groups[i],
             })
@@ -328,103 +277,22 @@ impl ChaosSim {
     /// Whether every honest running node holds the same best tip.
     #[must_use]
     pub fn converged(&self) -> bool {
-        let mut tip = None;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if self.byzantine.contains_key(&i) {
-                continue;
-            }
-            let Slot::Running(node) = slot else { continue };
-            let t = node.store().best_tip();
-            match tip {
-                None => tip = Some(t),
-                Some(prev) if prev != t => return false,
-                Some(_) => {}
-            }
+        self.fleet.converged(|i| !self.byzantine.contains_key(&i))
+    }
+
+    /// A diverged pump as a chaos failure, stamped with the current round.
+    fn diverged(&self, e: SimError) -> ChaosFailure {
+        let SimError::PumpDiverged {
+            seed,
+            iterations,
+            pending,
+        } = e;
+        ChaosFailure::PumpDiverged {
+            seed,
+            round: self.round,
+            iterations,
+            pending,
         }
-        true
-    }
-
-    fn first_honest_running(&self) -> Option<usize> {
-        self.slots.iter().enumerate().find_map(|(i, slot)| {
-            (matches!(slot, Slot::Running(_)) && !self.byzantine.contains_key(&i)).then_some(i)
-        })
-    }
-
-    fn index_of(&self, id: NodeId) -> usize {
-        self.node_ids
-            .iter()
-            .position(|n| *n == id)
-            .expect("delivery to registered node")
-    }
-
-    /// Broadcasts an outbox verbatim (used for a miner's own block and
-    /// workload records — never subject to the planted bug).
-    fn broadcast_raw(&mut self, idx: usize, out: Outbox) {
-        for m in out.broadcast {
-            self.net
-                .broadcast(self.node_ids[idx], m)
-                .expect("registered node");
-        }
-    }
-
-    /// Broadcasts a *handler* outbox. Under [`PlantedBug::AcceptEquivocation`]
-    /// the reconciliation messages (block re-gossip, gap-repair requests)
-    /// are silently dropped — that is the planted bug.
-    fn broadcast_reconciling(&mut self, idx: usize, out: Outbox) {
-        for m in out.broadcast {
-            if self.bug == Some(PlantedBug::AcceptEquivocation)
-                && matches!(m, Message::Block(_) | Message::BlockRequest { .. })
-            {
-                continue;
-            }
-            self.net
-                .broadcast(self.node_ids[idx], m)
-                .expect("registered node");
-        }
-    }
-
-    /// Delivers queued messages until the network is quiet. Deliveries to
-    /// crashed nodes are dropped on the floor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChaosFailure::PumpDiverged`] past the iteration budget.
-    pub fn pump(&mut self) -> Result<(), ChaosFailure> {
-        let mut iterations = 0;
-        while self.net.has_pending() {
-            iterations += 1;
-            if iterations >= PUMP_LIMIT {
-                return Err(ChaosFailure::PumpDiverged {
-                    seed: self.seed,
-                    round: self.round,
-                    iterations,
-                    pending: self.net.drain().len(),
-                });
-            }
-            let deliveries = self.net.drain();
-            // Batch admission per round: warm the signature cache for the
-            // round's records in parallel before the sequential delivery
-            // loop. Cache contents never change an outcome, so seeded
-            // plans stay byte-identical at any thread or shard count —
-            // the flood's ECDSA recoveries just run amortized.
-            let round_records: Vec<&smartcrowd_chain::record::Record> = deliveries
-                .iter()
-                .filter_map(|d| match &d.message {
-                    Message::Record(r) => Some(r),
-                    _ => None,
-                })
-                .collect();
-            smartcrowd_chain::sigcache::warm(&round_records);
-            for d in deliveries {
-                let idx = self.index_of(d.to);
-                let out = match &mut self.slots[idx] {
-                    Slot::Running(node) => node.handle(d.message),
-                    Slot::Crashed { .. } => continue,
-                };
-                self.broadcast_reconciling(idx, out);
-            }
-        }
-        Ok(())
     }
 
     /// Applies every fault scheduled for `round`.
@@ -462,12 +330,7 @@ impl ChaosSim {
             }
             match kind {
                 FaultKind::Partition { minority } => {
-                    let ids: Vec<NodeId> = minority
-                        .iter()
-                        .filter(|&&i| i < self.node_ids.len())
-                        .map(|&i| self.node_ids[i])
-                        .collect();
-                    self.net.partition(&ids);
+                    self.fleet.partition(&minority);
                     for g in &mut self.groups {
                         *g = 0;
                     }
@@ -497,68 +360,58 @@ impl ChaosSim {
     /// half-written `state.snap` over a fully durable log — which the
     /// restart's recovery must truncate/reject and replay around.
     fn crash(&mut self, node: usize) {
-        let Slot::Running(n) = &mut self.slots[node] else {
+        let Some(mut n) = self.fleet.slot(node).take() else {
             return;
         };
-        let disk = if let Some(root) = &self.durable_root {
-            let dir = root.join(format!("node-{node}"));
-            let address = n.address();
-            let tear = frame::FRAME_HEADER_LEN as u64 + self.rng.next_below(64);
-            let snapshots_on = self.store_config.snapshot_interval > 0;
-            let tear_snapshot = snapshots_on && self.rng.next_below(3) == 0;
-            if let Some(store) = n.backend_mut().as_any_mut().downcast_mut::<DurableStore>() {
-                let parent = store.best_block();
-                let inflight = Block::assemble(
-                    &parent,
-                    vec![],
-                    parent.header().timestamp + 1,
-                    Difficulty::from_u64(1),
-                    address,
-                );
-                let point = if tear_snapshot {
-                    // The commit itself lands durably; the crash hits
-                    // while state.snap is being rewritten afterwards.
-                    CrashPoint::TornSnapshotWrite { bytes: tear }
-                } else {
-                    CrashPoint::TornLogAppend { bytes: tear }
-                };
-                store.inject_crash(point);
-                // The commit dies at the crash point by design.
-                let _ = store.commit(inflight);
-            }
-            Disk::Dir(dir)
-        } else {
-            Disk::Dump(export_chain(n.store()))
-        };
-        self.slots[node] = Slot::Crashed { disk };
+        if self.durable_root.is_none() {
+            self.dumps.insert(node, export_chain(n.store()));
+            return;
+        }
+        let address = n.address();
+        let tear = frame::FRAME_HEADER_LEN as u64 + self.rng.next_below(64);
+        let snapshots_on = self.store_config.snapshot_interval > 0;
+        let tear_snapshot = snapshots_on && self.rng.next_below(3) == 0;
+        if let Some(store) = n.backend_mut().as_any_mut().downcast_mut::<DurableStore>() {
+            let parent = store.best_block();
+            let inflight = Block::assemble(
+                &parent,
+                vec![],
+                parent.header().timestamp + 1,
+                Difficulty::from_u64(1),
+                address,
+            );
+            let point = if tear_snapshot {
+                // The commit itself lands durably; the crash hits
+                // while state.snap is being rewritten afterwards.
+                CrashPoint::TornSnapshotWrite { bytes: tear }
+            } else {
+                CrashPoint::TornLogAppend { bytes: tear }
+            };
+            store.inject_crash(point);
+            // The commit dies at the crash point by design.
+            let _ = store.commit(inflight);
+        }
     }
 
     fn restart(&mut self, node: usize, round: usize) -> Result<(), ChaosFailure> {
-        let Slot::Crashed { disk } = &self.slots[node] else {
+        if self.fleet.node(node).is_some() {
             return Ok(());
-        };
-        let provider = match disk {
-            Disk::Dump(bytes) => {
-                let store = import_chain(bytes).map_err(|e| ChaosFailure::Persist {
-                    round,
-                    detail: e.to_string(),
-                })?;
-                ProviderNode::restore(self.keypairs[node], store, self.library.clone())
+        }
+        let backend: Box<dyn ChainBackend> = match &self.durable_root {
+            Some(root) => {
+                let dir = node_dir(root, node);
+                let reopened =
+                    DurableStore::open_with(&dir, self.fleet.genesis(), self.store_config);
+                Box::new(reopened.map_err(|e| persist_failure(round, e))?)
             }
-            Disk::Dir(dir) => {
-                let store = DurableStore::open_with(dir, &self.genesis, self.store_config)
-                    .map_err(|e| ChaosFailure::Persist {
-                        round,
-                        detail: e.to_string(),
-                    })?;
-                ProviderNode::restore_backend(
-                    self.keypairs[node],
-                    Box::new(store),
-                    self.library.clone(),
-                )
+            None => {
+                let imported = import_chain(&self.dumps[&node]);
+                Box::new(imported.map_err(|e| persist_failure(round, e))?)
             }
         };
-        self.slots[node] = Slot::Running(Box::new(provider));
+        let library = self.fleet.library().clone();
+        let provider = ProviderNode::restore_backend(*self.fleet.keypair(node), backend, library);
+        *self.fleet.slot(node) = Some(provider);
         Ok(())
     }
 
@@ -568,7 +421,7 @@ impl ChaosSim {
     ///
     /// Propagates pump divergence.
     pub fn heal(&mut self) -> Result<(), ChaosFailure> {
-        self.net.heal_partition();
+        self.fleet.heal_partition();
         for g in &mut self.groups {
             *g = 0;
         }
@@ -577,31 +430,11 @@ impl ChaosSim {
 
     /// Anti-entropy: every honest running node rebroadcasts its canonical
     /// chain so laggards catch up. A no-op (plain pump) under the planted
-    /// bug — the bug removes exactly this machinery.
+    /// bug — the relay filter drops exactly this machinery.
     fn anti_entropy(&mut self) -> Result<(), ChaosFailure> {
-        if self.bug.is_some() {
-            return self.pump();
-        }
-        for i in 0..self.slots.len() {
-            if self.byzantine.contains_key(&i) {
-                continue;
-            }
-            let blocks: Vec<Block> = match &self.slots[i] {
-                Slot::Running(node) => node
-                    .store()
-                    .canonical_blocks()
-                    .into_iter()
-                    .filter(|b| b.header().height > 0)
-                    .collect(),
-                Slot::Crashed { .. } => continue,
-            };
-            for b in blocks {
-                self.net
-                    .broadcast(self.node_ids[i], Message::Block(Box::new(b)))
-                    .expect("registered node");
-            }
-        }
-        self.pump()
+        let byzantine = &self.byzantine;
+        let synced = self.fleet.anti_entropy(|i| !byzantine.contains_key(&i));
+        synced.map_err(|d| self.diverged(d))
     }
 
     /// Runs one mining round: the race picks a winner; a crashed winner
@@ -613,71 +446,47 @@ impl ChaosSim {
     ///
     /// Propagates pump divergence.
     pub fn mine_round(&mut self) -> Result<(), ChaosFailure> {
-        let event = self.race.next_event();
-        let winner = event.winner;
-        let timestamp = self.genesis.header().timestamp + self.race.clock().ceil() as u64;
-        let behavior = self.byzantine.get(&winner).cloned();
-        if matches!(self.slots[winner], Slot::Running(_)) {
-            match behavior {
-                Some(ByzantineBehavior::Withhold { rounds }) => {
-                    let block = {
-                        let Slot::Running(node) = &mut self.slots[winner] else {
-                            unreachable!("checked running above")
-                        };
-                        node.mine(timestamp, BLOCK_CAPACITY).0
-                    };
+        let (winner, timestamp) = self.fleet.next_round();
+        match self.byzantine.get(&winner) {
+            Some(&ByzantineBehavior::Withhold { rounds }) => {
+                if let Some(node) = self.fleet.slot(winner) {
+                    let block = node.mine(timestamp, BLOCK_CAPACITY).0;
                     self.withheld.push((self.round + rounds, winner, block));
                 }
-                Some(ByzantineBehavior::Equivocate) => self.equivocate(winner, timestamp),
-                _ => {
-                    // Honest mining (flooders mine honestly; their
-                    // misbehaviour is the per-round spam below).
-                    let out = {
-                        let Slot::Running(node) = &mut self.slots[winner] else {
-                            unreachable!("checked running above")
-                        };
-                        node.mine(timestamp, BLOCK_CAPACITY).1
-                    };
-                    self.broadcast_raw(winner, out);
-                }
             }
+            Some(ByzantineBehavior::Equivocate) => self.equivocate(winner, timestamp),
+            // Honest mining (flooders mine honestly; their misbehaviour
+            // is the per-round spam below).
+            _ => self.fleet.mine_and_broadcast(winner, timestamp),
         }
         self.release_due_withheld();
         self.flood();
-        self.pump()
+        self.fleet.pump().map_err(|e| self.diverged(e))
     }
 
     /// Double-mines two sibling blocks on the winner's tip and sends one
     /// to each half of the network; the equivocator adopts one arm and
     /// re-gossips nothing.
     fn equivocate(&mut self, winner: usize, timestamp: u64) {
-        let (block_a, block_b) = {
-            let Slot::Running(node) = &mut self.slots[winner] else {
-                return;
-            };
-            let parent = node.store().best_block().clone();
-            let t = timestamp.max(parent.header().timestamp);
-            let address = node.address();
-            let a = Block::assemble(&parent, vec![], t, Difficulty::from_u64(1), address);
-            let b = Block::assemble(&parent, vec![], t + 1, Difficulty::from_u64(1), address);
-            // The equivocator silently adopts arm A (outbox discarded).
-            let _ = node.handle(Message::Block(Box::new(a.clone())));
-            (a, b)
+        let Some(node) = self.fleet.slot(winner) else {
+            return;
         };
+        let parent = node.store().best_block();
+        let t = timestamp.max(parent.header().timestamp);
+        let address = node.address();
+        let block_a = Block::assemble(&parent, vec![], t, Difficulty::from_u64(1), address);
+        let block_b = Block::assemble(&parent, vec![], t + 1, Difficulty::from_u64(1), address);
+        // The equivocator silently adopts arm A (outbox discarded).
+        let _ = node.handle(Message::Block(Box::new(block_a.clone())));
         let mut toggle = false;
-        for i in 0..self.slots.len() {
-            if i == winner || matches!(self.slots[i], Slot::Crashed { .. }) {
+        for i in 0..self.plan.nodes {
+            if i == winner || self.fleet.node(i).is_none() {
                 continue;
             }
             let arm = if toggle { &block_b } else { &block_a };
             toggle = !toggle;
-            self.net
-                .send(
-                    self.node_ids[winner],
-                    self.node_ids[i],
-                    Message::Block(Box::new(arm.clone())),
-                )
-                .expect("registered node");
+            self.fleet
+                .send(winner, i, Message::Block(Box::new(arm.clone())));
         }
     }
 
@@ -695,12 +504,9 @@ impl ChaosSim {
             }
         });
         for (owner, block) in due {
-            if matches!(self.slots[owner], Slot::Crashed { .. }) {
-                continue;
+            if self.fleet.node(owner).is_some() {
+                self.fleet.broadcast(owner, Message::Block(Box::new(block)));
             }
-            self.net
-                .broadcast(self.node_ids[owner], Message::Block(Box::new(block)))
-                .expect("registered node");
         }
     }
 
@@ -709,7 +515,7 @@ impl ChaosSim {
         let flooders: Vec<(usize, ByzantineBehavior)> = self
             .byzantine
             .iter()
-            .filter(|(i, _)| matches!(self.slots[**i], Slot::Running(_)))
+            .filter(|(i, _)| self.fleet.node(**i).is_some())
             .map(|(i, b)| (*i, b.clone()))
             .collect();
         for (idx, behavior) in flooders {
@@ -725,39 +531,28 @@ impl ChaosSim {
                             payload,
                             Ether::from_microether(5),
                             1_000_000 + self.garbage_nonce,
-                            &self.keypairs[idx],
+                            self.fleet.keypair(idx),
                         );
-                        self.net
-                            .broadcast(self.node_ids[idx], Message::Record(record))
-                            .expect("registered node");
+                        self.fleet.broadcast(idx, Message::Record(record));
                     }
                 }
                 ByzantineBehavior::StaleFlood { per_round } => {
-                    let heights: Vec<u64> = {
-                        let Slot::Running(node) = &self.slots[idx] else {
-                            continue;
-                        };
-                        let best = node.store().best_height();
-                        if best == 0 {
-                            continue;
-                        }
-                        (0..per_round)
-                            .map(|_| 1 + self.rng.next_below(best))
-                            .collect()
+                    let Some(node) = self.fleet.node(idx) else {
+                        continue;
                     };
-                    let blocks: Vec<Block> = {
-                        let Slot::Running(node) = &self.slots[idx] else {
-                            continue;
-                        };
-                        heights
-                            .iter()
-                            .filter_map(|h| node.store().canonical_block_at(*h))
-                            .collect()
-                    };
+                    let best = node.store().best_height();
+                    if best == 0 {
+                        continue;
+                    }
+                    let heights: Vec<u64> = (0..per_round)
+                        .map(|_| 1 + self.rng.next_below(best))
+                        .collect();
+                    let blocks: Vec<Block> = heights
+                        .iter()
+                        .filter_map(|h| node.store().canonical_block_at(*h))
+                        .collect();
                     for b in blocks {
-                        self.net
-                            .broadcast(self.node_ids[idx], Message::Block(Box::new(b)))
-                            .expect("registered node");
+                        self.fleet.broadcast(idx, Message::Block(Box::new(b)));
                     }
                 }
                 _ => {}
@@ -791,20 +586,17 @@ impl ChaosSim {
         vulns: Vec<VulnId>,
         name: &str,
     ) -> Result<(), ChaosFailure> {
-        let Some(entry) = self.first_honest_running() else {
+        let honest = |i: &usize| !self.byzantine.contains_key(i);
+        let Some(entry) = self.fleet.running().map(|(i, _)| i).find(honest) else {
             return Ok(());
         };
         let mut build_rng = SimRng::seed_from_u64(self.seed ^ u64::from(tag));
-        let system = IoTSystem::build(name, "1", &self.library, vulns.clone(), &mut build_rng)
+        let library = self.fleet.library();
+        let system = IoTSystem::build(name, "1", library, vulns.clone(), &mut build_rng)
             .expect("workload vulns exist in the library");
-        let (sra_id, out) = {
-            let Slot::Running(node) = &mut self.slots[entry] else {
-                unreachable!("first_honest_running returned a running node")
-            };
-            node.release(system, Ether::from_ether(1000), Ether::from_ether(25))
-        };
-        self.broadcast_raw(entry, out);
-        self.pump()?;
+        let (insurance, mu) = (Ether::from_ether(1000), Ether::from_ether(25));
+        let released = self.fleet.release(entry, system, insurance, mu);
+        let sra_id = released.map_err(|d| self.diverged(d))?;
         let detector = KeyPair::from_seed(format!("chaos-detector-{tag}").as_bytes());
         let (initial, detailed) =
             create_report_pair(&detector, sra_id, Findings::new(vulns, "chaos workload"));
@@ -815,18 +607,8 @@ impl ChaosSim {
         for (kind, payload, nonce) in submissions {
             let record =
                 Record::signed(kind, payload, Ether::from_milliether(11), nonce, &detector);
-            let message = Message::Record(record);
-            let out = {
-                let Slot::Running(node) = &mut self.slots[entry] else {
-                    unreachable!("entry node is running")
-                };
-                node.handle(message.clone())
-            };
-            self.net
-                .broadcast(self.node_ids[entry], message)
-                .expect("registered node");
-            self.broadcast_reconciling(entry, out);
-            self.pump()?;
+            let injected = self.fleet.inject(entry, Message::Record(record));
+            injected.map_err(|d| self.diverged(d))?;
         }
         Ok(())
     }
@@ -838,16 +620,9 @@ impl ChaosSim {
     ///
     /// Propagates pump divergence.
     pub fn mine_honest_round(&mut self) -> Result<(), ChaosFailure> {
-        let event = self.race.next_event();
-        let winner = event.winner;
-        let timestamp = self.genesis.header().timestamp + self.race.clock().ceil() as u64;
-        if !self.byzantine.contains_key(&winner) {
-            if let Slot::Running(node) = &mut self.slots[winner] {
-                let out = node.mine(timestamp, BLOCK_CAPACITY).1;
-                self.broadcast_raw(winner, out);
-            }
-        }
-        self.pump()
+        let byzantine = &self.byzantine;
+        let mined = self.fleet.mine_round(|i| !byzantine.contains_key(&i));
+        mined.map(drop).map_err(|d| self.diverged(d))
     }
 
     fn set_round(&mut self, round: usize) {
@@ -957,7 +732,7 @@ fn run_sim(mut sim: ChaosSim, plan: &FaultPlan) -> Result<ChaosOutcome, ChaosFai
             deposits: Ether::ZERO,
             payouts: Ether::ZERO,
             pending_reports: 0,
-            duplicated: sim.net.duplicated(),
+            duplicated: sim.fleet.duplicated(),
         });
     };
     let settlement = settle_confirmed(honest_store).map_err(|e| {
@@ -973,7 +748,7 @@ fn run_sim(mut sim: ChaosSim, plan: &FaultPlan) -> Result<ChaosOutcome, ChaosFai
         deposits: settlement.deposits,
         payouts: settlement.payouts,
         pending_reports: settlement.pending_reports,
-        duplicated: sim.net.duplicated(),
+        duplicated: sim.fleet.duplicated(),
     })
 }
 

@@ -4,11 +4,47 @@
 //! This is the file minimized failures from `chaos_explore` land in —
 //! each test is a `(plan, seed)` pair in exactly the shape the shrinker
 //! prints. CI runs the corpus on every push.
+//!
+//! Every plan is also a golden: its full [`ChaosOutcome`] on the
+//! in-memory backend and on durable stores is pinned to the value
+//! recorded before `Platform` and `ProviderNode` were collapsed onto one
+//! protocol core, so a refactor of the node path or the fleet driver that
+//! shifts a single message shows up here.
 
 use smartcrowd_chain::Ether;
 use smartcrowd_chaos::plan::{ByzantineBehavior, FaultEvent, FaultKind, FaultPlan};
-use smartcrowd_chaos::sim::run_plan;
+use smartcrowd_chaos::sim::{run_plan_durable, ChaosOutcome};
 use smartcrowd_net::LinkConfig;
+use std::path::PathBuf;
+
+/// `(rounds, best_height, deposits ETH, payouts ETH, pending_reports, duplicated)`.
+type Golden = (usize, u64, u64, u64, usize, u64);
+
+fn golden(
+    (rounds, best_height, deposits, payouts, pending_reports, duplicated): Golden,
+) -> ChaosOutcome {
+    ChaosOutcome {
+        rounds,
+        best_height,
+        deposits: Ether::from_ether(deposits),
+        payouts: Ether::from_ether(payouts),
+        pending_reports,
+        duplicated,
+    }
+}
+
+/// Runs the plan on both backends, checks each outcome against its
+/// golden, and hands back the in-memory outcome.
+fn run_plan(plan: &FaultPlan, seed: u64, memory: Golden, durable: Golden) -> ChaosOutcome {
+    let outcome = smartcrowd_chaos::sim::run_plan(plan, seed, None).unwrap();
+    assert_eq!(outcome, golden(memory), "in-memory outcome drifted");
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("chaos-golden-{seed}"));
+    let _ = std::fs::remove_dir_all(&root);
+    let on_disk = run_plan_durable(plan, seed, None, &root).unwrap();
+    assert_eq!(on_disk, golden(durable), "durable outcome drifted");
+    let _ = std::fs::remove_dir_all(&root);
+    outcome
+}
 
 fn quiet(nodes: usize, rounds: usize) -> FaultPlan {
     FaultPlan {
@@ -34,7 +70,12 @@ fn partition_and_heal_below_finality() {
             kind: FaultKind::Heal,
         },
     ];
-    let outcome = run_plan(&plan, 101, None).unwrap();
+    let outcome = run_plan(
+        &plan,
+        101,
+        (20, 19, 2000, 75, 0, 0),
+        (20, 19, 2000, 75, 0, 0),
+    );
     assert!(outcome.best_height >= 12);
     // Round-0 workload confirms despite the cut: 1000 ETH insured, one
     // finding paid at 25 ETH/vuln, plus the mid-run release.
@@ -63,7 +104,12 @@ fn crash_restart_recovers_from_disk() {
             kind: FaultKind::Restart { node: 0 },
         },
     ];
-    let outcome = run_plan(&plan, 102, None).unwrap();
+    let outcome = run_plan(
+        &plan,
+        102,
+        (20, 16, 1000, 25, 0, 0),
+        (20, 18, 1000, 25, 0, 0),
+    );
     assert!(outcome.best_height >= 12);
 }
 
@@ -77,7 +123,12 @@ fn equivocation_is_resolved_by_reconciliation() {
             behavior: ByzantineBehavior::Equivocate,
         },
     }];
-    run_plan(&plan, 103, None).unwrap();
+    run_plan(
+        &plan,
+        103,
+        (22, 22, 2000, 75, 0, 0),
+        (22, 22, 2000, 75, 0, 0),
+    );
 }
 
 #[test]
@@ -90,7 +141,12 @@ fn withheld_fork_release_stays_below_finality() {
             behavior: ByzantineBehavior::Withhold { rounds: 3 },
         },
     }];
-    run_plan(&plan, 104, None).unwrap();
+    run_plan(
+        &plan,
+        104,
+        (22, 18, 2000, 75, 0, 0),
+        (22, 18, 2000, 75, 0, 0),
+    );
 }
 
 #[test]
@@ -112,7 +168,12 @@ fn flooding_does_not_bend_any_invariant() {
             },
         },
     ];
-    let outcome = run_plan(&plan, 105, None).unwrap();
+    let outcome = run_plan(
+        &plan,
+        105,
+        (18, 18, 2000, 75, 0, 0),
+        (18, 18, 2000, 75, 0, 0),
+    );
     // Garbage records never reach a canonical chain, so the workload
     // settles exactly as in a quiet run.
     assert_eq!(outcome.payouts, Ether::from_ether(75));
@@ -128,7 +189,12 @@ fn lossy_duplicating_reordering_links_converge() {
         duplicate_rate: 0.20,
         reorder_rate: 0.20,
     };
-    let outcome = run_plan(&plan, 106, None).unwrap();
+    let outcome = run_plan(
+        &plan,
+        106,
+        (20, 20, 2000, 75, 0, 52),
+        (20, 20, 2000, 75, 0, 52),
+    );
     assert!(outcome.duplicated > 0, "duplication was exercised");
 }
 
@@ -174,6 +240,11 @@ fn kitchen_sink_every_fault_class_in_one_run() {
             },
         },
     ];
-    let outcome = run_plan(&plan, 107, None).unwrap();
+    let outcome = run_plan(
+        &plan,
+        107,
+        (26, 22, 2000, 75, 0, 131),
+        (26, 22, 2000, 75, 0, 137),
+    );
     assert!(outcome.best_height >= 15);
 }

@@ -24,8 +24,9 @@
 //! | SmartCrowd contracts (the 350-line Solidity analogue, §VII) | [`contracts`] |
 //! | Provider / detector / consumer roles (§IV-A) | [`provider`], [`detector`], [`consumer`] |
 //! | Adversary model & defences (§III-A, §VI-A) | [`attacks`] |
-//! | End-to-end platform facade | [`platform`] |
-//! | A full distributed provider node (Phase #3 fault tolerance) | [`node`] |
+//! | The protocol core: admit / check-block / seal / replay (§V-C, Phase #3) | [`protocol`] |
+//! | End-to-end platform facade: the core + mining race + contract settlement | [`platform`] |
+//! | A distributed provider node: the core + gossip glue (Phase #3 fault tolerance) | [`node`] |
 //! | Retrospective detection (SmartRetro, the paper's reference 46) | [`retro`] |
 //! | The consumer-facing authoritative reference | [`mod@reference`] |
 //!
@@ -50,6 +51,7 @@ pub mod error;
 pub mod incentive;
 pub mod node;
 pub mod platform;
+pub mod protocol;
 pub mod provider;
 pub mod reference;
 pub mod report;

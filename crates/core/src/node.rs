@@ -5,27 +5,27 @@
 //! claim is *distributed*: "leveraging blockchain consensus, SmartCrowd is
 //! fault-tolerant for verifying and storing detection results that is
 //! determined by the majority of IoT providers" (§IV-B). [`ProviderNode`]
-//! is the unit that claim is about: an independent process with its own
-//! chain store, mempool, sync buffer, scoreboard and verification state,
-//! communicating only through [`smartcrowd_net::Message`]s.
+//! is the unit that claim is about: an independent process communicating
+//! only through [`smartcrowd_net::Message`]s.
 //!
-//! Every node independently re-runs the full §V pipeline on everything it
-//! receives: SRA verification, Algorithm 1, commitment binding and
-//! `AutoVerif` against the downloaded artifact. Convergence of honest
-//! nodes is a *theorem of the message handlers*, tested in
+//! A node is a [`Protocol`] core — chain, pending pool and verified
+//! knowledge, driven through `admit` / `check_block` / `seal` / `replay`
+//! exactly as [`crate::platform::Platform`] drives its own — plus the
+//! gossip glue only a networked replica needs: the sync buffer that
+//! reassembles out-of-order blocks, artifact hosting and download, the
+//! detailed reports waiting for an artifact, and the outbox. Convergence
+//! of honest nodes is a *theorem of the message handlers*, tested in
 //! `sim::distributed`.
 
 use crate::error::CoreError;
-use crate::report::{DetailedReport, InitialReport};
+use crate::protocol::{Admitted, Protocol};
+use crate::report::DetailedReport;
 use crate::sra::{Sra, SraId};
-use crate::verify;
-use smartcrowd_chain::mempool::Mempool;
 use smartcrowd_chain::record::{Record, RecordKind};
-use smartcrowd_chain::validate::{validate_block, FnValidator};
-use smartcrowd_chain::{Block, ChainBackend, ChainQuery, ChainStore, Difficulty, Ether};
+use smartcrowd_chain::validate::{validate_block, AcceptAll};
+use smartcrowd_chain::{Block, ChainBackend, ChainError, ChainQuery, ChainStore, Ether};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::{Address, Digest};
-use smartcrowd_detect::autoverif::AutoVerifier;
 use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_net::sync::{SyncBuffer, SyncOutcome};
@@ -50,23 +50,15 @@ impl Outbox {
 pub struct ProviderNode {
     keypair: KeyPair,
     address: Address,
-    backend: Box<dyn ChainBackend>,
-    mempool: Mempool,
+    core: Protocol,
     sync: SyncBuffer,
-    scoreboard: Scoreboard,
-    library: VulnLibrary,
-    /// Verified SRAs seen so far.
-    sras: HashMap<SraId, Sra>,
-    /// Downloaded + integrity-checked artifacts (`U_l` → image).
-    images: HashMap<SraId, IoTSystem>,
     /// Images this node hosts (its own releases).
     hosted: HashMap<Digest, IoTSystem>,
     /// Outstanding image downloads.
     pending_images: HashSet<Digest>,
-    /// First verified initial report per (SRA, detector).
-    initials: HashMap<(SraId, Address), InitialReport>,
-    /// Detailed reports that arrived before their artifact; retried later.
-    deferred_detailed: Vec<DetailedReport>,
+    /// Detailed reports (with their record ids) that arrived before their
+    /// artifact; judged when it arrives.
+    deferred_detailed: Vec<(Digest, DetailedReport)>,
     /// Block ids already requested from peers (ask once).
     requested_blocks: HashSet<smartcrowd_chain::header::BlockId>,
     /// Per-sender record sequence for this node's own submissions.
@@ -87,91 +79,47 @@ impl ProviderNode {
         backend: Box<dyn ChainBackend>,
         library: VulnLibrary,
     ) -> Self {
-        ProviderNode {
-            address: keypair.address(),
-            keypair,
-            backend,
-            mempool: Mempool::default(),
-            sync: SyncBuffer::new(),
-            scoreboard: Scoreboard::default(),
-            library,
-            sras: HashMap::new(),
-            images: HashMap::new(),
-            hosted: HashMap::new(),
-            pending_images: HashSet::new(),
-            initials: HashMap::new(),
-            deferred_detailed: Vec::new(),
-            requested_blocks: HashSet::new(),
-            nonce: 0,
-        }
+        Self::boot(keypair, Protocol::new(backend, library), 0)
     }
 
-    /// Reboots a node from a recovered chain store (the crash-restart
-    /// story of `persist::export_chain` → crash → `persist::import_chain`).
+    /// Reboots a node from a recovered chain backend — a store
+    /// `persist::import_chain` rebuilt from a dump, or a reopened
+    /// [`smartcrowd_chain::storage::DurableStore`] (recovery runs there).
     ///
     /// The chain is the only state that survives a crash; all soft state —
     /// mempool, sync buffer, downloaded artifacts, hosted images,
     /// scoreboard — is lost. Verified SRAs and initial reports are
-    /// re-derived from the canonical chain so Algorithm 1 can keep running,
-    /// and the record nonce resumes past the highest on-chain nonce this
-    /// key already used (a replayed nonce would produce duplicate record
-    /// ids).
-    pub fn restore(keypair: KeyPair, store: ChainStore, library: VulnLibrary) -> Self {
-        Self::restore_backend(keypair, Box::new(store), library)
-    }
-
-    /// [`ProviderNode::restore`] over an explicit backend — the durable
-    /// crash-restart path: reopen the [`smartcrowd_chain::storage::DurableStore`]
-    /// from disk (recovery runs there), then rebuild the soft state from
-    /// its recovered canonical chain.
+    /// re-derived from the canonical chain ([`Protocol::replay`]) so
+    /// Algorithm 1 can keep running, and the record nonce resumes past
+    /// the highest on-chain nonce this key already used (a replayed nonce
+    /// would produce duplicate record ids).
     pub fn restore_backend(
         keypair: KeyPair,
         backend: Box<dyn ChainBackend>,
         library: VulnLibrary,
     ) -> Self {
+        let core = Protocol::replay(backend, library);
         let address = keypair.address();
-        let mut sras = HashMap::new();
-        let mut initials = HashMap::new();
-        let mut nonce = 0u64;
-        for block in backend.canonical_blocks() {
-            for record in block.records() {
-                if record.sender() == address {
-                    nonce = nonce.max(record.nonce());
-                }
-                match record.kind() {
-                    RecordKind::Sra => {
-                        if let Ok(sra) = Sra::decode(record.payload()) {
-                            if sra.verify().is_ok() {
-                                sras.insert(*sra.id(), sra);
-                            }
-                        }
-                    }
-                    RecordKind::InitialReport => {
-                        if let Ok(report) = InitialReport::decode(record.payload()) {
-                            if report.verify().is_ok() {
-                                initials
-                                    .entry((*report.sra_id(), report.detector()))
-                                    .or_insert(report);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
+        let nonce = core
+            .store()
+            .canonical_blocks()
+            .iter()
+            .flat_map(Block::records)
+            .filter(|r| r.sender() == address)
+            .map(Record::nonce)
+            .max()
+            .unwrap_or(0);
+        Self::boot(keypair, core, nonce)
+    }
+
+    fn boot(keypair: KeyPair, core: Protocol, nonce: u64) -> Self {
         ProviderNode {
-            address,
+            address: keypair.address(),
             keypair,
-            backend,
-            mempool: Mempool::default(),
+            core,
             sync: SyncBuffer::new(),
-            scoreboard: Scoreboard::default(),
-            library,
-            sras,
-            images: HashMap::new(),
             hosted: HashMap::new(),
             pending_images: HashSet::new(),
-            initials,
             deferred_detailed: Vec::new(),
             requested_blocks: HashSet::new(),
             nonce,
@@ -186,23 +134,23 @@ impl ProviderNode {
     /// The node's chain view (read-only queries over whatever backend —
     /// in-memory or paged durable — this node runs on).
     pub fn store(&self) -> &dyn ChainQuery {
-        &*self.backend
+        self.core.store()
     }
 
     /// Mutable access to the chain backend (fault-injection harnesses
     /// downcast this to the concrete store).
     pub fn backend_mut(&mut self) -> &mut dyn ChainBackend {
-        &mut *self.backend
+        self.core.backend_mut()
     }
 
     /// The node's local scoreboard.
     pub fn scoreboard(&self) -> &Scoreboard {
-        &self.scoreboard
+        self.core.scoreboard()
     }
 
     /// Pending records in this node's mempool.
     pub fn mempool_len(&self) -> usize {
-        self.mempool.len()
+        self.core.mempool_len()
     }
 
     /// Releases a system from this node: hosts the image, signs the SRA,
@@ -225,44 +173,50 @@ impl ProviderNode {
         );
         let sra_id = *sra.id();
         self.hosted.insert(*system.image_hash(), system.clone());
-        self.images.insert(sra_id, system);
-        self.sras.insert(sra_id, sra.clone());
+        self.core.hold_artifact(sra_id, system);
+        self.nonce += 1;
         let record = Record::signed(
             RecordKind::Sra,
             sra.encode(),
             Ether::from_milliether(11),
-            self.next_nonce(),
+            self.nonce,
             &self.keypair,
         );
-        self.admit_record(record.clone());
         let mut out = Outbox::default();
+        self.admit(record.clone(), &mut out);
         out.push(Message::Record(record));
         (sra_id, out)
     }
 
-    fn next_nonce(&mut self) -> u64 {
-        self.nonce += 1;
-        self.nonce
-    }
-
-    /// Admits a record to the mempool, distinguishing the benign
-    /// re-gossip case from real rejections. A
-    /// [`smartcrowd_chain::ChainError::DuplicatePending`] means a peer
-    /// redelivered something already queued — expected under gossip, not
-    /// worth counting. Anything else (bad signature, fee too low for a
-    /// full pool) is a genuine drop, counted under
-    /// `core.node.record_dropped` so operators can see admission
-    /// pressure instead of records silently vanishing.
-    ///
-    /// Returns whether the record is now pending.
-    fn admit_record(&mut self, record: Record) -> bool {
-        match self.mempool.insert(record) {
-            Ok(()) => true,
-            Err(smartcrowd_chain::ChainError::DuplicatePending { .. }) => false,
-            Err(_) => {
-                smartcrowd_telemetry::counter!("core.node.record_dropped").inc();
-                false
+    /// Runs a record through the core and does the gossip-side follow-up:
+    /// start the artifact download for a new SRA, park an `R*` that
+    /// cannot be judged yet, and count the rejections operators care
+    /// about. A [`ChainError::DuplicatePending`] means a peer redelivered
+    /// something already queued — expected under gossip, not worth
+    /// counting; any other pool rejection (fee too low for a full pool) is
+    /// a genuine drop, counted under `core.node.record_dropped` so
+    /// admission pressure is visible. Records that fail verification are
+    /// dropped silently: the sender is unauthenticated.
+    fn admit(&mut self, record: Record, out: &mut Outbox) {
+        use smartcrowd_telemetry::counter;
+        match self.core.admit(record) {
+            Ok(Admitted::Verified) => {}
+            Ok(Admitted::NewSra { image_hash }) => {
+                // Start the U_l download unless we host it.
+                if !self.hosted.contains_key(&image_hash) && self.pending_images.insert(image_hash)
+                {
+                    out.push(Message::ImageRequest { image_hash });
+                }
             }
+            Ok(Admitted::Unverified { record_id, report }) => {
+                self.deferred_detailed.push((record_id, *report));
+            }
+            Err(CoreError::Chain(ChainError::RecordRejected { .. })) => {
+                counter!("core.node.records_bad_sig").inc();
+            }
+            Err(CoreError::Chain(ChainError::DuplicatePending { .. })) => {}
+            Err(CoreError::Chain(_)) => counter!("core.node.record_dropped").inc(),
+            Err(_) => {}
         }
     }
 
@@ -270,7 +224,10 @@ impl ProviderNode {
     pub fn handle(&mut self, message: Message) -> Outbox {
         let mut out = Outbox::default();
         match message {
-            Message::Record(record) => self.handle_record(record, &mut out),
+            Message::Record(record) => {
+                smartcrowd_telemetry::counter!("core.node.records_received").inc();
+                self.admit(record, &mut out);
+            }
             Message::Block(block) => self.handle_block(*block, &mut out),
             Message::ImageRequest { image_hash } => {
                 if let Some(system) = self.hosted.get(&image_hash) {
@@ -284,7 +241,7 @@ impl ProviderNode {
                 self.handle_image(image_hash, image);
             }
             Message::BlockRequest { id } => {
-                if let Some(block) = self.backend.get_block(&id) {
+                if let Some(block) = self.core.store().get_block(&id) {
                     out.push(Message::Block(Box::new(block)));
                 }
             }
@@ -315,95 +272,12 @@ impl ProviderNode {
         out
     }
 
-    fn handle_record(&mut self, record: Record, out: &mut Outbox) {
-        use smartcrowd_telemetry::counter;
-        counter!("core.node.records_received").inc();
-        // Cached verification: a record gossiped to N nodes pays for ECDSA
-        // recovery once, not N times (the mempool below would repeat it a
-        // third time otherwise — `chain.sigcache.hit` counts the dedup).
-        if smartcrowd_chain::sigcache::verify_cached(&record).is_err() {
-            counter!("core.node.records_bad_sig").inc();
-            return; // drop silently; sender is unauthenticated
-        }
-        match record.kind() {
-            RecordKind::Sra => {
-                if let Ok(sra) = Sra::decode(record.payload()) {
-                    if sra.verify().is_ok() && !self.sras.contains_key(sra.id()) {
-                        let image_hash = *sra.image_hash();
-                        self.sras.insert(*sra.id(), sra);
-                        if self.admit_record(record) {
-                            // Start the U_l download unless we host it.
-                            if !self.hosted.contains_key(&image_hash)
-                                && self.pending_images.insert(image_hash)
-                            {
-                                out.push(Message::ImageRequest { image_hash });
-                            }
-                        }
-                    }
-                }
-            }
-            RecordKind::InitialReport => {
-                if let Ok(report) = InitialReport::decode(record.payload()) {
-                    if verify::verify_initial(&report, Some(&self.scoreboard)).is_ok() {
-                        let key = (*report.sra_id(), report.detector());
-                        if let std::collections::hash_map::Entry::Vacant(slot) =
-                            self.initials.entry(key)
-                        {
-                            slot.insert(report);
-                            self.admit_record(record);
-                        }
-                    }
-                }
-            }
-            RecordKind::DetailedReport => {
-                if let Ok(report) = DetailedReport::decode(record.payload()) {
-                    match self.check_detailed(&report) {
-                        Ok(()) => {
-                            self.admit_record(record);
-                        }
-                        Err(CoreError::NotFound) => {
-                            // Artifact still downloading; retry on arrival.
-                            self.deferred_detailed.push(report);
-                            self.admit_record(record);
-                        }
-                        Err(_) => {}
-                    }
-                }
-            }
-            _ => {
-                self.admit_record(record);
-            }
-        }
-    }
-
-    /// Algorithm 1 lines 10–24 against local state.
-    fn check_detailed(&mut self, report: &DetailedReport) -> Result<(), CoreError> {
-        let key = (*report.sra_id(), report.detector());
-        let initial = self
-            .initials
-            .get(&key)
-            .ok_or(CoreError::InitialNotConfirmed)?;
-        let Some(system) = self.images.get(report.sra_id()) else {
-            return Err(CoreError::NotFound); // artifact not downloaded yet
-        };
-        let verifier = AutoVerifier::new(&self.library);
-        let initial = initial.clone();
-        let system = system.clone();
-        verify::verify_detailed(
-            report,
-            &initial,
-            &system,
-            &verifier,
-            Some(&mut self.scoreboard),
-        )
-    }
-
     fn handle_image(&mut self, image_hash: Digest, image: Vec<u8>) {
         if !self.pending_images.remove(&image_hash) {
             return; // unsolicited
         }
         // Find the SRA announcing this hash and integrity-check (U_h).
-        let Some(sra) = self.sras.values().find(|s| *s.image_hash() == image_hash) else {
+        let Some(sra) = self.core.sras().find(|s| *s.image_hash() == image_hash) else {
             return;
         };
         if !sra.image_matches(&image) {
@@ -412,12 +286,16 @@ impl ProviderNode {
         // Reconstruct an artifact view for AutoVerif: ground truth is not
         // known to the node; containment checks run over the raw bytes.
         let system = IoTSystem::from_parts(sra.name(), sra.version(), image);
-        self.images.insert(*sra.id(), system);
-        // Retry any detailed reports that were waiting for this artifact.
-        let deferred = std::mem::take(&mut self.deferred_detailed);
-        for report in deferred {
-            if self.check_detailed(&report).is_err() {
-                // definitively rejected (or still missing another artifact)
+        let sra_id = *sra.id();
+        self.core.hold_artifact(sra_id, system);
+        // Judge the detailed reports that were waiting for an artifact.
+        for (record_id, report) in std::mem::take(&mut self.deferred_detailed) {
+            match self.core.check_detailed(&report) {
+                Ok(()) => {}
+                // Waiting on a different artifact.
+                Err(CoreError::NotFound) => self.deferred_detailed.push((record_id, report)),
+                // Definitively rejected: it must not reach a block of ours.
+                Err(_) => self.core.evict(&record_id),
             }
         }
     }
@@ -425,23 +303,22 @@ impl ProviderNode {
     fn handle_block(&mut self, block: Block, out: &mut Outbox) {
         use smartcrowd_telemetry::counter;
         counter!("core.node.blocks_received").inc();
-        // Full §V-C verification before storage: structure + signatures +
-        // semantic record checks, then connect via the sync buffer.
-        let semantic = self.semantic_ok(&block);
-        if !semantic {
+        // Full §V-C verification before storage: semantic record checks,
+        // then structure + linkage, then connect via the sync buffer.
+        if self.core.check_block(&block).is_err() {
             counter!("core.node.blocks_rejected").inc();
             return;
         }
         // validate_block needs the parent; when we don't have it yet, the
         // sync buffer holds the block and it is re-checked on connect.
-        if self.backend.contains_block(&block.header().prev)
-            && validate_block(&*self.backend, &block, &FnValidator(|_r: &Record| Ok(()))).is_err()
+        if self.core.store().contains_block(&block.header().prev)
+            && validate_block(self.core.store(), &block, &AcceptAll).is_err()
         {
             return;
         }
-        match self.sync.offer(&mut *self.backend, block.clone()) {
+        match self.sync.offer(self.core.backend_mut(), block.clone()) {
             SyncOutcome::Connected { .. } => {
-                self.mempool.remove_included(&block);
+                self.core.drop_included(&block);
                 // Re-gossip so partitioned late-joiners converge.
                 out.push(Message::Block(Box::new(block)));
             }
@@ -457,70 +334,10 @@ impl ProviderNode {
         }
     }
 
-    /// Semantic record validation of a received block (per-record
-    /// signature, SRA verification, Algorithm 1 where state allows).
-    fn semantic_ok(&mut self, block: &Block) -> bool {
-        for record in block.records() {
-            // Records that already passed mempool admission or gossip
-            // ingest on this process hit the cache and skip re-recovery.
-            if smartcrowd_chain::sigcache::verify_cached(record).is_err() {
-                return false;
-            }
-            match record.kind() {
-                RecordKind::Sra => {
-                    let Ok(sra) = Sra::decode(record.payload()) else {
-                        return false;
-                    };
-                    if sra.verify().is_err() {
-                        return false;
-                    }
-                    self.sras.entry(*sra.id()).or_insert(sra);
-                }
-                RecordKind::InitialReport => {
-                    let Ok(r) = InitialReport::decode(record.payload()) else {
-                        return false;
-                    };
-                    if r.verify().is_err() {
-                        return false;
-                    }
-                    self.initials
-                        .entry((*r.sra_id(), r.detector()))
-                        .or_insert(r);
-                }
-                RecordKind::DetailedReport => {
-                    let Ok(r) = DetailedReport::decode(record.payload()) else {
-                        return false;
-                    };
-                    // Run what local state allows: with the artifact this is
-                    // the full AutoVerif; without it, commitment + signature.
-                    match self.check_detailed(&r) {
-                        Ok(()) => {}
-                        Err(CoreError::NotFound) => {}
-                        Err(CoreError::InitialNotConfirmed) => {}
-                        Err(_) => return false,
-                    }
-                }
-                _ => {}
-            }
-        }
-        true
-    }
-
     /// Mines the next block from this node's mempool (called when this
     /// node wins the race), returning the block to broadcast.
     pub fn mine(&mut self, timestamp: u64, capacity: usize) -> (Block, Outbox) {
-        let records = self.mempool.take_best(capacity);
-        let parent = self.backend.best_block();
-        let block = Block::assemble(
-            &parent,
-            records,
-            timestamp.max(parent.header().timestamp),
-            Difficulty::from_u64(1),
-            self.address,
-        );
-        self.backend
-            .commit(block.clone())
-            .expect("own block extends own tip");
+        let block = self.core.seal(self.address, timestamp, capacity);
         smartcrowd_telemetry::counter!("core.node.blocks_mined").inc();
         let mut out = Outbox::default();
         out.push(Message::Block(Box::new(block.clone())));
@@ -533,6 +350,7 @@ mod tests {
     use super::*;
     use crate::report::{create_report_pair, Findings};
     use smartcrowd_chain::rng::SimRng;
+    use smartcrowd_chain::Difficulty;
     use smartcrowd_detect::vulnerability::VulnId;
 
     fn setup_two_nodes() -> (ProviderNode, ProviderNode, VulnLibrary) {
@@ -571,9 +389,9 @@ mod tests {
     fn sra_and_image_propagate_with_integrity_check() {
         let (mut a, mut b, library) = setup_two_nodes();
         let sra_id = release_and_sync(&mut a, &mut b, &library, vec![VulnId(1)]);
-        assert!(b.sras.contains_key(&sra_id));
+        assert!(b.core.sra(&sra_id).is_some());
         assert!(
-            b.images.contains_key(&sra_id),
+            b.core.artifact(&sra_id).is_some(),
             "b downloaded and verified the image"
         );
         assert_eq!(b.mempool_len(), 1, "the SRA record is queued");
@@ -676,14 +494,21 @@ mod tests {
         // Crash b: only the exported chain survives.
         let disk = export_chain(b.store());
         let restored_store = import_chain(&disk).unwrap();
-        let mut b2 = ProviderNode::restore(KeyPair::from_seed(b"node-b"), restored_store, library);
+        let mut b2 = ProviderNode::restore_backend(
+            KeyPair::from_seed(b"node-b"),
+            Box::new(restored_store),
+            library,
+        );
         assert_eq!(b2.store().best_tip(), block.id());
         assert!(
-            b2.sras.contains_key(&sra_id),
+            b2.core.sra(&sra_id).is_some(),
             "SRA re-derived from the canonical chain"
         );
         assert_eq!(b2.mempool_len(), 0, "mempool is soft state");
-        assert!(b2.images.is_empty(), "artifacts are soft state");
+        assert!(
+            b2.core.artifact(&sra_id).is_none(),
+            "artifacts are soft state"
+        );
         // The restarted node keeps participating: it accepts the next block.
         let (block2, out) = a.mine(block.header().timestamp + 15, 16);
         for m in out.broadcast {
@@ -709,9 +534,12 @@ mod tests {
             &smartcrowd_chain::persist::export_chain(a.store()),
         )
         .unwrap();
-        let mut a2 =
-            ProviderNode::restore(KeyPair::from_seed(b"node-a"), restored, library.clone());
-        assert!(a2.sras.contains_key(&sra_id));
+        let mut a2 = ProviderNode::restore_backend(
+            KeyPair::from_seed(b"node-a"),
+            Box::new(restored),
+            library.clone(),
+        );
+        assert!(a2.core.sra(&sra_id).is_some());
         let mut rng = SimRng::seed_from_u64(8);
         let system = IoTSystem::build("fw", "2", &library, vec![VulnId(2)], &mut rng).unwrap();
         let (_, out) = a2.release(system, Ether::from_ether(1000), Ether::from_ether(25));
@@ -727,7 +555,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(6);
         let system = IoTSystem::build("fw", "1", &library, vec![VulnId(1)], &mut rng).unwrap();
         let hash = *system.image_hash();
-        let (_, out) = a.release(system, Ether::from_ether(1000), Ether::from_ether(25));
+        let (sra_id, out) = a.release(system, Ether::from_ether(1000), Ether::from_ether(25));
         for m in out.broadcast {
             b.handle(m); // b now awaits the image
         }
@@ -736,6 +564,9 @@ mod tests {
             image_hash: hash,
             image: vec![0u8; 64],
         });
-        assert!(b.images.is_empty(), "U_h mismatch rejected the download");
+        assert!(
+            b.core.artifact(&sra_id).is_none(),
+            "U_h mismatch rejected the download"
+        );
     }
 }

@@ -1,39 +1,42 @@
 //! The SmartCrowd platform: the end-to-end orchestration of Fig. 1.
 //!
-//! [`Platform`] composes every substrate — the PoW chain, the SCVM world
-//! state, the escrow contracts, the detection engine — and drives the four
-//! phases of §IV-B:
+//! [`Platform`] is one [`Protocol`] core — the state machine every
+//! [`crate::node::ProviderNode`] runs — plus what only a single-view
+//! platform has: provider keys, the mining race, the SCVM world state with
+//! its escrow contracts, and the economics ledgers. The four phases of
+//! §IV-B:
 //!
 //! 1. **Decentralized verification for system release** —
-//!    [`Platform::release_system`] verifies the SRA, escrows the insurance
-//!    in a contract, and queues the announcement for the chain.
-//! 2. **Lightweight distributed detection** — detectors submit
-//!    [`Platform::submit_initial`] / [`Platform::submit_detailed`]; both
-//!    run Algorithm 1 (and `AutoVerif` for `R*`) before admission.
+//!    [`Platform::release_system`] escrows the insurance in a contract
+//!    and admits the announcement (the core verifies the SRA).
+//! 2. **Lightweight distributed detection** —
+//!    [`Platform::submit_initial`] / [`Platform::submit_detailed`] check
+//!    the client-side preconditions (known SRA, one `R†` per detector,
+//!    `R†` confirmed before `R*`); the core then runs Algorithm 1 (and
+//!    `AutoVerif` for `R*`) once, on admission.
 //! 3. **Fault-tolerant verification and storage** —
-//!    [`Platform::mine_block`] runs the hash-power-weighted race, records
-//!    pending reports, and applies fees/rewards to the world state.
+//!    [`Platform::mine_block`] runs the hash-power-weighted race, seals
+//!    pending records, and applies fees/rewards to the world state.
 //! 4. **Decentralized and automated incentives** — when a detailed report
 //!    reaches 6-block finality, the escrow pays `μ·n` to the detector's
 //!    wallet with no provider involvement.
 
 use crate::contracts::{ReportRegistry, SraEscrow};
 use crate::error::CoreError;
+use crate::protocol::Protocol;
 use crate::report::{DetailedReport, InitialReport};
 use crate::sra::{Sra, SraId};
-use crate::verify;
 use smartcrowd_chain::confirm::ConfirmationWatcher;
-use smartcrowd_chain::mempool::Mempool;
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::simminer::{SimMiner, SimParticipant, PAPER_HASH_POWERS};
 use smartcrowd_chain::{Block, ChainStore, Difficulty, Ether};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::{Address, Digest};
-use smartcrowd_detect::autoverif::AutoVerifier;
 use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_detect::vulnerability::VulnId;
 use smartcrowd_net::Scoreboard;
+use smartcrowd_telemetry::Counter;
 use smartcrowd_vm::{Vm, WorldState};
 use std::collections::{HashMap, HashSet};
 
@@ -92,17 +95,14 @@ pub struct ProviderHandle {
     pub hash_power: f64,
 }
 
-/// A released system tracked by the platform.
-#[derive(Debug, Clone)]
-struct SraEntry {
-    sra: Sra,
+/// Settlement state of one release (SRA and artifact live in the core).
+#[derive(Debug)]
+struct Release {
     escrow: SraEscrow,
-    system: IoTSystem,
+    /// The per-vulnerability incentive `μ` the escrow was preset with.
+    mu: Ether,
     /// Vulnerabilities already paid out (first-confirmer-wins dedup).
     paid_vulns: HashSet<VulnId>,
-    /// Detectors with a recorded initial report (one slot per detector).
-    initial_by_detector: HashMap<Address, InitialReport>,
-    record_id_of_initial: HashMap<Address, Digest>,
     /// Whether the detection window was closed and the remainder refunded.
     settled: bool,
 }
@@ -130,19 +130,18 @@ fn milli(e: Ether) -> u64 {
 pub struct Platform {
     config: PlatformConfig,
     providers: Vec<ProviderHandle>,
-    store: ChainStore,
+    core: Protocol<ChainStore>,
     state: WorldState,
     vm: Vm,
     sim: SimMiner,
-    mempool: Mempool,
-    library: VulnLibrary,
-    scoreboard: Scoreboard,
     watcher: ConfirmationWatcher,
     registry: ReportRegistry,
     trigger: Address,
-    sras: HashMap<SraId, SraEntry>,
+    releases: HashMap<SraId, Release>,
     /// Release order (released_sras() preserves it).
     release_order: Vec<SraId>,
+    /// The record carrying each detector's `R†` (its confirmation gates `R*`).
+    initial_records: HashMap<(SraId, Address), Digest>,
     /// Detailed reports waiting for finality, keyed by record id.
     pending_detailed: HashMap<Digest, DetailedReport>,
     /// Sim-clock second at which each record was submitted (lifecycle
@@ -202,18 +201,16 @@ impl Platform {
         let library = VulnLibrary::synthetic(config.library_size, config.seed ^ 0xdead);
         Platform {
             providers,
-            store,
+            core: Protocol::new(Box::new(store), library),
             state,
             vm,
             sim,
-            mempool: Mempool::default(),
-            library,
-            scoreboard: Scoreboard::default(),
             watcher: ConfirmationWatcher::new(),
             registry,
             trigger,
-            sras: HashMap::new(),
+            releases: HashMap::new(),
             release_order: Vec::new(),
+            initial_records: HashMap::new(),
             pending_detailed: HashMap::new(),
             submit_times: HashMap::new(),
             payouts: Vec::new(),
@@ -233,7 +230,7 @@ impl Platform {
 
     /// The synthetic vulnerability library backing `AutoVerif`.
     pub fn library(&self) -> &VulnLibrary {
-        &self.library
+        self.core.library()
     }
 
     /// Publishes a newly disclosed vulnerability into the platform library
@@ -244,7 +241,7 @@ impl Platform {
         entry: smartcrowd_detect::vulnerability::Vulnerability,
     ) -> VulnId {
         let id = entry.id;
-        self.library.publish(entry);
+        self.core.library_mut().publish(entry);
         id
     }
 
@@ -255,12 +252,12 @@ impl Platform {
 
     /// Whether an SRA's detection window has been closed.
     pub fn is_settled(&self, sra_id: &SraId) -> bool {
-        self.sras.get(sra_id).map(|e| e.settled).unwrap_or(false)
+        self.releases.get(sra_id).is_some_and(|e| e.settled)
     }
 
     /// The chain store (consumers query this).
     pub fn store(&self) -> &ChainStore {
-        &self.store
+        self.core.store()
     }
 
     /// Current account balance.
@@ -289,7 +286,7 @@ impl Platform {
 
     /// The platform scoreboard (detector isolation state).
     pub fn scoreboard(&self) -> &Scoreboard {
-        &self.scoreboard
+        self.core.scoreboard()
     }
 
     /// Simulated clock in seconds.
@@ -304,13 +301,6 @@ impl Platform {
         self.genesis_allocated += amount;
     }
 
-    fn ensure_detector_funded(&mut self, addr: Address) {
-        if self.funded.insert(addr) {
-            self.state.credit(addr, self.config.detector_funding);
-            self.genesis_allocated += self.config.detector_funding;
-        }
-    }
-
     /// Supply audit: `(actual total supply, genesis allocations + minted
     /// block rewards)`. The two must always be equal — gas fees and
     /// payouts move currency, they never create or destroy it.
@@ -322,22 +312,38 @@ impl Platform {
     }
 
     fn block_ctx(&self) -> (u64, u64) {
-        (
-            self.store.best_block().header().timestamp,
-            self.store.best_height(),
-        )
+        let store = self.store();
+        (store.best_block().header().timestamp, store.best_height())
     }
 
-    /// Phase #1 — releases a system: verifies the insuranced SRA, deploys
-    /// and funds the escrow, and queues the announcement record.
-    ///
-    /// Returns the `Δ_id`.
+    /// Signs `payload` into a record and admits it through the core, the
+    /// one place its content is verified. Record ids already include
+    /// payload hashes; the coarse nonce keeps repeats distinct.
+    fn admit_signed(
+        &mut self,
+        kind: RecordKind,
+        payload: Vec<u8>,
+        signer: &KeyPair,
+    ) -> Result<Digest, CoreError> {
+        let nonce = self.store().best_height() * 1000 + self.core.mempool_len() as u64;
+        let record = Record::signed(kind, payload, self.config.report_fee, nonce, signer);
+        let record_id = record.id();
+        self.core.admit(record)?;
+        self.submit_times.insert(record_id, self.sim.clock());
+        Ok(record_id)
+    }
+
+    /// Phase #1 — releases a system: deploys and funds the escrow, then
+    /// admits the announcement record (the core verifies the insuranced
+    /// SRA, §V-A). Returns the `Δ_id`.
     ///
     /// # Errors
     ///
     /// - [`CoreError::InsuranceTooLow`] below the platform minimum;
-    /// - SRA verification failures (§V-A);
-    /// - [`CoreError::Vm`] when the provider cannot fund insurance + gas.
+    /// - [`CoreError::DuplicateReport`] when the identical SRA is already
+    ///   announced;
+    /// - [`CoreError::Vm`] when the provider cannot fund insurance + gas;
+    /// - SRA verification failures (§V-A).
     pub fn release_system(
         &mut self,
         provider_index: usize,
@@ -363,11 +369,12 @@ impl Platform {
             insurance,
             incentive_per_vuln,
         );
-        // Decentralized verification (every provider checks before
-        // propagation; a single in-process platform checks once).
-        sra.verify()?;
         if !sra.image_matches(system.image()) {
             return Err(CoreError::SraIdMismatch);
+        }
+        let id = *sra.id();
+        if self.core.sra(&id).is_some() {
+            return Err(CoreError::DuplicateReport);
         }
         let block = self.block_ctx();
         let escrow = SraEscrow::deploy(
@@ -379,59 +386,44 @@ impl Platform {
             self.trigger,
             block,
         )?;
-        let record = Record::signed(
-            RecordKind::Sra,
-            sra.encode(),
-            self.config.report_fee,
-            self.next_nonce(&provider.address),
-            &provider.keypair,
-        );
-        self.submit_times.insert(record.id(), self.sim.clock());
-        self.mempool.insert(record)?;
+        self.admit_signed(RecordKind::Sra, sra.encode(), &provider.keypair)?;
+        self.core.hold_artifact(id, system);
         smartcrowd_telemetry::counter!("core.sra.released").inc();
         smartcrowd_telemetry::counter!("core.escrow.deposited_milli").add(milli(insurance));
-        let id = *sra.id();
         self.release_order.push(id);
-        self.sras.insert(
+        self.releases.insert(
             id,
-            SraEntry {
-                sra,
+            Release {
                 escrow,
-                system,
+                mu: incentive_per_vuln,
                 paid_vulns: HashSet::new(),
-                initial_by_detector: HashMap::new(),
-                record_id_of_initial: HashMap::new(),
                 settled: false,
             },
         );
         Ok(id)
     }
 
-    fn next_nonce(&self, _addr: &Address) -> u64 {
-        // Record ids already include payload hashes; a coarse per-platform
-        // sequence keeps repeated identical submissions distinct.
-        self.store.best_height() * 1000 + self.mempool.len() as u64
-    }
-
     /// The released system image for an SRA (the `U_l` download).
     pub fn download_image(&self, sra_id: &SraId) -> Option<&IoTSystem> {
-        self.sras.get(sra_id).map(|e| &e.system)
+        self.core.artifact(sra_id)
     }
 
     /// The SRA announcement for an id.
     pub fn sra(&self, sra_id: &SraId) -> Option<&Sra> {
-        self.sras.get(sra_id).map(|e| &e.sra)
+        self.core.sra(sra_id)
     }
 
     /// Remaining escrow balance for an SRA.
     pub fn escrow_balance(&self, sra_id: &SraId) -> Option<Ether> {
-        self.sras.get(sra_id).map(|e| e.escrow.balance(&self.state))
+        self.releases
+            .get(sra_id)
+            .map(|e| e.escrow.balance(&self.state))
     }
 
     /// Gas the provider paid to release an SRA (deploy + init; the paper's
     /// ≈0.095-ether `cp`).
     pub fn release_cost(&self, sra_id: &SraId) -> Option<Ether> {
-        self.sras.get(sra_id).map(|e| e.escrow.release_cost)
+        self.releases.get(sra_id).map(|e| e.escrow.release_cost)
     }
 
     /// Total insurance forfeited (paid out to detectors) for an SRA.
@@ -455,24 +447,45 @@ impl Platform {
     /// Returns [`CoreError::NotFound`] for an unknown SRA and
     /// [`CoreError::PayoutFailed`] when the refund call fails.
     pub fn settle_release(&mut self, sra_id: &SraId) -> Result<Ether, CoreError> {
-        let block = (
-            self.store.best_block().header().timestamp,
-            self.store.best_height(),
-        );
-        let entry = self.sras.get_mut(sra_id).ok_or(CoreError::NotFound)?;
+        let block = self.block_ctx();
+        let entry = self.releases.get_mut(sra_id).ok_or(CoreError::NotFound)?;
         if entry.settled {
             return Ok(Ether::ZERO);
         }
         let remaining = entry.escrow.balance(&self.state);
         if !remaining.is_zero() {
-            let escrow = entry.escrow.clone();
-            escrow.refund(&self.vm, &mut self.state, self.trigger, block)?;
+            entry
+                .escrow
+                .refund(&self.vm, &mut self.state, self.trigger, block)?;
         }
-        let entry = self.sras.get_mut(sra_id).expect("checked above");
         entry.settled = true;
         smartcrowd_telemetry::counter!("core.escrow.refunded_milli").add(milli(remaining));
         smartcrowd_telemetry::counter!("core.sra.settled").inc();
         Ok(remaining)
+    }
+
+    /// The shared tail of both report phases: admit the signed record,
+    /// fund the detector on first contact, and meter the on-chain
+    /// submission cost (Fig. 6(b)).
+    fn submit_report(
+        &mut self,
+        signer: &KeyPair,
+        detector: Address,
+        kind: RecordKind,
+        payload: Vec<u8>,
+        submitted: &Counter,
+    ) -> Result<Digest, CoreError> {
+        let record_id = self.admit_signed(kind, payload, signer)?;
+        if self.funded.insert(detector) {
+            self.fund(detector, self.config.detector_funding);
+        }
+        submitted.inc();
+        let block = self.block_ctx();
+        let receipt =
+            self.registry
+                .submit(&self.vm, &mut self.state, detector, &record_id, block)?;
+        *self.detector_costs.entry(detector).or_insert(Ether::ZERO) += receipt.fee;
+        Ok(record_id)
     }
 
     /// Phase #2a — a detector submits its initial report `R†`.
@@ -480,50 +493,31 @@ impl Platform {
     /// # Errors
     ///
     /// - [`CoreError::UnknownSra`] for an unknown `Δ_id`;
-    /// - [`CoreError::DetectorIsolated`] when the scoreboard filters the
-    ///   detector;
     /// - [`CoreError::DuplicateReport`] when this detector already has an
     ///   `R†` for the SRA;
+    /// - [`CoreError::DetectorIsolated`] when the scoreboard filters the
+    ///   detector;
     /// - Algorithm-1 verification failures.
     pub fn submit_initial(
         &mut self,
         detector: &KeyPair,
         report: InitialReport,
     ) -> Result<Digest, CoreError> {
-        verify::verify_initial(&report, Some(&self.scoreboard))?;
-        let entry = self
-            .sras
-            .get_mut(report.sra_id())
-            .ok_or(CoreError::UnknownSra)?;
-        if entry.initial_by_detector.contains_key(&report.detector()) {
+        let key = (*report.sra_id(), report.detector());
+        if self.core.sra(&key.0).is_none() {
+            return Err(CoreError::UnknownSra);
+        }
+        if self.core.initial(&key.0, &key.1).is_some() {
             return Err(CoreError::DuplicateReport);
         }
-        let fee = self.config.report_fee;
-        let nonce = self.store.best_height() * 1000 + self.mempool.len() as u64;
-        let record = Record::signed(
+        let record_id = self.submit_report(
+            detector,
+            key.1,
             RecordKind::InitialReport,
             report.encode(),
-            fee,
-            nonce,
-            detector,
-        );
-        let record_id = record.id();
-        let detector_addr = report.detector();
-        entry.initial_by_detector.insert(detector_addr, report);
-        entry.record_id_of_initial.insert(detector_addr, record_id);
-        self.ensure_detector_funded(detector_addr);
-        self.submit_times.insert(record_id, self.sim.clock());
-        self.mempool.insert(record)?;
-        smartcrowd_telemetry::counter!("core.reports.submitted", "kind" => "initial").inc();
-        // Meter the on-chain submission cost (Fig. 6(b)).
-        let block = self.block_ctx();
-        let receipt =
-            self.registry
-                .submit(&self.vm, &mut self.state, detector_addr, &record_id, block)?;
-        *self
-            .detector_costs
-            .entry(detector_addr)
-            .or_insert(Ether::ZERO) += receipt.fee;
+            smartcrowd_telemetry::counter!("core.reports.submitted", "kind" => "initial"),
+        )?;
+        self.initial_records.insert(key, record_id);
         Ok(record_id)
     }
 
@@ -532,6 +526,7 @@ impl Platform {
     ///
     /// # Errors
     ///
+    /// - [`CoreError::UnknownSra`] for an unknown `Δ_id`;
     /// - [`CoreError::InitialNotConfirmed`] before the 6-block finality of
     ///   `R†`;
     /// - commitment/identity mismatches (Algorithm 1);
@@ -542,51 +537,24 @@ impl Platform {
         detector: &KeyPair,
         report: DetailedReport,
     ) -> Result<Digest, CoreError> {
-        let entry = self
-            .sras
-            .get(report.sra_id())
-            .ok_or(CoreError::UnknownSra)?;
-        let initial = entry
-            .initial_by_detector
-            .get(&report.detector())
-            .ok_or(CoreError::InitialNotConfirmed)?
-            .clone();
-        let initial_record = entry.record_id_of_initial[&report.detector()];
-        if !self.store.record_confirmed(&initial_record) {
+        let key = (*report.sra_id(), report.detector());
+        if self.core.sra(&key.0).is_none() {
+            return Err(CoreError::UnknownSra);
+        }
+        let confirmed = self
+            .initial_records
+            .get(&key)
+            .is_some_and(|id| self.store().record_confirmed(id));
+        if !confirmed {
             return Err(CoreError::InitialNotConfirmed);
         }
-        let system = entry.system.clone();
-        let verifier = AutoVerifier::new(&self.library);
-        verify::verify_detailed(
-            &report,
-            &initial,
-            &system,
-            &verifier,
-            Some(&mut self.scoreboard),
-        )?;
-        let fee = self.config.report_fee;
-        let nonce = self.store.best_height() * 1000 + self.mempool.len() as u64;
-        let record = Record::signed(
+        let record_id = self.submit_report(
+            detector,
+            key.1,
             RecordKind::DetailedReport,
             report.encode(),
-            fee,
-            nonce,
-            detector,
-        );
-        let record_id = record.id();
-        let detector_addr = report.detector();
-        self.ensure_detector_funded(detector_addr);
-        self.submit_times.insert(record_id, self.sim.clock());
-        self.mempool.insert(record)?;
-        smartcrowd_telemetry::counter!("core.reports.submitted", "kind" => "detailed").inc();
-        let block = self.block_ctx();
-        let receipt =
-            self.registry
-                .submit(&self.vm, &mut self.state, detector_addr, &record_id, block)?;
-        *self
-            .detector_costs
-            .entry(detector_addr)
-            .or_insert(Ether::ZERO) += receipt.fee;
+            smartcrowd_telemetry::counter!("core.reports.submitted", "kind" => "detailed"),
+        )?;
         self.pending_detailed.insert(record_id, report);
         Ok(record_id)
     }
@@ -597,10 +565,9 @@ impl Platform {
     ///
     /// Returns the winning provider's address and the payouts fired.
     pub fn mine_block(&mut self) -> (Address, Vec<Payout>) {
-        let records = self.mempool.take_best(self.config.block_capacity);
-        let parent = self.store.best_block().clone();
-        let (_event, block) = self.sim.mine_block(&parent, records);
-        let miner = block.header().miner;
+        let parent_timestamp = self.store().best_block().header().timestamp;
+        let (miner, timestamp) = self.sim.next_slot(parent_timestamp);
+        let block = self.core.seal(miner, timestamp, self.config.block_capacity);
         // Apply economics: mint the block reward, move record fees.
         self.state.credit(miner, self.config.block_reward);
         self.minted += self.config.block_reward;
@@ -613,9 +580,6 @@ impl Platform {
             }
         }
         *self.mining_income.entry(miner).or_insert(Ether::ZERO) += earned;
-        self.store
-            .insert(block)
-            .expect("sim-mined block extends the best tip");
         let fired = self.process_confirmations();
         (miner, fired)
     }
@@ -630,7 +594,8 @@ impl Platform {
     }
 
     fn process_confirmations(&mut self) -> Vec<Payout> {
-        let confirmed = self.watcher.poll(&self.store);
+        let confirmed = self.watcher.poll(self.core.store());
+        let block = self.block_ctx();
         let mut fired = Vec::new();
         for c in confirmed {
             if let Some(submitted) = self.submit_times.remove(&c.record_id) {
@@ -648,7 +613,7 @@ impl Platform {
             let Some(report) = self.pending_detailed.remove(&c.record_id) else {
                 continue;
             };
-            let Some(entry) = self.sras.get_mut(report.sra_id()) else {
+            let Some(entry) = self.releases.get_mut(report.sra_id()) else {
                 continue;
             };
             // First-confirmer-wins: only novel vulnerabilities pay (§VI-B:
@@ -664,36 +629,27 @@ impl Platform {
             if novel.is_empty() {
                 continue;
             }
-            for v in &novel {
-                entry.paid_vulns.insert(*v);
-            }
+            entry.paid_vulns.extend(&novel);
             let n = novel.len() as u64;
-            let escrow = entry.escrow.clone();
-            let sra_id = *report.sra_id();
             let wallet = report.wallet();
-            let mu = entry.sra.incentive_per_vuln();
-            let block = (
-                self.store.best_block().header().timestamp,
-                self.store.best_height(),
-            );
-            match escrow.payout(&self.vm, &mut self.state, self.trigger, wallet, n, block) {
-                Ok(_) => {
-                    let payout = Payout {
-                        sra_id,
-                        wallet,
-                        vulnerabilities: n,
-                        amount: mu.scaled(n),
-                    };
-                    smartcrowd_telemetry::counter!("core.incentive.payouts").inc();
-                    smartcrowd_telemetry::counter!("core.escrow.paid_milli")
-                        .add(milli(payout.amount));
-                    self.payouts.push(payout.clone());
-                    fired.push(payout);
-                }
-                Err(_) => {
-                    // Escrow exhausted: the punishment is capped at the
-                    // insurance (the paper's forfeit-the-deposit model).
-                }
+            let paid =
+                entry
+                    .escrow
+                    .payout(&self.vm, &mut self.state, self.trigger, wallet, n, block);
+            // A failed payout means the escrow is exhausted: the punishment
+            // is capped at the insurance (the paper's forfeit-the-deposit
+            // model).
+            if paid.is_ok() {
+                let payout = Payout {
+                    sra_id: *report.sra_id(),
+                    wallet,
+                    vulnerabilities: n,
+                    amount: entry.mu.scaled(n),
+                };
+                smartcrowd_telemetry::counter!("core.incentive.payouts").inc();
+                smartcrowd_telemetry::counter!("core.escrow.paid_milli").add(milli(payout.amount));
+                self.payouts.push(payout.clone());
+                fired.push(payout);
             }
         }
         fired
@@ -701,7 +657,7 @@ impl Platform {
 
     /// Consumer query: confirmed vulnerabilities recorded for an SRA.
     pub fn confirmed_vulnerabilities(&self, sra_id: &SraId) -> Vec<VulnId> {
-        let Some(entry) = self.sras.get(sra_id) else {
+        let Some(entry) = self.releases.get(sra_id) else {
             return Vec::new();
         };
         let mut v: Vec<VulnId> = entry.paid_vulns.iter().copied().collect();

@@ -1,0 +1,289 @@
+//! The protocol core: the one verification state machine every provider
+//! replica runs.
+//!
+//! The paper's Phase #3 (§IV-B, §V-C) is a single procedure — SRA check,
+//! Algorithm 1, `AutoVerif` — that every provider must execute identically
+//! for the trust argument to hold. [`Protocol`] is that procedure, written
+//! once. It owns the chain backend, the pending pool and the *verified
+//! knowledge* (library, scoreboard, announced SRAs, held artifacts, the
+//! first `R†` per detector and SRA) and changes them only through
+//! [`Protocol::admit`], [`Protocol::check_block`], [`Protocol::seal`] and
+//! [`Protocol::replay`], which share one per-kind switch.
+//!
+//! The drivers add only what they alone have:
+//! [`crate::node::ProviderNode`] the gossip glue,
+//! [`crate::platform::Platform`] the provider keys, the mining race and
+//! contract settlement on confirmation.
+
+use crate::error::CoreError;
+use crate::report::{DetailedReport, InitialReport};
+use crate::sra::{Sra, SraId};
+use crate::verify;
+use smartcrowd_chain::mempool::Mempool;
+use smartcrowd_chain::record::{Record, RecordKind};
+use smartcrowd_chain::{sigcache, Block, ChainBackend, Difficulty};
+use smartcrowd_crypto::{Address, Digest};
+use smartcrowd_detect::autoverif::AutoVerifier;
+use smartcrowd_detect::library::VulnLibrary;
+use smartcrowd_detect::system::IoTSystem;
+use smartcrowd_net::Scoreboard;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
+/// What [`Protocol::admit`] queued.
+#[derive(Debug)]
+#[allow(missing_docs)] // variant fields are described on their variant
+pub enum Admitted {
+    /// A record verified against everything this replica holds.
+    Verified,
+    /// A verified SRA this replica had not seen before; its artifact
+    /// (`U_l`, hashing to the announced `image_hash`) may need fetching.
+    NewSra { image_hash: Digest },
+    /// An `R*` whose artifact is not held yet: queued unjudged. The driver
+    /// re-runs [`Protocol::check_detailed`] on `report` once the artifact
+    /// arrives and [`Protocol::evict`]s record `record_id` if it fails.
+    Unverified {
+        record_id: Digest,
+        report: Box<DetailedReport>,
+    },
+}
+
+/// One replica's protocol state over chain backend `B`.
+#[derive(Debug)]
+pub struct Protocol<B: ChainBackend + ?Sized = dyn ChainBackend> {
+    mempool: Mempool,
+    library: VulnLibrary,
+    scoreboard: Scoreboard,
+    /// Verified SRAs seen so far.
+    sras: HashMap<SraId, Sra>,
+    /// Integrity-checked artifacts (`Δ_id` → image).
+    artifacts: HashMap<SraId, IoTSystem>,
+    /// First verified initial report per (SRA, detector).
+    initials: HashMap<(SraId, Address), InitialReport>,
+    backend: Box<B>,
+}
+
+impl<B: ChainBackend + ?Sized> Protocol<B> {
+    /// A replica with no knowledge beyond `library`, over `backend`.
+    pub fn new(backend: Box<B>, library: VulnLibrary) -> Self {
+        Protocol {
+            mempool: Mempool::default(),
+            library,
+            scoreboard: Scoreboard::default(),
+            sras: HashMap::new(),
+            artifacts: HashMap::new(),
+            initials: HashMap::new(),
+            backend,
+        }
+    }
+
+    /// A replica rebooted over a recovered chain, the only state that
+    /// survives a crash: the SRAs and initial reports on its canonical
+    /// branch are re-derived through the same switch as live traffic so
+    /// Algorithm 1 can keep running. Pool, scoreboard and artifacts start
+    /// empty.
+    pub fn replay(backend: Box<B>, library: VulnLibrary) -> Self {
+        let mut core = Self::new(backend, library);
+        for block in core.backend.canonical_blocks() {
+            for record in block.records() {
+                // Recovery already validated the chain; a record that no
+                // longer verifies just contributes no knowledge.
+                let _ = core.index(record, false);
+            }
+        }
+        core
+    }
+
+    /// Admits one record from a client or from gossip: signature (through
+    /// the process-wide cache), the switch with detector isolation
+    /// applied, then the pending pool.
+    ///
+    /// # Errors
+    ///
+    /// - [`CoreError::Chain`] for a bad record signature, a record already
+    ///   pending, or a full pool of better-paying records;
+    /// - [`CoreError::Payload`] and the SRA / Algorithm-1 failures for a
+    ///   payload that does not verify, [`CoreError::DetectorIsolated`] for
+    ///   an `R†` from an isolated detector;
+    /// - [`CoreError::DuplicateReport`] for an SRA, or a detector's `R†`,
+    ///   that is already indexed; [`CoreError::InitialNotConfirmed`] for
+    ///   an `R*` with no indexed `R†`.
+    pub fn admit(&mut self, record: Record) -> Result<Admitted, CoreError> {
+        sigcache::verify_cached(&record)?;
+        let admitted = self.index(&record, true)?;
+        self.mempool.insert(record)?;
+        Ok(admitted)
+    }
+
+    /// Per-record verification of a block sealed elsewhere (§V-C): every
+    /// signature, then the switch, indexing what verifies as it goes and
+    /// failing on the first record that does not. Knowledge this replica
+    /// already holds, or an `R*` it cannot judge here (no `R†` or no
+    /// artifact yet), does not reject a block; nor does detector
+    /// isolation — blocks are judged on content.
+    pub fn check_block(&mut self, block: &Block) -> Result<(), CoreError> {
+        for record in block.records() {
+            sigcache::verify_cached(record)?;
+            match self.index(record, false) {
+                Ok(_) | Err(CoreError::DuplicateReport | CoreError::InitialNotConfirmed) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Seals the `capacity` best pending records into the next block on
+    /// this replica's tip and commits it (panics on a storage fault: the
+    /// backend refusing a block built on its own tip).
+    pub fn seal(&mut self, miner: Address, timestamp: u64, capacity: usize) -> Block {
+        let records = self.mempool.take_best(capacity);
+        let parent = self.backend.best_block();
+        let block = Block::assemble(
+            &parent,
+            records,
+            timestamp.max(parent.header().timestamp),
+            Difficulty::from_u64(1),
+            miner,
+        );
+        self.backend
+            .commit(block.clone())
+            .expect("own block extends own tip");
+        block
+    }
+
+    /// The switch: decode → verify → index, per record kind. Assumes the
+    /// record signature was checked. `isolation` applies the scoreboard
+    /// filter to initial reports (live submissions only).
+    fn index(&mut self, record: &Record, isolation: bool) -> Result<Admitted, CoreError> {
+        match record.kind() {
+            RecordKind::Sra => {
+                let sra = Sra::decode(record.payload())?;
+                sra.verify()?;
+                match self.sras.entry(*sra.id()) {
+                    Entry::Occupied(_) => Err(CoreError::DuplicateReport),
+                    Entry::Vacant(slot) => {
+                        let image_hash = *sra.image_hash();
+                        slot.insert(sra);
+                        Ok(Admitted::NewSra { image_hash })
+                    }
+                }
+            }
+            RecordKind::InitialReport => {
+                let report = InitialReport::decode(record.payload())?;
+                verify::verify_initial(&report, isolation.then_some(&self.scoreboard))?;
+                match self.initials.entry((*report.sra_id(), report.detector())) {
+                    Entry::Occupied(_) => Err(CoreError::DuplicateReport),
+                    Entry::Vacant(slot) => {
+                        slot.insert(report);
+                        Ok(Admitted::Verified)
+                    }
+                }
+            }
+            RecordKind::DetailedReport => {
+                let report = DetailedReport::decode(record.payload())?;
+                match self.check_detailed(&report) {
+                    Ok(()) => Ok(Admitted::Verified),
+                    Err(CoreError::NotFound) => Ok(Admitted::Unverified {
+                        record_id: record.id(),
+                        report: Box::new(report),
+                    }),
+                    Err(e) => Err(e),
+                }
+            }
+            _ => Ok(Admitted::Verified),
+        }
+    }
+
+    /// Algorithm 1 lines 10–24 against held knowledge: commitment binding
+    /// to the indexed `R†`, then `AutoVerif` against the held artifact,
+    /// crediting or striking the detector on the scoreboard.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InitialNotConfirmed`] with no indexed `R†`,
+    /// [`CoreError::NotFound`] while the artifact is not held, else what
+    /// [`verify::verify_detailed`] reports.
+    pub fn check_detailed(&mut self, report: &DetailedReport) -> Result<(), CoreError> {
+        let initial = self
+            .initials
+            .get(&(*report.sra_id(), report.detector()))
+            .ok_or(CoreError::InitialNotConfirmed)?;
+        let system = self
+            .artifacts
+            .get(report.sra_id())
+            .ok_or(CoreError::NotFound)?;
+        verify::verify_detailed(
+            report,
+            initial,
+            system,
+            &AutoVerifier::new(&self.library),
+            Some(&mut self.scoreboard),
+        )
+    }
+
+    /// Holds an integrity-checked artifact for `AutoVerif`.
+    pub fn hold_artifact(&mut self, sra_id: SraId, system: IoTSystem) {
+        self.artifacts.insert(sra_id, system);
+    }
+
+    /// Drops pending records a newly connected block already carries.
+    pub fn drop_included(&mut self, block: &Block) {
+        self.mempool.remove_included(block);
+    }
+
+    /// Evicts one pending record that turned out not to verify.
+    pub fn evict(&mut self, record_id: &Digest) {
+        self.mempool.remove(record_id);
+    }
+
+    /// This replica's chain.
+    pub fn store(&self) -> &B {
+        &self.backend
+    }
+
+    /// Mutable access to the chain backend (block reassembly and
+    /// fault-injection harnesses).
+    pub fn backend_mut(&mut self) -> &mut B {
+        &mut self.backend
+    }
+
+    /// Pending records.
+    pub fn mempool_len(&self) -> usize {
+        self.mempool.len()
+    }
+
+    /// The vulnerability library backing `AutoVerif`.
+    pub fn library(&self) -> &VulnLibrary {
+        &self.library
+    }
+
+    /// Mutable library access (newly disclosed vulnerabilities).
+    pub fn library_mut(&mut self) -> &mut VulnLibrary {
+        &mut self.library
+    }
+
+    /// The detector scoreboard.
+    pub fn scoreboard(&self) -> &Scoreboard {
+        &self.scoreboard
+    }
+
+    /// A verified SRA by id.
+    pub fn sra(&self, sra_id: &SraId) -> Option<&Sra> {
+        self.sras.get(sra_id)
+    }
+
+    /// Every verified SRA, in no particular order.
+    pub fn sras(&self) -> impl Iterator<Item = &Sra> {
+        self.sras.values()
+    }
+
+    /// The held artifact of an SRA.
+    pub fn artifact(&self, sra_id: &SraId) -> Option<&IoTSystem> {
+        self.artifacts.get(sra_id)
+    }
+
+    /// The indexed first initial report of `detector` on an SRA.
+    pub fn initial(&self, sra_id: &SraId, detector: &Address) -> Option<&InitialReport> {
+        self.initials.get(&(*sra_id, *detector))
+    }
+}

@@ -1,0 +1,383 @@
+//! The protocol core and its two drivers: deferred-report handling on
+//! the node, replay ≡ live for the core, and verdict parity between
+//! `ProviderNode::handle` and `Platform::submit_*`.
+
+use proptest::prelude::*;
+use smartcrowd_chain::record::{Record, RecordKind};
+use smartcrowd_chain::rng::SimRng;
+use smartcrowd_chain::{Block, ChainStore, Difficulty, Ether};
+use smartcrowd_core::node::ProviderNode;
+use smartcrowd_core::platform::{Platform, PlatformConfig};
+use smartcrowd_core::protocol::Protocol;
+use smartcrowd_core::report::{create_report_pair, DetailedReport, Findings, InitialReport};
+use smartcrowd_core::sra::{Sra, SraId};
+use smartcrowd_core::CoreError;
+use smartcrowd_crypto::keys::KeyPair;
+use smartcrowd_detect::library::VulnLibrary;
+use smartcrowd_detect::system::IoTSystem;
+use smartcrowd_detect::vulnerability::VulnId;
+use smartcrowd_net::Message;
+
+const FEE: Ether = Ether::from_milliether(11);
+
+fn record(kind: RecordKind, payload: Vec<u8>, nonce: u64, signer: &KeyPair) -> Message {
+    Message::Record(Record::signed(kind, payload, FEE, nonce, signer))
+}
+
+fn genesis() -> Block {
+    Block::genesis(Difficulty::from_u64(1))
+}
+
+/// Node `a` releases a system planted with `VulnId(1)`; node `b` learns
+/// the SRA and asks for the image. Returns the SRA id and the image
+/// response `b` is still waiting for.
+fn release_without_delivering_image(
+    a: &mut ProviderNode,
+    b: &mut ProviderNode,
+    library: &VulnLibrary,
+    image_seed: u64,
+) -> (SraId, Message) {
+    let mut rng = SimRng::seed_from_u64(image_seed);
+    let system = IoTSystem::build("fw", "1", library, vec![VulnId(1)], &mut rng).unwrap();
+    let (sra_id, out) = a.release(system, Ether::from_ether(1000), Ether::from_ether(25));
+    let mut requests = Vec::new();
+    for m in out.broadcast {
+        requests.extend(b.handle(m).broadcast);
+    }
+    let mut responses: Vec<Message> = requests
+        .into_iter()
+        .flat_map(|m| a.handle(m).broadcast)
+        .collect();
+    assert_eq!(responses.len(), 1, "one image request, one response");
+    (sra_id, responses.remove(0))
+}
+
+/// Hands `b` a detector's `R†` and `R*` claiming `claim` on `sra_id`.
+fn report_both_phases(b: &mut ProviderNode, detector: &KeyPair, sra_id: SraId, claim: u64) {
+    let (initial, detailed) = create_report_pair(
+        detector,
+        sra_id,
+        Findings::new(vec![VulnId(claim)], "claim"),
+    );
+    b.handle(record(
+        RecordKind::InitialReport,
+        initial.encode(),
+        0,
+        detector,
+    ));
+    b.handle(record(
+        RecordKind::DetailedReport,
+        detailed.encode(),
+        1,
+        detector,
+    ));
+}
+
+fn two_nodes() -> (ProviderNode, ProviderNode, VulnLibrary) {
+    let library = VulnLibrary::synthetic(50, 1);
+    let a = ProviderNode::new(KeyPair::from_seed(b"node-a"), genesis(), library.clone());
+    let b = ProviderNode::new(KeyPair::from_seed(b"node-b"), genesis(), library.clone());
+    (a, b, library)
+}
+
+fn mined_detailed_reports(node: &mut ProviderNode) -> usize {
+    let (block, _) = node.mine(genesis().header().timestamp + 15, 16);
+    block
+        .records()
+        .iter()
+        .filter(|r| r.kind() == RecordKind::DetailedReport)
+        .count()
+}
+
+#[test]
+fn forged_report_deferred_before_its_artifact_is_evicted_on_arrival() {
+    let (mut a, mut b, library) = two_nodes();
+    let (sra_id, image) = release_without_delivering_image(&mut a, &mut b, &library, 5);
+    let cheat = KeyPair::from_seed(b"cheat");
+    report_both_phases(&mut b, &cheat, sra_id, 40); // VulnId(40) is not planted
+    assert_eq!(b.mempool_len(), 3, "SRA, R† and the unjudged R* are queued");
+    b.handle(image);
+    assert_eq!(b.scoreboard().score(&cheat.address()).strikes, 1);
+    assert_eq!(b.mempool_len(), 2, "the forged R* left the pool");
+    assert_eq!(mined_detailed_reports(&mut b), 0);
+}
+
+#[test]
+fn honest_report_deferred_before_its_artifact_survives_arrival() {
+    let (mut a, mut b, library) = two_nodes();
+    let (sra_id, image) = release_without_delivering_image(&mut a, &mut b, &library, 5);
+    let detector = KeyPair::from_seed(b"detector");
+    report_both_phases(&mut b, &detector, sra_id, 1);
+    b.handle(image);
+    assert_eq!(b.scoreboard().score(&detector.address()).confirmed, 1);
+    assert_eq!(b.mempool_len(), 3);
+    assert_eq!(mined_detailed_reports(&mut b), 1);
+}
+
+#[test]
+fn report_waiting_on_another_artifact_stays_deferred() {
+    let (mut a, mut b, library) = two_nodes();
+    let (_, first_image) = release_without_delivering_image(&mut a, &mut b, &library, 5);
+    let (second, second_image) = release_without_delivering_image(&mut a, &mut b, &library, 6);
+    let cheat = KeyPair::from_seed(b"cheat");
+    report_both_phases(&mut b, &cheat, second, 40);
+    assert_eq!(b.mempool_len(), 4);
+    // The other release's artifact arrives: nothing to judge yet.
+    b.handle(first_image);
+    assert_eq!(b.scoreboard().score(&cheat.address()).strikes, 0);
+    assert_eq!(b.mempool_len(), 4);
+    // Its own artifact arrives: judged, struck, evicted.
+    b.handle(second_image);
+    assert_eq!(b.scoreboard().score(&cheat.address()).strikes, 1);
+    assert_eq!(b.mempool_len(), 3);
+}
+
+/// A platform and a node that know the same release: the node learned the
+/// SRA from the platform's chain record and downloaded the same image.
+fn platform_and_node() -> (Platform, ProviderNode, SraId) {
+    let mut platform = Platform::new(PlatformConfig::paper());
+    let mut rng = SimRng::seed_from_u64(9);
+    let system =
+        IoTSystem::build("fw", "1", platform.library(), vec![VulnId(1)], &mut rng).unwrap();
+    let image = system.image().to_vec();
+    let sra_id = platform
+        .release_system(0, system, Ether::from_ether(1000), Ether::from_ether(25))
+        .unwrap();
+    platform.mine_block();
+    let announcement = platform.store().records_of_kind(RecordKind::Sra)[0]
+        .0
+        .clone();
+    let mut node = ProviderNode::new(
+        KeyPair::from_seed(b"peer"),
+        genesis(),
+        platform.library().clone(),
+    );
+    let requests = node.handle(Message::Record(announcement)).broadcast;
+    let [Message::ImageRequest { image_hash }] = requests[..] else {
+        panic!("expected one image request, got {requests:?}");
+    };
+    node.handle(Message::ImageResponse { image_hash, image });
+    (platform, node, sra_id)
+}
+
+/// Whether the node queued the record.
+fn node_admits(node: &mut ProviderNode, message: Message) -> bool {
+    let before = node.mempool_len();
+    node.handle(message);
+    node.mempool_len() > before
+}
+
+#[test]
+fn node_and_platform_reach_the_same_verdict() {
+    let (mut platform, mut node, sra_id) = platform_and_node();
+    let honest = KeyPair::from_seed(b"honest");
+    let cheat = KeyPair::from_seed(b"cheat");
+    for kp in [&honest, &cheat] {
+        platform.fund(kp.address(), Ether::from_ether(10));
+    }
+    let (honest_initial, honest_detailed) =
+        create_report_pair(&honest, sra_id, Findings::new(vec![VulnId(1)], "real"));
+    let (cheat_initial, forged_detailed) =
+        create_report_pair(&cheat, sra_id, Findings::new(vec![VulnId(40)], "made up"));
+    let (_, stray_detailed) =
+        create_report_pair(&honest, [9u8; 32], Findings::new(vec![VulnId(1)], "stray"));
+
+    // Honest R†: both queue it.
+    for (kp, initial) in [(&honest, &honest_initial), (&cheat, &cheat_initial)] {
+        assert!(platform.submit_initial(kp, initial.clone()).is_ok());
+        assert!(node_admits(
+            &mut node,
+            record(RecordKind::InitialReport, initial.encode(), 0, kp)
+        ));
+    }
+    // Duplicate R† (resubmitted under a fresh nonce): both refuse it.
+    assert_eq!(
+        platform.submit_initial(&honest, honest_initial.clone()),
+        Err(CoreError::DuplicateReport)
+    );
+    assert!(!node_admits(
+        &mut node,
+        record(
+            RecordKind::InitialReport,
+            honest_initial.encode(),
+            7,
+            &honest
+        )
+    ));
+    // R* on an SRA nobody announced: both refuse it.
+    assert_eq!(
+        platform.submit_detailed(&honest, stray_detailed.clone()),
+        Err(CoreError::UnknownSra)
+    );
+    assert!(!node_admits(
+        &mut node,
+        record(
+            RecordKind::DetailedReport,
+            stray_detailed.encode(),
+            2,
+            &honest
+        )
+    ));
+
+    platform.mine_blocks(8); // the platform also wants R† confirmed
+                             // Forged R*: both refuse it and strike the detector.
+    assert!(matches!(
+        platform.submit_detailed(&cheat, forged_detailed.clone()),
+        Err(CoreError::AutoVerifFailed { .. })
+    ));
+    assert!(!node_admits(
+        &mut node,
+        record(
+            RecordKind::DetailedReport,
+            forged_detailed.encode(),
+            1,
+            &cheat
+        )
+    ));
+    assert_eq!(platform.scoreboard().score(&cheat.address()).strikes, 1);
+    assert_eq!(node.scoreboard().score(&cheat.address()).strikes, 1);
+    // Honest R*: both queue it and credit the detector.
+    assert!(platform
+        .submit_detailed(&honest, honest_detailed.clone())
+        .is_ok());
+    assert!(node_admits(
+        &mut node,
+        record(
+            RecordKind::DetailedReport,
+            honest_detailed.encode(),
+            1,
+            &honest
+        )
+    ));
+    assert_eq!(platform.scoreboard().score(&honest.address()).confirmed, 1);
+    assert_eq!(node.scoreboard().score(&honest.address()).confirmed, 1);
+}
+
+/// One step of a random admit/seal schedule.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Provider `provider` announces version `version` of its system.
+    Release { provider: usize, version: u8 },
+    /// Detector `detector` files `R†` (then `R*`) on the `sra`-th release.
+    Report { detector: usize, sra: usize },
+    /// A well-signed record of kind `kind` with an undecodable payload.
+    Garbage { kind: usize },
+    /// Seal up to `capacity` pending records into a block.
+    Seal { capacity: usize },
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    (0u8..4, 0usize..3, 0u8..3).prop_map(|(op, a, b)| match op {
+        0 => Op::Release {
+            provider: a % 2,
+            version: b,
+        },
+        1 => Op::Report {
+            detector: a,
+            sra: b as usize,
+        },
+        2 => Op::Garbage { kind: a },
+        _ => Op::Seal {
+            capacity: 1 + b as usize,
+        },
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// After any admitted-then-sealed sequence, replaying the chain yields
+    /// the live instance's SRA / initial-report knowledge for every
+    /// canonical record — and nothing the chain does not carry.
+    #[test]
+    fn replay_rebuilds_the_live_knowledge(ops in proptest::collection::vec(arb_op(), 1..40)) {
+        let library = VulnLibrary::synthetic(20, 3);
+        let providers = [KeyPair::from_seed(b"prov-0"), KeyPair::from_seed(b"prov-1")];
+        let detectors: Vec<KeyPair> =
+            (0..3u8).map(|i| KeyPair::from_seed(&[b'd', i])).collect();
+        let mut live = Protocol::new(Box::new(ChainStore::new(genesis())), library.clone());
+        let mut released: Vec<SraId> = Vec::new();
+        let mut timestamp = genesis().header().timestamp;
+        for (nonce, op) in ops.into_iter().enumerate() {
+            let nonce = nonce as u64;
+            match op {
+                Op::Release { provider, version } => {
+                    let kp = &providers[provider];
+                    let sra = Sra::create(
+                        kp,
+                        "fw",
+                        &version.to_string(),
+                        [version; 32],
+                        "sim://fw",
+                        Ether::from_ether(1000),
+                        Ether::from_ether(25),
+                    );
+                    let admitted = live
+                        .admit(Record::signed(RecordKind::Sra, sra.encode(), FEE, nonce, kp))
+                        .is_ok();
+                    // Only a repeat of a known SRA is refused.
+                    prop_assert_eq!(admitted, !released.contains(sra.id()));
+                    if admitted {
+                        released.push(*sra.id());
+                    }
+                }
+                Op::Report { detector, sra } => {
+                    let kp = &detectors[detector];
+                    let sra_id = released.get(sra).copied().unwrap_or([0xee; 32]);
+                    let (initial, detailed) =
+                        create_report_pair(kp, sra_id, Findings::new(vec![VulnId(1)], "x"));
+                    let _ = live.admit(Record::signed(
+                        RecordKind::InitialReport, initial.encode(), FEE, nonce, kp,
+                    ));
+                    // No artifact is held, so the R* is queued unjudged.
+                    let _ = live.admit(Record::signed(
+                        RecordKind::DetailedReport, detailed.encode(), FEE, nonce, kp,
+                    ));
+                }
+                Op::Garbage { kind } => {
+                    let kind = [RecordKind::Sra, RecordKind::InitialReport, RecordKind::Transfer][kind];
+                    let outcome = live.admit(Record::signed(
+                        kind, vec![0xab; 7], FEE, nonce, &providers[0],
+                    ));
+                    prop_assert_eq!(outcome.is_ok(), kind == RecordKind::Transfer);
+                }
+                Op::Seal { capacity } => {
+                    timestamp += 15;
+                    live.seal(providers[0].address(), timestamp, capacity);
+                }
+            }
+        }
+
+        let replayed = Protocol::replay(Box::new(live.store().clone()), library);
+        let mut sras_on_chain = 0;
+        for block in live.store().canonical_blocks() {
+            for r in block.records() {
+                match r.kind() {
+                    RecordKind::Sra => {
+                        sras_on_chain += 1;
+                        let sra = Sra::decode(r.payload()).unwrap();
+                        prop_assert_eq!(live.sra(sra.id()), Some(&sra));
+                        prop_assert_eq!(replayed.sra(sra.id()), Some(&sra));
+                    }
+                    RecordKind::InitialReport => {
+                        let report = InitialReport::decode(r.payload()).unwrap();
+                        let (sra_id, detector) = (report.sra_id(), report.detector());
+                        prop_assert_eq!(live.initial(sra_id, &detector), Some(&report));
+                        prop_assert_eq!(replayed.initial(sra_id, &detector), Some(&report));
+                    }
+                    RecordKind::DetailedReport => {
+                        // Replay holds no artifact either: still unjudged.
+                        let report = DetailedReport::decode(r.payload()).unwrap();
+                        prop_assert_eq!(
+                            replayed.scoreboard().score(&report.detector()).confirmed,
+                            0
+                        );
+                    }
+                    _ => {}
+                }
+            }
+        }
+        prop_assert_eq!(replayed.sras().count(), sras_on_chain);
+        prop_assert_eq!(replayed.mempool_len(), 0);
+    }
+}

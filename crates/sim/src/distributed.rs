@@ -7,34 +7,26 @@
 //! "SmartCrowd is fault-tolerant for verifying and storing detection
 //! results that is determined by the majority of IoT providers."
 //!
+//! The mechanics (boot, message pump, mining round, anti-entropy) are the
+//! shared [`Fleet`] driver; this type is the fault-free scenario API over
+//! it.
+//!
 //! [`Platform`]: smartcrowd_core::platform::Platform
 //! [`ProviderNode`]: smartcrowd_core::node::ProviderNode
 
 use crate::error::SimError;
-use smartcrowd_chain::simminer::{SimMiner, SimParticipant, PAPER_HASH_POWERS};
-use smartcrowd_chain::{Block, Difficulty, Ether};
-use smartcrowd_core::node::{Outbox, ProviderNode};
+use crate::fleet::Fleet;
+use smartcrowd_chain::{ChainStore, Ether};
+use smartcrowd_core::node::ProviderNode;
 use smartcrowd_core::sra::SraId;
-use smartcrowd_crypto::keys::KeyPair;
-use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
-use smartcrowd_net::{GossipNet, LinkConfig, Message, NodeId};
-
-/// Default per-block record capacity.
-const BLOCK_CAPACITY: usize = 64;
-
-/// Safety bound on message-pump iterations.
-const PUMP_LIMIT: usize = 10_000;
+use smartcrowd_net::{LinkConfig, Message};
+use std::convert::Infallible;
 
 /// A network of independent provider nodes.
 #[derive(Debug)]
 pub struct DistributedSim {
-    nodes: Vec<ProviderNode>,
-    net: GossipNet,
-    node_ids: Vec<NodeId>,
-    race: SimMiner,
-    genesis_timestamp: u64,
-    seed: u64,
+    fleet: Fleet,
 }
 
 impl DistributedSim {
@@ -47,44 +39,25 @@ impl DistributedSim {
     /// Like [`DistributedSim::new`] with explicit link behaviour (latency,
     /// jitter, message loss) for fault-injection experiments.
     pub fn new_with_link(n: usize, seed: u64, link: LinkConfig) -> DistributedSim {
-        assert!(n > 0, "need at least one node");
-        let genesis = Block::genesis(Difficulty::from_u64(1));
-        let library = VulnLibrary::synthetic(200, seed ^ 0x11b);
-        let mut net = GossipNet::new(link, seed);
-        let mut nodes = Vec::with_capacity(n);
-        let mut node_ids = Vec::with_capacity(n);
-        let mut participants = Vec::with_capacity(n);
-        for i in 0..n {
-            let keypair = KeyPair::from_seed(format!("dist-node-{i}").as_bytes());
-            let node = ProviderNode::new(keypair, genesis.clone(), library.clone());
-            participants.push(SimParticipant {
-                address: node.address(),
-                hash_power: PAPER_HASH_POWERS[i % PAPER_HASH_POWERS.len()],
-            });
-            node_ids.push(net.register());
-            nodes.push(node);
-        }
-        let race = SimMiner::new(participants, 15.35, seed ^ 0xace);
-        DistributedSim {
-            nodes,
-            net,
-            node_ids,
-            race,
-            genesis_timestamp: genesis.header().timestamp,
+        let fleet = Fleet::boot(
+            n,
             seed,
-        }
+            link,
+            "dist-node",
+            |_| true,
+            |_, genesis| Ok::<_, Infallible>(Box::new(ChainStore::new(genesis.clone())) as _),
+        )
+        .unwrap_or_else(|e| match e {});
+        DistributedSim { fleet }
     }
 
     /// The nodes (read-only).
-    pub fn nodes(&self) -> &[ProviderNode] {
-        &self.nodes
+    pub fn nodes(&self) -> Vec<&ProviderNode> {
+        self.fleet.running().map(|(_, node)| node).collect()
     }
 
     /// Releases a system from node `idx` and gossips the SRA.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::PumpDiverged`] when the gossip pump fails to
+    /// Fails with [`SimError::PumpDiverged`] when the gossip pump does not
     /// quiesce.
     pub fn release_from(
         &mut self,
@@ -93,48 +66,26 @@ impl DistributedSim {
         insurance: Ether,
         mu: Ether,
     ) -> Result<SraId, SimError> {
-        let (sra_id, out) = self.nodes[idx].release(system, insurance, mu);
-        self.broadcast_from(idx, out);
-        self.pump()?;
-        Ok(sra_id)
+        self.fleet.release(idx, system, insurance, mu)
     }
 
     /// Injects a detector-signed record at node `idx` and gossips it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::PumpDiverged`] when the gossip pump fails to
+    /// Fails with [`SimError::PumpDiverged`] when the gossip pump does not
     /// quiesce.
     pub fn inject_record(&mut self, idx: usize, message: Message) -> Result<(), SimError> {
-        let out = self.nodes[idx].handle(message.clone());
-        self.net
-            .broadcast(self.node_ids[idx], message)
-            .expect("registered node");
-        self.broadcast_from(idx, out);
-        self.pump()
+        self.fleet.inject(idx, message)
     }
 
     /// Runs one mining round: the race picks a winner, the winner mines
     /// from its own mempool, and the block gossips to everyone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::PumpDiverged`] when the gossip pump fails to
+    /// Fails with [`SimError::PumpDiverged`] when the gossip pump does not
     /// quiesce.
     pub fn mine_round(&mut self) -> Result<usize, SimError> {
-        let event = self.race.next_event();
-        let timestamp = self.genesis_timestamp + self.race.clock().ceil() as u64;
-        let (_, out) = self.nodes[event.winner].mine(timestamp, BLOCK_CAPACITY);
-        self.broadcast_from(event.winner, out);
-        self.pump()?;
-        Ok(event.winner)
+        self.fleet.mine_round(|_| true)
     }
 
     /// Mines `k` rounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::PumpDiverged`] when any round's pump fails to
+    /// Fails with [`SimError::PumpDiverged`] when the gossip pump does not
     /// quiesce.
     pub fn mine_rounds(&mut self, k: usize) -> Result<(), SimError> {
         for _ in 0..k {
@@ -146,102 +97,29 @@ impl DistributedSim {
     /// Splits the network: the given node indices lose contact with the
     /// rest until [`DistributedSim::heal`].
     pub fn partition(&mut self, minority: &[usize]) {
-        let ids: Vec<NodeId> = minority.iter().map(|&i| self.node_ids[i]).collect();
-        self.net.partition(&ids);
+        self.fleet.partition(minority);
     }
 
     /// Heals the partition and resynchronizes: every node re-broadcasts
     /// its canonical chain so laggards catch up (a minimal sync protocol).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::PumpDiverged`] when the gossip pump fails to
+    /// Fails with [`SimError::PumpDiverged`] when the gossip pump does not
     /// quiesce.
     pub fn heal(&mut self) -> Result<(), SimError> {
-        self.net.heal_partition();
-        for i in 0..self.nodes.len() {
-            let blocks: Vec<Block> = self.nodes[i].store().canonical_blocks();
-            for b in blocks {
-                if b.header().height == 0 {
-                    continue;
-                }
-                self.net
-                    .broadcast(self.node_ids[i], Message::Block(Box::new(b)))
-                    .expect("registered node");
-            }
-        }
-        self.pump()
-    }
-
-    fn broadcast_from(&mut self, idx: usize, out: Outbox) {
-        for m in out.broadcast {
-            self.net
-                .broadcast(self.node_ids[idx], m)
-                .expect("registered node");
-        }
-    }
-
-    /// Delivers queued messages (and the messages those deliveries
-    /// generate) until the network is quiet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::PumpDiverged`] — carrying the run's seed so the
-    /// schedule can be replayed — when the nodes keep generating traffic
-    /// past the iteration budget instead of quiescing.
-    pub fn pump(&mut self) -> Result<(), SimError> {
-        let mut iterations = 0;
-        while self.net.has_pending() {
-            iterations += 1;
-            if iterations >= PUMP_LIMIT {
-                return Err(SimError::PumpDiverged {
-                    seed: self.seed,
-                    iterations,
-                    pending: self.net.drain().len(),
-                });
-            }
-            let deliveries = self.net.drain();
-            // Batch admission per delivery round: fan the round's record
-            // signature recoveries out on the worker pool before the
-            // sequential delivery loop below. The warm only populates the
-            // signature cache — it never changes an admission outcome —
-            // so the seeded schedule stays byte-identical at any thread
-            // count while each gossip burst pays ECDSA once, in parallel.
-            let round_records: Vec<&smartcrowd_chain::record::Record> = deliveries
-                .iter()
-                .filter_map(|d| match &d.message {
-                    Message::Record(r) => Some(r),
-                    _ => None,
-                })
-                .collect();
-            smartcrowd_chain::sigcache::warm(&round_records);
-            for d in deliveries {
-                let idx = self
-                    .node_ids
-                    .iter()
-                    .position(|id| *id == d.to)
-                    .expect("delivery to registered node");
-                let out = self.nodes[idx].handle(d.message);
-                for m in out.broadcast {
-                    self.net.broadcast(d.to, m).expect("registered node");
-                }
-            }
-        }
-        Ok(())
+        self.fleet.heal_partition();
+        self.fleet.anti_entropy(|_| true)
     }
 
     /// Whether every node holds the same best tip.
     pub fn converged(&self) -> bool {
-        let tip = self.nodes[0].store().best_tip();
-        self.nodes.iter().all(|n| n.store().best_tip() == tip)
+        self.fleet.converged(|_| true)
     }
 
     /// The set of distinct best tips (diagnostics).
     pub fn tips(&self) -> Vec<String> {
         let mut tips: Vec<String> = self
-            .nodes
-            .iter()
-            .map(|n| n.store().best_tip().to_string())
+            .fleet
+            .running()
+            .map(|(_, n)| n.store().best_tip().to_string())
             .collect();
         tips.sort();
         tips.dedup();
@@ -255,6 +133,8 @@ mod tests {
     use smartcrowd_chain::record::{Record, RecordKind};
     use smartcrowd_chain::rng::SimRng;
     use smartcrowd_core::report::{create_report_pair, Findings};
+    use smartcrowd_crypto::keys::KeyPair;
+    use smartcrowd_detect::library::VulnLibrary;
     use smartcrowd_detect::vulnerability::VulnId;
 
     #[test]

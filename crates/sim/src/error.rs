@@ -9,7 +9,6 @@ use std::fmt;
 
 /// Errors produced by the distributed simulation harnesses.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum SimError {
     /// The message pump failed to quiesce within its iteration budget —
     /// some schedule made the nodes re-gossip indefinitely.

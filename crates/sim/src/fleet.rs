@@ -1,0 +1,284 @@
+//! The fleet driver shared by the distributed simulators: N
+//! [`ProviderNode`] slots (running, or vacated by a crash) over one seeded
+//! [`GossipNet`] and one hash-power-weighted mining race. It owns the
+//! mechanics every multi-node harness needs — boot, the warm-then-deliver
+//! message pump, an honest mining round, anti-entropy — so
+//! [`crate::distributed::DistributedSim`] adds only its scenario API and
+//! the chaos harness only its faults.
+//!
+//! Messages a node's *handlers* emit pass the fleet's relay filter before
+//! reaching the wire (the chaos harness plants its reconciliation bug
+//! there); a miner's own block and injected workload records never do.
+
+use crate::error::SimError;
+use smartcrowd_chain::record::Record;
+use smartcrowd_chain::simminer::{SimMiner, SimParticipant, PAPER_HASH_POWERS};
+use smartcrowd_chain::{sigcache, Block, ChainBackend, Difficulty, Ether};
+use smartcrowd_core::node::{Outbox, ProviderNode};
+use smartcrowd_core::sra::SraId;
+use smartcrowd_crypto::keys::KeyPair;
+use smartcrowd_detect::library::VulnLibrary;
+use smartcrowd_detect::system::IoTSystem;
+use smartcrowd_net::{GossipNet, LinkConfig, Message, NodeId};
+
+/// Per-block record capacity.
+pub const BLOCK_CAPACITY: usize = 64;
+
+/// Safety bound on message-pump iterations per pump call.
+const PUMP_LIMIT: usize = 10_000;
+
+/// N provider-node slots over a gossip fabric and a mining race. Slot `i`
+/// is gossip node `NodeId(i)`.
+#[derive(Debug)]
+pub struct Fleet {
+    /// `None` while the node is crashed.
+    slots: Vec<Option<ProviderNode>>,
+    keypairs: Vec<KeyPair>,
+    net: GossipNet,
+    race: SimMiner,
+    genesis: Block,
+    library: VulnLibrary,
+    relay: fn(&Message) -> bool,
+    seed: u64,
+}
+
+impl Fleet {
+    /// Boots `n > 0` nodes keyed `"{key_label}-{i}"` with the paper's
+    /// hash-power profile (cycled if `n > 5`), a shared genesis and a
+    /// shared library; `backend` opens node `i`'s chain store (its error
+    /// aborts the boot). Handler outboxes reach the wire only where
+    /// `relay` says so.
+    pub fn boot<E>(
+        n: usize,
+        seed: u64,
+        link: LinkConfig,
+        key_label: &str,
+        relay: fn(&Message) -> bool,
+        mut backend: impl FnMut(usize, &Block) -> Result<Box<dyn ChainBackend>, E>,
+    ) -> Result<Fleet, E> {
+        assert!(n > 0, "need at least one node");
+        let genesis = Block::genesis(Difficulty::from_u64(1));
+        let library = VulnLibrary::synthetic(200, seed ^ 0x11b);
+        let mut net = GossipNet::new(link, seed);
+        let (mut slots, mut keypairs, mut participants) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..n {
+            let keypair = KeyPair::from_seed(format!("{key_label}-{i}").as_bytes());
+            let node = ProviderNode::with_backend(keypair, backend(i, &genesis)?, library.clone());
+            participants.push(SimParticipant {
+                address: node.address(),
+                hash_power: PAPER_HASH_POWERS[i % PAPER_HASH_POWERS.len()],
+            });
+            assert_eq!(net.register(), NodeId(i), "gossip ids follow slot order");
+            keypairs.push(keypair);
+            slots.push(Some(node));
+        }
+        Ok(Fleet {
+            slots,
+            keypairs,
+            net,
+            race: SimMiner::new(participants, 15.35, seed ^ 0xace),
+            genesis,
+            library,
+            relay,
+            seed,
+        })
+    }
+
+    /// Node `idx`, unless crashed.
+    pub fn node(&self, idx: usize) -> Option<&ProviderNode> {
+        self.slots[idx].as_ref()
+    }
+
+    /// Slot `idx`: take the node out to crash it, put one in to restart.
+    pub fn slot(&mut self, idx: usize) -> &mut Option<ProviderNode> {
+        &mut self.slots[idx]
+    }
+
+    /// Every running node with its index.
+    pub fn running(&self) -> impl Iterator<Item = (usize, &ProviderNode)> {
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(|(i, slot)| Some((i, slot.as_ref()?)))
+    }
+
+    /// The signing keys of node `idx`.
+    pub fn keypair(&self, idx: usize) -> &KeyPair {
+        &self.keypairs[idx]
+    }
+
+    /// The shared genesis block.
+    pub fn genesis(&self) -> &Block {
+        &self.genesis
+    }
+
+    /// The shared vulnerability library.
+    pub fn library(&self) -> &VulnLibrary {
+        &self.library
+    }
+
+    /// Whether every running node selected by `among` holds the same tip.
+    pub fn converged(&self, among: impl Fn(usize) -> bool) -> bool {
+        let mut tips = self
+            .running()
+            .filter(|(i, _)| among(*i))
+            .map(|(_, node)| node.store().best_tip());
+        let first = tips.next();
+        tips.all(|tip| Some(tip) == first)
+    }
+
+    /// Splits the network: `minority` (out-of-range indices ignored) loses
+    /// contact with the rest until [`Fleet::heal_partition`].
+    pub fn partition(&mut self, minority: &[usize]) {
+        let in_range = minority.iter().filter(|&&i| i < self.slots.len());
+        let ids: Vec<NodeId> = in_range.map(|&i| NodeId(i)).collect();
+        self.net.partition(&ids);
+    }
+
+    /// Reconnects the network.
+    pub fn heal_partition(&mut self) {
+        self.net.heal_partition();
+    }
+
+    /// Messages the link layer duplicated so far.
+    pub fn duplicated(&self) -> u64 {
+        self.net.duplicated()
+    }
+
+    /// Queues `message` from node `from` to every peer.
+    pub fn broadcast(&mut self, from: usize, message: Message) {
+        let sent = self.net.broadcast(NodeId(from), message);
+        sent.expect("registered node");
+    }
+
+    /// Queues `message` from node `from` to node `to` only.
+    pub fn send(&mut self, from: usize, to: usize, message: Message) {
+        let sent = self.net.send(NodeId(from), NodeId(to), message);
+        sent.expect("registered node");
+    }
+
+    /// What the relay filter lets through of a handler's outbox.
+    fn relayed(&self, mut out: Outbox) -> Outbox {
+        out.broadcast.retain(|m| (self.relay)(m));
+        out
+    }
+
+    fn broadcast_outbox(&mut self, from: usize, out: Outbox) {
+        for m in out.broadcast {
+            self.broadcast(from, m);
+        }
+    }
+
+    /// Delivers queued messages (and the messages those deliveries
+    /// generate) until the network is quiet. Deliveries to crashed nodes
+    /// are dropped on the floor.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::PumpDiverged`] — carrying the seed, so the schedule can
+    /// be replayed — when the nodes keep generating traffic past the
+    /// iteration budget instead of quiescing. Every method below that
+    /// pumps fails the same way.
+    pub fn pump(&mut self) -> Result<(), SimError> {
+        let mut iterations = 0;
+        while self.net.has_pending() {
+            let deliveries = self.net.drain();
+            iterations += 1;
+            if iterations >= PUMP_LIMIT {
+                return Err(SimError::PumpDiverged {
+                    seed: self.seed,
+                    iterations,
+                    pending: deliveries.len(),
+                });
+            }
+            // Batch admission per delivery round: fan the round's record
+            // signature recoveries out on the worker pool before the
+            // sequential delivery loop below. The warm only populates the
+            // signature cache — it never changes an admission outcome —
+            // so the seeded schedule stays byte-identical at any thread
+            // count while each gossip burst pays ECDSA once, in parallel.
+            let round_records: Vec<&Record> = deliveries
+                .iter()
+                .filter_map(|d| match &d.message {
+                    Message::Record(r) => Some(r),
+                    _ => None,
+                })
+                .collect();
+            sigcache::warm(&round_records);
+            for d in deliveries {
+                let idx = d.to.0;
+                if let Some(node) = &mut self.slots[idx] {
+                    let out = node.handle(d.message);
+                    self.broadcast_outbox(idx, self.relayed(out));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Releases a system from node `idx` (which must be running) and
+    /// gossips the SRA until the network is quiet.
+    pub fn release(
+        &mut self,
+        idx: usize,
+        system: IoTSystem,
+        insurance: Ether,
+        mu: Ether,
+    ) -> Result<SraId, SimError> {
+        let node = self.slots[idx].as_mut().expect("releasing node is running");
+        let (sra_id, out) = node.release(system, insurance, mu);
+        self.broadcast_outbox(idx, out);
+        self.pump()?;
+        Ok(sra_id)
+    }
+
+    /// Hands a client's `message` to node `idx` (which must be running)
+    /// and gossips it until the network is quiet.
+    pub fn inject(&mut self, idx: usize, message: Message) -> Result<(), SimError> {
+        let node = self.slots[idx].as_mut().expect("entry node is running");
+        let out = node.handle(message.clone());
+        self.broadcast(idx, message);
+        self.broadcast_outbox(idx, self.relayed(out));
+        self.pump()
+    }
+
+    /// Samples the race: this round's winner and its block timestamp.
+    pub fn next_round(&mut self) -> (usize, u64) {
+        let event = self.race.next_event();
+        let timestamp = self.genesis.header().timestamp + self.race.clock().ceil() as u64;
+        (event.winner, timestamp)
+    }
+
+    /// Node `winner` mines from its own mempool and broadcasts the block
+    /// (a crashed winner loses the round).
+    pub fn mine_and_broadcast(&mut self, winner: usize, timestamp: u64) {
+        if let Some(node) = &mut self.slots[winner] {
+            let out = node.mine(timestamp, BLOCK_CAPACITY).1;
+            self.broadcast_outbox(winner, out);
+        }
+    }
+
+    /// One honest mining round: the race picks a winner, who mines if
+    /// `eligible` (and running), and the block gossips to everyone.
+    /// Returns the winner.
+    pub fn mine_round(&mut self, eligible: impl Fn(usize) -> bool) -> Result<usize, SimError> {
+        let (winner, timestamp) = self.next_round();
+        if eligible(winner) {
+            self.mine_and_broadcast(winner, timestamp);
+        }
+        self.pump()?;
+        Ok(winner)
+    }
+
+    /// Anti-entropy: every running node selected by `among` rebroadcasts
+    /// its canonical chain so laggards catch up (a minimal sync protocol).
+    /// It is reconciliation traffic, so it passes the relay filter.
+    pub fn anti_entropy(&mut self, among: impl Fn(usize) -> bool) -> Result<(), SimError> {
+        for i in (0..self.slots.len()).filter(|&i| among(i)) {
+            let Some(node) = &self.slots[i] else { continue };
+            let chain = node.store().canonical_blocks().into_iter();
+            let blocks = chain.filter(|b| b.header().height > 0);
+            let broadcast = blocks.map(|b| Message::Block(Box::new(b))).collect();
+            self.broadcast_outbox(i, self.relayed(Outbox { broadcast }));
+        }
+        self.pump()
+    }
+}

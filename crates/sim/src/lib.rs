@@ -32,6 +32,7 @@
 pub mod config;
 pub mod distributed;
 pub mod error;
+pub mod fleet;
 pub mod ledger;
 pub mod run;
 pub mod sweep;
