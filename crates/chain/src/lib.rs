@@ -51,6 +51,7 @@
 
 pub mod amount;
 pub mod block;
+mod chain_index;
 pub mod codec;
 pub mod confirm;
 pub mod difficulty;

@@ -6,7 +6,7 @@
 //! transaction fee `ψ` of Eq. 8 doubles as a spam deterrent — exactly the
 //! "cost for each detector to submit its detection report" of Eq. 10.
 //!
-//! ## Throughput pipeline (DESIGN.md §19)
+//! ## Throughput pipeline (DESIGN.md §18)
 //!
 //! The pool is **sharded and fee-indexed**: records stripe across
 //! [`Mempool::shard_count`] shards by the first byte of their id, and each
@@ -26,9 +26,8 @@
 //! [`Mempool::insert`] calls — proven by the differential proptests in
 //! `crates/chain/tests/mempool_proptests.rs`.
 //!
-//! [`FlatMempool`] preserves the seed single-map implementation verbatim
-//! as the differential reference, the same role
-//! `validate_block_sequential` plays for the validation pipeline.
+//! The seed single-map implementation lives on as the differential
+//! reference (`FlatMempool`) in that test file.
 
 use crate::amount::Ether;
 use crate::block::Block;
@@ -384,86 +383,6 @@ impl Default for Mempool {
     }
 }
 
-/// The seed single-`HashMap` pool, kept verbatim as the differential
-/// reference for [`Mempool`] (the role
-/// `validate_block_sequential` plays for `validate_block`): `insert` pays
-/// an O(n) min-fee eviction scan and `take_best`/`peek_best` re-sort the
-/// whole pool. `mempool_proptests` proves outcome equivalence.
-///
-/// The one behavioural difference is deliberate: among equal-fee eviction
-/// candidates this reference picks a `HashMap`-iteration-order victim,
-/// which was never deterministic; [`Mempool`] pins the tie to the highest
-/// id (the reverse of [`selection_order`]).
-#[derive(Debug, Clone)]
-pub struct FlatMempool {
-    records: HashMap<Digest, Record>,
-    capacity: usize,
-}
-
-impl FlatMempool {
-    /// Creates a flat pool bounded at `capacity` records.
-    pub fn new(capacity: usize) -> Self {
-        FlatMempool {
-            records: HashMap::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Number of pending records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Seed admission: signature check, duplicate check, O(n) min-fee
-    /// eviction scan at capacity.
-    ///
-    /// # Errors
-    ///
-    /// As [`Mempool::insert`], except duplicates surface as
-    /// [`ChainError::DuplicatePending`] here too (the seed used a
-    /// generic rejection).
-    pub fn insert(&mut self, record: Record) -> Result<(), ChainError> {
-        crate::sigcache::verify_cached(&record)?;
-        let id = record.id();
-        if self.records.contains_key(&id) {
-            return Err(ChainError::DuplicatePending { id });
-        }
-        if self.records.len() >= self.capacity {
-            let Some((victim_id, victim_fee)) = self
-                .records
-                .iter()
-                .map(|(id, r)| (*id, r.fee()))
-                .min_by_key(|(_, fee)| *fee)
-            else {
-                return Err(ChainError::MempoolFull);
-            };
-            if record.fee() <= victim_fee {
-                return Err(ChainError::MempoolFull);
-            }
-            self.records.remove(&victim_id);
-        }
-        self.records.insert(id, record);
-        Ok(())
-    }
-
-    /// Seed selection: sort the whole pool by [`selection_order`], take
-    /// the prefix, remove it.
-    pub fn take_best(&mut self, n: usize) -> Vec<Record> {
-        let mut all: Vec<(Ether, Digest)> =
-            self.records.iter().map(|(id, r)| (r.fee(), *id)).collect();
-        all.sort_by(selection_order);
-        all.truncate(n);
-        all.into_iter()
-            .filter_map(|(_, id)| self.records.remove(&id))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -625,21 +544,5 @@ mod tests {
                 .map(Record::id)
                 .collect::<Vec<_>>(),
         );
-    }
-
-    #[test]
-    fn flat_pool_agrees_with_sharded_on_distinct_fees() {
-        let records: Vec<Record> = (0..30).map(|i| record(i, 100 + i)).collect();
-        let mut flat = FlatMempool::new(12);
-        let mut sharded = Mempool::new(12);
-        for r in &records {
-            let a = flat.insert(r.clone());
-            let b = sharded.insert(r.clone());
-            assert_eq!(a.is_ok(), b.is_ok());
-        }
-        let flat_ids: Vec<Digest> = flat.take_best(12).iter().map(Record::id).collect();
-        let sharded_ids: Vec<Digest> = sharded.take_best(12).iter().map(Record::id).collect();
-        assert_eq!(flat_ids, sharded_ids);
-        assert!(flat.is_empty() && sharded.is_empty());
     }
 }

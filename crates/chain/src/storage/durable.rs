@@ -1,15 +1,16 @@
-//! The durable store: a paged, header-resident view of the chain kept
-//! consistent with an on-disk log across crashes at any instruction
-//! boundary.
+//! The durable store: the chain index over bodies paged in from an
+//! on-disk log, kept consistent with that log across crashes at any
+//! instruction boundary.
 //!
 //! Unlike the in-memory [`crate::store::ChainStore`], the durable store
-//! does **not** mirror every block body in memory. It keeps a
-//! [`PagedView`] — headers, per-block work, the canonical index and the
-//! record index, all O(header) per block — and pages bodies through a
-//! bounded [`BlockCache`], reading cold frames back from `blocks.log`
-//! with a single seek plus checksum-verified decode. Reopen cost is
-//! O(snapshot + log tail) when a valid `state.snap` exists, falling back
-//! to the full-log scan otherwise. See DESIGN.md §17–§18 and STORAGE.md.
+//! does **not** hold every block body in memory. Beside the shared
+//! [`ChainIndex`] — headers, per-block work, the canonical index and the
+//! record index, all O(header) per block — it keeps each block's frame
+//! location and pages bodies through a bounded [`BlockCache`], reading
+//! cold frames back from `blocks.log` with a single seek plus
+//! checksum-verified decode. Reopen cost is O(snapshot + log tail) when a
+//! valid `state.snap` exists, falling back to the full-log scan
+//! otherwise. See DESIGN.md §17 and STORAGE.md.
 
 use super::cache::BlockCache;
 use super::index::SidecarIndex;
@@ -18,15 +19,11 @@ use super::snapshot::{self, Snapshot, SnapshotEntry, SnapshotRead, SNAPSHOT_FILE
 use super::wal::{Wal, WalRecovery};
 use super::{ChainBackend, ChainQuery, CrashPoint, StorageError, StoreConfig};
 use crate::block::Block;
-use crate::difficulty::Difficulty;
-use crate::error::ChainError;
-use crate::header::{BlockHeader, BlockId};
-use crate::record::Record;
-use crate::store::RecordLocation;
+use crate::chain_index::ChainIndex;
+use crate::header::BlockId;
 use crate::CONFIRMATION_DEPTH;
 use smartcrowd_crypto::sha256::sha256d;
-use smartcrowd_crypto::Digest;
-use smartcrowd_telemetry::{counter, gauge, histogram};
+use smartcrowd_telemetry::counter;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -70,292 +67,9 @@ impl RecoveryReport {
     }
 }
 
-/// Per-block metadata the durable store keeps resident for every block.
-#[derive(Debug, Clone)]
-struct BlockMeta {
-    header: BlockHeader,
-    /// Accumulated work (fork choice).
-    work: u128,
-    /// Ids of the block's records, in block order.
-    record_ids: Vec<Digest>,
-    /// Frame location in `blocks.log`; `None` only transiently, before
-    /// the commit protocol appends the frame.
-    location: Option<LogEntry>,
-}
-
-/// The header-resident chain view: everything [`ChainQuery`] needs
-/// except block bodies. Mirrors [`crate::store::ChainStore`]'s fork
-/// choice exactly (strictly-more-work wins, first-seen ties keep the
-/// incumbent) so the paged store is observationally identical to the
-/// in-memory mirror.
-#[derive(Debug)]
-struct PagedView {
-    metas: HashMap<BlockId, BlockMeta>,
-    genesis_id: BlockId,
-    best_tip: BlockId,
-    /// Canonical height → block id index, rebuilt on tip change.
-    canonical: HashMap<u64, BlockId>,
-    /// Record id → location on the canonical chain.
-    record_index: HashMap<Digest, RecordLocation>,
-}
-
-impl PagedView {
-    fn new(genesis: BlockHeader, record_ids: Vec<Digest>) -> Self {
-        let genesis_id = genesis.id();
-        let work = genesis.difficulty.value();
-        let mut view = PagedView {
-            metas: HashMap::new(),
-            genesis_id,
-            best_tip: genesis_id,
-            canonical: HashMap::new(),
-            record_index: HashMap::new(),
-        };
-        view.metas.insert(
-            genesis_id,
-            BlockMeta {
-                header: genesis,
-                work,
-                record_ids,
-                location: None,
-            },
-        );
-        view.rebuild_canonical();
-        view
-    }
-
-    /// Full-body insert: the same checks, in the same order, as
-    /// [`crate::store::ChainStore::insert`] — the mirror proptests hold
-    /// the two implementations observationally identical.
-    fn insert(&mut self, block: &Block, quiet: bool) -> Result<BlockId, ChainError> {
-        let id = block.id();
-        if self.metas.contains_key(&id) {
-            return Err(ChainError::DuplicateBlock { id });
-        }
-        let parent = self
-            .metas
-            .get(&block.header().prev)
-            .ok_or(ChainError::UnknownParent {
-                parent: block.header().prev,
-            })?;
-        if block.header().height != parent.header.height + 1 {
-            return Err(ChainError::Codec {
-                detail: format!(
-                    "height {} does not follow parent height {}",
-                    block.header().height,
-                    parent.header.height
-                ),
-            });
-        }
-        if block.header().timestamp < parent.header.timestamp {
-            return Err(ChainError::TimestampRegression { id });
-        }
-        block.validate_structure()?;
-        let work = parent.work + block.header().difficulty.value();
-        self.metas.insert(
-            id,
-            BlockMeta {
-                header: block.header().clone(),
-                work,
-                record_ids: block.records().iter().map(Record::id).collect(),
-                location: None,
-            },
-        );
-        self.apply_fork_choice(id, work, quiet);
-        Ok(id)
-    }
-
-    /// Header-only insert for snapshot adoption. The body is not in
-    /// hand, so structural checks are replaced by what a header alone
-    /// certifies: linkage, monotone timestamp, the pinned difficulty and
-    /// its own PoW target. Bodies are checksum-verified lazily when
-    /// paged in. Any failure rejects the snapshot (the caller falls back
-    /// to the full scan — where the same damage either heals or fails
-    /// closed with the authoritative log as evidence).
-    fn insert_trusted_header(
-        &mut self,
-        header: BlockHeader,
-        record_ids: Vec<Digest>,
-        pin: Difficulty,
-    ) -> Result<BlockId, String> {
-        let id = header.id();
-        if self.metas.contains_key(&id) {
-            return Err(format!("duplicate block {id} in snapshot"));
-        }
-        let parent = self
-            .metas
-            .get(&header.prev)
-            .ok_or_else(|| format!("snapshot block {id} has unknown parent {}", header.prev))?;
-        if header.height != parent.header.height + 1 {
-            return Err(format!(
-                "snapshot height {} does not follow parent height {}",
-                header.height, parent.header.height
-            ));
-        }
-        if header.timestamp < parent.header.timestamp {
-            return Err(format!("snapshot block {id} regresses its timestamp"));
-        }
-        if header.difficulty != pin {
-            return Err(format!(
-                "snapshot difficulty drift: block {} declares {}, genesis set {}",
-                header.height,
-                header.difficulty.value(),
-                pin.value()
-            ));
-        }
-        if !header.meets_target() {
-            return Err(format!("snapshot block {id} fails its own PoW target"));
-        }
-        let work = parent.work + header.difficulty.value();
-        self.metas.insert(
-            id,
-            BlockMeta {
-                header,
-                work,
-                record_ids,
-                location: None,
-            },
-        );
-        self.apply_fork_choice(id, work, true);
-        Ok(id)
-    }
-
-    /// Fork choice: strictly more work wins; ties keep the incumbent
-    /// (first-seen rule, as in Bitcoin). `quiet` suppresses reorg
-    /// telemetry during snapshot adoption, where the "reorgs" are just
-    /// replayed history.
-    fn apply_fork_choice(&mut self, id: BlockId, work: u128, quiet: bool) {
-        if work <= self.metas[&self.best_tip].work {
-            return;
-        }
-        let old_tip = self.best_tip;
-        let extends_tip = self.metas[&id].header.prev == old_tip;
-        self.best_tip = id;
-        if extends_tip {
-            // Simple tip extension — the common case, and the only one
-            // on the open-time replay paths. Appending one canonical
-            // entry keeps a full replay O(n) instead of O(n²).
-            self.extend_canonical(id);
-        } else {
-            self.rebuild_canonical();
-        }
-        if !extends_tip && !quiet {
-            // The old tip was abandoned: the reorg depth is the number
-            // of blocks between it and the fork point (its deepest
-            // ancestor still canonical).
-            let mut depth = 0u64;
-            let mut cursor = old_tip;
-            while !self.is_canonical(&cursor) {
-                depth += 1;
-                cursor = self.metas[&cursor].header.prev;
-            }
-            if depth > 0 {
-                counter!("chain.store.reorgs").inc();
-                histogram!(
-                    "chain.store.reorg_depth",
-                    smartcrowd_telemetry::buckets::REORG_DEPTH
-                )
-                .observe(depth);
-            }
-        }
-    }
-
-    /// Appends one block to the canonical maps after a tip extension.
-    fn extend_canonical(&mut self, id: BlockId) {
-        let meta = &self.metas[&id];
-        let height = meta.header.height;
-        self.canonical.insert(height, id);
-        for (index, record_id) in meta.record_ids.iter().enumerate() {
-            self.record_index.insert(
-                *record_id,
-                RecordLocation {
-                    block_id: id,
-                    height,
-                    index,
-                },
-            );
-        }
-    }
-
-    fn rebuild_canonical(&mut self) {
-        self.canonical.clear();
-        self.record_index.clear();
-        let mut cursor = self.best_tip;
-        loop {
-            let meta = &self.metas[&cursor];
-            let height = meta.header.height;
-            self.canonical.insert(height, cursor);
-            for (index, record_id) in meta.record_ids.iter().enumerate() {
-                self.record_index.insert(
-                    *record_id,
-                    RecordLocation {
-                        block_id: cursor,
-                        height,
-                        index,
-                    },
-                );
-            }
-            if cursor == self.genesis_id {
-                break;
-            }
-            cursor = meta.header.prev;
-        }
-    }
-
-    fn set_location(&mut self, id: &BlockId, entry: LogEntry) {
-        if let Some(meta) = self.metas.get_mut(id) {
-            meta.location = Some(entry);
-        }
-    }
-
-    fn remove(&mut self, id: &BlockId) {
-        self.metas.remove(id);
-    }
-
-    fn best_height(&self) -> u64 {
-        self.metas[&self.best_tip].header.height
-    }
-
-    fn canonical_id_at(&self, height: u64) -> Option<BlockId> {
-        self.canonical.get(&height).copied()
-    }
-
-    fn is_canonical(&self, id: &BlockId) -> bool {
-        self.metas
-            .get(id)
-            .map(|m| self.canonical.get(&m.header.height) == Some(id))
-            .unwrap_or(false)
-    }
-
-    fn confirmations(&self, id: &BlockId) -> u64 {
-        if !self.is_canonical(id) {
-            return 0;
-        }
-        self.best_height() - self.metas[id].header.height + 1
-    }
-
-    fn genesis_difficulty(&self) -> Difficulty {
-        self.metas[&self.genesis_id].header.difficulty
-    }
-}
-
-/// [`PagedView::insert`] wrapped with the same telemetry
-/// [`crate::store::ChainStore::insert`] emits, so a durable backend's
-/// counters match what the in-memory mirror would have produced.
-fn insert_counted(view: &mut PagedView, block: &Block) -> Result<BlockId, ChainError> {
-    let result = view.insert(block, false);
-    match &result {
-        Ok(_) => {
-            counter!("chain.store.blocks_inserted").inc();
-            gauge!("chain.store.height").set(view.best_height() as i64);
-        }
-        Err(_) => counter!("chain.store.blocks_rejected").inc(),
-    }
-    result
-}
-
 /// Everything recovery produced before repairs are applied.
 struct Recovered {
-    view: PagedView,
+    index: ChainIndex,
     entries: Vec<LogEntry>,
     valid_len: u64,
     torn: bool,
@@ -364,28 +78,28 @@ struct Recovered {
     bodies: Vec<Block>,
     /// A genesis block to append to a freshly-seeded log.
     seeded_genesis: Option<Block>,
-    snapshot_loaded: bool,
 }
 
 /// A file-backed chain store with a bounded block cache, checkpoint
 /// state snapshots, crash recovery and fork pruning.
 ///
 /// Every [`commit`] is made durable through a WAL-then-log protocol
-/// before it returns; reads are answered from the header-resident
-/// paged view (headers, heights, record index) plus a bounded body
-/// cache, paging cold frames back in
-/// from disk. See the module docs, DESIGN.md §17–§18 and STORAGE.md for
-/// the on-disk layout and the recovery state machine.
+/// before it returns; reads are answered from the resident chain index
+/// (headers, heights, record index) plus a bounded body cache, paging
+/// cold frames back in from disk. See the module docs, DESIGN.md §17 and
+/// STORAGE.md for the on-disk layout and the recovery state machine.
 ///
 /// [`commit`]: DurableStore::commit
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
-    view: PagedView,
+    index: ChainIndex,
+    /// Where each indexed block's frame sits in `blocks.log`.
+    locations: HashMap<BlockId, LogEntry>,
     cache: RefCell<BlockCache>,
     log: BlockLog,
     wal: Wal,
-    index: SidecarIndex,
+    sidecar: SidecarIndex,
     config: StoreConfig,
     checkpoint_height: u64,
     /// Checkpoint height the current `state.snap` was written at.
@@ -462,7 +176,7 @@ impl DurableStore {
         let mut log = BlockLog::open(&dir.join("blocks.log"))?;
         let was_fresh = log.len_bytes() == 0;
         let (mut wal, wal_recovery) = Wal::open(&dir.join("wal"))?;
-        let index = SidecarIndex::new(&dir.join("blocks.idx"));
+        let sidecar = SidecarIndex::new(&dir.join("blocks.idx"));
         let mut cache = BlockCache::new(config.cache_capacity);
         let snap_path = dir.join(SNAPSHOT_FILE);
 
@@ -482,24 +196,22 @@ impl DurableStore {
                 },
             }
         }
-        let snapshot_rejected = snapshot_rejection.is_some();
-        let recovered = match adopted {
-            Some(r) => r,
-            None => full_scan_recover(&log, genesis)?,
-        };
+        let snapshot_loaded = adopted.is_some();
         let Recovered {
-            mut view,
+            mut index,
             entries,
             valid_len,
             torn,
             bodies,
             seeded_genesis,
-            snapshot_loaded,
-        } = recovered;
+        } = match adopted {
+            Some(r) => r,
+            None => full_scan_recover(&log, genesis)?,
+        };
         let mut report = RecoveryReport {
             torn_truncated: torn,
             snapshot_loaded,
-            snapshot_rejected,
+            snapshot_rejected: snapshot_rejection.is_some(),
             ..RecoveryReport::default()
         };
 
@@ -522,10 +234,7 @@ impl DurableStore {
         // A durable WAL entry replays unless it fails the same pinned
         // validation every logged block passes — then it can only be a
         // forgery, and discarding loses nothing that was ever applied.
-        let genesis_difficulty = view.genesis_difficulty();
-        let wal_block = wal_block.filter(|b| {
-            b.header().difficulty == genesis_difficulty && insert_counted(&mut view, b).is_ok()
-        });
+        let wal_block = wal_block.filter(|b| index.extend_pinned([b]).is_ok());
         report.wal_replayed = wal_block.is_some();
 
         // Checkpoint gate: the recovered prefix must still contain the
@@ -536,14 +245,14 @@ impl DurableStore {
             CheckpointRead::Absent => {}
             CheckpointRead::Invalid => report.sidecars_rebuilt += 1,
             CheckpointRead::Valid { height, id } => {
-                if view.canonical_id_at(height) != Some(id) {
+                if index.canonical_id_at(height) != Some(id) {
                     return Err(StorageError::Corrupt {
                         file: "checkpoint",
                         offset: 0,
                         detail: format!(
                             "recovered chain (height {}) is missing checkpointed confirmed \
                              block {id} at height {height}",
-                            view.best_height()
+                            index.best_height()
                         ),
                     });
                 }
@@ -553,31 +262,23 @@ impl DurableStore {
 
         // Validation passed — apply the repairs.
         log.adopt(valid_len, entries)?;
-        if let Some(block) = &seeded_genesis {
-            let entry = log.append(block)?;
-            view.set_location(&block.id(), entry);
-        }
-        if let Some(block) = &wal_block {
-            let entry = log.append(block)?;
-            view.set_location(&block.id(), entry);
+        for block in seeded_genesis.iter().chain(&wal_block) {
+            log.append(block)?;
         }
         if !wal_was_empty {
             wal.clear()?;
         }
-        if !index.matches(log.len_bytes(), log.entries()) {
+        if !sidecar.matches(log.len_bytes(), log.entries()) {
             if !was_fresh {
                 report.sidecars_rebuilt += 1;
             }
-            let _ = index.write(log.len_bytes(), log.entries());
+            let _ = sidecar.write(log.len_bytes(), log.entries());
         }
 
         // Warm the cache with every body recovery decoded anyway; the
         // floor advance in `maintain` below demotes and evicts back down
         // to capacity, in deterministic insertion order.
-        for block in bodies {
-            cache.insert(block);
-        }
-        if let Some(block) = wal_block {
+        for block in bodies.into_iter().chain(wal_block) {
             cache.insert(block);
         }
 
@@ -600,11 +301,12 @@ impl DurableStore {
 
         let mut durable = DurableStore {
             dir: dir.to_path_buf(),
-            view,
+            index,
+            locations: log.entries().iter().map(|e| (e.id, *e)).collect(),
             cache: RefCell::new(cache),
             log,
             wal,
-            index,
+            sidecar,
             config,
             checkpoint_height,
             snapshot_height: if snapshot_loaded {
@@ -624,46 +326,62 @@ impl DurableStore {
 
     /// Validates and durably applies one block.
     ///
-    /// Protocol: in-memory insert (validation) → WAL write + fsync (the
-    /// durability point) → log append + fsync → index update → WAL
-    /// truncate → checkpoint/snapshot/prune maintenance. A crash
-    /// anywhere leaves a state [`DurableStore::open`] recovers exactly.
+    /// Protocol: linkage + structural checks against the index (nothing
+    /// written yet) → WAL write + fsync (the durability point) → log
+    /// append + fsync → index insert → sidecar update → WAL truncate →
+    /// checkpoint/snapshot/prune maintenance. The index learns of the
+    /// block only once its frame is in the log, so the handle never
+    /// advertises a tip it cannot serve; a crash anywhere leaves a state
+    /// [`DurableStore::open`] recovers exactly.
     ///
     /// # Errors
     ///
     /// [`StorageError::Chain`] when validation rejects the block (disk
-    /// untouched); [`StorageError::Io`] on filesystem failures;
-    /// [`StorageError::InjectedCrash`] when an armed [`CrashPoint`]
-    /// fires, poisoning the store until it is reopened.
+    /// untouched, handle still usable); [`StorageError::Io`] on filesystem
+    /// failures; [`StorageError::InjectedCrash`] when an armed
+    /// [`CrashPoint`] fires. Any error past validation poisons the store
+    /// until it is reopened — what reached the disk is for recovery to
+    /// decide.
     pub fn commit(&mut self, block: Block) -> Result<BlockId, StorageError> {
         if self.poisoned.get() {
             return Err(StorageError::Io {
                 op: "commit",
                 path: self.dir.clone(),
-                detail: "store poisoned by an injected crash or an unreadable frame; \
+                detail: "store poisoned by a failed commit or an unreadable frame; \
                          reopen from disk"
                     .to_string(),
             });
         }
-        let id = insert_counted(&mut self.view, &block)?;
+        self.index.check_block(&block)?;
+        let result = self.apply(block);
+        if result.is_err() {
+            self.crash = None;
+            self.poisoned.set(true);
+        }
+        result
+    }
+
+    /// The write half of [`DurableStore::commit`], for a checked block.
+    fn apply(&mut self, block: Block) -> Result<BlockId, StorageError> {
         if let Some(CrashPoint::TornWalWrite { bytes }) = self.crash {
             self.wal.begin_torn(&block, bytes)?;
-            return self.crash_now();
+            return Err(StorageError::InjectedCrash);
         }
         self.wal.begin(&block)?;
         if let Some(CrashPoint::AfterWalSync) = self.crash {
-            return self.crash_now();
+            return Err(StorageError::InjectedCrash);
         }
         if let Some(CrashPoint::TornLogAppend { bytes }) = self.crash {
             self.log.append_torn(&block, bytes)?;
-            return self.crash_now();
+            return Err(StorageError::InjectedCrash);
         }
         let entry = self.log.append(&block)?;
-        self.view.set_location(&id, entry);
+        let id = self.index.attach(&block);
+        self.locations.insert(id, entry);
         self.cache.borrow_mut().insert(block);
-        let _ = self.index.write(self.log.len_bytes(), self.log.entries());
+        let _ = self.sidecar.write(self.log.len_bytes(), self.log.entries());
         if let Some(CrashPoint::BeforeWalTruncate) = self.crash {
-            return self.crash_now();
+            return Err(StorageError::InjectedCrash);
         }
         self.wal.clear()?;
         if let Some(CrashPoint::TornSnapshotWrite { bytes }) = self.crash {
@@ -680,23 +398,17 @@ impl DurableStore {
                     detail: e.to_string(),
                 }
             })?;
-            return self.crash_now();
+            return Err(StorageError::InjectedCrash);
         }
         self.maintain()?;
         Ok(id)
-    }
-
-    fn crash_now(&mut self) -> Result<BlockId, StorageError> {
-        self.crash = None;
-        self.poisoned.set(true);
-        Err(StorageError::InjectedCrash)
     }
 
     /// Checkpoints newly-confirmed height, prunes dead forks, advances
     /// the cache's pin floor, and rewrites the state snapshot when the
     /// checkpoint has advanced a full [`StoreConfig::snapshot_interval`].
     fn maintain(&mut self) -> Result<(), StorageError> {
-        let best = self.view.best_height();
+        let best = self.index.best_height();
         self.cache
             .borrow_mut()
             .set_floor(best.saturating_sub(CONFIRMATION_DEPTH));
@@ -704,7 +416,7 @@ impl DurableStore {
             let confirmed = best - CONFIRMATION_DEPTH;
             if confirmed > self.checkpoint_height {
                 let id =
-                    self.view
+                    self.index
                         .canonical_id_at(confirmed)
                         .ok_or_else(|| StorageError::Corrupt {
                             file: "blocks.log",
@@ -742,7 +454,7 @@ impl DurableStore {
     ///
     /// [`StorageError::Io`] on filesystem failures during compaction.
     pub fn prune(&mut self) -> Result<u64, StorageError> {
-        let best = self.view.best_height();
+        let best = self.index.best_height();
         if best <= CONFIRMATION_DEPTH {
             return Ok(0);
         }
@@ -752,14 +464,12 @@ impl DurableStore {
         let mut deepest: HashMap<BlockId, u64> = HashMap::new();
         for entry in self.log.entries().iter().rev() {
             let header = self
-                .view
-                .metas
-                .get(&entry.id)
-                .map(|m| &m.header)
+                .index
+                .header(&entry.id)
                 .ok_or_else(|| StorageError::Corrupt {
                     file: "blocks.log",
                     offset: entry.offset,
-                    detail: format!("log entry {} missing from in-memory view", entry.id),
+                    detail: format!("log entry {} missing from the chain index", entry.id),
                 })?;
             let own = deepest
                 .get(&entry.id)
@@ -773,7 +483,7 @@ impl DurableStore {
         let mut kept = Vec::new();
         let mut pruned_ids = Vec::new();
         for entry in self.log.entries() {
-            let alive = self.view.is_canonical(&entry.id)
+            let alive = self.index.is_canonical(&entry.id)
                 || deepest.get(&entry.id).copied().unwrap_or(0) > horizon;
             if alive {
                 kept.push(*entry);
@@ -789,18 +499,16 @@ impl DurableStore {
             frames.push((self.log.read_range(entry.offset, entry.len)?, entry.id));
         }
         self.log.rewrite_raw(&frames)?;
-        let _ = self.index.write(self.log.len_bytes(), self.log.entries());
+        let _ = self.sidecar.write(self.log.len_bytes(), self.log.entries());
         {
             let mut cache = self.cache.borrow_mut();
             for id in &pruned_ids {
-                self.view.remove(id);
+                self.index.remove(id);
                 cache.remove(id);
             }
         }
-        // Frame offsets moved: rebind every surviving meta.
-        for entry in self.log.entries() {
-            self.view.set_location(&entry.id, *entry);
-        }
+        // Frame offsets moved: rebind every surviving block.
+        self.locations = self.log.entries().iter().map(|e| (e.id, *e)).collect();
         if self.has_snapshot {
             if self.config.snapshot_interval > 0 {
                 self.write_snapshot()?;
@@ -835,19 +543,18 @@ impl DurableStore {
     fn current_snapshot(&self) -> Snapshot {
         Snapshot {
             log_len: self.log.len_bytes(),
-            tip: self.view.best_tip,
+            tip: self.index.best_tip(),
             entries: self
                 .log
                 .entries()
                 .iter()
-                .map(|entry| {
-                    let meta = &self.view.metas[&entry.id];
-                    SnapshotEntry {
+                .filter_map(|entry| {
+                    Some(SnapshotEntry {
                         offset: entry.offset,
                         len: entry.len,
-                        header: meta.header.clone(),
-                        record_ids: meta.record_ids.clone(),
-                    }
+                        header: self.index.header(&entry.id)?.clone(),
+                        record_ids: self.index.record_ids(&entry.id)?.to_vec(),
+                    })
                 })
                 .collect(),
         }
@@ -859,11 +566,10 @@ impl DurableStore {
     /// answering `None`, and every later commit is refused until the
     /// store is reopened and recovery re-validates the disk.
     fn read_block(&self, id: &BlockId) -> Option<Block> {
-        let meta = self.view.metas.get(id)?;
+        let entry = *self.locations.get(id)?;
         if let Some(hit) = self.cache.borrow().get(id) {
             return Some(hit);
         }
-        let entry = meta.location?;
         match self.log.read_frame(entry) {
             Ok(block) => {
                 self.cache.borrow_mut().insert(block.clone());
@@ -936,73 +642,12 @@ impl DurableStore {
 }
 
 impl ChainQuery for DurableStore {
-    fn genesis_id(&self) -> BlockId {
-        self.view.genesis_id
-    }
-
-    fn best_tip(&self) -> BlockId {
-        self.view.best_tip
-    }
-
-    fn best_height(&self) -> u64 {
-        self.view.best_height()
-    }
-
-    fn best_block(&self) -> Block {
-        match self.read_block(&self.view.best_tip) {
-            Some(block) => block,
-            // Mirrors ChainStore's indexing panic on impossible state:
-            // the tip body must exist unless the disk rotted under us.
-            None => panic!(
-                "best block {} is unreadable; store poisoned",
-                self.view.best_tip
-            ),
-        }
-    }
-
-    fn block_count(&self) -> usize {
-        self.view.metas.len()
-    }
-
-    fn header_of(&self, id: &BlockId) -> Option<BlockHeader> {
-        self.view.metas.get(id).map(|m| m.header.clone())
+    fn index(&self) -> &ChainIndex {
+        &self.index
     }
 
     fn get_block(&self, id: &BlockId) -> Option<Block> {
         self.read_block(id)
-    }
-
-    fn canonical_id_at(&self, height: u64) -> Option<BlockId> {
-        self.view.canonical_id_at(height)
-    }
-
-    fn canonical_block_at(&self, height: u64) -> Option<Block> {
-        self.view
-            .canonical_id_at(height)
-            .and_then(|id| self.read_block(&id))
-    }
-
-    fn is_canonical(&self, id: &BlockId) -> bool {
-        self.view.is_canonical(id)
-    }
-
-    fn confirmations(&self, id: &BlockId) -> u64 {
-        self.view.confirmations(id)
-    }
-
-    fn find_record(&self, record_id: &Digest) -> Option<RecordLocation> {
-        self.view.record_index.get(record_id).cloned()
-    }
-
-    fn record_with_confirmations(&self, record_id: &Digest) -> Option<(Record, u64)> {
-        let loc = self.view.record_index.get(record_id)?.clone();
-        let block = self.read_block(&loc.block_id)?;
-        let record = block.records().get(loc.index)?.clone();
-        Some((record, self.view.confirmations(&loc.block_id)))
-    }
-
-    fn contains_block(&self, id: &BlockId) -> bool {
-        self.view.metas.contains_key(id)
     }
 }
 
@@ -1054,50 +699,22 @@ fn full_scan_recover(log: &BlockLog, genesis: Option<&Block>) -> Result<Recovere
             });
         }
     }
-    if blocks[0].header().height != 0 {
-        return Err(replay_corruption(
-            scan.valid_len,
-            ChainError::Codec {
-                detail: "first block is not genesis".to_string(),
-            },
-        ));
-    }
-    let genesis_difficulty = blocks[0].header().difficulty;
-    let mut view = PagedView::new(
-        blocks[0].header().clone(),
-        blocks[0].records().iter().map(Record::id).collect(),
-    );
-    for block in blocks.iter().skip(1) {
-        if block.header().difficulty != genesis_difficulty {
-            return Err(replay_corruption(
-                scan.valid_len,
-                ChainError::Codec {
-                    detail: format!(
-                        "difficulty drift in chain dump: block {} declares {}, genesis set {}",
-                        block.header().height,
-                        block.header().difficulty.value(),
-                        genesis_difficulty.value()
-                    ),
-                },
-            ));
-        }
-        insert_counted(&mut view, block).map_err(|e| replay_corruption(scan.valid_len, e))?;
-    }
-    for entry in &scan.entries {
-        view.set_location(&entry.id, *entry);
-    }
+    let index = ChainIndex::replay_pinned(&blocks).map_err(|e| StorageError::Corrupt {
+        file: "blocks.log",
+        offset: scan.valid_len,
+        detail: format!("log replay failed chain validation: {e}"),
+    })?;
     Ok(Recovered {
-        view,
+        index,
         entries: scan.entries,
         valid_len: scan.valid_len,
         torn: scan.torn,
         bodies: blocks,
         seeded_genesis,
-        snapshot_loaded: false,
     })
 }
 
-/// The snapshot fast path. Builds the header view from the snapshot,
+/// The snapshot fast path. Builds the chain index from the snapshot,
 /// binds it to the log (geometry, spot-checked frames), and fully
 /// replays only the tail past the covered prefix. Any anomaly rejects
 /// the snapshot with a reason — the caller falls back to
@@ -1131,30 +748,30 @@ fn adopt_snapshot(
     if !first.header.meets_target() {
         return Err("snapshot genesis fails its own PoW target".to_string());
     }
-    let pin = first.header.difficulty;
-    let mut view = PagedView::new(first.header.clone(), first.record_ids.clone());
+    // Header replay: bodies are not in hand, so each entry passes what a
+    // header alone certifies; bodies are checksum-verified lazily when
+    // paged in.
+    let mut index = ChainIndex::new(first.header.clone(), first.record_ids.clone());
     let mut entries = Vec::with_capacity(snap.entries.len());
-    let first_entry = LogEntry {
-        offset: first.offset,
-        len: first.len,
-        id: genesis_id,
-    };
-    view.set_location(&genesis_id, first_entry);
-    entries.push(first_entry);
-    for se in snap.entries.iter().skip(1) {
-        let id = view.insert_trusted_header(se.header.clone(), se.record_ids.clone(), pin)?;
-        let entry = LogEntry {
+    for se in &snap.entries {
+        let id = if entries.is_empty() {
+            genesis_id
+        } else {
+            index
+                .insert_header(se.header.clone(), se.record_ids.clone())
+                .map_err(|e| format!("snapshot header replay failed: {e}"))?
+        };
+        entries.push(LogEntry {
             offset: se.offset,
             len: se.len,
             id,
-        };
-        view.set_location(&id, entry);
-        entries.push(entry);
+        });
     }
-    if view.best_tip != snap.tip {
+    if index.best_tip() != snap.tip {
         return Err(format!(
             "snapshot tip {} does not match header replay tip {}",
-            snap.tip, view.best_tip
+            snap.tip,
+            index.best_tip()
         ));
     }
     // Geometry: entries must tile the covered prefix exactly.
@@ -1189,41 +806,21 @@ fn adopt_snapshot(
         .read_to_end_from(snap.log_len)
         .map_err(|e| format!("tail read failed: {e}"))?;
     let tail_scan = scan_log(&tail).map_err(|e| format!("tail scan failed: {e}"))?;
-    let mut bodies = Vec::with_capacity(tail_scan.blocks.len());
-    for (block, tail_entry) in tail_scan.blocks.iter().zip(&tail_scan.entries) {
-        if block.header().difficulty != pin {
-            return Err(format!(
-                "difficulty drift in log tail at block {}",
-                block.header().height
-            ));
-        }
-        insert_counted(&mut view, block).map_err(|e| format!("tail replay failed: {e}"))?;
-        let entry = LogEntry {
-            offset: snap.log_len + tail_entry.offset,
-            len: tail_entry.len,
-            id: tail_entry.id,
-        };
-        view.set_location(&entry.id, entry);
-        entries.push(entry);
-        bodies.push(block.clone());
-    }
+    index
+        .extend_pinned(&tail_scan.blocks)
+        .map_err(|e| format!("tail replay failed: {e}"))?;
+    entries.extend(tail_scan.entries.iter().map(|tail_entry| LogEntry {
+        offset: snap.log_len + tail_entry.offset,
+        ..*tail_entry
+    }));
     Ok(Recovered {
-        view,
+        index,
         entries,
         valid_len: snap.log_len + tail_scan.valid_len,
         torn: tail_scan.torn,
-        bodies,
+        bodies: tail_scan.blocks,
         seeded_genesis: None,
-        snapshot_loaded: true,
     })
-}
-
-fn replay_corruption(offset: u64, e: ChainError) -> StorageError {
-    StorageError::Corrupt {
-        file: "blocks.log",
-        offset,
-        detail: format!("log replay failed chain validation: {e}"),
-    }
 }
 
 enum CheckpointRead {

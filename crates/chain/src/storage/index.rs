@@ -16,7 +16,6 @@
 //! ```
 
 use super::log::LogEntry;
-use crate::header::BlockId;
 use smartcrowd_crypto::sha256::sha256d;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -73,47 +72,4 @@ impl SidecarIndex {
         };
         bytes == Self::encode(log_len, entries)
     }
-}
-
-/// Decodes an index image into `(log_len, entries)` for inspection by
-/// tests and tooling; `None` on any structural or checksum mismatch.
-#[allow(dead_code)]
-pub(super) fn decode_index(bytes: &[u8]) -> Option<(u64, Vec<LogEntry>)> {
-    if bytes.len() < 8 + FOOTER_LEN || &bytes[..8] != IDX_MAGIC {
-        return None;
-    }
-    let content_len = bytes.len() - FOOTER_LEN;
-    if !(content_len - 8).is_multiple_of(ENTRY_LEN) {
-        return None;
-    }
-    let footer = &bytes[content_len..];
-    let mut u64buf = [0u8; 8];
-    u64buf.copy_from_slice(&footer[..8]);
-    let log_len = u64::from_be_bytes(u64buf);
-    u64buf.copy_from_slice(&footer[8..16]);
-    let count = u64::from_be_bytes(u64buf) as usize;
-    if count != (content_len - 8) / ENTRY_LEN {
-        return None;
-    }
-    let mut checksum = [0u8; 32];
-    checksum.copy_from_slice(&footer[16..48]);
-    if sha256d(&bytes[..content_len]) != checksum {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(count);
-    for i in 0..count {
-        let at = 8 + i * ENTRY_LEN;
-        u64buf.copy_from_slice(&bytes[at..at + 8]);
-        let offset = u64::from_be_bytes(u64buf);
-        u64buf.copy_from_slice(&bytes[at + 8..at + 16]);
-        let len = u64::from_be_bytes(u64buf);
-        let mut id = [0u8; 32];
-        id.copy_from_slice(&bytes[at + 16..at + 48]);
-        entries.push(LogEntry {
-            offset,
-            len,
-            id: BlockId::from_digest(id),
-        });
-    }
-    Some((log_len, entries))
 }

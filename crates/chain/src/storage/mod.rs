@@ -1,16 +1,17 @@
 //! Durable, crash-recoverable chain storage.
 //!
 //! [`crate::store::ChainStore`] stays the in-memory view of the chain;
-//! this module adds a file-backed [`DurableStore`] that serves the same
-//! queries from a bounded block cache over an on-disk log, staying
-//! consistent across crashes at any instruction boundary. The two are
-//! interchangeable behind [`ChainBackend`] (whose read half is
-//! [`ChainQuery`]), so the sim, chaos, and seeded tests keep running
-//! byte-identical on the in-memory backend while persistence tests and
+//! this module adds a file-backed [`DurableStore`] that answers the same
+//! queries from the same chain index, with bodies served from a bounded
+//! block cache over an on-disk log, staying consistent across crashes at
+//! any instruction boundary. The two are interchangeable behind
+//! [`ChainBackend`] (whose read half is [`ChainQuery`]), so the sim,
+//! chaos, and seeded tests keep running byte-identical on the in-memory
+//! backend while persistence tests and
 //! `smartcrowd simulate --store <dir>` exercise the disk.
 //!
 //! Layout of a store directory (full byte-level spec in STORAGE.md,
-//! protocol rationale in DESIGN.md §17–§18):
+//! protocol rationale in DESIGN.md §17):
 //!
 //! | file         | contents                                              |
 //! |--------------|-------------------------------------------------------|
@@ -41,6 +42,7 @@ mod wal;
 pub use durable::{DurableStore, RecoveryReport};
 
 use crate::block::Block;
+use crate::chain_index::ChainIndex;
 use crate::error::ChainError;
 use crate::header::{BlockHeader, BlockId};
 use crate::record::{Record, RecordKind};
@@ -182,43 +184,96 @@ pub enum CrashPoint {
 
 /// Read-only chain queries shared by every backend.
 ///
-/// [`ChainStore`] answers from its in-memory maps; [`DurableStore`]
-/// answers metadata queries (heights, tips, confirmations, record
-/// locations) from a header-only view and pages block *bodies* in from
-/// disk through a bounded cache. Methods therefore return owned values
-/// rather than references — a paged backend has no stable reference to
-/// hand out.
+/// Every metadata answer (tips, heights, canonical ids, confirmations,
+/// record locations, headers) is written once, over the crate's chain
+/// index; a backend supplies only that index and a way to fetch block
+/// *bodies* — [`ChainStore`] from its map, [`DurableStore`] from a
+/// bounded cache over `blocks.log`. Methods return owned values rather
+/// than references — a paged backend has no stable reference to hand out.
+/// The trait is sealed by the crate-internal index type.
 pub trait ChainQuery: fmt::Debug {
-    /// The genesis block id.
-    fn genesis_id(&self) -> BlockId;
-    /// The current best (heaviest-chain) tip.
-    fn best_tip(&self) -> BlockId;
-    /// Height of the best tip.
-    fn best_height(&self) -> u64;
-    /// The block at the best tip.
-    fn best_block(&self) -> Block;
-    /// Total stored blocks (all forks).
-    fn block_count(&self) -> usize;
-    /// Fetches a block's header by id.
-    fn header_of(&self, id: &BlockId) -> Option<BlockHeader>;
+    /// The backend's chain index.
+    #[doc(hidden)]
+    fn index(&self) -> &ChainIndex;
     /// Fetches a full block by id.
     fn get_block(&self, id: &BlockId) -> Option<Block>;
+
+    /// The genesis block id.
+    fn genesis_id(&self) -> BlockId {
+        self.index().genesis_id()
+    }
+
+    /// The current best (heaviest-chain) tip.
+    fn best_tip(&self) -> BlockId {
+        self.index().best_tip()
+    }
+
+    /// Height of the best tip.
+    fn best_height(&self) -> u64 {
+        self.index().best_height()
+    }
+
+    /// The block at the best tip.
+    ///
+    /// # Panics
+    ///
+    /// When the tip body cannot be fetched — impossible unless the disk
+    /// rotted under a paged backend, which poisons it.
+    fn best_block(&self) -> Block {
+        let tip = self.best_tip();
+        match self.get_block(&tip) {
+            Some(block) => block,
+            None => panic!("best block {tip} is unreadable; store poisoned"),
+        }
+    }
+
+    /// Total stored blocks (all forks).
+    fn block_count(&self) -> usize {
+        self.index().len()
+    }
+
+    /// Fetches a block's header by id.
+    fn header_of(&self, id: &BlockId) -> Option<BlockHeader> {
+        self.index().header(id).cloned()
+    }
+
     /// Id of the canonical block at `height`, if within the best chain.
-    fn canonical_id_at(&self, height: u64) -> Option<BlockId>;
+    fn canonical_id_at(&self, height: u64) -> Option<BlockId> {
+        self.index().canonical_id_at(height)
+    }
+
     /// The canonical block at `height`, if within the best chain.
-    fn canonical_block_at(&self, height: u64) -> Option<Block>;
+    fn canonical_block_at(&self, height: u64) -> Option<Block> {
+        self.canonical_id_at(height)
+            .and_then(|id| self.get_block(&id))
+    }
+
     /// Whether `id` lies on the canonical chain.
-    fn is_canonical(&self, id: &BlockId) -> bool;
+    fn is_canonical(&self, id: &BlockId) -> bool {
+        self.index().is_canonical(id)
+    }
+
     /// Confirmations of a block: 1 at the tip, 0 off-chain/unknown.
-    fn confirmations(&self, id: &BlockId) -> u64;
+    fn confirmations(&self, id: &BlockId) -> u64 {
+        self.index().confirmations(id)
+    }
+
     /// Locates a record on the canonical chain.
-    fn find_record(&self, record_id: &Digest) -> Option<RecordLocation>;
+    fn find_record(&self, record_id: &Digest) -> Option<RecordLocation> {
+        self.index().find_record(record_id).cloned()
+    }
+
     /// Fetches a record plus its confirmation count.
-    fn record_with_confirmations(&self, record_id: &Digest) -> Option<(Record, u64)>;
+    fn record_with_confirmations(&self, record_id: &Digest) -> Option<(Record, u64)> {
+        let loc = self.index().find_record(record_id)?;
+        let block = self.get_block(&loc.block_id)?;
+        let record = block.records().get(loc.index)?.clone();
+        Some((record, self.confirmations(&loc.block_id)))
+    }
 
     /// Whether a block with this id is stored (any fork).
     fn contains_block(&self, id: &BlockId) -> bool {
-        self.header_of(id).is_some()
+        self.index().header(id).is_some()
     }
 
     /// Whether the block has reached the paper's 6-block finality (§V-C).
@@ -230,9 +285,9 @@ pub trait ChainQuery: fmt::Debug {
     /// record's location, never the block body — paged backends answer
     /// without touching disk.
     fn record_confirmed(&self, record_id: &Digest) -> bool {
-        self.find_record(record_id)
-            .map(|loc| self.confirmations(&loc.block_id) > CONFIRMATION_DEPTH)
-            .unwrap_or(false)
+        self.index()
+            .find_record(record_id)
+            .is_some_and(|loc| self.is_confirmed(&loc.block_id))
     }
 
     /// The canonical chain from genesis to tip, as owned blocks.
@@ -273,68 +328,12 @@ pub trait ChainQuery: fmt::Debug {
 }
 
 impl ChainQuery for ChainStore {
-    fn genesis_id(&self) -> BlockId {
-        ChainStore::genesis_id(self)
-    }
-
-    fn best_tip(&self) -> BlockId {
-        ChainStore::best_tip(self)
-    }
-
-    fn best_height(&self) -> u64 {
-        ChainStore::best_height(self)
-    }
-
-    fn best_block(&self) -> Block {
-        ChainStore::best_block(self).clone()
-    }
-
-    fn block_count(&self) -> usize {
-        self.len()
-    }
-
-    fn header_of(&self, id: &BlockId) -> Option<BlockHeader> {
-        self.header(id).cloned()
+    fn index(&self) -> &ChainIndex {
+        &self.index
     }
 
     fn get_block(&self, id: &BlockId) -> Option<Block> {
         self.block(id).cloned()
-    }
-
-    fn canonical_id_at(&self, height: u64) -> Option<BlockId> {
-        self.block_at_height(height).map(Block::id)
-    }
-
-    fn canonical_block_at(&self, height: u64) -> Option<Block> {
-        self.block_at_height(height).cloned()
-    }
-
-    fn is_canonical(&self, id: &BlockId) -> bool {
-        ChainStore::is_canonical(self, id)
-    }
-
-    fn confirmations(&self, id: &BlockId) -> u64 {
-        ChainStore::confirmations(self, id)
-    }
-
-    fn find_record(&self, record_id: &Digest) -> Option<RecordLocation> {
-        ChainStore::find_record(self, record_id).cloned()
-    }
-
-    fn record_with_confirmations(&self, record_id: &Digest) -> Option<(Record, u64)> {
-        ChainStore::record_with_confirmations(self, record_id).map(|(r, c)| (r.clone(), c))
-    }
-
-    fn contains_block(&self, id: &BlockId) -> bool {
-        self.block(id).is_some()
-    }
-
-    fn is_confirmed(&self, id: &BlockId) -> bool {
-        ChainStore::is_confirmed(self, id)
-    }
-
-    fn record_confirmed(&self, record_id: &Digest) -> bool {
-        ChainStore::record_confirmed(self, record_id)
     }
 }
 
@@ -342,8 +341,8 @@ impl ChainQuery for ChainStore {
 ///
 /// Node and sync-buffer code is written against this trait so the same
 /// code path drives both; reads go through the [`ChainQuery`] supertrait
-/// (the in-memory impl adds zero overhead and zero telemetry, keeping
-/// seeded sim runs byte-identical), writes through [`commit`].
+/// (the in-memory impl adds zero telemetry, keeping seeded sim runs
+/// byte-identical), writes through [`commit`].
 ///
 /// [`commit`]: ChainBackend::commit
 pub trait ChainBackend: ChainQuery + Send {
@@ -367,13 +366,10 @@ impl ChainBackend for ChainStore {
 /// re-validating each one and pinning all difficulties to the genesis
 /// difficulty.
 ///
-/// This is the recovery code path shared by the legacy dump importer
-/// ([`crate::persist::import_chain`]) and [`DurableStore`]'s full-log
-/// scan: proof-of-work targets are self-certified by each header, so
-/// without the pin a tampered log could lower a block's declared
-/// difficulty to a trivially-met target and smuggle re-mined history
-/// past the structural checks. Every chain this workspace produces mines
-/// at its genesis difficulty, so the pin rejects only tampering.
+/// This is the chain index's pinned replay — the same one
+/// [`DurableStore`] runs over `blocks.log` on open — with the bodies kept,
+/// so the dump importer ([`crate::persist::import_chain`]) and the on-disk
+/// log cannot drift apart in what they accept.
 ///
 /// # Errors
 ///
@@ -384,31 +380,9 @@ pub fn replay_pinned<I>(blocks: I) -> Result<ChainStore, ChainError>
 where
     I: IntoIterator<Item = Block>,
 {
-    let mut iter = blocks.into_iter();
-    let genesis = iter.next().ok_or_else(|| ChainError::Codec {
-        detail: "empty chain dump".to_string(),
-    })?;
-    if genesis.header().height != 0 {
-        return Err(ChainError::Codec {
-            detail: "first block is not genesis".to_string(),
-        });
-    }
-    let difficulty = genesis.header().difficulty;
-    let mut store = ChainStore::new(genesis);
-    for block in iter {
-        if block.header().difficulty != difficulty {
-            return Err(ChainError::Codec {
-                detail: format!(
-                    "difficulty drift in chain dump: block {} declares {}, genesis set {}",
-                    block.header().height,
-                    block.header().difficulty.value(),
-                    difficulty.value()
-                ),
-            });
-        }
-        store.insert(block)?;
-    }
-    Ok(store)
+    let blocks: Vec<Block> = blocks.into_iter().collect();
+    let index = ChainIndex::replay_pinned(&blocks)?;
+    Ok(ChainStore::from_parts(index, blocks))
 }
 
 #[cfg(test)]

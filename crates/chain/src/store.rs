@@ -1,16 +1,17 @@
-//! Chain storage with total-work fork choice.
+//! The in-memory chain store.
 //!
 //! IoT providers "construct and maintain the blockchain" (§IV-A); the store
-//! is each provider's local view. Fork choice follows accumulated work
-//! (difficulty sum), the PoW rule under which "the blockchain is determined
-//! by the majority of participants" — a >50 % hash-power coalition always
-//! produces the heaviest chain.
+//! is each provider's local view: the crate's one chain index (linkage,
+//! total-work fork choice, canonical and record indices) plus every block
+//! body in a map. [`crate::storage::DurableStore`] is the same index over
+//! bodies paged in from disk.
 
 use crate::block::Block;
+use crate::chain_index::ChainIndex;
 use crate::error::ChainError;
-use crate::header::BlockId;
+use crate::header::{BlockHeader, BlockId};
 use crate::record::{Record, RecordKind};
-use crate::CONFIRMATION_DEPTH;
+use crate::storage::ChainQuery;
 use smartcrowd_crypto::Digest;
 use std::collections::HashMap;
 
@@ -43,54 +44,46 @@ pub struct RecordLocation {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChainStore {
+    pub(crate) index: ChainIndex,
     blocks: HashMap<BlockId, Block>,
-    total_work: HashMap<BlockId, u128>,
-    genesis_id: BlockId,
-    best_tip: BlockId,
-    /// Canonical height → block id index, rebuilt on tip change.
-    canonical: HashMap<u64, BlockId>,
-    /// Record id → location on the canonical chain.
-    record_index: HashMap<Digest, RecordLocation>,
 }
 
 impl ChainStore {
     /// Creates a store rooted at `genesis`.
     pub fn new(genesis: Block) -> Self {
-        let genesis_id = genesis.id();
-        let mut store = ChainStore {
-            blocks: HashMap::new(),
-            total_work: HashMap::new(),
-            genesis_id,
-            best_tip: genesis_id,
-            canonical: HashMap::new(),
-            record_index: HashMap::new(),
-        };
-        store
-            .total_work
-            .insert(genesis_id, genesis.header().difficulty.value());
-        store.blocks.insert(genesis_id, genesis);
-        store.rebuild_canonical();
-        store
+        let index = ChainIndex::rooted_at(&genesis);
+        ChainStore {
+            blocks: HashMap::from([(index.genesis_id(), genesis)]),
+            index,
+        }
+    }
+
+    /// Pairs an index with the bodies of exactly the blocks it holds.
+    pub(crate) fn from_parts(index: ChainIndex, bodies: Vec<Block>) -> Self {
+        ChainStore {
+            index,
+            blocks: bodies.into_iter().map(|b| (b.id(), b)).collect(),
+        }
     }
 
     /// The genesis block id.
     pub fn genesis_id(&self) -> BlockId {
-        self.genesis_id
+        self.index.genesis_id()
     }
 
     /// The current best (heaviest-chain) tip.
     pub fn best_tip(&self) -> BlockId {
-        self.best_tip
+        self.index.best_tip()
     }
 
     /// Height of the best tip.
     pub fn best_height(&self) -> u64 {
-        self.blocks[&self.best_tip].header().height
+        self.index.best_height()
     }
 
     /// The block at the best tip.
     pub fn best_block(&self) -> &Block {
-        &self.blocks[&self.best_tip]
+        &self.blocks[&self.index.best_tip()]
     }
 
     /// Total stored blocks (all forks).
@@ -108,26 +101,24 @@ impl ChainStore {
         self.blocks.get(id)
     }
 
-    /// Fetches just a block's header by id. Linkage checks (parent height,
-    /// timestamp) need only the header; going through this accessor keeps
-    /// them independent of the record list.
-    pub fn header(&self, id: &BlockId) -> Option<&crate::header::BlockHeader> {
-        self.blocks.get(id).map(Block::header)
+    /// Fetches just a block's header by id.
+    pub fn header(&self, id: &BlockId) -> Option<&BlockHeader> {
+        self.index.header(id)
     }
 
     /// The canonical block at `height`, if within the best chain.
     pub fn block_at_height(&self, height: u64) -> Option<&Block> {
-        self.canonical
-            .get(&height)
-            .and_then(|id| self.blocks.get(id))
+        self.index
+            .canonical_id_at(height)
+            .and_then(|id| self.blocks.get(&id))
     }
 
     /// Accumulated work at a block.
     pub fn work_of(&self, id: &BlockId) -> Option<u128> {
-        self.total_work.get(id).copied()
+        self.index.work_of(id)
     }
 
-    /// Inserts a block after structural and linkage validation.
+    /// Inserts a block after linkage and structural validation.
     ///
     /// # Errors
     ///
@@ -137,140 +128,41 @@ impl ChainStore {
     ///   parent's.
     /// - Structural errors from [`Block::validate_structure`].
     pub fn insert(&mut self, block: Block) -> Result<BlockId, ChainError> {
-        let result = self.insert_inner(block);
-        match &result {
-            Ok(_) => {
-                smartcrowd_telemetry::counter!("chain.store.blocks_inserted").inc();
-                smartcrowd_telemetry::gauge!("chain.store.height").set(self.best_height() as i64);
-            }
-            Err(_) => smartcrowd_telemetry::counter!("chain.store.blocks_rejected").inc(),
-        }
-        result
-    }
-
-    fn insert_inner(&mut self, block: Block) -> Result<BlockId, ChainError> {
-        let id = block.id();
-        if self.blocks.contains_key(&id) {
-            return Err(ChainError::DuplicateBlock { id });
-        }
-        let parent = self
-            .blocks
-            .get(&block.header().prev)
-            .ok_or(ChainError::UnknownParent {
-                parent: block.header().prev,
-            })?;
-        if block.header().height != parent.header().height + 1 {
-            return Err(ChainError::Codec {
-                detail: format!(
-                    "height {} does not follow parent height {}",
-                    block.header().height,
-                    parent.header().height
-                ),
-            });
-        }
-        if block.header().timestamp < parent.header().timestamp {
-            return Err(ChainError::TimestampRegression { id });
-        }
-        block.validate_structure()?;
-        let parent_work = self.total_work[&block.header().prev];
-        let work = parent_work + block.header().difficulty.value();
-        self.total_work.insert(id, work);
+        let id = self.index.insert_block(&block)?;
         self.blocks.insert(id, block);
-        // Fork choice: strictly more work wins; ties keep the incumbent
-        // (first-seen rule, as in Bitcoin).
-        if work > self.total_work[&self.best_tip] {
-            let old_tip = self.best_tip;
-            let extends_tip = self.blocks[&id].header().prev == old_tip;
-            self.best_tip = id;
-            self.rebuild_canonical();
-            if !extends_tip {
-                // The old tip was abandoned: the reorg depth is the number
-                // of blocks between it and the fork point (its deepest
-                // ancestor still canonical).
-                let mut depth = 0u64;
-                let mut cursor = old_tip;
-                while !self.is_canonical(&cursor) {
-                    depth += 1;
-                    cursor = self.blocks[&cursor].header().prev;
-                }
-                if depth > 0 {
-                    smartcrowd_telemetry::counter!("chain.store.reorgs").inc();
-                    smartcrowd_telemetry::histogram!(
-                        "chain.store.reorg_depth",
-                        smartcrowd_telemetry::buckets::REORG_DEPTH
-                    )
-                    .observe(depth);
-                }
-            }
-        }
         Ok(id)
-    }
-
-    fn rebuild_canonical(&mut self) {
-        self.canonical.clear();
-        self.record_index.clear();
-        let mut cursor = self.best_tip;
-        loop {
-            let block = &self.blocks[&cursor];
-            let height = block.header().height;
-            self.canonical.insert(height, cursor);
-            for (index, record) in block.records().iter().enumerate() {
-                self.record_index.insert(
-                    record.id(),
-                    RecordLocation {
-                        block_id: cursor,
-                        height,
-                        index,
-                    },
-                );
-            }
-            if cursor == self.genesis_id {
-                break;
-            }
-            cursor = block.header().prev;
-        }
     }
 
     /// Whether `id` lies on the canonical chain.
     pub fn is_canonical(&self, id: &BlockId) -> bool {
-        self.blocks
-            .get(id)
-            .map(|b| self.canonical.get(&b.header().height) == Some(id))
-            .unwrap_or(false)
+        self.index.is_canonical(id)
     }
 
     /// Confirmations of a block: 1 at the tip, 0 off-chain/unknown.
     pub fn confirmations(&self, id: &BlockId) -> u64 {
-        if !self.is_canonical(id) {
-            return 0;
-        }
-        let height = self.blocks[&id.clone()].header().height;
-        self.best_height() - height + 1
+        self.index.confirmations(id)
     }
 
     /// Whether the block has reached the paper's 6-block finality (§V-C).
     pub fn is_confirmed(&self, id: &BlockId) -> bool {
-        self.confirmations(id) > CONFIRMATION_DEPTH
+        ChainQuery::is_confirmed(self, id)
     }
 
     /// Locates a record on the canonical chain.
     pub fn find_record(&self, record_id: &Digest) -> Option<&RecordLocation> {
-        self.record_index.get(record_id)
+        self.index.find_record(record_id)
     }
 
     /// Fetches a record plus its confirmation count.
     pub fn record_with_confirmations(&self, record_id: &Digest) -> Option<(&Record, u64)> {
-        let loc = self.record_index.get(record_id)?;
-        let block = self.blocks.get(&loc.block_id)?;
-        let record = block.records().get(loc.index)?;
-        Some((record, self.confirmations(&loc.block_id)))
+        let loc = self.index.find_record(record_id)?;
+        let record = self.blocks.get(&loc.block_id)?.records().get(loc.index)?;
+        Some((record, self.index.confirmations(&loc.block_id)))
     }
 
     /// Whether a record is in a finally-confirmed block.
     pub fn record_confirmed(&self, record_id: &Digest) -> bool {
-        self.record_with_confirmations(record_id)
-            .map(|(_, c)| c > CONFIRMATION_DEPTH)
-            .unwrap_or(false)
+        ChainQuery::record_confirmed(self, record_id)
     }
 
     /// Iterates the canonical chain from genesis to tip.

@@ -3,7 +3,8 @@
 //! "Each newly generated block must be correctly verified by IoT
 //! providers" (§VI-A). The pipeline layers, in order: structural
 //! self-consistency (Merkle root, PoW target, record uniqueness), linkage
-//! against the local store (known parent, height, timestamp), per-record
+//! against the local store's chain index (known parent, height, timestamp
+//! — the same check every insert runs), per-record
 //! signature recovery, and finally an injectable semantic validator — the
 //! hook through which the core crate plugs Algorithm 1 and `AutoVerif()`.
 //!
@@ -18,9 +19,9 @@
 //! are merged index-ordered, and the *first* failing record's error is
 //! returned exactly as the sequential loop would have. The semantic
 //! validator always runs sequentially, in record order, with early exit —
-//! it may carry state. [`validate_block_sequential`] preserves the
-//! original cache-free single-threaded pipeline as the differential
-//! reference for tests and benchmarks.
+//! it may carry state. The original cache-free single-threaded pipeline
+//! lives on as the differential reference in
+//! `tests/validate_differential.rs`.
 
 use crate::block::Block;
 use crate::error::ChainError;
@@ -103,29 +104,6 @@ pub fn validate_block_with<Q: ChainQuery + ?Sized>(
     result
 }
 
-/// The seed single-threaded pipeline, kept verbatim as the differential
-/// reference: no signature cache, no fan-out, strict record-order early
-/// exit. `crates/chain/tests/validate_differential.rs` proves the
-/// parallel path returns the same verdict — including the same *first*
-/// error.
-///
-/// # Errors
-///
-/// Returns the first failure, exactly as [`validate_block`].
-pub fn validate_block_sequential<Q: ChainQuery + ?Sized>(
-    store: &Q,
-    block: &Block,
-    validator: &dyn RecordValidator,
-) -> Result<(), ChainError> {
-    block.validate_structure()?;
-    check_linkage(store, block)?;
-    for record in block.records() {
-        record.verify_signature()?;
-        validator.validate(record)?;
-    }
-    Ok(())
-}
-
 fn validate_block_inner<Q: ChainQuery + ?Sized>(
     store: &Q,
     block: &Block,
@@ -133,7 +111,7 @@ fn validate_block_inner<Q: ChainQuery + ?Sized>(
     pool: &Pool,
 ) -> Result<(), ChainError> {
     block.validate_structure()?;
-    check_linkage(store, block)?;
+    store.index().check_linkage(block.header())?;
     let records = block.records();
     let mut sig_results = cached_signature_results(records, pool);
     // Interleave exactly like the sequential pipeline: for record `i`,
@@ -143,32 +121,6 @@ fn validate_block_inner<Q: ChainQuery + ?Sized>(
     for (record, sig) in records.iter().zip(sig_results.drain(..)) {
         sig?;
         validator.validate(record)?;
-    }
-    Ok(())
-}
-
-/// Linkage against the local store: known parent, consecutive height,
-/// monotone timestamp. Reads only the parent *header* via
-/// [`ChainQuery::header_of`] — the record list of the parent is
-/// irrelevant here, and the paged durable store answers without touching
-/// disk.
-fn check_linkage<Q: ChainQuery + ?Sized>(store: &Q, block: &Block) -> Result<(), ChainError> {
-    let parent = store
-        .header_of(&block.header().prev)
-        .ok_or(ChainError::UnknownParent {
-            parent: block.header().prev,
-        })?;
-    if block.header().height != parent.height + 1 {
-        return Err(ChainError::Codec {
-            detail: format!(
-                "height {} does not follow parent {}",
-                block.header().height,
-                parent.height
-            ),
-        });
-    }
-    if block.header().timestamp < parent.timestamp {
-        return Err(ChainError::TimestampRegression { id: block.id() });
     }
     Ok(())
 }

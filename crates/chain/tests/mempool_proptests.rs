@@ -1,16 +1,86 @@
-//! Property tests for the sharded, fee-indexed mempool (DESIGN.md §19):
+//! Property tests for the sharded, fee-indexed mempool (DESIGN.md §18):
 //! shard-count invariance, insertion-order permutation invariance,
 //! batch-vs-serial admission equivalence, deterministic equal-fee
 //! eviction churn, and thread-count-invariant batch admission.
 
 use proptest::prelude::*;
-use smartcrowd_chain::mempool::{FlatMempool, Mempool};
+use smartcrowd_chain::mempool::{selection_order, Mempool};
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_chain::Ether;
+use smartcrowd_chain::{sigcache, ChainError, Ether};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::Digest;
 use smartcrowd_pool::Pool;
+use std::collections::HashMap;
+
+/// The seed single-`HashMap` pool, kept verbatim as the differential
+/// reference for [`Mempool`]: `insert` pays an O(n) min-fee eviction scan
+/// and `take_best` re-sorts the whole pool.
+///
+/// The one behavioural difference is deliberate: among equal-fee eviction
+/// candidates this reference picks a `HashMap`-iteration-order victim,
+/// which was never deterministic; [`Mempool`] pins the tie to the highest
+/// id (the reverse of [`selection_order`]).
+#[derive(Debug, Clone)]
+struct FlatMempool {
+    records: HashMap<Digest, Record>,
+    capacity: usize,
+}
+
+impl FlatMempool {
+    /// Creates a flat pool bounded at `capacity` records.
+    fn new(capacity: usize) -> Self {
+        FlatMempool {
+            records: HashMap::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// Whether the pool is empty.
+    fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Seed admission: signature check, duplicate check, O(n) min-fee
+    /// eviction scan at capacity. Errors as [`Mempool::insert`], except
+    /// duplicates surface as [`ChainError::DuplicatePending`] here too
+    /// (the seed used a generic rejection).
+    fn insert(&mut self, record: Record) -> Result<(), ChainError> {
+        sigcache::verify_cached(&record)?;
+        let id = record.id();
+        if self.records.contains_key(&id) {
+            return Err(ChainError::DuplicatePending { id });
+        }
+        if self.records.len() >= self.capacity {
+            let Some((victim_id, victim_fee)) = self
+                .records
+                .iter()
+                .map(|(id, r)| (*id, r.fee()))
+                .min_by_key(|(_, fee)| *fee)
+            else {
+                return Err(ChainError::MempoolFull);
+            };
+            if record.fee() <= victim_fee {
+                return Err(ChainError::MempoolFull);
+            }
+            self.records.remove(&victim_id);
+        }
+        self.records.insert(id, record);
+        Ok(())
+    }
+
+    /// Seed selection: sort the whole pool by [`selection_order`], take
+    /// the prefix, remove it.
+    fn take_best(&mut self, n: usize) -> Vec<Record> {
+        let mut all: Vec<(Ether, Digest)> =
+            self.records.iter().map(|(id, r)| (r.fee(), *id)).collect();
+        all.sort_by(selection_order);
+        all.truncate(n);
+        all.into_iter()
+            .filter_map(|(_, id)| self.records.remove(&id))
+            .collect()
+    }
+}
 
 fn record(seed: u64, fee_wei: u128) -> Record {
     let kp = KeyPair::from_seed(&seed.to_be_bytes());
@@ -45,6 +115,22 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
 
 fn final_ids(pool: &mut Mempool) -> Vec<Digest> {
     pool.take_best(usize::MAX).iter().map(Record::id).collect()
+}
+
+#[test]
+fn flat_pool_agrees_with_sharded_on_distinct_fees() {
+    let records: Vec<Record> = (0..30).map(|i| record(i, 100 + u128::from(i))).collect();
+    let mut flat = FlatMempool::new(12);
+    let mut sharded = Mempool::new(12);
+    for r in &records {
+        let a = flat.insert(r.clone());
+        let b = sharded.insert(r.clone());
+        assert_eq!(a.is_ok(), b.is_ok());
+    }
+    let flat_ids: Vec<Digest> = flat.take_best(12).iter().map(Record::id).collect();
+    let sharded_ids: Vec<Digest> = sharded.take_best(12).iter().map(Record::id).collect();
+    assert_eq!(flat_ids, sharded_ids);
+    assert!(flat.is_empty() && sharded.is_empty());
 }
 
 proptest! {

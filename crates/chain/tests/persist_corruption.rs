@@ -513,6 +513,38 @@ fn interrupted_wal_commits_replay_or_discard_idempotently() {
     }
 }
 
+#[test]
+fn failed_commit_never_advertises_a_tip_it_cannot_serve() {
+    // The index learns of a block only after its frame is in the log, so
+    // a commit that dies earlier leaves the handle answering the old tip
+    // (it used to name the new block and panic fetching its body).
+    let cases = [
+        CrashPoint::TornWalWrite { bytes: 10 },
+        CrashPoint::AfterWalSync,
+        CrashPoint::TornLogAppend { bytes: 60 },
+    ];
+    for (i, point) in cases.into_iter().enumerate() {
+        let tmp = TempDir::new(&format!("commit-order-{i}"));
+        let dir = tmp.path().join("store");
+        let chain = build_disk_chain(&dir, 3);
+        let mut store = DurableStore::open(&dir, &chain[0]).unwrap();
+        let parent = &chain[3];
+        let next = Miner::new(Address::from_label("disk"))
+            .mine_next(parent, vec![], parent.header().timestamp + 15)
+            .unwrap();
+        store.inject_crash(point);
+        assert_eq!(
+            store.commit(next.clone()),
+            Err(StorageError::InjectedCrash),
+            "case {i}"
+        );
+        assert_eq!(store.best_tip(), parent.id(), "case {i}");
+        assert_eq!(store.best_height(), 3, "case {i}");
+        assert_eq!(&store.best_block(), parent, "case {i}");
+        assert!(!store.contains_block(&next.id()), "case {i}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot sweeps: `state.snap` is an accelerator, never an authority.
 // Every corruption of it must be rejected — recovery falls back to the

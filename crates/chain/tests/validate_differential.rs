@@ -1,16 +1,15 @@
 //! Differential validation tests: the parallel cached pipeline
 //! ([`validate_block_with`]) must be observably identical to the seed
-//! single-threaded pipeline ([`validate_block_sequential`]) — the same
+//! single-threaded pipeline ([`validate_block_sequential`], kept here as
+//! the reference, linkage check included) — the same
 //! verdict AND the same *first* error, for valid blocks, tampered
 //! signatures, and semantic rejections, at every thread count.
 
 use proptest::prelude::*;
 use smartcrowd_chain::block::Block;
 use smartcrowd_chain::record::{Record, RecordKind};
-use smartcrowd_chain::validate::{
-    validate_block_sequential, validate_block_with, AcceptAll, FnValidator,
-};
-use smartcrowd_chain::{ChainError, ChainStore, Difficulty, Ether};
+use smartcrowd_chain::validate::{validate_block_with, AcceptAll, FnValidator, RecordValidator};
+use smartcrowd_chain::{ChainError, ChainQuery, ChainStore, Difficulty, Ether};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::Address;
 use smartcrowd_pool::Pool;
@@ -24,6 +23,41 @@ fn record(seed: u64, nonce: u64) -> Record {
         nonce,
         &kp,
     )
+}
+
+/// The seed single-threaded pipeline, kept verbatim as the differential
+/// reference: no signature cache, no fan-out, strict record-order early
+/// exit, and its own copy of the linkage check (known parent, consecutive
+/// height, monotone timestamp) so the chain index is compared against
+/// something it did not write.
+fn validate_block_sequential(
+    store: &ChainStore,
+    block: &Block,
+    validator: &dyn RecordValidator,
+) -> Result<(), ChainError> {
+    block.validate_structure()?;
+    let parent = store
+        .header_of(&block.header().prev)
+        .ok_or(ChainError::UnknownParent {
+            parent: block.header().prev,
+        })?;
+    if block.header().height != parent.height + 1 {
+        return Err(ChainError::Codec {
+            detail: format!(
+                "height {} does not follow parent height {}",
+                block.header().height,
+                parent.height
+            ),
+        });
+    }
+    if block.header().timestamp < parent.timestamp {
+        return Err(ChainError::TimestampRegression { id: block.id() });
+    }
+    for record in block.records() {
+        record.verify_signature()?;
+        validator.validate(record)?;
+    }
+    Ok(())
 }
 
 /// Flips one payload byte and re-decodes: a structurally valid record
@@ -48,11 +82,7 @@ fn block_with(records: Vec<Record>) -> (ChainStore, Block) {
 
 /// Asserts both pipelines agree exactly (verdict and first error) for the
 /// given block/validator at 1, 2 and 8 threads.
-fn assert_differential(
-    store: &ChainStore,
-    block: &Block,
-    validator: &dyn smartcrowd_chain::validate::RecordValidator,
-) {
+fn assert_differential(store: &ChainStore, block: &Block, validator: &dyn RecordValidator) {
     let reference = validate_block_sequential(store, block, validator);
     for threads in [1, 2, 8] {
         let parallel = validate_block_with(store, block, validator, &Pool::new(threads));
@@ -104,6 +134,23 @@ fn wide_valid_block_matches_sequential() {
     let records: Vec<Record> = (0..20).map(|i| record(i + 100, i)).collect();
     let (store, block) = block_with(records);
     assert_differential(&store, &block, &AcceptAll);
+}
+
+#[test]
+fn linkage_errors_match_sequential() {
+    // Difficulty 1 accepts any hash, so header edits keep the PoW valid
+    // and only the linkage check can object.
+    let (store, block) = block_with(vec![record(60, 0)]);
+    let mut orphan = block.clone();
+    orphan.header_mut().prev = block.id();
+    let mut skipped = block.clone();
+    skipped.header_mut().height += 1;
+    let mut early = block.clone();
+    early.header_mut().timestamp -= 16;
+    for bad in [orphan, skipped, early] {
+        assert!(validate_block_sequential(&store, &bad, &AcceptAll).is_err());
+        assert_differential(&store, &bad, &AcceptAll);
+    }
 }
 
 #[test]
