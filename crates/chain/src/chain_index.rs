@@ -96,7 +96,7 @@ impl ChainIndex {
     /// drifts from the genesis difficulty or fails validation.
     ///
     /// Proof-of-work targets are self-certified by each header, so without
-    /// the pin a tampered log or dump could lower a block's declared
+    /// the pin a tampered log or export could lower a block's declared
     /// difficulty to a trivially-met target and smuggle re-mined history
     /// past the structural checks. Every chain this workspace produces
     /// mines at its genesis difficulty, so the pin rejects only tampering.

@@ -58,7 +58,6 @@ pub mod difficulty;
 pub mod error;
 pub mod header;
 pub mod mempool;
-pub mod persist;
 pub mod pow;
 pub mod record;
 pub mod rng;

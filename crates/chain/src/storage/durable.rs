@@ -13,11 +13,12 @@
 //! otherwise. See DESIGN.md §17 and STORAGE.md.
 
 use super::cache::BlockCache;
-use super::index::SidecarIndex;
 use super::log::{scan_log, BlockLog, LogEntry};
 use super::snapshot::{self, Snapshot, SnapshotEntry, SnapshotRead, SNAPSHOT_FILE};
 use super::wal::{Wal, WalRecovery};
-use super::{ChainBackend, ChainQuery, CrashPoint, StorageError, StoreConfig};
+use super::{
+    io_err, write_atomic, ChainBackend, ChainQuery, CrashPoint, StorageError, StoreConfig,
+};
 use crate::block::Block;
 use crate::chain_index::ChainIndex;
 use crate::header::BlockId;
@@ -27,8 +28,6 @@ use smartcrowd_telemetry::counter;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const CHECKPOINT_MAGIC: &[u8; 8] = b"SCCKPT01";
@@ -44,8 +43,6 @@ pub struct RecoveryReport {
     pub wal_replayed: bool,
     /// An in-flight WAL entry that never became durable was discarded.
     pub wal_discarded: bool,
-    /// Sidecar artifacts (index, checkpoint) rebuilt from the log.
-    pub sidecars_rebuilt: u32,
     /// The open was served from a valid state snapshot (fast path; not a
     /// repair, so it does not affect [`RecoveryReport::clean`]).
     pub snapshot_loaded: bool,
@@ -59,11 +56,7 @@ impl RecoveryReport {
     /// rejected snapshot. A *loaded* snapshot still counts as clean —
     /// the fast path is an accelerator, not a repair.
     pub fn clean(&self) -> bool {
-        !self.torn_truncated
-            && !self.wal_replayed
-            && !self.wal_discarded
-            && self.sidecars_rebuilt == 0
-            && !self.snapshot_rejected
+        !self.torn_truncated && !self.wal_replayed && !self.wal_discarded && !self.snapshot_rejected
     }
 }
 
@@ -99,7 +92,6 @@ pub struct DurableStore {
     cache: RefCell<BlockCache>,
     log: BlockLog,
     wal: Wal,
-    sidecar: SidecarIndex,
     config: StoreConfig,
     checkpoint_height: u64,
     /// Checkpoint height the current `state.snap` was written at.
@@ -150,15 +142,6 @@ impl DurableStore {
     ///
     /// As [`DurableStore::open`], plus [`StorageError::Corrupt`] when the
     /// directory holds no blocks at all.
-    pub fn open_existing(dir: &Path) -> Result<Self, StorageError> {
-        Self::open_impl(dir, None, StoreConfig::default())
-    }
-
-    /// [`DurableStore::open_existing`] with explicit tuning.
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableStore::open_existing`].
     pub fn open_existing_with(dir: &Path, config: StoreConfig) -> Result<Self, StorageError> {
         Self::open_impl(dir, None, config)
     }
@@ -168,15 +151,10 @@ impl DurableStore {
         genesis: Option<&Block>,
         config: StoreConfig,
     ) -> Result<Self, StorageError> {
-        std::fs::create_dir_all(dir).map_err(|e| StorageError::Io {
-            op: "create-dir",
-            path: dir.to_path_buf(),
-            detail: e.to_string(),
-        })?;
+        std::fs::create_dir_all(dir).map_err(|e| io_err("create-dir", dir, e))?;
         let mut log = BlockLog::open(&dir.join("blocks.log"))?;
         let was_fresh = log.len_bytes() == 0;
         let (mut wal, wal_recovery) = Wal::open(&dir.join("wal"))?;
-        let sidecar = SidecarIndex::new(&dir.join("blocks.idx"));
         let mut cache = BlockCache::new(config.cache_capacity);
         let snap_path = dir.join(SNAPSHOT_FILE);
 
@@ -241,23 +219,19 @@ impl DurableStore {
         // highest confirmed block a previous run checkpointed; otherwise
         // confirmed history was lost and recovery must fail closed.
         let mut checkpoint_height = 0u64;
-        match read_checkpoint(&dir.join("checkpoint")) {
-            CheckpointRead::Absent => {}
-            CheckpointRead::Invalid => report.sidecars_rebuilt += 1,
-            CheckpointRead::Valid { height, id } => {
-                if index.canonical_id_at(height) != Some(id) {
-                    return Err(StorageError::Corrupt {
-                        file: "checkpoint",
-                        offset: 0,
-                        detail: format!(
-                            "recovered chain (height {}) is missing checkpointed confirmed \
-                             block {id} at height {height}",
-                            index.best_height()
-                        ),
-                    });
-                }
-                checkpoint_height = height;
+        if let Some((height, id)) = read_checkpoint(&dir.join("checkpoint"))? {
+            if index.canonical_id_at(height) != Some(id) {
+                return Err(StorageError::Corrupt {
+                    file: "checkpoint",
+                    offset: 0,
+                    detail: format!(
+                        "recovered chain (height {}) is missing checkpointed confirmed \
+                         block {id} at height {height}",
+                        index.best_height()
+                    ),
+                });
             }
+            checkpoint_height = height;
         }
 
         // Validation passed — apply the repairs.
@@ -267,12 +241,6 @@ impl DurableStore {
         }
         if !wal_was_empty {
             wal.clear()?;
-        }
-        if !sidecar.matches(log.len_bytes(), log.entries()) {
-            if !was_fresh {
-                report.sidecars_rebuilt += 1;
-            }
-            let _ = sidecar.write(log.len_bytes(), log.entries());
         }
 
         // Warm the cache with every body recovery decoded anyway; the
@@ -289,9 +257,6 @@ impl DurableStore {
         if report.wal_replayed {
             counter!("chain.storage.wal_replays").inc();
         }
-        if report.sidecars_rebuilt > 0 {
-            counter!("chain.storage.recoveries").add(u64::from(report.sidecars_rebuilt));
-        }
         if report.snapshot_loaded {
             counter!("chain.storage.snapshot.loaded").inc();
         }
@@ -306,7 +271,6 @@ impl DurableStore {
             cache: RefCell::new(cache),
             log,
             wal,
-            sidecar,
             config,
             checkpoint_height,
             snapshot_height: if snapshot_loaded {
@@ -328,7 +292,7 @@ impl DurableStore {
     ///
     /// Protocol: linkage + structural checks against the index (nothing
     /// written yet) → WAL write + fsync (the durability point) → log
-    /// append + fsync → index insert → sidecar update → WAL truncate →
+    /// append + fsync → index insert → WAL truncate →
     /// checkpoint/snapshot/prune maintenance. The index learns of the
     /// block only once its frame is in the log, so the handle never
     /// advertises a tip it cannot serve; a crash anywhere leaves a state
@@ -379,7 +343,6 @@ impl DurableStore {
         let id = self.index.attach(&block);
         self.locations.insert(id, entry);
         self.cache.borrow_mut().insert(block);
-        let _ = self.sidecar.write(self.log.len_bytes(), self.log.entries());
         if let Some(CrashPoint::BeforeWalTruncate) = self.crash {
             return Err(StorageError::InjectedCrash);
         }
@@ -391,13 +354,8 @@ impl DurableStore {
             // snapshot. The commit itself is fully durable.
             let image = snapshot::encode_snapshot(&self.current_snapshot());
             let keep = (bytes as usize).clamp(1, image.len().saturating_sub(1));
-            std::fs::write(self.dir.join(SNAPSHOT_FILE), &image[..keep]).map_err(|e| {
-                StorageError::Io {
-                    op: "write",
-                    path: self.dir.join(SNAPSHOT_FILE),
-                    detail: e.to_string(),
-                }
-            })?;
+            let path = self.dir.join(SNAPSHOT_FILE);
+            std::fs::write(&path, &image[..keep]).map_err(|e| io_err("write", &path, e))?;
             return Err(StorageError::InjectedCrash);
         }
         self.maintain()?;
@@ -499,7 +457,6 @@ impl DurableStore {
             frames.push((self.log.read_range(entry.offset, entry.len)?, entry.id));
         }
         self.log.rewrite_raw(&frames)?;
-        let _ = self.sidecar.write(self.log.len_bytes(), self.log.entries());
         {
             let mut cache = self.cache.borrow_mut();
             for id in &pruned_ids {
@@ -533,7 +490,7 @@ impl DurableStore {
     /// [`StorageError::Io`] on filesystem failures.
     pub fn write_snapshot(&mut self) -> Result<(), StorageError> {
         let bytes = snapshot::encode_snapshot(&self.current_snapshot());
-        snapshot::write_snapshot_atomic(&self.dir.join(SNAPSHOT_FILE), &bytes)?;
+        write_atomic(&self.dir.join(SNAPSHOT_FILE), &bytes)?;
         self.snapshot_height = self.checkpoint_height;
         self.has_snapshot = true;
         counter!("chain.storage.snapshot.written").inc();
@@ -774,7 +731,8 @@ fn adopt_snapshot(
             index.best_tip()
         ));
     }
-    // Geometry: entries must tile the covered prefix exactly.
+    // Geometry: entries must tile the covered prefix exactly. Lengths
+    // are disk-controlled: a pair that wraps u64 would otherwise tile.
     let mut expect = 0u64;
     for entry in &entries {
         if entry.offset != expect {
@@ -782,7 +740,9 @@ fn adopt_snapshot(
                 "snapshot entries are not contiguous at offset {expect}"
             ));
         }
-        expect += entry.len;
+        expect = expect
+            .checked_add(entry.len)
+            .ok_or_else(|| format!("snapshot entry at offset {expect} overflows the log"))?;
     }
     if expect != snap.log_len {
         return Err(format!(
@@ -823,36 +783,32 @@ fn adopt_snapshot(
     })
 }
 
-enum CheckpointRead {
-    Absent,
-    Invalid,
-    Valid { height: u64, id: BlockId },
-}
-
-fn read_checkpoint(path: &Path) -> CheckpointRead {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(_) => return CheckpointRead::Absent,
+/// The checkpointed `(height, id)`, or `None` when no checkpoint exists.
+/// The file is swapped in atomically, so it is never torn: a malformed
+/// one is damage, and opening without its floor would silently drop the
+/// confirmed-history veto.
+fn read_checkpoint(path: &Path) -> Result<Option<(u64, BlockId)>, StorageError> {
+    let Ok(bytes) = std::fs::read(path) else {
+        return Ok(None);
     };
-    if bytes.len() != CHECKPOINT_LEN || &bytes[..8] != CHECKPOINT_MAGIC {
-        return CheckpointRead::Invalid;
-    }
-    let mut checksum = [0u8; 32];
-    checksum.copy_from_slice(&bytes[48..80]);
-    if sha256d(&bytes[..48]) != checksum {
-        return CheckpointRead::Invalid;
+    if bytes.len() != CHECKPOINT_LEN
+        || &bytes[..8] != CHECKPOINT_MAGIC
+        || sha256d(&bytes[..48])[..] != bytes[48..]
+    {
+        return Err(StorageError::Corrupt {
+            file: "checkpoint",
+            offset: 0,
+            detail: "malformed checkpoint (length, magic or checksum)".to_string(),
+        });
     }
     let mut h = [0u8; 8];
     h.copy_from_slice(&bytes[8..16]);
     let mut id = [0u8; 32];
     id.copy_from_slice(&bytes[16..48]);
-    CheckpointRead::Valid {
-        height: u64::from_be_bytes(h),
-        id: BlockId::from_digest(id),
-    }
+    Ok(Some((u64::from_be_bytes(h), BlockId::from_digest(id))))
 }
 
-/// Atomic checkpoint swap: temp file + fsync + rename.
+/// Atomic checkpoint swap.
 fn write_checkpoint(path: &Path, height: u64, id: BlockId) -> Result<(), StorageError> {
     let mut bytes = Vec::with_capacity(CHECKPOINT_LEN);
     bytes.extend_from_slice(CHECKPOINT_MAGIC);
@@ -860,16 +816,5 @@ fn write_checkpoint(path: &Path, height: u64, id: BlockId) -> Result<(), Storage
     bytes.extend_from_slice(id.as_digest());
     let checksum = sha256d(&bytes);
     bytes.extend_from_slice(&checksum);
-    let tmp = path.with_extension("tmp");
-    let io = |op: &'static str, p: &Path, e: std::io::Error| StorageError::Io {
-        op,
-        path: p.to_path_buf(),
-        detail: e.to_string(),
-    };
-    let mut file = File::create(&tmp).map_err(|e| io("create", &tmp, e))?;
-    file.write_all(&bytes).map_err(|e| io("write", &tmp, e))?;
-    file.sync_data().map_err(|e| io("fsync", &tmp, e))?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| io("rename", path, e))?;
-    Ok(())
+    write_atomic(path, &bytes)
 }

@@ -14,7 +14,7 @@
 //! reads later seek straight to a frame via [`BlockLog::read_frame`].
 
 use super::frame::{encode_frame, scan_frame, FrameScan};
-use super::StorageError;
+use super::{io_err, StorageError};
 use crate::block::Block;
 use crate::header::BlockId;
 use std::fs::{File, OpenOptions};
@@ -101,14 +101,6 @@ pub(super) struct BlockLog {
     file: File,
     len: u64,
     entries: Vec<LogEntry>,
-}
-
-fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> StorageError {
-    StorageError::Io {
-        op,
-        path: path.to_path_buf(),
-        detail: e.to_string(),
-    }
 }
 
 impl BlockLog {

@@ -17,24 +17,27 @@
 //! |--------------|-------------------------------------------------------|
 //! | `blocks.log` | append-only [`frame`]s, one per committed block       |
 //! | `wal`        | at most one frame: the commit in flight               |
-//! | `blocks.idx` | sidecar offset index; best-effort, rebuilt on mismatch|
 //! | `checkpoint` | highest confirmed height + block id, atomically swapped|
 //! | `state.snap` | checkpoint state snapshot: headers + indices, so      |
 //! |              | reopen is O(snapshot + tail) instead of O(chain)      |
 //!
 //! Recovery classifies damage into exactly two outcomes: *recover to a
-//! valid prefix* (torn tails, interrupted WAL commits, stale sidecars,
-//! damaged snapshots — which merely fall back to the full-log scan) or
-//! *fail closed with a typed [`StorageError`]* (checksum violations in
-//! complete frames, a prefix that no longer contains a checkpointed
+//! valid prefix* (torn tails, interrupted WAL commits, damaged snapshots
+//! — which merely fall back to the full-log scan) or *fail closed with a
+//! typed [`StorageError`]* (checksum violations in complete frames, a
+//! malformed checkpoint, a prefix that no longer contains a checkpointed
 //! confirmed block). There is no third outcome — corrupt state is never
 //! silently accepted.
+//!
+//! The frame log is also the only serialisation of a chain outside a
+//! store directory: [`export_chain`] emits a `blocks.log` image and
+//! [`import_chain`] reads one through the scanner and replay that
+//! [`DurableStore::open`] runs.
 
 pub mod frame;
 
 mod cache;
 mod durable;
-mod index;
 mod log;
 mod snapshot;
 mod wal;
@@ -51,7 +54,9 @@ use crate::CONFIRMATION_DEPTH;
 use smartcrowd_crypto::{Address, Digest};
 use std::any::Any;
 use std::fmt;
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 /// Errors produced by the durable storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,6 +113,29 @@ impl From<ChainError> for StorageError {
     fn from(e: ChainError) -> Self {
         StorageError::Chain(e)
     }
+}
+
+/// Wraps a failed filesystem call as [`StorageError::Io`].
+fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> StorageError {
+    StorageError::Io {
+        op,
+        path: path.to_path_buf(),
+        detail: e.to_string(),
+    }
+}
+
+/// Atomically replaces `path` (`checkpoint`, `state.snap`): temp file
+/// `<name>.tmp` + fsync + rename.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
+    file.write_all(bytes)
+        .map_err(|e| io_err("write", &tmp, e))?;
+    file.sync_data().map_err(|e| io_err("fsync", &tmp, e))?;
+    drop(file);
+    std::fs::rename(&tmp, path).map_err(|e| io_err("rename", path, e))
 }
 
 impl StorageError {
@@ -368,8 +396,7 @@ impl ChainBackend for ChainStore {
 ///
 /// This is the chain index's pinned replay — the same one
 /// [`DurableStore`] runs over `blocks.log` on open — with the bodies kept,
-/// so the dump importer ([`crate::persist::import_chain`]) and the on-disk
-/// log cannot drift apart in what they accept.
+/// so [`import_chain`] and a store open accept exactly the same blocks.
 ///
 /// # Errors
 ///
@@ -383,6 +410,48 @@ where
     let blocks: Vec<Block> = blocks.into_iter().collect();
     let index = ChainIndex::replay_pinned(&blocks)?;
     Ok(ChainStore::from_parts(index, blocks))
+}
+
+/// Serialises the canonical chain (genesis to tip) as concatenated
+/// [`frame`]s: byte for byte the `blocks.log` a fresh [`DurableStore`]
+/// writes when the same blocks are committed in order. Works over any
+/// [`ChainQuery`] backend; on a paged durable store this walks every
+/// canonical body through the block cache.
+pub fn export_chain<Q: ChainQuery + ?Sized>(store: &Q) -> Vec<u8> {
+    let mut image = Vec::new();
+    for block in store.canonical_blocks() {
+        image.extend_from_slice(&frame::encode_frame(&block.encode()));
+    }
+    image
+}
+
+/// Rebuilds an in-memory store from a log image — an [`export_chain`]
+/// result or the bytes of a `blocks.log` (forks included) — through the
+/// scanner and the pinned replay [`DurableStore::open`] uses.
+///
+/// Acceptance is the log's: every byte is covered by a frame checksum,
+/// and a frame-aligned prefix of an image is the image of an ancestor
+/// chain. Unlike a store open, nothing is repaired — a torn tail is an
+/// error, not a truncation.
+///
+/// # Errors
+///
+/// [`ChainError::Storage`] for a frame that fails its magic, length cap
+/// or checksum or does not decode as a block; [`ChainError::Codec`] for
+/// an image that is empty, ends mid-frame or does not start at genesis;
+/// any validation error a replayed block triggers.
+pub fn import_chain(bytes: &[u8]) -> Result<ChainStore, ChainError> {
+    let scan = log::scan_log(bytes).map_err(StorageError::into_chain_error)?;
+    if scan.torn {
+        return Err(ChainError::Codec {
+            detail: format!(
+                "chain image ends mid-frame: {} of {} bytes are whole frames",
+                scan.valid_len,
+                bytes.len()
+            ),
+        });
+    }
+    replay_pinned(scan.blocks)
 }
 
 #[cfg(test)]

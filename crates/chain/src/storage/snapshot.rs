@@ -27,12 +27,9 @@
 //! The full spec, including forward-compatibility rules, lives in
 //! STORAGE.md.
 
-use super::StorageError;
 use crate::header::{BlockHeader, BlockId};
 use smartcrowd_crypto::sha256::sha256d;
 use smartcrowd_crypto::Digest;
-use std::fs::File;
-use std::io::Write;
 use std::path::Path;
 
 /// File name of the snapshot inside a store directory.
@@ -196,22 +193,6 @@ pub(super) fn read_snapshot(path: &Path) -> SnapshotRead {
     }
 }
 
-/// Atomically replaces the snapshot file: temp + fsync + rename.
-pub(super) fn write_snapshot_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
-    let io = |op: &'static str, p: &Path, e: std::io::Error| StorageError::Io {
-        op,
-        path: p.to_path_buf(),
-        detail: e.to_string(),
-    };
-    let tmp = path.with_extension("snap.tmp");
-    let mut file = File::create(&tmp).map_err(|e| io("create", &tmp, e))?;
-    file.write_all(bytes).map_err(|e| io("write", &tmp, e))?;
-    file.sync_data().map_err(|e| io("fsync", &tmp, e))?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| io("rename", path, e))?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,6 +232,57 @@ mod tests {
                 "truncation at {cut} must be rejected"
             );
         }
+    }
+
+    /// A checksum-valid snapshot whose entries `j`, `j + 1` carry a 2^62
+    /// length and its wrapping complement tiles the log under wrapping
+    /// addition. It must be rejected like any other anomaly, not adopted
+    /// (a page-in of block `j` would then allocate 2^62 bytes).
+    #[test]
+    fn forged_wrapping_geometry_is_rejected() {
+        use crate::pow::Miner;
+        use crate::storage::{ChainQuery, DurableStore, StoreConfig};
+
+        let dir = std::env::temp_dir().join(format!("sc-snap-geometry-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StoreConfig {
+            cache_capacity: 1,
+            snapshot_interval: 1,
+        };
+        let genesis = Block::genesis(Difficulty::from_u64(1));
+        let mut store = DurableStore::open_with(&dir, &genesis, config).unwrap();
+        let miner = Miner::new(smartcrowd_crypto::Address::from_label("geometry"));
+        let mut chain = vec![genesis.clone()];
+        for _ in 0..10 {
+            let parent = chain.last().unwrap();
+            let block = miner
+                .mine_next(parent, vec![], parent.header().timestamp + 15)
+                .unwrap();
+            store.commit(block.clone()).unwrap();
+            chain.push(block);
+        }
+        drop(store);
+
+        let path = dir.join(SNAPSHOT_FILE);
+        let SnapshotRead::Valid(mut snap) = read_snapshot(&path) else {
+            panic!("no valid snapshot to forge from");
+        };
+        let j = 2;
+        let after = snap.entries[j + 2].offset;
+        snap.entries[j].len = 1 << 62;
+        snap.entries[j + 1].offset = snap.entries[j].offset + (1 << 62);
+        snap.entries[j + 1].len = after.wrapping_sub(snap.entries[j + 1].offset);
+        std::fs::write(&path, encode_snapshot(&snap)).unwrap();
+
+        let store = DurableStore::open_with(&dir, &genesis, config).unwrap();
+        let recovery = store.last_recovery();
+        assert!(recovery.snapshot_rejected && !recovery.snapshot_loaded);
+        assert_eq!(store.best_tip(), chain[10].id());
+        for block in &chain {
+            assert_eq!(store.get_block(&block.id()).as_ref(), Some(block));
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   recover-to-prefix outcome, not data loss.
 
 use super::frame::{encode_frame, scan_frame, FrameScan};
-use super::StorageError;
+use super::{io_err, StorageError};
 use crate::block::Block;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -38,14 +38,6 @@ pub(super) enum WalRecovery {
 pub(super) struct Wal {
     path: PathBuf,
     file: File,
-}
-
-fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> StorageError {
-    StorageError::Io {
-        op,
-        path: path.to_path_buf(),
-        detail: e.to_string(),
-    }
 }
 
 impl Wal {

@@ -1,23 +1,21 @@
-//! Persistence hardening: forked-store round-trips and exhaustive
-//! corruption sweeps over chain dumps.
+//! Persistence hardening: a chain at rest has one byte format, the frame
+//! log. Forked-store round-trips and exhaustive corruption sweeps over
+//! chain exports, then the same sweeps over a store directory's files.
 //!
-//! A provider restarting from disk must never panic on a damaged dump
+//! A provider restarting from disk must never panic on a damaged image
 //! and must never accept one that smuggles non-canonical or tampered
-//! history — every corruption is surfaced as a typed [`ChainError`].
+//! history — every corruption is surfaced as a typed error.
 
-use smartcrowd_chain::persist::{export_chain, import_chain};
 use smartcrowd_chain::pow::Miner;
 use smartcrowd_chain::record::{Record, RecordKind};
-use smartcrowd_chain::{Block, ChainError, ChainStore, Difficulty, Ether};
+use smartcrowd_chain::storage::frame::FRAME_HEADER_LEN;
+use smartcrowd_chain::storage::{export_chain, import_chain, ChainQuery, StoreConfig};
+use smartcrowd_chain::{Block, ChainStore, CrashPoint, Difficulty, DurableStore, Ether};
+use smartcrowd_chain::{StorageError, CONFIRMATION_DEPTH};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::Address;
-
-/// Mining difficulty for the corruption sweeps. High enough that a
-/// flipped bit anywhere in a block's content fails the proof-of-work
-/// check (the header commits to the full content, so one flip moves the
-/// hash; at 1-in-65536 per position the fixed dump below has no
-/// surviving position), low enough that mining stays instant.
-const SWEEP_DIFFICULTY: u64 = 1 << 16;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
 /// A store holding a 8-block canonical chain plus a 3-block side branch
 /// forked from height 4 — the restart-from-disk shape the chaos harness
@@ -98,80 +96,96 @@ fn forked_store_round_trips_canonical_chain_only() {
 }
 
 #[test]
-fn truncation_at_every_prefix_length_is_a_typed_error() {
+fn export_is_the_log_a_fresh_store_writes() {
     let (store, _) = forked_store(1);
-    let dump = export_chain(&store);
-    for len in 0..dump.len() {
-        assert!(
-            import_chain(&dump[..len]).is_err(),
-            "truncated dump of {len}/{} bytes imported",
-            dump.len()
-        );
+    let export = export_chain(&store);
+    let canonical: Vec<Block> = store.canonical_blocks().cloned().collect();
+
+    // Committing the canonical chain into a fresh store writes the export.
+    let tmp = TempDir::new("one-format-export");
+    let written = tmp.path().join("written");
+    let mut durable = DurableStore::open(&written, &canonical[0]).unwrap();
+    for block in &canonical[1..] {
+        durable.commit(block.clone()).unwrap();
     }
-    // The untruncated dump still imports.
-    import_chain(&dump).unwrap();
+    drop(durable);
+    assert_eq!(std::fs::read(written.join("blocks.log")).unwrap(), export);
+
+    // And the export, planted as the only file of a directory, is a store.
+    let planted = tmp.path().join("planted");
+    store_with_log(&planted, &export);
+    let reopened = DurableStore::open(&planted, &canonical[0]).unwrap();
+    assert!(reopened.last_recovery().clean());
+    assert_eq!(reopened.best_tip(), store.best_tip());
 }
 
 #[test]
-fn bit_flip_sweep_returns_typed_errors_everywhere() {
-    let (store, _) = forked_store(SWEEP_DIFFICULTY);
-    let dump = export_chain(&store);
-    let mut survivors = Vec::new();
-    for pos in 0..dump.len() {
-        let mut bent = dump.clone();
-        bent[pos] ^= 0x01;
-        if import_chain(&bent).is_ok() {
-            survivors.push(pos);
+fn a_forked_log_imports_as_the_store_it_came_from() {
+    let (store, fork) = forked_store(1);
+    let inserted: Vec<Block> = store.canonical_blocks().cloned().chain(fork).collect();
+    let tmp = TempDir::new("one-format-import");
+    let mut durable = DurableStore::open(tmp.path(), &inserted[0]).unwrap();
+    for block in &inserted[1..] {
+        durable.commit(block.clone()).unwrap();
+    }
+    let log = std::fs::read(tmp.path().join("blocks.log")).unwrap();
+    let imported = import_chain(&log).unwrap();
+    assert_eq!(imported.best_tip(), durable.best_tip());
+    assert_eq!(imported.best_height(), durable.best_height());
+    assert_eq!(imported.len(), durable.block_count());
+    assert_eq!(imported.len(), store.len(), "fork blocks included");
+}
+
+#[test]
+fn every_prefix_of_an_export_is_an_ancestor_or_a_typed_error() {
+    let (store, _) = forked_store(1);
+    let export = export_chain(&store);
+    let canonical: Vec<Block> = store.canonical_blocks().cloned().collect();
+    let boundaries = frame_boundaries(&canonical);
+    assert_eq!(*boundaries.last().unwrap(), export.len(), "boundary math");
+    for cut in 0..export.len() {
+        match (import_chain(&export[..cut]), boundaries.binary_search(&cut)) {
+            // The empty image and every mid-frame cut: a typed error.
+            (Err(_), Ok(0) | Err(_)) => {}
+            // A frame-aligned cut: exactly the first `frames` blocks.
+            (Ok(prefix), Ok(frames)) => {
+                assert_eq!(prefix.len(), frames, "cut {cut}");
+                assert_eq!(prefix.best_tip(), canonical[frames - 1].id(), "cut {cut}");
+            }
+            (Ok(_), Err(_)) => panic!("mid-frame cut {cut} imported"),
+            (Err(e), Ok(_)) => panic!("frame-aligned cut {cut} refused: {e}"),
         }
     }
+    assert_eq!(import_chain(&export).unwrap().best_tip(), store.best_tip());
+}
+
+#[test]
+fn every_bit_flip_in_an_export_is_a_typed_error() {
+    // Difficulty 1: nothing here leans on proof-of-work — every byte of
+    // an export, the tip header included, is under a frame checksum.
+    let (store, _) = forked_store(1);
+    let export = export_chain(&store);
+    let survivors: Vec<usize> = (0..export.len())
+        .filter(|&pos| {
+            let mut bent = export.clone();
+            bent[pos] ^= 0x01;
+            import_chain(&bent).is_ok()
+        })
+        .collect();
     assert!(
         survivors.is_empty(),
         "bit flips at {survivors:?} of {} bytes were accepted",
-        dump.len()
+        export.len()
     );
 }
 
-#[test]
-fn forged_magic_is_rejected_with_a_codec_error() {
-    let (store, _) = forked_store(1);
-    let mut dump = export_chain(&store);
-    // A plausible forgery: a future format revision's magic.
-    dump[..8].copy_from_slice(b"SCCHAIN2");
-    match import_chain(&dump) {
-        Err(ChainError::Codec { detail }) => {
-            assert!(detail.contains("magic"), "unexpected detail: {detail}")
-        }
-        other => panic!("forged magic produced {other:?}"),
-    }
-}
-
-#[test]
-fn forged_block_count_is_rejected() {
-    let (store, _) = forked_store(1);
-    let dump = export_chain(&store);
-    // The count is a big-endian u64 right after the 8-byte magic.
-    for forged in [0u64, 1, 3, 100, u64::MAX] {
-        let mut bent = dump.clone();
-        bent[8..16].copy_from_slice(&forged.to_be_bytes());
-        assert!(
-            import_chain(&bent).is_err(),
-            "forged count {forged} accepted"
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
-// On-disk format sweeps: the same corruption classes driven against the
-// DurableStore's files (blocks.log / blocks.idx / wal) instead of the
-// legacy dump. Every case must either recover to a valid prefix of the
-// original chain or fail closed with a typed StorageError — a corrupt
-// state must never be silently accepted.
+// Store-directory sweeps: the same corruption classes driven against a
+// DurableStore's files (blocks.log / wal / checkpoint), where recovery
+// may also repair. Every case must either recover to a valid prefix of
+// the original chain or fail closed with a typed StorageError — a
+// corrupt state must never be silently accepted.
 // ---------------------------------------------------------------------------
-
-use smartcrowd_chain::storage::frame::FRAME_HEADER_LEN;
-use smartcrowd_chain::storage::{ChainQuery, StoreConfig};
-use smartcrowd_chain::{CrashPoint, DurableStore, StorageError};
-use std::path::{Path, PathBuf};
 
 /// Self-cleaning scratch directory under the cargo target tmpdir.
 struct TempDir(PathBuf);
@@ -196,9 +210,9 @@ impl Drop for TempDir {
 }
 
 /// Builds a linear `blocks`-long chain in a store at `dir` and closes it.
-/// Returns the full block sequence, genesis first. Short enough (≤ the
-/// confirmation depth) that no checkpoint is written, so truncation
-/// sweeps are not vetoed by the checkpoint gate.
+/// Returns the full block sequence, genesis first. The truncation sweeps
+/// keep it ≤ the confirmation depth: no checkpoint is written, so the
+/// checkpoint gate does not veto them.
 fn build_disk_chain(dir: &Path, blocks: u64) -> Vec<Block> {
     let genesis = Block::genesis(Difficulty::from_u64(1));
     let mut store = DurableStore::open(dir, &genesis).unwrap();
@@ -319,31 +333,73 @@ fn log_bit_flip_sweep_recovers_to_prefix_or_fails_typed() {
     }
 }
 
-#[test]
-fn index_bit_flips_never_affect_recovery() {
-    let tmp = TempDir::new("flip-idx");
-    let master = tmp.path().join("master");
-    let chain = build_disk_chain(&master, 5);
-    let genesis = chain[0].clone();
-    let log = std::fs::read(master.join("blocks.log")).unwrap();
-    let idx = std::fs::read(master.join("blocks.idx")).unwrap();
+/// File names in a store directory.
+fn dir_listing(dir: &Path) -> BTreeSet<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect()
+}
 
+#[test]
+fn a_store_directory_is_four_files_and_a_legacy_index_is_ignored() {
+    let tmp = TempDir::new("four-files");
+    let dir = tmp.path().join("store");
+    let chain = build_disk_chain_with(&dir, CONFIRMATION_DEPTH + 4, eager_snapshots());
+    let four = ["blocks.log", "wal", "checkpoint", "state.snap"].map(String::from);
+    assert_eq!(dir_listing(&dir), BTreeSet::from(four.clone()));
+
+    // A directory an older build wrote still carries its sidecar index.
+    // It is never read, rewritten or removed — like a stale `*.tmp`.
+    let legacy = b"SCIDX1\0\0 anything at all".to_vec();
+    std::fs::write(dir.join("blocks.idx"), &legacy).unwrap();
+    let mut store = DurableStore::open_with(&dir, &chain[0], eager_snapshots()).unwrap();
+    assert!(store.last_recovery().clean());
+    assert_eq!(store.best_tip(), chain.last().unwrap().id());
+    let parent = store.best_block();
+    let next = Miner::new(Address::from_label("disk"))
+        .mine_next(&parent, vec![], parent.header().timestamp + 15)
+        .unwrap();
+    store.commit(next).unwrap();
+    drop(store);
+    assert_eq!(std::fs::read(dir.join("blocks.idx")).unwrap(), legacy);
+    let mut listing = dir_listing(&dir);
+    assert!(listing.remove("blocks.idx"));
+    assert_eq!(listing, BTreeSet::from(four));
+}
+
+#[test]
+fn checkpoint_damage_always_refuses_the_open() {
+    let tmp = TempDir::new("flip-ckpt");
+    let master = tmp.path().join("master");
+    let chain = build_disk_chain(&master, CONFIRMATION_DEPTH + 3);
+    let checkpoint = std::fs::read(master.join("checkpoint")).unwrap();
     let work = tmp.path().join("work");
-    for pos in 0..idx.len() {
-        let mut bent = idx.clone();
-        bent[pos] ^= 0x01;
-        store_with_log(&work, &log);
-        std::fs::write(work.join("blocks.idx"), &bent).unwrap();
-        // The index is a best-effort sidecar: damage is detected and the
-        // index rebuilt from the log, never trusted over it.
-        let store = DurableStore::open(&work, &genesis)
-            .unwrap_or_else(|e| panic!("idx flip at {pos} broke recovery: {e}"));
-        assert_eq!(store.best_height(), 5, "idx flip at {pos}");
-        assert_eq!(store.best_tip(), chain[5].id(), "idx flip at {pos}");
-        assert!(
-            store.last_recovery().sidecars_rebuilt >= 1,
-            "idx flip at {pos} went unnoticed"
-        );
+    let open_with_checkpoint = |image: &[u8]| {
+        clone_store_dir(&master, &work);
+        std::fs::write(work.join("checkpoint"), image).unwrap();
+        DurableStore::open(&work, &chain[0])
+    };
+
+    let intact = open_with_checkpoint(&checkpoint).unwrap();
+    assert!(intact.last_recovery().clean());
+    assert_eq!(intact.checkpoint_height(), 3);
+    drop(intact);
+
+    // The file is swapped in atomically, so no crash leaves it damaged:
+    // every truncation and every flipped bit fails the open closed
+    // rather than reopening without the confirmed-history floor.
+    let truncations = (0..checkpoint.len()).map(|cut| checkpoint[..cut].to_vec());
+    let flips = (0..checkpoint.len() * 8).map(|bit| {
+        let mut bent = checkpoint.clone();
+        bent[bit / 8] ^= 1 << (bit % 8);
+        bent
+    });
+    for (case, image) in truncations.chain(flips).enumerate() {
+        match open_with_checkpoint(&image) {
+            Err(StorageError::Corrupt { file, .. }) => assert_eq!(file, "checkpoint"),
+            other => panic!("damaged checkpoint #{case} produced {other:?}"),
+        }
     }
 }
 

@@ -8,8 +8,8 @@
 //!   the anti-entropy rebroadcast so laggards reconcile before the next
 //!   fault lands.
 //! - **Crashes** export the node's chain through
-//!   [`smartcrowd_chain::persist::export_chain`] (the "disk"), drop all
-//!   soft state, and discard deliveries; restarts import the dump and
+//!   [`smartcrowd_chain::storage::export_chain`] (the "disk"), drop all
+//!   soft state, and discard deliveries; restarts import the image and
 //!   rebuild verification state with [`ProviderNode::restore_backend`]. In
 //!   *durable mode* ([`run_plan_durable`]) every node runs on a real
 //!   [`DurableStore`] directory instead: a crash tears the store
@@ -35,10 +35,11 @@
 use crate::oracle::{NodeView, Oracles, Violation};
 use crate::plan::{ByzantineBehavior, FaultKind, FaultPlan};
 use crate::settle::settle_confirmed;
-use smartcrowd_chain::persist::{export_chain, import_chain};
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_chain::storage::{frame, CrashPoint, DurableStore, StoreConfig};
+use smartcrowd_chain::storage::{
+    export_chain, frame, import_chain, CrashPoint, DurableStore, StoreConfig,
+};
 use smartcrowd_chain::{Block, ChainBackend, ChainQuery, ChainStore, Difficulty, Ether};
 use smartcrowd_core::node::ProviderNode;
 use smartcrowd_core::report::{create_report_pair, Findings};
@@ -161,7 +162,7 @@ pub struct ChaosSim {
     plan: FaultPlan,
     seed: u64,
     fleet: Fleet,
-    /// In-memory mode: the legacy chain dump each crashed node left behind
+    /// In-memory mode: the chain export each crashed node left behind
     /// (durable mode leaves its store directory under `durable_root`).
     dumps: BTreeMap<usize, Vec<u8>>,
     groups: Vec<usize>,
@@ -351,8 +352,8 @@ impl ChaosSim {
         Ok(())
     }
 
-    /// Crashes a node. In-memory mode snapshots the chain as a legacy
-    /// dump. Durable mode performs a *mid-commit tear* before dropping
+    /// Crashes a node. In-memory mode keeps the chain as an exported log
+    /// image. Durable mode performs a *mid-commit tear* before dropping
     /// the node: the store's next commit is crashed at an injected sync
     /// point — usually a torn frame in the log (exactly the state a
     /// power loss during an append leaves), and on snapshot-enabled

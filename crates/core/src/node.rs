@@ -83,7 +83,7 @@ impl ProviderNode {
     }
 
     /// Reboots a node from a recovered chain backend — a store
-    /// `persist::import_chain` rebuilt from a dump, or a reopened
+    /// `storage::import_chain` rebuilt from an export, or a reopened
     /// [`smartcrowd_chain::storage::DurableStore`] (recovery runs there).
     ///
     /// The chain is the only state that survives a crash; all soft state —
@@ -480,7 +480,7 @@ mod tests {
 
     #[test]
     fn restart_from_persisted_chain_rebuilds_verification_state() {
-        use smartcrowd_chain::persist::{export_chain, import_chain};
+        use smartcrowd_chain::storage::{export_chain, import_chain};
         let (mut a, mut b, library) = setup_two_nodes();
         let sra_id = release_and_sync(&mut a, &mut b, &library, vec![VulnId(1)]);
         // Put the SRA on chain so it survives the crash.
@@ -530,8 +530,8 @@ mod tests {
         }
         // Restart the *provider* a from its own chain: its SRA record
         // (nonce 1) is on chain, so the next release must use nonce 2.
-        let restored = smartcrowd_chain::persist::import_chain(
-            &smartcrowd_chain::persist::export_chain(a.store()),
+        let restored = smartcrowd_chain::storage::import_chain(
+            &smartcrowd_chain::storage::export_chain(a.store()),
         )
         .unwrap();
         let mut a2 = ProviderNode::restore_backend(

@@ -11,21 +11,21 @@
 //!   --insurance <eth>    escrow per release        (default 1000)
 //!   --detectors <n>      fleet size                (default 8)
 //!   --seed <n>           run seed                  (default 2019)
-//!   --export <path>      write the chain dump afterwards
+//!   --export <path>      write the chain export (a `blocks.log` image) afterwards
 //!   --store <dir>        commit the chain into a durable store directory
 //!   --cache <n>          block-cache capacity for --store (default unbounded)
 //!   --snapshot-interval <n>  checkpoint heights between snapshots (0 = off)
-//! smartcrowd inspect <path> [--cache <n>] validate + summarize a chain dump
-//!                                         or a durable store directory
+//! smartcrowd inspect <path> [--cache <n>] validate + summarize a chain export
+//!                                         (a `blocks.log` image) or a durable
+//!                                         store directory
 //! smartcrowd table1                       print the Table-I reproduction
 //! ```
 //!
 //! Exits non-zero with a message on bad usage; every subcommand is
 //! deterministic given its flags.
 
-use smartcrowd::chain::persist::{export_chain, import_chain};
 use smartcrowd::chain::stats::{chain_stats, ChainStats};
-use smartcrowd::chain::storage::ChainQuery;
+use smartcrowd::chain::storage::{export_chain, import_chain, ChainQuery};
 use smartcrowd::chain::{ChainError, DurableStore, Ether, StorageError, StoreConfig};
 use smartcrowd::crypto::keys::KeyPair;
 use smartcrowd::sim::config::SimConfig;
@@ -65,7 +65,8 @@ USAGE:
                       [--detectors <n>] [--seed <n>] [--export <path>]
                       [--store <dir>] [--cache <blocks>]
                       [--snapshot-interval <checkpoints>]
-  smartcrowd inspect <chain-dump-path | store-dir> [--cache <blocks>]
+  smartcrowd inspect <chain-export | store-dir> [--cache <blocks>]
+      (a chain export is a `blocks.log` image)
   smartcrowd table1
 ";
 
@@ -215,9 +216,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     println!("  bounties paid:           {earned:.2} ETH");
     println!("  insurance forfeited:     {forfeited:.2} ETH");
     if let Some(path) = export {
-        let dump = export_chain(platform.store());
-        std::fs::write(&path, &dump).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("  chain exported to {path} ({} bytes)", dump.len());
+        let image = export_chain(platform.store());
+        std::fs::write(&path, &image).map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("  chain exported to {path} ({} bytes)", image.len());
     }
     if let Some(dir) = store_dir {
         let dir = std::path::PathBuf::from(dir);
@@ -247,7 +248,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("inspect needs a chain-dump path")?;
+    let path = args
+        .first()
+        .ok_or("inspect needs a chain export or store directory")?;
     let mut config = StoreConfig::default();
     for (flag, value) in parse_flags(&args[1..])? {
         match flag.as_str() {
@@ -280,19 +283,16 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
             println!("  (clean open; frames verified lazily on page-in)");
         } else {
             println!(
-                "  (recovery: torn_truncated={} wal_replayed={} wal_discarded={}                  sidecars_rebuilt={} snapshot_rejected={})",
-                rec.torn_truncated,
-                rec.wal_replayed,
-                rec.wal_discarded,
-                rec.sidecars_rebuilt,
-                rec.snapshot_rejected
+                "  (recovery: torn_truncated={} wal_replayed={} wal_discarded={} \
+                 snapshot_rejected={})",
+                rec.torn_truncated, rec.wal_replayed, rec.wal_discarded, rec.snapshot_rejected
             );
         }
         return Ok(());
     }
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let store = import_chain(&bytes).map_err(|e| format!("invalid chain dump: {e}"))?;
-    println!("chain dump: {path}");
+    let store = import_chain(&bytes).map_err(|e| format!("invalid chain export: {e}"))?;
+    println!("chain export: {path}");
     print_stats(&chain_stats(&store));
     println!("  (every block re-validated during import)");
     Ok(())
