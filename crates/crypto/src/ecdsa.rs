@@ -224,12 +224,10 @@ pub fn recover(digest: &[u8; 32], sig: &Signature) -> Result<Point, CryptoError>
     compressed[0] = if sig.v & 1 != 0 { 0x03 } else { 0x02 };
     compressed[1..].copy_from_slice(&xb);
     let r_point = Point::decode(&compressed).map_err(|_| CryptoError::InvalidSignature)?;
-    // Q = r⁻¹ (s·R − e·G)
+    // Q = r⁻¹ (s·R − e·G) = (−e·r⁻¹)·G + (s·r⁻¹)·R
     let r_inv = sig.r.invert();
     let e = Scalar::from_digest(digest);
-    let sr = r_point.mul(&sig.s);
-    let eg = Point::mul_generator(&e);
-    let q = sr.add(&eg.neg()).mul(&r_inv);
+    let q = Point::lincomb_with_generator(&e.mul(&r_inv).neg(), &sig.s.mul(&r_inv), &r_point);
     verify(&q, digest, sig)?;
     Ok(q)
 }
@@ -384,6 +382,28 @@ mod tests {
         if let Ok(other) = recover(&sha256(b"b"), &sig) {
             assert_ne!(other, q);
         }
+    }
+
+    #[test]
+    fn high_s_twin_verifies_and_recovers_like_low_s() {
+        // `from_bytes` refuses high s, so only code inside the crate can
+        // build one; (r, n − s) with the parity bit flipped is the same
+        // signature as far as the curve equation goes.
+        let d = Scalar::from_u64(2019);
+        let q = Point::mul_generator(&d);
+        let h = sha256(b"high s");
+        let low = sign(&d, &h);
+        let high = Signature {
+            r: low.r,
+            s: low.s.neg(),
+            v: low.v ^ 1,
+        };
+        assert!(high.s.is_high());
+        assert_eq!(verify(&q, &h, &high), Ok(()));
+        assert_eq!(recover(&h, &high), Ok(q));
+        // Without the parity flip the recovered point is another key.
+        let unflipped = Signature { v: low.v, ..high };
+        assert_ne!(recover(&h, &unflipped), Ok(q));
     }
 
     #[test]

@@ -1,200 +1,88 @@
 //! Arithmetic in the secp256k1 base field **F_p**.
 //!
-//! `p = 2^256 − 2^32 − 977`. Reduction exploits `2^256 ≡ 2^32 + 977 (mod p)`
-//! by folding the high 256 bits of a product back into the low half; the
-//! same fold strategy (with a different constant) serves the scalar field in
-//! [`crate::scalar`], via the shared [`ModArith`] engine.
+//! `p = 2^256 − 2^32 − 977`, so `2^256 ≡ 2^32 + 977 (mod p)`: a 512-bit
+//! product reduces by folding its high half into the low half twice with
+//! that 33-bit constant, followed by one conditional subtraction. All of it
+//! is specialised to `p`; the scalar field has its own engine in
+//! [`crate::scalar`].
 
 use crate::error::CryptoError;
-use crate::u256::U256;
+use crate::u256::{adc, add4, mac, select4, sub4, sub_mod, U256};
 use std::fmt;
 
 /// The secp256k1 field prime `p = 2^256 − 2^32 − 977`.
 pub const P_HEX: &str = "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f";
 
-/// Modular-arithmetic engine for a prime modulus `m > 2^255` with
-/// precomputed fold constant `c = 2^256 mod m`.
-///
-/// Shared by the base field (`m = p`) and the scalar field (`m = n`).
-#[derive(Debug, Clone, Copy)]
-pub struct ModArith {
-    modulus: U256,
-    fold: U256,
+/// `p` as little-endian limbs.
+const P: U256 = U256([
+    0xFFFF_FFFE_FFFF_FC2F,
+    0xFFFF_FFFF_FFFF_FFFF,
+    0xFFFF_FFFF_FFFF_FFFF,
+    0xFFFF_FFFF_FFFF_FFFF,
+]);
+
+/// The fold constant `2^256 mod p = 2^32 + 977`.
+const FOLD: u64 = 0x1_0000_03D1;
+
+/// `v mod p` for any 256-bit `v` (one subtraction suffices: `2^256 < 2p`).
+#[inline(always)]
+fn reduce(v: [u64; 4]) -> U256 {
+    let (t, borrow) = sub4(&v, &P.0);
+    U256(if borrow == 0 { t } else { v })
 }
 
-impl ModArith {
-    /// Creates an engine for prime modulus `m` (must exceed `2^255` so that
-    /// a single conditional subtraction normalizes any 256-bit value).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m <= 2^255`.
-    pub fn new(modulus: U256) -> Self {
-        assert!(modulus.bits() == 256, "modulus must be a 256-bit prime");
-        // c = 2^256 mod m = (2^256 - 1) - m + 1 = MAX - m + 1 (no overflow
-        // since m <= MAX).
-        let fold = U256::MAX.wrapping_sub(&modulus).wrapping_add(&U256::ONE);
-        ModArith { modulus, fold }
+/// Reduces a 512-bit value (eight little-endian limbs) modulo `p`.
+#[inline(always)]
+fn reduce_wide(w: &[u64; 8]) -> U256 {
+    // First fold: lo + hi·FOLD fits five limbs, the top one below 2^34.
+    let (r0, c) = mac(w[0], w[4], FOLD, 0);
+    let (r1, c) = mac(w[1], w[5], FOLD, c);
+    let (r2, c) = mac(w[2], w[6], FOLD, c);
+    let (r3, c) = mac(w[3], w[7], FOLD, c);
+    // Second fold: the fifth limb times FOLD is below 2^67.
+    let (r0, c) = mac(r0, c, FOLD, 0);
+    let (r1, c) = adc(r1, 0, c);
+    let (r2, c) = adc(r2, 0, c);
+    let (r3, c) = adc(r3, 0, c);
+    if c != 0 {
+        // Carried out of 256 bits, so the wrapped sum is below 2^67 and
+        // folding that last 2^256 in (`+ FOLD`) cannot carry again.
+        let (r0, c) = adc(r0, FOLD, 0);
+        let (r1, _) = adc(r1, 0, c);
+        return U256([r0, r1, r2, r3]);
     }
-
-    /// The modulus `m`.
-    pub fn modulus(&self) -> U256 {
-        self.modulus
-    }
-
-    /// Normalizes an arbitrary 256-bit value into `[0, m)`.
-    pub fn reduce(&self, v: U256) -> U256 {
-        let mut v = v;
-        while v >= self.modulus {
-            v = v.wrapping_sub(&self.modulus);
-        }
-        v
-    }
-
-    /// Reduces a 512-bit value (eight little-endian limbs) modulo `m`.
-    pub fn reduce_wide(&self, wide: [u64; 8]) -> U256 {
-        let mut lo = U256::from_limbs([wide[0], wide[1], wide[2], wide[3]]);
-        let mut hi = U256::from_limbs([wide[4], wide[5], wide[6], wide[7]]);
-        // x = hi*2^256 + lo ≡ hi*c + lo (mod m); iterate until hi vanishes.
-        while !hi.is_zero() {
-            let prod = hi.mul_wide(&self.fold);
-            let prod_lo = U256::from_limbs([prod[0], prod[1], prod[2], prod[3]]);
-            let prod_hi = U256::from_limbs([prod[4], prod[5], prod[6], prod[7]]);
-            let (sum, carry) = prod_lo.overflowing_add(&lo);
-            lo = sum;
-            hi = prod_hi.wrapping_add(&U256::from_u64(carry as u64));
-        }
-        self.reduce(lo)
-    }
-
-    /// `(a + b) mod m` for `a, b ∈ [0, m)`.
-    pub fn add(&self, a: U256, b: U256) -> U256 {
-        let (sum, carry) = a.overflowing_add(&b);
-        if carry {
-            // sum + 2^256 ≡ sum + c (mod m); c < 2^129 so this cannot carry
-            // again after one addition for m > 2^255.
-            self.reduce(sum.wrapping_add(&self.fold))
-        } else {
-            self.reduce(sum)
-        }
-    }
-
-    /// `(a − b) mod m` for `a, b ∈ [0, m)`.
-    pub fn sub(&self, a: U256, b: U256) -> U256 {
-        if a >= b {
-            a.wrapping_sub(&b)
-        } else {
-            a.wrapping_add(&self.modulus).wrapping_sub(&b)
-        }
-    }
-
-    /// `(a · b) mod m`.
-    pub fn mul(&self, a: U256, b: U256) -> U256 {
-        self.reduce_wide(a.mul_wide(&b))
-    }
-
-    /// `a² mod m`.
-    pub fn sqr(&self, a: U256) -> U256 {
-        self.mul(a, a)
-    }
-
-    /// `a^e mod m` by square-and-multiply.
-    pub fn pow(&self, a: U256, e: U256) -> U256 {
-        let mut acc = U256::ONE;
-        let bits = e.bits();
-        for i in (0..bits).rev() {
-            acc = self.sqr(acc);
-            if e.bit(i) {
-                acc = self.mul(acc, a);
-            }
-        }
-        acc
-    }
-
-    /// Multiplicative inverse by the binary extended-GCD algorithm
-    /// (≈20× faster than Fermat exponentiation for 256-bit operands; the
-    /// Fermat route is retained as [`ModArith::inv_fermat`] and the two are
-    /// cross-checked by property tests).
-    ///
-    /// Returns zero for a zero input.
-    pub fn inv(&self, a: U256) -> U256 {
-        if a.is_zero() {
-            return U256::ZERO;
-        }
-        let m = self.modulus;
-        let mut u = self.reduce(a);
-        if u.is_zero() {
-            return U256::ZERO; // a ≡ 0 (mod m) has no inverse
-        }
-        let mut v = m;
-        let mut x1 = U256::ONE;
-        let mut x2 = U256::ZERO;
-        while u != U256::ONE && v != U256::ONE {
-            while !u.bit(0) {
-                u = u.shr(1);
-                x1 = halve_mod(x1, &m);
-            }
-            while !v.bit(0) {
-                v = v.shr(1);
-                x2 = halve_mod(x2, &m);
-            }
-            if u >= v {
-                u = u.wrapping_sub(&v);
-                x1 = self.sub(x1, x2);
-            } else {
-                v = v.wrapping_sub(&u);
-                x2 = self.sub(x2, x1);
-            }
-        }
-        if u == U256::ONE {
-            x1
-        } else {
-            x2
-        }
-    }
-
-    /// Multiplicative inverse via Fermat's little theorem (`a^{m−2}`);
-    /// valid because both SmartCrowd moduli are prime. Kept as the
-    /// reference implementation for cross-checking [`ModArith::inv`].
-    ///
-    /// Returns zero for a zero input.
-    pub fn inv_fermat(&self, a: U256) -> U256 {
-        if a.is_zero() {
-            return U256::ZERO;
-        }
-        let e = self.modulus.wrapping_sub(&U256::from_u64(2));
-        self.pow(a, e)
-    }
-
-    /// `(-a) mod m`.
-    pub fn neg(&self, a: U256) -> U256 {
-        if a.is_zero() {
-            U256::ZERO
-        } else {
-            self.modulus.wrapping_sub(&a)
-        }
-    }
+    reduce([r0, r1, r2, r3])
 }
 
-/// `x/2 mod m` for odd `m`: halve directly when even, else `(x+m)/2`
-/// (the addition may carry past 256 bits; the carry re-enters as the top
-/// bit after the shift).
-fn halve_mod(x: U256, m: &U256) -> U256 {
-    if !x.bit(0) {
-        x.shr(1)
-    } else {
-        let (sum, carry) = x.overflowing_add(m);
-        let mut half = sum.shr(1);
-        if carry {
-            // Restore the lost 2^256 bit as 2^255 after the halving.
-            half = half.wrapping_add(&U256::ONE.shl(255));
-        }
-        half
-    }
-}
-
-fn fp() -> ModArith {
-    ModArith::new(U256::from_hex(P_HEX).expect("P_HEX is valid"))
+/// The 512-bit square of `a`: ten limb products instead of sixteen (each
+/// off-diagonal product is computed once and doubled).
+#[inline(always)]
+fn sqr_wide(a: &[u64; 4]) -> [u64; 8] {
+    // Off-diagonal products a[i]·a[j], i < j.
+    let (o1, c) = mac(0, a[0], a[1], 0);
+    let (o2, c) = mac(0, a[0], a[2], c);
+    let (o3, o4) = mac(0, a[0], a[3], c);
+    let (o3, c) = mac(o3, a[1], a[2], 0);
+    let (o4, o5) = mac(o4, a[1], a[3], c);
+    let (o5, o6) = mac(o5, a[2], a[3], 0);
+    // Double them …
+    let o7 = o6 >> 63;
+    let o6 = (o6 << 1) | (o5 >> 63);
+    let o5 = (o5 << 1) | (o4 >> 63);
+    let o4 = (o4 << 1) | (o3 >> 63);
+    let o3 = (o3 << 1) | (o2 >> 63);
+    let o2 = (o2 << 1) | (o1 >> 63);
+    let o1 = o1 << 1;
+    // … and add the diagonal squares.
+    let (o0, c) = mac(0, a[0], a[0], 0);
+    let (o1, c) = adc(o1, 0, c);
+    let (o2, c) = mac(o2, a[1], a[1], c);
+    let (o3, c) = adc(o3, 0, c);
+    let (o4, c) = mac(o4, a[2], a[2], c);
+    let (o5, c) = adc(o5, 0, c);
+    let (o6, c) = mac(o6, a[3], a[3], c);
+    let (o7, _) = adc(o7, 0, c);
+    [o0, o1, o2, o3, o4, o5, o6, o7]
 }
 
 /// An element of the secp256k1 base field, always normalized to `[0, p)`.
@@ -220,7 +108,13 @@ impl FieldElement {
 
     /// The field prime `p`.
     pub fn prime() -> U256 {
-        fp().modulus()
+        P
+    }
+
+    /// An element from limbs already known to be below `p` (curve
+    /// constants).
+    pub(crate) const fn from_limbs_unchecked(limbs: [u64; 4]) -> Self {
+        FieldElement(U256(limbs))
     }
 
     /// Creates an element from a small integer.
@@ -230,7 +124,7 @@ impl FieldElement {
 
     /// Creates an element from a `U256`, reducing modulo `p`.
     pub fn from_u256_reduced(v: U256) -> Self {
-        FieldElement(fp().reduce(v))
+        FieldElement(reduce(v.0))
     }
 
     /// Parses a canonical (already `< p`) big-endian encoding.
@@ -240,7 +134,7 @@ impl FieldElement {
     /// Returns [`CryptoError::FieldOutOfRange`] when the value is `≥ p`.
     pub fn from_be_bytes(b: &[u8; 32]) -> Result<Self, CryptoError> {
         let v = U256::from_be_bytes(b);
-        if v >= fp().modulus() {
+        if v >= P {
             return Err(CryptoError::FieldOutOfRange);
         }
         Ok(FieldElement(v))
@@ -257,6 +151,7 @@ impl FieldElement {
     }
 
     /// Returns `true` for the zero element.
+    #[inline]
     pub fn is_zero(&self) -> bool {
         self.0.is_zero()
     }
@@ -268,45 +163,88 @@ impl FieldElement {
     }
 
     /// Field addition.
+    #[inline]
     pub fn add(&self, rhs: &Self) -> Self {
-        FieldElement(fp().add(self.0, rhs.0))
+        let (sum, carry) = add4(&self.0 .0, &rhs.0 .0);
+        // a + b < 2p, so a + b − p is the answer whenever the sum reached
+        // p; with a carry out, the wrapped difference is that same value.
+        let (diff, borrow) = sub4(&sum, &P.0);
+        FieldElement(U256(select4(carry | (borrow ^ 1), &diff, &sum)))
     }
 
     /// Field subtraction.
+    #[inline]
     pub fn sub(&self, rhs: &Self) -> Self {
-        FieldElement(fp().sub(self.0, rhs.0))
+        FieldElement(U256(sub_mod(&self.0 .0, &rhs.0 .0, &P.0)))
     }
 
     /// Field multiplication.
+    #[inline]
     pub fn mul(&self, rhs: &Self) -> Self {
-        FieldElement(fp().mul(self.0, rhs.0))
+        FieldElement(reduce_wide(&self.0.mul_wide(&rhs.0)))
     }
 
     /// Field squaring.
+    #[inline]
     pub fn square(&self) -> Self {
-        FieldElement(fp().sqr(self.0))
+        FieldElement(reduce_wide(&sqr_wide(&self.0 .0)))
+    }
+
+    /// `self^(2^n)`: `n` successive squarings.
+    fn square_n(&self, n: usize) -> Self {
+        let mut acc = *self;
+        for _ in 0..n {
+            acc = acc.square();
+        }
+        acc
     }
 
     /// Field negation.
+    #[inline]
     pub fn neg(&self) -> Self {
-        FieldElement(fp().neg(self.0))
+        if self.is_zero() {
+            *self
+        } else {
+            FieldElement(P.wrapping_sub(&self.0))
+        }
     }
 
     /// Multiplicative inverse (zero maps to zero).
     pub fn invert(&self) -> Self {
-        FieldElement(fp().inv(self.0))
+        FieldElement(self.0.inv_mod(&P))
     }
 
-    /// Exponentiation.
+    /// Exponentiation by square-and-multiply.
     pub fn pow(&self, e: U256) -> Self {
-        FieldElement(fp().pow(self.0, e))
+        let mut acc = FieldElement::ONE;
+        for i in (0..e.bits()).rev() {
+            acc = acc.square();
+            if e.bit(i) {
+                acc = acc.mul(self);
+            }
+        }
+        acc
     }
 
     /// Square root, if one exists. Because `p ≡ 3 (mod 4)`, the candidate is
     /// `a^{(p+1)/4}`; `None` when `a` is a non-residue.
+    ///
+    /// `(p+1)/4` in binary is 223 ones, a zero, 22 ones, four zeros, two
+    /// ones and two zeros, so the power is an addition chain over
+    /// `x_k = a^(2^k − 1)`: 253 squarings and 13 multiplications.
     pub fn sqrt(&self) -> Option<Self> {
-        let exp = fp().modulus().wrapping_add(&U256::ONE).shr(2);
-        let candidate = self.pow(exp);
+        let x2 = self.square().mul(self);
+        let x3 = x2.square().mul(self);
+        let x6 = x3.square_n(3).mul(&x3);
+        let x9 = x6.square_n(3).mul(&x3);
+        let x11 = x9.square_n(2).mul(&x2);
+        let x22 = x11.square_n(11).mul(&x11);
+        let x44 = x22.square_n(22).mul(&x22);
+        let x88 = x44.square_n(44).mul(&x44);
+        let x176 = x88.square_n(88).mul(&x88);
+        let x220 = x176.square_n(44).mul(&x44);
+        let x223 = x220.square_n(3).mul(&x3);
+        let candidate = x223.square_n(23).mul(&x22).square_n(6).mul(&x2).square_n(2);
         if candidate.square() == *self {
             Some(candidate)
         } else {
@@ -428,12 +366,54 @@ mod tests {
     }
 
     #[test]
-    fn reduce_wide_vs_naive() {
-        // (p-1)² mod p must equal 1 (since (p-1) ≡ -1).
-        let p_minus_1 = FieldElement::prime().wrapping_sub(&U256::ONE);
-        let wide = p_minus_1.mul_wide(&p_minus_1);
-        let engine = ModArith::new(FieldElement::prime());
-        assert_eq!(engine.reduce_wide(wide), U256::ONE);
+    fn constants_match_published_hex() {
+        assert_eq!(P, U256::from_hex(P_HEX).unwrap());
+        // FOLD = 2^256 mod p = 2^256 − p.
+        assert_eq!(
+            U256::from_u64(FOLD),
+            U256::MAX.wrapping_sub(&P).wrapping_add(&U256::ONE)
+        );
+    }
+
+    #[test]
+    fn reduce_wide_edges() {
+        // (p−1)² ≡ 1 since p−1 ≡ −1.
+        let p_minus_1 = P.wrapping_sub(&U256::ONE);
+        assert_eq!(reduce_wide(&p_minus_1.mul_wide(&p_minus_1)), U256::ONE);
+        assert_eq!(reduce_wide(&sqr_wide(&p_minus_1.0)), U256::ONE);
+        // 2^512 − 1, the largest input: the first fold leaves a fifth limb
+        // of FOLD and the second fold carries out of 256 bits.
+        // 2^512 ≡ FOLD², so the result is FOLD² − 1.
+        let fold = FieldElement::from_u64(FOLD);
+        assert_eq!(
+            reduce_wide(&[u64::MAX; 8]),
+            fold.mul(&fold).sub(&FieldElement::ONE).to_u256()
+        );
+    }
+
+    #[test]
+    fn sqr_wide_matches_mul_wide() {
+        for a in [
+            U256::ZERO,
+            U256::ONE,
+            U256::MAX,
+            P.wrapping_sub(&U256::ONE),
+            U256([u64::MAX, 0, u64::MAX, 0]),
+            U256([0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210, 7, 1 << 63]),
+        ] {
+            assert_eq!(sqr_wide(&a.0), a.mul_wide(&a), "a = {a}");
+        }
+    }
+
+    #[test]
+    fn sqrt_chain_matches_generic_power() {
+        let exp = P.wrapping_add(&U256::ONE).shr(2);
+        for v in [2u64, 3, 4, 5, 7, 132, 0xdead_beef] {
+            let a = FieldElement::from_u64(v);
+            let reference = Some(a.pow(exp)).filter(|c| c.square() == a);
+            assert_eq!(a.sqrt(), reference, "v = {v}");
+        }
+        assert_eq!(FieldElement::ZERO.sqrt(), Some(FieldElement::ZERO));
     }
 
     #[test]
@@ -448,49 +428,25 @@ mod tests {
 #[cfg(test)]
 mod inv_tests {
     use super::*;
-    use crate::scalar::N_HEX;
 
     #[test]
-    fn binary_inverse_matches_fermat_for_both_moduli() {
-        for modulus_hex in [P_HEX, N_HEX] {
-            let engine = ModArith::new(U256::from_hex(modulus_hex).unwrap());
-            let samples = [
-                U256::ONE,
-                U256::from_u64(2),
-                U256::from_u64(3),
-                U256::from_u64(0xdeadbeef),
-                U256::ONE.shl(128),
-                U256::ONE.shl(255),
-                engine.modulus().wrapping_sub(&U256::ONE),
-                engine.modulus().wrapping_sub(&U256::from_u64(12345)),
-                U256::from_hex("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798")
-                    .unwrap(),
-            ];
-            for a in samples {
-                assert_eq!(
-                    engine.inv(a),
-                    engine.inv_fermat(a),
-                    "modulus {modulus_hex}, a = {a}"
-                );
-                assert_eq!(engine.mul(a, engine.inv(a)), U256::ONE);
-            }
-        }
-    }
-
-    #[test]
-    fn binary_inverse_of_zero_is_zero() {
-        let engine = ModArith::new(U256::from_hex(P_HEX).unwrap());
-        assert_eq!(engine.inv(U256::ZERO), U256::ZERO);
-    }
-
-    #[test]
-    fn halve_mod_is_consistent() {
-        let m = U256::from_hex(P_HEX).unwrap();
-        let engine = ModArith::new(m);
-        for v in [U256::ONE, U256::from_u64(7), m.wrapping_sub(&U256::ONE)] {
-            let halved = halve_mod(v, &m);
-            // 2 · (v/2) ≡ v (mod m)
-            assert_eq!(engine.add(halved, halved), engine.reduce(v));
+    fn binary_inverse_matches_fermat() {
+        let samples = [
+            U256::ONE,
+            U256::from_u64(2),
+            U256::from_u64(3),
+            U256::from_u64(0xdeadbeef),
+            U256::ONE.shl(128),
+            U256::ONE.shl(255),
+            P.wrapping_sub(&U256::ONE),
+            P.wrapping_sub(&U256::from_u64(12345)),
+            U256::from_hex("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798")
+                .unwrap(),
+        ];
+        let p_minus_2 = P.wrapping_sub(&U256::from_u64(2));
+        for a in samples.map(FieldElement::from_u256_reduced) {
+            assert_eq!(a.invert(), a.pow(p_minus_2), "a = {a:?}");
+            assert_eq!(a.mul(&a.invert()), FieldElement::ONE);
         }
     }
 }

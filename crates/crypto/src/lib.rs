@@ -10,7 +10,9 @@
 //! - [`ripemd160`] — RIPEMD-160, cited by the paper for address privacy.
 //! - [`hmac`] — HMAC-SHA256, needed by RFC 6979 deterministic nonces.
 //! - [`u256`] / [`field`] / [`scalar`] / [`point`] — 256-bit integer and
-//!   secp256k1 curve arithmetic.
+//!   secp256k1 curve arithmetic. **All of it is variable-time**: branches,
+//!   table indices and loop counts depend on secret scalars. This is the
+//!   substrate of a simulation, not side-channel-hardened signing.
 //! - [`ecdsa`] — ECDSA over secp256k1 with RFC 6979 nonces, the signature
 //!   scheme of the paper's prototype ("SmartCrowd supports ECDSA signature
 //!   and hashing function SHA-3 ... using secp256k1 curve").

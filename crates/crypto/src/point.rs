@@ -1,13 +1,13 @@
 //! Group arithmetic on the secp256k1 curve `y² = x³ + 7` over **F_p**.
 //!
-//! Points are exposed in affine form ([`Point`]); internally, addition and
-//! scalar multiplication run in Jacobian projective coordinates to avoid a
-//! field inversion per operation.
+//! Points are exposed in affine form ([`Point`]). Every multiplication runs
+//! in Jacobian projective coordinates and converts back once, at the end:
+//! `a·G + b·P` is a single Strauss–Shamir pass (shared doublings, signed
+//! odd-digit windows over both scalars), `k·G` alone a fixed-base comb.
 
 use crate::error::CryptoError;
 use crate::field::FieldElement;
 use crate::scalar::Scalar;
-use crate::u256::U256;
 use std::sync::OnceLock;
 
 /// The curve constant `b = 7` in `y² = x³ + b`.
@@ -17,6 +17,22 @@ const B: u64 = 7;
 pub const GX_HEX: &str = "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798";
 /// y-coordinate of the generator point `G`.
 pub const GY_HEX: &str = "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8";
+
+/// The generator `G` as limbs.
+const G: Affine = Affine {
+    x: FieldElement::from_limbs_unchecked([
+        0x59F2_815B_16F8_1798,
+        0x029B_FCDB_2DCE_28D9,
+        0x55A0_6295_CE87_0B07,
+        0x79BE_667E_F9DC_BBAC,
+    ]),
+    y: FieldElement::from_limbs_unchecked([
+        0x9C47_D08F_FB10_D4B8,
+        0xFD17_B448_A685_5419,
+        0x5DA4_FBFC_0E11_08A8,
+        0x483A_DA77_26A3_C465,
+    ]),
+};
 
 /// A point on secp256k1 in affine coordinates, or the point at infinity.
 ///
@@ -42,6 +58,23 @@ pub enum Point {
         /// y-coordinate.
         y: FieldElement,
     },
+}
+
+/// A finite point in affine coordinates: the entry type of the static
+/// generator tables, added to an accumulator with the mixed formulas.
+#[derive(Clone, Copy)]
+struct Affine {
+    x: FieldElement,
+    y: FieldElement,
+}
+
+impl Affine {
+    fn neg(&self) -> Affine {
+        Affine {
+            x: self.x,
+            y: self.y.neg(),
+        }
+    }
 }
 
 /// Internal Jacobian representation `(X, Y, Z)` with `x = X/Z²`, `y = Y/Z³`.
@@ -87,7 +120,14 @@ impl Jacobian {
         }
     }
 
-    /// Point doubling (dbl-2009-l formulas, `a = 0`).
+    fn neg(&self) -> Jacobian {
+        Jacobian {
+            y: self.y.neg(),
+            ..*self
+        }
+    }
+
+    /// Point doubling for `a = 0` (3M + 4S).
     fn double(&self) -> Jacobian {
         if self.is_infinity() || self.y.is_zero() {
             return Jacobian::INFINITY;
@@ -95,28 +135,23 @@ impl Jacobian {
         let a = self.x.square();
         let b = self.y.square();
         let c = b.square();
-        let x_plus_b = self.x.add(&b);
-        let d = x_plus_b.square().sub(&a).sub(&c);
-        let d = d.add(&d); // 2((X+B)² − A − C)
-        let e = a.add(&a).add(&a); // 3A
-        let f = e.square();
-        let x3 = f.sub(&d).sub(&d);
-        let c8 = {
-            let c2 = c.add(&c);
-            let c4 = c2.add(&c2);
-            c4.add(&c4)
-        };
-        let y3 = e.mul(&d.sub(&x3)).sub(&c8);
-        let z3 = self.y.mul(&self.z);
-        let z3 = z3.add(&z3);
+        let xb = self.x.mul(&b);
+        let xb2 = xb.add(&xb);
+        let d = xb2.add(&xb2); // 4·X·Y²
+        let e = a.add(&a).add(&a); // 3·X²
+        let x3 = e.square().sub(&d).sub(&d);
+        let c2 = c.add(&c);
+        let c4 = c2.add(&c2);
+        let y3 = e.mul(&d.sub(&x3)).sub(&c4.add(&c4));
+        let yz = self.y.mul(&self.z);
         Jacobian {
             x: x3,
             y: y3,
-            z: z3,
+            z: yz.add(&yz),
         }
     }
 
-    /// General point addition (add-2007-bl formulas).
+    /// General point addition (12M + 4S).
     fn add(&self, other: &Jacobian) -> Jacobian {
         if self.is_infinity() {
             return *other;
@@ -130,8 +165,38 @@ impl Jacobian {
         let u2 = other.x.mul(&z1z1);
         let s1 = self.y.mul(&other.z).mul(&z2z2);
         let s2 = other.y.mul(&self.z).mul(&z1z1);
-        let h = u2.sub(&u1);
-        let r = s2.sub(&s1);
+        self.add_tail(u1, s1, u2.sub(&u1), s2.sub(&s1), &self.z.mul(&other.z))
+    }
+
+    /// Mixed addition of an affine point, i.e. `add` with `Z2 = 1`
+    /// (8M + 3S).
+    fn add_affine(&self, other: &Affine) -> Jacobian {
+        if self.is_infinity() {
+            return Jacobian {
+                x: other.x,
+                y: other.y,
+                z: FieldElement::ONE,
+            };
+        }
+        let z1z1 = self.z.square();
+        let u2 = other.x.mul(&z1z1);
+        let s2 = other.y.mul(&self.z).mul(&z1z1);
+        self.add_tail(self.x, self.y, u2.sub(&self.x), s2.sub(&self.y), &self.z)
+    }
+
+    /// The shared second half of both additions: `self` has been brought to
+    /// the common denominator as `(u1, s1)`, the other operand differs from
+    /// it by `(h, r)`, and `z` is the product of the two `Z`s. `h = 0` is
+    /// the exceptional case the ladder must not assume away: the operands
+    /// are the same point (double) or opposite points (infinity).
+    fn add_tail(
+        &self,
+        u1: FieldElement,
+        s1: FieldElement,
+        h: FieldElement,
+        r: FieldElement,
+        z: &FieldElement,
+    ) -> Jacobian {
         if h.is_zero() {
             if r.is_zero() {
                 return self.double();
@@ -143,46 +208,137 @@ impl Jacobian {
         let v = u1.mul(&hh);
         let x3 = r.square().sub(&hhh).sub(&v).sub(&v);
         let y3 = r.mul(&v.sub(&x3)).sub(&s1.mul(&hhh));
-        let z3 = self.z.mul(&other.z).mul(&h);
         Jacobian {
             x: x3,
             y: y3,
-            z: z3,
+            z: z.mul(&h),
+        }
+    }
+
+    /// Fills `out[i] = (2i+1)·self`, the table a width-`w` signed-digit
+    /// window of `2^(w−2)` entries indexes.
+    fn odd_multiples(&self, out: &mut [Jacobian]) {
+        let twice = self.double();
+        let mut acc = *self;
+        for slot in out {
+            *slot = acc;
+            acc = acc.add(&twice);
         }
     }
 }
 
-/// Fixed-base comb table for the generator: `TABLE[w][d-1] = d·16^w·G`
-/// for windows `w ∈ 0..64` and digits `d ∈ 1..=15`. Built once on first
-/// use (~1000 group additions, a few milliseconds), it turns every
-/// generator multiplication — the hot half of sign/verify/recover — into
-/// at most 64 additions with no doublings.
-fn generator_table() -> &'static Vec<[Point; 15]> {
-    static TABLE: OnceLock<Vec<[Point; 15]>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = Vec::with_capacity(64);
-        let mut window_base = Point::generator(); // 16^w · G
-        for _ in 0..64 {
-            let mut row = [Point::Infinity; 15];
+/// Converts finite Jacobian points to affine with one field inversion
+/// (Montgomery's trick: invert the product of all `Z`s, then peel one `Z`
+/// off per point).
+fn batch_to_affine(points: &[Jacobian]) -> Vec<Affine> {
+    let mut prefix = Vec::with_capacity(points.len());
+    let mut acc = FieldElement::ONE;
+    for p in points {
+        prefix.push(acc);
+        acc = acc.mul(&p.z);
+    }
+    let mut inv = acc.invert();
+    let mut out = vec![G; points.len()];
+    for ((p, before), slot) in points.iter().zip(&prefix).zip(&mut out).rev() {
+        let zinv = inv.mul(before);
+        inv = inv.mul(&p.z);
+        let zinv2 = zinv.square();
+        *slot = Affine {
+            x: p.x.mul(&zinv2),
+            y: p.y.mul(&zinv2).mul(&zinv),
+        };
+    }
+    out
+}
+
+/// Window width of the signed-digit form of the variable-base scalar: an
+/// eight-entry table built per multiplication.
+const WINDOW_P: usize = 5;
+/// Window width for the generator's scalar: its table is static, so it can
+/// be wider (256 entries, 16 KiB).
+const WINDOW_G: usize = 10;
+
+/// Entries in the fixed-base comb: 64 four-bit windows × 15 non-zero digits.
+const COMB_LEN: usize = 64 * 15;
+
+/// The precomputed multiples of `G`, built once on first use (~1200 group
+/// additions and one inversion, well under a millisecond); 76 KiB in all.
+struct GeneratorTables {
+    /// Fixed-base comb: `comb[15·w + d − 1] = d·16^w·G` for windows
+    /// `w ∈ 0..64` and digits `d ∈ 1..=15`. Turns `k·G` alone (signing
+    /// nonces, public-key derivation) into at most 64 mixed additions with
+    /// no doublings.
+    comb: Vec<Affine>,
+    /// `odd[i] = (2i+1)·G`: the generator half of [`Point::lincomb_with_generator`].
+    odd: Vec<Affine>,
+}
+
+fn generator_tables() -> &'static GeneratorTables {
+    static TABLES: OnceLock<GeneratorTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let g = Jacobian::from_affine(&Point::generator());
+        let mut points = vec![Jacobian::INFINITY; COMB_LEN + (1 << (WINDOW_G - 2))];
+        let (comb, odd) = points.split_at_mut(COMB_LEN);
+        let mut window_base = g; // 16^w · G
+        for row in comb.chunks_mut(15) {
             let mut acc = window_base;
-            for slot in row.iter_mut() {
+            for slot in row {
                 *slot = acc;
                 acc = acc.add(&window_base);
             }
-            table.push(row);
             window_base = acc; // 16 · (16^w · G) = 16^{w+1} · G
         }
-        table
+        g.odd_multiples(odd);
+        let mut comb = batch_to_affine(&points);
+        let odd = comb.split_off(COMB_LEN);
+        GeneratorTables { comb, odd }
     })
+}
+
+/// Width-`w` non-adjacent form of `k`: `k = Σ naf[i]·2^i` where every
+/// non-zero digit is odd with `|digit| < 2^(w−1)` and at most one in any
+/// `w` consecutive positions is non-zero. 257 digits, because the top
+/// window can carry out of bit 255.
+fn wnaf(k: &Scalar, w: usize) -> [i16; 257] {
+    let limbs = k.to_u256().limbs();
+    // Bits `i..i+width` for `width ≤ w` and `i + width ≤ 256`.
+    let bits = |i: usize, width: usize| {
+        let (limb, off) = (i / 64, i % 64);
+        let mut v = limbs[limb] >> off;
+        if off + width > 64 {
+            v |= limbs[limb + 1] << (64 - off);
+        }
+        v & ((1 << width) - 1)
+    };
+    let mut naf = [0i16; 257];
+    let mut carry = 0u64;
+    let mut i = 0;
+    while i < 256 {
+        if bits(i, 1) == carry {
+            // 0 + 0, or 1 + 1 which leaves 0 and keeps the carry.
+            i += 1;
+            continue;
+        }
+        let width = w.min(256 - i);
+        let word = bits(i, width) + carry; // odd, below 2^w
+        carry = (word >> (w - 1)) & 1;
+        naf[i] = (word as i32 - ((carry as i32) << w)) as i16;
+        i += width;
+    }
+    naf[256] = carry as i16;
+    naf
+}
+
+/// Splits a non-zero wNAF digit into its odd-multiples table index and
+/// whether the entry is subtracted.
+fn digit_entry(digit: i16) -> (usize, bool) {
+    (usize::from(digit.unsigned_abs() >> 1), digit < 0)
 }
 
 impl Point {
     /// The secp256k1 generator `G`.
     pub fn generator() -> Point {
-        Point::Affine {
-            x: FieldElement::from_u256_reduced(U256::from_hex(GX_HEX).expect("valid GX")),
-            y: FieldElement::from_u256_reduced(U256::from_hex(GY_HEX).expect("valid GY")),
-        }
+        Point::Affine { x: G.x, y: G.y }
     }
 
     /// Constructs a point from affine coordinates, validating the curve
@@ -254,89 +410,58 @@ impl Point {
         }
     }
 
-    /// Scalar multiplication `k·P` using a fixed 4-bit window: one table of
-    /// 15 precomputed multiples, then 4 doublings plus at most one addition
-    /// per nibble — roughly 25 % fewer group additions than binary
-    /// double-and-add on random scalars.
+    /// Scalar multiplication `k·P` (the variable-base half of
+    /// [`Point::lincomb_with_generator`]).
     pub fn mul(&self, k: &Scalar) -> Point {
-        if k.is_zero() || self.is_infinity() {
-            return Point::Infinity;
-        }
-        // table[i] = (i+1)·P in Jacobian coordinates.
-        let base = Jacobian::from_affine(self);
-        let mut table = [Jacobian::INFINITY; 15];
-        table[0] = base;
-        for i in 1..15 {
-            table[i] = table[i - 1].add(&base);
-        }
-        let e = k.to_u256();
-        let bits = e.bits();
-        let top_nibble = bits.div_ceil(4);
-        let mut acc = Jacobian::INFINITY;
-        for nibble_index in (0..top_nibble).rev() {
-            for _ in 0..4 {
-                acc = acc.double();
-            }
-            let mut nibble = 0usize;
-            for b in 0..4 {
-                let bit = nibble_index * 4 + (3 - b);
-                if bit < 256 && e.bit(bit) {
-                    nibble |= 1 << (3 - b);
-                }
-            }
-            if nibble != 0 {
-                acc = acc.add(&table[nibble - 1]);
-            }
-        }
-        acc.to_affine()
-    }
-
-    /// Reference binary double-and-add multiplication (kept for
-    /// cross-checking the windowed implementation in tests).
-    pub fn mul_binary(&self, k: &Scalar) -> Point {
-        if k.is_zero() || self.is_infinity() {
-            return Point::Infinity;
-        }
-        let base = Jacobian::from_affine(self);
-        let mut acc = Jacobian::INFINITY;
-        let e = k.to_u256();
-        for i in (0..e.bits()).rev() {
-            acc = acc.double();
-            if e.bit(i) {
-                acc = acc.add(&base);
-            }
-        }
-        acc.to_affine()
+        Point::lincomb_with_generator(&Scalar::ZERO, k, self)
     }
 
     /// Multiplies the generator by `k` using the precomputed fixed-base
-    /// comb — the fast path for `k·G` (signing nonces, verification's
-    /// `u1·G`, recovery's `e·G`, public-key derivation).
+    /// comb — the fast path for `k·G` alone (signing nonces, public-key
+    /// derivation).
     pub fn mul_generator(k: &Scalar) -> Point {
-        if k.is_zero() {
-            return Point::Infinity;
-        }
-        let table = generator_table();
-        let e = k.to_u256();
+        let comb = &generator_tables().comb;
+        let limbs = k.to_u256().limbs();
         let mut acc = Jacobian::INFINITY;
-        for (w, row) in table.iter().enumerate() {
-            let mut nibble = 0usize;
-            for b in 0..4 {
-                let bit = w * 4 + b;
-                if bit < 256 && e.bit(bit) {
-                    nibble |= 1 << b;
-                }
-            }
+        for w in 0..64 {
+            let nibble = (limbs[w / 16] >> (4 * (w % 16))) as usize & 15;
             if nibble != 0 {
-                acc = acc.add(&Jacobian::from_affine(&row[nibble - 1]));
+                acc = acc.add_affine(&comb[15 * w + nibble - 1]);
             }
         }
         acc.to_affine()
     }
 
-    /// Computes `a·G + b·P` (the ECDSA verification double multiply).
+    /// Computes `a·G + b·P` (the ECDSA verification and recovery double
+    /// multiply) in one Strauss–Shamir pass: both scalars in signed-digit
+    /// window form, one shared run of doublings, `a`'s digits added from the
+    /// static odd multiples of `G` and `b`'s from an odd-multiples table of
+    /// `P` built here, one conversion to affine at the end.
+    ///
+    /// Every operand a peer can choose is safe: the additions handle an
+    /// accumulator equal or opposite to a table entry, a zero scalar has no
+    /// digits, and the multiples of `P = ∞` are all `∞`.
     pub fn lincomb_with_generator(a: &Scalar, b: &Scalar, p: &Point) -> Point {
-        Point::mul_generator(a).add(&p.mul(b))
+        let odd_g = &generator_tables().odd;
+        let mut odd_p = [Jacobian::INFINITY; 1 << (WINDOW_P - 2)];
+        Jacobian::from_affine(p).odd_multiples(&mut odd_p);
+        let naf_g = wnaf(a, WINDOW_G);
+        let naf_p = wnaf(b, WINDOW_P);
+        let mut acc = Jacobian::INFINITY;
+        for (&digit_g, &digit_p) in naf_g.iter().zip(&naf_p).rev() {
+            acc = acc.double();
+            if digit_g != 0 {
+                let (index, negate) = digit_entry(digit_g);
+                let entry = odd_g[index];
+                acc = acc.add_affine(&if negate { entry.neg() } else { entry });
+            }
+            if digit_p != 0 {
+                let (index, negate) = digit_entry(digit_p);
+                let entry = odd_p[index];
+                acc = acc.add(&if negate { entry.neg() } else { entry });
+            }
+        }
+        acc.to_affine()
     }
 
     /// SEC1 uncompressed encoding `0x04 || x || y` (65 bytes); `None` for
@@ -404,13 +529,114 @@ impl Point {
     }
 }
 
+/// Reference binary double-and-add over the public affine operations, the
+/// oracle the windowed multiplications are checked against.
+#[cfg(test)]
+fn mul_binary(p: &Point, k: &Scalar) -> Point {
+    let e = k.to_u256();
+    let mut acc = Point::Infinity;
+    for i in (0..e.bits()).rev() {
+        acc = acc.double();
+        if e.bit(i) {
+            acc = acc.add(p);
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::u256::U256;
 
     #[test]
     fn generator_is_on_curve() {
         assert!(Point::generator().is_on_curve());
+    }
+
+    #[test]
+    fn generator_matches_published_hex() {
+        let g = Point::generator();
+        assert_eq!(g.x().unwrap().to_u256(), U256::from_hex(GX_HEX).unwrap());
+        assert_eq!(g.y().unwrap().to_u256(), U256::from_hex(GY_HEX).unwrap());
+    }
+
+    #[test]
+    fn wnaf_digits_reconstruct_the_scalar() {
+        let n_minus_1 = Scalar::from_u256_reduced(Scalar::order().wrapping_sub(&U256::ONE));
+        let top_bits = Scalar::from_u256_reduced(U256::MAX.shl(200));
+        for k in [
+            Scalar::ZERO,
+            Scalar::ONE,
+            Scalar::from_u64(u64::MAX),
+            n_minus_1,
+            top_bits,
+        ] {
+            for w in [2, WINDOW_P, WINDOW_G, 15] {
+                let naf = wnaf(&k, w);
+                // Horner from the top digit down, in the scalar field.
+                let mut acc = Scalar::ZERO;
+                let mut gap = w; // positions since the last non-zero digit
+                for &d in naf.iter().rev() {
+                    acc = acc.add(&acc);
+                    let mag = Scalar::from_u64(u64::from(d.unsigned_abs()));
+                    acc = if d < 0 { acc.sub(&mag) } else { acc.add(&mag) };
+                    if d != 0 {
+                        assert!(d % 2 != 0 && i32::from(d).abs() < 1 << (w - 1));
+                        assert!(gap >= w - 1, "digits closer than w apart");
+                        gap = 0;
+                    } else {
+                        gap += 1;
+                    }
+                }
+                assert_eq!(acc, k, "k = {k:?}, w = {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn generator_tables_hold_the_stated_multiples() {
+        let g = Point::generator();
+        let tables = generator_tables();
+        let finite = |a: &Affine| Point::Affine { x: a.x, y: a.y };
+        assert_eq!(tables.comb.len(), COMB_LEN);
+        assert_eq!(tables.odd.len(), 1 << (WINDOW_G - 2));
+        for (w, d) in [(0usize, 1u64), (0, 15), (1, 1), (7, 9), (63, 15)] {
+            let k = Scalar::from_u256_reduced(U256::from_u64(d).shl(4 * w));
+            assert_eq!(
+                finite(&tables.comb[15 * w + d as usize - 1]),
+                mul_binary(&g, &k)
+            );
+        }
+        for i in [0usize, 1, 2, 100, tables.odd.len() - 1] {
+            let k = Scalar::from_u64(2 * i as u64 + 1);
+            assert_eq!(finite(&tables.odd[i]), mul_binary(&g, &k));
+        }
+        // All static tables together stay inside the 128 KiB budget.
+        let bytes = (tables.comb.len() + tables.odd.len()) * std::mem::size_of::<Affine>();
+        assert!(bytes <= 128 * 1024, "{bytes} bytes of generator tables");
+    }
+
+    #[test]
+    fn lincomb_exceptional_operands() {
+        let g = Point::generator();
+        let k = Scalar::from_u64(0xdead_beef);
+        let p = mul_binary(&g, &Scalar::from_u64(77));
+        let lincomb = Point::lincomb_with_generator;
+        // Either scalar zero, P at infinity.
+        assert_eq!(lincomb(&Scalar::ZERO, &Scalar::ZERO, &p), Point::Infinity);
+        assert_eq!(lincomb(&k, &Scalar::ZERO, &p), mul_binary(&g, &k));
+        assert_eq!(lincomb(&Scalar::ZERO, &k, &p), mul_binary(&p, &k));
+        assert_eq!(lincomb(&k, &k, &Point::Infinity), mul_binary(&g, &k));
+        // P = ±G: the two tables hold the same (or opposite) points, so the
+        // accumulator meets its own table entry.
+        assert_eq!(lincomb(&k, &k, &g), mul_binary(&g, &k.add(&k)));
+        assert_eq!(lincomb(&k, &k, &g.neg()), Point::Infinity);
+        assert_eq!(lincomb(&Scalar::ONE, &Scalar::ONE, &g), g.double());
+        // a·G = −b·P with P ≠ ±G.
+        let b = Scalar::from_u64(5);
+        let a = b.mul(&Scalar::from_u64(77)).neg();
+        assert_eq!(lincomb(&a, &b, &p), Point::Infinity);
     }
 
     #[test]
@@ -537,6 +763,7 @@ mod tests {
 #[cfg(test)]
 mod windowed_tests {
     use super::*;
+    use crate::u256::U256;
 
     #[test]
     fn windowed_matches_binary_for_structured_scalars() {
@@ -552,7 +779,7 @@ mod windowed_tests {
             Scalar::from_u256_reduced(Scalar::order().wrapping_sub(&U256::ONE)),
             Scalar::from_u256_reduced(U256::MAX),
         ] {
-            assert_eq!(g.mul(&k), g.mul_binary(&k), "k = {k:?}");
+            assert_eq!(g.mul(&k), mul_binary(&g, &k), "k = {k:?}");
         }
     }
 
@@ -564,7 +791,7 @@ mod windowed_tests {
         for round in 0..10 {
             acc = crate::keccak::keccak256(&acc);
             let k = Scalar::from_digest(&acc);
-            assert_eq!(p.mul(&k), p.mul_binary(&k), "round {round}");
+            assert_eq!(p.mul(&k), mul_binary(&p, &k), "round {round}");
         }
     }
 }
@@ -572,6 +799,7 @@ mod windowed_tests {
 #[cfg(test)]
 mod fixed_base_tests {
     use super::*;
+    use crate::u256::U256;
 
     #[test]
     fn mul_generator_matches_generic_mul() {

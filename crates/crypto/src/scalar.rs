@@ -4,16 +4,57 @@
 //! every SmartCrowd signature (`P_Sign`, `D†_Sign`, `D*_Sign`; Eq. 2, 4, 5).
 
 use crate::error::CryptoError;
-use crate::field::ModArith;
-use crate::u256::U256;
+use crate::u256::{sub_mod, U256};
 use std::fmt;
 
 /// The secp256k1 group order
 /// `n = 0xFFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFE BAAEDCE6 AF48A03B BFD25E8C D0364141`.
 pub const N_HEX: &str = "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141";
 
-fn fn_arith() -> ModArith {
-    ModArith::new(U256::from_hex(N_HEX).expect("N_HEX is valid"))
+/// `n` as little-endian limbs.
+const N: U256 = U256([
+    0xBFD2_5E8C_D036_4141,
+    0xBAAE_DCE6_AF48_A03B,
+    0xFFFF_FFFF_FFFF_FFFE,
+    0xFFFF_FFFF_FFFF_FFFF,
+]);
+
+/// `⌊n/2⌋`: scalars above it are "high".
+const HALF_N: U256 = U256([
+    0xDFE9_2F46_681B_20A0,
+    0x5D57_6E73_57A4_501D,
+    0xFFFF_FFFF_FFFF_FFFF,
+    0x7FFF_FFFF_FFFF_FFFF,
+]);
+
+/// The fold constant `2^256 mod n = 2^256 − n` (129 bits).
+const FOLD: U256 = U256([0x402D_A173_2FC9_BEBF, 0x4551_2319_50B7_5FC4, 1, 0]);
+
+/// `v mod n` for any 256-bit `v` (one subtraction suffices: `2^256 < 2n`).
+fn reduce(v: U256) -> U256 {
+    if v >= N {
+        v.wrapping_sub(&N)
+    } else {
+        v
+    }
+}
+
+/// Reduces a 512-bit value (eight little-endian limbs) modulo `n`. A
+/// signature costs about five scalar operations, so this is the plain fold
+/// loop rather than anything specialised.
+fn reduce_wide(wide: [u64; 8]) -> U256 {
+    let mut lo = U256::from_limbs([wide[0], wide[1], wide[2], wide[3]]);
+    let mut hi = U256::from_limbs([wide[4], wide[5], wide[6], wide[7]]);
+    // x = hi*2^256 + lo ≡ hi*FOLD + lo (mod n); iterate until hi vanishes.
+    while !hi.is_zero() {
+        let prod = hi.mul_wide(&FOLD);
+        let prod_lo = U256::from_limbs([prod[0], prod[1], prod[2], prod[3]]);
+        let prod_hi = U256::from_limbs([prod[4], prod[5], prod[6], prod[7]]);
+        let (sum, carry) = prod_lo.overflowing_add(&lo);
+        lo = sum;
+        hi = prod_hi.wrapping_add(&U256::from_u64(carry as u64));
+    }
+    reduce(lo)
 }
 
 /// A scalar modulo the secp256k1 group order, always normalized to `[0, n)`.
@@ -38,7 +79,7 @@ impl Scalar {
 
     /// The group order `n`.
     pub fn order() -> U256 {
-        fn_arith().modulus()
+        N
     }
 
     /// Creates a scalar from a small integer.
@@ -48,7 +89,7 @@ impl Scalar {
 
     /// Creates a scalar from a `U256`, reducing modulo `n`.
     pub fn from_u256_reduced(v: U256) -> Self {
-        Scalar(fn_arith().reduce(v))
+        Scalar(reduce(v))
     }
 
     /// Parses a canonical (already `< n`) big-endian encoding. Zero is
@@ -59,7 +100,7 @@ impl Scalar {
     /// Returns [`CryptoError::ScalarOutOfRange`] when the value is `≥ n`.
     pub fn from_be_bytes(b: &[u8; 32]) -> Result<Self, CryptoError> {
         let v = U256::from_be_bytes(b);
-        if v >= fn_arith().modulus() {
+        if v >= N {
             return Err(CryptoError::ScalarOutOfRange);
         }
         Ok(Scalar(v))
@@ -82,7 +123,7 @@ impl Scalar {
     /// Interprets a 32-byte message digest as a scalar, reducing modulo `n`
     /// (the ECDSA `e = H(m) mod n` step).
     pub fn from_digest(digest: &[u8; 32]) -> Self {
-        Scalar(fn_arith().reduce(U256::from_be_bytes(digest)))
+        Scalar(reduce(U256::from_be_bytes(digest)))
     }
 
     /// Big-endian canonical encoding.
@@ -103,32 +144,39 @@ impl Scalar {
     /// Returns `true` when the scalar exceeds `n/2` (a "high-s" signature
     /// component that [`crate::ecdsa`] normalizes away, as Ethereum does).
     pub fn is_high(&self) -> bool {
-        self.0 > fn_arith().modulus().shr(1)
+        self.0 > HALF_N
     }
 
     /// Scalar addition mod `n`.
     pub fn add(&self, rhs: &Self) -> Self {
-        Scalar(fn_arith().add(self.0, rhs.0))
+        let (sum, carry) = self.0.overflowing_add(&rhs.0);
+        // A carried 2^256 re-enters as FOLD; FOLD < 2^129 and the wrapped
+        // sum is below n, so that addition cannot carry again.
+        Scalar(reduce(if carry { sum.wrapping_add(&FOLD) } else { sum }))
     }
 
     /// Scalar subtraction mod `n`.
     pub fn sub(&self, rhs: &Self) -> Self {
-        Scalar(fn_arith().sub(self.0, rhs.0))
+        Scalar(U256(sub_mod(&self.0 .0, &rhs.0 .0, &N.0)))
     }
 
     /// Scalar multiplication mod `n`.
     pub fn mul(&self, rhs: &Self) -> Self {
-        Scalar(fn_arith().mul(self.0, rhs.0))
+        Scalar(reduce_wide(self.0.mul_wide(&rhs.0)))
     }
 
     /// Scalar negation mod `n`.
     pub fn neg(&self) -> Self {
-        Scalar(fn_arith().neg(self.0))
+        if self.is_zero() {
+            *self
+        } else {
+            Scalar(N.wrapping_sub(&self.0))
+        }
     }
 
     /// Multiplicative inverse mod `n` (zero maps to zero).
     pub fn invert(&self) -> Self {
-        Scalar(fn_arith().inv(self.0))
+        Scalar(self.0.inv_mod(&N))
     }
 }
 
@@ -141,6 +189,13 @@ impl fmt::Debug for Scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn constants_match_published_hex() {
+        assert_eq!(N, U256::from_hex(N_HEX).unwrap());
+        assert_eq!(FOLD, U256::MAX.wrapping_sub(&N).wrapping_add(&U256::ONE));
+        assert_eq!(HALF_N, N.shr(1));
+    }
 
     #[test]
     fn order_matches_published_constant() {

@@ -146,16 +146,10 @@ impl U256 {
     }
 
     /// Addition returning `(sum mod 2^256, carried)`.
+    #[inline]
     pub fn overflowing_add(&self, rhs: &U256) -> (U256, bool) {
-        let mut out = [0u64; 4];
-        let mut carry = false;
-        for (i, slot) in out.iter_mut().enumerate() {
-            let (s1, c1) = self.0[i].overflowing_add(rhs.0[i]);
-            let (s2, c2) = s1.overflowing_add(carry as u64);
-            *slot = s2;
-            carry = c1 | c2;
-        }
-        (U256(out), carry)
+        let (sum, carry) = add4(&self.0, &rhs.0);
+        (U256(sum), carry != 0)
     }
 
     /// Wrapping addition modulo `2^256`.
@@ -172,16 +166,10 @@ impl U256 {
     }
 
     /// Subtraction returning `(diff mod 2^256, borrowed)`.
+    #[inline]
     pub fn overflowing_sub(&self, rhs: &U256) -> (U256, bool) {
-        let mut out = [0u64; 4];
-        let mut borrow = false;
-        for (i, slot) in out.iter_mut().enumerate() {
-            let (d1, b1) = self.0[i].overflowing_sub(rhs.0[i]);
-            let (d2, b2) = d1.overflowing_sub(borrow as u64);
-            *slot = d2;
-            borrow = b1 | b2;
-        }
-        (U256(out), borrow)
+        let (diff, borrow) = sub4(&self.0, &rhs.0);
+        (U256(diff), borrow != 0)
     }
 
     /// Wrapping subtraction modulo `2^256`.
@@ -199,16 +187,15 @@ impl U256 {
 
     /// Full 256×256 → 512-bit multiplication, returned as eight
     /// little-endian limbs.
+    #[inline]
     pub fn mul_wide(&self, rhs: &U256) -> [u64; 8] {
         let mut out = [0u64; 8];
         for i in 0..4 {
-            let mut carry: u128 = 0;
+            let mut carry = 0;
             for j in 0..4 {
-                let acc = out[i + j] as u128 + (self.0[i] as u128) * (rhs.0[j] as u128) + carry;
-                out[i + j] = acc as u64;
-                carry = acc >> 64;
+                (out[i + j], carry) = mac(out[i + j], self.0[i], rhs.0[j], carry);
             }
-            out[i + 4] = carry as u64;
+            out[i + 4] = carry;
         }
         out
     }
@@ -300,6 +287,123 @@ impl U256 {
     pub fn rem(&self, modulus: &U256) -> U256 {
         self.div_rem(modulus).1
     }
+
+    /// Inverse of `self` modulo an odd prime `m`, for `self < m`, by the
+    /// binary extended-GCD algorithm. Serves both secp256k1 moduli.
+    ///
+    /// Returns zero for a zero input.
+    pub(crate) fn inv_mod(&self, m: &U256) -> U256 {
+        if self.is_zero() {
+            return U256::ZERO;
+        }
+        let m = &m.0;
+        // Invariant: x1·self ≡ u and x2·self ≡ v (mod m). The halvings and
+        // modular subtractions are branch-free; what the operands decide
+        // is only how many of them run.
+        let (mut u, mut v) = (self.0, *m);
+        let (mut x1, mut x2) = (U256::ONE.0, U256::ZERO.0);
+        while u != U256::ONE.0 && v != U256::ONE.0 {
+            while u[0] & 1 == 0 {
+                u = shr1(&u, 0);
+                x1 = halve_mod(&x1, m);
+            }
+            while v[0] & 1 == 0 {
+                v = shr1(&v, 0);
+                x2 = halve_mod(&x2, m);
+            }
+            let (diff, borrow) = sub4(&u, &v);
+            if borrow == 0 {
+                u = diff;
+                x1 = sub_mod(&x1, &x2, m);
+            } else {
+                v = sub4(&v, &u).0;
+                x2 = sub_mod(&x2, &x1, m);
+            }
+        }
+        U256(if u == U256::ONE.0 { x1 } else { x2 })
+    }
+}
+
+/// `a + b + carry` as `(low limb, carry out)`.
+#[inline(always)]
+pub(crate) fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let (s, c1) = a.overflowing_add(b);
+    let (s, c2) = s.overflowing_add(carry);
+    (s, u64::from(c1 | c2))
+}
+
+/// `a − b − borrow` as `(low limb, borrow out)`.
+#[inline(always)]
+fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
+    let (d, b1) = a.overflowing_sub(b);
+    let (d, b2) = d.overflowing_sub(borrow);
+    (d, u64::from(b1 | b2))
+}
+
+/// `acc + a·b + carry` as `(low limb, carry out)`; cannot overflow.
+#[inline(always)]
+pub(crate) fn mac(acc: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let t = u128::from(acc) + u128::from(a) * u128::from(b) + u128::from(carry);
+    (t as u64, (t >> 64) as u64)
+}
+
+/// `a + b` over four limbs as `(sum mod 2^256, carry out)`.
+#[inline(always)]
+pub(crate) fn add4(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
+    let (r0, c) = adc(a[0], b[0], 0);
+    let (r1, c) = adc(a[1], b[1], c);
+    let (r2, c) = adc(a[2], b[2], c);
+    let (r3, c) = adc(a[3], b[3], c);
+    ([r0, r1, r2, r3], c)
+}
+
+/// `a − b` over four limbs as `(difference mod 2^256, borrow out)`.
+#[inline(always)]
+pub(crate) fn sub4(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
+    let (r0, c) = sbb(a[0], b[0], 0);
+    let (r1, c) = sbb(a[1], b[1], c);
+    let (r2, c) = sbb(a[2], b[2], c);
+    let (r3, c) = sbb(a[3], b[3], c);
+    ([r0, r1, r2, r3], c)
+}
+
+/// `a` when `pick_a` is 1, `b` when it is 0, without a branch (the choice
+/// is a coin flip on random operands, which a predictor cannot learn).
+#[inline(always)]
+pub(crate) fn select4(pick_a: u64, a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+    let mask = pick_a.wrapping_neg();
+    [
+        (a[0] & mask) | (b[0] & !mask),
+        (a[1] & mask) | (b[1] & !mask),
+        (a[2] & mask) | (b[2] & !mask),
+        (a[3] & mask) | (b[3] & !mask),
+    ]
+}
+
+/// `x >> 1` with `top` shifted in as bit 255.
+#[inline(always)]
+fn shr1(x: &[u64; 4], top: u64) -> [u64; 4] {
+    [
+        (x[0] >> 1) | (x[1] << 63),
+        (x[1] >> 1) | (x[2] << 63),
+        (x[2] >> 1) | (x[3] << 63),
+        (x[3] >> 1) | (top << 63),
+    ]
+}
+
+/// `x/2 mod m` for odd `m` and `x < m`: `x/2` when even, else `(x+m)/2`,
+/// where the sum's carry out of 256 bits re-enters as the top bit.
+#[inline(always)]
+fn halve_mod(x: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
+    let (sum, carry) = add4(x, &select4(x[0] & 1, m, &[0; 4]));
+    shr1(&sum, carry)
+}
+
+/// `(a − b) mod m` for `a, b < m`, without a branch.
+#[inline(always)]
+pub(crate) fn sub_mod(a: &[u64; 4], b: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
+    let (diff, borrow) = sub4(a, b);
+    add4(&diff, &select4(borrow, m, &[0; 4])).0
 }
 
 impl Ord for U256 {

@@ -1,0 +1,375 @@
+//! Differential tests of the secp256k1 kernel against the arithmetic it
+//! replaced (`reference/`): the p-specialised field, the constant-modulus
+//! scalar field, the Strauss–Shamir `lincomb_with_generator`, and
+//! `verify` / `recover` — same value, same `Ok`/`Err`, same error variant,
+//! on random inputs and on the operands a peer would pick to break a
+//! ladder.
+
+mod reference;
+
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use smartcrowd_crypto::ecdsa::{self, Signature};
+use smartcrowd_crypto::field::FieldElement;
+use smartcrowd_crypto::point::Point;
+use smartcrowd_crypto::scalar::Scalar;
+use smartcrowd_crypto::sha256::sha256;
+use smartcrowd_crypto::u256::U256;
+use smartcrowd_crypto::CryptoError;
+
+fn arb_u256() -> impl Strategy<Value = U256> {
+    any::<[u64; 4]>().prop_map(U256::from_limbs)
+}
+
+/// Random field elements, one in five replaced by a boundary value.
+fn arb_fe() -> impl Strategy<Value = FieldElement> {
+    (arb_u256(), 0..5 * FORCED_FE).prop_map(|(v, pick)| match forced_fe().get(pick) {
+        Some(forced) => *forced,
+        None => FieldElement::from_u256_reduced(v),
+    })
+}
+
+const FORCED_FE: usize = 6;
+
+/// 0, 1, 2, p−2, p−1 and 2²⁵⁶−1 reduced.
+fn forced_fe() -> [FieldElement; FORCED_FE] {
+    let p = FieldElement::prime();
+    [
+        U256::ZERO,
+        U256::ONE,
+        U256::from_u64(2),
+        p.wrapping_sub(&U256::from_u64(2)),
+        p.wrapping_sub(&U256::ONE),
+        U256::MAX,
+    ]
+    .map(FieldElement::from_u256_reduced)
+}
+
+/// Random scalars, one in five replaced by 0, 1, n−1, ⌊n/2⌋ or 2²⁵⁶−1
+/// reduced.
+fn arb_scalar() -> impl Strategy<Value = Scalar> {
+    (arb_u256(), 0usize..25).prop_map(|(v, pick)| {
+        let forced = [
+            U256::ZERO,
+            U256::ONE,
+            Scalar::order().wrapping_sub(&U256::ONE),
+            Scalar::order().shr(1),
+            U256::MAX,
+        ];
+        Scalar::from_u256_reduced(*forced.get(pick).unwrap_or(&v))
+    })
+}
+
+/// `FOLD⁻¹ mod 2²⁵⁶` for `FOLD = 2³² + 977` (Newton's iteration doubles
+/// the correct low bits each round).
+fn fold_inverse() -> U256 {
+    let fold = U256::from_u64(FOLD);
+    let mut x = U256::ONE;
+    for _ in 0..8 {
+        let two_minus = U256::from_u64(2).wrapping_sub(&fold.wrapping_mul(&x));
+        x = x.wrapping_mul(&two_minus);
+    }
+    assert_eq!(fold.wrapping_mul(&x), U256::ONE);
+    x
+}
+
+const FOLD: u64 = (1 << 32) + 977;
+
+/// Whether reducing `a·b` takes the rare path where the *second* fold of
+/// the high limbs carries out of 256 bits.
+fn second_fold_carries(a: &FieldElement, b: &FieldElement) -> bool {
+    let wide = a.to_u256().mul_wide(&b.to_u256());
+    let lo = U256::from_limbs([wide[0], wide[1], wide[2], wide[3]]);
+    let hi = U256::from_limbs([wide[4], wide[5], wide[6], wide[7]]);
+    let folded = hi.mul_wide(&U256::from_u64(FOLD));
+    let (low, carry) =
+        U256::from_limbs([folded[0], folded[1], folded[2], folded[3]]).overflowing_add(&lo);
+    let fifth = u128::from(folded[4]) + u128::from(carry);
+    low.overflowing_add(&U256::from_u128(fifth * u128::from(FOLD)))
+        .1
+}
+
+/// A pair whose product makes the second fold carry: `a = 2²⁵⁵` turns
+/// `a·b` into `hi = b/2, lo = 0`, and `hi` is solved from
+/// `hi·FOLD ≡ −delta (mod 2²⁵⁶)` so the first fold lands `delta` short of
+/// 2²⁵⁶. `None` for the half of the deltas whose solution exceeds 2²⁵⁵.
+fn carrying_pair(delta: u64) -> Option<(FieldElement, FieldElement)> {
+    let hi = U256::ZERO
+        .wrapping_sub(&U256::from_u64(delta))
+        .wrapping_mul(&fold_inverse());
+    if hi.bit(255) {
+        return None;
+    }
+    let a = FieldElement::from_u256_reduced(U256::ONE.shl(255));
+    let b = FieldElement::from_u256_reduced(hi.shl(1));
+    second_fold_carries(&a, &b).then_some((a, b))
+}
+
+/// A signature from raw parts, through the only door a peer has.
+fn sig_from_parts(r: U256, s: U256, v: u8) -> Result<Signature, CryptoError> {
+    let mut bytes = [0u8; 65];
+    bytes[..32].copy_from_slice(&r.to_be_bytes());
+    bytes[32..64].copy_from_slice(&s.to_be_bytes());
+    bytes[64] = v;
+    Signature::from_bytes(&bytes)
+}
+
+/// `recover` and `verify` against the reference on one input.
+fn assert_ecdsa_agrees(digest: &[u8; 32], sig: &Signature) -> Result<(), TestCaseError> {
+    let got = ecdsa::recover(digest, sig);
+    let want = reference::recover(digest, sig).map(reference::to_point);
+    prop_assert_eq!(got, want, "recover, sig = {:?}", sig);
+    if let Ok(q) = got {
+        prop_assert_eq!(ecdsa::verify(&q, digest, sig), Ok(()));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // ---- F_p ----------------------------------------------------------------
+
+    #[test]
+    fn field_ops_match_reference(a in arb_fe(), b in arb_fe()) {
+        let f = reference::fp();
+        let (x, y) = (a.to_u256(), b.to_u256());
+        prop_assert_eq!(a.mul(&b).to_u256(), f.mul(x, y));
+        prop_assert_eq!(a.square().to_u256(), f.mul(x, x));
+        prop_assert_eq!(a.add(&b).to_u256(), f.add(x, y));
+        prop_assert_eq!(a.sub(&b).to_u256(), f.sub(x, y));
+        prop_assert_eq!(a.neg().to_u256(), f.neg(x));
+        prop_assert_eq!(FieldElement::from_u256_reduced(x).to_u256(), f.reduce(x));
+    }
+
+    #[test]
+    fn field_sqrt_matches_pow_reference(a in arb_fe()) {
+        let f = reference::fp();
+        // A square (always has a root) and a raw element (half do not).
+        for v in [a.square(), a] {
+            prop_assert_eq!(v.sqrt().map(|r| r.to_u256()), f.sqrt_pow(v.to_u256()));
+        }
+    }
+
+    #[test]
+    fn field_mul_second_fold_carry(delta in 1u64..u64::MAX) {
+        let f = reference::fp();
+        if let Some((a, b)) = carrying_pair(delta) {
+            prop_assert_eq!(a.mul(&b).to_u256(), f.mul(a.to_u256(), b.to_u256()));
+            prop_assert_eq!(b.mul(&a).to_u256(), f.mul(a.to_u256(), b.to_u256()));
+        }
+    }
+
+    // ---- F_n ----------------------------------------------------------------
+
+    #[test]
+    fn scalar_ops_match_reference(a in arb_scalar(), b in arb_scalar(), raw in arb_u256()) {
+        let n = reference::fn_();
+        let (x, y) = (a.to_u256(), b.to_u256());
+        prop_assert_eq!(a.mul(&b).to_u256(), n.mul(x, y));
+        prop_assert_eq!(a.add(&b).to_u256(), n.add(x, y));
+        prop_assert_eq!(a.sub(&b).to_u256(), n.sub(x, y));
+        prop_assert_eq!(a.neg().to_u256(), n.neg(x));
+        prop_assert_eq!(Scalar::from_u256_reduced(raw).to_u256(), n.reduce(raw));
+        prop_assert_eq!(Scalar::from_digest(&raw.to_be_bytes()).to_u256(), n.reduce(raw));
+        prop_assert_eq!(a.is_high(), x > n.modulus.shr(1));
+    }
+}
+
+proptest! {
+    // Every case runs the reference's inversions and multiplications
+    // (milliseconds each), so these take fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn inversions_match_fermat(a in arb_fe(), k in arb_scalar()) {
+        prop_assert_eq!(a.invert().to_u256(), reference::fp().inv_fermat(a.to_u256()));
+        prop_assert_eq!(k.invert().to_u256(), reference::fn_().inv_fermat(k.to_u256()));
+    }
+
+    // ---- the group ----------------------------------------------------------
+
+    #[test]
+    fn multiplications_match_reference(k in arb_scalar(), seed in arb_scalar()) {
+        let g = reference::generator();
+        let p = reference::mul_binary(g, seed.to_u256());
+        let got_p = reference::to_point(p);
+        prop_assert_eq!(Point::mul_generator(&seed), got_p);
+        let want = reference::to_point(reference::mul_binary(p, k.to_u256()));
+        prop_assert_eq!(got_p.mul(&k), want);
+        prop_assert_eq!(reference::to_point(reference::mul_window4(p, k.to_u256())), want);
+    }
+
+    #[test]
+    fn lincomb_matches_two_multiplications(
+        a in arb_scalar(),
+        b in arb_scalar(),
+        seed in arb_scalar(),
+    ) {
+        let p = Point::mul_generator(&seed);
+        let want = reference::lincomb(a.to_u256(), b.to_u256(), reference::from_point(&p));
+        prop_assert_eq!(Point::lincomb_with_generator(&a, &b, &p), reference::to_point(want));
+    }
+
+    #[test]
+    fn lincomb_cancellation_gives_infinity(b in arb_scalar(), seed in arb_scalar()) {
+        // a·G = −b·P with P = seed·G, i.e. a = −b·seed.
+        let p = Point::mul_generator(&seed);
+        let a = b.mul(&seed).neg();
+        prop_assert_eq!(Point::lincomb_with_generator(&a, &b, &p), Point::Infinity);
+        // … and one step away from cancelling it is ±G.
+        let near = Point::lincomb_with_generator(&a.add(&Scalar::ONE), &b, &p);
+        prop_assert_eq!(near, Point::generator());
+    }
+
+    #[test]
+    fn decode_matches_reference(x in arb_u256(), odd in any::<bool>()) {
+        let mut bytes = [0u8; 33];
+        bytes[0] = if odd { 0x03 } else { 0x02 };
+        bytes[1..].copy_from_slice(&x.to_be_bytes());
+        let want = reference::decode_compressed(&bytes).map(reference::to_point);
+        prop_assert_eq!(Point::decode(&bytes), want);
+    }
+
+    // ---- ECDSA --------------------------------------------------------------
+
+    #[test]
+    fn ecdsa_valid_signatures(d in arb_scalar(), msg in any::<[u8; 32]>()) {
+        prop_assume!(!d.is_zero());
+        let sig = ecdsa::sign(&d, &msg);
+        let q = Point::mul_generator(&d);
+        prop_assert_eq!(ecdsa::recover(&msg, &sig), Ok(q));
+        prop_assert_eq!(ecdsa::verify(&q, &msg, &sig), Ok(()));
+        prop_assert_eq!(reference::verify(reference::from_point(&q), &msg, &sig), Ok(()));
+        assert_ecdsa_agrees(&msg, &sig)?;
+    }
+
+    #[test]
+    fn ecdsa_bit_flipped_digest(d in arb_scalar(), msg in any::<[u8; 32]>(), flip in 0usize..256) {
+        prop_assume!(!d.is_zero());
+        let sig = ecdsa::sign(&d, &msg);
+        let q = Point::mul_generator(&d);
+        let mut other = msg;
+        other[flip / 8] ^= 1 << (flip % 8);
+        prop_assert_eq!(
+            ecdsa::verify(&q, &other, &sig),
+            reference::verify(reference::from_point(&q), &other, &sig)
+        );
+        prop_assert_eq!(ecdsa::verify(&q, &other, &sig), Err(CryptoError::VerificationFailed));
+        assert_ecdsa_agrees(&other, &sig)?;
+    }
+
+    #[test]
+    fn ecdsa_every_recovery_id(d in arb_scalar(), msg in any::<[u8; 32]>()) {
+        prop_assume!(!d.is_zero());
+        let sig = ecdsa::sign(&d, &msg);
+        for v in 0..4 {
+            let other = sig_from_parts(sig.r().to_u256(), sig.s().to_u256(), v).unwrap();
+            assert_ecdsa_agrees(&msg, &other)?;
+        }
+    }
+
+    #[test]
+    fn ecdsa_arbitrary_components(
+        r in arb_u256(),
+        small_r in any::<u128>(),
+        s in arb_scalar(),
+        v in 0u8..4,
+        msg in any::<[u8; 32]>(),
+    ) {
+        // `small_r` is below p − n ≈ 2¹²⁸·1.27, so with v ≥ 2 the x
+        // candidate r + n stays inside the field — the only way to reach
+        // that branch; a full-width r exercises r + n ≥ p.
+        for r in [r, U256::from_u128(small_r)] {
+            let s = if s.is_high() { s.neg() } else { s };
+            match sig_from_parts(r, s.to_u256(), v) {
+                Ok(sig) => assert_ecdsa_agrees(&msg, &sig)?,
+                Err(e) => prop_assert_eq!(e, CryptoError::InvalidSignature),
+            }
+        }
+    }
+
+    #[test]
+    fn ecdsa_verify_under_wrong_or_invalid_key(
+        d in arb_scalar(),
+        other in arb_scalar(),
+        msg in any::<[u8; 32]>(),
+    ) {
+        prop_assume!(!d.is_zero());
+        let sig = ecdsa::sign(&d, &msg);
+        let wrong = Point::mul_generator(&other);
+        let off_curve = Point::Affine {
+            x: FieldElement::from_u256_reduced(other.to_u256()),
+            y: FieldElement::from_u256_reduced(d.to_u256()),
+        };
+        for q in [wrong, off_curve, Point::Infinity] {
+            prop_assert_eq!(
+                ecdsa::verify(&q, &msg, &sig),
+                reference::verify(reference::from_point(&q), &msg, &sig)
+            );
+        }
+    }
+}
+
+#[test]
+fn field_forced_operand_grid() {
+    let f = reference::fp();
+    for a in forced_fe() {
+        assert_eq!(a.sqrt().map(|r| r.to_u256()), f.sqrt_pow(a.to_u256()));
+        assert_eq!(a.invert().to_u256(), f.inv_fermat(a.to_u256()));
+        for b in forced_fe() {
+            assert_eq!(a.mul(&b).to_u256(), f.mul(a.to_u256(), b.to_u256()));
+            assert_eq!(a.add(&b).to_u256(), f.add(a.to_u256(), b.to_u256()));
+            assert_eq!(a.sub(&b).to_u256(), f.sub(a.to_u256(), b.to_u256()));
+        }
+    }
+}
+
+#[test]
+fn second_fold_carry_pairs_exist() {
+    // The generator above is not vacuous: about half of all deltas yield a
+    // pair, and each one really takes the carry path.
+    let found = (1..200u64).filter_map(carrying_pair).count();
+    assert!(found > 50, "only {found} carrying pairs in 1..200");
+    assert!(!second_fold_carries(
+        &FieldElement::ONE,
+        &FieldElement::from_u64(7)
+    ));
+}
+
+#[test]
+fn lincomb_edge_operands() {
+    let g = Point::generator();
+    let k = Scalar::from_digest(&sha256(b"edge scalar"));
+    let p = Point::mul_generator(&Scalar::from_digest(&sha256(b"edge point")));
+    let n_minus_1 = Scalar::ONE.neg();
+    let scalars = [Scalar::ZERO, Scalar::ONE, k, n_minus_1];
+    let points = [Point::Infinity, g, g.neg(), p, p.neg()];
+    for a in &scalars {
+        for b in &scalars {
+            for q in &points {
+                let want = reference::lincomb(a.to_u256(), b.to_u256(), reference::from_point(q));
+                assert_eq!(
+                    Point::lincomb_with_generator(a, b, q),
+                    reference::to_point(want),
+                    "a = {a:?}, b = {b:?}, q = {q:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn high_s_is_refused_at_the_door() {
+    let d = Scalar::from_u64(7);
+    let msg = sha256(b"high s");
+    let sig = ecdsa::sign(&d, &msg);
+    let high = sig.s().neg();
+    assert!(high.is_high());
+    for v in 0..4 {
+        assert_eq!(
+            sig_from_parts(sig.r().to_u256(), high.to_u256(), v),
+            Err(CryptoError::InvalidSignature)
+        );
+    }
+}
