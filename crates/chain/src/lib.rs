@@ -53,7 +53,6 @@ pub mod amount;
 pub mod block;
 mod chain_index;
 pub mod codec;
-pub mod confirm;
 pub mod difficulty;
 pub mod error;
 pub mod header;

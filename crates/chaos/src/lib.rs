@@ -15,8 +15,9 @@
 //!   duplicating, reordering gossip fabric.
 //! - **Invariant oracles** ([`oracle`], [`settle`]) — agreement at
 //!   confirmation depth, no rollback past finality, exact conservation of
-//!   Ether across escrow deposits and detector payouts, and eventual
-//!   convergence after recovery, checked after every mining round.
+//!   Ether across the escrow contracts every node's own SCVM deploys and
+//!   drains, and eventual convergence of tips and contract state after
+//!   recovery, checked after every mining round.
 //! - **Schedule exploration** ([`mod@explore`]) — seed sweeps whose failures
 //!   are greedily shrunk (fewer faults → shorter horizon → fewer nodes)
 //!   into ready-to-commit regression tests.
@@ -50,6 +51,6 @@ pub mod sim;
 pub use explore::{explore, shrink, ExploreConfig, ExploreReport, MinimizedFailure};
 pub use oracle::{NodeView, OracleKind, Oracles, Violation};
 pub use plan::{ByzantineBehavior, FaultEvent, FaultKind, FaultPlan, PlanConfig};
-pub use settle::{settle_confirmed, SettleError, Settlement};
+pub use settle::{audit, Audit, SettleError};
 pub use shrink::{greedy_fixpoint, Shrunk};
 pub use sim::{run_plan, ChaosFailure, ChaosOutcome, ChaosSim, PlantedBug};

@@ -10,15 +10,17 @@
 //!    confirmation depth.
 //! 2. **Finality** — no node's confirmed prefix ever rolls back: once a
 //!    block is final on a node, it stays final at that height forever.
-//! 3. **Conservation** — on every node's confirmed chain, insurance
-//!    deposits exactly equal detector payouts plus escrow remaining
-//!    ([`crate::settle::settle_confirmed`]).
+//! 3. **Conservation** — every honest node's settlement has folded its
+//!    chain exactly up to the finality horizon, and in its world state the
+//!    insurance deposited equals detector payouts plus what the escrow
+//!    contracts still hold ([`crate::settle::audit`]).
 //! 4. **Convergence** — after the final heal and recovery tail, every
-//!    honest running node holds the same best tip and the same
-//!    settlement.
+//!    honest running node — restarted ones included — holds the same best
+//!    tip and the same contract balances and payout list.
 
-use crate::settle::settle_confirmed;
+use crate::settle::audit;
 use smartcrowd_chain::{BlockId, ChainQuery, CONFIRMATION_DEPTH};
+use smartcrowd_core::settlement::Settlement;
 use std::fmt;
 
 /// Which oracle fired.
@@ -70,10 +72,10 @@ impl fmt::Display for Violation {
 /// One node's view as the oracles see it.
 #[derive(Debug)]
 pub struct NodeView<'a> {
-    /// The node's chain view; `None` while crashed. Any [`ChainQuery`]
-    /// backend qualifies, so durable-mode runs check the same oracles
-    /// over paged stores.
-    pub store: Option<&'a dyn ChainQuery>,
+    /// The node's chain view and the settlement it derived from it;
+    /// `None` while crashed. Any [`ChainQuery`] backend qualifies, so
+    /// durable-mode runs check the same oracles over paged stores.
+    pub running: Option<(&'a dyn ChainQuery, &'a Settlement)>,
     /// Whether the node is honest (Byzantine nodes are exempt from the
     /// honest-agreement checks; their stores are their own problem).
     pub honest: bool,
@@ -123,7 +125,9 @@ impl Oracles {
         // equivocator's own store must never roll back its finalized
         // prefix — the store is honest code.)
         for (i, view) in views.iter().enumerate() {
-            let Some(store) = view.store else { continue };
+            let Some((store, _)) = view.running else {
+                continue;
+            };
             let prefix = confirmed_prefix(store);
             let ledger = &mut self.finalized[i];
             let common = ledger.len().min(prefix.len());
@@ -152,7 +156,7 @@ impl Oracles {
                 if !a.honest || !b.honest || a.group != b.group {
                     continue;
                 }
-                let (Some(sa), Some(sb)) = (a.store, b.store) else {
+                let (Some((sa, _)), Some((sb, _))) = (a.running, b.running) else {
                     continue;
                 };
                 let pa = confirmed_prefix(sa);
@@ -173,77 +177,66 @@ impl Oracles {
             }
         }
 
-        // Conservation: every honest running node's confirmed chain
-        // settles exactly.
+        // Conservation: every honest running node settled exactly its
+        // confirmed chain, and its contract balances add up.
         for (i, view) in views.iter().enumerate() {
-            if !view.honest {
+            let Some((store, settlement)) = view.running.filter(|_| view.honest) else {
                 continue;
-            }
-            let Some(store) = view.store else { continue };
-            if let Err(e) = settle_confirmed(store) {
-                return Err(Violation {
-                    oracle: OracleKind::Conservation,
-                    round,
-                    detail: format!("node {i}: {e}"),
-                });
-            }
+            };
+            let horizon = store.best_height().saturating_sub(CONFIRMATION_DEPTH);
+            let folded = settlement.cursor();
+            let detail = if Some(folded) != store.canonical_id_at(horizon).map(|id| (horizon, id)) {
+                format!("settled through {folded:?}, finality horizon is {horizon}")
+            } else if let Err(e) = audit(settlement) {
+                e.to_string()
+            } else {
+                continue;
+            };
+            return Err(Violation {
+                oracle: OracleKind::Conservation,
+                round,
+                detail: format!("node {i}: {detail}"),
+            });
         }
         Ok(())
     }
 
     /// Runs the end-of-run convergence oracle: all honest running nodes
-    /// share one best tip and one settlement.
+    /// share one best tip and one contract state (escrow balances and
+    /// payout list as each node's own SCVM left them — conservation was
+    /// checked per round).
     ///
     /// # Errors
     ///
     /// Returns a [`Violation`] with [`OracleKind::Convergence`].
     pub fn check_convergence(&self, round: usize, views: &[NodeView<'_>]) -> Result<(), Violation> {
         let _span = smartcrowd_telemetry::span!("chaos.oracle.check");
-        let honest: Vec<(usize, &dyn ChainQuery)> = views
+        let mut honest = views
             .iter()
             .enumerate()
             .filter(|(_, v)| v.honest)
-            .filter_map(|(i, v)| v.store.map(|s| (i, s)))
-            .collect();
-        let Some(&(first, first_store)) = honest.first() else {
+            .filter_map(|(i, v)| v.running.map(|r| (i, r)));
+        let Some((first, (first_store, first_settlement))) = honest.next() else {
             return Ok(());
         };
         let tip = first_store.best_tip();
-        for &(i, store) in &honest[1..] {
-            if store.best_tip() != tip {
-                return Err(Violation {
-                    oracle: OracleKind::Convergence,
-                    round,
-                    detail: format!(
-                        "nodes {first} and {i} end with different tips: {} vs {}",
-                        tip,
-                        store.best_tip()
-                    ),
-                });
-            }
-        }
-        let baseline = settle_confirmed(first_store).map_err(|e| Violation {
-            oracle: OracleKind::Conservation,
-            round,
-            detail: format!("node {first}: {e}"),
-        })?;
-        for &(i, store) in &honest[1..] {
-            let s = settle_confirmed(store).map_err(|e| Violation {
-                oracle: OracleKind::Conservation,
+        let baseline = audit(first_settlement);
+        for (i, (store, settlement)) in honest {
+            let detail = if store.best_tip() != tip {
+                format!("different tips: {tip} vs {}", store.best_tip())
+            } else if audit(settlement) != baseline {
+                format!(
+                    "different contract state: {baseline:?} vs {:?}",
+                    audit(settlement)
+                )
+            } else {
+                continue;
+            };
+            return Err(Violation {
+                oracle: OracleKind::Convergence,
                 round,
-                detail: format!("node {i}: {e}"),
-            })?;
-            if s != baseline {
-                return Err(Violation {
-                    oracle: OracleKind::Convergence,
-                    round,
-                    detail: format!(
-                        "nodes {first} and {i} settle differently: \
-                         payouts {} vs {}",
-                        baseline.payouts, s.payouts
-                    ),
-                });
-            }
+                detail: format!("nodes {first} and {i} end with {detail}"),
+            });
         }
         Ok(())
     }
@@ -255,7 +248,9 @@ mod tests {
     use smartcrowd_chain::ChainStore;
     use smartcrowd_chain::{Block, Difficulty};
 
-    fn chain(n: u64) -> ChainStore {
+    /// A chain of `n` empty blocks, `skew` apart from any other skew's,
+    /// with the settlement a node would have derived from it.
+    fn chain(n: u64, skew: u64) -> (ChainStore, Settlement) {
         let genesis = Block::genesis(Difficulty::from_u64(1));
         let mut store = ChainStore::new(genesis.clone());
         let mut parent = genesis;
@@ -263,66 +258,40 @@ mod tests {
             let block = Block::assemble(
                 &parent,
                 vec![],
-                parent.header().timestamp + 1 + i,
+                parent.header().timestamp + 1 + skew + i,
                 Difficulty::from_u64(1),
                 smartcrowd_crypto::Address::from_label("m"),
             );
             store.insert(block.clone()).unwrap();
             parent = block;
         }
-        store
+        let mut settlement = Settlement::new(store.genesis_id());
+        settlement.advance(&store);
+        (store, settlement)
+    }
+
+    fn view((store, settlement): &(ChainStore, Settlement), honest: bool) -> NodeView<'_> {
+        NodeView {
+            running: Some((store, settlement)),
+            honest,
+            group: 0,
+        }
     }
 
     #[test]
     fn identical_chains_pass_all_round_oracles() {
-        let a = chain(10);
-        let b = chain(10);
+        let (a, b) = (chain(10, 0), chain(10, 0));
         let mut oracles = Oracles::new(2);
-        let views = [
-            NodeView {
-                store: Some(&a),
-                honest: true,
-                group: 0,
-            },
-            NodeView {
-                store: Some(&b),
-                honest: true,
-                group: 0,
-            },
-        ];
+        let views = [view(&a, true), view(&b, true)];
         oracles.check_round(1, &views).unwrap();
         oracles.check_convergence(1, &views).unwrap();
     }
 
     #[test]
     fn divergent_tips_fail_convergence_but_not_agreement_below_finality() {
-        let a = chain(3);
-        let b = {
-            let genesis = Block::genesis(Difficulty::from_u64(1));
-            let mut store = ChainStore::new(genesis.clone());
-            let block = Block::assemble(
-                &genesis,
-                vec![],
-                genesis.header().timestamp + 99,
-                Difficulty::from_u64(1),
-                smartcrowd_crypto::Address::from_label("n"),
-            );
-            store.insert(block).unwrap();
-            store
-        };
+        let (a, b) = (chain(3, 0), chain(1, 99));
         let mut oracles = Oracles::new(2);
-        let views = [
-            NodeView {
-                store: Some(&a),
-                honest: true,
-                group: 0,
-            },
-            NodeView {
-                store: Some(&b),
-                honest: true,
-                group: 0,
-            },
-        ];
+        let views = [view(&a, true), view(&b, true)];
         // Divergence is shallower than finality: agreement holds.
         oracles.check_round(1, &views).unwrap();
         // But the tips differ, so convergence fails.
@@ -332,72 +301,37 @@ mod tests {
 
     #[test]
     fn crashed_and_byzantine_nodes_are_exempt() {
-        let a = chain(12);
+        let a = chain(12, 0);
         let mut oracles = Oracles::new(3);
-        let views = [
-            NodeView {
-                store: Some(&a),
-                honest: true,
-                group: 0,
-            },
-            NodeView {
-                store: None,
-                honest: true,
-                group: 0,
-            },
-            NodeView {
-                store: Some(&a),
-                honest: false,
-                group: 0,
-            },
-        ];
+        let crashed = NodeView {
+            running: None,
+            honest: true,
+            group: 0,
+        };
+        let views = [view(&a, true), crashed, view(&a, false)];
         oracles.check_round(5, &views).unwrap();
         oracles.check_convergence(5, &views).unwrap();
     }
 
     #[test]
     fn finality_rollback_is_detected() {
-        let long = chain(12);
+        let long = chain(12, 0);
         let mut oracles = Oracles::new(1);
-        oracles
-            .check_round(
-                1,
-                &[NodeView {
-                    store: Some(&long),
-                    honest: true,
-                    group: 0,
-                }],
-            )
-            .unwrap();
+        oracles.check_round(1, &[view(&long, true)]).unwrap();
         // Replace the node's store with a conflicting chain of the same
         // length — its finalized prefix differs from the ledger.
-        let other = {
-            let genesis = Block::genesis(Difficulty::from_u64(1));
-            let mut store = ChainStore::new(genesis.clone());
-            let mut parent = genesis;
-            for i in 0..12 {
-                let block = Block::assemble(
-                    &parent,
-                    vec![],
-                    parent.header().timestamp + 50 + i,
-                    Difficulty::from_u64(1),
-                    smartcrowd_crypto::Address::from_label("q"),
-                );
-                store.insert(block.clone()).unwrap();
-                parent = block;
-            }
-            store
-        };
-        let err = oracles
-            .check_round(
-                2,
-                &[NodeView {
-                    store: Some(&other),
-                    honest: true,
-                    group: 0,
-                }],
-            )
-            .unwrap_err();
+        let other = chain(12, 50);
+        let err = oracles.check_round(2, &[view(&other, true)]).unwrap_err();
         assert_eq!(err.oracle, OracleKind::Finality);
+    }
+
+    #[test]
+    fn settlement_short_of_the_finality_horizon_is_a_conservation_violation() {
+        let (store, _) = chain(12, 0);
+        let stale = (store, Settlement::new(chain(0, 0).0.genesis_id()));
+        let err = Oracles::new(1)
+            .check_round(1, &[view(&stale, true)])
+            .unwrap_err();
+        assert_eq!(err.oracle, OracleKind::Conservation);
     }
 }

@@ -1,146 +1,66 @@
-//! Escrow settlement over a node's *confirmed* canonical chain.
+//! The conservation oracle: an audit of a node's actual contract state.
 //!
-//! The conservation oracle needs an exact, replayable statement of where
-//! every wei of insurance went. [`settle_confirmed`] walks the canonical
-//! chain, registers each confirmed SRA's insurance as an escrow deposit
-//! and pays each confirmed detailed report `μ · n` (Eq. 7 with ρ = 1)
-//! out of its SRA's escrow, all in checked `u128` arithmetic. The
-//! invariant is exact equality:
+//! Every node settles its own confirmed chain
+//! ([`smartcrowd_core::settlement::Settlement`]): escrows are deployed,
+//! funded and drained by the SCVM, not by a model. [`audit`] reads that
+//! state back and checks that every wei of insurance is accounted for:
 //!
 //! ```text
-//! deposits == payouts + escrow_remaining
+//! Σ insurance of opened escrows == Σ payouts + Σ escrow contract balances
 //! ```
 //!
-//! and any overdraw (a report paying more than its escrow holds) or
-//! arithmetic overflow is a typed [`SettleError`], which the oracle
-//! converts into a violation.
+//! and that each paid wallet holds exactly what the payout list says it
+//! was paid (workload wallets hold nothing else: nodes meter no fees). An
+//! exhausted escrow is not a violation — the payout reverts and the
+//! balance stays put.
 
-use smartcrowd_chain::record::RecordKind;
-use smartcrowd_chain::{ChainQuery, Ether};
-use smartcrowd_core::report::DetailedReport;
-use smartcrowd_core::sra::{Sra, SraId};
+use smartcrowd_chain::Ether;
+use smartcrowd_core::settlement::{Payout, Settlement};
+use smartcrowd_core::sra::SraId;
 use smartcrowd_crypto::Address;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
-/// Escrow ledger for one SRA.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SraEscrow {
-    /// The provider that posted the insurance.
-    pub provider: Address,
-    /// Insurance deposited (`I` in the paper).
-    pub insurance: Ether,
-    /// Per-vulnerability incentive (`μ`).
-    pub mu: Ether,
-    /// Total paid out to detectors so far.
-    pub paid: Ether,
-}
-
-impl SraEscrow {
-    /// Insurance still held in escrow.
-    #[must_use]
-    pub fn remaining(&self) -> Ether {
-        self.insurance.saturating_sub(self.paid)
-    }
-}
-
-/// The settlement a node's confirmed chain implies.
+/// What a node's settlement holds; equal on every replica of one
+/// confirmed chain.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Settlement {
-    /// Total insurance deposited across confirmed SRAs.
+pub struct Audit {
+    /// Total insurance deposited into opened escrows.
     pub deposits: Ether,
-    /// Total paid to detectors across confirmed detailed reports.
+    /// Total paid to detectors.
     pub payouts: Ether,
-    /// Per-SRA escrow ledgers.
-    pub escrows: BTreeMap<SraId, SraEscrow>,
-    /// Per-detector cumulative credits.
-    pub detector_credits: BTreeMap<Address, Ether>,
-    /// Confirmed detailed reports whose SRA is not (yet) confirmed; their
-    /// payouts are pending, not lost, so they do not enter the identity.
+    /// Balance of each escrow contract in the node's world state.
+    pub escrow_balances: BTreeMap<SraId, Ether>,
+    /// The node's payout list, in the order the payouts fired.
+    pub payout_list: Vec<Payout>,
+    /// Confirmed detailed reports whose escrow is not open; their payouts
+    /// are pending, not lost, so they do not enter the identity.
     pub pending_reports: usize,
 }
 
-impl Settlement {
-    /// Escrow remaining across all SRAs.
-    #[must_use]
-    pub fn escrow_remaining(&self) -> Ether {
-        self.escrows.values().map(SraEscrow::remaining).sum()
-    }
-
-    /// Checks the conservation identity and the credit cross-foot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SettleError::Imbalance`] when
-    /// `deposits != payouts + escrow_remaining`, or
-    /// [`SettleError::CreditMismatch`] when the per-detector credits do
-    /// not sum to `payouts`.
-    pub fn verify(&self) -> Result<(), SettleError> {
-        let rhs = self
-            .payouts
-            .checked_add(self.escrow_remaining())
-            .ok_or(SettleError::Overflow)?;
-        if self.deposits != rhs {
-            return Err(SettleError::Imbalance {
-                deposits: self.deposits,
-                payouts: self.payouts,
-                remaining: self.escrow_remaining(),
-            });
-        }
-        let credited: Ether = self.detector_credits.values().copied().sum();
-        if credited != self.payouts {
-            return Err(SettleError::CreditMismatch {
-                credited,
-                payouts: self.payouts,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Why settlement failed — each variant is a conservation violation.
+/// Why an audit failed — each variant is a conservation violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SettleError {
-    /// A confirmed report would pay out more than its escrow holds.
-    Overdraw {
-        /// The overdrawn SRA.
-        sra: SraId,
-        /// Escrow balance before the payout.
-        remaining: Ether,
-        /// The payout that did not fit.
-        payout: Ether,
-    },
-    /// `deposits != payouts + escrow_remaining`.
+    /// `deposits != payouts + escrow balances`.
     Imbalance {
         /// Total insurance deposited.
         deposits: Ether,
         /// Total paid out.
         payouts: Ether,
-        /// Escrow remaining.
+        /// Sum of the escrow contract balances.
         remaining: Ether,
     },
-    /// Per-detector credits do not cross-foot to total payouts.
+    /// A wallet's balance is not the sum of the payouts made to it.
     CreditMismatch {
-        /// Sum of per-detector credits.
+        /// The wallet's balance in the world state.
         credited: Ether,
-        /// Total payouts.
+        /// What the payout list says it was paid.
         payouts: Ether,
     },
-    /// `u128` wei arithmetic overflowed.
-    Overflow,
 }
 
 impl std::fmt::Display for SettleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SettleError::Overdraw {
-                sra,
-                remaining,
-                payout,
-            } => write!(
-                f,
-                "escrow overdraw on SRA {}: payout {payout} exceeds remaining {remaining}",
-                smartcrowd_crypto::hex::encode(&sra[..8])
-            ),
             SettleError::Imbalance {
                 deposits,
                 payouts,
@@ -151,136 +71,127 @@ impl std::fmt::Display for SettleError {
             ),
             SettleError::CreditMismatch { credited, payouts } => write!(
                 f,
-                "detector credits {credited} do not sum to payouts {payouts}"
+                "wallet holds {credited} but was paid {payouts}"
             ),
-            SettleError::Overflow => write!(f, "wei arithmetic overflowed"),
         }
     }
 }
 
 impl std::error::Error for SettleError {}
 
-/// Settles the *confirmed* prefix of a node's canonical chain.
-///
-/// Two passes: first register every confirmed SRA (a report may be mined
-/// into an earlier block than its SRA under adversarial ordering), then
-/// pay every confirmed detailed report in chain order. Records are
-/// deduplicated by id so a record that somehow appears twice settles
-/// once.
+/// Reads `settlement` back and checks the conservation identity and the
+/// per-wallet cross-foot against its world state.
 ///
 /// # Errors
 ///
-/// Returns [`SettleError::Overdraw`] when a payout exceeds its SRA's
-/// remaining escrow and [`SettleError::Overflow`] on wei overflow.
-pub fn settle_confirmed(store: &dyn ChainQuery) -> Result<Settlement, SettleError> {
-    let mut settlement = Settlement::default();
-    let mut seen: HashSet<smartcrowd_crypto::Digest> = HashSet::new();
-
-    for (record, _confs) in store.records_of_kind(RecordKind::Sra) {
-        if !store.record_confirmed(&record.id()) || !seen.insert(record.id()) {
-            continue;
-        }
-        let Ok(sra) = Sra::decode(record.payload()) else {
-            continue;
-        };
-        settlement.deposits = settlement
-            .deposits
-            .checked_add(sra.insurance())
-            .ok_or(SettleError::Overflow)?;
-        settlement.escrows.entry(*sra.id()).or_insert(SraEscrow {
-            provider: sra.provider(),
-            insurance: sra.insurance(),
-            mu: sra.incentive_per_vuln(),
-            paid: Ether::ZERO,
+/// [`SettleError::Imbalance`] or [`SettleError::CreditMismatch`].
+pub fn audit(settlement: &Settlement) -> Result<Audit, SettleError> {
+    let mut audit = Audit {
+        payout_list: settlement.payouts().to_vec(),
+        pending_reports: settlement.pending_reports(),
+        ..Audit::default()
+    };
+    for (sra_id, entry) in settlement.escrows() {
+        audit.deposits += entry.insurance;
+        let balance = entry.escrow.balance(settlement.state());
+        audit.escrow_balances.insert(*sra_id, balance);
+    }
+    let mut paid_to: BTreeMap<Address, Ether> = BTreeMap::new();
+    for payout in &audit.payout_list {
+        audit.payouts += payout.amount;
+        *paid_to.entry(payout.wallet).or_insert(Ether::ZERO) += payout.amount;
+    }
+    let remaining: Ether = audit.escrow_balances.values().copied().sum();
+    if audit.deposits != audit.payouts + remaining {
+        return Err(SettleError::Imbalance {
+            deposits: audit.deposits,
+            payouts: audit.payouts,
+            remaining,
         });
     }
-
-    for (record, _confs) in store.records_of_kind(RecordKind::DetailedReport) {
-        if !store.record_confirmed(&record.id()) || !seen.insert(record.id()) {
-            continue;
+    for (wallet, payouts) in paid_to {
+        let credited = settlement.state().balance(&wallet);
+        if credited != payouts {
+            return Err(SettleError::CreditMismatch { credited, payouts });
         }
-        let Ok(report) = DetailedReport::decode(record.payload()) else {
-            continue;
-        };
-        let Some(escrow) = settlement.escrows.get_mut(report.sra_id()) else {
-            settlement.pending_reports += 1;
-            continue;
-        };
-        let payout = escrow.mu.scaled(report.findings().len() as u64);
-        if payout > escrow.remaining() {
-            return Err(SettleError::Overdraw {
-                sra: *report.sra_id(),
-                remaining: escrow.remaining(),
-                payout,
-            });
-        }
-        escrow.paid = escrow
-            .paid
-            .checked_add(payout)
-            .ok_or(SettleError::Overflow)?;
-        settlement.payouts = settlement
-            .payouts
-            .checked_add(payout)
-            .ok_or(SettleError::Overflow)?;
-        let credit = settlement
-            .detector_credits
-            .entry(report.wallet())
-            .or_insert(Ether::ZERO);
-        *credit = credit.checked_add(payout).ok_or(SettleError::Overflow)?;
     }
-
-    settlement.verify()?;
-    Ok(settlement)
+    Ok(audit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartcrowd_chain::ChainStore;
-    use smartcrowd_chain::{Block, Difficulty};
+    use smartcrowd_chain::record::{Record, RecordKind};
+    use smartcrowd_chain::{Block, ChainStore, Difficulty};
+    use smartcrowd_core::report::{create_report_pair, Findings};
+    use smartcrowd_core::sra::Sra;
+    use smartcrowd_crypto::keys::KeyPair;
+    use smartcrowd_detect::vulnerability::VulnId;
+
+    /// A settlement that opened one 1000-ETH escrow and paid one 25-ETH
+    /// finding out of it, with the escrow's and the paid wallet's addresses.
+    fn settled() -> (Settlement, Address, Address) {
+        let provider = KeyPair::from_seed(b"provider");
+        let detector = KeyPair::from_seed(b"detector");
+        let (insurance, mu) = (Ether::from_ether(1000), Ether::from_ether(25));
+        let sra = Sra::create(&provider, "fw", "1", [7; 32], "sim://fw", insurance, mu);
+        let (_, detailed) =
+            create_report_pair(&detector, *sra.id(), Findings::new(vec![VulnId(3)], "x"));
+        let fee = Ether::from_milliether(11);
+        let mut records = Some(vec![
+            Record::signed(RecordKind::Sra, sra.encode(), fee, 0, &provider),
+            Record::signed(
+                RecordKind::DetailedReport,
+                detailed.encode(),
+                fee,
+                1,
+                &detector,
+            ),
+        ]);
+        let mut store = ChainStore::new(Block::genesis(Difficulty::from_u64(1)));
+        for _ in 0..8 {
+            let parent = store.best_block().clone();
+            let block = Block::assemble(
+                &parent,
+                records.take().unwrap_or_default(),
+                parent.header().timestamp + 15,
+                Difficulty::from_u64(1),
+                provider.address(),
+            );
+            store.insert(block).unwrap();
+        }
+        let mut settlement = Settlement::new(store.genesis_id());
+        settlement.allocate(&[(provider.address(), Ether::from_ether(5000))]);
+        settlement.advance(&store);
+        let escrow = settlement.escrows()[sra.id()].escrow.address;
+        (settlement, escrow, detailed.wallet())
+    }
 
     #[test]
-    fn empty_chain_settles_to_zero() {
-        let store = ChainStore::new(Block::genesis(Difficulty::from_u64(1)));
-        let s = settle_confirmed(&store).unwrap();
-        assert_eq!(s.deposits, Ether::ZERO);
-        assert_eq!(s.payouts, Ether::ZERO);
-        assert!(s.escrows.is_empty());
-        s.verify().unwrap();
+    fn actual_contract_state_balances() {
+        let (settlement, escrow, _) = settled();
+        let audit = audit(&settlement).unwrap();
+        assert_eq!(audit.deposits, Ether::from_ether(1000));
+        assert_eq!(audit.payouts, Ether::from_ether(25));
+        assert_eq!(settlement.state().balance(&escrow), Ether::from_ether(975));
     }
 
     #[test]
     fn imbalance_is_detected() {
-        let mut s = Settlement {
-            payouts: Ether::from_ether(5),
-            ..Settlement::default()
-        };
-        s.detector_credits
-            .insert(Address::from_label("x"), Ether::from_ether(5));
-        assert!(matches!(s.verify(), Err(SettleError::Imbalance { .. })));
+        let (mut settlement, escrow, _) = settled();
+        settlement.machine().1.credit(escrow, Ether::from_ether(1));
+        assert!(matches!(
+            audit(&settlement),
+            Err(SettleError::Imbalance { .. })
+        ));
     }
 
     #[test]
     fn credit_mismatch_is_detected() {
-        let s = Settlement {
-            deposits: Ether::from_ether(5),
-            payouts: Ether::from_ether(5),
-            ..Settlement::default()
-        };
-        // deposits == payouts + 0 fails first; make them balance via an
-        // escrow that is fully drained, then break the credit cross-foot.
-        let mut s2 = s;
-        s2.escrows.insert(
-            smartcrowd_crypto::keccak::keccak256(b"sra"),
-            SraEscrow {
-                provider: Address::from_label("p"),
-                insurance: Ether::from_ether(5),
-                mu: Ether::from_ether(1),
-                paid: Ether::from_ether(5),
-            },
-        );
+        let (mut settlement, _, wallet) = settled();
+        settlement.machine().1.credit(wallet, Ether::from_ether(1));
         assert!(matches!(
-            s2.verify(),
+            audit(&settlement),
             Err(SettleError::CreditMismatch { .. })
         ));
     }

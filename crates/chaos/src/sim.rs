@@ -1,6 +1,6 @@
 //! The chaos simulator: executes a [`FaultPlan`] deterministically.
 //!
-//! [`ChaosSim`] drives the shared [`Fleet`] — N [`ProviderNode`]s over a
+//! [`ChaosSim`] drives the shared [`Fleet`] — N provider nodes over a
 //! seeded gossip fabric and a hash-power-weighted mining race — and
 //! applies the plan's faults at round boundaries:
 //!
@@ -10,18 +10,19 @@
 //! - **Crashes** export the node's chain through
 //!   [`smartcrowd_chain::storage::export_chain`] (the "disk"), drop all
 //!   soft state, and discard deliveries; restarts import the image and
-//!   rebuild verification state with [`ProviderNode::restore_backend`]. In
-//!   *durable mode* ([`run_plan_durable`]) every node runs on a real
-//!   [`DurableStore`] directory instead: a crash tears the store
-//!   mid-commit at an injected sync point (full frame in the WAL, torn
-//!   frame in the log) and a restart reopens from disk, so the
-//!   agreement/finality/conservation oracles run against the actual
+//!   rebuild verification state and the settlement from it
+//!   ([`Fleet::restart`]). In *durable mode* ([`ChaosSim::new_durable`])
+//!   every node runs on a real [`DurableStore`] directory instead: a crash
+//!   tears the store mid-commit at an injected sync point (full frame in
+//!   the WAL, torn frame in the log) and a restart reopens from disk, so
+//!   the agreement/finality/conservation oracles run against the actual
 //!   recovery path of the on-disk format.
 //! - **Byzantine behaviours** act when the misbehaving node wins a round
 //!   (withholding, equivocation) or on every round (flooding).
 //!
-//! A workload of SRA releases and detector reports runs underneath so the
-//! conservation oracle has real escrow flows to audit. Everything is a
+//! A workload of SRA releases and detector reports runs underneath, and
+//! every node settles it on its own SCVM as blocks confirm, so the
+//! conservation oracle has real escrow contracts to audit. Everything is a
 //! pure function of `(plan, seed)`: re-running reproduces byte-identical
 //! traces, which is what makes shrinking possible.
 //!
@@ -32,16 +33,15 @@
 //!
 //! [`FaultPlan`]: crate::plan::FaultPlan
 
-use crate::oracle::{NodeView, Oracles, Violation};
+use crate::oracle::{NodeView, OracleKind, Oracles, Violation};
 use crate::plan::{ByzantineBehavior, FaultKind, FaultPlan};
-use crate::settle::settle_confirmed;
+use crate::settle::{audit, Audit};
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::rng::SimRng;
 use smartcrowd_chain::storage::{
     export_chain, frame, import_chain, CrashPoint, DurableStore, StoreConfig,
 };
 use smartcrowd_chain::{Block, ChainBackend, ChainQuery, ChainStore, Difficulty, Ether};
-use smartcrowd_core::node::ProviderNode;
 use smartcrowd_core::report::{create_report_pair, Findings};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_detect::system::IoTSystem;
@@ -268,7 +268,7 @@ impl ChaosSim {
     pub fn views(&self) -> Vec<NodeView<'_>> {
         (0..self.plan.nodes)
             .map(|i| NodeView {
-                store: self.fleet.node(i).map(ProviderNode::store),
+                running: self.fleet.node(i).map(|n| (n.store(), n.settlement())),
                 honest: !self.byzantine.contains_key(&i),
                 group: self.groups[i],
             })
@@ -410,9 +410,7 @@ impl ChaosSim {
                 Box::new(imported.map_err(|e| persist_failure(round, e))?)
             }
         };
-        let library = self.fleet.library().clone();
-        let provider = ProviderNode::restore_backend(*self.fleet.keypair(node), backend, library);
-        *self.fleet.slot(node) = Some(provider);
+        self.fleet.restart(node, backend);
         Ok(())
     }
 
@@ -626,131 +624,94 @@ impl ChaosSim {
         mined.map(drop).map_err(|d| self.diverged(d))
     }
 
-    fn set_round(&mut self, round: usize) {
-        self.round = round;
+    /// Executes the plan, checking every oracle after every round.
+    ///
+    /// After the horizon the run enters a bounded epilogue — anti-entropy
+    /// plus honest-only mining — until the honest nodes converge, then the
+    /// convergence oracle gives the final verdict. The outcome's escrow
+    /// figures are read from the first honest node's settlement.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ChaosFailure`] encountered: an oracle
+    /// [`Violation`], a diverged message pump, or a persistence failure
+    /// during crash-restart.
+    pub fn run(&mut self) -> Result<ChaosOutcome, ChaosFailure> {
+        let mut oracles = Oracles::new(self.plan.nodes);
+        let rounds = self.plan.rounds;
+        let mid = (rounds / 2).max(1);
+        self.inject_initial_workload()?;
+        for round in 0..rounds {
+            self.round = round;
+            self.apply_events(round)?;
+            if round == mid {
+                self.inject_mid_workload()?;
+            }
+            self.mine_round()?;
+            oracles
+                .check_round(round, &self.views())
+                .map_err(ChaosFailure::Oracle)?;
+        }
+        let mut round = rounds;
+        for _ in 0..EPILOGUE_LIMIT {
+            if self.converged() {
+                break;
+            }
+            self.round = round;
+            self.heal()?;
+            if self.converged() {
+                break;
+            }
+            self.mine_honest_round()?;
+            oracles
+                .check_round(round, &self.views())
+                .map_err(ChaosFailure::Oracle)?;
+            round += 1;
+        }
+        let views = self.views();
+        oracles
+            .check_convergence(round, &views)
+            .map_err(ChaosFailure::Oracle)?;
+
+        // Shrinking can legitimately produce plans with no honest running
+        // node left; such runs pass vacuously with an empty outcome.
+        let honest = views.iter().filter(|v| v.honest).find_map(|v| v.running);
+        let (best_height, audit) = match honest {
+            Some((store, settlement)) => {
+                let audited = audit(settlement).map_err(|e| {
+                    ChaosFailure::Oracle(Violation {
+                        oracle: OracleKind::Conservation,
+                        round,
+                        detail: e.to_string(),
+                    })
+                })?;
+                (store.best_height(), audited)
+            }
+            None => (0, Audit::default()),
+        };
+        Ok(ChaosOutcome {
+            rounds: round,
+            best_height,
+            deposits: audit.deposits,
+            payouts: audit.payouts,
+            pending_reports: audit.pending_reports,
+            duplicated: self.fleet.duplicated(),
+        })
     }
 }
 
-/// Executes `plan` under `seed`, checking every oracle after every round.
-///
-/// After the horizon the run enters a bounded epilogue — anti-entropy plus
-/// honest-only mining — until the honest nodes converge, then the
-/// convergence oracle gives the final verdict.
+/// Executes `plan` under `seed` on the in-memory backend
+/// ([`ChaosSim::run`]).
 ///
 /// # Errors
 ///
-/// Returns the first [`ChaosFailure`] encountered: an oracle
-/// [`Violation`], a diverged message pump, or a persistence failure
-/// during crash-restart.
+/// As [`ChaosSim::run`].
 pub fn run_plan(
     plan: &FaultPlan,
     seed: u64,
     bug: Option<PlantedBug>,
 ) -> Result<ChaosOutcome, ChaosFailure> {
-    run_sim(ChaosSim::new(plan, seed, bug), plan)
-}
-
-/// [`run_plan`] with every node on a [`DurableStore`] under `root`:
-/// crash faults tear the real on-disk format mid-commit and restarts
-/// reopen from disk, with the same oracles asserted after recovery.
-///
-/// # Errors
-///
-/// As [`run_plan`], plus [`ChaosFailure::Persist`] when a store cannot
-/// be created, torn, or recovered.
-pub fn run_plan_durable(
-    plan: &FaultPlan,
-    seed: u64,
-    bug: Option<PlantedBug>,
-    root: &Path,
-) -> Result<ChaosOutcome, ChaosFailure> {
-    run_sim(ChaosSim::new_durable(plan, seed, bug, root)?, plan)
-}
-
-/// [`run_plan_durable`] with an explicit [`StoreConfig`]: the whole
-/// fleet runs on paged stores (bounded block cache, snapshot cadence of
-/// the caller's choosing), crash faults sometimes tear mid-snapshot, and
-/// the same oracles must hold after every recovery.
-///
-/// # Errors
-///
-/// As [`run_plan_durable`].
-pub fn run_plan_durable_with(
-    plan: &FaultPlan,
-    seed: u64,
-    bug: Option<PlantedBug>,
-    root: &Path,
-    config: StoreConfig,
-) -> Result<ChaosOutcome, ChaosFailure> {
-    run_sim(
-        ChaosSim::new_durable_with(plan, seed, bug, root, config)?,
-        plan,
-    )
-}
-
-fn run_sim(mut sim: ChaosSim, plan: &FaultPlan) -> Result<ChaosOutcome, ChaosFailure> {
-    let mut oracles = Oracles::new(plan.nodes);
-    let mid = (plan.rounds / 2).max(1);
-    sim.inject_initial_workload()?;
-    for round in 0..plan.rounds {
-        sim.set_round(round);
-        sim.apply_events(round)?;
-        if round == mid {
-            sim.inject_mid_workload()?;
-        }
-        sim.mine_round()?;
-        oracles
-            .check_round(round, &sim.views())
-            .map_err(ChaosFailure::Oracle)?;
-    }
-    let mut round = plan.rounds;
-    for _ in 0..EPILOGUE_LIMIT {
-        if sim.converged() {
-            break;
-        }
-        sim.set_round(round);
-        sim.heal()?;
-        if sim.converged() {
-            break;
-        }
-        sim.mine_honest_round()?;
-        oracles
-            .check_round(round, &sim.views())
-            .map_err(ChaosFailure::Oracle)?;
-        round += 1;
-    }
-    oracles
-        .check_convergence(round, &sim.views())
-        .map_err(ChaosFailure::Oracle)?;
-
-    let views = sim.views();
-    // Shrinking can legitimately produce plans with no honest running
-    // node left; such runs pass vacuously with an empty outcome.
-    let Some(honest_store) = views.iter().filter(|v| v.honest).find_map(|v| v.store) else {
-        return Ok(ChaosOutcome {
-            rounds: round,
-            best_height: 0,
-            deposits: Ether::ZERO,
-            payouts: Ether::ZERO,
-            pending_reports: 0,
-            duplicated: sim.fleet.duplicated(),
-        });
-    };
-    let settlement = settle_confirmed(honest_store).map_err(|e| {
-        ChaosFailure::Oracle(Violation {
-            oracle: crate::oracle::OracleKind::Conservation,
-            round,
-            detail: e.to_string(),
-        })
-    })?;
-    Ok(ChaosOutcome {
-        rounds: round,
-        best_height: honest_store.best_height(),
-        deposits: settlement.deposits,
-        payouts: settlement.payouts,
-        pending_reports: settlement.pending_reports,
-        duplicated: sim.fleet.duplicated(),
-    })
+    ChaosSim::new(plan, seed, bug).run()
 }
 
 #[cfg(test)]

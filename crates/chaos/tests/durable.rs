@@ -10,9 +10,10 @@
 //! against the recovered state. The plan below is the shrunk shape of
 //! the in-memory `crash_restart_recovers_from_disk` regression.
 
-use smartcrowd_chain::StoreConfig;
+use smartcrowd_chain::{Ether, StoreConfig};
 use smartcrowd_chaos::plan::{FaultEvent, FaultKind, FaultPlan};
-use smartcrowd_chaos::sim::{run_plan_durable, run_plan_durable_with};
+use smartcrowd_chaos::settle::audit;
+use smartcrowd_chaos::sim::ChaosSim;
 use smartcrowd_net::LinkConfig;
 use smartcrowd_telemetry::counter;
 use std::path::PathBuf;
@@ -38,7 +39,8 @@ fn durable_crash_restart_recovers_from_disk() {
     };
     let torn_before = counter!("chain.storage.torn_truncations").get();
     let replays_before = counter!("chain.storage.wal_replays").get();
-    let outcome = run_plan_durable(&plan, 5, None, &root).unwrap();
+    let mut sim = ChaosSim::new_durable(&plan, 5, None, &root).unwrap();
+    let outcome = sim.run().unwrap();
     assert!(
         outcome.best_height >= 12,
         "fleet stalled after durable recovery: height {}",
@@ -62,7 +64,8 @@ fn durable_quiet_plan_matches_in_memory_outcome() {
         link: LinkConfig::default(),
         events: vec![],
     };
-    let durable = run_plan_durable(&plan, 9, None, &root).unwrap();
+    let mut sim = ChaosSim::new_durable(&plan, 9, None, &root).unwrap();
+    let durable = sim.run().unwrap();
     let memory = smartcrowd_chaos::sim::run_plan(&plan, 9, None).unwrap();
     // Same plan, same seed: the backend must be observationally inert.
     assert_eq!(durable.best_height, memory.best_height);
@@ -91,7 +94,8 @@ fn paged_store_fleet_matches_in_memory_outcome() {
         snapshot_interval: 1,
     };
     let written_before = counter!("chain.storage.snapshot.written").get();
-    let paged = run_plan_durable_with(&plan, 9, None, &root, config).unwrap();
+    let mut sim = ChaosSim::new_durable_with(&plan, 9, None, &root, config).unwrap();
+    let paged = sim.run().unwrap();
     let memory = smartcrowd_chaos::sim::run_plan(&plan, 9, None).unwrap();
     assert_eq!(paged.best_height, memory.best_height);
     assert_eq!(paged.deposits, memory.deposits);
@@ -147,7 +151,8 @@ fn paged_store_crash_restart_survives_torn_snapshots() {
         snapshot_interval: 1,
     };
     let rejected_before = counter!("chain.storage.snapshot.rejected").get();
-    let outcome = run_plan_durable_with(&plan, 5, None, &root, config).unwrap();
+    let mut sim = ChaosSim::new_durable_with(&plan, 5, None, &root, config).unwrap();
+    let outcome = sim.run().unwrap();
     assert!(
         outcome.best_height >= 14,
         "fleet stalled after paged-store recovery: height {}",
@@ -157,5 +162,68 @@ fn paged_store_crash_restart_survives_torn_snapshots() {
         counter!("chain.storage.snapshot.rejected").get() > rejected_before,
         "no crash tore a snapshot under this seed; pick another"
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn restarted_node_settles_like_a_peer_that_never_crashed() {
+    // Node 2 crashes after the round-0 release was settled (escrow open,
+    // finding paid) and comes back three rounds later: its contract state
+    // is re-derived from the recovered chain alone — an exported image in
+    // memory mode, a torn store directory in durable mode, a 2-body cache
+    // with a snapshot per checkpoint in paged mode — and must equal what
+    // node 0, which never went down, accumulated live.
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("chaos-restart-settlement");
+    let _ = std::fs::remove_dir_all(&root);
+    let plan = FaultPlan {
+        nodes: 4,
+        rounds: 26,
+        link: LinkConfig::default(),
+        events: vec![
+            FaultEvent {
+                round: 14,
+                kind: FaultKind::Crash { node: 2 },
+            },
+            FaultEvent {
+                round: 17,
+                kind: FaultKind::Restart { node: 2 },
+            },
+        ],
+    };
+    let paged = StoreConfig {
+        cache_capacity: 2,
+        snapshot_interval: 1,
+    };
+    let (durable, paged_root) = (root.join("durable"), root.join("paged"));
+    let sims = [
+        ("memory", ChaosSim::new(&plan, 5, None)),
+        (
+            "durable",
+            ChaosSim::new_durable(&plan, 5, None, &durable).unwrap(),
+        ),
+        (
+            "paged",
+            ChaosSim::new_durable_with(&plan, 5, None, &paged_root, paged).unwrap(),
+        ),
+    ];
+    for (mode, mut sim) in sims {
+        let outcome = sim.run().unwrap_or_else(|e| panic!("{mode}: {e}"));
+        assert_eq!(outcome.payouts, Ether::from_ether(75), "{mode}");
+        let views = sim.views();
+        let (store, restarted) = views[2].running.expect("node 2 is back");
+        let (peer_store, peer) = views[0].running.expect("node 0 never crashed");
+        assert_eq!(store.best_tip(), peer_store.best_tip(), "{mode}");
+        assert_eq!(restarted.cursor(), peer.cursor(), "{mode}");
+        assert_eq!(audit(restarted), audit(peer), "{mode}");
+        assert_eq!(
+            peer.folded(),
+            peer.cursor().0,
+            "{mode}: live, once per block"
+        );
+        assert!(
+            restarted.folded() > restarted.cursor().0,
+            "{mode}: the confirmed prefix was refolded after the restart"
+        );
+    }
     let _ = std::fs::remove_dir_all(&root);
 }

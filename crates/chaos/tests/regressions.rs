@@ -10,11 +10,28 @@
 //! recorded before `Platform` and `ProviderNode` were collapsed onto one
 //! protocol core, so a refactor of the node path or the fleet driver that
 //! shifts a single message shows up here.
+//!
+//! The last test pins the settlement rule itself on both drivers: the
+//! cases where the arithmetic replay this harness used to carry disagreed
+//! with the escrow contract.
 
-use smartcrowd_chain::Ether;
+use smartcrowd_chain::record::{Record, RecordKind};
+use smartcrowd_chain::rng::SimRng;
+use smartcrowd_chain::{ChainBackend, ChainStore, Ether};
 use smartcrowd_chaos::plan::{ByzantineBehavior, FaultEvent, FaultKind, FaultPlan};
-use smartcrowd_chaos::sim::{run_plan_durable, ChaosOutcome};
-use smartcrowd_net::LinkConfig;
+use smartcrowd_chaos::settle::audit;
+use smartcrowd_chaos::sim::{ChaosOutcome, ChaosSim};
+use smartcrowd_core::platform::{Platform, PlatformConfig};
+use smartcrowd_core::report::{create_report_pair, DetailedReport, Findings};
+use smartcrowd_core::settlement::Settlement;
+use smartcrowd_crypto::keys::KeyPair;
+use smartcrowd_crypto::Address;
+use smartcrowd_detect::library::VulnLibrary;
+use smartcrowd_detect::system::IoTSystem;
+use smartcrowd_detect::vulnerability::VulnId;
+use smartcrowd_net::{LinkConfig, Message};
+use smartcrowd_sim::fleet::Fleet;
+use std::convert::Infallible;
 use std::path::PathBuf;
 
 /// `(rounds, best_height, deposits ETH, payouts ETH, pending_reports, duplicated)`.
@@ -40,7 +57,8 @@ fn run_plan(plan: &FaultPlan, seed: u64, memory: Golden, durable: Golden) -> Cha
     assert_eq!(outcome, golden(memory), "in-memory outcome drifted");
     let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("chaos-golden-{seed}"));
     let _ = std::fs::remove_dir_all(&root);
-    let on_disk = run_plan_durable(plan, seed, None, &root).unwrap();
+    let mut on_disk = ChaosSim::new_durable(plan, seed, None, &root).unwrap();
+    let on_disk = on_disk.run().unwrap();
     assert_eq!(on_disk, golden(durable), "durable outcome drifted");
     let _ = std::fs::remove_dir_all(&root);
     outcome
@@ -247,4 +265,138 @@ fn kitchen_sink_every_fault_class_in_one_run() {
         (26, 22, 2000, 75, 0, 137),
     );
     assert!(outcome.best_height >= 15);
+}
+
+/// One release and the findings two detectors claim on it.
+struct Drift {
+    insurance: Ether,
+    mu: Ether,
+    claims: [Vec<VulnId>; 2],
+}
+
+impl Drift {
+    fn system(&self, library: &VulnLibrary) -> IoTSystem {
+        let planted: Vec<VulnId> = (1..=3).map(VulnId).collect();
+        IoTSystem::build("fw", "1", library, planted, &mut SimRng::seed_from_u64(5)).unwrap()
+    }
+
+    fn detectors() -> [KeyPair; 2] {
+        [b"drift-a", b"drift-b"].map(|seed| KeyPair::from_seed(seed))
+    }
+
+    /// Phases #1-#4 on a `Platform`, mined to finality.
+    fn on_platform(&self) -> Platform {
+        let mut p = Platform::new(PlatformConfig::paper());
+        let system = self.system(p.library());
+        let sra_id = p
+            .release_system(0, system, self.insurance, self.mu)
+            .unwrap();
+        let mut reveals = Vec::new();
+        for (kp, claim) in Self::detectors().into_iter().zip(&self.claims) {
+            let (initial, detailed) =
+                create_report_pair(&kp, sra_id, Findings::new(claim.clone(), "x"));
+            p.submit_initial(&kp, initial).unwrap();
+            reveals.push((kp, detailed));
+        }
+        p.mine_blocks(8);
+        for (kp, detailed) in reveals {
+            p.submit_detailed(&kp, detailed).unwrap();
+        }
+        p.mine_blocks(8);
+        p
+    }
+
+    /// The same release and reports gossiped through a 3-node fleet,
+    /// mined to finality.
+    fn on_fleet(&self) -> Fleet {
+        let memory = |_, genesis: &_| {
+            Ok::<_, Infallible>(
+                Box::new(ChainStore::new(Clone::clone(genesis))) as Box<dyn ChainBackend>
+            )
+        };
+        let mut fleet = Fleet::boot(3, 11, LinkConfig::default(), "drift-node", |_| true, memory)
+            .unwrap_or_else(|e| match e {});
+        let system = self.system(fleet.library());
+        let sra_id = fleet.release(0, system, self.insurance, self.mu).unwrap();
+        for (kp, claim) in Self::detectors().iter().zip(&self.claims) {
+            let (initial, detailed) =
+                create_report_pair(kp, sra_id, Findings::new(claim.clone(), "x"));
+            let phases = [
+                (RecordKind::InitialReport, initial.encode()),
+                (RecordKind::DetailedReport, detailed.encode()),
+            ];
+            for (nonce, (kind, payload)) in phases.into_iter().enumerate() {
+                let fee = Ether::from_milliether(11);
+                let record = Record::signed(kind, payload, fee, nonce as u64, kp);
+                fleet.inject(1, Message::Record(record)).unwrap();
+            }
+        }
+        for _ in 0..10 {
+            fleet.mine_round(|_| true).unwrap();
+        }
+        fleet
+    }
+}
+
+/// The wallet a detailed-report record pays.
+fn wallet_of(record: &Record) -> Address {
+    DetailedReport::decode(record.payload()).unwrap().wallet()
+}
+
+/// `(wallet, amount)` of each payout, then the one escrow's balance.
+fn settled(settlement: &Settlement) -> (Vec<(Address, Ether)>, Ether) {
+    let payouts = settlement.payouts().iter().map(|p| (p.wallet, p.amount));
+    let escrows: Vec<_> = settlement.escrows().values().collect();
+    assert_eq!(escrows.len(), 1, "one release, one escrow");
+    let balance = escrows[0].escrow.balance(settlement.state());
+    (payouts.collect(), balance)
+}
+
+/// What every replica of the fleet settled, the conservation oracle
+/// having passed on each.
+fn settled_on(fleet: &Fleet) -> Vec<(Vec<(Address, Ether)>, Ether)> {
+    assert_eq!(fleet.running().count(), 3);
+    let replicas = fleet.running().map(|(i, node)| {
+        audit(node.settlement()).unwrap_or_else(|e| panic!("node {i}: {e}"));
+        settled(node.settlement())
+    });
+    replicas.collect()
+}
+
+#[test]
+fn duplicate_findings_and_exhausted_escrows_settle_alike_on_both_drivers() {
+    let eth = Ether::from_ether;
+    // Two detectors confirm the same vulnerability: exactly one payout of
+    // μ, to the first confirmed, on the platform and on every replica.
+    let duplicate = Drift {
+        insurance: eth(1000),
+        mu: eth(25),
+        claims: [vec![VulnId(3)], vec![VulnId(3)]],
+    };
+    let platform = duplicate.on_platform();
+    let first = wallet_of(platform.store().records_of_kind(RecordKind::DetailedReport)[0].0);
+    assert_eq!(
+        settled(platform.settlement()),
+        (vec![(first, eth(25))], eth(975))
+    );
+    let fleet = duplicate.on_fleet();
+    let chain = fleet.node(0).unwrap().store();
+    let first = wallet_of(&chain.records_of_kind(RecordKind::DetailedReport)[0].0);
+    assert_eq!(
+        settled_on(&fleet),
+        vec![(vec![(first, eth(25))], eth(975)); 3]
+    );
+
+    // μ·n exceeds what the escrow still holds: that payout reverts, the
+    // balance stays put, and the oracle has nothing to object to. Whichever
+    // report confirms first, 60 of the 100 ETH are paid, once.
+    let exhausted = Drift {
+        insurance: eth(100),
+        mu: eth(60),
+        claims: [vec![VulnId(1)], vec![VulnId(2), VulnId(3)]],
+    };
+    let a = Drift::detectors()[0].address();
+    let expected = (vec![(a, eth(60))], eth(40));
+    assert_eq!(settled(exhausted.on_platform().settlement()), expected);
+    assert_eq!(settled_on(&exhausted.on_fleet()), vec![expected; 3]);
 }

@@ -25,7 +25,8 @@
 //! | Provider / detector / consumer roles (§IV-A) | [`provider`], [`detector`], [`consumer`] |
 //! | Adversary model & defences (§III-A, §VI-A) | [`attacks`] |
 //! | The protocol core: admit / check-block / seal / replay (§V-C, Phase #3) | [`protocol`] |
-//! | End-to-end platform facade: the core + mining race + contract settlement | [`platform`] |
+//! | Settlement: escrow open / payout / refund folded over the confirmed chain (§V-D, Phase #4) | [`settlement`] |
+//! | End-to-end platform facade: the core + mining race + economics ledgers | [`platform`] |
 //! | A distributed provider node: the core + gossip glue (Phase #3 fault tolerance) | [`node`] |
 //! | Retrospective detection (SmartRetro, the paper's reference 46) | [`retro`] |
 //! | The consumer-facing authoritative reference | [`mod@reference`] |
@@ -56,6 +57,7 @@ pub mod provider;
 pub mod reference;
 pub mod report;
 pub mod retro;
+pub mod settlement;
 pub mod sra;
 pub mod verify;
 

@@ -8,18 +8,21 @@
 //! is the unit that claim is about: an independent process communicating
 //! only through [`smartcrowd_net::Message`]s.
 //!
-//! A node is a [`Protocol`] core — chain, pending pool and verified
-//! knowledge, driven through `admit` / `check_block` / `seal` / `replay`
-//! exactly as [`crate::platform::Platform`] drives its own — plus the
-//! gossip glue only a networked replica needs: the sync buffer that
-//! reassembles out-of-order blocks, artifact hosting and download, the
-//! detailed reports waiting for an artifact, and the outbox. Convergence
-//! of honest nodes is a *theorem of the message handlers*, tested in
-//! `sim::distributed`.
+//! A node is a [`Protocol`] core — chain, pending pool, verified
+//! knowledge and the [`Settlement`] of its confirmed chain, driven through
+//! `admit` / `check_block` / `seal` / `connected` / `replay` exactly as
+//! [`crate::platform::Platform`] drives its own — plus the gossip glue
+//! only a networked replica needs: the sync buffer that reassembles
+//! out-of-order blocks, artifact hosting and download, the detailed
+//! reports waiting for an artifact, and the outbox. Convergence of honest
+//! nodes — tips, and with them escrow balances and payouts — is a
+//! *theorem of the message handlers*, tested in `sim::distributed` and
+//! under faults in `smartcrowd-chaos`.
 
 use crate::error::CoreError;
 use crate::protocol::{Admitted, Protocol};
 use crate::report::DetailedReport;
+use crate::settlement::Settlement;
 use crate::sra::{Sra, SraId};
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::validate::{validate_block, AcceptAll};
@@ -90,9 +93,10 @@ impl ProviderNode {
     /// mempool, sync buffer, downloaded artifacts, hosted images,
     /// scoreboard — is lost. Verified SRAs and initial reports are
     /// re-derived from the canonical chain ([`Protocol::replay`]) so
-    /// Algorithm 1 can keep running, and the record nonce resumes past
-    /// the highest on-chain nonce this key already used (a replayed nonce
-    /// would produce duplicate record ids).
+    /// Algorithm 1 can keep running, the settlement is refolded (give the
+    /// node its genesis allocation again: [`ProviderNode::allocate`]), and
+    /// the record nonce resumes past the highest on-chain nonce this key
+    /// already used (a replayed nonce would produce duplicate record ids).
     pub fn restore_backend(
         keypair: KeyPair,
         backend: Box<dyn ChainBackend>,
@@ -151,6 +155,18 @@ impl ProviderNode {
     /// Pending records in this node's mempool.
     pub fn mempool_len(&self) -> usize {
         self.core.mempool_len()
+    }
+
+    /// The contract state this node's confirmed chain implies.
+    pub fn settlement(&self) -> &Settlement {
+        self.core.settlement()
+    }
+
+    /// Funds `genesis` accounts in the settlement's genesis state. Every node
+    /// of a fleet must get the same allocation, at boot and after a restore.
+    pub fn allocate(&mut self, genesis: &[(Address, Ether)]) {
+        self.core.settlement_mut().allocate(genesis);
+        self.core.settle();
     }
 
     /// Releases a system from this node: hosts the image, signs the SRA,
@@ -318,7 +334,7 @@ impl ProviderNode {
         }
         match self.sync.offer(self.core.backend_mut(), block.clone()) {
             SyncOutcome::Connected { .. } => {
-                self.core.drop_included(&block);
+                self.core.connected(&block);
                 // Re-gossip so partitioned late-joiners converge.
                 out.push(Message::Block(Box::new(block)));
             }

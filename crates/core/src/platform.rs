@@ -1,14 +1,13 @@
 //! The SmartCrowd platform: the end-to-end orchestration of Fig. 1.
 //!
 //! [`Platform`] is one [`Protocol`] core — the state machine every
-//! [`crate::node::ProviderNode`] runs — plus what only a single-view
-//! platform has: provider keys, the mining race, the SCVM world state with
-//! its escrow contracts, and the economics ledgers. The four phases of
-//! §IV-B:
+//! [`crate::node::ProviderNode`] runs, settlement included — plus what
+//! only a single-view platform has: provider keys, the mining race, the
+//! faucet, and the economics ledgers. The four phases of §IV-B:
 //!
 //! 1. **Decentralized verification for system release** —
-//!    [`Platform::release_system`] escrows the insurance in a contract
-//!    and admits the announcement (the core verifies the SRA).
+//!    [`Platform::release_system`] checks the provider can afford the
+//!    insurance and admits the announcement (the core verifies the SRA).
 //! 2. **Lightweight distributed detection** —
 //!    [`Platform::submit_initial`] / [`Platform::submit_detailed`] check
 //!    the client-side preconditions (known SRA, one `R†` per detector,
@@ -17,16 +16,19 @@
 //! 3. **Fault-tolerant verification and storage** —
 //!    [`Platform::mine_block`] runs the hash-power-weighted race, seals
 //!    pending records, and applies fees/rewards to the world state.
-//! 4. **Decentralized and automated incentives** — when a detailed report
-//!    reaches 6-block finality, the escrow pays `μ·n` to the detector's
-//!    wallet with no provider involvement.
+//! 4. **Decentralized and automated incentives** — sealing a block lets
+//!    the core's [`Settlement`] fold what it confirmed: an SRA at 6-block
+//!    finality opens its escrow, a detailed report pays `μ·n` to the
+//!    detector's wallet, with no provider involvement. The platform only
+//!    reads the result (its own ledger entries are never refolded: its
+//!    chain never forks).
 
-use crate::contracts::{ReportRegistry, SraEscrow};
+use crate::contracts::ReportRegistry;
 use crate::error::CoreError;
 use crate::protocol::Protocol;
 use crate::report::{DetailedReport, InitialReport};
+use crate::settlement::{Payout, Settlement};
 use crate::sra::{Sra, SraId};
-use smartcrowd_chain::confirm::ConfirmationWatcher;
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::simminer::{SimMiner, SimParticipant, PAPER_HASH_POWERS};
 use smartcrowd_chain::{Block, ChainStore, Difficulty, Ether};
@@ -37,7 +39,7 @@ use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_detect::vulnerability::VulnId;
 use smartcrowd_net::Scoreboard;
 use smartcrowd_telemetry::Counter;
-use smartcrowd_vm::{Vm, WorldState};
+use smartcrowd_vm::VmError;
 use std::collections::{HashMap, HashSet};
 
 /// Platform configuration.
@@ -95,67 +97,29 @@ pub struct ProviderHandle {
     pub hash_power: f64,
 }
 
-/// Settlement state of one release (SRA and artifact live in the core).
-#[derive(Debug)]
-struct Release {
-    escrow: SraEscrow,
-    /// The per-vulnerability incentive `μ` the escrow was preset with.
-    mu: Ether,
-    /// Vulnerabilities already paid out (first-confirmer-wins dedup).
-    paid_vulns: HashSet<VulnId>,
-    /// Whether the detection window was closed and the remainder refunded.
-    settled: bool,
-}
-
-/// A completed incentive payout.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Payout {
-    /// The SRA whose escrow paid.
-    pub sra_id: SraId,
-    /// The detector wallet credited.
-    pub wallet: Address,
-    /// Number of novel vulnerabilities rewarded.
-    pub vulnerabilities: u64,
-    /// Amount transferred.
-    pub amount: Ether,
-}
-
-/// Whole milliether in an [`Ether`] amount (telemetry unit for escrow flows).
-fn milli(e: Ether) -> u64 {
-    (e.wei() / 1_000_000_000_000_000) as u64
-}
-
 /// The assembled SmartCrowd platform.
 #[derive(Debug)]
 pub struct Platform {
     config: PlatformConfig,
     providers: Vec<ProviderHandle>,
     core: Protocol<ChainStore>,
-    state: WorldState,
-    vm: Vm,
     sim: SimMiner,
-    watcher: ConfirmationWatcher,
     registry: ReportRegistry,
-    trigger: Address,
-    releases: HashMap<SraId, Release>,
     /// Release order (released_sras() preserves it).
     release_order: Vec<SraId>,
     /// The record carrying each detector's `R†` (its confirmation gates `R*`).
     initial_records: HashMap<(SraId, Address), Digest>,
-    /// Detailed reports waiting for finality, keyed by record id.
-    pending_detailed: HashMap<Digest, DetailedReport>,
     /// Sim-clock second at which each record was submitted (lifecycle
     /// latency: submit → 6-block confirmation).
     submit_times: HashMap<Digest, f64>,
-    payouts: Vec<Payout>,
     /// Gas fees spent by each detector (reporting cost ledger, Fig. 6(b)).
     detector_costs: HashMap<Address, Ether>,
     /// Mining income per provider: block rewards + record fees (Eq. 8
     /// accumulated; the Fig. 4(a) series).
     mining_income: HashMap<Address, Ether>,
     funded: HashSet<Address>,
-    /// Currency created at genesis or via the faucet (supply audit).
-    genesis_allocated: Ether,
+    /// Currency created via the faucet (supply audit).
+    faucet: Ether,
     /// Currency minted as block rewards (supply audit).
     minted: Ether,
 }
@@ -185,39 +149,30 @@ impl Platform {
             })
             .collect();
         let sim = SimMiner::new(participants, config.mean_block_time, config.seed);
-        let mut state = WorldState::new();
-        let mut genesis_allocated = Ether::ZERO;
-        for p in &providers {
-            state.credit(p.address, config.provider_funding);
-            genesis_allocated += config.provider_funding;
-        }
-        let trigger = Address::from_label("smartcrowd-consensus");
-        state.credit(trigger, Ether::from_ether(1000)); // gas float for triggers
-        genesis_allocated += Ether::from_ether(1000);
-        let vm = Vm::default();
-        let registry =
-            ReportRegistry::deploy(&vm, &mut state, trigger).expect("registry deploys at genesis");
         let store = ChainStore::new(Block::genesis(Difficulty::from_u64(1)));
         let library = VulnLibrary::synthetic(config.library_size, config.seed ^ 0xdead);
+        let mut core = Protocol::new(Box::new(store), library);
+        let funding: Vec<_> = providers
+            .iter()
+            .map(|p| (p.address, config.provider_funding))
+            .collect();
+        core.settlement_mut().allocate(&funding);
+        let trigger = core.settlement().trigger();
+        let (vm, state) = core.settlement_mut().machine();
+        let registry =
+            ReportRegistry::deploy(vm, state, trigger).expect("registry deploys at genesis");
         Platform {
             providers,
-            core: Protocol::new(Box::new(store), library),
-            state,
-            vm,
+            core,
             sim,
-            watcher: ConfirmationWatcher::new(),
             registry,
-            trigger,
-            releases: HashMap::new(),
             release_order: Vec::new(),
             initial_records: HashMap::new(),
-            pending_detailed: HashMap::new(),
             submit_times: HashMap::new(),
-            payouts: Vec::new(),
             detector_costs: HashMap::new(),
             mining_income: HashMap::new(),
             funded: HashSet::new(),
-            genesis_allocated,
+            faucet: Ether::ZERO,
             minted: Ether::ZERO,
             config,
         }
@@ -252,7 +207,16 @@ impl Platform {
 
     /// Whether an SRA's detection window has been closed.
     pub fn is_settled(&self, sra_id: &SraId) -> bool {
-        self.releases.get(sra_id).is_some_and(|e| e.settled)
+        self.settlement()
+            .escrows()
+            .get(sra_id)
+            .is_some_and(|e| e.closed)
+    }
+
+    /// The contract state the confirmed chain implies (escrows, payouts,
+    /// world state), as every replica of this chain derives it.
+    pub fn settlement(&self) -> &Settlement {
+        self.core.settlement()
     }
 
     /// The chain store (consumers query this).
@@ -262,12 +226,12 @@ impl Platform {
 
     /// Current account balance.
     pub fn balance(&self, addr: &Address) -> Ether {
-        self.state.balance(addr)
+        self.settlement().state().balance(addr)
     }
 
     /// Completed payouts, in order.
     pub fn payouts(&self) -> &[Payout] {
-        &self.payouts
+        self.settlement().payouts()
     }
 
     /// Cumulative gas spent by a detector on report submission.
@@ -297,17 +261,18 @@ impl Platform {
     /// Genesis faucet for detector/consumer accounts (a stand-in for
     /// pre-existing on-chain funds; detectors need gas money, Eq. 10).
     pub fn fund(&mut self, addr: Address, amount: Ether) {
-        self.state.credit(addr, amount);
-        self.genesis_allocated += amount;
+        self.core.settlement_mut().machine().1.credit(addr, amount);
+        self.faucet += amount;
     }
 
     /// Supply audit: `(actual total supply, genesis allocations + minted
     /// block rewards)`. The two must always be equal — gas fees and
     /// payouts move currency, they never create or destroy it.
     pub fn audit_supply(&self) -> (Ether, Ether) {
+        let settlement = self.settlement();
         (
-            self.state.total_supply(),
-            self.genesis_allocated + self.minted,
+            settlement.state().total_supply(),
+            settlement.allocated() + self.faucet + self.minted,
         )
     }
 
@@ -333,16 +298,19 @@ impl Platform {
         Ok(record_id)
     }
 
-    /// Phase #1 — releases a system: deploys and funds the escrow, then
-    /// admits the announcement record (the core verifies the insuranced
-    /// SRA, §V-A). Returns the `Δ_id`.
+    /// Phase #1 — releases a system: admits the announcement record (the
+    /// core verifies the insuranced SRA, §V-A). The escrow is deployed and
+    /// funded from the provider's account when the SRA confirms; the
+    /// balance check here only spares a provider announcing what it cannot
+    /// fund. Returns the `Δ_id`.
     ///
     /// # Errors
     ///
     /// - [`CoreError::InsuranceTooLow`] below the platform minimum;
     /// - [`CoreError::DuplicateReport`] when the identical SRA is already
     ///   announced;
-    /// - [`CoreError::Vm`] when the provider cannot fund insurance + gas;
+    /// - [`CoreError::Vm`] when the provider's balance is below the
+    ///   insurance;
     /// - SRA verification failures (§V-A).
     pub fn release_system(
         &mut self,
@@ -376,30 +344,13 @@ impl Platform {
         if self.core.sra(&id).is_some() {
             return Err(CoreError::DuplicateReport);
         }
-        let block = self.block_ctx();
-        let escrow = SraEscrow::deploy(
-            &self.vm,
-            &mut self.state,
-            provider.address,
-            insurance,
-            incentive_per_vuln,
-            self.trigger,
-            block,
-        )?;
+        if self.balance(&provider.address) < insurance {
+            return Err(VmError::InsufficientCallerFunds.into());
+        }
         self.admit_signed(RecordKind::Sra, sra.encode(), &provider.keypair)?;
         self.core.hold_artifact(id, system);
         smartcrowd_telemetry::counter!("core.sra.released").inc();
-        smartcrowd_telemetry::counter!("core.escrow.deposited_milli").add(milli(insurance));
         self.release_order.push(id);
-        self.releases.insert(
-            id,
-            Release {
-                escrow,
-                mu: incentive_per_vuln,
-                paid_vulns: HashSet::new(),
-                settled: false,
-            },
-        );
         Ok(id)
     }
 
@@ -413,55 +364,39 @@ impl Platform {
         self.core.sra(sra_id)
     }
 
-    /// Remaining escrow balance for an SRA.
+    /// Remaining escrow balance for an SRA (`None` until it confirms and
+    /// its escrow opens).
     pub fn escrow_balance(&self, sra_id: &SraId) -> Option<Ether> {
-        self.releases
-            .get(sra_id)
-            .map(|e| e.escrow.balance(&self.state))
+        let entry = self.settlement().escrows().get(sra_id)?;
+        Some(entry.escrow.balance(self.settlement().state()))
     }
 
     /// Gas the provider paid to release an SRA (deploy + init; the paper's
-    /// ≈0.095-ether `cp`).
+    /// ≈0.095-ether `cp`), once its escrow is open.
     pub fn release_cost(&self, sra_id: &SraId) -> Option<Ether> {
-        self.releases.get(sra_id).map(|e| e.escrow.release_cost)
+        let entry = self.settlement().escrows().get(sra_id)?;
+        Some(entry.escrow.release_cost)
     }
 
     /// Total insurance forfeited (paid out to detectors) for an SRA.
     pub fn forfeited(&self, sra_id: &SraId) -> Ether {
-        self.payouts
+        self.payouts()
             .iter()
             .filter(|p| p.sra_id == *sra_id)
             .map(|p| p.amount)
             .sum()
     }
 
-    /// Closes an SRA's detection window: the consensus-approved refund of
-    /// whatever insurance was not forfeited (the paper's insurance "will
-    /// not be refunded once any vulnerability is detected" — vulnerability
-    /// payouts come out first, the remainder returns to the provider).
-    ///
-    /// Idempotent per SRA.
+    /// Closes an SRA's detection window ([`Settlement::close`]): refunds
+    /// whatever insurance was not forfeited. Idempotent per SRA.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NotFound`] for an unknown SRA and
+    /// Returns [`CoreError::NotFound`] for an SRA with no open escrow and
     /// [`CoreError::PayoutFailed`] when the refund call fails.
     pub fn settle_release(&mut self, sra_id: &SraId) -> Result<Ether, CoreError> {
         let block = self.block_ctx();
-        let entry = self.releases.get_mut(sra_id).ok_or(CoreError::NotFound)?;
-        if entry.settled {
-            return Ok(Ether::ZERO);
-        }
-        let remaining = entry.escrow.balance(&self.state);
-        if !remaining.is_zero() {
-            entry
-                .escrow
-                .refund(&self.vm, &mut self.state, self.trigger, block)?;
-        }
-        entry.settled = true;
-        smartcrowd_telemetry::counter!("core.escrow.refunded_milli").add(milli(remaining));
-        smartcrowd_telemetry::counter!("core.sra.settled").inc();
-        Ok(remaining)
+        self.core.settlement_mut().close(sra_id, block)
     }
 
     /// The shared tail of both report phases: admit the signed record,
@@ -481,9 +416,10 @@ impl Platform {
         }
         submitted.inc();
         let block = self.block_ctx();
-        let receipt =
-            self.registry
-                .submit(&self.vm, &mut self.state, detector, &record_id, block)?;
+        let (vm, state) = self.core.settlement_mut().machine();
+        let receipt = self
+            .registry
+            .submit(vm, state, detector, &record_id, block)?;
         *self.detector_costs.entry(detector).or_insert(Ether::ZERO) += receipt.fee;
         Ok(record_id)
     }
@@ -548,40 +484,41 @@ impl Platform {
         if !confirmed {
             return Err(CoreError::InitialNotConfirmed);
         }
-        let record_id = self.submit_report(
+        self.submit_report(
             detector,
             key.1,
             RecordKind::DetailedReport,
             report.encode(),
             smartcrowd_telemetry::counter!("core.reports.submitted", "kind" => "detailed"),
-        )?;
-        self.pending_detailed.insert(record_id, report);
-        Ok(record_id)
+        )
     }
 
-    /// Phase #3/#4 — mines the next block via the hash-power-weighted race,
-    /// records pending reports, applies rewards and fees, and triggers any
-    /// incentive payouts that reached finality.
+    /// Phase #3/#4 — mines the next block via the hash-power-weighted race:
+    /// sealing records the pending reports and lets the settlement fire the
+    /// incentive payouts that reached finality; rewards and fees are then
+    /// applied.
     ///
     /// Returns the winning provider's address and the payouts fired.
     pub fn mine_block(&mut self) -> (Address, Vec<Payout>) {
         let parent_timestamp = self.store().best_block().header().timestamp;
         let (miner, timestamp) = self.sim.next_slot(parent_timestamp);
+        let paid = self.payouts().len();
         let block = self.core.seal(miner, timestamp, self.config.block_capacity);
         // Apply economics: mint the block reward, move record fees.
-        self.state.credit(miner, self.config.block_reward);
+        let state = self.core.settlement_mut().machine().1;
+        state.credit(miner, self.config.block_reward);
         self.minted += self.config.block_reward;
         let mut earned = self.config.block_reward;
         for record in block.records() {
             let fee = record.fee();
-            if self.state.debit(record.sender(), fee).is_ok() {
-                self.state.credit(miner, fee);
+            if state.debit(record.sender(), fee).is_ok() {
+                state.credit(miner, fee);
                 earned += fee;
             }
         }
         *self.mining_income.entry(miner).or_insert(Ether::ZERO) += earned;
-        let fired = self.process_confirmations();
-        (miner, fired)
+        self.observe_confirmations();
+        (miner, self.payouts()[paid..].to_vec())
     }
 
     /// Mines `n` blocks back to back.
@@ -593,71 +530,31 @@ impl Platform {
         all
     }
 
-    fn process_confirmations(&mut self) -> Vec<Payout> {
-        let confirmed = self.watcher.poll(self.core.store());
-        let block = self.block_ctx();
-        let mut fired = Vec::new();
-        for c in confirmed {
-            if let Some(submitted) = self.submit_times.remove(&c.record_id) {
-                let elapsed_us = ((self.sim.clock() - submitted) * 1e6) as u64;
-                smartcrowd_telemetry::histogram!(
-                    "core.lifecycle.submit_to_confirm_us",
-                    smartcrowd_telemetry::buckets::TIME_US
-                )
-                .observe(elapsed_us);
-                smartcrowd_telemetry::counter!("core.lifecycle.confirmed").inc();
-            }
-            if c.kind != RecordKind::DetailedReport {
-                continue;
-            }
-            let Some(report) = self.pending_detailed.remove(&c.record_id) else {
+    /// Lifecycle latency of the records in the block the last seal
+    /// confirmed: the one under the settlement cursor, which every seal
+    /// moves one block (it rests on the empty genesis block until then).
+    fn observe_confirmations(&mut self) {
+        let confirmed = self.core.settlement().cursor().0;
+        let Some(block) = self.core.store().block_at_height(confirmed) else {
+            return;
+        };
+        for record in block.records() {
+            let Some(submitted) = self.submit_times.remove(&record.id()) else {
                 continue;
             };
-            let Some(entry) = self.releases.get_mut(report.sra_id()) else {
-                continue;
-            };
-            // First-confirmer-wins: only novel vulnerabilities pay (§VI-B:
-            // "only the detection result that has not been submitted before
-            // can be recorded").
-            let novel: Vec<VulnId> = report
-                .findings()
-                .vulnerabilities
-                .iter()
-                .filter(|v| !entry.paid_vulns.contains(v))
-                .copied()
-                .collect();
-            if novel.is_empty() {
-                continue;
-            }
-            entry.paid_vulns.extend(&novel);
-            let n = novel.len() as u64;
-            let wallet = report.wallet();
-            let paid =
-                entry
-                    .escrow
-                    .payout(&self.vm, &mut self.state, self.trigger, wallet, n, block);
-            // A failed payout means the escrow is exhausted: the punishment
-            // is capped at the insurance (the paper's forfeit-the-deposit
-            // model).
-            if paid.is_ok() {
-                let payout = Payout {
-                    sra_id: *report.sra_id(),
-                    wallet,
-                    vulnerabilities: n,
-                    amount: entry.mu.scaled(n),
-                };
-                smartcrowd_telemetry::counter!("core.incentive.payouts").inc();
-                smartcrowd_telemetry::counter!("core.escrow.paid_milli").add(milli(payout.amount));
-                self.payouts.push(payout.clone());
-                fired.push(payout);
-            }
+            let elapsed_us = ((self.sim.clock() - submitted) * 1e6) as u64;
+            smartcrowd_telemetry::histogram!(
+                "core.lifecycle.submit_to_confirm_us",
+                smartcrowd_telemetry::buckets::TIME_US
+            )
+            .observe(elapsed_us);
+            smartcrowd_telemetry::counter!("core.lifecycle.confirmed").inc();
         }
-        fired
     }
 
     /// Consumer query: confirmed vulnerabilities recorded for an SRA.
     pub fn confirmed_vulnerabilities(&self, sra_id: &SraId) -> Vec<VulnId> {
-        let Some(entry) = self.releases.get(sra_id) else {
+        let Some(entry) = self.settlement().escrows().get(sra_id) else {
             return Vec::new();
         };
         let mut v: Vec<VulnId> = entry.paid_vulns.iter().copied().collect();
@@ -693,13 +590,15 @@ mod tests {
     }
 
     #[test]
-    fn release_escrows_insurance() {
+    fn release_escrows_insurance_once_the_sra_is_final() {
         let mut p = platform();
         let id = release(&mut p, vec![VulnId(1)]);
+        assert_eq!(p.escrow_balance(&id), None, "announced, not yet confirmed");
+        p.mine_blocks(7);
         assert_eq!(p.escrow_balance(&id), Some(Ether::from_ether(1000)));
         // Provider paid insurance + gas out of its 5000.
         let prov = p.providers()[0].address;
-        assert!(p.balance(&prov) < Ether::from_ether(4000));
+        assert!(p.balance(&prov) < Ether::from_ether(4000) + p.mining_income(&prov));
         assert!(p.sra(&id).is_some());
         assert!(p.download_image(&id).is_some());
     }

@@ -8,15 +8,18 @@
 //! knowledge* (library, scoreboard, announced SRAs, held artifacts, the
 //! first `R†` per detector and SRA) and changes them only through
 //! [`Protocol::admit`], [`Protocol::check_block`], [`Protocol::seal`] and
-//! [`Protocol::replay`], which share one per-kind switch.
+//! [`Protocol::replay`], which share one per-kind switch. It also owns the
+//! replica's [`Settlement`] — Phase #4, the contract state its confirmed
+//! chain implies — advanced by [`Protocol::seal`] and [`Protocol::connected`].
 //!
 //! The drivers add only what they alone have:
 //! [`crate::node::ProviderNode`] the gossip glue,
 //! [`crate::platform::Platform`] the provider keys, the mining race and
-//! contract settlement on confirmation.
+//! the economics ledgers.
 
 use crate::error::CoreError;
 use crate::report::{DetailedReport, InitialReport};
+use crate::settlement::Settlement;
 use crate::sra::{Sra, SraId};
 use crate::verify;
 use smartcrowd_chain::mempool::Mempool;
@@ -60,6 +63,7 @@ pub struct Protocol<B: ChainBackend + ?Sized = dyn ChainBackend> {
     artifacts: HashMap<SraId, IoTSystem>,
     /// First verified initial report per (SRA, detector).
     initials: HashMap<(SraId, Address), InitialReport>,
+    settlement: Settlement,
     backend: Box<B>,
 }
 
@@ -73,6 +77,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
             sras: HashMap::new(),
             artifacts: HashMap::new(),
             initials: HashMap::new(),
+            settlement: Settlement::new(backend.genesis_id()),
             backend,
         }
     }
@@ -80,8 +85,8 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     /// A replica rebooted over a recovered chain, the only state that
     /// survives a crash: the SRAs and initial reports on its canonical
     /// branch are re-derived through the same switch as live traffic so
-    /// Algorithm 1 can keep running. Pool, scoreboard and artifacts start
-    /// empty.
+    /// Algorithm 1 can keep running, and the settlement is folded over its
+    /// confirmed prefix. Pool, scoreboard and artifacts start empty.
     pub fn replay(backend: Box<B>, library: VulnLibrary) -> Self {
         let mut core = Self::new(backend, library);
         for block in core.backend.canonical_blocks() {
@@ -91,6 +96,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
                 let _ = core.index(record, false);
             }
         }
+        core.settle();
         core
     }
 
@@ -133,8 +139,9 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     }
 
     /// Seals the `capacity` best pending records into the next block on
-    /// this replica's tip and commits it (panics on a storage fault: the
-    /// backend refusing a block built on its own tip).
+    /// this replica's tip, commits it (panics on a storage fault: the
+    /// backend refusing a block built on its own tip) and settles what the
+    /// new block confirmed.
     pub fn seal(&mut self, miner: Address, timestamp: u64, capacity: usize) -> Block {
         let records = self.mempool.take_best(capacity);
         let parent = self.backend.best_block();
@@ -148,7 +155,14 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
         self.backend
             .commit(block.clone())
             .expect("own block extends own tip");
+        self.settle();
         block
+    }
+
+    /// Folds the blocks that became confirmed since the last call into the
+    /// settlement.
+    pub fn settle(&mut self) {
+        self.settlement.advance(&*self.backend);
     }
 
     /// The switch: decode → verify → index, per record kind. Assumes the
@@ -226,9 +240,11 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
         self.artifacts.insert(sra_id, system);
     }
 
-    /// Drops pending records a newly connected block already carries.
-    pub fn drop_included(&mut self, block: &Block) {
+    /// Follows up a block from elsewhere connecting to the chain: drops the
+    /// pending records it already carries, settles what it confirmed.
+    pub fn connected(&mut self, block: &Block) {
         self.mempool.remove_included(block);
+        self.settle();
     }
 
     /// Evicts one pending record that turned out not to verify.
@@ -245,6 +261,17 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     /// fault-injection harnesses).
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.backend
+    }
+
+    /// The contract state this replica's confirmed chain implies.
+    pub fn settlement(&self) -> &Settlement {
+        &self.settlement
+    }
+
+    /// Mutable settlement access (genesis allocation, a driver's own ledger
+    /// entries, [`Settlement::close`]).
+    pub fn settlement_mut(&mut self) -> &mut Settlement {
+        &mut self.settlement
     }
 
     /// Pending records.

@@ -171,7 +171,7 @@ mod tests {
     fn escrow_and_settlement_are_visible() {
         let mut p = Platform::new(PlatformConfig::paper());
         let id = release(&mut p, "cam-fw", "1.0", vec![]);
-        p.mine_blocks(2);
+        p.mine_blocks(8); // the escrow opens when the SRA is final
         let before = dossier_for(&p, "cam-fw", RiskTolerance::default()).unwrap();
         assert!(!before.versions[0].settled);
         assert!((before.versions[0].escrow_remaining_eth - 500.0).abs() < 1e-9);

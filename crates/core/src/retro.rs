@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn settled_release_notifies_with_closed_bounty() {
         let (mut p, sra_id, _) = setup();
-        p.mine_blocks(2);
+        p.mine_blocks(8); // the escrow opens when the SRA is final
         p.settle_release(&sra_id).unwrap();
         let mut monitor = RetroMonitor {
             seen_library_len: p.library().len() - 1,

@@ -1,0 +1,430 @@
+//! Settlement: the paper's Phase #4 (§V-D) as one fold over the
+//! confirmed chain.
+//!
+//! "When `R†` and `R*` are all confirmed and recorded in the blockchain,
+//! SmartCrowd contracts will be triggered." A [`Settlement`] is that rule,
+//! written once (PROTOCOL.md §8.5). It owns the SCVM, the world state and
+//! the consensus trigger account, and changes them only by applying — in
+//! canonical record order, each exactly once — the blocks that crossed
+//! [`CONFIRMATION_DEPTH`]: a confirmed SRA opens and funds its escrow from
+//! the provider's account, a confirmed `R*` is paid out of it. The world
+//! state is therefore a function of the genesis allocation and the
+//! confirmed chain alone, so replicas of one confirmed history hold the
+//! same contract balances. A cursor marks the last block applied; if that
+//! block is reorged out, the state is refolded from genesis by the same
+//! loop. Execution owns no storage, ordering or signature check: records
+//! reach the fold validated by [`crate::protocol::Protocol::check_block`].
+
+use crate::contracts::SraEscrow;
+use crate::error::CoreError;
+use crate::report::DetailedReport;
+use crate::sra::{Sra, SraId};
+use smartcrowd_chain::record::RecordKind;
+use smartcrowd_chain::{BlockId, ChainQuery, Ether, CONFIRMATION_DEPTH};
+use smartcrowd_crypto::Address;
+use smartcrowd_detect::vulnerability::VulnId;
+use smartcrowd_vm::{Vm, WorldState};
+use std::collections::{HashMap, HashSet};
+
+/// Gas float the consensus trigger account holds at genesis.
+const TRIGGER_FLOAT: Ether = Ether::from_ether(1000);
+
+/// A completed incentive payout.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Payout {
+    /// The SRA whose escrow paid.
+    pub sra_id: SraId,
+    /// The detector wallet credited.
+    pub wallet: Address,
+    /// Number of novel vulnerabilities rewarded.
+    pub vulnerabilities: u64,
+    /// Amount transferred.
+    pub amount: Ether,
+}
+
+/// One opened escrow: a row of the settlement table.
+#[derive(Debug)]
+pub struct OpenEscrow {
+    /// The deployed contract (address, measured release cost).
+    pub escrow: SraEscrow,
+    /// The insurance the escrow was funded with.
+    pub insurance: Ether,
+    /// The per-vulnerability incentive `μ` the escrow was preset with.
+    pub mu: Ether,
+    /// Vulnerabilities already claimed (first-confirmer-wins dedup).
+    pub paid_vulns: HashSet<VulnId>,
+    /// Whether the detection window was closed and the remainder refunded.
+    pub closed: bool,
+}
+
+/// Whole milliether in an [`Ether`] amount (telemetry unit for escrow flows).
+fn milli(e: Ether) -> u64 {
+    (e.wei() / 1_000_000_000_000_000) as u64
+}
+
+/// One replica's contract state, derived from its confirmed chain.
+#[derive(Debug)]
+pub struct Settlement {
+    vm: Vm,
+    state: WorldState,
+    trigger: Address,
+    /// Genesis balances, the trigger's float first; a refold re-applies them.
+    allocations: Vec<(Address, Ether)>,
+    escrows: HashMap<SraId, OpenEscrow>,
+    /// Confirmed `R*` whose escrow is not open, in confirmation order.
+    pending: HashMap<SraId, Vec<DetailedReport>>,
+    payouts: Vec<Payout>,
+    genesis: BlockId,
+    /// Height and id of the last confirmed canonical block applied.
+    cursor: (u64, BlockId),
+    folded: u64,
+}
+
+impl Settlement {
+    /// The genesis state of a chain rooted at `genesis`: nothing but the
+    /// trigger account's gas float.
+    pub fn new(genesis: BlockId) -> Settlement {
+        let trigger = Address::from_label("smartcrowd-consensus");
+        let mut settlement = Settlement {
+            vm: Vm::default(),
+            state: WorldState::new(),
+            trigger,
+            allocations: vec![(trigger, TRIGGER_FLOAT)],
+            escrows: HashMap::new(),
+            pending: HashMap::new(),
+            payouts: Vec::new(),
+            genesis,
+            cursor: (0, genesis),
+            folded: 0,
+        };
+        settlement.reset();
+        settlement
+    }
+
+    /// Back to genesis: the allocations, no escrow, no payout, cursor on
+    /// the genesis block.
+    fn reset(&mut self) {
+        self.state = WorldState::new();
+        for &(account, amount) in &self.allocations {
+            self.state.credit(account, amount);
+        }
+        self.escrows.clear();
+        self.pending.clear();
+        self.payouts.clear();
+        self.cursor = (0, self.genesis);
+    }
+
+    /// Adds `genesis` balances to the genesis state. They change history
+    /// from block 0, so everything folded so far is discarded; the next
+    /// [`Settlement::advance`] refolds it.
+    pub fn allocate(&mut self, genesis: &[(Address, Ether)]) {
+        self.allocations.extend_from_slice(genesis);
+        self.reset();
+    }
+
+    /// Applies every canonical block of `chain` that crossed
+    /// [`CONFIRMATION_DEPTH`] since the cursor, refolding from genesis
+    /// first when the block at the cursor is no longer canonical.
+    pub fn advance<Q: ChainQuery + ?Sized>(&mut self, chain: &Q) {
+        if chain.canonical_id_at(self.cursor.0) != Some(self.cursor.1) {
+            self.reset();
+        }
+        let horizon = chain.best_height().saturating_sub(CONFIRMATION_DEPTH);
+        while self.cursor.0 < horizon {
+            let Some(block) = chain.canonical_block_at(self.cursor.0 + 1) else {
+                return; // unreadable body: stay put, the backend is poisoned
+            };
+            let header = block.header();
+            let ctx = (header.timestamp, header.height);
+            for record in block.records() {
+                // A payload that does not decode settles nothing.
+                match record.kind() {
+                    RecordKind::Sra => {
+                        if let Ok(sra) = Sra::decode(record.payload()) {
+                            self.open(&sra, ctx);
+                        }
+                    }
+                    RecordKind::DetailedReport => {
+                        if let Ok(report) = DetailedReport::decode(record.payload()) {
+                            if !self.pay(&report, ctx) {
+                                let waiting = self.pending.entry(*report.sra_id());
+                                waiting.or_default().push(report);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            self.cursor = (header.height, block.id());
+            self.folded += 1;
+        }
+    }
+
+    /// Opens the escrow of a confirmed SRA (a provider that cannot fund it
+    /// opens none; the attempt's gas is spent, as for any failed
+    /// transaction), then pays the reports that confirmed ahead of it, in
+    /// the order they confirmed.
+    fn open(&mut self, sra: &Sra, block: (u64, u64)) {
+        if self.escrows.contains_key(sra.id()) {
+            return;
+        }
+        let Ok(escrow) = SraEscrow::deploy(
+            &self.vm,
+            &mut self.state,
+            sra.provider(),
+            sra.insurance(),
+            sra.incentive_per_vuln(),
+            self.trigger,
+            block,
+        ) else {
+            return;
+        };
+        smartcrowd_telemetry::counter!("core.escrow.deposited_milli").add(milli(sra.insurance()));
+        self.escrows.insert(
+            *sra.id(),
+            OpenEscrow {
+                escrow,
+                insurance: sra.insurance(),
+                mu: sra.incentive_per_vuln(),
+                paid_vulns: HashSet::new(),
+                closed: false,
+            },
+        );
+        for report in self.pending.remove(sra.id()).unwrap_or_default() {
+            self.pay(&report, block);
+        }
+    }
+
+    /// Pays a confirmed `R*` `μ` for each vulnerability nobody claimed
+    /// before it (§VI-B: "only the detection result that has not been
+    /// submitted before can be recorded"). `false`: its escrow is not open.
+    fn pay(&mut self, report: &DetailedReport, block: (u64, u64)) -> bool {
+        let Some(entry) = self.escrows.get_mut(report.sra_id()) else {
+            return false;
+        };
+        let claimed = report.findings().vulnerabilities.iter();
+        let novel: Vec<VulnId> = claimed
+            .filter(|v| !entry.paid_vulns.contains(v))
+            .copied()
+            .collect();
+        if novel.is_empty() {
+            return true;
+        }
+        entry.paid_vulns.extend(&novel);
+        let n = novel.len() as u64;
+        let wallet = report.wallet();
+        let paid = entry
+            .escrow
+            .payout(&self.vm, &mut self.state, self.trigger, wallet, n, block);
+        // A failed payout means the escrow is exhausted: the punishment is
+        // capped at the insurance (the paper's forfeit-the-deposit model).
+        if paid.is_ok() {
+            let amount = entry.mu.scaled(n);
+            smartcrowd_telemetry::counter!("core.incentive.payouts").inc();
+            smartcrowd_telemetry::counter!("core.escrow.paid_milli").add(milli(amount));
+            self.payouts.push(Payout {
+                sra_id: *report.sra_id(),
+                wallet,
+                vulnerabilities: n,
+                amount,
+            });
+        }
+        true
+    }
+
+    /// Closes an SRA's detection window: the consensus-approved refund of
+    /// whatever insurance was not forfeited (the paper's insurance "will
+    /// not be refunded once any vulnerability is detected" — payouts come
+    /// out first, the remainder returns to the provider). No record kind
+    /// carries a close: a refold does not repeat it. Idempotent per SRA.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NotFound`] for an SRA with no open escrow and
+    /// [`CoreError::PayoutFailed`] when the refund call fails.
+    pub fn close(&mut self, sra_id: &SraId, block: (u64, u64)) -> Result<Ether, CoreError> {
+        let entry = self.escrows.get_mut(sra_id).ok_or(CoreError::NotFound)?;
+        if entry.closed {
+            return Ok(Ether::ZERO);
+        }
+        let remaining = entry.escrow.balance(&self.state);
+        if !remaining.is_zero() {
+            entry
+                .escrow
+                .refund(&self.vm, &mut self.state, self.trigger, block)?;
+        }
+        entry.closed = true;
+        smartcrowd_telemetry::counter!("core.escrow.refunded_milli").add(milli(remaining));
+        smartcrowd_telemetry::counter!("core.sra.settled").inc();
+        Ok(remaining)
+    }
+
+    /// Height and id of the last confirmed canonical block applied.
+    pub fn cursor(&self) -> (u64, BlockId) {
+        self.cursor
+    }
+
+    /// Blocks applied over this replica's lifetime, refolds included: equal
+    /// to the cursor height exactly when every block was applied once.
+    pub fn folded(&self) -> u64 {
+        self.folded
+    }
+
+    /// The world state.
+    pub fn state(&self) -> &WorldState {
+        &self.state
+    }
+
+    /// The interpreter and the world state, for what a driver meters
+    /// outside the fold (fees, block rewards, the faucet, the report
+    /// registry). Only a driver whose chain never forks may: a refold
+    /// rebuilds the state from the allocations and the chain alone.
+    pub fn machine(&mut self) -> (&Vm, &mut WorldState) {
+        (&self.vm, &mut self.state)
+    }
+
+    /// The consensus trigger account.
+    pub fn trigger(&self) -> Address {
+        self.trigger
+    }
+
+    /// Currency the genesis state holds.
+    pub fn allocated(&self) -> Ether {
+        self.allocations.iter().map(|a| a.1).sum()
+    }
+
+    /// The open escrows.
+    pub fn escrows(&self) -> &HashMap<SraId, OpenEscrow> {
+        &self.escrows
+    }
+
+    /// Completed payouts, in order.
+    pub fn payouts(&self) -> &[Payout] {
+        &self.payouts
+    }
+
+    /// Confirmed `R*` still waiting for their SRA's escrow to open.
+    pub fn pending_reports(&self) -> usize {
+        self.pending.values().map(Vec::len).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::{create_report_pair, Findings};
+    use smartcrowd_chain::record::Record;
+    use smartcrowd_chain::{Block, ChainStore, Difficulty};
+    use smartcrowd_crypto::keys::KeyPair;
+
+    const FEE: Ether = Ether::from_milliether(11);
+
+    fn sra_record(provider: &KeyPair, insurance: u64) -> (SraId, Record) {
+        let sra = Sra::create(
+            provider,
+            "fw",
+            "1",
+            [7; 32],
+            "sim://fw",
+            Ether::from_ether(insurance),
+            Ether::from_ether(25),
+        );
+        let record = Record::signed(RecordKind::Sra, sra.encode(), FEE, 0, provider);
+        (*sra.id(), record)
+    }
+
+    fn detailed_record(detector: &KeyPair, sra_id: SraId, vulns: Vec<u64>) -> Record {
+        let vulns = vulns.into_iter().map(VulnId).collect();
+        let (_, detailed) = create_report_pair(detector, sra_id, Findings::new(vulns, "x"));
+        Record::signed(
+            RecordKind::DetailedReport,
+            detailed.encode(),
+            FEE,
+            1,
+            detector,
+        )
+    }
+
+    /// Extends `store` with one block per entry of `blocks`, then with
+    /// enough empty blocks to confirm them all.
+    fn confirm(store: &mut ChainStore, blocks: Vec<Vec<Record>>) {
+        let empty = vec![Vec::new(); CONFIRMATION_DEPTH as usize];
+        for records in blocks.into_iter().chain(empty) {
+            let parent = store.best_block().clone();
+            let timestamp = parent.header().timestamp + 15;
+            let miner = Address::from_label("miner");
+            let block =
+                Block::assemble(&parent, records, timestamp, Difficulty::from_u64(1), miner);
+            store.insert(block).unwrap();
+        }
+    }
+
+    fn balance(settlement: &Settlement, sra_id: &SraId) -> Ether {
+        settlement.escrows()[sra_id]
+            .escrow
+            .balance(settlement.state())
+    }
+
+    fn funded(store: &ChainStore, provider: &KeyPair) -> Settlement {
+        let mut settlement = Settlement::new(store.genesis_id());
+        settlement.allocate(&[(provider.address(), Ether::from_ether(5000))]);
+        settlement
+    }
+
+    #[test]
+    fn report_confirmed_ahead_of_its_sra_pays_when_the_escrow_opens() {
+        let provider = KeyPair::from_seed(b"provider");
+        let detector = KeyPair::from_seed(b"detector");
+        let (sra_id, sra) = sra_record(&provider, 1000);
+        let report = detailed_record(&detector, sra_id, vec![3]);
+        let mut store = ChainStore::new(Block::genesis(Difficulty::from_u64(1)));
+        let mut settlement = funded(&store, &provider);
+        confirm(&mut store, vec![vec![report]]);
+        settlement.advance(&store);
+        assert_eq!(settlement.pending_reports(), 1);
+        assert!(settlement.payouts().is_empty());
+        confirm(&mut store, vec![vec![sra]]);
+        settlement.advance(&store);
+        assert_eq!(settlement.pending_reports(), 0);
+        assert_eq!(settlement.payouts().len(), 1);
+        assert_eq!(balance(&settlement, &sra_id), Ether::from_ether(975));
+        assert_eq!(settlement.folded(), settlement.cursor().0);
+    }
+
+    #[test]
+    fn unfunded_provider_opens_no_escrow_and_its_reports_stay_pending() {
+        let provider = KeyPair::from_seed(b"provider");
+        let detector = KeyPair::from_seed(b"detector");
+        let (sra_id, sra) = sra_record(&provider, 6000); // allocation is 5000
+        let report = detailed_record(&detector, sra_id, vec![3]);
+        let mut store = ChainStore::new(Block::genesis(Difficulty::from_u64(1)));
+        let mut settlement = funded(&store, &provider);
+        confirm(&mut store, vec![vec![sra, report]]);
+        settlement.advance(&store);
+        assert!(settlement.escrows().is_empty());
+        assert_eq!(settlement.pending_reports(), 1);
+        assert!(settlement.payouts().is_empty());
+    }
+
+    #[test]
+    fn close_refunds_the_remainder_once() {
+        let provider = KeyPair::from_seed(b"provider");
+        let (sra_id, sra) = sra_record(&provider, 1000);
+        let mut store = ChainStore::new(Block::genesis(Difficulty::from_u64(1)));
+        let mut settlement = funded(&store, &provider);
+        assert_eq!(settlement.close(&sra_id, (0, 0)), Err(CoreError::NotFound));
+        confirm(&mut store, vec![vec![sra]]);
+        settlement.advance(&store);
+        assert_eq!(
+            settlement.close(&sra_id, (0, 0)),
+            Ok(Ether::from_ether(1000))
+        );
+        assert_eq!(settlement.close(&sra_id, (0, 0)), Ok(Ether::ZERO));
+        assert_eq!(balance(&settlement, &sra_id), Ether::ZERO);
+        assert_eq!(
+            settlement.state().total_supply(),
+            settlement.allocated(),
+            "gas, deposits and refunds only move currency"
+        );
+    }
+}

@@ -1,15 +1,18 @@
 //! The protocol core and its two drivers: deferred-report handling on
-//! the node, replay ≡ live for the core, and verdict parity between
-//! `ProviderNode::handle` and `Platform::submit_*`.
+//! the node, replay ≡ live for the core, verdict parity between
+//! `ProviderNode::handle` and `Platform::submit_*`, and one settlement —
+//! the same contract state from the same confirmed history, whichever
+//! driver folded it, exactly once per block, and again after a reorg.
 
 use proptest::prelude::*;
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_chain::{Block, ChainStore, Difficulty, Ether};
+use smartcrowd_chain::{Block, ChainStore, Difficulty, Ether, CONFIRMATION_DEPTH};
 use smartcrowd_core::node::ProviderNode;
 use smartcrowd_core::platform::{Platform, PlatformConfig};
 use smartcrowd_core::protocol::Protocol;
 use smartcrowd_core::report::{create_report_pair, DetailedReport, Findings, InitialReport};
+use smartcrowd_core::settlement::{Payout, Settlement};
 use smartcrowd_core::sra::{Sra, SraId};
 use smartcrowd_core::CoreError;
 use smartcrowd_crypto::keys::KeyPair;
@@ -17,6 +20,7 @@ use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_detect::vulnerability::VulnId;
 use smartcrowd_net::Message;
+use std::collections::{BTreeMap, BTreeSet};
 
 const FEE: Ether = Ether::from_milliether(11);
 
@@ -251,6 +255,195 @@ fn node_and_platform_reach_the_same_verdict() {
     ));
     assert_eq!(platform.scoreboard().score(&honest.address()).confirmed, 1);
     assert_eq!(node.scoreboard().score(&honest.address()).confirmed, 1);
+}
+
+/// What two replicas of one confirmed history must agree on: per SRA the
+/// escrow contract's balance and the claimed vulnerabilities, and the
+/// payout list.
+type Ledger = (BTreeMap<SraId, (Ether, BTreeSet<VulnId>)>, Vec<Payout>);
+
+fn ledger(settlement: &Settlement) -> Ledger {
+    let escrows = settlement.escrows().iter().map(|(id, entry)| {
+        let balance = entry.escrow.balance(settlement.state());
+        (*id, (balance, entry.paid_vulns.iter().copied().collect()))
+    });
+    (escrows.collect(), settlement.payouts().to_vec())
+}
+
+#[test]
+fn platform_and_node_settle_the_same_stream_identically() {
+    // Two detectors with overlapping findings, so first-confirmer-wins
+    // decides who is paid for VulnId(2).
+    let mut platform = Platform::new(PlatformConfig::paper());
+    let mut rng = SimRng::seed_from_u64(9);
+    let planted = vec![VulnId(1), VulnId(2), VulnId(3)];
+    let system = IoTSystem::build("fw", "1", platform.library(), planted, &mut rng).unwrap();
+    let image = system.image().to_vec();
+    let sra_id = platform
+        .release_system(0, system, Ether::from_ether(1000), Ether::from_ether(25))
+        .unwrap();
+    let detectors = [KeyPair::from_seed(b"first"), KeyPair::from_seed(b"second")];
+    let claims = [vec![VulnId(1), VulnId(2)], vec![VulnId(2), VulnId(3)]];
+    let mut reveals = Vec::new();
+    for (kp, claim) in detectors.iter().zip(claims) {
+        platform.fund(kp.address(), Ether::from_ether(10));
+        let (initial, detailed) = create_report_pair(kp, sra_id, Findings::new(claim, "x"));
+        platform.submit_initial(kp, initial).unwrap();
+        reveals.push((kp, detailed));
+    }
+    platform.mine_blocks(8);
+    for (kp, detailed) in reveals {
+        platform.submit_detailed(kp, detailed).unwrap();
+    }
+    platform.mine_blocks(8);
+    assert_eq!(platform.payouts().len(), 2);
+
+    // The node is handed the platform's signed records, block by block,
+    // and mines them itself.
+    let mut node = ProviderNode::new(
+        KeyPair::from_seed(b"peer"),
+        genesis(),
+        platform.library().clone(),
+    );
+    let provider = platform.providers()[0].address;
+    node.allocate(&[(provider, PlatformConfig::paper().provider_funding)]);
+    for block in platform.store().canonical_blocks().skip(1) {
+        for record in block.records() {
+            for request in node.handle(Message::Record(record.clone())).broadcast {
+                let Message::ImageRequest { image_hash } = request else {
+                    panic!("unexpected {request:?}");
+                };
+                let image = image.clone();
+                node.handle(Message::ImageResponse { image_hash, image });
+            }
+        }
+        node.mine(block.header().timestamp, 64);
+        assert_eq!(node.mempool_len(), 0, "every record was admitted and mined");
+    }
+    assert_eq!(node.store().best_height(), platform.store().best_height());
+    assert_eq!(ledger(node.settlement()), ledger(platform.settlement()));
+    assert_eq!(
+        node.settlement().cursor().0,
+        platform.settlement().cursor().0
+    );
+}
+
+#[test]
+fn each_confirmed_block_is_applied_exactly_once() {
+    let mut platform = Platform::new(PlatformConfig::paper());
+    let mut rng = SimRng::seed_from_u64(3);
+    for round in 0..200u64 {
+        if round % 40 == 0 {
+            let version = round.to_string();
+            let system =
+                IoTSystem::build("fw", &version, platform.library(), vec![], &mut rng).unwrap();
+            platform
+                .release_system(1, system, Ether::from_ether(100), Ether::from_ether(1))
+                .unwrap();
+        }
+        platform.mine_block();
+        let settlement = platform.settlement();
+        let horizon = platform
+            .store()
+            .best_height()
+            .saturating_sub(CONFIRMATION_DEPTH);
+        assert_eq!(settlement.cursor().0, horizon, "round {round}");
+        assert_eq!(settlement.folded(), horizon, "round {round}");
+    }
+    assert_eq!(platform.store().best_height(), 200);
+    assert_eq!(platform.settlement().escrows().len(), 5);
+}
+
+/// `n` blocks on top of `parent`, the first carrying `records`.
+fn branch(parent: &Block, records: Vec<Record>, n: u64, skew: u64) -> Vec<Block> {
+    let mut blocks: Vec<Block> = Vec::new();
+    let mut records = Some(records);
+    for _ in 0..n {
+        let parent = blocks.last().unwrap_or(parent);
+        blocks.push(Block::assemble(
+            parent,
+            records.take().unwrap_or_default(),
+            parent.header().timestamp + skew,
+            Difficulty::from_u64(1),
+            KeyPair::from_seed(b"miner").address(),
+        ));
+    }
+    blocks
+}
+
+#[test]
+fn refold_after_a_deep_reorg_equals_a_replica_that_never_saw_the_losing_branch() {
+    let library = VulnLibrary::synthetic(20, 3);
+    let provider = KeyPair::from_seed(b"prov-0");
+    let detector = KeyPair::from_seed(b"det-0");
+    let release = |version: &str| {
+        let sra = Sra::create(
+            &provider,
+            "fw",
+            version,
+            [7; 32],
+            "sim://fw",
+            Ether::from_ether(1000),
+            Ether::from_ether(25),
+        );
+        let (_, detailed) =
+            create_report_pair(&detector, *sra.id(), Findings::new(vec![VulnId(1)], "x"));
+        let records = vec![
+            Record::signed(RecordKind::Sra, sra.encode(), FEE, 0, &provider),
+            Record::signed(
+                RecordKind::DetailedReport,
+                detailed.encode(),
+                FEE,
+                1,
+                &detector,
+            ),
+        ];
+        (*sra.id(), records)
+    };
+    let (losing_sra, losing_records) = release("losing");
+    let (winning_sra, winning_records) = release("winning");
+    let funding = [(provider.address(), Ether::from_ether(5000))];
+    let replica = || {
+        let mut core = Protocol::new(Box::new(ChainStore::new(genesis())), library.clone());
+        core.settlement_mut().allocate(&funding);
+        core
+    };
+    let extend = |core: &mut Protocol<ChainStore>, blocks: &[Block]| {
+        for block in blocks {
+            core.backend_mut().insert(block.clone()).unwrap();
+            core.connected(block);
+        }
+    };
+
+    // The losing branch settles its release well past finality …
+    let mut forked = replica();
+    extend(&mut forked, &branch(&genesis(), losing_records, 9, 15));
+    assert_eq!(forked.settlement().cursor().0, 9 - CONFIRMATION_DEPTH);
+    assert_eq!(forked.settlement().payouts().len(), 1);
+    assert!(forked.settlement().escrows().contains_key(&losing_sra));
+    // … then a heavier branch replaces it from genesis.
+    let winning = branch(&genesis(), winning_records, 12, 20);
+    extend(&mut forked, &winning);
+    assert_eq!(forked.store().best_tip(), winning[11].id());
+
+    let mut never_forked = replica();
+    extend(&mut never_forked, &winning);
+    assert!(!forked.settlement().escrows().contains_key(&losing_sra));
+    assert!(forked.settlement().escrows().contains_key(&winning_sra));
+    assert_eq!(
+        ledger(forked.settlement()),
+        ledger(never_forked.settlement())
+    );
+    assert_eq!(
+        forked.settlement().cursor(),
+        never_forked.settlement().cursor()
+    );
+    let supply = |core: &Protocol<ChainStore>| core.settlement().state().total_supply();
+    assert_eq!(supply(&forked), supply(&never_forked));
+    assert!(
+        forked.settlement().folded() > never_forked.settlement().folded(),
+        "the refold redid the prefix"
+    );
 }
 
 /// One step of a random admit/seal schedule.

@@ -1,8 +1,9 @@
 //! The fleet driver shared by the distributed simulators: N
 //! [`ProviderNode`] slots (running, or vacated by a crash) over one seeded
 //! [`GossipNet`] and one hash-power-weighted mining race. It owns the
-//! mechanics every multi-node harness needs — boot, the warm-then-deliver
-//! message pump, an honest mining round, anti-entropy — so
+//! mechanics every multi-node harness needs — boot (and reboot) with the
+//! shared genesis allocation, the warm-then-deliver message pump, an
+//! honest mining round, anti-entropy — so
 //! [`crate::distributed::DistributedSim`] adds only its scenario API and
 //! the chaos harness only its faults.
 //!
@@ -17,12 +18,16 @@ use smartcrowd_chain::{sigcache, Block, ChainBackend, Difficulty, Ether};
 use smartcrowd_core::node::{Outbox, ProviderNode};
 use smartcrowd_core::sra::SraId;
 use smartcrowd_crypto::keys::KeyPair;
+use smartcrowd_crypto::Address;
 use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_net::{GossipNet, LinkConfig, Message, NodeId};
 
 /// Per-block record capacity.
 pub const BLOCK_CAPACITY: usize = 64;
+
+/// Genesis balance of every node's provider account (paper §VII).
+const PROVIDER_FUNDING: Ether = Ether::from_ether(5000);
 
 /// Safety bound on message-pump iterations per pump call.
 const PUMP_LIMIT: usize = 10_000;
@@ -34,6 +39,9 @@ pub struct Fleet {
     /// `None` while the node is crashed.
     slots: Vec<Option<ProviderNode>>,
     keypairs: Vec<KeyPair>,
+    /// The genesis allocation every node settles over: each node's
+    /// provider account, funded alike.
+    allocation: Vec<(Address, Ether)>,
     net: GossipNet,
     race: SimMiner,
     genesis: Block,
@@ -60,21 +68,27 @@ impl Fleet {
         let genesis = Block::genesis(Difficulty::from_u64(1));
         let library = VulnLibrary::synthetic(200, seed ^ 0x11b);
         let mut net = GossipNet::new(link, seed);
-        let (mut slots, mut keypairs, mut participants) = (Vec::new(), Vec::new(), Vec::new());
-        for i in 0..n {
-            let keypair = KeyPair::from_seed(format!("{key_label}-{i}").as_bytes());
-            let node = ProviderNode::with_backend(keypair, backend(i, &genesis)?, library.clone());
+        let keypairs: Vec<KeyPair> = (0..n)
+            .map(|i| KeyPair::from_seed(format!("{key_label}-{i}").as_bytes()))
+            .collect();
+        let accounts = keypairs.iter().map(KeyPair::address);
+        let allocation: Vec<_> = accounts.map(|a| (a, PROVIDER_FUNDING)).collect();
+        let (mut slots, mut participants) = (Vec::new(), Vec::new());
+        for (i, keypair) in keypairs.iter().enumerate() {
+            let mut node =
+                ProviderNode::with_backend(*keypair, backend(i, &genesis)?, library.clone());
+            node.allocate(&allocation);
             participants.push(SimParticipant {
                 address: node.address(),
                 hash_power: PAPER_HASH_POWERS[i % PAPER_HASH_POWERS.len()],
             });
             assert_eq!(net.register(), NodeId(i), "gossip ids follow slot order");
-            keypairs.push(keypair);
             slots.push(Some(node));
         }
         Ok(Fleet {
             slots,
             keypairs,
+            allocation,
             net,
             race: SimMiner::new(participants, 15.35, seed ^ 0xace),
             genesis,
@@ -89,9 +103,18 @@ impl Fleet {
         self.slots[idx].as_ref()
     }
 
-    /// Slot `idx`: take the node out to crash it, put one in to restart.
+    /// Slot `idx`: take the node out to crash it.
     pub fn slot(&mut self, idx: usize) -> &mut Option<ProviderNode> {
         &mut self.slots[idx]
+    }
+
+    /// Reboots crashed node `idx` over its recovered chain `backend`, with
+    /// the same genesis allocation it booted with.
+    pub fn restart(&mut self, idx: usize, backend: Box<dyn ChainBackend>) {
+        let mut node =
+            ProviderNode::restore_backend(self.keypairs[idx], backend, self.library.clone());
+        node.allocate(&self.allocation);
+        self.slots[idx] = Some(node);
     }
 
     /// Every running node with its index.

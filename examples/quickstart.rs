@@ -36,10 +36,6 @@ fn main() {
         .release_system(0, system, Ether::from_ether(1000), Ether::from_ether(25))
         .expect("provider can fund the release");
     println!("\nPhase 1  SRA released: smart-camera-fw v2.4.1, insurance 1000 ETH, μ = 25 ETH");
-    println!(
-        "         escrow holds {}",
-        platform.escrow_balance(&sra_id).unwrap()
-    );
 
     // Phase 2a — a detector scans and submits its initial report R†.
     let detector = KeyPair::from_seed(b"quickstart-detector");
@@ -53,7 +49,11 @@ fn main() {
 
     // Phase 3 — providers mine; R† reaches 6-block finality.
     platform.mine_blocks(8);
-    println!("Phase 3  8 blocks mined; R† is final");
+    println!("Phase 3  8 blocks mined; the SRA and R† are final");
+    println!(
+        "         the confirmed SRA opened its escrow, which holds {}",
+        platform.escrow_balance(&sra_id).expect("SRA is final")
+    );
 
     // Phase 2b — the detector reveals R*.
     platform
@@ -75,7 +75,7 @@ fn main() {
     println!("         detector balance: {before} → {after}");
     println!(
         "         escrow remaining: {}",
-        platform.escrow_balance(&sra_id).unwrap()
+        platform.escrow_balance(&sra_id).expect("SRA is final")
     );
     println!(
         "\nconsumers can now query the chain: confirmed vulnerabilities = {:?}",

@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# Non-test Rust lines per changed file, at a base ref and in the checkout.
+#
+#   bash scripts/loc_report.sh <base-ref>
+#
+# "Non-test" is what ships in the library or binary: a file's lines up to
+# its first top-level `#[cfg(test)]` (test modules sit at the end of a file
+# in this repo), and nothing under a `tests/` or `benches/` directory.
+# Blank and comment lines count. Files are the `*.rs` paths that differ
+# between <base-ref> and the checkout (deleted files count 0 after).
+set -euo pipefail
+
+base=${1:?usage: loc_report.sh <base-ref>}
+cd "$(git rev-parse --show-toplevel)"
+
+count() { awk '/^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }'; }
+
+printf '%7s %7s %7s  %s\n' base head delta file
+total_base=0
+total_head=0
+while IFS= read -r file; do
+    case "/$file" in */tests/* | */benches/*) continue ;; esac
+    before=$({ git show "$base:$file" 2>/dev/null || true; } | count) # 0 for a new file
+    after=0
+    [ -f "$file" ] && after=$(count <"$file")
+    printf '%7d %7d %+7d  %s\n' "$before" "$after" $((after - before)) "$file"
+    total_base=$((total_base + before))
+    total_head=$((total_head + after))
+done < <(git diff --name-only "$base" -- '*.rs')
+printf '%7d %7d %+7d  %s\n' "$total_base" "$total_head" $((total_head - total_base)) total
