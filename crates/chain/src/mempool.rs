@@ -6,28 +6,24 @@
 //! transaction fee `ψ` of Eq. 8 doubles as a spam deterrent — exactly the
 //! "cost for each detector to submit its detection report" of Eq. 10.
 //!
-//! ## Throughput pipeline (DESIGN.md §18)
-//!
-//! The pool is **sharded and fee-indexed**: records stripe across
-//! [`Mempool::shard_count`] shards by the first byte of their id, and each
-//! shard keeps a `BTreeMap` fee index alongside its id map. Eviction pops
-//! the globally worst index key in O(S + log n) instead of scanning every
-//! record, and [`Mempool::take_best`]/[`Mempool::peek_best`] run a
-//! deterministic k-way merge over per-shard index cursors instead of
-//! sorting the whole pool per block. Selection is **byte-identical at any
-//! shard count** because the merge realizes one total order —
-//! [`selection_order`]: fee descending, id ascending — that no shard
-//! layout can perturb.
+//! The pool is two structures over the same set of records: an id map
+//! holding the bodies and one ordered fee index over their `(fee, id)`
+//! keys. The index realizes a single total order — [`selection_order`]:
+//! fee descending, id ascending — read from both ends: its first key is
+//! the eviction victim, its reverse iteration is what [`Mempool::take_best`]
+//! seals into a block. Every operation is an index operation; nothing
+//! scans or sorts the pool.
 //!
 //! [`Mempool::insert_batch`] admits a gossip burst: signature recoveries
 //! for cache-missing records fan out on a [`smartcrowd_pool::Pool`], then
 //! admissions apply serially in input order, so the outcomes (per-record
 //! verdicts, evictions, final contents) are exactly those of N sequential
-//! [`Mempool::insert`] calls — proven by the differential proptests in
-//! `crates/chain/tests/mempool_proptests.rs`.
+//! [`Mempool::insert`] calls at any thread count.
 //!
-//! The seed single-map implementation lives on as the differential
-//! reference (`FlatMempool`) in that test file.
+//! `crates/chain/tests/mempool_proptests.rs` pins all of it: agreement
+//! with a scan-and-sort reference pool (`FlatMempool`, equal-fee churn
+//! included), permutation invariance, batch ≡ serial and thread-count
+//! invariance.
 
 use crate::amount::Ether;
 use crate::block::Block;
@@ -36,23 +32,17 @@ use crate::record::Record;
 use smartcrowd_crypto::Digest;
 use smartcrowd_pool::Pool;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Default capacity (records).
 pub const DEFAULT_CAPACITY: usize = 4096;
-
-/// Default shard count. Any power works — selection and eviction are
-/// shard-count-invariant — but a handful of shards keeps the per-shard
-/// `BTreeMap`s shallow at million-record occupancy.
-pub const DEFAULT_SHARDS: usize = 16;
 
 /// The miner's total selection order over pending records: fee
 /// descending (miners maximize the `ψ·ω` term of Eq. 8) with id
 /// ascending as the deterministic tiebreak.
 ///
 /// Every selection and eviction decision in this module — and any future
-/// block-building path — derives from this one comparator, so the
-/// `take_best`/`peek_best` orders can never drift apart.
+/// block-building path — derives from this one comparator.
 pub fn selection_order(a: &(Ether, Digest), b: &(Ether, Digest)) -> Ordering {
     b.0.cmp(&a.0).then(a.1.cmp(&b.1))
 }
@@ -81,40 +71,7 @@ impl PartialOrd for FeeKey {
     }
 }
 
-/// One stripe of the pool: the id map holding record bodies plus the fee
-/// index ordering their keys.
-#[derive(Debug, Clone, Default)]
-struct Shard {
-    records: HashMap<Digest, Record>,
-    index: BTreeMap<FeeKey, ()>,
-}
-
-impl Shard {
-    fn insert(&mut self, record: Record) {
-        let key = FeeKey {
-            fee: record.fee(),
-            id: record.id(),
-        };
-        self.records.insert(key.id, record);
-        self.index.insert(key, ());
-    }
-
-    fn remove(&mut self, id: &Digest) -> Option<Record> {
-        let record = self.records.remove(id)?;
-        self.index.remove(&FeeKey {
-            fee: record.fee(),
-            id: *id,
-        });
-        Some(record)
-    }
-
-    /// The shard's worst record (first eviction candidate), if any.
-    fn worst(&self) -> Option<FeeKey> {
-        self.index.keys().next().copied()
-    }
-}
-
-/// A sharded, fee-indexed pool of pending records.
+/// A bounded, fee-indexed pool of pending records.
 ///
 /// # Example
 ///
@@ -132,64 +89,42 @@ impl Shard {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mempool {
-    shards: Vec<Shard>,
+    /// Pending record bodies by id.
+    records: HashMap<Digest, Record>,
+    /// The key of every pending record, worst first.
+    index: BTreeSet<FeeKey>,
     capacity: usize,
-    len: usize,
 }
 
 impl Mempool {
-    /// Creates a pool bounded at `capacity` records over
-    /// [`DEFAULT_SHARDS`] shards.
+    /// Creates a pool bounded at `capacity` records (at least 1).
     pub fn new(capacity: usize) -> Self {
-        Mempool::with_shards(capacity, DEFAULT_SHARDS)
-    }
-
-    /// Creates a pool with an explicit shard count (clamped to at least
-    /// 1). Selection, eviction and admission outcomes are identical at
-    /// every shard count; the count only changes index depth.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
         Mempool {
-            shards: vec![Shard::default(); shards.max(1)],
+            records: HashMap::new(),
+            index: BTreeSet::new(),
             capacity: capacity.max(1),
-            len: 0,
         }
-    }
-
-    /// Number of shards the pool stripes over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Number of pending records.
     pub fn len(&self) -> usize {
-        self.len
+        self.records.len()
     }
 
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.records.is_empty()
     }
 
     /// Whether a record id is pending.
     pub fn contains(&self, id: &Digest) -> bool {
-        self.shard_of(id).records.contains_key(id)
-    }
-
-    fn shard_of(&self, id: &Digest) -> &Shard {
-        &self.shards[id[0] as usize % self.shards.len()]
-    }
-
-    fn shard_of_mut(&mut self, id: &Digest) -> &mut Shard {
-        let i = id[0] as usize % self.shards.len();
-        &mut self.shards[i]
+        self.records.contains_key(id)
     }
 
     /// Admits a record after signature verification.
     ///
-    /// When full, the globally lowest-fee record (highest id among ties)
-    /// is evicted if the newcomer pays strictly more; otherwise admission
-    /// fails. Both the victim lookup and the removal are index
-    /// operations — no scan over the pool.
+    /// When full, the lowest-fee record (highest id among ties) is evicted
+    /// if the newcomer pays strictly more; otherwise admission fails.
     ///
     /// # Errors
     ///
@@ -199,8 +134,8 @@ impl Mempool {
     pub fn insert(&mut self, record: Record) -> Result<(), ChainError> {
         // Admission goes through the verified-signature cache: a record
         // re-gossiped after a restart (or already admitted by a peer path)
-        // skips the ECDSA recovery, and the ids admitted here feed the
-        // block-validation fast path in `validate`.
+        // skips the ECDSA recovery, and the ids admitted here are hits
+        // when the block that carries them is checked.
         let sig = crate::sigcache::verify_cached(&record);
         let result = self.apply_admission(record, sig);
         self.update_occupancy();
@@ -265,103 +200,53 @@ impl Mempool {
         sig: Result<(), ChainError>,
     ) -> Result<(), ChainError> {
         sig?;
-        let id = record.id();
-        if self.contains(&id) {
-            return Err(ChainError::DuplicatePending { id });
+        let key = FeeKey {
+            fee: record.fee(),
+            id: record.id(),
+        };
+        if self.contains(&key.id) {
+            return Err(ChainError::DuplicatePending { id: key.id });
         }
-        if self.len >= self.capacity {
-            // Globally worst = minimum FeeKey across the shards' index
-            // heads (lowest fee; highest id among equal fees — the exact
-            // reverse of the selection order, so the victim is always the
-            // record `take_best` would surface last).
-            let Some(victim) = self.shards.iter().filter_map(Shard::worst).min() else {
+        if self.len() >= self.capacity {
+            // The index's first key is the record `take_best` would
+            // surface last: lowest fee, highest id among equal fees.
+            let Some(victim) = self.index.first().copied() else {
                 return Err(ChainError::MempoolFull);
             };
-            if record.fee() <= victim.fee {
+            if key.fee <= victim.fee {
                 return Err(ChainError::MempoolFull);
             }
-            self.shard_of_mut(&victim.id).remove(&victim.id);
-            self.len -= 1;
+            self.index.remove(&victim);
+            self.records.remove(&victim.id);
             smartcrowd_telemetry::counter!("chain.mempool.evicted").inc();
         }
-        self.shard_of_mut(&id).insert(record);
-        self.len += 1;
+        self.index.insert(key);
+        self.records.insert(key.id, record);
         Ok(())
     }
 
     fn update_occupancy(&self) {
-        smartcrowd_telemetry::gauge!("chain.mempool.occupancy").set(self.len as i64);
-        let (min, max) = self.shards.iter().fold((usize::MAX, 0), |(lo, hi), s| {
-            (lo.min(s.records.len()), hi.max(s.records.len()))
-        });
-        smartcrowd_telemetry::gauge!("chain.mempool.shard.occupancy_max").set(max as i64);
-        smartcrowd_telemetry::gauge!("chain.mempool.shard.occupancy_min").set(if self.len == 0 {
-            0
-        } else {
-            min as i64
-        });
-    }
-
-    /// The first `n` index keys in selection order, realized by a k-way
-    /// merge over descending per-shard index cursors. Each shard's index
-    /// is already sorted, so the merge is O(min(n, len) · S) with no
-    /// allocation beyond the result — never a full-pool sort.
-    fn select_best(&self, n: usize) -> Vec<FeeKey> {
-        let mut cursors: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.index.keys().rev().copied())
-            .collect();
-        let mut heads: Vec<Option<FeeKey>> = cursors.iter_mut().map(Iterator::next).collect();
-        let mut out = Vec::with_capacity(n.min(self.len));
-        while out.len() < n {
-            // Best head = maximum FeeKey (descending order is selection
-            // order). Shard ids partition record ids, so ties are
-            // impossible and the winner is unique.
-            let Some(winner) = (0..heads.len())
-                .filter(|&i| heads[i].is_some())
-                .max_by_key(|&i| heads[i])
-            else {
-                break;
-            };
-            let Some(key) = heads[winner].take() else {
-                break;
-            };
-            out.push(key);
-            heads[winner] = cursors[winner].next();
-        }
-        out
+        smartcrowd_telemetry::gauge!("chain.mempool.occupancy").set(self.len() as i64);
     }
 
     /// Takes up to `n` records in selection order (fee descending, id
     /// ascending), removing them from the pool.
     pub fn take_best(&mut self, n: usize) -> Vec<Record> {
-        let taken: Vec<Record> = self
-            .select_best(n)
-            .into_iter()
-            .filter_map(|key| {
-                let record = self.shard_of_mut(&key.id).remove(&key.id)?;
-                self.len -= 1;
-                Some(record)
-            })
-            .collect();
+        let mut taken = Vec::with_capacity(n.min(self.len()));
+        while taken.len() < n {
+            let Some(key) = self.index.pop_last() else {
+                break;
+            };
+            taken.extend(self.records.remove(&key.id));
+        }
         self.update_occupancy();
         taken
-    }
-
-    /// Peeks the same selection without removing.
-    pub fn peek_best(&self, n: usize) -> Vec<&Record> {
-        self.select_best(n)
-            .into_iter()
-            .filter_map(|key| self.shard_of(&key.id).records.get(&key.id))
-            .collect()
     }
 
     /// Removes one pending record by id (a record that turned out to be
     /// invalid after admission), returning it if it was pending.
     pub fn remove(&mut self, id: &Digest) -> Option<Record> {
-        let record = self.shard_of_mut(id).remove(id)?;
-        self.len -= 1;
+        let record = self.unindex(id)?;
         self.update_occupancy();
         Some(record)
     }
@@ -369,11 +254,18 @@ impl Mempool {
     /// Drops records that appear in a newly-connected block.
     pub fn remove_included(&mut self, block: &Block) {
         for r in block.records() {
-            if self.shard_of_mut(&r.id()).remove(&r.id()).is_some() {
-                self.len -= 1;
-            }
+            self.unindex(&r.id());
         }
         self.update_occupancy();
+    }
+
+    fn unindex(&mut self, id: &Digest) -> Option<Record> {
+        let record = self.records.remove(id)?;
+        self.index.remove(&FeeKey {
+            fee: record.fee(),
+            id: *id,
+        });
+        Some(record)
     }
 }
 
@@ -444,16 +336,16 @@ mod tests {
         // Fee 3 evicts the fee-1 record.
         pool.insert(record(3, 3)).unwrap();
         assert_eq!(pool.len(), 2);
-        let fees: Vec<_> = pool.peek_best(2).iter().map(|r| r.fee()).collect();
-        assert_eq!(
-            fees,
-            vec![Ether::from_milliether(3), Ether::from_milliether(2)]
-        );
         // Fee 1 cannot displace anything.
         assert!(matches!(
             pool.insert(record(4, 1)),
             Err(ChainError::MempoolFull)
         ));
+        let fees: Vec<_> = pool.take_best(2).iter().map(Record::fee).collect();
+        assert_eq!(
+            fees,
+            vec![Ether::from_milliether(3), Ether::from_milliether(2)]
+        );
     }
 
     #[test]
@@ -496,40 +388,11 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let mut pool = Mempool::new(10);
-        pool.insert(record(1, 5)).unwrap();
-        assert_eq!(pool.peek_best(5).len(), 1);
-        assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
-    fn selection_identical_across_shard_counts() {
-        let records: Vec<Record> = (0..40).map(|i| record(i, (i * 7) % 13)).collect();
-        let reference: Vec<Digest> = {
-            let mut pool = Mempool::with_shards(64, 1);
-            for r in &records {
-                pool.insert(r.clone()).unwrap();
-            }
-            pool.take_best(40).iter().map(Record::id).collect()
-        };
-        for shards in [2, 8, 16, 256] {
-            let mut pool = Mempool::with_shards(64, shards);
-            for r in &records {
-                pool.insert(r.clone()).unwrap();
-            }
-            let ids: Vec<Digest> = pool.take_best(40).iter().map(Record::id).collect();
-            assert_eq!(ids, reference, "selection drifted at {shards} shards");
-            assert!(pool.is_empty());
-        }
-    }
-
-    #[test]
     fn batch_matches_serial_inserts() {
         let records: Vec<Record> = (0..24).map(|i| record(i, i)).collect();
-        let mut serial = Mempool::with_shards(8, 4);
+        let mut serial = Mempool::new(8);
         let serial_results: Vec<_> = records.iter().map(|r| serial.insert(r.clone())).collect();
-        let mut batched = Mempool::with_shards(8, 4);
+        let mut batched = Mempool::new(8);
         let batch_results = batched.insert_batch_with(records, &Pool::new(4));
         assert_eq!(batch_results, serial_results);
         assert_eq!(

@@ -8,6 +8,12 @@
 //! signature recovery, and finally an injectable semantic validator — the
 //! hook through which the core crate plugs Algorithm 1 and `AutoVerif()`.
 //!
+//! This is the gate in its stand-alone, chain-layer form, for an embedder
+//! that has a store but no protocol core. A provider node does not call it:
+//! it checks a block's records in `Protocol::check_block` (the same
+//! signature fan-out, then its own semantic switch) and leaves linkage and
+//! structure to the store's commit — DESIGN.md §18.
+//!
 //! ## Fast path: cache + fan-out
 //!
 //! Signature recovery dominates validation cost, so [`validate_block`]

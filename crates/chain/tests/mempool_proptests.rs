@@ -1,7 +1,7 @@
-//! Property tests for the sharded, fee-indexed mempool (DESIGN.md §18):
-//! shard-count invariance, insertion-order permutation invariance,
-//! batch-vs-serial admission equivalence, deterministic equal-fee
-//! eviction churn, and thread-count-invariant batch admission.
+//! Property tests for the fee-indexed mempool (DESIGN.md, *Ingress*):
+//! agreement with a scan-and-sort reference pool (equal-fee eviction churn
+//! included), insertion-order permutation invariance, batch-vs-serial
+//! admission equivalence, and thread-count-invariant batch admission.
 
 use proptest::prelude::*;
 use smartcrowd_chain::mempool::{selection_order, Mempool};
@@ -13,14 +13,15 @@ use smartcrowd_crypto::Digest;
 use smartcrowd_pool::Pool;
 use std::collections::HashMap;
 
-/// The seed single-`HashMap` pool, kept verbatim as the differential
-/// reference for [`Mempool`]: `insert` pays an O(n) min-fee eviction scan
-/// and `take_best` re-sorts the whole pool.
+/// The seed single-`HashMap` pool, kept as the differential reference for
+/// [`Mempool`]: `insert` pays an O(n) eviction scan and `take_best`
+/// re-sorts the whole pool, so it shares no index logic with the pool it
+/// checks — only the [`selection_order`] comparator.
 ///
-/// The one behavioural difference is deliberate: among equal-fee eviction
-/// candidates this reference picks a `HashMap`-iteration-order victim,
-/// which was never deterministic; [`Mempool`] pins the tie to the highest
-/// id (the reverse of [`selection_order`]).
+/// The seed picked a `HashMap`-iteration-order victim among equal-fee
+/// eviction candidates, which was never deterministic; here the scan pins
+/// the tie as [`Mempool`] does — the record last in [`selection_order`]
+/// (lowest fee, highest id) — so equal-fee churn is comparable too.
 #[derive(Debug, Clone)]
 struct FlatMempool {
     records: HashMap<Digest, Record>,
@@ -41,10 +42,8 @@ impl FlatMempool {
         self.records.is_empty()
     }
 
-    /// Seed admission: signature check, duplicate check, O(n) min-fee
-    /// eviction scan at capacity. Errors as [`Mempool::insert`], except
-    /// duplicates surface as [`ChainError::DuplicatePending`] here too
-    /// (the seed used a generic rejection).
+    /// Seed admission: signature check, duplicate check, O(n) eviction
+    /// scan at capacity. Errors as [`Mempool::insert`].
     fn insert(&mut self, record: Record) -> Result<(), ChainError> {
         sigcache::verify_cached(&record)?;
         let id = record.id();
@@ -52,11 +51,11 @@ impl FlatMempool {
             return Err(ChainError::DuplicatePending { id });
         }
         if self.records.len() >= self.capacity {
-            let Some((victim_id, victim_fee)) = self
+            let Some((victim_fee, victim_id)) = self
                 .records
                 .iter()
-                .map(|(id, r)| (*id, r.fee()))
-                .min_by_key(|(_, fee)| *fee)
+                .map(|(id, r)| (r.fee(), *id))
+                .max_by(selection_order)
             else {
                 return Err(ChainError::MempoolFull);
             };
@@ -118,26 +117,23 @@ fn final_ids(pool: &mut Mempool) -> Vec<Digest> {
 }
 
 #[test]
-fn flat_pool_agrees_with_sharded_on_distinct_fees() {
+fn flat_pool_agrees_on_distinct_fees() {
     let records: Vec<Record> = (0..30).map(|i| record(i, 100 + u128::from(i))).collect();
     let mut flat = FlatMempool::new(12);
-    let mut sharded = Mempool::new(12);
+    let mut pool = Mempool::new(12);
     for r in &records {
-        let a = flat.insert(r.clone());
-        let b = sharded.insert(r.clone());
-        assert_eq!(a.is_ok(), b.is_ok());
+        assert_eq!(pool.insert(r.clone()), flat.insert(r.clone()));
     }
     let flat_ids: Vec<Digest> = flat.take_best(12).iter().map(Record::id).collect();
-    let sharded_ids: Vec<Digest> = sharded.take_best(12).iter().map(Record::id).collect();
-    assert_eq!(flat_ids, sharded_ids);
-    assert!(flat.is_empty() && sharded.is_empty());
+    assert_eq!(final_ids(&mut pool), flat_ids);
+    assert!(flat.is_empty() && pool.is_empty());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// With distinct fees, the final pool contents are the top-`capacity`
-    /// records by fee — independent of insertion order and shard count.
+    /// records by fee — independent of insertion order.
     /// (Equal fees genuinely depend on order at capacity — whichever
     /// arrives first holds the slot — so distinctness is the precondition,
     /// not a test simplification.)
@@ -146,18 +142,17 @@ proptest! {
         count in 4usize..20,
         capacity in 2usize..10,
         shuffle_seed in any::<u64>(),
-        shards in prop_oneof![Just(1usize), Just(4), Just(16)],
     ) {
         let records: Vec<Record> = (0..count as u64)
             .map(|i| record(i, 1_000 + i as u128 * 7))
             .collect();
-        let mut ordered = Mempool::with_shards(capacity, shards);
+        let mut ordered = Mempool::new(capacity);
         for r in &records {
             let _ = ordered.insert(r.clone());
         }
         let mut permuted_records = records;
         shuffle(&mut permuted_records, shuffle_seed);
-        let mut permuted = Mempool::with_shards(capacity, shards);
+        let mut permuted = Mempool::new(capacity);
         for r in &permuted_records {
             let _ = permuted.insert(r.clone());
         }
@@ -186,42 +181,15 @@ proptest! {
         let fee = records[t].fee().wei();
         records[t] = tampered(1_000 + t as u64, fee);
 
-        let mut serial = Mempool::with_shards(capacity, 4);
+        let mut serial = Mempool::new(capacity);
         let serial_results: Vec<_> = records
             .iter()
             .map(|r| serial.insert(r.clone()))
             .collect();
-        let mut batched = Mempool::with_shards(capacity, 4);
+        let mut batched = Mempool::new(capacity);
         let batch_results = batched.insert_batch_with(records, &Pool::new(4));
         prop_assert_eq!(batch_results, serial_results);
         prop_assert_eq!(final_ids(&mut batched), final_ids(&mut serial));
-    }
-
-    /// Eviction churn at capacity with adversarial equal-fee records is
-    /// deterministic: every shard count agrees on admissions, contents
-    /// and selection order, because the eviction victim is pinned to the
-    /// reverse of the selection order instead of map iteration order.
-    #[test]
-    fn equal_fee_churn_identical_across_shard_counts(
-        rounds in 8usize..40,
-        capacity in 2usize..6,
-        fee_classes in 1u64..4,
-    ) {
-        let records: Vec<Record> = (0..rounds as u64)
-            .map(|i| record(i, 10 + u128::from(i % fee_classes)))
-            .collect();
-        let reference: (Vec<bool>, Vec<Digest>) = {
-            let mut pool = Mempool::with_shards(capacity, 1);
-            let admitted = records.iter().map(|r| pool.insert(r.clone()).is_ok()).collect();
-            (admitted, final_ids(&mut pool))
-        };
-        for shards in [2usize, 8, 256] {
-            let mut pool = Mempool::with_shards(capacity, shards);
-            let admitted: Vec<bool> =
-                records.iter().map(|r| pool.insert(r.clone()).is_ok()).collect();
-            prop_assert_eq!(&admitted, &reference.0, "admissions drifted at {} shards", shards);
-            prop_assert_eq!(final_ids(&mut pool), reference.1.clone());
-        }
     }
 
     /// Batch admission is thread-count-invariant: 1 worker and 8 workers
@@ -238,9 +206,9 @@ proptest! {
             .enumerate()
             .map(|(i, fee)| record(i as u64, u128::from(*fee)))
             .collect();
-        let mut single = Mempool::with_shards(capacity, 8);
+        let mut single = Mempool::new(capacity);
         let single_results = single.insert_batch_with(records.clone(), &Pool::new(1));
-        let mut multi = Mempool::with_shards(capacity, 8);
+        let mut multi = Mempool::new(capacity);
         let multi_results = multi.insert_batch_with(records, &Pool::new(8));
         prop_assert_eq!(single_results, multi_results);
         let single_bytes: Vec<Vec<u8>> = single
@@ -256,27 +224,31 @@ proptest! {
         prop_assert_eq!(single_bytes, multi_bytes);
     }
 
-    /// The sharded pool agrees with the seed flat pool wherever the seed
-    /// was deterministic (distinct fees): same admissions, same final
-    /// selection.
+    /// The pool agrees with the flat reference verdict for verdict and on
+    /// the final selection. `fee_classes == 0` gives every record its own
+    /// fee; `k > 0` is the equal-fee churn schedule — `k` fee classes
+    /// cycling through a pool at capacity — where every eviction is decided
+    /// by the id tie-break.
     #[test]
-    fn sharded_agrees_with_flat_reference(
-        count in 4usize..24,
+    fn agrees_with_flat_reference(
+        count in 4usize..40,
         capacity in 2usize..10,
-        shards in prop_oneof![Just(1usize), Just(8), Just(64)],
+        fee_classes in 0u64..4,
     ) {
         let records: Vec<Record> = (0..count as u64)
-            .map(|i| record(i, 500 + i as u128 * 3))
+            .map(|i| match fee_classes {
+                0 => record(i, 500 + u128::from(i) * 3),
+                k => record(i, 10 + u128::from(i % k)),
+            })
             .collect();
         let mut flat = FlatMempool::new(capacity);
-        let mut sharded = Mempool::with_shards(capacity, shards);
+        let mut pool = Mempool::new(capacity);
         for r in &records {
-            let f = flat.insert(r.clone());
-            let s = sharded.insert(r.clone());
-            prop_assert_eq!(f.is_ok(), s.is_ok());
+            prop_assert_eq!(pool.insert(r.clone()), flat.insert(r.clone()));
         }
         let flat_ids: Vec<Digest> =
             flat.take_best(capacity).iter().map(Record::id).collect();
-        prop_assert_eq!(final_ids(&mut sharded), flat_ids);
+        prop_assert_eq!(final_ids(&mut pool), flat_ids);
+        prop_assert!(flat.is_empty());
     }
 }

@@ -122,14 +122,20 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     }
 
     /// Per-record verification of a block sealed elsewhere (§V-C): every
-    /// signature, then the switch, indexing what verifies as it goes and
-    /// failing on the first record that does not. Knowledge this replica
-    /// already holds, or an `R*` it cannot judge here (no `R†` or no
-    /// artifact yet), does not reject a block; nor does detector
-    /// isolation — blocks are judged on content.
+    /// signature — through the process-wide cache, the misses recovered in
+    /// parallel on the global pool — then the switch, indexing what
+    /// verifies as it goes. Record `i`'s signature verdict is consulted
+    /// before its semantic verdict and the first failure wins, whatever
+    /// the recoveries' schedule. Knowledge this replica already holds, or
+    /// an `R*` it cannot judge here (no `R†` or no artifact yet), does not
+    /// reject a block; nor does detector isolation — blocks are judged on
+    /// content. Linkage and structure are the store's to check when the
+    /// block is committed.
     pub fn check_block(&mut self, block: &Block) -> Result<(), CoreError> {
-        for record in block.records() {
-            sigcache::verify_cached(record)?;
+        let records: Vec<&Record> = block.records().iter().collect();
+        let signatures = sigcache::verify_batch(&records, smartcrowd_pool::global());
+        for (record, signature) in records.into_iter().zip(signatures) {
+            signature?;
             match self.index(record, false) {
                 Ok(_) | Err(CoreError::DuplicateReport | CoreError::InitialNotConfirmed) => {}
                 Err(e) => return Err(e),

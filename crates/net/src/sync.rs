@@ -17,8 +17,9 @@ use std::collections::HashMap;
 pub enum SyncOutcome {
     /// Connected to the store (possibly unlocking buffered descendants).
     Connected {
-        /// Total blocks connected by this offer (the block + descendants).
-        connected: usize,
+        /// Every block this offer connected: the offered block first, then
+        /// the buffered descendants it unlocked, in commit order.
+        blocks: Vec<Block>,
     },
     /// Parent unknown: buffered for later.
     Buffered,
@@ -46,9 +47,12 @@ pub enum SyncOutcome {
 ///
 /// let mut sync = SyncBuffer::new();
 /// // Out of order: the child arrives first and is buffered…
-/// assert_eq!(sync.offer(&mut store, b2), SyncOutcome::Buffered);
+/// assert_eq!(sync.offer(&mut store, b2.clone()), SyncOutcome::Buffered);
 /// // …then the parent connects both.
-/// assert_eq!(sync.offer(&mut store, b1), SyncOutcome::Connected { connected: 2 });
+/// assert_eq!(
+///     sync.offer(&mut store, b1.clone()),
+///     SyncOutcome::Connected { blocks: vec![b1, b2] }
+/// );
 /// assert_eq!(store.best_height(), 2);
 /// ```
 #[derive(Debug, Default)]
@@ -118,23 +122,25 @@ impl SyncBuffer {
             self.buffered += 1;
             return SyncOutcome::Buffered;
         }
-        match store.commit(block) {
+        match store.commit(block.clone()) {
             Ok(inserted_id) => {
-                let mut connected = 1;
-                connected += self.connect_descendants(store, inserted_id);
-                SyncOutcome::Connected { connected }
+                let mut blocks = vec![block];
+                self.connect_descendants(store, inserted_id, &mut blocks);
+                SyncOutcome::Connected { blocks }
             }
             Err(StorageError::Chain(ChainError::DuplicateBlock { .. })) => SyncOutcome::Duplicate,
             Err(e) => SyncOutcome::Rejected(e.into_chain_error()),
         }
     }
 
+    /// Commits the buffered descendants of `parent`, appending each one the
+    /// store accepts to `connected`.
     fn connect_descendants<B: ChainBackend + ?Sized>(
         &mut self,
         store: &mut B,
         parent: BlockId,
-    ) -> usize {
-        let mut connected = 0;
+        connected: &mut Vec<Block>,
+    ) {
         let mut frontier = vec![parent];
         while let Some(p) = frontier.pop() {
             let Some(children) = self.orphans.remove(&p) else {
@@ -142,13 +148,12 @@ impl SyncBuffer {
             };
             for child in children {
                 self.buffered -= 1;
-                if let Ok(id) = store.commit(child) {
-                    connected += 1;
+                if let Ok(id) = store.commit(child.clone()) {
                     frontier.push(id);
+                    connected.push(child);
                 }
             }
         }
-        connected
     }
 
     /// Parent ids the buffer is waiting for — what to request from peers.
@@ -188,8 +193,8 @@ mod tests {
         let mut sync = SyncBuffer::new();
         for b in blocks {
             assert_eq!(
-                sync.offer(&mut store, b),
-                SyncOutcome::Connected { connected: 1 }
+                sync.offer(&mut store, b.clone()),
+                SyncOutcome::Connected { blocks: vec![b] }
             );
         }
         assert_eq!(store.best_height(), 3);
@@ -205,10 +210,12 @@ mod tests {
         }
         assert_eq!(sync.buffered(), 4);
         assert_eq!(sync.missing_parents().len(), 4);
-        // The first block unlocks the whole chain.
+        // The first block unlocks the whole chain, reported parent-first.
         assert_eq!(
             sync.offer(&mut store, blocks[0].clone()),
-            SyncOutcome::Connected { connected: 5 }
+            SyncOutcome::Connected {
+                blocks: blocks.clone()
+            }
         );
         assert_eq!(store.best_height(), 5);
         assert_eq!(sync.buffered(), 0);
@@ -227,7 +234,9 @@ mod tests {
         // Duplicate orphan too.
         assert_eq!(
             sync.offer(&mut store, blocks[1].clone()),
-            SyncOutcome::Connected { connected: 1 }
+            SyncOutcome::Connected {
+                blocks: vec![blocks[1].clone()]
+            }
         );
         let (mut store2, blocks2) = chain(3);
         let mut sync2 = SyncBuffer::new();
@@ -296,11 +305,13 @@ mod tests {
         assert_eq!(sync.offer(&mut store, a2.clone()), SyncOutcome::Buffered);
         assert_eq!(
             sync.offer(&mut store, b1.clone()),
-            SyncOutcome::Connected { connected: 1 }
+            SyncOutcome::Connected { blocks: vec![b1] }
         );
         assert_eq!(
             sync.offer(&mut store, a1.clone()),
-            SyncOutcome::Connected { connected: 2 }
+            SyncOutcome::Connected {
+                blocks: vec![a1, a2.clone()]
+            }
         );
         // Longest fork wins.
         assert_eq!(store.best_tip(), a2.id());

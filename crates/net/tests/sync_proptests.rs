@@ -100,7 +100,7 @@ proptest! {
         let total_offers = order.len();
         for b in order {
             match sync.offer(&mut store, b) {
-                SyncOutcome::Connected { connected } => connected_sum += connected,
+                SyncOutcome::Connected { blocks } => connected_sum += blocks.len(),
                 SyncOutcome::Duplicate => duplicates += 1,
                 SyncOutcome::Buffered => buffered += 1,
                 SyncOutcome::Rejected(e) => prop_assert!(false, "unexpected rejection: {e}"),

@@ -1,10 +1,10 @@
-//! Snapshot exporters: an aligned text table for terminals, a JSON tree
+//! Snapshot exporters: an aligned text table for terminals and a JSON tree
 //! (built on the vendored `serde_json`) for `results/*.json` blobs and
-//! chaos-failure dumps, and the Prometheus text exposition format.
+//! chaos-failure dumps.
 //!
 //! A [`Snapshot`] is an ordered, immutable copy of a registry: entries are
 //! sorted by canonical key, so any two snapshots of identical values render
-//! byte-identical output in all three formats.
+//! byte-identical output in both formats.
 
 use crate::metrics::HistogramSnapshot;
 use serde_json::{json, Value};
@@ -128,7 +128,6 @@ impl Snapshot {
 
     /// Serializes the snapshot as a JSON tree (`{"metrics": [...]}`),
     /// suitable for embedding in `results/*.json` or chaos-failure dumps.
-    /// [`Snapshot::from_json`] inverts this exactly.
     pub fn to_json(&self) -> Value {
         let metrics: Vec<Value> = self
             .entries
@@ -171,165 +170,6 @@ impl Snapshot {
             .collect();
         json!({ "metrics": metrics })
     }
-
-    /// Reconstructs a snapshot from [`Snapshot::to_json`] output. Returns
-    /// `None` on any structural mismatch.
-    pub fn from_json(value: &Value) -> Option<Snapshot> {
-        let Value::Object(root) = value else {
-            return None;
-        };
-        let metrics = root.iter().find(|(k, _)| k == "metrics").map(|(_, v)| v)?;
-        let Value::Array(items) = metrics else {
-            return None;
-        };
-        let mut entries = Vec::with_capacity(items.len());
-        for item in items {
-            let Value::Object(fields) = item else {
-                return None;
-            };
-            let field = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-            let key = as_str(field("key")?)?.to_string();
-            let name = as_str(field("name")?)?.to_string();
-            let mut labels = Vec::new();
-            if let Value::Array(pairs) = field("labels")? {
-                for pair in pairs {
-                    let Value::Array(kv) = pair else { return None };
-                    if kv.len() != 2 {
-                        return None;
-                    }
-                    labels.push((as_str(&kv[0])?.to_string(), as_str(&kv[1])?.to_string()));
-                }
-            } else {
-                return None;
-            }
-            let value = match as_str(field("type")?)? {
-                "counter" => MetricValue::Counter(as_u64(field("value")?)?),
-                "gauge" => MetricValue::Gauge(as_i64(field("value")?)?),
-                "histogram" => MetricValue::Histogram(HistogramSnapshot {
-                    bounds: as_u64_vec(field("bounds")?)?,
-                    counts: as_u64_vec(field("counts")?)?,
-                    sum: as_u64(field("sum")?)?,
-                    count: as_u64(field("count")?)?,
-                    min: as_opt_u64(field("min")?)?,
-                    max: as_opt_u64(field("max")?)?,
-                }),
-                _ => return None,
-            };
-            entries.push(MetricSnapshot {
-                key,
-                name,
-                labels,
-                value,
-            });
-        }
-        Some(Snapshot { entries })
-    }
-
-    /// Renders the snapshot in the Prometheus text exposition format:
-    /// names have dots replaced by underscores, labels carry over, and
-    /// histograms expand into cumulative `_bucket{le=…}` series plus
-    /// `_sum` and `_count`.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        for entry in &self.entries {
-            let name = promethize(&entry.name);
-            let labels = render_labels(&entry.labels, None);
-            match &entry.value {
-                MetricValue::Counter(v) => {
-                    let _ = writeln!(out, "# TYPE {name} counter");
-                    let _ = writeln!(out, "{name}{labels} {v}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = writeln!(out, "# TYPE {name} gauge");
-                    let _ = writeln!(out, "{name}{labels} {v}");
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = writeln!(out, "# TYPE {name} histogram");
-                    let mut cumulative = 0u64;
-                    for (i, count) in h.counts.iter().enumerate() {
-                        cumulative += count;
-                        let le = match h.bounds.get(i) {
-                            Some(b) => b.to_string(),
-                            None => "+Inf".to_string(),
-                        };
-                        let le_labels = render_labels(&entry.labels, Some(&le));
-                        let _ = writeln!(out, "{name}_bucket{le_labels} {cumulative}");
-                    }
-                    let _ = writeln!(out, "{name}_sum{labels} {}", h.sum);
-                    let _ = writeln!(out, "{name}_count{labels} {}", h.count);
-                }
-            }
-        }
-        out
-    }
-}
-
-fn as_str(v: &Value) -> Option<&str> {
-    match v {
-        Value::String(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::Int(i) => u64::try_from(*i).ok(),
-        Value::UInt(u) => Some(*u),
-        _ => None,
-    }
-}
-
-fn as_i64(v: &Value) -> Option<i64> {
-    match v {
-        Value::Int(i) => Some(*i),
-        Value::UInt(u) => i64::try_from(*u).ok(),
-        _ => None,
-    }
-}
-
-fn as_opt_u64(v: &Value) -> Option<Option<u64>> {
-    match v {
-        Value::Null => Some(None),
-        other => as_u64(other).map(Some),
-    }
-}
-
-fn as_u64_vec(v: &Value) -> Option<Vec<u64>> {
-    match v {
-        Value::Array(items) => items.iter().map(as_u64).collect(),
-        _ => None,
-    }
-}
-
-/// Maps a dotted metric name onto the Prometheus charset
-/// (`[a-zA-Z0-9_:]`).
-fn promethize(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
-
-fn render_labels(labels: &[(String, String)], le: Option<&str>) -> String {
-    if labels.is_empty() && le.is_none() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{v}\"");
-        first = false;
-    }
-    if let Some(le) = le {
-        if !first {
-            out.push(',');
-        }
-        let _ = write!(out, "le=\"{le}\"");
-    }
-    out.push('}');
-    out
 }
 
 #[cfg(test)]
@@ -363,27 +203,6 @@ mod tests {
                 .min();
             assert_eq!(found, Some(type_col), "misaligned: {line}");
         }
-    }
-
-    #[test]
-    fn json_round_trips_exactly() {
-        let snap = sample();
-        let json = snap.to_json();
-        let text = serde_json::to_string_pretty(&json).unwrap();
-        let parsed = serde_json::from_str(&text).unwrap();
-        let back = Snapshot::from_json(&parsed).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn prometheus_buckets_are_cumulative() {
-        let prom = sample().render_prometheus();
-        assert!(prom.contains("# TYPE vm_exec_gas histogram"));
-        assert!(prom.contains("vm_exec_gas_bucket{le=\"1000\"} 1"));
-        assert!(prom.contains("vm_exec_gas_bucket{le=\"21000\"} 2"));
-        assert!(prom.contains("vm_exec_gas_bucket{le=\"+Inf\"} 3"));
-        assert!(prom.contains("vm_exec_gas_count 3"));
-        assert!(prom.contains("net_gossip_sent{type=\"block\"} 5"));
     }
 
     #[test]

@@ -37,9 +37,8 @@
 //! ## Exporters
 //!
 //! [`Registry::snapshot`] returns an ordered [`Snapshot`] renderable as an
-//! aligned text table ([`Snapshot::render_table`]), a JSON tree
-//! ([`Snapshot::to_json`], inverted by [`Snapshot::from_json`]) and the
-//! Prometheus text format ([`Snapshot::render_prometheus`]).
+//! aligned text table ([`Snapshot::render_table`]) and a JSON tree
+//! ([`Snapshot::to_json`]).
 //!
 //! ```
 //! use smartcrowd_telemetry::{counter, histogram, span, buckets, global};

@@ -239,7 +239,7 @@ impl Vm {
         if state.balance(&ctx.caller) < reserve {
             return Err(VmError::InsufficientCallerFunds);
         }
-        let addr = state.deploy_contract(ctx.caller, code)?;
+        let addr = state.install_verified(ctx.caller, code)?;
         if !ctx.value.is_zero() {
             state.transfer(ctx.caller, addr, ctx.value)?;
         }

@@ -213,6 +213,17 @@ impl WorldState {
         code: Vec<u8>,
     ) -> Result<Address, VmError> {
         crate::verify::verify(&code)?;
+        self.install_verified(deployer, code)
+    }
+
+    /// [`WorldState::deploy_contract`] for code the caller has just passed
+    /// through [`crate::verify::verify`] itself ([`crate::Vm::deploy`], which
+    /// must reject bad code before it prices the deployment).
+    pub(crate) fn install_verified(
+        &mut self,
+        deployer: Address,
+        code: Vec<u8>,
+    ) -> Result<Address, VmError> {
         let nonce = self.account_mut(deployer).nonce;
         let addr = Self::contract_address(&deployer, nonce);
         if self
