@@ -5,16 +5,41 @@ use crate::difficulty::Difficulty;
 use crate::error::ChainError;
 use crate::header::{BlockHeader, BlockId};
 use crate::record::Record;
-use smartcrowd_crypto::merkle::{leaf_hash, MerkleTree};
+use smartcrowd_crypto::merkle::MerkleTree;
 use smartcrowd_crypto::{Address, Digest};
+use smartcrowd_pool::Pool;
 use std::collections::HashSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-/// Record count at which Merkle-leaf hashing fans out on the global pool.
-/// Narrow blocks stay inline: spawn cost exceeds a handful of SHA-256d.
+/// Count of not-yet-hashed Merkle leaves at which hashing them fans out on
+/// the global pool. Fewer stay inline: spawn cost exceeds a handful of
+/// SHA-256d.
 const PAR_LEAF_THRESHOLD: usize = 64;
 
-/// A full block.
+/// What every handle to one block shares: the record list, frozen at
+/// construction ([`Block::genesis`], [`Block::assemble`] and
+/// [`Block::decode`] are the only constructors), and the memo of its own
+/// Merkle root — a pure function of bytes nothing can mutate. The memo is a
+/// digest, never a verdict: [`Block::validate_structure`] compares it with
+/// the header's claim on every call, and a body built by `decode` starts
+/// with it empty.
+#[derive(Debug)]
+struct RecordList {
+    records: Vec<Record>,
+    merkle_root: OnceLock<Digest>,
+}
+
+impl RecordList {
+    fn merkle_root(&self) -> Digest {
+        *self
+            .merkle_root
+            .get_or_init(|| Block::merkle_root_of(&self.records))
+    }
+}
+
+/// A full block: a header, inline and mutable per handle, over a shared
+/// immutable record list. A clone copies the header and bumps a reference
+/// count.
 ///
 /// # Example
 ///
@@ -28,17 +53,18 @@ const PAR_LEAF_THRESHOLD: usize = 64;
 #[derive(Clone, Debug)]
 pub struct Block {
     header: BlockHeader,
-    records: Vec<Record>,
-    /// Memoized block id. The header is only reachable mutably through
-    /// [`Block::header_mut`], which resets this cell, so the cache can
-    /// never go stale. Cloning carries the populated cache; equality
-    /// ignores it.
+    body: Arc<RecordList>,
+    /// Memoized block id, per handle. The header is only reachable mutably
+    /// through [`Block::header_mut`], which resets this cell, so the cache
+    /// can never go stale and a write through one handle never shows in
+    /// the id another reports. Equality ignores it.
     id_cache: OnceLock<BlockId>,
 }
 
 impl PartialEq for Block {
     fn eq(&self, other: &Self) -> bool {
-        self.header == other.header && self.records == other.records
+        self.header == other.header
+            && (Arc::ptr_eq(&self.body, &other.body) || self.body.records == other.body.records)
     }
 }
 
@@ -48,22 +74,31 @@ impl Eq for Block {}
 pub const GENESIS_TIMESTAMP: u64 = 1_546_300_800;
 
 impl Block {
+    /// A block over `records` whose header carries the root just computed
+    /// from them, which seeds the list's memo.
+    fn with_own_root(header: BlockHeader, records: Vec<Record>) -> Block {
+        Block {
+            body: Arc::new(RecordList {
+                records,
+                merkle_root: OnceLock::from(header.merkle_root),
+            }),
+            header,
+            id_cache: OnceLock::new(),
+        }
+    }
+
     /// Constructs the deterministic genesis block for a given difficulty.
     pub fn genesis(difficulty: Difficulty) -> Block {
         let header = BlockHeader {
             height: 0,
             prev: BlockId::GENESIS_PARENT,
-            merkle_root: MerkleTree::from_leaves(std::iter::empty()).root(),
+            merkle_root: Self::merkle_root_of(&[]),
             timestamp: GENESIS_TIMESTAMP,
             nonce: 0,
             difficulty,
             miner: Address::ZERO,
         };
-        Block {
-            header,
-            records: Vec::new(),
-            id_cache: OnceLock::new(),
-        }
+        Self::with_own_root(header, Vec::new())
     }
 
     /// Assembles an (unmined) block: header fields are filled in, the
@@ -75,44 +110,40 @@ impl Block {
         difficulty: Difficulty,
         miner: Address,
     ) -> Block {
-        let merkle_root = Self::merkle_root_of(&records);
         let header = BlockHeader {
             height: parent.header.height + 1,
             prev: parent.id(),
-            merkle_root,
+            merkle_root: Self::merkle_root_of(&records),
             timestamp,
             nonce: 0,
             difficulty,
             miner,
         };
-        Block {
-            header,
-            records,
-            id_cache: OnceLock::new(),
-        }
+        Self::with_own_root(header, records)
     }
 
     /// Computes the Merkle root over a record list.
     ///
-    /// Leaves are hashed from each record's memoized canonical encoding
-    /// (no re-serialization), and wide blocks fan the leaf hashing out on
-    /// the global pool. The result is independent of the thread count:
-    /// leaves are merged in record order before the tree is folded.
+    /// Leaves come from each record's memo ([`Record`] hashes its leaf
+    /// once per shared body); a wide run of leaves nobody has hashed yet is
+    /// fanned out on the global pool first. The result is independent of
+    /// the thread count and of which leaves were memoized: they are merged
+    /// in record order before the tree is folded.
     pub fn merkle_root_of(records: &[Record]) -> Digest {
-        MerkleTree::from_leaf_hashes(Self::leaf_hashes(records)).root()
+        Self::merkle_tree_of(records, smartcrowd_pool::global()).root()
     }
 
-    fn leaf_hashes(records: &[Record]) -> Vec<Digest> {
-        if records.len() >= PAR_LEAF_THRESHOLD {
-            smartcrowd_pool::global().par_map(records, |r| leaf_hash(r.encoded()))
-        } else {
-            records.iter().map(|r| leaf_hash(r.encoded())).collect()
+    fn merkle_tree_of(records: &[Record], pool: &Pool) -> MerkleTree {
+        let cold: Vec<&Record> = records.iter().filter(|r| r.merkle_leaf_is_cold()).collect();
+        if cold.len() >= PAR_LEAF_THRESHOLD {
+            pool.par_map(&cold, |r| r.merkle_leaf());
         }
+        MerkleTree::from_leaf_hashes(records.iter().map(Record::merkle_leaf).collect())
     }
 
     /// Builds the Merkle tree for proof generation.
     pub fn merkle_tree(&self) -> MerkleTree {
-        MerkleTree::from_leaf_hashes(Self::leaf_hashes(&self.records))
+        Self::merkle_tree_of(&self.body.records, smartcrowd_pool::global())
     }
 
     /// The header.
@@ -122,8 +153,9 @@ impl Block {
 
     /// Mutable header access (used by miners to set the winning nonce).
     ///
-    /// Invalidates the memoized block id: any field write changes the
-    /// hashed preimage, so the next [`Block::id`] call recomputes.
+    /// Invalidates this handle's memoized block id: any field write
+    /// changes the hashed preimage, so the next [`Block::id`] call
+    /// recomputes. Clones keep their own header and id.
     pub fn header_mut(&mut self) -> &mut BlockHeader {
         self.id_cache = OnceLock::new();
         &mut self.header
@@ -131,7 +163,7 @@ impl Block {
 
     /// The records (ω of them, in Merkle order).
     pub fn records(&self) -> &[Record] {
-        &self.records
+        &self.body.records
     }
 
     /// The block id (`CurBlockID`).
@@ -150,16 +182,20 @@ impl Block {
     /// Structural self-validation: Merkle root matches records, record ids
     /// are unique, and the PoW target is met.
     ///
+    /// Every call makes all three comparisons. The record list's own root
+    /// is hashed by the first call on any handle sharing it (or was by
+    /// [`Block::assemble`]) and read from the memo afterwards.
+    ///
     /// # Errors
     ///
     /// Returns the first [`ChainError`] found.
     pub fn validate_structure(&self) -> Result<(), ChainError> {
         let id = self.id();
-        if Self::merkle_root_of(&self.records) != self.header.merkle_root {
+        if self.body.merkle_root() != self.header.merkle_root {
             return Err(ChainError::MerkleMismatch { id });
         }
-        let mut seen = HashSet::with_capacity(self.records.len());
-        for r in &self.records {
+        let mut seen = HashSet::with_capacity(self.body.records.len());
+        for r in &self.body.records {
             if !seen.insert(r.id()) {
                 return Err(ChainError::DuplicateRecord { id });
             }
@@ -174,14 +210,26 @@ impl Block {
     pub fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_bytes(&self.header.encode());
-        enc.put_u64(self.records.len() as u64);
-        for r in &self.records {
+        enc.put_u64(self.body.records.len() as u64);
+        for r in &self.body.records {
             enc.put_bytes(r.encoded());
         }
         enc.finish()
     }
 
-    /// Decodes a canonical block encoding.
+    /// `self.encode().len()`, without encoding.
+    pub fn encoded_len(&self) -> usize {
+        let records: usize = self
+            .body
+            .records
+            .iter()
+            .map(|r| 8 + r.encoded().len())
+            .sum();
+        8 + BlockHeader::ENCODED_LEN + 8 + records
+    }
+
+    /// Decodes a canonical block encoding into a fresh record list with
+    /// empty memos.
     ///
     /// # Errors
     ///
@@ -198,7 +246,10 @@ impl Block {
         dec.expect_end()?;
         Ok(Block {
             header,
-            records,
+            body: Arc::new(RecordList {
+                records,
+                merkle_root: OnceLock::new(),
+            }),
             id_cache: OnceLock::new(),
         })
     }
@@ -262,12 +313,17 @@ mod tests {
 
     #[test]
     fn merkle_mismatch_detected() {
-        let mut b = child_with_records(2);
+        // Validated first, so the shared list's root memo is warm: the
+        // memo is the list's own root, never a verdict on a header.
+        let honest = child_with_records(2);
+        assert!(honest.validate_structure().is_ok());
+        let mut b = honest.clone();
         b.header_mut().merkle_root[0] ^= 1;
         assert!(matches!(
             b.validate_structure(),
             Err(ChainError::MerkleMismatch { .. })
         ));
+        assert!(honest.validate_structure().is_ok());
     }
 
     #[test]
@@ -324,20 +380,98 @@ mod tests {
         let mut b = child_with_records(2);
         let before = b.id();
         assert_eq!(b.id(), before, "repeated id() is stable");
+        let untouched = b.clone();
         b.header_mut().nonce += 1;
         assert_ne!(b.id(), before, "mutation recomputes the id");
+        assert_eq!(untouched.id(), before, "another handle keeps its header");
+        assert_eq!(untouched.header().nonce, 0);
         let clone = b.clone();
         assert_eq!(clone.id(), b.id(), "clones carry the cache");
     }
 
+    /// Fresh bodies (no memo filled) of the same records.
+    fn cold(records: &[Record]) -> Vec<Record> {
+        records
+            .iter()
+            .map(|r| Record::decode(r.encoded()).unwrap())
+            .collect()
+    }
+
     #[test]
     fn parallel_merkle_root_matches_sequential() {
-        // 80 records exceeds PAR_LEAF_THRESHOLD, so leaves are hashed on
-        // the pool; the root must equal the leaf-by-leaf sequential tree.
-        let records: Vec<Record> = (0..80).map(record).collect();
-        let par = Block::merkle_root_of(&records);
+        // 160 records: enough that the none- and the half-memoized lists
+        // both have PAR_LEAF_THRESHOLD cold leaves and hash them on the
+        // pool. The root must equal the leaf-by-leaf sequential tree
+        // whichever leaves were memoized and at any thread count.
+        let records: Vec<Record> = (0..160).map(record).collect();
         let seq = MerkleTree::from_leaves(records.iter().map(|r| r.encoded())).root();
-        assert_eq!(par, seq);
+        for threads in [1, 8] {
+            let pool = Pool::new(threads);
+            let none = cold(&records);
+            assert!(none.iter().all(Record::merkle_leaf_is_cold));
+            assert_eq!(Block::merkle_tree_of(&none, &pool).root(), seq);
+            assert!(!none.iter().any(Record::merkle_leaf_is_cold));
+            // `none` is now all-memoized.
+            assert_eq!(Block::merkle_tree_of(&none, &pool).root(), seq);
+            let half = cold(&records);
+            half.iter().step_by(2).for_each(|r| {
+                r.merkle_leaf();
+            });
+            assert_eq!(Block::merkle_tree_of(&half, &pool).root(), seq);
+        }
+        assert_eq!(Block::merkle_root_of(&records), seq);
+    }
+
+    #[test]
+    fn encoded_len_matches_encode() {
+        // Payloads from 0 to 4 KiB, record counts 0–80.
+        let kp = KeyPair::from_seed(b"sizes");
+        let records: Vec<Record> = (0..80u64)
+            .map(|i| {
+                let payload = vec![i as u8; (i as usize * 4096) / 79];
+                Record::signed(RecordKind::Transfer, payload, Ether::ZERO, i, &kp)
+            })
+            .collect();
+        assert_eq!(records[0].payload().len(), 0);
+        assert_eq!(records[79].payload().len(), 4096);
+        let genesis = Block::genesis(Difficulty::from_u64(1));
+        assert_eq!(genesis.encoded_len(), genesis.encode().len());
+        for n in 0..=records.len() {
+            let b = Block::assemble(
+                &genesis,
+                records[..n].to_vec(),
+                GENESIS_TIMESTAMP + 15,
+                Difficulty::from_u64(1),
+                Address::from_label("miner"),
+            );
+            assert_eq!(b.encoded_len(), b.encode().len(), "{n} records");
+        }
+    }
+
+    #[test]
+    fn decode_builds_a_fresh_body() {
+        // Tampered wire bytes inherit nothing from the block they were
+        // copied from: flip one payload byte of a validated block's
+        // encoding and the decoded list hashes to its own, different root.
+        let honest = child_with_records(3);
+        assert!(honest.validate_structure().is_ok());
+        let mut bytes = honest.encode();
+        let payload_byte = 8 + BlockHeader::ENCODED_LEN + 8 + 8 + 1 + 20 + 8;
+        bytes[payload_byte] ^= 0xff;
+        let tampered = Block::decode(&bytes).unwrap();
+        assert!(tampered.body.merkle_root.get().is_none());
+        assert!(tampered.records().iter().all(Record::merkle_leaf_is_cold));
+        assert_ne!(tampered.records()[0], honest.records()[0]);
+        assert!(matches!(
+            tampered.validate_structure(),
+            Err(ChainError::MerkleMismatch { .. })
+        ));
+        assert_ne!(tampered.body.merkle_root(), honest.header().merkle_root);
+        // An untampered copy is a fresh body too, and agrees.
+        let copy = Block::decode(&honest.encode()).unwrap();
+        assert!(copy.body.merkle_root.get().is_none());
+        assert!(copy.validate_structure().is_ok());
+        assert_eq!(copy.body.merkle_root(), honest.header().merkle_root);
     }
 
     #[test]

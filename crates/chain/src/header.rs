@@ -66,6 +66,9 @@ pub struct BlockHeader {
 }
 
 impl BlockHeader {
+    /// Length of [`BlockHeader::encode`]'s output: every field is fixed-width.
+    pub(crate) const ENCODED_LEN: usize = 8 + 32 + 32 + 8 + 8 + 16 + 20;
+
     /// Canonical encoding (the hashed preimage of the block id).
     pub fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
@@ -135,6 +138,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let h = header();
+        assert_eq!(h.encode().len(), BlockHeader::ENCODED_LEN);
         let decoded = BlockHeader::decode(&h.encode()).unwrap();
         assert_eq!(decoded, h);
     }

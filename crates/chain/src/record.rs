@@ -12,9 +12,10 @@ use crate::error::ChainError;
 use smartcrowd_crypto::ecdsa::Signature;
 use smartcrowd_crypto::keccak::keccak256;
 use smartcrowd_crypto::keys::{recover_public_key, KeyPair};
+use smartcrowd_crypto::merkle::leaf_hash;
 use smartcrowd_crypto::{hex, Address, Digest};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// What a record contains.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -79,40 +80,47 @@ impl fmt::Display for RecordKind {
     }
 }
 
-/// Lazily computed canonical encoding and id of an (immutable) record.
-///
-/// A [`Record`] is frozen at construction — [`Record::signed`] and
-/// [`Record::decode`] are the only constructors and nothing mutates the
-/// fields afterwards — so both values are memoizable forever. Cloning a
-/// record clones the populated cache; the cache never participates in
-/// equality.
-#[derive(Clone, Debug, Default)]
-struct RecordCache {
-    encoded: OnceLock<Vec<u8>>,
-    id: OnceLock<Digest>,
-}
+/// Bytes of the canonical encoding before the payload: kind tag, sender,
+/// payload length prefix.
+const PAYLOAD_OFFSET: usize = 1 + 20 + 8;
+/// Bytes of the signature, the encoding's last field.
+const SIGNATURE_LEN: usize = 65;
+/// Bytes of the canonical encoding after the payload: fee, nonce, signature.
+const TRAILER_LEN: usize = 16 + 8 + SIGNATURE_LEN;
 
-/// A signed record awaiting (or holding) a place in a block.
-#[derive(Clone)]
-pub struct Record {
+/// What every handle to one record shares.
+///
+/// Frozen at construction: [`Record::signed`] and [`Record::decode`] are
+/// the only constructors and nothing mutates a body afterwards. The two
+/// cells memoize digests — pure functions of `encoded` — and never a
+/// verdict; a body built by `decode` starts with both empty, so tampered
+/// bytes inherit nothing from the record they were copied from.
+struct RecordBody {
+    /// The canonical encoding, held once: the payload is a range of it and
+    /// the signed preimage is everything before the signature.
+    encoded: Box<[u8]>,
     kind: RecordKind,
     sender: Address,
-    payload: Vec<u8>,
     fee: Ether,
     nonce: u64,
     signature: Signature,
-    cache: RecordCache,
+    id: OnceLock<Digest>,
+    merkle_leaf: OnceLock<Digest>,
 }
+
+/// A signed record awaiting (or holding) a place in a block.
+///
+/// A handle over an immutable shared body: a clone is a reference-count
+/// bump, and every clone reads and fills the same id and Merkle-leaf
+/// memos.
+#[derive(Clone)]
+pub struct Record(Arc<RecordBody>);
 
 impl PartialEq for Record {
     fn eq(&self, other: &Self) -> bool {
-        // The cache is derived state and deliberately excluded.
-        self.kind == other.kind
-            && self.sender == other.sender
-            && self.payload == other.payload
-            && self.fee == other.fee
-            && self.nonce == other.nonce
-            && self.signature == other.signature
+        // One encoding per record, so the bytes decide; the memos are
+        // derived state.
+        Arc::ptr_eq(&self.0, &other.0) || self.0.encoded == other.0.encoded
     }
 }
 
@@ -121,12 +129,12 @@ impl Eq for Record {}
 impl fmt::Debug for Record {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Record")
-            .field("kind", &self.kind)
-            .field("sender", &self.sender)
-            .field("payload_len", &self.payload.len())
-            .field("fee", &self.fee)
-            .field("nonce", &self.nonce)
-            .field("signature", &self.signature)
+            .field("kind", &self.0.kind)
+            .field("sender", &self.0.sender)
+            .field("payload_len", &self.payload().len())
+            .field("fee", &self.0.fee)
+            .field("nonce", &self.0.nonce)
+            .field("signature", &self.0.signature)
             .finish_non_exhaustive()
     }
 }
@@ -144,79 +152,93 @@ impl Record {
         signer: &KeyPair,
     ) -> Record {
         let sender = signer.address();
-        let digest = Self::signing_digest(kind, &sender, &payload, fee, nonce);
-        let signature = signer.sign(&digest);
-        Record {
-            kind,
-            sender,
-            payload,
-            fee,
-            nonce,
-            signature,
-            cache: RecordCache::default(),
-        }
-    }
-
-    fn signing_digest(
-        kind: RecordKind,
-        sender: &Address,
-        payload: &[u8],
-        fee: Ether,
-        nonce: u64,
-    ) -> Digest {
         let mut enc = Encoder::new();
         enc.put_u8(kind as u8)
             .put_array(sender.as_bytes())
-            .put_bytes(payload)
+            .put_bytes(&payload)
             .put_u128(fee.wei())
             .put_u64(nonce);
-        keccak256(&enc.finish())
+        let mut encoded = enc.finish();
+        let signature = signer.sign(&keccak256(&encoded));
+        encoded.extend_from_slice(&signature.to_bytes());
+        Record(Arc::new(RecordBody {
+            encoded: encoded.into_boxed_slice(),
+            kind,
+            sender,
+            fee,
+            nonce,
+            signature,
+            id: OnceLock::new(),
+            merkle_leaf: OnceLock::new(),
+        }))
+    }
+
+    /// The signed digest: Keccak-256 of the encoding up to the signature.
+    fn signing_digest(&self) -> Digest {
+        let encoded = &self.0.encoded;
+        keccak256(&encoded[..encoded.len() - SIGNATURE_LEN])
     }
 
     /// The record kind.
     pub fn kind(&self) -> RecordKind {
-        self.kind
+        self.0.kind
     }
 
     /// The declared sender address.
     pub fn sender(&self) -> Address {
-        self.sender
+        self.0.sender
     }
 
     /// The opaque canonical payload.
     pub fn payload(&self) -> &[u8] {
-        &self.payload
+        let encoded = &self.0.encoded;
+        &encoded[PAYLOAD_OFFSET..encoded.len() - TRAILER_LEN]
     }
 
     /// The transaction fee `ψ` paid to the recording miner.
     pub fn fee(&self) -> Ether {
-        self.fee
+        self.0.fee
     }
 
     /// The per-sender sequence number.
     pub fn nonce(&self) -> u64 {
-        self.nonce
+        self.0.nonce
     }
 
     /// The submitter's signature.
     pub fn signature(&self) -> &Signature {
-        &self.signature
+        &self.0.signature
     }
 
     /// The record id: Keccak-256 over the full canonical encoding
     /// (including the signature).
     ///
-    /// Memoized: the first call hashes the cached canonical encoding and
-    /// every later call (there are ~75 `.id()` call sites across the
-    /// workspace — mempool ordering, Merkle assembly, store indexing,
-    /// dedup sets) returns the stored digest without re-running Keccak.
-    /// `chain.idcache.hit` counts the skipped hashes.
+    /// Memoized on the shared body: the first call on any handle hashes
+    /// the encoding and every later call on any clone (there are ~75
+    /// `.id()` call sites across the workspace — mempool ordering, store
+    /// indexing, dedup sets) returns the stored digest without re-running
+    /// Keccak. `chain.idcache.hit` counts the skipped hashes.
     pub fn id(&self) -> Digest {
-        if let Some(id) = self.cache.id.get() {
+        if let Some(id) = self.0.id.get() {
             smartcrowd_telemetry::counter!("chain.idcache.hit").inc();
             return *id;
         }
-        *self.cache.id.get_or_init(|| keccak256(self.encoded()))
+        *self.0.id.get_or_init(|| keccak256(&self.0.encoded))
+    }
+
+    /// The record's Merkle leaf digest, memoized on the shared body like
+    /// the id: a block assembled, validated or re-validated anywhere in
+    /// the process hashes each record's leaf once.
+    pub(crate) fn merkle_leaf(&self) -> Digest {
+        *self
+            .0
+            .merkle_leaf
+            .get_or_init(|| leaf_hash(&self.0.encoded))
+    }
+
+    /// Whether [`Record::merkle_leaf`] would hash.
+    pub(crate) fn merkle_leaf_is_cold(&self) -> bool {
+        self.0.merkle_leaf.get().is_none()
     }
 
     /// Verifies that the signature recovers to the declared sender.
@@ -226,19 +248,17 @@ impl Record {
     /// Returns [`ChainError::RecordRejected`] when recovery fails or the
     /// recovered address differs from [`Record::sender`].
     pub fn verify_signature(&self) -> Result<(), ChainError> {
-        let digest =
-            Self::signing_digest(self.kind, &self.sender, &self.payload, self.fee, self.nonce);
-        let pk = recover_public_key(&digest, &self.signature).map_err(|e| {
+        let pk = recover_public_key(&self.signing_digest(), &self.0.signature).map_err(|e| {
             ChainError::RecordRejected {
                 reason: format!("signature recovery failed: {e}"),
             }
         })?;
-        if pk.address() != self.sender {
+        if pk.address() != self.0.sender {
             return Err(ChainError::RecordRejected {
                 reason: format!(
                     "signature recovers to {} but record claims sender {}",
                     pk.address(),
-                    self.sender
+                    self.0.sender
                 ),
             });
         }
@@ -247,31 +267,19 @@ impl Record {
 
     /// Canonical encoding, as an owned buffer.
     ///
-    /// Delegates to the memoized [`Record::encoded`]; prefer that accessor
-    /// on hot paths to avoid the copy.
+    /// Prefer the borrowing [`Record::encoded`] on hot paths to avoid the
+    /// copy.
     pub fn encode(&self) -> Vec<u8> {
-        self.encoded().to_vec()
+        self.0.encoded.to_vec()
     }
 
-    /// The memoized canonical encoding.
-    ///
-    /// Computed once per record instance (or adopted verbatim from the
-    /// wire bytes by [`Record::decode`]) and reused by Merkle-leaf
-    /// hashing, id derivation and block encoding.
+    /// The canonical encoding: built once by [`Record::signed`], or
+    /// adopted verbatim from the wire bytes by [`Record::decode`].
     pub fn encoded(&self) -> &[u8] {
-        self.cache.encoded.get_or_init(|| {
-            let mut enc = Encoder::new();
-            enc.put_u8(self.kind as u8)
-                .put_array(self.sender.as_bytes())
-                .put_bytes(&self.payload)
-                .put_u128(self.fee.wei())
-                .put_u64(self.nonce)
-                .put_array(&self.signature.to_bytes());
-            enc.finish()
-        })
+        &self.0.encoded
     }
 
-    /// Decodes a canonical encoding.
+    /// Decodes a canonical encoding into a fresh body with empty memos.
     ///
     /// # Errors
     ///
@@ -281,29 +289,27 @@ impl Record {
         let mut dec = Decoder::new(bytes);
         let kind = RecordKind::from_tag(dec.take_u8()?)?;
         let sender = Address::from_bytes(dec.take_array::<20>()?);
-        let payload = dec.take_bytes()?.to_vec();
+        dec.take_bytes()?; // the payload stays where it is, in `bytes`
         let fee = Ether::from_wei(dec.take_u128()?);
         let nonce = dec.take_u64()?;
-        let sig_bytes = dec.take_array::<65>()?;
+        let sig_bytes = dec.take_array::<SIGNATURE_LEN>()?;
         dec.expect_end()?;
         let signature = Signature::from_bytes(&sig_bytes).map_err(|e| ChainError::Codec {
             detail: format!("bad signature: {e}"),
         })?;
-        let record = Record {
+        // The decoder consumed every byte and each field round-trips
+        // exactly (Signature::from_bytes validates without normalizing),
+        // so the input *is* the canonical encoding.
+        Ok(Record(Arc::new(RecordBody {
+            encoded: bytes.into(),
             kind,
             sender,
-            payload,
             fee,
             nonce,
             signature,
-            cache: RecordCache::default(),
-        };
-        // The decoder consumed every byte and each field round-trips
-        // exactly (Signature::from_bytes validates without normalizing),
-        // so the input *is* the canonical encoding: adopt it instead of
-        // re-serializing on the first `encoded()`/`id()` call.
-        let _ = record.cache.encoded.set(bytes.to_vec());
-        Ok(record)
+            id: OnceLock::new(),
+            merkle_leaf: OnceLock::new(),
+        })))
     }
 
     /// Short display id for logs.
@@ -368,15 +374,39 @@ mod tests {
     #[test]
     fn memoized_encoding_and_id_are_stable() {
         let (_, r) = sample();
-        // First call computes, later calls return the cached value.
-        let e1 = r.encoded().to_vec();
-        let e2 = r.encoded().to_vec();
-        assert_eq!(e1, e2);
-        assert_eq!(r.id(), r.id());
-        // Clones carry the populated cache and agree with a fresh record.
+        // A clone taken before either digest exists is the same body…
         let clone = r.clone();
-        assert_eq!(clone.id(), r.id());
+        assert!(Arc::ptr_eq(&r.0, &clone.0));
+        assert!(clone.merkle_leaf_is_cold());
+        let (id, leaf) = (r.id(), r.merkle_leaf());
+        // …so it reads what the original computed.
+        assert!(!clone.merkle_leaf_is_cold());
+        assert_eq!(clone.0.id.get(), Some(&id));
+        assert_eq!((clone.id(), clone.merkle_leaf()), (id, leaf));
         assert_eq!(clone.encoded(), r.encoded());
+        // A decode of the same bytes is a fresh body with empty memos
+        // that hashes to the same digests.
+        let decoded = Record::decode(r.encoded()).unwrap();
+        assert!(!Arc::ptr_eq(&r.0, &decoded.0));
+        assert!(decoded.0.id.get().is_none() && decoded.merkle_leaf_is_cold());
+        assert_eq!(decoded, r);
+        assert_eq!((decoded.id(), decoded.merkle_leaf()), (id, leaf));
+        assert_eq!(leaf, leaf_hash(&r.encode()));
+    }
+
+    #[test]
+    fn payload_is_a_range_of_the_encoding() {
+        let kp = KeyPair::from_seed(b"sizes");
+        for len in [0usize, 1, 255, 4096] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let r = Record::signed(RecordKind::Transfer, payload.clone(), Ether::ZERO, 7, &kp);
+            assert_eq!(r.payload(), payload);
+            assert_eq!(r.encoded().len(), PAYLOAD_OFFSET + len + TRAILER_LEN);
+            assert!(r.verify_signature().is_ok());
+            let decoded = Record::decode(r.encoded()).unwrap();
+            assert_eq!(decoded.payload(), payload);
+            assert!(decoded.verify_signature().is_ok());
+        }
     }
 
     #[test]

@@ -201,6 +201,25 @@ fn warm_cache_does_not_change_verdicts() {
         Ok(()),
         "warm-cache revalidation still passes"
     );
+    // The block's record list now carries its memoized Merkle root, shared
+    // with every clone — a digest, not a verdict: a clone whose header
+    // claims another root, and a decode of the wire bytes with one payload
+    // byte flipped (a fresh list with no memo), are both refused.
+    let mut forged_root = block.clone();
+    forged_root.header_mut().merkle_root[31] ^= 1;
+    let mut wire = block.encode();
+    let last_payload_byte = wire.len() - (16 + 8 + 65) - 1;
+    wire[last_payload_byte] ^= 0xff;
+    for forged in [forged_root, Block::decode(&wire).unwrap()] {
+        let err = validate_block_with(&store, &forged, &AcceptAll, &pool).unwrap_err();
+        assert!(matches!(err, ChainError::MerkleMismatch { .. }), "{err:?}");
+        assert_differential(&store, &forged, &AcceptAll);
+    }
+    assert_eq!(
+        validate_block_with(&store, &block, &AcceptAll, &pool),
+        Ok(()),
+        "the honest handle is unaffected"
+    );
     let mut tampered = records;
     tampered[2] = tamper(&tampered[2]);
     let (store2, bad) = block_with(tampered);

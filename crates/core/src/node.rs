@@ -316,7 +316,8 @@ impl ProviderNode {
     }
 
     /// The block gate, each check in one place: a block the store already
-    /// holds was checked when it was stored; any other block gets every
+    /// holds was checked when it was stored, and one waiting in the sync
+    /// buffer when it was buffered; any other block gets every
     /// record's signature and §V-C semantic check from
     /// [`Protocol::check_block`], then duplicate / linkage / structure
     /// from the store's commit, reached through the sync buffer (which
@@ -326,8 +327,9 @@ impl ProviderNode {
         use smartcrowd_telemetry::counter;
         counter!("core.node.blocks_received").inc();
         // Every peer re-gossips every block it connects, so most
-        // deliveries are of a block already stored.
-        if self.core.store().contains_block(&block.id()) {
+        // deliveries are of a block already stored; a duplicating link or
+        // several peers answering one `BlockRequest` re-deliver an orphan.
+        if self.core.store().contains_block(&block.id()) || self.sync.holds(&block) {
             return;
         }
         if self.core.check_block(&block).is_err() {
@@ -581,33 +583,129 @@ mod tests {
         let (mut a, mut b, _) = setup_two_nodes();
         a.handle(Message::Record(transfer(b"payer", 11)));
         let (honest, _) = a.mine(block_time(1), 16);
+        a.handle(Message::Record(transfer(b"second payer", 11)));
+        let (next, _) = a.mine(block_time(2), 16);
+        let genesis = Block::genesis(Difficulty::from_u64(1));
+        let refused_by_store =
+            |forged: &Block| ChainStore::new(genesis.clone()).insert(forged.clone());
 
-        // Known parent, valid records, Merkle root not theirs.
+        // Known parent, valid records, Merkle root not theirs. `a` sealed
+        // and committed `honest`, so the record list the clone shares has
+        // its root memoized — which must not stand in for the comparison.
         let mut forged_root = honest.clone();
         forged_root.header_mut().merkle_root[0] ^= 1;
+        // The same, claiming the root of another list `a` has validated.
+        let mut swapped_root = honest.clone();
+        swapped_root.header_mut().merkle_root = next.header().merkle_root;
+        for forged in [&forged_root, &swapped_root] {
+            assert!(matches!(
+                forged.validate_structure(),
+                Err(ChainError::MerkleMismatch { .. })
+            ));
+            assert!(matches!(
+                refused_by_store(forged),
+                Err(ChainError::MerkleMismatch { .. })
+            ));
+        }
         // A record whose payload changed after signing, under a root
         // recomputed to match.
         let mut bytes = honest.records()[0].encode();
         bytes[1 + 20 + 8] ^= 0xff;
         let bad_signature = Block::assemble(
-            &Block::genesis(Difficulty::from_u64(1)),
+            &genesis,
             vec![Record::decode(&bytes).unwrap()],
             block_time(1),
             Difficulty::from_u64(1),
             a.address(),
         );
         assert!(bad_signature.validate_structure().is_ok());
+        // The honest block with one payload byte flipped on the wire: the
+        // decoded copy shares nothing with `honest` and hashes to its own
+        // root, which is not the header's.
+        let mut wire = honest.encode();
+        let payload_at = wire.len() - (16 + 8 + 65) - 1;
+        wire[payload_at] ^= 0xff;
+        let tampered_wire = Block::decode(&wire).unwrap();
+        assert_eq!(tampered_wire.id(), honest.id());
+        assert!(matches!(
+            refused_by_store(&tampered_wire),
+            Err(ChainError::MerkleMismatch { .. })
+        ));
 
-        for forged in [forged_root, bad_signature] {
+        for forged in [
+            forged_root,
+            swapped_root.clone(),
+            bad_signature,
+            tampered_wire,
+        ] {
             let out = b.handle(Message::Block(Box::new(forged.clone())));
             assert!(out.broadcast.is_empty(), "a refused block is not relayed");
             assert!(!b.store().contains_block(&forged.id()));
             assert_eq!(b.store().best_height(), 0);
             assert_eq!(b.sync.buffered(), 0);
         }
+        // Nor does the node that validated both lists take the swap.
+        let out = a.handle(Message::Block(Box::new(swapped_root.clone())));
+        assert!(out.broadcast.is_empty());
+        assert!(!a.store().contains_block(&swapped_root.id()));
         // The same node still takes the honest block.
         b.handle(Message::Block(Box::new(honest.clone())));
         assert_eq!(b.store().best_tip(), honest.id());
+    }
+
+    #[test]
+    fn redelivered_buffered_orphan_is_not_judged_again() {
+        let (mut a, mut b, library) = setup_two_nodes();
+        let sra_id = release_and_sync(&mut a, &mut b, &library, vec![VulnId(1)]);
+        let detector = KeyPair::from_seed(b"detector");
+        let (initial, detailed) = create_report_pair(
+            &detector,
+            sra_id,
+            Findings::new(vec![VulnId(1)], "found one"),
+        );
+        let fee = Ether::from_milliether(11);
+        let initial = Record::signed(
+            RecordKind::InitialReport,
+            initial.encode(),
+            fee,
+            0,
+            &detector,
+        );
+        let detailed = Record::signed(
+            RecordKind::DetailedReport,
+            detailed.encode(),
+            fee,
+            1,
+            &detector,
+        );
+        // Both nodes index the R†; only `a` hears the R* before it is mined.
+        a.handle(Message::Record(initial.clone()));
+        b.handle(Message::Record(initial));
+        let (parent, _) = a.mine(block_time(1), 16);
+        a.handle(Message::Record(detailed));
+        let (child, _) = a.mine(block_time(2), 16);
+        assert_eq!(child.records().len(), 1);
+
+        // The child arrives first: `b` can judge its R* (R† indexed,
+        // artifact held), credits the detector, buffers the block and asks
+        // for the parent.
+        let out = b.handle(Message::Block(Box::new(child.clone())));
+        assert!(matches!(out.broadcast[..], [Message::BlockRequest { .. }]));
+        assert_eq!(b.sync.buffered(), 1);
+        assert_eq!(b.scoreboard().score(&detector.address()).confirmed, 1);
+        // A duplicating link, or a second peer answering the request,
+        // delivers it again.
+        let out = b.handle(Message::Block(Box::new(child.clone())));
+        assert!(out.broadcast.is_empty(), "nothing new to ask or relay");
+        assert_eq!(b.sync.buffered(), 1);
+        assert_eq!(
+            b.scoreboard().score(&detector.address()).confirmed,
+            1,
+            "its R* was not judged again"
+        );
+        b.handle(Message::Block(Box::new(parent)));
+        assert_eq!(b.store().best_tip(), child.id());
+        assert_eq!(b.scoreboard().score(&detector.address()).confirmed, 1);
     }
 
     #[test]

@@ -318,40 +318,41 @@ impl GossipNet {
         }
         self.apply_due_schedule();
         let link = self.link_for(from, to);
+        let size = message.wire_size() as u64;
         self.sent += 1;
-        self.bytes += message.wire_size() as u64;
+        self.bytes += size;
         sent_counter(&message).inc();
-        smartcrowd_telemetry::counter!("net.gossip.bytes").add(message.wire_size() as u64);
+        smartcrowd_telemetry::counter!("net.gossip.bytes").add(size);
         if !self.reachable(from, to) || self.rng.next_bool(link.drop_rate) {
             self.dropped += 1;
             smartcrowd_telemetry::counter!("net.gossip.dropped").inc();
             return Ok(());
         }
-        let copies = if self.rng.next_bool(link.duplicate_rate) {
+        if self.rng.next_bool(link.duplicate_rate) {
             self.duplicated += 1;
             smartcrowd_telemetry::counter!("net.gossip.duplicated").inc();
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            let mut latency = link.base_latency + self.rng.next_f64() * link.jitter;
-            if self.rng.next_bool(link.reorder_rate) {
-                // Adversarial reordering: hold the message long enough that
-                // several subsequent sends overtake it.
-                latency +=
-                    (link.base_latency + link.jitter) * REORDER_STRETCH * self.rng.next_f64();
-            }
-            self.queue.push(Queued {
-                at: self.clock + latency,
-                seq: self.seq,
-                from,
-                to,
-                message: message.clone(),
-            });
-            self.seq += 1;
+            self.enqueue(from, to, &link, message.clone());
         }
+        self.enqueue(from, to, &link, message);
         Ok(())
+    }
+
+    /// Queues one copy of `message` with its own latency sample.
+    fn enqueue(&mut self, from: NodeId, to: NodeId, link: &LinkConfig, message: Message) {
+        let mut latency = link.base_latency + self.rng.next_f64() * link.jitter;
+        if self.rng.next_bool(link.reorder_rate) {
+            // Adversarial reordering: hold the message long enough that
+            // several subsequent sends overtake it.
+            latency += (link.base_latency + link.jitter) * REORDER_STRETCH * self.rng.next_f64();
+        }
+        self.queue.push(Queued {
+            at: self.clock + latency,
+            seq: self.seq,
+            from,
+            to,
+            message,
+        });
+        self.seq += 1;
     }
 
     /// Broadcasts from `from` to every other node (the SRA/report/block
@@ -364,10 +365,13 @@ impl GossipNet {
         if from.0 >= self.nodes {
             return Err(NetError::UnknownNode { node: from.0 });
         }
-        for to in 0..self.nodes {
-            if to != from.0 {
-                self.send(from, NodeId(to), message.clone())?;
+        // Every peer but the last gets a clone; the last gets the message.
+        let mut peers = (0..self.nodes).filter(|to| *to != from.0).peekable();
+        while let Some(to) = peers.next() {
+            if peers.peek().is_none() {
+                return self.send(from, NodeId(to), message);
             }
+            self.send(from, NodeId(to), message.clone())?;
         }
         Ok(())
     }

@@ -51,11 +51,13 @@ impl Message {
         }
     }
 
-    /// Approximate size in bytes (for bandwidth accounting).
+    /// Exact size in bytes (for bandwidth accounting): the length of the
+    /// canonical encoding of a record or block, read off the bytes they
+    /// already hold rather than by encoding them.
     pub fn wire_size(&self) -> usize {
         match self {
-            Message::Record(r) => r.encode().len(),
-            Message::Block(b) => b.encode().len(),
+            Message::Record(r) => r.encoded().len(),
+            Message::Block(b) => b.encoded_len(),
             Message::ImageRequest { .. } => 32,
             Message::ImageResponse { image, .. } => 32 + image.len(),
             Message::BlockRequest { .. } => 32,
@@ -91,5 +93,31 @@ mod tests {
             image: vec![0; 100],
         };
         assert_eq!(resp.wire_size(), 132);
+    }
+
+    #[test]
+    fn wire_size_is_the_encoded_length() {
+        // `net.gossip.bytes` is summed from `wire_size`, which no longer
+        // encodes: payloads from 0 to 4 KiB, blocks of 0 to 80 records.
+        let kp = KeyPair::from_seed(b"n");
+        let genesis = Block::genesis(Difficulty::from_u64(1));
+        let mut records = Vec::new();
+        for n in 0..=80u64 {
+            let block = Block::assemble(
+                &genesis,
+                records.clone(),
+                genesis.header().timestamp + 15,
+                Difficulty::from_u64(1),
+                kp.address(),
+            );
+            let bytes = block.encode().len();
+            assert_eq!(Message::Block(Box::new(block)).wire_size(), bytes);
+
+            let payload = vec![n as u8; (n as usize * 4096) / 80];
+            let record = Record::signed(RecordKind::Transfer, payload, Ether::ZERO, n, &kp);
+            let bytes = record.encode().len();
+            assert_eq!(Message::Record(record.clone()).wire_size(), bytes);
+            records.push(record);
+        }
     }
 }

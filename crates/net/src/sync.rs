@@ -76,6 +76,18 @@ impl SyncBuffer {
         self.buffered
     }
 
+    /// Whether `block` is already waiting here for its parent. A node asks
+    /// this before judging a delivered block: one it holds was judged when
+    /// it was buffered.
+    pub fn holds(&self, block: &Block) -> bool {
+        self.orphans
+            .get(&block.header().prev)
+            .is_some_and(|waiting| {
+                let id = block.id();
+                waiting.iter().any(|b| b.id() == id)
+            })
+    }
+
     /// Offers a block; connects it (and any unlocked descendants) when its
     /// parent is known, otherwise buffers it.
     ///
@@ -114,11 +126,10 @@ impl SyncBuffer {
             if self.buffered >= MAX_ORPHANS {
                 return SyncOutcome::Rejected(ChainError::MempoolFull);
             }
-            let waiting = self.orphans.entry(parent).or_default();
-            if waiting.iter().any(|b| b.id() == id) {
+            if self.holds(&block) {
                 return SyncOutcome::Duplicate;
             }
-            waiting.push(block);
+            self.orphans.entry(parent).or_default().push(block);
             self.buffered += 1;
             return SyncOutcome::Buffered;
         }
@@ -240,10 +251,12 @@ mod tests {
         );
         let (mut store2, blocks2) = chain(3);
         let mut sync2 = SyncBuffer::new();
+        assert!(!sync2.holds(&blocks2[2]));
         assert_eq!(
             sync2.offer(&mut store2, blocks2[2].clone()),
             SyncOutcome::Buffered
         );
+        assert!(sync2.holds(&blocks2[2]) && !sync2.holds(&blocks2[1]));
         assert_eq!(
             sync2.offer(&mut store2, blocks2[2].clone()),
             SyncOutcome::Duplicate
