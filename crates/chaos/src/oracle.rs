@@ -265,7 +265,7 @@ mod tests {
             store.insert(block.clone()).unwrap();
             parent = block;
         }
-        let mut settlement = Settlement::new(store.genesis_id());
+        let mut settlement = Settlement::new(store.genesis_id(), &[]);
         settlement.advance(&store);
         (store, settlement)
     }
@@ -328,7 +328,7 @@ mod tests {
     #[test]
     fn settlement_short_of_the_finality_horizon_is_a_conservation_violation() {
         let (store, _) = chain(12, 0);
-        let stale = (store, Settlement::new(chain(0, 0).0.genesis_id()));
+        let stale = (store, Settlement::new(chain(0, 0).0.genesis_id(), &[]));
         let err = Oracles::new(1)
             .check_round(1, &[view(&stale, true)])
             .unwrap_err();

@@ -160,8 +160,8 @@ mod tests {
             );
             store.insert(block).unwrap();
         }
-        let mut settlement = Settlement::new(store.genesis_id());
-        settlement.allocate(&[(provider.address(), Ether::from_ether(5000))]);
+        let funding = [(provider.address(), Ether::from_ether(5000))];
+        let mut settlement = Settlement::new(store.genesis_id(), &funding);
         settlement.advance(&store);
         let escrow = settlement.escrows()[sra.id()].escrow.address;
         (settlement, escrow, detailed.wallet())

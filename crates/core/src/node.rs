@@ -13,17 +13,17 @@
 //! `admit` / `check_block` / `seal` / `connected` / `replay` exactly as
 //! [`crate::platform::Platform`] drives its own — plus the gossip glue
 //! only a networked replica needs: the sync buffer that reassembles
-//! out-of-order blocks, artifact hosting and download, the detailed
-//! reports waiting for an artifact, and the outbox. Convergence of honest
-//! nodes — tips, and with them escrow balances and payouts — is a
+//! out-of-order blocks, artifact hosting and download, the `R*` records
+//! waiting for an artifact, the refused blocks, and the outbox. Convergence
+//! of honest nodes — tips, and with them escrow balances and payouts — is a
 //! *theorem of the message handlers*, tested in `sim::distributed` and
 //! under faults in `smartcrowd-chaos`.
 
 use crate::error::CoreError;
 use crate::protocol::{Admitted, Protocol};
-use crate::report::DetailedReport;
 use crate::settlement::Settlement;
 use crate::sra::{Sra, SraId};
+use smartcrowd_chain::header::BlockId;
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::{Block, ChainBackend, ChainError, ChainQuery, ChainStore, Ether};
 use smartcrowd_crypto::keys::KeyPair;
@@ -32,7 +32,12 @@ use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_net::sync::{SyncBuffer, SyncOutcome};
 use smartcrowd_net::{Message, Scoreboard};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
+
+/// How many `R*` records a node keeps waiting for an artifact, and how many
+/// refused blocks it remembers; the oldest goes first.
+const MAX_PARKED: usize = 1024;
+const MAX_REFUSED: usize = 1024;
 
 /// What a node wants sent to its peers after handling a message.
 #[derive(Debug, Default)]
@@ -58,11 +63,13 @@ pub struct ProviderNode {
     hosted: HashMap<Digest, IoTSystem>,
     /// Outstanding image downloads.
     pending_images: HashSet<Digest>,
-    /// Detailed reports (with their record ids) that arrived before their
-    /// artifact; judged when it arrives.
-    deferred_detailed: Vec<(Digest, DetailedReport)>,
+    /// `R*` records that arrived before their artifact, oldest first;
+    /// submitted again when an image arrives.
+    parked: VecDeque<Record>,
+    /// Well-formed blocks [`Protocol::check_block`] refused, oldest first.
+    refused: VecDeque<BlockId>,
     /// Block ids already requested from peers (ask once).
-    requested_blocks: HashSet<smartcrowd_chain::header::BlockId>,
+    requested_blocks: HashSet<BlockId>,
     /// Per-sender record sequence for this node's own submissions.
     nonce: u64,
 }
@@ -71,17 +78,19 @@ impl ProviderNode {
     /// Boots a node from the shared genesis and vulnerability library,
     /// on the in-memory backend.
     pub fn new(keypair: KeyPair, genesis: Block, library: VulnLibrary) -> Self {
-        Self::with_backend(keypair, Box::new(ChainStore::new(genesis)), library)
+        Self::with_backend(keypair, Box::new(ChainStore::new(genesis)), library, &[])
     }
 
     /// Boots a node over an explicit chain backend (e.g. a
-    /// [`smartcrowd_chain::storage::DurableStore`]) with fresh soft state.
+    /// [`smartcrowd_chain::storage::DurableStore`]) with fresh soft state
+    /// and the genesis `allocation` every node of its fleet settles from.
     pub fn with_backend(
         keypair: KeyPair,
         backend: Box<dyn ChainBackend>,
         library: VulnLibrary,
+        allocation: &[(Address, Ether)],
     ) -> Self {
-        Self::boot(keypair, Protocol::new(backend, library), 0)
+        Self::boot(keypair, Protocol::new(backend, library, allocation), 0)
     }
 
     /// Reboots a node from a recovered chain backend — a store
@@ -92,26 +101,23 @@ impl ProviderNode {
     /// mempool, sync buffer, downloaded artifacts, hosted images,
     /// scoreboard — is lost. Verified SRAs and initial reports are
     /// re-derived from the canonical chain ([`Protocol::replay`]) so
-    /// Algorithm 1 can keep running, the settlement is refolded (give the
-    /// node its genesis allocation again: [`ProviderNode::allocate`]), and
-    /// the record nonce resumes past the highest on-chain nonce this key
-    /// already used (a replayed nonce would produce duplicate record ids).
+    /// Algorithm 1 can keep running, the settlement is refolded from the
+    /// `allocation` the node booted with, and the record nonce resumes past
+    /// the highest on-chain nonce this key already used (a replayed nonce
+    /// would produce duplicate record ids) — in one walk of the chain.
     pub fn restore_backend(
         keypair: KeyPair,
         backend: Box<dyn ChainBackend>,
         library: VulnLibrary,
+        allocation: &[(Address, Ether)],
     ) -> Self {
-        let core = Protocol::replay(backend, library);
         let address = keypair.address();
-        let nonce = core
-            .store()
-            .canonical_blocks()
-            .iter()
-            .flat_map(Block::records)
-            .filter(|r| r.sender() == address)
-            .map(Record::nonce)
-            .max()
-            .unwrap_or(0);
+        let mut nonce = 0;
+        let core = Protocol::replay(backend, library, allocation, |record| {
+            if record.sender() == address {
+                nonce = nonce.max(record.nonce());
+            }
+        });
         Self::boot(keypair, core, nonce)
     }
 
@@ -123,7 +129,8 @@ impl ProviderNode {
             sync: SyncBuffer::new(),
             hosted: HashMap::new(),
             pending_images: HashSet::new(),
-            deferred_detailed: Vec::new(),
+            parked: VecDeque::new(),
+            refused: VecDeque::new(),
             requested_blocks: HashSet::new(),
             nonce,
         }
@@ -159,13 +166,6 @@ impl ProviderNode {
     /// The contract state this node's confirmed chain implies.
     pub fn settlement(&self) -> &Settlement {
         self.core.settlement()
-    }
-
-    /// Funds `genesis` accounts in the settlement's genesis state. Every node
-    /// of a fleet must get the same allocation, at boot and after a restore.
-    pub fn allocate(&mut self, genesis: &[(Address, Ether)]) {
-        self.core.settlement_mut().allocate(genesis);
-        self.core.settle();
     }
 
     /// Releases a system from this node: hosts the image, signs the SRA,
@@ -204,17 +204,17 @@ impl ProviderNode {
     }
 
     /// Runs a record through the core and does the gossip-side follow-up:
-    /// start the artifact download for a new SRA, park an `R*` that
-    /// cannot be judged yet, and count the rejections operators care
-    /// about. A [`ChainError::DuplicatePending`] means a peer redelivered
-    /// something already queued — expected under gossip, not worth
-    /// counting; any other pool rejection (fee too low for a full pool) is
-    /// a genuine drop, counted under `core.node.record_dropped` so
-    /// admission pressure is visible. Records that fail verification are
-    /// dropped silently: the sender is unauthenticated.
+    /// start the artifact download for a new SRA, park an `R*` the core
+    /// cannot judge yet (`handle_image` submits it again), and count the
+    /// rejections operators care about. A [`ChainError::DuplicatePending`]
+    /// means a peer redelivered something already queued — expected under
+    /// gossip, not worth counting; any other pool rejection (fee too low
+    /// for a full pool) or a parked record pushed out by newer ones is a
+    /// genuine drop, counted under `core.node.record_dropped`. Records that
+    /// fail verification are dropped silently: the sender is unauthenticated.
     fn admit(&mut self, record: Record, out: &mut Outbox) {
         use smartcrowd_telemetry::counter;
-        match self.core.admit(record) {
+        match self.core.admit(record.clone()) {
             Ok(Admitted::Verified) => {}
             Ok(Admitted::NewSra { image_hash }) => {
                 // Start the U_l download unless we host it.
@@ -223,8 +223,13 @@ impl ProviderNode {
                     out.push(Message::ImageRequest { image_hash });
                 }
             }
-            Ok(Admitted::Unverified { record_id, report }) => {
-                self.deferred_detailed.push((record_id, *report));
+            Err(CoreError::NotFound) if self.parked.contains(&record) => {}
+            Err(CoreError::NotFound) => {
+                if self.parked.len() == MAX_PARKED {
+                    self.parked.pop_front();
+                    counter!("core.node.record_dropped").inc();
+                }
+                self.parked.push_back(record);
             }
             Err(CoreError::Chain(ChainError::RecordRejected { .. })) => {
                 counter!("core.node.records_bad_sig").inc();
@@ -253,7 +258,7 @@ impl ProviderNode {
                 }
             }
             Message::ImageResponse { image_hash, image } => {
-                self.handle_image(image_hash, image);
+                self.handle_image(image_hash, image, &mut out);
             }
             Message::BlockRequest { id } => {
                 if let Some(block) = self.core.store().get_block(&id) {
@@ -287,7 +292,7 @@ impl ProviderNode {
         out
     }
 
-    fn handle_image(&mut self, image_hash: Digest, image: Vec<u8>) {
+    fn handle_image(&mut self, image_hash: Digest, image: Vec<u8>, out: &mut Outbox) {
         if !self.pending_images.remove(&image_hash) {
             return; // unsolicited
         }
@@ -303,37 +308,44 @@ impl ProviderNode {
         let system = IoTSystem::from_parts(sra.name(), sra.version(), image);
         let sra_id = *sra.id();
         self.core.hold_artifact(sra_id, system);
-        // Judge the detailed reports that were waiting for an artifact.
-        for (record_id, report) in std::mem::take(&mut self.deferred_detailed) {
-            match self.core.check_detailed(&report) {
-                Ok(()) => {}
-                // Waiting on a different artifact.
-                Err(CoreError::NotFound) => self.deferred_detailed.push((record_id, report)),
-                // Definitively rejected: it must not reach a block of ours.
-                Err(_) => self.core.evict(&record_id),
-            }
+        // What waits for a different artifact parks again, in order.
+        for record in std::mem::take(&mut self.parked) {
+            self.admit(record, out);
         }
     }
 
-    /// The block gate, each check in one place: a block the store already
-    /// holds was checked when it was stored, and one waiting in the sync
-    /// buffer when it was buffered; any other block gets every
-    /// record's signature and §V-C semantic check from
-    /// [`Protocol::check_block`], then duplicate / linkage / structure
-    /// from the store's commit, reached through the sync buffer (which
-    /// holds a block whose parent is still missing and commits it, under
-    /// the same checks, once the parent connects).
+    /// The block gate, each check in one place and once per block: a block
+    /// the store already holds was checked when it was stored, one waiting
+    /// in the sync buffer when it was buffered, and a refused one stays
+    /// refused; any other block gets every record's signature and §V-C
+    /// semantic check from [`Protocol::check_block`], then duplicate /
+    /// linkage / structure from the store's commit, reached through the
+    /// sync buffer (which holds a block whose parent is still missing and
+    /// commits it, under the same checks, once the parent connects).
     fn handle_block(&mut self, block: Block, out: &mut Outbox) {
         use smartcrowd_telemetry::counter;
         counter!("core.node.blocks_received").inc();
         // Every peer re-gossips every block it connects, so most
         // deliveries are of a block already stored; a duplicating link or
-        // several peers answering one `BlockRequest` re-deliver an orphan.
-        if self.core.store().contains_block(&block.id()) || self.sync.holds(&block) {
+        // several peers answering one `BlockRequest` re-deliver the rest.
+        let id = block.id();
+        if self.core.store().contains_block(&id)
+            || self.sync.holds(&block)
+            || self.refused.contains(&id)
+        {
             return;
         }
         if self.core.check_block(&block).is_err() {
             counter!("core.node.blocks_rejected").inc();
+            // The id hashes the header alone: it stands for the records,
+            // and so for this verdict, only if the header's Merkle root is
+            // theirs. Else a tampered copy would shut out the honest block.
+            if block.validate_structure().is_ok() {
+                if self.refused.len() == MAX_REFUSED {
+                    self.refused.pop_front();
+                }
+                self.refused.push_back(id);
+            }
             return;
         }
         match self.sync.offer(self.core.backend_mut(), block) {
@@ -708,6 +720,180 @@ mod tests {
         assert_eq!(b.scoreboard().score(&detector.address()).confirmed, 1);
     }
 
+    /// A detector's signed `R†` / `R*` record pair claiming `vulns`.
+    fn report_records(detector: &KeyPair, sra_id: SraId, vulns: Vec<VulnId>) -> (Record, Record) {
+        let (initial, detailed) = create_report_pair(detector, sra_id, Findings::new(vulns, "x"));
+        let fee = Ether::from_milliether(11);
+        (
+            Record::signed(
+                RecordKind::InitialReport,
+                initial.encode(),
+                fee,
+                0,
+                detector,
+            ),
+            Record::signed(
+                RecordKind::DetailedReport,
+                detailed.encode(),
+                fee,
+                1,
+                detector,
+            ),
+        )
+    }
+
+    #[test]
+    fn pooled_report_arriving_in_a_block_is_not_judged_again() {
+        use smartcrowd_telemetry::counter;
+        // `core.verify.autoverif_runs` is process-global and other tests of
+        // this binary bump it, so look for one quiet run of the scenario.
+        let quiet = (0..16u8).any(|round| {
+            let (mut a, mut b, library) = setup_two_nodes();
+            let sra_id = release_and_sync(&mut a, &mut b, &library, vec![VulnId(1)]);
+            let detector = KeyPair::from_seed(&[b'd', round]);
+            let (initial, detailed) = report_records(&detector, sra_id, vec![VulnId(1)]);
+            for record in [initial, detailed] {
+                a.handle(Message::Record(record.clone()));
+                b.handle(Message::Record(record));
+            }
+            let (block, _) = a.mine(block_time(1), 16);
+            assert_eq!(block.records().len(), 3);
+            let before = counter!("core.verify.autoverif_runs").get();
+            b.handle(Message::Block(Box::new(block.clone())));
+            let runs = counter!("core.verify.autoverif_runs").get() - before;
+            assert_eq!(b.store().best_tip(), block.id());
+            // Miner and receiver judged the R* once each, at admission.
+            for node in [&a, &b] {
+                assert_eq!(node.scoreboard().score(&detector.address()).confirmed, 1);
+            }
+            runs == 0
+        });
+        assert!(quiet, "a block of pooled records ran AutoVerif");
+    }
+
+    #[test]
+    fn redelivered_refused_block_is_not_judged_again() {
+        use smartcrowd_telemetry::counter;
+        let (mut a, mut b, library) = setup_two_nodes();
+        let sra_id = release_and_sync(&mut a, &mut b, &library, vec![VulnId(1)]);
+        let cheat = KeyPair::from_seed(b"cheat");
+        let (initial, forged) = report_records(&cheat, sra_id, vec![VulnId(40)]);
+        b.handle(Message::Record(initial));
+        let genesis = Block::genesis(Difficulty::from_u64(1));
+        let difficulty = Difficulty::from_u64(1);
+        let block = Block::assemble(
+            &genesis,
+            vec![forged],
+            block_time(1),
+            difficulty,
+            a.address(),
+        );
+
+        let out = b.handle(Message::Block(Box::new(block.clone())));
+        assert!(out.broadcast.is_empty(), "a refused block is not relayed");
+        assert_eq!(b.scoreboard().score(&cheat.address()).strikes, 1);
+        // Peers that took it keep gossiping it. The counter is
+        // process-global, so look for one quiet re-delivery.
+        let quiet = (0..5).fold(false, |quiet, _| {
+            let before = counter!("core.node.blocks_rejected").get();
+            b.handle(Message::Block(Box::new(block.clone())));
+            quiet || counter!("core.node.blocks_rejected").get() == before
+        });
+        assert!(quiet, "a remembered refusal was counted again");
+        assert_eq!(
+            b.scoreboard().score(&cheat.address()).strikes,
+            1,
+            "one forged report is one strike, however often it is delivered"
+        );
+        assert_eq!(b.store().best_height(), 0);
+    }
+
+    #[test]
+    fn report_ahead_of_its_artifact_is_pooled_only_once_judged() {
+        let (mut a, mut b, library) = setup_two_nodes();
+        let mut rng = SimRng::seed_from_u64(5);
+        let system = IoTSystem::build("fw", "1", &library, vec![VulnId(1)], &mut rng).unwrap();
+        let (sra_id, out) = a.release(system, Ether::from_ether(1000), Ether::from_ether(25));
+        // b learns the SRA and asks for the image, which is slow to come.
+        let mut requests = Vec::new();
+        for m in out.broadcast {
+            requests.extend(b.handle(m).broadcast);
+        }
+        assert!(matches!(requests[..], [Message::ImageRequest { .. }]));
+        let honest = KeyPair::from_seed(b"detector");
+        let cheat = KeyPair::from_seed(b"cheat");
+        let (initial, detailed) = report_records(&honest, sra_id, vec![VulnId(1)]);
+        let (cheat_initial, forged) = report_records(&cheat, sra_id, vec![VulnId(40)]);
+        for record in [initial, cheat_initial, detailed.clone(), forged.clone()] {
+            b.handle(Message::Record(record));
+        }
+        assert_eq!(
+            b.mempool_len(),
+            3,
+            "the SRA and both R†; no R* b cannot judge"
+        );
+        // A duplicating link does not park a record twice.
+        b.handle(Message::Record(forged.clone()));
+        assert_eq!(b.parked.len(), 2);
+
+        // b wins a round before the image arrives: nothing unjudged is sealed.
+        let (block, _) = b.mine(block_time(1), 16);
+        assert_eq!(block.records().len(), 3);
+        assert!(!block.records().contains(&detailed) && !block.records().contains(&forged));
+
+        for request in requests {
+            for response in a.handle(request).broadcast {
+                b.handle(response);
+            }
+        }
+        assert!(b.parked.is_empty());
+        assert_eq!(
+            b.mempool_len(),
+            1,
+            "the honest R* is pooled, the forged never"
+        );
+        assert_eq!(b.scoreboard().score(&honest.address()).confirmed, 1);
+        assert_eq!(b.scoreboard().score(&cheat.address()).strikes, 1);
+        let (block, _) = b.mine(block_time(2), 16);
+        assert_eq!(block.records(), [detailed]);
+    }
+
+    #[test]
+    fn parked_reports_are_bounded_and_the_oldest_go_first() {
+        use smartcrowd_telemetry::counter;
+        let (_, mut b, _) = setup_two_nodes();
+        // No SRA and no artifact: every R* behind an indexed R† parks.
+        let detector = KeyPair::from_seed(b"detector");
+        let (initial, detailed) =
+            create_report_pair(&detector, [7; 32], Findings::new(vec![VulnId(1)], "x"));
+        let fee = Ether::from_milliether(11);
+        let reveal = |nonce: usize| {
+            let payload = detailed.encode();
+            Record::signed(
+                RecordKind::DetailedReport,
+                payload,
+                fee,
+                nonce as u64,
+                &detector,
+            )
+        };
+        b.handle(Message::Record(Record::signed(
+            RecordKind::InitialReport,
+            initial.encode(),
+            fee,
+            0,
+            &detector,
+        )));
+        let dropped = counter!("core.node.record_dropped").get();
+        for nonce in 0..MAX_PARKED + 3 {
+            b.handle(Message::Record(reveal(nonce)));
+        }
+        assert_eq!(b.parked.len(), MAX_PARKED);
+        assert_eq!(b.parked.front(), Some(&reveal(3)));
+        assert!(counter!("core.node.record_dropped").get() >= dropped + 3);
+        assert_eq!(b.mempool_len(), 1, "only the R†");
+    }
+
     #[test]
     fn blocks_connected_from_the_buffer_clear_the_pool_too() {
         let (mut a, mut b, _) = setup_two_nodes();
@@ -750,6 +936,7 @@ mod tests {
             KeyPair::from_seed(b"node-b"),
             Box::new(restored_store),
             library,
+            &[],
         );
         assert_eq!(b2.store().best_tip(), block.id());
         assert!(
@@ -767,6 +954,27 @@ mod tests {
             b2.handle(m);
         }
         assert_eq!(b2.store().best_tip(), block2.id());
+    }
+
+    #[test]
+    fn restart_folds_its_confirmed_prefix_once() {
+        let (mut a, mut b, library) = setup_two_nodes();
+        release_and_sync(&mut a, &mut b, &library, vec![VulnId(1)]);
+        for height in 1..=9 {
+            a.mine(block_time(height), 16);
+        }
+        let disk = smartcrowd_chain::storage::export_chain(a.store());
+        let restored = smartcrowd_chain::storage::import_chain(&disk).unwrap();
+        let funding = [(a.address(), Ether::from_ether(5000))];
+        let a2 = ProviderNode::restore_backend(
+            KeyPair::from_seed(b"node-a"),
+            Box::new(restored),
+            library,
+            &funding,
+        );
+        assert_eq!(a2.settlement().cursor().0, 3);
+        assert_eq!(a2.settlement().folded(), 3, "each confirmed block once");
+        assert_eq!(a2.settlement().escrows().len(), 1, "funded from genesis");
     }
 
     #[test]
@@ -790,6 +998,7 @@ mod tests {
             KeyPair::from_seed(b"node-a"),
             Box::new(restored),
             library.clone(),
+            &[],
         );
         assert!(a2.core.sra(&sra_id).is_some());
         let mut rng = SimRng::seed_from_u64(8);

@@ -151,12 +151,11 @@ impl Platform {
         let sim = SimMiner::new(participants, config.mean_block_time, config.seed);
         let store = ChainStore::new(Block::genesis(Difficulty::from_u64(1)));
         let library = VulnLibrary::synthetic(config.library_size, config.seed ^ 0xdead);
-        let mut core = Protocol::new(Box::new(store), library);
         let funding: Vec<_> = providers
             .iter()
             .map(|p| (p.address, config.provider_funding))
             .collect();
-        core.settlement_mut().allocate(&funding);
+        let mut core = Protocol::new(Box::new(store), library, &funding);
         let trigger = core.settlement().trigger();
         let (vm, state) = core.settlement_mut().machine();
         let registry =
@@ -272,7 +271,7 @@ impl Platform {
         let settlement = self.settlement();
         (
             settlement.state().total_supply(),
-            settlement.allocated() + self.faucet + self.minted,
+            settlement.genesis_supply() + self.faucet + self.minted,
         )
     }
 
@@ -341,9 +340,6 @@ impl Platform {
             return Err(CoreError::SraIdMismatch);
         }
         let id = *sra.id();
-        if self.core.sra(&id).is_some() {
-            return Err(CoreError::DuplicateReport);
-        }
         if self.balance(&provider.address) < insurance {
             return Err(VmError::InsufficientCallerFunds.into());
         }
@@ -442,9 +438,6 @@ impl Platform {
         let key = (*report.sra_id(), report.detector());
         if self.core.sra(&key.0).is_none() {
             return Err(CoreError::UnknownSra);
-        }
-        if self.core.initial(&key.0, &key.1).is_some() {
-            return Err(CoreError::DuplicateReport);
         }
         let record_id = self.submit_report(
             detector,

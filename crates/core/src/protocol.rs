@@ -8,9 +8,11 @@
 //! knowledge* (library, scoreboard, announced SRAs, held artifacts, the
 //! first `R†` per detector and SRA) and changes them only through
 //! [`Protocol::admit`], [`Protocol::check_block`], [`Protocol::seal`] and
-//! [`Protocol::replay`], which share one per-kind switch. It also owns the
-//! replica's [`Settlement`] — Phase #4, the contract state its confirmed
-//! chain implies — advanced by [`Protocol::seal`] and [`Protocol::connected`].
+//! [`Protocol::replay`], which share one per-kind switch: the pool holds
+//! only records the switch passed, and a block's records that are still
+//! pooled are not put through it again. It also owns the replica's
+//! [`Settlement`] — Phase #4, the contract state its confirmed chain
+//! implies — advanced by [`Protocol::seal`] and [`Protocol::connected`].
 //!
 //! The drivers add only what they alone have:
 //! [`crate::node::ProviderNode`] the gossip glue,
@@ -24,7 +26,7 @@ use crate::sra::{Sra, SraId};
 use crate::verify;
 use smartcrowd_chain::mempool::Mempool;
 use smartcrowd_chain::record::{Record, RecordKind};
-use smartcrowd_chain::{sigcache, Block, ChainBackend, Difficulty};
+use smartcrowd_chain::{sigcache, Block, ChainBackend, Difficulty, Ether};
 use smartcrowd_crypto::{Address, Digest};
 use smartcrowd_detect::autoverif::AutoVerifier;
 use smartcrowd_detect::library::VulnLibrary;
@@ -42,13 +44,6 @@ pub enum Admitted {
     /// A verified SRA this replica had not seen before; its artifact
     /// (`U_l`, hashing to the announced `image_hash`) may need fetching.
     NewSra { image_hash: Digest },
-    /// An `R*` whose artifact is not held yet: queued unjudged. The driver
-    /// re-runs [`Protocol::check_detailed`] on `report` once the artifact
-    /// arrives and [`Protocol::evict`]s record `record_id` if it fails.
-    Unverified {
-        record_id: Digest,
-        report: Box<DetailedReport>,
-    },
 }
 
 /// One replica's protocol state over chain backend `B`.
@@ -68,8 +63,9 @@ pub struct Protocol<B: ChainBackend + ?Sized = dyn ChainBackend> {
 }
 
 impl<B: ChainBackend + ?Sized> Protocol<B> {
-    /// A replica with no knowledge beyond `library`, over `backend`.
-    pub fn new(backend: Box<B>, library: VulnLibrary) -> Self {
+    /// A replica with no knowledge beyond `library`, over `backend`,
+    /// settling from the genesis `allocation` (see [`Settlement::new`]).
+    pub fn new(backend: Box<B>, library: VulnLibrary, allocation: &[(Address, Ether)]) -> Self {
         Protocol {
             mempool: Mempool::default(),
             library,
@@ -77,7 +73,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
             sras: HashMap::new(),
             artifacts: HashMap::new(),
             initials: HashMap::new(),
-            settlement: Settlement::new(backend.genesis_id()),
+            settlement: Settlement::new(backend.genesis_id(), allocation),
             backend,
         }
     }
@@ -86,11 +82,18 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     /// survives a crash: the SRAs and initial reports on its canonical
     /// branch are re-derived through the same switch as live traffic so
     /// Algorithm 1 can keep running, and the settlement is folded over its
-    /// confirmed prefix. Pool, scoreboard and artifacts start empty.
-    pub fn replay(backend: Box<B>, library: VulnLibrary) -> Self {
-        let mut core = Self::new(backend, library);
+    /// confirmed prefix, once. Pool, scoreboard and artifacts start empty.
+    /// `seen` is shown every canonical record on the way.
+    pub fn replay(
+        backend: Box<B>,
+        library: VulnLibrary,
+        allocation: &[(Address, Ether)],
+        mut seen: impl FnMut(&Record),
+    ) -> Self {
+        let mut core = Self::new(backend, library, allocation);
         for block in core.backend.canonical_blocks() {
             for record in block.records() {
+                seen(record);
                 // Recovery already validated the chain; a record that no
                 // longer verifies just contributes no knowledge.
                 let _ = core.index(record, false);
@@ -102,12 +105,14 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
 
     /// Admits one record from a client or from gossip: signature (through
     /// the process-wide cache), the switch with detector isolation
-    /// applied, then the pending pool.
+    /// applied, then the pending pool, which so holds only judged records.
     ///
     /// # Errors
     ///
     /// - [`CoreError::Chain`] for a bad record signature, a record already
     ///   pending, or a full pool of better-paying records;
+    /// - [`CoreError::NotFound`] for an `R*` whose artifact is not held:
+    ///   submit it again after [`Protocol::hold_artifact`];
     /// - [`CoreError::Payload`] and the SRA / Algorithm-1 failures for a
     ///   payload that does not verify, [`CoreError::DetectorIsolated`] for
     ///   an `R†` from an isolated detector;
@@ -126,18 +131,24 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     /// parallel on the global pool — then the switch, indexing what
     /// verifies as it goes. Record `i`'s signature verdict is consulted
     /// before its semantic verdict and the first failure wins, whatever
-    /// the recoveries' schedule. Knowledge this replica already holds, or
-    /// an `R*` it cannot judge here (no `R†` or no artifact yet), does not
-    /// reject a block; nor does detector isolation — blocks are judged on
-    /// content. Linkage and structure are the store's to check when the
-    /// block is committed.
+    /// the recoveries' schedule. A record this replica still pools skips
+    /// the switch: its id is Keccak over the whole signed encoding, so it
+    /// is byte for byte what [`Protocol::admit`] judged. Knowledge this
+    /// replica already holds, or an `R*` it cannot judge
+    /// here (no `R†` or no artifact yet), does not reject a block; nor does
+    /// detector isolation — blocks are judged on content. Linkage and
+    /// structure are the store's to check when the block is committed.
     pub fn check_block(&mut self, block: &Block) -> Result<(), CoreError> {
+        use CoreError::{DuplicateReport, InitialNotConfirmed, NotFound};
         let records: Vec<&Record> = block.records().iter().collect();
         let signatures = sigcache::verify_batch(&records, smartcrowd_pool::global());
         for (record, signature) in records.into_iter().zip(signatures) {
             signature?;
+            if self.mempool.contains(&record.id()) {
+                continue;
+            }
             match self.index(record, false) {
-                Ok(_) | Err(CoreError::DuplicateReport | CoreError::InitialNotConfirmed) => {}
+                Ok(_) | Err(DuplicateReport | InitialNotConfirmed | NotFound) => {}
                 Err(e) => return Err(e),
             }
         }
@@ -165,9 +176,8 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
         block
     }
 
-    /// Folds the blocks that became confirmed since the last call into the
-    /// settlement.
-    pub fn settle(&mut self) {
+    /// Folds the blocks confirmed since the last call into the settlement.
+    fn settle(&mut self) {
         self.settlement.advance(&*self.backend);
     }
 
@@ -201,29 +211,18 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
             }
             RecordKind::DetailedReport => {
                 let report = DetailedReport::decode(record.payload())?;
-                match self.check_detailed(&report) {
-                    Ok(()) => Ok(Admitted::Verified),
-                    Err(CoreError::NotFound) => Ok(Admitted::Unverified {
-                        record_id: record.id(),
-                        report: Box::new(report),
-                    }),
-                    Err(e) => Err(e),
-                }
+                self.check_detailed(&report)?;
+                Ok(Admitted::Verified)
             }
             _ => Ok(Admitted::Verified),
         }
     }
 
     /// Algorithm 1 lines 10–24 against held knowledge: commitment binding
-    /// to the indexed `R†`, then `AutoVerif` against the held artifact,
+    /// to the indexed `R†` (none: [`CoreError::InitialNotConfirmed`]), then
+    /// `AutoVerif` against the held artifact (none: [`CoreError::NotFound`]),
     /// crediting or striking the detector on the scoreboard.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InitialNotConfirmed`] with no indexed `R†`,
-    /// [`CoreError::NotFound`] while the artifact is not held, else what
-    /// [`verify::verify_detailed`] reports.
-    pub fn check_detailed(&mut self, report: &DetailedReport) -> Result<(), CoreError> {
+    fn check_detailed(&mut self, report: &DetailedReport) -> Result<(), CoreError> {
         let initial = self
             .initials
             .get(&(*report.sra_id(), report.detector()))
@@ -253,11 +252,6 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
         self.settle();
     }
 
-    /// Evicts one pending record that turned out not to verify.
-    pub fn evict(&mut self, record_id: &Digest) {
-        self.mempool.remove(record_id);
-    }
-
     /// This replica's chain.
     pub fn store(&self) -> &B {
         &self.backend
@@ -274,8 +268,8 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
         &self.settlement
     }
 
-    /// Mutable settlement access (genesis allocation, a driver's own ledger
-    /// entries, [`Settlement::close`]).
+    /// Mutable settlement access (a driver's own ledger entries,
+    /// [`Settlement::close`]).
     pub fn settlement_mut(&mut self) -> &mut Settlement {
         &mut self.settlement
     }

@@ -81,15 +81,19 @@ pub struct Settlement {
 }
 
 impl Settlement {
-    /// The genesis state of a chain rooted at `genesis`: nothing but the
-    /// trigger account's gas float.
-    pub fn new(genesis: BlockId) -> Settlement {
+    /// The genesis state of a chain rooted at `genesis`: the trigger
+    /// account's gas float and the `allocation` balances. Every replica of
+    /// one chain must be given the same allocation, at boot and after a
+    /// restore.
+    pub fn new(genesis: BlockId, allocation: &[(Address, Ether)]) -> Settlement {
         let trigger = Address::from_label("smartcrowd-consensus");
+        let mut allocations = vec![(trigger, TRIGGER_FLOAT)];
+        allocations.extend_from_slice(allocation);
         let mut settlement = Settlement {
             vm: Vm::default(),
             state: WorldState::new(),
             trigger,
-            allocations: vec![(trigger, TRIGGER_FLOAT)],
+            allocations,
             escrows: HashMap::new(),
             pending: HashMap::new(),
             payouts: Vec::new(),
@@ -112,14 +116,6 @@ impl Settlement {
         self.pending.clear();
         self.payouts.clear();
         self.cursor = (0, self.genesis);
-    }
-
-    /// Adds `genesis` balances to the genesis state. They change history
-    /// from block 0, so everything folded so far is discarded; the next
-    /// [`Settlement::advance`] refolds it.
-    pub fn allocate(&mut self, genesis: &[(Address, Ether)]) {
-        self.allocations.extend_from_slice(genesis);
-        self.reset();
     }
 
     /// Applies every canonical block of `chain` that crossed
@@ -289,7 +285,7 @@ impl Settlement {
     }
 
     /// Currency the genesis state holds.
-    pub fn allocated(&self) -> Ether {
+    pub fn genesis_supply(&self) -> Ether {
         self.allocations.iter().map(|a| a.1).sum()
     }
 
@@ -366,9 +362,8 @@ mod tests {
     }
 
     fn funded(store: &ChainStore, provider: &KeyPair) -> Settlement {
-        let mut settlement = Settlement::new(store.genesis_id());
-        settlement.allocate(&[(provider.address(), Ether::from_ether(5000))]);
-        settlement
+        let funding = [(provider.address(), Ether::from_ether(5000))];
+        Settlement::new(store.genesis_id(), &funding)
     }
 
     #[test]
@@ -423,7 +418,7 @@ mod tests {
         assert_eq!(balance(&settlement, &sra_id), Ether::ZERO);
         assert_eq!(
             settlement.state().total_supply(),
-            settlement.allocated(),
+            settlement.genesis_supply(),
             "gas, deposits and refunds only move currency"
         );
     }

@@ -99,10 +99,14 @@ fn forged_report_deferred_before_its_artifact_is_evicted_on_arrival() {
     let (sra_id, image) = release_without_delivering_image(&mut a, &mut b, &library, 5);
     let cheat = KeyPair::from_seed(b"cheat");
     report_both_phases(&mut b, &cheat, sra_id, 40); // VulnId(40) is not planted
-    assert_eq!(b.mempool_len(), 3, "SRA, R† and the unjudged R* are queued");
+    assert_eq!(
+        b.mempool_len(),
+        2,
+        "SRA and R†; the unjudged R* waits outside"
+    );
     b.handle(image);
     assert_eq!(b.scoreboard().score(&cheat.address()).strikes, 1);
-    assert_eq!(b.mempool_len(), 2, "the forged R* left the pool");
+    assert_eq!(b.mempool_len(), 2, "the forged R* never reached the pool");
     assert_eq!(mined_detailed_reports(&mut b), 0);
 }
 
@@ -125,12 +129,12 @@ fn report_waiting_on_another_artifact_stays_deferred() {
     let (second, second_image) = release_without_delivering_image(&mut a, &mut b, &library, 6);
     let cheat = KeyPair::from_seed(b"cheat");
     report_both_phases(&mut b, &cheat, second, 40);
-    assert_eq!(b.mempool_len(), 4);
+    assert_eq!(b.mempool_len(), 3);
     // The other release's artifact arrives: nothing to judge yet.
     b.handle(first_image);
     assert_eq!(b.scoreboard().score(&cheat.address()).strikes, 0);
-    assert_eq!(b.mempool_len(), 4);
-    // Its own artifact arrives: judged, struck, evicted.
+    assert_eq!(b.mempool_len(), 3);
+    // Its own artifact arrives: judged, struck, dropped.
     b.handle(second_image);
     assert_eq!(b.scoreboard().score(&cheat.address()).strikes, 1);
     assert_eq!(b.mempool_len(), 3);
@@ -300,13 +304,13 @@ fn platform_and_node_settle_the_same_stream_identically() {
 
     // The node is handed the platform's signed records, block by block,
     // and mines them itself.
-    let mut node = ProviderNode::new(
-        KeyPair::from_seed(b"peer"),
-        genesis(),
-        platform.library().clone(),
-    );
     let provider = platform.providers()[0].address;
-    node.allocate(&[(provider, PlatformConfig::paper().provider_funding)]);
+    let mut node = ProviderNode::with_backend(
+        KeyPair::from_seed(b"peer"),
+        Box::new(ChainStore::new(genesis())),
+        platform.library().clone(),
+        &[(provider, PlatformConfig::paper().provider_funding)],
+    );
     for block in platform.store().canonical_blocks().skip(1) {
         for record in block.records() {
             for request in node.handle(Message::Record(record.clone())).broadcast {
@@ -404,9 +408,11 @@ fn refold_after_a_deep_reorg_equals_a_replica_that_never_saw_the_losing_branch()
     let (winning_sra, winning_records) = release("winning");
     let funding = [(provider.address(), Ether::from_ether(5000))];
     let replica = || {
-        let mut core = Protocol::new(Box::new(ChainStore::new(genesis())), library.clone());
-        core.settlement_mut().allocate(&funding);
-        core
+        Protocol::new(
+            Box::new(ChainStore::new(genesis())),
+            library.clone(),
+            &funding,
+        )
     };
     let extend = |core: &mut Protocol<ChainStore>, blocks: &[Block]| {
         for block in blocks {
@@ -488,7 +494,7 @@ proptest! {
         let providers = [KeyPair::from_seed(b"prov-0"), KeyPair::from_seed(b"prov-1")];
         let detectors: Vec<KeyPair> =
             (0..3u8).map(|i| KeyPair::from_seed(&[b'd', i])).collect();
-        let mut live = Protocol::new(Box::new(ChainStore::new(genesis())), library.clone());
+        let mut live = Protocol::new(Box::new(ChainStore::new(genesis())), library.clone(), &[]);
         let mut released: Vec<SraId> = Vec::new();
         let mut timestamp = genesis().header().timestamp;
         for (nonce, op) in ops.into_iter().enumerate() {
@@ -522,7 +528,7 @@ proptest! {
                     let _ = live.admit(Record::signed(
                         RecordKind::InitialReport, initial.encode(), FEE, nonce, kp,
                     ));
-                    // No artifact is held, so the R* is queued unjudged.
+                    // No artifact is held, so the R* is handed back unjudged.
                     let _ = live.admit(Record::signed(
                         RecordKind::DetailedReport, detailed.encode(), FEE, nonce, kp,
                     ));
@@ -541,7 +547,7 @@ proptest! {
             }
         }
 
-        let replayed = Protocol::replay(Box::new(live.store().clone()), library);
+        let replayed = Protocol::replay(Box::new(live.store().clone()), library, &[], |_| {});
         let mut sras_on_chain = 0;
         for block in live.store().canonical_blocks() {
             for r in block.records() {

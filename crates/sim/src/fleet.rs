@@ -75,9 +75,8 @@ impl Fleet {
         let allocation: Vec<_> = accounts.map(|a| (a, PROVIDER_FUNDING)).collect();
         let (mut slots, mut participants) = (Vec::new(), Vec::new());
         for (i, keypair) in keypairs.iter().enumerate() {
-            let mut node =
-                ProviderNode::with_backend(*keypair, backend(i, &genesis)?, library.clone());
-            node.allocate(&allocation);
+            let backend = backend(i, &genesis)?;
+            let node = ProviderNode::with_backend(*keypair, backend, library.clone(), &allocation);
             participants.push(SimParticipant {
                 address: node.address(),
                 hash_power: PAPER_HASH_POWERS[i % PAPER_HASH_POWERS.len()],
@@ -111,9 +110,8 @@ impl Fleet {
     /// Reboots crashed node `idx` over its recovered chain `backend`, with
     /// the same genesis allocation it booted with.
     pub fn restart(&mut self, idx: usize, backend: Box<dyn ChainBackend>) {
-        let mut node =
-            ProviderNode::restore_backend(self.keypairs[idx], backend, self.library.clone());
-        node.allocate(&self.allocation);
+        let (keypair, library) = (self.keypairs[idx], self.library.clone());
+        let node = ProviderNode::restore_backend(keypair, backend, library, &self.allocation);
         self.slots[idx] = Some(node);
     }
 
@@ -303,5 +301,34 @@ impl Fleet {
             self.broadcast_outbox(i, self.relayed(Outbox { broadcast }));
         }
         self.pump()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smartcrowd_chain::storage::{export_chain, import_chain};
+    use smartcrowd_chain::ChainStore;
+    use std::convert::Infallible;
+
+    #[test]
+    fn restarted_node_folds_its_confirmed_prefix_once() {
+        let memory = |_, genesis: &Block| -> Result<Box<dyn ChainBackend>, Infallible> {
+            Ok(Box::new(ChainStore::new(genesis.clone())))
+        };
+        let Ok(mut fleet) = Fleet::boot(3, 7, LinkConfig::default(), "fleet", |_| true, memory);
+        for _ in 0..10 {
+            fleet.mine_round(|_| true).unwrap();
+        }
+        let crashed = fleet.slot(1).take().unwrap();
+        let recovered = import_chain(&export_chain(crashed.store())).unwrap();
+        fleet.restart(1, Box::new(recovered));
+        let settlement = fleet.node(1).unwrap().settlement();
+        assert!(settlement.cursor().0 > 0);
+        assert_eq!(settlement.folded(), settlement.cursor().0);
+        assert_eq!(
+            settlement.genesis_supply(),
+            crashed.settlement().genesis_supply()
+        );
     }
 }
