@@ -5,6 +5,11 @@
 //! using secp256k1 curve"). Signatures are low-s normalized (as Ethereum
 //! requires) and carry a recovery id so that chain records can recover the
 //! signer address without shipping the full public key.
+//!
+//! [`verify`] and [`recover`] are each one
+//! [`Point::lincomb_with_generator`] pass plus one scalar inversion (and,
+//! for `recover`, the square root that lifts `r` to `R`); `recover` does
+//! not re-verify the key it finds, for the reason its doc comment proves.
 
 use crate::error::CryptoError;
 use crate::hmac::hmac_sha256;
@@ -202,13 +207,25 @@ pub fn verify(q: &Point, digest: &[u8; 32], sig: &Signature) -> Result<(), Crypt
 }
 
 /// Recovers the signer's public key point from a signature and digest
-/// (Ethereum-style `ecrecover`).
+/// (Ethereum-style `ecrecover`): `Q = r⁻¹(s·R − e·G)` for the point `R`
+/// the recovery id names, one double multiplication.
+///
+/// The result is not run through [`verify`], because for a finite `Q` that
+/// check is an identity. `R` is on the curve with `x(R) ∈ {r, r + n}`, and
+/// `r, s ≠ 0` is [`Signature`]'s invariant, so `verify` would compute
+/// `(e/s)·G + (r/s)·Q = (e/s)·G + s⁻¹(s·R − e·G) = R`
+/// and compare `x(R) mod n` with the `r` that `R` was built from. The only
+/// `Q` it could refuse is `Q = ∞`, which is refused here with the error it
+/// gave; `Q` is on the curve because `R` and `G` are, and
+/// [`crate::keys::recover_public_key`] checks that once on the way out.
+/// `kernel_differential.rs` holds this function to the reference `recover`,
+/// which keeps its re-verification, on `Ok` value and error variant alike.
 ///
 /// # Errors
 ///
 /// Returns [`CryptoError::InvalidSignature`] when no point corresponds to
-/// the signature's recovery id, or [`CryptoError::VerificationFailed`] when
-/// the recovered key fails re-verification.
+/// the signature's recovery id, or [`CryptoError::InvalidPublicKey`] when
+/// the recovered key is the point at infinity (`s·R = e·G`).
 pub fn recover(digest: &[u8; 32], sig: &Signature) -> Result<Point, CryptoError> {
     let mut x = sig.r.to_u256();
     if sig.v & 2 != 0 {
@@ -228,7 +245,9 @@ pub fn recover(digest: &[u8; 32], sig: &Signature) -> Result<Point, CryptoError>
     let r_inv = sig.r.invert();
     let e = Scalar::from_digest(digest);
     let q = Point::lincomb_with_generator(&e.mul(&r_inv).neg(), &sig.s.mul(&r_inv), &r_point);
-    verify(&q, digest, sig)?;
+    if q.is_infinity() {
+        return Err(CryptoError::InvalidPublicKey);
+    }
     Ok(q)
 }
 
@@ -382,6 +401,40 @@ mod tests {
         if let Ok(other) = recover(&sha256(b"b"), &sig) {
             assert_ne!(other, q);
         }
+    }
+
+    #[test]
+    fn recover_refuses_the_key_at_infinity() {
+        // R = k·G and s = e/k make s·R = e·G, so Q = r⁻¹(s·R − e·G) = ∞:
+        // the one outcome `recover` has to refuse itself now that it does
+        // not hand its result to `verify`.
+        let h = sha256(b"infinity");
+        let e = Scalar::from_digest(&h);
+        let k = Scalar::from_u64(2019);
+        let Point::Affine { x, y } = Point::mul_generator(&k) else {
+            unreachable!("k is in [1, n)")
+        };
+        let sig = Signature {
+            r: Scalar::from_u256_reduced(x.to_u256()),
+            s: e.mul(&k.invert()),
+            v: u8::from(y.is_odd()),
+        };
+        assert_eq!(recover(&h, &sig), Err(CryptoError::InvalidPublicKey));
+        assert_eq!(
+            crate::keys::recover_public_key(&h, &sig),
+            Err(CryptoError::InvalidPublicKey)
+        );
+        // −R instead of R: Q = r⁻¹(−2e·G), finite, and it verifies.
+        let other = Signature {
+            v: sig.v ^ 1,
+            ..sig
+        };
+        let q = recover(&h, &other).unwrap();
+        assert_eq!(
+            q,
+            Point::mul_generator(&e.add(&e).mul(&sig.r.invert()).neg())
+        );
+        assert_eq!(verify(&q, &h, &other), Ok(()));
     }
 
     #[test]

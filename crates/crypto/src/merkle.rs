@@ -8,7 +8,7 @@
 //! chain.
 
 use crate::error::CryptoError;
-use crate::sha256::sha256d;
+use crate::sha256::{sha256, sha256d, Sha256};
 use crate::Digest;
 
 /// Domain-separation prefixes guard against leaf/interior second-preimage
@@ -41,10 +41,10 @@ pub fn empty_root() -> Digest {
 }
 
 fn hash_leaf(data: &[u8]) -> Digest {
-    let mut buf = Vec::with_capacity(data.len() + 1);
-    buf.push(LEAF_PREFIX);
-    buf.extend_from_slice(data);
-    sha256d(&buf)
+    let mut hasher = Sha256::new();
+    hasher.update(&[LEAF_PREFIX]);
+    hasher.update(data);
+    sha256(&hasher.finalize())
 }
 
 /// The domain-separated leaf digest of one serialized record.

@@ -2,12 +2,17 @@
 //!
 //! Points are exposed in affine form ([`Point`]). Every multiplication runs
 //! in Jacobian projective coordinates and converts back once, at the end:
-//! `a·G + b·P` is a single Strauss–Shamir pass (shared doublings, signed
-//! odd-digit windows over both scalars), `k·G` alone a fixed-base comb.
+//! `k·G` alone is a fixed-base comb, and `a·G + b·P` is a single
+//! Strauss–Shamir pass over *four* half-length scalars. The curve has the
+//! endomorphism `λ·(x, y) = (β·x, y)` (`λ³ ≡ 1 mod n`, `β³ ≡ 1 mod p`), and
+//! `Scalar::split` writes `k ≡ k₁ + k₂·λ` with `|k₁|, |k₂| < 2¹²⁸`, so
+//! `a·G + b·P = a₁·G + a₂·λG + b₁·P + b₂·λP` needs 129 shared doublings
+//! where the full-length scalars would need 257, and the multiples of `λG`
+//! and `λP` are those of `G` and `P` with `x` scaled by `β`.
 
 use crate::error::CryptoError;
 use crate::field::FieldElement;
-use crate::scalar::Scalar;
+use crate::scalar::{HalfScalar, Scalar};
 use std::sync::OnceLock;
 
 /// The curve constant `b = 7` in `y² = x³ + b`.
@@ -33,6 +38,15 @@ const G: Affine = Affine {
         0x483A_DA77_26A3_C465,
     ]),
 };
+
+/// `β`, the cube root of unity mod `p` with `λ·(x, y) = (β·x, y)` for the
+/// `λ` of [`Scalar::split`].
+const BETA: FieldElement = FieldElement::from_limbs_unchecked([
+    0xC139_6C28_7195_01EE,
+    0x9CF0_4975_12F5_8995,
+    0x6E64_479E_AC34_34E9,
+    0x7AE9_6A2B_657C_0710,
+]);
 
 /// A point on secp256k1 in affine coordinates, or the point at infinity.
 ///
@@ -73,6 +87,14 @@ impl Affine {
         Affine {
             x: self.x,
             y: self.y.neg(),
+        }
+    }
+
+    /// `λ·self`.
+    fn mul_lambda(&self) -> Affine {
+        Affine {
+            x: self.x.mul(&BETA),
+            y: self.y,
         }
     }
 }
@@ -123,6 +145,14 @@ impl Jacobian {
     fn neg(&self) -> Jacobian {
         Jacobian {
             y: self.y.neg(),
+            ..*self
+        }
+    }
+
+    /// `λ·self`: `x = X/Z²` is scaled by `β`, so `X` is.
+    fn mul_lambda(&self) -> Jacobian {
+        Jacobian {
+            x: self.x.mul(&BETA),
             ..*self
         }
     }
@@ -295,37 +325,36 @@ fn generator_tables() -> &'static GeneratorTables {
     })
 }
 
-/// Width-`w` non-adjacent form of `k`: `k = Σ naf[i]·2^i` where every
-/// non-zero digit is odd with `|digit| < 2^(w−1)` and at most one in any
-/// `w` consecutive positions is non-zero. 257 digits, because the top
-/// window can carry out of bit 255.
-fn wnaf(k: &Scalar, w: usize) -> [i16; 257] {
-    let limbs = k.to_u256().limbs();
-    // Bits `i..i+width` for `width ≤ w` and `i + width ≤ 256`.
-    let bits = |i: usize, width: usize| {
-        let (limb, off) = (i / 64, i % 64);
-        let mut v = limbs[limb] >> off;
-        if off + width > 64 {
-            v |= limbs[limb + 1] << (64 - off);
-        }
-        v & ((1 << width) - 1)
-    };
-    let mut naf = [0i16; 257];
-    let mut carry = 0u64;
+/// Digits in the signed-digit form of a [`HalfScalar`]: its 128 bits and
+/// the carry out of the top window.
+const HALF_DIGITS: usize = 129;
+
+/// Width-`w` non-adjacent form of the signed half `k`: `k = Σ naf[i]·2^i`
+/// where every non-zero digit is odd with `|digit| < 2^(w−1)` and at most
+/// one in any `w` consecutive positions is non-zero.
+fn wnaf(k: HalfScalar, w: usize) -> [i16; HALF_DIGITS] {
+    let magnitude = k.magnitude;
+    // Bits `i..i+width` for `width ≤ w ≤ 15` and `i + width ≤ 128`.
+    let bits = |i: usize, width: usize| (magnitude >> i) as u32 & ((1 << width) - 1);
+    let mut naf = [0i16; HALF_DIGITS];
+    let mut carry = 0u32;
     let mut i = 0;
-    while i < 256 {
+    while i < 128 {
         if bits(i, 1) == carry {
             // 0 + 0, or 1 + 1 which leaves 0 and keeps the carry.
             i += 1;
             continue;
         }
-        let width = w.min(256 - i);
+        let width = w.min(128 - i);
         let word = bits(i, width) + carry; // odd, below 2^w
         carry = (word >> (w - 1)) & 1;
         naf[i] = (word as i32 - ((carry as i32) << w)) as i16;
         i += width;
     }
-    naf[256] = carry as i16;
+    naf[128] = carry as i16;
+    if k.negative {
+        naf = naf.map(|digit| -digit);
+    }
     naf
 }
 
@@ -411,7 +440,7 @@ impl Point {
     }
 
     /// Scalar multiplication `k·P` (the variable-base half of
-    /// [`Point::lincomb_with_generator`]).
+    /// [`Point::lincomb_with_generator`], so `self` must be on the curve).
     pub fn mul(&self, k: &Scalar) -> Point {
         Point::lincomb_with_generator(&Scalar::ZERO, k, self)
     }
@@ -433,31 +462,54 @@ impl Point {
     }
 
     /// Computes `a·G + b·P` (the ECDSA verification and recovery double
-    /// multiply) in one Strauss–Shamir pass: both scalars in signed-digit
-    /// window form, one shared run of doublings, `a`'s digits added from the
-    /// static odd multiples of `G` and `b`'s from an odd-multiples table of
-    /// `P` built here, one conversion to affine at the end.
+    /// multiply) in one Strauss–Shamir pass. Both scalars are split by
+    /// `Scalar::split` into signed halves below 2¹²⁸, so the pass runs four
+    /// digit strings — `a₁` over `G`, `a₂` over `λG`, `b₁` over `P`, `b₂`
+    /// over `λP` — through one shared run of 129 doublings: `G`'s digits
+    /// pick from the static odd multiples of `G` (an entry's `x` scaled by
+    /// `β` for the `λG` half), `P`'s from an odd-multiples table of `P`
+    /// built here and its `β`-scaled copy, and there is one conversion to
+    /// affine at the end.
     ///
-    /// Every operand a peer can choose is safe: the additions handle an
-    /// accumulator equal or opposite to a table entry, a zero scalar has no
-    /// digits, and the multiples of `P = ∞` are all `∞`.
+    /// `P` must be on the curve (every [`crate::keys::PublicKey`] and every
+    /// decoded point is): `(β·x, y)` is `λ·P` only there. Every *scalar* a
+    /// peer can choose is safe, as is every on-curve `P`: the additions
+    /// handle an accumulator equal or opposite to a table entry (which
+    /// `P = ±G`, `±λG`, `±λ²G` and `a·G = −b·P` all produce), a zero half
+    /// has no digits, and the multiples of `P = ∞` are all `∞`.
     pub fn lincomb_with_generator(a: &Scalar, b: &Scalar, p: &Point) -> Point {
+        debug_assert!(p.is_on_curve(), "λ·P = (β·x, y) needs P on the curve");
         let odd_g = &generator_tables().odd;
         let mut odd_p = [Jacobian::INFINITY; 1 << (WINDOW_P - 2)];
         Jacobian::from_affine(p).odd_multiples(&mut odd_p);
-        let naf_g = wnaf(a, WINDOW_G);
-        let naf_p = wnaf(b, WINDOW_P);
+        let odd_lambda_p = odd_p.map(|entry| entry.mul_lambda());
+        let (a1, a2) = a.split();
+        let (b1, b2) = b.split();
+        let naf_g = wnaf(a1, WINDOW_G);
+        let naf_lambda_g = wnaf(a2, WINDOW_G);
+        let naf_p = wnaf(b1, WINDOW_P);
+        let naf_lambda_p = wnaf(b2, WINDOW_P);
         let mut acc = Jacobian::INFINITY;
-        for (&digit_g, &digit_p) in naf_g.iter().zip(&naf_p).rev() {
+        for i in (0..HALF_DIGITS).rev() {
             acc = acc.double();
-            if digit_g != 0 {
-                let (index, negate) = digit_entry(digit_g);
+            if naf_g[i] != 0 {
+                let (index, negate) = digit_entry(naf_g[i]);
                 let entry = odd_g[index];
                 acc = acc.add_affine(&if negate { entry.neg() } else { entry });
             }
-            if digit_p != 0 {
-                let (index, negate) = digit_entry(digit_p);
+            if naf_lambda_g[i] != 0 {
+                let (index, negate) = digit_entry(naf_lambda_g[i]);
+                let entry = odd_g[index].mul_lambda();
+                acc = acc.add_affine(&if negate { entry.neg() } else { entry });
+            }
+            if naf_p[i] != 0 {
+                let (index, negate) = digit_entry(naf_p[i]);
                 let entry = odd_p[index];
+                acc = acc.add(&if negate { entry.neg() } else { entry });
+            }
+            if naf_lambda_p[i] != 0 {
+                let (index, negate) = digit_entry(naf_lambda_p[i]);
+                let entry = odd_lambda_p[index];
                 acc = acc.add(&if negate { entry.neg() } else { entry });
             }
         }
@@ -547,6 +599,7 @@ fn mul_binary(p: &Point, k: &Scalar) -> Point {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scalar::LAMBDA;
     use crate::u256::U256;
 
     #[test]
@@ -563,17 +616,23 @@ mod tests {
 
     #[test]
     fn wnaf_digits_reconstruct_the_scalar() {
-        let n_minus_1 = Scalar::from_u256_reduced(Scalar::order().wrapping_sub(&U256::ONE));
-        let top_bits = Scalar::from_u256_reduced(U256::MAX.shl(200));
-        for k in [
-            Scalar::ZERO,
-            Scalar::ONE,
-            Scalar::from_u64(u64::MAX),
-            n_minus_1,
-            top_bits,
+        for magnitude in [
+            0u128,
+            1,
+            u128::from(u64::MAX),
+            1 << 127,
+            u128::MAX << 72,
+            // All ones: every window carries, the last one out of bit 127.
+            u128::MAX,
         ] {
-            for w in [2, WINDOW_P, WINDOW_G, 15] {
-                let naf = wnaf(&k, w);
+            for (w, negative) in [(2, false), (WINDOW_P, true), (WINDOW_G, false), (15, true)] {
+                let naf = wnaf(
+                    HalfScalar {
+                        magnitude,
+                        negative,
+                    },
+                    w,
+                );
                 // Horner from the top digit down, in the scalar field.
                 let mut acc = Scalar::ZERO;
                 let mut gap = w; // positions since the last non-zero digit
@@ -589,9 +648,37 @@ mod tests {
                         gap += 1;
                     }
                 }
-                assert_eq!(acc, k, "k = {k:?}, w = {w}");
+                let want = Scalar::from_u256_reduced(U256::from_u128(magnitude));
+                let want = if negative { want.neg() } else { want };
+                assert_eq!(acc, want, "k = {magnitude:#x}, w = {w}");
             }
         }
+        let all_ones = HalfScalar {
+            magnitude: u128::MAX,
+            negative: false,
+        };
+        assert_eq!(wnaf(all_ones, WINDOW_P)[128], 1, "carry out of the top");
+    }
+
+    #[test]
+    fn endomorphism_constants() {
+        // β is a primitive cube root of unity mod p …
+        assert_ne!(BETA, FieldElement::ONE);
+        assert_eq!(BETA.square().mul(&BETA), FieldElement::ONE);
+        // … and the one that goes with the split's λ: λ·G = (β·Gx, Gy).
+        let lambda_g = G.mul_lambda();
+        assert_eq!(
+            mul_binary(&Point::generator(), &LAMBDA),
+            Point::Affine {
+                x: lambda_g.x,
+                y: lambda_g.y
+            }
+        );
+        let j = Jacobian::from_affine(&Point::generator()).double();
+        assert_eq!(
+            j.mul_lambda().to_affine(),
+            mul_binary(&j.to_affine(), &LAMBDA)
+        );
     }
 
     #[test]
@@ -612,8 +699,10 @@ mod tests {
             let k = Scalar::from_u64(2 * i as u64 + 1);
             assert_eq!(finite(&tables.odd[i]), mul_binary(&g, &k));
         }
-        // All static tables together stay inside the 128 KiB budget.
-        let bytes = (tables.comb.len() + tables.odd.len()) * std::mem::size_of::<Affine>();
+        // These two are every static table there is (the λG half scales
+        // `odd` on the fly); together they stay inside the 128 KiB budget.
+        let GeneratorTables { comb, odd } = tables;
+        let bytes = (comb.len() + odd.len()) * std::mem::size_of::<Affine>();
         assert!(bytes <= 128 * 1024, "{bytes} bytes of generator tables");
     }
 
@@ -633,6 +722,21 @@ mod tests {
         assert_eq!(lincomb(&k, &k, &g), mul_binary(&g, &k.add(&k)));
         assert_eq!(lincomb(&k, &k, &g.neg()), Point::Infinity);
         assert_eq!(lincomb(&Scalar::ONE, &Scalar::ONE, &g), g.double());
+        // P = ±λG, ±λ²G: P's table (or its β-scaled copy) coincides with
+        // G's β-scaled (or plain) one.
+        let lambda2 = LAMBDA.mul(&LAMBDA);
+        for (m, full) in [(LAMBDA, k), (lambda2, k), (LAMBDA, k.invert())] {
+            let q = mul_binary(&g, &m);
+            let sum = full.add(&full.mul(&m));
+            assert_eq!(lincomb(&full, &full, &q), mul_binary(&g, &sum));
+            assert_eq!(
+                lincomb(&full, &full, &q.neg()),
+                mul_binary(&g, &full.sub(&full.mul(&m)))
+            );
+            // a·G = −b·P on those points.
+            assert_eq!(lincomb(&full.mul(&m).neg(), &full, &q), Point::Infinity);
+            assert_eq!(lincomb(&full.mul(&m), &full, &q.neg()), Point::Infinity);
+        }
         // a·G = −b·P with P ≠ ±G.
         let b = Scalar::from_u64(5);
         let a = b.mul(&Scalar::from_u64(77)).neg();

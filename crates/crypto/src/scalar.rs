@@ -30,6 +30,52 @@ const HALF_N: U256 = U256([
 /// The fold constant `2^256 mod n = 2^256 − n` (129 bits).
 const FOLD: U256 = U256([0x402D_A173_2FC9_BEBF, 0x4551_2319_50B7_5FC4, 1, 0]);
 
+/// `λ`, a primitive cube root of unity mod `n`: on the curve
+/// `λ·(x, y) = (β·x, y)` for the cube root of unity `β` mod `p` that
+/// [`crate::point`] holds, so a multiple of `λ·P` costs one field
+/// multiplication on top of the same multiple of `P`.
+pub(crate) const LAMBDA: Scalar = Scalar(U256([
+    0xDF02_967C_1B23_BD72,
+    0x122E_22EA_2081_6678,
+    0xA526_1C02_8812_645A,
+    0x5363_AD4C_C05C_30E0,
+]));
+
+/// The short lattice basis `(a₁, b₁)`, `(a₂, b₂)` of the vectors `(x, y)`
+/// with `x + y·λ ≡ 0 (mod n)`; its determinant `a₁b₂ − a₂b₁` is `n`. `b₁`
+/// is negative and held as `−b₁`; `b₂` equals `a₁`.
+const A1: u128 = 0x3086_D221_A7D4_6BCD_E86C_90E4_9284_EB15;
+const MINUS_B1: u128 = 0xE443_7ED6_010E_8828_6F54_7FA9_0ABF_E4C3;
+/// `a₂` is 129 bits: the split never multiplies by it, only its proof and
+/// the tests do.
+#[cfg(test)]
+const A2: U256 = U256([0x57C1_108D_9D44_CFD8, 0x14CA_50F7_A8E2_F3F6, 1, 0]);
+
+/// `g₁ = ⌊2³⁸⁴·b₂/n⌉` and `g₂ = ⌊2³⁸⁴·(−b₁)/n⌉`: they turn the two
+/// divisions by `n` in the split into a multiplication and a shift.
+const G1: U256 = U256([
+    0xE893_209A_45DB_B031,
+    0x3DAA_8A14_71E8_CA7F,
+    0xE86C_90E4_9284_EB15,
+    0x3086_D221_A7D4_6BCD,
+]);
+const G2: U256 = U256([
+    0x1571_B4AE_8AC4_7F71,
+    0x2212_08AC_9DF5_06C6,
+    0x6F54_7FA9_0ABF_E4C4,
+    0xE443_7ED6_010E_8828,
+]);
+
+/// One half of a split scalar: a sign and a magnitude below 2¹²⁸. The
+/// type is the bound — a `u128` cannot hold more — so the 129-digit
+/// buffer the ladder expands it into (128 bits plus the signed-digit
+/// carry) is always long enough.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct HalfScalar {
+    pub(crate) magnitude: u128,
+    pub(crate) negative: bool,
+}
+
 /// `v mod n` for any 256-bit `v` (one subtraction suffices: `2^256 < 2n`).
 fn reduce(v: U256) -> U256 {
     if v >= N {
@@ -55,6 +101,14 @@ fn reduce_wide(wide: [u64; 8]) -> U256 {
         hi = prod_hi.wrapping_add(&U256::from_u64(carry as u64));
     }
     reduce(lo)
+}
+
+/// `⌊k·g/2³⁸⁴⌉`, the rounded quotient of [`Scalar::split`]. The product is
+/// below 2⁵¹², so the result is at most 2¹²⁸ and needs no reduction.
+fn mul_shift_384(k: &U256, g: &U256) -> Scalar {
+    let wide = k.mul_wide(g);
+    let floor = U256::from_limbs([wide[6], wide[7], 0, 0]);
+    Scalar(floor.wrapping_add(&U256::from_u64(wide[5] >> 63)))
 }
 
 /// A scalar modulo the secp256k1 group order, always normalized to `[0, n)`.
@@ -178,6 +232,54 @@ impl Scalar {
     pub fn invert(&self) -> Self {
         Scalar(self.0.inv_mod(&N))
     }
+
+    /// Splits `k` into signed halves with `k ≡ k₁ + k₂·λ (mod n)` and
+    /// `|k₁|, |k₂| < 2¹²⁸` (the GLV decomposition; Guide to Elliptic Curve
+    /// Cryptography, alg. 3.74, with the rounded divisions replaced by
+    /// `c₁ = ⌊k·g₁/2³⁸⁴⌉`, `c₂ = ⌊k·g₂/2³⁸⁴⌉` as libsecp256k1's
+    /// `scalar_split_lambda` does):
+    /// `k₂ = −c₁b₁ − c₂b₂`, `k₁ = k − k₂·λ`.
+    ///
+    /// The congruence holds for *any* `c₁`, `c₂`, because
+    /// `(k − k₁, −k₂) = c₁(a₁, b₁) + c₂(a₂, b₂)` is a lattice vector. The
+    /// bound holds for *every* `k ∈ [0, n)`, not only for typical ones:
+    /// `gᵢ` is a rounding, so `|g₁/2³⁸⁴ − b₂/n| ≤ 2⁻³⁸⁵` and likewise for
+    /// `g₂`; with `k < 2²⁵⁶` and the rounding of `cᵢ` itself,
+    /// `|c₁ − k·b₂/n| < ½ + 2⁻¹²⁹` and `|c₂ − k·(−b₁)/n| < ½ + 2⁻¹²⁹`.
+    /// Writing `k = k·(a₁b₂ − a₂b₁)/n`,
+    /// `|k₁| = |a₁(k·b₂/n − c₁) + a₂(k·(−b₁)/n − c₂)| < (a₁ + a₂)(½ + 2⁻¹²⁹)`
+    /// and
+    /// `|k₂| = |b₁(k·b₂/n − c₁) + b₂(k·(−b₁)/n − c₂)| < (−b₁ + b₂)(½ + 2⁻¹²⁹)`,
+    /// both below `0.64·2¹²⁸` for these constants (`tests::split_constants`
+    /// derives every constant and both sums; `tests::split_forced_grid` and
+    /// the proptests exercise the bound). A peer picks `r`, `s` and the
+    /// digest, hence every scalar that reaches here, so the conversion to
+    /// [`HalfScalar`] checks the bound instead of masking to it.
+    pub(crate) fn split(&self) -> (HalfScalar, HalfScalar) {
+        let c1 = mul_shift_384(&self.0, &G1);
+        let c2 = mul_shift_384(&self.0, &G2);
+        let minus_b1 = Scalar(U256::from_u128(MINUS_B1));
+        let b2 = Scalar(U256::from_u128(A1));
+        let k2 = c1.mul(&minus_b1).sub(&c2.mul(&b2));
+        let k1 = self.sub(&k2.mul(&LAMBDA));
+        (k1.to_half(), k2.to_half())
+    }
+
+    /// Sign and magnitude of a scalar known to lie within 2¹²⁸ of zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics when neither `self` nor `−self` is below 2¹²⁸, which
+    /// [`Scalar::split`]'s bound rules out for its results.
+    fn to_half(self) -> HalfScalar {
+        let negative = self.is_high();
+        let magnitude = if negative { self.neg() } else { self }.0;
+        assert!(magnitude.bits() <= 128, "split half exceeds 128 bits");
+        HalfScalar {
+            magnitude: magnitude.low_u128(),
+            negative,
+        }
+    }
 }
 
 impl fmt::Debug for Scalar {
@@ -189,6 +291,151 @@ impl fmt::Debug for Scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    fn half_value(h: HalfScalar) -> Scalar {
+        let magnitude = Scalar(U256::from_u128(h.magnitude));
+        if h.negative {
+            magnitude.neg()
+        } else {
+            magnitude
+        }
+    }
+
+    /// `k₁ + k₂·λ ≡ k`. The halves being below 2¹²⁸ is `HalfScalar`'s type;
+    /// `split` panics rather than return anything else.
+    fn check_split(k: Scalar) -> Result<(), TestCaseError> {
+        let (k1, k2) = k.split();
+        let sum = half_value(k1).add(&half_value(k2).mul(&LAMBDA));
+        prop_assert_eq!(sum, k, "k1 = {:?}, k2 = {:?}", k1, k2);
+        Ok(())
+    }
+
+    fn arb_scalar() -> impl Strategy<Value = Scalar> {
+        any::<[u64; 4]>().prop_map(|limbs| Scalar::from_u256_reduced(U256::from_limbs(limbs)))
+    }
+
+    proptest! {
+        #[test]
+        fn split_recombines(k in arb_scalar()) {
+            check_split(k)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16_384))]
+
+        /// The nightly sweep (`-- --ignored`).
+        #[test]
+        #[ignore]
+        fn split_recombines_sweep(k in arb_scalar()) {
+            check_split(k)?;
+        }
+    }
+
+    #[test]
+    fn split_forced_grid() {
+        let u = |v: U256| Scalar::from_u256_reduced(v);
+        let two_128 = U256::ONE.shl(128);
+        let mut grid = vec![
+            Scalar::ZERO,
+            Scalar::ONE,
+            Scalar::from_u64(2),
+            Scalar::ONE.neg(),
+            Scalar::from_u64(2).neg(),
+            u(HALF_N),                          // (n − 1)/2
+            u(HALF_N.wrapping_add(&U256::ONE)), // (n + 1)/2
+            LAMBDA,
+            LAMBDA.add(&Scalar::ONE),
+            LAMBDA.sub(&Scalar::ONE),
+            LAMBDA.neg(),
+            u(U256::ONE.shl(127)),
+            u(two_128.wrapping_sub(&U256::ONE)),
+            u(two_128),
+            u(two_128.wrapping_add(&U256::ONE)),
+        ];
+        // Around the lattice points i·(a₁, b₁) + j·(a₂, b₂), where the
+        // roundings of c₁ and c₂ tip over.
+        let (a1, a2) = (u(U256::from_u128(A1)), u(A2));
+        for i in 0..=3u64 {
+            for j in 0..=3u64 {
+                let at = Scalar::from_u64(i)
+                    .mul(&a1)
+                    .add(&Scalar::from_u64(j).mul(&a2));
+                for k in [at, at.neg()] {
+                    grid.extend([k, k.add(&Scalar::ONE), k.sub(&Scalar::ONE)]);
+                }
+            }
+        }
+        for k in grid {
+            check_split(k).unwrap();
+        }
+        // What the split gives on the easy ones.
+        let half = |magnitude, negative| HalfScalar {
+            magnitude,
+            negative,
+        };
+        assert_eq!(Scalar::ZERO.split(), (half(0, false), half(0, false)));
+        assert_eq!(Scalar::ONE.split(), (half(1, false), half(0, false)));
+        assert_eq!(Scalar::ONE.neg().split(), (half(1, true), half(0, false)));
+        assert_eq!(LAMBDA.split(), (half(0, false), half(1, false)));
+    }
+
+    #[test]
+    #[should_panic(expected = "split half exceeds 128 bits")]
+    fn to_half_refuses_what_does_not_fit() {
+        Scalar(U256::ONE.shl(128)).to_half();
+    }
+
+    /// `|a − b|` over 512 bits, little-endian limbs.
+    fn abs_diff_512(a: [u64; 8], b: [u64; 8]) -> [u64; 8] {
+        let (hi, lo) = if a.iter().rev().ge(b.iter().rev()) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let mut out = [0u64; 8];
+        let mut borrow = false;
+        for i in 0..8 {
+            let (d, b1) = hi[i].overflowing_sub(lo[i]);
+            let (d, b2) = d.overflowing_sub(u64::from(borrow));
+            (out[i], borrow) = (d, b1 | b2);
+        }
+        out
+    }
+
+    #[test]
+    fn split_constants() {
+        let u = U256::from_u128;
+        let (a1, minus_b1, b2) = (Scalar(u(A1)), Scalar(u(MINUS_B1)), Scalar(u(A1)));
+        // λ is a primitive cube root of unity mod n.
+        assert_ne!(LAMBDA, Scalar::ONE);
+        assert_eq!(LAMBDA.mul(&LAMBDA).mul(&LAMBDA), Scalar::ONE);
+        // Both basis vectors are in the lattice: a + b·λ ≡ 0.
+        assert_eq!(a1.sub(&minus_b1.mul(&LAMBDA)), Scalar::ZERO);
+        assert_eq!(Scalar(A2).add(&b2.mul(&LAMBDA)), Scalar::ZERO);
+        // … and span it: the determinant a₁b₂ − a₂b₁ is n, as integers.
+        let det = u(A1)
+            .checked_mul(&u(A1))
+            .zip(A2.checked_mul(&u(MINUS_B1)))
+            .and_then(|(x, y)| x.checked_add(&y));
+        assert_eq!(det, Some(N));
+        // gᵢ·n is within n/2 of 2³⁸⁴·b, i.e. gᵢ is that quotient rounded.
+        for (g, b) in [(G1, A1), (G2, MINUS_B1)] {
+            let target = [0, 0, 0, 0, 0, 0, b as u64, (b >> 64) as u64];
+            let diff = abs_diff_512(g.mul_wide(&N), target);
+            assert_eq!(diff[4..], [0; 4]);
+            assert!(U256::from_limbs([diff[0], diff[1], diff[2], diff[3]]) <= HALF_N);
+        }
+        // The bound of `split`: (a₁ + a₂)(½ + 2⁻¹²⁹) and
+        // (−b₁ + b₂)(½ + 2⁻¹²⁹) are below 2¹²⁸. Each sum is below 2¹³⁰,
+        // so its 2⁻¹²⁹ part is below 2.
+        for sum in [u(A1).wrapping_add(&A2), u(MINUS_B1).wrapping_add(&u(A1))] {
+            assert!(sum.bits() <= 130);
+            assert!(sum.shr(1).wrapping_add(&U256::from_u64(3)) <= U256::ONE.shl(128));
+        }
+    }
 
     #[test]
     fn constants_match_published_hex() {

@@ -1,9 +1,11 @@
 //! Differential tests of the secp256k1 kernel against the arithmetic it
 //! replaced (`reference/`): the p-specialised field, the constant-modulus
-//! scalar field, the Strauss–Shamir `lincomb_with_generator`, and
-//! `verify` / `recover` — same value, same `Ok`/`Err`, same error variant,
-//! on random inputs and on the operands a peer would pick to break a
-//! ladder.
+//! scalar field, the four-string Strauss–Shamir `lincomb_with_generator`
+//! (scalars split by the endomorphism), and `verify` / `recover` — same
+//! value, same `Ok`/`Err`, same error variant, on random inputs and on the
+//! operands a peer would pick to break a ladder or a split. The reference
+//! `recover` re-verifies the key it found; the kernel's does not, and
+//! `assert_ecdsa_agrees` is what shows the two cannot be told apart.
 
 mod reference;
 
@@ -11,6 +13,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use smartcrowd_crypto::ecdsa::{self, Signature};
 use smartcrowd_crypto::field::FieldElement;
+use smartcrowd_crypto::keys::recover_public_key;
 use smartcrowd_crypto::point::Point;
 use smartcrowd_crypto::scalar::Scalar;
 use smartcrowd_crypto::sha256::sha256;
@@ -123,6 +126,57 @@ fn assert_ecdsa_agrees(digest: &[u8; 32], sig: &Signature) -> Result<(), TestCas
         prop_assert_eq!(ecdsa::verify(&q, digest, sig), Ok(()));
     }
     Ok(())
+}
+
+/// A valid signature, re-labelled with each of the four recovery ids.
+fn check_every_recovery_id(d: &Scalar, msg: &[u8; 32]) -> Result<(), TestCaseError> {
+    let sig = ecdsa::sign(d, msg);
+    for v in 0..4 {
+        let other = sig_from_parts(sig.r().to_u256(), sig.s().to_u256(), v).unwrap();
+        assert_ecdsa_agrees(msg, &other)?;
+    }
+    Ok(())
+}
+
+/// Components no signer produced. `small_r` is below p − n ≈ 2¹²⁸·1.27, so
+/// with v ≥ 2 the x candidate r + n stays inside the field — the only way
+/// to reach that branch; a full-width r exercises r + n ≥ p.
+fn check_arbitrary_components(
+    r: U256,
+    small_r: u128,
+    s: Scalar,
+    v: u8,
+    msg: &[u8; 32],
+) -> Result<(), TestCaseError> {
+    for r in [r, U256::from_u128(small_r)] {
+        let s = if s.is_high() { s.neg() } else { s };
+        match sig_from_parts(r, s.to_u256(), v) {
+            Ok(sig) => assert_ecdsa_agrees(msg, &sig)?,
+            Err(e) => prop_assert_eq!(e, CryptoError::InvalidSignature),
+        }
+    }
+    Ok(())
+}
+
+/// The signature whose recovered key is the point at infinity: with
+/// `R = k·G`, `r = x(R) mod n` and `s = e/k`, `s·R = e·G` and
+/// `Q = r⁻¹(s·R − e·G) = ∞`. `k` is stepped until `s` is low, as
+/// `Signature::from_bytes` demands.
+fn signature_recovering_infinity(digest: &[u8; 32]) -> Signature {
+    let e = Scalar::from_digest(digest);
+    let mut k = Scalar::from_digest(&sha256(digest));
+    loop {
+        let s = e.mul(&k.invert());
+        if let (false, Point::Affine { x, y }) = (s.is_high(), Point::mul_generator(&k)) {
+            let over = x.to_u256() >= Scalar::order();
+            let v = u8::from(y.is_odd()) | u8::from(over) << 1;
+            let r = Scalar::from_u256_reduced(x.to_u256());
+            if let Ok(sig) = sig_from_parts(r.to_u256(), s.to_u256(), v) {
+                return sig;
+            }
+        }
+        k = k.add(&Scalar::ONE);
+    }
 }
 
 proptest! {
@@ -262,11 +316,7 @@ proptest! {
     #[test]
     fn ecdsa_every_recovery_id(d in arb_scalar(), msg in any::<[u8; 32]>()) {
         prop_assume!(!d.is_zero());
-        let sig = ecdsa::sign(&d, &msg);
-        for v in 0..4 {
-            let other = sig_from_parts(sig.r().to_u256(), sig.s().to_u256(), v).unwrap();
-            assert_ecdsa_agrees(&msg, &other)?;
-        }
+        check_every_recovery_id(&d, &msg)?;
     }
 
     #[test]
@@ -277,16 +327,15 @@ proptest! {
         v in 0u8..4,
         msg in any::<[u8; 32]>(),
     ) {
-        // `small_r` is below p − n ≈ 2¹²⁸·1.27, so with v ≥ 2 the x
-        // candidate r + n stays inside the field — the only way to reach
-        // that branch; a full-width r exercises r + n ≥ p.
-        for r in [r, U256::from_u128(small_r)] {
-            let s = if s.is_high() { s.neg() } else { s };
-            match sig_from_parts(r, s.to_u256(), v) {
-                Ok(sig) => assert_ecdsa_agrees(&msg, &sig)?,
-                Err(e) => prop_assert_eq!(e, CryptoError::InvalidSignature),
-            }
-        }
+        check_arbitrary_components(r, small_r, s, v, &msg)?;
+    }
+
+    #[test]
+    fn ecdsa_recovering_infinity(msg in any::<[u8; 32]>()) {
+        prop_assume!(!Scalar::from_digest(&msg).is_zero());
+        let sig = signature_recovering_infinity(&msg);
+        prop_assert_eq!(ecdsa::recover(&msg, &sig), Err(CryptoError::InvalidPublicKey));
+        assert_ecdsa_agrees(&msg, &sig)?;
     }
 
     #[test]
@@ -337,25 +386,137 @@ fn second_fold_carry_pairs_exist() {
     ));
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16_384))]
+
+    /// The nightly sweep (`-- --ignored`) of `recover` against the
+    /// reference that still re-verifies.
+    #[test]
+    #[ignore]
+    fn ecdsa_agrees_sweep(
+        d in arb_scalar(),
+        r in arb_u256(),
+        small_r in any::<u128>(),
+        s in arb_scalar(),
+        v in 0u8..4,
+        msg in any::<[u8; 32]>(),
+    ) {
+        prop_assume!(!d.is_zero());
+        check_every_recovery_id(&d, &msg)?;
+        check_arbitrary_components(r, small_r, s, v, &msg)?;
+    }
+}
+
+/// `λ` of the endomorphism, from its published hex.
+fn lambda() -> Scalar {
+    let hex = "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72";
+    Scalar::from_u256_reduced(U256::from_hex(hex).unwrap())
+}
+
+fn assert_lincomb_agrees(a: &Scalar, b: &Scalar, q: &Point) {
+    let want = reference::lincomb(a.to_u256(), b.to_u256(), reference::from_point(q));
+    assert_eq!(
+        Point::lincomb_with_generator(a, b, q),
+        reference::to_point(want),
+        "a = {a:?}, b = {b:?}, q = {q:?}"
+    );
+}
+
 #[test]
 fn lincomb_edge_operands() {
     let g = Point::generator();
     let k = Scalar::from_digest(&sha256(b"edge scalar"));
-    let p = Point::mul_generator(&Scalar::from_digest(&sha256(b"edge point")));
-    let n_minus_1 = Scalar::ONE.neg();
-    let scalars = [Scalar::ZERO, Scalar::ONE, k, n_minus_1];
-    let points = [Point::Infinity, g, g.neg(), p, p.neg()];
-    for a in &scalars {
-        for b in &scalars {
-            for q in &points {
-                let want = reference::lincomb(a.to_u256(), b.to_u256(), reference::from_point(q));
-                assert_eq!(
-                    Point::lincomb_with_generator(a, b, q),
-                    reference::to_point(want),
-                    "a = {a:?}, b = {b:?}, q = {q:?}"
-                );
+    let seed = Scalar::from_digest(&sha256(b"edge point"));
+    let lambda2 = lambda().mul(&lambda());
+    // P = m·G for the m that make the ladder's four tables collide — ±G,
+    // ±λG, ±λ²G: P's odd multiples or their β-scaled copies are G's — and
+    // for an unrelated one.
+    let multipliers = [Scalar::ONE, lambda(), lambda2, seed];
+    let scalars = [Scalar::ZERO, Scalar::ONE, k, Scalar::ONE.neg()];
+    for m in &multipliers {
+        let p = reference::to_point(reference::mul_binary(reference::generator(), m.to_u256()));
+        for q in [p, p.neg()] {
+            for a in &scalars {
+                for b in &scalars {
+                    assert_lincomb_agrees(a, b, &q);
+                }
             }
         }
+        // a·G = −b·P, and one step off it.
+        let a = k.mul(m).neg();
+        assert_eq!(Point::lincomb_with_generator(&a, &k, &p), Point::Infinity);
+        assert_lincomb_agrees(&a, &k, &p);
+        assert_lincomb_agrees(&a.add(&Scalar::ONE), &k, &p);
+        assert_lincomb_agrees(&a.neg(), &k, &p.neg());
+    }
+    for a in &scalars {
+        for b in &scalars {
+            assert_lincomb_agrees(a, b, &Point::Infinity);
+        }
+    }
+    assert_eq!(g.mul(&lambda()).mul(&lambda()).mul(&lambda()), g);
+}
+
+#[test]
+fn lincomb_split_boundary_scalars() {
+    // Scalars at the edges of the split: the ends and the middle of
+    // [0, n), λ and its neighbours, the 128-bit boundary a half must stay
+    // under, and the lattice points i·a₁ + j·a₂ (±1) where the split's
+    // two roundings tip over.
+    let u = |v: U256| Scalar::from_u256_reduced(v);
+    let half_n = Scalar::order().shr(1);
+    let two_128 = U256::ONE.shl(128);
+    let mut grid = vec![
+        Scalar::ZERO,
+        Scalar::ONE,
+        Scalar::from_u64(2),
+        Scalar::ONE.neg(),
+        Scalar::from_u64(2).neg(),
+        u(half_n),
+        u(half_n.wrapping_add(&U256::ONE)),
+        lambda(),
+        lambda().add(&Scalar::ONE),
+        lambda().sub(&Scalar::ONE),
+        lambda().neg(),
+        u(U256::ONE.shl(127)),
+        u(two_128.wrapping_sub(&U256::ONE)),
+        u(two_128),
+        u(two_128.wrapping_add(&U256::ONE)),
+    ];
+    let a1 = u(U256::from_hex("3086d221a7d46bcde86c90e49284eb15").unwrap());
+    let a2 = u(U256::from_hex("114ca50f7a8e2f3f657c1108d9d44cfd8").unwrap());
+    for (i, j) in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 3)] {
+        let at = Scalar::from_u64(i)
+            .mul(&a1)
+            .add(&Scalar::from_u64(j).mul(&a2));
+        grid.extend([at, at.add(&Scalar::ONE), at.sub(&Scalar::ONE), at.neg()]);
+    }
+    let p = Point::mul_generator(&Scalar::from_digest(&sha256(b"edge point")));
+    for (k, other) in grid.iter().zip(grid.iter().rev()) {
+        assert_lincomb_agrees(k, other, &p);
+        let want = reference::mul_binary(reference::from_point(&p), k.to_u256());
+        assert_eq!(p.mul(k), reference::to_point(want), "k = {k:?}");
+    }
+}
+
+#[test]
+fn recovering_infinity_is_an_invalid_public_key() {
+    // The one input class on which a re-verification of the recovered key
+    // decides anything: the reference refuses Q = ∞ there, the kernel
+    // refuses it by name, and the typed wrapper says the same.
+    for text in [&b"infinity"[..], b"s R = e G", b""] {
+        let digest = sha256(text);
+        let sig = signature_recovering_infinity(&digest);
+        let want = Err(CryptoError::InvalidPublicKey);
+        assert_eq!(ecdsa::recover(&digest, &sig), want);
+        assert_eq!(
+            reference::recover(&digest, &sig).map(reference::to_point),
+            want
+        );
+        assert_eq!(recover_public_key(&digest, &sig).map(|q| q.point()), want);
+        // Any other recovery id names another R, hence a finite key.
+        let flipped = sig_from_parts(sig.r().to_u256(), sig.s().to_u256(), sig.recovery_id() ^ 1);
+        assert!(ecdsa::recover(&digest, &flipped.unwrap()).is_ok());
     }
 }
 
