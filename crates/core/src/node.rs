@@ -772,6 +772,26 @@ mod tests {
     }
 
     #[test]
+    fn redelivered_pooled_report_is_not_judged_again() {
+        let (mut a, mut b, library) = setup_two_nodes();
+        let sra_id = release_and_sync(&mut a, &mut b, &library, vec![VulnId(1)]);
+        let detector = KeyPair::from_seed(b"detector");
+        let (initial, detailed) = report_records(&detector, sra_id, vec![VulnId(1)]);
+        b.handle(Message::Record(initial));
+        b.handle(Message::Record(detailed.clone()));
+        let pooled = b.mempool_len();
+        assert_eq!(b.scoreboard().score(&detector.address()).confirmed, 1);
+        // A duplicating link delivers the pooled R* again.
+        b.handle(Message::Record(detailed));
+        assert_eq!(b.mempool_len(), pooled);
+        assert_eq!(
+            b.scoreboard().score(&detector.address()).confirmed,
+            1,
+            "its R* was not judged again"
+        );
+    }
+
+    #[test]
     fn redelivered_refused_block_is_not_judged_again() {
         use smartcrowd_telemetry::counter;
         let (mut a, mut b, library) = setup_two_nodes();

@@ -26,7 +26,7 @@ use crate::sra::{Sra, SraId};
 use crate::verify;
 use smartcrowd_chain::mempool::Mempool;
 use smartcrowd_chain::record::{Record, RecordKind};
-use smartcrowd_chain::{sigcache, Block, ChainBackend, Difficulty, Ether};
+use smartcrowd_chain::{sigcache, Block, ChainBackend, ChainError, Difficulty, Ether};
 use smartcrowd_crypto::{Address, Digest};
 use smartcrowd_detect::autoverif::AutoVerifier;
 use smartcrowd_detect::library::VulnLibrary;
@@ -106,11 +106,15 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     /// Admits one record from a client or from gossip: signature (through
     /// the process-wide cache), the switch with detector isolation
     /// applied, then the pending pool, which so holds only judged records.
+    /// A record the pool already holds is refused first: its id is Keccak
+    /// over the whole signed encoding, so it is byte for byte the record
+    /// judged when it was pooled.
     ///
     /// # Errors
     ///
-    /// - [`CoreError::Chain`] for a bad record signature, a record already
-    ///   pending, or a full pool of better-paying records;
+    /// - [`CoreError::Chain`] for a record already pending
+    ///   ([`ChainError::DuplicatePending`]), a bad record signature, or a
+    ///   full pool of better-paying records;
     /// - [`CoreError::NotFound`] for an `R*` whose artifact is not held:
     ///   submit it again after [`Protocol::hold_artifact`];
     /// - [`CoreError::Payload`] and the SRA / Algorithm-1 failures for a
@@ -120,6 +124,10 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     ///   that is already indexed; [`CoreError::InitialNotConfirmed`] for
     ///   an `R*` with no indexed `R†`.
     pub fn admit(&mut self, record: Record) -> Result<Admitted, CoreError> {
+        let id = record.id();
+        if self.mempool.contains(&id) {
+            return Err(ChainError::DuplicatePending { id }.into());
+        }
         sigcache::verify_cached(&record)?;
         let admitted = self.index(&record, true)?;
         self.mempool.insert(record)?;

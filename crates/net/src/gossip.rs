@@ -17,8 +17,7 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
-/// Link behaviour shared by all pairs (or overridden per directed pair
-/// with [`GossipNet::set_link`]).
+/// Link behaviour, shared by every pair of nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Base one-way latency in seconds.
@@ -108,28 +107,23 @@ impl PartialOrd for Queued {
 /// let a = net.register();
 /// let b = net.register();
 /// net.send(a, b, Message::ImageRequest { image_hash: [0u8; 32] }).unwrap();
-/// let deliveries = net.run_until(1.0);
+/// let deliveries = net.drain();
 /// assert_eq!(deliveries.len(), 1);
 /// assert_eq!(deliveries[0].to, b);
 /// ```
 #[derive(Debug)]
 pub struct GossipNet {
     link: LinkConfig,
-    /// Per-directed-pair link overrides (asymmetric links, slow peers).
-    overrides: std::collections::HashMap<(usize, usize), LinkConfig>,
     rng: SimRng,
     nodes: usize,
     queue: BinaryHeap<Queued>,
     clock: f64,
     seq: u64,
     /// Partition groups: nodes in different groups cannot communicate.
-    /// Empty = fully connected.
+    /// Partitions gate *sends*, so in-flight messages still deliver — as
+    /// on a real network, where cutting a link does not recall packets
+    /// already on the wire.
     partition: Vec<usize>,
-    /// Timed partition/heal events, sorted by activation time; applied to
-    /// `partition` once the clock reaches them (partitions gate *sends*,
-    /// so in-flight messages still deliver — as on a real network, where
-    /// cutting a link does not recall packets already on the wire).
-    schedule: Vec<(f64, ScheduledCut)>,
     sent: u64,
     dropped: u64,
     duplicated: u64,
@@ -148,28 +142,17 @@ fn sent_counter(message: &Message) -> &'static smartcrowd_telemetry::Counter {
     }
 }
 
-/// A scheduled topology change.
-#[derive(Debug, Clone)]
-enum ScheduledCut {
-    /// Isolate the listed nodes from the rest.
-    Partition(Vec<NodeId>),
-    /// Reconnect everyone.
-    Heal,
-}
-
 impl GossipNet {
     /// Creates a network with uniform link behaviour and a seed.
     pub fn new(link: LinkConfig, seed: u64) -> Self {
         GossipNet {
             link,
-            overrides: std::collections::HashMap::new(),
             rng: SimRng::seed_from_u64(seed),
             nodes: 0,
             queue: BinaryHeap::new(),
             clock: 0.0,
             seq: 0,
             partition: Vec::new(),
-            schedule: Vec::new(),
             sent: 0,
             dropped: 0,
             duplicated: 0,
@@ -210,76 +193,6 @@ impl GossipNet {
         self.duplicated
     }
 
-    /// Overrides the link behaviour for the directed pair `from → to`
-    /// (later sends on that pair use `cfg` instead of the global config).
-    pub fn set_link(&mut self, from: NodeId, to: NodeId, cfg: LinkConfig) {
-        self.overrides.insert((from.0, to.0), cfg);
-    }
-
-    /// Overrides both directions of a pair at once.
-    pub fn set_link_symmetric(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) {
-        self.set_link(a, b, cfg);
-        self.set_link(b, a, cfg);
-    }
-
-    /// Removes every per-link override, restoring the global config.
-    pub fn clear_link_overrides(&mut self) {
-        self.overrides.clear();
-    }
-
-    /// The effective config for a directed pair.
-    fn link_for(&self, from: NodeId, to: NodeId) -> LinkConfig {
-        self.overrides
-            .get(&(from.0, to.0))
-            .copied()
-            .unwrap_or(self.link)
-    }
-
-    /// Schedules a partition isolating `minority` once the simulated clock
-    /// reaches `at`. Partitions gate sends: messages already in flight
-    /// still deliver.
-    pub fn schedule_partition_at(&mut self, at: f64, minority: &[NodeId]) {
-        self.schedule
-            .push((at, ScheduledCut::Partition(minority.to_vec())));
-        self.schedule
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
-    }
-
-    /// Schedules a full heal once the simulated clock reaches `at`.
-    pub fn schedule_heal_at(&mut self, at: f64) {
-        self.schedule.push((at, ScheduledCut::Heal));
-        self.schedule
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
-    }
-
-    /// Applies every scheduled cut whose activation time has passed.
-    fn apply_due_schedule(&mut self) {
-        while let Some((at, _)) = self.schedule.first() {
-            if *at > self.clock {
-                break;
-            }
-            let (_, cut) = self.schedule.remove(0);
-            match cut {
-                ScheduledCut::Partition(minority) => {
-                    // Inline `partition()` to avoid borrowing issues.
-                    for p in self.partition.iter_mut() {
-                        *p = 0;
-                    }
-                    for n in &minority {
-                        if n.0 < self.partition.len() {
-                            self.partition[n.0] = 1;
-                        }
-                    }
-                }
-                ScheduledCut::Heal => {
-                    for p in self.partition.iter_mut() {
-                        *p = 0;
-                    }
-                }
-            }
-        }
-    }
-
     /// Splits the network: nodes in `group_b` can no longer exchange
     /// messages with the rest. Heals with [`GossipNet::heal_partition`].
     pub fn partition(&mut self, group_b: &[NodeId]) {
@@ -316,8 +229,7 @@ impl GossipNet {
         if to.0 >= self.nodes {
             return Err(NetError::UnknownNode { node: to.0 });
         }
-        self.apply_due_schedule();
-        let link = self.link_for(from, to);
+        let link = self.link;
         let size = message.wire_size() as u64;
         self.sent += 1;
         self.bytes += size;
@@ -377,33 +289,15 @@ impl GossipNet {
     }
 
     /// Pops the next delivery, advancing the clock to it.
-    pub fn step(&mut self) -> Option<Delivery> {
+    fn step(&mut self) -> Option<Delivery> {
         let q = self.queue.pop()?;
         self.clock = self.clock.max(q.at);
-        self.apply_due_schedule();
         Some(Delivery {
             at: q.at,
             from: q.from,
             to: q.to,
             message: q.message,
         })
-    }
-
-    /// Delivers everything scheduled up to time `t`, advancing the clock
-    /// to exactly `t`.
-    pub fn run_until(&mut self, t: f64) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        while let Some(next) = self.queue.peek() {
-            if next.at > t {
-                break;
-            }
-            if let Some(d) = self.step() {
-                out.push(d);
-            }
-        }
-        self.clock = self.clock.max(t);
-        self.apply_due_schedule();
-        out
     }
 
     /// Drains every queued delivery regardless of time.
@@ -449,7 +343,7 @@ mod tests {
         let a = n.register();
         let b = n.register();
         n.send(a, b, msg()).unwrap();
-        let d = n.step().unwrap();
+        let d = n.drain().pop().unwrap();
         assert_eq!(d.to, b);
         assert!(d.at >= 0.1 && d.at <= 0.15);
         assert!(n.clock() >= 0.1);
@@ -477,18 +371,6 @@ mod tests {
         for w in deliveries.windows(2) {
             assert!(w[0].at <= w[1].at);
         }
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut n = net(0.0);
-        let a = n.register();
-        let b = n.register();
-        n.send(a, b, msg()).unwrap();
-        assert!(n.run_until(0.05).is_empty(), "latency >= 0.1");
-        assert_eq!(n.clock(), 0.05);
-        assert_eq!(n.run_until(1.0).len(), 1);
-        assert_eq!(n.clock(), 1.0);
     }
 
     #[test]
@@ -616,63 +498,12 @@ mod tests {
     }
 
     #[test]
-    fn per_link_override_shapes_one_pair_only() {
+    fn in_flight_messages_survive_a_cut() {
         let mut n = net(0.0);
         let a = n.register();
         let b = n.register();
-        let c = n.register();
-        n.set_link(
-            a,
-            b,
-            LinkConfig {
-                drop_rate: 1.0,
-                ..LinkConfig::default()
-            },
-        );
         n.send(a, b, msg()).unwrap();
-        n.send(a, c, msg()).unwrap();
-        let deliveries = n.drain();
-        assert_eq!(deliveries.len(), 1, "a→b black-holed, a→c fine");
-        assert_eq!(deliveries[0].to, c);
-        n.clear_link_overrides();
-        n.send(a, b, msg()).unwrap();
-        assert_eq!(n.drain().len(), 1, "override cleared");
-    }
-
-    #[test]
-    fn scheduled_partition_gates_sends_after_activation() {
-        let mut n = net(0.0);
-        let a = n.register();
-        let b = n.register();
-        n.schedule_partition_at(1.0, &[b]);
-        n.schedule_heal_at(2.0);
-        // Before the cut: delivers.
-        n.send(a, b, msg()).unwrap();
-        assert_eq!(n.drain().len(), 1);
-        // Advance past the cut: sends are now blocked.
-        n.run_until(1.5);
-        n.send(a, b, msg()).unwrap();
-        assert_eq!(n.drain().len(), 0, "partitioned");
-        // Advance past the heal: sends flow again.
-        n.run_until(2.5);
-        n.send(a, b, msg()).unwrap();
-        assert_eq!(n.drain().len(), 1, "healed");
-    }
-
-    #[test]
-    fn in_flight_messages_survive_a_scheduled_cut() {
-        let mut n = GossipNet::new(
-            LinkConfig {
-                base_latency: 1.0,
-                jitter: 0.0,
-                ..LinkConfig::default()
-            },
-            5,
-        );
-        let a = n.register();
-        let b = n.register();
-        n.schedule_partition_at(0.5, &[b]);
-        n.send(a, b, msg()).unwrap(); // sent at t=0, arrives t=1 > cut time
+        n.partition(&[b]);
         assert_eq!(n.drain().len(), 1, "packets on the wire are not recalled");
     }
 

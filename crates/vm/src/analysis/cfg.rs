@@ -186,14 +186,13 @@ impl Cfg {
     }
 }
 
-/// The number of operands an opcode pops and pushes. `DUP`/`SWAP` have
-/// index-dependent requirements handled separately by each domain.
+/// The number of operands an opcode pops and pushes. `DUP` and `SWAP`
+/// pop nothing but reach below the top (`stack_reach`).
 pub fn stack_effect(op: Op) -> (usize, usize) {
     match op {
-        Op::Stop | Op::Return | Op::JumpDest => (0, 0),
-        Op::Push8 | Op::Push32 => (0, 1),
+        Op::Stop | Op::Return | Op::JumpDest | Op::Swap => (0, 0),
+        Op::Push8 | Op::Push32 | Op::Dup => (0, 1),
         Op::Pop | Op::Log | Op::ReturnVal | Op::Revert | Op::Jump => (1, 0),
-        Op::Dup | Op::Swap => (0, 0), // handled via index_imm
         Op::Add
         | Op::Sub
         | Op::Mul
@@ -222,6 +221,16 @@ pub fn stack_effect(op: Op) -> (usize, usize) {
         | Op::Number
         | Op::SelfBalance => (0, 1),
         Op::SStore | Op::MStore | Op::JumpI | Op::Transfer => (2, 0),
+    }
+}
+
+/// How many slots from the top `insn` needs: its operands, or for
+/// `DUP n` / `SWAP n` the `n + 1` slots down to the one it copies or
+/// exchanges.
+pub(crate) fn stack_reach(insn: &Insn) -> usize {
+    match insn.op {
+        Op::Dup | Op::Swap => usize::from(insn.index_imm) + 1,
+        op => stack_effect(op).0,
     }
 }
 

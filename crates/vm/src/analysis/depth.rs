@@ -2,13 +2,14 @@
 //! gate, now expressed as an [`engine::Domain`](crate::analysis::engine::Domain).
 //!
 //! Every opcode shifts the stack depth by a constant, so an entry interval
-//! `[lo, hi]` has both endpoints realized by concrete paths: `lo` below an
-//! instruction's operand count proves a reachable underflow, `hi` past
+//! `[lo, hi]` has both endpoints realized by concrete paths: `lo` below the
+//! slots an instruction needs (its operands, or `n + 1` for `DUP n` /
+//! `SWAP n`) proves a reachable underflow, `hi` past
 //! [`STACK_LIMIT`] proves a reachable overflow. The lattice is finite
 //! (`0..=STACK_LIMIT` per endpoint), so plain join suffices and the domain
 //! runs with `widen_after = usize::MAX`.
 
-use crate::analysis::cfg::{stack_effect, Cfg};
+use crate::analysis::cfg::{stack_effect, stack_reach, Cfg, Insn};
 use crate::analysis::engine::{run, Domain};
 use crate::analysis::lattice::Lattice;
 use crate::error::VmError;
@@ -42,58 +43,27 @@ pub struct DepthDomain;
 
 /// Abstractly executes one instruction on a depth interval, checking for
 /// provable faults. Returns the new interval.
-fn step(
-    insn_pc: usize,
-    op: Op,
-    index_imm: u8,
-    depth: DepthInterval,
-) -> Result<DepthInterval, VmError> {
-    let (pops, pushes) = match op {
-        Op::Dup => {
-            let n = index_imm as usize;
-            // DUP n reads the item n below the top: needs n+1 operands.
-            if depth.lo < n + 1 {
-                return Err(VmError::Verify(VerifyError::StackUnderflow {
-                    pc: insn_pc,
-                    depth: depth.lo,
-                    needs: n + 1,
-                }));
-            }
-            (0, 1)
-        }
-        Op::Swap => {
-            let n = index_imm as usize;
-            if n == 0 {
-                return Err(VmError::Verify(VerifyError::SwapZero { pc: insn_pc }));
-            }
-            if depth.lo < n + 1 {
-                return Err(VmError::Verify(VerifyError::StackUnderflow {
-                    pc: insn_pc,
-                    depth: depth.lo,
-                    needs: n + 1,
-                }));
-            }
-            (0, 0)
-        }
-        op => {
-            let (pops, pushes) = stack_effect(op);
-            if depth.lo < pops {
-                return Err(VmError::Verify(VerifyError::StackUnderflow {
-                    pc: insn_pc,
-                    depth: depth.lo,
-                    needs: pops,
-                }));
-            }
-            (pops, pushes)
-        }
-    };
+fn step(insn: &Insn, depth: DepthInterval) -> Result<DepthInterval, VmError> {
+    let pc = insn.pc;
+    if insn.op == Op::Swap && insn.index_imm == 0 {
+        return Err(VmError::Verify(VerifyError::SwapZero { pc }));
+    }
+    let needs = stack_reach(insn);
+    if depth.lo < needs {
+        return Err(VmError::Verify(VerifyError::StackUnderflow {
+            pc,
+            depth: depth.lo,
+            needs,
+        }));
+    }
+    let (pops, pushes) = stack_effect(insn.op);
     let next = DepthInterval {
         lo: depth.lo - pops + pushes,
         hi: depth.hi - pops + pushes,
     };
     if next.hi > STACK_LIMIT {
         return Err(VmError::Verify(VerifyError::StackOverflow {
-            pc: insn_pc,
+            pc,
             depth: next.hi,
         }));
     }
@@ -115,7 +85,7 @@ impl Domain for DepthDomain {
     ) -> Result<DepthInterval, VmError> {
         let mut depth = *state;
         for insn in cfg.block_insns(block) {
-            depth = step(insn.pc, insn.op, insn.index_imm, depth)?;
+            depth = step(insn, depth)?;
         }
         Ok(depth)
     }
@@ -140,7 +110,7 @@ pub fn analyze_depth(cfg: &Cfg) -> Result<DepthAnalysis, VmError> {
         let mut depth = state;
         max_depth = max_depth.max(depth.hi);
         for insn in cfg.block_insns(block) {
-            depth = step(insn.pc, insn.op, insn.index_imm, depth)?;
+            depth = step(insn, depth)?;
             max_depth = max_depth.max(depth.hi);
         }
     }

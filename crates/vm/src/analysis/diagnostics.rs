@@ -2,8 +2,8 @@
 //!
 //! Every analysis pass reports findings as [`Diagnostic`]s; `scvm-lint`
 //! renders them with line/column spans from the assembler's
-//! [`SourceMap`], and the deploy gate surfaces the
-//! `Error`-severity subset through [`VerifyReport`](crate::verify::VerifyReport).
+//! [`SourceMap`]. Of them, the deploy gate ([`crate::verify`]) rejects
+//! only a provable escrow leak.
 
 use crate::asm::SourceMap;
 

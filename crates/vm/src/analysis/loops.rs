@@ -10,10 +10,11 @@
 //!    outside, and no member exits through a dynamic jump. Anything else
 //!    (nested loops, irreducible regions) is conservatively
 //!    [`LoopBound::Unbounded`].
-//! 2. **Symbolically execute one iteration** around the cycle. Stack slots
-//!    and statically-keyed storage slots at the header are the symbolic
-//!    *cells*; the walk tracks each value as `cell + constant` where it
-//!    can, `⊤` where it cannot.
+//! 2. **Symbolically execute one iteration** around the cycle, on the
+//!    analyzers' shared abstract machine. Stack slots and statically-keyed
+//!    storage slots at the header are the symbolic *cells*; the walk
+//!    tracks each value as `cell + constant` where it can, `⊤` where it
+//!    cannot.
 //! 3. Every conditional exit contributes a **guard**: the symbolic
 //!    condition plus which edge stays in the loop. If some guard matches a
 //!    counter pattern — a cell that moves by a constant step per iteration
@@ -30,10 +31,11 @@
 //! charges every entry a full cycle, so the final partial iteration is
 //! over- rather than under-charged.
 
-use crate::analysis::cfg::{stack_effect, Cfg, Exit};
+use crate::analysis::cfg::{Cfg, Exit};
 use crate::analysis::depth::DepthInterval;
 use crate::analysis::engine::Domain;
-use crate::analysis::lattice::{Interval, Lattice, TOP};
+use crate::analysis::lattice::{Interval, Lattice};
+use crate::analysis::machine::{Machine, Value};
 use crate::analysis::range::{RangeDomain, RangeState};
 use crate::isa::Op;
 use smartcrowd_crypto::U256;
@@ -114,149 +116,64 @@ enum Sym {
     Top,
 }
 
-/// Symbolic machine state during the one-iteration walk.
-struct SymState {
-    stack: Vec<Sym>,
-    storage: BTreeMap<U256, Sym>,
-    /// A store through an unknown key happened: storage cells are dead.
-    clobbered: bool,
-}
-
-impl SymState {
-    fn pop(&mut self) -> Sym {
-        self.stack.pop().unwrap_or(Sym::Top)
-    }
-
-    fn push(&mut self, s: Sym) {
-        self.stack.push(s);
-    }
-
-    fn sload(&self, key: &Sym) -> Sym {
-        if self.clobbered {
-            return Sym::Top;
-        }
-        match key {
-            Sym::Const(k) => self.storage.get(k).cloned().unwrap_or(Sym::Cell {
-                id: CellId::Storage(*k),
-                delta: 0,
-            }),
-            _ => Sym::Top,
-        }
-    }
-}
-
 /// Folds `delta ± c` when the constant is small enough to keep the offset
 /// in `i128` without overflow risk.
 fn small(c: &U256) -> Option<i128> {
     (c.bits() <= 63).then(|| c.low_u64() as i128)
 }
 
-fn sym_step(state: &mut SymState, op: Op, index_imm: u8, push: U256) {
-    match op {
-        Op::Push8 | Op::Push32 => state.push(Sym::Const(push)),
-        Op::Pop | Op::Log | Op::ReturnVal | Op::Revert => {
-            state.pop();
+impl Value for Sym {
+    const TOP: Sym = Sym::Top;
+    const CLOBBER_IS_FINAL: bool = true;
+
+    fn constant(c: U256) -> Sym {
+        Sym::Const(c)
+    }
+
+    fn as_const(&self) -> Option<U256> {
+        match self {
+            Sym::Const(c) => Some(*c),
+            _ => None,
         }
-        Op::Dup => {
-            let n = index_imm as usize;
-            let len = state.stack.len();
-            let v = if n < len {
-                state.stack[len - 1 - n].clone()
-            } else {
-                Sym::Top
-            };
-            state.push(v);
+    }
+
+    fn at_entry(key: U256) -> Sym {
+        Sym::Cell {
+            id: CellId::Storage(key),
+            delta: 0,
         }
-        Op::Swap => {
-            let n = index_imm as usize;
-            let len = state.stack.len();
-            if n < len {
-                state.stack.swap(len - 1, len - 1 - n);
-            } else if len > 0 {
-                state.stack[len - 1] = Sym::Top;
+    }
+
+    fn eval(op: Op, [lhs, rhs]: [Sym; 2]) -> Sym {
+        let cmp = |op: CmpOp, lhs: Sym, rhs: Sym| Sym::Cmp {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        };
+        match (op, lhs, rhs) {
+            (Op::Add, Sym::Const(a), Sym::Const(b)) => Sym::Const(a.wrapping_add(&b)),
+            (Op::Sub, Sym::Const(a), Sym::Const(b)) => Sym::Const(a.wrapping_sub(&b)),
+            (Op::Add, Sym::Cell { id, delta }, Sym::Const(c))
+            | (Op::Add, Sym::Const(c), Sym::Cell { id, delta }) => {
+                small(&c).map_or(Sym::Top, |c| Sym::Cell {
+                    id,
+                    delta: delta + c,
+                })
             }
-        }
-        Op::Add | Op::Sub => {
-            let rhs = state.pop();
-            let lhs = state.pop();
-            let out = match (op, lhs, rhs) {
-                (Op::Add, Sym::Const(a), Sym::Const(b)) => Sym::Const(a.wrapping_add(&b)),
-                (Op::Sub, Sym::Const(a), Sym::Const(b)) => Sym::Const(a.wrapping_sub(&b)),
-                (Op::Add, Sym::Cell { id, delta }, Sym::Const(c))
-                | (Op::Add, Sym::Const(c), Sym::Cell { id, delta }) => match small(&c) {
-                    Some(c) => Sym::Cell {
-                        id,
-                        delta: delta + c,
-                    },
-                    None => Sym::Top,
-                },
-                (Op::Sub, Sym::Cell { id, delta }, Sym::Const(c)) => match small(&c) {
-                    Some(c) => Sym::Cell {
-                        id,
-                        delta: delta - c,
-                    },
-                    None => Sym::Top,
-                },
-                _ => Sym::Top,
-            };
-            state.push(out);
-        }
-        Op::Lt | Op::Gt | Op::Eq => {
-            let rhs = state.pop();
-            let lhs = state.pop();
-            let cmp_op = match op {
-                Op::Lt => CmpOp::Lt,
-                Op::Gt => CmpOp::Gt,
-                _ => CmpOp::Eq,
-            };
-            state.push(Sym::Cmp {
-                op: cmp_op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            });
-        }
-        Op::IsZero => {
-            let v = state.pop();
-            let out = match v {
-                Sym::Const(c) => Sym::Const(if c.is_zero() { U256::ONE } else { U256::ZERO }),
-                other => Sym::IsZero(Box::new(other)),
-            };
-            state.push(out);
-        }
-        Op::SLoad => {
-            let key = state.pop();
-            let v = state.sload(&key);
-            state.push(v);
-        }
-        Op::SStore => {
-            let key = state.pop();
-            let value = state.pop();
-            match key {
-                Sym::Const(k) => {
-                    state.storage.insert(k, value);
-                }
-                _ => {
-                    state.storage.clear();
-                    state.clobbered = true;
-                }
+            (Op::Sub, Sym::Cell { id, delta }, Sym::Const(c)) => {
+                small(&c).map_or(Sym::Top, |c| Sym::Cell {
+                    id,
+                    delta: delta - c,
+                })
             }
-        }
-        Op::Jump => {
-            state.pop();
-        }
-        Op::JumpI => {
-            // Handled by the caller, which needs the condition for guard
-            // capture; it pops both operands itself.
-            unreachable!("JUMPI is stepped by the walk loop")
-        }
-        op => {
-            let (pops, pushes) = stack_effect(op);
-            for _ in 0..pops {
-                state.pop();
+            (Op::Lt, lhs, rhs) => cmp(CmpOp::Lt, lhs, rhs),
+            (Op::Gt, lhs, rhs) => cmp(CmpOp::Gt, lhs, rhs),
+            (Op::Eq, lhs, rhs) => cmp(CmpOp::Eq, lhs, rhs),
+            (Op::IsZero, _, Sym::Const(c)) => {
+                Sym::Const(if c.is_zero() { U256::ONE } else { U256::ZERO })
             }
-            for _ in 0..pushes {
-                state.push(Sym::Top);
-            }
+            (Op::IsZero, _, v) => Sym::IsZero(Box::new(v)),
+            _ => Sym::Top,
         }
     }
 }
@@ -646,29 +563,26 @@ fn bound_loop(
     let init = |id: &CellId| -> Interval {
         match id {
             CellId::Stack(d) => entry_state.peek(*d),
-            CellId::Storage(k) => entry_state.storage.get(k).copied().unwrap_or(TOP),
+            CellId::Storage(k) => entry_state.sload(k),
         }
     };
 
     // Symbolic one-iteration walk around the cycle, collecting guards.
     let hdepth = hdepth.lo;
-    let mut sym = SymState {
-        stack: (0..hdepth)
-            .map(|j| Sym::Cell {
-                id: CellId::Stack(hdepth - 1 - j),
-                delta: 0,
-            })
-            .collect(),
-        storage: BTreeMap::new(),
-        clobbered: false,
-    };
+    let mut sym = Machine::new();
+    sym.stack = (0..hdepth)
+        .map(|j| Sym::Cell {
+            id: CellId::Stack(hdepth - 1 - j),
+            delta: 0,
+        })
+        .collect();
     let mut guards: Vec<Stay> = Vec::new();
     let mut current = header;
     for _ in 0..members.len() {
         for insn in cfg.block_insns(current) {
             if insn.op == Op::JumpI {
-                let _dest = sym.pop();
-                let cond = sym.pop();
+                // JUMPI pops the destination (top) then the condition.
+                let cond = sym.peek(1);
                 let Some(block) = cfg.block(current) else {
                     return unbounded;
                 };
@@ -691,9 +605,8 @@ fn bound_loop(
                     }
                     _ => {}
                 }
-            } else {
-                sym_step(&mut sym, insn.op, insn.index_imm, insn.push);
             }
+            sym.step(insn);
         }
         let next = cfg
             .successors(current)
@@ -712,25 +625,14 @@ fn bound_loop(
     }
 
     // Per-iteration step of each cell, read off the end-of-cycle state.
-    let end_stack = sym.stack;
-    let end_storage = sym.storage;
-    let clobbered = sym.clobbered;
     let delta_of = |id: &CellId| -> Option<i128> {
-        match id {
-            CellId::Stack(d) => match end_stack.get(hdepth.checked_sub(1 + *d)?) {
-                Some(Sym::Cell { id: end_id, delta }) if end_id == id => Some(*delta),
-                _ => None,
-            },
-            CellId::Storage(k) => {
-                if clobbered {
-                    return None;
-                }
-                match end_storage.get(k) {
-                    None => Some(0),
-                    Some(Sym::Cell { id: end_id, delta }) if end_id == id => Some(*delta),
-                    Some(_) => None,
-                }
-            }
+        let end = match id {
+            CellId::Stack(d) => sym.peek(*d),
+            CellId::Storage(k) => sym.sload(k),
+        };
+        match end {
+            Sym::Cell { id: end_id, delta } if end_id == *id => Some(delta),
+            _ => None,
         }
     };
 
@@ -878,6 +780,19 @@ mod tests {
         // Counter comes from calldata: no initial interval, no bound.
         let l = loops_of(
             "PUSH 0\nCALLDATALOAD\nloop:\nJUMPDEST\nPUSH 1\nSUB\nDUP 0\nPUSH @loop\nJUMPI\nSTOP\n",
+        );
+        assert_eq!(l.loops.len(), 1);
+        assert!(matches!(l.loops[0].bound, LoopBound::Unbounded { .. }));
+    }
+
+    #[test]
+    fn clobber_hides_later_storage_writes() {
+        // After a store through a calldata key the walk reads every slot
+        // as unknown, slot 5 included although it is written since, so
+        // the guard reloading the counter from it proves nothing.
+        let l = loops_of(
+            "PUSH 10\nloop:\nJUMPDEST\nPUSH 1\nPUSH 0\nCALLDATALOAD\nSSTORE\n\
+             PUSH 1\nSUB\nDUP 0\nPUSH 5\nSSTORE\nPUSH 5\nSLOAD\nPUSH @loop\nJUMPI\nSTOP\n",
         );
         assert_eq!(l.loops.len(), 1);
         assert!(matches!(l.loops[0].bound, LoopBound::Unbounded { .. }));

@@ -1,28 +1,27 @@
-//! Abstract-interpretation framework for SCVM bytecode.
+//! Static analysis of SCVM bytecode: the deploy gate's proofs and
+//! `scvm-lint`'s findings.
 //!
-//! A reusable worklist fixpoint engine ([`engine`]) over the basic-block
-//! CFG ([`mod@cfg`]) with a pluggable lattice interface ([`lattice`]),
-//! instantiated with:
+//! [`analyze`] decodes the code into a basic-block CFG ([`mod@cfg`]) and
+//! runs on it, through the worklist fixpoint [`engine`] and its
+//! [`lattice`] interface:
 //!
-//! - a **stack-depth domain** ([`depth`]) that proves the absence of stack
-//!   faults (the PR 1 deploy gate, re-expressed on the shared engine);
-//! - a **value-range / constant-propagation domain** ([`range`]) over
-//!   stack slots and statically-keyed storage, powering provable
-//!   div-by-zero and out-of-bounds-memory diagnostics plus per-contract
-//!   storage-effect summaries;
-//! - a **loop trip-count analysis** ([`loops`]) that recognizes counter
-//!   patterns around simple cycles and widens anything past a configurable
-//!   iteration cap to "unbounded";
-//! - a **balance-flow domain** ([`safety`]) that tracks symbolic transfer
-//!   amounts per entry point and composes them into the contract-level
-//!   economic-safety verdicts `ConservesEscrow`, `BoundedPayout`, and
-//!   `NoUnauthorizedFlow`, each refusal carrying a CFG witness path.
+//! 1. the **stack-depth** domain ([`depth`]), which rejects provable stack
+//!    faults and `SWAP 0`;
+//! 2. the **value-range** domain ([`range`]): provable div-by-zero and
+//!    out-of-bounds memory diagnostics and the [`StorageSummary`];
+//! 3. the **loop trip-count** analysis ([`loops`]), whose bounds price
+//!    the loop-aware [`GasVerdict`] ([`gasbound`]);
+//! 4. the **balance-flow** domain ([`safety`]): a symbolic amount per
+//!    `TRANSFER` and the verdicts `ConservesEscrow`, `BoundedPayout` and
+//!    `NoUnauthorizedFlow`, each refusal with a CFG witness path.
 //!
-//! The results combine into a loop-aware worst-case gas verdict
-//! ([`gasbound`]): contracts with provably bounded loops get a finite
-//! [`GasVerdict::Bounded`], genuinely unbounded ones an explicit
-//! [`GasVerdict::Unbounded`] with a witness block. Ranked findings are
-//! exposed as [`Diagnostic`]s for the `scvm-lint` CLI and the verifier.
+//! Domains 2–4 are value algebras over one abstract operand stack and
+//! statically-keyed storage (the private `machine` module, whose docs give
+//! the shared rules and each domain's few differences). Per-opcode stack
+//! effects and `DUP`/`SWAP` reach are [`cfg::stack_effect`] and its
+//! neighbour. Findings come back ranked as [`Diagnostic`]s; the deploy
+//! gate ([`crate::verify`]) is this pipeline plus one rejection, a
+//! provable escrow leak.
 
 pub mod cfg;
 pub mod depth;
@@ -31,6 +30,7 @@ pub mod engine;
 pub mod gasbound;
 pub mod lattice;
 pub mod loops;
+mod machine;
 pub mod range;
 pub mod safety;
 
@@ -101,11 +101,10 @@ pub struct Analysis {
 ///
 /// Returns [`VmError::InvalidOpcode`] / [`VmError::TruncatedImmediate`]
 /// for undecodable streams and [`VmError::Verify`] for provable stack
-/// faults, bad static jumps, target-less dynamic jumps, and `SWAP 0` —
-/// the same rejection set as the deploy gate. Diagnostics (dead code,
-/// div-by-zero, out-of-bounds memory, unbounded loops, economic-safety
-/// findings) never reject here; they are reported in
-/// [`Analysis::diagnostics`]. The deploy gate additionally turns a
+/// faults, bad static jumps, target-less dynamic jumps, and `SWAP 0`.
+/// Diagnostics (dead code, div-by-zero, out-of-bounds memory, unbounded
+/// loops, economic-safety findings) never reject here; they are reported
+/// in [`Analysis::diagnostics`]. The deploy gate additionally turns a
 /// provable [`SafetyReport::leak`] into a rejection — see
 /// [`crate::verify`].
 pub fn analyze(code: &[u8], config: &AnalysisConfig) -> Result<Analysis, VmError> {

@@ -1,18 +1,19 @@
 //! Value-range / constant-propagation domain over stack slots and storage.
 //!
-//! Each tracked stack slot carries an [`Interval`]; storage is a finite
-//! map from statically-known keys to intervals (an absent key means `⊤`,
-//! and a store through an unknown key clobbers the whole map). The domain
-//! never rejects a program — its job is precision, not gating — and its
-//! results feed three consumers: provable div-by-zero and out-of-bounds
-//! memory diagnostics ([`scan`]), per-contract storage-effect summaries
-//! ([`StorageSummary`]), and initial counter values for the loop
-//! trip-count analysis.
+//! The range state is the analyzers' shared abstract machine over
+//! [`Interval`]s; this module adds only the interval algebra. Range knows
+//! nothing of storage at call entry, so an unwritten slot is `⊤`.
+//! The domain never rejects a program — its job is precision, not gating
+//! — and its results feed three consumers: provable div-by-zero and
+//! out-of-bounds memory diagnostics ([`scan`]), per-contract
+//! storage-effect summaries ([`StorageSummary`]), and initial counter
+//! values for the loop trip-count analysis.
 
-use crate::analysis::cfg::{stack_effect, Cfg, Insn};
+use crate::analysis::cfg::Cfg;
 use crate::analysis::diagnostics::{Diagnostic, DiagnosticKind, Severity};
 use crate::analysis::engine::{run, Domain};
-use crate::analysis::lattice::{Interval, Lattice, TOP};
+use crate::analysis::lattice::{Interval, TOP};
+use crate::analysis::machine::{Machine, Value};
 use crate::error::VmError;
 use crate::exec::MEMORY_LIMIT;
 use crate::isa::Op;
@@ -20,178 +21,54 @@ use smartcrowd_crypto::U256;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Abstract machine state: intervals for the tracked top of the stack and
-/// for storage slots with statically-known keys.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RangeState {
-    /// Tracked stack slots, bottom first (`last()` is the top). May be
-    /// shorter than the concrete stack after joins of different depths;
-    /// reads past the tracked region yield `⊤`.
-    pub stack: Vec<Interval>,
-    /// Known storage slots. Absent keys are `⊤`.
-    pub storage: BTreeMap<U256, Interval>,
-}
+/// for storage slots with statically-known keys (absent keys are `⊤`).
+pub type RangeState = Machine<Interval>;
 
-impl RangeState {
-    fn pop(&mut self) -> Interval {
-        self.stack.pop().unwrap_or(TOP)
-    }
-
-    fn push(&mut self, v: Interval) {
-        self.stack.push(v);
-    }
-
-    /// The interval `n` slots below the top (`⊤` when untracked).
-    pub fn peek(&self, n: usize) -> Interval {
-        let len = self.stack.len();
-        if n < len {
-            self.stack[len - 1 - n]
-        } else {
-            TOP
+/// Folds a bitwise op limb by limb when both operands are constants.
+fn bitwise(l: &Interval, r: &Interval, f: impl Fn(u64, u64) -> u64) -> Interval {
+    match (l.as_const(), r.as_const()) {
+        (Some(a), Some(b)) => {
+            let (x, y) = (a.limbs(), b.limbs());
+            Interval::exact(U256::from_limbs(std::array::from_fn(|i| f(x[i], y[i]))))
         }
+        _ => TOP,
     }
 }
 
-impl Lattice for RangeState {
-    /// Top-aligned join: stacks are merged slot-by-slot from the top and
-    /// truncated to the shorter one. This is sound because slots below
-    /// the common depth simply become untracked (`⊤` on read), and the
-    /// depth domain — not this one — proves access safety.
-    fn join(&self, other: &Self) -> Self {
-        let keep = self.stack.len().min(other.stack.len());
-        let stack = (0..keep)
-            .map(|i| {
-                self.stack[self.stack.len() - keep + i]
-                    .join(&other.stack[other.stack.len() - keep + i])
-            })
-            .collect();
-        let storage = self
-            .storage
-            .iter()
-            .filter_map(|(k, v)| other.storage.get(k).map(|w| (*k, v.join(w))))
-            .collect();
-        RangeState { stack, storage }
+impl Value for Interval {
+    const TOP: Interval = TOP;
+    const UNWRITTEN_IS_TOP: bool = true;
+
+    fn constant(c: U256) -> Interval {
+        Interval::exact(c)
     }
 
-    fn widen(&self, newer: &Self) -> Self {
-        let keep = self.stack.len().min(newer.stack.len());
-        let stack = (0..keep)
-            .map(|i| {
-                self.stack[self.stack.len() - keep + i]
-                    .widen(&newer.stack[newer.stack.len() - keep + i])
-            })
-            .collect();
-        let storage = self
-            .storage
-            .iter()
-            .filter_map(|(k, v)| newer.storage.get(k).map(|w| (*k, v.widen(w))))
-            .collect();
-        RangeState { stack, storage }
+    fn as_const(&self) -> Option<U256> {
+        Interval::as_const(self)
     }
-}
 
-fn const_fold2(op: Op, a: U256, b: U256) -> U256 {
-    let (x, y) = (a.limbs(), b.limbs());
-    match op {
-        Op::Or => U256::from_limbs([x[0] | y[0], x[1] | y[1], x[2] | y[2], x[3] | y[3]]),
-        Op::Xor => U256::from_limbs([x[0] ^ y[0], x[1] ^ y[1], x[2] ^ y[2], x[3] ^ y[3]]),
-        _ => unreachable!("const_fold2 only handles Or/Xor"),
+    /// Unknown, like every slot: range states are born clobbered.
+    fn at_entry(_key: U256) -> Interval {
+        TOP
     }
-}
 
-/// Abstractly executes one instruction. Infallible: unknown effects
-/// degrade to `⊤` rather than erroring.
-pub fn step(state: &mut RangeState, insn: &Insn) {
-    match insn.op {
-        Op::Push8 | Op::Push32 => state.push(Interval::exact(insn.push)),
-        Op::Dup => {
-            let v = state.peek(insn.index_imm as usize);
-            state.push(v);
-        }
-        Op::Swap => {
-            let n = insn.index_imm as usize;
-            let len = state.stack.len();
-            if n < len {
-                state.stack.swap(len - 1, len - 1 - n);
-            } else if len > 0 {
-                // The partner slot is untracked: the top receives an
-                // unknown value.
-                state.stack[len - 1] = TOP;
-            }
-        }
-        Op::Add
-        | Op::Sub
-        | Op::Mul
-        | Op::Div
-        | Op::Mod
-        | Op::Lt
-        | Op::Gt
-        | Op::Eq
-        | Op::And
-        | Op::Or
-        | Op::Xor
-        | Op::Min => {
-            let rhs = state.pop();
-            let lhs = state.pop();
-            let out = match insn.op {
-                Op::Add => lhs.add(&rhs),
-                Op::Sub => lhs.sub(&rhs),
-                Op::Mul => lhs.mul(&rhs),
-                Op::Div => lhs.div(&rhs),
-                Op::Mod => lhs.rem(&rhs),
-                Op::Lt => lhs.lt(&rhs),
-                Op::Gt => lhs.gt(&rhs),
-                Op::Eq => lhs.eq(&rhs),
-                Op::And => lhs.bitand(&rhs),
-                Op::Min => lhs.min_abs(&rhs),
-                Op::Or | Op::Xor => match (lhs.as_const(), rhs.as_const()) {
-                    (Some(a), Some(b)) => Interval::exact(const_fold2(insn.op, a, b)),
-                    _ => TOP,
-                },
-                _ => unreachable!(),
-            };
-            state.push(out);
-        }
-        Op::IsZero => {
-            let v = state.pop();
-            state.push(v.is_zero_abs());
-        }
-        Op::Not => {
-            let v = state.pop();
-            let out = v.as_const().map_or(TOP, |c| {
-                let x = c.limbs();
-                Interval::exact(U256::from_limbs([!x[0], !x[1], !x[2], !x[3]]))
-            });
-            state.push(out);
-        }
-        Op::SLoad => {
-            let key = state.pop();
-            let out = key
-                .as_const()
-                .and_then(|k| state.storage.get(&k).copied())
-                .unwrap_or(TOP);
-            state.push(out);
-        }
-        Op::SStore => {
-            let key = state.pop();
-            let value = state.pop();
-            match key.as_const() {
-                Some(k) => {
-                    state.storage.insert(k, value);
-                }
-                // A store through an unknown key may hit any slot.
-                None => state.storage.clear(),
-            }
-        }
-        op => {
-            // Everything else: generic pops, unknown pushes. DUP/SWAP are
-            // handled above; stack_effect covers the rest.
-            let (pops, pushes) = stack_effect(op);
-            for _ in 0..pops {
-                state.pop();
-            }
-            for _ in 0..pushes {
-                state.push(TOP);
-            }
+    fn eval(op: Op, [l, r]: [Interval; 2]) -> Interval {
+        match op {
+            Op::IsZero => r.is_zero_abs(),
+            Op::Not => bitwise(&r, &r, |x, _| !x),
+            Op::Add => l.add(&r),
+            Op::Sub => l.sub(&r),
+            Op::Mul => l.mul(&r),
+            Op::Div => l.div(&r),
+            Op::Mod => l.rem(&r),
+            Op::Lt => l.lt(&r),
+            Op::Gt => l.gt(&r),
+            Op::Eq => l.eq(&r),
+            Op::And => l.bitand(&r),
+            Op::Min => l.min_abs(&r),
+            Op::Or => bitwise(&l, &r, |x, y| x | y),
+            Op::Xor => bitwise(&l, &r, |x, y| x ^ y),
+            _ => TOP,
         }
     }
 }
@@ -205,16 +82,13 @@ impl Domain for RangeDomain {
     type State = RangeState;
 
     fn entry_state(&self, _cfg: &Cfg) -> RangeState {
-        RangeState {
-            stack: Vec::new(),
-            storage: BTreeMap::new(),
-        }
+        RangeState::new()
     }
 
     fn transfer(&self, cfg: &Cfg, block: usize, state: &RangeState) -> Result<RangeState, VmError> {
         let mut s = state.clone();
         for insn in cfg.block_insns(block) {
-            step(&mut s, insn);
+            s.step(insn);
         }
         Ok(s)
     }
@@ -347,7 +221,7 @@ pub fn scan(cfg: &Cfg, entry: &BTreeMap<usize, RangeState>) -> (Vec<Diagnostic>,
                 },
                 _ => {}
             }
-            step(&mut s, insn);
+            s.step(insn);
         }
     }
     (diags, summary)

@@ -3,7 +3,8 @@
 //! SmartCrowd's incentive mechanism (paper §V-D, §VII) lives or dies on
 //! the escrow contract conserving funds and never over-paying. This
 //! module statically proves those properties on the shared
-//! [`Lattice`]/[`Domain`] framework: a **balance-flow domain** tracks
+//! [`Lattice`]/[`Domain`] framework and abstract machine: a
+//! **balance-flow domain** tracks
 //! symbolic flows out of the contract balance (`TRANSFER` sites) per
 //! dispatch entry point, and the per-site summaries compose into three
 //! contract-level [`SafetyVerdict`]s:
@@ -48,7 +49,7 @@
 //! # Soundness and termination
 //!
 //! The symbolic lattice is flat per slot: two unequal expressions join
-//! to `Top`, so every stack slot and storage overlay entry degrades
+//! to `Top`, so every stack slot and storage record degrades
 //! monotonically and the fixpoint terminates without a dedicated
 //! widening operator (`widen = join`). Expressions are size-capped;
 //! anything larger degrades to `Top`, which only ever *weakens* claims
@@ -57,11 +58,12 @@
 //! and `Top` is not). Dynamic jumps conservatively reach every
 //! `JUMPDEST`, so runtime-reachable code is always analyzed.
 
-use crate::analysis::cfg::{stack_effect, Cfg, Exit, Insn};
+use crate::analysis::cfg::{Cfg, Exit, Insn};
 use crate::analysis::diagnostics::{Diagnostic, DiagnosticKind, Severity};
 use crate::analysis::engine::{run, Domain};
 use crate::analysis::lattice::Lattice;
 use crate::analysis::loops::{LoopAnalysis, LoopBound};
+use crate::analysis::machine::{Machine, Value};
 use crate::error::VmError;
 use crate::isa::Op;
 use smartcrowd_crypto::U256;
@@ -72,11 +74,6 @@ use std::fmt;
 /// larger degrades to [`FlowExpr::Top`]. Keeps adversarial straight-line
 /// programs (fuzz mutants chaining hundreds of `ADD`s) linear.
 const MAX_EXPR_SIZE: usize = 24;
-
-/// Cap on tracked symbolic stack depth. Deeper slots are dropped from
-/// the *bottom* (reads of untracked slots yield `Top`) so mutants that
-/// push thousands of words cannot make joins quadratic.
-const MAX_TRACKED_STACK: usize = 128;
 
 /// A symbolic 256-bit value in terms of the call's inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,11 +241,60 @@ impl FlowExpr {
         }
     }
 
+    /// Flat: unequal expressions join to `Top`.
     fn join(&self, other: &FlowExpr) -> FlowExpr {
         if self == other {
             self.clone()
         } else {
             FlowExpr::Top
+        }
+    }
+}
+
+impl Value for FlowExpr {
+    const TOP: FlowExpr = FlowExpr::Top;
+    /// Deeper slots are dropped from the *bottom* so mutants that push
+    /// thousands of words cannot make joins quadratic.
+    const MAX_TRACKED: usize = 128;
+    const SWAP0_FORGETS_TOP: bool = true;
+
+    fn constant(c: U256) -> FlowExpr {
+        FlowExpr::Const(c)
+    }
+
+    fn as_const(&self) -> Option<U256> {
+        match self {
+            FlowExpr::Const(c) => Some(*c),
+            _ => None,
+        }
+    }
+
+    fn at_entry(key: U256) -> FlowExpr {
+        FlowExpr::Storage(key)
+    }
+
+    fn eval(op: Op, [lhs, rhs]: [FlowExpr; 2]) -> FlowExpr {
+        match op {
+            Op::Add => FlowExpr::bin(FlowOp::Add, lhs, rhs),
+            Op::Sub => FlowExpr::bin(FlowOp::Sub, lhs, rhs),
+            Op::Mul => FlowExpr::bin(FlowOp::Mul, lhs, rhs),
+            Op::Min => FlowExpr::bin(FlowOp::Min, lhs, rhs),
+            Op::Eq => FlowExpr::bin(FlowOp::Eq, lhs, rhs),
+            Op::IsZero => match rhs {
+                FlowExpr::Const(c) => {
+                    FlowExpr::Const(if c.is_zero() { U256::ONE } else { U256::ZERO })
+                }
+                FlowExpr::Top => FlowExpr::Top,
+                e if e.size() < MAX_EXPR_SIZE => FlowExpr::IsZero(Box::new(e)),
+                _ => FlowExpr::Top,
+            },
+            Op::CallDataLoad => match rhs {
+                FlowExpr::Const(c) if c.bits() <= 64 => FlowExpr::Calldata(c.low_u64()),
+                _ => FlowExpr::Top,
+            },
+            Op::Caller => FlowExpr::Caller,
+            Op::CallValue => FlowExpr::CallValue,
+            _ => FlowExpr::Top,
         }
     }
 }
@@ -307,19 +353,12 @@ impl Drained {
     }
 }
 
-/// The balance-flow abstract state: a symbolic stack, a storage overlay
-/// (absent key = unchanged entry value), the path's transfer count, and
-/// the drain fact.
+/// The balance-flow abstract state: the shared abstract machine over
+/// [`FlowExpr`] (whose storage records are the path's writes over the
+/// call-entry values), the path's transfer count, and the drain fact.
 #[derive(Debug, Clone, PartialEq)]
 struct FlowState {
-    /// Symbolic stack, bottom first; reads past the tracked region give
-    /// `Top` (depth safety is the depth domain's job).
-    stack: Vec<FlowExpr>,
-    /// Storage slots written on the path. Absent = still the entry
-    /// value; after an unknown-key store (`clobbered`), absent = `Top`.
-    overlay: BTreeMap<U256, FlowExpr>,
-    /// Whether a store through an unknown key invalidated the overlay.
-    clobbered: bool,
+    machine: Machine<FlowExpr>,
     /// Transfers executed on this path (`None` once paths with
     /// different counts merge).
     transfers: Option<u32>,
@@ -330,187 +369,52 @@ struct FlowState {
 impl FlowState {
     fn entry() -> FlowState {
         FlowState {
-            stack: Vec::new(),
-            overlay: BTreeMap::new(),
-            clobbered: false,
+            machine: Machine::new(),
             transfers: Some(0),
             drained: Drained::No,
         }
     }
 
-    fn pop(&mut self) -> FlowExpr {
-        self.stack.pop().unwrap_or(FlowExpr::Top)
+    /// Whether transferring `amount` here pays out the whole remaining
+    /// balance: a `SELFBALANCE` read no transfer on this path followed.
+    fn drains(&self, amount: &FlowExpr) -> bool {
+        matches!(
+            (amount, self.transfers),
+            (FlowExpr::SelfBalance { transfers_before }, Some(n)) if *transfers_before == n
+        )
     }
 
-    fn push(&mut self, v: FlowExpr) {
-        if self.stack.len() >= MAX_TRACKED_STACK {
-            self.stack.remove(0);
-        }
-        self.stack.push(v);
-    }
-
-    fn peek(&self, n: usize) -> FlowExpr {
-        let len = self.stack.len();
-        if n < len {
-            self.stack[len - 1 - n].clone()
-        } else {
-            FlowExpr::Top
-        }
-    }
-
-    /// The symbolic value of storage slot `key` on this path.
-    fn sload(&self, key: &U256) -> FlowExpr {
-        match self.overlay.get(key) {
-            Some(v) => v.clone(),
-            None if self.clobbered => FlowExpr::Top,
-            None => FlowExpr::Storage(*key),
+    /// Abstractly executes one instruction: the machine, plus the balance
+    /// reads and transfer facts only this domain tracks.
+    fn exec(&mut self, insn: &Insn) {
+        match insn.op {
+            Op::SelfBalance => self.machine.push(match self.transfers {
+                Some(n) => FlowExpr::SelfBalance {
+                    transfers_before: n,
+                },
+                None => FlowExpr::Top,
+            }),
+            Op::Transfer => {
+                if self.machine.stack.last().is_some_and(|a| self.drains(a)) {
+                    self.drained = Drained::Maybe(insn.pc);
+                }
+                self.transfers = self.transfers.map(|n| n.saturating_add(1));
+                self.machine.step(insn);
+            }
+            _ => self.machine.step(insn),
         }
     }
 }
 
 impl Lattice for FlowState {
     fn join(&self, other: &Self) -> Self {
-        let keep = self.stack.len().min(other.stack.len());
-        let stack = (0..keep)
-            .map(|i| {
-                self.stack[self.stack.len() - keep + i]
-                    .join(&other.stack[other.stack.len() - keep + i])
-            })
-            .collect();
-        let clobbered = self.clobbered || other.clobbered;
-        let keys: BTreeSet<&U256> = self.overlay.keys().chain(other.overlay.keys()).collect();
-        let mut overlay = BTreeMap::new();
-        for k in keys {
-            let joined = self.sload(k).join(&other.sload(k));
-            // Only materialize entries that differ from the joined
-            // state's implicit default.
-            let implicit = if clobbered {
-                FlowExpr::Top
-            } else {
-                FlowExpr::Storage(*k)
-            };
-            if joined != implicit {
-                overlay.insert(*k, joined);
-            }
-        }
         FlowState {
-            stack,
-            overlay,
-            clobbered,
+            machine: self.machine.merge(&other.machine, FlowExpr::join),
             transfers: match (self.transfers, other.transfers) {
                 (Some(a), Some(b)) if a == b => Some(a),
                 _ => None,
             },
             drained: self.drained.join(other.drained),
-        }
-    }
-}
-
-/// Abstractly executes one instruction.
-fn step(state: &mut FlowState, insn: &Insn) {
-    match insn.op {
-        Op::Push8 | Op::Push32 => state.push(FlowExpr::Const(insn.push)),
-        Op::Dup => {
-            let v = state.peek(insn.index_imm as usize);
-            state.push(v);
-        }
-        Op::Swap => {
-            let n = insn.index_imm as usize;
-            let len = state.stack.len();
-            if n < len && n > 0 {
-                state.stack.swap(len - 1, len - 1 - n);
-            } else if len > 0 {
-                state.stack[len - 1] = FlowExpr::Top;
-            }
-        }
-        Op::Add | Op::Sub | Op::Mul | Op::Min | Op::Eq => {
-            let rhs = state.pop();
-            let lhs = state.pop();
-            let op = match insn.op {
-                Op::Add => FlowOp::Add,
-                Op::Sub => FlowOp::Sub,
-                Op::Mul => FlowOp::Mul,
-                Op::Min => FlowOp::Min,
-                _ => FlowOp::Eq,
-            };
-            state.push(FlowExpr::bin(op, lhs, rhs));
-        }
-        Op::IsZero => {
-            let v = state.pop();
-            let out = match v {
-                FlowExpr::Const(c) => {
-                    FlowExpr::Const(if c.is_zero() { U256::ONE } else { U256::ZERO })
-                }
-                FlowExpr::Top => FlowExpr::Top,
-                e if e.size() < MAX_EXPR_SIZE => FlowExpr::IsZero(Box::new(e)),
-                _ => FlowExpr::Top,
-            };
-            state.push(out);
-        }
-        Op::CallDataLoad => {
-            let off = state.pop();
-            let out = match off {
-                FlowExpr::Const(c) if c.bits() <= 64 => FlowExpr::Calldata(c.low_u64()),
-                _ => FlowExpr::Top,
-            };
-            state.push(out);
-        }
-        Op::Caller => state.push(FlowExpr::Caller),
-        Op::CallValue => state.push(FlowExpr::CallValue),
-        Op::SelfBalance => {
-            let out = match state.transfers {
-                Some(n) => FlowExpr::SelfBalance {
-                    transfers_before: n,
-                },
-                None => FlowExpr::Top,
-            };
-            state.push(out);
-        }
-        Op::SLoad => {
-            let key = state.pop();
-            let out = match key {
-                FlowExpr::Const(k) => state.sload(&k),
-                _ => FlowExpr::Top,
-            };
-            state.push(out);
-        }
-        Op::SStore => {
-            let key = state.pop();
-            let value = state.pop();
-            match key {
-                FlowExpr::Const(k) => {
-                    state.overlay.insert(k, value);
-                }
-                _ => {
-                    // A store through an unknown key may hit any slot.
-                    state.overlay.clear();
-                    state.clobbered = true;
-                }
-            }
-        }
-        Op::Transfer => {
-            let amount = state.pop();
-            let _to = state.pop();
-            let drains = matches!(
-                (&amount, state.transfers),
-                (
-                    FlowExpr::SelfBalance { transfers_before },
-                    Some(n),
-                ) if *transfers_before == n
-            );
-            if drains {
-                state.drained = Drained::Maybe(insn.pc);
-            }
-            state.transfers = state.transfers.map(|n| n.saturating_add(1));
-        }
-        op => {
-            let (pops, pushes) = stack_effect(op);
-            for _ in 0..pops {
-                state.pop();
-            }
-            for _ in 0..pushes {
-                state.push(FlowExpr::Top);
-            }
         }
     }
 }
@@ -529,7 +433,7 @@ impl Domain for FlowDomain {
     fn transfer(&self, cfg: &Cfg, block: usize, state: &FlowState) -> Result<FlowState, VmError> {
         let mut s = state.clone();
         for insn in cfg.block_insns(block) {
-            step(&mut s, insn);
+            s.exec(insn);
         }
         Ok(s)
     }
@@ -722,10 +626,10 @@ fn branch_condition(cfg: &Cfg, block: usize, entry: &FlowState) -> Option<FlowEx
     }
     let mut s = entry.clone();
     for insn in &insns[..insns.len() - 1] {
-        step(&mut s, insn);
+        s.exec(insn);
     }
     // JUMPI pops the destination (top) then the condition.
-    Some(s.peek(1))
+    Some(s.machine.peek(1))
 }
 
 /// Recognizes the leading `calldata[0]`-dispatch chain and labels each
@@ -842,16 +746,11 @@ pub fn analyze_safety(
         let mut s = entry.clone();
         for insn in cfg.block_insns(block) {
             if insn.op == Op::Transfer {
-                let amount = s.peek(0);
-                let to = s.peek(1);
-                let drains = matches!(
-                    (&amount, s.transfers),
-                    (FlowExpr::SelfBalance { transfers_before }, Some(n))
-                        if *transfers_before == n
-                );
-                sites.push((insn.pc, block, amount, to, s.drained, drains));
+                let amount = s.machine.peek(0);
+                let drains = s.drains(&amount);
+                sites.push((insn.pc, block, amount, s.machine.peek(1), s.drained, drains));
             }
-            step(&mut s, insn);
+            s.exec(insn);
         }
     }
     sites.sort_by_key(|s| s.0);

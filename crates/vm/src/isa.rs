@@ -114,6 +114,53 @@ pub enum Op {
     Revert = 0x72,
 }
 
+/// Every opcode, in byte order.
+const OPS: &[Op] = &[
+    Op::Stop,
+    Op::Push8,
+    Op::Push32,
+    Op::Pop,
+    Op::Dup,
+    Op::Swap,
+    Op::Add,
+    Op::Sub,
+    Op::Mul,
+    Op::Div,
+    Op::Mod,
+    Op::Lt,
+    Op::Gt,
+    Op::Eq,
+    Op::IsZero,
+    Op::And,
+    Op::Or,
+    Op::Xor,
+    Op::Not,
+    Op::Min,
+    Op::Keccak,
+    Op::EcRecover,
+    Op::SelfAddr,
+    Op::Caller,
+    Op::CallValue,
+    Op::CallDataSize,
+    Op::CallDataLoad,
+    Op::Timestamp,
+    Op::Number,
+    Op::Balance,
+    Op::SelfBalance,
+    Op::SLoad,
+    Op::SStore,
+    Op::MLoad,
+    Op::MStore,
+    Op::Jump,
+    Op::JumpI,
+    Op::JumpDest,
+    Op::Transfer,
+    Op::Log,
+    Op::ReturnVal,
+    Op::Return,
+    Op::Revert,
+];
+
 /// Coarse opcode families, mirroring the ISA's byte-range grouping. The
 /// interpreter tallies executed instructions per class into the
 /// `vm.exec.ops{class=…}` telemetry counters.
@@ -227,54 +274,7 @@ impl Op {
     ///
     /// Returns [`VmError::InvalidOpcode`] for unknown bytes.
     pub fn from_byte(b: u8) -> Result<Op, VmError> {
-        use Op::*;
-        const TABLE: &[Op] = &[
-            Stop,
-            Push8,
-            Push32,
-            Pop,
-            Dup,
-            Swap,
-            Add,
-            Sub,
-            Mul,
-            Div,
-            Mod,
-            Lt,
-            Gt,
-            Eq,
-            IsZero,
-            And,
-            Or,
-            Xor,
-            Not,
-            Min,
-            Keccak,
-            EcRecover,
-            SelfAddr,
-            Caller,
-            CallValue,
-            CallDataSize,
-            CallDataLoad,
-            Timestamp,
-            Number,
-            Balance,
-            SelfBalance,
-            SLoad,
-            SStore,
-            MLoad,
-            MStore,
-            Jump,
-            JumpI,
-            JumpDest,
-            Transfer,
-            Log,
-            ReturnVal,
-            Return,
-            Revert,
-        ];
-        TABLE
-            .iter()
+        OPS.iter()
             .copied()
             .find(|op| *op as u8 == b)
             .ok_or(VmError::InvalidOpcode { byte: b })
@@ -342,53 +342,7 @@ impl Op {
     /// Looks an opcode up by mnemonic (case-insensitive).
     pub fn from_mnemonic(s: &str) -> Option<Op> {
         let upper = s.to_ascii_uppercase();
-        use Op::*;
-        const ALL: &[Op] = &[
-            Stop,
-            Push8,
-            Push32,
-            Pop,
-            Dup,
-            Swap,
-            Add,
-            Sub,
-            Mul,
-            Div,
-            Mod,
-            Lt,
-            Gt,
-            Eq,
-            IsZero,
-            And,
-            Or,
-            Xor,
-            Not,
-            Min,
-            Keccak,
-            EcRecover,
-            SelfAddr,
-            Caller,
-            CallValue,
-            CallDataSize,
-            CallDataLoad,
-            Timestamp,
-            Number,
-            Balance,
-            SelfBalance,
-            SLoad,
-            SStore,
-            MLoad,
-            MStore,
-            Jump,
-            JumpI,
-            JumpDest,
-            Transfer,
-            Log,
-            ReturnVal,
-            Return,
-            Revert,
-        ];
-        ALL.iter().copied().find(|op| op.mnemonic() == upper)
+        OPS.iter().copied().find(|op| op.mnemonic() == upper)
     }
 }
 

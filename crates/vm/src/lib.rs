@@ -20,40 +20,13 @@
 //! # Deploy-time verification
 //!
 //! [`WorldState::deploy_contract`] and [`Vm::deploy`] refuse bytecode the
-//! static verifier ([`verify`]) can prove faulty, returning
-//! [`VmError::Verify`]. The verifier enforces four rules:
-//!
-//! 1. **Decode** — every byte must decode into a whole instruction;
-//!    unknown opcodes and truncated `PUSH` immediates are rejected.
-//! 2. **Jump targets** — a `JUMP`/`JUMPI` whose destination comes from an
-//!    immediately preceding `PUSH` must target a `JUMPDEST`; a dynamic
-//!    `JUMP` in a program with no `JUMPDEST` at all always faults and is
-//!    rejected.
-//! 3. **Stack safety** — abstract interpretation over the control-flow
-//!    graph proves no execution path can underflow the operand stack or
-//!    push past `STACK_LIMIT` (1024). `SWAP 0` is rejected outright.
-//! 4. **Gas verdict** — the loop-aware analysis ([`analysis`]) prices the
-//!    worst-case path over the SCC condensation: acyclic programs and
-//!    programs whose loops have a provable trip count (counter patterns
-//!    such as `PUSH 10 ; loop: … SUB … JUMPI`) get a finite
-//!    [`analysis::GasVerdict::Bounded`] in the returned [`VerifyReport`];
-//!    loops with no provable bound verify but carry an explicit
-//!    [`analysis::GasVerdict::Unbounded`] naming a witness block (only the
-//!    runtime meter limits them).
-//!
-//! The stack analysis uses this per-opcode pops/pushes table (mirroring
-//! the interpreter exactly):
-//!
-//! | Opcodes | Pops | Pushes |
-//! |---|---|---|
-//! | `STOP`, `RETURN`, `JUMPDEST` | 0 | 0 |
-//! | `PUSH`, `PUSH32`, `SELFADDR`, `CALLER`, `CALLVALUE`, `CALLDATASIZE`, `TIMESTAMP`, `NUMBER`, `SELFBALANCE` | 0 | 1 |
-//! | `POP`, `LOG`, `RETURNVAL`, `REVERT`, `JUMP` | 1 | 0 |
-//! | `ISZERO`, `NOT`, `ECRECOVER`, `CALLDATALOAD`, `BALANCE`, `SLOAD`, `MLOAD` | 1 | 1 |
-//! | `ADD`, `SUB`, `MUL`, `DIV`, `MOD`, `LT`, `GT`, `EQ`, `AND`, `OR`, `XOR`, `MIN`, `KECCAK` | 2 | 1 |
-//! | `SSTORE`, `MSTORE`, `JUMPI`, `TRANSFER` | 2 | 0 |
-//! | `DUP n` | 0 (needs depth ≥ n+1) | 1 |
-//! | `SWAP n` (n ≥ 1) | 0 (needs depth ≥ n+1) | 0 |
+//! deploy gate ([`verify`]) rejects, returning the decode errors or
+//! [`VmError::Verify`]: provable stack faults, bad static jumps,
+//! target-less dynamic jumps, `SWAP 0` and provable escrow leaks. The gate
+//! is the static [`analysis`] pipeline; the [`Analysis`] it returns also
+//! carries the loop-aware gas verdict, the storage-effect summary and the
+//! economic-safety report, which `scvm-lint` prints. Per-opcode stack
+//! effects are [`analysis::cfg::stack_effect`].
 //!
 //! Tests that must exercise the interpreter's own runtime checks plant
 //! bytecode directly via [`WorldState::account_mut`], bypassing the gate.
@@ -108,4 +81,4 @@ pub use error::VmError;
 pub use exec::{CallContext, Vm};
 pub use receipt::Receipt;
 pub use state::WorldState;
-pub use verify::{VerifyError, VerifyReport};
+pub use verify::VerifyError;

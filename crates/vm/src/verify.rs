@@ -1,58 +1,18 @@
-//! Static bytecode verification — the deploy-time gate of the SCVM.
+//! The deploy gate: [`WorldState::deploy_contract`](crate::WorldState::deploy_contract)
+//! and [`Vm::deploy`](crate::Vm::deploy) refuse code that [`verify`]
+//! rejects, before any state changes.
 //!
-//! SmartCrowd's incentive contracts hold real escrowed value, and a
-//! contract that faults mid-payout burns the caller's gas without paying
-//! anyone (§V-D requires allocation to happen "automatically" once
-//! consensus triggers it). The verifier rejects, *before* code can be
-//! deployed, every program for which a runtime stack fault or a
-//! statically-known bad jump is provable:
-//!
-//! 1. **Decode** — the byte stream must parse into whole instructions:
-//!    unknown opcode bytes and immediates running past the end of code are
-//!    rejected (these reuse the existing [`VmError::InvalidOpcode`] /
-//!    [`VmError::TruncatedImmediate`] errors).
-//! 2. **Control-flow graph** — instructions are grouped into basic blocks
-//!    ([`crate::analysis::cfg`]). `JUMP`/`JUMPI` whose destination comes
-//!    from an immediately preceding `PUSH` in the same block are *static*:
-//!    their target must be a `JUMPDEST` or the program is rejected. Other
-//!    jumps are *dynamic* and conservatively may reach every `JUMPDEST`; a
-//!    dynamic `JUMP` in a program with no `JUMPDEST` at all is rejected
-//!    (it faults on every execution).
-//! 3. **Stack-depth abstract interpretation** — the depth domain
-//!    ([`crate::analysis::depth`]) runs on the shared fixpoint engine and
-//!    proves no execution path can underflow the operand stack or push
-//!    past [`STACK_LIMIT`]. `SWAP 0` (a guaranteed runtime fault) is
-//!    rejected outright.
-//! 4. **Gas verdict** — the loop-aware gas analysis
-//!    ([`crate::analysis::gasbound`]) computes a worst-case bound over the
-//!    SCC condensation: acyclic programs get the longest-path bound,
-//!    cyclic programs with provably bounded loops get `trips × cycle`
-//!    pricing, and loops with no provable trip count yield an explicit
-//!    [`GasVerdict::Unbounded`] naming a witness block. Every `SSTORE` is
-//!    charged at the fresh-slot rate, every `TRANSFER` at full cost, every
-//!    `KECCAK` at the maximum in-bounds length, plus one worst-case memory
-//!    expansion if any memory-touching opcode is reachable.
-//! 5. **Economic-safety gate** — the balance-flow domain
-//!    ([`crate::analysis::safety`]) rejects contracts with a *provable
-//!    escrow leak*: a `TRANSFER` sequenced after the contract's whole
-//!    balance was already transferred out. Such a payout can never be
-//!    honored — whenever it would pay a positive amount the call faults
-//!    and the incentive allocation reverts — so the contract is broken by
-//!    construction. The rejection ([`VerifyError::EscrowLeak`]) carries a
-//!    CFG witness path. Weaker safety findings (unbounded outflow, opaque
-//!    payouts, unguarded transfers) stay diagnostics; see `scvm-lint`.
-//!
-//! Unreachable blocks are *flagged* in the [`VerifyReport`], not rejected:
-//! dead code wastes deploy gas but cannot fault. Richer findings
-//! (div-by-zero, out-of-bounds memory, storage-effect summaries) are
-//! available from [`crate::analysis::analyze`] and the `scvm-lint` CLI.
-//!
-//! The runtime keeps all of its own checks (defense in depth); the
-//! verifier's guarantee is that for verified code no execution can hit
-//! `StackUnderflow`/`StackOverflow`, and executions whose jumps are all
-//! static can never hit `BadJump`.
+//! The gate is [`crate::analysis::analyze`] with the default
+//! configuration — which rejects undecodable code, provable stack faults,
+//! bad static jumps, target-less dynamic jumps and `SWAP 0` — plus one
+//! economic rule: a provable escrow leak ([`VerifyError::EscrowLeak`]), a
+//! `TRANSFER` after the whole balance was already paid out, which can
+//! never pay and would revert the incentive allocation. Every other
+//! finding (dead code, unbounded loops, opaque or unguarded payouts) is a
+//! diagnostic, not a rejection; `scvm-lint` prints them. The interpreter
+//! keeps its own runtime checks as defense in depth.
 
-use crate::analysis::{analyze, AnalysisConfig, GasVerdict, SafetyReport};
+use crate::analysis::{analyze, Analysis, AnalysisConfig};
 use crate::error::VmError;
 use crate::exec::STACK_LIMIT;
 
@@ -167,33 +127,7 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Statistics from a successful verification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerifyReport {
-    /// Decoded instruction count.
-    pub instructions: usize,
-    /// Basic blocks in the control-flow graph.
-    pub blocks: usize,
-    /// Blocks reachable from the entry point.
-    pub reachable_blocks: usize,
-    /// Code offsets of unreachable basic blocks (dead code — legal, but
-    /// it inflates the per-byte deployment fee for nothing).
-    pub unreachable: Vec<usize>,
-    /// The highest operand-stack depth any execution path can reach.
-    pub max_stack_depth: usize,
-    /// Worst-case execution gas over all paths (excluding the intrinsic
-    /// deploy/call gas): [`GasVerdict::Bounded`] when every loop has a
-    /// provable trip count, [`GasVerdict::Unbounded`] (with a witness
-    /// block) otherwise.
-    pub gas_bound: GasVerdict,
-    /// Balance-flow safety verdicts with per-transfer summaries.
-    pub safety: SafetyReport,
-}
-
-/// Statically verifies `code`, returning deploy-gate statistics.
-///
-/// A thin wrapper over [`crate::analysis::analyze`] with the default
-/// configuration; see the module documentation for the exact rules.
+/// Runs the deploy gate over `code`, returning the analysis it ran.
 ///
 /// # Errors
 ///
@@ -201,64 +135,54 @@ pub struct VerifyReport {
 /// for undecodable streams and [`VmError::Verify`] for provable stack
 /// faults, bad static jump targets, target-less dynamic jumps, `SWAP 0`,
 /// and provable escrow leaks ([`VerifyError::EscrowLeak`]).
-pub fn verify(code: &[u8]) -> Result<VerifyReport, VmError> {
+pub fn verify(code: &[u8]) -> Result<Analysis, VmError> {
     let _span = smartcrowd_telemetry::span!("vm.verify");
-    let result = verify_inner(code);
+    let result = analyze(code, &AnalysisConfig::default()).and_then(|analysis| {
+        match &analysis.safety.leak {
+            Some(leak) => Err(VmError::Verify(VerifyError::EscrowLeak {
+                pc: leak.pc,
+                drain_pc: leak.drain_pc,
+                witness: leak.witness.clone(),
+            })),
+            None => Ok(analysis),
+        }
+    });
     if result.is_err() {
         smartcrowd_telemetry::counter!("vm.verify.rejected").inc();
     }
     result
 }
 
-fn verify_inner(code: &[u8]) -> Result<VerifyReport, VmError> {
-    let analysis = analyze(code, &AnalysisConfig::default())?;
-    if let Some(leak) = &analysis.safety.leak {
-        return Err(VmError::Verify(VerifyError::EscrowLeak {
-            pc: leak.pc,
-            drain_pc: leak.drain_pc,
-            witness: leak.witness.clone(),
-        }));
-    }
-    Ok(VerifyReport {
-        instructions: analysis.cfg.instruction_count(),
-        blocks: analysis.cfg.block_count(),
-        reachable_blocks: analysis.reachable.len(),
-        unreachable: analysis.unreachable,
-        max_stack_depth: analysis.max_stack_depth,
-        gas_bound: analysis.gas,
-        safety: analysis.safety,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::GasVerdict;
     use crate::asm::assemble;
     use crate::exec::MEMORY_LIMIT;
     use crate::gas;
     use crate::isa::Op;
 
-    fn verify_asm(src: &str) -> Result<VerifyReport, VmError> {
+    fn verify_asm(src: &str) -> Result<Analysis, VmError> {
         verify(&assemble(src).expect("assembles"))
     }
 
     #[test]
     fn empty_code_verifies() {
         let r = verify(&[]).unwrap();
-        assert_eq!(r.blocks, 0);
-        assert_eq!(r.gas_bound, GasVerdict::Bounded(0));
+        assert_eq!(r.cfg.block_count(), 0);
+        assert_eq!(r.gas, GasVerdict::Bounded(0));
     }
 
     #[test]
     fn straight_line_program_verifies() {
         let r = verify_asm("PUSH 2\nPUSH 3\nADD\nRETURNVAL\n").unwrap();
-        assert_eq!(r.instructions, 4);
-        assert_eq!(r.blocks, 1);
-        assert_eq!(r.reachable_blocks, 1);
+        assert_eq!(r.cfg.instruction_count(), 4);
+        assert_eq!(r.cfg.block_count(), 1);
+        assert_eq!(r.reachable.len(), 1);
         assert_eq!(r.max_stack_depth, 2);
         assert!(r.unreachable.is_empty());
         // 3 + 3 + 3 + 3 gas, no dynamic components.
-        assert_eq!(r.gas_bound, GasVerdict::Bounded(12));
+        assert_eq!(r.gas, GasVerdict::Bounded(12));
     }
 
     #[test]
@@ -289,7 +213,7 @@ mod tests {
     fn balanced_branches_verify() {
         let r =
             verify_asm("PUSH 1\nPUSH 1\nPUSH @other\nJUMPI\nPUSH 9\nPOP\nother:\nSTOP\n").unwrap();
-        assert!(r.gas_bound.is_bounded());
+        assert!(r.gas.is_bounded());
     }
 
     #[test]
@@ -305,7 +229,7 @@ mod tests {
     #[test]
     fn static_jump_to_jumpdest_verifies() {
         let r = verify_asm("PUSH @end\nJUMP\nend:\nSTOP\n").unwrap();
-        assert_eq!(r.reachable_blocks, 2);
+        assert_eq!(r.reachable.len(), 2);
     }
 
     #[test]
@@ -379,7 +303,7 @@ mod tests {
             verify_asm("PUSH 10\nloop:\nJUMPDEST\nPUSH 1\nSUB\nDUP 0\nPUSH @loop\nJUMPI\nSTOP\n")
                 .unwrap();
         let bound = r
-            .gas_bound
+            .gas
             .bound()
             .expect("counter loop must be finitely bounded");
         // Ten trips through a cycle that includes at least the JUMPDEST,
@@ -407,11 +331,11 @@ mod tests {
         let r = verify_asm("loop:\nJUMPDEST\nPUSH 1\nPUSH 0\nSSTORE\nPUSH 1\nPUSH @loop\nJUMPI\n")
             .unwrap();
         assert_eq!(
-            r.gas_bound,
+            r.gas,
             GasVerdict::Unbounded { witness_block: 0 },
             "constant-true latch has no trip bound"
         );
-        assert_eq!(r.gas_bound.bound(), None);
+        assert_eq!(r.gas.bound(), None);
     }
 
     #[test]
@@ -439,8 +363,8 @@ mod tests {
     #[test]
     fn unreachable_code_flagged_not_rejected() {
         let r = verify_asm("PUSH @end\nJUMP\nPUSH 1\nPOP\nend:\nSTOP\n").unwrap();
-        assert_eq!(r.blocks, 3);
-        assert_eq!(r.reachable_blocks, 2);
+        assert_eq!(r.cfg.block_count(), 3);
+        assert_eq!(r.reachable.len(), 2);
         assert_eq!(r.unreachable, vec![10], "dead block after the JUMP");
     }
 
@@ -452,7 +376,7 @@ mod tests {
             "PUSH 1\nPUSH 1\nPUSH @cheap\nJUMPI\nPUSH 5\nPUSH 0\nSSTORE\nSTOP\ncheap:\nSTOP\n",
         )
         .unwrap();
-        let bound = r.gas_bound.bound().unwrap();
+        let bound = r.gas.bound().unwrap();
         assert!(
             bound >= gas::SSTORE_NEW_GAS,
             "bound {bound} must include SSTORE"
@@ -463,12 +387,12 @@ mod tests {
     fn memory_op_adds_expansion_ceiling() {
         let without = verify_asm("PUSH 0\nPOP\nSTOP\n")
             .unwrap()
-            .gas_bound
+            .gas
             .bound()
             .unwrap();
         let with = verify_asm("PUSH 0\nMLOAD\nPOP\nSTOP\n")
             .unwrap()
-            .gas_bound
+            .gas
             .bound()
             .unwrap();
         assert!(with >= without + 3 * (MEMORY_LIMIT as u64 / 32));

@@ -122,7 +122,7 @@ proptest! {
         let src = build_safe_program(&ops);
         let code = assemble(&src).unwrap();
         let report = verify(&code).unwrap();
-        let bound = report.gas_bound.bound().expect("acyclic program has a finite bound");
+        let bound = report.gas.bound().expect("acyclic program has a finite bound");
 
         let receipt = run_planted(code).unwrap();
         prop_assert!(receipt.success, "fault: {:?}\n{src}", receipt.fault);
