@@ -15,6 +15,7 @@ use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::simminer::{SimMiner, PAPER_HASH_POWERS};
 use smartcrowd_chain::{Block, Difficulty, Ether};
 use smartcrowd_core::attacks::plagiarism;
+use smartcrowd_core::economics::{INCENTIVE_PER_VULN, INSURANCE, REPORT_FEE};
 use smartcrowd_core::report::{create_report_pair, Findings};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::Address;
@@ -52,7 +53,7 @@ fn ablation_two_phase() {
     pool.insert(Record::signed(
         RecordKind::DetailedReport,
         victim_detailed.encode(),
-        Ether::from_milliether(11),
+        REPORT_FEE,
         0,
         &victim,
     ))
@@ -100,8 +101,8 @@ fn ablation_escrow() {
         &vm,
         &mut state,
         provider,
-        Ether::from_ether(1000),
-        Ether::from_ether(25),
+        INSURANCE,
+        INCENTIVE_PER_VULN,
         trigger,
         (0, 0),
     )
@@ -119,7 +120,7 @@ fn ablation_escrow() {
     // ... the provider does nothing; there is no mechanism to compel it.
     let without_escrow = state2.balance(&detector);
     println!("without escrow: detector received {without_escrow} (provider repudiated)\n");
-    assert_eq!(with_escrow, Ether::from_ether(50));
+    assert_eq!(with_escrow, INCENTIVE_PER_VULN.scaled(2));
     assert_eq!(without_escrow, Ether::ZERO);
     println!("→ escrowed deposits are what make the incentives non-repudiable.\n");
 }
@@ -157,7 +158,7 @@ fn ablation_scoreboard() {
 fn ablation_simminer_vs_pow() {
     println!("== Ablation 4: simulated-clock vs real PoW mining ==\n");
     // Simulated: 5000 events.
-    let mut sim = SimMiner::paper_setup(15.35, 77);
+    let mut sim = SimMiner::paper_setup(77);
     let n = 5000;
     let mut counts = [0usize; 5];
     let mut intervals = Vec::with_capacity(n);

@@ -10,17 +10,18 @@
 //! Run: `cargo run --release -p smartcrowd-bench --bin fig3_setup`
 
 use smartcrowd_bench::{stats, table};
+use smartcrowd_chain::difficulty::PAPER_BLOCK_TIME_SECS;
 use smartcrowd_chain::pow::Miner;
 use smartcrowd_chain::simminer::{SimMiner, PAPER_HASH_POWERS};
 use smartcrowd_chain::{Block, Difficulty};
+use smartcrowd_core::economics::BLOCK_REWARD;
 use smartcrowd_crypto::Address;
 
 const BLOCKS: usize = 2000;
-const BLOCK_REWARD: f64 = 5.0;
 
 fn main() {
     // ---- Fig. 3(a): rewards by computation proportion ------------------
-    let mut sim = SimMiner::paper_setup(15.35, 2019);
+    let mut sim = SimMiner::paper_setup(2019);
     let mut counts = vec![0usize; PAPER_HASH_POWERS.len()];
     let mut intervals = Vec::with_capacity(BLOCKS);
     for _ in 0..BLOCKS {
@@ -29,6 +30,7 @@ fn main() {
         intervals.push(e.interval);
     }
     let total_hp: f64 = PAPER_HASH_POWERS.iter().sum();
+    let reward = BLOCK_REWARD.as_f64();
 
     println!("Fig. 3(a) — average rewards per mined block by computation proportion\n");
     let mut rows = Vec::new();
@@ -40,8 +42,8 @@ fn main() {
             counts[i].to_string(),
             table::f(share * 100.0, 2) + "%",
             table::f(hp / total_hp * 100.0, 2) + "%",
-            table::f(BLOCK_REWARD, 1),
-            table::f(share * BLOCKS as f64 * BLOCK_REWARD, 1),
+            table::f(reward, 1),
+            table::f(share * BLOCKS as f64 * reward, 1),
         ]);
     }
     println!(
@@ -83,7 +85,10 @@ fn main() {
         let bar = "#".repeat(count / 8);
         println!("  {edge:>5.1}s | {count:>4} {bar}");
     }
-    assert!((mean - 15.35).abs() < 1.0, "mean block time {mean}");
+    assert!(
+        (mean - PAPER_BLOCK_TIME_SECS).abs() < 1.0,
+        "mean block time {mean}"
+    );
 
     // ---- Real-PoW cross-check -------------------------------------------
     // Mine a handful of real blocks at a small difficulty and check the
@@ -140,9 +145,9 @@ fn main() {
         "blocks": BLOCKS,
         "hash_powers": PAPER_HASH_POWERS,
         "blocks_won": counts,
-        "block_reward_eth": BLOCK_REWARD,
+        "block_reward_eth": reward,
         "mean_block_time_s": mean,
-        "paper_mean_block_time_s": 15.35,
+        "paper_mean_block_time_s": PAPER_BLOCK_TIME_SECS,
         "pow_mean_attempts_d1024": mean_attempts,
         "block_time_summary": summary.to_json(),
     });

@@ -11,7 +11,7 @@
 use smartcrowd_bench::{stats, table};
 use smartcrowd_chain::simminer::PAPER_HASH_POWERS;
 use smartcrowd_chain::Ether;
-use smartcrowd_core::economics::EconomicsParams;
+use smartcrowd_core::economics;
 use smartcrowd_sim::config::SimConfig;
 use smartcrowd_sim::run::simulate;
 use smartcrowd_sim::sweep::{sweep_seeds, SweepPoint};
@@ -78,7 +78,6 @@ fn fig4a() {
 
 fn fig4b() {
     println!("\nFig. 4(b) — punishments vs VP for insurances 500/1000/1500 ETH\n");
-    let econ = EconomicsParams::paper();
     let vps = [0.0, 0.02, 0.04, 0.06, 0.08, 0.10];
     let insurances = [500u64, 1000, 1500];
     // Punishment variance is dominated by the Bernoulli release gate;
@@ -126,7 +125,7 @@ fn fig4b() {
                 })
                 .collect();
             let measured = stats::Summary::of(&per_release).mean;
-            let analytic = econ.provider_punishment(Ether::from_ether(ins), vp);
+            let analytic = economics::provider_punishment(Ether::from_ether(ins), vp);
             rows.push(vec![
                 ins.to_string(),
                 table::f(vp, 2),

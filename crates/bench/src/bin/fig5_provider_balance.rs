@@ -15,14 +15,11 @@
 use smartcrowd_bench::table;
 use smartcrowd_chain::simminer::PAPER_HASH_POWERS;
 use smartcrowd_chain::Ether;
-use smartcrowd_core::economics::EconomicsParams;
+use smartcrowd_core::economics::{self, INSURANCE};
 use smartcrowd_sim::config::SimConfig;
 use smartcrowd_sim::run::simulate;
 
 fn main() {
-    let econ = EconomicsParams::paper();
-    let insurance = Ether::from_ether(1000);
-
     // ---- Fig. 5(a): VPB per provider and window ------------------------
     println!("Fig. 5(a) — VPB (balance-of-payments VP) per provider, insurance 1000 ETH\n");
     let windows = [(600.0, "10min"), (1200.0, "20min"), (1800.0, "30min")];
@@ -31,12 +28,12 @@ fn main() {
     for (i, &hp) in PAPER_HASH_POWERS.iter().enumerate() {
         let mut cells = vec![format!("provider-{i} ({:.2}% HP)", hp * 100.0)];
         for &(t, _) in &windows {
-            let vpb = econ.vpb(hp, t, insurance);
+            let vpb = economics::vpb(hp, t, INSURANCE);
             cells.push(table::f(vpb, 4));
             vpb_json.push(serde_json::json!({"hp": hp, "t_s": t, "vpb": vpb}));
         }
         // Measured cross-check at 10 min: VPB from the simulated income.
-        let measured = measured_vpb(i, 600.0, insurance);
+        let measured = measured_vpb(i, 600.0, INSURANCE);
         cells.push(table::f(measured, 4));
         rows.push(cells);
     }
@@ -53,7 +50,7 @@ fn main() {
             &rows,
         )
     );
-    let paper_point = econ.vpb(0.1490, 600.0, insurance);
+    let paper_point = economics::reference_vp();
     println!(
         "reference point: analytic VPB(14.90 %, 10 min) = {paper_point:.4} \
          (paper reads 0.038 off its measured runs; same few-percent regime, \
@@ -69,10 +66,10 @@ fn main() {
     let mut rows_b = Vec::new();
     let mut bal_json = Vec::new();
     for (i, &hp) in PAPER_HASH_POWERS.iter().enumerate() {
-        let vpb = econ.vpb(hp, 600.0, insurance);
-        let below = econ.provider_balance(hp, 600.0, insurance, (vpb - 0.01).max(0.0));
-        let at = econ.provider_balance(hp, 600.0, insurance, vpb);
-        let above = econ.provider_balance(hp, 600.0, insurance, vpb + 0.01);
+        let vpb = economics::vpb(hp, 600.0, INSURANCE);
+        let below = economics::provider_balance(hp, 600.0, INSURANCE, (vpb - 0.01).max(0.0));
+        let at = economics::provider_balance(hp, 600.0, INSURANCE, vpb);
+        let above = economics::provider_balance(hp, 600.0, INSURANCE, vpb + 0.01);
         rows_b.push(vec![
             format!("provider-{i} ({:.2}% HP)", hp * 100.0),
             table::f(below, 2),

@@ -17,7 +17,7 @@
 
 use smartcrowd_bench::{stats, table};
 use smartcrowd_chain::Ether;
-use smartcrowd_core::economics::EconomicsParams;
+use smartcrowd_core::economics;
 use smartcrowd_sim::config::SimConfig;
 use smartcrowd_sim::sweep::sweep_seeds;
 
@@ -29,8 +29,7 @@ fn trials() -> u64 {
 }
 
 fn main() {
-    let econ = EconomicsParams::paper();
-    let vpb = econ.vpb(0.1490, 600.0, Ether::from_ether(1000));
+    let vpb = economics::reference_vp();
     let vp_points = [(vpb - 0.01).max(0.005), vpb, vpb + 0.01];
     let labels = ["VPB-0.01", "VPB", "VPB+0.01"];
     let seeds: Vec<u64> = (0..trials()).collect();
@@ -51,7 +50,6 @@ fn main() {
         cfg.sra_period_secs = 150.0; // several releases → better statistics
                                      // VP scales how often releases ship vulnerable; μ stays at 25.
         cfg.vulnerability_proportion = (vp * 10.0).min(1.0); // densify events
-        cfg.vulns_per_release = 10;
         cfg.platform.provider_funding = Ether::from_ether(1_000_000);
         let points = sweep_seeds(&cfg, &seeds);
         // Fleet identities are seed-independent: detector k signs with the

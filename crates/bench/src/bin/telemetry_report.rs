@@ -15,46 +15,56 @@
 //! Run: `cargo run --release -p smartcrowd-bench --bin telemetry_report`
 
 use smartcrowd_bench::table;
+use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_chain::Ether;
+use smartcrowd_chain::{Block, ChainBackend, ChainStore, Ether};
+use smartcrowd_core::economics::{INCENTIVE_PER_VULN, INSURANCE, REPORT_FEE};
 use smartcrowd_core::platform::{Platform, PlatformConfig};
 use smartcrowd_core::report::{create_report_pair, Findings};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_detect::vulnerability::VulnId;
-use smartcrowd_net::Message;
-use smartcrowd_sim::distributed::DistributedSim;
+use smartcrowd_net::{LinkConfig, Message};
+use smartcrowd_sim::fleet::Fleet;
 use smartcrowd_telemetry::{HistogramSnapshot, MetricValue};
+use std::convert::Infallible;
 use std::process::ExitCode;
 
 /// A seeded run across every layer: a distributed race with a partition,
 /// then a full two-phase report lifecycle with an escrow payout.
 fn exercise(blocks: usize) {
-    let mut sim = DistributedSim::new(5, 7);
+    let memory = |_, genesis: &Block| {
+        Ok::<_, Infallible>(Box::new(ChainStore::new(genesis.clone())) as Box<dyn ChainBackend>)
+    };
+    let Ok(mut fleet) = Fleet::boot(5, 7, LinkConfig::default(), "dist-node", |_| true, memory);
     let library = smartcrowd_detect::VulnLibrary::synthetic(100, 7 ^ 0x11b);
     let mut rng = SimRng::seed_from_u64(40);
     let system = IoTSystem::build("fw", "1.0", &library, vec![VulnId(8)], &mut rng).unwrap();
-    let sra_id = sim
-        .release_from(0, system, Ether::from_ether(1000), Ether::from_ether(25))
+    let sra_id = fleet
+        .release(0, system, INSURANCE, INCENTIVE_PER_VULN)
         .expect("gossip quiesces");
     let detector = KeyPair::from_seed(b"telemetry-report-detector");
     let (initial, _) =
         create_report_pair(&detector, sra_id, Findings::new(vec![VulnId(8)], "found"));
-    sim.inject_record(
-        3,
-        Message::Record(smartcrowd_chain::record::Record::signed(
-            smartcrowd_chain::record::RecordKind::InitialReport,
-            initial.encode(),
-            Ether::from_milliether(11),
-            0,
-            &detector,
-        )),
-    )
-    .expect("gossip quiesces");
-    sim.mine_rounds(blocks / 2).expect("gossip quiesces");
-    sim.partition(&[4]);
-    sim.mine_rounds(blocks / 2).expect("gossip quiesces");
-    sim.heal().expect("gossip quiesces");
+    let record = Record::signed(
+        RecordKind::InitialReport,
+        initial.encode(),
+        REPORT_FEE,
+        0,
+        &detector,
+    );
+    fleet
+        .inject(3, Message::Record(record))
+        .expect("gossip quiesces");
+    for _ in 0..blocks / 2 {
+        fleet.mine_round(|_| true).expect("gossip quiesces");
+    }
+    fleet.partition(&[4]);
+    for _ in 0..blocks / 2 {
+        fleet.mine_round(|_| true).expect("gossip quiesces");
+    }
+    fleet.heal_partition();
+    fleet.anti_entropy(|_| true).expect("gossip quiesces");
 
     // The incentive payout is a contract execution: run the lifecycle on
     // the platform so the vm and core.lifecycle series are populated.
@@ -63,7 +73,7 @@ fn exercise(blocks: usize) {
     let system =
         IoTSystem::build("fw", "2.0", platform.library(), vec![VulnId(8)], &mut rng).unwrap();
     let sra_id = platform
-        .release_system(0, system, Ether::from_ether(1000), Ether::from_ether(25))
+        .release_system(0, system, INSURANCE, INCENTIVE_PER_VULN)
         .expect("release verifies");
     platform.fund(detector.address(), Ether::from_ether(10));
     let (initial, detailed) =

@@ -10,7 +10,7 @@ use smartcrowd_chain::simminer::SimMiner;
 /// The exact sample the fig3 binary aggregates: 2000 simulated block
 /// intervals at the paper setup and seed.
 fn fig3_intervals() -> Vec<f64> {
-    let mut sim = SimMiner::paper_setup(15.35, 2019);
+    let mut sim = SimMiner::paper_setup(2019);
     (0..2000).map(|_| sim.next_event().interval).collect()
 }
 

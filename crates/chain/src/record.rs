@@ -13,7 +13,7 @@ use smartcrowd_crypto::ecdsa::Signature;
 use smartcrowd_crypto::keccak::keccak256;
 use smartcrowd_crypto::keys::{recover_public_key, KeyPair};
 use smartcrowd_crypto::merkle::leaf_hash;
-use smartcrowd_crypto::{hex, Address, Digest};
+use smartcrowd_crypto::{Address, Digest};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -310,11 +310,6 @@ impl Record {
             id: OnceLock::new(),
             merkle_leaf: OnceLock::new(),
         })))
-    }
-
-    /// Short display id for logs.
-    pub fn short_id(&self) -> String {
-        format!("0x{}…", hex::encode(&self.id()[..6]))
     }
 }
 

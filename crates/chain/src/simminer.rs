@@ -1,7 +1,8 @@
 //! Simulated-clock mining: PoW statistics without the hashing.
 //!
 //! Real PoW block production is a memoryless race: block arrivals are
-//! exponentially distributed with the network's mean block time, and the
+//! exponentially distributed with the network's mean block time (the
+//! paper's measured [`PAPER_BLOCK_TIME_SECS`]), and the
 //! probability that provider `i` wins a given block equals its hash-power
 //! share `ζ_i` (§VI-B). [`SimMiner`] samples exactly that process on a
 //! simulated clock, which lets the 10/20/30-minute economics experiments of
@@ -14,6 +15,7 @@
 //! [`crate::block::Block::validate_structure`] passes without a hash
 //! search); the *timing* comes from the sampled race.
 
+use crate::difficulty::PAPER_BLOCK_TIME_SECS;
 use crate::rng::SimRng;
 use smartcrowd_crypto::Address;
 
@@ -52,7 +54,6 @@ pub struct MiningEvent {
 ///         SimParticipant { address: Address::from_label("a"), hash_power: 3.0 },
 ///         SimParticipant { address: Address::from_label("b"), hash_power: 1.0 },
 ///     ],
-///     15.35,
 ///     42,
 /// );
 /// let mut sim = sim;
@@ -63,22 +64,18 @@ pub struct MiningEvent {
 pub struct SimMiner {
     participants: Vec<SimParticipant>,
     cumulative: Vec<f64>,
-    mean_block_time: f64,
     rng: SimRng,
     clock: f64,
 }
 
 impl SimMiner {
-    /// Creates a race over `participants` with the given mean block time
-    /// (seconds) and RNG seed.
+    /// Creates a race over `participants` with the given RNG seed.
     ///
     /// # Panics
     ///
-    /// Panics if `participants` is empty, any hash power is non-positive,
-    /// or `mean_block_time` is non-positive.
-    pub fn new(participants: Vec<SimParticipant>, mean_block_time: f64, seed: u64) -> Self {
+    /// Panics if `participants` is empty or any hash power is non-positive.
+    pub fn new(participants: Vec<SimParticipant>, seed: u64) -> Self {
         assert!(!participants.is_empty(), "need at least one participant");
-        assert!(mean_block_time > 0.0, "mean block time must be positive");
         let total: f64 = participants.iter().map(|p| p.hash_power).sum();
         assert!(
             participants.iter().all(|p| p.hash_power > 0.0),
@@ -97,14 +94,13 @@ impl SimMiner {
         SimMiner {
             participants,
             cumulative,
-            mean_block_time,
             rng: SimRng::seed_from_u64(seed),
             clock: 0.0,
         }
     }
 
     /// Convenience constructor for the paper's 5-provider setup.
-    pub fn paper_setup(mean_block_time: f64, seed: u64) -> Self {
+    pub fn paper_setup(seed: u64) -> Self {
         let participants = PAPER_HASH_POWERS
             .iter()
             .enumerate()
@@ -113,7 +109,7 @@ impl SimMiner {
                 hash_power: hp,
             })
             .collect();
-        SimMiner::new(participants, mean_block_time, seed)
+        SimMiner::new(participants, seed)
     }
 
     /// The participants, in index order.
@@ -128,8 +124,8 @@ impl SimMiner {
 
     /// Samples the next block-production event and advances the clock.
     pub fn next_event(&mut self) -> MiningEvent {
-        // Exponential inter-arrival with the configured mean block time.
-        let interval = self.rng.next_exponential(self.mean_block_time);
+        // Exponential inter-arrival with the paper's mean block time.
+        let interval = self.rng.next_exponential(PAPER_BLOCK_TIME_SECS);
         self.clock += interval;
         // Hash-power-weighted winner.
         let winner = self.rng.pick_cumulative(&self.cumulative);
@@ -167,7 +163,7 @@ mod tests {
 
     #[test]
     fn winner_shares_converge_to_hash_power() {
-        let mut sim = SimMiner::paper_setup(15.35, 7);
+        let mut sim = SimMiner::paper_setup(7);
         let n = 20_000;
         let mut counts = [0usize; 5];
         for _ in 0..n {
@@ -185,16 +181,19 @@ mod tests {
 
     #[test]
     fn mean_interval_converges() {
-        let mut sim = SimMiner::paper_setup(15.35, 11);
+        let mut sim = SimMiner::paper_setup(11);
         let n = 20_000;
         let total: f64 = (0..n).map(|_| sim.next_event().interval).sum();
         let mean = total / n as f64;
-        assert!((mean - 15.35).abs() < 0.5, "mean interval {mean}");
+        assert!(
+            (mean - PAPER_BLOCK_TIME_SECS).abs() < 0.5,
+            "mean interval {mean}"
+        );
     }
 
     #[test]
     fn intervals_are_positive_and_clock_advances() {
-        let mut sim = SimMiner::paper_setup(10.0, 3);
+        let mut sim = SimMiner::paper_setup(3);
         let mut last_clock = 0.0;
         for _ in 0..100 {
             let e = sim.next_event();
@@ -206,8 +205,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let mut a = SimMiner::paper_setup(15.35, 99);
-        let mut b = SimMiner::paper_setup(15.35, 99);
+        let mut a = SimMiner::paper_setup(99);
+        let mut b = SimMiner::paper_setup(99);
         for _ in 0..50 {
             assert_eq!(a.next_event(), b.next_event());
         }
@@ -215,15 +214,15 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = SimMiner::paper_setup(15.35, 1);
-        let mut b = SimMiner::paper_setup(15.35, 2);
+        let mut a = SimMiner::paper_setup(1);
+        let mut b = SimMiner::paper_setup(2);
         let same = (0..20).filter(|_| a.next_event() == b.next_event()).count();
         assert!(same < 20);
     }
 
     #[test]
     fn slots_chain_and_validate() {
-        let mut sim = SimMiner::paper_setup(15.35, 5);
+        let mut sim = SimMiner::paper_setup(5);
         let genesis = Block::genesis(Difficulty::from_u64(1));
         let mut parent = genesis;
         for _ in 0..10 {
@@ -240,19 +239,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one participant")]
     fn empty_participants_panics() {
-        let _ = SimMiner::new(vec![], 15.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn nonpositive_block_time_panics() {
-        let _ = SimMiner::new(
-            vec![SimParticipant {
-                address: Address::ZERO,
-                hash_power: 1.0,
-            }],
-            0.0,
-            0,
-        );
+        let _ = SimMiner::new(vec![], 0);
     }
 }

@@ -586,11 +586,6 @@ impl DurableStore {
         self.snapshot_rejection.as_deref()
     }
 
-    /// Number of blocks currently framed in the log (forks included).
-    pub fn logged_blocks(&self) -> usize {
-        self.log.entries().len()
-    }
-
     /// Block bodies currently resident in memory (pinned + cached) —
     /// bounded by `cache_capacity` plus the unconfirmed tip region.
     pub fn resident_blocks(&self) -> usize {

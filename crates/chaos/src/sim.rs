@@ -42,12 +42,13 @@ use smartcrowd_chain::storage::{
     export_chain, frame, import_chain, CrashPoint, DurableStore, StoreConfig,
 };
 use smartcrowd_chain::{Block, ChainBackend, ChainQuery, ChainStore, Difficulty, Ether};
+use smartcrowd_core::economics::{BLOCK_CAPACITY, INCENTIVE_PER_VULN, INSURANCE, REPORT_FEE};
 use smartcrowd_core::report::{create_report_pair, Findings};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_detect::vulnerability::VulnId;
 use smartcrowd_net::Message;
-use smartcrowd_sim::fleet::{Fleet, BLOCK_CAPACITY};
+use smartcrowd_sim::fleet::Fleet;
 use smartcrowd_sim::SimError;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -593,8 +594,9 @@ impl ChaosSim {
         let library = self.fleet.library();
         let system = IoTSystem::build(name, "1", library, vulns.clone(), &mut build_rng)
             .expect("workload vulns exist in the library");
-        let (insurance, mu) = (Ether::from_ether(1000), Ether::from_ether(25));
-        let released = self.fleet.release(entry, system, insurance, mu);
+        let released = self
+            .fleet
+            .release(entry, system, INSURANCE, INCENTIVE_PER_VULN);
         let sra_id = released.map_err(|d| self.diverged(d))?;
         let detector = KeyPair::from_seed(format!("chaos-detector-{tag}").as_bytes());
         let (initial, detailed) =
@@ -604,8 +606,7 @@ impl ChaosSim {
             (RecordKind::DetailedReport, detailed.encode(), 1),
         ];
         for (kind, payload, nonce) in submissions {
-            let record =
-                Record::signed(kind, payload, Ether::from_milliether(11), nonce, &detector);
+            let record = Record::signed(kind, payload, REPORT_FEE, nonce, &detector);
             let injected = self.fleet.inject(entry, Message::Record(record));
             injected.map_err(|d| self.diverged(d))?;
         }

@@ -7,6 +7,7 @@
 //! smartcrowd-core attacks` re-validates every defence, and the ablation
 //! benches flip defences off to show the attacks landing.
 
+use crate::economics::{DETECTOR_FUNDING, INCENTIVE_PER_VULN, INSURANCE, REPORT_FEE};
 use crate::error::CoreError;
 use crate::platform::{Platform, PlatformConfig};
 use crate::report::{create_report_pair, Findings};
@@ -42,7 +43,7 @@ fn test_platform() -> (Platform, SraId) {
     )
     .unwrap();
     let id = p
-        .release_system(0, system, Ether::from_ether(1000), Ether::from_ether(25))
+        .release_system(0, system, INSURANCE, INCENTIVE_PER_VULN)
         .unwrap();
     (p, id)
 }
@@ -185,7 +186,7 @@ pub fn forged_reports_until_isolation() -> AttackOutcome {
     let mut p = Platform::new(PlatformConfig::paper());
     let mut rng = SimRng::seed_from_u64(41);
     let cheat = KeyPair::from_seed(b"forger");
-    p.fund(cheat.address(), Ether::from_ether(50));
+    p.fund(cheat.address(), DETECTOR_FUNDING);
     let mut rejections = 0;
     let mut isolated_at = None;
     for round in 0u64..6 {
@@ -198,7 +199,7 @@ pub fn forged_reports_until_isolation() -> AttackOutcome {
         )
         .unwrap();
         let sra_id = p
-            .release_system(0, system, Ether::from_ether(1000), Ether::from_ether(25))
+            .release_system(0, system, INSURANCE, INCENTIVE_PER_VULN)
             .unwrap();
         let findings = Findings::new(vec![VulnId(100 + round)], "fabricated");
         let (initial, detailed) = create_report_pair(&cheat, sra_id, findings);
@@ -248,7 +249,7 @@ pub fn repudiation() -> AttackOutcome {
     let payouts = p.mine_blocks(10);
     let paid = payouts
         .iter()
-        .any(|pay| pay.wallet == detector.address() && pay.amount == Ether::from_ether(25));
+        .any(|pay| pay.wallet == detector.address() && pay.amount == INCENTIVE_PER_VULN);
     AttackOutcome {
         attack: "repudiation",
         succeeded: !paid,
@@ -328,7 +329,7 @@ pub fn collusion() -> AttackOutcome {
     let record = Record::signed(
         RecordKind::DetailedReport,
         forged.encode(),
-        Ether::from_milliether(11),
+        REPORT_FEE,
         0,
         &colluding_detector,
     );

@@ -20,7 +20,7 @@
 //! | Two-phase reports `R†`/`R*` (Eq. 3–5, §V-B) | [`report`] |
 //! | Algorithm 1 + `AutoVerif` hook (§V-C) | [`verify`] |
 //! | Incentive equations (Eq. 7–10, §V-D) | [`incentive`] |
-//! | Theoretical model & VPB (Eq. 11–14, §VI-B, Fig. 5) | [`economics`] |
+//! | Theoretical model & VPB (Eq. 11–14, §VI-B, Fig. 5); the §VII parameter set | [`economics`] |
 //! | SmartCrowd contracts (the 350-line Solidity analogue, §VII) | [`contracts`] |
 //! | Provider / detector / consumer roles (§IV-A) | [`provider`], [`detector`], [`consumer`] |
 //! | Adversary model & defences (§III-A, §VI-A) | [`attacks`] |

@@ -16,9 +16,10 @@
 //! out-of-order blocks, artifact hosting and download, the `R*` records
 //! waiting for an artifact, the refused blocks, and the outbox. Convergence
 //! of honest nodes — tips, and with them escrow balances and payouts — is a
-//! *theorem of the message handlers*, tested in `sim::distributed` and
-//! under faults in `smartcrowd-chaos`.
+//! *theorem of the message handlers*, tested in `sim::fleet` and under
+//! faults in `smartcrowd-chaos`.
 
+use crate::economics::REPORT_FEE;
 use crate::error::CoreError;
 use crate::protocol::{Admitted, Protocol};
 use crate::settlement::Settlement;
@@ -193,7 +194,7 @@ impl ProviderNode {
         let record = Record::signed(
             RecordKind::Sra,
             sra.encode(),
-            Ether::from_milliether(11),
+            REPORT_FEE,
             self.nonce,
             &self.keypair,
         );

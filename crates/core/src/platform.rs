@@ -24,6 +24,9 @@
 //!    chain never forks).
 
 use crate::contracts::ReportRegistry;
+use crate::economics::{
+    BLOCK_CAPACITY, BLOCK_REWARD, DETECTOR_FUNDING, MIN_INSURANCE, PROVIDER_FUNDING, REPORT_FEE,
+};
 use crate::error::CoreError;
 use crate::protocol::Protocol;
 use crate::report::{DetailedReport, InitialReport};
@@ -42,49 +45,29 @@ use smartcrowd_telemetry::Counter;
 use smartcrowd_vm::VmError;
 use std::collections::{HashMap, HashSet};
 
-/// Platform configuration.
+/// Platform configuration: what a caller varies. Everything else is the
+/// paper's §VII parameter set, read from [`crate::economics`].
 #[derive(Debug, Clone)]
 pub struct PlatformConfig {
-    /// Hash-power share per provider (normalized internally).
-    pub provider_hash_powers: Vec<f64>,
-    /// Mean block time `ϑ` in seconds.
-    pub mean_block_time: f64,
-    /// Block reward `ν`.
-    pub block_reward: Ether,
-    /// Per-report transaction fee `ψ`.
-    pub report_fee: Ether,
-    /// Minimum admissible insurance.
-    pub min_insurance: Ether,
     /// Genesis funding per provider account.
     pub provider_funding: Ether,
-    /// Genesis funding per detector on first contact.
-    pub detector_funding: Ether,
-    /// Records pulled into each block (bounds ω).
-    pub block_capacity: usize,
-    /// Size of the synthetic vulnerability library.
-    pub library_size: usize,
     /// Master seed.
     pub seed: u64,
 }
 
 impl PlatformConfig {
     /// The paper's §VII configuration: 5 providers at the top-5 Ethereum
-    /// hash-power shares, 15.35 s blocks, 5-ether rewards.
+    /// hash-power shares, funded with [`PROVIDER_FUNDING`] each.
     pub fn paper() -> Self {
         PlatformConfig {
-            provider_hash_powers: PAPER_HASH_POWERS.to_vec(),
-            mean_block_time: 15.35,
-            block_reward: Ether::from_ether(5),
-            report_fee: Ether::from_milliether(11),
-            min_insurance: Ether::from_ether(100),
-            provider_funding: Ether::from_ether(5000),
-            detector_funding: Ether::from_ether(50),
-            block_capacity: 64,
-            library_size: 500,
+            provider_funding: PROVIDER_FUNDING,
             seed: 2019,
         }
     }
 }
+
+/// Vulnerabilities in the platform's synthetic library.
+const LIBRARY_SIZE: usize = 500;
 
 /// One registered provider.
 #[derive(Debug, Clone)]
@@ -100,7 +83,6 @@ pub struct ProviderHandle {
 /// The assembled SmartCrowd platform.
 #[derive(Debug)]
 pub struct Platform {
-    config: PlatformConfig,
     providers: Vec<ProviderHandle>,
     core: Protocol<ChainStore>,
     sim: SimMiner,
@@ -128,8 +110,7 @@ impl Platform {
     /// Boots the platform: genesis block, funded providers, deployed
     /// report registry, seeded mining race.
     pub fn new(config: PlatformConfig) -> Platform {
-        let providers: Vec<ProviderHandle> = config
-            .provider_hash_powers
+        let providers: Vec<ProviderHandle> = PAPER_HASH_POWERS
             .iter()
             .enumerate()
             .map(|(i, &hp)| {
@@ -148,9 +129,9 @@ impl Platform {
                 hash_power: p.hash_power,
             })
             .collect();
-        let sim = SimMiner::new(participants, config.mean_block_time, config.seed);
+        let sim = SimMiner::new(participants, config.seed);
         let store = ChainStore::new(Block::genesis(Difficulty::from_u64(1)));
-        let library = VulnLibrary::synthetic(config.library_size, config.seed ^ 0xdead);
+        let library = VulnLibrary::synthetic(LIBRARY_SIZE, config.seed ^ 0xdead);
         let funding: Vec<_> = providers
             .iter()
             .map(|p| (p.address, config.provider_funding))
@@ -173,7 +154,6 @@ impl Platform {
             funded: HashSet::new(),
             faucet: Ether::ZERO,
             minted: Ether::ZERO,
-            config,
         }
     }
 
@@ -290,7 +270,7 @@ impl Platform {
         signer: &KeyPair,
     ) -> Result<Digest, CoreError> {
         let nonce = self.store().best_height() * 1000 + self.core.mempool_len() as u64;
-        let record = Record::signed(kind, payload, self.config.report_fee, nonce, signer);
+        let record = Record::signed(kind, payload, REPORT_FEE, nonce, signer);
         let record_id = record.id();
         self.core.admit(record)?;
         self.submit_times.insert(record_id, self.sim.clock());
@@ -323,7 +303,7 @@ impl Platform {
             .get(provider_index)
             .ok_or(CoreError::NotFound)?
             .clone();
-        if insurance < self.config.min_insurance {
+        if insurance < MIN_INSURANCE {
             return Err(CoreError::InsuranceTooLow);
         }
         let link = format!("sim://{}/{}", system.name(), system.version());
@@ -408,7 +388,7 @@ impl Platform {
     ) -> Result<Digest, CoreError> {
         let record_id = self.admit_signed(kind, payload, signer)?;
         if self.funded.insert(detector) {
-            self.fund(detector, self.config.detector_funding);
+            self.fund(detector, DETECTOR_FUNDING);
         }
         submitted.inc();
         let block = self.block_ctx();
@@ -496,12 +476,12 @@ impl Platform {
         let parent_timestamp = self.store().best_block().header().timestamp;
         let (miner, timestamp) = self.sim.next_slot(parent_timestamp);
         let paid = self.payouts().len();
-        let block = self.core.seal(miner, timestamp, self.config.block_capacity);
+        let block = self.core.seal(miner, timestamp, BLOCK_CAPACITY);
         // Apply economics: mint the block reward, move record fees.
         let state = self.core.settlement_mut().machine().1;
-        state.credit(miner, self.config.block_reward);
-        self.minted += self.config.block_reward;
-        let mut earned = self.config.block_reward;
+        state.credit(miner, BLOCK_REWARD);
+        self.minted += BLOCK_REWARD;
+        let mut earned = BLOCK_REWARD;
         for record in block.records() {
             let fee = record.fee();
             if state.debit(record.sender(), fee).is_ok() {

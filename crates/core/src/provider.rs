@@ -4,10 +4,9 @@
 //! accountable party: their insurance is forfeited vulnerability by
 //! vulnerability. This module adds the release-policy layer on top of
 //! [`crate::platform`]: generating releases at a target vulnerability
-//! proportion (VP) and accounting a provider's running balance (Eq. 14).
+//! proportion (VP).
 
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_chain::Ether;
 use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_detect::vulnerability::VulnId;
@@ -20,22 +19,6 @@ pub struct ReleasePolicy {
     pub vulnerability_proportion: f64,
     /// Vulnerabilities planted when a release is vulnerable.
     pub vulns_when_vulnerable: usize,
-    /// Insurance per release.
-    pub insurance: Ether,
-    /// Preset per-vulnerability incentive `μ`.
-    pub incentive_per_vuln: Ether,
-}
-
-impl ReleasePolicy {
-    /// The paper's reference policy: 1000-ether insurance, μ = 25.
-    pub fn paper(vp: f64) -> Self {
-        ReleasePolicy {
-            vulnerability_proportion: vp.clamp(0.0, 1.0),
-            vulns_when_vulnerable: 10,
-            insurance: Ether::from_ether(1000),
-            incentive_per_vuln: Ether::from_ether(25),
-        }
-    }
 }
 
 /// Generates the next release under a policy: with probability VP the
@@ -60,34 +43,22 @@ pub fn generate_release(
     IoTSystem::build(name, &format!("{version}.0"), library, vulns, rng)
 }
 
-/// Running balance of one provider over an experiment (Eq. 14 realized):
-/// mining income minus insurance forfeitures minus gas.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ProviderLedger {
-    /// Block rewards + record fees earned.
-    pub income: f64,
-    /// Insurance forfeited to detectors.
-    pub forfeited: f64,
-    /// Gas spent on releases.
-    pub gas: f64,
-}
-
-impl ProviderLedger {
-    /// Net balance.
-    pub fn balance(&self) -> f64 {
-        self.income - self.forfeited - self.gas
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn policy(vp: f64) -> ReleasePolicy {
+        ReleasePolicy {
+            vulnerability_proportion: vp,
+            vulns_when_vulnerable: 10,
+        }
+    }
 
     #[test]
     fn vp_zero_always_clean() {
         let lib = VulnLibrary::synthetic(100, 1);
         let mut rng = SimRng::seed_from_u64(2);
-        let policy = ReleasePolicy::paper(0.0);
+        let policy = policy(0.0);
         for v in 0..20 {
             let sys = generate_release("fw", v, &policy, &lib, &mut rng).unwrap();
             assert!(sys.ground_truth().is_empty());
@@ -98,7 +69,7 @@ mod tests {
     fn vp_one_always_vulnerable() {
         let lib = VulnLibrary::synthetic(100, 1);
         let mut rng = SimRng::seed_from_u64(2);
-        let policy = ReleasePolicy::paper(1.0);
+        let policy = policy(1.0);
         for v in 0..20 {
             let sys = generate_release("fw", v, &policy, &lib, &mut rng).unwrap();
             assert_eq!(sys.ground_truth().len(), 10);
@@ -109,7 +80,7 @@ mod tests {
     fn vp_fraction_converges() {
         let lib = VulnLibrary::synthetic(100, 1);
         let mut rng = SimRng::seed_from_u64(3);
-        let policy = ReleasePolicy::paper(0.3);
+        let policy = policy(0.3);
         let trials = 2000;
         let vulnerable = (0..trials)
             .filter(|v| {
@@ -124,19 +95,15 @@ mod tests {
     }
 
     #[test]
-    fn ledger_balance() {
-        let ledger = ProviderLedger {
-            income: 100.0,
-            forfeited: 30.0,
-            gas: 0.5,
-        };
-        assert!((ledger.balance() - 69.5).abs() < 1e-12);
-        assert_eq!(ProviderLedger::default().balance(), 0.0);
-    }
-
-    #[test]
     fn policy_clamps_vp() {
-        assert_eq!(ReleasePolicy::paper(2.0).vulnerability_proportion, 1.0);
-        assert_eq!(ReleasePolicy::paper(-1.0).vulnerability_proportion, 0.0);
+        // An out-of-range VP acts as its clamp to [0, 1].
+        let lib = VulnLibrary::synthetic(100, 1);
+        let mut rng = SimRng::seed_from_u64(4);
+        for v in 0..20 {
+            let always = generate_release("fw", v, &policy(2.0), &lib, &mut rng).unwrap();
+            assert!(!always.ground_truth().is_empty());
+            let never = generate_release("fw", v, &policy(-1.0), &lib, &mut rng).unwrap();
+            assert!(never.ground_truth().is_empty());
+        }
     }
 }

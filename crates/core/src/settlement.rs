@@ -191,23 +191,20 @@ impl Settlement {
         }
     }
 
-    /// Pays a confirmed `R*` `μ` for each vulnerability nobody claimed
-    /// before it (§VI-B: "only the detection result that has not been
-    /// submitted before can be recorded"). `false`: its escrow is not open.
+    /// Pays a confirmed `R*` `μ` for each distinct vulnerability nobody
+    /// claimed before it (§VI-B: "only the detection result that has not
+    /// been submitted before can be recorded"); a vulnerability claimed
+    /// twice in one report is one `n_i` of Eq. 7. `false`: its escrow is
+    /// not open.
     fn pay(&mut self, report: &DetailedReport, block: (u64, u64)) -> bool {
         let Some(entry) = self.escrows.get_mut(report.sra_id()) else {
             return false;
         };
         let claimed = report.findings().vulnerabilities.iter();
-        let novel: Vec<VulnId> = claimed
-            .filter(|v| !entry.paid_vulns.contains(v))
-            .copied()
-            .collect();
-        if novel.is_empty() {
+        let n = claimed.filter(|v| entry.paid_vulns.insert(**v)).count() as u64;
+        if n == 0 {
             return true;
         }
-        entry.paid_vulns.extend(&novel);
-        let n = novel.len() as u64;
         let wallet = report.wallet();
         let paid = entry
             .escrow
@@ -384,6 +381,23 @@ mod tests {
         assert_eq!(settlement.payouts().len(), 1);
         assert_eq!(balance(&settlement, &sra_id), Ether::from_ether(975));
         assert_eq!(settlement.folded(), settlement.cursor().0);
+    }
+
+    #[test]
+    fn report_claiming_one_vulnerability_twice_is_paid_once() {
+        let provider = KeyPair::from_seed(b"provider");
+        let detector = KeyPair::from_seed(b"detector");
+        let (sra_id, sra) = sra_record(&provider, 1000);
+        let report = detailed_record(&detector, sra_id, vec![3, 3]);
+        let mut store = ChainStore::new(Block::genesis(Difficulty::from_u64(1)));
+        let mut settlement = funded(&store, &provider);
+        confirm(&mut store, vec![vec![sra, report]]);
+        settlement.advance(&store);
+        let payouts = settlement.payouts();
+        assert_eq!(payouts.len(), 1);
+        assert_eq!(payouts[0].vulnerabilities, 1);
+        assert_eq!(payouts[0].amount, Ether::from_ether(25));
+        assert_eq!(balance(&settlement, &sra_id), Ether::from_ether(975));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use smartcrowd_chain::Ether;
-use smartcrowd_core::economics::EconomicsParams;
+use smartcrowd_core::economics;
 use smartcrowd_core::incentive::{detector_cost, detector_incentive, Proportion};
 use smartcrowd_core::report::{create_report_pair, DetailedReport, Findings, InitialReport};
 use smartcrowd_core::sra::Sra;
@@ -100,12 +100,11 @@ proptest! {
         z2 in 0.01f64..0.5,
         t in 60.0f64..3600.0,
     ) {
-        let econ = EconomicsParams::paper();
-        let insurance = Ether::from_ether(1000);
+        let insurance = economics::INSURANCE;
         let (lo, hi) = if z1 <= z2 { (z1, z2) } else { (z2, z1) };
-        prop_assert!(econ.vpb(lo, t, insurance) <= econ.vpb(hi, t, insurance) + 1e-12);
+        prop_assert!(economics::vpb(lo, t, insurance) <= economics::vpb(hi, t, insurance) + 1e-12);
         prop_assert!(
-            econ.vpb(lo, t, insurance) <= econ.vpb(lo, t * 2.0, insurance) + 1e-12
+            economics::vpb(lo, t, insurance) <= economics::vpb(lo, t * 2.0, insurance) + 1e-12
         );
     }
 
@@ -117,12 +116,11 @@ proptest! {
     ) {
         // d(balance)/d(VP) = −I everywhere: the Fig. 5(b) ±10-ether law
         // generalizes to any insurance.
-        let econ = EconomicsParams::paper();
         let insurance = Ether::from_ether(insurance_eth);
-        let vpb = econ.vpb(z, 600.0, insurance);
+        let vpb = economics::vpb(z, 600.0, insurance);
         prop_assume!(vpb > delta && vpb + delta < 1.0);
-        let below = econ.provider_balance(z, 600.0, insurance, vpb - delta);
-        let above = econ.provider_balance(z, 600.0, insurance, vpb + delta);
+        let below = economics::provider_balance(z, 600.0, insurance, vpb - delta);
+        let above = economics::provider_balance(z, 600.0, insurance, vpb + delta);
         let expected = insurance_eth as f64 * delta;
         prop_assert!((below - expected).abs() < 1e-6);
         prop_assert!((above + expected).abs() < 1e-6);

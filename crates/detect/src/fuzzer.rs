@@ -126,12 +126,6 @@ impl Fuzzer {
         }
         report
     }
-
-    /// Expected executions to find a specific vulnerability (analysis
-    /// helper; geometric mean = difficulty).
-    pub fn expected_cost(library: &VulnLibrary, id: VulnId) -> u64 {
-        trigger_difficulty(library, id)
-    }
 }
 
 #[cfg(test)]

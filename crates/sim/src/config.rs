@@ -1,12 +1,13 @@
 //! Simulation configuration.
 
 use smartcrowd_chain::Ether;
+use smartcrowd_core::economics::{INCENTIVE_PER_VULN, INSURANCE, VULNS_PER_RELEASE};
 use smartcrowd_core::platform::PlatformConfig;
 
 /// Full configuration of one simulated run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// The platform (providers, block time, rewards, fees).
+    /// The platform (provider funding, seed).
     pub platform: PlatformConfig,
     /// Simulated wall-clock duration in seconds.
     pub duration_secs: f64,
@@ -15,9 +16,6 @@ pub struct SimConfig {
     /// Which provider index releases systems (the paper picks the 14.90 %
     /// provider for the detector experiment).
     pub releasing_provider: usize,
-    /// When set, releases rotate round-robin across all providers instead
-    /// of always coming from `releasing_provider`.
-    pub rotate_providers: bool,
     /// Probability a release is vulnerable (VP).
     pub vulnerability_proportion: f64,
     /// Vulnerabilities planted when vulnerable.
@@ -29,8 +27,6 @@ pub struct SimConfig {
     /// Number of detectors (capabilities scale 1..=n like the paper's
     /// thread counts).
     pub detectors: usize,
-    /// Capability of the strongest detector.
-    pub base_capability: f64,
     /// RNG seed for the run (releases, scans).
     pub seed: u64,
 }
@@ -45,13 +41,11 @@ impl SimConfig {
             duration_secs: 600.0,
             sra_period_secs: 600.0,
             releasing_provider: 2, // the 14.90 % node
-            rotate_providers: false,
             vulnerability_proportion: 0.038,
-            vulns_per_release: 10,
-            insurance: Ether::from_ether(1000),
-            incentive_per_vuln: Ether::from_ether(25),
+            vulns_per_release: VULNS_PER_RELEASE as usize,
+            insurance: INSURANCE,
+            incentive_per_vuln: INCENTIVE_PER_VULN,
             detectors: 8,
-            base_capability: 0.9,
             seed: 2019,
         }
     }

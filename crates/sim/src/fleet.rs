@@ -1,20 +1,31 @@
-//! The fleet driver shared by the distributed simulators: N
-//! [`ProviderNode`] slots (running, or vacated by a crash) over one seeded
-//! [`GossipNet`] and one hash-power-weighted mining race. It owns the
-//! mechanics every multi-node harness needs — boot (and reboot) with the
-//! shared genesis allocation, the warm-then-deliver message pump, an
-//! honest mining round, anti-entropy — so
-//! [`crate::distributed::DistributedSim`] adds only its scenario API and
-//! the chaos harness only its faults.
+//! Multi-node distributed simulation.
+//!
+//! Where [`crate::run`] drives the single-view [`Platform`] for economics,
+//! a [`Fleet`] runs **N independent [`ProviderNode`]s over the gossip
+//! network** — each with its own chain store, mempool, verification state
+//! and settlement — and demonstrates the paper's Phase #3 property end to
+//! end: "SmartCrowd is fault-tolerant for verifying and storing detection
+//! results that is determined by the majority of IoT providers."
+//!
+//! The fleet is N node slots (running, or vacated by a crash) over one
+//! seeded [`GossipNet`] and one hash-power-weighted mining race. It owns
+//! the mechanics every multi-node harness needs — boot (and reboot) with
+//! the shared genesis allocation, the warm-then-deliver message pump, an
+//! honest mining round, anti-entropy. Fault-free scenarios (the
+//! `distributed_consensus` example, the protocol goldens) call it
+//! directly; the chaos harness adds only its faults.
 //!
 //! Messages a node's *handlers* emit pass the fleet's relay filter before
 //! reaching the wire (the chaos harness plants its reconciliation bug
 //! there); a miner's own block and injected workload records never do.
+//!
+//! [`Platform`]: smartcrowd_core::platform::Platform
 
 use crate::error::SimError;
 use smartcrowd_chain::record::Record;
 use smartcrowd_chain::simminer::{SimMiner, SimParticipant, PAPER_HASH_POWERS};
 use smartcrowd_chain::{sigcache, Block, ChainBackend, Difficulty, Ether};
+use smartcrowd_core::economics::{BLOCK_CAPACITY, PROVIDER_FUNDING};
 use smartcrowd_core::node::{Outbox, ProviderNode};
 use smartcrowd_core::sra::SraId;
 use smartcrowd_crypto::keys::KeyPair;
@@ -22,12 +33,6 @@ use smartcrowd_crypto::Address;
 use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_net::{GossipNet, LinkConfig, Message, NodeId};
-
-/// Per-block record capacity.
-pub const BLOCK_CAPACITY: usize = 64;
-
-/// Genesis balance of every node's provider account (paper §VII).
-const PROVIDER_FUNDING: Ether = Ether::from_ether(5000);
 
 /// Safety bound on message-pump iterations per pump call.
 const PUMP_LIMIT: usize = 10_000;
@@ -89,7 +94,7 @@ impl Fleet {
             keypairs,
             allocation,
             net,
-            race: SimMiner::new(participants, 15.35, seed ^ 0xace),
+            race: SimMiner::new(participants, seed ^ 0xace),
             genesis,
             library,
             relay,
@@ -307,19 +312,70 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartcrowd_chain::record::RecordKind;
+    use smartcrowd_chain::rng::SimRng;
     use smartcrowd_chain::storage::{export_chain, import_chain};
     use smartcrowd_chain::ChainStore;
+    use smartcrowd_core::economics::{INCENTIVE_PER_VULN, INSURANCE, REPORT_FEE};
+    use smartcrowd_core::report::{create_report_pair, Findings};
+    use smartcrowd_detect::vulnerability::VulnId;
+    use std::collections::BTreeSet;
     use std::convert::Infallible;
+
+    fn memory(_: usize, genesis: &Block) -> Result<Box<dyn ChainBackend>, Infallible> {
+        Ok(Box::new(ChainStore::new(genesis.clone())))
+    }
+
+    /// `n` in-memory nodes over `link` that relay everything.
+    fn fleet_with_link(n: usize, seed: u64, link: LinkConfig) -> Fleet {
+        let Ok(fleet) = Fleet::boot(n, seed, link, "dist-node", |_| true, memory);
+        fleet
+    }
+
+    fn fleet(n: usize, seed: u64) -> Fleet {
+        fleet_with_link(n, seed, LinkConfig::default())
+    }
+
+    fn mine_rounds(fleet: &mut Fleet, k: usize) {
+        for _ in 0..k {
+            fleet.mine_round(|_| true).unwrap();
+        }
+    }
+
+    /// Reconnects the network and lets every node rebroadcast its chain.
+    fn heal(fleet: &mut Fleet) {
+        fleet.heal_partition();
+        fleet.anti_entropy(|_| true).unwrap();
+    }
+
+    fn tips(fleet: &Fleet) -> BTreeSet<String> {
+        let tips = fleet.running().map(|(_, n)| n.store().best_tip());
+        tips.map(|tip| tip.to_string()).collect()
+    }
+
+    /// Submits `detector`'s `R†` and `R*` on `findings` through node `idx`.
+    fn report(
+        fleet: &mut Fleet,
+        idx: usize,
+        sra_id: SraId,
+        detector: &KeyPair,
+        findings: Findings,
+    ) {
+        let (initial, detailed) = create_report_pair(detector, sra_id, findings);
+        let records = [
+            (RecordKind::InitialReport, initial.encode(), 0),
+            (RecordKind::DetailedReport, detailed.encode(), 1),
+        ];
+        for (kind, payload, nonce) in records {
+            let record = Record::signed(kind, payload, REPORT_FEE, nonce, detector);
+            fleet.inject(idx, Message::Record(record)).unwrap();
+        }
+    }
 
     #[test]
     fn restarted_node_folds_its_confirmed_prefix_once() {
-        let memory = |_, genesis: &Block| -> Result<Box<dyn ChainBackend>, Infallible> {
-            Ok(Box::new(ChainStore::new(genesis.clone())))
-        };
         let Ok(mut fleet) = Fleet::boot(3, 7, LinkConfig::default(), "fleet", |_| true, memory);
-        for _ in 0..10 {
-            fleet.mine_round(|_| true).unwrap();
-        }
+        mine_rounds(&mut fleet, 10);
         let crashed = fleet.slot(1).take().unwrap();
         let recovered = import_chain(&export_chain(crashed.store())).unwrap();
         fleet.restart(1, Box::new(recovered));
@@ -330,5 +386,109 @@ mod tests {
             settlement.genesis_supply(),
             crashed.settlement().genesis_supply()
         );
+    }
+
+    #[test]
+    fn five_nodes_converge_over_gossip() {
+        let mut fleet = fleet(5, 1);
+        mine_rounds(&mut fleet, 12);
+        assert!(fleet.converged(|_| true), "tips: {:?}", tips(&fleet));
+        assert_eq!(fleet.node(0).unwrap().store().best_height(), 12);
+    }
+
+    #[test]
+    fn release_and_report_replicate_to_every_store() {
+        let mut fleet = fleet(4, 2);
+        let mut rng = SimRng::seed_from_u64(9);
+        let system = IoTSystem::build("fw", "1", fleet.library(), vec![VulnId(3)], &mut rng);
+        let sra_id = fleet
+            .release(0, system.unwrap(), INSURANCE, INCENTIVE_PER_VULN)
+            .unwrap();
+        // A detector submits through node 2.
+        let detector = KeyPair::from_seed(b"dist-detector");
+        report(
+            &mut fleet,
+            2,
+            sra_id,
+            &detector,
+            Findings::new(vec![VulnId(3)], "x"),
+        );
+        mine_rounds(&mut fleet, 3);
+        assert!(fleet.converged(|_| true));
+        // Every node's canonical chain holds the SRA and both reports.
+        for (i, node) in fleet.running() {
+            let count = |kind| node.store().records_of_kind(kind).len();
+            let sras = count(RecordKind::Sra);
+            let initials = count(RecordKind::InitialReport);
+            let detaileds = count(RecordKind::DetailedReport);
+            assert_eq!((sras, initials, detaileds), (1, 1, 1), "node {i}");
+        }
+    }
+
+    #[test]
+    fn partition_diverges_then_heals_to_majority_chain() {
+        let mut fleet = fleet(5, 3);
+        mine_rounds(&mut fleet, 3);
+        assert!(fleet.converged(|_| true));
+        // Cut node 4 off; mine while it is isolated.
+        fleet.partition(&[4]);
+        mine_rounds(&mut fleet, 8);
+        // With hash power flowing to whoever wins, the partitions very
+        // likely diverged (node 4 only advanced when it won rounds).
+        heal(&mut fleet);
+        assert!(fleet.converged(|_| true), "after heal: {:?}", tips(&fleet));
+        // The common chain is the longest one that was mined.
+        let height = fleet.node(0).unwrap().store().best_height();
+        assert!(height >= 8, "majority progress retained: {height}");
+    }
+
+    #[test]
+    fn lossy_network_converges_with_block_requests_and_anti_entropy() {
+        // 15% message loss: dropped blocks leave gaps that the sync
+        // buffer's BlockRequest path and the heal's anti-entropy repair.
+        let link = LinkConfig {
+            base_latency: 0.05,
+            jitter: 0.05,
+            drop_rate: 0.15,
+            ..LinkConfig::default()
+        };
+        let mut fleet = fleet_with_link(4, 11, link);
+        mine_rounds(&mut fleet, 20);
+        // Convergence is not guaranteed round-by-round under loss; one
+        // anti-entropy pass must repair any residual divergence.
+        heal(&mut fleet);
+        let tips = tips(&fleet);
+        assert!(
+            fleet.converged(|_| true),
+            "tips after anti-entropy: {tips:?}"
+        );
+        let height = fleet.node(0).unwrap().store().best_height();
+        assert!(
+            height >= 15,
+            "most rounds survive 15% loss: height {height}"
+        );
+    }
+
+    #[test]
+    fn forged_record_never_reaches_any_canonical_chain() {
+        let mut fleet = fleet(3, 4);
+        let mut rng = SimRng::seed_from_u64(10);
+        let system = IoTSystem::build("fw", "1", fleet.library(), vec![VulnId(5)], &mut rng);
+        let sra_id = fleet
+            .release(1, system.unwrap(), INSURANCE, INCENTIVE_PER_VULN)
+            .unwrap();
+        let cheat = KeyPair::from_seed(b"dist-cheat");
+        let forged = Findings::new(vec![VulnId(150)], "fabricated");
+        report(&mut fleet, 0, sra_id, &cheat, forged);
+        mine_rounds(&mut fleet, 4);
+        for (_, node) in fleet.running() {
+            assert_eq!(
+                node.store()
+                    .records_of_kind(RecordKind::DetailedReport)
+                    .len(),
+                0,
+                "no forged detailed report on any chain"
+            );
+        }
     }
 }

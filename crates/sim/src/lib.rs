@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod distributed;
 pub mod error;
 pub mod fleet;
 pub mod ledger;

@@ -11,11 +11,15 @@ use crate::ledger::{IncomeSample, RunLedger};
 use smartcrowd_chain::rng::SimRng;
 use smartcrowd_chain::Ether;
 use smartcrowd_core::detector::DetectorFleet;
+use smartcrowd_core::economics::DETECTOR_FUNDING;
 use smartcrowd_core::platform::Platform;
 use smartcrowd_core::provider::{generate_release, ReleasePolicy};
 use smartcrowd_core::report::DetailedReport;
 use smartcrowd_core::sra::SraId;
 use smartcrowd_crypto::{Address, Digest};
+
+/// Capability of the strongest detector of a run's fleet.
+const BASE_CAPABILITY: f64 = 0.9;
 
 struct PendingReveal {
     detector_index: usize,
@@ -39,19 +43,17 @@ pub fn simulate_full(config: &SimConfig) -> (RunLedger, Platform) {
     let fleet = DetectorFleet::graded(
         platform.library(),
         config.detectors as u32,
-        config.base_capability,
+        BASE_CAPABILITY,
         config.seed ^ 0xf1ee7,
     );
     let library = platform.library().clone();
     for d in fleet.detectors() {
-        platform.fund(d.address(), Ether::from_ether(50));
+        platform.fund(d.address(), DETECTOR_FUNDING);
     }
     let mut rng = SimRng::seed_from_u64(config.seed);
     let policy = ReleasePolicy {
         vulnerability_proportion: config.vulnerability_proportion,
         vulns_when_vulnerable: config.vulns_per_release,
-        insurance: config.insurance,
-        incentive_per_vuln: config.incentive_per_vuln,
     };
 
     let mut ledger = RunLedger::default();
@@ -75,13 +77,8 @@ pub fn simulate_full(config: &SimConfig) -> (RunLedger, Platform) {
             let system = generate_release("iot-fw", version, &policy, &library, &mut rng)
                 .expect("library supports the policy");
             let vulnerable = !system.ground_truth().is_empty();
-            let releasing = if config.rotate_providers {
-                (version as usize - 1) % provider_addrs.len()
-            } else {
-                config.releasing_provider
-            };
             if let Ok(sra_id) = platform.release_system(
-                releasing,
+                config.releasing_provider,
                 system,
                 config.insurance,
                 config.incentive_per_vuln,
@@ -90,7 +87,7 @@ pub fn simulate_full(config: &SimConfig) -> (RunLedger, Platform) {
                 if vulnerable {
                     ledger.vulnerable_releases += 1;
                 }
-                let provider_addr = provider_addrs[releasing];
+                let provider_addr = provider_addrs[config.releasing_provider];
                 releases.push((sra_id, provider_addr));
                 open_windows.push((sra_id, platform.store().best_height()));
                 // --- Phase #2a: distributed detection + initial reports ----
@@ -325,30 +322,11 @@ mod rotation_tests {
     use super::*;
 
     #[test]
-    fn rotation_spreads_releases_across_providers() {
-        let mut c = SimConfig::paper();
-        c.duration_secs = 1200.0;
-        c.sra_period_secs = 100.0;
-        c.vulnerability_proportion = 1.0;
-        c.vulns_per_release = 2;
-        c.rotate_providers = true;
-        c.platform.provider_funding = smartcrowd_chain::Ether::from_ether(100_000);
-        let ledger = simulate(&c);
-        // With rotation, forfeits/gas land on more than one provider.
-        assert!(
-            ledger.provider_release_gas.len() >= 3,
-            "rotation should spread releases: {:?}",
-            ledger.provider_release_gas.keys().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn without_rotation_single_provider_releases() {
         let mut c = SimConfig::paper();
         c.duration_secs = 600.0;
         c.sra_period_secs = 100.0;
         c.vulnerability_proportion = 0.0;
-        c.rotate_providers = false;
         let ledger = simulate(&c);
         assert_eq!(ledger.provider_release_gas.len(), 1);
     }

@@ -49,8 +49,6 @@ pub struct CallContext {
     pub gas_price_wei: u128,
     /// Gas limit for this call.
     pub gas_limit: u64,
-    /// Where gas fees accrue (the recording miner, per Eq. 8).
-    pub fee_collector: Address,
 }
 
 impl CallContext {
@@ -64,7 +62,6 @@ impl CallContext {
             block_number: 0,
             gas_price_wei: gas::DEFAULT_GAS_PRICE_WEI,
             gas_limit: gas::DEFAULT_GAS_LIMIT,
-            fee_collector: Address::ZERO,
         }
     }
 
@@ -87,13 +84,6 @@ impl CallContext {
     #[must_use]
     pub fn with_gas_limit(mut self, limit: u64) -> Self {
         self.gas_limit = limit;
-        self
-    }
-
-    /// Sets the fee collector (the block's miner).
-    #[must_use]
-    pub fn with_fee_collector(mut self, collector: Address) -> Self {
-        self.fee_collector = collector;
         self
     }
 }
@@ -244,7 +234,7 @@ impl Vm {
             state.transfer(ctx.caller, addr, ctx.value)?;
         }
         state.debit(ctx.caller, fee)?;
-        state.credit(ctx.fee_collector, fee);
+        state.credit(Address::ZERO, fee);
         smartcrowd_telemetry::counter!("vm.deploy.calls").inc();
         Ok((addr, Receipt::success(gas_used, fee)))
     }
@@ -252,7 +242,8 @@ impl Vm {
     /// Invokes the contract at `ctx.contract` with `calldata`.
     ///
     /// State changes revert on fault or `REVERT`, but the gas fee is always
-    /// charged (EVM semantics).
+    /// charged (EVM semantics). Gas fees, here and at deploy, accrue to
+    /// [`Address::ZERO`].
     ///
     /// # Errors
     ///
@@ -415,7 +406,7 @@ impl Vm {
         }
         // Fee is charged regardless of outcome.
         state.debit(ctx.caller, fee)?;
-        state.credit(ctx.fee_collector, fee);
+        state.credit(Address::ZERO, fee);
         record_call_telemetry(&m, &receipt);
         Ok(receipt)
     }
@@ -1100,16 +1091,11 @@ mod tests {
     #[test]
     fn fees_accrue_to_collector() {
         let (mut state, owner, contract) = setup("STOP\n");
-        let collector = Address::from_label("miner-x");
         let vm = Vm::default();
         let r = vm
-            .call(
-                &mut state,
-                CallContext::new(owner, contract).with_fee_collector(collector),
-                &[],
-            )
+            .call(&mut state, CallContext::new(owner, contract), &[])
             .unwrap();
-        assert_eq!(state.balance(&collector), r.fee);
+        assert_eq!(state.balance(&Address::ZERO), r.fee);
         assert!(r.fee > Ether::ZERO);
     }
 

@@ -7,19 +7,40 @@
 
 use smartcrowd::chain::record::{Record, RecordKind};
 use smartcrowd::chain::rng::SimRng;
-use smartcrowd::chain::Ether;
+use smartcrowd::chain::{Block, ChainBackend, ChainStore, Ether};
+use smartcrowd::core::economics::{INCENTIVE_PER_VULN, INSURANCE, REPORT_FEE};
 use smartcrowd::core::platform::{Platform, PlatformConfig};
 use smartcrowd::core::report::{create_report_pair, Findings};
 use smartcrowd::crypto::keys::KeyPair;
 use smartcrowd::detect::system::IoTSystem;
 use smartcrowd::detect::vulnerability::VulnId;
 use smartcrowd::detect::VulnLibrary;
-use smartcrowd::net::Message;
-use smartcrowd::sim::distributed::DistributedSim;
+use smartcrowd::net::{LinkConfig, Message};
+use smartcrowd::sim::fleet::Fleet;
+use std::collections::BTreeSet;
+use std::convert::Infallible;
+
+fn mine_rounds(fleet: &mut Fleet, k: usize) {
+    for _ in 0..k {
+        fleet.mine_round(|_| true).expect("gossip quiesces");
+    }
+}
+
+fn height(fleet: &Fleet) -> u64 {
+    fleet.node(0).expect("node 0 runs").store().best_height()
+}
+
+fn distinct_tips(fleet: &Fleet) -> usize {
+    let tips = fleet.running().map(|(_, node)| node.store().best_tip());
+    tips.collect::<BTreeSet<_>>().len()
+}
 
 fn main() {
     println!("== distributed consensus: 5 independent provider nodes ==\n");
-    let mut sim = DistributedSim::new(5, 7);
+    let memory = |_, genesis: &Block| {
+        Ok::<_, Infallible>(Box::new(ChainStore::new(genesis.clone())) as Box<dyn ChainBackend>)
+    };
+    let Ok(mut fleet) = Fleet::boot(5, 7, LinkConfig::default(), "dist-node", |_| true, memory);
     println!("nodes booted from a shared genesis; mining race begins\n");
 
     // A release enters through node 0 and replicates everywhere.
@@ -27,8 +48,8 @@ fn main() {
     let mut rng = SimRng::seed_from_u64(40);
     let system =
         IoTSystem::build("gateway-fw", "5.1", &library, vec![VulnId(8)], &mut rng).unwrap();
-    let sra_id = sim
-        .release_from(0, system, Ether::from_ether(1000), Ether::from_ether(25))
+    let sra_id = fleet
+        .release(0, system, INSURANCE, INCENTIVE_PER_VULN)
         .expect("gossip quiesces");
     println!("node 0 released gateway-fw v5.1; SRA + image gossiped to all peers");
 
@@ -36,37 +57,25 @@ fn main() {
     let detector = KeyPair::from_seed(b"dist-demo-detector");
     let (initial, detailed) =
         create_report_pair(&detector, sra_id, Findings::new(vec![VulnId(8)], "found"));
-    sim.inject_record(
-        3,
-        Message::Record(Record::signed(
-            RecordKind::InitialReport,
-            initial.encode(),
-            Ether::from_milliether(11),
-            0,
-            &detector,
-        )),
-    )
-    .expect("gossip quiesces");
-    sim.inject_record(
-        3,
-        Message::Record(Record::signed(
-            RecordKind::DetailedReport,
-            detailed.encode(),
-            Ether::from_milliether(11),
-            1,
-            &detector,
-        )),
-    )
-    .expect("gossip quiesces");
+    let reports = [
+        (RecordKind::InitialReport, initial.encode(), 0),
+        (RecordKind::DetailedReport, detailed.encode(), 1),
+    ];
+    for (kind, payload, nonce) in reports {
+        let record = Record::signed(kind, payload, REPORT_FEE, nonce, &detector);
+        fleet
+            .inject(3, Message::Record(record))
+            .expect("gossip quiesces");
+    }
     println!("detector submitted R† and R* through node 3 (AutoVerif ran on every node)\n");
 
-    sim.mine_rounds(5).expect("gossip quiesces");
+    mine_rounds(&mut fleet, 5);
     println!(
         "after 5 mined rounds: converged = {}, height = {}",
-        sim.converged(),
-        sim.nodes()[0].store().best_height()
+        fleet.converged(|_| true),
+        height(&fleet)
     );
-    for (i, node) in sim.nodes().iter().enumerate() {
+    for (i, node) in fleet.running() {
         let detaileds = node
             .store()
             .records_of_kind(RecordKind::DetailedReport)
@@ -79,19 +88,20 @@ fn main() {
 
     // Partition node 4 and keep mining.
     println!("\n-- partitioning node 4; mining 6 more rounds --");
-    sim.partition(&[4]);
-    sim.mine_rounds(6).expect("gossip quiesces");
-    println!("distinct tips during partition: {}", sim.tips().len());
+    fleet.partition(&[4]);
+    mine_rounds(&mut fleet, 6);
+    println!("distinct tips during partition: {}", distinct_tips(&fleet));
 
     println!("-- healing the partition --");
-    sim.heal().expect("gossip quiesces");
+    fleet.heal_partition();
+    fleet.anti_entropy(|_| true).expect("gossip quiesces");
     println!(
         "after heal: converged = {}, height = {}, distinct tips = {}",
-        sim.converged(),
-        sim.nodes()[0].store().best_height(),
-        sim.tips().len()
+        fleet.converged(|_| true),
+        height(&fleet),
+        distinct_tips(&fleet)
     );
-    assert!(sim.converged());
+    assert!(fleet.converged(|_| true));
     println!(
         "\nthe majority chain won; every node holds identical detection \
          history — the 'authoritative, complete and consistent reference' \
@@ -113,7 +123,7 @@ fn main() {
     )
     .unwrap();
     let sra_id = platform
-        .release_system(0, system, Ether::from_ether(1000), Ether::from_ether(25))
+        .release_system(0, system, INSURANCE, INCENTIVE_PER_VULN)
         .expect("release verifies");
     platform.fund(detector.address(), Ether::from_ether(10));
     let (initial, detailed) =

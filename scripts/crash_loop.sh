@@ -29,7 +29,7 @@ shift $(( $# > 2 ? 2 : $# ))
 
 if [ ! -x "$BIN" ]; then
     echo "crash_loop: writer binary not found at $BIN" >&2
-    echo "crash_loop: build it with: cargo build --release -p smartcrowd-chain --bin store_writer" >&2
+    echo "crash_loop: build it with: cargo build --release --bin store_writer" >&2
     exit 2
 fi
 if [ ! -x "$CLI" ]; then

@@ -7,7 +7,8 @@
 # its first top-level `#[cfg(test)]` (test modules sit at the end of a file
 # in this repo), and nothing under a `tests/` or `benches/` directory.
 # Blank and comment lines count. Files are the `*.rs` paths that differ
-# between <base-ref> and the checkout (deleted files count 0 after).
+# between <base-ref> and the checkout (deleted files count 0 after; a moved
+# file counts as deleted at its old path and new at its new one).
 set -euo pipefail
 
 base=${1:?usage: loc_report.sh <base-ref>}
@@ -26,5 +27,5 @@ while IFS= read -r file; do
     printf '%7d %7d %+7d  %s\n' "$before" "$after" $((after - before)) "$file"
     total_base=$((total_base + before))
     total_head=$((total_head + after))
-done < <(git diff --name-only "$base" -- '*.rs')
+done < <(git diff --no-renames --name-only "$base" -- '*.rs')
 printf '%7d %7d %+7d  %s\n' "$total_base" "$total_head" $((total_head - total_base)) total

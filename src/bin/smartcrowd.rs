@@ -72,6 +72,7 @@ USAGE:
 
 fn cmd_demo() -> Result<(), String> {
     use smartcrowd::chain::rng::SimRng;
+    use smartcrowd::core::economics::{INCENTIVE_PER_VULN, INSURANCE};
     use smartcrowd::core::platform::{Platform, PlatformConfig};
     use smartcrowd::core::report::{create_report_pair, Findings};
     use smartcrowd::detect::system::IoTSystem;
@@ -88,7 +89,7 @@ fn cmd_demo() -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let sra_id = platform
-        .release_system(0, system, Ether::from_ether(1000), Ether::from_ether(25))
+        .release_system(0, system, INSURANCE, INCENTIVE_PER_VULN)
         .map_err(|e| e.to_string())?;
     println!("released demo-fw v1.0 (insurance 1000 ETH, μ = 25 ETH)");
     let detector = KeyPair::from_seed(b"cli-demo-detector");

@@ -2,7 +2,7 @@
 //! end-to-end simulator, plus money-conservation invariants.
 
 use smartcrowd::chain::Ether;
-use smartcrowd::core::economics::EconomicsParams;
+use smartcrowd::core::economics;
 use smartcrowd::core::incentive::{
     detector_cost, detector_incentive, provider_incentive, provider_punishment, Proportion,
 };
@@ -96,8 +96,7 @@ fn equations_are_internally_consistent() {
 fn analytic_vpb_brackets_measured_income() {
     // The analytic income model and the simulator agree within sampling
     // noise for the reference provider.
-    let econ = EconomicsParams::paper();
-    let analytic = econ.provider_income(0.149, 1800.0);
+    let analytic = economics::provider_income(0.149, 1800.0);
     let mut cfg = SimConfig::paper();
     cfg.duration_secs = 1800.0;
     cfg.vulnerability_proportion = 0.0;

@@ -4,18 +4,20 @@
 //! (`smartcrowd::core::protocol`). Every value below was recorded at the
 //! commit *before* that collapse, when each driver still carried its own
 //! copy of admission, sealing and replay — so these tests fail if the
-//! shared core (or the fleet driver under `DistributedSim`) ever shifts a
+//! shared core (or the `Fleet` driver) ever shifts a
 //! record byte, a nonce, a block timestamp or the order of a gossip
 //! message.
 
 use smartcrowd::chain::rng::SimRng;
-use smartcrowd::chain::Ether;
+use smartcrowd::chain::{Block, ChainBackend, ChainStore, Ether};
 use smartcrowd::core::detector::DetectorFleet;
 use smartcrowd::core::platform::{Platform, PlatformConfig};
 use smartcrowd::detect::system::IoTSystem;
 use smartcrowd::detect::vulnerability::VulnId;
 use smartcrowd::detect::VulnLibrary;
-use smartcrowd::sim::distributed::DistributedSim;
+use smartcrowd::net::LinkConfig;
+use smartcrowd::sim::fleet::Fleet;
+use std::convert::Infallible;
 
 /// The `tests/end_to_end.rs` fleet-audit scenario on the paper
 /// configuration (seed 2019): best tip, payout list and supply audit.
@@ -70,33 +72,45 @@ fn platform_lifecycle_matches_pre_collapse_recording() {
     assert_eq!(accounted, supply);
 }
 
-fn tips(sim: &DistributedSim) -> Vec<String> {
-    sim.nodes()
-        .iter()
-        .map(|n| format!("{:?}", n.store().best_tip()))
+fn tips(fleet: &Fleet) -> Vec<String> {
+    fleet
+        .running()
+        .map(|(_, n)| format!("{:?}", n.store().best_tip()))
         .collect()
 }
 
-/// The `tests/telemetry_snapshot.rs` scenario on `DistributedSim::new(5, 7)`:
-/// every node's tip before the partition, during it, and after the heal.
+fn mine_rounds(fleet: &mut Fleet, k: usize) {
+    for _ in 0..k {
+        fleet.mine_round(|_| true).expect("gossip quiesces");
+    }
+}
+
+/// The `tests/telemetry_snapshot.rs` scenario on five in-memory `Fleet`
+/// nodes (seed 7): every node's tip before the partition, during it, and
+/// after the heal.
 #[test]
 fn distributed_sim_tips_match_pre_collapse_recording() {
     const BEFORE: &str =
         "BlockId(0x49a0575372160823abf955eab37703d51e16ca26c156c3f35379b54f557b1087)";
     const AFTER: &str =
         "BlockId(0xb70f19bd03c53a3a36203baaa5ade6a408abb68301e3e3d9a6474ca71b820cf4)";
-    let mut sim = DistributedSim::new(5, 7);
+    let memory = |_, genesis: &Block| {
+        Ok::<_, Infallible>(Box::new(ChainStore::new(genesis.clone())) as Box<dyn ChainBackend>)
+    };
+    let Ok(mut fleet) = Fleet::boot(5, 7, LinkConfig::default(), "dist-node", |_| true, memory);
     let library = VulnLibrary::synthetic(100, 7 ^ 0x11b);
     let mut rng = SimRng::seed_from_u64(40);
     let system = IoTSystem::build("fw", "1.0", &library, vec![VulnId(3)], &mut rng).unwrap();
-    sim.release_from(0, system, Ether::from_ether(1000), Ether::from_ether(25))
+    fleet
+        .release(0, system, Ether::from_ether(1000), Ether::from_ether(25))
         .expect("gossip quiesces");
-    sim.mine_rounds(4).expect("gossip quiesces");
-    assert_eq!(tips(&sim), [BEFORE; 5]);
-    sim.partition(&[4]);
-    sim.mine_rounds(4).expect("gossip quiesces");
+    mine_rounds(&mut fleet, 4);
+    assert_eq!(tips(&fleet), [BEFORE; 5]);
+    fleet.partition(&[4]);
+    mine_rounds(&mut fleet, 4);
     // The cut-off node won no round and stayed where it was.
-    assert_eq!(tips(&sim), [AFTER, AFTER, AFTER, AFTER, BEFORE]);
-    sim.heal().expect("gossip quiesces");
-    assert_eq!(tips(&sim), [AFTER; 5]);
+    assert_eq!(tips(&fleet), [AFTER, AFTER, AFTER, AFTER, BEFORE]);
+    fleet.heal_partition();
+    fleet.anti_entropy(|_| true).expect("gossip quiesces");
+    assert_eq!(tips(&fleet), [AFTER; 5]);
 }

@@ -9,26 +9,36 @@
 //! processes and cannot interleave writes.
 
 use smartcrowd::chain::rng::SimRng;
-use smartcrowd::chain::Ether;
+use smartcrowd::chain::{Block, ChainBackend, ChainStore, Ether};
 use smartcrowd::detect::system::IoTSystem;
 use smartcrowd::detect::vulnerability::VulnId;
 use smartcrowd::detect::VulnLibrary;
-use smartcrowd::sim::distributed::DistributedSim;
+use smartcrowd::net::LinkConfig;
+use smartcrowd::sim::fleet::Fleet;
 use smartcrowd::telemetry;
+use std::convert::Infallible;
 
 /// One seeded distributed run exercising chain, net and core metrics.
 fn seeded_run() {
-    let mut sim = DistributedSim::new(5, 7);
+    let memory = |_, genesis: &Block| {
+        Ok::<_, Infallible>(Box::new(ChainStore::new(genesis.clone())) as Box<dyn ChainBackend>)
+    };
+    let Ok(mut fleet) = Fleet::boot(5, 7, LinkConfig::default(), "dist-node", |_| true, memory);
     let library = VulnLibrary::synthetic(100, 7 ^ 0x11b);
     let mut rng = SimRng::seed_from_u64(40);
     let system = IoTSystem::build("fw", "1.0", &library, vec![VulnId(3)], &mut rng).unwrap();
-    sim.release_from(0, system, Ether::from_ether(1000), Ether::from_ether(25))
+    fleet
+        .release(0, system, Ether::from_ether(1000), Ether::from_ether(25))
         .expect("gossip quiesces");
-    sim.mine_rounds(4).expect("gossip quiesces");
-    sim.partition(&[4]);
-    sim.mine_rounds(4).expect("gossip quiesces");
-    sim.heal().expect("gossip quiesces");
-    assert!(sim.converged());
+    for round in 0..8 {
+        if round == 4 {
+            fleet.partition(&[4]);
+        }
+        fleet.mine_round(|_| true).expect("gossip quiesces");
+    }
+    fleet.heal_partition();
+    fleet.anti_entropy(|_| true).expect("gossip quiesces");
+    assert!(fleet.converged(|_| true));
 }
 
 #[test]
