@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use smartcrowd_chain::Ether;
 use smartcrowd_core::contracts::{ReportRegistry, SraEscrow, REPORT_REGISTRY_ASM, SRA_ESCROW_ASM};
 use smartcrowd_crypto::Address;
-use smartcrowd_vm::analysis::{analyze, AnalysisConfig};
+use smartcrowd_vm::analysis::analyze;
 use smartcrowd_vm::asm::assemble;
 use smartcrowd_vm::exec::{CallContext, Vm};
 use smartcrowd_vm::verify::verify;
@@ -81,9 +81,8 @@ fn bench_analysis(c: &mut Criterion) {
     // The full abstract-interpretation pipeline (depth + ranges + loops +
     // gas verdict + diagnostics) on the escrow contract.
     let escrow = assemble(SRA_ESCROW_ASM).unwrap();
-    let config = AnalysisConfig::default();
     c.bench_function("vm/analyze-escrow", |b| {
-        b.iter(|| analyze(black_box(&escrow), &config).unwrap())
+        b.iter(|| analyze(black_box(&escrow)).unwrap())
     });
 
     // 64 back-to-back counter loops: stresses the SCC decomposition, the
@@ -99,7 +98,7 @@ fn bench_analysis(c: &mut Criterion) {
     let loopy = assemble(&src).unwrap();
     c.bench_function("vm/analyze-64-counter-loops", |b| {
         b.iter(|| {
-            let a = analyze(black_box(&loopy), &config).unwrap();
+            let a = analyze(black_box(&loopy)).unwrap();
             assert!(a.gas.is_bounded());
             a
         })
@@ -121,7 +120,7 @@ fn bench_analysis(c: &mut Criterion) {
     let flows = assemble(&flows).unwrap();
     c.bench_function("vm/analyze-24-guarded-transfers", |b| {
         b.iter(|| {
-            let a = analyze(black_box(&flows), &config).unwrap();
+            let a = analyze(black_box(&flows)).unwrap();
             assert!(a.safety.conserves_escrow.is_proved());
             assert_eq!(a.safety.transfers.len(), 24);
             a

@@ -133,7 +133,7 @@ fn ablation_scoreboard() {
     let forger = Address::from_label("forger");
     let spam = 50u32;
 
-    let mut with_board = Scoreboard::new(3);
+    let mut with_board = Scoreboard::default();
     let mut verifications_with = 0;
     for _ in 0..spam {
         if with_board.admits(&forger) {

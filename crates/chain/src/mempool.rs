@@ -121,6 +121,33 @@ impl Mempool {
         self.records.contains_key(id)
     }
 
+    /// Whether [`Mempool::insert`] would take `record`, its signature
+    /// aside: a caller that must not act on a record the pool refuses asks
+    /// this first. Returns the record's id.
+    ///
+    /// # Errors
+    ///
+    /// - [`ChainError::DuplicatePending`] when the id is already pooled.
+    /// - [`ChainError::MempoolFull`] when the pool is full and the record
+    ///   pays no more than the worst pooled one.
+    pub fn check_admission(&self, record: &Record) -> Result<Digest, ChainError> {
+        let id = record.id();
+        if self.contains(&id) {
+            return Err(ChainError::DuplicatePending { id });
+        }
+        // The index's first key is the record `take_best` would surface
+        // last: lowest fee, highest id among equal fees.
+        if self.len() >= self.capacity
+            && self
+                .index
+                .first()
+                .is_none_or(|worst| record.fee() <= worst.fee)
+        {
+            return Err(ChainError::MempoolFull);
+        }
+        Ok(id)
+    }
+
     /// Admits a record after signature verification.
     ///
     /// When full, the lowest-fee record (highest id among ties) is evicted
@@ -200,28 +227,18 @@ impl Mempool {
         sig: Result<(), ChainError>,
     ) -> Result<(), ChainError> {
         sig?;
-        let key = FeeKey {
-            fee: record.fee(),
-            id: record.id(),
-        };
-        if self.contains(&key.id) {
-            return Err(ChainError::DuplicatePending { id: key.id });
-        }
+        let id = self.check_admission(&record)?;
         if self.len() >= self.capacity {
-            // The index's first key is the record `take_best` would
-            // surface last: lowest fee, highest id among equal fees.
-            let Some(victim) = self.index.first().copied() else {
-                return Err(ChainError::MempoolFull);
-            };
-            if key.fee <= victim.fee {
-                return Err(ChainError::MempoolFull);
+            if let Some(victim) = self.index.pop_first() {
+                self.records.remove(&victim.id);
+                smartcrowd_telemetry::counter!("chain.mempool.evicted").inc();
             }
-            self.index.remove(&victim);
-            self.records.remove(&victim.id);
-            smartcrowd_telemetry::counter!("chain.mempool.evicted").inc();
         }
-        self.index.insert(key);
-        self.records.insert(key.id, record);
+        self.index.insert(FeeKey {
+            fee: record.fee(),
+            id,
+        });
+        self.records.insert(id, record);
         Ok(())
     }
 

@@ -486,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn query_defaults_match_inherent_answers() {
+    fn query_defaults_answer_a_mined_chain() {
         use crate::pow::Miner;
         let genesis = Block::genesis(Difficulty::from_u64(1));
         let mut store = ChainStore::new(genesis.clone());
@@ -500,14 +500,11 @@ mod tests {
             parent = b;
         }
         let q: &dyn ChainQuery = &store;
-        assert_eq!(q.block_count(), store.len());
+        assert_eq!(q.block_count(), 9);
         assert_eq!(q.canonical_blocks().len(), 9);
         let low = q.canonical_id_at(1).unwrap();
         assert!(q.is_confirmed(&low));
-        assert_eq!(
-            q.confirmations(&low),
-            ChainStore::confirmations(&store, &low)
-        );
+        assert_eq!(q.confirmations(&low), 8);
         assert!(!q.is_confirmed(&q.best_tip()));
         assert_eq!(
             q.blocks_by_miner(&smartcrowd_crypto::Address::from_label("q"))

@@ -9,10 +9,8 @@
 use crate::block::Block;
 use crate::chain_index::ChainIndex;
 use crate::error::ChainError;
-use crate::header::{BlockHeader, BlockId};
+use crate::header::BlockId;
 use crate::record::{Record, RecordKind};
-use crate::storage::ChainQuery;
-use smartcrowd_crypto::Digest;
 use std::collections::HashMap;
 
 /// Where a record landed on the canonical chain.
@@ -66,16 +64,6 @@ impl ChainStore {
         }
     }
 
-    /// The genesis block id.
-    pub fn genesis_id(&self) -> BlockId {
-        self.index.genesis_id()
-    }
-
-    /// The current best (heaviest-chain) tip.
-    pub fn best_tip(&self) -> BlockId {
-        self.index.best_tip()
-    }
-
     /// Height of the best tip.
     pub fn best_height(&self) -> u64 {
         self.index.best_height()
@@ -86,31 +74,9 @@ impl ChainStore {
         &self.blocks[&self.index.best_tip()]
     }
 
-    /// Total stored blocks (all forks).
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Always false — a store always holds at least genesis.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Fetches a block by id.
     pub fn block(&self, id: &BlockId) -> Option<&Block> {
         self.blocks.get(id)
-    }
-
-    /// Fetches just a block's header by id.
-    pub fn header(&self, id: &BlockId) -> Option<&BlockHeader> {
-        self.index.header(id)
-    }
-
-    /// The canonical block at `height`, if within the best chain.
-    pub fn block_at_height(&self, height: u64) -> Option<&Block> {
-        self.index
-            .canonical_id_at(height)
-            .and_then(|id| self.blocks.get(&id))
     }
 
     /// Accumulated work at a block.
@@ -133,41 +99,13 @@ impl ChainStore {
         Ok(id)
     }
 
-    /// Whether `id` lies on the canonical chain.
-    pub fn is_canonical(&self, id: &BlockId) -> bool {
-        self.index.is_canonical(id)
-    }
-
-    /// Confirmations of a block: 1 at the tip, 0 off-chain/unknown.
-    pub fn confirmations(&self, id: &BlockId) -> u64 {
-        self.index.confirmations(id)
-    }
-
-    /// Whether the block has reached the paper's 6-block finality (§V-C).
-    pub fn is_confirmed(&self, id: &BlockId) -> bool {
-        ChainQuery::is_confirmed(self, id)
-    }
-
-    /// Locates a record on the canonical chain.
-    pub fn find_record(&self, record_id: &Digest) -> Option<&RecordLocation> {
-        self.index.find_record(record_id)
-    }
-
-    /// Fetches a record plus its confirmation count.
-    pub fn record_with_confirmations(&self, record_id: &Digest) -> Option<(&Record, u64)> {
-        let loc = self.index.find_record(record_id)?;
-        let record = self.blocks.get(&loc.block_id)?.records().get(loc.index)?;
-        Some((record, self.index.confirmations(&loc.block_id)))
-    }
-
-    /// Whether a record is in a finally-confirmed block.
-    pub fn record_confirmed(&self, record_id: &Digest) -> bool {
-        ChainQuery::record_confirmed(self, record_id)
-    }
-
     /// Iterates the canonical chain from genesis to tip.
     pub fn canonical_blocks(&self) -> impl Iterator<Item = &Block> + '_ {
-        (0..=self.best_height()).filter_map(move |h| self.block_at_height(h))
+        (0..=self.best_height()).filter_map(move |h| {
+            self.index
+                .canonical_id_at(h)
+                .and_then(|id| self.blocks.get(&id))
+        })
     }
 
     /// All canonical records of a given kind (the consumer query of
@@ -176,17 +114,10 @@ impl ChainStore {
     pub fn records_of_kind(&self, kind: RecordKind) -> Vec<(&Record, u64)> {
         self.canonical_blocks()
             .flat_map(|b| {
-                let confs = self.confirmations(&b.id());
+                let confs = self.index.confirmations(&b.id());
                 b.records().iter().map(move |r| (r, confs))
             })
             .filter(|(r, _)| r.kind() == kind)
-            .collect()
-    }
-
-    /// Blocks mined by `miner` on the canonical chain.
-    pub fn blocks_by_miner(&self, miner: &smartcrowd_crypto::Address) -> Vec<&Block> {
-        self.canonical_blocks()
-            .filter(|b| b.header().miner == *miner)
             .collect()
     }
 }
@@ -197,6 +128,7 @@ mod tests {
     use crate::amount::Ether;
     use crate::difficulty::Difficulty;
     use crate::pow::Miner;
+    use crate::storage::ChainQuery;
     use smartcrowd_crypto::keys::KeyPair;
     use smartcrowd_crypto::Address;
 

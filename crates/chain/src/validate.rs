@@ -6,7 +6,7 @@
 //! against the local store's chain index (known parent, height, timestamp
 //! — the same check every insert runs), per-record
 //! signature recovery, and finally an injectable semantic validator — the
-//! hook through which the core crate plugs Algorithm 1 and `AutoVerif()`.
+//! hook through which an embedder plugs in protocol-level checks.
 //!
 //! This is the gate in its stand-alone, chain-layer form, for an embedder
 //! that has a store but no protocol core. A provider node does not call it:
@@ -36,8 +36,9 @@ use crate::sigcache;
 use crate::storage::ChainQuery;
 use smartcrowd_pool::Pool;
 
-/// Semantic record validation, implemented by higher layers (the SmartCrowd
-/// core installs Algorithm 1 + `AutoVerif()` here).
+/// Semantic record validation, implemented by higher layers (a SmartCrowd
+/// provider runs Algorithm 1 + `AutoVerif()` in `Protocol::check_block`
+/// instead).
 pub trait RecordValidator {
     /// Accepts or rejects a record on protocol-level grounds.
     ///
@@ -54,24 +55,6 @@ pub struct AcceptAll;
 impl RecordValidator for AcceptAll {
     fn validate(&self, _record: &Record) -> Result<(), ChainError> {
         Ok(())
-    }
-}
-
-/// A validator dispatching to a closure.
-pub struct FnValidator<F>(pub F);
-
-impl<F> RecordValidator for FnValidator<F>
-where
-    F: Fn(&Record) -> Result<(), ChainError>,
-{
-    fn validate(&self, record: &Record) -> Result<(), ChainError> {
-        (self.0)(record)
-    }
-}
-
-impl<F> std::fmt::Debug for FnValidator<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("FnValidator(..)")
     }
 }
 
@@ -151,6 +134,22 @@ mod tests {
     use smartcrowd_crypto::keys::KeyPair;
     use smartcrowd_crypto::Address;
 
+    /// Rejects every record one sender signed, as providers filter an
+    /// isolated detector's reports (§V-C).
+    struct Isolating(Address);
+
+    impl RecordValidator for Isolating {
+        fn validate(&self, record: &Record) -> Result<(), ChainError> {
+            if record.sender() == self.0 {
+                Err(ChainError::RecordRejected {
+                    reason: "isolated detector".into(),
+                })
+            } else {
+                Ok(())
+            }
+        }
+    }
+
     fn setup() -> (ChainStore, Block, Miner) {
         let genesis = Block::genesis(Difficulty::from_u64(1));
         let store = ChainStore::new(genesis.clone());
@@ -183,11 +182,7 @@ mod tests {
         let b = miner
             .mine_next(&genesis, vec![record(1)], genesis.header().timestamp + 15)
             .unwrap();
-        let rejecting = FnValidator(|_r: &Record| {
-            Err(ChainError::RecordRejected {
-                reason: "AutoVerif returned FALSE".into(),
-            })
-        });
+        let rejecting = Isolating(KeyPair::from_seed(b"d").address());
         let err = validate_block(&store, &b, &rejecting).unwrap_err();
         assert!(matches!(err, ChainError::RecordRejected { .. }));
     }
@@ -229,16 +224,7 @@ mod tests {
     fn selective_validator() {
         // Providers "filter this detector's next reports" after a failed
         // AutoVerif (§V-C): model as a validator rejecting one sender.
-        let banned = KeyPair::from_seed(b"banned").address();
-        let validator = FnValidator(move |r: &Record| {
-            if r.sender() == banned {
-                Err(ChainError::RecordRejected {
-                    reason: "isolated detector".into(),
-                })
-            } else {
-                Ok(())
-            }
-        });
+        let validator = Isolating(KeyPair::from_seed(b"banned").address());
         let (store, genesis, miner) = setup();
         let bad = Record::signed(
             RecordKind::InitialReport,

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use smartcrowd_chain::pow::Miner;
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::store::RecordLocation;
-use smartcrowd_chain::{Block, ChainError, ChainStore, Difficulty, Ether};
+use smartcrowd_chain::{Block, ChainError, ChainQuery, ChainStore, Difficulty, Ether};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::Address;
 use smartcrowd_telemetry::counter;
@@ -151,7 +151,7 @@ impl Harness {
         let tip_height = chain.len() as u64 - 1;
         assert_eq!(self.store.best_tip(), self.blocks[best].id());
         assert_eq!(self.store.best_height(), tip_height);
-        assert_eq!(self.store.len(), self.blocks.len());
+        assert_eq!(self.store.block_count(), self.blocks.len());
         for (i, block) in self.blocks.iter().enumerate() {
             let id = block.id();
             let confirmations = if chain.contains(&i) {
@@ -165,11 +165,11 @@ impl Harness {
         }
         for (height, i) in chain.iter().enumerate() {
             assert_eq!(
-                self.store.block_at_height(height as u64),
-                Some(&self.blocks[*i])
+                self.store.canonical_block_at(height as u64),
+                Some(self.blocks[*i].clone())
             );
         }
-        assert!(self.store.block_at_height(tip_height + 1).is_none());
+        assert!(self.store.canonical_block_at(tip_height + 1).is_none());
         for record in &self.pool {
             let expected = chain.iter().find_map(|i| {
                 let block = &self.blocks[*i];
@@ -180,7 +180,7 @@ impl Harness {
                     index,
                 })
             });
-            assert_eq!(self.store.find_record(&record.id()).cloned(), expected);
+            assert_eq!(self.store.find_record(&record.id()), expected);
         }
     }
 }

@@ -57,7 +57,7 @@ fn forked_store(difficulty: u64) -> (ChainStore, Vec<Block>) {
         fork_parent = b;
     }
     assert_eq!(store.best_tip(), canonical[7].id(), "main branch wins");
-    assert_eq!(store.len(), 12, "genesis + 8 canonical + 3 fork");
+    assert_eq!(store.block_count(), 12, "genesis + 8 canonical + 3 fork");
     (store, fork)
 }
 
@@ -74,12 +74,12 @@ fn forked_store_round_trips_canonical_chain_only() {
     // is present at its height, and no fork block made it across.
     for h in 0..=store.best_height() {
         assert_eq!(
-            restored.block_at_height(h).map(Block::id),
-            store.block_at_height(h).map(Block::id),
+            restored.canonical_id_at(h),
+            store.canonical_id_at(h),
             "height {h} mismatch"
         );
     }
-    assert_eq!(restored.len() as u64, store.best_height() + 1);
+    assert_eq!(restored.block_count() as u64, store.best_height() + 1);
     for b in &fork {
         assert!(
             restored.block(&b.id()).is_none(),
@@ -132,8 +132,12 @@ fn a_forked_log_imports_as_the_store_it_came_from() {
     let imported = import_chain(&log).unwrap();
     assert_eq!(imported.best_tip(), durable.best_tip());
     assert_eq!(imported.best_height(), durable.best_height());
-    assert_eq!(imported.len(), durable.block_count());
-    assert_eq!(imported.len(), store.len(), "fork blocks included");
+    assert_eq!(imported.block_count(), durable.block_count());
+    assert_eq!(
+        imported.block_count(),
+        store.block_count(),
+        "fork blocks included"
+    );
 }
 
 #[test]
@@ -149,7 +153,7 @@ fn every_prefix_of_an_export_is_an_ancestor_or_a_typed_error() {
             (Err(_), Ok(0) | Err(_)) => {}
             // A frame-aligned cut: exactly the first `frames` blocks.
             (Ok(prefix), Ok(frames)) => {
-                assert_eq!(prefix.len(), frames, "cut {cut}");
+                assert_eq!(prefix.block_count(), frames, "cut {cut}");
                 assert_eq!(prefix.best_tip(), canonical[frames - 1].id(), "cut {cut}");
             }
             (Ok(_), Err(_)) => panic!("mid-frame cut {cut} imported"),

@@ -8,7 +8,7 @@ use smartcrowd_chain::mempool::Mempool;
 use smartcrowd_chain::pow::Miner;
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_chain::{ChainStore, Difficulty, Ether};
+use smartcrowd_chain::{ChainQuery, ChainStore, Difficulty, Ether};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::Address;
 

@@ -7,7 +7,7 @@ use smartcrowd_chain::block::Block;
 use smartcrowd_chain::difficulty::Difficulty;
 use smartcrowd_chain::pow::Miner;
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_chain::ChainStore;
+use smartcrowd_chain::{ChainQuery, ChainStore};
 use smartcrowd_crypto::Address;
 
 /// Nonce search attempts are geometric with mean `D`; sample them directly

@@ -66,13 +66,13 @@ fn assert_observationally_identical(durable: &DurableStore, mirror: &ChainStore,
         "step {step}: height"
     );
     for h in 0..=mirror.best_height() {
-        let theirs = mirror.block_at_height(h).expect("no holes");
+        let theirs = mirror.canonical_block_at(h).expect("no holes");
         let ours = durable
             .canonical_block_at(h)
             .unwrap_or_else(|| panic!("step {step}: no canonical body at height {h}"));
         // Full body equality: the paged read must reproduce the exact
         // block, not just its id.
-        assert_eq!(&ours, theirs, "step {step}: body at height {h}");
+        assert_eq!(ours, theirs, "step {step}: body at height {h}");
         let id = theirs.id();
         assert_eq!(
             durable.is_confirmed(&id),
@@ -84,7 +84,7 @@ fn assert_observationally_identical(durable: &DurableStore, mirror: &ChainStore,
         for record in block.records() {
             assert_eq!(
                 durable.find_record(&record.id()),
-                mirror.find_record(&record.id()).cloned(),
+                mirror.find_record(&record.id()),
                 "step {step}: record location"
             );
         }
@@ -188,7 +188,7 @@ fn run_sequence_with(ops: &[u64], config: StoreConfig) {
                 let best = mirror.best_height();
                 let low = best.saturating_sub(CONFIRMATION_DEPTH - 1);
                 let h = low + (op >> 8) % (best - low + 1);
-                let parent = mirror.block_at_height(h).unwrap().clone();
+                let parent = mirror.canonical_block_at(h).unwrap();
                 let timestamp = parent.header().timestamp + 2 + (op >> 32) % 50;
                 let block = miner.mine_next(&parent, vec![], timestamp).unwrap();
                 let ours = durable.commit(block.clone());

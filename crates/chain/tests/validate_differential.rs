@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use smartcrowd_chain::block::Block;
 use smartcrowd_chain::record::{Record, RecordKind};
-use smartcrowd_chain::validate::{validate_block_with, AcceptAll, FnValidator, RecordValidator};
+use smartcrowd_chain::validate::{validate_block_with, AcceptAll, RecordValidator};
 use smartcrowd_chain::{ChainError, ChainQuery, ChainStore, Difficulty, Ether};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::Address;
@@ -58,6 +58,21 @@ fn validate_block_sequential(
         validator.validate(record)?;
     }
     Ok(())
+}
+
+/// A semantic validator rejecting the record with this nonce, if any.
+struct RejectNonce(Option<u64>);
+
+impl RecordValidator for RejectNonce {
+    fn validate(&self, record: &Record) -> Result<(), ChainError> {
+        if Some(record.nonce()) == self.0 {
+            Err(ChainError::RecordRejected {
+                reason: format!("semantic failure: nonce {} banned", record.nonce()),
+            })
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// Flips one payload byte and re-decodes: a structurally valid record
@@ -112,16 +127,7 @@ proptest! {
             records[i] = tamper(&records[i]);
         }
         let (store, block) = block_with(records);
-        let reject = (reject_sel < 6).then_some(reject_sel);
-        let validator = FnValidator(move |r: &Record| {
-            if Some(r.nonce()) == reject {
-                Err(ChainError::RecordRejected {
-                    reason: format!("nonce {} banned", r.nonce()),
-                })
-            } else {
-                Ok(())
-            }
-        });
+        let validator = RejectNonce((reject_sel < 6).then_some(reject_sel));
         assert_differential(&store, &block, &validator);
     }
 }
@@ -163,15 +169,7 @@ fn first_error_is_positional_not_phase_ordered() {
     let r0 = record(50, 0);
     let r1 = tamper(&record(51, 1));
     let (store, block) = block_with(vec![r0, r1]);
-    let validator = FnValidator(|r: &Record| {
-        if r.nonce() == 0 {
-            Err(ChainError::RecordRejected {
-                reason: "semantic failure at index 0".into(),
-            })
-        } else {
-            Ok(())
-        }
-    });
+    let validator = RejectNonce(Some(0));
     let reference = validate_block_sequential(&store, &block, &validator).unwrap_err();
     assert!(
         matches!(

@@ -15,20 +15,22 @@
 //! one. The result renders as a ready-to-commit regression test via
 //! [`MinimizedFailure`]'s `Display`.
 
-use crate::plan::{FaultPlan, PlanConfig, RECOVERY_TAIL};
+use crate::plan::{FaultPlan, RECOVERY_TAIL};
 use crate::sim::{run_plan, ChaosFailure, PlantedBug};
 use std::fmt;
 
-/// Bounds for an exploration sweep.
+/// Bounds for an exploration sweep. Plans come from
+/// [`FaultPlan::random`], whose bounds are constants.
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreConfig {
-    /// First seed in the sweep.
+    /// First seed in the sweep (`chaos_explore --start`; the nightly job
+    /// rotates it by day).
     pub start_seed: u64,
-    /// Number of seeds to run.
+    /// Number of seeds to run (`chaos_explore --seeds`).
     pub seeds: u64,
-    /// Plan-generation bounds.
-    pub plan: PlanConfig,
-    /// Maximum candidate runs the shrinker may spend per failure.
+    /// Maximum candidate runs the shrinker may spend per failure. Only the
+    /// two planted-bug tests set it, capping it at 40 to keep tier-1
+    /// fast; every sweep uses the default.
     pub shrink_budget: usize,
 }
 
@@ -37,7 +39,6 @@ impl Default for ExploreConfig {
         ExploreConfig {
             start_seed: 0,
             seeds: 50,
-            plan: PlanConfig::default(),
             shrink_budget: 200,
         }
     }
@@ -108,7 +109,7 @@ pub struct ExploreReport {
 pub fn explore(cfg: &ExploreConfig, bug: Option<PlantedBug>) -> ExploreReport {
     let seeds: Vec<u64> = (cfg.start_seed..cfg.start_seed + cfg.seeds).collect();
     let outcomes = smartcrowd_pool::global().par_map(&seeds, |&seed| {
-        let plan = FaultPlan::random(seed, &cfg.plan);
+        let plan = FaultPlan::random(seed);
         match run_plan(&plan, seed, bug) {
             Ok(_) => None,
             Err(failure) => Some(shrink(plan, seed, failure, bug, cfg.shrink_budget)),
@@ -199,7 +200,7 @@ mod tests {
 
     #[test]
     fn minimized_failure_renders_a_regression_test() {
-        let plan = FaultPlan::random(0, &PlanConfig::default());
+        let plan = FaultPlan::random(0);
         let failure = ChaosFailure::PumpDiverged {
             seed: 0,
             round: 1,

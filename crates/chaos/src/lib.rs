@@ -25,10 +25,10 @@
 //! # Example
 //!
 //! ```
-//! use smartcrowd_chaos::plan::{FaultPlan, PlanConfig};
+//! use smartcrowd_chaos::plan::FaultPlan;
 //! use smartcrowd_chaos::sim::run_plan;
 //!
-//! let plan = FaultPlan::random(42, &PlanConfig::default());
+//! let plan = FaultPlan::random(42);
 //! let outcome = run_plan(&plan, 42, None).expect("oracles hold");
 //! assert!(outcome.best_height > 0);
 //! ```
@@ -50,7 +50,7 @@ pub mod sim;
 
 pub use explore::{explore, shrink, ExploreConfig, ExploreReport, MinimizedFailure};
 pub use oracle::{NodeView, OracleKind, Oracles, Violation};
-pub use plan::{ByzantineBehavior, FaultEvent, FaultKind, FaultPlan, PlanConfig};
+pub use plan::{ByzantineBehavior, FaultEvent, FaultKind, FaultPlan};
 pub use settle::{audit, Audit, SettleError};
 pub use shrink::{greedy_fixpoint, Shrunk};
 pub use sim::{run_plan, ChaosFailure, ChaosOutcome, ChaosSim, PlantedBug};

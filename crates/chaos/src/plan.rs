@@ -98,44 +98,28 @@ pub struct FaultPlan {
     pub events: Vec<FaultEvent>,
 }
 
-/// Bounds for random plan generation.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanConfig {
-    /// Minimum node count.
-    pub min_nodes: usize,
-    /// Maximum node count.
-    pub max_nodes: usize,
-    /// Minimum mining rounds.
-    pub min_rounds: usize,
-    /// Maximum mining rounds.
-    pub max_rounds: usize,
-    /// Maximum scheduled faults.
-    pub max_faults: usize,
-    /// Maximum link drop rate.
-    pub max_drop_rate: f64,
-    /// Maximum link duplication rate.
-    pub max_duplicate_rate: f64,
-    /// Maximum link reorder rate.
-    pub max_reorder_rate: f64,
-}
-
-impl Default for PlanConfig {
-    fn default() -> Self {
-        PlanConfig {
-            min_nodes: 3,
-            max_nodes: 6,
-            min_rounds: RECOVERY_TAIL + 8,
-            max_rounds: 28,
-            max_faults: 4,
-            max_drop_rate: 0.10,
-            max_duplicate_rate: 0.20,
-            max_reorder_rate: 0.20,
-        }
-    }
-}
+/// Fewest nodes a random plan runs.
+const MIN_NODES: usize = 3;
+/// Most nodes a random plan runs.
+const MAX_NODES: usize = 6;
+/// Fewest mining rounds of a random plan: room for faults ahead of the
+/// recovery tail.
+const MIN_ROUNDS: usize = RECOVERY_TAIL + 8;
+/// Most mining rounds of a random plan.
+const MAX_ROUNDS: usize = 28;
+/// Most faults a random plan schedules.
+const MAX_FAULTS: usize = 4;
+/// Highest link drop rate of a random plan.
+const MAX_DROP_RATE: f64 = 0.10;
+/// Highest link duplication rate of a random plan.
+const MAX_DUPLICATE_RATE: f64 = 0.20;
+/// Highest link reorder rate of a random plan.
+const MAX_REORDER_RATE: f64 = 0.20;
 
 impl FaultPlan {
-    /// Generates a randomized plan from a seed under `cfg`'s bounds.
+    /// Generates a randomized plan from a seed: 3–6 nodes,
+    /// `RECOVERY_TAIL + 8`–28 rounds, 1–4 faults, link drop rate below 0.1
+    /// and duplication and reorder rates below 0.2.
     ///
     /// Constraints enforced so oracle violations indicate genuine bugs:
     /// partitions heal within `CONFIRMATION_DEPTH - 1` rounds; at most one
@@ -143,17 +127,17 @@ impl FaultPlan {
     /// fewer than half the nodes turn Byzantine; withheld forks release
     /// within `CONFIRMATION_DEPTH - 1` rounds; the last [`RECOVERY_TAIL`]
     /// rounds are fault-free.
-    pub fn random(seed: u64, cfg: &PlanConfig) -> FaultPlan {
+    pub fn random(seed: u64) -> FaultPlan {
         let mut rng = SimRng::seed_from_u64(seed ^ 0xc4a0_55ee);
-        let nodes = rng.next_range(cfg.min_nodes as u64, cfg.max_nodes as u64 + 1) as usize;
-        let rounds = rng.next_range(cfg.min_rounds as u64, cfg.max_rounds as u64 + 1) as usize;
+        let nodes = rng.next_range(MIN_NODES as u64, MAX_NODES as u64 + 1) as usize;
+        let rounds = rng.next_range(MIN_ROUNDS as u64, MAX_ROUNDS as u64 + 1) as usize;
         let link = LinkConfig {
-            drop_rate: rng.next_f64() * cfg.max_drop_rate,
-            duplicate_rate: rng.next_f64() * cfg.max_duplicate_rate,
-            reorder_rate: rng.next_f64() * cfg.max_reorder_rate,
+            drop_rate: rng.next_f64() * MAX_DROP_RATE,
+            duplicate_rate: rng.next_f64() * MAX_DUPLICATE_RATE,
+            reorder_rate: rng.next_f64() * MAX_REORDER_RATE,
             ..LinkConfig::default()
         };
-        let fault_budget = rng.next_range(1, cfg.max_faults as u64 + 1) as usize;
+        let fault_budget = rng.next_range(1, MAX_FAULTS as u64 + 1) as usize;
         // Faults live in [1, last_fault_round]: round 0 carries the
         // workload injection, the tail stays quiet for recovery.
         let last_fault_round = rounds.saturating_sub(RECOVERY_TAIL).max(2);
@@ -349,18 +333,16 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let cfg = PlanConfig::default();
-        assert_eq!(FaultPlan::random(9, &cfg), FaultPlan::random(9, &cfg));
-        assert_ne!(FaultPlan::random(9, &cfg), FaultPlan::random(10, &cfg));
+        assert_eq!(FaultPlan::random(9), FaultPlan::random(9));
+        assert_ne!(FaultPlan::random(9), FaultPlan::random(10));
     }
 
     #[test]
     fn generated_plans_respect_constraints() {
-        let cfg = PlanConfig::default();
         for seed in 0..200 {
-            let plan = FaultPlan::random(seed, &cfg);
-            assert!(plan.nodes >= cfg.min_nodes && plan.nodes <= cfg.max_nodes);
-            assert!(plan.rounds >= cfg.min_rounds && plan.rounds <= cfg.max_rounds);
+            let plan = FaultPlan::random(seed);
+            assert!((MIN_NODES..=MAX_NODES).contains(&plan.nodes));
+            assert!((MIN_ROUNDS..=MAX_ROUNDS).contains(&plan.rounds));
             let tail_start = plan.rounds - RECOVERY_TAIL;
             let mut byz = 0;
             for e in &plan.events {
@@ -404,10 +386,9 @@ mod tests {
 
     #[test]
     fn all_fault_classes_appear_across_a_seed_band() {
-        let cfg = PlanConfig::default();
         let (mut p, mut c, mut b) = (false, false, false);
         for seed in 0..64 {
-            let (pp, cc, bb) = FaultPlan::random(seed, &cfg).fault_classes();
+            let (pp, cc, bb) = FaultPlan::random(seed).fault_classes();
             p |= pp;
             c |= cc;
             b |= bb;
@@ -417,7 +398,7 @@ mod tests {
 
     #[test]
     fn shrinking_moves_preserve_wellformedness() {
-        let plan = FaultPlan::random(3, &PlanConfig::default());
+        let plan = FaultPlan::random(3);
         if !plan.events.is_empty() {
             let fewer = plan.without_event(0);
             // Removing a Crash cascades its paired Restart, so one call
@@ -450,7 +431,7 @@ mod tests {
 
     #[test]
     fn display_renders_a_rust_literal() {
-        let plan = FaultPlan::random(1, &PlanConfig::default());
+        let plan = FaultPlan::random(1);
         let s = plan.to_string();
         assert!(s.starts_with("FaultPlan {"));
         assert!(s.contains("events: vec!["));

@@ -122,7 +122,7 @@ pub fn audit(settlement: &Settlement) -> Result<Audit, SettleError> {
 mod tests {
     use super::*;
     use smartcrowd_chain::record::{Record, RecordKind};
-    use smartcrowd_chain::{Block, ChainStore, Difficulty};
+    use smartcrowd_chain::{Block, ChainQuery, ChainStore, Difficulty};
     use smartcrowd_core::report::{create_report_pair, Findings};
     use smartcrowd_core::sra::Sra;
     use smartcrowd_crypto::keys::KeyPair;

@@ -117,7 +117,6 @@ fn the_explorer_finds_the_planted_bug_in_a_random_sweep() {
         start_seed: 0,
         seeds: 4,
         shrink_budget: 40,
-        ..ExploreConfig::default()
     };
     let report = explore(&cfg, Some(PlantedBug::AcceptEquivocation));
     assert!(
@@ -137,7 +136,6 @@ fn the_same_sweep_is_clean_without_the_planted_bug() {
         start_seed: 0,
         seeds: 4,
         shrink_budget: 40,
-        ..ExploreConfig::default()
     };
     let report = explore(&cfg, None);
     assert_eq!(report.passed, 4, "failures: {:?}", report.failures);

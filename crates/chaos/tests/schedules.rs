@@ -7,13 +7,12 @@
 //! and convergence after every round — a failure prints the offending
 //! seed so `chaos_explore` can shrink it.
 
-use smartcrowd_chaos::plan::{FaultPlan, PlanConfig};
+use smartcrowd_chaos::plan::FaultPlan;
 use smartcrowd_chaos::sim::run_plan;
 
 fn run_band(start: u64, count: u64) {
-    let cfg = PlanConfig::default();
     for seed in start..start + count {
-        let plan = FaultPlan::random(seed, &cfg);
+        let plan = FaultPlan::random(seed);
         let outcome = run_plan(&plan, seed, None)
             .unwrap_or_else(|failure| panic!("seed {seed} failed: {failure}\nplan:\n{plan}"));
         assert!(
@@ -62,10 +61,9 @@ fn seed_band_48_55_passes_all_oracles() {
 /// generation drifts, this fails before the sweeps go vacuous.
 #[test]
 fn the_corpus_covers_every_fault_class() {
-    let cfg = PlanConfig::default();
     let (mut partition, mut crash, mut byzantine) = (false, false, false);
     for seed in 0..56 {
-        let (p, c, b) = FaultPlan::random(seed, &cfg).fault_classes();
+        let (p, c, b) = FaultPlan::random(seed).fault_classes();
         partition |= p;
         crash |= c;
         byzantine |= b;

@@ -300,67 +300,78 @@ pub fn majority_attack_win_rate(attacker_share: f64, depth: u64, trials: u64) ->
 /// provider colludes with a detector and mines a block containing the
 /// detector's forged detailed report, skipping admission checks. Defence:
 /// every *other* provider re-runs Algorithm 1 + `AutoVerif` on received
-/// blocks (§V-C fault-tolerant verification), so the honest majority
-/// rejects the block instead of extending it.
+/// blocks (§V-C fault-tolerant verification, the gate
+/// [`crate::protocol::Protocol::check_block`] every node runs), so an
+/// honest node refuses the block instead of extending it, and strikes the
+/// detector.
 pub fn collusion() -> AttackOutcome {
-    use crate::report::{create_report_pair, Findings};
-    use crate::verify;
+    use crate::node::ProviderNode;
     use smartcrowd_chain::record::{Record, RecordKind};
-    use smartcrowd_chain::validate::{validate_block, FnValidator};
-    use smartcrowd_detect::autoverif::AutoVerifier;
     use smartcrowd_detect::library::VulnLibrary;
+    use smartcrowd_net::Message;
 
     // The released artifact holds VulnId(1); the colluding detector claims
     // VulnId(99), which does not reproduce.
     let library = VulnLibrary::synthetic(100, 1);
     let mut rng = SimRng::seed_from_u64(51);
     let system = IoTSystem::build("fw", "1", &library, vec![VulnId(1)], &mut rng).unwrap();
-    let colluding_detector = KeyPair::from_seed(b"colluder");
+    let genesis = Block::genesis(Difficulty::from_u64(1));
+    let node =
+        |seed: &[u8]| ProviderNode::new(KeyPair::from_seed(seed), genesis.clone(), library.clone());
+    let mut colluder = node(b"colluding-provider");
+    let mut honest = node(b"honest-provider");
+
+    // The colluding provider releases the system; the honest node learns
+    // the SRA and fetches its artifact.
+    let (sra_id, released) = colluder.release(system, INSURANCE, INCENTIVE_PER_VULN);
+    let mut to_honest = released.broadcast;
+    while !to_honest.is_empty() {
+        let replies: Vec<Message> = to_honest
+            .into_iter()
+            .flat_map(|m| honest.handle(m).broadcast)
+            .collect();
+        to_honest = replies
+            .into_iter()
+            .flat_map(|m| colluder.handle(m).broadcast)
+            .collect();
+    }
+
+    // The colluding detector commits in the open; the honest node indexes
+    // its `R†`.
+    let detector = KeyPair::from_seed(b"colluder");
     let (initial, forged) = create_report_pair(
-        &colluding_detector,
-        [4u8; 32],
+        &detector,
+        sra_id,
         Findings::new(vec![VulnId(99)], "fabricated for the colluding provider"),
     );
-
-    // The colluding provider mines the forged report straight into a block.
-    let genesis = Block::genesis(Difficulty::from_u64(1));
-    let honest_store = ChainStore::new(genesis.clone());
-    let colluder = Miner::new(Address::from_label("colluding-provider"));
-    let record = Record::signed(
-        RecordKind::DetailedReport,
-        forged.encode(),
-        REPORT_FEE,
+    let signed = |kind, payload, nonce| Record::signed(kind, payload, REPORT_FEE, nonce, &detector);
+    honest.handle(Message::Record(signed(
+        RecordKind::InitialReport,
+        initial.encode(),
         0,
-        &colluding_detector,
-    );
-    let dirty_block = colluder
-        .mine_next(&genesis, vec![record], genesis.header().timestamp + 15)
-        .unwrap();
+    )));
 
-    // An honest provider validates the received block: the semantic
-    // validator runs Algorithm 1 + AutoVerif per detailed-report record.
-    let verifier = AutoVerifier::new(&library);
-    let validator = FnValidator(|r: &Record| {
-        if r.kind() != RecordKind::DetailedReport {
-            return Ok(());
-        }
-        let detailed = crate::report::DetailedReport::decode(r.payload()).map_err(|e| {
-            smartcrowd_chain::ChainError::RecordRejected {
-                reason: e.to_string(),
-            }
-        })?;
-        verify::verify_detailed(&detailed, &initial, &system, &verifier, None).map_err(|e| {
-            smartcrowd_chain::ChainError::RecordRejected {
-                reason: e.to_string(),
-            }
-        })
-    });
-    let accepted = validate_block(&honest_store, &dirty_block, &validator).is_ok();
+    // The colluding provider mines the forged `R*` straight into a block.
+    let dirty_block = Miner::new(colluder.address())
+        .mine_next(
+            &genesis,
+            vec![signed(RecordKind::DetailedReport, forged.encode(), 1)],
+            genesis.header().timestamp + 15,
+        )
+        .unwrap();
+    honest.handle(Message::Block(Box::new(dirty_block.clone())));
+    let accepted = honest.store().contains_block(&dirty_block.id());
+    // A refusal is AutoVerif's, not a staging fault: it struck the detector.
+    assert_eq!(
+        honest.scoreboard().score(&detector.address()).strikes,
+        u32::from(!accepted)
+    );
     AttackOutcome {
         attack: "collusion",
         succeeded: accepted,
         detail: format!(
-            "honest providers accepted the colluding provider's block: {accepted}              (AutoVerif re-runs on every received block)"
+            "honest providers accepted the colluding provider's block: {accepted} \
+             (AutoVerif re-runs on every received block)"
         ),
     }
 }

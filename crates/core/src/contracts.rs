@@ -397,13 +397,13 @@ mod tests {
 
     #[test]
     fn contracts_have_finite_loop_aware_gas_bounds() {
-        use smartcrowd_vm::analysis::{analyze, AnalysisConfig, Severity};
+        use smartcrowd_vm::analysis::{analyze, Severity};
         for (name, asm) in [
             ("sra_escrow", SRA_ESCROW_ASM),
             ("report_registry", REPORT_REGISTRY_ASM),
         ] {
             let code = assemble(asm).unwrap();
-            let a = analyze(&code, &AnalysisConfig::default()).unwrap();
+            let a = analyze(&code).unwrap();
             assert!(
                 a.gas.bound().is_some(),
                 "{name} must deploy with a finite worst-case gas bound, got {}",
@@ -422,9 +422,9 @@ mod tests {
 
     #[test]
     fn escrow_storage_summary_names_its_slots() {
-        use smartcrowd_vm::analysis::{analyze, AnalysisConfig};
+        use smartcrowd_vm::analysis::analyze;
         let code = assemble(SRA_ESCROW_ASM).unwrap();
-        let a = analyze(&code, &AnalysisConfig::default()).unwrap();
+        let a = analyze(&code).unwrap();
         // Slots 0 (provider), 1 (mu), 2 (paid count), 4 (trigger).
         for slot in [0u64, 1, 2, 4] {
             let k = U256::from_u64(slot);
@@ -438,13 +438,13 @@ mod tests {
 
     #[test]
     fn shipped_contracts_prove_every_economic_safety_verdict() {
-        use smartcrowd_vm::analysis::{analyze, AnalysisConfig};
+        use smartcrowd_vm::analysis::analyze;
         for (name, asm) in [
             ("sra_escrow", SRA_ESCROW_ASM),
             ("report_registry", REPORT_REGISTRY_ASM),
         ] {
             let code = assemble(asm).unwrap();
-            let a = analyze(&code, &AnalysisConfig::default()).unwrap();
+            let a = analyze(&code).unwrap();
             let s = &a.safety;
             assert!(s.leak.is_none(), "{name}: {:?}", s.leak);
             assert!(s.conserves_escrow.is_proved(), "{name}: conserves-escrow");
@@ -458,7 +458,7 @@ mod tests {
         // expression: mu (slot 1) times the report count (calldata word
         // 2, byte offset 64).
         let code = assemble(SRA_ESCROW_ASM).unwrap();
-        let a = analyze(&code, &AnalysisConfig::default()).unwrap();
+        let a = analyze(&code).unwrap();
         let amounts: Vec<String> = a
             .safety
             .transfers

@@ -34,7 +34,7 @@ use crate::settlement::{Payout, Settlement};
 use crate::sra::{Sra, SraId};
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::simminer::{SimMiner, SimParticipant, PAPER_HASH_POWERS};
-use smartcrowd_chain::{Block, ChainStore, Difficulty, Ether};
+use smartcrowd_chain::{Block, ChainQuery, ChainStore, Difficulty, Ether};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::{Address, Digest};
 use smartcrowd_detect::library::VulnLibrary;
@@ -508,7 +508,7 @@ impl Platform {
     /// moves one block (it rests on the empty genesis block until then).
     fn observe_confirmations(&mut self) {
         let confirmed = self.core.settlement().cursor().0;
-        let Some(block) = self.core.store().block_at_height(confirmed) else {
+        let Some(block) = self.core.store().canonical_block_at(confirmed) else {
             return;
         };
         for record in block.records() {

@@ -26,7 +26,7 @@ use crate::sra::{Sra, SraId};
 use crate::verify;
 use smartcrowd_chain::mempool::Mempool;
 use smartcrowd_chain::record::{Record, RecordKind};
-use smartcrowd_chain::{sigcache, Block, ChainBackend, ChainError, Difficulty, Ether};
+use smartcrowd_chain::{sigcache, Block, ChainBackend, Difficulty, Ether};
 use smartcrowd_crypto::{Address, Digest};
 use smartcrowd_detect::autoverif::AutoVerifier;
 use smartcrowd_detect::library::VulnLibrary;
@@ -106,15 +106,18 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     /// Admits one record from a client or from gossip: signature (through
     /// the process-wide cache), the switch with detector isolation
     /// applied, then the pending pool, which so holds only judged records.
-    /// A record the pool already holds is refused first: its id is Keccak
-    /// over the whole signed encoding, so it is byte for byte the record
-    /// judged when it was pooled.
+    /// A record the pool would refuse is refused first
+    /// ([`Mempool::check_admission`]), so it leaves no knowledge behind:
+    /// one the pool already holds is byte for byte the record judged when
+    /// it was pooled (its id is Keccak over the whole signed encoding), and
+    /// one a full pool turns away is neither indexed nor scored. Once the
+    /// switch passes, the pool takes the record.
     ///
     /// # Errors
     ///
     /// - [`CoreError::Chain`] for a record already pending
-    ///   ([`ChainError::DuplicatePending`]), a bad record signature, or a
-    ///   full pool of better-paying records;
+    ///   ([`smartcrowd_chain::ChainError::DuplicatePending`]), a full pool
+    ///   of better-paying records, or a bad record signature;
     /// - [`CoreError::NotFound`] for an `R*` whose artifact is not held:
     ///   submit it again after [`Protocol::hold_artifact`];
     /// - [`CoreError::Payload`] and the SRA / Algorithm-1 failures for a
@@ -124,10 +127,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     ///   that is already indexed; [`CoreError::InitialNotConfirmed`] for
     ///   an `R*` with no indexed `R†`.
     pub fn admit(&mut self, record: Record) -> Result<Admitted, CoreError> {
-        let id = record.id();
-        if self.mempool.contains(&id) {
-            return Err(ChainError::DuplicatePending { id }.into());
-        }
+        self.mempool.check_admission(&record)?;
         sigcache::verify_cached(&record)?;
         let admitted = self.index(&record, true)?;
         self.mempool.insert(record)?;

@@ -84,6 +84,7 @@ mod tests {
     use smartcrowd_crypto::keys::KeyPair;
     use smartcrowd_detect::library::VulnLibrary;
     use smartcrowd_detect::vulnerability::VulnId;
+    use smartcrowd_net::scoreboard::STRIKE_LIMIT;
 
     fn setup() -> (VulnLibrary, IoTSystem, KeyPair) {
         let lib = VulnLibrary::synthetic(30, 1);
@@ -133,8 +134,10 @@ mod tests {
     fn isolated_detector_rejected_at_phase_one() {
         let (_, _, kp) = setup();
         let (initial, _) = create_report_pair(&kp, [7; 32], Findings::new(vec![VulnId(1)], ""));
-        let mut board = Scoreboard::new(1);
-        board.record_strike(kp.address());
+        let mut board = Scoreboard::default();
+        for _ in 0..STRIKE_LIMIT {
+            board.record_strike(kp.address());
+        }
         assert_eq!(
             verify_initial(&initial, Some(&board)),
             Err(CoreError::DetectorIsolated)
@@ -147,8 +150,8 @@ mod tests {
     fn repeated_forgeries_lead_to_isolation() {
         let (lib, sys, kp) = setup();
         let verifier = AutoVerifier::new(&lib);
-        let mut board = Scoreboard::new(3);
-        for round in 0..3 {
+        let mut board = Scoreboard::default();
+        for round in 0..STRIKE_LIMIT {
             let (initial, detailed) = create_report_pair(
                 &kp,
                 [round as u8; 32],

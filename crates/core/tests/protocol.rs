@@ -5,9 +5,13 @@
 //! driver folded it, exactly once per block, and again after a reorg.
 
 use proptest::prelude::*;
+use smartcrowd_chain::mempool::DEFAULT_CAPACITY;
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_chain::{Block, ChainStore, Difficulty, Ether, CONFIRMATION_DEPTH};
+use smartcrowd_chain::{
+    Block, ChainError, ChainQuery, ChainStore, Difficulty, Ether, CONFIRMATION_DEPTH,
+};
+use smartcrowd_core::economics::{INCENTIVE_PER_VULN, INSURANCE, REPORT_FEE};
 use smartcrowd_core::node::ProviderNode;
 use smartcrowd_core::platform::{Platform, PlatformConfig};
 use smartcrowd_core::protocol::Protocol;
@@ -138,6 +142,39 @@ fn report_waiting_on_another_artifact_stays_deferred() {
     b.handle(second_image);
     assert_eq!(b.scoreboard().score(&cheat.address()).strikes, 1);
     assert_eq!(b.mempool_len(), 3);
+}
+
+/// A record the full pool turns away is turned away before the switch
+/// indexes it: an SRA indexed without being pooled would never have its
+/// image requested, and every `R*` for it would wait forever.
+#[test]
+fn record_the_pool_refuses_leaves_no_knowledge() {
+    let library = VulnLibrary::synthetic(50, 1);
+    let mut core = Protocol::new(Box::new(ChainStore::new(genesis())), library, &[]);
+    let payer = KeyPair::from_seed(b"payer");
+    let better = Ether::from_milliether(12);
+    assert!(better > REPORT_FEE);
+    for nonce in 0..DEFAULT_CAPACITY as u64 {
+        let transfer = Record::signed(RecordKind::Transfer, vec![], better, nonce, &payer);
+        core.admit(transfer).expect("the pool has room");
+    }
+    let provider = KeyPair::from_seed(b"provider");
+    let sra = Sra::create(
+        &provider,
+        "fw",
+        "1",
+        [7; 32],
+        "sim://fw/1",
+        INSURANCE,
+        INCENTIVE_PER_VULN,
+    );
+    let announcement = Record::signed(RecordKind::Sra, sra.encode(), REPORT_FEE, 0, &provider);
+    assert!(matches!(
+        core.admit(announcement),
+        Err(CoreError::Chain(ChainError::MempoolFull))
+    ));
+    assert!(core.sra(sra.id()).is_none());
+    assert_eq!(core.mempool_len(), DEFAULT_CAPACITY);
 }
 
 /// A platform and a node that know the same release: the node learned the

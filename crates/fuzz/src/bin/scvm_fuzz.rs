@@ -1,13 +1,14 @@
 //! `scvm-fuzz` — seeded coverage-guided differential fuzzer for the SCVM.
 //!
 //! ```text
-//! scvm-fuzz [--seed N] [--execs M] [--batch N] [--step-limit N]
-//!           [--threads N] [--differential-ops N] [--shrink-budget N]
+//! scvm-fuzz [--seed N] [--execs M] [--threads N] [--differential-ops N]
 //!           [--planted-bug gas-bound-halved|escrow-payout-drift]
 //!           [--json] [--out FILE]
 //! ```
 //!
-//! Runs the fuzzer to completion and prints the report (stable text, or
+//! Batch size, per-execution step limit and shrink budget are the
+//! constants `fuzzer::BATCH`, `oracle::STEP_LIMIT` and
+//! `fuzzer::SHRINK_BUDGET`. Runs the fuzzer to completion and prints the report (stable text, or
 //! a JSON object under `--json`). Exit status is `2` on usage errors,
 //! `1` when any oracle violation was found, `0` on a clean run. With a
 //! fixed `--seed`/`--execs` the output is byte-identical across runs
@@ -26,8 +27,7 @@ struct Options {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: scvm-fuzz [--seed N] [--execs M] [--batch N] [--step-limit N]\n\
-         \u{20}                [--threads N] [--differential-ops N] [--shrink-budget N]\n\
+        "usage: scvm-fuzz [--seed N] [--execs M] [--threads N] [--differential-ops N]\n\
          \u{20}                [--planted-bug gas-bound-halved|escrow-payout-drift]\n\
          \u{20}                [--json] [--out FILE]"
     );
@@ -57,13 +57,10 @@ fn parse_args(args: &[String]) -> Result<Options, ExitCode> {
         match arg.as_str() {
             "--seed" => opts.config.seed = numeric!("--seed", u64),
             "--execs" => opts.config.execs = numeric!("--execs", u64),
-            "--batch" => opts.config.batch = numeric!("--batch", usize).max(1),
-            "--step-limit" => opts.config.step_limit = numeric!("--step-limit", u64),
             "--threads" => opts.threads = Some(numeric!("--threads", usize).max(1)),
             "--differential-ops" => {
                 opts.config.differential_ops = numeric!("--differential-ops", u64);
             }
-            "--shrink-budget" => opts.config.shrink_budget = numeric!("--shrink-budget", usize),
             "--planted-bug" => match it.next().map(String::as_str) {
                 Some("gas-bound-halved") => {
                     opts.config.planted = Some(PlantedBug::GasBoundHalved);

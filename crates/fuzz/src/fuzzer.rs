@@ -18,7 +18,7 @@
 //! across repeated runs and across `--threads` settings.
 
 use crate::input::FuzzInput;
-use crate::mutate::{mutate, MutateLimits};
+use crate::mutate::mutate;
 use crate::native;
 use crate::oracle::{run_case, PlantedBug, Violation};
 use smartcrowd_chain::rng::SimRng;
@@ -31,23 +31,20 @@ use smartcrowd_vm::isa::Op;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Everything that parameterizes one fuzz run.
+/// Candidates dispatched per parallel batch.
+const BATCH: usize = 64;
+/// Candidate evaluations the shrinker may spend per counterexample.
+const SHRINK_BUDGET: usize = 2_000;
+/// Counterexamples kept per oracle kind (first found wins).
+const MAX_REPORTED: usize = 1;
+
+/// What one fuzz run varies: CI and the nightly job set each field.
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
     /// Master seed; the entire run is a function of it.
     pub seed: u64,
     /// Total candidate executions (seed corpus included).
     pub execs: u64,
-    /// Candidates dispatched per parallel batch.
-    pub batch: usize,
-    /// Interpreter step limit per execution.
-    pub step_limit: u64,
-    /// Size clamps for mutated candidates.
-    pub limits: MutateLimits,
-    /// Candidate evaluations the shrinker may spend per counterexample.
-    pub shrink_budget: usize,
-    /// Counterexamples kept per oracle kind (first found wins).
-    pub max_reported: usize,
     /// Operations for the native-contract differential (0 disables it).
     pub differential_ops: u64,
     /// Self-test bug to plant, if any.
@@ -59,11 +56,6 @@ impl Default for FuzzConfig {
         FuzzConfig {
             seed: 0,
             execs: 2_000,
-            batch: 64,
-            step_limit: 4_096,
-            limits: MutateLimits::default(),
-            shrink_budget: 2_000,
-            max_reported: 1,
             differential_ops: 200,
             planted: None,
         }
@@ -293,16 +285,12 @@ impl Fuzzer {
     fn shrink(&self, input: FuzzInput, violation: Violation) -> MinimizedCase {
         let kind = violation.kind();
         let planted = self.config.planted;
-        let step_limit = self.config.step_limit;
-        let mut judge = move |c: &FuzzInput| {
-            run_case(c, planted, step_limit)
-                .violation
-                .filter(|v| v.kind() == kind)
-        };
+        let mut judge =
+            move |c: &FuzzInput| run_case(c, planted).violation.filter(|v| v.kind() == kind);
         let shrunk = greedy_fixpoint(
             input,
             violation,
-            self.config.shrink_budget,
+            SHRINK_BUDGET,
             &[
                 &axis_truncate,
                 &axis_drop_instruction,
@@ -336,23 +324,21 @@ impl Fuzzer {
         let mut execs = 0u64;
         let mut rounds = 0u64;
         while execs < cfg.execs {
-            let want = (cfg.execs - execs).min(cfg.batch as u64) as usize;
+            let want = (cfg.execs - execs).min(BATCH as u64) as usize;
             // Round zero replays the seed corpus itself (it is the
             // baseline coverage); later rounds are pure mutation.
             let candidates: Vec<FuzzInput> = if rounds == 0 {
                 let mut c = corpus.clone();
                 c.truncate(want);
                 while c.len() < want {
-                    c.push(mutate(&corpus, &mut rng, &cfg.limits));
+                    c.push(mutate(&corpus, &mut rng));
                 }
                 c
             } else {
-                (0..want)
-                    .map(|_| mutate(&corpus, &mut rng, &cfg.limits))
-                    .collect()
+                (0..want).map(|_| mutate(&corpus, &mut rng)).collect()
             };
 
-            let outcomes = pool.par_map(&candidates, |c| run_case(c, cfg.planted, cfg.step_limit));
+            let outcomes = pool.par_map(&candidates, |c| run_case(c, cfg.planted));
 
             // Sequential merge: corpus growth and violation recording
             // happen in candidate order, independent of thread count.
@@ -366,7 +352,7 @@ impl Fuzzer {
                 }
                 if let Some(v) = outcome.violation {
                     let seen = found.entry(v.kind()).or_insert(0);
-                    if *seen < cfg.max_reported {
+                    if *seen < MAX_REPORTED {
                         *seen += 1;
                         count_violation(v.kind());
                         minimized.push(self.shrink(candidate.clone(), v));
@@ -492,7 +478,7 @@ mod tests {
         let src = "PUSH 0\nCALLDATALOAD\nPUSH @loop\nJUMPI\nSTOP\n\
                    loop:\nPUSH 1\nPUSH @loop\nJUMPI\nSTOP\n";
         let gated = FuzzInput::from_code(assemble(src).unwrap());
-        let out = run_case(&gated, None, 4096);
+        let out = run_case(&gated, None);
         assert!(matches!(out.gas_witness, Some((_, false))));
 
         let report = Fuzzer::new(quick_config(11)).run(&Pool::new(1));

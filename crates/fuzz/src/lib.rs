@@ -22,10 +22,12 @@
 //! greedy-fixpoint shrinker ([`smartcrowd_chaos::greedy_fixpoint`])
 //! into ready-to-commit regression tests.
 //!
-//! Everything is a pure function of `(seed, config)`: runs are
-//! byte-identical across repetitions and thread counts (candidates are
-//! generated sequentially, executed in parallel batches with
-//! per-candidate RNGs, and merged in candidate order).
+//! Everything is a pure function of the [`FuzzConfig`] (seed, executions,
+//! differential length, planted bug): runs are byte-identical across
+//! repetitions and thread counts (candidates are generated sequentially,
+//! executed in parallel batches with per-candidate RNGs, and merged in
+//! candidate order). Batch size, step limit, size clamps, shrink budget
+//! and report cap are constants of their modules.
 
 pub mod fuzzer;
 pub mod input;
@@ -35,5 +37,4 @@ pub mod oracle;
 
 pub use fuzzer::{FuzzConfig, FuzzReport, Fuzzer, MinimizedCase};
 pub use input::FuzzInput;
-pub use mutate::MutateLimits;
 pub use oracle::{CaseOutcome, PlantedBug, Violation};

@@ -7,23 +7,10 @@ use smartcrowd_chain::rng::SimRng;
 use smartcrowd_vm::exec::MEMORY_LIMIT;
 use smartcrowd_vm::isa::Op;
 
-/// Size clamps applied after every mutation.
-#[derive(Debug, Clone, Copy)]
-pub struct MutateLimits {
-    /// Maximum bytecode length.
-    pub max_code: usize,
-    /// Maximum calldata length.
-    pub max_calldata: usize,
-}
-
-impl Default for MutateLimits {
-    fn default() -> Self {
-        MutateLimits {
-            max_code: 256,
-            max_calldata: 96,
-        }
-    }
-}
+/// Maximum bytecode length of a mutated candidate.
+const MAX_CODE: usize = 256;
+/// Maximum calldata length of a mutated candidate.
+const MAX_CALLDATA: usize = 96;
 
 /// Every decodable opcode byte, in byte order. Built on first use;
 /// deterministic.
@@ -205,9 +192,10 @@ fn mutate_calldata(input: &mut FuzzInput, rng: &mut SimRng) {
 }
 
 /// Derives one candidate from the corpus: pick a base entry, apply one
-/// mutation strategy, clamp to `limits`. With an empty corpus the
-/// candidate is a fresh random instruction sequence.
-pub fn mutate(corpus: &[FuzzInput], rng: &mut SimRng, limits: &MutateLimits) -> FuzzInput {
+/// mutation strategy, clamp to `MAX_CODE` (256) bytes of code and
+/// `MAX_CALLDATA` (96) of calldata. With an empty corpus the candidate is a
+/// fresh random instruction sequence.
+pub fn mutate(corpus: &[FuzzInput], rng: &mut SimRng) -> FuzzInput {
     let mut input = if corpus.is_empty() {
         FuzzInput::from_code(Vec::new())
     } else {
@@ -226,8 +214,8 @@ pub fn mutate(corpus: &[FuzzInput], rng: &mut SimRng, limits: &MutateLimits) -> 
         }
         _ => mutate_calldata(&mut input, rng),
     }
-    input.code.truncate(limits.max_code);
-    input.calldata.truncate(limits.max_calldata);
+    input.code.truncate(MAX_CODE);
+    input.calldata.truncate(MAX_CALLDATA);
     input
 }
 
@@ -246,11 +234,10 @@ mod tests {
     #[test]
     fn mutation_is_deterministic_per_seed() {
         let corpus = base_corpus();
-        let limits = MutateLimits::default();
         let gen = |seed: u64| {
             let mut rng = SimRng::seed_from_u64(seed);
             (0..50)
-                .map(|_| mutate(&corpus, &mut rng, &limits))
+                .map(|_| mutate(&corpus, &mut rng))
                 .collect::<Vec<_>>()
         };
         assert_eq!(gen(7), gen(7));
@@ -259,23 +246,22 @@ mod tests {
 
     #[test]
     fn mutation_respects_limits() {
-        let corpus = base_corpus();
-        let limits = MutateLimits {
-            max_code: 40,
-            max_calldata: 32,
-        };
+        // Splicing grows the code, so a mutant of a mutant can outgrow the
+        // clamp unless it is applied every time.
+        let mut corpus = base_corpus();
         let mut rng = SimRng::seed_from_u64(3);
         for _ in 0..500 {
-            let m = mutate(&corpus, &mut rng, &limits);
-            assert!(m.code.len() <= 40);
-            assert!(m.calldata.len() <= 32);
+            let m = mutate(&corpus, &mut rng);
+            assert!(m.code.len() <= MAX_CODE);
+            assert!(m.calldata.len() <= MAX_CALLDATA);
+            corpus.push(m);
         }
     }
 
     #[test]
     fn empty_corpus_still_produces_candidates() {
         let mut rng = SimRng::seed_from_u64(1);
-        let m = mutate(&[], &mut rng, &MutateLimits::default());
+        let m = mutate(&[], &mut rng);
         // Either havoc on empty code or a fresh instruction — both fine,
         // as long as something came out without panicking.
         let _ = m.instruction_count();

@@ -23,7 +23,6 @@ use smartcrowd_chain::rng::SimRng;
 use smartcrowd_chain::Ether;
 use smartcrowd_core::contracts::{calldata, REPORT_REGISTRY_ASM, SRA_ESCROW_ASM};
 use smartcrowd_crypto::{Address, U256};
-use smartcrowd_vm::analysis::AnalysisConfig;
 use smartcrowd_vm::asm::assemble;
 use smartcrowd_vm::exec::{address_to_word, word_to_address, CallContext, Vm};
 use smartcrowd_vm::{analyze, WorldState};
@@ -214,11 +213,10 @@ fn mismatch(op: &DiffOp, detail: String) -> Violation {
 /// leak) is itself a violation — the dynamic ledger below assumes the
 /// proofs hold.
 fn assert_all_proved(name: &str, code: &[u8]) -> Result<(), Violation> {
-    let analysis =
-        analyze(code, &AnalysisConfig::default()).map_err(|e| Violation::SafetyVerdict {
-            claim: "all-proved".into(),
-            detail: format!("{name} failed to analyze: {e}"),
-        })?;
+    let analysis = analyze(code).map_err(|e| Violation::SafetyVerdict {
+        claim: "all-proved".into(),
+        detail: format!("{name} failed to analyze: {e}"),
+    })?;
     let s = &analysis.safety;
     let refused = [
         ("conserves-escrow", &s.conserves_escrow),

@@ -48,12 +48,15 @@
 use crate::input::FuzzInput;
 use smartcrowd_chain::Ether;
 use smartcrowd_crypto::{Address, U256};
-use smartcrowd_vm::analysis::{AnalysisConfig, DiagnosticKind, SafetyReport, StorageSummary};
+use smartcrowd_vm::analysis::{DiagnosticKind, SafetyReport, StorageSummary};
 use smartcrowd_vm::cov::CoverageMap;
 use smartcrowd_vm::exec::{address_to_word, CallContext, TraceStep, Vm};
 use smartcrowd_vm::isa::Op;
 use smartcrowd_vm::{analyze, gas, GasVerdict, VmError, WorldState};
 use std::fmt;
+
+/// Interpreter step limit per fuzz execution.
+const STEP_LIMIT: u64 = 4_096;
 
 /// A bug the harness can plant to prove the oracle pipeline end to end
 /// (the fuzzing analogue of the chaos harness's `PlantedBug`).
@@ -368,11 +371,12 @@ fn safety_contradiction(
 
 /// Executes one fuzz case and checks the per-execution oracles.
 ///
-/// The run is a pure function of `(input, planted, step_limit)`: world
-/// setup is fixed, gas is priced at zero, and the interpreter is
-/// deterministic, so outcomes are reproducible byte for byte.
-pub fn run_case(input: &FuzzInput, planted: Option<PlantedBug>, step_limit: u64) -> CaseOutcome {
-    let analysis = analyze(&input.code, &AnalysisConfig::default());
+/// The run is a pure function of `(input, planted)`: world setup is
+/// fixed, gas is priced at zero, the interpreter stops after
+/// `STEP_LIMIT` (4 096) steps and is deterministic, so outcomes are
+/// reproducible byte for byte.
+pub fn run_case(input: &FuzzInput, planted: Option<PlantedBug>) -> CaseOutcome {
+    let analysis = analyze(&input.code);
     let intrinsic = gas::call_intrinsic_gas(input.calldata.len());
     let (claimed, budget) = match &analysis {
         Ok(a) => match a.gas {
@@ -390,7 +394,7 @@ pub fn run_case(input: &FuzzInput, planted: Option<PlantedBug>, step_limit: u64)
     };
 
     let (mut state, owner, contract) = fuzz_world(input);
-    let vm = Vm::default().with_step_limit(step_limit);
+    let vm = Vm::default().with_step_limit(STEP_LIMIT);
     let mut coverage = CoverageMap::new();
     let run = vm.call_traced_with_coverage(
         &mut state,
@@ -510,7 +514,7 @@ mod tests {
     #[test]
     fn clean_contract_has_no_violation() {
         let input = case("PUSH 2\nPUSH 3\nADD\nRETURNVAL\n");
-        let out = run_case(&input, None, 4096);
+        let out = run_case(&input, None);
         assert!(out.analyzed);
         assert!(out.violation.is_none(), "got {:?}", out.violation);
         assert!(out.fault.is_none());
@@ -522,7 +526,7 @@ mod tests {
         // The gas-verdict oracle runs the program with *exactly* the
         // claimed bound as its budget; a sound bound never starves.
         let input = case("PUSH 10\nloop:\nJUMPDEST\nPUSH 1\nSUB\nDUP 0\nPUSH @loop\nJUMPI\nSTOP\n");
-        let out = run_case(&input, None, 1 << 16);
+        let out = run_case(&input, None);
         assert!(out.analyzed);
         assert!(out.claimed_gas.is_some(), "loop bound should be finite");
         assert!(out.violation.is_none(), "got {:?}", out.violation);
@@ -532,7 +536,7 @@ mod tests {
     #[test]
     fn planted_gas_bug_is_caught() {
         let input = case("PUSH 1\nPUSH 2\nADD\nPOP\nSTOP\n");
-        let out = run_case(&input, Some(PlantedBug::GasBoundHalved), 4096);
+        let out = run_case(&input, Some(PlantedBug::GasBoundHalved));
         assert!(
             matches!(out.violation, Some(Violation::GasBound { .. })),
             "halved budget must starve and confirm: {:?}",
@@ -546,7 +550,7 @@ mod tests {
         // MemoryLimit trap — claim and runtime agree, no violation.
         let oob = (smartcrowd_vm::exec::MEMORY_LIMIT as u64) + 1;
         let input = case(&format!("PUSH {oob}\nMLOAD\nPOP\nSTOP\n"));
-        let out = run_case(&input, None, 4096);
+        let out = run_case(&input, None);
         assert!(out.analyzed);
         assert!(out.violation.is_none(), "got {:?}", out.violation);
         assert!(
@@ -563,7 +567,7 @@ mod tests {
         // lands in the coverage map, so even broken candidates feed the
         // corpus-novelty signal.
         let input = FuzzInput::from_code(vec![Op::Add as u8]);
-        let out = run_case(&input, None, 4096);
+        let out = run_case(&input, None);
         assert!(!out.analyzed);
         assert!(out.violation.is_none());
         assert!(matches!(out.fault, Some(VmError::StackUnderflow { .. })));
@@ -576,7 +580,7 @@ mod tests {
         // jumpdest pre-scan rejects it), so there is no coverage and no
         // oracle claim to test.
         let input = FuzzInput::from_code(vec![0xfe, 0x01, 0x02]);
-        let out = run_case(&input, None, 4096);
+        let out = run_case(&input, None);
         assert!(!out.analyzed);
         assert!(out.violation.is_none());
         assert!(out.fault.is_some());
@@ -635,7 +639,7 @@ mod tests {
     #[test]
     fn storage_writes_inside_the_summary_are_clean() {
         let input = case("PUSH 7\nPUSH 0\nSSTORE\nCALLER\nPUSH 3\nSSTORE\nSTOP\n");
-        let out = run_case(&input, None, 4096);
+        let out = run_case(&input, None);
         assert!(out.analyzed);
         assert!(out.violation.is_none(), "got {:?}", out.violation);
     }
@@ -671,7 +675,7 @@ mod tests {
                 let mut input = FuzzInput::from_code(assemble(asm).unwrap());
                 input.calldata = vec![0u8; 32];
                 input.calldata[31] = selector;
-                let out = run_case(&input, None, 1 << 16);
+                let out = run_case(&input, None);
                 assert!(out.analyzed);
                 assert!(out.violation.is_none(), "got {:?}", out.violation);
             }
@@ -751,7 +755,7 @@ mod tests {
         let src = "PUSH 0\nCALLDATALOAD\nPUSH @loop\nJUMPI\nSTOP\n\
                    loop:\nPUSH 1\nPUSH @loop\nJUMPI\nSTOP\n";
         let input = case(src);
-        let out = run_case(&input, None, 4096);
+        let out = run_case(&input, None);
         assert!(out.analyzed);
         let (block, executed) = out.gas_witness.expect("verdict must be unbounded");
         assert!(!executed, "block {block} must not run on empty calldata");
@@ -761,7 +765,7 @@ mod tests {
         let mut looping = input.clone();
         looping.calldata = vec![0u8; 32];
         looping.calldata[31] = 1;
-        let out2 = run_case(&looping, None, 1 << 20);
+        let out2 = run_case(&looping, None);
         let (block2, executed2) = out2.gas_witness.expect("still unbounded");
         assert_eq!(block, block2);
         assert!(executed2);

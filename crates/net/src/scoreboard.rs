@@ -10,8 +10,8 @@
 use smartcrowd_crypto::Address;
 use std::collections::HashMap;
 
-/// Default number of strikes before a peer is isolated.
-pub const DEFAULT_STRIKE_LIMIT: u32 = 3;
+/// Strikes after which a peer is isolated: §V-C's repeated forgeries.
+pub const STRIKE_LIMIT: u32 = 3;
 
 /// One peer's standing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -22,41 +22,30 @@ pub struct PeerScore {
     pub confirmed: u32,
 }
 
-/// A provider-local peer reputation table.
+/// A provider-local peer reputation table, isolating a peer at
+/// [`STRIKE_LIMIT`] strikes.
 ///
 /// # Example
 ///
 /// ```
-/// use smartcrowd_net::Scoreboard;
+/// use smartcrowd_net::scoreboard::{Scoreboard, STRIKE_LIMIT};
 /// use smartcrowd_crypto::Address;
 ///
-/// let mut board = Scoreboard::new(2);
+/// let mut board = Scoreboard::default();
 /// let d = Address::from_label("detector");
-/// board.record_strike(d);
+/// for _ in 1..STRIKE_LIMIT {
+///     board.record_strike(d);
+/// }
 /// assert!(!board.is_isolated(&d));
 /// board.record_strike(d);
 /// assert!(board.is_isolated(&d));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Scoreboard {
     scores: HashMap<Address, PeerScore>,
-    strike_limit: u32,
 }
 
 impl Scoreboard {
-    /// Creates a scoreboard isolating peers at `strike_limit` strikes.
-    pub fn new(strike_limit: u32) -> Self {
-        Scoreboard {
-            scores: HashMap::new(),
-            strike_limit: strike_limit.max(1),
-        }
-    }
-
-    /// The isolation threshold.
-    pub fn strike_limit(&self) -> u32 {
-        self.strike_limit
-    }
-
     /// Records a failed verification for `peer`.
     pub fn record_strike(&mut self, peer: Address) {
         self.scores.entry(peer).or_default().strikes += 1;
@@ -74,7 +63,7 @@ impl Scoreboard {
 
     /// Whether the peer has reached the isolation threshold.
     pub fn is_isolated(&self, peer: &Address) -> bool {
-        self.score(peer).strikes >= self.strike_limit
+        self.score(peer).strikes >= STRIKE_LIMIT
     }
 
     /// Whether a report from `peer` should be accepted for relay/recording.
@@ -87,7 +76,7 @@ impl Scoreboard {
         let mut out: Vec<Address> = self
             .scores
             .iter()
-            .filter(|(_, s)| s.strikes >= self.strike_limit)
+            .filter(|(_, s)| s.strikes >= STRIKE_LIMIT)
             .map(|(a, _)| *a)
             .collect();
         out.sort();
@@ -102,21 +91,15 @@ impl Scoreboard {
     }
 }
 
-impl Default for Scoreboard {
-    fn default() -> Self {
-        Scoreboard::new(DEFAULT_STRIKE_LIMIT)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn strikes_accumulate_to_isolation() {
-        let mut b = Scoreboard::new(3);
+        let mut b = Scoreboard::default();
         let d = Address::from_label("d");
-        for i in 0..3 {
+        for i in 0..STRIKE_LIMIT {
             assert!(b.admits(&d), "still admitted after {i} strikes");
             b.record_strike(d);
         }
@@ -138,9 +121,11 @@ mod tests {
 
     #[test]
     fn pardon_restores_admission() {
-        let mut b = Scoreboard::new(1);
+        let mut b = Scoreboard::default();
         let d = Address::from_label("d");
-        b.record_strike(d);
+        for _ in 0..STRIKE_LIMIT {
+            b.record_strike(d);
+        }
         assert!(b.is_isolated(&d));
         b.pardon(&d);
         assert!(b.admits(&d));
@@ -154,11 +139,5 @@ mod tests {
             b.score(&Address::from_label("stranger")),
             PeerScore::default()
         );
-    }
-
-    #[test]
-    fn limit_clamped_to_one() {
-        let b = Scoreboard::new(0);
-        assert_eq!(b.strike_limit(), 1);
     }
 }

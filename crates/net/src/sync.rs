@@ -179,7 +179,7 @@ impl SyncBuffer {
 mod tests {
     use super::*;
     use smartcrowd_chain::pow::Miner;
-    use smartcrowd_chain::{ChainStore, Difficulty};
+    use smartcrowd_chain::{ChainQuery, ChainStore, Difficulty};
     use smartcrowd_crypto::Address;
 
     fn chain(n: usize) -> (ChainStore, Vec<Block>) {
@@ -328,6 +328,6 @@ mod tests {
         );
         // Longest fork wins.
         assert_eq!(store.best_tip(), a2.id());
-        assert_eq!(store.len(), 4);
+        assert_eq!(store.block_count(), 4);
     }
 }

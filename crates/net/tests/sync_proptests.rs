@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use smartcrowd_chain::pow::Miner;
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_chain::{Block, ChainStore, Difficulty};
+use smartcrowd_chain::{Block, ChainQuery, ChainStore, Difficulty};
 use smartcrowd_crypto::Address;
 use smartcrowd_net::sync::{SyncBuffer, SyncOutcome, MAX_ORPHANS};
 

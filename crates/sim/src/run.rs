@@ -9,7 +9,7 @@
 use crate::config::SimConfig;
 use crate::ledger::{IncomeSample, RunLedger};
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_chain::Ether;
+use smartcrowd_chain::{ChainQuery, Ether};
 use smartcrowd_core::detector::DetectorFleet;
 use smartcrowd_core::economics::DETECTOR_FUNDING;
 use smartcrowd_core::platform::Platform;

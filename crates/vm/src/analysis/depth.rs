@@ -6,8 +6,8 @@
 //! slots an instruction needs (its operands, or `n + 1` for `DUP n` /
 //! `SWAP n`) proves a reachable underflow, `hi` past
 //! [`STACK_LIMIT`] proves a reachable overflow. The lattice is finite
-//! (`0..=STACK_LIMIT` per endpoint), so plain join suffices and the domain
-//! runs with `widen_after = usize::MAX`.
+//! (`0..=STACK_LIMIT` per endpoint), so plain join suffices: the domain's
+//! `WIDEN_AFTER` is `usize::MAX`.
 
 use crate::analysis::cfg::{stack_effect, stack_reach, Cfg, Insn};
 use crate::analysis::engine::{run, Domain};
@@ -72,6 +72,7 @@ fn step(insn: &Insn, depth: DepthInterval) -> Result<DepthInterval, VmError> {
 
 impl Domain for DepthDomain {
     type State = DepthInterval;
+    const WIDEN_AFTER: usize = usize::MAX;
 
     fn entry_state(&self, _cfg: &Cfg) -> DepthInterval {
         DepthInterval { lo: 0, hi: 0 }
@@ -104,7 +105,7 @@ pub struct DepthAnalysis {
 /// Runs the depth domain to a fixpoint and computes the deepest stack
 /// excursion. Errors exactly where the PR 1 verifier did.
 pub fn analyze_depth(cfg: &Cfg) -> Result<DepthAnalysis, VmError> {
-    let entry = run(cfg, &DepthDomain, usize::MAX)?;
+    let entry = run(cfg, &DepthDomain)?;
     let mut max_depth = 0usize;
     for (&block, &state) in &entry {
         let mut depth = state;

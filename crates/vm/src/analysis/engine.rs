@@ -22,6 +22,11 @@ pub trait Domain {
     /// The abstract state attached to each block entry.
     type State: Lattice + std::fmt::Debug;
 
+    /// How many times a block's entry state may change before further
+    /// changes use [`Lattice::widen`] instead of join: `usize::MAX` for a
+    /// finite-height lattice, which never needs widening.
+    const WIDEN_AFTER: usize;
+
     /// The state on entry to the program's first block.
     fn entry_state(&self, cfg: &Cfg) -> Self::State;
 
@@ -39,18 +44,14 @@ pub trait Domain {
 /// every reachable block (unreachable blocks are absent from the map).
 ///
 /// A block's incoming state is joined with its previous entry state; after
-/// a block's entry has changed `widen_after` times, further changes use
-/// [`Lattice::widen`] instead of plain join so infinite-height lattices
-/// still terminate. Pass `usize::MAX` for finite-height domains.
+/// a block's entry has changed [`Domain::WIDEN_AFTER`] times, further
+/// changes use [`Lattice::widen`] instead of plain join so infinite-height
+/// lattices still terminate.
 ///
 /// # Errors
 ///
 /// Propagates the first error the domain's `transfer` reports.
-pub fn run<D: Domain>(
-    cfg: &Cfg,
-    domain: &D,
-    widen_after: usize,
-) -> Result<BTreeMap<usize, D::State>, VmError> {
+pub fn run<D: Domain>(cfg: &Cfg, domain: &D) -> Result<BTreeMap<usize, D::State>, VmError> {
     let mut entry: BTreeMap<usize, D::State> = BTreeMap::new();
     if cfg.is_empty() {
         return Ok(entry);
@@ -67,7 +68,7 @@ pub fn run<D: Domain>(
                 None => exit.clone(),
                 Some(old) => {
                     let count = updates.entry(succ).or_insert(0);
-                    if *count >= widen_after {
+                    if *count >= D::WIDEN_AFTER {
                         old.widen(&exit)
                     } else {
                         old.join(&exit)
@@ -97,6 +98,7 @@ mod tests {
 
     impl Domain for HopCount {
         type State = Interval;
+        const WIDEN_AFTER: usize = 3;
 
         fn entry_state(&self, _cfg: &Cfg) -> Interval {
             Interval::exact(U256::ZERO)
@@ -117,7 +119,7 @@ mod tests {
         let code =
             assemble("PUSH 1\nPUSH @end\nJUMPI\nPUSH 9\nPOP\nend:\nSTOP\n").expect("assembles");
         let cfg = Cfg::build(&code).expect("builds");
-        let states = run(&cfg, &HopCount, usize::MAX).expect("fixpoint");
+        let states = run(&cfg, &HopCount).expect("fixpoint");
         assert_eq!(states.len(), cfg.block_count());
     }
 
@@ -126,7 +128,7 @@ mod tests {
         // Without widening, the hop count at the loop head grows forever.
         let code = assemble("loop:\nJUMPDEST\nPUSH 1\nPUSH @loop\nJUMPI\n").expect("assembles");
         let cfg = Cfg::build(&code).expect("builds");
-        let states = run(&cfg, &HopCount, 3).expect("fixpoint must terminate");
+        let states = run(&cfg, &HopCount).expect("fixpoint must terminate");
         let head = states.get(&0).expect("loop head reached");
         assert_eq!(head.hi, U256::MAX, "widened to top");
     }
@@ -136,7 +138,7 @@ mod tests {
         // Two paths of different lengths into `end` ⇒ non-singleton hull.
         let code = assemble("PUSH 1\nPUSH @end\nJUMPI\nPUSH 9\nPOP\nend:\nSTOP\n").expect("ok");
         let cfg = Cfg::build(&code).expect("builds");
-        let states = run(&cfg, &HopCount, usize::MAX).expect("fixpoint");
+        let states = run(&cfg, &HopCount).expect("fixpoint");
         let end = states.iter().last().map(|(_, s)| *s).expect("end state");
         assert!(end.lo < end.hi || end.as_const().is_some());
     }

@@ -125,8 +125,8 @@ mod tests {
         let cfg = Cfg::build(&assemble(src).expect("assembles")).expect("builds");
         let depth = analyze_depth(&cfg).expect("depth verifies");
         let reachable: BTreeSet<usize> = depth.entry.keys().copied().collect();
-        let ranges = analyze_ranges(&cfg, 4).expect("ranges");
-        let loops = analyze_loops(&cfg, &reachable, &depth.entry, &ranges, 1_000_000);
+        let ranges = analyze_ranges(&cfg).expect("ranges");
+        let loops = analyze_loops(&cfg, &reachable, &depth.entry, &ranges);
         gas_verdict(&cfg, &reachable, &loops)
     }
 

@@ -23,9 +23,9 @@
 //!    on the *loop-entry* edges, before any widening inside the loop)
 //!    yields a trip count.
 //! 4. The loop's bound is the smallest bound any guard proves, clamped by
-//!    [`AnalysisConfig::max_trip_count`](crate::analysis::AnalysisConfig::max_trip_count):
-//!    a provable but absurdly large bound is reported as unbounded, which
-//!    is the trip-count domain's widening step.
+//!    the interpreter's [`STEP_LIMIT`]: a loop that can out-iterate the
+//!    runtime's own ceiling has no meaningful bound and is reported as
+//!    unbounded, which is the trip-count domain's widening step.
 //!
 //! Soundness: the bound counts *header entries*, and the gas accounting
 //! charges every entry a full cycle, so the final partial iteration is
@@ -37,6 +37,7 @@ use crate::analysis::engine::Domain;
 use crate::analysis::lattice::{Interval, Lattice};
 use crate::analysis::machine::{Machine, Value};
 use crate::analysis::range::{RangeDomain, RangeState};
+use crate::exec::STEP_LIMIT;
 use crate::isa::Op;
 use smartcrowd_crypto::U256;
 use std::collections::{BTreeMap, BTreeSet};
@@ -491,7 +492,6 @@ fn bound_loop(
     depth: &BTreeMap<usize, DepthInterval>,
     ranges: &BTreeMap<usize, RangeState>,
     preds: &BTreeMap<usize, Vec<usize>>,
-    max_trips: u64,
 ) -> LoopBound {
     let unbounded = LoopBound::Unbounded {
         witness_block: header,
@@ -644,7 +644,7 @@ fn bound_loop(
         }
     }
     match best {
-        Some(trips) if trips <= max_trips => LoopBound::Bounded { trips },
+        Some(trips) if trips <= STEP_LIMIT => LoopBound::Bounded { trips },
         _ => unbounded,
     }
 }
@@ -655,7 +655,6 @@ pub fn analyze_loops(
     reachable: &BTreeSet<usize>,
     depth: &BTreeMap<usize, DepthInterval>,
     ranges: &BTreeMap<usize, RangeState>,
-    max_trips: u64,
 ) -> LoopAnalysis {
     let (components, component_of) = tarjan(cfg, reachable);
 
@@ -689,7 +688,7 @@ pub fn analyze_loops(
                         .is_some_and(|ps| ps.iter().any(|p| !members.contains(p)))
             })
             .unwrap_or_else(|| comp[0]);
-        let bound = bound_loop(cfg, &members, header, depth, ranges, &preds, max_trips);
+        let bound = bound_loop(cfg, &members, header, depth, ranges, &preds);
         loops.push(LoopInfo {
             header,
             blocks: members,
@@ -715,8 +714,8 @@ mod tests {
         let cfg = Cfg::build(&assemble(src).expect("assembles")).expect("builds");
         let depth = analyze_depth(&cfg).expect("depth verifies");
         let reachable: BTreeSet<usize> = depth.entry.keys().copied().collect();
-        let ranges = analyze_ranges(&cfg, 4).expect("ranges");
-        analyze_loops(&cfg, &reachable, &depth.entry, &ranges, 1_000_000)
+        let ranges = analyze_ranges(&cfg).expect("ranges");
+        analyze_loops(&cfg, &reachable, &depth.entry, &ranges)
     }
 
     #[test]
@@ -800,18 +799,21 @@ mod tests {
 
     #[test]
     fn trip_cap_widens_to_unbounded() {
-        let cfg = Cfg::build(
-            &assemble("PUSH 10\nloop:\nJUMPDEST\nPUSH 1\nSUB\nDUP 0\nPUSH @loop\nJUMPI\nSTOP\n")
-                .expect("assembles"),
-        )
-        .expect("builds");
-        let depth = analyze_depth(&cfg).expect("depth");
-        let reachable: BTreeSet<usize> = depth.entry.keys().copied().collect();
-        let ranges = analyze_ranges(&cfg, 4).expect("ranges");
-        let l = analyze_loops(&cfg, &reachable, &depth.entry, &ranges, 5);
+        let countdown = |n: u64| {
+            loops_of(&format!(
+                "PUSH {n}\nloop:\nJUMPDEST\nPUSH 1\nSUB\nDUP 0\nPUSH @loop\nJUMPI\nSTOP\n"
+            ))
+            .loops[0]
+                .bound
+                .clone()
+        };
+        assert_eq!(
+            countdown(STEP_LIMIT),
+            LoopBound::Bounded { trips: STEP_LIMIT }
+        );
         assert!(
-            matches!(l.loops[0].bound, LoopBound::Unbounded { .. }),
-            "bound 10 exceeds cap 5"
+            matches!(countdown(STEP_LIMIT + 1), LoopBound::Unbounded { .. }),
+            "a bound past the step limit widens"
         );
     }
 }

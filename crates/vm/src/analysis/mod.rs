@@ -44,30 +44,6 @@ pub use safety::{EntryPoint, FlowExpr, LeakWitness, SafetyReport, SafetyVerdict,
 use crate::error::VmError;
 use std::collections::BTreeSet;
 
-/// Tuning knobs for [`analyze`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AnalysisConfig {
-    /// Loops with a proven trip count above this cap are still reported
-    /// as [`LoopBound::Unbounded`] — the trip-count domain's widening
-    /// step. Defaults to the interpreter's step limit: a loop that can
-    /// out-iterate the runtime's own ceiling has no meaningful bound.
-    pub max_trip_count: u64,
-    /// How many times a block's entry state may change before the range
-    /// engine switches from join to widening. Small values converge
-    /// faster; larger ones keep more precision in short chains of
-    /// branches. The depth domain ignores this (its lattice is finite).
-    pub widen_after: usize,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> Self {
-        AnalysisConfig {
-            max_trip_count: crate::exec::STEP_LIMIT,
-            widen_after: 4,
-        }
-    }
-}
-
 /// Everything the framework can prove about one program.
 #[derive(Debug)]
 pub struct Analysis {
@@ -107,7 +83,7 @@ pub struct Analysis {
 /// in [`Analysis::diagnostics`]. The deploy gate additionally turns a
 /// provable [`SafetyReport::leak`] into a rejection — see
 /// [`crate::verify`].
-pub fn analyze(code: &[u8], config: &AnalysisConfig) -> Result<Analysis, VmError> {
+pub fn analyze(code: &[u8]) -> Result<Analysis, VmError> {
     let cfg = Cfg::build(code)?;
     let depth_result = depth::analyze_depth(&cfg)?;
     let reachable: BTreeSet<usize> = depth_result.entry.keys().copied().collect();
@@ -116,24 +92,12 @@ pub fn analyze(code: &[u8], config: &AnalysisConfig) -> Result<Analysis, VmError
         .filter(|b| !reachable.contains(b))
         .collect();
 
-    let ranges = range::analyze_ranges(&cfg, config.widen_after)?;
+    let ranges = range::analyze_ranges(&cfg)?;
     let (mut diags, storage) = range::scan(&cfg, &ranges);
 
-    let loop_analysis = loops::analyze_loops(
-        &cfg,
-        &reachable,
-        &depth_result.entry,
-        &ranges,
-        config.max_trip_count,
-    );
+    let loop_analysis = loops::analyze_loops(&cfg, &reachable, &depth_result.entry, &ranges);
     let gas = gasbound::gas_verdict(&cfg, &reachable, &loop_analysis);
-    let safety = safety::analyze_safety(
-        &cfg,
-        &reachable,
-        &loop_analysis,
-        config.widen_after,
-        &mut diags,
-    )?;
+    let safety = safety::analyze_safety(&cfg, &reachable, &loop_analysis, &mut diags)?;
 
     for &b in &unreachable {
         diags.push(Diagnostic {
@@ -188,16 +152,12 @@ mod tests {
     use crate::asm::assemble;
 
     fn run(src: &str) -> Analysis {
-        analyze(
-            &assemble(src).expect("assembles"),
-            &AnalysisConfig::default(),
-        )
-        .expect("analyzes")
+        analyze(&assemble(src).expect("assembles")).expect("analyzes")
     }
 
     #[test]
     fn empty_program_is_trivially_bounded() {
-        let a = analyze(&[], &AnalysisConfig::default()).expect("empty ok");
+        let a = analyze(&[]).expect("empty ok");
         assert_eq!(a.gas, GasVerdict::Bounded(0));
         assert!(a.diagnostics.is_empty());
     }

@@ -73,13 +73,16 @@ impl Value for Interval {
     }
 }
 
-/// The range domain (no parameters; precision knobs live in the engine's
+/// The range domain (no parameters; its one precision knob is the
 /// widening budget).
 #[derive(Debug)]
 pub struct RangeDomain;
 
 impl Domain for RangeDomain {
     type State = RangeState;
+    /// Small budgets converge faster; larger ones keep more precision in
+    /// short chains of branches.
+    const WIDEN_AFTER: usize = 4;
 
     fn entry_state(&self, _cfg: &Cfg) -> RangeState {
         RangeState::new()
@@ -116,11 +119,8 @@ pub struct StorageSummary {
 ///
 /// Only structural [`VmError`]s bubbled up from the engine; the domain
 /// itself never rejects.
-pub fn analyze_ranges(
-    cfg: &Cfg,
-    widen_after: usize,
-) -> Result<BTreeMap<usize, RangeState>, VmError> {
-    run(cfg, &RangeDomain, widen_after)
+pub fn analyze_ranges(cfg: &Cfg) -> Result<BTreeMap<usize, RangeState>, VmError> {
+    run(cfg, &RangeDomain)
 }
 
 /// Post-pass over the fixpoint: walks every reachable block re-deriving
@@ -234,7 +234,7 @@ mod tests {
 
     fn ranges(src: &str) -> (Cfg, BTreeMap<usize, RangeState>) {
         let cfg = Cfg::build(&assemble(src).expect("assembles")).expect("builds");
-        let entry = analyze_ranges(&cfg, 2).expect("fixpoint");
+        let entry = analyze_ranges(&cfg).expect("fixpoint");
         (cfg, entry)
     }
 

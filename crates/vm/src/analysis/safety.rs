@@ -425,6 +425,7 @@ struct FlowDomain;
 
 impl Domain for FlowDomain {
     type State = FlowState;
+    const WIDEN_AFTER: usize = 4;
 
     fn entry_state(&self, _cfg: &Cfg) -> FlowState {
         FlowState::entry()
@@ -723,10 +724,9 @@ pub fn analyze_safety(
     cfg: &Cfg,
     reachable: &BTreeSet<usize>,
     loops: &LoopAnalysis,
-    widen_after: usize,
     diags: &mut Vec<Diagnostic>,
 ) -> Result<SafetyReport, VmError> {
-    let states = run(cfg, &FlowDomain, widen_after)?;
+    let states = run(cfg, &FlowDomain)?;
 
     // Pass 1: walk every reachable block collecting transfer sites,
     // drain facts and guarded branch edges.
@@ -982,15 +982,11 @@ pub fn analyze_safety(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{analyze, AnalysisConfig};
+    use crate::analysis::analyze;
     use crate::asm::assemble;
 
     fn run(src: &str) -> crate::analysis::Analysis {
-        analyze(
-            &assemble(src).expect("assembles"),
-            &AnalysisConfig::default(),
-        )
-        .expect("analyzes")
+        analyze(&assemble(src).expect("assembles")).expect("analyzes")
     }
 
     fn safety_kinds(a: &crate::analysis::Analysis) -> Vec<&'static str> {

@@ -5,9 +5,11 @@
 //! diagnostics with source line/column spans:
 //!
 //! ```text
-//! scvm-lint [--deny-warnings] [--max-trips N] [--json] FILE...
+//! scvm-lint [--deny-warnings] [--json] FILE...
 //! ```
 //!
+//! A loop whose proven trip count exceeds the interpreter's
+//! [`STEP_LIMIT`](smartcrowd_vm::exec::STEP_LIMIT) is reported unbounded.
 //! Besides the gas verdict, every file gets a one-line economic-safety
 //! summary (`conserves-escrow` / `bounded-payout` / `no-unauthorized-flow`,
 //! each `proved` or `refused`) from the balance-flow domain; refusals
@@ -24,7 +26,7 @@
 //! diagnostic (also `warning`-severity under `--deny-warnings`), and
 //! `0` otherwise.
 
-use smartcrowd_vm::analysis::{analyze, Analysis, AnalysisConfig, SafetyReport, Severity};
+use smartcrowd_vm::analysis::{analyze, Analysis, SafetyReport, Severity};
 use smartcrowd_vm::asm::{assemble_with_source_map, SourceMap};
 use smartcrowd_vm::GasVerdict;
 use std::process::ExitCode;
@@ -32,12 +34,11 @@ use std::process::ExitCode;
 struct Options {
     deny_warnings: bool,
     json: bool,
-    config: AnalysisConfig,
     files: Vec<String>,
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: scvm-lint [--deny-warnings] [--max-trips N] [--json] FILE...");
+    eprintln!("usage: scvm-lint [--deny-warnings] [--json] FILE...");
     ExitCode::from(2)
 }
 
@@ -45,21 +46,12 @@ fn parse_args(args: &[String]) -> Result<Options, ExitCode> {
     let mut opts = Options {
         deny_warnings: false,
         json: false,
-        config: AnalysisConfig::default(),
         files: Vec::new(),
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in args {
         match arg.as_str() {
             "--deny-warnings" => opts.deny_warnings = true,
             "--json" => opts.json = true,
-            "--max-trips" => {
-                let Some(n) = it.next().and_then(|v| v.parse::<u64>().ok()) else {
-                    eprintln!("scvm-lint: --max-trips needs an integer argument");
-                    return Err(usage());
-                };
-                opts.config.max_trip_count = n;
-            }
             "--help" | "-h" => return Err(usage()),
             f if !f.starts_with('-') => opts.files.push(f.to_string()),
             unknown => {
@@ -76,10 +68,10 @@ fn parse_args(args: &[String]) -> Result<Options, ExitCode> {
 
 /// Reads, assembles and analyzes one file. `Err` carries the rendered
 /// failure message (read error, parse error or deploy-gate rejection).
-fn analyze_file(path: &str, config: &AnalysisConfig) -> Result<(Analysis, SourceMap), String> {
+fn analyze_file(path: &str) -> Result<(Analysis, SourceMap), String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
     let (code, map) = assemble_with_source_map(&source).map_err(|e| e.to_string())?;
-    match analyze(&code, config) {
+    match analyze(&code) {
         Ok(a) => Ok((a, map)),
         // Deploy-gate rejection: render with the source span when the
         // error names a program counter.
@@ -89,8 +81,8 @@ fn analyze_file(path: &str, config: &AnalysisConfig) -> Result<(Analysis, Source
 
 /// Lints one file in text mode. Returns the worst severity it produced,
 /// `None` when the listing is clean.
-fn lint_file(path: &str, config: &AnalysisConfig) -> Option<Severity> {
-    let (analysis, map) = match analyze_file(path, config) {
+fn lint_file(path: &str) -> Option<Severity> {
+    let (analysis, map) = match analyze_file(path) {
         Ok(out) => out,
         Err(msg) => {
             eprintln!("error: {path}: {msg}");
@@ -126,9 +118,9 @@ fn render_safety(safety: &SafetyReport) -> String {
 
 /// Lints one file in JSON mode: returns the file's JSON object plus the
 /// same worst-severity verdict as the text path.
-fn lint_file_json(path: &str, config: &AnalysisConfig) -> (serde_json::Value, Option<Severity>) {
+fn lint_file_json(path: &str) -> (serde_json::Value, Option<Severity>) {
     use serde_json::{json, Value};
-    let (analysis, map) = match analyze_file(path, config) {
+    let (analysis, map) = match analyze_file(path) {
         Ok(out) => out,
         Err(msg) => {
             let doc = json!({
@@ -204,11 +196,11 @@ fn main() -> ExitCode {
     let mut json_docs = Vec::new();
     for path in &opts.files {
         let sev = if opts.json {
-            let (doc, sev) = lint_file_json(path, &opts.config);
+            let (doc, sev) = lint_file_json(path);
             json_docs.push(doc);
             sev
         } else {
-            lint_file(path, &opts.config)
+            lint_file(path)
         };
         worst = match (worst, sev) {
             (Some(w), Some(s)) => Some(w.min(s)),

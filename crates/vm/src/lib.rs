@@ -75,7 +75,7 @@ pub mod receipt;
 pub mod state;
 pub mod verify;
 
-pub use analysis::{analyze, Analysis, AnalysisConfig, GasVerdict, SafetyReport, SafetyVerdict};
+pub use analysis::{analyze, Analysis, GasVerdict, SafetyReport, SafetyVerdict};
 pub use cov::{CoverageAccumulator, CoverageMap};
 pub use error::VmError;
 pub use exec::{CallContext, Vm};

@@ -2,17 +2,17 @@
 //! and [`Vm::deploy`](crate::Vm::deploy) refuse code that [`verify`]
 //! rejects, before any state changes.
 //!
-//! The gate is [`crate::analysis::analyze`] with the default
-//! configuration — which rejects undecodable code, provable stack faults,
-//! bad static jumps, target-less dynamic jumps and `SWAP 0` — plus one
-//! economic rule: a provable escrow leak ([`VerifyError::EscrowLeak`]), a
-//! `TRANSFER` after the whole balance was already paid out, which can
-//! never pay and would revert the incentive allocation. Every other
+//! The gate is [`crate::analysis::analyze`] — which rejects undecodable
+//! code, provable stack faults, bad static jumps, target-less dynamic
+//! jumps and `SWAP 0` — plus one economic rule: a provable escrow leak
+//! ([`VerifyError::EscrowLeak`]), a `TRANSFER` after the whole balance was
+//! already paid out, which can never pay and would revert the incentive
+//! allocation. Every other
 //! finding (dead code, unbounded loops, opaque or unguarded payouts) is a
 //! diagnostic, not a rejection; `scvm-lint` prints them. The interpreter
 //! keeps its own runtime checks as defense in depth.
 
-use crate::analysis::{analyze, Analysis, AnalysisConfig};
+use crate::analysis::{analyze, Analysis};
 use crate::error::VmError;
 use crate::exec::STACK_LIMIT;
 
@@ -137,15 +137,13 @@ impl std::error::Error for VerifyError {}
 /// and provable escrow leaks ([`VerifyError::EscrowLeak`]).
 pub fn verify(code: &[u8]) -> Result<Analysis, VmError> {
     let _span = smartcrowd_telemetry::span!("vm.verify");
-    let result = analyze(code, &AnalysisConfig::default()).and_then(|analysis| {
-        match &analysis.safety.leak {
-            Some(leak) => Err(VmError::Verify(VerifyError::EscrowLeak {
-                pc: leak.pc,
-                drain_pc: leak.drain_pc,
-                witness: leak.witness.clone(),
-            })),
-            None => Ok(analysis),
-        }
+    let result = analyze(code).and_then(|analysis| match &analysis.safety.leak {
+        Some(leak) => Err(VmError::Verify(VerifyError::EscrowLeak {
+            pc: leak.pc,
+            drain_pc: leak.drain_pc,
+            witness: leak.witness.clone(),
+        })),
+        None => Ok(analysis),
     });
     if result.is_err() {
         smartcrowd_telemetry::counter!("vm.verify.rejected").inc();

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use smartcrowd_chain::Ether;
 use smartcrowd_crypto::{Address, U256};
-use smartcrowd_vm::analysis::{analyze, AnalysisConfig, LoopBound, Severity};
+use smartcrowd_vm::analysis::{analyze, LoopBound, Severity};
 use smartcrowd_vm::asm::assemble;
 use smartcrowd_vm::exec::{address_to_word, CallContext, Vm};
 use smartcrowd_vm::gas;
@@ -96,7 +96,7 @@ fn escrow_shaped(mu: u64, drain: bool) -> String {
 /// Asserts the static verdict is finite and covers the concrete run.
 fn assert_gas_sound(src: &str) -> Result<(), TestCaseError> {
     let code = assemble(src).expect("assembles");
-    let a = analyze(&code, &AnalysisConfig::default()).expect("verifies");
+    let a = analyze(&code).expect("verifies");
     let bound = a
         .gas
         .bound()
@@ -146,7 +146,7 @@ proptest! {
             countdown_program(n, BODIES[body])
         };
         let code = assemble(&src).expect("assembles");
-        let a = analyze(&code, &AnalysisConfig::default()).expect("verifies");
+        let a = analyze(&code).expect("verifies");
         prop_assert!(
             a.diagnostics.iter().all(|d| d.severity != Severity::Error),
             "unexpected error diagnostics: {:?}",
@@ -160,7 +160,7 @@ proptest! {
     /// `Ok`/`Err`, never a panic, and ranked diagnostics on success.
     #[test]
     fn analyze_total_on_garbage(code in proptest::collection::vec(any::<u8>(), 0..256)) {
-        if let Ok(a) = analyze(&code, &AnalysisConfig::default()) {
+        if let Ok(a) = analyze(&code) {
             let sevs: Vec<Severity> = a.diagnostics.iter().map(|d| d.severity).collect();
             let mut sorted = sevs.clone();
             sorted.sort();
@@ -181,7 +181,7 @@ proptest! {
             let at = *pos as usize % code.len();
             code[at] = *byte;
         }
-        if let Ok(a) = analyze(&code, &AnalysisConfig::default()) {
+        if let Ok(a) = analyze(&code) {
             prop_assert_eq!(a.gas.bound().is_some(), a.gas.is_bounded());
         }
     }
@@ -198,7 +198,7 @@ proptest! {
     ) {
         let src = escrow_shaped(mu, drain);
         let code = assemble(&src).expect("assembles");
-        let a = analyze(&code, &AnalysisConfig::default()).expect("verifies");
+        let a = analyze(&code).expect("verifies");
         let s = &a.safety;
         prop_assert!(s.leak.is_none(), "no leak in {src}");
         prop_assert!(s.conserves_escrow.is_proved(), "{src}");
@@ -243,7 +243,7 @@ proptest! {
             let at = *pos as usize % code.len();
             code[at] = *byte;
         }
-        if let Ok(a) = analyze(&code, &AnalysisConfig::default()) {
+        if let Ok(a) = analyze(&code) {
             let s = &a.safety;
             if s.leak.is_some() {
                 prop_assert!(!s.conserves_escrow.is_proved());

@@ -9,7 +9,7 @@
 //! once; every run writes its own renderings to
 //! `$CARGO_TARGET_TMPDIR/analysis_snapshots/` for comparison.
 
-use smartcrowd_vm::analysis::{analyze, Analysis, AnalysisConfig};
+use smartcrowd_vm::analysis::{analyze, Analysis};
 use smartcrowd_vm::asm::assemble;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -77,10 +77,7 @@ fn render(rel: &str) -> String {
         .expect("utf-8 output")
         .replace(path, rel);
     let source = std::fs::read_to_string(path).expect("program readable");
-    let analysis = match analyze(
-        &assemble(&source).expect("assembles"),
-        &AnalysisConfig::default(),
-    ) {
+    let analysis = match analyze(&assemble(&source).expect("assembles")) {
         Ok(a) => render_analysis(&a),
         Err(e) => format!("rejected: {e:?}\n"),
     };

@@ -12,7 +12,7 @@
 
 use smartcrowd_chain::Ether;
 use smartcrowd_crypto::{hex, Address};
-use smartcrowd_vm::analysis::{analyze, AnalysisConfig};
+use smartcrowd_vm::analysis::analyze;
 use smartcrowd_vm::exec::{CallContext, Vm};
 use smartcrowd_vm::{gas, GasVerdict, VmError, WorldState};
 
@@ -21,7 +21,7 @@ fn replay(code_hex: &str, calldata_hex: &str) {
     let code = hex::decode(code_hex).expect("valid code hex");
     let calldata = hex::decode(calldata_hex).expect("valid calldata hex");
 
-    let analysis = analyze(&code, &AnalysisConfig::default());
+    let analysis = analyze(&code);
     let intrinsic = gas::call_intrinsic_gas(calldata.len());
     let (claimed, budget) = match &analysis {
         Ok(a) => match a.gas {

@@ -225,8 +225,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         let dir = std::path::PathBuf::from(dir);
         let genesis = platform
             .store()
-            .block_at_height(0)
-            .cloned()
+            .canonical_block_at(0)
             .ok_or("simulated chain has no genesis")?;
         let mut durable = DurableStore::open_with(&dir, &genesis, store_config)
             .map_err(|e| format!("cannot open store {}: {e}", dir.display()))?;

@@ -1,6 +1,7 @@
 //! Reproducibility: every stochastic component is a pure function of its
 //! seed — the property all experiment claims rest on.
 
+use smartcrowd::chain::ChainQuery;
 use smartcrowd::sim::config::SimConfig;
 use smartcrowd::sim::run::simulate;
 

@@ -2,7 +2,7 @@
 //! against the fixture listings in `tests/lint_fixtures/` — the same
 //! files CI feeds to `scvm-lint`.
 
-use smartcrowd_vm::analysis::{analyze, AnalysisConfig, DiagnosticKind, GasVerdict, Severity};
+use smartcrowd_vm::analysis::{analyze, DiagnosticKind, GasVerdict, Severity};
 use smartcrowd_vm::asm::assemble_with_source_map;
 
 fn analyze_fixture(name: &str) -> smartcrowd_vm::Analysis {
@@ -12,7 +12,7 @@ fn analyze_fixture(name: &str) -> smartcrowd_vm::Analysis {
     ))
     .expect("fixture readable");
     let (code, _) = assemble_with_source_map(&src).expect("fixture assembles");
-    analyze(&code, &AnalysisConfig::default()).expect("fixture passes the deploy gate")
+    analyze(&code).expect("fixture passes the deploy gate")
 }
 
 fn kinds(a: &smartcrowd_vm::Analysis) -> Vec<(DiagnosticKind, Severity)> {
@@ -86,7 +86,7 @@ fn diagnostics_render_with_source_spans() {
     ))
     .expect("fixture readable");
     let (code, map) = assemble_with_source_map(&src).expect("assembles");
-    let a = analyze(&code, &AnalysisConfig::default()).expect("analyzes");
+    let a = analyze(&code).expect("analyzes");
     let d = a
         .diagnostics
         .iter()

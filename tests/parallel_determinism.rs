@@ -10,7 +10,7 @@
 use smartcrowd::chain::pow::Miner;
 use smartcrowd::chain::record::{Record, RecordKind};
 use smartcrowd::chain::validate::{validate_block_with, AcceptAll};
-use smartcrowd::chain::{Block, ChainStore, Difficulty, Ether};
+use smartcrowd::chain::{Block, ChainQuery, ChainStore, Difficulty, Ether};
 use smartcrowd::crypto::keys::KeyPair;
 use smartcrowd::crypto::Address;
 use smartcrowd::pool::Pool;

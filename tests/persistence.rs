@@ -3,7 +3,7 @@
 
 use smartcrowd::chain::record::RecordKind;
 use smartcrowd::chain::stats::chain_stats;
-use smartcrowd::chain::storage::{export_chain, import_chain};
+use smartcrowd::chain::storage::{export_chain, import_chain, ChainQuery};
 use smartcrowd::sim::config::SimConfig;
 use smartcrowd::sim::run::simulate_full;
 

@@ -9,7 +9,7 @@
 //! message.
 
 use smartcrowd::chain::rng::SimRng;
-use smartcrowd::chain::{Block, ChainBackend, ChainStore, Ether};
+use smartcrowd::chain::{Block, ChainBackend, ChainQuery, ChainStore, Ether};
 use smartcrowd::core::detector::DetectorFleet;
 use smartcrowd::core::platform::{Platform, PlatformConfig};
 use smartcrowd::detect::system::IoTSystem;

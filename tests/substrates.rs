@@ -5,7 +5,7 @@
 use smartcrowd::chain::mempool::Mempool;
 use smartcrowd::chain::pow::Miner;
 use smartcrowd::chain::record::{Record, RecordKind};
-use smartcrowd::chain::{Block, ChainStore, Difficulty, Ether};
+use smartcrowd::chain::{Block, ChainQuery, ChainStore, Difficulty, Ether};
 use smartcrowd::crypto::keys::KeyPair;
 use smartcrowd::crypto::Address;
 use smartcrowd::net::{GossipNet, LinkConfig, Message};
