@@ -17,7 +17,8 @@ use super::log::{scan_log, BlockLog, LogEntry};
 use super::snapshot::{self, Snapshot, SnapshotEntry, SnapshotRead, SNAPSHOT_FILE};
 use super::wal::{Wal, WalRecovery};
 use super::{
-    io_err, write_atomic, ChainBackend, ChainQuery, CrashPoint, StorageError, StoreConfig,
+    block_frame, io_err, write_atomic, ChainBackend, ChainQuery, CrashPoint, StorageError,
+    StoreConfig,
 };
 use crate::block::Block;
 use crate::chain_index::ChainIndex;
@@ -27,7 +28,8 @@ use smartcrowd_crypto::sha256::sha256d;
 use smartcrowd_telemetry::counter;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
 const CHECKPOINT_MAGIC: &[u8; 8] = b"SCCKPT01";
@@ -237,7 +239,7 @@ impl DurableStore {
         // Validation passed — apply the repairs.
         log.adopt(valid_len, entries)?;
         for block in seeded_genesis.iter().chain(&wal_block) {
-            log.append(block)?;
+            log.append(&block_frame(block), block.id())?;
         }
         if !wal_was_empty {
             wal.clear()?;
@@ -327,19 +329,22 @@ impl DurableStore {
 
     /// The write half of [`DurableStore::commit`], for a checked block.
     fn apply(&mut self, block: Block) -> Result<BlockId, StorageError> {
+        // One encoding and one checksum: the WAL and the log hold the
+        // same frame bytes.
+        let frame = block_frame(&block);
         if let Some(CrashPoint::TornWalWrite { bytes }) = self.crash {
-            self.wal.begin_torn(&block, bytes)?;
+            self.wal.begin_torn(&frame, bytes)?;
             return Err(StorageError::InjectedCrash);
         }
-        self.wal.begin(&block)?;
+        self.wal.begin(&frame)?;
         if let Some(CrashPoint::AfterWalSync) = self.crash {
             return Err(StorageError::InjectedCrash);
         }
         if let Some(CrashPoint::TornLogAppend { bytes }) = self.crash {
-            self.log.append_torn(&block, bytes)?;
+            self.log.append_torn(&frame, bytes)?;
             return Err(StorageError::InjectedCrash);
         }
-        let entry = self.log.append(&block)?;
+        let entry = self.log.append(&frame, block.id())?;
         let id = self.index.attach(&block);
         self.locations.insert(id, entry);
         self.cache.borrow_mut().insert(block);
@@ -400,11 +405,12 @@ impl DurableStore {
     /// Removes fork branches that can no longer win: a non-canonical
     /// block whose entire subtree tops out at or below
     /// `best − CONFIRMATION_DEPTH` could only become canonical by
-    /// reorging a confirmed block. Compacts the log by raw frame copy
-    /// (temp + rename — surviving frames are never re-encoded), drops
-    /// the dead metadata and cached bodies, and refreshes the snapshot
-    /// (frame offsets moved, so a stale snapshot would be rejected on
-    /// the next open anyway).
+    /// reorging a confirmed block. Returns in O(1) on a fork-free log and
+    /// otherwise folds over the fork blocks only. Compacts the log by raw
+    /// frame copy (temp + rename — surviving frames are never re-encoded),
+    /// drops the dead metadata and cached bodies, and refreshes the
+    /// snapshot (frame offsets moved, so a stale snapshot would be
+    /// rejected on the next open anyway).
     ///
     /// Returns the number of blocks removed.
     ///
@@ -413,47 +419,38 @@ impl DurableStore {
     /// [`StorageError::Io`] on filesystem failures during compaction.
     pub fn prune(&mut self) -> Result<u64, StorageError> {
         let best = self.index.best_height();
-        if best <= CONFIRMATION_DEPTH {
+        // The canonical chain holds `best + 1` blocks, so an index of
+        // that size has no forks.
+        if best <= CONFIRMATION_DEPTH || self.index.len() == best as usize + 1 {
             return Ok(0);
         }
         let horizon = best - CONFIRMATION_DEPTH;
-        // Deepest descendant per block. Children appear after parents in
-        // the log, so one reverse pass folds each subtree into its root.
+        // Deepest descendant per fork block. Every descendant of a fork
+        // block is itself one and children follow parents in the log, so
+        // one reverse pass over the forks folds each subtree into its root.
+        let forks = fork_ids(self.log.entries(), &self.index);
         let mut deepest: HashMap<BlockId, u64> = HashMap::new();
-        for entry in self.log.entries().iter().rev() {
-            let header = self
-                .index
-                .header(&entry.id)
-                .ok_or_else(|| StorageError::Corrupt {
-                    file: "blocks.log",
-                    offset: entry.offset,
-                    detail: format!("log entry {} missing from the chain index", entry.id),
-                })?;
-            let own = deepest
-                .get(&entry.id)
-                .copied()
-                .unwrap_or(header.height)
-                .max(header.height);
-            deepest.insert(entry.id, own);
+        for id in forks.iter().rev() {
+            let header = self.index.header(id).ok_or_else(|| StorageError::Corrupt {
+                file: "blocks.log",
+                offset: 0,
+                detail: format!("fork block {id} missing from the chain index"),
+            })?;
+            let own = deepest.get(id).copied().unwrap_or(0).max(header.height);
+            deepest.insert(*id, own);
             let parent = deepest.entry(header.prev).or_insert(0);
             *parent = (*parent).max(own);
         }
-        let mut kept = Vec::new();
-        let mut pruned_ids = Vec::new();
-        for entry in self.log.entries() {
-            let alive = self.index.is_canonical(&entry.id)
-                || deepest.get(&entry.id).copied().unwrap_or(0) > horizon;
-            if alive {
-                kept.push(*entry);
-            } else {
-                pruned_ids.push(entry.id);
-            }
-        }
+        let pruned_ids: Vec<BlockId> = forks
+            .into_iter()
+            .filter(|id| deepest[id] <= horizon)
+            .collect();
         if pruned_ids.is_empty() {
             return Ok(0);
         }
-        let mut frames = Vec::with_capacity(kept.len());
-        for entry in &kept {
+        let dead: HashSet<&BlockId> = pruned_ids.iter().collect();
+        let mut frames = Vec::with_capacity(self.log.entries().len() - dead.len());
+        for entry in self.log.entries().iter().filter(|e| !dead.contains(&e.id)) {
             frames.push((self.log.read_range(entry.offset, entry.len)?, entry.id));
         }
         self.log.rewrite_raw(&frames)?;
@@ -778,13 +775,24 @@ fn adopt_snapshot(
     })
 }
 
+/// The log's off-canonical blocks, in log order.
+fn fork_ids(entries: &[LogEntry], index: &ChainIndex) -> Vec<BlockId> {
+    entries
+        .iter()
+        .map(|e| e.id)
+        .filter(|id| !index.is_canonical(id))
+        .collect()
+}
+
 /// The checkpointed `(height, id)`, or `None` when no checkpoint exists.
 /// The file is swapped in atomically, so it is never torn: a malformed
-/// one is damage, and opening without its floor would silently drop the
-/// confirmed-history veto.
+/// or unreadable one is damage, and opening without its floor would
+/// silently drop the confirmed-history veto.
 fn read_checkpoint(path: &Path) -> Result<Option<(u64, BlockId)>, StorageError> {
-    let Ok(bytes) = std::fs::read(path) else {
-        return Ok(None);
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(io_err("read", path, e)),
     };
     if bytes.len() != CHECKPOINT_LEN
         || &bytes[..8] != CHECKPOINT_MAGIC

@@ -13,8 +13,8 @@
 //! or just the tail past a snapshot's covered prefix — and cold block
 //! reads later seek straight to a frame via [`BlockLog::read_frame`].
 
-use super::frame::{encode_frame, scan_frame, FrameScan};
-use super::{io_err, StorageError};
+use super::frame::{scan_frame, FrameScan};
+use super::{io_err, sync_file, sync_parent_dir, StorageError};
 use crate::block::Block;
 use crate::header::BlockId;
 use std::fs::{File, OpenOptions};
@@ -189,31 +189,23 @@ impl BlockLog {
             self.file
                 .set_len(valid_len)
                 .map_err(|e| io_err("truncate", &self.path, e))?;
-            self.file
-                .sync_data()
-                .map_err(|e| io_err("fsync", &self.path, e))?;
+            sync_file(&self.file, &self.path)?;
         }
         self.len = valid_len;
         self.entries = entries;
         Ok(())
     }
 
-    /// Appends one block as a frame and fsyncs. Returns the new entry.
-    pub fn append(&mut self, block: &Block) -> Result<LogEntry, StorageError> {
-        let frame = encode_frame(&block.encode());
-        self.append_raw(&frame, block.id())
-    }
-
-    fn append_raw(&mut self, frame: &[u8], id: BlockId) -> Result<LogEntry, StorageError> {
+    /// Appends block `id`'s already-encoded frame and fsyncs. Returns the
+    /// new entry.
+    pub fn append(&mut self, frame: &[u8], id: BlockId) -> Result<LogEntry, StorageError> {
         self.file
             .seek(SeekFrom::Start(self.len))
             .map_err(|e| io_err("seek", &self.path, e))?;
         self.file
             .write_all(frame)
             .map_err(|e| io_err("append", &self.path, e))?;
-        self.file
-            .sync_data()
-            .map_err(|e| io_err("fsync", &self.path, e))?;
+        sync_file(&self.file, &self.path)?;
         let entry = LogEntry {
             offset: self.len,
             len: frame.len() as u64,
@@ -224,10 +216,9 @@ impl BlockLog {
         Ok(entry)
     }
 
-    /// Fault injection: writes only the first `keep` bytes of the frame
-    /// for `block`, unsynced — the shape a power loss mid-append leaves.
-    pub fn append_torn(&mut self, block: &Block, keep: u64) -> Result<(), StorageError> {
-        let frame = encode_frame(&block.encode());
+    /// Fault injection: writes only the first `keep` bytes of `frame`,
+    /// unsynced — the shape a power loss mid-append leaves.
+    pub fn append_torn(&mut self, frame: &[u8], keep: u64) -> Result<(), StorageError> {
         let keep = (keep as usize).clamp(1, frame.len().saturating_sub(1));
         self.file
             .seek(SeekFrom::Start(self.len))
@@ -242,8 +233,12 @@ impl BlockLog {
 
     /// Atomically replaces the log contents with already-encoded frames
     /// (compaction): writes a temp file, fsyncs, renames over the log,
-    /// reopens. Raw byte copy — no decode, no re-validation — so a
-    /// compaction can never alter surviving frames.
+    /// reopens, fsyncs the directory. Raw byte copy — no decode, no
+    /// re-validation — so a compaction can never alter surviving frames.
+    ///
+    /// The directory fsync makes the rename durable before the next
+    /// append: every later commit is fsynced into the new inode, so a
+    /// rename lost at power-off would lose every one of them.
     pub fn rewrite_raw(&mut self, frames: &[(Vec<u8>, BlockId)]) -> Result<(), StorageError> {
         let tmp_path = self.path.with_extension("log.tmp");
         let mut tmp = File::create(&tmp_path).map_err(|e| io_err("create", &tmp_path, e))?;
@@ -259,7 +254,7 @@ impl BlockLog {
             });
             offset += frame.len() as u64;
         }
-        tmp.sync_data().map_err(|e| io_err("fsync", &tmp_path, e))?;
+        sync_file(&tmp, &tmp_path)?;
         drop(tmp);
         std::fs::rename(&tmp_path, &self.path).map_err(|e| io_err("rename", &self.path, e))?;
         self.file = OpenOptions::new()
@@ -269,7 +264,7 @@ impl BlockLog {
             .map_err(|e| io_err("open", &self.path, e))?;
         self.len = offset;
         self.entries = entries;
-        Ok(())
+        sync_parent_dir(&self.path)
     }
 
     /// The frame directory, in log order.

@@ -52,6 +52,7 @@ use crate::record::{Record, RecordKind};
 use crate::store::{ChainStore, RecordLocation};
 use crate::CONFIRMATION_DEPTH;
 use smartcrowd_crypto::{Address, Digest};
+use smartcrowd_telemetry::counter;
 use std::any::Any;
 use std::fmt;
 use std::fs::File;
@@ -124,8 +125,37 @@ fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> StorageError {
     }
 }
 
+/// A block's `SCF1` frame: the bytes the WAL, the log and an export hold.
+fn block_frame(block: &Block) -> Vec<u8> {
+    frame::encode_frame(&block.encode())
+}
+
+/// `sync_data` on a store file. Every fsync the store makes goes through
+/// here or [`sync_parent_dir`] and is counted in `chain.storage.fsyncs`.
+fn sync_file(file: &File, path: &Path) -> Result<(), StorageError> {
+    counter!("chain.storage.fsyncs").inc();
+    file.sync_data().map_err(|e| io_err("fsync", path, e))
+}
+
+/// Makes a rename to `path` durable: `sync_all` on its directory.
+fn sync_parent_dir(path: &Path) -> Result<(), StorageError> {
+    let dir = path
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    counter!("chain.storage.fsyncs").inc();
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("fsync", dir, e))
+}
+
 /// Atomically replaces `path` (`checkpoint`, `state.snap`): temp file
 /// `<name>.tmp` + fsync + rename.
+///
+/// The directory is deliberately not fsynced after the rename. Losing it
+/// at power-off leaves the previous file in place: the previous
+/// checkpoint is a lower floor that the log still contains, and the
+/// previous snapshot is an accelerator that is re-validated anyway.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -133,7 +163,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
     let mut file = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
     file.write_all(bytes)
         .map_err(|e| io_err("write", &tmp, e))?;
-    file.sync_data().map_err(|e| io_err("fsync", &tmp, e))?;
+    sync_file(&file, &tmp)?;
     drop(file);
     std::fs::rename(&tmp, path).map_err(|e| io_err("rename", path, e))
 }
@@ -420,7 +450,7 @@ where
 pub fn export_chain<Q: ChainQuery + ?Sized>(store: &Q) -> Vec<u8> {
     let mut image = Vec::new();
     for block in store.canonical_blocks() {
-        image.extend_from_slice(&frame::encode_frame(&block.encode()));
+        image.extend_from_slice(&block_frame(&block));
     }
     image
 }

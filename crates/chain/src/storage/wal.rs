@@ -13,8 +13,8 @@
 //!   so the commit never became durable. Discard it: this is the
 //!   recover-to-prefix outcome, not data loss.
 
-use super::frame::{encode_frame, scan_frame, FrameScan};
-use super::{io_err, StorageError};
+use super::frame::{scan_frame, FrameScan};
+use super::{io_err, sync_file, StorageError};
 use crate::block::Block;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -80,23 +80,19 @@ impl Wal {
         ))
     }
 
-    /// Begins a commit: truncates, writes the block's frame, fsyncs.
-    pub fn begin(&mut self, block: &Block) -> Result<(), StorageError> {
-        let frame = encode_frame(&block.encode());
+    /// Begins a commit: truncates, writes the block's frame (the same
+    /// bytes the log append writes next), fsyncs.
+    pub fn begin(&mut self, frame: &[u8]) -> Result<(), StorageError> {
         self.reset()?;
         self.file
-            .write_all(&frame)
+            .write_all(frame)
             .map_err(|e| io_err("write", &self.path, e))?;
-        self.file
-            .sync_data()
-            .map_err(|e| io_err("fsync", &self.path, e))?;
-        Ok(())
+        sync_file(&self.file, &self.path)
     }
 
     /// Fault injection: writes only the first `keep` bytes of the frame,
     /// unsynced — the shape a power loss mid-WAL-write leaves.
-    pub fn begin_torn(&mut self, block: &Block, keep: u64) -> Result<(), StorageError> {
-        let frame = encode_frame(&block.encode());
+    pub fn begin_torn(&mut self, frame: &[u8], keep: u64) -> Result<(), StorageError> {
         let keep = (keep as usize).clamp(1, frame.len().saturating_sub(1));
         self.reset()?;
         self.file
@@ -108,10 +104,7 @@ impl Wal {
     /// Completes a commit: truncates the WAL back to empty and fsyncs.
     pub fn clear(&mut self) -> Result<(), StorageError> {
         self.reset()?;
-        self.file
-            .sync_data()
-            .map_err(|e| io_err("fsync", &self.path, e))?;
-        Ok(())
+        sync_file(&self.file, &self.path)
     }
 
     fn reset(&mut self) -> Result<(), StorageError> {

@@ -797,3 +797,59 @@ fn stale_snapshot_from_before_the_tail_still_fast_paths() {
     assert_eq!(store.best_height(), 12);
     assert_eq!(store.best_tip(), tail[3].id());
 }
+
+#[cfg(unix)]
+#[test]
+fn unreadable_checkpoint_refuses_the_open() {
+    // Only a missing checkpoint means "no floor". One that exists but
+    // cannot be read (here a self-referencing symlink: `read` fails with
+    // ELOOP, while a rename over it would succeed) must refuse the open,
+    // not reopen without the veto and overwrite the evidence.
+    let tmp = TempDir::new("unreadable-ckpt");
+    let dir = tmp.path().join("store");
+    let chain = build_disk_chain(&dir, 10);
+    let checkpoint = dir.join("checkpoint");
+    std::fs::remove_file(&checkpoint).unwrap();
+    std::os::unix::fs::symlink("checkpoint", &checkpoint).unwrap();
+    match DurableStore::open(&dir, &chain[0]) {
+        Err(StorageError::Io {
+            op: "read", path, ..
+        }) => assert_eq!(path, checkpoint),
+        other => panic!("unreadable checkpoint produced {other:?}"),
+    }
+    let meta = std::fs::symlink_metadata(&checkpoint).unwrap();
+    assert!(meta.file_type().is_symlink(), "the refused open rewrote it");
+}
+
+#[test]
+fn the_wal_frame_is_the_log_frame() {
+    // A crash after the log fsync leaves both copies of the commit on
+    // disk: the WAL entry and the last frame of `blocks.log` are the
+    // same bytes, written from one encoding.
+    let tmp = TempDir::new("shared-frame");
+    let dir = tmp.path().join("store");
+    let chain = build_disk_chain(&dir, 3);
+    let mut store = DurableStore::open(&dir, &chain[0]).unwrap();
+    let parent = &chain[3];
+    let kp = KeyPair::from_seed(b"shared-frame");
+    let record = Record::signed(
+        RecordKind::InitialReport,
+        vec![7; 64],
+        Ether::from_milliether(11),
+        0,
+        &kp,
+    );
+    let next = Miner::new(Address::from_label("disk"))
+        .mine_next(parent, vec![record], parent.header().timestamp + 15)
+        .unwrap();
+    store.inject_crash(CrashPoint::BeforeWalTruncate);
+    assert_eq!(store.commit(next.clone()), Err(StorageError::InjectedCrash));
+    drop(store);
+
+    let wal = std::fs::read(dir.join("wal")).unwrap();
+    let log = std::fs::read(dir.join("blocks.log")).unwrap();
+    let boundaries = frame_boundaries(&[&chain[..], &[next]].concat());
+    assert_eq!(*boundaries.last().unwrap(), log.len(), "boundary math");
+    let last_frame = &log[boundaries[boundaries.len() - 2]..];
+    assert_eq!(wal, last_frame, "the WAL holds other bytes than the log");
+}

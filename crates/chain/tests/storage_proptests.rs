@@ -268,3 +268,178 @@ fn every_crash_point_round_trips_under_the_mirror() {
         run_sequence(&ops);
     }
 }
+
+/// Prune equivalence over seeded fork trees: forks of forks, forks deep
+/// below the pruning horizon, and reorgs that turn a canonical branch
+/// into a fork. `DurableStore::prune` folds subtree heights over the
+/// fork blocks alone; the reference here folds over the whole log. After
+/// every commit the stored block set must equal what the reference
+/// keeps, so every fork block leaves at exactly the commit the full-log
+/// fold removes it.
+mod fork_tree {
+    use super::*;
+    use smartcrowd_chain::BlockId;
+    use std::collections::{BTreeSet, HashMap, HashSet};
+
+    /// The full-log subtree fold: keeps every canonical block and every
+    /// fork block whose subtree reaches above `best − CONFIRMATION_DEPTH`.
+    /// `log` is in commit order, so children follow their parents.
+    fn reference_prune(log: &mut Vec<Block>, mirror: &ChainStore) {
+        let best = mirror.best_height();
+        if best <= CONFIRMATION_DEPTH {
+            return;
+        }
+        let horizon = best - CONFIRMATION_DEPTH;
+        let mut deepest: HashMap<BlockId, u64> = HashMap::new();
+        for block in log.iter().rev() {
+            let height = block.header().height;
+            let own = deepest.get(&block.id()).copied().unwrap_or(0).max(height);
+            deepest.insert(block.id(), own);
+            let parent = deepest.entry(block.header().prev).or_insert(0);
+            *parent = (*parent).max(own);
+        }
+        log.retain(|b| mirror.is_canonical(&b.id()) || deepest[&b.id()] > horizon);
+    }
+
+    /// What a run exercised, so the test can insist it covered each shape.
+    #[derive(Default)]
+    struct Coverage {
+        forks_of_forks: u64,
+        deep_forks: u64,
+        reorgs: u64,
+        pruned: u64,
+        pruned_once_canonical: u64,
+    }
+
+    /// xorshift64*: a seeded, dependency-free choice stream.
+    struct Choices(u64);
+
+    impl Choices {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1)
+        }
+    }
+
+    fn run(seed: u64, config: StoreConfig, coverage: &mut Coverage) {
+        let dir = scratch_dir();
+        let _ = std::fs::remove_dir_all(&dir);
+        let genesis = Block::genesis(Difficulty::from_u64(1));
+        let mut durable = DurableStore::open_with(&dir, &genesis, config).unwrap();
+        let mut mirror = ChainStore::new(genesis.clone());
+        let miner = Miner::new(Address::from_label("fork-tree"));
+        let mut choices = Choices(seed);
+        // The reference log, and every block ever committed.
+        let mut log = vec![genesis.clone()];
+        let mut all = vec![genesis.id()];
+        let mut ever_canonical: HashSet<BlockId> = HashSet::from([genesis.id()]);
+        let mut checkpoint = 0u64;
+        // Tip of a side branch being grown until it overtakes the best.
+        let mut chasing: Option<Block> = None;
+
+        for step in 0..160u64 {
+            let best = mirror.best_height();
+            let forks: Vec<&Block> = log
+                .iter()
+                .filter(|b| !mirror.is_canonical(&b.id()))
+                .collect();
+            let mut chase = chasing.is_some();
+            let parent = match (chasing.take(), choices.below(10)) {
+                (Some(branch_tip), _) => branch_tip,
+                (None, 0) => {
+                    let depth = 1 + choices.below(CONFIRMATION_DEPTH);
+                    mirror
+                        .canonical_block_at(best.saturating_sub(depth))
+                        .unwrap()
+                }
+                (None, 1) if !forks.is_empty() => {
+                    coverage.forks_of_forks += 1;
+                    forks[choices.below(forks.len() as u64) as usize].clone()
+                }
+                (None, 2) if best > CONFIRMATION_DEPTH + 1 => {
+                    coverage.deep_forks += 1;
+                    let height = choices.below(best - CONFIRMATION_DEPTH);
+                    mirror.canonical_block_at(height).unwrap()
+                }
+                (None, 3) if best >= 2 => {
+                    chase = true;
+                    mirror.canonical_block_at(best - 2).unwrap()
+                }
+                _ => mirror.best_block().clone(),
+            };
+            let block = miner
+                .mine_next(&parent, vec![], parent.header().timestamp + 1 + step)
+                .unwrap();
+            durable.commit(block.clone()).unwrap();
+            mirror.insert(block.clone()).unwrap();
+            log.push(block.clone());
+            all.push(block.id());
+            if chase {
+                if mirror.is_canonical(&block.id()) {
+                    coverage.reorgs += 1;
+                } else {
+                    chasing = Some(block);
+                }
+            }
+            ever_canonical.extend(
+                log.iter()
+                    .map(Block::id)
+                    .filter(|id| mirror.is_canonical(id)),
+            );
+
+            let best = mirror.best_height();
+            if best > CONFIRMATION_DEPTH && best - CONFIRMATION_DEPTH > checkpoint {
+                checkpoint = best - CONFIRMATION_DEPTH;
+                let before: Vec<BlockId> = log.iter().map(Block::id).collect();
+                reference_prune(&mut log, &mirror);
+                let kept: HashSet<BlockId> = log.iter().map(Block::id).collect();
+                for id in before.iter().filter(|id| !kept.contains(id)) {
+                    coverage.pruned += 1;
+                    coverage.pruned_once_canonical += u64::from(ever_canonical.contains(id));
+                }
+            }
+            // A reopened store must prune exactly as the live one did.
+            if step % 40 == 39 {
+                drop(durable);
+                durable = DurableStore::open_with(&dir, &genesis, config).unwrap();
+                assert!(durable.last_recovery().clean(), "seed {seed} step {step}");
+            }
+
+            let expected: BTreeSet<BlockId> = log.iter().map(Block::id).collect();
+            let stored: BTreeSet<BlockId> = all
+                .iter()
+                .copied()
+                .filter(|id| durable.contains_block(id))
+                .collect();
+            assert_eq!(stored, expected, "seed {seed} step {step}: stored set");
+            assert_eq!(durable.block_count(), log.len(), "seed {seed} step {step}");
+            assert_eq!(
+                durable.best_tip(),
+                mirror.best_tip(),
+                "seed {seed} step {step}"
+            );
+        }
+        drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fork_set_prune_removes_what_the_full_log_fold_removes() {
+        let mut coverage = Coverage::default();
+        for seed in 1..=4u64 {
+            for config in [regimes()[1], StoreConfig::default()] {
+                run(0x9e37_79b9_7f4a_7c15 ^ seed, config, &mut coverage);
+            }
+        }
+        assert!(coverage.forks_of_forks > 0, "no fork of a fork");
+        assert!(coverage.deep_forks > 0, "no fork below the horizon");
+        assert!(coverage.reorgs > 0, "no reorg");
+        assert!(coverage.pruned > 0, "nothing pruned");
+        assert!(
+            coverage.pruned_once_canonical > 0,
+            "no reorged-out canonical branch was pruned"
+        );
+    }
+}
