@@ -92,11 +92,15 @@ pub fn verify_cached(record: &Record) -> Result<(), ChainError> {
 /// through the cache with the misses fanned out on `pool`.
 ///
 /// This is the shared fast path behind both block validation and
-/// [`crate::mempool::Mempool::insert_batch_with`]. Determinism: cache
+/// [`crate::mempool::Mempool::insert_batch_with`]. Each worker recovers a
+/// contiguous chunk of the misses with one [`Record::verify_signatures`],
+/// so a chunk shares its two modular inversions. Determinism: cache
 /// lookups, hit/miss accounting and cache insertions all happen on the
 /// caller's thread in input order; only the pure ECDSA recoveries run on
-/// workers, merged back by index — so the returned verdicts, the cache's
-/// evolution and every telemetry counter are thread-count-invariant.
+/// workers, merged back by index. A verdict depends on its own record
+/// alone, not on the chunk it was recovered in, so the returned verdicts,
+/// the cache's evolution and every telemetry counter are
+/// thread-count-invariant although the chunk boundaries are not.
 pub fn verify_batch(records: &[&Record], pool: &Pool) -> Vec<Result<(), ChainError>> {
     let mut results: Vec<Result<(), ChainError>> = Vec::with_capacity(records.len());
     let mut misses: Vec<usize> = Vec::new();
@@ -113,7 +117,8 @@ pub fn verify_batch(records: &[&Record], pool: &Pool) -> Vec<Result<(), ChainErr
     if misses.is_empty() {
         return results;
     }
-    let verdicts = pool.par_map(&misses, |&index| records[index].verify_signature());
+    let missed: Vec<&Record> = misses.iter().map(|&index| records[index]).collect();
+    let verdicts = pool.par_chunks(&missed, Record::verify_signatures);
     for (&index, verdict) in misses.iter().zip(verdicts) {
         if verdict.is_ok() {
             insert(records[index].id());

@@ -6,9 +6,10 @@
 //! requires) and carry a recovery id so that chain records can recover the
 //! signer address without shipping the full public key.
 //!
-//! [`verify`] and [`recover`] are each one
-//! [`Point::lincomb_with_generator`] pass plus one scalar inversion (and,
-//! for `recover`, the square root that lifts `r` to `R`); `recover` does
+//! [`verify`] is one [`Point::lincomb_with_generator`] pass plus one
+//! scalar inversion. [`recover_batch`] is, per signature, the square root
+//! that lifts `r` to `R` and one such pass, plus one scalar and one field
+//! inversion for the whole burst; [`recover`] is the burst of one. It does
 //! not re-verify the key it finds, for the reason its doc comment proves.
 
 use crate::error::CryptoError;
@@ -227,6 +228,46 @@ pub fn verify(q: &Point, digest: &[u8; 32], sig: &Signature) -> Result<(), Crypt
 /// the signature's recovery id, or [`CryptoError::InvalidPublicKey`] when
 /// the recovered key is the point at infinity (`s·R = e·G`).
 pub fn recover(digest: &[u8; 32], sig: &Signature) -> Result<Point, CryptoError> {
+    recover_batch(&[(*digest, *sig)]).remove(0)
+}
+
+/// [`recover`] of every `(digest, signature)` pair, index-aligned: the
+/// same `Ok` point or error variant per item as one `recover` call each,
+/// for two modular inversions per burst instead of two per signature.
+///
+/// Each `R` is lifted on its own, and a signature whose `R` does not
+/// exist fails alone. All `r` are inverted together with Montgomery's
+/// trick (one [`Scalar::invert`], three multiplications per item; `r ≠ 0`
+/// is [`Signature`]'s invariant), and every double multiplication ends in
+/// Jacobian coordinates, converted with one field inversion across the
+/// burst. A `Q = ∞` has `Z = 0`, stays out of that product and maps to
+/// [`CryptoError::InvalidPublicKey`].
+pub fn recover_batch(items: &[([u8; 32], Signature)]) -> Vec<Result<Point, CryptoError>> {
+    let mut r_inv: Vec<Scalar> = items.iter().map(|(_, sig)| sig.r).collect();
+    invert_all(&mut r_inv);
+    // Each item's R, replaced below by its key.
+    let mut keys: Vec<Result<Point, CryptoError>> =
+        items.iter().map(|(_, sig)| lift_r(sig)).collect();
+    let inputs = items.iter().zip(&r_inv).zip(&keys);
+    let terms = inputs.filter_map(|(((digest, sig), r_inv), r_point)| {
+        let r_point = *r_point.as_ref().ok()?;
+        let e = Scalar::from_digest(digest);
+        // Q = r⁻¹ (s·R − e·G) = (−e·r⁻¹)·G + (s·r⁻¹)·R
+        Some((e.mul(r_inv).neg(), sig.s.mul(r_inv), r_point))
+    });
+    let mut recovered = Point::lincomb_batch(terms).into_iter();
+    for key in keys.iter_mut().filter(|key| key.is_ok()) {
+        *key = recovered
+            .next()
+            .filter(|q| !q.is_infinity())
+            .ok_or(CryptoError::InvalidPublicKey);
+    }
+    keys
+}
+
+/// The point `R` a signature's `r` and recovery id name: `x = r` (or
+/// `r + n` when bit 1 is set) and the `y` of bit 0's parity.
+fn lift_r(sig: &Signature) -> Result<Point, CryptoError> {
     let mut x = sig.r.to_u256();
     if sig.v & 2 != 0 {
         x = x
@@ -240,15 +281,26 @@ pub fn recover(digest: &[u8; 32], sig: &Signature) -> Result<Point, CryptoError>
     let mut compressed = [0u8; 33];
     compressed[0] = if sig.v & 1 != 0 { 0x03 } else { 0x02 };
     compressed[1..].copy_from_slice(&xb);
-    let r_point = Point::decode(&compressed).map_err(|_| CryptoError::InvalidSignature)?;
-    // Q = r⁻¹ (s·R − e·G) = (−e·r⁻¹)·G + (s·r⁻¹)·R
-    let r_inv = sig.r.invert();
-    let e = Scalar::from_digest(digest);
-    let q = Point::lincomb_with_generator(&e.mul(&r_inv).neg(), &sig.s.mul(&r_inv), &r_point);
-    if q.is_infinity() {
-        return Err(CryptoError::InvalidPublicKey);
+    Point::decode(&compressed).map_err(|_| CryptoError::InvalidSignature)
+}
+
+/// Replaces non-zero scalars by their inverses with one [`Scalar::invert`]
+/// (Montgomery's trick: invert the product, then peel one factor off per
+/// item, walking back).
+fn invert_all(scalars: &mut [Scalar]) {
+    let mut prefix = Vec::with_capacity(scalars.len());
+    let mut acc = Scalar::ONE;
+    for k in scalars.iter() {
+        debug_assert!(!k.is_zero(), "a zero would zero every inverse");
+        prefix.push(acc);
+        acc = acc.mul(k);
     }
-    Ok(q)
+    let mut inv = acc.invert();
+    for (k, before) in scalars.iter_mut().zip(prefix).rev() {
+        let k_inv = inv.mul(&before);
+        inv = inv.mul(k);
+        *k = k_inv;
+    }
 }
 
 #[cfg(test)]

@@ -142,21 +142,6 @@ impl Jacobian {
         }
     }
 
-    fn neg(&self) -> Jacobian {
-        Jacobian {
-            y: self.y.neg(),
-            ..*self
-        }
-    }
-
-    /// `λ·self`: `x = X/Z²` is scaled by `β`, so `X` is.
-    fn mul_lambda(&self) -> Jacobian {
-        Jacobian {
-            x: self.x.mul(&BETA),
-            ..*self
-        }
-    }
-
     /// Point doubling for `a = 0` (3M + 4S).
     fn double(&self) -> Jacobian {
         if self.is_infinity() || self.y.is_zero() {
@@ -201,16 +186,50 @@ impl Jacobian {
     /// Mixed addition of an affine point, i.e. `add` with `Z2 = 1`
     /// (8M + 3S).
     fn add_affine(&self, other: &Affine) -> Jacobian {
+        self.add_affine_with_ratio(other).0
+    }
+
+    /// [`Jacobian::add_affine`], also returning the factor `h` by which
+    /// the sum's `Z` exceeds `self`'s (libsecp256k1's `rzr`). The factor
+    /// is meaningful only for a finite `self` and an unexceptional sum.
+    #[inline]
+    fn add_affine_with_ratio(&self, other: &Affine) -> (Jacobian, FieldElement) {
         if self.is_infinity() {
-            return Jacobian {
+            let lifted = Jacobian {
                 x: other.x,
                 y: other.y,
                 z: FieldElement::ONE,
             };
+            return (lifted, FieldElement::ONE);
         }
         let z1z1 = self.z.square();
         let u2 = other.x.mul(&z1z1);
         let s2 = other.y.mul(&self.z).mul(&z1z1);
+        let h = u2.sub(&self.x);
+        let sum = self.add_tail(self.x, self.y, h, s2.sub(&self.y), &self.z);
+        (sum, h)
+    }
+
+    /// Adds the point whose coordinates in `self`'s frame are
+    /// `(other.x, other.y, 1/zinv)`: an affine point of the true curve,
+    /// met by an accumulator that lives on the curve where the P table is
+    /// affine (libsecp256k1's `gej_add_zinv_var`, 9M + 3S). Scaling both
+    /// `Z`s by `zinv` makes `other` affine without touching the `X` and `Y`
+    /// of either side, so the mixed formula runs with `self.z·zinv` in
+    /// place of `self.z`, and the sum keeps `self.z·h` as its `Z`.
+    fn add_zinv(&self, other: &Affine, zinv: &FieldElement) -> Jacobian {
+        if self.is_infinity() {
+            let zinv2 = zinv.square();
+            return Jacobian {
+                x: other.x.mul(&zinv2),
+                y: other.y.mul(&zinv2).mul(zinv),
+                z: FieldElement::ONE,
+            };
+        }
+        let az = self.z.mul(zinv);
+        let z1z1 = az.square();
+        let u2 = other.x.mul(&z1z1);
+        let s2 = other.y.mul(&az).mul(&z1z1);
         self.add_tail(self.x, self.y, u2.sub(&self.x), s2.sub(&self.y), &self.z)
     }
 
@@ -244,41 +263,94 @@ impl Jacobian {
             z: z.mul(&h),
         }
     }
-
-    /// Fills `out[i] = (2i+1)·self`, the table a width-`w` signed-digit
-    /// window of `2^(w−2)` entries indexes.
-    fn odd_multiples(&self, out: &mut [Jacobian]) {
-        let twice = self.double();
-        let mut acc = *self;
-        for slot in out {
-            *slot = acc;
-            acc = acc.add(&twice);
-        }
-    }
 }
 
-/// Converts finite Jacobian points to affine with one field inversion
-/// (Montgomery's trick: invert the product of all `Z`s, then peel one `Z`
-/// off per point).
-fn batch_to_affine(points: &[Jacobian]) -> Vec<Affine> {
+/// Converts Jacobian points to affine with one field inversion
+/// (Montgomery's trick: invert the product of all finite `Z`s, then peel
+/// one `Z` off per point). A point at infinity (`Z = 0`) stays out of the
+/// product and comes back as [`Point::Infinity`].
+fn batch_to_affine(points: &[Jacobian]) -> Vec<Point> {
     let mut prefix = Vec::with_capacity(points.len());
     let mut acc = FieldElement::ONE;
     for p in points {
         prefix.push(acc);
-        acc = acc.mul(&p.z);
+        if !p.is_infinity() {
+            acc = acc.mul(&p.z);
+        }
     }
     let mut inv = acc.invert();
-    let mut out = vec![G; points.len()];
+    let mut out = vec![Point::Infinity; points.len()];
     for ((p, before), slot) in points.iter().zip(&prefix).zip(&mut out).rev() {
+        if p.is_infinity() {
+            continue;
+        }
         let zinv = inv.mul(before);
         inv = inv.mul(&p.z);
         let zinv2 = zinv.square();
-        *slot = Affine {
+        *slot = Point::Affine {
             x: p.x.mul(&zinv2),
             y: p.y.mul(&zinv2).mul(&zinv),
         };
     }
     out
+}
+
+/// Entries in `P`'s odd-multiples table: `2^(WINDOW_P−2)`.
+const TABLE_P: usize = 1 << (WINDOW_P - 2);
+
+/// `(2i+1)·P` for `i < TABLE_P` as effective-affine entries, plus the `Z`
+/// they share: entry `(x, y)` stands for the Jacobian point `(x, y, Z)`
+/// (libsecp256k1's `ecmult_odd_multiples_table` and
+/// `ge_table_set_globalz`).
+///
+/// `2P = (X, Y, C)` is affine on the isomorphic curve `y² = x³ + 7C⁶`,
+/// reached by `(x, y) ↦ (C²x, C³y)`. The table is built there: `P`
+/// enters as `(C²x, C³y)`, and each `(2i+1)·P + 2P` is one mixed addition
+/// (8M + 3S) with no exceptional case, since `P` has prime order. Walking
+/// back from the last entry, the `h` each addition multiplied `Z` by
+/// rescales every earlier entry to the last one's `Z`; times `C`, that is
+/// the shared `Z` on the true curve. The curve constant appears in no
+/// addition or doubling formula, so the ladder can run on the isomorphic
+/// curve and multiply its result's `Z` by the shared one at the end.
+fn odd_multiples(p: &Affine) -> ([Affine; TABLE_P], FieldElement) {
+    let twice = Jacobian {
+        x: p.x,
+        y: p.y,
+        z: FieldElement::ONE,
+    }
+    .double();
+    let c = twice.z;
+    let c2 = c.square();
+    let step = Affine {
+        x: twice.x,
+        y: twice.y,
+    };
+    let mut multiples = [Jacobian::INFINITY; TABLE_P];
+    let mut ratios = [FieldElement::ONE; TABLE_P];
+    multiples[0] = Jacobian {
+        x: p.x.mul(&c2),
+        y: p.y.mul(&c2).mul(&c),
+        z: FieldElement::ONE,
+    };
+    for i in 1..TABLE_P {
+        (multiples[i], ratios[i]) = multiples[i - 1].add_affine_with_ratio(&step);
+    }
+    let last = multiples[TABLE_P - 1];
+    let mut table = [Affine {
+        x: last.x,
+        y: last.y,
+    }; TABLE_P];
+    // `scale` is the last entry's `Z` over entry `i`'s.
+    let mut scale = ratios[TABLE_P - 1];
+    for i in (0..TABLE_P - 1).rev() {
+        let scale2 = scale.square();
+        table[i] = Affine {
+            x: multiples[i].x.mul(&scale2),
+            y: multiples[i].y.mul(&scale2).mul(&scale),
+        };
+        scale = scale.mul(&ratios[i]);
+    }
+    (table, last.z.mul(&c))
 }
 
 /// Window width of the signed-digit form of the variable-base scalar: an
@@ -318,8 +390,19 @@ fn generator_tables() -> &'static GeneratorTables {
             }
             window_base = acc; // 16 · (16^w · G) = 16^{w+1} · G
         }
-        g.odd_multiples(odd);
-        let mut comb = batch_to_affine(&points);
+        let twice = g.double();
+        let mut acc = g;
+        for slot in odd {
+            *slot = acc;
+            acc = acc.add(&twice);
+        }
+        let mut comb: Vec<Affine> = batch_to_affine(&points)
+            .into_iter()
+            .map(|p| match p {
+                Point::Affine { x, y } => Affine { x, y },
+                Point::Infinity => unreachable!("no multiple below n of G is ∞"),
+            })
+            .collect();
         let odd = comb.split_off(COMB_LEN);
         GeneratorTables { comb, odd }
     })
@@ -362,6 +445,60 @@ fn wnaf(k: HalfScalar, w: usize) -> [i16; HALF_DIGITS] {
 /// whether the entry is subtracted.
 fn digit_entry(digit: i16) -> (usize, bool) {
     (usize::from(digit.unsigned_abs() >> 1), digit < 0)
+}
+
+/// The entry a non-zero wNAF digit picks from an odd-multiples table.
+fn table_entry(table: &[Affine], digit: i16) -> Affine {
+    let (index, negate) = digit_entry(digit);
+    if negate {
+        table[index].neg()
+    } else {
+        table[index]
+    }
+}
+
+/// `a·G + b·P` up to the one conversion to affine: the ladder of
+/// [`Point::lincomb_with_generator`], whose doc comment states what it
+/// computes and for which operands.
+fn lincomb_jacobian(a: &Scalar, b: &Scalar, p: &Point) -> Jacobian {
+    debug_assert!(p.is_on_curve(), "λ·P = (β·x, y) needs P on the curve");
+    let odd_g = &generator_tables().odd;
+    let (odd_p, global_z, b) = match p {
+        Point::Affine { x, y } => {
+            let (table, global_z) = odd_multiples(&Affine { x: *x, y: *y });
+            (table, global_z, *b)
+        }
+        // b·∞ = ∞: no digit reads the table, and the curve is the true one.
+        Point::Infinity => ([G; TABLE_P], FieldElement::ONE, Scalar::ZERO),
+    };
+    let odd_lambda_p = odd_p.map(|entry| entry.mul_lambda());
+    let (a1, a2) = a.split();
+    let (b1, b2) = b.split();
+    let naf_g = wnaf(a1, WINDOW_G);
+    let naf_lambda_g = wnaf(a2, WINDOW_G);
+    let naf_p = wnaf(b1, WINDOW_P);
+    let naf_lambda_p = wnaf(b2, WINDOW_P);
+    // The accumulator lives on the curve where P's table is affine: the
+    // true `Z` of every point it holds is its own `Z` times `global_z`.
+    let mut acc = Jacobian::INFINITY;
+    for i in (0..HALF_DIGITS).rev() {
+        acc = acc.double();
+        if naf_g[i] != 0 {
+            acc = acc.add_zinv(&table_entry(odd_g, naf_g[i]), &global_z);
+        }
+        if naf_lambda_g[i] != 0 {
+            let entry = table_entry(odd_g, naf_lambda_g[i]).mul_lambda();
+            acc = acc.add_zinv(&entry, &global_z);
+        }
+        if naf_p[i] != 0 {
+            acc = acc.add_affine(&table_entry(&odd_p, naf_p[i]));
+        }
+        if naf_lambda_p[i] != 0 {
+            acc = acc.add_affine(&table_entry(&odd_lambda_p, naf_lambda_p[i]));
+        }
+    }
+    acc.z = acc.z.mul(&global_z);
+    acc
 }
 
 impl Point {
@@ -469,7 +606,12 @@ impl Point {
     /// pick from the static odd multiples of `G` (an entry's `x` scaled by
     /// `β` for the `λG` half), `P`'s from an odd-multiples table of `P`
     /// built here and its `β`-scaled copy, and there is one conversion to
-    /// affine at the end.
+    /// affine at the end. `P`'s table shares one `Z` (see
+    /// `odd_multiples`), so the pass runs on the isomorphic curve where
+    /// that table is affine: a `P` digit costs a mixed addition (8M + 3S)
+    /// instead of a general one (12M + 4S), a `G` digit one multiplication
+    /// more than a mixed addition, and the result's `Z` one multiplication
+    /// by the shared `Z`.
     ///
     /// `P` must be on the curve (every [`crate::keys::PublicKey`] and every
     /// decoded point is): `(β·x, y)` is `λ·P` only there. Every *scalar* a
@@ -478,42 +620,18 @@ impl Point {
     /// `P = ±G`, `±λG`, `±λ²G` and `a·G = −b·P` all produce), a zero half
     /// has no digits, and the multiples of `P = ∞` are all `∞`.
     pub fn lincomb_with_generator(a: &Scalar, b: &Scalar, p: &Point) -> Point {
-        debug_assert!(p.is_on_curve(), "λ·P = (β·x, y) needs P on the curve");
-        let odd_g = &generator_tables().odd;
-        let mut odd_p = [Jacobian::INFINITY; 1 << (WINDOW_P - 2)];
-        Jacobian::from_affine(p).odd_multiples(&mut odd_p);
-        let odd_lambda_p = odd_p.map(|entry| entry.mul_lambda());
-        let (a1, a2) = a.split();
-        let (b1, b2) = b.split();
-        let naf_g = wnaf(a1, WINDOW_G);
-        let naf_lambda_g = wnaf(a2, WINDOW_G);
-        let naf_p = wnaf(b1, WINDOW_P);
-        let naf_lambda_p = wnaf(b2, WINDOW_P);
-        let mut acc = Jacobian::INFINITY;
-        for i in (0..HALF_DIGITS).rev() {
-            acc = acc.double();
-            if naf_g[i] != 0 {
-                let (index, negate) = digit_entry(naf_g[i]);
-                let entry = odd_g[index];
-                acc = acc.add_affine(&if negate { entry.neg() } else { entry });
-            }
-            if naf_lambda_g[i] != 0 {
-                let (index, negate) = digit_entry(naf_lambda_g[i]);
-                let entry = odd_g[index].mul_lambda();
-                acc = acc.add_affine(&if negate { entry.neg() } else { entry });
-            }
-            if naf_p[i] != 0 {
-                let (index, negate) = digit_entry(naf_p[i]);
-                let entry = odd_p[index];
-                acc = acc.add(&if negate { entry.neg() } else { entry });
-            }
-            if naf_lambda_p[i] != 0 {
-                let (index, negate) = digit_entry(naf_lambda_p[i]);
-                let entry = odd_lambda_p[index];
-                acc = acc.add(&if negate { entry.neg() } else { entry });
-            }
-        }
-        acc.to_affine()
+        lincomb_jacobian(a, b, p).to_affine()
+    }
+
+    /// [`Point::lincomb_with_generator`] of every `(a, b, P)` term, in
+    /// order, with one field inversion for them all instead of one each.
+    pub(crate) fn lincomb_batch(
+        terms: impl Iterator<Item = (Scalar, Scalar, Point)>,
+    ) -> Vec<Point> {
+        let sums: Vec<Jacobian> = terms
+            .map(|(a, b, p)| lincomb_jacobian(&a, &b, &p))
+            .collect();
+        batch_to_affine(&sums)
     }
 
     /// SEC1 uncompressed encoding `0x04 || x || y` (65 bytes); `None` for
@@ -674,11 +792,31 @@ mod tests {
                 y: lambda_g.y
             }
         );
-        let j = Jacobian::from_affine(&Point::generator()).double();
-        assert_eq!(
-            j.mul_lambda().to_affine(),
-            mul_binary(&j.to_affine(), &LAMBDA)
-        );
+    }
+
+    #[test]
+    fn odd_multiples_share_one_z() {
+        // Entry (x, y) with the shared Z is (2i+1)·P on the true curve, and
+        // its β-scaled copy is λ·(2i+1)·P: the endomorphism commutes with
+        // the change of curve.
+        let g = Point::generator();
+        for p in [g, mul_binary(&g, &Scalar::from_u64(0xc0ffee))] {
+            let Point::Affine { x, y } = p else {
+                unreachable!("finite")
+            };
+            let (table, z) = odd_multiples(&Affine { x, y });
+            for (i, entry) in table.iter().enumerate() {
+                let k = Scalar::from_u64(2 * i as u64 + 1);
+                for (entry, k) in [(*entry, k), (entry.mul_lambda(), k.mul(&LAMBDA))] {
+                    let jacobian = Jacobian {
+                        x: entry.x,
+                        y: entry.y,
+                        z,
+                    };
+                    assert_eq!(jacobian.to_affine(), mul_binary(&p, &k), "entry {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -86,8 +86,11 @@ fn reduce(v: U256) -> U256 {
 }
 
 /// Reduces a 512-bit value (eight little-endian limbs) modulo `n`. A
-/// signature costs about five scalar operations, so this is the plain fold
-/// loop rather than anything specialised.
+/// recovery costs 11 scalar multiplications (2 for `e/r` and `s/r`, 3 in
+/// each [`Scalar::split`], 3 for its share of the burst's batched `r⁻¹`),
+/// ≈ 0.35–0.7 µs at ≈ 32–63 ns each on a 2-core Xeon and ≈ 1 % of the
+/// recovery, so this is the plain fold loop rather than anything
+/// specialised.
 fn reduce_wide(wide: [u64; 8]) -> U256 {
     let mut lo = U256::from_limbs([wide[0], wide[1], wide[2], wide[3]]);
     let mut hi = U256::from_limbs([wide[4], wide[5], wide[6], wide[7]]);

@@ -128,34 +128,56 @@ fn assert_ecdsa_agrees(digest: &[u8; 32], sig: &Signature) -> Result<(), TestCas
     Ok(())
 }
 
-/// A valid signature, re-labelled with each of the four recovery ids.
-fn check_every_recovery_id(d: &Scalar, msg: &[u8; 32]) -> Result<(), TestCaseError> {
-    let sig = ecdsa::sign(d, msg);
-    for v in 0..4 {
-        let other = sig_from_parts(sig.r().to_u256(), sig.s().to_u256(), v).unwrap();
-        assert_ecdsa_agrees(msg, &other)?;
+/// One `recover_batch` input: a digest and a signature over it (or not).
+type Signed = ([u8; 32], Signature);
+
+/// `recover_batch` against one `recover` per item: the same length, and
+/// per index the same `Ok` point or the same error variant.
+fn assert_batch_agrees(burst: &[Signed]) -> Result<(), TestCaseError> {
+    let got = ecdsa::recover_batch(burst);
+    prop_assert_eq!(got.len(), burst.len());
+    for (index, ((digest, sig), got)) in burst.iter().zip(got).enumerate() {
+        prop_assert_eq!(got, ecdsa::recover(digest, sig), "index {}", index);
     }
     Ok(())
 }
 
+/// A valid signature, re-labelled with each of the four recovery ids;
+/// returns the four for a batch check.
+fn check_every_recovery_id(d: &Scalar, msg: &[u8; 32]) -> Result<Vec<Signed>, TestCaseError> {
+    let sig = ecdsa::sign(d, msg);
+    let mut burst = Vec::new();
+    for v in 0..4 {
+        let other = sig_from_parts(sig.r().to_u256(), sig.s().to_u256(), v).unwrap();
+        assert_ecdsa_agrees(msg, &other)?;
+        burst.push((*msg, other));
+    }
+    Ok(burst)
+}
+
 /// Components no signer produced. `small_r` is below p − n ≈ 2¹²⁸·1.27, so
 /// with v ≥ 2 the x candidate r + n stays inside the field — the only way
-/// to reach that branch; a full-width r exercises r + n ≥ p.
+/// to reach that branch; a full-width r exercises r + n ≥ p. Returns the
+/// signatures that parsed, for a batch check.
 fn check_arbitrary_components(
     r: U256,
     small_r: u128,
     s: Scalar,
     v: u8,
     msg: &[u8; 32],
-) -> Result<(), TestCaseError> {
+) -> Result<Vec<Signed>, TestCaseError> {
+    let mut burst = Vec::new();
     for r in [r, U256::from_u128(small_r)] {
         let s = if s.is_high() { s.neg() } else { s };
         match sig_from_parts(r, s.to_u256(), v) {
-            Ok(sig) => assert_ecdsa_agrees(msg, &sig)?,
+            Ok(sig) => {
+                assert_ecdsa_agrees(msg, &sig)?;
+                burst.push((*msg, sig));
+            }
             Err(e) => prop_assert_eq!(e, CryptoError::InvalidSignature),
         }
     }
-    Ok(())
+    Ok(burst)
 }
 
 /// The signature whose recovered key is the point at infinity: with
@@ -339,6 +361,31 @@ proptest! {
     }
 
     #[test]
+    fn ecdsa_batch_matches_recover(
+        d in arb_scalar(),
+        r in arb_u256(),
+        small_r in any::<u128>(),
+        s in arb_scalar(),
+        v in 0u8..4,
+        msg in any::<[u8; 32]>(),
+        rotate in 0usize..16,
+    ) {
+        prop_assume!(!d.is_zero() && !Scalar::from_digest(&msg).is_zero());
+        // Each item is held to the reference by the checks that build the
+        // burst; the batch is held to those items.
+        let mut burst = check_every_recovery_id(&d, &msg)?;
+        burst.extend(check_arbitrary_components(r, small_r, s, v, &msg)?);
+        let infinity = signature_recovering_infinity(&msg);
+        assert_ecdsa_agrees(&msg, &infinity)?;
+        burst.push((msg, infinity));
+        // Duplicates: the first item again, and the Q = ∞ one twice.
+        burst.extend([burst[0], (msg, infinity)]);
+        let len = burst.len();
+        burst.rotate_left(rotate % len);
+        assert_batch_agrees(&burst)?;
+    }
+
+    #[test]
     fn ecdsa_verify_under_wrong_or_invalid_key(
         d in arb_scalar(),
         other in arb_scalar(),
@@ -390,7 +437,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16_384))]
 
     /// The nightly sweep (`-- --ignored`) of `recover` against the
-    /// reference that still re-verifies.
+    /// reference that still re-verifies, and of `recover_batch` of the
+    /// same inputs against `recover`.
     #[test]
     #[ignore]
     fn ecdsa_agrees_sweep(
@@ -402,8 +450,9 @@ proptest! {
         msg in any::<[u8; 32]>(),
     ) {
         prop_assume!(!d.is_zero());
-        check_every_recovery_id(&d, &msg)?;
-        check_arbitrary_components(r, small_r, s, v, &msg)?;
+        let mut burst = check_every_recovery_id(&d, &msg)?;
+        burst.extend(check_arbitrary_components(r, small_r, s, v, &msg)?);
+        assert_batch_agrees(&burst)?;
     }
 }
 
@@ -517,6 +566,88 @@ fn recovering_infinity_is_an_invalid_public_key() {
         // Any other recovery id names another R, hence a finite key.
         let flipped = sig_from_parts(sig.r().to_u256(), sig.s().to_u256(), sig.recovery_id() ^ 1);
         assert!(ecdsa::recover(&digest, &flipped.unwrap()).is_ok());
+    }
+}
+
+/// A valid signature by the `i`-th key over the `i`-th message.
+fn signed(i: u64) -> Signed {
+    let d = Scalar::from_digest(&sha256(&i.to_be_bytes()));
+    let msg = sha256(&(i ^ 0x5eed).to_le_bytes());
+    (msg, ecdsa::sign(&d, &msg))
+}
+
+/// A burst item whose `R` does not exist: an `r` with `r³ + 7` a
+/// non-residue, found by stepping from a digest.
+fn unliftable(msg: &[u8; 32]) -> Signed {
+    let mut r = Scalar::from_digest(&sha256(msg));
+    loop {
+        let mut compressed = [0x02; 33];
+        compressed[1..].copy_from_slice(&r.to_be_bytes());
+        if Point::decode(&compressed).is_err() {
+            let sig = sig_from_parts(r.to_u256(), U256::from_u64(7), 0).unwrap();
+            assert_eq!(
+                ecdsa::recover(msg, &sig),
+                Err(CryptoError::InvalidSignature)
+            );
+            return (*msg, sig);
+        }
+        r = r.add(&Scalar::ONE);
+    }
+}
+
+#[test]
+fn recover_batch_burst_sizes() {
+    // Valid signatures, every fourth one re-labelled to name the other R
+    // (a different, finite key), every seventh one a Q = ∞ signature and
+    // every eleventh an unliftable R, so the larger bursts hold both
+    // failure kinds at several offsets.
+    let item = |i: u64| {
+        let (msg, sig) = signed(i);
+        match i {
+            _ if i % 11 == 10 => unliftable(&msg),
+            _ if i % 7 == 6 => (msg, signature_recovering_infinity(&msg)),
+            _ if i % 4 == 3 => {
+                let v = sig.recovery_id() ^ 1;
+                (
+                    msg,
+                    sig_from_parts(sig.r().to_u256(), sig.s().to_u256(), v).unwrap(),
+                )
+            }
+            _ => (msg, sig),
+        }
+    };
+    let distinct: Vec<Signed> = (0..22).map(item).collect();
+    // The distinct items against the reference, once each …
+    for (msg, sig) in &distinct {
+        assert_ecdsa_agrees(msg, sig).unwrap();
+    }
+    // … and every burst against one `recover` per item.
+    for size in [0usize, 1, 2, 17, 64, 257] {
+        let burst: Vec<Signed> = (0..size).map(|i| distinct[i % distinct.len()]).collect();
+        assert_batch_agrees(&burst).unwrap();
+    }
+    assert!(ecdsa::recover_batch(&[]).is_empty());
+}
+
+#[test]
+fn recover_batch_one_poisoned_entry_at_every_index() {
+    // Seven valid signatures and one that fails, at each of the eight
+    // places: the failure stays its own, and its neighbours recover the
+    // keys they recover alone.
+    let valid: Vec<Signed> = (100..107).map(signed).collect();
+    let msg = sha256(b"poison");
+    for poison in [(msg, signature_recovering_infinity(&msg)), unliftable(&msg)] {
+        let want_err = ecdsa::recover(&poison.0, &poison.1).unwrap_err();
+        for at in 0..=valid.len() {
+            let mut burst = valid.clone();
+            burst.insert(at, poison);
+            assert_batch_agrees(&burst).unwrap();
+            let got = ecdsa::recover_batch(&burst);
+            for (index, key) in got.iter().enumerate() {
+                assert_eq!(key.is_err(), index == at, "poison at {at}, index {index}");
+            }
+            assert_eq!(got[at], Err(want_err.clone()));
+        }
     }
 }
 

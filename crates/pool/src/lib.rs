@@ -8,10 +8,11 @@
 //!
 //! ## Determinism contract
 //!
-//! Parallelism must never leak into results. [`Pool::par_map`] claims
-//! contiguous index chunks with an atomic cursor, each worker tags its
-//! chunk with its starting index, and the join merges chunks **in index
-//! order** — so the output is exactly `items.iter().map(f).collect()`
+//! Parallelism must never leak into results. [`Pool::par_chunks`], the
+//! one scheduler, claims contiguous index chunks with an atomic cursor,
+//! each worker tags its chunk's results with the starting index, and the
+//! join merges them **in index order**; [`Pool::par_map`] is its per-item
+//! wrapper, so its output is exactly `items.iter().map(f).collect()`
 //! regardless of thread count or OS scheduling. A seeded run therefore
 //! produces byte-identical results with `SMARTCROWD_THREADS=1` and `=8`,
 //! which the workspace's telemetry-snapshot determinism tests rely on.
@@ -50,8 +51,9 @@ use std::sync::OnceLock;
 /// Environment variable overriding the global pool's thread count.
 pub const THREADS_ENV: &str = "SMARTCROWD_THREADS";
 
-/// Below this many items [`Pool::par_map`] runs inline on the caller's
-/// thread: spawn cost dwarfs the work for tiny batches.
+/// Below this many items [`Pool::par_chunks`] (and so [`Pool::par_map`])
+/// runs inline on the caller's thread: spawn cost dwarfs the work for
+/// tiny batches.
 pub const MIN_PARALLEL_ITEMS: usize = 16;
 
 /// A fixed-width scoped thread pool.
@@ -120,23 +122,43 @@ impl Pool {
     }
 
     /// Maps `f` over `items` on up to [`Pool::threads`] workers and
-    /// returns the results **in input order**.
-    ///
-    /// Workers claim contiguous chunks through an atomic cursor and tag
-    /// each produced chunk with its starting index; the join sorts chunks
-    /// by that index before concatenating, so the output is byte-for-byte
-    /// the sequential `items.iter().map(f).collect()` no matter how the
-    /// OS schedules the workers. A panic inside `f` is propagated to the
-    /// caller after all workers have stopped.
+    /// returns the results **in input order**: byte-for-byte the
+    /// sequential `items.iter().map(f).collect()`, through the one
+    /// scheduler, [`Pool::par_chunks`].
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
+        self.par_chunks(items, |chunk| chunk.iter().map(&f).collect())
+    }
+
+    /// Runs `f` over contiguous chunks of `items` on up to
+    /// [`Pool::threads`] workers and concatenates what it returns **in
+    /// input order**; `f` returns one result per item of its chunk, so
+    /// the output is index-aligned with `items`.
+    ///
+    /// Workers claim chunks through an atomic cursor and tag each result
+    /// with its chunk's starting index; the join sorts by that index
+    /// before concatenating, so the output is `f` of each chunk in order
+    /// no matter how the OS schedules the workers. Below
+    /// [`MIN_PARALLEL_ITEMS`] items, or on one thread, the whole slice is
+    /// one chunk on the caller's thread. This is for work that shares a
+    /// cost across a chunk (one inversion for a burst of signatures). The
+    /// chunk boundaries depend on the thread count, so the output is
+    /// thread-count-invariant exactly when `f`'s result for an item
+    /// depends on that item alone. A panic inside `f` is propagated to the
+    /// caller after all workers have stopped.
+    pub fn par_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&[T]) -> Vec<R> + Sync,
+    {
         smartcrowd_telemetry::counter!("pool.tasks").add(items.len() as u64);
         if self.threads == 1 || items.len() < MIN_PARALLEL_ITEMS {
-            return items.iter().map(f).collect();
+            return f(items);
         }
         let workers = self.threads.min(items.len());
         // 4 chunks per worker balances load without fragmenting the merge.
@@ -155,7 +177,7 @@ impl Pool {
                                 break;
                             }
                             let end = (start + chunk).min(items.len());
-                            local.push((start, items[start..end].iter().map(f).collect()));
+                            local.push((start, f(&items[start..end])));
                         }
                         local
                     })
@@ -268,6 +290,42 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let pool = Pool::new(threads);
             assert_eq!(pool.par_map(&items, |x| x * 3 + 1), expected);
+        }
+    }
+
+    #[test]
+    fn par_chunks_covers_each_item_once_in_order() {
+        let items: Vec<u64> = (0..1000).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+        for threads in [1, 2, 8] {
+            let chunks = std::sync::Mutex::new(Vec::new());
+            let out = Pool::new(threads).par_chunks(&items, |chunk| {
+                chunks.lock().unwrap().push(chunk.to_vec());
+                chunk.iter().map(|x| x * 3 + 1).collect()
+            });
+            assert_eq!(out, expected, "threads = {threads}");
+            // The chunks, by first item, tile the input: contiguous, in
+            // order, every item in exactly one.
+            let mut chunks = chunks.into_inner().unwrap();
+            chunks.sort_by_key(|chunk| chunk[0]);
+            assert_eq!(chunks.concat(), items, "threads = {threads}");
+            assert_eq!(chunks.len() == 1, threads == 1, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn par_chunks_runs_small_inputs_as_one_chunk_inline() {
+        let caller = std::thread::current().id();
+        let items: Vec<u64> = (0..MIN_PARALLEL_ITEMS as u64 - 1).collect();
+        for threads in [1, 8] {
+            let calls = AtomicUsize::new(0);
+            let out = Pool::new(threads).par_chunks(&items, |chunk| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                assert_eq!(std::thread::current().id(), caller);
+                assert_eq!(chunk.len(), items.len());
+                chunk.to_vec()
+            });
+            assert_eq!((out, calls.into_inner()), (items.clone(), 1));
         }
     }
 
