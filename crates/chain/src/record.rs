@@ -13,7 +13,9 @@ use smartcrowd_crypto::ecdsa::{self, Signature};
 use smartcrowd_crypto::keccak::keccak256;
 use smartcrowd_crypto::keys::{KeyPair, PublicKey};
 use smartcrowd_crypto::merkle::leaf_hash;
-use smartcrowd_crypto::{Address, Digest};
+use smartcrowd_crypto::point::Point;
+use smartcrowd_crypto::{Address, CryptoError, Digest};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -251,37 +253,64 @@ impl Record {
         Record::verify_signatures(&[self]).remove(0)
     }
 
-    /// [`Record::verify_signature`] of every record, index-aligned, with
-    /// the recoveries run as one [`ecdsa::recover_batch`]: the same verdict
-    /// and reason string per record, for two modular inversions per call
-    /// instead of two per record.
+    /// [`Record::verify_signature`] of every record, index-aligned: the
+    /// same verdict and reason string per record.
+    ///
+    /// The records are grouped by sender. Each sender's first record is
+    /// recovered, all of them in one [`ecdsa::recover_batch`], and a
+    /// recovery that yields the declared sender establishes that sender's
+    /// key. When the cost rule `known_sender_batch_pays` says so, every
+    /// later record of an established sender is then checked against that
+    /// key in one [`ecdsa::verify_batch_known`], which passes only if each
+    /// of them would recover to it. Whatever that batch does not vouch
+    /// for (the later records of a sender whose first record failed, or
+    /// every record of a batch that failed) is recovered in one more
+    /// `recover_batch`, so each failure is named exactly as one recovery
+    /// would name it.
     pub fn verify_signatures(records: &[&Record]) -> Vec<Result<(), ChainError>> {
-        let signed: Vec<(Digest, Signature)> = records
-            .iter()
-            .map(|record| (record.signing_digest(), record.0.signature))
-            .collect();
-        let keys = ecdsa::recover_batch(&signed);
-        records
-            .iter()
-            .zip(keys)
-            .map(|(record, key)| {
-                let pk = key.and_then(PublicKey::from_point).map_err(|e| {
-                    ChainError::RecordRejected {
-                        reason: format!("signature recovery failed: {e}"),
-                    }
-                })?;
-                if pk.address() != record.0.sender {
-                    return Err(ChainError::RecordRejected {
-                        reason: format!(
-                            "signature recovers to {} but record claims sender {}",
-                            pk.address(),
-                            record.0.sender
-                        ),
-                    });
+        // Per sender, in order of first appearance: its first record.
+        let mut slot_of: HashMap<Address, usize> = HashMap::new();
+        let mut firsts = Vec::new();
+        // Every later record, with its sender's slot.
+        let mut followers = Vec::new();
+        for (index, record) in records.iter().enumerate() {
+            match slot_of.entry(record.0.sender) {
+                Entry::Occupied(slot) => followers.push((index, *slot.get())),
+                Entry::Vacant(slot) => {
+                    slot.insert(firsts.len());
+                    firsts.push(index);
                 }
-                Ok(())
-            })
-            .collect()
+            }
+        }
+        let mut verdicts: Vec<Result<(), ChainError>> = vec![Ok(()); records.len()];
+        let established = recover_into(records, &firsts, &mut verdicts);
+        // The keys the followers are checked against, and each slot's
+        // index among them once one of its followers needs it.
+        let mut keys = Vec::new();
+        let mut key_of: Vec<Option<usize>> = vec![None; established.len()];
+        let mut items: Vec<(Digest, Signature, usize)> = Vec::new();
+        let mut batched = Vec::new();
+        let mut rest = Vec::new();
+        for (index, slot) in followers {
+            let Some(q) = established[slot] else {
+                rest.push(index);
+                continue;
+            };
+            let k = *key_of[slot].get_or_insert_with(|| {
+                keys.push(q);
+                keys.len() - 1
+            });
+            let record = records[index];
+            items.push((record.signing_digest(), record.0.signature, k));
+            batched.push(index);
+        }
+        if !(known_sender_batch_pays(items.len(), keys.len())
+            && ecdsa::verify_batch_known(&keys, &items))
+        {
+            rest.extend(batched);
+        }
+        recover_into(records, &rest, &mut verdicts);
+        verdicts
     }
 
     /// Canonical encoding, as an owned buffer.
@@ -330,6 +359,72 @@ impl Record {
             merkle_leaf: OnceLock::new(),
         })))
     }
+}
+
+/// Whether one [`ecdsa::verify_batch_known`] over `followers` records
+/// signed by `keys` distinct, established keys costs less than recovering
+/// each of them.
+///
+/// Measured on the 2-core Xeon sandbox (release, one thread, best of
+/// seven): a recovery inside a `recover_batch` of 64 costs ≈ 53 µs. The
+/// batch costs ≈ 28 µs whatever its size (the 129 shared doublings, the
+/// generator's digits and the weight seed), ≈ 17 µs per key (its two
+/// tables and two digit strings) and ≈ 13 µs per record (lifting `R`,
+/// its table, its ≈ 22 additions, its scalars and weight). So a lone
+/// follower is recovered, and from two followers on the batch pays. A
+/// batch that fails is paid on top of the recoveries that follow it: the
+/// price of a forged follower, not of an honest burst.
+const fn known_sender_batch_pays(followers: usize, keys: usize) -> bool {
+    const RECOVER_US: usize = 53;
+    const BATCH_US: usize = 28;
+    const PER_KEY_US: usize = 17;
+    const PER_RECORD_US: usize = 13;
+    followers * RECOVER_US > BATCH_US + keys * PER_KEY_US + followers * PER_RECORD_US
+}
+
+/// Recovers the records at `indices` in one [`ecdsa::recover_batch`],
+/// writes each verdict, and returns the key each recovered to when that
+/// key is its declared sender's.
+fn recover_into(
+    records: &[&Record],
+    indices: &[usize],
+    verdicts: &mut [Result<(), ChainError>],
+) -> Vec<Option<Point>> {
+    if indices.is_empty() {
+        return Vec::new();
+    }
+    let signed: Vec<(Digest, Signature)> = indices
+        .iter()
+        .map(|&index| (records[index].signing_digest(), records[index].0.signature))
+        .collect();
+    let keys = ecdsa::recover_batch(&signed);
+    let check = |record: &Record, key: Result<Point, CryptoError>| {
+        let pk = key
+            .and_then(PublicKey::from_point)
+            .map_err(|e| ChainError::RecordRejected {
+                reason: format!("signature recovery failed: {e}"),
+            })?;
+        if pk.address() != record.0.sender {
+            return Err(ChainError::RecordRejected {
+                reason: format!(
+                    "signature recovers to {} but record claims sender {}",
+                    pk.address(),
+                    record.0.sender
+                ),
+            });
+        }
+        Ok(pk.point())
+    };
+    indices
+        .iter()
+        .zip(keys)
+        .map(|(&index, key)| {
+            let verdict = check(records[index], key);
+            let established = verdict.as_ref().ok().copied();
+            verdicts[index] = verdict.map(|_| ());
+            established
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -409,6 +504,71 @@ mod tests {
             reason(2),
             "signature recovery failed: structurally invalid ECDSA signature"
         );
+
+        // Repeated senders: the first record of each is recovered and the
+        // rest are checked against the key it established. `a` has a good
+        // first record, a good follower, a forged follower (signed by `c`
+        // and re-labelled) and a wrong-parity follower; `b`'s first record
+        // is tampered, so its good follower has no key to be checked
+        // against and is recovered.
+        let (a, b, c) = (
+            KeyPair::from_seed(b"sender-a"),
+            KeyPair::from_seed(b"sender-b"),
+            KeyPair::from_seed(b"sender-c"),
+        );
+        let from = |kp: &KeyPair, nonce: u64| {
+            Record::signed(
+                RecordKind::Transfer,
+                vec![nonce as u8; 5],
+                Ether::ZERO,
+                nonce,
+                kp,
+            )
+        };
+        let rewrite = |record: &Record, at: usize, bytes: &[u8]| {
+            let mut encoded = record.encode();
+            encoded[at..at + bytes.len()].copy_from_slice(bytes);
+            Record::decode(&encoded).unwrap()
+        };
+        let a_follower = from(&a, 1);
+        let a_forged = rewrite(&from(&c, 2), 1, a.address().as_bytes());
+        let flipped = from(&a, 3);
+        let v_at = flipped.encoded().len() - 1;
+        let a_wrong_parity = rewrite(&flipped, v_at, &[flipped.signature().recovery_id() ^ 1]);
+        let b_bad_first = rewrite(&from(&b, 0), PAYLOAD_OFFSET, b"X");
+        let b_follower = from(&b, 1);
+        let (a_first, a_more) = (from(&a, 0), from(&a, 4));
+        let repeated = [
+            &a_first,
+            &b_bad_first,
+            &a_follower,
+            &a_forged,
+            &b_follower,
+            &a_wrong_parity,
+            &a_more,
+            &b_follower,
+        ];
+        let one_at_a_time: Vec<_> = repeated.iter().map(|r| r.verify_signature()).collect();
+        assert_eq!(Record::verify_signatures(&repeated), one_at_a_time);
+        let bad = [1, 3, 5];
+        for (index, verdict) in one_at_a_time.iter().enumerate() {
+            assert_eq!(verdict.is_err(), bad.contains(&index), "record {index}");
+        }
+        // And an honest burst of repeat senders, whose followers all pass
+        // in one batch.
+        let honest: Vec<Record> = (0..12).map(|i| from([&a, &b][i % 2], i as u64)).collect();
+        let honest: Vec<&Record> = honest.iter().collect();
+        assert!(known_sender_batch_pays(10, 2));
+        assert!(Record::verify_signatures(&honest).iter().all(Result::is_ok));
+    }
+
+    #[test]
+    fn known_sender_batch_pays_from_two_followers() {
+        assert!(!known_sender_batch_pays(0, 0));
+        assert!(!known_sender_batch_pays(1, 1));
+        assert!(known_sender_batch_pays(2, 1));
+        assert!(known_sender_batch_pays(2, 2));
+        assert!(known_sender_batch_pays(60, 4));
     }
 
     #[test]

@@ -23,9 +23,9 @@
 
 use crate::error::ChainError;
 use crate::record::Record;
-use smartcrowd_crypto::Digest;
+use smartcrowd_crypto::{Address, Digest};
 use smartcrowd_pool::Pool;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Maximum number of verified record ids retained (FIFO eviction).
@@ -88,18 +88,25 @@ pub fn verify_cached(record: &Record) -> Result<(), ChainError> {
     Ok(())
 }
 
-/// Index-aligned signature verdicts for a burst of records, recovered
+/// Index-aligned signature verdicts for a burst of records, checked
 /// through the cache with the misses fanned out on `pool`.
 ///
 /// This is the shared fast path behind both block validation and
-/// [`crate::mempool::Mempool::insert_batch_with`]. Each worker recovers a
-/// contiguous chunk of the misses with one [`Record::verify_signatures`],
-/// so a chunk shares its two modular inversions. Determinism: cache
-/// lookups, hit/miss accounting and cache insertions all happen on the
-/// caller's thread in input order; only the pure ECDSA recoveries run on
-/// workers, merged back by index. A verdict depends on its own record
-/// alone, not on the chunk it was recovered in, so the returned verdicts,
-/// the cache's evolution and every telemetry counter are
+/// [`crate::mempool::Mempool::insert_batch_with`]. The misses are stably
+/// sorted by the position of their sender's first miss, so that each
+/// contiguous chunk a worker takes holds the records of a few senders.
+/// Each chunk is one [`Record::verify_signatures`]: it recovers the first
+/// record of each sender in the chunk and checks the sender's other
+/// records against the key that recovery established in one weighted
+/// batch, so a repeat sender costs a fraction of a recovery. The results
+/// are merged back by index. `chain.sigcache.repeat_sender` counts the
+/// misses whose sender already appeared among the burst's misses.
+///
+/// Determinism: cache lookups, hit/miss/repeat accounting and cache
+/// insertions all happen on the caller's thread in input order; only the
+/// pure signature checks run on workers. A verdict depends on its own
+/// record alone, not on the chunk it was checked in, so the returned
+/// verdicts, the cache's evolution and every telemetry counter are
 /// thread-count-invariant although the chunk boundaries are not.
 pub fn verify_batch(records: &[&Record], pool: &Pool) -> Vec<Result<(), ChainError>> {
     let mut results: Vec<Result<(), ChainError>> = Vec::with_capacity(records.len());
@@ -117,13 +124,26 @@ pub fn verify_batch(records: &[&Record], pool: &Pool) -> Vec<Result<(), ChainErr
     if misses.is_empty() {
         return results;
     }
-    let missed: Vec<&Record> = misses.iter().map(|&index| records[index]).collect();
+    let mut rank: HashMap<Address, usize> = HashMap::new();
+    let mut ranked: Vec<(usize, usize)> = misses
+        .iter()
+        .map(|&index| {
+            let next = rank.len();
+            (*rank.entry(records[index].sender()).or_insert(next), index)
+        })
+        .collect();
+    smartcrowd_telemetry::counter!("chain.sigcache.repeat_sender")
+        .add((misses.len() - rank.len()) as u64);
+    ranked.sort_by_key(|&(rank, _)| rank);
+    let missed: Vec<&Record> = ranked.iter().map(|&(_, index)| records[index]).collect();
     let verdicts = pool.par_chunks(&missed, Record::verify_signatures);
-    for (&index, verdict) in misses.iter().zip(verdicts) {
-        if verdict.is_ok() {
+    for (&(_, index), verdict) in ranked.iter().zip(verdicts) {
+        results[index] = verdict;
+    }
+    for &index in &misses {
+        if results[index].is_ok() {
             insert(records[index].id());
         }
-        results[index] = verdict;
     }
     results
 }

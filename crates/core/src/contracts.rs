@@ -24,6 +24,7 @@ use smartcrowd_crypto::{Address, U256};
 use smartcrowd_vm::asm::assemble;
 use smartcrowd_vm::exec::{address_to_word, CallContext, Vm};
 use smartcrowd_vm::{Receipt, WorldState};
+use std::sync::OnceLock;
 
 /// SCVM assembly of the SRA escrow contract, from
 /// `contracts/sra_escrow.scvm` (kept as a standalone listing so
@@ -78,7 +79,11 @@ impl SraEscrow {
         trigger: Address,
         block: (u64, u64),
     ) -> Result<SraEscrow, CoreError> {
-        let code = assemble(SRA_ESCROW_ASM).expect("escrow contract assembles");
+        // The listing is a constant, so it is assembled once per process.
+        static CODE: OnceLock<Vec<u8>> = OnceLock::new();
+        let code = CODE
+            .get_or_init(|| assemble(SRA_ESCROW_ASM).expect("escrow contract assembles"))
+            .clone();
         let ctx = CallContext::new(provider, Address::ZERO).with_block(block.0, block.1);
         let (address, deploy_receipt) = vm.deploy(state, &ctx, code)?;
         let init_data = calldata(&[
@@ -183,7 +188,11 @@ impl ReportRegistry {
     ///
     /// Returns [`CoreError::Vm`] on deployment failure.
     pub fn deploy(vm: &Vm, state: &mut WorldState, deployer: Address) -> Result<Self, CoreError> {
-        let code = assemble(REPORT_REGISTRY_ASM).expect("registry contract assembles");
+        // The listing is a constant, so it is assembled once per process.
+        static CODE: OnceLock<Vec<u8>> = OnceLock::new();
+        let code = CODE
+            .get_or_init(|| assemble(REPORT_REGISTRY_ASM).expect("registry contract assembles"))
+            .clone();
         let ctx = CallContext::new(deployer, Address::ZERO);
         let (address, _) = vm.deploy(state, &ctx, code)?;
         Ok(ReportRegistry { address })

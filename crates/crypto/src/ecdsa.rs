@@ -11,11 +11,18 @@
 //! that lifts `r` to `R` and one such pass, plus one scalar and one field
 //! inversion for the whole burst; [`recover`] is the burst of one. It does
 //! not re-verify the key it finds, for the reason its doc comment proves.
+//! [`verify_batch_known`] checks a burst of signatures against keys that
+//! are already known (a sender's key, established by recovering its first
+//! record) with one weighted multi-term pass: per signature the square
+//! root, an eight-entry table and the additions of one 128-bit weight,
+//! with the 129 doublings shared by the whole burst.
 
 use crate::error::CryptoError;
 use crate::hmac::hmac_sha256;
 use crate::point::Point;
-use crate::scalar::Scalar;
+use crate::scalar::{HalfScalar, Scalar};
+use crate::sha256::sha256;
+use crate::u256::U256;
 use std::fmt;
 
 /// An ECDSA signature `(r, s)` plus the recovery id `v ∈ {0, 1, 2, 3}`.
@@ -263,6 +270,102 @@ pub fn recover_batch(items: &[([u8; 32], Signature)]) -> Vec<Result<Point, Crypt
             .ok_or(CryptoError::InvalidPublicKey);
     }
     keys
+}
+
+/// Whether every `(digest, signature, k)` item was signed by `keys[k]`:
+/// `true` exactly when, per item, [`recover`] would return `keys[k]`,
+/// except with probability at most 2⁻¹²⁷ per batch (below). This is how
+/// a burst checks the records of a sender whose key an earlier record
+/// already established, without one recovery each (Karati et al., "Batch
+/// Verification of ECDSA Signatures", AFRICACRYPT 2012).
+///
+/// Item `i` holds when `u₁ᵢ·G + u₂ᵢ·Q − Rᵢ = ∞`, for `u₁ = e/s`,
+/// `u₂ = r/s`, `Q = keys[k]` and the `R` that `r` and the recovery id
+/// name: multiplied by `s`, that is `s·R = e·G + r·Q`, so `recover` would
+/// find `Q`, and a wrong-parity `v` names `−R` and fails. One Strauss pass
+/// ([`Point`]'s multi-term ladder, 129 shared doublings) tests the
+/// weighted sum of all of them,
+///
+/// `(Σ zᵢu₁ᵢ)·G + Σₖ(Σ_{i∈k} zᵢu₂ᵢ)·Qₖ − Σ zᵢ·Rᵢ = ∞`,
+///
+/// where each `Qₖ` is split by the endomorphism and each `Rᵢ` keeps its
+/// 128-bit weight whole. The `s` are inverted together (one
+/// [`Scalar::invert`]) and nothing is converted to affine.
+///
+/// **Soundness.** The weights `zᵢ` are odd 128-bit numbers hashed from
+/// the whole batch: every key, digest, signature and key index. If item
+/// `i` fails, its term `Dᵢ = u₁ᵢ·G + u₂ᵢ·Qₖ − Rᵢ` is a non-zero point of
+/// prime order `n > 2¹²⁸`, so for any fixed other terms at most one of
+/// the 2¹²⁷ odd `zᵢ` cancels the sum, and a hash that behaves as a random
+/// oracle picks it with probability at most 2⁻¹²⁷. Terms that cancel
+/// each other when every weight is one (digests shifted by `+δ·sₐ` and
+/// `−δ·s_b`) are what the weights are for. Since the weights depend on
+/// every input, a forger who wants a batch accepted must find a batch
+/// whose own hash cancels it, one 2⁻¹²⁷ chance per hash evaluated. The
+/// weights are a pure function of the input, so a seeded run stays
+/// byte-identical.
+///
+/// `false` covers everything else: an item whose `R` does not exist, a
+/// key at infinity or off the curve, and a batch of which any item is
+/// bad (which one is for [`recover_batch`] to say). An empty batch holds.
+///
+/// # Panics
+///
+/// Panics if an item's `k` is not an index into `keys`.
+pub fn verify_batch_known(keys: &[Point], items: &[([u8; 32], Signature, usize)]) -> bool {
+    if keys.iter().any(|q| q.is_infinity() || !q.is_on_curve()) {
+        return false;
+    }
+    let mut s_inv: Vec<Scalar> = items.iter().map(|(_, sig, _)| sig.s).collect();
+    invert_all(&mut s_inv);
+    let weights = batch_weights(keys, items);
+    let mut g_coefficient = Scalar::ZERO;
+    let mut key_terms: Vec<(Scalar, Point)> = keys.iter().map(|q| (Scalar::ZERO, *q)).collect();
+    let mut r_terms = Vec::with_capacity(items.len());
+    for (((digest, sig, k), s_inv), z) in items.iter().zip(&s_inv).zip(weights) {
+        let Ok(r_point) = lift_r(sig) else {
+            return false;
+        };
+        let z_over_s = Scalar::from_u256_reduced(U256::from_u128(z)).mul(s_inv);
+        g_coefficient = g_coefficient.add(&Scalar::from_digest(digest).mul(&z_over_s));
+        key_terms[*k].0 = key_terms[*k].0.add(&sig.r.mul(&z_over_s));
+        let minus_z = HalfScalar {
+            magnitude: z,
+            negative: true,
+        };
+        r_terms.push((minus_z, r_point));
+    }
+    Point::sums_to_infinity(&g_coefficient, &key_terms, &r_terms)
+}
+
+/// The odd 128-bit weight of every item of [`verify_batch_known`]: a seed
+/// is hashed from the whole batch, and each SHA-256 of the seed and a
+/// counter gives two weights.
+fn batch_weights(keys: &[Point], items: &[([u8; 32], Signature, usize)]) -> Vec<u128> {
+    let mut transcript = Vec::with_capacity(65 * keys.len() + (32 + 65 + 8) * items.len());
+    for q in keys.iter().filter_map(Point::encode_uncompressed) {
+        transcript.extend_from_slice(&q);
+    }
+    for (digest, sig, k) in items {
+        transcript.extend_from_slice(digest);
+        transcript.extend_from_slice(&sig.to_bytes());
+        transcript.extend_from_slice(&(*k as u64).to_be_bytes());
+    }
+    let mut block = [0u8; 40];
+    block[..32].copy_from_slice(&sha256(&transcript));
+    (0..items.len().div_ceil(2) as u64)
+        .flat_map(|counter| {
+            block[32..].copy_from_slice(&counter.to_be_bytes());
+            let h = sha256(&block);
+            let half = |at: usize| {
+                let mut bytes = [0u8; 16];
+                bytes.copy_from_slice(&h[at..at + 16]);
+                u128::from_be_bytes(bytes) | 1
+            };
+            [half(0), half(16)]
+        })
+        .take(items.len())
+        .collect()
 }
 
 /// The point `R` a signature's `r` and recovery id name: `x = r` (or

@@ -8,7 +8,10 @@
 //! `Scalar::split` writes `k ≡ k₁ + k₂·λ` with `|k₁|, |k₂| < 2¹²⁸`, so
 //! `a·G + b·P = a₁·G + a₂·λG + b₁·P + b₂·λP` needs 129 shared doublings
 //! where the full-length scalars would need 257, and the multiples of `λG`
-//! and `λP` are those of `G` and `P` with `x` scaled by `β`.
+//! and `λP` are those of `G` and `P` with `x` scaled by `β`. That pass is
+//! the one-term case of a multi-term one, `a·G + Σ bₖ·Pₖ + Σ cⱼ·Rⱼ` with
+//! 128-bit `cⱼ`, which still shares its 129 doublings across every term:
+//! the weighted sum a batch of ECDSA signatures is verified with.
 
 use crate::error::CryptoError;
 use crate::field::FieldElement;
@@ -298,59 +301,76 @@ fn batch_to_affine(points: &[Jacobian]) -> Vec<Point> {
 /// Entries in `P`'s odd-multiples table: `2^(WINDOW_P−2)`.
 const TABLE_P: usize = 1 << (WINDOW_P - 2);
 
-/// `(2i+1)·P` for `i < TABLE_P` as effective-affine entries, plus the `Z`
-/// they share: entry `(x, y)` stands for the Jacobian point `(x, y, Z)`
-/// (libsecp256k1's `ecmult_odd_multiples_table` and
-/// `ge_table_set_globalz`).
+/// `(2i+1)·P` for `i < TABLE_P` for every `P` of `points`, in order, as
+/// effective-affine entries, plus the one `Z` they all share: entry
+/// `(x, y)` stands for the Jacobian point `(x, y, Z)` (libsecp256k1's
+/// `ecmult_odd_multiples_table`, `gej_rescale` and `ge_table_set_globalz`).
 ///
 /// `2P = (X, Y, C)` is affine on the isomorphic curve `y² = x³ + 7C⁶`,
-/// reached by `(x, y) ↦ (C²x, C³y)`. The table is built there: `P`
+/// reached by `(x, y) ↦ (C²x, C³y)`. Each table is built there: `P`
 /// enters as `(C²x, C³y)`, and each `(2i+1)·P + 2P` is one mixed addition
-/// (8M + 3S) with no exceptional case, since `P` has prime order. Walking
-/// back from the last entry, the `h` each addition multiplied `Z` by
-/// rescales every earlier entry to the last one's `Z`; times `C`, that is
-/// the shared `Z` on the true curve. The curve constant appears in no
-/// addition or doubling formula, so the ladder can run on the isomorphic
-/// curve and multiply its result's `Z` by the shared one at the end.
-fn odd_multiples(p: &Affine) -> ([Affine; TABLE_P], FieldElement) {
-    let twice = Jacobian {
-        x: p.x,
-        y: p.y,
-        z: FieldElement::ONE,
-    }
-    .double();
-    let c = twice.z;
-    let c2 = c.square();
-    let step = Affine {
-        x: twice.x,
-        y: twice.y,
-    };
-    let mut multiples = [Jacobian::INFINITY; TABLE_P];
-    let mut ratios = [FieldElement::ONE; TABLE_P];
-    multiples[0] = Jacobian {
-        x: p.x.mul(&c2),
-        y: p.y.mul(&c2).mul(&c),
-        z: FieldElement::ONE,
-    };
-    for i in 1..TABLE_P {
-        (multiples[i], ratios[i]) = multiples[i - 1].add_affine_with_ratio(&step);
-    }
-    let last = multiples[TABLE_P - 1];
-    let mut table = [Affine {
-        x: last.x,
-        y: last.y,
-    }; TABLE_P];
-    // `scale` is the last entry's `Z` over entry `i`'s.
-    let mut scale = ratios[TABLE_P - 1];
-    for i in (0..TABLE_P - 1).rev() {
-        let scale2 = scale.square();
-        table[i] = Affine {
-            x: multiples[i].x.mul(&scale2),
-            y: multiples[i].y.mul(&scale2).mul(&scale),
+/// (8M + 3S) with no exceptional case, since `P` has prime order. An entry's
+/// true `Z` is the one before it times a known ratio: the `h` of its
+/// addition, or `C` for a table's first entry, because every `P` after the
+/// first is doubled from the Jacobian form that carries the previous
+/// table's last `Z`. Walking back from the very last entry, those ratios
+/// rescale every entry of every table to the last one's `Z`, which is the
+/// shared `Z` on the true curve. The curve constant appears in no addition
+/// or doubling formula, so a ladder can run on the isomorphic curve where
+/// all of these tables are affine and multiply its result's `Z` by the
+/// shared one at the end.
+fn odd_multiples(points: &[Affine]) -> (Vec<[Affine; TABLE_P]>, FieldElement) {
+    let mut tables = Vec::with_capacity(points.len());
+    let mut ratios = Vec::with_capacity(points.len() * TABLE_P);
+    // The true `Z` of the last entry built so far.
+    let mut z = FieldElement::ONE;
+    for (t, p) in points.iter().enumerate() {
+        let start = if t == 0 {
+            Jacobian { x: p.x, y: p.y, z }
+        } else {
+            let z2 = z.square();
+            Jacobian {
+                x: p.x.mul(&z2),
+                y: p.y.mul(&z2).mul(&z),
+                z,
+            }
         };
-        scale = scale.mul(&ratios[i]);
+        let twice = start.double();
+        let c = twice.z;
+        let c2 = c.square();
+        let step = Affine {
+            x: twice.x,
+            y: twice.y,
+        };
+        let mut acc = Jacobian {
+            x: start.x.mul(&c2),
+            y: start.y.mul(&c2).mul(&c),
+            z: start.z,
+        };
+        let mut table = [G; TABLE_P];
+        table[0] = Affine { x: acc.x, y: acc.y };
+        ratios.push(c);
+        for slot in &mut table[1..] {
+            let h;
+            (acc, h) = acc.add_affine_with_ratio(&step);
+            *slot = Affine { x: acc.x, y: acc.y };
+            ratios.push(h);
+        }
+        z = acc.z.mul(&c);
+        tables.push(table);
     }
-    (table, last.z.mul(&c))
+    // `scale` is the last entry's `Z` over the current entry's.
+    let mut scale: Option<FieldElement> = None;
+    let entries = tables.as_flattened_mut();
+    for (entry, ratio) in entries.iter_mut().zip(&ratios).rev() {
+        if let Some(scale) = scale {
+            let scale2 = scale.square();
+            entry.x = entry.x.mul(&scale2);
+            entry.y = entry.y.mul(&scale2).mul(&scale);
+        }
+        scale = Some(scale.map_or(*ratio, |scale| scale.mul(ratio)));
+    }
+    (tables, z)
 }
 
 /// Window width of the signed-digit form of the variable-base scalar: an
@@ -457,28 +477,72 @@ fn table_entry(table: &[Affine], digit: i16) -> Affine {
     }
 }
 
-/// `a·G + b·P` up to the one conversion to affine: the ladder of
-/// [`Point::lincomb_with_generator`], whose doc comment states what it
-/// computes and for which operands.
-fn lincomb_jacobian(a: &Scalar, b: &Scalar, p: &Point) -> Jacobian {
-    debug_assert!(p.is_on_curve(), "λ·P = (β·x, y) needs P on the curve");
-    let odd_g = &generator_tables().odd;
-    let (odd_p, global_z, b) = match p {
+/// `a·G + Σ bₖ·Pₖ + Σ cⱼ·Rⱼ` up to the one conversion to affine, in one
+/// Strauss pass (libsecp256k1's `ecmult_strauss_wnaf`): every digit string
+/// shares the one run of 129 doublings. `a` and each full-length `bₖ` are
+/// split by the endomorphism into two signed halves below 2¹²⁸ (`a₁` over
+/// `G`, `a₂` over `λG`, `bₖ₁` over `Pₖ`, `bₖ₂` over `λPₖ`), and each `cⱼ`
+/// is a half already, kept whole over its `Rⱼ`. `G`'s digits pick from
+/// the static odd multiples of `G` (an entry's `x` scaled by `β` for the
+/// `λG` half); every other point gets an odd-multiples table built here
+/// (and, for a `Pₖ`, its `β`-scaled copy), all sharing one `Z` (see
+/// [`odd_multiples`]), so the pass runs on the isomorphic curve where
+/// those tables are affine: a point digit costs a mixed addition
+/// (8M + 3S), a `G` digit one multiplication more, and the result's `Z`
+/// one multiplication by the shared `Z`. A term whose point is `∞` or
+/// whose multiplier is zero adds nothing and gets no table.
+/// [`Point::lincomb_with_generator`] is the case of one `bₖ` and no `cⱼ`;
+/// its doc comment states for which operands the pass is exact.
+fn strauss(a: &Scalar, full: &[(Scalar, Point)], half: &[(HalfScalar, Point)]) -> Jacobian {
+    let finite = |p: &Point| match p {
         Point::Affine { x, y } => {
-            let (table, global_z) = odd_multiples(&Affine { x: *x, y: *y });
-            (table, global_z, *b)
+            debug_assert!(p.is_on_curve(), "λ·P = (β·x, y) needs P on the curve");
+            Some(Affine { x: *x, y: *y })
         }
-        // b·∞ = ∞: no digit reads the table, and the curve is the true one.
-        Point::Infinity => ([G; TABLE_P], FieldElement::ONE, Scalar::ZERO),
+        Point::Infinity => None,
     };
-    let odd_lambda_p = odd_p.map(|entry| entry.mul_lambda());
+    // The finite points with a non-zero multiplier, `Pₖ`s first, and
+    // their multipliers.
+    let mut points = Vec::with_capacity(full.len() + half.len());
+    let mut full_scalars = Vec::with_capacity(full.len());
+    for (b, p) in full {
+        if let (false, Some(p)) = (b.is_zero(), finite(p)) {
+            points.push(p);
+            full_scalars.push(*b);
+        }
+    }
+    let mut half_scalars = Vec::with_capacity(half.len());
+    for (c, p) in half {
+        if let (true, Some(p)) = (c.magnitude != 0, finite(p)) {
+            points.push(p);
+            half_scalars.push(*c);
+        }
+    }
+    let (tables, global_z) = odd_multiples(&points);
+    drop(points);
+    let (p_tables, r_tables) = tables.split_at(full_scalars.len());
+    let lambda_tables: Vec<[Affine; TABLE_P]> = p_tables
+        .iter()
+        .map(|table| table.map(|entry| entry.mul_lambda()))
+        .collect();
+    // One string of `WINDOW_P` digits (|digit| < 16, so an `i8`) per half,
+    // with the table it reads.
+    let digits = |k: HalfScalar| wnaf(k, WINDOW_P).map(|digit| digit as i8);
+    let mut strings: Vec<([i8; HALF_DIGITS], &[Affine; TABLE_P])> =
+        Vec::with_capacity(2 * full_scalars.len() + half_scalars.len());
+    for ((b, table), lambda_table) in full_scalars.iter().zip(p_tables).zip(&lambda_tables) {
+        let (b1, b2) = b.split();
+        strings.push((digits(b1), table));
+        strings.push((digits(b2), lambda_table));
+    }
+    for (c, table) in half_scalars.iter().zip(r_tables) {
+        strings.push((digits(*c), table));
+    }
+    let odd_g = &generator_tables().odd;
     let (a1, a2) = a.split();
-    let (b1, b2) = b.split();
     let naf_g = wnaf(a1, WINDOW_G);
     let naf_lambda_g = wnaf(a2, WINDOW_G);
-    let naf_p = wnaf(b1, WINDOW_P);
-    let naf_lambda_p = wnaf(b2, WINDOW_P);
-    // The accumulator lives on the curve where P's table is affine: the
+    // The accumulator lives on the curve where the tables are affine: the
     // true `Z` of every point it holds is its own `Z` times `global_z`.
     let mut acc = Jacobian::INFINITY;
     for i in (0..HALF_DIGITS).rev() {
@@ -490,11 +554,10 @@ fn lincomb_jacobian(a: &Scalar, b: &Scalar, p: &Point) -> Jacobian {
             let entry = table_entry(odd_g, naf_lambda_g[i]).mul_lambda();
             acc = acc.add_zinv(&entry, &global_z);
         }
-        if naf_p[i] != 0 {
-            acc = acc.add_affine(&table_entry(&odd_p, naf_p[i]));
-        }
-        if naf_lambda_p[i] != 0 {
-            acc = acc.add_affine(&table_entry(&odd_lambda_p, naf_lambda_p[i]));
+        for (naf, table) in &strings {
+            if naf[i] != 0 {
+                acc = acc.add_affine(&table_entry(*table, i16::from(naf[i])));
+            }
         }
     }
     acc.z = acc.z.mul(&global_z);
@@ -620,7 +683,20 @@ impl Point {
     /// `P = ±G`, `±λG`, `±λ²G` and `a·G = −b·P` all produce), a zero half
     /// has no digits, and the multiples of `P = ∞` are all `∞`.
     pub fn lincomb_with_generator(a: &Scalar, b: &Scalar, p: &Point) -> Point {
-        lincomb_jacobian(a, b, p).to_affine()
+        strauss(a, &[(*b, *p)], &[]).to_affine()
+    }
+
+    /// Whether `a·G + Σ bₖ·Pₖ + Σ cⱼ·Rⱼ = ∞`, from one Strauss pass over
+    /// every term (129 shared doublings, one table per point, no
+    /// inversion): the weighted sum a batch verification tests. Every
+    /// point must be on the curve, as for
+    /// [`Point::lincomb_with_generator`].
+    pub(crate) fn sums_to_infinity(
+        a: &Scalar,
+        full: &[(Scalar, Point)],
+        half: &[(HalfScalar, Point)],
+    ) -> bool {
+        strauss(a, full, half).is_infinity()
     }
 
     /// [`Point::lincomb_with_generator`] of every `(a, b, P)` term, in
@@ -628,9 +704,7 @@ impl Point {
     pub(crate) fn lincomb_batch(
         terms: impl Iterator<Item = (Scalar, Scalar, Point)>,
     ) -> Vec<Point> {
-        let sums: Vec<Jacobian> = terms
-            .map(|(a, b, p)| lincomb_jacobian(&a, &b, &p))
-            .collect();
+        let sums: Vec<Jacobian> = terms.map(|(a, b, p)| strauss(&a, &[(b, p)], &[])).collect();
         batch_to_affine(&sums)
     }
 
@@ -798,25 +872,82 @@ mod tests {
     fn odd_multiples_share_one_z() {
         // Entry (x, y) with the shared Z is (2i+1)·P on the true curve, and
         // its β-scaled copy is λ·(2i+1)·P: the endomorphism commutes with
-        // the change of curve.
+        // the change of curve. One table alone, and three chained ones
+        // (G twice, so two tables hold the same points) under one Z.
         let g = Point::generator();
-        for p in [g, mul_binary(&g, &Scalar::from_u64(0xc0ffee))] {
-            let Point::Affine { x, y } = p else {
-                unreachable!("finite")
-            };
-            let (table, z) = odd_multiples(&Affine { x, y });
-            for (i, entry) in table.iter().enumerate() {
-                let k = Scalar::from_u64(2 * i as u64 + 1);
-                for (entry, k) in [(*entry, k), (entry.mul_lambda(), k.mul(&LAMBDA))] {
-                    let jacobian = Jacobian {
-                        x: entry.x,
-                        y: entry.y,
-                        z,
-                    };
-                    assert_eq!(jacobian.to_affine(), mul_binary(&p, &k), "entry {i}");
+        let p = mul_binary(&g, &Scalar::from_u64(0xc0ffee));
+        for points in [vec![g], vec![p], vec![p, g, g]] {
+            let affine: Vec<Affine> = points
+                .iter()
+                .map(|q| match q {
+                    Point::Affine { x, y } => Affine { x: *x, y: *y },
+                    Point::Infinity => unreachable!("finite"),
+                })
+                .collect();
+            let (tables, z) = odd_multiples(&affine);
+            assert_eq!(tables.len(), points.len());
+            for (point, table) in points.iter().zip(&tables) {
+                for (i, entry) in table.iter().enumerate() {
+                    let k = Scalar::from_u64(2 * i as u64 + 1);
+                    for (entry, k) in [(*entry, k), (entry.mul_lambda(), k.mul(&LAMBDA))] {
+                        let jacobian = Jacobian {
+                            x: entry.x,
+                            y: entry.y,
+                            z,
+                        };
+                        assert_eq!(jacobian.to_affine(), mul_binary(point, &k), "entry {i}");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn strauss_matches_term_by_term() {
+        // a·G + Σ bₖ·Pₖ + Σ cⱼ·Rⱼ against the sum of its terms, with a
+        // repeated point, a point at infinity, zero multipliers, negative
+        // halves and an Rⱼ equal to a Pₖ.
+        let g = Point::generator();
+        let p = mul_binary(&g, &Scalar::from_u64(0xc0ffee));
+        let q = mul_binary(&g, &Scalar::from_u64(0xbeef));
+        let a = Scalar::from_u64(0x1234_5678_9abc_def0).mul(&LAMBDA);
+        let full = [
+            (LAMBDA.add(&Scalar::from_u64(3)), p),
+            (Scalar::ZERO, q),
+            (Scalar::from_u64(5).neg(), q),
+            (Scalar::ONE, Point::Infinity),
+            (LAMBDA, p),
+        ];
+        let half = |magnitude: u128, negative: bool| HalfScalar {
+            magnitude,
+            negative,
+        };
+        let halves = [
+            (half(u128::MAX, true), p),
+            (half(0, false), q),
+            (half(0xdead_beef << 64, false), q),
+            (half(7, true), Point::Infinity),
+            (half(1 << 127, false), g),
+        ];
+        let mut want = mul_binary(&g, &a);
+        for (b, point) in &full {
+            want = want.add(&mul_binary(point, b));
+        }
+        for (c, point) in &halves {
+            let c_scalar = Scalar::from_u256_reduced(U256::from_u128(c.magnitude));
+            let c_scalar = if c.negative { c_scalar.neg() } else { c_scalar };
+            want = want.add(&mul_binary(point, &c_scalar));
+        }
+        assert_eq!(strauss(&a, &full, &halves).to_affine(), want);
+        assert!(!Point::sums_to_infinity(&a, &full, &halves));
+        // Subtracting the sum as one more term cancels it.
+        assert!(!want.is_infinity());
+        let mut with_minus = full.to_vec();
+        with_minus.push((Scalar::ONE.neg(), want));
+        assert!(Point::sums_to_infinity(&a, &with_minus, &halves));
+        // No terms at all: a·G alone, and 0·G = ∞.
+        assert_eq!(strauss(&a, &[], &[]).to_affine(), mul_binary(&g, &a));
+        assert!(Point::sums_to_infinity(&Scalar::ZERO, &[], &[]));
     }
 
     #[test]

@@ -665,3 +665,216 @@ fn high_s_is_refused_at_the_door() {
         );
     }
 }
+
+/// One `verify_batch_known` item: a digest, a signature over it (or not)
+/// and the index of the key it claims.
+type Known = ([u8; 32], Signature, usize);
+
+/// The per-item answer `verify_batch_known` must give: the reference
+/// `recover` of every item, compared with the key the item claims.
+fn recovers_to_claimed_keys(keys: &[Point], burst: &[Known]) -> bool {
+    burst.iter().all(|(digest, sig, k)| {
+        reference::recover(digest, sig).map(reference::to_point) == Ok(keys[*k])
+    })
+}
+
+/// `verify_batch_known` against [`recovers_to_claimed_keys`], item by item.
+fn assert_known_agrees(keys: &[Point], burst: &[Known]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        ecdsa::verify_batch_known(keys, burst),
+        recovers_to_claimed_keys(keys, burst),
+        "burst of {}",
+        burst.len()
+    );
+    Ok(())
+}
+
+/// The private scalar of the `k`-th test key.
+fn known_key(k: u64) -> Scalar {
+    Scalar::from_digest(&sha256(&k.to_le_bytes()))
+}
+
+/// `len` valid items, round-robin over `keys` signing keys, from `seed`.
+fn known_burst(seed: u64, keys: usize, len: usize) -> (Vec<Point>, Vec<Known>) {
+    let points = (0..keys as u64)
+        .map(|k| Point::mul_generator(&known_key(seed + k)))
+        .collect();
+    let burst = (0..len)
+        .map(|i| {
+            let k = i % keys;
+            let msg = sha256(&seed.wrapping_add(i as u64 * 7919).to_be_bytes());
+            (msg, ecdsa::sign(&known_key(seed + k as u64), &msg), k)
+        })
+        .collect();
+    (points, burst)
+}
+
+/// The four ways a peer can spoil one item of a known-sender burst: a
+/// flipped digest bit, the other `R` (wrong-parity `v`), another key's
+/// index, and an `s` that signs nothing.
+fn poisoned(item: &Known, how: usize, keys: usize) -> Known {
+    let (mut msg, sig, k) = *item;
+    let parts = |s: U256, v: u8| sig_from_parts(sig.r().to_u256(), s, v).unwrap();
+    match how % 4 {
+        0 => {
+            msg[31] ^= 1;
+            (msg, sig, k)
+        }
+        1 => (msg, parts(sig.s().to_u256(), sig.recovery_id() ^ 1), k),
+        2 => (msg, sig, (k + 1) % keys),
+        _ => {
+            let s = sig.s().add(&Scalar::ONE);
+            let s = if s.is_high() { s.neg() } else { s };
+            (msg, parts(s.to_u256(), sig.recovery_id()), k)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn known_batch_matches_recover_and_compare(
+        seed in any::<u64>(),
+        keys in 1usize..4,
+        len in 1usize..17,
+        // Below 64: spoil item `poison % 16` in way `poison / 16`.
+        poison in 0usize..80,
+    ) {
+        let (points, mut burst) = known_burst(seed, keys, len);
+        let (at, how) = (poison % 16 % len, poison / 16);
+        // With one key there is no other key to substitute.
+        if how < 4 && (keys > 1 || how != 2) {
+            burst[at] = poisoned(&burst[at], how, keys);
+        }
+        assert_known_agrees(&points, &burst)?;
+    }
+}
+
+#[test]
+fn known_batch_poisoned_at_every_index() {
+    // A 16-item burst over three keys holds; spoiling any one item, in any
+    // of the four ways, fails the whole batch.
+    let (keys, burst) = known_burst(31, 3, 16);
+    assert!(recovers_to_claimed_keys(&keys, &burst));
+    assert!(ecdsa::verify_batch_known(&keys, &burst));
+    for at in 0..burst.len() {
+        for how in 0..4 {
+            let spoiled = poisoned(&burst[at], how, keys.len());
+            let item = std::slice::from_ref(&spoiled);
+            assert!(!recovers_to_claimed_keys(&keys, item), "{at}/{how}");
+            let mut bad = burst.clone();
+            bad[at] = spoiled;
+            assert!(!ecdsa::verify_batch_known(&keys, &bad), "{at}/{how}");
+        }
+    }
+}
+
+#[test]
+fn known_batch_of_one_duplicates_and_empty() {
+    let (keys, burst) = known_burst(77, 2, 4);
+    assert!(ecdsa::verify_batch_known(&keys, &[]));
+    for item in &burst {
+        assert_known_agrees(&keys, std::slice::from_ref(item)).unwrap();
+        let wrong_parity = poisoned(item, 1, keys.len());
+        assert_known_agrees(&keys, &[wrong_parity]).unwrap();
+        // Twice the same item, good or bad: a repeat gets its own weight,
+        // so a bad item cannot cancel its copy.
+        assert_known_agrees(&keys, &[*item, *item]).unwrap();
+        assert_known_agrees(&keys, &[wrong_parity, wrong_parity]).unwrap();
+        assert!(!ecdsa::verify_batch_known(
+            &keys,
+            &[wrong_parity, wrong_parity]
+        ));
+    }
+    let mut doubled = burst.clone();
+    doubled.extend_from_slice(&burst);
+    assert!(ecdsa::verify_batch_known(&keys, &doubled));
+    // Keys no item claims, at infinity or off the curve fail the batch.
+    let off_curve = Point::Affine {
+        x: FieldElement::ONE,
+        y: FieldElement::ONE,
+    };
+    for bad_key in [Point::Infinity, off_curve] {
+        let mut with_bad = keys.clone();
+        with_bad.push(bad_key);
+        assert!(!ecdsa::verify_batch_known(&with_bad, &burst));
+    }
+}
+
+/// A signature whose `R` has `x = r + n`: `r` is stepped up from `start`
+/// until `r + n` is the `x` of a curve point, and the key is whatever
+/// `recover` finds, so the item is valid by construction.
+fn lifted_past_n(start: u64, msg: &[u8; 32]) -> (Point, Signature) {
+    let s = Scalar::from_digest(&sha256(msg));
+    let s = if s.is_high() { s.neg() } else { s };
+    let mut r = start;
+    loop {
+        let sig = sig_from_parts(U256::from_u64(r), s.to_u256(), 2).unwrap();
+        if let Ok(q) = ecdsa::recover(msg, &sig) {
+            assert_ecdsa_agrees(msg, &sig).unwrap();
+            return (q, sig);
+        }
+        r += 1;
+    }
+}
+
+#[test]
+fn known_batch_r_plus_n_lift() {
+    // Valid: x(R) = r + n < p, beside two ordinary items of another key.
+    let msg = sha256(b"r + n");
+    let (q, sig) = lifted_past_n(1, &msg);
+    let (mut keys, mut burst) = known_burst(5, 1, 2);
+    keys.push(q);
+    burst.push((msg, sig, 1));
+    assert_known_agrees(&keys, &burst).unwrap();
+    assert!(ecdsa::verify_batch_known(&keys, &burst));
+    // The same r with bit 1 clear names x = r, a different R.
+    let low = sig_from_parts(sig.r().to_u256(), sig.s().to_u256(), 0).unwrap();
+    burst[2] = (msg, low, 1);
+    assert_known_agrees(&keys, &burst).unwrap();
+    // r + n ≥ p: no R, so no batch holds, whatever key it names.
+    let high_r = Scalar::order().wrapping_sub(&U256::from_u64(1));
+    let past_p = sig_from_parts(high_r, sig.s().to_u256(), 2).unwrap();
+    assert_eq!(
+        ecdsa::recover(&msg, &past_p),
+        Err(CryptoError::InvalidSignature)
+    );
+    burst[2] = (msg, past_p, 1);
+    assert_known_agrees(&keys, &burst).unwrap();
+    assert!(!ecdsa::verify_batch_known(&keys, &burst));
+}
+
+#[test]
+fn known_batch_rejects_a_cancelling_pair() {
+    // Two valid signatures by one key, with digests moved so that item a's
+    // check term becomes +δ·G and item b's −δ·G: e′ₐ = eₐ + δ·sₐ makes
+    // u₁ = e′ₐ/sₐ exceed the true one by δ, and e′_b = e_b − δ·s_b makes
+    // it fall short by δ. Each item alone is bad, and their unweighted sum
+    // is ∞; only the weights keep the batch from passing.
+    let (keys, burst) = known_burst(2019, 1, 2);
+    let delta = Scalar::from_digest(&sha256(b"delta"));
+    let shift = |(msg, sig, k): Known, by: Scalar| {
+        let e = Scalar::from_digest(&msg).add(&by.mul(&sig.s()));
+        (e.to_be_bytes(), sig, k)
+    };
+    let pair = [shift(burst[0], delta), shift(burst[1], delta.neg())];
+    // Each item's check term u₁·G + u₂·Q − R, with R lifted from (r, v).
+    let term = |(msg, sig, k): &Known| {
+        assert!(sig.recovery_id() < 2, "x(R) = r");
+        let mut compressed = [0x02 | sig.recovery_id(); 33];
+        compressed[1..].copy_from_slice(&sig.r().to_be_bytes());
+        let r_point = Point::decode(&compressed).unwrap();
+        let s_inv = sig.s().invert();
+        let u1 = Scalar::from_digest(msg).mul(&s_inv);
+        let u2 = sig.r().mul(&s_inv);
+        Point::lincomb_with_generator(&u1, &u2, &keys[*k]).add(&r_point.neg())
+    };
+    assert_eq!(term(&burst[0]), Point::Infinity);
+    assert_eq!(term(&pair[0]), Point::mul_generator(&delta));
+    assert_eq!(term(&pair[1]), Point::mul_generator(&delta.neg()));
+    assert_eq!(term(&pair[0]).add(&term(&pair[1])), Point::Infinity);
+    assert!(!recovers_to_claimed_keys(&keys, &pair[..1]));
+    assert!(!recovers_to_claimed_keys(&keys, &pair[1..]));
+    assert!(!ecdsa::verify_batch_known(&keys, &pair));
+}
