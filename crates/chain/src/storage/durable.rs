@@ -13,13 +13,10 @@
 //! otherwise. See DESIGN.md §17 and STORAGE.md.
 
 use super::cache::BlockCache;
+use super::disk::{self, write_atomic, DiskFile};
 use super::log::{scan_log, BlockLog, LogEntry};
 use super::snapshot::{self, Snapshot, SnapshotEntry, SnapshotRead, SNAPSHOT_FILE};
-use super::wal::{Wal, WalRecovery};
-use super::{
-    block_frame, io_err, write_atomic, ChainBackend, ChainQuery, CrashPoint, StorageError,
-    StoreConfig,
-};
+use super::{block_frame, ChainBackend, ChainQuery, CrashPoint, StorageError, StoreConfig};
 use crate::block::Block;
 use crate::chain_index::ChainIndex;
 use crate::header::BlockId;
@@ -28,8 +25,7 @@ use smartcrowd_crypto::sha256::sha256d;
 use smartcrowd_telemetry::counter;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
-use std::io::ErrorKind;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 const CHECKPOINT_MAGIC: &[u8; 8] = b"SCCKPT01";
@@ -41,10 +37,6 @@ const CHECKPOINT_LEN: usize = 8 + 8 + 32 + 32;
 pub struct RecoveryReport {
     /// A torn tail was truncated from `blocks.log`.
     pub torn_truncated: bool,
-    /// A durable-but-unapplied WAL entry was replayed into the log.
-    pub wal_replayed: bool,
-    /// An in-flight WAL entry that never became durable was discarded.
-    pub wal_discarded: bool,
     /// The open was served from a valid state snapshot (fast path; not a
     /// repair, so it does not affect [`RecoveryReport::clean`]).
     pub snapshot_loaded: bool,
@@ -58,7 +50,7 @@ impl RecoveryReport {
     /// rejected snapshot. A *loaded* snapshot still counts as clean —
     /// the fast path is an accelerator, not a repair.
     pub fn clean(&self) -> bool {
-        !self.torn_truncated && !self.wal_replayed && !self.wal_discarded && !self.snapshot_rejected
+        !self.torn_truncated && !self.snapshot_rejected
     }
 }
 
@@ -78,11 +70,12 @@ struct Recovered {
 /// A file-backed chain store with a bounded block cache, checkpoint
 /// state snapshots, crash recovery and fork pruning.
 ///
-/// Every [`commit`] is made durable through a WAL-then-log protocol
-/// before it returns; reads are answered from the resident chain index
-/// (headers, heights, record index) plus a bounded body cache, paging
-/// cold frames back in from disk. See the module docs, DESIGN.md §17 and
-/// STORAGE.md for the on-disk layout and the recovery state machine.
+/// Every [`commit`] is durable before it returns: the fsync of its log
+/// append is the durability point. Reads are answered from the resident
+/// chain index (headers, heights, record index) plus a bounded body
+/// cache, paging cold frames back in from disk. See the module docs,
+/// DESIGN.md §17 and STORAGE.md for the on-disk layout and the recovery
+/// state machine.
 ///
 /// [`commit`]: DurableStore::commit
 #[derive(Debug)]
@@ -93,9 +86,10 @@ pub struct DurableStore {
     locations: HashMap<BlockId, LogEntry>,
     cache: RefCell<BlockCache>,
     log: BlockLog,
-    wal: Wal,
     config: StoreConfig,
-    checkpoint_height: u64,
+    /// Highest confirmed `(height, id)`. It advances on every commit; the
+    /// `checkpoint` file catches up when the snapshot is written.
+    checkpoint: (u64, BlockId),
     /// Checkpoint height the current `state.snap` was written at.
     snapshot_height: u64,
     has_snapshot: bool,
@@ -153,10 +147,10 @@ impl DurableStore {
         genesis: Option<&Block>,
         config: StoreConfig,
     ) -> Result<Self, StorageError> {
-        std::fs::create_dir_all(dir).map_err(|e| io_err("create-dir", dir, e))?;
-        let mut log = BlockLog::open(&dir.join("blocks.log"))?;
+        disk::create_dir_all(dir)?;
+        let log_path = dir.join("blocks.log");
+        let mut log = BlockLog::open(&log_path)?;
         let was_fresh = log.len_bytes() == 0;
-        let (mut wal, wal_recovery) = Wal::open(&dir.join("wal"))?;
         let mut cache = BlockCache::new(config.cache_capacity);
         let snap_path = dir.join(SNAPSHOT_FILE);
 
@@ -178,7 +172,7 @@ impl DurableStore {
         }
         let snapshot_loaded = adopted.is_some();
         let Recovered {
-            mut index,
+            index,
             entries,
             valid_len,
             torn,
@@ -188,39 +182,16 @@ impl DurableStore {
             Some(r) => r,
             None => full_scan_recover(&log, genesis)?,
         };
-        let mut report = RecoveryReport {
+        let report = RecoveryReport {
             torn_truncated: torn,
             snapshot_loaded,
             snapshot_rejected: snapshot_rejection.is_some(),
-            ..RecoveryReport::default()
         };
-
-        // Classify the in-flight commit before any replay.
-        let mut wal_block: Option<Block> = None;
-        let wal_was_empty = matches!(wal_recovery, WalRecovery::Empty);
-        match wal_recovery {
-            WalRecovery::Empty => {}
-            WalRecovery::Replay(block) => {
-                // If the block already ends the log the crash landed
-                // between the log fsync and the WAL truncate: the commit
-                // is applied and the WAL entry just needs clearing.
-                if !entries.iter().any(|e| e.id == block.id()) {
-                    wal_block = Some(block);
-                }
-            }
-            WalRecovery::Discard => report.wal_discarded = true,
-        }
-
-        // A durable WAL entry replays unless it fails the same pinned
-        // validation every logged block passes — then it can only be a
-        // forgery, and discarding loses nothing that was ever applied.
-        let wal_block = wal_block.filter(|b| index.extend_pinned([b]).is_ok());
-        report.wal_replayed = wal_block.is_some();
 
         // Checkpoint gate: the recovered prefix must still contain the
         // highest confirmed block a previous run checkpointed; otherwise
         // confirmed history was lost and recovery must fail closed.
-        let mut checkpoint_height = 0u64;
+        let mut checkpoint = (0, index.genesis_id());
         if let Some((height, id)) = read_checkpoint(&dir.join("checkpoint"))? {
             if index.canonical_id_at(height) != Some(id) {
                 return Err(StorageError::Corrupt {
@@ -233,31 +204,27 @@ impl DurableStore {
                     ),
                 });
             }
-            checkpoint_height = height;
+            checkpoint = (height, id);
         }
 
         // Validation passed — apply the repairs.
         log.adopt(valid_len, entries)?;
-        for block in seeded_genesis.iter().chain(&wal_block) {
+        if let Some(block) = &seeded_genesis {
             log.append(&block_frame(block), block.id())?;
-        }
-        if !wal_was_empty {
-            wal.clear()?;
+            // A new log's name is durable only once its directory is.
+            disk::sync_parent(&log_path)?;
         }
 
         // Warm the cache with every body recovery decoded anyway; the
         // floor advance in `maintain` below demotes and evicts back down
         // to capacity, in deterministic insertion order.
-        for block in bodies.into_iter().chain(wal_block) {
+        for block in bodies {
             cache.insert(block);
         }
 
         counter!("chain.storage.opens").inc();
         if report.torn_truncated {
             counter!("chain.storage.torn_truncations").inc();
-        }
-        if report.wal_replayed {
-            counter!("chain.storage.wal_replays").inc();
         }
         if report.snapshot_loaded {
             counter!("chain.storage.snapshot.loaded").inc();
@@ -272,14 +239,9 @@ impl DurableStore {
             locations: log.entries().iter().map(|e| (e.id, *e)).collect(),
             cache: RefCell::new(cache),
             log,
-            wal,
             config,
-            checkpoint_height,
-            snapshot_height: if snapshot_loaded {
-                checkpoint_height
-            } else {
-                0
-            },
+            checkpoint,
+            snapshot_height: if snapshot_loaded { checkpoint.0 } else { 0 },
             has_snapshot: snapshot_loaded,
             last_recovery: report,
             snapshot_rejection,
@@ -293,12 +255,12 @@ impl DurableStore {
     /// Validates and durably applies one block.
     ///
     /// Protocol: linkage + structural checks against the index (nothing
-    /// written yet) → WAL write + fsync (the durability point) → log
-    /// append + fsync → index insert → WAL truncate →
-    /// checkpoint/snapshot/prune maintenance. The index learns of the
-    /// block only once its frame is in the log, so the handle never
-    /// advertises a tip it cannot serve; a crash anywhere leaves a state
-    /// [`DurableStore::open`] recovers exactly.
+    /// written yet) → log append + fsync (the durability point) → index
+    /// insert → prune/snapshot/checkpoint maintenance. The index learns
+    /// of the block only once its frame is in the log, so the handle
+    /// never advertises a tip it cannot serve. A crash before the fsync
+    /// leaves a torn tail, which open truncates, or a whole frame of a
+    /// commit that never returned, which open may keep.
     ///
     /// # Errors
     ///
@@ -329,17 +291,7 @@ impl DurableStore {
 
     /// The write half of [`DurableStore::commit`], for a checked block.
     fn apply(&mut self, block: Block) -> Result<BlockId, StorageError> {
-        // One encoding and one checksum: the WAL and the log hold the
-        // same frame bytes.
         let frame = block_frame(&block);
-        if let Some(CrashPoint::TornWalWrite { bytes }) = self.crash {
-            self.wal.begin_torn(&frame, bytes)?;
-            return Err(StorageError::InjectedCrash);
-        }
-        self.wal.begin(&frame)?;
-        if let Some(CrashPoint::AfterWalSync) = self.crash {
-            return Err(StorageError::InjectedCrash);
-        }
         if let Some(CrashPoint::TornLogAppend { bytes }) = self.crash {
             self.log.append_torn(&frame, bytes)?;
             return Err(StorageError::InjectedCrash);
@@ -348,10 +300,6 @@ impl DurableStore {
         let id = self.index.attach(&block);
         self.locations.insert(id, entry);
         self.cache.borrow_mut().insert(block);
-        if let Some(CrashPoint::BeforeWalTruncate) = self.crash {
-            return Err(StorageError::InjectedCrash);
-        }
-        self.wal.clear()?;
         if let Some(CrashPoint::TornSnapshotWrite { bytes }) = self.crash {
             // Simulate a power loss mid-snapshot-rewrite on a filesystem
             // without atomic rename: a prefix of the new image lands
@@ -360,39 +308,34 @@ impl DurableStore {
             let image = snapshot::encode_snapshot(&self.current_snapshot());
             let keep = (bytes as usize).clamp(1, image.len().saturating_sub(1));
             let path = self.dir.join(SNAPSHOT_FILE);
-            std::fs::write(&path, &image[..keep]).map_err(|e| io_err("write", &path, e))?;
+            DiskFile::open(&path, true)?.write_at(0, &image[..keep])?;
             return Err(StorageError::InjectedCrash);
         }
         self.maintain()?;
         Ok(id)
     }
 
-    /// Checkpoints newly-confirmed height, prunes dead forks, advances
-    /// the cache's pin floor, and rewrites the state snapshot when the
-    /// checkpoint has advanced a full [`StoreConfig::snapshot_interval`].
+    /// Advances the checkpoint to the newly-confirmed height, prunes dead
+    /// forks, advances the cache's pin floor, and writes the snapshot and
+    /// the `checkpoint` file when the checkpoint has advanced a full
+    /// [`StoreConfig::snapshot_interval`].
     fn maintain(&mut self) -> Result<(), StorageError> {
-        let best = self.index.best_height();
-        self.cache
-            .borrow_mut()
-            .set_floor(best.saturating_sub(CONFIRMATION_DEPTH));
-        if best > CONFIRMATION_DEPTH {
-            let confirmed = best - CONFIRMATION_DEPTH;
-            if confirmed > self.checkpoint_height {
-                let id =
-                    self.index
-                        .canonical_id_at(confirmed)
-                        .ok_or_else(|| StorageError::Corrupt {
-                            file: "blocks.log",
-                            offset: 0,
-                            detail: format!("no canonical block at confirmed height {confirmed}"),
-                        })?;
-                write_checkpoint(&self.dir.join("checkpoint"), confirmed, id)?;
-                self.checkpoint_height = confirmed;
-                self.prune()?;
-            }
+        let confirmed = self.index.best_height().saturating_sub(CONFIRMATION_DEPTH);
+        self.cache.borrow_mut().set_floor(confirmed);
+        if confirmed > self.checkpoint.0 {
+            let id =
+                self.index
+                    .canonical_id_at(confirmed)
+                    .ok_or_else(|| StorageError::Corrupt {
+                        file: "blocks.log",
+                        offset: 0,
+                        detail: format!("no canonical block at confirmed height {confirmed}"),
+                    })?;
+            self.checkpoint = (confirmed, id);
+            self.prune()?;
         }
         if self.config.snapshot_interval > 0
-            && self.checkpoint_height
+            && self.checkpoint.0
                 >= self
                     .snapshot_height
                     .saturating_add(self.config.snapshot_interval)
@@ -448,12 +391,7 @@ impl DurableStore {
         if pruned_ids.is_empty() {
             return Ok(0);
         }
-        let dead: HashSet<&BlockId> = pruned_ids.iter().collect();
-        let mut frames = Vec::with_capacity(self.log.entries().len() - dead.len());
-        for entry in self.log.entries().iter().filter(|e| !dead.contains(&e.id)) {
-            frames.push((self.log.read_range(entry.offset, entry.len)?, entry.id));
-        }
-        self.log.rewrite_raw(&frames)?;
+        self.log.compact(&pruned_ids.iter().collect())?;
         {
             let mut cache = self.cache.borrow_mut();
             for id in &pruned_ids {
@@ -467,7 +405,7 @@ impl DurableStore {
             if self.config.snapshot_interval > 0 {
                 self.write_snapshot()?;
             } else {
-                let _ = std::fs::remove_file(self.dir.join(SNAPSHOT_FILE));
+                let _ = disk::remove_file(&self.dir.join(SNAPSHOT_FILE));
                 self.has_snapshot = false;
                 self.snapshot_height = 0;
             }
@@ -478,9 +416,10 @@ impl DurableStore {
     }
 
     /// Atomically (re)writes the state snapshot covering the current
-    /// log. Called automatically every [`StoreConfig::snapshot_interval`]
-    /// confirmed heights and after compaction; public so tooling and
-    /// benchmarks can snapshot on demand.
+    /// log, then the `checkpoint` file at the current checkpoint. Called
+    /// automatically every [`StoreConfig::snapshot_interval`] confirmed
+    /// heights and after compaction; public so tooling and benchmarks can
+    /// snapshot on demand.
     ///
     /// # Errors
     ///
@@ -488,7 +427,11 @@ impl DurableStore {
     pub fn write_snapshot(&mut self) -> Result<(), StorageError> {
         let bytes = snapshot::encode_snapshot(&self.current_snapshot());
         write_atomic(&self.dir.join(SNAPSHOT_FILE), &bytes)?;
-        self.snapshot_height = self.checkpoint_height;
+        let (height, id) = self.checkpoint;
+        if height > 0 {
+            write_checkpoint(&self.dir.join("checkpoint"), height, id)?;
+        }
+        self.snapshot_height = height;
         self.has_snapshot = true;
         counter!("chain.storage.snapshot.written").inc();
         Ok(())
@@ -556,9 +499,10 @@ impl DurableStore {
         self.config
     }
 
-    /// Highest checkpointed confirmed height.
+    /// Highest confirmed height. The `checkpoint` file on disk lags it
+    /// by at most [`StoreConfig::snapshot_interval`] heights.
     pub fn checkpoint_height(&self) -> u64 {
-        self.checkpoint_height
+        self.checkpoint.0
     }
 
     /// Checkpoint height the current snapshot was written at (0 when no
@@ -788,11 +732,9 @@ fn fork_ids(entries: &[LogEntry], index: &ChainIndex) -> Vec<BlockId> {
 /// The file is swapped in atomically, so it is never torn: a malformed
 /// or unreadable one is damage, and opening without its floor would
 /// silently drop the confirmed-history veto.
-fn read_checkpoint(path: &Path) -> Result<Option<(u64, BlockId)>, StorageError> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(io_err("read", path, e)),
+pub(super) fn read_checkpoint(path: &Path) -> Result<Option<(u64, BlockId)>, StorageError> {
+    let Some(bytes) = disk::read(path)? else {
+        return Ok(None);
     };
     if bytes.len() != CHECKPOINT_LEN
         || &bytes[..8] != CHECKPOINT_MAGIC

@@ -1,6 +1,6 @@
-//! Fixed-header record framing for the on-disk block log and WAL.
+//! Fixed-header record framing for the on-disk block log.
 //!
-//! Every entry in `blocks.log` and `wal` is one *frame*:
+//! Every entry in `blocks.log` (and in a chain export) is one *frame*:
 //!
 //! ```text
 //! +---------+-----------------+----------------------+-----------------+

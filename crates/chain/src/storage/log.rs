@@ -9,17 +9,20 @@
 //! decides when repairs are safe to apply.
 //!
 //! Opening no longer slurps the file: the caller reads exactly the range
-//! it needs (`read_range`) — the whole image for a full recovery scan,
-//! or just the tail past a snapshot's covered prefix — and cold block
-//! reads later seek straight to a frame via [`BlockLog::read_frame`].
+//! it needs — the whole image for a full recovery scan, or just the tail
+//! past a snapshot's covered prefix — and cold block reads later seek
+//! straight to a frame via [`BlockLog::read_frame`].
+//!
+//! The log is also the store's write-ahead log: a commit is durable once
+//! [`BlockLog::append`] has fsynced its frame.
 
+use super::disk::{self, DiskFile};
 use super::frame::{scan_frame, FrameScan};
-use super::{io_err, sync_file, sync_parent_dir, StorageError};
+use super::StorageError;
 use crate::block::Block;
 use crate::header::BlockId;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::collections::HashSet;
+use std::path::Path;
 
 /// Location of one frame inside the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +100,7 @@ pub(super) fn scan_log(bytes: &[u8]) -> Result<LogScan, StorageError> {
 /// An open handle on `blocks.log` with its frame directory.
 #[derive(Debug)]
 pub(super) struct BlockLog {
-    path: PathBuf,
-    file: File,
+    file: DiskFile,
     len: u64,
     entries: Vec<LogEntry>,
 }
@@ -108,44 +110,18 @@ impl BlockLog {
     /// starts at the on-disk size; the caller scans whatever range it
     /// needs and then [`adopt`](Self::adopt)s the resulting directory.
     pub fn open(path: &Path) -> Result<Self, StorageError> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(|e| io_err("open", path, e))?;
-        let len = file.metadata().map_err(|e| io_err("stat", path, e))?.len();
+        let file = DiskFile::open(path, false)?;
+        let len = file.len()?;
         Ok(BlockLog {
-            path: path.to_path_buf(),
             file,
             len,
             entries: Vec::new(),
         })
     }
 
-    /// Reads `[from, from + len)` from the file. Positional: uses the
-    /// shared handle through `&File` without moving the append cursor
-    /// state (`append` always seeks to its own offset first).
-    pub fn read_range(&self, from: u64, len: u64) -> Result<Vec<u8>, StorageError> {
-        let mut file = &self.file;
-        file.seek(SeekFrom::Start(from))
-            .map_err(|e| io_err("seek", &self.path, e))?;
-        let mut buf = vec![0u8; len as usize];
-        file.read_exact(&mut buf)
-            .map_err(|e| io_err("read", &self.path, e))?;
-        Ok(buf)
-    }
-
     /// Reads from `from` to the end of the file.
     pub fn read_to_end_from(&self, from: u64) -> Result<Vec<u8>, StorageError> {
-        let mut file = &self.file;
-        file.seek(SeekFrom::Start(from))
-            .map_err(|e| io_err("seek", &self.path, e))?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)
-            .map_err(|e| io_err("read", &self.path, e))?;
-        Ok(buf)
+        self.file.read_from(from)
     }
 
     /// Cold read of one frame: seek, checksum-verified decode.
@@ -157,7 +133,7 @@ impl BlockLog {
     /// not decode as a block, or decodes to a different block id than
     /// the directory recorded.
     pub fn read_frame(&self, entry: LogEntry) -> Result<Block, StorageError> {
-        let bytes = self.read_range(entry.offset, entry.len)?;
+        let bytes = self.file.read_at(entry.offset, entry.len)?;
         let corrupt = |detail: String| StorageError::Corrupt {
             file: "blocks.log",
             offset: entry.offset,
@@ -186,10 +162,8 @@ impl BlockLog {
     /// Adopts a scan of the current image, truncating any torn tail.
     pub fn adopt(&mut self, valid_len: u64, entries: Vec<LogEntry>) -> Result<(), StorageError> {
         if valid_len < self.len {
-            self.file
-                .set_len(valid_len)
-                .map_err(|e| io_err("truncate", &self.path, e))?;
-            sync_file(&self.file, &self.path)?;
+            self.file.set_len(valid_len)?;
+            self.file.sync()?;
         }
         self.len = valid_len;
         self.entries = entries;
@@ -199,13 +173,8 @@ impl BlockLog {
     /// Appends block `id`'s already-encoded frame and fsyncs. Returns the
     /// new entry.
     pub fn append(&mut self, frame: &[u8], id: BlockId) -> Result<LogEntry, StorageError> {
-        self.file
-            .seek(SeekFrom::Start(self.len))
-            .map_err(|e| io_err("seek", &self.path, e))?;
-        self.file
-            .write_all(frame)
-            .map_err(|e| io_err("append", &self.path, e))?;
-        sync_file(&self.file, &self.path)?;
+        self.file.write_at(self.len, frame)?;
+        self.file.sync()?;
         let entry = LogEntry {
             offset: self.len,
             len: frame.len() as u64,
@@ -220,51 +189,38 @@ impl BlockLog {
     /// unsynced — the shape a power loss mid-append leaves.
     pub fn append_torn(&mut self, frame: &[u8], keep: u64) -> Result<(), StorageError> {
         let keep = (keep as usize).clamp(1, frame.len().saturating_sub(1));
-        self.file
-            .seek(SeekFrom::Start(self.len))
-            .map_err(|e| io_err("seek", &self.path, e))?;
-        self.file
-            .write_all(&frame[..keep])
-            .map_err(|e| io_err("append", &self.path, e))?;
         // Deliberately no sync and no entry bookkeeping: the in-memory
         // handle is abandoned after an injected crash.
-        Ok(())
+        self.file.write_at(self.len, &frame[..keep])
     }
 
-    /// Atomically replaces the log contents with already-encoded frames
-    /// (compaction): writes a temp file, fsyncs, renames over the log,
-    /// reopens, fsyncs the directory. Raw byte copy — no decode, no
-    /// re-validation — so a compaction can never alter surviving frames.
+    /// Compaction: atomically replaces the log with the frames of every
+    /// block except `dead`, copied raw — no decode, no re-validation — so
+    /// a compaction can never alter a surviving frame. Writes a temp
+    /// file, fsyncs, renames it over the log, fsyncs the directory.
     ///
     /// The directory fsync makes the rename durable before the next
     /// append: every later commit is fsynced into the new inode, so a
     /// rename lost at power-off would lose every one of them.
-    pub fn rewrite_raw(&mut self, frames: &[(Vec<u8>, BlockId)]) -> Result<(), StorageError> {
-        let tmp_path = self.path.with_extension("log.tmp");
-        let mut tmp = File::create(&tmp_path).map_err(|e| io_err("create", &tmp_path, e))?;
-        let mut entries = Vec::with_capacity(frames.len());
-        let mut offset = 0u64;
-        for (frame, id) in frames {
-            tmp.write_all(frame)
-                .map_err(|e| io_err("write", &tmp_path, e))?;
-            entries.push(LogEntry {
-                offset,
-                len: frame.len() as u64,
-                id: *id,
-            });
-            offset += frame.len() as u64;
+    pub fn compact(&mut self, dead: &HashSet<&BlockId>) -> Result<(), StorageError> {
+        let path = self.file.path().to_path_buf();
+        let mut image = Vec::new();
+        let mut entries = Vec::with_capacity(self.entries.len() - dead.len());
+        for entry in self.entries.iter().filter(|e| !dead.contains(&e.id)) {
+            let offset = image.len() as u64;
+            image.extend_from_slice(&self.file.read_at(entry.offset, entry.len)?);
+            entries.push(LogEntry { offset, ..*entry });
         }
-        sync_file(&tmp, &tmp_path)?;
+        let tmp_path = path.with_extension("log.tmp");
+        let mut tmp = DiskFile::open(&tmp_path, true)?;
+        tmp.write_at(0, &image)?;
+        tmp.sync()?;
         drop(tmp);
-        std::fs::rename(&tmp_path, &self.path).map_err(|e| io_err("rename", &self.path, e))?;
-        self.file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&self.path)
-            .map_err(|e| io_err("open", &self.path, e))?;
-        self.len = offset;
+        disk::rename(&tmp_path, &path)?;
+        self.file = DiskFile::open(&path, false)?;
+        self.len = image.len() as u64;
         self.entries = entries;
-        sync_parent_dir(&self.path)
+        disk::sync_parent(&path)
     }
 
     /// The frame directory, in log order.

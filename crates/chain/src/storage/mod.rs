@@ -16,18 +16,19 @@
 //! | file         | contents                                              |
 //! |--------------|-------------------------------------------------------|
 //! | `blocks.log` | append-only [`frame`]s, one per committed block       |
-//! | `wal`        | at most one frame: the commit in flight               |
-//! | `checkpoint` | highest confirmed height + block id, atomically swapped|
+//! | `checkpoint` | a confirmed height + block id, swapped with the       |
+//! |              | snapshot                                              |
 //! | `state.snap` | checkpoint state snapshot: headers + indices, so      |
 //! |              | reopen is O(snapshot + tail) instead of O(chain)      |
 //!
-//! Recovery classifies damage into exactly two outcomes: *recover to a
-//! valid prefix* (torn tails, interrupted WAL commits, damaged snapshots
-//! — which merely fall back to the full-log scan) or *fail closed with a
-//! typed [`StorageError`]* (checksum violations in complete frames, a
-//! malformed checkpoint, a prefix that no longer contains a checkpointed
-//! confirmed block). There is no third outcome — corrupt state is never
-//! silently accepted.
+//! A commit is durable once its frame is appended to `blocks.log` and
+//! fsynced: the log is its own write-ahead log. Recovery classifies
+//! damage into exactly two outcomes: *recover to a valid prefix* (torn
+//! tails, damaged snapshots — which merely fall back to the full-log
+//! scan) or *fail closed with a typed [`StorageError`]* (checksum
+//! violations in complete frames, a malformed checkpoint, a prefix that
+//! no longer contains a checkpointed confirmed block). There is no third
+//! outcome — corrupt state is never silently accepted.
 //!
 //! The frame log is also the only serialisation of a chain outside a
 //! store directory: [`export_chain`] emits a `blocks.log` image and
@@ -37,10 +38,10 @@
 pub mod frame;
 
 mod cache;
+mod disk;
 mod durable;
 mod log;
 mod snapshot;
-mod wal;
 
 pub use durable::{DurableStore, RecoveryReport};
 
@@ -52,11 +53,8 @@ use crate::record::{Record, RecordKind};
 use crate::store::{ChainStore, RecordLocation};
 use crate::CONFIRMATION_DEPTH;
 use smartcrowd_crypto::{Address, Digest};
-use smartcrowd_telemetry::counter;
 use std::any::Any;
 use std::fmt;
-use std::fs::File;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Errors produced by the durable storage layer.
@@ -125,47 +123,9 @@ fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> StorageError {
     }
 }
 
-/// A block's `SCF1` frame: the bytes the WAL, the log and an export hold.
+/// A block's `SCF1` frame: the bytes the log and an export hold.
 fn block_frame(block: &Block) -> Vec<u8> {
     frame::encode_frame(&block.encode())
-}
-
-/// `sync_data` on a store file. Every fsync the store makes goes through
-/// here or [`sync_parent_dir`] and is counted in `chain.storage.fsyncs`.
-fn sync_file(file: &File, path: &Path) -> Result<(), StorageError> {
-    counter!("chain.storage.fsyncs").inc();
-    file.sync_data().map_err(|e| io_err("fsync", path, e))
-}
-
-/// Makes a rename to `path` durable: `sync_all` on its directory.
-fn sync_parent_dir(path: &Path) -> Result<(), StorageError> {
-    let dir = path
-        .parent()
-        .filter(|dir| !dir.as_os_str().is_empty())
-        .unwrap_or(Path::new("."));
-    counter!("chain.storage.fsyncs").inc();
-    File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(|e| io_err("fsync", dir, e))
-}
-
-/// Atomically replaces `path` (`checkpoint`, `state.snap`): temp file
-/// `<name>.tmp` + fsync + rename.
-///
-/// The directory is deliberately not fsynced after the rename. Losing it
-/// at power-off leaves the previous file in place: the previous
-/// checkpoint is a lower floor that the log still contains, and the
-/// previous snapshot is an accelerator that is re-validated anyway.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let mut file = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-    file.write_all(bytes)
-        .map_err(|e| io_err("write", &tmp, e))?;
-    sync_file(&file, &tmp)?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| io_err("rename", path, e))
 }
 
 impl StorageError {
@@ -211,24 +171,13 @@ impl Default for StoreConfig {
 /// state exactly as a power loss at that instant would.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// Crash while writing the WAL entry: only `bytes` of the frame
-    /// reach the file, unsynced state before the commit became durable.
-    TornWalWrite {
-        /// How many frame bytes land before the crash.
-        bytes: u64,
-    },
-    /// Crash after the WAL entry is written and fsynced but before any
-    /// log append — the commit is durable in the WAL alone.
-    AfterWalSync,
-    /// Crash mid-append to `blocks.log`: the WAL holds the full frame,
-    /// the log a torn prefix of it.
+    /// Crash mid-append to `blocks.log`, before the append's fsync: the
+    /// log holds a torn prefix of the frame and the commit never
+    /// returned, so recovery truncates it away.
     TornLogAppend {
         /// How many frame bytes reach the log before the crash.
         bytes: u64,
     },
-    /// Crash after the log append is synced but before the WAL is
-    /// truncated — recovery must notice the replay is already applied.
-    BeforeWalTruncate,
     /// Crash mid-rewrite of `state.snap` on a filesystem without atomic
     /// rename: the commit itself is fully durable, but only `bytes` of
     /// the new snapshot image land, clobbering any previous snapshot.
@@ -483,6 +432,10 @@ pub fn import_chain(bytes: &[u8]) -> Result<ChainStore, ChainError> {
     }
     replay_pinned(scan.blocks)
 }
+
+#[cfg(test)]
+#[path = "tests/crash.rs"]
+mod crash;
 
 #[cfg(test)]
 mod tests {

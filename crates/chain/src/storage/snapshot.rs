@@ -187,9 +187,9 @@ pub(super) fn decode_snapshot(bytes: &[u8]) -> SnapshotRead {
 
 /// Reads and classifies the snapshot file at `path`.
 pub(super) fn read_snapshot(path: &Path) -> SnapshotRead {
-    match std::fs::read(path) {
-        Ok(bytes) => decode_snapshot(&bytes),
-        Err(_) => SnapshotRead::Absent,
+    match super::disk::read(path) {
+        Ok(Some(bytes)) => decode_snapshot(&bytes),
+        _ => SnapshotRead::Absent,
     }
 }
 

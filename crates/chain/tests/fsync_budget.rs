@@ -24,15 +24,17 @@ fn commit_cost(store: &mut DurableStore, block: &Block) -> u64 {
 
 const SNAPSHOT_INTERVAL: u64 = 4;
 
-/// The budget of a best-extending commit at `height`: WAL write, log
-/// append and WAL clear; above the confirmation depth also the
-/// checkpoint swap, and every `SNAPSHOT_INTERVAL`-th checkpoint also the
-/// snapshot rewrite.
+/// The two swaps on the snapshot cadence, `state.snap` then
+/// `checkpoint`: each a temp-file fsync and a directory fsync.
+const SNAPSHOT_SWAPS: u64 = 2 + 2;
+
+/// The budget of a best-extending commit at `height`: the log append;
+/// every `SNAPSHOT_INTERVAL`-th confirmed height also the snapshot and
+/// checkpoint swaps.
 fn extending_budget(height: u64) -> u64 {
     match height.saturating_sub(CONFIRMATION_DEPTH) {
-        0 => 3,
-        confirmed if confirmed % SNAPSHOT_INTERVAL == 0 => 5,
-        _ => 4,
+        confirmed if confirmed > 0 && confirmed % SNAPSHOT_INTERVAL == 0 => 1 + SNAPSHOT_SWAPS,
+        _ => 1,
     }
 }
 
@@ -47,7 +49,9 @@ fn every_commit_pays_its_fsync_budget_and_no_more() {
     let genesis = Block::genesis(Difficulty::from_u64(1));
     let before = fsyncs();
     let mut store = DurableStore::open_with(&dir, &genesis, config).unwrap();
-    assert_eq!(fsyncs() - before, 1, "a fresh store appends its genesis");
+    // The directory's name in its parent, the genesis append, and the
+    // log's name in the directory.
+    assert_eq!(fsyncs() - before, 3, "a fresh store");
 
     let miner = Miner::new(Address::from_label("budget"));
     let next = |parent: &Block| {
@@ -63,16 +67,17 @@ fn every_commit_pays_its_fsync_budget_and_no_more() {
         tip = block;
     }
 
-    // A fork block does not move the tip, so no checkpoint.
+    // A fork block does not move the tip: the append alone.
     let parent = store.canonical_block_at(store.best_height() - 1).unwrap();
     let fork = miner
         .mine_next(&parent, vec![], parent.header().timestamp + 16)
         .unwrap();
-    assert_eq!(commit_cost(&mut store, &fork), 3, "fork block");
+    assert_eq!(commit_cost(&mut store, &fork), 1, "fork block");
 
     // Extend until the fork falls below the horizon. The commit that
     // prunes it adds the compaction's temp-file and directory fsyncs,
-    // plus the snapshot refresh the moved frame offsets call for.
+    // plus the snapshot refresh (and its checkpoint) the moved frame
+    // offsets call for.
     let fork_height = fork.header().height;
     while store.best_height() + 1 < fork_height + CONFIRMATION_DEPTH {
         let block = next(&tip);
@@ -81,7 +86,11 @@ fn every_commit_pays_its_fsync_budget_and_no_more() {
         tip = block;
     }
     let block = next(&tip);
-    assert_eq!(commit_cost(&mut store, &block), 4 + 2 + 1, "pruning commit");
+    assert_eq!(
+        commit_cost(&mut store, &block),
+        1 + 2 + SNAPSHOT_SWAPS,
+        "pruning commit"
+    );
     assert!(!store.contains_block(&fork.id()), "the fork was not pruned");
     assert_eq!(store.block_count() as u64, store.best_height() + 1);
 

@@ -8,7 +8,7 @@
 
 use smartcrowd_chain::pow::Miner;
 use smartcrowd_chain::record::{Record, RecordKind};
-use smartcrowd_chain::storage::frame::FRAME_HEADER_LEN;
+use smartcrowd_chain::storage::frame::{encode_frame, FRAME_HEADER_LEN};
 use smartcrowd_chain::storage::{export_chain, import_chain, ChainQuery, StoreConfig};
 use smartcrowd_chain::{Block, ChainStore, CrashPoint, Difficulty, DurableStore, Ether};
 use smartcrowd_chain::{StorageError, CONFIRMATION_DEPTH};
@@ -185,7 +185,7 @@ fn every_bit_flip_in_an_export_is_a_typed_error() {
 
 // ---------------------------------------------------------------------------
 // Store-directory sweeps: the same corruption classes driven against a
-// DurableStore's files (blocks.log / wal / checkpoint), where recovery
+// DurableStore's files (blocks.log / checkpoint / state.snap), where recovery
 // may also repair. Every case must either recover to a valid prefix of
 // the original chain or fail closed with a typed StorageError — a
 // corrupt state must never be silently accepted.
@@ -346,12 +346,12 @@ fn dir_listing(dir: &Path) -> BTreeSet<String> {
 }
 
 #[test]
-fn a_store_directory_is_four_files_and_a_legacy_index_is_ignored() {
-    let tmp = TempDir::new("four-files");
+fn a_store_directory_is_three_files_and_a_legacy_index_is_ignored() {
+    let tmp = TempDir::new("three-files");
     let dir = tmp.path().join("store");
     let chain = build_disk_chain_with(&dir, CONFIRMATION_DEPTH + 4, eager_snapshots());
-    let four = ["blocks.log", "wal", "checkpoint", "state.snap"].map(String::from);
-    assert_eq!(dir_listing(&dir), BTreeSet::from(four.clone()));
+    let three = ["blocks.log", "checkpoint", "state.snap"].map(String::from);
+    assert_eq!(dir_listing(&dir), BTreeSet::from(three.clone()));
 
     // A directory an older build wrote still carries its sidecar index.
     // It is never read, rewritten or removed — like a stale `*.tmp`.
@@ -369,14 +369,15 @@ fn a_store_directory_is_four_files_and_a_legacy_index_is_ignored() {
     assert_eq!(std::fs::read(dir.join("blocks.idx")).unwrap(), legacy);
     let mut listing = dir_listing(&dir);
     assert!(listing.remove("blocks.idx"));
-    assert_eq!(listing, BTreeSet::from(four));
+    assert_eq!(listing, BTreeSet::from(three));
 }
 
 #[test]
 fn checkpoint_damage_always_refuses_the_open() {
     let tmp = TempDir::new("flip-ckpt");
     let master = tmp.path().join("master");
-    let chain = build_disk_chain(&master, CONFIRMATION_DEPTH + 3);
+    // The checkpoint is written with the snapshot: snapshot every height.
+    let chain = build_disk_chain_with(&master, CONFIRMATION_DEPTH + 3, eager_snapshots());
     let checkpoint = std::fs::read(master.join("checkpoint")).unwrap();
     let work = tmp.path().join("work");
     let open_with_checkpoint = |image: &[u8]| {
@@ -408,55 +409,44 @@ fn checkpoint_damage_always_refuses_the_open() {
 }
 
 #[test]
-fn wal_bit_flips_discard_the_inflight_commit() {
-    let tmp = TempDir::new("flip-wal");
+fn a_legacy_wal_never_changes_the_recovered_chain() {
+    // Older stores kept the commit in flight in a `wal` file. Its commit
+    // never returned, so it holds no acknowledged block: a directory
+    // carrying one — intact or bit-flipped — opens to the same chain as
+    // the directory without it, and the file is never read or touched.
+    let tmp = TempDir::new("legacy-wal");
     let master = tmp.path().join("master");
-    let mut chain = build_disk_chain(&master, 4);
+    let chain = build_disk_chain(&master, 4);
     let genesis = chain[0].clone();
-    // Leave a durable WAL entry with no matching log frame: crash right
-    // after the WAL fsync.
-    let mut store = DurableStore::open(&master, &genesis).unwrap();
-    let miner = Miner::new(Address::from_label("disk"));
-    let parent = chain[4].clone();
-    let next = miner
-        .mine_next(&parent, vec![], parent.header().timestamp + 15)
+    let parent = &chain[4];
+    let inflight = Miner::new(Address::from_label("disk"))
+        .mine_next(parent, vec![], parent.header().timestamp + 15)
         .unwrap();
-    store.inject_crash(CrashPoint::AfterWalSync);
-    assert_eq!(store.commit(next.clone()), Err(StorageError::InjectedCrash));
-    drop(store);
-    chain.push(next);
-    let log = std::fs::read(master.join("blocks.log")).unwrap();
-    let wal = std::fs::read(master.join("wal")).unwrap();
-    assert!(!wal.is_empty(), "crash point left no WAL entry");
+    let wal = encode_frame(&inflight.encode());
 
-    // Baseline: the pristine WAL replays to height 5.
+    let without = DurableStore::open(&master, &genesis).unwrap();
+    let expect: Vec<_> = (0..=4).map(|h| without.canonical_id_at(h)).collect();
+    assert_eq!(without.best_tip(), parent.id());
+    drop(without);
+
     let work = tmp.path().join("work");
-    store_with_log(&work, &log);
-    std::fs::write(work.join("wal"), &wal).unwrap();
-    let recovered = DurableStore::open(&work, &genesis).unwrap();
-    assert_eq!(recovered.best_height(), 5);
-    assert!(recovered.last_recovery().wal_replayed);
-    drop(recovered);
-
-    for pos in 0..wal.len() {
+    let flips = (0..wal.len()).map(|pos| {
         let mut bent = wal.clone();
         bent[pos] ^= 0x01;
-        store_with_log(&work, &log);
-        std::fs::write(work.join("wal"), &bent).unwrap();
-        // Any damage means the commit cannot be trusted to have reached
-        // its durability point: discard it, recover the log prefix.
+        bent
+    });
+    for (case, image) in std::iter::once(wal.clone()).chain(flips).enumerate() {
+        clone_store_dir(&master, &work);
+        std::fs::write(work.join("wal"), &image).unwrap();
         let store = DurableStore::open(&work, &genesis)
-            .unwrap_or_else(|e| panic!("wal flip at {pos} broke recovery: {e}"));
-        assert_eq!(store.best_height(), 4, "wal flip at {pos}");
-        assert_eq!(store.best_tip(), chain[4].id(), "wal flip at {pos}");
-        assert!(
-            store.last_recovery().wal_discarded,
-            "wal flip at {pos} was not classified as a discard"
-        );
-        assert!(
-            !store.last_recovery().wal_replayed,
-            "wal flip at {pos} was replayed anyway"
-        );
+            .unwrap_or_else(|e| panic!("legacy wal #{case} broke the open: {e}"));
+        assert!(store.last_recovery().clean(), "legacy wal #{case}");
+        assert_eq!(store.best_tip(), parent.id(), "legacy wal #{case}");
+        assert!(!store.contains_block(&inflight.id()), "legacy wal #{case}");
+        let got: Vec<_> = (0..=4).map(|h| store.canonical_id_at(h)).collect();
+        assert_eq!(got, expect, "legacy wal #{case}");
+        drop(store);
+        assert_eq!(std::fs::read(work.join("wal")).unwrap(), image, "#{case}");
     }
 }
 
@@ -517,18 +507,13 @@ fn forged_length_and_checksum_frames_fail_closed_or_truncate() {
 }
 
 #[test]
-fn interrupted_wal_commits_replay_or_discard_idempotently() {
-    // (crash point, expected height after recovery, expects WAL replay)
-    let cases: [(CrashPoint, u64, bool); 4] = [
-        (CrashPoint::TornWalWrite { bytes: 10 }, 3, false),
-        (CrashPoint::AfterWalSync, 4, true),
-        (CrashPoint::TornLogAppend { bytes: 60 }, 4, true),
-        (CrashPoint::BeforeWalTruncate, 4, false),
-    ];
-    for (i, (point, expect_height, expect_replay)) in cases.into_iter().enumerate() {
+fn interrupted_commits_recover_idempotently() {
+    // A crash before the append's fsync leaves a torn tail: recovery
+    // truncates it, and the commit — which never returned — is lost.
+    for (i, bytes) in [10u64, 60].into_iter().enumerate() {
         let tmp = TempDir::new(&format!("crashpoint-{i}"));
         let dir = tmp.path().join("store");
-        let mut chain = build_disk_chain(&dir, 3);
+        let chain = build_disk_chain(&dir, 3);
         let genesis = chain[0].clone();
         let mut store = DurableStore::open(&dir, &genesis).unwrap();
         let miner = Miner::new(Address::from_label("disk"));
@@ -536,7 +521,7 @@ fn interrupted_wal_commits_replay_or_discard_idempotently() {
         let next = miner
             .mine_next(&parent, vec![], parent.header().timestamp + 15)
             .unwrap();
-        store.inject_crash(point);
+        store.inject_crash(CrashPoint::TornLogAppend { bytes });
         assert_eq!(
             store.commit(next.clone()),
             Err(StorageError::InjectedCrash),
@@ -548,29 +533,36 @@ fn interrupted_wal_commits_replay_or_discard_idempotently() {
             "case {i}: poisoned store accepted a commit"
         );
         drop(store);
-        chain.push(next);
 
         let store = DurableStore::open(&dir, &genesis)
             .unwrap_or_else(|e| panic!("case {i} failed recovery: {e}"));
-        assert_eq!(store.best_height(), expect_height, "case {i}");
-        assert_eq!(
-            store.best_tip(),
-            chain[expect_height as usize].id(),
-            "case {i}"
-        );
-        assert_eq!(
-            store.last_recovery().wal_replayed,
-            expect_replay,
-            "case {i}"
-        );
+        assert_eq!(store.best_height(), 3, "case {i}");
+        assert_eq!(store.best_tip(), parent.id(), "case {i}");
+        assert!(store.last_recovery().torn_truncated, "case {i}");
         drop(store);
 
         // Recovery is idempotent: a second reopen finds a clean store at
         // the same height.
         let store = DurableStore::open(&dir, &genesis).unwrap();
         assert!(store.last_recovery().clean(), "case {i} second recovery");
-        assert_eq!(store.best_height(), expect_height, "case {i}");
+        assert_eq!(store.best_height(), 3, "case {i}");
     }
+
+    // A crash after the whole frame reached the log but before its fsync
+    // returned: the commit never returned either, and open may keep it.
+    let tmp = TempDir::new("crashpoint-whole");
+    let dir = tmp.path().join("store");
+    let chain = build_disk_chain(&dir, 3);
+    let parent = &chain[3];
+    let next = Miner::new(Address::from_label("disk"))
+        .mine_next(parent, vec![], parent.header().timestamp + 15)
+        .unwrap();
+    let mut log = std::fs::read(dir.join("blocks.log")).unwrap();
+    log.extend_from_slice(&encode_frame(&next.encode()));
+    std::fs::write(dir.join("blocks.log"), &log).unwrap();
+    let store = DurableStore::open(&dir, &chain[0]).unwrap();
+    assert!(store.last_recovery().clean());
+    assert_eq!(store.best_tip(), next.id());
 }
 
 #[test]
@@ -579,8 +571,7 @@ fn failed_commit_never_advertises_a_tip_it_cannot_serve() {
     // a commit that dies earlier leaves the handle answering the old tip
     // (it used to name the new block and panic fetching its body).
     let cases = [
-        CrashPoint::TornWalWrite { bytes: 10 },
-        CrashPoint::AfterWalSync,
+        CrashPoint::TornLogAppend { bytes: 10 },
         CrashPoint::TornLogAppend { bytes: 60 },
     ];
     for (i, point) in cases.into_iter().enumerate() {
@@ -807,7 +798,7 @@ fn unreadable_checkpoint_refuses_the_open() {
     // not reopen without the veto and overwrite the evidence.
     let tmp = TempDir::new("unreadable-ckpt");
     let dir = tmp.path().join("store");
-    let chain = build_disk_chain(&dir, 10);
+    let chain = build_disk_chain_with(&dir, 10, eager_snapshots());
     let checkpoint = dir.join("checkpoint");
     std::fs::remove_file(&checkpoint).unwrap();
     std::os::unix::fs::symlink("checkpoint", &checkpoint).unwrap();
@@ -819,37 +810,4 @@ fn unreadable_checkpoint_refuses_the_open() {
     }
     let meta = std::fs::symlink_metadata(&checkpoint).unwrap();
     assert!(meta.file_type().is_symlink(), "the refused open rewrote it");
-}
-
-#[test]
-fn the_wal_frame_is_the_log_frame() {
-    // A crash after the log fsync leaves both copies of the commit on
-    // disk: the WAL entry and the last frame of `blocks.log` are the
-    // same bytes, written from one encoding.
-    let tmp = TempDir::new("shared-frame");
-    let dir = tmp.path().join("store");
-    let chain = build_disk_chain(&dir, 3);
-    let mut store = DurableStore::open(&dir, &chain[0]).unwrap();
-    let parent = &chain[3];
-    let kp = KeyPair::from_seed(b"shared-frame");
-    let record = Record::signed(
-        RecordKind::InitialReport,
-        vec![7; 64],
-        Ether::from_milliether(11),
-        0,
-        &kp,
-    );
-    let next = Miner::new(Address::from_label("disk"))
-        .mine_next(parent, vec![record], parent.header().timestamp + 15)
-        .unwrap();
-    store.inject_crash(CrashPoint::BeforeWalTruncate);
-    assert_eq!(store.commit(next.clone()), Err(StorageError::InjectedCrash));
-    drop(store);
-
-    let wal = std::fs::read(dir.join("wal")).unwrap();
-    let log = std::fs::read(dir.join("blocks.log")).unwrap();
-    let boundaries = frame_boundaries(&[&chain[..], &[next]].concat());
-    assert_eq!(*boundaries.last().unwrap(), log.len(), "boundary math");
-    let last_frame = &log[boundaries[boundaries.len() - 2]..];
-    assert_eq!(wal, last_frame, "the WAL holds other bytes than the log");
 }

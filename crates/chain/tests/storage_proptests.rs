@@ -19,6 +19,7 @@
 use proptest::prelude::*;
 use smartcrowd_chain::pow::Miner;
 use smartcrowd_chain::record::{Record, RecordKind};
+use smartcrowd_chain::storage::frame::FRAME_HEADER_LEN;
 use smartcrowd_chain::storage::{ChainQuery, StoreConfig};
 use smartcrowd_chain::{
     Block, ChainStore, CrashPoint, Difficulty, DurableStore, Ether, StorageError,
@@ -117,10 +118,10 @@ fn assert_residency_bounded(
 /// no flat_map, so strategies stay scalar and structure lives here):
 ///
 /// - `op % 8 == 6` — close and reopen; recovery must be clean.
-/// - `op % 8 == 7` — crash the next commit at an injected sync point,
-///   then recover on the loop's trailing reopen. Whether the block
-///   survives is determined by whether the crash hit before or after the
-///   WAL fsync, and the mirror is updated to match.
+/// - `op % 8 == 7` — tear the next commit's log append before its
+///   fsync, then recover on the loop's trailing reopen. The commit never
+///   returned, so the block is lost and the mirror does not get it; the
+///   tear ends inside the frame header or inside the payload.
 /// - `op % 8 == 2 | 3` — mine a fork block off a recent canonical
 ///   parent (recent ⇒ never pruned, so both stores see it).
 /// - otherwise — extend the tip with a record-bearing block.
@@ -153,28 +154,14 @@ fn run_sequence_with(ops: &[u64], config: StoreConfig) {
                 let parent = mirror.best_block().clone();
                 let timestamp = parent.header().timestamp + 1 + (op >> 32) % 50;
                 let block = miner.mine_next(&parent, vec![], timestamp).unwrap();
-                let (point, survives) = if (op >> 4) % 2 == 0 {
-                    // Torn before the WAL fsync: never durable, the
-                    // commit is discarded on recovery.
-                    (
-                        CrashPoint::TornWalWrite {
-                            bytes: 3 + (op >> 8) % 200,
-                        },
-                        false,
-                    )
+                let bytes = if (op >> 4) % 2 == 0 {
+                    3 + (op >> 8) % 40
                 } else {
-                    // Crash after the WAL fsync: durable, recovery must
-                    // replay it.
-                    (CrashPoint::AfterWalSync, true)
+                    FRAME_HEADER_LEN as u64 + (op >> 8) % 200
                 };
-                durable.inject_crash(point);
+                durable.inject_crash(CrashPoint::TornLogAppend { bytes });
                 match durable.commit(block.clone()) {
-                    Err(StorageError::InjectedCrash) => {
-                        if survives {
-                            mirror.insert(block.clone()).unwrap();
-                            all_blocks.push(block);
-                        }
-                    }
+                    Err(StorageError::InjectedCrash) => {}
                     // A duplicate is rejected before the crash point can
                     // fire; the armed point dies with the handle at the
                     // trailing reopen.
@@ -261,7 +248,7 @@ fn long_chain_prunes_forks_and_still_matches() {
 
 #[test]
 fn every_crash_point_round_trips_under_the_mirror() {
-    // One sequence per crash point: grow, crash, keep growing.
+    // One sequence per tear shape: grow, crash, keep growing.
     for point in [0u64, 1] {
         let crash_op = 7 | (point << 4) | (77 << 8);
         let ops: Vec<u64> = vec![8, 16, crash_op, 24, 32, 6, 40, crash_op, 48];

@@ -13,8 +13,8 @@
 //!   rebuild verification state and the settlement from it
 //!   ([`Fleet::restart`]). In *durable mode* ([`ChaosSim::new_durable`])
 //!   every node runs on a real [`DurableStore`] directory instead: a crash
-//!   tears the store mid-commit at an injected sync point (full frame in
-//!   the WAL, torn frame in the log) and a restart reopens from disk, so
+//!   tears the store mid-commit before the append's fsync (a torn frame
+//!   in the log) and a restart reopens from disk, so
 //!   the agreement/finality/conservation oracles run against the actual
 //!   recovery path of the on-disk format.
 //! - **Byzantine behaviours** act when the misbehaving node wins a round

@@ -9,7 +9,11 @@
 //! in-memory backend and on durable stores is pinned to the value
 //! recorded before `Platform` and `ProviderNode` were collapsed onto one
 //! protocol core, so a refactor of the node path or the fleet driver that
-//! shifts a single message shows up here.
+//! shifts a single message shows up here. The durable goldens of the two
+//! plans that crash a node moved once since, when the store dropped its
+//! write-ahead log: the commit a crash tears is now truncated away on
+//! restart instead of replayed, so that one extra block (and its
+//! re-gossip) is gone.
 //!
 //! The last test pins the settlement rule itself on both drivers: the
 //! cases where the arithmetic replay this harness used to carry disagreed
@@ -126,7 +130,7 @@ fn crash_restart_recovers_from_disk() {
         &plan,
         102,
         (20, 16, 1000, 25, 0, 0),
-        (20, 18, 1000, 25, 0, 0),
+        (20, 17, 1000, 25, 0, 0),
     );
     assert!(outcome.best_height >= 12);
 }
@@ -262,7 +266,7 @@ fn kitchen_sink_every_fault_class_in_one_run() {
         &plan,
         107,
         (26, 22, 2000, 75, 0, 131),
-        (26, 22, 2000, 75, 0, 137),
+        (26, 22, 2000, 75, 0, 134),
     );
     assert!(outcome.best_height >= 15);
 }

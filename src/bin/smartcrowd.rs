@@ -283,9 +283,8 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
             println!("  (clean open; frames verified lazily on page-in)");
         } else {
             println!(
-                "  (recovery: torn_truncated={} wal_replayed={} wal_discarded={} \
-                 snapshot_rejected={})",
-                rec.torn_truncated, rec.wal_replayed, rec.wal_discarded, rec.snapshot_rejected
+                "  (recovery: torn_truncated={} snapshot_rejected={})",
+                rec.torn_truncated, rec.snapshot_rejected
             );
         }
         return Ok(());

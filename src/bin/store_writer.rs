@@ -5,7 +5,7 @@
 //! - `store_writer --dir DIR --grow N` — open (seeding genesis on a
 //!   fresh directory), then commit N record-bearing blocks. The script
 //!   SIGKILLs this mid-commit, so any instruction boundary in the
-//!   WAL-then-log protocol can be the crash point.
+//!   append-then-fsync protocol can be the crash point.
 //! - `store_writer --dir DIR --verify MIN` — reopen the directory
 //!   (running recovery), print the recovered best height to stdout, and
 //!   fail unless it is at least MIN: a kill must never lose a height the
