@@ -11,7 +11,7 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
 /// Wei per ether (`10^18`).
-pub const WEI_PER_ETHER: u128 = 1_000_000_000_000_000_000;
+pub(crate) const WEI_PER_ETHER: u128 = 1_000_000_000_000_000_000;
 
 /// A non-negative amount of currency, stored in wei.
 ///

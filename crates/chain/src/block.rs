@@ -71,7 +71,7 @@ impl PartialEq for Block {
 impl Eq for Block {}
 
 /// Timestamp of the genesis block (2019-01-01T00:00:00Z, the paper's year).
-pub const GENESIS_TIMESTAMP: u64 = 1_546_300_800;
+pub(crate) const GENESIS_TIMESTAMP: u64 = 1_546_300_800;
 
 impl Block {
     /// A block over `records` whose header carries the root just computed
@@ -129,7 +129,7 @@ impl Block {
     /// fanned out on the global pool first. The result is independent of
     /// the thread count and of which leaves were memoized: they are merged
     /// in record order before the tree is folded.
-    pub fn merkle_root_of(records: &[Record]) -> Digest {
+    pub(crate) fn merkle_root_of(records: &[Record]) -> Digest {
         Self::merkle_tree_of(records, smartcrowd_pool::global()).root()
     }
 

@@ -35,7 +35,7 @@ impl Encoder {
     }
 
     /// Appends a `u8`.
-    pub fn put_u8(&mut self, v: u8) -> &mut Self {
+    pub(crate) fn put_u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
         self
     }
@@ -119,7 +119,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// Returns [`ChainError::Codec`] on truncation.
-    pub fn take_u8(&mut self) -> Result<u8, ChainError> {
+    pub(crate) fn take_u8(&mut self) -> Result<u8, ChainError> {
         Ok(self.take(1)?[0])
     }
 

@@ -10,7 +10,7 @@ use smartcrowd_crypto::{Digest, U256};
 use std::fmt;
 
 /// The block difficulty the paper's experiment uses (`0xf00000`, §VII).
-pub const PAPER_DIFFICULTY: u128 = 0xf0_0000;
+pub(crate) const PAPER_DIFFICULTY: u128 = 0xf0_0000;
 
 /// Average block time the paper measured on its testbed (15.35 s over
 /// 2000 blocks, Fig. 3(b)).
@@ -24,10 +24,8 @@ pub const PAPER_BLOCK_TIME_SECS: f64 = 15.35;
 /// use smartcrowd_chain::Difficulty;
 ///
 /// let easy = Difficulty::from_u64(1);
-/// assert!(easy.target_met(&[0xff; 32]));       // everything passes at D=1
 /// let hard = Difficulty::from_u64(1 << 16);
-/// assert!(!hard.target_met(&[0xff; 32]));      // high hashes fail
-/// assert!(hard.target_met(&[0x00; 32]));
+/// assert!(hard.target() < easy.target()); // a higher D is a lower target
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Difficulty(u128);
@@ -62,16 +60,11 @@ impl Difficulty {
     }
 
     /// Tests whether a candidate block hash meets the target.
-    pub fn target_met(&self, hash: &Digest) -> bool {
+    pub(crate) fn target_met(&self, hash: &Digest) -> bool {
         if self.0 == 1 {
             return true;
         }
         U256::from_be_bytes(hash) < self.target()
-    }
-
-    /// The expected number of hash attempts to find a block (= `D`).
-    pub fn expected_attempts(&self) -> u128 {
-        self.0
     }
 
     /// Ethereum-homestead-style retarget: parent difficulty adjusted by
@@ -166,10 +159,5 @@ mod tests {
         let next = Difficulty::retarget(parent, u64::MAX);
         let adjustment = (parent.value() / 2048).max(1);
         assert_eq!(next.value(), parent.value() - adjustment * 99);
-    }
-
-    #[test]
-    fn expected_attempts_equals_difficulty() {
-        assert_eq!(Difficulty::paper().expected_attempts(), 0xf00000);
     }
 }

@@ -15,7 +15,7 @@ pub struct BlockId(Digest);
 
 impl BlockId {
     /// The id used as `PreBlockID` of the genesis block.
-    pub const GENESIS_PARENT: BlockId = BlockId([0u8; 32]);
+    pub(crate) const GENESIS_PARENT: BlockId = BlockId([0u8; 32]);
 
     /// Wraps a raw digest.
     pub const fn from_digest(d: Digest) -> Self {
@@ -23,7 +23,7 @@ impl BlockId {
     }
 
     /// The raw digest.
-    pub const fn as_digest(&self) -> &Digest {
+    pub(crate) const fn as_digest(&self) -> &Digest {
         &self.0
     }
 }

@@ -22,7 +22,7 @@ use smartcrowd_pool::Pool;
 const CANCEL_POLL_INTERVAL: u64 = 512;
 
 /// Default bound on nonce attempts before [`Miner::seal`] gives up.
-pub const DEFAULT_MAX_ATTEMPTS: u64 = 50_000_000;
+pub(crate) const DEFAULT_MAX_ATTEMPTS: u64 = 50_000_000;
 
 /// A proof-of-work miner for one IoT provider.
 #[derive(Debug, Clone)]

@@ -53,18 +53,13 @@ impl RecordKind {
     /// # Errors
     ///
     /// Returns [`ChainError::Codec`] for unknown tags.
-    pub fn from_tag(tag: u8) -> Result<Self, ChainError> {
+    pub(crate) fn from_tag(tag: u8) -> Result<Self, ChainError> {
         Self::ALL
             .into_iter()
             .find(|k| *k as u8 == tag)
             .ok_or_else(|| ChainError::Codec {
                 detail: format!("unknown record kind {tag}"),
             })
-    }
-
-    /// Whether this kind is a detection report (either phase).
-    pub fn is_report(&self) -> bool {
-        matches!(self, RecordKind::InitialReport | RecordKind::DetailedReport)
     }
 }
 
@@ -267,7 +262,7 @@ impl Record {
     /// every record of a batch that failed) is recovered in one more
     /// `recover_batch`, so each failure is named exactly as one recovery
     /// would name it.
-    pub fn verify_signatures(records: &[&Record]) -> Vec<Result<(), ChainError>> {
+    pub(crate) fn verify_signatures(records: &[&Record]) -> Vec<Result<(), ChainError>> {
         // Per sender, in order of first appearance: its first record.
         let mut slot_of: HashMap<Address, usize> = HashMap::new();
         let mut firsts = Vec::new();
@@ -643,14 +638,6 @@ mod tests {
             assert_eq!(RecordKind::from_tag(k as u8).unwrap(), k);
         }
         assert!(RecordKind::from_tag(99).is_err());
-    }
-
-    #[test]
-    fn kind_report_predicate() {
-        assert!(RecordKind::InitialReport.is_report());
-        assert!(RecordKind::DetailedReport.is_report());
-        assert!(!RecordKind::Sra.is_report());
-        assert!(!RecordKind::Transfer.is_report());
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl SimRng {
 
     /// Picks an index according to a cumulative-probability table whose last
     /// entry is 1.0 (hash-power-weighted winner selection).
-    pub fn pick_cumulative(&mut self, cumulative: &[f64]) -> usize {
+    pub(crate) fn pick_cumulative(&mut self, cumulative: &[f64]) -> usize {
         let w = self.next_f64();
         cumulative
             .iter()

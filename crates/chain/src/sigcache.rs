@@ -17,7 +17,7 @@
 //! `chain.sigcache.hit` / `chain.sigcache.miss` count the split; the
 //! end-to-end examples assert a nonzero hit rate, proving the dedup.
 //!
-//! Capacity is bounded ([`CAPACITY`]) with FIFO eviction, so an adversary
+//! Capacity is bounded (`CAPACITY`) with FIFO eviction, so an adversary
 //! flooding unique records cannot grow the set without bound; eviction
 //! only ever costs a re-verification, never correctness.
 
@@ -29,7 +29,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Maximum number of verified record ids retained (FIFO eviction).
-pub const CAPACITY: usize = 16_384;
+pub(crate) const CAPACITY: usize = 16_384;
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -95,7 +95,7 @@ pub fn verify_cached(record: &Record) -> Result<(), ChainError> {
 /// [`crate::mempool::Mempool::insert_batch_with`]. The misses are stably
 /// sorted by the position of their sender's first miss, so that each
 /// contiguous chunk a worker takes holds the records of a few senders.
-/// Each chunk is one [`Record::verify_signatures`]: it recovers the first
+/// Each chunk is one `Record::verify_signatures`: it recovers the first
 /// record of each sender in the chunk and checks the sender's other
 /// records against the key that recovery established in one weighted
 /// batch, so a repeat sender costs a fraction of a recovery. The results

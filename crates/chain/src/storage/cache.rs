@@ -80,7 +80,7 @@ impl BlockCache {
 
     /// Advances the pin floor: bodies that have fallen below it move to
     /// the evictable queue *in insertion order*, then excess is evicted.
-    pub fn set_floor(&mut self, floor: u64) {
+    pub(crate) fn set_floor(&mut self, floor: u64) {
         self.floor = floor;
         if self.pinned.iter().all(|&(_, h)| h > floor) {
             return;

@@ -73,7 +73,7 @@ impl DiskFile {
     }
 
     /// Reads `[from, from + len)`.
-    pub fn read_at(&self, from: u64, len: u64) -> Result<Vec<u8>, StorageError> {
+    pub(crate) fn read_at(&self, from: u64, len: u64) -> Result<Vec<u8>, StorageError> {
         let mut file = &self.file;
         file.seek(SeekFrom::Start(from))
             .map_err(|e| io_err("seek", &self.path, e))?;
@@ -84,7 +84,7 @@ impl DiskFile {
     }
 
     /// Reads from `from` to the end of the file.
-    pub fn read_from(&self, from: u64) -> Result<Vec<u8>, StorageError> {
+    pub(crate) fn read_from(&self, from: u64) -> Result<Vec<u8>, StorageError> {
         let mut file = &self.file;
         file.seek(SeekFrom::Start(from))
             .map_err(|e| io_err("seek", &self.path, e))?;
@@ -95,7 +95,7 @@ impl DiskFile {
     }
 
     /// Writes `bytes` at `offset`, unsynced.
-    pub fn write_at(&mut self, offset: u64, bytes: &[u8]) -> Result<(), StorageError> {
+    pub(crate) fn write_at(&mut self, offset: u64, bytes: &[u8]) -> Result<(), StorageError> {
         self.file
             .seek(SeekFrom::Start(offset))
             .and_then(|_| self.file.write_all(bytes))
@@ -109,7 +109,7 @@ impl DiskFile {
     }
 
     /// Truncates or extends the file to `len` bytes, unsynced.
-    pub fn set_len(&self, len: u64) -> Result<(), StorageError> {
+    pub(crate) fn set_len(&self, len: u64) -> Result<(), StorageError> {
         self.file
             .set_len(len)
             .map_err(|e| io_err("truncate", &self.path, e))?;

@@ -10,7 +10,7 @@
 //! cold frames back from `blocks.log` with a single seek plus
 //! checksum-verified decode. Reopen cost is O(snapshot + log tail) when a
 //! valid `state.snap` exists, falling back to the full-log scan
-//! otherwise. See DESIGN.md §17 and STORAGE.md.
+//! otherwise. See DESIGN.md §15 and STORAGE.md.
 
 use super::cache::BlockCache;
 use super::disk::{self, write_atomic, DiskFile};
@@ -74,7 +74,7 @@ struct Recovered {
 /// append is the durability point. Reads are answered from the resident
 /// chain index (headers, heights, record index) plus a bounded body
 /// cache, paging cold frames back in from disk. See the module docs,
-/// DESIGN.md §17 and STORAGE.md for the on-disk layout and the recovery
+/// DESIGN.md §15 and STORAGE.md for the on-disk layout and the recovery
 /// state machine.
 ///
 /// [`commit`]: DurableStore::commit

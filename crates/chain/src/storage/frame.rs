@@ -28,7 +28,7 @@
 use smartcrowd_crypto::sha256::sha256d;
 
 /// Magic bytes opening every frame.
-pub const FRAME_MAGIC: [u8; 4] = *b"SCF1";
+pub(crate) const FRAME_MAGIC: [u8; 4] = *b"SCF1";
 
 /// Size of the fixed frame header: magic + length + checksum.
 pub const FRAME_HEADER_LEN: usize = 4 + 8 + 32;
@@ -36,7 +36,7 @@ pub const FRAME_HEADER_LEN: usize = 4 + 8 + 32;
 /// Sanity cap on a single frame's payload (a block far beyond any this
 /// workspace produces). Longer declared lengths are treated as corrupt
 /// headers rather than honoured as allocations.
-pub const MAX_FRAME_PAYLOAD: u64 = 1 << 28;
+pub(crate) const MAX_FRAME_PAYLOAD: u64 = 1 << 28;
 
 /// Encodes one payload as a frame (header + payload).
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
@@ -50,7 +50,7 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 
 /// Classification of the bytes at one scan offset.
 #[derive(Debug, PartialEq, Eq)]
-pub enum FrameScan<'a> {
+pub(crate) enum FrameScan<'a> {
     /// A complete, checksum-valid frame; `next` is the offset just past it.
     Complete {
         /// The verified payload slice.
@@ -71,7 +71,7 @@ pub enum FrameScan<'a> {
 
 /// Scans the frame starting at `offset`. Callers must ensure
 /// `offset < buf.len()`.
-pub fn scan_frame(buf: &[u8], offset: usize) -> FrameScan<'_> {
+pub(crate) fn scan_frame(buf: &[u8], offset: usize) -> FrameScan<'_> {
     let remaining = &buf[offset..];
     if remaining.len() < FRAME_HEADER_LEN {
         return FrameScan::TornTail;

@@ -120,7 +120,7 @@ impl BlockLog {
     }
 
     /// Reads from `from` to the end of the file.
-    pub fn read_to_end_from(&self, from: u64) -> Result<Vec<u8>, StorageError> {
+    pub(crate) fn read_to_end_from(&self, from: u64) -> Result<Vec<u8>, StorageError> {
         self.file.read_from(from)
     }
 
@@ -132,7 +132,7 @@ impl BlockLog {
     /// [`StorageError::Corrupt`] if the frame fails its checksum, does
     /// not decode as a block, or decodes to a different block id than
     /// the directory recorded.
-    pub fn read_frame(&self, entry: LogEntry) -> Result<Block, StorageError> {
+    pub(crate) fn read_frame(&self, entry: LogEntry) -> Result<Block, StorageError> {
         let bytes = self.file.read_at(entry.offset, entry.len)?;
         let corrupt = |detail: String| StorageError::Corrupt {
             file: "blocks.log",
@@ -187,7 +187,7 @@ impl BlockLog {
 
     /// Fault injection: writes only the first `keep` bytes of `frame`,
     /// unsynced — the shape a power loss mid-append leaves.
-    pub fn append_torn(&mut self, frame: &[u8], keep: u64) -> Result<(), StorageError> {
+    pub(crate) fn append_torn(&mut self, frame: &[u8], keep: u64) -> Result<(), StorageError> {
         let keep = (keep as usize).clamp(1, frame.len().saturating_sub(1));
         // Deliberately no sync and no entry bookkeeping: the in-memory
         // handle is abandoned after an injected crash.
@@ -230,7 +230,7 @@ impl BlockLog {
 
     /// Current log length in bytes. Until [`adopt`](Self::adopt) runs
     /// this is the raw on-disk size; afterwards, the valid prefix.
-    pub fn len_bytes(&self) -> u64 {
+    pub(crate) fn len_bytes(&self) -> u64 {
         self.len
     }
 }

@@ -11,7 +11,7 @@
 //! `smartcrowd simulate --store <dir>` exercise the disk.
 //!
 //! Layout of a store directory (full byte-level spec in STORAGE.md,
-//! protocol rationale in DESIGN.md §17):
+//! protocol rationale in DESIGN.md §15):
 //!
 //! | file         | contents                                              |
 //! |--------------|-------------------------------------------------------|
@@ -382,7 +382,7 @@ impl ChainBackend for ChainStore {
 /// [`ChainError::Codec`] if the sequence is empty, does not start at
 /// height 0, or drifts from the genesis difficulty; any validation error
 /// a replayed block triggers.
-pub fn replay_pinned<I>(blocks: I) -> Result<ChainStore, ChainError>
+pub(crate) fn replay_pinned<I>(blocks: I) -> Result<ChainStore, ChainError>
 where
     I: IntoIterator<Item = Block>,
 {

@@ -12,7 +12,7 @@
 //! that has a store but no protocol core. A provider node does not call it:
 //! it checks a block's records in `Protocol::check_block` (the same
 //! signature fan-out, then its own semantic switch) and leaves linkage and
-//! structure to the store's commit — DESIGN.md §18.
+//! structure to the store's commit — DESIGN.md §16.
 //!
 //! ## Fast path: cache + fan-out
 //!

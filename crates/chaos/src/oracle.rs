@@ -118,7 +118,11 @@ impl Oracles {
     /// # Errors
     ///
     /// Returns the first [`Violation`] found.
-    pub fn check_round(&mut self, round: usize, views: &[NodeView<'_>]) -> Result<(), Violation> {
+    pub(crate) fn check_round(
+        &mut self,
+        round: usize,
+        views: &[NodeView<'_>],
+    ) -> Result<(), Violation> {
         let _span = smartcrowd_telemetry::span!("chaos.oracle.check");
         // Finality: each running node's confirmed prefix extends what we
         // recorded for it before. (Byzantine nodes included: even an
@@ -209,7 +213,11 @@ impl Oracles {
     /// # Errors
     ///
     /// Returns a [`Violation`] with [`OracleKind::Convergence`].
-    pub fn check_convergence(&self, round: usize, views: &[NodeView<'_>]) -> Result<(), Violation> {
+    pub(crate) fn check_convergence(
+        &self,
+        round: usize,
+        views: &[NodeView<'_>],
+    ) -> Result<(), Violation> {
         let _span = smartcrowd_telemetry::span!("chaos.oracle.check");
         let mut honest = views
             .iter()

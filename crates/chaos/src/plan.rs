@@ -224,7 +224,7 @@ impl FaultPlan {
 
     /// Sorts events by round (stable: same-round events keep insertion
     /// order, so a Crash always precedes its paired Restart).
-    pub fn normalize(&mut self) {
+    pub(crate) fn normalize(&mut self) {
         self.events.sort_by_key(|e| e.round);
     }
 
@@ -247,7 +247,7 @@ impl FaultPlan {
     /// A copy with event `i` removed (shrinking move 1: fewer faults).
     /// Removing a `Crash` also removes its node's later `Restart` (and
     /// vice versa would leave a no-op `Restart`, which is harmless).
-    pub fn without_event(&self, i: usize) -> FaultPlan {
+    pub(crate) fn without_event(&self, i: usize) -> FaultPlan {
         let mut plan = self.clone();
         let removed = plan.events.remove(i);
         if let FaultKind::Crash { node } = removed.kind {
@@ -261,7 +261,7 @@ impl FaultPlan {
 
     /// A copy with the horizon shortened to `rounds` (shrinking move 2),
     /// clamped so every event still fits ahead of the recovery tail.
-    pub fn with_rounds(&self, rounds: usize) -> FaultPlan {
+    pub(crate) fn with_rounds(&self, rounds: usize) -> FaultPlan {
         let last_event = self.events.iter().map(|e| e.round).max().unwrap_or(0);
         let mut plan = self.clone();
         plan.rounds = rounds.max(last_event + RECOVERY_TAIL);
@@ -271,7 +271,7 @@ impl FaultPlan {
     /// A copy with the node count reduced to `nodes` (shrinking move 3).
     /// Events referencing removed nodes are dropped; partition minorities
     /// are filtered and dropped if they stop being a strict minority.
-    pub fn with_nodes(&self, nodes: usize) -> FaultPlan {
+    pub(crate) fn with_nodes(&self, nodes: usize) -> FaultPlan {
         let mut plan = self.clone();
         plan.nodes = nodes;
         plan.events.retain_mut(|e| match &mut e.kind {

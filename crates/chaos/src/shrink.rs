@@ -28,7 +28,7 @@ pub struct Shrunk<C, I> {
 
 /// One shrinking axis: maps the current best candidate to an ordered
 /// list of strictly "smaller" candidates to try in order.
-pub type Axis<'a, C> = &'a dyn Fn(&C) -> Vec<C>;
+pub(crate) type Axis<'a, C> = &'a dyn Fn(&C) -> Vec<C>;
 
 /// Greedily minimizes `initial` along `axes` until a fixpoint or until
 /// `budget` candidate evaluations have been spent.

@@ -303,7 +303,7 @@ impl ChaosSim {
     ///
     /// Propagates pump divergence from heals and persistence failures
     /// from restarts.
-    pub fn apply_events(&mut self, round: usize) -> Result<(), ChaosFailure> {
+    pub(crate) fn apply_events(&mut self, round: usize) -> Result<(), ChaosFailure> {
         let due: Vec<FaultKind> = self
             .plan
             .events
@@ -566,7 +566,7 @@ impl ChaosSim {
     /// # Errors
     ///
     /// Propagates pump divergence.
-    pub fn inject_initial_workload(&mut self) -> Result<(), ChaosFailure> {
+    pub(crate) fn inject_initial_workload(&mut self) -> Result<(), ChaosFailure> {
         self.release_and_report(0x01, vec![VulnId(3)], "chaos-fw-alpha")
     }
 
@@ -576,7 +576,7 @@ impl ChaosSim {
     /// # Errors
     ///
     /// Propagates pump divergence.
-    pub fn inject_mid_workload(&mut self) -> Result<(), ChaosFailure> {
+    pub(crate) fn inject_mid_workload(&mut self) -> Result<(), ChaosFailure> {
         self.release_and_report(0x02, vec![VulnId(5), VulnId(9)], "chaos-fw-beta")
     }
 
@@ -619,7 +619,7 @@ impl ChaosSim {
     /// # Errors
     ///
     /// Propagates pump divergence.
-    pub fn mine_honest_round(&mut self) -> Result<(), ChaosFailure> {
+    pub(crate) fn mine_honest_round(&mut self) -> Result<(), ChaosFailure> {
         let byzantine = &self.byzantine;
         let mined = self.fleet.mine_round(|i| !byzantine.contains_key(&i));
         mined.map(drop).map_err(|d| self.diverged(d))

@@ -165,13 +165,6 @@ impl SraEscrow {
     pub fn balance(&self, state: &WorldState) -> Ether {
         state.balance(&self.address)
     }
-
-    /// Total vulnerabilities paid out so far (storage slot 2).
-    pub fn paid_count(&self, state: &WorldState) -> u64 {
-        state
-            .storage_get(&self.address, &U256::from_u64(2))
-            .low_u64()
-    }
 }
 
 /// The deployed report registry.
@@ -261,12 +254,17 @@ mod tests {
         .unwrap()
     }
 
+    /// Total vulnerabilities the escrow paid out so far (storage slot 2).
+    fn paid_count(e: &SraEscrow, state: &WorldState) -> u64 {
+        state.storage_get(&e.address, &U256::from_u64(2)).low_u64()
+    }
+
     #[test]
     fn deploy_escrows_insurance() {
         let (vm, mut state, provider, trigger, _) = setup();
         let e = escrow(&vm, &mut state, provider, trigger);
         assert_eq!(e.balance(&state), Ether::from_ether(1000));
-        assert_eq!(e.paid_count(&state), 0);
+        assert_eq!(paid_count(&e, &state), 0);
         // Provider paid insurance + gas.
         assert!(state.balance(&provider) < Ether::from_ether(1000));
     }
@@ -294,7 +292,7 @@ mod tests {
             .unwrap();
         assert_eq!(state.balance(&detector) - before, Ether::from_ether(75));
         assert_eq!(e.balance(&state), Ether::from_ether(925));
-        assert_eq!(e.paid_count(&state), 3);
+        assert_eq!(paid_count(&e, &state), 3);
     }
 
     #[test]
@@ -359,7 +357,11 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CoreError::PayoutFailed { .. }));
         assert_eq!(e.balance(&state), Ether::from_ether(1000));
-        assert_eq!(e.paid_count(&state), 0, "count rolled back with the revert");
+        assert_eq!(
+            paid_count(&e, &state),
+            0,
+            "count rolled back with the revert"
+        );
         // Exactly-exhausting payout succeeds.
         e.payout(&vm, &mut state, trigger, detector, 40, (0, 0))
             .unwrap();

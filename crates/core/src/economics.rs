@@ -36,20 +36,20 @@ use smartcrowd_chain::Ether;
 /// Block reward `ν` (5 ether in the prototype).
 pub const BLOCK_REWARD: Ether = Ether::from_ether(5);
 /// Blocks credited per win `χ` (1 in the prototype).
-pub const BLOCKS_PER_WIN: u64 = 1;
+pub(crate) const BLOCKS_PER_WIN: u64 = 1;
 /// Per-record transaction fee `ψ` (≈ the 0.011-ether report gas).
 pub const REPORT_FEE: Ether = Ether::from_milliether(11);
 /// Report submission cost `c` for detectors: the registry call's gas,
 /// measured at ≈ 0.011 ether, the same as `ψ`.
-pub const REPORT_COST: Ether = REPORT_FEE;
+pub(crate) const REPORT_COST: Ether = REPORT_FEE;
 /// SRA contract deployment cost `cp` (≈ 0.095 ether measured).
-pub const CONTRACT_COST: Ether = Ether::from_milliether(95);
+pub(crate) const CONTRACT_COST: Ether = Ether::from_milliether(95);
 /// Per-vulnerability incentive `μ` the testbed's SRAs preset.
 pub const INCENTIVE_PER_VULN: Ether = Ether::from_ether(25);
 /// Insurance `I` the testbed's SRAs escrow.
 pub const INSURANCE: Ether = Ether::from_ether(1000);
 /// Smallest insurance [`crate::platform::Platform`] admits.
-pub const MIN_INSURANCE: Ether = Ether::from_ether(100);
+pub(crate) const MIN_INSURANCE: Ether = Ether::from_ether(100);
 /// Genesis balance of each provider account.
 pub const PROVIDER_FUNDING: Ether = Ether::from_ether(5000);
 /// Gas money a detector is given on first contact.
@@ -57,7 +57,7 @@ pub const DETECTOR_FUNDING: Ether = Ether::from_ether(50);
 /// Records sealed into one block at most (bounds `ω`).
 pub const BLOCK_CAPACITY: usize = 64;
 /// Mean recorded reports per block `ω̄`.
-pub const REPORTS_PER_BLOCK: u64 = 20;
+pub(crate) const REPORTS_PER_BLOCK: u64 = 20;
 /// Vulnerabilities per vulnerable release `N`.
 pub const VULNS_PER_RELEASE: u64 = 10;
 
@@ -102,7 +102,7 @@ fn expected_vulns(vp: f64) -> f64 {
 /// Detector incentive expectation for capability share `xi` at
 /// vulnerability proportion `vp` (the Fig. 6(a) series): Eq. 7 with the
 /// detector's share `xi` of the expected vulnerabilities as `ρ`.
-pub fn detector_income(xi: f64, vp: f64) -> f64 {
+pub(crate) fn detector_income(xi: f64, vp: f64) -> f64 {
     expected::detector_incentive(INCENTIVE_PER_VULN.as_f64(), expected_vulns(vp), xi)
 }
 

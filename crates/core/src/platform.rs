@@ -180,12 +180,12 @@ impl Platform {
     }
 
     /// Ids of every SRA released on this platform, in release order.
-    pub fn released_sras(&self) -> Vec<SraId> {
+    pub(crate) fn released_sras(&self) -> Vec<SraId> {
         self.release_order.clone()
     }
 
     /// Whether an SRA's detection window has been closed.
-    pub fn is_settled(&self, sra_id: &SraId) -> bool {
+    pub(crate) fn is_settled(&self, sra_id: &SraId) -> bool {
         self.settlement()
             .escrows()
             .get(sra_id)

@@ -119,7 +119,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     ///   ([`smartcrowd_chain::ChainError::DuplicatePending`]), a full pool
     ///   of better-paying records, or a bad record signature;
     /// - [`CoreError::NotFound`] for an `R*` whose artifact is not held:
-    ///   submit it again after [`Protocol::hold_artifact`];
+    ///   submit it again after `Protocol::hold_artifact`;
     /// - [`CoreError::Payload`] and the SRA / Algorithm-1 failures for a
     ///   payload that does not verify, [`CoreError::DetectorIsolated`] for
     ///   an `R†` from an isolated detector;
@@ -249,7 +249,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     }
 
     /// Holds an integrity-checked artifact for `AutoVerif`.
-    pub fn hold_artifact(&mut self, sra_id: SraId, system: IoTSystem) {
+    pub(crate) fn hold_artifact(&mut self, sra_id: SraId, system: IoTSystem) {
         self.artifacts.insert(sra_id, system);
     }
 
@@ -278,7 +278,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
 
     /// Mutable settlement access (a driver's own ledger entries,
     /// [`Settlement::close`]).
-    pub fn settlement_mut(&mut self) -> &mut Settlement {
+    pub(crate) fn settlement_mut(&mut self) -> &mut Settlement {
         &mut self.settlement
     }
 
@@ -293,7 +293,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     }
 
     /// Mutable library access (newly disclosed vulnerabilities).
-    pub fn library_mut(&mut self) -> &mut VulnLibrary {
+    pub(crate) fn library_mut(&mut self) -> &mut VulnLibrary {
         &mut self.library
     }
 

@@ -47,21 +47,6 @@ impl SystemDossier {
     pub fn latest(&self) -> Option<&VersionEntry> {
         self.versions.last()
     }
-
-    /// The best (fewest-vulnerability) version to deploy, preferring
-    /// later versions on ties.
-    pub fn recommended_version(&self) -> Option<&VersionEntry> {
-        self.versions
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, v)| (v.vulnerabilities.len(), usize::MAX - i))
-            .map(|(_, v)| v)
-    }
-
-    /// Total confirmed vulnerabilities across all versions.
-    pub fn total_vulnerabilities(&self) -> usize {
-        self.versions.iter().map(|v| v.vulnerabilities.len()).sum()
-    }
 }
 
 /// Builds dossiers for every system name released on the platform.
@@ -99,15 +84,6 @@ pub fn build_reference(
     by_name
 }
 
-/// Looks up one system's dossier.
-pub fn dossier_for(
-    platform: &Platform,
-    name: &str,
-    tolerance: RiskTolerance,
-) -> Option<SystemDossier> {
-    build_reference(platform, tolerance).remove(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,6 +99,10 @@ mod tests {
         let system = IoTSystem::build(name, version, p.library(), vulns, &mut rng).unwrap();
         p.release_system(0, system, Ether::from_ether(500), Ether::from_ether(20))
             .unwrap()
+    }
+
+    fn dossier_for(p: &Platform, name: &str) -> Option<SystemDossier> {
+        build_reference(p, RiskTolerance::default()).remove(name)
     }
 
     fn confirm(p: &mut Platform, sra_id: SraId, vulns: Vec<VulnId>) {
@@ -143,14 +123,12 @@ mod tests {
         let _v2 = release(&mut p, "cam-fw", "2.0", vec![]);
         p.mine_blocks(8);
 
-        let dossier = dossier_for(&p, "cam-fw", RiskTolerance::default()).unwrap();
+        let dossier = dossier_for(&p, "cam-fw").unwrap();
         assert_eq!(dossier.versions.len(), 2);
-        assert_eq!(dossier.total_vulnerabilities(), 2);
-        assert_eq!(dossier.latest().unwrap().version, "2.0");
-        let recommended = dossier.recommended_version().unwrap();
-        assert_eq!(recommended.version, "2.0");
-        assert!(recommended.vulnerabilities.is_empty());
-        assert_eq!(recommended.recommendation, Recommendation::Deploy);
+        let latest = dossier.latest().unwrap();
+        assert_eq!(latest.version, "2.0");
+        assert!(latest.vulnerabilities.is_empty());
+        assert_eq!(latest.recommendation, Recommendation::Deploy);
         // Version 1.0 shows its confirmed history.
         assert_eq!(dossier.versions[0].vulnerabilities.len(), 2);
     }
@@ -164,7 +142,7 @@ mod tests {
         assert_eq!(reference.len(), 2);
         assert!(reference.contains_key("cam-fw"));
         assert!(reference.contains_key("lock-fw"));
-        assert!(dossier_for(&p, "ghost-fw", RiskTolerance::default()).is_none());
+        assert!(dossier_for(&p, "ghost-fw").is_none());
     }
 
     #[test]
@@ -172,11 +150,11 @@ mod tests {
         let mut p = Platform::new(PlatformConfig::paper());
         let id = release(&mut p, "cam-fw", "1.0", vec![]);
         p.mine_blocks(8); // the escrow opens when the SRA is final
-        let before = dossier_for(&p, "cam-fw", RiskTolerance::default()).unwrap();
+        let before = dossier_for(&p, "cam-fw").unwrap();
         assert!(!before.versions[0].settled);
         assert!((before.versions[0].escrow_remaining_eth - 500.0).abs() < 1e-9);
         p.settle_release(&id).unwrap();
-        let after = dossier_for(&p, "cam-fw", RiskTolerance::default()).unwrap();
+        let after = dossier_for(&p, "cam-fw").unwrap();
         assert!(after.versions[0].settled);
         assert_eq!(after.versions[0].escrow_remaining_eth, 0.0);
     }

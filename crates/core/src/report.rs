@@ -236,7 +236,7 @@ impl DetailedReport {
     }
 
     /// The hash other parties compare against the `H_{R*}` commitment.
-    pub fn content_hash(&self) -> Digest {
+    pub(crate) fn content_hash(&self) -> Digest {
         keccak256(&self.encode_unsigned())
     }
 
@@ -342,7 +342,7 @@ pub fn create_report_pair(
 /// Like [`create_report_pair`] but paying out to a designated wallet
 /// `W_{D_i}` distinct from the detector identity `D_i` (Eq. 3 separates
 /// the two — a company detector may route bounties to a treasury).
-pub fn create_report_pair_with_wallet(
+pub(crate) fn create_report_pair_with_wallet(
     detector: &KeyPair,
     sra_id: SraId,
     findings: Findings,

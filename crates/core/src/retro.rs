@@ -116,11 +116,6 @@ impl RetroMonitor {
         }
         out
     }
-
-    /// Total notifications issued so far.
-    pub fn notified_count(&self) -> usize {
-        self.notified.len()
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +174,7 @@ mod tests {
         assert!(notes[0].bounty_open, "window not settled yet");
         // Idempotent: the same disclosure never re-fires.
         assert!(monitor.rescan(&p).is_empty());
-        assert_eq!(monitor.notified_count(), 1);
+        assert_eq!(monitor.notified.len(), 1);
     }
 
     #[test]
@@ -254,6 +249,6 @@ mod tests {
             description: "wave two".into(),
         });
         assert!(monitor.rescan(&p).is_empty());
-        assert_eq!(monitor.notified_count(), 1);
+        assert_eq!(monitor.notified.len(), 1);
     }
 }

@@ -199,7 +199,7 @@ impl Sra {
 
     /// Checks a downloaded image against the announced `U_h` (the detector
     /// integrity step of §V-B).
-    pub fn image_matches(&self, image: &[u8]) -> bool {
+    pub(crate) fn image_matches(&self, image: &[u8]) -> bool {
         keccak256(image) == self.image_hash
     }
 

@@ -94,7 +94,7 @@ impl fmt::Debug for Signature {
 
 /// Derives the RFC 6979 deterministic nonce for private key `d` and message
 /// digest `h1`, returning a scalar in `[1, n)`.
-pub fn rfc6979_nonce(d: &Scalar, h1: &[u8; 32]) -> Scalar {
+pub(crate) fn rfc6979_nonce(d: &Scalar, h1: &[u8; 32]) -> Scalar {
     let x = d.to_be_bytes();
     // bits2octets(h1) = int2octets(bits2int(h1) mod n)
     let h_reduced = Scalar::from_digest(h1).to_be_bytes();

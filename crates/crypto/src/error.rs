@@ -36,8 +36,6 @@ pub enum CryptoError {
     /// Signature verification failed: the signature does not match the
     /// message digest under the given public key.
     VerificationFailed,
-    /// A Merkle proof did not reconstruct the expected root.
-    InvalidMerkleProof,
 }
 
 impl fmt::Display for CryptoError {
@@ -68,9 +66,6 @@ impl fmt::Display for CryptoError {
             CryptoError::InvalidPublicKey => write!(f, "malformed public key encoding"),
             CryptoError::InvalidSignature => write!(f, "structurally invalid ECDSA signature"),
             CryptoError::VerificationFailed => write!(f, "ECDSA signature verification failed"),
-            CryptoError::InvalidMerkleProof => {
-                write!(f, "Merkle proof does not reconstruct the expected root")
-            }
         }
     }
 }
@@ -96,7 +91,6 @@ mod tests {
             CryptoError::InvalidPublicKey,
             CryptoError::InvalidSignature,
             CryptoError::VerificationFailed,
-            CryptoError::InvalidMerkleProof,
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());

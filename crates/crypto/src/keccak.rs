@@ -137,18 +137,6 @@ pub fn sha3_256(data: &[u8]) -> [u8; 32] {
     keccak_sponge_256(data, 0x06)
 }
 
-/// Keccak-256 over the concatenation of several byte strings, the `H(a||b||…)`
-/// construction used for `Δ_id = H(P_i||U_n||U_v||U_h||U_l||I_i)` (Eq. 1) and
-/// the report identifiers (Eq. 3, 5).
-pub fn keccak256_concat(parts: &[&[u8]]) -> [u8; 32] {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut buf = Vec::with_capacity(total);
-    for p in parts {
-        buf.extend_from_slice(p);
-    }
-    keccak256(&buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,12 +200,5 @@ mod tests {
         // Self-consistency plus a structural check: not all-zero output.
         assert_ne!(d, [0u8; 32]);
         assert_eq!(d, keccak256(&[0u8; 200]));
-    }
-
-    #[test]
-    fn concat_matches_manual_concat() {
-        let joined = keccak256(b"hello world");
-        let parts = keccak256_concat(&[b"hello", b" ", b"world"]);
-        assert_eq!(joined, parts);
     }
 }

@@ -7,8 +7,9 @@
 use crate::address::Address;
 use crate::ecdsa::{self, Signature};
 use crate::error::CryptoError;
+use crate::field::FieldElement;
 use crate::keccak::keccak256;
-use crate::point::Point;
+use crate::point::{self, Point};
 use crate::scalar::Scalar;
 use std::fmt;
 
@@ -48,8 +49,16 @@ impl PrivateKey {
     }
 
     /// Computes the corresponding public key.
-    pub fn public_key(&self) -> PublicKey {
-        PublicKey(Point::mul_generator(&self.0))
+    pub(crate) fn public_key(&self) -> PublicKey {
+        match Point::mul_generator(&self.0) {
+            Point::Affine { x, y } => PublicKey { x, y },
+            // k·G is infinity only for k ≡ 0 (mod n), which a private key
+            // never holds.
+            Point::Infinity => PublicKey {
+                x: FieldElement::ZERO,
+                y: FieldElement::ZERO,
+            },
+        }
     }
 
     /// Signs a 32-byte digest (RFC 6979 deterministic ECDSA).
@@ -64,9 +73,13 @@ impl fmt::Debug for PrivateKey {
     }
 }
 
-/// A secp256k1 public key (a validated finite curve point).
+/// A secp256k1 public key: the affine coordinates of a validated finite
+/// curve point.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PublicKey(Point);
+pub struct PublicKey {
+    x: FieldElement,
+    y: FieldElement,
+}
 
 impl PublicKey {
     /// Wraps a curve point as a public key.
@@ -76,52 +89,36 @@ impl PublicKey {
     /// Returns [`CryptoError::InvalidPublicKey`] for infinity and
     /// [`CryptoError::PointNotOnCurve`] for an off-curve point.
     pub fn from_point(p: Point) -> Result<Self, CryptoError> {
-        if p.is_infinity() {
+        let Point::Affine { x, y } = p else {
             return Err(CryptoError::InvalidPublicKey);
-        }
+        };
         if !p.is_on_curve() {
             return Err(CryptoError::PointNotOnCurve);
         }
-        Ok(PublicKey(p))
-    }
-
-    /// Parses a SEC1 encoding (compressed or uncompressed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoding failures from [`Point::decode`].
-    pub fn from_sec1(bytes: &[u8]) -> Result<Self, CryptoError> {
-        Self::from_point(Point::decode(bytes)?)
+        Ok(PublicKey { x, y })
     }
 
     /// The underlying curve point.
     pub fn point(&self) -> Point {
-        self.0
+        Point::Affine {
+            x: self.x,
+            y: self.y,
+        }
     }
 
     /// SEC1 uncompressed encoding (65 bytes).
     pub fn to_uncompressed(&self) -> [u8; 65] {
-        self.0.encode_uncompressed().expect("public key is finite")
+        point::sec1_uncompressed(&self.x, &self.y)
     }
 
     /// SEC1 compressed encoding (33 bytes).
     pub fn to_compressed(&self) -> [u8; 33] {
-        self.0.encode_compressed().expect("public key is finite")
+        point::sec1_compressed(&self.x, &self.y)
     }
 
-    /// Verifies a signature over a 32-byte digest. Returns `true` on
-    /// success; use [`PublicKey::verify_strict`] for the error detail.
+    /// Verifies a signature over a 32-byte digest.
     pub fn verify(&self, digest: &[u8; 32], sig: &Signature) -> bool {
-        ecdsa::verify(&self.0, digest, sig).is_ok()
-    }
-
-    /// Verifies a signature, surfacing the failure reason.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::VerificationFailed`] on mismatch.
-    pub fn verify_strict(&self, digest: &[u8; 32], sig: &Signature) -> Result<(), CryptoError> {
-        ecdsa::verify(&self.0, digest, sig)
+        ecdsa::verify(&self.point(), digest, sig).is_ok()
     }
 
     /// Derives the Ethereum-style 20-byte address: the low 20 bytes of
@@ -264,14 +261,6 @@ mod tests {
         let recovered = recover_public_key(&digest, &sig).unwrap();
         assert_eq!(recovered, *kp.public());
         assert_eq!(recovered.address(), kp.address());
-    }
-
-    #[test]
-    fn sec1_roundtrips() {
-        let kp = KeyPair::from_seed(b"encode");
-        let pk = kp.public();
-        assert_eq!(PublicKey::from_sec1(&pk.to_uncompressed()).unwrap(), *pk);
-        assert_eq!(PublicKey::from_sec1(&pk.to_compressed()).unwrap(), *pk);
     }
 
     #[test]

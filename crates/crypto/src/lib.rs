@@ -7,7 +7,6 @@
 //!   cites SHA-256 for address generation).
 //! - [`keccak`] — Keccak-256, the "SHA-3" used by Ethereum and by the
 //!   paper's prototype for report identifiers and signatures.
-//! - [`ripemd160`] — RIPEMD-160, cited by the paper for address privacy.
 //! - [`hmac`] — HMAC-SHA256, needed by RFC 6979 deterministic nonces.
 //! - [`u256`] / [`field`] / [`scalar`] / [`point`] — 256-bit integer and
 //!   secp256k1 curve arithmetic. **All of it is variable-time**: branches,
@@ -35,6 +34,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::disallowed_methods)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod address;
 pub mod ecdsa;
@@ -46,7 +47,6 @@ pub mod keccak;
 pub mod keys;
 pub mod merkle;
 pub mod point;
-pub mod ripemd160;
 pub mod scalar;
 pub mod sha256;
 pub mod u256;

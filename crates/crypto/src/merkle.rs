@@ -7,7 +7,6 @@
 //! check that their report landed in a confirmed block without storing the
 //! chain.
 
-use crate::error::CryptoError;
 use crate::sha256::{sha256, sha256d, Sha256};
 use crate::Digest;
 
@@ -36,7 +35,7 @@ pub struct MerkleTree {
 }
 
 /// The root committed for an empty record list.
-pub fn empty_root() -> Digest {
+pub(crate) fn empty_root() -> Digest {
     sha256d(b"smartcrowd-empty-merkle")
 }
 
@@ -73,17 +72,18 @@ impl MerkleTree {
 
     /// Builds a tree from precomputed leaf digests.
     pub fn from_leaf_hashes(leaf_hashes: Vec<Digest>) -> Self {
-        let mut levels = vec![leaf_hashes];
-        while levels.last().map(Vec::len).unwrap_or(0) > 1 {
-            let prev = levels.last().expect("at least one level");
+        let mut levels = Vec::new();
+        let mut prev = leaf_hashes;
+        while prev.len() > 1 {
             let mut next = Vec::with_capacity(prev.len().div_ceil(2));
             for pair in prev.chunks(2) {
                 // Odd node pairs with itself, Bitcoin-style.
                 let right = pair.get(1).unwrap_or(&pair[0]);
                 next.push(hash_node(&pair[0], right));
             }
-            levels.push(next);
+            levels.push(std::mem::replace(&mut prev, next));
         }
+        levels.push(prev);
         MerkleTree { levels }
     }
 
@@ -125,16 +125,13 @@ impl MerkleTree {
             path.push((side, sibling));
             i /= 2;
         }
-        Some(MerkleProof {
-            leaf_index: index,
-            path,
-        })
+        Some(MerkleProof { path })
     }
 }
 
 /// Which side a proof sibling attaches on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
+pub(crate) enum Side {
     /// Sibling is hashed on the left.
     Left,
     /// Sibling is hashed on the right.
@@ -144,16 +141,10 @@ pub enum Side {
 /// A Merkle inclusion proof for one leaf.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleProof {
-    leaf_index: usize,
     path: Vec<(Side, Digest)>,
 }
 
 impl MerkleProof {
-    /// The index of the proven leaf.
-    pub fn leaf_index(&self) -> usize {
-        self.leaf_index
-    }
-
     /// The proof depth (log₂ of the tree width, rounded up).
     pub fn depth(&self) -> usize {
         self.path.len()
@@ -165,7 +156,7 @@ impl MerkleProof {
     }
 
     /// Recomputes the root implied by this proof for `leaf_data`.
-    pub fn compute_root(&self, leaf_data: &[u8]) -> Digest {
+    pub(crate) fn compute_root(&self, leaf_data: &[u8]) -> Digest {
         let mut acc = hash_leaf(leaf_data);
         for (side, sibling) in &self.path {
             acc = match side {
@@ -174,19 +165,6 @@ impl MerkleProof {
             };
         }
         acc
-    }
-
-    /// Strict verification surfacing an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::InvalidMerkleProof`] on mismatch.
-    pub fn verify_strict(&self, leaf_data: &[u8], expected: &Digest) -> Result<(), CryptoError> {
-        if self.verify(leaf_data, expected) {
-            Ok(())
-        } else {
-            Err(CryptoError::InvalidMerkleProof)
-        }
     }
 }
 

@@ -577,7 +577,7 @@ impl Point {
     ///
     /// Returns [`CryptoError::PointNotOnCurve`] when `(x, y)` does not
     /// satisfy `y² = x³ + 7`.
-    pub fn from_coordinates(x: FieldElement, y: FieldElement) -> Result<Point, CryptoError> {
+    pub(crate) fn from_coordinates(x: FieldElement, y: FieldElement) -> Result<Point, CryptoError> {
         let p = Point::Affine { x, y };
         if p.is_on_curve() {
             Ok(p)
@@ -587,7 +587,7 @@ impl Point {
     }
 
     /// Returns `true` for the point at infinity.
-    pub fn is_infinity(&self) -> bool {
+    pub(crate) fn is_infinity(&self) -> bool {
         matches!(self, Point::Infinity)
     }
 
@@ -710,16 +710,10 @@ impl Point {
 
     /// SEC1 uncompressed encoding `0x04 || x || y` (65 bytes); `None` for
     /// infinity.
-    pub fn encode_uncompressed(&self) -> Option<[u8; 65]> {
+    pub(crate) fn encode_uncompressed(&self) -> Option<[u8; 65]> {
         match self {
             Point::Infinity => None,
-            Point::Affine { x, y } => {
-                let mut out = [0u8; 65];
-                out[0] = 0x04;
-                out[1..33].copy_from_slice(&x.to_be_bytes());
-                out[33..65].copy_from_slice(&y.to_be_bytes());
-                Some(out)
-            }
+            Point::Affine { x, y } => Some(sec1_uncompressed(x, y)),
         }
     }
 
@@ -728,12 +722,7 @@ impl Point {
     pub fn encode_compressed(&self) -> Option<[u8; 33]> {
         match self {
             Point::Infinity => None,
-            Point::Affine { x, y } => {
-                let mut out = [0u8; 33];
-                out[0] = if y.is_odd() { 0x03 } else { 0x02 };
-                out[1..33].copy_from_slice(&x.to_be_bytes());
-                Some(out)
-            }
+            Point::Affine { x, y } => Some(sec1_compressed(x, y)),
         }
     }
 
@@ -771,6 +760,23 @@ impl Point {
             _ => Err(CryptoError::InvalidPublicKey),
         }
     }
+}
+
+/// SEC1 uncompressed encoding `0x04 || x || y` of the finite point `(x, y)`.
+pub(crate) fn sec1_uncompressed(x: &FieldElement, y: &FieldElement) -> [u8; 65] {
+    let mut out = [0u8; 65];
+    out[0] = 0x04;
+    out[1..33].copy_from_slice(&x.to_be_bytes());
+    out[33..65].copy_from_slice(&y.to_be_bytes());
+    out
+}
+
+/// SEC1 compressed encoding `0x02/0x03 || x` of the finite point `(x, y)`.
+pub(crate) fn sec1_compressed(x: &FieldElement, y: &FieldElement) -> [u8; 33] {
+    let mut out = [0u8; 33];
+    out[0] = if y.is_odd() { 0x03 } else { 0x02 };
+    out[1..33].copy_from_slice(&x.to_be_bytes());
+    out
 }
 
 /// Reference binary double-and-add over the public affine operations, the

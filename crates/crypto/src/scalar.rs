@@ -150,7 +150,7 @@ impl Scalar {
     }
 
     /// Parses a canonical (already `< n`) big-endian encoding. Zero is
-    /// permitted; use [`Scalar::from_be_bytes_nonzero`] for key material.
+    /// permitted; use `Scalar::from_be_bytes_nonzero` for key material.
     ///
     /// # Errors
     ///
@@ -169,7 +169,7 @@ impl Scalar {
     ///
     /// Returns [`CryptoError::ScalarOutOfRange`] when the value is zero
     /// or `≥ n`.
-    pub fn from_be_bytes_nonzero(b: &[u8; 32]) -> Result<Self, CryptoError> {
+    pub(crate) fn from_be_bytes_nonzero(b: &[u8; 32]) -> Result<Self, CryptoError> {
         let s = Self::from_be_bytes(b)?;
         if s.is_zero() {
             return Err(CryptoError::ScalarOutOfRange);

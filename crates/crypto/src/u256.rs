@@ -167,7 +167,7 @@ impl U256 {
 
     /// Subtraction returning `(diff mod 2^256, borrowed)`.
     #[inline]
-    pub fn overflowing_sub(&self, rhs: &U256) -> (U256, bool) {
+    pub(crate) fn overflowing_sub(&self, rhs: &U256) -> (U256, bool) {
         let (diff, borrow) = sub4(&self.0, &rhs.0);
         (U256(diff), borrow != 0)
     }

@@ -7,7 +7,6 @@ use smartcrowd_crypto::hex;
 use smartcrowd_crypto::hmac::hmac_sha256;
 use smartcrowd_crypto::keccak::{keccak256, sha3_256};
 use smartcrowd_crypto::keys::KeyPair;
-use smartcrowd_crypto::ripemd160::ripemd160;
 use smartcrowd_crypto::sha256::sha256;
 
 const FOX: &[u8] = b"The quick brown fox jumps over the lazy dog";
@@ -41,14 +40,6 @@ fn sha3_256_fox() {
     assert_eq!(
         hex::encode(&sha3_256(FOX)),
         "69070dda01975c8c120c3aada1b282394e7f032fa9cf32f4cb2259a0897dfc04"
-    );
-}
-
-#[test]
-fn ripemd160_fox() {
-    assert_eq!(
-        hex::encode(&ripemd160(FOX)),
-        "37f332f68db77bd9d7edd4969571ad671cf9dd3b"
     );
 }
 
@@ -96,7 +87,6 @@ fn empty_input_digests_are_all_distinct() {
         hex::encode(&sha256(b"")),
         hex::encode(&keccak256(b"")),
         hex::encode(&sha3_256(b"")),
-        format!("{}{}", hex::encode(&ripemd160(b"")), "0".repeat(24)),
     ];
     for i in 0..digests.len() {
         for j in i + 1..digests.len() {

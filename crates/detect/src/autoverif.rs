@@ -14,7 +14,7 @@ use crate::vulnerability::VulnId;
 
 /// Verdict for one claimed vulnerability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// The claim reproduces against the artifact.
     Confirmed,
     /// The claimed vulnerability id exists but is absent from the image.
@@ -29,7 +29,6 @@ pub enum Verdict {
 ///
 /// ```
 /// use smartcrowd_detect::{AutoVerifier, IoTSystem, VulnLibrary};
-/// use smartcrowd_detect::autoverif::Verdict;
 /// use smartcrowd_detect::vulnerability::VulnId;
 /// use smartcrowd_chain::rng::SimRng;
 ///
@@ -37,8 +36,12 @@ pub enum Verdict {
 /// let mut rng = SimRng::seed_from_u64(2);
 /// let sys = IoTSystem::build("fw", "1", &lib, vec![VulnId(4)], &mut rng).unwrap();
 /// let verifier = AutoVerifier::new(&lib);
-/// assert_eq!(verifier.verify_claim(&sys, VulnId(4)), Verdict::Confirmed);
-/// assert_eq!(verifier.verify_claim(&sys, VulnId(5)), Verdict::NotPresent);
+/// assert!(verifier.auto_verif(&sys, &[VulnId(4)]));
+/// assert!(!verifier.auto_verif(&sys, &[VulnId(4), VulnId(5)]));
+/// assert_eq!(
+///     verifier.triage(&sys, &[VulnId(4), VulnId(5)]),
+///     (vec![VulnId(4)], vec![VulnId(5)])
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct AutoVerifier<'lib> {
@@ -52,7 +55,7 @@ impl<'lib> AutoVerifier<'lib> {
     }
 
     /// Verifies a single claimed vulnerability against the artifact.
-    pub fn verify_claim(&self, system: &IoTSystem, claim: VulnId) -> Verdict {
+    pub(crate) fn verify_claim(&self, system: &IoTSystem, claim: VulnId) -> Verdict {
         match self.library.get(claim) {
             None => Verdict::UnknownVulnerability,
             Some(vuln) => {

@@ -23,13 +23,6 @@ impl DetectionCapability {
             dc: dc.clamp(0.0, 1.0),
         }
     }
-
-    /// The paper's thread-count mapping: `threads/8 × base` for the 1–8
-    /// thread detectors of §VII-B (base = capability of the 8-thread
-    /// detector).
-    pub fn from_threads(threads: u32, base: f64) -> Self {
-        Self::new(base * threads as f64 / 8.0)
-    }
 }
 
 /// A pool of detectors with their capabilities.
@@ -42,15 +35,6 @@ impl CapabilityPool {
     /// An empty pool.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The paper's eight-detector setup: threads 1..=8, base capability
-    /// `base` for the strongest detector.
-    pub fn paper_detectors(base: f64) -> Self {
-        let capabilities = (1..=8)
-            .map(|t| DetectionCapability::from_threads(t, base))
-            .collect();
-        CapabilityPool { capabilities }
     }
 
     /// Adds a detector.
@@ -78,7 +62,7 @@ impl CapabilityPool {
     /// only if not submitted before (§VI-B), so `ρ` splits each
     /// vulnerability among the detectors that find it, proportional to
     /// capability — giving `Σρ_i ≤ 1` with equality in the limit.
-    pub fn recording_proportions(&self) -> Vec<f64> {
+    pub(crate) fn recording_proportions(&self) -> Vec<f64> {
         let total: f64 = self.capabilities.iter().map(|c| c.dc).sum();
         if total == 0.0 {
             return vec![0.0; self.capabilities.len()];
@@ -94,17 +78,6 @@ impl CapabilityPool {
             .iter()
             .map(|c| p_any * c.dc / total)
             .collect()
-    }
-
-    /// The capability shares `ξ_i = DC_i / ΣDC_j` (§VI-B), which determine
-    /// each detector's share `n_i = N·ξ_i` of the N detected
-    /// vulnerabilities.
-    pub fn capability_shares(&self) -> Vec<f64> {
-        let total: f64 = self.capabilities.iter().map(|c| c.dc).sum();
-        if total == 0.0 {
-            return vec![0.0; self.capabilities.len()];
-        }
-        self.capabilities.iter().map(|c| c.dc / total).collect()
     }
 
     /// The total detection capability `DC_T = Σ DC_i·ρ_i` (Eq. 11).
@@ -138,21 +111,21 @@ mod tests {
         assert_eq!(DetectionCapability::new(-0.5).dc, 0.0);
     }
 
-    #[test]
-    fn thread_scaling_is_linear() {
-        let c8 = DetectionCapability::from_threads(8, 0.8);
-        let c4 = DetectionCapability::from_threads(4, 0.8);
-        let c1 = DetectionCapability::from_threads(1, 0.8);
-        assert!((c8.dc - 0.8).abs() < 1e-12);
-        assert!((c4.dc - 0.4).abs() < 1e-12);
-        assert!((c1.dc - 0.1).abs() < 1e-12);
+    /// The paper's eight detectors of §VII-B: threads 1..=8, capability
+    /// `base·threads/8`.
+    fn paper_detectors(base: f64) -> CapabilityPool {
+        let mut pool = CapabilityPool::new();
+        for t in 1..=8 {
+            pool.push(DetectionCapability::new(base * t as f64 / 8.0));
+        }
+        pool
     }
 
     #[test]
     fn rho_sums_below_one() {
         // "There is up to one detection result confirmed per vulnerability,
         // i.e. 0 ≤ Σρ_i ≤ 1" (§VI-B).
-        let pool = CapabilityPool::paper_detectors(0.8);
+        let pool = paper_detectors(0.8);
         let rho_sum: f64 = pool.recording_proportions().iter().sum();
         assert!(rho_sum > 0.0 && rho_sum <= 1.0 + 1e-12, "Σρ = {rho_sum}");
     }
@@ -160,10 +133,10 @@ mod tests {
     #[test]
     fn rho_sum_approaches_one_with_more_detectors() {
         // "Σρ_i approaches 1 when m becomes larger" (§VI-B).
-        let small = CapabilityPool::paper_detectors(0.6);
-        let mut large = CapabilityPool::paper_detectors(0.6);
+        let small = paper_detectors(0.6);
+        let mut large = paper_detectors(0.6);
         for _ in 0..5 {
-            for c in CapabilityPool::paper_detectors(0.6).capabilities() {
+            for c in paper_detectors(0.6).capabilities() {
                 large.push(*c);
             }
         }
@@ -188,16 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn capability_shares_sum_to_one() {
-        let pool = CapabilityPool::paper_detectors(0.8);
-        let sum: f64 = pool.capability_shares().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        // 8-thread detector's share is 8× the 1-thread share.
-        let shares = pool.capability_shares();
-        assert!((shares[7] / shares[0] - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_pool_is_safe() {
         let pool = CapabilityPool::new();
         assert_eq!(pool.total_capability(), 0.0);
@@ -217,7 +180,7 @@ mod tests {
 
     #[test]
     fn coverage_dominates_any_single_detector() {
-        let pool = CapabilityPool::paper_detectors(0.8);
+        let pool = paper_detectors(0.8);
         let best = pool.capabilities().iter().map(|c| c.dc).fold(0.0, f64::max);
         assert!(pool.coverage() > best);
     }

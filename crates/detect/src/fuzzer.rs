@@ -21,7 +21,7 @@ use smartcrowd_crypto::keccak::keccak256;
 /// Trigger difficulty of a vulnerability (expected executions to hit it).
 /// Derived from the id so campaigns are reproducible; range 50–5000,
 /// skewed harder for higher severities (deep bugs are harder to reach).
-pub fn trigger_difficulty(library: &VulnLibrary, id: VulnId) -> u64 {
+pub(crate) fn trigger_difficulty(library: &VulnLibrary, id: VulnId) -> u64 {
     let digest = keccak256(format!("fuzz-difficulty-{}", id.0).as_bytes());
     let base = 50 + u64::from_be_bytes(digest[..8].try_into().expect("8 bytes")) % 1950;
     match library.get(id).map(|v| v.severity) {

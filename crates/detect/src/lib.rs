@@ -24,14 +24,11 @@
 //! - [`corpus`] — the Table-I experiment setup: two apps, six third-party
 //!   scanner profiles calibrated to the published counts;
 //! - [`fuzzer`] — the §VIII dynamic/fuzz-testing path: signature-free
-//!   discovery with a realistic diminishing-returns campaign curve;
-//! - [`aggregate`] — the §VIII N-version description aggregation that
-//!   collapses differently-worded reports of one vulnerability.
+//!   discovery with a realistic diminishing-returns campaign curve.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod autoverif;
 pub mod capability;
 pub mod corpus;

@@ -29,7 +29,7 @@ pub struct VulnLibrary {
 
 impl VulnLibrary {
     /// Builds a library from explicit entries.
-    pub fn from_entries(entries: Vec<Vulnerability>) -> Self {
+    pub(crate) fn from_entries(entries: Vec<Vulnerability>) -> Self {
         let ordered_ids = entries.iter().map(|v| v.id).collect();
         let entries = entries.into_iter().map(|v| (v.id, v)).collect();
         VulnLibrary {
@@ -102,7 +102,7 @@ impl VulnLibrary {
     /// # Errors
     ///
     /// Returns [`DetectError::UnknownVulnerability`].
-    pub fn require(&self, id: VulnId) -> Result<&Vulnerability, DetectError> {
+    pub(crate) fn require(&self, id: VulnId) -> Result<&Vulnerability, DetectError> {
         self.get(id)
             .ok_or(DetectError::UnknownVulnerability { id: id.0 })
     }

@@ -85,34 +85,6 @@ impl IoTSystem {
         })
     }
 
-    /// Builds a patched release: same name, new version, with `fixed`
-    /// vulnerabilities removed and `introduced` added.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectError::UnknownVulnerability`] for unknown ids.
-    pub fn upgrade(
-        &self,
-        new_version: &str,
-        library: &VulnLibrary,
-        fixed: &[VulnId],
-        introduced: &[VulnId],
-        rng: &mut SimRng,
-    ) -> Result<IoTSystem, DetectError> {
-        let mut vulns: Vec<VulnId> = self
-            .ground_truth
-            .iter()
-            .filter(|v| !fixed.contains(v))
-            .copied()
-            .collect();
-        for v in introduced {
-            if !vulns.contains(v) {
-                vulns.push(*v);
-            }
-        }
-        IoTSystem::build(&self.name, new_version, library, vulns, rng)
-    }
-
     /// Reconstructs an artifact view from downloaded raw bytes (a node
     /// that fetched the image via `U_l` holds no ground truth — signature
     /// containment and `U_h` verification still work over the bytes).
@@ -231,21 +203,6 @@ mod tests {
         let repackaged = sys.repackaged_with(&lib, VulnId(50));
         assert!(!repackaged.verify_image(), "repackaging must break U_h");
         assert!(repackaged.contains_signature(&lib.get(VulnId(50)).unwrap().signature()));
-    }
-
-    #[test]
-    fn upgrade_fixes_and_introduces() {
-        let (lib, mut rng) = setup();
-        let sys =
-            IoTSystem::build("fw", "1.0", &lib, vec![VulnId(1), VulnId(2)], &mut rng).unwrap();
-        let v2 = sys
-            .upgrade("2.0", &lib, &[VulnId(1)], &[VulnId(3)], &mut rng)
-            .unwrap();
-        assert_eq!(v2.ground_truth(), &[VulnId(2), VulnId(3)]);
-        assert_eq!(v2.name(), "fw");
-        assert_eq!(v2.version(), "2.0");
-        assert!(!v2.contains_signature(&lib.get(VulnId(1)).unwrap().signature()));
-        assert!(v2.contains_signature(&lib.get(VulnId(3)).unwrap().signature()));
     }
 
     #[test]

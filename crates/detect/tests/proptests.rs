@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_detect::aggregate::canonical_key;
 use smartcrowd_detect::autoverif::AutoVerifier;
 use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::scanner::Scanner;
@@ -61,22 +60,6 @@ proptest! {
             prop_assert!(planted.contains(f), "found something not planted");
         }
         prop_assert!(report.false_positives.is_empty(), "fp rate is 0");
-    }
-
-    #[test]
-    fn canonical_key_is_idempotent_and_order_free(
-        words in proptest::collection::vec("[a-z]{2,10}", 1..8),
-    ) {
-        let text = words.join(" ");
-        let key = canonical_key(&text);
-        // Idempotent: canonicalizing a key yields itself.
-        prop_assert_eq!(canonical_key(&key), key.clone());
-        // Order-free: shuffled word order gives the same key.
-        let mut reversed = words.clone();
-        reversed.reverse();
-        prop_assert_eq!(canonical_key(&reversed.join(" ")), key.clone());
-        // Case-free.
-        prop_assert_eq!(canonical_key(&text.to_uppercase()), key);
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub struct FuzzInput {
 
 impl FuzzInput {
     /// Builds a case from bytecode with empty calldata.
-    pub fn from_code(code: Vec<u8>) -> Self {
+    pub(crate) fn from_code(code: Vec<u8>) -> Self {
         FuzzInput {
             code,
             calldata: Vec::new(),
@@ -63,7 +63,7 @@ impl FuzzInput {
     /// Stable identifier of the bytecode alone (calldata excluded):
     /// groups fuzz cases that execute the same program, e.g. for the
     /// corpus-wide suspicious-gas-witness report.
-    pub fn code_id(&self) -> String {
+    pub(crate) fn code_id(&self) -> String {
         hex::encode(&keccak256(&self.code))[..8].to_string()
     }
 

@@ -1,7 +1,7 @@
 //! Differential oracles: one concrete execution cross-checked against
 //! the abstract interpreter's verdicts.
 //!
-//! Soundness of each check (see DESIGN.md §15 for the full argument):
+//! Soundness of each check (see DESIGN.md §14 for the full argument):
 //!
 //! - **gas-bound** — `GasVerdict::Bounded(g)` promises no execution
 //!   charges more than `g` beyond the intrinsic call gas. A runtime
@@ -375,7 +375,7 @@ fn safety_contradiction(
 /// fixed, gas is priced at zero, the interpreter stops after
 /// `STEP_LIMIT` (4 096) steps and is deterministic, so outcomes are
 /// reproducible byte for byte.
-pub fn run_case(input: &FuzzInput, planted: Option<PlantedBug>) -> CaseOutcome {
+pub(crate) fn run_case(input: &FuzzInput, planted: Option<PlantedBug>) -> CaseOutcome {
     let analysis = analyze(&input.code);
     let intrinsic = gas::call_intrinsic_gas(input.calldata.len());
     let (claimed, budget) = match &analysis {

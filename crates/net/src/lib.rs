@@ -22,7 +22,7 @@
 //! relies on. Compute inside a simulation step (signature recovery,
 //! Merkle hashing) may still fan out on `smartcrowd-pool` workers — that
 //! pool's index-ordered merge keeps results byte-identical at any thread
-//! count, so the purity guarantee survives (see `DESIGN.md` §14).
+//! count, so the purity guarantee survives (see `DESIGN.md` §13).
 //!
 //! The fabric is instrumented: sends by message type, bytes, drops and
 //! duplications (`net.gossip.*`), sync-buffer offer outcomes and orphan

@@ -54,7 +54,7 @@ impl Message {
     /// Exact size in bytes (for bandwidth accounting): the length of the
     /// canonical encoding of a record or block, read off the bytes they
     /// already hold rather than by encoding them.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         match self {
             Message::Record(r) => r.encoded().len(),
             Message::Block(b) => b.encoded_len(),

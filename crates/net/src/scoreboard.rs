@@ -36,9 +36,9 @@ pub struct PeerScore {
 /// for _ in 1..STRIKE_LIMIT {
 ///     board.record_strike(d);
 /// }
-/// assert!(!board.is_isolated(&d));
+/// assert!(board.admits(&d));
 /// board.record_strike(d);
-/// assert!(board.is_isolated(&d));
+/// assert!(!board.admits(&d));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Scoreboard {
@@ -62,32 +62,13 @@ impl Scoreboard {
     }
 
     /// Whether the peer has reached the isolation threshold.
-    pub fn is_isolated(&self, peer: &Address) -> bool {
+    pub(crate) fn is_isolated(&self, peer: &Address) -> bool {
         self.score(peer).strikes >= STRIKE_LIMIT
     }
 
     /// Whether a report from `peer` should be accepted for relay/recording.
     pub fn admits(&self, peer: &Address) -> bool {
         !self.is_isolated(peer)
-    }
-
-    /// All isolated peers.
-    pub fn isolated_peers(&self) -> Vec<Address> {
-        let mut out: Vec<Address> = self
-            .scores
-            .iter()
-            .filter(|(_, s)| s.strikes >= STRIKE_LIMIT)
-            .map(|(a, _)| *a)
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// Clears a peer's strikes (e.g. after governance review).
-    pub fn pardon(&mut self, peer: &Address) {
-        if let Some(s) = self.scores.get_mut(peer) {
-            s.strikes = 0;
-        }
     }
 }
 
@@ -105,7 +86,6 @@ mod tests {
         }
         assert!(b.is_isolated(&d));
         assert!(!b.admits(&d));
-        assert_eq!(b.isolated_peers(), vec![d]);
     }
 
     #[test]
@@ -117,18 +97,6 @@ mod tests {
         }
         assert!(b.admits(&d));
         assert_eq!(b.score(&d).confirmed, 100);
-    }
-
-    #[test]
-    fn pardon_restores_admission() {
-        let mut b = Scoreboard::default();
-        let d = Address::from_label("d");
-        for _ in 0..STRIKE_LIMIT {
-            b.record_strike(d);
-        }
-        assert!(b.is_isolated(&d));
-        b.pardon(&d);
-        assert!(b.admits(&d));
     }
 
     #[test]

@@ -49,12 +49,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Environment variable overriding the global pool's thread count.
-pub const THREADS_ENV: &str = "SMARTCROWD_THREADS";
+pub(crate) const THREADS_ENV: &str = "SMARTCROWD_THREADS";
 
 /// Below this many items [`Pool::par_chunks`] (and so [`Pool::par_map`])
 /// runs inline on the caller's thread: spawn cost dwarfs the work for
 /// tiny batches.
-pub const MIN_PARALLEL_ITEMS: usize = 16;
+pub(crate) const MIN_PARALLEL_ITEMS: usize = 16;
 
 /// A fixed-width scoped thread pool.
 ///
@@ -103,7 +103,7 @@ impl Pool {
     /// Builds a pool from the environment: `SMARTCROWD_THREADS` when set
     /// to a positive integer, otherwise the machine's available
     /// parallelism (1 if unknown).
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         let configured = std::env::var(THREADS_ENV)
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
@@ -143,7 +143,7 @@ impl Pool {
     /// with its chunk's starting index; the join sorts by that index
     /// before concatenating, so the output is `f` of each chunk in order
     /// no matter how the OS schedules the workers. Below
-    /// [`MIN_PARALLEL_ITEMS`] items, or on one thread, the whole slice is
+    /// `MIN_PARALLEL_ITEMS` items, or on one thread, the whole slice is
     /// one chunk on the caller's thread. This is for work that shares a
     /// cost across a chunk (one inversion for a burst of signatures). The
     /// chunk boundaries depend on the thread count, so the output is
@@ -268,7 +268,7 @@ impl Default for Pool {
     }
 }
 
-/// The process-wide pool, sized once from [`Pool::from_env`] on first use.
+/// The process-wide pool, sized once from `Pool::from_env` on first use.
 ///
 /// Hot paths that cannot thread a `&Pool` parameter through their call
 /// chain (block validation, Merkle leaf hashing) share this instance.

@@ -24,7 +24,7 @@ pub enum MetricValue {
 impl MetricValue {
     /// Whether this value carries any signal: a nonzero counter, a nonzero
     /// gauge, or a histogram with at least one observation.
-    pub fn is_nonzero(&self) -> bool {
+    pub(crate) fn is_nonzero(&self) -> bool {
         match self {
             MetricValue::Counter(v) => *v != 0,
             MetricValue::Gauge(v) => *v != 0,

@@ -64,7 +64,7 @@ pub mod span;
 
 pub use export::{MetricSnapshot, MetricValue, Snapshot};
 pub use metrics::{buckets, Counter, Gauge, Histogram, HistogramSnapshot};
-pub use registry::{canonical_key, global, Registry};
+pub use registry::{global, Registry};
 pub use span::{set_time_source, time_source, SpanGuard, TimeSource};
 
 /// Returns the `&'static Counter` for a name (and optional static label

@@ -35,10 +35,6 @@ pub mod buckets {
     pub const REORG_DEPTH: &[u64] = &[1, 2, 3, 4, 6, 8, 12, 16, 24, 32];
     /// Small cardinalities: span nesting depth, records per block (units: 1).
     pub const SMALL_COUNT: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
-    /// Monetary deltas in milliether (units: mETH).
-    pub const MILLIETHER: &[u64] = &[
-        1, 10, 100, 1_000, 10_000, 25_000, 100_000, 1_000_000, 10_000_000,
-    ];
 }
 
 /// A monotonically increasing counter.

@@ -41,7 +41,7 @@ pub struct Registry {
 
 /// Renders the canonical key for `name` + `labels`:
 /// `name` alone, or `name{k="v",k2="v2"}` in the given label order.
-pub fn canonical_key(name: &str, labels: &[(&str, &str)]) -> String {
+pub(crate) fn canonical_key(name: &str, labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return name.to_string();
     }

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// One decoded instruction.
 #[derive(Debug, Clone, Copy)]
-pub struct Insn {
+pub(crate) struct Insn {
     /// Code offset of the opcode byte.
     pub pc: usize,
     /// The opcode.
@@ -37,7 +37,7 @@ pub struct Insn {
 impl Insn {
     /// Low 64 bits of a `PUSH` immediate — exactly the value the
     /// interpreter would use as a jump destination (`low_u64`).
-    pub fn push_low(&self) -> u64 {
+    pub(crate) fn push_low(&self) -> u64 {
         self.push.low_u64()
     }
 }
@@ -124,7 +124,7 @@ impl Cfg {
     }
 
     /// All block start offsets in ascending order.
-    pub fn block_starts(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn block_starts(&self) -> impl Iterator<Item = usize> + '_ {
         self.blocks.keys().copied()
     }
 
@@ -141,7 +141,7 @@ impl Cfg {
 
     /// The instructions of the block starting at `start` (empty slice for
     /// non-leader offsets).
-    pub fn block_insns(&self, start: usize) -> &[Insn] {
+    pub(crate) fn block_insns(&self, start: usize) -> &[Insn] {
         match self.blocks.get(&start) {
             Some(b) => &self.insns[b.first..=b.last],
             None => &[],
@@ -150,7 +150,7 @@ impl Cfg {
 
     /// The successors of the block at `start`, as code offsets. Dynamic
     /// jumps conservatively target every `JUMPDEST`.
-    pub fn successors(&self, start: usize) -> Vec<usize> {
+    pub(crate) fn successors(&self, start: usize) -> Vec<usize> {
         let Some(block) = self.blocks.get(&start) else {
             return Vec::new();
         };
@@ -170,7 +170,7 @@ impl Cfg {
 
     /// Worst-case gas one full execution of the block at `start` can
     /// charge (sum of [`worst_case_gas`] over its instructions).
-    pub fn block_gas(&self, start: usize) -> u64 {
+    pub(crate) fn block_gas(&self, start: usize) -> u64 {
         self.block_insns(start)
             .iter()
             .map(|i| worst_case_gas(i.op))
@@ -179,7 +179,7 @@ impl Cfg {
 
     /// Whether any instruction in `reachable` blocks can grow scratch
     /// memory (and therefore pay the one-off memory-expansion gas).
-    pub fn any_memory_op(&self, reachable: &BTreeSet<usize>) -> bool {
+    pub(crate) fn any_memory_op(&self, reachable: &BTreeSet<usize>) -> bool {
         reachable
             .iter()
             .any(|b| self.block_insns(*b).iter().any(|i| touches_memory(i.op)))
@@ -188,7 +188,7 @@ impl Cfg {
 
 /// The number of operands an opcode pops and pushes. `DUP` and `SWAP`
 /// pop nothing but reach below the top (`stack_reach`).
-pub fn stack_effect(op: Op) -> (usize, usize) {
+pub(crate) fn stack_effect(op: Op) -> (usize, usize) {
     match op {
         Op::Stop | Op::Return | Op::JumpDest | Op::Swap => (0, 0),
         Op::Push8 | Op::Push32 | Op::Dup => (0, 1),
@@ -236,7 +236,7 @@ pub(crate) fn stack_reach(insn: &Insn) -> usize {
 
 /// Whether the opcode can grow scratch memory (and therefore pay the
 /// memory-expansion gas).
-pub fn touches_memory(op: Op) -> bool {
+pub(crate) fn touches_memory(op: Op) -> bool {
     matches!(op, Op::Keccak | Op::EcRecover | Op::MLoad | Op::MStore)
 }
 
@@ -244,7 +244,7 @@ pub fn touches_memory(op: Op) -> bool {
 /// cost plus the most expensive dynamic component (fresh `SSTORE` slot,
 /// full `TRANSFER`, `KECCAK` over the largest in-bounds range). Memory
 /// expansion is accounted once per program, not per instruction.
-pub fn worst_case_gas(op: Op) -> u64 {
+pub(crate) fn worst_case_gas(op: Op) -> u64 {
     let dynamic = match op {
         Op::SStore => gas::SSTORE_NEW_GAS,
         Op::Transfer => gas::TRANSFER_GAS,

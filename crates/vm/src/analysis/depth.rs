@@ -5,7 +5,7 @@
 //! `[lo, hi]` has both endpoints realized by concrete paths: `lo` below the
 //! slots an instruction needs (its operands, or `n + 1` for `DUP n` /
 //! `SWAP n`) proves a reachable underflow, `hi` past
-//! [`STACK_LIMIT`] proves a reachable overflow. The lattice is finite
+//! `STACK_LIMIT` proves a reachable overflow. The lattice is finite
 //! (`0..=STACK_LIMIT` per endpoint), so plain join suffices: the domain's
 //! `WIDEN_AFTER` is `usize::MAX`.
 
@@ -39,7 +39,7 @@ impl Lattice for DepthInterval {
 /// The stack-depth domain. Rejects (via `Err`) programs with provable
 /// stack faults or a `SWAP 0`, exactly like the PR 1 verifier.
 #[derive(Debug)]
-pub struct DepthDomain;
+pub(crate) struct DepthDomain;
 
 /// Abstractly executes one instruction on a depth interval, checking for
 /// provable faults. Returns the new interval.
@@ -95,7 +95,7 @@ impl Domain for DepthDomain {
 /// The result of the depth analysis: per-block entry intervals plus the
 /// deepest point any path reaches.
 #[derive(Debug)]
-pub struct DepthAnalysis {
+pub(crate) struct DepthAnalysis {
     /// Entry depth interval for every reachable block.
     pub entry: BTreeMap<usize, DepthInterval>,
     /// The highest operand-stack depth any execution path can reach.
@@ -104,7 +104,7 @@ pub struct DepthAnalysis {
 
 /// Runs the depth domain to a fixpoint and computes the deepest stack
 /// excursion. Errors exactly where the PR 1 verifier did.
-pub fn analyze_depth(cfg: &Cfg) -> Result<DepthAnalysis, VmError> {
+pub(crate) fn analyze_depth(cfg: &Cfg) -> Result<DepthAnalysis, VmError> {
     let entry = run(cfg, &DepthDomain)?;
     let mut max_depth = 0usize;
     for (&block, &state) in &entry {

@@ -53,7 +53,11 @@ impl std::fmt::Display for GasVerdict {
 
 /// Computes the worst-case gas verdict from the SCC decomposition and the
 /// per-loop trip bounds.
-pub fn gas_verdict(cfg: &Cfg, reachable: &BTreeSet<usize>, loops: &LoopAnalysis) -> GasVerdict {
+pub(crate) fn gas_verdict(
+    cfg: &Cfg,
+    reachable: &BTreeSet<usize>,
+    loops: &LoopAnalysis,
+) -> GasVerdict {
     if cfg.is_empty() || reachable.is_empty() {
         return GasVerdict::Bounded(0);
     }

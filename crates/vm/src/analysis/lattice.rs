@@ -40,7 +40,7 @@ pub struct Interval {
 }
 
 /// The all-values interval.
-pub const TOP: Interval = Interval {
+pub(crate) const TOP: Interval = Interval {
     lo: U256::ZERO,
     hi: U256::MAX,
 };
@@ -57,7 +57,7 @@ impl Interval {
     }
 
     /// The boolean interval `[0, 1]`.
-    pub fn boolean() -> Interval {
+    pub(crate) fn boolean() -> Interval {
         Interval {
             lo: U256::ZERO,
             hi: U256::ONE,
@@ -65,17 +65,12 @@ impl Interval {
     }
 
     /// `Some(v)` when the interval is the singleton `[v, v]`.
-    pub fn as_const(&self) -> Option<U256> {
+    pub(crate) fn as_const(&self) -> Option<U256> {
         (self.lo == self.hi).then_some(self.lo)
     }
 
-    /// Whether this is the full `[0, MAX]` interval.
-    pub fn is_top(&self) -> bool {
-        *self == TOP
-    }
-
     /// Whether zero is a possible value.
-    pub fn may_be_zero(&self) -> bool {
+    pub(crate) fn may_be_zero(&self) -> bool {
         self.lo.is_zero()
     }
 
@@ -148,7 +143,7 @@ impl Interval {
 
     /// Abstract `a < b` (1 when provably true, 0 when provably false,
     /// `[0, 1]` otherwise).
-    pub fn lt(&self, rhs: &Interval) -> Interval {
+    pub(crate) fn lt(&self, rhs: &Interval) -> Interval {
         if self.hi < rhs.lo {
             Interval::exact(U256::ONE)
         } else if self.lo >= rhs.hi {
@@ -159,7 +154,7 @@ impl Interval {
     }
 
     /// Abstract `a > b`.
-    pub fn gt(&self, rhs: &Interval) -> Interval {
+    pub(crate) fn gt(&self, rhs: &Interval) -> Interval {
         rhs.lt(self)
     }
 
@@ -173,7 +168,7 @@ impl Interval {
     }
 
     /// Abstract `a == 0`.
-    pub fn is_zero_abs(&self) -> Interval {
+    pub(crate) fn is_zero_abs(&self) -> Interval {
         if self.is_zero() {
             Interval::exact(U256::ONE)
         } else if !self.may_be_zero() {
@@ -184,7 +179,7 @@ impl Interval {
     }
 
     /// Abstract `min(a, b)`.
-    pub fn min_abs(&self, rhs: &Interval) -> Interval {
+    pub(crate) fn min_abs(&self, rhs: &Interval) -> Interval {
         Interval {
             lo: self.lo.min(rhs.lo),
             hi: self.hi.min(rhs.hi),
@@ -192,7 +187,7 @@ impl Interval {
     }
 
     /// Abstract bitwise and: `a & b <= min(a, b)`.
-    pub fn bitand(&self, rhs: &Interval) -> Interval {
+    pub(crate) fn bitand(&self, rhs: &Interval) -> Interval {
         Interval {
             lo: U256::ZERO,
             hi: self.hi.min(rhs.hi),
@@ -261,8 +256,8 @@ mod tests {
     #[test]
     fn wrap_risk_degrades_to_top() {
         let near_max = Interval::new(U256::MAX.wrapping_sub(&U256::ONE), U256::MAX);
-        assert!(near_max.add(&iv(2, 2)).is_top());
-        assert!(iv(1, 3).sub(&iv(2, 2)).is_top(), "1 - 2 can borrow");
+        assert_eq!(near_max.add(&iv(2, 2)), TOP);
+        assert_eq!(iv(1, 3).sub(&iv(2, 2)), TOP, "1 - 2 can borrow");
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub struct LoopInfo {
 
 /// SCC decomposition plus the per-loop verdicts.
 #[derive(Debug)]
-pub struct LoopAnalysis {
+pub(crate) struct LoopAnalysis {
     /// Strongly connected components of the reachable CFG, in reverse
     /// topological order of the condensation (every component precedes
     /// the components that can reach it).
@@ -85,7 +85,7 @@ pub struct LoopAnalysis {
 /// A symbolic cell: a storage slot or a stack slot identified by its
 /// depth below the top at the loop header.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CellId {
+pub(crate) enum CellId {
     /// Stack slot `d` positions below the top on header entry.
     Stack(usize),
     /// Storage slot with this statically-known key.
@@ -650,7 +650,7 @@ fn bound_loop(
 }
 
 /// Detects loops among `reachable` blocks and bounds each one.
-pub fn analyze_loops(
+pub(crate) fn analyze_loops(
     cfg: &Cfg,
     reachable: &BTreeSet<usize>,
     depth: &BTreeMap<usize, DepthInterval>,

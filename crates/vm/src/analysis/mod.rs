@@ -10,7 +10,7 @@
 //! 2. the **value-range** domain ([`range`]): provable div-by-zero and
 //!    out-of-bounds memory diagnostics and the [`StorageSummary`];
 //! 3. the **loop trip-count** analysis ([`loops`]), whose bounds price
-//!    the loop-aware [`GasVerdict`] ([`gasbound`]);
+//!    the loop-aware [`GasVerdict`] (`gasbound`);
 //! 4. the **balance-flow** domain ([`safety`]): a symbolic amount per
 //!    `TRANSFER` and the verdicts `ConservesEscrow`, `BoundedPayout` and
 //!    `NoUnauthorizedFlow`, each refusal with a CFG witness path.
@@ -18,7 +18,7 @@
 //! Domains 2–4 are value algebras over one abstract operand stack and
 //! statically-keyed storage (the private `machine` module, whose docs give
 //! the shared rules and each domain's few differences). Per-opcode stack
-//! effects and `DUP`/`SWAP` reach are [`cfg::stack_effect`] and its
+//! effects and `DUP`/`SWAP` reach are `cfg::stack_effect` and its
 //! neighbour. Findings come back ranked as [`Diagnostic`]s; the deploy
 //! gate ([`crate::verify`]) is this pipeline plus one rejection, a
 //! provable escrow leak.
@@ -27,7 +27,7 @@ pub mod cfg;
 pub mod depth;
 pub mod diagnostics;
 pub mod engine;
-pub mod gasbound;
+pub(crate) mod gasbound;
 pub mod lattice;
 pub mod loops;
 mod machine;

@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Abstract machine state: intervals for the tracked top of the stack and
 /// for storage slots with statically-known keys (absent keys are `⊤`).
-pub type RangeState = Machine<Interval>;
+pub(crate) type RangeState = Machine<Interval>;
 
 /// Folds a bitwise op limb by limb when both operands are constants.
 fn bitwise(l: &Interval, r: &Interval, f: impl Fn(u64, u64) -> u64) -> Interval {
@@ -76,7 +76,7 @@ impl Value for Interval {
 /// The range domain (no parameters; its one precision knob is the
 /// widening budget).
 #[derive(Debug)]
-pub struct RangeDomain;
+pub(crate) struct RangeDomain;
 
 impl Domain for RangeDomain {
     type State = RangeState;
@@ -119,7 +119,7 @@ pub struct StorageSummary {
 ///
 /// Only structural [`VmError`]s bubbled up from the engine; the domain
 /// itself never rejects.
-pub fn analyze_ranges(cfg: &Cfg) -> Result<BTreeMap<usize, RangeState>, VmError> {
+pub(crate) fn analyze_ranges(cfg: &Cfg) -> Result<BTreeMap<usize, RangeState>, VmError> {
     run(cfg, &RangeDomain)
 }
 
@@ -263,7 +263,7 @@ mod tests {
              PUSH 1\nSLOAD\nPUSH @end\nJUMP\nend:\nSTOP\n",
         );
         let end = cfg.block_starts().last().expect("end block");
-        assert!(entry[&end].peek(0).is_top());
+        assert_eq!(entry[&end].peek(0), TOP);
     }
 
     #[test]

@@ -720,7 +720,7 @@ fn count_verdicts(report: &SafetyReport) {
 /// Only structural [`VmError`]s bubbled up from the fixpoint engine;
 /// the domain itself never rejects (the deploy gate turns a
 /// [`SafetyReport::leak`] into a rejection separately).
-pub fn analyze_safety(
+pub(crate) fn analyze_safety(
     cfg: &Cfg,
     reachable: &BTreeSet<usize>,
     loops: &LoopAnalysis,

@@ -62,11 +62,6 @@ pub struct SourceMap {
 }
 
 impl SourceMap {
-    /// The span of the instruction starting exactly at `pc`, if any.
-    pub fn span_at(&self, pc: usize) -> Option<Span> {
-        self.spans.get(&pc).copied()
-    }
-
     /// The span of the instruction covering `pc` (the nearest instruction
     /// start at or before `pc` — useful for offsets into immediates).
     pub fn enclosing(&self, pc: usize) -> Option<Span> {
@@ -86,7 +81,7 @@ impl SourceMap {
     }
 
     /// The program counter a [`VmError`] points at, when it carries one.
-    pub fn vm_error_pc(e: &VmError) -> Option<usize> {
+    pub(crate) fn vm_error_pc(e: &VmError) -> Option<usize> {
         match e {
             VmError::TruncatedImmediate { pc }
             | VmError::StackUnderflow { pc }
@@ -449,11 +444,11 @@ mod tests {
         let src = "PUSH 2\n  PUSH 3\nADD\nRETURNVAL\n";
         let (code, map) = assemble_with_source_map(src).unwrap();
         assert_eq!(code.len(), 20);
-        assert_eq!(map.span_at(0), Some(Span { line: 1, col: 1 }));
+        assert_eq!(map.spans.get(&0), Some(&Span { line: 1, col: 1 }));
         // Second PUSH is indented by two spaces.
-        assert_eq!(map.span_at(9), Some(Span { line: 2, col: 3 }));
-        assert_eq!(map.span_at(18), Some(Span { line: 3, col: 1 }));
-        assert_eq!(map.span_at(19), Some(Span { line: 4, col: 1 }));
+        assert_eq!(map.spans.get(&9), Some(&Span { line: 2, col: 3 }));
+        assert_eq!(map.spans.get(&18), Some(&Span { line: 3, col: 1 }));
+        assert_eq!(map.spans.get(&19), Some(&Span { line: 4, col: 1 }));
     }
 
     #[test]
@@ -461,7 +456,7 @@ mod tests {
         let (_, map) = assemble_with_source_map("PUSH 2\nSTOP\n").unwrap();
         // pc 5 is inside the PUSH immediate: report the PUSH's span.
         assert_eq!(map.enclosing(5), Some(Span { line: 1, col: 1 }));
-        assert_eq!(map.span_at(5), None);
+        assert_eq!(map.spans.get(&5), None);
         assert!(map.describe(5).contains("line 1"));
         assert!(
             map.describe(999).contains("pc 999"),
@@ -473,9 +468,9 @@ mod tests {
     fn source_map_covers_labels_and_dups() {
         let (code, map) = assemble_with_source_map("a:\nPUSH 1\nPUSH 2\nDUP 1\nSTOP\n").unwrap();
         // JUMPDEST at 0, PUSHes at 1 and 10, DUP at 19 (+imm), STOP at 21.
-        assert_eq!(map.span_at(0), Some(Span { line: 1, col: 1 }));
-        assert_eq!(map.span_at(19), Some(Span { line: 4, col: 1 }));
-        assert_eq!(map.span_at(21), Some(Span { line: 5, col: 1 }));
+        assert_eq!(map.spans.get(&0), Some(&Span { line: 1, col: 1 }));
+        assert_eq!(map.spans.get(&19), Some(&Span { line: 4, col: 1 }));
+        assert_eq!(map.spans.get(&21), Some(&Span { line: 5, col: 1 }));
         assert_eq!(code.len(), 22);
     }
 

@@ -22,7 +22,7 @@ use smartcrowd_crypto::U256;
 /// mask instead of mod; 4096 slots comfortably over-provisions the
 /// largest in-repo contract (tens of edges) while keeping a map copy
 /// cheap enough to take per fuzz execution.
-pub const MAP_SIZE: usize = 1 << 12;
+pub(crate) const MAP_SIZE: usize = 1 << 12;
 
 const MASK: usize = MAP_SIZE - 1;
 
@@ -220,7 +220,7 @@ impl CoverageAccumulator {
 
 /// Small integer class for a [`VmError`](crate::error::VmError) so
 /// fault edges distinguish trap kinds without hashing strings.
-pub fn fault_class(e: &crate::error::VmError) -> u8 {
+pub(crate) fn fault_class(e: &crate::error::VmError) -> u8 {
     use crate::error::VmError as E;
     match e {
         E::InvalidOpcode { .. } => 1,

@@ -24,7 +24,7 @@ use smartcrowd_crypto::keccak::keccak256;
 use smartcrowd_crypto::{Address, U256};
 
 /// Maximum operand-stack depth.
-pub const STACK_LIMIT: usize = 1024;
+pub(crate) const STACK_LIMIT: usize = 1024;
 
 /// Maximum scratch-memory size in bytes.
 pub const MEMORY_LIMIT: usize = 1 << 20;
@@ -88,7 +88,8 @@ impl CallContext {
     }
 }
 
-/// One executed instruction in a trace (see [`Vm::call_traced`]).
+/// One executed instruction in a trace (see
+/// [`Vm::call_traced_with_coverage`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceStep {
     /// Program counter before execution.
@@ -259,23 +260,6 @@ impl Vm {
         self.call_inner(state, ctx, calldata, None, &mut NoCov)
     }
 
-    /// Like [`Vm::call`], additionally recording a step-by-step execution
-    /// trace — the contract-debugging view (pc, opcode, gas, stack).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Vm::call`].
-    pub fn call_traced(
-        &self,
-        state: &mut WorldState,
-        ctx: CallContext,
-        calldata: &[u8],
-    ) -> Result<(Receipt, Vec<TraceStep>), VmError> {
-        let mut trace = Vec::new();
-        let receipt = self.call_inner(state, ctx, calldata, Some(&mut trace), &mut NoCov)?;
-        Ok((receipt, trace))
-    }
-
     /// Like [`Vm::call`], additionally recording edge coverage into
     /// `cov` (see [`crate::cov`]) — the fuzzer's feedback signal.
     ///
@@ -292,8 +276,9 @@ impl Vm {
         self.call_inner(state, ctx, calldata, None, cov)
     }
 
-    /// [`Vm::call_traced`] and [`Vm::call_with_coverage`] combined:
-    /// records both a step trace and edge coverage in one execution.
+    /// [`Vm::call_with_coverage`] that also records a step-by-step
+    /// execution trace — the contract-debugging view (pc, opcode, gas,
+    /// stack).
     ///
     /// # Errors
     ///
@@ -1232,7 +1217,12 @@ mod trace_tests {
         let bytecode = assemble(code).unwrap();
         let contract = state.deploy_contract(owner, bytecode).unwrap();
         Vm::default()
-            .call_traced(&mut state, CallContext::new(owner, contract), &[])
+            .call_traced_with_coverage(
+                &mut state,
+                CallContext::new(owner, contract),
+                &[],
+                &mut CoverageMap::new(),
+            )
             .unwrap()
     }
 
@@ -1273,9 +1263,14 @@ mod trace_tests {
             let contract = state.deploy_contract(owner, bytecode).unwrap();
             let vm = Vm::default();
             if traced {
-                vm.call_traced(&mut state, CallContext::new(owner, contract), &[])
-                    .unwrap()
-                    .0
+                vm.call_traced_with_coverage(
+                    &mut state,
+                    CallContext::new(owner, contract),
+                    &[],
+                    &mut CoverageMap::new(),
+                )
+                .unwrap()
+                .0
             } else {
                 vm.call(&mut state, CallContext::new(owner, contract), &[])
                     .unwrap()

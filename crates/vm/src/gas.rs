@@ -3,7 +3,7 @@
 //! Gas makes contract interaction costly, which is load-bearing for the
 //! incentive analysis: the detector's reporting cost `c` (Eq. 10) and the
 //! provider's deployment cost `cp_i` (Eq. 9) are gas fees. The schedule is
-//! EVM-inspired; [`DEFAULT_GAS_PRICE_WEI`] is calibrated so the measured
+//! EVM-inspired; `DEFAULT_GAS_PRICE_WEI` is calibrated so the measured
 //! costs land where the paper reports them — ≈0.095 ether to deploy an SRA
 //! contract and ≈0.011 ether to submit a detection report (§VII).
 
@@ -13,41 +13,41 @@ use smartcrowd_chain::Ether;
 /// Gas price in wei per gas unit (1 µether/gas). At this price the
 /// SmartCrowd SRA contract deployment (~95 k gas) costs ≈0.095 ether and a
 /// report submission (~11 k gas) ≈0.011 ether, matching §VII.
-pub const DEFAULT_GAS_PRICE_WEI: u128 = 1_000_000_000_000;
+pub(crate) const DEFAULT_GAS_PRICE_WEI: u128 = 1_000_000_000_000;
 
 /// Base (intrinsic) gas of any call transaction.
 pub const CALL_BASE_GAS: u64 = 2_100;
 
 /// Base gas of a contract deployment (calibrated so the SmartCrowd SRA
 /// escrow's deploy+init lands at the paper's ≈0.095-ether release cost).
-pub const DEPLOY_BASE_GAS: u64 = 22_000;
+pub(crate) const DEPLOY_BASE_GAS: u64 = 22_000;
 
 /// Gas per byte of deployed code.
-pub const DEPLOY_BYTE_GAS: u64 = 200;
+pub(crate) const DEPLOY_BYTE_GAS: u64 = 200;
 
 /// Gas per byte of calldata.
-pub const CALLDATA_BYTE_GAS: u64 = 16;
+pub(crate) const CALLDATA_BYTE_GAS: u64 = 16;
 
 /// Default gas limit per call.
 pub const DEFAULT_GAS_LIMIT: u64 = 2_000_000;
 
 /// Cost of a storage write to a fresh slot.
-pub const SSTORE_NEW_GAS: u64 = 2_000;
+pub(crate) const SSTORE_NEW_GAS: u64 = 2_000;
 
 /// Cost of overwriting an existing slot.
-pub const SSTORE_UPDATE_GAS: u64 = 500;
+pub(crate) const SSTORE_UPDATE_GAS: u64 = 500;
 
 /// Cost of a `TRANSFER` payout.
-pub const TRANSFER_GAS: u64 = 900;
+pub(crate) const TRANSFER_GAS: u64 = 900;
 
 /// Converts a gas amount to wei at a given price.
-pub fn gas_to_ether(gas: u64, gas_price_wei: u128) -> Ether {
+pub(crate) fn gas_to_ether(gas: u64, gas_price_wei: u128) -> Ether {
     Ether::from_wei(gas as u128 * gas_price_wei)
 }
 
 /// Static gas cost of one opcode (dynamic components — storage, transfer,
 /// keccak length — are charged separately by the interpreter).
-pub fn static_cost(op: Op) -> u64 {
+pub(crate) fn static_cost(op: Op) -> u64 {
     match op {
         Op::Stop | Op::Return | Op::JumpDest => 1,
         Op::Push8 | Op::Push32 | Op::Pop | Op::Dup | Op::Swap => 3,
@@ -91,7 +91,7 @@ pub fn call_intrinsic_gas(calldata_len: usize) -> u64 {
 }
 
 /// Intrinsic gas of deploying `code_len` bytes.
-pub fn deploy_intrinsic_gas(code_len: usize) -> u64 {
+pub(crate) fn deploy_intrinsic_gas(code_len: usize) -> u64 {
     DEPLOY_BASE_GAS + DEPLOY_BYTE_GAS * code_len as u64
 }
 

@@ -291,7 +291,7 @@ impl Op {
     }
 
     /// The mnemonic used by the assembler/disassembler.
-    pub fn mnemonic(&self) -> &'static str {
+    pub(crate) fn mnemonic(&self) -> &'static str {
         match self {
             Op::Stop => "STOP",
             Op::Push8 => "PUSH",
@@ -340,7 +340,7 @@ impl Op {
     }
 
     /// Looks an opcode up by mnemonic (case-insensitive).
-    pub fn from_mnemonic(s: &str) -> Option<Op> {
+    pub(crate) fn from_mnemonic(s: &str) -> Option<Op> {
         let upper = s.to_ascii_uppercase();
         OPS.iter().copied().find(|op| op.mnemonic() == upper)
     }

@@ -26,7 +26,7 @@
 //! is the static [`analysis`] pipeline; the [`Analysis`] it returns also
 //! carries the loop-aware gas verdict, the storage-effect summary and the
 //! economic-safety report, which `scvm-lint` prints. Per-opcode stack
-//! effects are [`analysis::cfg::stack_effect`].
+//! effects are `analysis::cfg::stack_effect`.
 //!
 //! Tests that must exercise the interpreter's own runtime checks plant
 //! bytecode directly via [`WorldState::account_mut`], bypassing the gate.

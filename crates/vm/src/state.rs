@@ -37,7 +37,7 @@ pub struct Account {
 
 impl Account {
     /// Whether this account holds contract code.
-    pub fn is_contract(&self) -> bool {
+    pub(crate) fn is_contract(&self) -> bool {
         !self.code.is_empty()
     }
 }

@@ -34,7 +34,7 @@ pub enum VerifyError {
         /// Operands the instruction requires.
         needs: usize,
     },
-    /// Some execution path pushes past [`STACK_LIMIT`].
+    /// Some execution path pushes past `STACK_LIMIT`.
     StackOverflow {
         /// Program counter of the overflowing instruction.
         pc: usize,

@@ -1,5 +1,5 @@
 //! Shrunk counterexamples committed from `scvm-fuzz` runs (see
-//! `crates/fuzz` and DESIGN.md §15).
+//! `crates/fuzz` and DESIGN.md §14).
 //!
 //! Each case replays a minimized fuzz input and asserts the
 //! analyzer/interpreter agreement the fuzzer's oracles check: a program

@@ -9,6 +9,9 @@
 # Blank and comment lines count. Files are the `*.rs` paths that differ
 # between <base-ref> and the checkout (deleted files count 0 after; a moved
 # file counts as deleted at its old path and new at its new one).
+#
+# Below the table: the uncalled `pub fn` count of scripts/surface_report.sh
+# at <base-ref> and in the checkout (the checkout's script runs on both).
 set -euo pipefail
 
 base=${1:?usage: loc_report.sh <base-ref>}
@@ -29,3 +32,12 @@ while IFS= read -r file; do
     total_head=$((total_head + after))
 done < <(git diff --no-renames --name-only "$base" -- '*.rs')
 printf '%7d %7d %+7d  %s\n' "$total_base" "$total_head" $((total_head - total_base)) total
+
+base_tree=$(mktemp -d)
+trap 'rm -rf "$base_tree"' EXIT
+git archive "$base" | tar -x -C "$base_tree"
+mkdir -p "$base_tree/scripts"
+cp scripts/surface_report.sh "$base_tree/scripts/"
+uncalled() { bash "$1/scripts/surface_report.sh" | sed -nE 's/^uncalled pub fn: ([0-9]+) .*/\1/p'; }
+echo
+echo "uncalled pub fn: $(uncalled "$base_tree") base, $(uncalled .) head"

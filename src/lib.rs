@@ -8,7 +8,7 @@
 //!
 //! This umbrella crate re-exports the workspace:
 //!
-//! - [`crypto`] — ECDSA/secp256k1, Keccak-256, SHA-256, RIPEMD-160, Merkle
+//! - [`crypto`] — ECDSA/secp256k1, Keccak-256, SHA-256, Merkle
 //!   trees (all implemented in this workspace);
 //! - [`chain`] — the PoW blockchain substrate (blocks, fork choice,
 //!   6-block confirmation, real and simulated-clock miners);

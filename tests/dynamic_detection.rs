@@ -8,7 +8,6 @@ use smartcrowd::chain::Ether;
 use smartcrowd::core::platform::{Platform, PlatformConfig};
 use smartcrowd::core::report::{create_report_pair, Findings};
 use smartcrowd::crypto::keys::KeyPair;
-use smartcrowd::detect::aggregate::{DescriptionAggregator, RawReport};
 use smartcrowd::detect::fuzzer::Fuzzer;
 use smartcrowd::detect::scanner::Scanner;
 use smartcrowd::detect::system::IoTSystem;
@@ -55,9 +54,8 @@ fn fuzzer_earns_bounty_without_signatures() {
 }
 
 #[test]
-fn description_aggregation_prevents_reworded_double_claims() {
-    // Two detectors find the same bug via different methods and word it
-    // differently; the aggregator collapses them into one finding, and the
+fn double_claims_of_one_vulnerability_are_paid_once() {
+    // Two detectors find the same bug via different methods; the
     // platform's first-confirmer rule pays only once.
     let mut p = Platform::new(PlatformConfig::paper());
     let mut rng = SimRng::seed_from_u64(22);
@@ -66,23 +64,6 @@ fn description_aggregation_prevents_reworded_double_claims() {
         .release_system(0, system, Ether::from_ether(1000), Ether::from_ether(25))
         .unwrap();
 
-    let mut agg = DescriptionAggregator::new();
-    agg.ingest(RawReport {
-        reporter: "static-scanner".into(),
-        description: "Buffer overflow in the RTSP parser".into(),
-        claimed_id: Some(VulnId(9)),
-    });
-    agg.ingest(RawReport {
-        reporter: "fuzzer".into(),
-        description: "RTSP parser buffer overflows".into(),
-        claimed_id: None,
-    });
-    assert_eq!(agg.len(), 1, "one canonical finding despite two wordings");
-    let cluster = agg.clusters().next().unwrap();
-    assert_eq!(cluster.resolved_id, Some(VulnId(9)));
-    assert_eq!(cluster.reporters.len(), 2);
-
-    // On-chain the same dedup holds by vulnerability id.
     let a = KeyPair::from_seed(b"static-side");
     let b = KeyPair::from_seed(b"fuzz-side");
     for kp in [&a, &b] {

@@ -2,7 +2,7 @@
 //! byte-identical results — chain tips AND the full telemetry snapshot —
 //! whether it runs on one worker or eight. This is the contract that lets
 //! the chaos harness and the economics experiments fan out on the pool
-//! without giving up reproducibility (DESIGN.md §14).
+//! without giving up reproducibility (DESIGN.md §13).
 //!
 //! Owns process-global state (the telemetry registry and the signature
 //! cache), so it lives in its own integration-test binary.
