@@ -5,7 +5,9 @@
 //! fork-choice rule: accumulated work (difficulty sum) decides, the PoW rule
 //! under which "the blockchain is determined by the majority of
 //! participants" — a >50 % hash-power coalition always produces the heaviest
-//! chain. Every backend answers from this index and differs only in where
+//! chain. Every block declares the genesis difficulty (the pin in
+//! [`ChainIndex::check_linkage`]), so the heaviest chain is the longest.
+//! Every backend answers from this index and differs only in where
 //! block *bodies* live: [`crate::store::ChainStore`] keeps them in a map,
 //! [`crate::storage::DurableStore`] pages them in from `blocks.log`. The
 //! index itself holds O(header) per block and never needs a body after the
@@ -93,24 +95,25 @@ impl ChainIndex {
     }
 
     /// Inserts untrusted blocks in order, stopping at the first one that
-    /// drifts from the genesis difficulty or fails validation.
-    ///
-    /// Proof-of-work targets are self-certified by each header, so without
-    /// the pin a tampered log or export could lower a block's declared
-    /// difficulty to a trivially-met target and smuggle re-mined history
-    /// past the structural checks. Every chain this workspace produces
-    /// mines at its genesis difficulty, so the pin rejects only tampering.
+    /// fails [`ChainIndex::check_block`], the check a live insert runs.
     pub(crate) fn extend_pinned<'a>(
         &mut self,
         blocks: impl IntoIterator<Item = &'a Block>,
     ) -> Result<(), ChainError> {
         for block in blocks {
-            self.check_pin(block.header())?;
             self.insert_block(block)?;
         }
         Ok(())
     }
 
+    /// Every block declares the genesis difficulty.
+    ///
+    /// Proof-of-work targets are self-certified by each header. Without
+    /// the pin, a peer could mine one block at a higher difficulty and
+    /// outweigh a longer honest chain at a fraction of its cost
+    /// (difficulty raising), and a tampered log or export could lower a
+    /// block's difficulty to a trivially met target. With it, maximum
+    /// accumulated work is maximum length.
     fn check_pin(&self, header: &BlockHeader) -> Result<(), ChainError> {
         let pin = self.entries[&self.genesis_id].header.difficulty;
         if header.difficulty != pin {
@@ -127,8 +130,10 @@ impl ChainIndex {
     }
 
     /// Parent linkage: known parent, height = parent + 1, monotone
-    /// timestamp. Needs only headers, so a paged backend answers without
-    /// touching disk.
+    /// timestamp, then the difficulty pin. Needs only headers, so a paged
+    /// backend answers without touching disk. Every path that accepts a
+    /// block runs it: a live insert or commit, `validate_block`, log and
+    /// export replay, and snapshot adoption.
     pub(crate) fn check_linkage(&self, header: &BlockHeader) -> Result<(), ChainError> {
         let parent = self.header(&header.prev).ok_or(ChainError::UnknownParent {
             parent: header.prev,
@@ -144,7 +149,7 @@ impl ChainIndex {
         if header.timestamp < parent.timestamp {
             return Err(ChainError::TimestampRegression { id: header.id() });
         }
-        Ok(())
+        self.check_pin(header)
     }
 
     fn check_new(&self, id: BlockId, header: &BlockHeader) -> Result<(), ChainError> {
@@ -155,8 +160,9 @@ impl ChainIndex {
     }
 
     /// Everything that must hold before `block` may be attached, in this
-    /// order: not a duplicate, linked to a known parent, structurally
-    /// valid ([`Block::validate_structure`]).
+    /// order: not a duplicate, linked to a known parent at the genesis
+    /// difficulty ([`ChainIndex::check_linkage`]), structurally valid
+    /// ([`Block::validate_structure`]).
     pub(crate) fn check_block(&self, block: &Block) -> Result<(), ChainError> {
         self.check_new(block.id(), block.header())
             .and_then(|()| block.validate_structure())
@@ -181,7 +187,7 @@ impl ChainIndex {
 
     /// Header-only insert for snapshot adoption. The body is not in hand,
     /// so the structural checks are replaced by what a header alone
-    /// certifies on top of linkage: the pinned difficulty and its own PoW
+    /// certifies on top of linkage (the pin included): its own PoW
     /// target. Silent — replayed history is neither an insert nor a reorg.
     pub(crate) fn insert_header(
         &mut self,
@@ -190,7 +196,6 @@ impl ChainIndex {
     ) -> Result<BlockId, ChainError> {
         let id = header.id();
         self.check_new(id, &header)?;
-        self.check_pin(&header)?;
         if !header.difficulty.target_met(id.as_digest()) {
             return Err(ChainError::InsufficientWork { id });
         }

@@ -2,9 +2,7 @@
 //!
 //! A block is valid when its id, read as a big-endian 256-bit integer, is
 //! below `2²⁵⁶ / difficulty` — the geth semantics the paper's prototype
-//! configures with block difficulty `0xf00000` (§VII). A simple
-//! Ethereum-style retarget rule is included so long simulations keep a
-//! stable block time.
+//! configures with block difficulty `0xf00000` (§VII).
 
 use smartcrowd_crypto::{Digest, U256};
 use std::fmt;
@@ -66,17 +64,6 @@ impl Difficulty {
         }
         U256::from_be_bytes(hash) < self.target()
     }
-
-    /// Ethereum-homestead-style retarget: parent difficulty adjusted by
-    /// `parent/2048 × max(1 − (Δt / 10), −99)`, floored at 1.
-    pub fn retarget(parent: Difficulty, block_interval_secs: u64) -> Difficulty {
-        let adjustment = (parent.0 / 2048).max(1);
-        let factor = 1i128 - (block_interval_secs as i128 / 10);
-        let factor = factor.max(-99);
-        let delta = adjustment as i128 * factor;
-        let next = (parent.0 as i128 + delta).max(1) as u128;
-        Difficulty(next)
-    }
 }
 
 impl fmt::Display for Difficulty {
@@ -129,35 +116,5 @@ mod tests {
     #[test]
     fn difficulty_one_accepts_everything() {
         assert!(Difficulty::from_u64(1).target_met(&[0xff; 32]));
-    }
-
-    #[test]
-    fn retarget_fast_blocks_raise_difficulty() {
-        let parent = Difficulty::from_u64(1 << 20);
-        let next = Difficulty::retarget(parent, 1); // 1s block: too fast
-        assert!(next > parent);
-    }
-
-    #[test]
-    fn retarget_slow_blocks_lower_difficulty() {
-        let parent = Difficulty::from_u64(1 << 20);
-        let next = Difficulty::retarget(parent, 120); // 2min block: too slow
-        assert!(next < parent);
-    }
-
-    #[test]
-    fn retarget_never_below_one() {
-        let parent = Difficulty::from_u64(1);
-        let next = Difficulty::retarget(parent, 100_000);
-        assert!(next.value() >= 1);
-    }
-
-    #[test]
-    fn retarget_bounded_drop() {
-        // factor is clamped at -99 so difficulty cannot collapse instantly.
-        let parent = Difficulty::from_u128(1 << 40);
-        let next = Difficulty::retarget(parent, u64::MAX);
-        let adjustment = (parent.value() / 2048).max(1);
-        assert_eq!(next.value(), parent.value() - adjustment * 99);
     }
 }

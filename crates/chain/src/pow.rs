@@ -10,7 +10,6 @@
 //! block-time cross-check of Fig. 3(b).
 
 use crate::block::Block;
-use crate::difficulty::Difficulty;
 use crate::error::ChainError;
 use crate::record::Record;
 use smartcrowd_crypto::Address;
@@ -140,23 +139,6 @@ impl Miner {
         self.seal(block, 0)
     }
 
-    /// Like [`Miner::mine_next`] but at an explicit difficulty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChainError::MiningExhausted`] when the attempt budget runs
-    /// out.
-    pub fn mine_next_at(
-        &self,
-        parent: &Block,
-        records: Vec<Record>,
-        timestamp: u64,
-        difficulty: Difficulty,
-    ) -> Result<Block, ChainError> {
-        let block = Block::assemble(parent, records, timestamp, difficulty, self.address);
-        self.seal(block, 0)
-    }
-
     /// Counts the attempts needed to seal (for hash-rate calibration).
     ///
     /// # Errors
@@ -182,6 +164,7 @@ impl Miner {
 mod tests {
     use super::*;
     use crate::block::GENESIS_TIMESTAMP;
+    use crate::difficulty::Difficulty;
 
     #[test]
     fn seals_at_trivial_difficulty() {

@@ -31,22 +31,26 @@ pub enum RecordKind {
     InitialReport = 2,
     /// A detailed detection report `R*` (Eq. 5).
     DetailedReport = 3,
-    /// A smart-contract deployment (SmartCrowd incentive contract).
-    ContractDeploy = 4,
-    /// A smart-contract invocation.
-    ContractCall = 5,
 }
 
 impl RecordKind {
     /// All kinds, for exhaustive iteration in tests and stats.
-    pub const ALL: [RecordKind; 6] = [
+    pub const ALL: [RecordKind; 4] = [
         RecordKind::Transfer,
         RecordKind::Sra,
         RecordKind::InitialReport,
         RecordKind::DetailedReport,
-        RecordKind::ContractDeploy,
-        RecordKind::ContractCall,
     ];
+
+    /// The kind's name, as it displays and as chain statistics count it.
+    pub(crate) const fn name(self) -> &'static str {
+        match self {
+            RecordKind::Transfer => "transfer",
+            RecordKind::Sra => "sra",
+            RecordKind::InitialReport => "initial-report",
+            RecordKind::DetailedReport => "detailed-report",
+        }
+    }
 
     /// Parses the wire tag.
     ///
@@ -65,15 +69,7 @@ impl RecordKind {
 
 impl fmt::Display for RecordKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            RecordKind::Transfer => "transfer",
-            RecordKind::Sra => "sra",
-            RecordKind::InitialReport => "initial-report",
-            RecordKind::DetailedReport => "detailed-report",
-            RecordKind::ContractDeploy => "contract-deploy",
-            RecordKind::ContractCall => "contract-call",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 
@@ -638,6 +634,21 @@ mod tests {
             assert_eq!(RecordKind::from_tag(k as u8).unwrap(), k);
         }
         assert!(RecordKind::from_tag(99).is_err());
+    }
+
+    #[test]
+    fn retired_contract_kind_tags_do_not_decode() {
+        // Tags 4 and 5 named contract-deploy / contract-call kinds that
+        // nothing produced or consumed; a record carrying one is garbage.
+        let (_, r) = sample();
+        for tag in [4u8, 5] {
+            let mut bytes = r.encode();
+            bytes[0] = tag;
+            assert!(matches!(
+                Record::decode(&bytes),
+                Err(ChainError::Codec { detail }) if detail == format!("unknown record kind {tag}")
+            ));
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Chain statistics: the aggregate view dashboards and experiments read.
 
 use crate::amount::Ether;
-use crate::record::RecordKind;
 use crate::storage::ChainQuery;
 use smartcrowd_crypto::Address;
 use std::collections::BTreeMap;
@@ -40,15 +39,7 @@ pub fn chain_stats<Q: ChainQuery + ?Sized>(store: &Q) -> ChainStats {
         }
         let block_confirmed = store.is_confirmed(&block.id());
         for record in block.records() {
-            let kind_name: &'static str = match record.kind() {
-                RecordKind::Transfer => "transfer",
-                RecordKind::Sra => "sra",
-                RecordKind::InitialReport => "initial-report",
-                RecordKind::DetailedReport => "detailed-report",
-                RecordKind::ContractDeploy => "contract-deploy",
-                RecordKind::ContractCall => "contract-call",
-            };
-            *records_by_kind.entry(kind_name).or_insert(0) += 1;
+            *records_by_kind.entry(record.kind().name()).or_insert(0) += 1;
             total_fees += record.fee();
             if block_confirmed {
                 confirmed_records += 1;
@@ -77,7 +68,7 @@ mod tests {
     use crate::block::Block;
     use crate::difficulty::Difficulty;
     use crate::pow::Miner;
-    use crate::record::Record;
+    use crate::record::{Record, RecordKind};
     use crate::store::ChainStore;
     use smartcrowd_crypto::keys::KeyPair;
 

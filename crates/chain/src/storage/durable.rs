@@ -254,9 +254,10 @@ impl DurableStore {
 
     /// Validates and durably applies one block.
     ///
-    /// Protocol: linkage + structural checks against the index (nothing
-    /// written yet) → log append + fsync (the durability point) → index
-    /// insert → prune/snapshot/checkpoint maintenance. The index learns
+    /// Protocol: linkage (the genesis-difficulty pin included) +
+    /// structural checks against the index (nothing written yet) → log
+    /// append + fsync (the durability point) → index insert →
+    /// prune/snapshot/checkpoint maintenance. The index learns
     /// of the block only once its frame is in the log, so the handle
     /// never advertises a tip it cannot serve. A crash before the fsync
     /// leaves a torn tail, which open truncates, or a whole frame of a
@@ -555,7 +556,7 @@ impl ChainBackend for DurableStore {
 }
 
 /// The authoritative recovery path: read and scan the whole log, then
-/// replay every block with full validation and the difficulty pin.
+/// replay every block through the check a live commit runs.
 fn full_scan_recover(log: &BlockLog, genesis: Option<&Block>) -> Result<Recovered, StorageError> {
     let image = log.read_to_end_from(0)?;
     let scan = match scan_log(&image) {
@@ -638,12 +639,10 @@ fn adopt_snapshot(
             ));
         }
     }
-    if !first.header.meets_target() {
-        return Err("snapshot genesis fails its own PoW target".to_string());
-    }
     // Header replay: bodies are not in hand, so each entry passes what a
     // header alone certifies; bodies are checksum-verified lazily when
-    // paged in.
+    // paged in. Genesis is not mined, so, as on the full scan, it is
+    // bound to the log by id alone (the probe below reads its frame).
     let mut index = ChainIndex::new(first.header.clone(), first.record_ids.clone());
     let mut entries = Vec::with_capacity(snap.entries.len());
     for se in &snap.entries {

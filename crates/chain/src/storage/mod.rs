@@ -370,12 +370,12 @@ impl ChainBackend for ChainStore {
 }
 
 /// Replays a sequence of untrusted blocks into a fresh [`ChainStore`],
-/// re-validating each one and pinning all difficulties to the genesis
-/// difficulty.
+/// re-validating each one with the check a live insert runs (the genesis
+/// difficulty pin included).
 ///
-/// This is the chain index's pinned replay — the same one
-/// [`DurableStore`] runs over `blocks.log` on open — with the bodies kept,
-/// so [`import_chain`] and a store open accept exactly the same blocks.
+/// This is the chain index's replay — the same one [`DurableStore`] runs
+/// over `blocks.log` on open — with the bodies kept, so [`import_chain`],
+/// a store open and a live insert accept exactly the same blocks.
 ///
 /// # Errors
 ///
@@ -406,7 +406,7 @@ pub fn export_chain<Q: ChainQuery + ?Sized>(store: &Q) -> Vec<u8> {
 
 /// Rebuilds an in-memory store from a log image — an [`export_chain`]
 /// result or the bytes of a `blocks.log` (forks included) — through the
-/// scanner and the pinned replay [`DurableStore::open`] uses.
+/// scanner and the replay [`DurableStore::open`] uses.
 ///
 /// Acceptance is the log's: every byte is covered by a frame checksum,
 /// and a frame-aligned prefix of an image is the image of an ancestor

@@ -92,6 +92,8 @@ impl ChainStore {
     /// - [`ChainError::UnknownParent`] if the parent is missing.
     /// - [`ChainError::TimestampRegression`] if the timestamp precedes the
     ///   parent's.
+    /// - [`ChainError::Codec`] if the height does not follow the parent's
+    ///   or the difficulty is not the genesis difficulty.
     /// - Structural errors from [`Block::validate_structure`].
     pub fn insert(&mut self, block: Block) -> Result<BlockId, ChainError> {
         let id = self.index.insert_block(&block)?;
@@ -212,25 +214,24 @@ mod tests {
     fn heavier_fork_wins() {
         let genesis = Block::genesis(Difficulty::from_u64(1));
         let mut store = ChainStore::new(genesis.clone());
-        // Light chain: one block at difficulty 1.
+        // Light chain: one block.
         let light = miner("light")
             .mine_next(&genesis, vec![], genesis.header().timestamp + 15)
             .unwrap();
         store.insert(light.clone()).unwrap();
         assert_eq!(store.best_tip(), light.id());
-        // Heavy fork: one block at difficulty 64 (more work).
-        let heavy = miner("heavy")
-            .with_max_attempts(1_000_000)
-            .mine_next_at(
-                &genesis,
-                vec![],
-                genesis.header().timestamp + 16,
-                Difficulty::from_u64(64),
-            )
+        // Heavy fork: two blocks (more work at the pinned difficulty).
+        let heavy = miner("heavy");
+        let fork = heavy
+            .mine_next(&genesis, vec![], genesis.header().timestamp + 16)
             .unwrap();
-        store.insert(heavy.clone()).unwrap();
-        assert_eq!(store.best_tip(), heavy.id());
-        assert!(store.is_canonical(&heavy.id()));
+        store.insert(fork.clone()).unwrap();
+        let tip = heavy
+            .mine_next(&fork, vec![], fork.header().timestamp + 15)
+            .unwrap();
+        store.insert(tip.clone()).unwrap();
+        assert_eq!(store.best_tip(), tip.id());
+        assert!(store.is_canonical(&fork.id()));
         assert!(!store.is_canonical(&light.id()));
     }
 
@@ -301,17 +302,15 @@ mod tests {
             .unwrap();
         store.insert(light).unwrap();
         assert!(store.find_record(&r_light.id()).is_some());
-        // Heavier fork without the record.
-        let heavy = miner("heavy")
-            .with_max_attempts(1_000_000)
-            .mine_next_at(
-                &genesis,
-                vec![],
-                genesis.header().timestamp + 16,
-                Difficulty::from_u64(64),
-            )
-            .unwrap();
-        store.insert(heavy).unwrap();
+        // Heavier (longer) fork without the record.
+        let mut parent = genesis;
+        for _ in 0..2 {
+            let heavy = miner("heavy")
+                .mine_next(&parent, vec![], parent.header().timestamp + 16)
+                .unwrap();
+            store.insert(heavy.clone()).unwrap();
+            parent = heavy;
+        }
         assert!(
             store.find_record(&r_light.id()).is_none(),
             "reorged-out record unindexed"
@@ -332,6 +331,48 @@ mod tests {
         assert!(store
             .blocks_by_miner(&Address::from_label("other"))
             .is_empty());
+    }
+
+    /// A child of `parent` sealed at `difficulty`, whatever the parent's.
+    fn mine_at(parent: &Block, difficulty: u64, label: &str) -> Block {
+        let block = Block::assemble(
+            parent,
+            vec![],
+            parent.header().timestamp + 15,
+            Difficulty::from_u64(difficulty),
+            Address::from_label(label),
+        );
+        miner(label).seal(block, 0).unwrap()
+    }
+
+    #[test]
+    fn off_genesis_difficulty_rejected_and_store_still_usable() {
+        // Genesis at 16: a sibling of block 1 at 64× the work would
+        // outweigh the whole honest chain if its declared difficulty
+        // counted, and one at 1 would be free to mine.
+        let genesis = Block::genesis(Difficulty::from_u64(16));
+        let mut store = ChainStore::new(genesis.clone());
+        let mut parent = genesis.clone();
+        for _ in 0..8 {
+            let block = mine_at(&parent, 16, "honest");
+            store.insert(block.clone()).unwrap();
+            parent = block;
+        }
+        let tip = store.best_tip();
+        for difficulty in [16 * 64, 1] {
+            let rival = mine_at(&genesis, difficulty, "raiser");
+            assert!(matches!(
+                store.insert(rival.clone()),
+                Err(ChainError::Codec { detail }) if detail.contains("difficulty drift")
+            ));
+            assert!(!store.contains_block(&rival.id()));
+            assert_eq!(store.best_tip(), tip);
+        }
+        // The refusal left nothing behind: the honest chain still grows.
+        let next = mine_at(&parent, 16, "honest");
+        store.insert(next.clone()).unwrap();
+        assert_eq!(store.best_tip(), next.id());
+        assert_eq!(store.block_count(), 10);
     }
 
     #[test]

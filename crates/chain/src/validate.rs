@@ -3,8 +3,8 @@
 //! "Each newly generated block must be correctly verified by IoT
 //! providers" (§VI-A). The pipeline layers, in order: structural
 //! self-consistency (Merkle root, PoW target, record uniqueness), linkage
-//! against the local store's chain index (known parent, height, timestamp
-//! — the same check every insert runs), per-record
+//! against the local store's chain index (known parent, height, timestamp,
+//! genesis difficulty — the same check every insert runs), per-record
 //! signature recovery, and finally an injectable semantic validator — the
 //! hook through which an embedder plugs in protocol-level checks.
 //!
@@ -63,7 +63,8 @@ impl RecordValidator for AcceptAll {
 /// # Errors
 ///
 /// Returns the first failure: structural errors, linkage errors
-/// ([`ChainError::UnknownParent`], [`ChainError::TimestampRegression`]),
+/// ([`ChainError::UnknownParent`], [`ChainError::TimestampRegression`], a
+/// difficulty other than the genesis difficulty),
 /// record signature failures, or semantic rejections from `validator`.
 pub fn validate_block<Q: ChainQuery + ?Sized>(
     store: &Q,
@@ -198,6 +199,30 @@ mod tests {
             validate_block(&store, &b, &AcceptAll),
             Err(ChainError::UnknownParent { .. })
         ));
+    }
+
+    #[test]
+    fn off_genesis_difficulty_detected() {
+        let genesis = Block::genesis(Difficulty::from_u64(16));
+        let store = ChainStore::new(genesis.clone());
+        let miner = Miner::new(Address::from_label("p"));
+        let at = |difficulty| {
+            let block = Block::assemble(
+                &genesis,
+                vec![record(1)],
+                genesis.header().timestamp + 15,
+                Difficulty::from_u64(difficulty),
+                miner.address(),
+            );
+            miner.seal(block, 0).unwrap()
+        };
+        for difficulty in [16 * 64, 1] {
+            assert!(matches!(
+                validate_block(&store, &at(difficulty), &AcceptAll),
+                Err(ChainError::Codec { detail }) if detail.contains("difficulty drift")
+            ));
+        }
+        assert!(validate_block(&store, &at(16), &AcceptAll).is_ok());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!
 //! checked after every insert over random fork trees (equal-work ties,
 //! side branches that overtake, deep reorgs, duplicate and orphan
-//! inserts). A telemetry-count check pins the cost of a tip extension as
+//! inserts). Every block declares the genesis difficulty, as the index
+//! requires, so a branch outweighs another by being longer. A telemetry-count check pins the cost of a tip extension as
 //! independent of chain height.
 
 use proptest::prelude::*;
@@ -70,24 +71,23 @@ impl Harness {
 
     /// Mines a child of `blocks[parent]` carrying `pool[i]` for each `i`
     /// (a distinct miner per call keeps siblings distinct).
-    fn mine(&mut self, parent: &Block, difficulty: u64, records: &[usize]) -> Block {
+    fn mine(&mut self, parent: &Block, records: &[usize]) -> Block {
         self.mined += 1;
         let mut picked: Vec<usize> = records.to_vec();
         picked.sort_unstable();
         picked.dedup();
         Miner::new(Address::from_label(&format!("m{}", self.mined)))
-            .mine_next_at(
+            .mine_next(
                 parent,
                 picked.iter().map(|i| self.pool[*i].clone()).collect(),
                 parent.header().timestamp + 15,
-                Difficulty::from_u64(difficulty),
             )
             .unwrap()
     }
 
     /// Inserts a fresh child of `blocks[parent]`; returns its position.
-    fn extend(&mut self, parent: usize, difficulty: u64, records: &[usize]) -> usize {
-        let block = self.mine(&self.blocks[parent].clone(), difficulty, records);
+    fn extend(&mut self, parent: usize, records: &[usize]) -> usize {
+        let block = self.mine(&self.blocks[parent].clone(), records);
         assert_eq!(self.store.insert(block.clone()), Ok(block.id()));
         self.blocks.push(block);
         self.parent.push(parent);
@@ -107,9 +107,9 @@ impl Harness {
 
     /// Inserts a block whose parent was never stored: refused, nothing
     /// moves.
-    fn orphan(&mut self, difficulty: u64) {
-        let unsent = self.mine(&self.blocks[0].clone(), 1, &[]);
-        let child = self.mine(&unsent, difficulty, &[0]);
+    fn orphan(&mut self) {
+        let unsent = self.mine(&self.blocks[0].clone(), &[]);
+        let child = self.mine(&unsent, &[0]);
         assert_eq!(
             self.store.insert(child),
             Err(ChainError::UnknownParent {
@@ -190,35 +190,38 @@ fn ties_overtakes_and_deep_reorgs_match_the_model() {
     let _turn = telemetry_turn();
     let mut h = Harness::new();
     // Main branch a1-a2-a3; record 1 rides twice on it.
-    let a1 = h.extend(0, 1, &[0, 1]);
-    let a2 = h.extend(a1, 1, &[1, 2]);
-    let a3 = h.extend(a2, 1, &[3]);
+    let a1 = h.extend(0, &[0, 1]);
+    let a2 = h.extend(a1, &[1, 2]);
+    let a3 = h.extend(a2, &[3]);
     // A side branch catches up block by block: equal work never displaces
     // the first-seen tip...
-    let b1 = h.extend(0, 1, &[2]);
-    let b2 = h.extend(b1, 1, &[0]);
-    let b3 = h.extend(b2, 1, &[4]);
+    let b1 = h.extend(0, &[2]);
+    let b2 = h.extend(b1, &[0]);
+    let b3 = h.extend(b2, &[4]);
     assert_eq!(h.store.best_tip(), h.blocks[a3].id());
     // ...one more block overtakes: a reorg of depth 3.
-    let b4 = h.extend(b3, 1, &[5]);
+    let b4 = h.extend(b3, &[5]);
     assert_eq!(h.store.best_tip(), h.blocks[b4].id());
     h.duplicate(a2);
-    h.orphan(3);
-    // A single heavy block on the abandoned branch wins it back (depth 4).
-    let a4 = h.extend(a3, 3, &[1, 6]);
-    assert_eq!(h.store.best_tip(), h.blocks[a4].id());
+    h.orphan();
+    // Two blocks on the abandoned branch win it back (depth 4): the first
+    // only ties the tip.
+    let a4 = h.extend(a3, &[1, 6]);
+    assert_eq!(h.store.best_tip(), h.blocks[b4].id());
+    let a5 = h.extend(a4, &[]);
+    assert_eq!(h.store.best_tip(), h.blocks[a5].id());
     // An equal-work rival of the tip, then a plain tip extension.
-    h.extend(b4, 2, &[7]);
-    assert_eq!(h.store.best_tip(), h.blocks[a4].id());
-    h.extend(a4, 1, &[]);
+    h.extend(b4, &[7]);
+    assert_eq!(h.store.best_tip(), h.blocks[a5].id());
+    h.extend(a5, &[]);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// One opaque `u64` per step (the in-repo proptest shim has no
-    /// flat_map): step kind, parent choice, difficulty 1–3 and up to two
-    /// pool records are all bit fields of it.
+    /// flat_map): step kind, parent choice, a run of 1–3 blocks and up to
+    /// two pool records are all bit fields of it.
     #[test]
     fn random_fork_trees_match_the_model(
         ops in proptest::collection::vec(any::<u64>(), 8..40),
@@ -227,10 +230,9 @@ proptest! {
         let mut h = Harness::new();
         for op in ops {
             let n = h.blocks.len() as u64;
-            let difficulty = 1 + (op >> 24) % 3;
             match op % 16 {
                 14 => h.duplicate(((op >> 8) % n) as usize),
-                15 => h.orphan(difficulty),
+                15 => h.orphan(),
                 _ => {
                     // Two in three steps grow one of the three newest
                     // blocks (racing branches, deep reorgs); the rest fork
@@ -242,7 +244,10 @@ proptest! {
                     };
                     let records = [(op >> 36) % 8, (op >> 40) % 8].map(|i| i as usize);
                     let count = ((op >> 32) % 3) as usize;
-                    h.extend(parent as usize, difficulty, &records[..count]);
+                    let mut tip = parent as usize;
+                    for _ in 0..1 + (op >> 24) % 3 {
+                        tip = h.extend(tip, &records[..count]);
+                    }
                 }
             }
         }

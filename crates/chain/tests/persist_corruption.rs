@@ -11,7 +11,7 @@ use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::storage::frame::{encode_frame, FRAME_HEADER_LEN};
 use smartcrowd_chain::storage::{export_chain, import_chain, ChainQuery, StoreConfig};
 use smartcrowd_chain::{Block, ChainStore, CrashPoint, Difficulty, DurableStore, Ether};
-use smartcrowd_chain::{StorageError, CONFIRMATION_DEPTH};
+use smartcrowd_chain::{ChainError, StorageError, CONFIRMATION_DEPTH};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::Address;
 use std::collections::BTreeSet;
@@ -810,4 +810,110 @@ fn unreadable_checkpoint_refuses_the_open() {
     }
     let meta = std::fs::symlink_metadata(&checkpoint).unwrap();
     assert!(meta.file_type().is_symlink(), "the refused open rewrote it");
+}
+
+// ---------------------------------------------------------------------------
+// The genesis-difficulty pin: a live commit and a replay run the same
+// header check, so a block at any other difficulty is refused before it
+// reaches the log, and a log that carries one fails closed.
+// ---------------------------------------------------------------------------
+
+/// A child of `parent` sealed at `difficulty`, whatever the genesis says.
+fn sealed_at(parent: &Block, difficulty: u64, label: &str) -> Block {
+    let block = Block::assemble(
+        parent,
+        vec![],
+        parent.header().timestamp + 15,
+        Difficulty::from_u64(difficulty),
+        Address::from_label(label),
+    );
+    Miner::new(Address::from_label(label))
+        .seal(block, 0)
+        .unwrap()
+}
+
+#[test]
+fn off_genesis_difficulty_commit_is_refused_and_reopens_at_the_old_tip() {
+    // Genesis at 16. A sibling of block 1 at 64× that would outweigh the
+    // eight honest blocks (difficulty raising); one at 1 costs nothing.
+    let tmp = TempDir::new("difficulty-pin");
+    let dir = tmp.path().join("store");
+    let genesis = Block::genesis(Difficulty::from_u64(16));
+    let mut store = DurableStore::open_with(&dir, &genesis, eager_snapshots()).unwrap();
+    let mut parent = genesis.clone();
+    for _ in 0..8 {
+        let block = sealed_at(&parent, 16, "honest");
+        store.commit(block.clone()).unwrap();
+        parent = block;
+    }
+    let log_len = std::fs::metadata(dir.join("blocks.log")).unwrap().len();
+    for difficulty in [16 * 64, 1] {
+        let rival = sealed_at(&genesis, difficulty, "raiser");
+        match store.commit(rival.clone()) {
+            Err(StorageError::Chain(ChainError::Codec { detail })) => {
+                assert!(detail.contains("difficulty drift"), "{detail}")
+            }
+            other => panic!("difficulty {difficulty} commit returned {other:?}"),
+        }
+        assert!(!store.contains_block(&rival.id()));
+        assert_eq!(store.best_tip(), parent.id());
+    }
+    assert_eq!(
+        std::fs::metadata(dir.join("blocks.log")).unwrap().len(),
+        log_len,
+        "a refused block never reaches the log"
+    );
+    // The refusal did not poison the handle.
+    let next = sealed_at(&parent, 16, "honest");
+    store.commit(next.clone()).unwrap();
+    drop(store);
+
+    let fast = DurableStore::open_with(&dir, &genesis, eager_snapshots()).unwrap();
+    assert!(
+        fast.last_recovery().snapshot_loaded,
+        "snapshot path not taken"
+    );
+    assert!(fast.last_recovery().clean());
+    assert_eq!(fast.best_tip(), next.id());
+    drop(fast);
+    let full_scan = StoreConfig {
+        snapshot_interval: 0,
+        ..eager_snapshots()
+    };
+    let full = DurableStore::open_with(&dir, &genesis, full_scan).unwrap();
+    assert!(!full.last_recovery().snapshot_loaded);
+    assert!(full.last_recovery().clean());
+    assert_eq!(full.best_tip(), next.id());
+    assert_eq!(full.block_count(), 10);
+}
+
+#[test]
+fn a_log_that_lowers_a_difficulty_fails_closed() {
+    // A whole, checksummed frame of a block at difficulty 1 on a chain
+    // whose genesis set 16: every target is met, so only the pin catches
+    // it, in a store open and in an import alike.
+    let tmp = TempDir::new("difficulty-lowered");
+    let genesis = Block::genesis(Difficulty::from_u64(16));
+    let mut chain = ChainStore::new(genesis.clone());
+    let mut parent = genesis.clone();
+    for _ in 0..3 {
+        let block = sealed_at(&parent, 16, "honest");
+        chain.insert(block.clone()).unwrap();
+        parent = block;
+    }
+    let mut log = export_chain(&chain);
+    log.extend_from_slice(&encode_frame(&sealed_at(&parent, 1, "forger").encode()));
+    let dir = tmp.path().join("store");
+    store_with_log(&dir, &log);
+    match DurableStore::open(&dir, &genesis) {
+        Err(StorageError::Corrupt { file, detail, .. }) => {
+            assert_eq!(file, "blocks.log");
+            assert!(detail.contains("difficulty drift"), "{detail}");
+        }
+        other => panic!("lowered difficulty opened as {other:?}"),
+    }
+    assert!(matches!(
+        import_chain(&log),
+        Err(ChainError::Codec { detail }) if detail.contains("difficulty drift")
+    ));
 }

@@ -18,8 +18,6 @@ fn arb_kind() -> impl Strategy<Value = RecordKind> {
         Just(RecordKind::Sra),
         Just(RecordKind::InitialReport),
         Just(RecordKind::DetailedReport),
-        Just(RecordKind::ContractDeploy),
-        Just(RecordKind::ContractCall),
     ]
 }
 
@@ -104,27 +102,30 @@ proptest! {
     }
 
     #[test]
-    fn fork_choice_maximizes_work(difficulties in proptest::collection::vec(1u64..64, 2..6)) {
-        // Build several single-block forks from genesis; the heaviest wins.
+    fn fork_choice_maximizes_work(lengths in proptest::collection::vec(1u64..6, 2..6)) {
+        // Build several forks from genesis, one block longer or shorter
+        // than another at the pinned difficulty; the heaviest wins, and
+        // the first-seen of equal work keeps the tip.
         let genesis = Block::genesis(Difficulty::from_u64(1));
         let mut store = ChainStore::new(genesis.clone());
-        let mut best = 0u64;
-        for (i, d) in difficulties.iter().enumerate() {
-            let miner = Miner::new(Address::from_label(&format!("m{i}")))
-                .with_max_attempts(50_000_000);
-            let block = miner
-                .mine_next_at(
-                    &genesis,
-                    vec![],
-                    genesis.header().timestamp + 15 + i as u64,
-                    Difficulty::from_u64(*d),
-                )
-                .unwrap();
-            store.insert(block).unwrap();
-            best = best.max(*d);
+        let mut best = (0u64, genesis.id());
+        for (i, length) in lengths.iter().enumerate() {
+            let miner = Miner::new(Address::from_label(&format!("m{i}")));
+            let mut parent = genesis.clone();
+            for _ in 0..*length {
+                let block = miner
+                    .mine_next(&parent, vec![], parent.header().timestamp + 15 + i as u64)
+                    .unwrap();
+                store.insert(block.clone()).unwrap();
+                parent = block;
+            }
+            if *length > best.0 {
+                best = (*length, parent.id());
+            }
         }
         let tip_work = store.work_of(&store.best_tip()).unwrap();
-        prop_assert_eq!(tip_work, 1 + best as u128);
+        prop_assert_eq!(tip_work, 1 + best.0 as u128);
+        prop_assert_eq!(store.best_tip(), best.1);
     }
 
     #[test]

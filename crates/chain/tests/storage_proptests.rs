@@ -22,13 +22,17 @@ use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::storage::frame::FRAME_HEADER_LEN;
 use smartcrowd_chain::storage::{ChainQuery, StoreConfig};
 use smartcrowd_chain::{
-    Block, ChainStore, CrashPoint, Difficulty, DurableStore, Ether, StorageError,
+    Block, ChainError, ChainStore, CrashPoint, Difficulty, DurableStore, Ether, StorageError,
     CONFIRMATION_DEPTH,
 };
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::Address;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The difficulty of every store's genesis, so a block can be offered
+/// below it as well as above it.
+const GENESIS_DIFFICULTY: u64 = 4;
 
 /// Unique scratch directories across parallel proptest cases.
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -122,8 +126,11 @@ fn assert_residency_bounded(
 ///   fsync, then recover on the loop's trailing reopen. The commit never
 ///   returned, so the block is lost and the mirror does not get it; the
 ///   tear ends inside the frame header or inside the payload.
-/// - `op % 8 == 2 | 3` — mine a fork block off a recent canonical
-///   parent (recent ⇒ never pruned, so both stores see it).
+/// - `op % 8 == 2` — mine a fork block off a recent canonical parent
+///   (recent ⇒ never pruned, so both stores see it).
+/// - `op % 8 == 3` — offer a block at a difficulty above or below the
+///   genesis difficulty off a recent canonical parent; both stores must
+///   refuse it, so nothing changes.
 /// - otherwise — extend the tip with a record-bearing block.
 ///
 /// After every operation the durable store is dropped and reopened from
@@ -132,7 +139,7 @@ fn assert_residency_bounded(
 fn run_sequence_with(ops: &[u64], config: StoreConfig) {
     let dir = scratch_dir();
     let _ = std::fs::remove_dir_all(&dir);
-    let genesis = Block::genesis(Difficulty::from_u64(1));
+    let genesis = Block::genesis(Difficulty::from_u64(GENESIS_DIFFICULTY));
     let mut mirror = ChainStore::new(genesis.clone());
     let mut durable = DurableStore::open_with(&dir, &genesis, config).unwrap();
     let miner = Miner::new(Address::from_label("prop"));
@@ -171,7 +178,33 @@ fn run_sequence_with(ops: &[u64], config: StoreConfig) {
                     other => panic!("step {step}: crashed commit returned {other:?}"),
                 }
             }
-            2 | 3 => {
+            3 => {
+                let best = mirror.best_height();
+                let parent = mirror
+                    .canonical_block_at(best.saturating_sub((op >> 8) % CONFIRMATION_DEPTH))
+                    .unwrap();
+                let difficulty = if (op >> 4) % 2 == 0 {
+                    GENESIS_DIFFICULTY * 64
+                } else {
+                    1
+                };
+                let block = Block::assemble(
+                    &parent,
+                    vec![],
+                    parent.header().timestamp + 3,
+                    Difficulty::from_u64(difficulty),
+                    miner.address(),
+                );
+                let block = miner.seal(block, 0).unwrap();
+                let ours = durable.commit(block.clone());
+                let theirs = mirror.insert(block);
+                assert!(
+                    matches!(ours, Err(StorageError::Chain(ChainError::Codec { .. })))
+                        && matches!(theirs, Err(ChainError::Codec { .. })),
+                    "step {step}: difficulty {difficulty} offered: {ours:?} vs {theirs:?}"
+                );
+            }
+            2 => {
                 let best = mirror.best_height();
                 let low = best.saturating_sub(CONFIRMATION_DEPTH - 1);
                 let h = low + (op >> 8) % (best - low + 1);

@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn imbalance_is_detected() {
         let (mut settlement, escrow, _) = settled();
-        settlement.machine().1.credit(escrow, Ether::from_ether(1));
+        settlement.allocate(escrow, Ether::from_ether(1));
         assert!(matches!(
             audit(&settlement),
             Err(SettleError::Imbalance { .. })
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn credit_mismatch_is_detected() {
         let (mut settlement, _, wallet) = settled();
-        settlement.machine().1.credit(wallet, Ether::from_ether(1));
+        settlement.allocate(wallet, Ether::from_ether(1));
         assert!(matches!(
             audit(&settlement),
             Err(SettleError::CreditMismatch { .. })

@@ -2,8 +2,8 @@
 //!
 //! [`Platform`] is one [`Protocol`] core — the state machine every
 //! [`crate::node::ProviderNode`] runs, settlement included — plus what
-//! only a single-view platform has: provider keys, the mining race, the
-//! faucet, and the economics ledgers. The four phases of §IV-B:
+//! only a single-view platform has: provider keys, the mining race and
+//! the economics ledgers. The four phases of §IV-B:
 //!
 //! 1. **Decentralized verification for system release** —
 //!    [`Platform::release_system`] checks the provider can afford the
@@ -100,10 +100,6 @@ pub struct Platform {
     /// accumulated; the Fig. 4(a) series).
     mining_income: HashMap<Address, Ether>,
     funded: HashSet<Address>,
-    /// Currency created via the faucet (supply audit).
-    faucet: Ether,
-    /// Currency minted as block rewards (supply audit).
-    minted: Ether,
 }
 
 impl Platform {
@@ -152,8 +148,6 @@ impl Platform {
             detector_costs: HashMap::new(),
             mining_income: HashMap::new(),
             funded: HashSet::new(),
-            faucet: Ether::ZERO,
-            minted: Ether::ZERO,
         }
     }
 
@@ -237,21 +231,23 @@ impl Platform {
         self.sim.clock()
     }
 
-    /// Genesis faucet for detector/consumer accounts (a stand-in for
-    /// pre-existing on-chain funds; detectors need gas money, Eq. 10).
+    /// Funds a detector/consumer account through the genesis allocation
+    /// (a stand-in for pre-existing on-chain funds; detectors need gas
+    /// money, Eq. 10).
     pub fn fund(&mut self, addr: Address, amount: Ether) {
-        self.core.settlement_mut().machine().1.credit(addr, amount);
-        self.faucet += amount;
+        self.core.settlement_mut().allocate(addr, amount);
     }
 
     /// Supply audit: `(actual total supply, genesis allocations + minted
-    /// block rewards)`. The two must always be equal — gas fees and
-    /// payouts move currency, they never create or destroy it.
+    /// block rewards)`. Every block this platform's chain holds was mined
+    /// by [`Platform::mine_block`], which mints one reward. The two must
+    /// always be equal — gas fees and payouts move currency, they never
+    /// create or destroy it.
     pub fn audit_supply(&self) -> (Ether, Ether) {
         let settlement = self.settlement();
         (
             settlement.state().total_supply(),
-            settlement.genesis_supply() + self.faucet + self.minted,
+            settlement.genesis_supply() + BLOCK_REWARD * self.store().best_height(),
         )
     }
 
@@ -480,7 +476,6 @@ impl Platform {
         // Apply economics: mint the block reward, move record fees.
         let state = self.core.settlement_mut().machine().1;
         state.credit(miner, BLOCK_REWARD);
-        self.minted += BLOCK_REWARD;
         let mut earned = BLOCK_REWARD;
         for record in block.records() {
             let fee = record.fee();

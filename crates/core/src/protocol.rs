@@ -222,7 +222,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
                 self.check_detailed(&report)?;
                 Ok(Admitted::Verified)
             }
-            _ => Ok(Admitted::Verified),
+            RecordKind::Transfer => Ok(Admitted::Verified),
         }
     }
 

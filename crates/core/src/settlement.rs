@@ -269,11 +269,20 @@ impl Settlement {
     }
 
     /// The interpreter and the world state, for what a driver meters
-    /// outside the fold (fees, block rewards, the faucet, the report
-    /// registry). Only a driver whose chain never forks may: a refold
-    /// rebuilds the state from the allocations and the chain alone.
-    pub fn machine(&mut self) -> (&Vm, &mut WorldState) {
+    /// outside the fold (fees, block rewards, the report registry). Its
+    /// one caller is [`crate::platform::Platform`], and that is sound only
+    /// because `Platform`'s chain never forks: a refold rebuilds the state
+    /// from the allocations and the chain alone, so on a forking replica
+    /// what this handle moved would be lost.
+    pub(crate) fn machine(&mut self) -> (&Vm, &mut WorldState) {
         (&self.vm, &mut self.state)
+    }
+
+    /// Adds `amount` for `account` to the genesis allocation and credits
+    /// it now; a refold applies it again with the rest of the allocation.
+    pub fn allocate(&mut self, account: Address, amount: Ether) {
+        self.allocations.push((account, amount));
+        self.state.credit(account, amount);
     }
 
     /// The consensus trigger account.
