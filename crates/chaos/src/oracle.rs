@@ -13,7 +13,8 @@
 //! 3. **Conservation** — every honest node's settlement has folded its
 //!    chain exactly up to the finality horizon, and in its world state the
 //!    insurance deposited equals detector payouts plus what the escrow
-//!    contracts still hold ([`crate::settle::audit`]).
+//!    contracts still hold, and the total supply equals the allocation
+//!    plus one block reward per applied block ([`crate::settle::audit`]).
 //! 4. **Convergence** — after the final heal and recovery tail, every
 //!    honest running node — restarted ones included — holds the same best
 //!    tip and the same contract balances and payout list.

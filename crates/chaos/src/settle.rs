@@ -7,10 +7,12 @@
 //!
 //! ```text
 //! Σ insurance of opened escrows == Σ payouts + Σ escrow contract balances
+//! total supply == genesis allocation + one block reward per applied block
 //! ```
 //!
 //! and that each paid wallet holds exactly what the payout list says it
-//! was paid (workload wallets hold nothing else: nodes meter no fees). An
+//! was paid, less the record fees ψ and the registry gas the fold charged
+//! it (workload wallets are allocated nothing and mine nothing). An
 //! exhausted escrow is not a violation — the payout reverts and the
 //! balance stays put.
 
@@ -49,12 +51,23 @@ pub enum SettleError {
         /// Sum of the escrow contract balances.
         remaining: Ether,
     },
-    /// A wallet's balance is not the sum of the payouts made to it.
+    /// A wallet's balance is not the sum of the payouts made to it less
+    /// what the fold charged it.
     CreditMismatch {
         /// The wallet's balance in the world state.
         credited: Ether,
         /// What the payout list says it was paid.
         payouts: Ether,
+        /// Fees and registry gas the fold charged it.
+        charged: Ether,
+    },
+    /// The world state holds more or less currency than the allocation
+    /// and the block rewards of the applied blocks.
+    Supply {
+        /// Total balance of the world state.
+        supply: Ether,
+        /// Genesis allocation + rewards.
+        accounted: Ether,
     },
 }
 
@@ -69,9 +82,17 @@ impl std::fmt::Display for SettleError {
                 f,
                 "conservation imbalance: deposits {deposits} != payouts {payouts} + remaining {remaining}"
             ),
-            SettleError::CreditMismatch { credited, payouts } => write!(
+            SettleError::CreditMismatch {
+                credited,
+                payouts,
+                charged,
+            } => write!(
                 f,
-                "wallet holds {credited} but was paid {payouts}"
+                "wallet holds {credited} but was paid {payouts} and charged {charged}"
+            ),
+            SettleError::Supply { supply, accounted } => write!(
+                f,
+                "supply {supply} != allocation + block rewards {accounted}"
             ),
         }
     }
@@ -79,12 +100,22 @@ impl std::fmt::Display for SettleError {
 
 impl std::error::Error for SettleError {}
 
-/// Reads `settlement` back and checks the conservation identity and the
-/// per-wallet cross-foot against its world state.
+/// Checks a [`Settlement::audit_supply`] pair.
+fn check_supply((supply, accounted): (Ether, Ether)) -> Result<(), SettleError> {
+    if supply == accounted {
+        Ok(())
+    } else {
+        Err(SettleError::Supply { supply, accounted })
+    }
+}
+
+/// Reads `settlement` back and checks the conservation identity, the
+/// supply identity and the per-wallet cross-foot against its world state.
 ///
 /// # Errors
 ///
-/// [`SettleError::Imbalance`] or [`SettleError::CreditMismatch`].
+/// [`SettleError::Imbalance`], [`SettleError::Supply`] or
+/// [`SettleError::CreditMismatch`].
 pub fn audit(settlement: &Settlement) -> Result<Audit, SettleError> {
     let mut audit = Audit {
         payout_list: settlement.payouts().to_vec(),
@@ -109,10 +140,17 @@ pub fn audit(settlement: &Settlement) -> Result<Audit, SettleError> {
             remaining,
         });
     }
+    check_supply(settlement.audit_supply())?;
     for (wallet, payouts) in paid_to {
         let credited = settlement.state().balance(&wallet);
-        if credited != payouts {
-            return Err(SettleError::CreditMismatch { credited, payouts });
+        let tally = settlement.tally(&wallet);
+        let charged = tally.fees + tally.reporting_gas;
+        if credited + charged != payouts {
+            return Err(SettleError::CreditMismatch {
+                credited,
+                payouts,
+                charged,
+            });
         }
     }
     Ok(audit)
@@ -122,38 +160,22 @@ pub fn audit(settlement: &Settlement) -> Result<Audit, SettleError> {
 mod tests {
     use super::*;
     use smartcrowd_chain::record::{Record, RecordKind};
-    use smartcrowd_chain::{Block, ChainQuery, ChainStore, Difficulty};
+    use smartcrowd_chain::{Block, ChainQuery, ChainStore, Difficulty, CONFIRMATION_DEPTH};
     use smartcrowd_core::report::{create_report_pair, Findings};
     use smartcrowd_core::sra::Sra;
     use smartcrowd_crypto::keys::KeyPair;
     use smartcrowd_detect::vulnerability::VulnId;
 
-    /// A settlement that opened one 1000-ETH escrow and paid one 25-ETH
-    /// finding out of it, with the escrow's and the paid wallet's addresses.
-    fn settled() -> (Settlement, Address, Address) {
-        let provider = KeyPair::from_seed(b"provider");
-        let detector = KeyPair::from_seed(b"detector");
-        let (insurance, mu) = (Ether::from_ether(1000), Ether::from_ether(25));
-        let sra = Sra::create(&provider, "fw", "1", [7; 32], "sim://fw", insurance, mu);
-        let (_, detailed) =
-            create_report_pair(&detector, *sra.id(), Findings::new(vec![VulnId(3)], "x"));
-        let fee = Ether::from_milliether(11);
-        let mut records = Some(vec![
-            Record::signed(RecordKind::Sra, sra.encode(), fee, 0, &provider),
-            Record::signed(
-                RecordKind::DetailedReport,
-                detailed.encode(),
-                fee,
-                1,
-                &detector,
-            ),
-        ]);
+    /// The settlement of a chain whose blocks carry `blocks` (then enough
+    /// empty ones to confirm them), mined by the funded provider.
+    fn settle(provider: &KeyPair, blocks: Vec<Vec<Record>>) -> Settlement {
         let mut store = ChainStore::new(Block::genesis(Difficulty::from_u64(1)));
-        for _ in 0..8 {
+        let empty = vec![Vec::new(); CONFIRMATION_DEPTH as usize];
+        for records in blocks.into_iter().chain(empty) {
             let parent = store.best_block().clone();
             let block = Block::assemble(
                 &parent,
-                records.take().unwrap_or_default(),
+                records,
                 parent.header().timestamp + 15,
                 Difficulty::from_u64(1),
                 provider.address(),
@@ -163,8 +185,35 @@ mod tests {
         let funding = [(provider.address(), Ether::from_ether(5000))];
         let mut settlement = Settlement::new(store.genesis_id(), &funding);
         settlement.advance(&store);
+        settlement
+    }
+
+    const FEE: Ether = Ether::from_milliether(11);
+
+    /// A signed `R*` of `detector` claiming `vuln` on `sra`.
+    fn detailed(detector: &KeyPair, sra: &Sra, vuln: u64, nonce: u64) -> (Record, Address) {
+        let findings = Findings::new(vec![VulnId(vuln)], "x");
+        let (_, detailed) = create_report_pair(detector, *sra.id(), findings);
+        let kind = RecordKind::DetailedReport;
+        let record = Record::signed(kind, detailed.encode(), FEE, nonce, detector);
+        (record, detailed.wallet())
+    }
+
+    fn sra(provider: &KeyPair) -> Sra {
+        let (insurance, mu) = (Ether::from_ether(1000), Ether::from_ether(25));
+        Sra::create(provider, "fw", "1", [7; 32], "sim://fw", insurance, mu)
+    }
+
+    /// A settlement that opened one 1000-ETH escrow and paid one 25-ETH
+    /// finding out of it, with the escrow's and the paid wallet's addresses.
+    fn settled() -> (Settlement, Address, Address) {
+        let provider = KeyPair::from_seed(b"provider");
+        let sra = sra(&provider);
+        let (report, wallet) = detailed(&KeyPair::from_seed(b"detector"), &sra, 3, 1);
+        let announce = Record::signed(RecordKind::Sra, sra.encode(), FEE, 0, &provider);
+        let settlement = settle(&provider, vec![vec![announce, report]]);
         let escrow = settlement.escrows()[sra.id()].escrow.address;
-        (settlement, escrow, detailed.wallet())
+        (settlement, escrow, wallet)
     }
 
     #[test]
@@ -184,6 +233,39 @@ mod tests {
             audit(&settlement),
             Err(SettleError::Imbalance { .. })
         ));
+    }
+
+    #[test]
+    fn supply_violation_is_detected() {
+        let (settlement, _, _) = settled();
+        let (supply, accounted) = settlement.audit_supply();
+        assert_eq!(check_supply((supply, accounted)), Ok(()));
+        let minted_outside_the_fold = supply + Ether::from_wei(1);
+        assert!(matches!(
+            check_supply((minted_outside_the_fold, accounted)),
+            Err(SettleError::Supply { .. })
+        ));
+    }
+
+    #[test]
+    fn cross_foot_subtracts_what_the_fold_charged_the_wallet() {
+        let provider = KeyPair::from_seed(b"provider");
+        let detector = KeyPair::from_seed(b"detector");
+        let sra = sra(&provider);
+        let announce = Record::signed(RecordKind::Sra, sra.encode(), FEE, 0, &provider);
+        let (first, wallet) = detailed(&detector, &sra, 3, 1);
+        // Paid for the first finding, the wallet can pay for the second.
+        let (second, _) = detailed(&detector, &sra, 4, 2);
+        let settlement = settle(&provider, vec![vec![announce, first], vec![second]]);
+        let tally = settlement.tally(&wallet);
+        assert_eq!(tally.fees, FEE);
+        assert!(!tally.reporting_gas.is_zero());
+        let audit = audit(&settlement).unwrap();
+        assert_eq!(audit.payouts, Ether::from_ether(50));
+        assert_eq!(
+            settlement.state().balance(&wallet),
+            Ether::from_ether(50) - FEE - tally.reporting_gas
+        );
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! | Provider / detector / consumer roles (§IV-A) | [`provider`], [`detector`], [`consumer`] |
 //! | Adversary model & defences (§III-A, §VI-A) | [`attacks`] |
 //! | The protocol core: admit / check-block / seal / replay (§V-C, Phase #3) | [`protocol`] |
-//! | Settlement: escrow open / payout / refund folded over the confirmed chain (§V-D, Phase #4) | [`settlement`] |
-//! | End-to-end platform facade: the core + mining race + economics ledgers | [`platform`] |
+//! | Settlement: fees, block rewards, report metering, escrow open / payout / refund folded over the confirmed chain (§V-D, Phase #4) | [`settlement`] |
+//! | End-to-end platform facade: the core + mining race + client-side preconditions | [`platform`] |
 //! | A distributed provider node: the core + gossip glue (Phase #3 fault tolerance) | [`node`] |
 //! | Retrospective detection (SmartRetro, the paper's reference 46) | [`retro`] |
 //! | The consumer-facing authoritative reference | [`mod@reference`] |

@@ -14,10 +14,12 @@
 //! [`crate::platform::Platform`] drives its own — plus the gossip glue
 //! only a networked replica needs: the sync buffer that reassembles
 //! out-of-order blocks, artifact hosting and download, the `R*` records
-//! waiting for an artifact, the refused blocks, and the outbox. Convergence
-//! of honest nodes — tips, and with them escrow balances and payouts — is a
-//! *theorem of the message handlers*, tested in `sim::fleet` and under
-//! faults in `smartcrowd-chaos`.
+//! waiting for an artifact, the refused blocks, and the outbox. A node
+//! moves no money itself: its settlement pays each confirmed block's miner
+//! its reward and fees, as on every replica. Convergence of honest nodes —
+//! tips, and with them every balance, escrow and payout — is a *theorem of
+//! the message handlers*, tested in `sim::fleet` and under faults in
+//! `smartcrowd-chaos`.
 
 use crate::economics::REPORT_FEE;
 use crate::error::CoreError;

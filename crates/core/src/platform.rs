@@ -3,7 +3,7 @@
 //! [`Platform`] is one [`Protocol`] core — the state machine every
 //! [`crate::node::ProviderNode`] runs, settlement included — plus what
 //! only a single-view platform has: provider keys, the mining race and
-//! the economics ledgers. The four phases of §IV-B:
+//! the client-side preconditions. The four phases of §IV-B:
 //!
 //! 1. **Decentralized verification for system release** —
 //!    [`Platform::release_system`] checks the provider can afford the
@@ -14,18 +14,17 @@
 //!    `R†` confirmed before `R*`); the core then runs Algorithm 1 (and
 //!    `AutoVerif` for `R*`) once, on admission.
 //! 3. **Fault-tolerant verification and storage** —
-//!    [`Platform::mine_block`] runs the hash-power-weighted race, seals
-//!    pending records, and applies fees/rewards to the world state.
+//!    [`Platform::mine_block`] runs the hash-power-weighted race and seals
+//!    pending records.
 //! 4. **Decentralized and automated incentives** — sealing a block lets
-//!    the core's [`Settlement`] fold what it confirmed: an SRA at 6-block
-//!    finality opens its escrow, a detailed report pays `μ·n` to the
-//!    detector's wallet, with no provider involvement. The platform only
-//!    reads the result (its own ledger entries are never refolded: its
-//!    chain never forks).
+//!    the core's [`Settlement`] fold what it confirmed: at 6-block finality
+//!    the miner is paid its reward and fees, the reports are metered, an
+//!    SRA opens its escrow and a detailed report pays `μ·n` to the
+//!    detector's wallet, with no provider involvement. The platform moves
+//!    no money; it reads the result.
 
-use crate::contracts::ReportRegistry;
 use crate::economics::{
-    BLOCK_CAPACITY, BLOCK_REWARD, DETECTOR_FUNDING, MIN_INSURANCE, PROVIDER_FUNDING, REPORT_FEE,
+    BLOCK_CAPACITY, DETECTOR_FUNDING, MIN_INSURANCE, PROVIDER_FUNDING, REPORT_FEE,
 };
 use crate::error::CoreError;
 use crate::protocol::Protocol;
@@ -86,7 +85,6 @@ pub struct Platform {
     providers: Vec<ProviderHandle>,
     core: Protocol<ChainStore>,
     sim: SimMiner,
-    registry: ReportRegistry,
     /// Release order (released_sras() preserves it).
     release_order: Vec<SraId>,
     /// The record carrying each detector's `R†` (its confirmation gates `R*`).
@@ -94,17 +92,12 @@ pub struct Platform {
     /// Sim-clock second at which each record was submitted (lifecycle
     /// latency: submit → 6-block confirmation).
     submit_times: HashMap<Digest, f64>,
-    /// Gas fees spent by each detector (reporting cost ledger, Fig. 6(b)).
-    detector_costs: HashMap<Address, Ether>,
-    /// Mining income per provider: block rewards + record fees (Eq. 8
-    /// accumulated; the Fig. 4(a) series).
-    mining_income: HashMap<Address, Ether>,
     funded: HashSet<Address>,
 }
 
 impl Platform {
-    /// Boots the platform: genesis block, funded providers, deployed
-    /// report registry, seeded mining race.
+    /// Boots the platform: genesis block, funded providers, seeded mining
+    /// race.
     pub fn new(config: PlatformConfig) -> Platform {
         let providers: Vec<ProviderHandle> = PAPER_HASH_POWERS
             .iter()
@@ -132,21 +125,13 @@ impl Platform {
             .iter()
             .map(|p| (p.address, config.provider_funding))
             .collect();
-        let mut core = Protocol::new(Box::new(store), library, &funding);
-        let trigger = core.settlement().trigger();
-        let (vm, state) = core.settlement_mut().machine();
-        let registry =
-            ReportRegistry::deploy(vm, state, trigger).expect("registry deploys at genesis");
         Platform {
             providers,
-            core,
+            core: Protocol::new(Box::new(store), library, &funding),
             sim,
-            registry,
             release_order: Vec::new(),
             initial_records: HashMap::new(),
             submit_times: HashMap::new(),
-            detector_costs: HashMap::new(),
-            mining_income: HashMap::new(),
             funded: HashSet::new(),
         }
     }
@@ -207,18 +192,15 @@ impl Platform {
         self.settlement().payouts()
     }
 
-    /// Cumulative gas spent by a detector on report submission.
+    /// Registry gas a detector paid for its confirmed reports.
     pub fn detector_cost(&self, addr: &Address) -> Ether {
-        self.detector_costs
-            .get(addr)
-            .copied()
-            .unwrap_or(Ether::ZERO)
+        self.settlement().tally(addr).reporting_gas
     }
 
-    /// Cumulative mining income (block rewards + record fees) of a
-    /// provider — the Fig. 4(a) incentive series.
+    /// Mining income (block rewards + record fees) of a provider from its
+    /// confirmed blocks — the Fig. 4(a) incentive series.
     pub fn mining_income(&self, addr: &Address) -> Ether {
-        self.mining_income.get(addr).copied().unwrap_or(Ether::ZERO)
+        self.settlement().tally(addr).income
     }
 
     /// The platform scoreboard (detector isolation state).
@@ -238,22 +220,10 @@ impl Platform {
         self.core.settlement_mut().allocate(addr, amount);
     }
 
-    /// Supply audit: `(actual total supply, genesis allocations + minted
-    /// block rewards)`. Every block this platform's chain holds was mined
-    /// by [`Platform::mine_block`], which mints one reward. The two must
-    /// always be equal — gas fees and payouts move currency, they never
-    /// create or destroy it.
+    /// Supply audit ([`Settlement::audit_supply`]): the two must always
+    /// be equal.
     pub fn audit_supply(&self) -> (Ether, Ether) {
-        let settlement = self.settlement();
-        (
-            settlement.state().total_supply(),
-            settlement.genesis_supply() + BLOCK_REWARD * self.store().best_height(),
-        )
-    }
-
-    fn block_ctx(&self) -> (u64, u64) {
-        let store = self.store();
-        (store.best_block().header().timestamp, store.best_height())
+        self.settlement().audit_supply()
     }
 
     /// Signs `payload` into a record and admits it through the core, the
@@ -367,13 +337,14 @@ impl Platform {
     /// Returns [`CoreError::NotFound`] for an SRA with no open escrow and
     /// [`CoreError::PayoutFailed`] when the refund call fails.
     pub fn settle_release(&mut self, sra_id: &SraId) -> Result<Ether, CoreError> {
-        let block = self.block_ctx();
+        let store = self.store();
+        let block = (store.best_block().header().timestamp, store.best_height());
         self.core.settlement_mut().close(sra_id, block)
     }
 
-    /// The shared tail of both report phases: admit the signed record,
-    /// fund the detector on first contact, and meter the on-chain
-    /// submission cost (Fig. 6(b)).
+    /// The shared tail of both report phases: admit the signed record and
+    /// fund the detector on first contact. The registry meters the
+    /// submission (Fig. 6(b)) when the record confirms.
     fn submit_report(
         &mut self,
         signer: &KeyPair,
@@ -387,12 +358,6 @@ impl Platform {
             self.fund(detector, DETECTOR_FUNDING);
         }
         submitted.inc();
-        let block = self.block_ctx();
-        let (vm, state) = self.core.settlement_mut().machine();
-        let receipt = self
-            .registry
-            .submit(vm, state, detector, &record_id, block)?;
-        *self.detector_costs.entry(detector).or_insert(Ether::ZERO) += receipt.fee;
         Ok(record_id)
     }
 
@@ -463,28 +428,16 @@ impl Platform {
     }
 
     /// Phase #3/#4 — mines the next block via the hash-power-weighted race:
-    /// sealing records the pending reports and lets the settlement fire the
-    /// incentive payouts that reached finality; rewards and fees are then
-    /// applied.
+    /// sealing records the pending reports and lets the settlement apply
+    /// the block that reached finality (its miner's reward and fees, its
+    /// reports' registry gas, its escrows and payouts).
     ///
     /// Returns the winning provider's address and the payouts fired.
     pub fn mine_block(&mut self) -> (Address, Vec<Payout>) {
         let parent_timestamp = self.store().best_block().header().timestamp;
         let (miner, timestamp) = self.sim.next_slot(parent_timestamp);
         let paid = self.payouts().len();
-        let block = self.core.seal(miner, timestamp, BLOCK_CAPACITY);
-        // Apply economics: mint the block reward, move record fees.
-        let state = self.core.settlement_mut().machine().1;
-        state.credit(miner, BLOCK_REWARD);
-        let mut earned = BLOCK_REWARD;
-        for record in block.records() {
-            let fee = record.fee();
-            if state.debit(record.sender(), fee).is_ok() {
-                state.credit(miner, fee);
-                earned += fee;
-            }
-        }
-        *self.mining_income.entry(miner).or_insert(Ether::ZERO) += earned;
+        self.core.seal(miner, timestamp, BLOCK_CAPACITY);
         self.observe_confirmations();
         (miner, self.payouts()[paid..].to_vec())
     }
@@ -534,8 +487,10 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::economics::INCENTIVE_PER_VULN;
     use crate::report::{create_report_pair, Findings};
     use smartcrowd_chain::rng::SimRng;
+    use smartcrowd_chain::CONFIRMATION_DEPTH;
 
     fn platform() -> Platform {
         Platform::new(PlatformConfig::paper())
@@ -600,16 +555,18 @@ mod tests {
         p.mine_blocks(8);
         p.submit_detailed(&detector, detailed).unwrap();
         let wallet_before = p.balance(&detector.address());
+        let gas_before = p.detector_cost(&detector.address());
         let payouts = p.mine_blocks(8);
         assert_eq!(payouts.len(), 1);
         assert_eq!(payouts[0].vulnerabilities, 2);
-        assert_eq!(payouts[0].amount, Ether::from_ether(50));
-        // The detector nets the payout minus the record fee charged when
-        // its R* was recorded in a block.
-        let fee = Ether::from_milliether(11);
+        assert_eq!(payouts[0].amount, INCENTIVE_PER_VULN.scaled(2));
+        // The detector nets the payout minus the record fee and the
+        // registry gas, both charged when its R* confirmed.
+        let gas = p.detector_cost(&detector.address()) - gas_before;
+        assert!(!gas.is_zero());
         assert_eq!(
             p.balance(&detector.address()),
-            wallet_before + Ether::from_ether(50) - fee
+            wallet_before + INCENTIVE_PER_VULN.scaled(2) - REPORT_FEE - gas
         );
         assert_eq!(p.escrow_balance(&sra_id), Some(Ether::from_ether(950)));
         assert_eq!(
@@ -718,6 +675,9 @@ mod tests {
         let (initial, _) =
             create_report_pair(&detector, sra_id, Findings::new(vec![VulnId(1)], ""));
         p.submit_initial(&detector, initial).unwrap();
+        assert_eq!(p.detector_cost(&detector.address()), Ether::ZERO);
+        // The registry meters the report when its block confirms.
+        p.mine_blocks(1 + CONFIRMATION_DEPTH as usize);
         let cost = p.detector_cost(&detector.address());
         // ≈0.011 ether per report (Fig. 6(b)).
         assert!(cost > Ether::from_milliether(4) && cost < Ether::from_milliether(20));

@@ -11,13 +11,14 @@
 //! [`Protocol::replay`], which share one per-kind switch: the pool holds
 //! only records the switch passed, and a block's records that are still
 //! pooled are not put through it again. It also owns the replica's
-//! [`Settlement`] — Phase #4, the contract state its confirmed chain
-//! implies — advanced by [`Protocol::seal`] and [`Protocol::connected`].
+//! [`Settlement`] — Phase #4, every balance its confirmed chain implies:
+//! fees, block rewards, report metering, escrows and payouts — advanced by
+//! [`Protocol::seal`] and [`Protocol::connected`].
 //!
 //! The drivers add only what they alone have:
 //! [`crate::node::ProviderNode`] the gossip glue,
 //! [`crate::platform::Platform`] the provider keys, the mining race and
-//! the economics ledgers.
+//! the client-side preconditions. Neither moves money.
 
 use crate::error::CoreError;
 use crate::report::{DetailedReport, InitialReport};
@@ -276,7 +277,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
         &self.settlement
     }
 
-    /// Mutable settlement access (a driver's own ledger entries,
+    /// Mutable settlement access (genesis allocation entries,
     /// [`Settlement::close`]).
     pub(crate) fn settlement_mut(&mut self) -> &mut Settlement {
         &mut self.settlement

@@ -1,25 +1,31 @@
 //! Settlement: the paper's Phase #4 (§V-D) as one fold over the
-//! confirmed chain.
+//! confirmed chain — the one place money moves.
 //!
 //! "When `R†` and `R*` are all confirmed and recorded in the blockchain,
 //! SmartCrowd contracts will be triggered." A [`Settlement`] is that rule,
-//! written once (PROTOCOL.md §8.5). It owns the SCVM, the world state and
-//! the consensus trigger account, and changes them only by applying — in
-//! canonical record order, each exactly once — the blocks that crossed
-//! [`CONFIRMATION_DEPTH`]: a confirmed SRA opens and funds its escrow from
-//! the provider's account, a confirmed `R*` is paid out of it. The world
-//! state is therefore a function of the genesis allocation and the
-//! confirmed chain alone, so replicas of one confirmed history hold the
-//! same contract balances. A cursor marks the last block applied; if that
-//! block is reorged out, the state is refolded from genesis by the same
-//! loop. Execution owns no storage, ordering or signature check: records
-//! reach the fold validated by [`crate::protocol::Protocol::check_block`].
+//! written once (PROTOCOL.md §8.5). It owns the SCVM, the world state, the
+//! consensus trigger account and the report registry, and changes them
+//! only by applying — in canonical record order, each exactly once — the
+//! blocks that crossed [`CONFIRMATION_DEPTH`]: every record pays its fee ψ
+//! to the block's miner, every `R†` / `R*` is metered through the registry
+//! at its sender's expense, a confirmed SRA opens and funds its escrow
+//! from the provider's account, a confirmed `R*` is paid out of it, and
+//! the miner is credited [`BLOCK_REWARD`]. The world state is therefore a
+//! function of the genesis allocation and the confirmed chain alone, so
+//! replicas of one confirmed history hold the same balances, and the
+//! total supply is the allocation plus one reward per applied block
+//! ([`Settlement::audit_supply`]). A cursor marks the last block applied;
+//! if that block is reorged out, the state is refolded from genesis by the
+//! same loop. Execution owns no storage, ordering or signature check:
+//! records reach the fold validated by
+//! [`crate::protocol::Protocol::check_block`].
 
-use crate::contracts::SraEscrow;
+use crate::contracts::{ReportRegistry, SraEscrow};
+use crate::economics::BLOCK_REWARD;
 use crate::error::CoreError;
 use crate::report::DetailedReport;
 use crate::sra::{Sra, SraId};
-use smartcrowd_chain::record::RecordKind;
+use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::{BlockId, ChainQuery, Ether, CONFIRMATION_DEPTH};
 use smartcrowd_crypto::Address;
 use smartcrowd_detect::vulnerability::VulnId;
@@ -57,6 +63,19 @@ pub struct OpenEscrow {
     pub closed: bool,
 }
 
+/// What the fold credited to and charged one account.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Block rewards and record fees credited as a block's miner (Eq. 8
+    /// accumulated; the Fig. 4(a) series).
+    pub income: Ether,
+    /// Record fees ψ debited as a record's sender.
+    pub fees: Ether,
+    /// Report-registry gas charged as a report's sender (the detector
+    /// cost `c` of Fig. 6(b)).
+    pub reporting_gas: Ether,
+}
+
 /// Whole milliether in an [`Ether`] amount (telemetry unit for escrow flows).
 fn milli(e: Ether) -> u64 {
     (e.wei() / 1_000_000_000_000_000) as u64
@@ -68,12 +87,16 @@ pub struct Settlement {
     vm: Vm,
     state: WorldState,
     trigger: Address,
+    /// Deployed by the trigger at genesis, so at one address on every
+    /// replica and after every refold.
+    registry: ReportRegistry,
     /// Genesis balances, the trigger's float first; a refold re-applies them.
     allocations: Vec<(Address, Ether)>,
     escrows: HashMap<SraId, OpenEscrow>,
     /// Confirmed `R*` whose escrow is not open, in confirmation order.
     pending: HashMap<SraId, Vec<DetailedReport>>,
     payouts: Vec<Payout>,
+    tallies: HashMap<Address, Tally>,
     genesis: BlockId,
     /// Height and id of the last confirmed canonical block applied.
     cursor: (u64, BlockId),
@@ -82,39 +105,56 @@ pub struct Settlement {
 
 impl Settlement {
     /// The genesis state of a chain rooted at `genesis`: the trigger
-    /// account's gas float and the `allocation` balances. Every replica of
-    /// one chain must be given the same allocation, at boot and after a
-    /// restore.
+    /// account's gas float, the `allocation` balances and the report
+    /// registry. Every replica of one chain must be given the same
+    /// allocation, at boot and after a restore.
     pub fn new(genesis: BlockId, allocation: &[(Address, Ether)]) -> Settlement {
         let trigger = Address::from_label("smartcrowd-consensus");
         let mut allocations = vec![(trigger, TRIGGER_FLOAT)];
         allocations.extend_from_slice(allocation);
-        let mut settlement = Settlement {
-            vm: Vm::default(),
-            state: WorldState::new(),
+        let vm = Vm::default();
+        let (state, registry) = Self::genesis_state(&vm, &allocations, trigger);
+        Settlement {
+            vm,
+            state,
             trigger,
+            registry,
             allocations,
             escrows: HashMap::new(),
             pending: HashMap::new(),
             payouts: Vec::new(),
+            tallies: HashMap::new(),
             genesis,
             cursor: (0, genesis),
             folded: 0,
-        };
-        settlement.reset();
-        settlement
+        }
     }
 
-    /// Back to genesis: the allocations, no escrow, no payout, cursor on
-    /// the genesis block.
-    fn reset(&mut self) {
-        self.state = WorldState::new();
-        for &(account, amount) in &self.allocations {
-            self.state.credit(account, amount);
+    /// The allocations credited, then the registry deployed by the trigger
+    /// out of its float.
+    fn genesis_state(
+        vm: &Vm,
+        allocations: &[(Address, Ether)],
+        trigger: Address,
+    ) -> (WorldState, ReportRegistry) {
+        let mut state = WorldState::new();
+        for &(account, amount) in allocations {
+            state.credit(account, amount);
         }
+        let registry =
+            ReportRegistry::deploy(vm, &mut state, trigger).expect("registry deploys at genesis");
+        (state, registry)
+    }
+
+    /// Back to genesis: the allocations and the registry, no escrow, no
+    /// payout, no tally, cursor on the genesis block.
+    fn reset(&mut self) {
+        (self.state, self.registry) =
+            Self::genesis_state(&self.vm, &self.allocations, self.trigger);
         self.escrows.clear();
         self.pending.clear();
         self.payouts.clear();
+        self.tallies.clear();
         self.cursor = (0, self.genesis);
     }
 
@@ -131,16 +171,19 @@ impl Settlement {
                 return; // unreadable body: stay put, the backend is poisoned
             };
             let header = block.header();
-            let ctx = (header.timestamp, header.height);
+            let (miner, ctx) = (header.miner, (header.timestamp, header.height));
             for record in block.records() {
-                // A payload that does not decode settles nothing.
+                self.collect_fee(record, miner);
+                // A payload that does not decode settles nothing more.
                 match record.kind() {
                     RecordKind::Sra => {
                         if let Ok(sra) = Sra::decode(record.payload()) {
                             self.open(&sra, ctx);
                         }
                     }
+                    RecordKind::InitialReport => self.register(record, ctx),
                     RecordKind::DetailedReport => {
+                        self.register(record, ctx);
                         if let Ok(report) = DetailedReport::decode(record.payload()) {
                             if !self.pay(&report, ctx) {
                                 let waiting = self.pending.entry(*report.sra_id());
@@ -148,11 +191,45 @@ impl Settlement {
                             }
                         }
                     }
-                    _ => {}
+                    RecordKind::Transfer => {}
                 }
             }
+            self.state.credit(miner, BLOCK_REWARD);
+            self.tallies.entry(miner).or_default().income += BLOCK_REWARD;
             self.cursor = (header.height, block.id());
             self.folded += 1;
+        }
+    }
+
+    /// Moves a record's fee ψ from its sender to the block's miner. A
+    /// sender that cannot pay pays nothing and the miner is credited
+    /// nothing, on every replica alike.
+    fn collect_fee(&mut self, record: &Record, miner: Address) {
+        let (sender, fee) = (record.sender(), record.fee());
+        if self.state.debit(sender, fee).is_err() {
+            smartcrowd_telemetry::counter!("core.settlement.unpaid", "charge" => "fee").inc();
+            return;
+        }
+        self.state.credit(miner, fee);
+        self.tallies.entry(sender).or_default().fees += fee;
+        self.tallies.entry(miner).or_default().income += fee;
+    }
+
+    /// Meters a report record through the registry at its sender's
+    /// expense. The registry is loop-free and far below the gas limit, so
+    /// the call fails only before execution, when the sender cannot
+    /// reserve the gas: then nothing is charged.
+    fn register(&mut self, record: &Record, block: (u64, u64)) {
+        let (sender, id) = (record.sender(), record.id());
+        match self
+            .registry
+            .submit(&self.vm, &mut self.state, sender, &id, block)
+        {
+            Ok(receipt) => self.tallies.entry(sender).or_default().reporting_gas += receipt.fee,
+            Err(_) => {
+                smartcrowd_telemetry::counter!("core.settlement.unpaid", "charge" => "registry")
+                    .inc();
+            }
         }
     }
 
@@ -268,14 +345,18 @@ impl Settlement {
         &self.state
     }
 
-    /// The interpreter and the world state, for what a driver meters
-    /// outside the fold (fees, block rewards, the report registry). Its
-    /// one caller is [`crate::platform::Platform`], and that is sound only
-    /// because `Platform`'s chain never forks: a refold rebuilds the state
-    /// from the allocations and the chain alone, so on a forking replica
-    /// what this handle moved would be lost.
-    pub(crate) fn machine(&mut self) -> (&Vm, &mut WorldState) {
-        (&self.vm, &mut self.state)
+    /// What the fold credited to and charged `account` so far.
+    pub fn tally(&self, account: &Address) -> Tally {
+        self.tallies.get(account).copied().unwrap_or_default()
+    }
+
+    /// Supply audit: `(total supply of the world state, genesis
+    /// allocations + one block reward per applied block)`. The two are
+    /// equal on every honest replica: fees, gas, deposits, payouts and
+    /// refunds move currency, only the fold's block reward creates it.
+    pub fn audit_supply(&self) -> (Ether, Ether) {
+        let accounted = self.genesis_supply() + BLOCK_REWARD * self.cursor.0;
+        (self.state.total_supply(), accounted)
     }
 
     /// Adds `amount` for `account` to the genesis allocation and credits
@@ -283,11 +364,6 @@ impl Settlement {
     pub fn allocate(&mut self, account: Address, amount: Ether) {
         self.allocations.push((account, amount));
         self.state.credit(account, amount);
-    }
-
-    /// The consensus trigger account.
-    pub fn trigger(&self) -> Address {
-        self.trigger
     }
 
     /// Currency the genesis state holds.
@@ -439,10 +515,44 @@ mod tests {
         );
         assert_eq!(settlement.close(&sra_id, (0, 0)), Ok(Ether::ZERO));
         assert_eq!(balance(&settlement, &sra_id), Ether::ZERO);
+        let (supply, accounted) = settlement.audit_supply();
         assert_eq!(
-            settlement.state().total_supply(),
-            settlement.genesis_supply(),
-            "gas, deposits and refunds only move currency"
+            supply, accounted,
+            "fees, gas, deposits and refunds only move currency"
         );
+    }
+
+    #[test]
+    fn fees_and_the_reward_go_to_the_miner_and_an_unpaid_fee_moves_nothing() {
+        let provider = KeyPair::from_seed(b"provider");
+        let detector = KeyPair::from_seed(b"detector"); // holds nothing
+        let (sra_id, sra) = sra_record(&provider, 1000);
+        let report = detailed_record(&detector, sra_id, vec![3]);
+        let mut store = ChainStore::new(Block::genesis(Difficulty::from_u64(1)));
+        let mut settlement = funded(&store, &provider);
+        confirm(&mut store, vec![vec![sra, report]]);
+        settlement.advance(&store);
+        let miner = Address::from_label("miner");
+        let tally = settlement.tally(&miner);
+        assert_eq!(
+            tally.income,
+            BLOCK_REWARD + FEE,
+            "the detector's fee unpaid"
+        );
+        assert_eq!(settlement.state().balance(&miner), tally.income);
+        assert_eq!(settlement.tally(&provider.address()).fees, FEE);
+        let detector = settlement.tally(&detector.address());
+        assert_eq!(
+            (detector.fees, detector.reporting_gas),
+            (Ether::ZERO, Ether::ZERO)
+        );
+        assert_eq!(
+            settlement.payouts().len(),
+            1,
+            "the payout does not wait on the fee"
+        );
+        let (supply, accounted) = settlement.audit_supply();
+        assert_eq!(supply, accounted);
+        assert_eq!(accounted, settlement.genesis_supply() + BLOCK_REWARD);
     }
 }

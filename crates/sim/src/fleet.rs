@@ -315,11 +315,11 @@ mod tests {
     use smartcrowd_chain::record::RecordKind;
     use smartcrowd_chain::rng::SimRng;
     use smartcrowd_chain::storage::{export_chain, import_chain};
-    use smartcrowd_chain::ChainStore;
-    use smartcrowd_core::economics::{INCENTIVE_PER_VULN, INSURANCE, REPORT_FEE};
+    use smartcrowd_chain::{ChainStore, CONFIRMATION_DEPTH};
+    use smartcrowd_core::economics::{BLOCK_REWARD, INCENTIVE_PER_VULN, INSURANCE, REPORT_FEE};
     use smartcrowd_core::report::{create_report_pair, Findings};
     use smartcrowd_detect::vulnerability::VulnId;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::convert::Infallible;
 
     fn memory(_: usize, genesis: &Block) -> Result<Box<dyn ChainBackend>, Infallible> {
@@ -386,6 +386,58 @@ mod tests {
             settlement.genesis_supply(),
             crashed.settlement().genesis_supply()
         );
+    }
+
+    #[test]
+    fn every_replica_pays_the_miners_of_its_confirmed_blocks() {
+        let mut fleet = fleet(5, 5);
+        for round in 0..14u64 {
+            // Two providers a round pay a fee to whoever mines it.
+            for idx in [round as usize % 5, (round as usize + 2) % 5] {
+                let payload = round.to_be_bytes().to_vec();
+                let (kind, nonce) = (RecordKind::Transfer, 1000 + round);
+                let record = Record::signed(kind, payload, REPORT_FEE, nonce, fleet.keypair(idx));
+                fleet.inject(idx, Message::Record(record)).unwrap();
+            }
+            fleet.mine_round(|_| true).unwrap();
+        }
+        assert!(fleet.converged(|_| true), "tips: {:?}", tips(&fleet));
+        // The balances the confirmed chain implies, read off one replica's
+        // blocks: genesis funding, plus each block's reward and fees to its
+        // miner, less each record's fee from its sender.
+        let chain = fleet.node(0).unwrap().store();
+        let horizon = chain.best_height() - CONFIRMATION_DEPTH;
+        assert!(horizon >= 8, "confirmed {horizon} blocks");
+        let accounts = (0..5).map(|i| fleet.keypair(i).address());
+        let mut balances: BTreeMap<Address, Ether> =
+            accounts.map(|a| (a, PROVIDER_FUNDING)).collect();
+        let mut income: BTreeMap<Address, Ether> = BTreeMap::new();
+        let mut fees = 0;
+        for height in 1..=horizon {
+            let block = chain.canonical_block_at(height).unwrap();
+            let miner = block.header().miner;
+            let earned = BLOCK_REWARD + REPORT_FEE * block.records().len() as u64;
+            *balances.get_mut(&miner).unwrap() += earned;
+            *income.entry(miner).or_default() += earned;
+            for record in block.records() {
+                *balances.get_mut(&record.sender()).unwrap() -= REPORT_FEE;
+                fees += 1;
+            }
+        }
+        assert!(income.len() > 1 && fees > 0, "several miners, paid fees");
+        for (i, node) in fleet.running() {
+            let settlement = node.settlement();
+            assert_eq!(settlement.cursor().0, horizon, "node {i}");
+            for (account, balance) in &balances {
+                let earned = income.get(account).copied().unwrap_or_default();
+                assert_eq!(settlement.state().balance(account), *balance, "node {i}");
+                assert_eq!(settlement.tally(account).income, earned, "node {i}");
+            }
+            let (supply, accounted) = settlement.audit_supply();
+            assert_eq!(supply, accounted, "node {i}");
+            let rewards = BLOCK_REWARD * horizon;
+            assert_eq!(accounted, settlement.genesis_supply() + rewards, "node {i}");
+        }
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! the SRA cadence `θ`, immediate distributed detection with two-phase
 //! submission, and reveal-on-confirmation for detailed reports — the §IV-B
 //! workflow end to end.
+//!
+//! Mining income is paid when a block confirms, so the Fig. 4(a) sample
+//! of block `h` is taken when the settlement reaches `h`, stamped with the
+//! clock at which `h` was mined; the drain's blocks confirm every
+//! main-loop block.
 
 use crate::config::SimConfig;
 use crate::ledger::{IncomeSample, RunLedger};
@@ -17,6 +22,7 @@ use smartcrowd_core::provider::{generate_release, ReleasePolicy};
 use smartcrowd_core::report::DetailedReport;
 use smartcrowd_core::sra::SraId;
 use smartcrowd_crypto::{Address, Digest};
+use std::collections::VecDeque;
 
 /// Capability of the strongest detector of a run's fleet.
 const BASE_CAPABILITY: f64 = 0.9;
@@ -25,6 +31,26 @@ struct PendingReveal {
     detector_index: usize,
     initial_record: Digest,
     detailed: DetailedReport,
+}
+
+/// Takes the income sample of every block in `unsampled` (height, clock
+/// when mined) that the settlement has applied.
+fn sample_income(
+    platform: &Platform,
+    unsampled: &mut VecDeque<(u64, f64)>,
+    providers: &[Address],
+    ledger: &mut RunLedger,
+) {
+    let settled = platform.settlement().cursor().0;
+    while let Some(&(height, time)) = unsampled.front().filter(|s| s.0 <= settled) {
+        debug_assert_eq!(height, settled, "the fold applies one block per seal");
+        unsampled.pop_front();
+        for addr in providers {
+            let series = ledger.provider_income.entry(*addr).or_default();
+            let income = platform.mining_income(addr);
+            series.push(IncomeSample { time, income });
+        }
+    }
 }
 
 /// Runs one full simulation and returns its ledger.
@@ -66,6 +92,7 @@ pub fn simulate_full(config: &SimConfig) -> (RunLedger, Platform) {
     let mut next_release = 0.0f64;
     let mut version = 0u64;
     let mut last_clock = 0.0f64;
+    let mut unsampled = VecDeque::new();
 
     let provider_addrs: Vec<Address> = platform.providers().iter().map(|p| p.address).collect();
 
@@ -144,16 +171,8 @@ pub fn simulate_full(config: &SimConfig) -> (RunLedger, Platform) {
         let clock = platform.clock();
         ledger.block_intervals.push(clock - last_clock);
         last_clock = clock;
-        for addr in &provider_addrs {
-            ledger
-                .provider_income
-                .entry(*addr)
-                .or_default()
-                .push(IncomeSample {
-                    time: clock,
-                    income: platform.mining_income(addr),
-                });
-        }
+        unsampled.push_back((platform.store().best_height(), clock));
+        sample_income(&platform, &mut unsampled, &provider_addrs, &mut ledger);
     }
 
     // Drain: let outstanding reports finalize without new releases.
@@ -171,7 +190,12 @@ pub fn simulate_full(config: &SimConfig) -> (RunLedger, Platform) {
         let (miner, _) = platform.mine_block();
         *ledger.blocks_by_provider.entry(miner).or_insert(0) += 1;
         ledger.blocks_mined += 1;
+        sample_income(&platform, &mut unsampled, &provider_addrs, &mut ledger);
     }
+    debug_assert!(
+        unsampled.is_empty(),
+        "the drain confirms every main-loop block"
+    );
 
     ledger.final_time = platform.clock();
 

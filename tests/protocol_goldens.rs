@@ -9,8 +9,9 @@
 //! message.
 
 use smartcrowd::chain::rng::SimRng;
-use smartcrowd::chain::{Block, ChainBackend, ChainQuery, ChainStore, Ether};
+use smartcrowd::chain::{Block, ChainBackend, ChainQuery, ChainStore, Ether, CONFIRMATION_DEPTH};
 use smartcrowd::core::detector::DetectorFleet;
+use smartcrowd::core::economics::BLOCK_REWARD;
 use smartcrowd::core::platform::{Platform, PlatformConfig};
 use smartcrowd::detect::system::IoTSystem;
 use smartcrowd::detect::vulnerability::VulnId;
@@ -68,7 +69,10 @@ fn platform_lifecycle_matches_pre_collapse_recording() {
         ]
     );
     let (supply, accounted) = p.audit_supply();
-    assert_eq!(supply.wei(), 26_600_000_000_000_000_000_000);
+    // Block rewards are paid when a block confirms: the last
+    // CONFIRMATION_DEPTH blocks' rewards are not minted yet.
+    let unconfirmed = BLOCK_REWARD * CONFIRMATION_DEPTH;
+    assert_eq!((supply + unconfirmed).wei(), 26_600_000_000_000_000_000_000);
     assert_eq!(accounted, supply);
 }
 
