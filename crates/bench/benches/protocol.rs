@@ -53,7 +53,7 @@ fn bench_reports(c: &mut Criterion) {
     });
     let (initial, detailed) = create_report_pair(&detector, [3u8; 32], findings);
     c.bench_function("protocol/algorithm1-initial", |b| {
-        b.iter(|| verify_initial(black_box(&initial), None).unwrap())
+        b.iter(|| verify_initial(black_box(&initial), None, false).unwrap())
     });
     c.bench_function("protocol/algorithm1-detailed-structural", |b| {
         b.iter(|| {
@@ -81,6 +81,7 @@ fn bench_autoverif(c: &mut Criterion) {
                 black_box(&system),
                 &verifier,
                 None,
+                false,
             )
             .unwrap()
         })

@@ -9,13 +9,13 @@
 use crate::amount::Ether;
 use crate::codec::{Decoder, Encoder};
 use crate::error::ChainError;
-use smartcrowd_crypto::ecdsa::{self, Signature};
+use smartcrowd_crypto::ecdsa::{self, Group, Signature};
 use smartcrowd_crypto::keccak::keccak256;
 use smartcrowd_crypto::keys::{KeyPair, PublicKey};
 use smartcrowd_crypto::merkle::leaf_hash;
 use smartcrowd_crypto::point::Point;
 use smartcrowd_crypto::{Address, CryptoError, Digest};
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -72,6 +72,16 @@ impl fmt::Display for RecordKind {
         f.write_str(self.name())
     }
 }
+
+/// A signature a record's payload carries, made by the record's own
+/// sender: the digest it signs and the signature, borrowed from the
+/// decoded payload. It is checked in the sender's pass
+/// ([`crate::sigcache::verify_claimed`]); PROTOCOL.md §4.3 states the
+/// rule.
+pub type Claim<'a> = (&'a Digest, &'a Signature);
+
+/// A `(digest, signature)` member of an [`ecdsa::recover_groups`] group.
+type Member = (Digest, Signature);
 
 /// Bytes of the canonical encoding before the payload: kind tag, sender,
 /// payload length prefix.
@@ -241,66 +251,74 @@ impl Record {
     /// Returns [`ChainError::RecordRejected`] when recovery fails or the
     /// recovered address differs from [`Record::sender`].
     pub fn verify_signature(&self) -> Result<(), ChainError> {
-        Record::verify_signatures(&[self]).remove(0)
+        Record::verify_signatures(&[(self, None)])
+            .remove(0)
+            .map(|_| ())
     }
 
     /// [`Record::verify_signature`] of every record, index-aligned: the
-    /// same verdict and reason string per record.
+    /// same verdict and reason string per record, `Ok(true)` when the
+    /// record's [`Claim`] was checked with it and holds, `Ok(false)` when
+    /// it carried none or the claim is still to be checked.
     ///
-    /// The records are grouped by sender. Each sender's first record is
-    /// recovered, all of them in one [`ecdsa::recover_batch`], and a
-    /// recovery that yields the declared sender establishes that sender's
-    /// key. When the cost rule `known_sender_batch_pays` says so, every
-    /// later record of an established sender is then checked against that
-    /// key in one [`ecdsa::verify_batch_known`], which passes only if each
-    /// of them would recover to it. Whatever that batch does not vouch
-    /// for (the later records of a sender whose first record failed, or
-    /// every record of a batch that failed) is recovered in one more
-    /// `recover_batch`, so each failure is named exactly as one recovery
-    /// would name it.
-    pub(crate) fn verify_signatures(records: &[&Record]) -> Vec<Result<(), ChainError>> {
-        // Per sender, in order of first appearance: its first record.
+    /// The records are grouped by sender, and each sender's records and
+    /// claims are one [`ecdsa::recover_groups`] group (why one pass may
+    /// stand for one recovery per member is on that function), all groups
+    /// in one call. A group whose key has its sender's address vouches
+    /// for every record and claim in it. A group of one record is that
+    /// record's recovery, so its failure is named already; a larger group
+    /// that fails is run again as one group per record, without the
+    /// claims, so each failure is named exactly as one recovery would name
+    /// it, a bad member spoils only its own sender's group, and the claims
+    /// of that group go unvouched, back to their owner's own check.
+    pub(crate) fn verify_signatures(
+        items: &[(&Record, Option<Claim<'_>>)],
+    ) -> Vec<Result<bool, ChainError>> {
+        // Each record's own signature as a member of its sender's group.
+        let own: Vec<Member> = items
+            .iter()
+            .map(|(record, _)| (record.signing_digest(), record.0.signature))
+            .collect();
+        // Per sender, in order of first appearance: its members, and the
+        // index of each of its records.
         let mut slot_of: HashMap<Address, usize> = HashMap::new();
-        let mut firsts = Vec::new();
-        // Every later record, with its sender's slot.
-        let mut followers = Vec::new();
-        for (index, record) in records.iter().enumerate() {
-            match slot_of.entry(record.0.sender) {
-                Entry::Occupied(slot) => followers.push((index, *slot.get())),
-                Entry::Vacant(slot) => {
-                    slot.insert(firsts.len());
-                    firsts.push(index);
-                }
+        let mut senders: Vec<(Address, Vec<Member>, Vec<usize>)> = Vec::new();
+        for (index, (record, claim)) in items.iter().enumerate() {
+            let sender = record.0.sender;
+            let slot = *slot_of.entry(sender).or_insert_with(|| {
+                senders.push((sender, Vec::new(), Vec::new()));
+                senders.len() - 1
+            });
+            let (_, members, owned) = &mut senders[slot];
+            members.push(own[index]);
+            members.extend(claim.map(|(digest, signature)| (*digest, *signature)));
+            owned.push(index);
+        }
+        let groups: Vec<Group<'_>> = senders
+            .iter()
+            .map(|(sender, members, _)| (*sender, members.as_slice()))
+            .collect();
+        let mut verdicts: Vec<Result<bool, ChainError>> = vec![Ok(false); items.len()];
+        // The records of failed groups of several, each run again alone.
+        let mut alone: Vec<usize> = Vec::new();
+        for ((sender, members, owned), key) in senders.iter().zip(ecdsa::recover_groups(&groups)) {
+            let verdict = signed_by(key, *sender);
+            if verdict.is_err() && members.len() > 1 {
+                alone.extend(owned);
+                continue;
+            }
+            for &index in owned {
+                verdicts[index] = verdict.clone().map(|()| items[index].1.is_some());
             }
         }
-        let mut verdicts: Vec<Result<(), ChainError>> = vec![Ok(()); records.len()];
-        let established = recover_into(records, &firsts, &mut verdicts);
-        // The keys the followers are checked against, and each slot's
-        // index among them once one of its followers needs it.
-        let mut keys = Vec::new();
-        let mut key_of: Vec<Option<usize>> = vec![None; established.len()];
-        let mut items: Vec<(Digest, Signature, usize)> = Vec::new();
-        let mut batched = Vec::new();
-        let mut rest = Vec::new();
-        for (index, slot) in followers {
-            let Some(q) = established[slot] else {
-                rest.push(index);
-                continue;
-            };
-            let k = *key_of[slot].get_or_insert_with(|| {
-                keys.push(q);
-                keys.len() - 1
-            });
-            let record = records[index];
-            items.push((record.signing_digest(), record.0.signature, k));
-            batched.push(index);
+        let sender = |index: usize| items[index].0.sender();
+        let singles: Vec<Group<'_>> = alone
+            .iter()
+            .map(|&index| (sender(index), std::slice::from_ref(&own[index])))
+            .collect();
+        for (&index, key) in alone.iter().zip(ecdsa::recover_groups(&singles)) {
+            verdicts[index] = signed_by(key, sender(index)).map(|()| false);
         }
-        if !(known_sender_batch_pays(items.len(), keys.len())
-            && ecdsa::verify_batch_known(&keys, &items))
-        {
-            rest.extend(batched);
-        }
-        recover_into(records, &rest, &mut verdicts);
         verdicts
     }
 
@@ -352,70 +370,24 @@ impl Record {
     }
 }
 
-/// Whether one [`ecdsa::verify_batch_known`] over `followers` records
-/// signed by `keys` distinct, established keys costs less than recovering
-/// each of them.
-///
-/// Measured on the 2-core Xeon sandbox (release, one thread, best of
-/// seven): a recovery inside a `recover_batch` of 64 costs ≈ 53 µs. The
-/// batch costs ≈ 28 µs whatever its size (the 129 shared doublings, the
-/// generator's digits and the weight seed), ≈ 17 µs per key (its two
-/// tables and two digit strings) and ≈ 13 µs per record (lifting `R`,
-/// its table, its ≈ 22 additions, its scalars and weight). So a lone
-/// follower is recovered, and from two followers on the batch pays. A
-/// batch that fails is paid on top of the recoveries that follow it: the
-/// price of a forged follower, not of an honest burst.
-const fn known_sender_batch_pays(followers: usize, keys: usize) -> bool {
-    const RECOVER_US: usize = 53;
-    const BATCH_US: usize = 28;
-    const PER_KEY_US: usize = 17;
-    const PER_RECORD_US: usize = 13;
-    followers * RECOVER_US > BATCH_US + keys * PER_KEY_US + followers * PER_RECORD_US
-}
-
-/// Recovers the records at `indices` in one [`ecdsa::recover_batch`],
-/// writes each verdict, and returns the key each recovered to when that
-/// key is its declared sender's.
-fn recover_into(
-    records: &[&Record],
-    indices: &[usize],
-    verdicts: &mut [Result<(), ChainError>],
-) -> Vec<Option<Point>> {
-    if indices.is_empty() {
-        return Vec::new();
+/// The verdict on a record whose signature group recovered `key`: the
+/// reason strings one recovery names.
+fn signed_by(key: Result<Point, CryptoError>, sender: Address) -> Result<(), ChainError> {
+    let pk = key
+        .and_then(PublicKey::from_point)
+        .map_err(|e| ChainError::RecordRejected {
+            reason: format!("signature recovery failed: {e}"),
+        })?;
+    if pk.address() != sender {
+        return Err(ChainError::RecordRejected {
+            reason: format!(
+                "signature recovers to {} but record claims sender {}",
+                pk.address(),
+                sender
+            ),
+        });
     }
-    let signed: Vec<(Digest, Signature)> = indices
-        .iter()
-        .map(|&index| (records[index].signing_digest(), records[index].0.signature))
-        .collect();
-    let keys = ecdsa::recover_batch(&signed);
-    let check = |record: &Record, key: Result<Point, CryptoError>| {
-        let pk = key
-            .and_then(PublicKey::from_point)
-            .map_err(|e| ChainError::RecordRejected {
-                reason: format!("signature recovery failed: {e}"),
-            })?;
-        if pk.address() != record.0.sender {
-            return Err(ChainError::RecordRejected {
-                reason: format!(
-                    "signature recovers to {} but record claims sender {}",
-                    pk.address(),
-                    record.0.sender
-                ),
-            });
-        }
-        Ok(pk.point())
-    };
-    indices
-        .iter()
-        .zip(keys)
-        .map(|(&index, key)| {
-            let verdict = check(records[index], key);
-            let established = verdict.as_ref().ok().copied();
-            verdicts[index] = verdict.map(|_| ());
-            established
-        })
-        .collect()
+    Ok(())
 }
 
 #[cfg(test)]
@@ -463,6 +435,18 @@ mod tests {
         assert!(matches!(err, ChainError::RecordRejected { .. }));
     }
 
+    /// [`Record::verify_signatures`] of records without claims, as the
+    /// verdicts [`Record::verify_signature`] gives.
+    fn verify_unclaimed(records: &[&Record]) -> Vec<Result<(), ChainError>> {
+        let items: Vec<_> = records.iter().map(|r| (*r, None)).collect();
+        let verdicts = Record::verify_signatures(&items);
+        assert!(
+            verdicts.iter().all(|v| v != &Ok(true)),
+            "no claim to vouch for"
+        );
+        verdicts.into_iter().map(|v| v.map(|_| ())).collect()
+    }
+
     #[test]
     fn verify_signatures_matches_one_at_a_time() {
         let (_, good) = sample();
@@ -481,7 +465,7 @@ mod tests {
         let unrecoverable = with(good.encoded().len() - SIGNATURE_LEN, &sig);
         let burst = [&good, &tampered, &unrecoverable, &forged, &good];
         let one_at_a_time: Vec<_> = burst.iter().map(|r| r.verify_signature()).collect();
-        assert_eq!(Record::verify_signatures(&burst), one_at_a_time);
+        assert_eq!(verify_unclaimed(&burst), one_at_a_time);
         assert!(Record::verify_signatures(&[]).is_empty());
         let reason = |index: usize| match &one_at_a_time[index] {
             Err(ChainError::RecordRejected { reason }) => reason.clone(),
@@ -496,12 +480,11 @@ mod tests {
             "signature recovery failed: structurally invalid ECDSA signature"
         );
 
-        // Repeated senders: the first record of each is recovered and the
-        // rest are checked against the key it established. `a` has a good
-        // first record, a good follower, a forged follower (signed by `c`
-        // and re-labelled) and a wrong-parity follower; `b`'s first record
-        // is tampered, so its good follower has no key to be checked
-        // against and is recovered.
+        // Repeated senders: each sender's records are one group. `a` has a
+        // good first record, a good follower, a forged follower (signed by
+        // `c` and re-labelled) and a wrong-parity follower; `b`'s first
+        // record is tampered. Both groups fail and are run again record by
+        // record, so each bad record is named and each good one passes.
         let (a, b, c) = (
             KeyPair::from_seed(b"sender-a"),
             KeyPair::from_seed(b"sender-b"),
@@ -540,26 +523,76 @@ mod tests {
             &b_follower,
         ];
         let one_at_a_time: Vec<_> = repeated.iter().map(|r| r.verify_signature()).collect();
-        assert_eq!(Record::verify_signatures(&repeated), one_at_a_time);
+        assert_eq!(verify_unclaimed(&repeated), one_at_a_time);
         let bad = [1, 3, 5];
         for (index, verdict) in one_at_a_time.iter().enumerate() {
             assert_eq!(verdict.is_err(), bad.contains(&index), "record {index}");
         }
-        // And an honest burst of repeat senders, whose followers all pass
-        // in one batch.
+        // And an honest burst of repeat senders: two groups, both pass.
         let honest: Vec<Record> = (0..12).map(|i| from([&a, &b][i % 2], i as u64)).collect();
         let honest: Vec<&Record> = honest.iter().collect();
-        assert!(known_sender_batch_pays(10, 2));
-        assert!(Record::verify_signatures(&honest).iter().all(Result::is_ok));
+        assert!(verify_unclaimed(&honest).iter().all(Result::is_ok));
     }
 
     #[test]
-    fn known_sender_batch_pays_from_two_followers() {
-        assert!(!known_sender_batch_pays(0, 0));
-        assert!(!known_sender_batch_pays(1, 1));
-        assert!(known_sender_batch_pays(2, 1));
-        assert!(known_sender_batch_pays(2, 2));
-        assert!(known_sender_batch_pays(60, 4));
+    fn a_claim_is_vouched_only_beside_its_senders_good_records() {
+        let (a, b) = (
+            KeyPair::from_seed(b"sender-a"),
+            KeyPair::from_seed(b"sender-b"),
+        );
+        let record = |kp: &KeyPair, nonce: u64| {
+            Record::signed(
+                RecordKind::Sra,
+                vec![nonce as u8; 3],
+                Ether::ZERO,
+                nonce,
+                kp,
+            )
+        };
+        let inner = keccak256(b"payload id");
+        fn claim(member: &Member) -> Option<Claim<'_>> {
+            Some((&member.0, &member.1))
+        }
+        let by_a: Member = (inner, a.sign(&inner));
+        let by_b: Member = (inner, b.sign(&inner));
+        let flipped = {
+            let mut bytes = by_a.1.to_bytes();
+            bytes[64] ^= 1;
+            (inner, Signature::from_bytes(&bytes).unwrap())
+        };
+        let elsewhere = (keccak256(b"another id"), by_a.1);
+        let (a0, a1, b0) = (record(&a, 0), record(&a, 1), record(&b, 0));
+        let forged = {
+            let mut encoded = record(&b, 2).encode();
+            encoded[1..21].copy_from_slice(a.address().as_bytes());
+            Record::decode(&encoded).unwrap()
+        };
+        // A good claim beside good records of its signer is vouched for,
+        // alone or among the sender's other records and another sender.
+        let good = [(&a0, claim(&by_a)), (&b0, None), (&a1, claim(&by_a))];
+        assert_eq!(
+            Record::verify_signatures(&good),
+            [Ok(true), Ok(false), Ok(true)]
+        );
+        assert_eq!(Record::verify_signatures(&good[..1]), [Ok(true)]);
+        // A claim by another key, with the other R, or over another digest
+        // is not; its record keeps the verdict it has alone, and so does
+        // every record of the group it spoiled. Another sender's group is
+        // not touched.
+        for bad in [&by_b, &flipped, &elsewhere] {
+            let items = [(&a0, claim(bad)), (&b0, claim(&by_b)), (&a1, claim(&by_a))];
+            assert_eq!(
+                Record::verify_signatures(&items),
+                [Ok(false), Ok(true), Ok(false)]
+            );
+        }
+        // A forged record fails by the reason it has alone, whatever its
+        // claim, and its good neighbour from the same sender passes.
+        let items = [(&forged, claim(&by_a)), (&a0, claim(&by_a))];
+        let verdicts = Record::verify_signatures(&items);
+        assert_eq!(verdicts[0], forged.verify_signature().map(|()| false));
+        assert!(verdicts[0].is_err());
+        assert_eq!(verdicts[1], Ok(false));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! only ever costs a re-verification, never correctness.
 
 use crate::error::ChainError;
-use crate::record::Record;
+use crate::record::{Claim, Record};
 use smartcrowd_crypto::{Address, Digest};
 use smartcrowd_pool::Pool;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -77,49 +77,79 @@ pub fn insert(id: Digest) {
 /// Returns [`ChainError::RecordRejected`] exactly as
 /// [`Record::verify_signature`] would — failures are never cached.
 pub fn verify_cached(record: &Record) -> Result<(), ChainError> {
+    verify_claimed(record, None).map(|_| ())
+}
+
+/// [`verify_cached`] of a record whose payload carries `claim`, a
+/// signature by the record's own sender: on a miss the claim joins the
+/// record's recovery as one group (`Record::verify_signatures`), and
+/// `Ok(true)` says it holds. A hit checks no signature, so it answers
+/// `Ok(false)`, as does a claim that did not hold: an unvouched claim is
+/// left to its owner's own check. The cache holds record ids only, never
+/// a claim's verdict.
+///
+/// # Errors
+///
+/// Those of [`verify_cached`], whatever the claim.
+pub fn verify_claimed(record: &Record, claim: Option<Claim<'_>>) -> Result<bool, ChainError> {
     let id = record.id();
     if contains(&id) {
         smartcrowd_telemetry::counter!("chain.sigcache.hit").inc();
-        return Ok(());
+        return Ok(false);
     }
     smartcrowd_telemetry::counter!("chain.sigcache.miss").inc();
-    record.verify_signature()?;
+    let vouched = Record::verify_signatures(&[(record, claim)]).remove(0)?;
     insert(id);
-    Ok(())
+    Ok(vouched)
 }
 
 /// Index-aligned signature verdicts for a burst of records, checked
-/// through the cache with the misses fanned out on `pool`.
+/// through the cache with the misses fanned out on `pool`: the verdicts
+/// of [`verify_batch_claimed`] with no claims.
+pub fn verify_batch(records: &[&Record], pool: &Pool) -> Vec<Result<(), ChainError>> {
+    let items: Vec<(&Record, Option<Claim<'_>>)> = records.iter().map(|r| (*r, None)).collect();
+    verify_batch_claimed(&items, pool)
+        .into_iter()
+        .map(|verdict| verdict.map(|_| ()))
+        .collect()
+}
+
+/// [`verify_claimed`] of every `(record, claim)`, index-aligned, with the
+/// misses fanned out on `pool`.
 ///
-/// This is the shared fast path behind both block validation and
-/// [`crate::mempool::Mempool::insert_batch_with`]. The misses are stably
-/// sorted by the position of their sender's first miss, so that each
-/// contiguous chunk a worker takes holds the records of a few senders.
-/// Each chunk is one `Record::verify_signatures`: it recovers the first
-/// record of each sender in the chunk and checks the sender's other
-/// records against the key that recovery established in one weighted
-/// batch, so a repeat sender costs a fraction of a recovery. The results
-/// are merged back by index. `chain.sigcache.repeat_sender` counts the
-/// misses whose sender already appeared among the burst's misses.
+/// This is the shared fast path behind block validation,
+/// [`crate::mempool::Mempool::insert_batch_with`] and a replica's block
+/// check. The misses are stably sorted by the position of their sender's
+/// first miss, so that each contiguous chunk a worker takes holds the
+/// records of a few senders. Each chunk is one
+/// `Record::verify_signatures`: one signature group per sender, its
+/// records and claims together, so a repeat sender or a claim costs a
+/// fraction of a recovery. The results are merged back by index.
+/// `chain.sigcache.repeat_sender` counts the misses whose sender already
+/// appeared among the burst's misses.
 ///
 /// Determinism: cache lookups, hit/miss/repeat accounting and cache
 /// insertions all happen on the caller's thread in input order; only the
-/// pure signature checks run on workers. A verdict depends on its own
-/// record alone, not on the chunk it was checked in, so the returned
-/// verdicts, the cache's evolution and every telemetry counter are
-/// thread-count-invariant although the chunk boundaries are not.
-pub fn verify_batch(records: &[&Record], pool: &Pool) -> Vec<Result<(), ChainError>> {
-    let mut results: Vec<Result<(), ChainError>> = Vec::with_capacity(records.len());
+/// pure signature checks run on workers. A record's verdict depends on
+/// its own record alone, not on the chunk it was checked in, so the
+/// returned verdicts, the cache's evolution and every telemetry counter
+/// are thread-count-invariant although the chunk boundaries are not.
+/// Whether a claim is vouched for may depend on its chunk; what the claim
+/// decides does not, since an unvouched claim is checked by its owner.
+pub fn verify_batch_claimed(
+    items: &[(&Record, Option<Claim<'_>>)],
+    pool: &Pool,
+) -> Vec<Result<bool, ChainError>> {
+    let mut results: Vec<Result<bool, ChainError>> = Vec::with_capacity(items.len());
     let mut misses: Vec<usize> = Vec::new();
-    for (index, record) in records.iter().enumerate() {
+    for (index, (record, _)) in items.iter().enumerate() {
         if contains(&record.id()) {
             smartcrowd_telemetry::counter!("chain.sigcache.hit").inc();
-            results.push(Ok(()));
         } else {
             smartcrowd_telemetry::counter!("chain.sigcache.miss").inc();
             misses.push(index);
-            results.push(Ok(())); // placeholder, overwritten below
         }
+        results.push(Ok(false)); // a miss's placeholder, overwritten below
     }
     if misses.is_empty() {
         return results;
@@ -129,20 +159,21 @@ pub fn verify_batch(records: &[&Record], pool: &Pool) -> Vec<Result<(), ChainErr
         .iter()
         .map(|&index| {
             let next = rank.len();
-            (*rank.entry(records[index].sender()).or_insert(next), index)
+            (*rank.entry(items[index].0.sender()).or_insert(next), index)
         })
         .collect();
     smartcrowd_telemetry::counter!("chain.sigcache.repeat_sender")
         .add((misses.len() - rank.len()) as u64);
     ranked.sort_by_key(|&(rank, _)| rank);
-    let missed: Vec<&Record> = ranked.iter().map(|&(_, index)| records[index]).collect();
+    let missed: Vec<(&Record, Option<Claim<'_>>)> =
+        ranked.iter().map(|&(_, index)| items[index]).collect();
     let verdicts = pool.par_chunks(&missed, Record::verify_signatures);
     for (&(_, index), verdict) in ranked.iter().zip(verdicts) {
         results[index] = verdict;
     }
     for &index in &misses {
         if results[index].is_ok() {
-            insert(records[index].id());
+            insert(items[index].0.id());
         }
     }
     results

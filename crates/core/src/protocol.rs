@@ -26,7 +26,7 @@ use crate::settlement::Settlement;
 use crate::sra::{Sra, SraId};
 use crate::verify;
 use smartcrowd_chain::mempool::Mempool;
-use smartcrowd_chain::record::{Record, RecordKind};
+use smartcrowd_chain::record::{Claim, Record, RecordKind};
 use smartcrowd_chain::{sigcache, Block, ChainBackend, Difficulty, Ether};
 use smartcrowd_crypto::{Address, Digest};
 use smartcrowd_detect::autoverif::AutoVerifier;
@@ -97,7 +97,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
                 seen(record);
                 // Recovery already validated the chain; a record that no
                 // longer verifies just contributes no knowledge.
-                let _ = core.index(record, false);
+                let _ = Payload::decode(record).and_then(|p| core.index(p, false, false));
             }
         }
         core.settle();
@@ -107,7 +107,13 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     /// Admits one record from a client or from gossip: signature (through
     /// the process-wide cache), the switch with detector isolation
     /// applied, then the pending pool, which so holds only judged records.
-    /// A record the pool would refuse is refused first
+    /// The payload is decoded first, so that a payload signature by the
+    /// record's own sender is checked in that sender's pass
+    /// ([`sigcache::verify_claimed`]; PROTOCOL.md §4.3; why one pass may
+    /// stand for both recoveries is on
+    /// [`smartcrowd_crypto::ecdsa::recover_groups`]): the switch then
+    /// skips only that recovery, and every check keeps its order. A record
+    /// the pool would refuse is refused first
     /// ([`Mempool::check_admission`]), so it leaves no knowledge behind:
     /// one the pool already holds is byte for byte the record judged when
     /// it was pooled (its id is Keccak over the whole signed encoding), and
@@ -129,34 +135,48 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     ///   an `R*` with no indexed `R†`.
     pub fn admit(&mut self, record: Record) -> Result<Admitted, CoreError> {
         self.mempool.check_admission(&record)?;
-        sigcache::verify_cached(&record)?;
-        let admitted = self.index(&record, true)?;
+        let payload = Payload::decode(&record);
+        let claim = payload.as_ref().ok().and_then(|p| p.claim(record.sender()));
+        let vouched = sigcache::verify_claimed(&record, claim)?;
+        let admitted = self.index(payload?, vouched, true)?;
         self.mempool.insert(record)?;
         Ok(admitted)
     }
 
     /// Per-record verification of a block sealed elsewhere (§V-C): every
-    /// signature — through the process-wide cache, the misses recovered in
-    /// parallel on the global pool — then the switch, indexing what
-    /// verifies as it goes. Record `i`'s signature verdict is consulted
-    /// before its semantic verdict and the first failure wins, whatever
-    /// the recoveries' schedule. A record this replica still pools skips
-    /// the switch: its id is Keccak over the whole signed encoding, so it
-    /// is byte for byte what [`Protocol::admit`] judged. Knowledge this
-    /// replica already holds, or an `R*` it cannot judge
-    /// here (no `R†` or no artifact yet), does not reject a block; nor does
-    /// detector isolation — blocks are judged on content. Linkage and
-    /// structure are the store's to check when the block is committed.
+    /// signature — through the process-wide cache, the misses checked in
+    /// parallel on the global pool, each payload signature by its record's
+    /// sender in that sender's group as in [`Protocol::admit`] — then the
+    /// switch, indexing what verifies as it goes. Record `i`'s signature
+    /// verdict is consulted before its semantic verdict and the first
+    /// failure wins, whatever the recoveries' schedule. A record this
+    /// replica still pools skips the switch: its id is Keccak over the
+    /// whole signed encoding, so it is byte for byte what
+    /// [`Protocol::admit`] judged. Knowledge this replica already holds,
+    /// or an `R*` it cannot judge here (no `R†` or no artifact yet), does
+    /// not reject a block; nor does detector isolation — blocks are judged
+    /// on content. Linkage and structure are the store's to check when the
+    /// block is committed.
     pub fn check_block(&mut self, block: &Block) -> Result<(), CoreError> {
         use CoreError::{DuplicateReport, InitialNotConfirmed, NotFound};
-        let records: Vec<&Record> = block.records().iter().collect();
-        let signatures = sigcache::verify_batch(&records, smartcrowd_pool::global());
-        for (record, signature) in records.into_iter().zip(signatures) {
-            signature?;
+        let records = block.records();
+        let payloads: Vec<Result<Payload, CoreError>> =
+            records.iter().map(Payload::decode).collect();
+        let items: Vec<(&Record, Option<Claim<'_>>)> = records
+            .iter()
+            .zip(&payloads)
+            .map(|(record, payload)| {
+                let claim = payload.as_ref().ok().and_then(|p| p.claim(record.sender()));
+                (record, claim)
+            })
+            .collect();
+        let signatures = sigcache::verify_batch_claimed(&items, smartcrowd_pool::global());
+        for ((record, payload), signature) in records.iter().zip(payloads).zip(signatures) {
+            let vouched = signature?;
             if self.mempool.contains(&record.id()) {
                 continue;
             }
-            match self.index(record, false) {
+            match payload.and_then(|payload| self.index(payload, vouched, false)) {
                 Ok(_) | Err(DuplicateReport | InitialNotConfirmed | NotFound) => {}
                 Err(e) => return Err(e),
             }
@@ -190,40 +210,44 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
         self.settlement.advance(&*self.backend);
     }
 
-    /// The switch: decode → verify → index, per record kind. Assumes the
-    /// record signature was checked. `isolation` applies the scoreboard
-    /// filter to initial reports (live submissions only).
-    fn index(&mut self, record: &Record, isolation: bool) -> Result<Admitted, CoreError> {
-        match record.kind() {
-            RecordKind::Sra => {
-                let sra = Sra::decode(record.payload())?;
-                sra.verify()?;
+    /// The switch: verify → index, per payload kind. Assumes the record
+    /// signature was checked; `vouched` says the payload's own signature
+    /// was checked with it. `isolation` applies the scoreboard filter to
+    /// initial reports (live submissions only).
+    fn index(
+        &mut self,
+        payload: Payload,
+        vouched: bool,
+        isolation: bool,
+    ) -> Result<Admitted, CoreError> {
+        match payload {
+            Payload::Sra(sra) => {
+                sra.verify_vouched(vouched)?;
                 match self.sras.entry(*sra.id()) {
                     Entry::Occupied(_) => Err(CoreError::DuplicateReport),
                     Entry::Vacant(slot) => {
                         let image_hash = *sra.image_hash();
-                        slot.insert(sra);
+                        slot.insert(*sra);
                         Ok(Admitted::NewSra { image_hash })
                     }
                 }
             }
-            RecordKind::InitialReport => {
-                let report = InitialReport::decode(record.payload())?;
-                verify::verify_initial(&report, isolation.then_some(&self.scoreboard))?;
+            Payload::Initial(report) => {
+                let scoreboard = isolation.then_some(&self.scoreboard);
+                verify::verify_initial(&report, scoreboard, vouched)?;
                 match self.initials.entry((*report.sra_id(), report.detector())) {
                     Entry::Occupied(_) => Err(CoreError::DuplicateReport),
                     Entry::Vacant(slot) => {
-                        slot.insert(report);
+                        slot.insert(*report);
                         Ok(Admitted::Verified)
                     }
                 }
             }
-            RecordKind::DetailedReport => {
-                let report = DetailedReport::decode(record.payload())?;
-                self.check_detailed(&report)?;
+            Payload::Detailed(report) => {
+                self.check_detailed(&report, vouched)?;
                 Ok(Admitted::Verified)
             }
-            RecordKind::Transfer => Ok(Admitted::Verified),
+            Payload::Transfer => Ok(Admitted::Verified),
         }
     }
 
@@ -231,7 +255,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     /// to the indexed `R†` (none: [`CoreError::InitialNotConfirmed`]), then
     /// `AutoVerif` against the held artifact (none: [`CoreError::NotFound`]),
     /// crediting or striking the detector on the scoreboard.
-    fn check_detailed(&mut self, report: &DetailedReport) -> Result<(), CoreError> {
+    fn check_detailed(&mut self, report: &DetailedReport, vouched: bool) -> Result<(), CoreError> {
         let initial = self
             .initials
             .get(&(*report.sra_id(), report.detector()))
@@ -246,6 +270,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
             system,
             &AutoVerifier::new(&self.library),
             Some(&mut self.scoreboard),
+            vouched,
         )
     }
 
@@ -321,5 +346,42 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     /// The indexed first initial report of `detector` on an SRA.
     pub fn initial(&self, sra_id: &SraId, detector: &Address) -> Option<&InitialReport> {
         self.initials.get(&(*sra_id, *detector))
+    }
+}
+
+/// A record's payload, decoded once for both the signature pass and the
+/// switch. Boxed, so that a block's worth of mostly transfers stays small
+/// as it is decoded up front and moved through the switch.
+enum Payload {
+    Transfer,
+    Sra(Box<Sra>),
+    Initial(Box<InitialReport>),
+    Detailed(Box<DetailedReport>),
+}
+
+impl Payload {
+    fn decode(record: &Record) -> Result<Payload, CoreError> {
+        let bytes = record.payload();
+        Ok(match record.kind() {
+            RecordKind::Transfer => Payload::Transfer,
+            RecordKind::Sra => Payload::Sra(Box::new(Sra::decode(bytes)?)),
+            RecordKind::InitialReport => Payload::Initial(Box::new(InitialReport::decode(bytes)?)),
+            RecordKind::DetailedReport => {
+                Payload::Detailed(Box::new(DetailedReport::decode(bytes)?))
+            }
+        })
+    }
+
+    /// The payload's own signature (`P_Sign`, `D†_Sign`, `D*_Sign`) when
+    /// its declared signer is the record's `sender`: the one rule that
+    /// puts it in the sender's signature pass (PROTOCOL.md §4.3).
+    fn claim(&self, sender: Address) -> Option<Claim<'_>> {
+        let (signer, claim) = match self {
+            Payload::Transfer => return None,
+            Payload::Sra(sra) => sra.claim(),
+            Payload::Initial(report) => report.claim(),
+            Payload::Detailed(report) => report.claim(),
+        };
+        (signer == sender).then_some(claim)
     }
 }

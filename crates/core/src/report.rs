@@ -8,11 +8,13 @@
 
 use crate::error::CoreError;
 use crate::sra::SraId;
+use crate::verify::signed_by;
 use smartcrowd_chain::codec::{Decoder, Encoder};
+use smartcrowd_chain::record::Claim;
 use smartcrowd_chain::ChainError;
 use smartcrowd_crypto::ecdsa::Signature;
 use smartcrowd_crypto::keccak::keccak256;
-use smartcrowd_crypto::keys::{recover_public_key, KeyPair};
+use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::{Address, Digest};
 use smartcrowd_detect::vulnerability::VulnId;
 
@@ -136,17 +138,27 @@ impl InitialReport {
     /// Returns [`CoreError::InitialReportIdMismatch`] or
     /// [`CoreError::InitialReportSignatureInvalid`].
     pub fn verify(&self) -> Result<(), CoreError> {
+        self.verify_vouched(false)
+    }
+
+    /// [`InitialReport::verify`], without recovering `D†_Sign` when
+    /// `vouched`: it was checked in its record sender's pass (PROTOCOL.md
+    /// §4.3).
+    pub(crate) fn verify_vouched(&self, vouched: bool) -> Result<(), CoreError> {
         let expected =
             Self::compute_id(&self.sra_id, &self.detector, &self.commitment, &self.wallet);
         if expected != self.id {
             return Err(CoreError::InitialReportIdMismatch);
         }
-        let pk = recover_public_key(&self.id, &self.signature)
-            .map_err(|_| CoreError::InitialReportSignatureInvalid)?;
-        if pk.address() != self.detector {
+        if !vouched && !signed_by(&self.id, &self.signature, self.detector) {
             return Err(CoreError::InitialReportSignatureInvalid);
         }
         Ok(())
+    }
+
+    /// `D†_Sign` as a claim of `D_i`'s: the signer and what it signed.
+    pub(crate) fn claim(&self) -> (Address, Claim<'_>) {
+        (self.detector, (&self.id, &self.signature))
     }
 
     /// Canonical payload for a chain record.
@@ -261,13 +273,22 @@ impl DetailedReport {
     /// - [`CoreError::PhaseMismatch`] when detector/SRA differ from `R†`;
     /// - [`CoreError::CommitmentMismatch`] when `H(R*) ≠ H_{R*}`.
     pub fn verify_against(&self, initial: &InitialReport) -> Result<(), CoreError> {
+        self.verify_against_vouched(initial, false)
+    }
+
+    /// [`DetailedReport::verify_against`], without recovering `D*_Sign`
+    /// when `vouched`: it was checked in its record sender's pass
+    /// (PROTOCOL.md §4.3).
+    pub(crate) fn verify_against_vouched(
+        &self,
+        initial: &InitialReport,
+        vouched: bool,
+    ) -> Result<(), CoreError> {
         let expected = Self::compute_id(&self.sra_id, &self.detector, &self.wallet, &self.findings);
         if expected != self.id {
             return Err(CoreError::DetailedReportIdMismatch);
         }
-        let pk = recover_public_key(&self.id, &self.signature)
-            .map_err(|_| CoreError::DetailedReportSignatureInvalid)?;
-        if pk.address() != self.detector {
+        if !vouched && !signed_by(&self.id, &self.signature, self.detector) {
             return Err(CoreError::DetailedReportSignatureInvalid);
         }
         if self.detector != initial.detector()
@@ -280,6 +301,11 @@ impl DetailedReport {
             return Err(CoreError::CommitmentMismatch);
         }
         Ok(())
+    }
+
+    /// `D*_Sign` as a claim of `D_i`'s: the signer and what it signed.
+    pub(crate) fn claim(&self) -> (Address, Claim<'_>) {
+        (self.detector, (&self.id, &self.signature))
     }
 
     /// Canonical payload for a chain record.

@@ -13,11 +13,13 @@
 //! "effectively eradicates" counterfeit SRAs.
 
 use crate::error::CoreError;
+use crate::verify::signed_by;
 use smartcrowd_chain::codec::{Decoder, Encoder};
+use smartcrowd_chain::record::Claim;
 use smartcrowd_chain::Ether;
 use smartcrowd_crypto::ecdsa::Signature;
 use smartcrowd_crypto::keccak::keccak256;
-use smartcrowd_crypto::keys::{recover_public_key, KeyPair};
+use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::{Address, Digest};
 
 /// An identifier for an SRA (`Δ_id`).
@@ -177,6 +179,12 @@ impl Sra {
     /// - [`CoreError::SraSignatureInvalid`] when the signature does not
     ///   recover to `P_i` — a spoofed SRA framing another provider.
     pub fn verify(&self) -> Result<(), CoreError> {
+        self.verify_vouched(false)
+    }
+
+    /// [`Sra::verify`], without recovering `P_Sign` when `vouched`: it was
+    /// checked in its record sender's pass (PROTOCOL.md §4.3).
+    pub(crate) fn verify_vouched(&self, vouched: bool) -> Result<(), CoreError> {
         let expected = Self::compute_id(
             &self.provider,
             &self.name,
@@ -189,12 +197,15 @@ impl Sra {
         if expected != self.id {
             return Err(CoreError::SraIdMismatch);
         }
-        let pk = recover_public_key(&self.id, &self.signature)
-            .map_err(|_| CoreError::SraSignatureInvalid)?;
-        if pk.address() != self.provider {
+        if !vouched && !signed_by(&self.id, &self.signature, self.provider) {
             return Err(CoreError::SraSignatureInvalid);
         }
         Ok(())
+    }
+
+    /// `P_Sign` as a claim of `P_i`'s: the signer and what it signed.
+    pub(crate) fn claim(&self) -> (Address, Claim<'_>) {
+        (self.provider, (&self.id, &self.signature))
     }
 
     /// Checks a downloaded image against the announced `U_h` (the detector

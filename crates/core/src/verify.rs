@@ -14,11 +14,24 @@
 
 use crate::error::CoreError;
 use crate::report::{DetailedReport, InitialReport};
+use smartcrowd_crypto::ecdsa::Signature;
+use smartcrowd_crypto::keys::recover_public_key;
+use smartcrowd_crypto::{Address, Digest};
 use smartcrowd_detect::autoverif::AutoVerifier;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_net::Scoreboard;
 
+/// Whether `signature` over `digest` recovers to a key with address
+/// `signer`: the authenticity half of every payload check (`P_Sign`,
+/// `D†_Sign`, `D*_Sign`) that was not vouched for in its record sender's
+/// pass.
+pub(crate) fn signed_by(digest: &Digest, signature: &Signature, signer: Address) -> bool {
+    recover_public_key(digest, signature).is_ok_and(|pk| pk.address() == signer)
+}
+
 /// Verifies an initial report exactly as Algorithm 1 lines 1–9.
+/// `vouched` says `D†_Sign` was already checked in its record sender's
+/// pass (PROTOCOL.md §4.3), which skips its recovery and nothing else.
 ///
 /// # Errors
 ///
@@ -27,6 +40,7 @@ use smartcrowd_net::Scoreboard;
 pub fn verify_initial(
     report: &InitialReport,
     scoreboard: Option<&Scoreboard>,
+    vouched: bool,
 ) -> Result<(), CoreError> {
     if let Some(board) = scoreboard {
         if !board.admits(&report.detector()) {
@@ -34,12 +48,13 @@ pub fn verify_initial(
             return Err(CoreError::DetectorIsolated);
         }
     }
-    report.verify()
+    report.verify_vouched(vouched)
 }
 
 /// Verifies a detailed report exactly as Algorithm 1 lines 10–24:
-/// integrity, authenticity, commitment binding, then `AutoVerif` against
-/// the released artifact.
+/// integrity, authenticity (skipped when `vouched`, as for
+/// [`verify_initial`]), commitment binding, then `AutoVerif` against the
+/// released artifact.
 ///
 /// On an `AutoVerif` failure the scoreboard (when supplied) receives a
 /// strike for the detector — the §V-C isolation mechanism.
@@ -54,8 +69,9 @@ pub fn verify_detailed(
     system: &IoTSystem,
     verifier: &AutoVerifier<'_>,
     scoreboard: Option<&mut Scoreboard>,
+    vouched: bool,
 ) -> Result<(), CoreError> {
-    detailed.verify_against(initial)?;
+    detailed.verify_against_vouched(initial, vouched)?;
     let claims = &detailed.findings().vulnerabilities;
     smartcrowd_telemetry::counter!("core.verify.autoverif_runs").inc();
     if verifier.auto_verif(system, claims) {
@@ -110,8 +126,16 @@ mod tests {
             Findings::new(vec![VulnId(1), VulnId(3)], "found two"),
         );
         let mut board = Scoreboard::default();
-        assert!(verify_initial(&initial, Some(&board)).is_ok());
-        assert!(verify_detailed(&detailed, &initial, &sys, &verifier, Some(&mut board)).is_ok());
+        assert!(verify_initial(&initial, Some(&board), false).is_ok());
+        assert!(verify_detailed(
+            &detailed,
+            &initial,
+            &sys,
+            &verifier,
+            Some(&mut board),
+            false
+        )
+        .is_ok());
         assert_eq!(board.score(&kp.address()).confirmed, 1);
         assert_eq!(board.score(&kp.address()).strikes, 0);
     }
@@ -124,8 +148,15 @@ mod tests {
         let (initial, detailed) =
             create_report_pair(&kp, [7; 32], Findings::new(vec![VulnId(20)], "made up"));
         let mut board = Scoreboard::default();
-        let err =
-            verify_detailed(&detailed, &initial, &sys, &verifier, Some(&mut board)).unwrap_err();
+        let err = verify_detailed(
+            &detailed,
+            &initial,
+            &sys,
+            &verifier,
+            Some(&mut board),
+            false,
+        )
+        .unwrap_err();
         assert_eq!(err, CoreError::AutoVerifFailed { rejected: vec![20] });
         assert_eq!(board.score(&kp.address()).strikes, 1);
     }
@@ -139,11 +170,11 @@ mod tests {
             board.record_strike(kp.address());
         }
         assert_eq!(
-            verify_initial(&initial, Some(&board)),
+            verify_initial(&initial, Some(&board), false),
             Err(CoreError::DetectorIsolated)
         );
         // Without a scoreboard the same report is structurally fine.
-        assert!(verify_initial(&initial, None).is_ok());
+        assert!(verify_initial(&initial, None, false).is_ok());
     }
 
     #[test]
@@ -158,15 +189,22 @@ mod tests {
                 Findings::new(vec![VulnId(25)], "forged"),
             );
             assert!(
-                verify_initial(&initial, Some(&board)).is_ok(),
+                verify_initial(&initial, Some(&board), false).is_ok(),
                 "round {round}"
             );
-            let _ = verify_detailed(&detailed, &initial, &sys, &verifier, Some(&mut board));
+            let _ = verify_detailed(
+                &detailed,
+                &initial,
+                &sys,
+                &verifier,
+                Some(&mut board),
+                false,
+            );
         }
         // Fourth submission is filtered before any work happens.
         let (initial, _) = create_report_pair(&kp, [9; 32], Findings::new(vec![VulnId(1)], ""));
         assert_eq!(
-            verify_initial(&initial, Some(&board)),
+            verify_initial(&initial, Some(&board), false),
             Err(CoreError::DetectorIsolated)
         );
     }
@@ -180,7 +218,7 @@ mod tests {
             [7; 32],
             Findings::new(vec![VulnId(1), VulnId(21), VulnId(22)], "mixed"),
         );
-        let err = verify_detailed(&detailed, &initial, &sys, &verifier, None).unwrap_err();
+        let err = verify_detailed(&detailed, &initial, &sys, &verifier, None, false).unwrap_err();
         assert_eq!(
             err,
             CoreError::AutoVerifFailed {

@@ -20,6 +20,7 @@ use smartcrowd_core::settlement::{Payout, Settlement};
 use smartcrowd_core::sra::{Sra, SraId};
 use smartcrowd_core::CoreError;
 use smartcrowd_crypto::keys::KeyPair;
+use smartcrowd_crypto::Address;
 use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_detect::vulnerability::VulnId;
@@ -616,4 +617,296 @@ proptest! {
         prop_assert_eq!(replayed.sras().count(), sras_on_chain);
         prop_assert_eq!(replayed.mempool_len(), 0);
     }
+}
+
+/// Ways to build the record of one differential case from an honest
+/// payload signed by `signer`: `nonce` keeps the record the block carries
+/// distinct from the one admitted, so neither hits the other's cache
+/// entry.
+#[derive(Clone, Copy, Debug)]
+enum Tamper {
+    Honest,
+    InnerByAnotherKey,
+    InnerRecoveryIdFlipped,
+    InnerOverAnotherId,
+    RecordSignatureForged,
+    RecordSenderIsNotInnerSigner,
+    IsolatedSigner,
+}
+
+const TAMPERS: [Tamper; 7] = [
+    Tamper::Honest,
+    Tamper::InnerByAnotherKey,
+    Tamper::InnerRecoveryIdFlipped,
+    Tamper::InnerOverAnotherId,
+    Tamper::RecordSignatureForged,
+    Tamper::RecordSenderIsNotInnerSigner,
+    Tamper::IsolatedSigner,
+];
+
+/// `payload` (whose last 65 bytes are its own signature over `id`, made
+/// by `signer`) tampered as `how` says, in a record from the right
+/// sender.
+fn tampered_record(
+    kind: RecordKind,
+    payload: &[u8],
+    id: &[u8; 32],
+    signer: &KeyPair,
+    how: Tamper,
+    nonce: u64,
+) -> Record {
+    let other = KeyPair::from_seed(b"another key");
+    let mut payload = payload.to_vec();
+    let at = payload.len() - 65;
+    match how {
+        Tamper::InnerByAnotherKey => {
+            payload[at..].copy_from_slice(&other.sign(id).to_bytes());
+        }
+        Tamper::InnerRecoveryIdFlipped => payload[at + 64] ^= 1,
+        Tamper::InnerOverAnotherId => {
+            let elsewhere = smartcrowd_crypto::keccak::keccak256(b"another id");
+            payload[at..].copy_from_slice(&signer.sign(&elsewhere).to_bytes());
+        }
+        _ => {}
+    }
+    match how {
+        Tamper::RecordSignatureForged => {
+            let mut encoded = Record::signed(kind, payload, FEE, nonce, &other).encode();
+            encoded[1..21].copy_from_slice(signer.address().as_bytes());
+            Record::decode(&encoded).unwrap()
+        }
+        Tamper::RecordSenderIsNotInnerSigner => Record::signed(kind, payload, FEE, nonce, &other),
+        _ => Record::signed(kind, payload, FEE, nonce, signer),
+    }
+}
+
+/// What every judge said of one case: the admission verdict, whether the
+/// node pooled the record, a fresh replica's verdict on a block carrying
+/// it, and whether the node took such a block. Each judge gets the record
+/// under its own nonce, so no record's id is in the signature cache when
+/// it is judged.
+fn judged(
+    admitted: Result<(), CoreError>,
+    node: &mut ProviderNode,
+    library: &VulnLibrary,
+    make: impl Fn(u64) -> Record,
+) -> String {
+    let pooled = node_admits(node, Message::Record(make(11)));
+    let carrier = Block::assemble(
+        &genesis(),
+        vec![make(12)],
+        1,
+        Difficulty::from_u64(1),
+        Address::ZERO,
+    );
+    let bare = Protocol::new(Box::new(ChainStore::new(genesis())), library.clone(), &[])
+        .check_block(&carrier);
+    let height = node.store().best_height();
+    let tip = node.store().best_block();
+    let block = Block::assemble(
+        &tip,
+        vec![make(13)],
+        tip.header().timestamp + 1,
+        Difficulty::from_u64(1),
+        Address::ZERO,
+    );
+    node.handle(Message::Block(Box::new(block)));
+    let took = node.store().best_height() > height;
+    let text = |r: Result<(), CoreError>| match r {
+        Ok(()) => "ok".to_string(),
+        Err(e) => e.to_string(),
+    };
+    format!(
+        "{} | pooled {pooled} | block {} | node block {took}",
+        text(admitted),
+        text(bare)
+    )
+}
+
+/// A payload signature by the record's own sender is checked in that
+/// sender's signature pass; every judge must still say exactly what it
+/// said when each signature had its own recovery. Each kind × tamper is
+/// judged by the admission path (the platform's where it can build the
+/// record, else the protocol core it runs), by a node fed the record,
+/// and by a fresh replica and the node on a block that carries it.
+#[test]
+fn payload_signatures_checked_with_their_record_keep_every_verdict() {
+    use Tamper::{IsolatedSigner, RecordSenderIsNotInnerSigner, RecordSignatureForged};
+    let (mut platform, mut node, sra_id) = platform_and_node();
+    let library = platform.library().clone();
+    let other = KeyPair::from_seed(b"another key");
+    let bare = || Protocol::new(Box::new(ChainStore::new(genesis())), library.clone(), &[]);
+    let detector =
+        |kind: &str, how: Tamper| KeyPair::from_seed(format!("{kind} {how:?}").as_bytes());
+    // The isolated detector: an `R†` committing to a made-up finding,
+    // confirmed, then its `R*` three times, on the platform and the node.
+    let cheat = KeyPair::from_seed(b"isolated cheat");
+    let (cheat_initial, cheat_detailed) =
+        create_report_pair(&cheat, sra_id, Findings::new(vec![VulnId(40)], "made up"));
+    platform
+        .submit_initial(&cheat, cheat_initial.clone())
+        .unwrap();
+    assert!(node_admits(
+        &mut node,
+        record(RecordKind::InitialReport, cheat_initial.encode(), 0, &cheat)
+    ));
+    // Every `R*` case's detector has its honest `R†` confirmed.
+    let detailed: Vec<(Tamper, KeyPair, DetailedReport)> = TAMPERS
+        .into_iter()
+        .filter(|how| !matches!(how, IsolatedSigner))
+        .map(|how| {
+            let kp = detector("detailed", how);
+            let (initial, detailed) =
+                create_report_pair(&kp, sra_id, Findings::new(vec![VulnId(1)], "real"));
+            platform.submit_initial(&kp, initial.clone()).unwrap();
+            assert!(node_admits(
+                &mut node,
+                record(RecordKind::InitialReport, initial.encode(), 0, &kp)
+            ));
+            (how, kp, detailed)
+        })
+        .collect();
+    platform.mine_blocks(8);
+    for strike in 0..3 {
+        assert!(matches!(
+            platform.submit_detailed(&cheat, cheat_detailed.clone()),
+            Err(CoreError::AutoVerifFailed { .. })
+        ));
+        let forged = record(
+            RecordKind::DetailedReport,
+            cheat_detailed.encode(),
+            1 + strike,
+            &cheat,
+        );
+        assert!(!node_admits(&mut node, forged));
+    }
+    assert!(!platform.scoreboard().admits(&cheat.address()));
+    assert!(!node.scoreboard().admits(&cheat.address()));
+
+    let mut verdicts = Vec::new();
+    // The platform signs its own announcements, so every crafted SRA goes
+    // to a replica of the protocol core the platform runs.
+    for how in TAMPERS {
+        let owned = detector("sra", how);
+        let provider = if matches!(how, IsolatedSigner) {
+            &cheat
+        } else {
+            &owned
+        };
+        let sra = Sra::create(
+            provider,
+            "fw",
+            &format!("{how:?}"),
+            [7; 32],
+            "sim://fw",
+            INSURANCE,
+            INCENTIVE_PER_VULN,
+        );
+        let make = |nonce| {
+            tampered_record(
+                RecordKind::Sra,
+                &sra.encode(),
+                sra.id(),
+                provider,
+                how,
+                nonce,
+            )
+        };
+        let admitted = bare().admit(make(10)).map(|_| ());
+        verdicts.push(format!(
+            "sra {how:?}: {}",
+            judged(admitted, &mut node, &library, make)
+        ));
+    }
+    for how in TAMPERS {
+        let owned = detector("initial", how);
+        let signer = if matches!(how, IsolatedSigner) {
+            &cheat
+        } else {
+            &owned
+        };
+        let (initial, _) =
+            create_report_pair(signer, sra_id, Findings::new(vec![VulnId(1)], "again"));
+        let make = |nonce| {
+            tampered_record(
+                RecordKind::InitialReport,
+                &initial.encode(),
+                initial.id(),
+                signer,
+                how,
+                nonce,
+            )
+        };
+        let admitted = match how {
+            RecordSignatureForged => bare().admit(make(10)).map(|_| ()),
+            _ => {
+                let by = if matches!(how, RecordSenderIsNotInnerSigner) {
+                    &other
+                } else {
+                    signer
+                };
+                let report = InitialReport::decode(make(10).payload()).unwrap();
+                platform.submit_initial(by, report).map(|_| ())
+            }
+        };
+        verdicts.push(format!(
+            "initial {how:?}: {}",
+            judged(admitted, &mut node, &library, make)
+        ));
+    }
+    let isolated = (IsolatedSigner, cheat, cheat_detailed);
+    for (how, signer, report) in detailed.iter().chain([&isolated]) {
+        let make = |nonce| {
+            tampered_record(
+                RecordKind::DetailedReport,
+                &report.encode(),
+                report.id(),
+                signer,
+                *how,
+                nonce,
+            )
+        };
+        let admitted = match how {
+            RecordSignatureForged => bare().admit(make(10)).map(|_| ()),
+            _ => {
+                let by = if matches!(how, RecordSenderIsNotInnerSigner) {
+                    &other
+                } else {
+                    signer
+                };
+                let report = DetailedReport::decode(make(10).payload()).unwrap();
+                platform.submit_detailed(by, report).map(|_| ())
+            }
+        };
+        verdicts.push(format!(
+            "detailed {how:?}: {}",
+            judged(admitted, &mut node, &library, make)
+        ));
+    }
+    // What the same cases give when every payload signature has its own
+    // recovery.
+    let before = [
+        "sra Honest: ok | pooled true | block ok | node block true",
+        "sra InnerByAnotherKey: SRA signature does not recover to the claimed provider | pooled false | block SRA signature does not recover to the claimed provider | node block false",
+        "sra InnerRecoveryIdFlipped: SRA signature does not recover to the claimed provider | pooled false | block SRA signature does not recover to the claimed provider | node block false",
+        "sra InnerOverAnotherId: SRA signature does not recover to the claimed provider | pooled false | block SRA signature does not recover to the claimed provider | node block false",
+        "sra RecordSignatureForged: chain error: record rejected: signature recovers to 0xfef4bc448f56a0056f7fe986592bf45b053793dd but record claims sender 0xe3538f7fdbd446af44757d863f587d420483770c | pooled false | block chain error: record rejected: signature recovers to 0x14dc45aae1fe9befc4e4c5bf638125445f6b4deb but record claims sender 0xe3538f7fdbd446af44757d863f587d420483770c | node block false",
+        "sra RecordSenderIsNotInnerSigner: ok | pooled true | block ok | node block true",
+        "sra IsolatedSigner: ok | pooled true | block ok | node block true",
+        "initial Honest: ok | pooled true | block ok | node block true",
+        "initial InnerByAnotherKey: initial report signature invalid | pooled false | block initial report signature invalid | node block false",
+        "initial InnerRecoveryIdFlipped: initial report signature invalid | pooled false | block initial report signature invalid | node block false",
+        "initial InnerOverAnotherId: initial report signature invalid | pooled false | block initial report signature invalid | node block false",
+        "initial RecordSignatureForged: chain error: record rejected: signature recovers to 0xf500541fb52fc9a5b45b7bb2c7ad20ba048814c7 but record claims sender 0xaf0f59c48f654ce7bf1ca38931c446b8d3f45f20 | pooled false | block chain error: record rejected: signature recovers to 0xa9a81448fe1f2754bfab1c47e780f132eb922898 but record claims sender 0xaf0f59c48f654ce7bf1ca38931c446b8d3f45f20 | node block false",
+        "initial RecordSenderIsNotInnerSigner: ok | pooled true | block ok | node block true",
+        "initial IsolatedSigner: detector is isolated by the scoreboard | pooled false | block ok | node block true",
+        "detailed Honest: ok | pooled true | block ok | node block true",
+        "detailed InnerByAnotherKey: detailed report signature invalid | pooled false | block ok | node block false",
+        "detailed InnerRecoveryIdFlipped: detailed report signature invalid | pooled false | block ok | node block false",
+        "detailed InnerOverAnotherId: detailed report signature invalid | pooled false | block ok | node block false",
+        "detailed RecordSignatureForged: chain error: record rejected: signature recovers to 0x5db544c246bd4d588bf6e357caecaadf00a2c326 but record claims sender 0xe6bf66553c2b11faea4c72964e397ced5bec6f55 | pooled false | block chain error: record rejected: signature recovers to 0xe9c1334457823b17333cdeb2500a030b7d11ff08 but record claims sender 0xe6bf66553c2b11faea4c72964e397ced5bec6f55 | node block false",
+        "detailed RecordSenderIsNotInnerSigner: ok | pooled true | block ok | node block true",
+        "detailed IsolatedSigner: AutoVerif returned FALSE for claims [40] | pooled false | block ok | node block false",
+    ];
+    assert_eq!(verdicts, before);
 }

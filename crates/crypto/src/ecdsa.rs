@@ -7,16 +7,18 @@
 //! signer address without shipping the full public key.
 //!
 //! [`verify`] is one [`Point::lincomb_with_generator`] pass plus one
-//! scalar inversion. [`recover_batch`] is, per signature, the square root
-//! that lifts `r` to `R` and one such pass, plus one scalar and one field
-//! inversion for the whole burst; [`recover`] is the burst of one. It does
-//! not re-verify the key it finds, for the reason its doc comment proves.
-//! [`verify_batch_known`] checks a burst of signatures against keys that
-//! are already known (a sender's key, established by recovering its first
-//! record) with one weighted multi-term pass: per signature the square
-//! root, an eight-entry table and the additions of one 128-bit weight,
-//! with the 129 doublings shared by the whole burst.
+//! scalar inversion. [`recover_groups`] takes groups of signatures that
+//! claim one signer each (a record's signature and the payload signature
+//! its sender made, or a burst's records of one sender): per group the
+//! square root that lifts each `r` to `R` and one Strauss pass, in which
+//! the first member names the key and every later one adds an eight-entry
+//! table and the additions of one 128-bit weight, plus one scalar and one
+//! field inversion for all the groups. [`recover`] is the group of one. It
+//! does not re-verify the key it finds, for the reason its doc comment
+//! proves; why a larger group may skip one recovery per member is on
+//! `recover_groups`.
 
+use crate::address::Address;
 use crate::error::CryptoError;
 use crate::hmac::hmac_sha256;
 use crate::point::Point;
@@ -228,6 +230,7 @@ pub fn verify(q: &Point, digest: &[u8; 32], sig: &Signature) -> Result<(), Crypt
 /// [`crate::keys::recover_public_key`] checks that once on the way out.
 /// `kernel_differential.rs` holds this function to the reference `recover`,
 /// which keeps its re-verification, on `Ok` value and error variant alike.
+/// It is the group of one of [`recover_groups`].
 ///
 /// # Errors
 ///
@@ -235,125 +238,140 @@ pub fn verify(q: &Point, digest: &[u8; 32], sig: &Signature) -> Result<(), Crypt
 /// the signature's recovery id, or [`CryptoError::InvalidPublicKey`] when
 /// the recovered key is the point at infinity (`s·R = e·G`).
 pub fn recover(digest: &[u8; 32], sig: &Signature) -> Result<Point, CryptoError> {
-    recover_batch(&[(*digest, *sig)]).remove(0)
+    recover_groups(&[(Address::ZERO, &[(*digest, *sig)])]).remove(0)
 }
 
-/// [`recover`] of every `(digest, signature)` pair, index-aligned: the
-/// same `Ok` point or error variant per item as one `recover` call each,
-/// for two modular inversions per burst instead of two per signature.
+/// Signatures that claim one signer: the address they declare, and the
+/// `(digest, signature)` members, the first of which names the key.
+pub type Group<'a> = (Address, &'a [([u8; 32], Signature)]);
+
+/// One point `X` per group, index-aligned, from one Strauss pass per group
+/// and two modular inversions for all of them: `X` has the group's
+/// declared address exactly when every member would [`recover`] to a key
+/// with that address, except with probability about 2⁻¹²⁷ (below). A group
+/// of one member is [`recover`] of it, `Ok` point and error variant alike,
+/// and its declared address is not read.
 ///
-/// Each `R` is lifted on its own, and a signature whose `R` does not
-/// exist fails alone. All `r` are inverted together with Montgomery's
-/// trick (one [`Scalar::invert`], three multiplications per item; `r ≠ 0`
-/// is [`Signature`]'s invariant), and every double multiplication ends in
-/// Jacobian coordinates, converted with one field inversion across the
-/// burst. A `Q = ∞` has `Z = 0`, stays out of that product and maps to
-/// [`CryptoError::InvalidPublicKey`].
-pub fn recover_batch(items: &[([u8; 32], Signature)]) -> Vec<Result<Point, CryptoError>> {
-    let mut r_inv: Vec<Scalar> = items.iter().map(|(_, sig)| sig.r).collect();
-    invert_all(&mut r_inv);
-    // Each item's R, replaced below by its key.
-    let mut keys: Vec<Result<Point, CryptoError>> =
-        items.iter().map(|(_, sig)| lift_r(sig)).collect();
-    let inputs = items.iter().zip(&r_inv).zip(&keys);
-    let terms = inputs.filter_map(|(((digest, sig), r_inv), r_point)| {
-        let r_point = *r_point.as_ref().ok()?;
-        let e = Scalar::from_digest(digest);
-        // Q = r⁻¹ (s·R − e·G) = (−e·r⁻¹)·G + (s·r⁻¹)·R
-        Some((e.mul(r_inv).neg(), sig.s.mul(r_inv), r_point))
-    });
-    let mut recovered = Point::lincomb_batch(terms).into_iter();
-    for key in keys.iter_mut().filter(|key| key.is_ok()) {
-        *key = recovered
-            .next()
-            .filter(|q| !q.is_infinity())
-            .ok_or(CryptoError::InvalidPublicKey);
+/// **The pass.** The first member names `Q = r₁⁻¹(s₁·R₁ − e₁·G)`. Member
+/// `j > 1` recovers to `Q` exactly when `Dⱼ = u₁ⱼ·G + u₂ⱼ·Q − Rⱼ = ∞`
+/// for `u₁ = e/s` and `u₂ = r/s` (multiplied by `s`, that is
+/// `s·R = e·G + r·Q`; a wrong-parity recovery id names `−R` and fails).
+/// The pass computes
+///
+/// `X = Q − Σⱼ wⱼ·Dⱼ = (c·a₁ − Σⱼ wⱼu₁ⱼ)·G + c·b₁·R₁ + Σⱼ wⱼ·Rⱼ`,
+///
+/// with `Q = a₁·G + b₁·R₁` substituted (`a₁ = −e₁/r₁`, `b₁ = s₁/r₁`) and
+/// `c = 1 − Σⱼ wⱼu₂ⱼ`: `G` and `R₁` are split by the endomorphism, each
+/// `Rⱼ` keeps its 128-bit weight `wⱼ` whole, and the 129 doublings are
+/// shared by every term ([`Point`]'s multi-term ladder). The `r₁` and the
+/// followers' `s` of every group are inverted together (one
+/// [`Scalar::invert`]), and every `X` is converted to affine with one
+/// field inversion. A member whose `R` does not exist makes its group
+/// [`CryptoError::InvalidSignature`]; `X = ∞` is
+/// [`CryptoError::InvalidPublicKey`], as for `recover` (an empty group is
+/// `InvalidSignature`: no member names a key).
+///
+/// **Soundness.** If every member recovers to a key `P`, every `Dⱼ` is ∞
+/// and `X = Q = P`, with no error term. Otherwise, either every `Dⱼ` is ∞
+/// and every member recovers to the same `Q` (so `Q`'s address is not the
+/// declared one, or `Q = ∞` and so is `X`), or some `Dᵢ ≠ ∞`. `Dᵢ` then
+/// has prime order `n > 2¹²⁸`, so for any fixed other terms the 2¹²⁷ odd
+/// weights `wᵢ` give 2¹²⁷ distinct `X`, and at most one of them is any
+/// given key. The weights are hashed from the declared address and every
+/// member's digest and signature, so the key a forger wants `X` to be (the
+/// one behind the declared address) is fixed before they are drawn: a hash
+/// that behaves as a random oracle lands on it with probability at most
+/// 2⁻¹²⁷ per evaluation, and on another key with the same address only
+/// through a 160-bit address collision. Terms that cancel each other when
+/// every weight is one (digests shifted by `+δ·sₐ` and `−δ·s_b`) are what
+/// the weights are for. The weights are a pure function of the input, so
+/// a seeded run stays byte-identical.
+pub fn recover_groups(groups: &[Group<'_>]) -> Vec<Result<Point, CryptoError>> {
+    if groups.is_empty() {
+        return Vec::new(); // and no inversion of an empty product
     }
-    keys
+    // Every member's `R`, or the error of the first that does not exist.
+    let lifted: Vec<Result<Vec<Point>, CryptoError>> = groups
+        .iter()
+        .map(|(_, members)| match members {
+            [] => Err(CryptoError::InvalidSignature),
+            _ => members.iter().map(|(_, sig)| lift_r(sig)).collect(),
+        })
+        .collect();
+    let liftable = || {
+        groups
+            .iter()
+            .zip(&lifted)
+            .filter_map(|((signer, members), r_points)| {
+                Some((signer, *members, r_points.as_ref().ok()?))
+            })
+    };
+    // Per group its first member's `r`, then each follower's `s`.
+    let mut inverses: Vec<Scalar> = liftable()
+        .flat_map(|(_, members, _)| {
+            let first = members.iter().take(1).map(|(_, sig)| sig.r);
+            first.chain(members.iter().skip(1).map(|(_, sig)| sig.s))
+        })
+        .collect();
+    invert_all(&mut inverses);
+    let mut offset = 0;
+    let sums: Vec<_> = liftable()
+        .map(|(signer, members, r_points)| {
+            let inverses = &inverses[offset..offset + members.len()];
+            offset += members.len();
+            let (e1, first) = &members[0];
+            let a1 = Scalar::from_digest(e1).mul(&inverses[0]).neg();
+            let b1 = first.s.mul(&inverses[0]);
+            // Σ wⱼu₁ⱼ and Σ wⱼu₂ⱼ over the followers.
+            let (mut g_sum, mut q_sum) = (Scalar::ZERO, Scalar::ZERO);
+            let mut r_terms = Vec::with_capacity(members.len() - 1);
+            let followers = members.iter().zip(r_points).zip(inverses).skip(1);
+            for ((((digest, sig), r_point), s_inv), w) in
+                followers.zip(group_weights(signer, members))
+            {
+                let w_over_s = Scalar::from_u256_reduced(U256::from_u128(w)).mul(s_inv);
+                g_sum = g_sum.add(&Scalar::from_digest(digest).mul(&w_over_s));
+                q_sum = q_sum.add(&sig.r.mul(&w_over_s));
+                let weight = HalfScalar {
+                    magnitude: w,
+                    negative: false,
+                };
+                r_terms.push((weight, *r_point));
+            }
+            let c = Scalar::ONE.sub(&q_sum);
+            (c.mul(&a1).sub(&g_sum), c.mul(&b1), r_points[0], r_terms)
+        })
+        .collect();
+    let mut keys = Point::lincomb_sums(&sums).into_iter();
+    lifted
+        .into_iter()
+        .map(|r_points| {
+            r_points?;
+            keys.next()
+                .filter(|x| !x.is_infinity())
+                .ok_or(CryptoError::InvalidPublicKey)
+        })
+        .collect()
 }
 
-/// Whether every `(digest, signature, k)` item was signed by `keys[k]`:
-/// `true` exactly when, per item, [`recover`] would return `keys[k]`,
-/// except with probability at most 2⁻¹²⁷ per batch (below). This is how
-/// a burst checks the records of a sender whose key an earlier record
-/// already established, without one recovery each (Karati et al., "Batch
-/// Verification of ECDSA Signatures", AFRICACRYPT 2012).
-///
-/// Item `i` holds when `u₁ᵢ·G + u₂ᵢ·Q − Rᵢ = ∞`, for `u₁ = e/s`,
-/// `u₂ = r/s`, `Q = keys[k]` and the `R` that `r` and the recovery id
-/// name: multiplied by `s`, that is `s·R = e·G + r·Q`, so `recover` would
-/// find `Q`, and a wrong-parity `v` names `−R` and fails. One Strauss pass
-/// ([`Point`]'s multi-term ladder, 129 shared doublings) tests the
-/// weighted sum of all of them,
-///
-/// `(Σ zᵢu₁ᵢ)·G + Σₖ(Σ_{i∈k} zᵢu₂ᵢ)·Qₖ − Σ zᵢ·Rᵢ = ∞`,
-///
-/// where each `Qₖ` is split by the endomorphism and each `Rᵢ` keeps its
-/// 128-bit weight whole. The `s` are inverted together (one
-/// [`Scalar::invert`]) and nothing is converted to affine.
-///
-/// **Soundness.** The weights `zᵢ` are odd 128-bit numbers hashed from
-/// the whole batch: every key, digest, signature and key index. If item
-/// `i` fails, its term `Dᵢ = u₁ᵢ·G + u₂ᵢ·Qₖ − Rᵢ` is a non-zero point of
-/// prime order `n > 2¹²⁸`, so for any fixed other terms at most one of
-/// the 2¹²⁷ odd `zᵢ` cancels the sum, and a hash that behaves as a random
-/// oracle picks it with probability at most 2⁻¹²⁷. Terms that cancel
-/// each other when every weight is one (digests shifted by `+δ·sₐ` and
-/// `−δ·s_b`) are what the weights are for. Since the weights depend on
-/// every input, a forger who wants a batch accepted must find a batch
-/// whose own hash cancels it, one 2⁻¹²⁷ chance per hash evaluated. The
-/// weights are a pure function of the input, so a seeded run stays
-/// byte-identical.
-///
-/// `false` covers everything else: an item whose `R` does not exist, a
-/// key at infinity or off the curve, and a batch of which any item is
-/// bad (which one is for [`recover_batch`] to say). An empty batch holds.
-///
-/// # Panics
-///
-/// Panics if an item's `k` is not an index into `keys`.
-pub fn verify_batch_known(keys: &[Point], items: &[([u8; 32], Signature, usize)]) -> bool {
-    if keys.iter().any(|q| q.is_infinity() || !q.is_on_curve()) {
-        return false;
+/// The odd 128-bit weight of every follower of a [`recover_groups`] group:
+/// a seed is hashed from the declared address and every member, and each
+/// SHA-256 of the seed and a counter gives two weights. A group of one
+/// hashes nothing.
+fn group_weights(signer: &Address, members: &[([u8; 32], Signature)]) -> Vec<u128> {
+    let followers = members.len() - 1;
+    if followers == 0 {
+        return Vec::new();
     }
-    let mut s_inv: Vec<Scalar> = items.iter().map(|(_, sig, _)| sig.s).collect();
-    invert_all(&mut s_inv);
-    let weights = batch_weights(keys, items);
-    let mut g_coefficient = Scalar::ZERO;
-    let mut key_terms: Vec<(Scalar, Point)> = keys.iter().map(|q| (Scalar::ZERO, *q)).collect();
-    let mut r_terms = Vec::with_capacity(items.len());
-    for (((digest, sig, k), s_inv), z) in items.iter().zip(&s_inv).zip(weights) {
-        let Ok(r_point) = lift_r(sig) else {
-            return false;
-        };
-        let z_over_s = Scalar::from_u256_reduced(U256::from_u128(z)).mul(s_inv);
-        g_coefficient = g_coefficient.add(&Scalar::from_digest(digest).mul(&z_over_s));
-        key_terms[*k].0 = key_terms[*k].0.add(&sig.r.mul(&z_over_s));
-        let minus_z = HalfScalar {
-            magnitude: z,
-            negative: true,
-        };
-        r_terms.push((minus_z, r_point));
-    }
-    Point::sums_to_infinity(&g_coefficient, &key_terms, &r_terms)
-}
-
-/// The odd 128-bit weight of every item of [`verify_batch_known`]: a seed
-/// is hashed from the whole batch, and each SHA-256 of the seed and a
-/// counter gives two weights.
-fn batch_weights(keys: &[Point], items: &[([u8; 32], Signature, usize)]) -> Vec<u128> {
-    let mut transcript = Vec::with_capacity(65 * keys.len() + (32 + 65 + 8) * items.len());
-    for q in keys.iter().filter_map(Point::encode_uncompressed) {
-        transcript.extend_from_slice(&q);
-    }
-    for (digest, sig, k) in items {
+    let mut transcript = Vec::with_capacity(20 + (32 + 65) * members.len());
+    transcript.extend_from_slice(signer.as_bytes());
+    for (digest, sig) in members {
         transcript.extend_from_slice(digest);
         transcript.extend_from_slice(&sig.to_bytes());
-        transcript.extend_from_slice(&(*k as u64).to_be_bytes());
     }
     let mut block = [0u8; 40];
     block[..32].copy_from_slice(&sha256(&transcript));
-    (0..items.len().div_ceil(2) as u64)
+    (0..followers.div_ceil(2) as u64)
         .flat_map(|counter| {
             block[32..].copy_from_slice(&counter.to_be_bytes());
             let h = sha256(&block);
@@ -364,7 +382,7 @@ fn batch_weights(keys: &[Point], items: &[([u8; 32], Signature, usize)]) -> Vec<
             };
             [half(0), half(16)]
         })
-        .take(items.len())
+        .take(followers)
         .collect()
 }
 

@@ -4,7 +4,7 @@
 //! [`crate::ecdsa`], which keeps SmartCrowd signatures reproducible in
 //! tests and immune to bad-randomness nonce reuse.
 
-use crate::sha256::Sha256;
+use crate::sha256::{sha256, Sha256};
 
 const BLOCK: usize = 64;
 
@@ -25,25 +25,18 @@ const BLOCK: usize = 64;
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     let mut key_block = [0u8; BLOCK];
     if key.len() > BLOCK {
-        let digest = {
-            let mut h = Sha256::new();
-            h.update(key);
-            h.finalize()
-        };
-        key_block[..32].copy_from_slice(&digest);
+        key_block[..32].copy_from_slice(&sha256(key));
     } else {
         key_block[..key.len()].copy_from_slice(key);
     }
 
     let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
+    inner.update(&key_block.map(|b| b ^ 0x36));
     inner.update(message);
     let inner_digest = inner.finalize();
 
     let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
+    outer.update(&key_block.map(|b| b ^ 0x5c));
     outer.update(&inner_digest);
     outer.finalize()
 }

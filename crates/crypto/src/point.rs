@@ -11,7 +11,8 @@
 //! and `λP` are those of `G` and `P` with `x` scaled by `β`. That pass is
 //! the one-term case of a multi-term one, `a·G + Σ bₖ·Pₖ + Σ cⱼ·Rⱼ` with
 //! 128-bit `cⱼ`, which still shares its 129 doublings across every term:
-//! the weighted sum a batch of ECDSA signatures is verified with.
+//! the weighted sum one signer's group of ECDSA signatures is recovered
+//! with (`ecdsa::recover_groups`).
 
 use crate::error::CryptoError;
 use crate::field::FieldElement;
@@ -50,6 +51,10 @@ const BETA: FieldElement = FieldElement::from_limbs_unchecked([
     0x6E64_479E_AC34_34E9,
     0x7AE9_6A2B_657C_0710,
 ]);
+
+/// One term of [`Point::lincomb_sums`]: `(a, b, P, [(cⱼ, Rⱼ)])` for
+/// `a·G + b·P + Σ cⱼ·Rⱼ`.
+pub(crate) type LincombSum = (Scalar, Scalar, Point, Vec<(HalfScalar, Point)>);
 
 /// A point on secp256k1 in affine coordinates, or the point at infinity.
 ///
@@ -686,35 +691,17 @@ impl Point {
         strauss(a, &[(*b, *p)], &[]).to_affine()
     }
 
-    /// Whether `a·G + Σ bₖ·Pₖ + Σ cⱼ·Rⱼ = ∞`, from one Strauss pass over
-    /// every term (129 shared doublings, one table per point, no
-    /// inversion): the weighted sum a batch verification tests. Every
-    /// point must be on the curve, as for
-    /// [`Point::lincomb_with_generator`].
-    pub(crate) fn sums_to_infinity(
-        a: &Scalar,
-        full: &[(Scalar, Point)],
-        half: &[(HalfScalar, Point)],
-    ) -> bool {
-        strauss(a, full, half).is_infinity()
-    }
-
-    /// [`Point::lincomb_with_generator`] of every `(a, b, P)` term, in
-    /// order, with one field inversion for them all instead of one each.
-    pub(crate) fn lincomb_batch(
-        terms: impl Iterator<Item = (Scalar, Scalar, Point)>,
-    ) -> Vec<Point> {
-        let sums: Vec<Jacobian> = terms.map(|(a, b, p)| strauss(&a, &[(b, p)], &[])).collect();
+    /// `a·G + b·P + Σ cⱼ·Rⱼ` of every `(a, b, P, [(cⱼ, Rⱼ)])` term, in
+    /// order: one Strauss pass each (129 shared doublings, one table per
+    /// point), and one field inversion for them all. Every point must be
+    /// on the curve, as for [`Point::lincomb_with_generator`], which is the
+    /// case of one term with no `cⱼ`.
+    pub(crate) fn lincomb_sums(terms: &[LincombSum]) -> Vec<Point> {
+        let sums: Vec<Jacobian> = terms
+            .iter()
+            .map(|(a, b, p, half)| strauss(a, &[(*b, *p)], half))
+            .collect();
         batch_to_affine(&sums)
-    }
-
-    /// SEC1 uncompressed encoding `0x04 || x || y` (65 bytes); `None` for
-    /// infinity.
-    pub(crate) fn encode_uncompressed(&self) -> Option<[u8; 65]> {
-        match self {
-            Point::Infinity => None,
-            Point::Affine { x, y } => Some(sec1_uncompressed(x, y)),
-        }
     }
 
     /// SEC1 compressed encoding `0x02/0x03 || x` (33 bytes); `None` for
@@ -945,15 +932,34 @@ mod tests {
             want = want.add(&mul_binary(point, &c_scalar));
         }
         assert_eq!(strauss(&a, &full, &halves).to_affine(), want);
-        assert!(!Point::sums_to_infinity(&a, &full, &halves));
         // Subtracting the sum as one more term cancels it.
         assert!(!want.is_infinity());
         let mut with_minus = full.to_vec();
         with_minus.push((Scalar::ONE.neg(), want));
-        assert!(Point::sums_to_infinity(&a, &with_minus, &halves));
+        assert!(strauss(&a, &with_minus, &halves).is_infinity());
         // No terms at all: a·G alone, and 0·G = ∞.
         assert_eq!(strauss(&a, &[], &[]).to_affine(), mul_binary(&g, &a));
-        assert!(Point::sums_to_infinity(&Scalar::ZERO, &[], &[]));
+        assert!(strauss(&Scalar::ZERO, &[], &[]).is_infinity());
+        // One sum per term, converted together: the ones above, a
+        // cancelling one among them, and the one-term double multiply.
+        let (b, p0) = full[0];
+        let sums = [
+            (a, b, p0, halves.to_vec()),
+            (a, Scalar::ZERO, q, vec![]),
+            (Scalar::ZERO, Scalar::ONE, want, vec![(half(1, true), want)]),
+            (a, b, p0, vec![]),
+        ];
+        let one_term = mul_binary(&g, &a).add(&mul_binary(&p0, &b));
+        let mut with_halves = one_term;
+        for (c, point) in &halves {
+            let c_scalar = Scalar::from_u256_reduced(U256::from_u128(c.magnitude));
+            let c_scalar = if c.negative { c_scalar.neg() } else { c_scalar };
+            with_halves = with_halves.add(&mul_binary(point, &c_scalar));
+        }
+        assert_eq!(
+            Point::lincomb_sums(&sums),
+            [with_halves, mul_binary(&g, &a), Point::Infinity, one_term]
+        );
     }
 
     #[test]
@@ -1088,7 +1094,7 @@ mod tests {
     #[test]
     fn uncompressed_roundtrip() {
         let p = Point::generator().mul(&Scalar::from_u64(7));
-        let enc = p.encode_uncompressed().unwrap();
+        let enc = sec1_uncompressed(&p.x().unwrap(), &p.y().unwrap());
         assert_eq!(Point::decode(&enc).unwrap(), p);
     }
 

@@ -122,11 +122,16 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        // The 0x80 marker, zeros, and the 64-bit length in the last eight
+        // bytes: one block, or two when the marker lands past byte 55.
+        // `buffer_len < 64` always (a full buffer is compressed at once).
+        self.buffer[self.buffer_len] = 0x80;
+        self.buffer[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer.fill(0);
         }
-        // Length goes straight into the buffer: update() would recount it.
         self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);

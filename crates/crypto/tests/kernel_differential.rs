@@ -18,7 +18,7 @@ use smartcrowd_crypto::point::Point;
 use smartcrowd_crypto::scalar::Scalar;
 use smartcrowd_crypto::sha256::sha256;
 use smartcrowd_crypto::u256::U256;
-use smartcrowd_crypto::CryptoError;
+use smartcrowd_crypto::{Address, CryptoError, PublicKey};
 
 fn arb_u256() -> impl Strategy<Value = U256> {
     any::<[u64; 4]>().prop_map(U256::from_limbs)
@@ -128,13 +128,24 @@ fn assert_ecdsa_agrees(digest: &[u8; 32], sig: &Signature) -> Result<(), TestCas
     Ok(())
 }
 
-/// One `recover_batch` input: a digest and a signature over it (or not).
+/// One group member: a digest and a signature over it (or not).
 type Signed = ([u8; 32], Signature);
 
-/// `recover_batch` against one `recover` per item: the same length, and
-/// per index the same `Ok` point or the same error variant.
-fn assert_batch_agrees(burst: &[Signed]) -> Result<(), TestCaseError> {
-    let got = ecdsa::recover_batch(burst);
+/// A burst of groups of one against one `recover` per item: the same
+/// length, and per index the same `Ok` point or the same error variant.
+/// A group of one does not read its declared address.
+fn assert_singletons_agree(burst: &[Signed]) -> Result<(), TestCaseError> {
+    let groups: Vec<ecdsa::Group<'_>> = burst
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            (
+                Address::from_label(&i.to_string()),
+                std::slice::from_ref(item),
+            )
+        })
+        .collect();
+    let got = ecdsa::recover_groups(&groups);
     prop_assert_eq!(got.len(), burst.len());
     for (index, ((digest, sig), got)) in burst.iter().zip(got).enumerate() {
         prop_assert_eq!(got, ecdsa::recover(digest, sig), "index {}", index);
@@ -382,7 +393,7 @@ proptest! {
         burst.extend([burst[0], (msg, infinity)]);
         let len = burst.len();
         burst.rotate_left(rotate % len);
-        assert_batch_agrees(&burst)?;
+        assert_singletons_agree(&burst)?;
     }
 
     #[test]
@@ -437,8 +448,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16_384))]
 
     /// The nightly sweep (`-- --ignored`) of `recover` against the
-    /// reference that still re-verifies, and of `recover_batch` of the
-    /// same inputs against `recover`.
+    /// reference that still re-verifies, and of groups of one of the same
+    /// inputs against `recover`.
     #[test]
     #[ignore]
     fn ecdsa_agrees_sweep(
@@ -452,7 +463,7 @@ proptest! {
         prop_assume!(!d.is_zero());
         let mut burst = check_every_recovery_id(&d, &msg)?;
         burst.extend(check_arbitrary_components(r, small_r, s, v, &msg)?);
-        assert_batch_agrees(&burst)?;
+        assert_singletons_agree(&burst)?;
     }
 }
 
@@ -596,7 +607,7 @@ fn unliftable(msg: &[u8; 32]) -> Signed {
 }
 
 #[test]
-fn recover_batch_burst_sizes() {
+fn singleton_groups_burst_sizes() {
     // Valid signatures, every fourth one re-labelled to name the other R
     // (a different, finite key), every seventh one a Q = ∞ signature and
     // every eleventh an unliftable R, so the larger bursts hold both
@@ -624,16 +635,16 @@ fn recover_batch_burst_sizes() {
     // … and every burst against one `recover` per item.
     for size in [0usize, 1, 2, 17, 64, 257] {
         let burst: Vec<Signed> = (0..size).map(|i| distinct[i % distinct.len()]).collect();
-        assert_batch_agrees(&burst).unwrap();
+        assert_singletons_agree(&burst).unwrap();
     }
-    assert!(ecdsa::recover_batch(&[]).is_empty());
+    assert!(ecdsa::recover_groups(&[]).is_empty());
 }
 
 #[test]
-fn recover_batch_one_poisoned_entry_at_every_index() {
+fn singleton_groups_one_poisoned_entry_at_every_index() {
     // Seven valid signatures and one that fails, at each of the eight
-    // places: the failure stays its own, and its neighbours recover the
-    // keys they recover alone.
+    // places, each its own group: the failure stays its own, and its
+    // neighbours recover the keys they recover alone.
     let valid: Vec<Signed> = (100..107).map(signed).collect();
     let msg = sha256(b"poison");
     for poison in [(msg, signature_recovering_infinity(&msg)), unliftable(&msg)] {
@@ -641,8 +652,12 @@ fn recover_batch_one_poisoned_entry_at_every_index() {
         for at in 0..=valid.len() {
             let mut burst = valid.clone();
             burst.insert(at, poison);
-            assert_batch_agrees(&burst).unwrap();
-            let got = ecdsa::recover_batch(&burst);
+            assert_singletons_agree(&burst).unwrap();
+            let groups: Vec<ecdsa::Group<'_>> = burst
+                .iter()
+                .map(|item| (Address::ZERO, std::slice::from_ref(item)))
+                .collect();
+            let got = ecdsa::recover_groups(&groups);
             for (index, key) in got.iter().enumerate() {
                 assert_eq!(key.is_err(), index == at, "poison at {at}, index {index}");
             }
@@ -666,26 +681,49 @@ fn high_s_is_refused_at_the_door() {
     }
 }
 
-/// One `verify_batch_known` item: a digest, a signature over it (or not)
-/// and the index of the key it claims.
-type Known = ([u8; 32], Signature, usize);
-
-/// The per-item answer `verify_batch_known` must give: the reference
-/// `recover` of every item, compared with the key the item claims.
-fn recovers_to_claimed_keys(keys: &[Point], burst: &[Known]) -> bool {
-    burst.iter().all(|(digest, sig, k)| {
-        reference::recover(digest, sig).map(reference::to_point) == Ok(keys[*k])
-    })
+/// The address a member recovers to under the reference `recover`, which
+/// re-verifies the key it finds.
+fn reference_signer(member: &Signed) -> Option<Address> {
+    let q = reference::recover(&member.0, &member.1).ok()?;
+    PublicKey::from_point(reference::to_point(q))
+        .ok()
+        .map(|pk| pk.address())
 }
 
-/// `verify_batch_known` against [`recovers_to_claimed_keys`], item by item.
-fn assert_known_agrees(keys: &[Point], burst: &[Known]) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
-        ecdsa::verify_batch_known(keys, burst),
-        recovers_to_claimed_keys(keys, burst),
-        "burst of {}",
-        burst.len()
-    );
+/// Whether `recover_groups` vouches for a group: its point has the
+/// declared address.
+fn vouches(key: &Result<Point, CryptoError>, signer: Address) -> bool {
+    let address = key
+        .clone()
+        .and_then(PublicKey::from_point)
+        .map(|pk| pk.address());
+    address == Ok(signer)
+}
+
+/// `recover_groups` of `(signer, members)` groups in one call against the
+/// reference: a group is vouched for exactly when every member's
+/// reference recovery has the declared address. `expect` is that answer,
+/// per member, worked out once by the caller.
+fn assert_groups_agree(
+    groups: &[(Address, Vec<Signed>)],
+    expect: impl Fn(&Signed) -> Option<Address>,
+) -> Result<(), TestCaseError> {
+    let claimed: Vec<ecdsa::Group<'_>> = groups
+        .iter()
+        .map(|(signer, members)| (*signer, members.as_slice()))
+        .collect();
+    let got = ecdsa::recover_groups(&claimed);
+    prop_assert_eq!(got.len(), groups.len());
+    for (index, ((signer, members), key)) in groups.iter().zip(&got).enumerate() {
+        let want = members.iter().all(|m| expect(m) == Some(*signer));
+        prop_assert_eq!(
+            vouches(key, *signer),
+            want,
+            "group {} of {}",
+            index,
+            members.len()
+        );
+    }
     Ok(())
 }
 
@@ -694,38 +732,117 @@ fn known_key(k: u64) -> Scalar {
     Scalar::from_digest(&sha256(&k.to_le_bytes()))
 }
 
-/// `len` valid items, round-robin over `keys` signing keys, from `seed`.
-fn known_burst(seed: u64, keys: usize, len: usize) -> (Vec<Point>, Vec<Known>) {
-    let points = (0..keys as u64)
-        .map(|k| Point::mul_generator(&known_key(seed + k)))
-        .collect();
-    let burst = (0..len)
-        .map(|i| {
-            let k = i % keys;
-            let msg = sha256(&seed.wrapping_add(i as u64 * 7919).to_be_bytes());
-            (msg, ecdsa::sign(&known_key(seed + k as u64), &msg), k)
-        })
-        .collect();
-    (points, burst)
+/// The address of the `k`-th test key.
+fn known_address(k: u64) -> Address {
+    PublicKey::from_point(Point::mul_generator(&known_key(k)))
+        .unwrap()
+        .address()
 }
 
-/// The four ways a peer can spoil one item of a known-sender burst: a
-/// flipped digest bit, the other `R` (wrong-parity `v`), another key's
-/// index, and an `s` that signs nothing.
-fn poisoned(item: &Known, how: usize, keys: usize) -> Known {
-    let (mut msg, sig, k) = *item;
-    let parts = |s: U256, v: u8| sig_from_parts(sig.r().to_u256(), s, v).unwrap();
+/// `len` valid members signed by key `k`, from `seed`.
+fn known_group(seed: u64, k: u64, len: usize) -> (Address, Vec<Signed>) {
+    let members = (0..len)
+        .map(|i| {
+            let msg = sha256(&seed.wrapping_add(i as u64 * 7919).to_be_bytes());
+            (msg, ecdsa::sign(&known_key(k), &msg))
+        })
+        .collect();
+    (known_address(k), members)
+}
+
+/// The four ways a peer can spoil one member of a group: a flipped
+/// digest bit, the other `R` (wrong-parity `v`), another key's signature
+/// over the same digest, and the `r + n` bit set where no such `x` exists.
+fn poisoned(member: &Signed, how: usize) -> Signed {
+    let (mut msg, sig) = *member;
     match how % 4 {
         0 => {
             msg[31] ^= 1;
-            (msg, sig, k)
+            (msg, sig)
         }
-        1 => (msg, parts(sig.s().to_u256(), sig.recovery_id() ^ 1), k),
-        2 => (msg, sig, (k + 1) % keys),
+        1 => {
+            let v = sig.recovery_id() ^ 1;
+            (
+                msg,
+                sig_from_parts(sig.r().to_u256(), sig.s().to_u256(), v).unwrap(),
+            )
+        }
+        2 => (msg, ecdsa::sign(&known_key(u64::MAX), &msg)),
         _ => {
-            let s = sig.s().add(&Scalar::ONE);
-            let s = if s.is_high() { s.neg() } else { s };
-            (msg, parts(s.to_u256(), sig.recovery_id()), k)
+            // r + n ≥ p for every r above p − n ≈ 2¹²⁸·1.27.
+            let v = sig.recovery_id() | 2;
+            let past_p = sig_from_parts(sig.r().to_u256(), sig.s().to_u256(), v).unwrap();
+            assert!(sig.r().to_u256() > FieldElement::prime().wrapping_sub(&Scalar::order()));
+            (msg, past_p)
+        }
+    }
+}
+
+/// The reference answer for the members [`known_group`] and [`poisoned`]
+/// build, each worked out once: the honest ones sign for their key, and a
+/// spoiled one for whatever the reference recovers.
+fn expectations(
+    members: impl IntoIterator<Item = (Signed, Option<Address>)>,
+) -> impl Fn(&Signed) -> Option<Address> {
+    let table: Vec<(Signed, Option<Address>)> = members.into_iter().collect();
+    move |member: &Signed| {
+        table
+            .iter()
+            .find(|(m, _)| m == member)
+            .map(|(_, want)| *want)
+            .unwrap_or_else(|| reference_signer(member))
+    }
+}
+
+#[test]
+fn groups_of_every_size_up_to_65_vouch_for_their_signer() {
+    // One call over 65 groups of 1 to 65 honest members, each group its
+    // own key, each group vouched for, and the group of one equal to
+    // `recover` of its member.
+    let groups: Vec<(Address, Vec<Signed>)> = (1..=65)
+        .map(|len| known_group(len as u64, len as u64, len))
+        .collect();
+    let keys: Vec<ecdsa::Group<'_>> = groups
+        .iter()
+        .map(|(signer, members)| (*signer, members.as_slice()))
+        .collect();
+    let got = ecdsa::recover_groups(&keys);
+    for ((k, (signer, members)), key) in (1u64..).zip(&groups).zip(&got) {
+        assert!(vouches(key, *signer), "group of {}", members.len());
+        assert_eq!(*key, Ok(Point::mul_generator(&known_key(k))));
+    }
+    assert_eq!(got[0], ecdsa::recover(&groups[0].1[0].0, &groups[0].1[0].1));
+    // The honest members against the reference, a sample of them.
+    for (signer, members) in groups.iter().step_by(16) {
+        assert_eq!(reference_signer(&members[0]), Some(*signer));
+    }
+}
+
+#[test]
+fn known_batch_poisoned_at_every_index() {
+    // Groups of 1, 2, 3, 16 and 65 members, each spoiled at every index
+    // in each of the four ways, beside an honest group of another key in
+    // the same call: the spoiled group alone loses its vouching.
+    let (other_signer, other) = known_group(7, 7, 5);
+    for len in [1usize, 2, 3, 16, 65] {
+        let (signer, honest) = known_group(31, 31, len);
+        let expect = expectations(honest.iter().map(|m| (*m, Some(signer))));
+        assert_groups_agree(&[(signer, honest.clone())], &expect).unwrap();
+        for at in 0..len {
+            for how in 0..4 {
+                let bad = poisoned(&honest[at], how);
+                // Each spoiled member alone is not the signer's, by the
+                // reference (checked on the shortest groups, where it is
+                // every index in every way).
+                if len <= 3 {
+                    assert_ne!(reference_signer(&bad), Some(signer), "{at}/{how}");
+                }
+                let mut members = honest.clone();
+                members[at] = bad;
+                let got = ecdsa::recover_groups(&[(signer, &members), (other_signer, &other)]);
+                assert!(!vouches(&got[0], signer), "len {len}, {at}/{how}");
+                assert!(vouches(&got[1], other_signer), "len {len}, {at}/{how}");
+            }
         }
     }
 }
@@ -738,68 +855,87 @@ proptest! {
         seed in any::<u64>(),
         keys in 1usize..4,
         len in 1usize..17,
-        // Below 64: spoil item `poison % 16` in way `poison / 16`.
+        // Below 64: spoil member `poison % 16` of group 0 in way
+        // `poison / 16`.
         poison in 0usize..80,
     ) {
-        let (points, mut burst) = known_burst(seed, keys, len);
+        let mut groups: Vec<(Address, Vec<Signed>)> = (0..keys as u64)
+            .map(|k| known_group(seed.wrapping_add(k), seed.wrapping_add(k), len))
+            .collect();
+        let mut table: Vec<(Signed, Option<Address>)> = groups
+            .iter()
+            .flat_map(|(signer, members)| members.iter().map(|m| (*m, Some(*signer))))
+            .collect();
         let (at, how) = (poison % 16 % len, poison / 16);
-        // With one key there is no other key to substitute.
-        if how < 4 && (keys > 1 || how != 2) {
-            burst[at] = poisoned(&burst[at], how, keys);
+        if how < 4 {
+            let bad = poisoned(&groups[0].1[at], how);
+            table.push((bad, reference_signer(&bad)));
+            groups[0].1[at] = bad;
         }
-        assert_known_agrees(&points, &burst)?;
-    }
-}
-
-#[test]
-fn known_batch_poisoned_at_every_index() {
-    // A 16-item burst over three keys holds; spoiling any one item, in any
-    // of the four ways, fails the whole batch.
-    let (keys, burst) = known_burst(31, 3, 16);
-    assert!(recovers_to_claimed_keys(&keys, &burst));
-    assert!(ecdsa::verify_batch_known(&keys, &burst));
-    for at in 0..burst.len() {
-        for how in 0..4 {
-            let spoiled = poisoned(&burst[at], how, keys.len());
-            let item = std::slice::from_ref(&spoiled);
-            assert!(!recovers_to_claimed_keys(&keys, item), "{at}/{how}");
-            let mut bad = burst.clone();
-            bad[at] = spoiled;
-            assert!(!ecdsa::verify_batch_known(&keys, &bad), "{at}/{how}");
-        }
+        assert_groups_agree(&groups, expectations(table))?;
     }
 }
 
 #[test]
 fn known_batch_of_one_duplicates_and_empty() {
-    let (keys, burst) = known_burst(77, 2, 4);
-    assert!(ecdsa::verify_batch_known(&keys, &[]));
-    for item in &burst {
-        assert_known_agrees(&keys, std::slice::from_ref(item)).unwrap();
-        let wrong_parity = poisoned(item, 1, keys.len());
-        assert_known_agrees(&keys, &[wrong_parity]).unwrap();
-        // Twice the same item, good or bad: a repeat gets its own weight,
-        // so a bad item cannot cancel its copy.
-        assert_known_agrees(&keys, &[*item, *item]).unwrap();
-        assert_known_agrees(&keys, &[wrong_parity, wrong_parity]).unwrap();
-        assert!(!ecdsa::verify_batch_known(
-            &keys,
-            &[wrong_parity, wrong_parity]
-        ));
+    let (signer, members) = known_group(77, 77, 4);
+    let wrong_signer = known_address(78);
+    // A group with no members names no key; no groups, no answers.
+    assert_eq!(
+        ecdsa::recover_groups(&[(signer, &[])]),
+        [Err(CryptoError::InvalidSignature)]
+    );
+    assert!(ecdsa::recover_groups(&[]).is_empty());
+    for member in &members {
+        let wrong_parity = poisoned(member, 1);
+        let expect = expectations([(*member, Some(signer)), (wrong_parity, None)]);
+        // Alone: the group of one is `recover`, whichever address it
+        // declares.
+        for declared in [signer, wrong_signer] {
+            let got = ecdsa::recover_groups(&[(declared, std::slice::from_ref(member))]);
+            assert_eq!(got[0], ecdsa::recover(&member.0, &member.1));
+        }
+        // Twice the same member, good or bad: a repeat gets its own
+        // weight, so a bad member cannot cancel its copy.
+        let twice = |m: Signed| vec![m, m];
+        assert_groups_agree(&[(signer, twice(*member))], &expect).unwrap();
+        assert_groups_agree(&[(signer, twice(wrong_parity))], &expect).unwrap();
+        assert_groups_agree(&[(wrong_signer, twice(*member))], &expect).unwrap();
+        assert_groups_agree(&[(signer, vec![wrong_parity, *member])], &expect).unwrap();
     }
-    let mut doubled = burst.clone();
-    doubled.extend_from_slice(&burst);
-    assert!(ecdsa::verify_batch_known(&keys, &doubled));
-    // Keys no item claims, at infinity or off the curve fail the batch.
-    let off_curve = Point::Affine {
-        x: FieldElement::ONE,
-        y: FieldElement::ONE,
-    };
-    for bad_key in [Point::Infinity, off_curve] {
-        let mut with_bad = keys.clone();
-        with_bad.push(bad_key);
-        assert!(!ecdsa::verify_batch_known(&with_bad, &burst));
-    }
+    let mut doubled = members.clone();
+    doubled.extend_from_slice(&members);
+    let got = ecdsa::recover_groups(&[(signer, &doubled)]);
+    assert!(vouches(&got[0], signer));
+}
+
+#[test]
+fn a_first_member_recovering_infinity_spoils_its_group() {
+    // The first member names Q = ∞: no key, whether the followers are
+    // the same signature, honest members of a real key, or nothing.
+    let msg = sha256(b"first at infinity");
+    let infinity = (msg, signature_recovering_infinity(&msg));
+    let (signer, honest) = known_group(5, 5, 3);
+    assert_eq!(
+        ecdsa::recover_groups(&[(signer, &[infinity])]),
+        [Err(CryptoError::InvalidPublicKey)]
+    );
+    assert_eq!(
+        ecdsa::recover_groups(&[(signer, &[infinity, infinity])]),
+        [Err(CryptoError::InvalidPublicKey)]
+    );
+    let mut members = vec![infinity];
+    members.extend_from_slice(&honest);
+    let got = ecdsa::recover_groups(&[(signer, &members), (signer, &honest)]);
+    assert!(!vouches(&got[0], signer));
+    assert!(vouches(&got[1], signer));
+    // Last instead of first: the same answer.
+    members.rotate_left(1);
+    assert!(!vouches(
+        &ecdsa::recover_groups(&[(signer, &members)])[0],
+        signer
+    ));
+    assert_eq!(reference_signer(&infinity), None);
 }
 
 /// A signature whose `R` has `x = r + n`: `r` is stepped up from `start`
@@ -821,46 +957,73 @@ fn lifted_past_n(start: u64, msg: &[u8; 32]) -> (Point, Signature) {
 
 #[test]
 fn known_batch_r_plus_n_lift() {
-    // Valid: x(R) = r + n < p, beside two ordinary items of another key.
+    // Valid: x(R) = r + n < p, after and before two ordinary members of
+    // the same key (its key is whatever `recover` finds, so the two
+    // others are signed by nothing we hold: the group is that key's).
     let msg = sha256(b"r + n");
     let (q, sig) = lifted_past_n(1, &msg);
-    let (mut keys, mut burst) = known_burst(5, 1, 2);
-    keys.push(q);
-    burst.push((msg, sig, 1));
-    assert_known_agrees(&keys, &burst).unwrap();
-    assert!(ecdsa::verify_batch_known(&keys, &burst));
+    let signer = PublicKey::from_point(q).unwrap().address();
+    let (_, others) = known_group(5, 5, 2);
+    let lifted = (msg, sig);
+    let expect = expectations([(lifted, Some(signer))]);
+    assert_groups_agree(&[(signer, vec![lifted, lifted])], &expect).unwrap();
+    assert!(vouches(
+        &ecdsa::recover_groups(&[(signer, &[lifted, lifted])])[0],
+        signer
+    ));
+    // Beside members of another key it vouches for neither.
+    let (other_signer, _) = known_group(5, 5, 0);
+    let mixed = vec![others[0], lifted, others[1]];
+    let expect = expectations([
+        (lifted, Some(signer)),
+        (others[0], Some(other_signer)),
+        (others[1], Some(other_signer)),
+    ]);
+    assert_groups_agree(&[(signer, mixed.clone()), (other_signer, mixed)], &expect).unwrap();
     // The same r with bit 1 clear names x = r, a different R.
-    let low = sig_from_parts(sig.r().to_u256(), sig.s().to_u256(), 0).unwrap();
-    burst[2] = (msg, low, 1);
-    assert_known_agrees(&keys, &burst).unwrap();
-    // r + n ≥ p: no R, so no batch holds, whatever key it names.
+    let low = (
+        msg,
+        sig_from_parts(sig.r().to_u256(), sig.s().to_u256(), 0).unwrap(),
+    );
+    let expect = expectations([(lifted, Some(signer)), (low, reference_signer(&low))]);
+    assert_groups_agree(
+        &[(signer, vec![lifted, low]), (signer, vec![low, lifted])],
+        &expect,
+    )
+    .unwrap();
+    // r + n ≥ p: no R, so no group holds, whatever it declares.
     let high_r = Scalar::order().wrapping_sub(&U256::from_u64(1));
-    let past_p = sig_from_parts(high_r, sig.s().to_u256(), 2).unwrap();
+    let past_p = (msg, sig_from_parts(high_r, sig.s().to_u256(), 2).unwrap());
     assert_eq!(
-        ecdsa::recover(&msg, &past_p),
+        ecdsa::recover(&past_p.0, &past_p.1),
         Err(CryptoError::InvalidSignature)
     );
-    burst[2] = (msg, past_p, 1);
-    assert_known_agrees(&keys, &burst).unwrap();
-    assert!(!ecdsa::verify_batch_known(&keys, &burst));
+    for members in [vec![lifted, past_p], vec![past_p, lifted]] {
+        assert_eq!(
+            ecdsa::recover_groups(&[(signer, &members)]),
+            [Err(CryptoError::InvalidSignature)]
+        );
+    }
 }
 
 #[test]
 fn known_batch_rejects_a_cancelling_pair() {
-    // Two valid signatures by one key, with digests moved so that item a's
-    // check term becomes +δ·G and item b's −δ·G: e′ₐ = eₐ + δ·sₐ makes
-    // u₁ = e′ₐ/sₐ exceed the true one by δ, and e′_b = e_b − δ·s_b makes
-    // it fall short by δ. Each item alone is bad, and their unweighted sum
-    // is ∞; only the weights keep the batch from passing.
-    let (keys, burst) = known_burst(2019, 1, 2);
+    // An honest first member and two followers by the same key, with
+    // digests moved so that follower a's term Dₐ = u₁·G + u₂·Q − R becomes
+    // +δ·G and follower b's −δ·G: e′ₐ = eₐ + δ·sₐ makes u₁ = e′ₐ/sₐ exceed
+    // the true one by δ, and e′_b = e_b − δ·s_b makes it fall short by δ.
+    // Each follower alone is bad, and with unit weights X = Q − Dₐ − D_b
+    // would be Q; only the weights keep the group from passing.
+    let (signer, members) = known_group(2019, 2019, 3);
+    let q = Point::mul_generator(&known_key(2019));
     let delta = Scalar::from_digest(&sha256(b"delta"));
-    let shift = |(msg, sig, k): Known, by: Scalar| {
+    let shift = |(msg, sig): Signed, by: Scalar| {
         let e = Scalar::from_digest(&msg).add(&by.mul(&sig.s()));
-        (e.to_be_bytes(), sig, k)
+        (e.to_be_bytes(), sig)
     };
-    let pair = [shift(burst[0], delta), shift(burst[1], delta.neg())];
-    // Each item's check term u₁·G + u₂·Q − R, with R lifted from (r, v).
-    let term = |(msg, sig, k): &Known| {
+    let pair = [shift(members[1], delta), shift(members[2], delta.neg())];
+    // Each member's check term u₁·G + u₂·Q − R, with R lifted from (r, v).
+    let term = |(msg, sig): &Signed| {
         assert!(sig.recovery_id() < 2, "x(R) = r");
         let mut compressed = [0x02 | sig.recovery_id(); 33];
         compressed[1..].copy_from_slice(&sig.r().to_be_bytes());
@@ -868,13 +1031,16 @@ fn known_batch_rejects_a_cancelling_pair() {
         let s_inv = sig.s().invert();
         let u1 = Scalar::from_digest(msg).mul(&s_inv);
         let u2 = sig.r().mul(&s_inv);
-        Point::lincomb_with_generator(&u1, &u2, &keys[*k]).add(&r_point.neg())
+        Point::lincomb_with_generator(&u1, &u2, &q).add(&r_point.neg())
     };
-    assert_eq!(term(&burst[0]), Point::Infinity);
+    assert_eq!(term(&members[1]), Point::Infinity);
     assert_eq!(term(&pair[0]), Point::mul_generator(&delta));
     assert_eq!(term(&pair[1]), Point::mul_generator(&delta.neg()));
     assert_eq!(term(&pair[0]).add(&term(&pair[1])), Point::Infinity);
-    assert!(!recovers_to_claimed_keys(&keys, &pair[..1]));
-    assert!(!recovers_to_claimed_keys(&keys, &pair[1..]));
-    assert!(!ecdsa::verify_batch_known(&keys, &pair));
+    for bad in &pair {
+        assert_ne!(reference_signer(bad), Some(signer));
+    }
+    let group = [members[0], pair[0], pair[1]];
+    let got = ecdsa::recover_groups(&[(signer, &group)]);
+    assert!(!vouches(&got[0], signer));
 }
