@@ -12,12 +12,13 @@
 //!    block is final on a node, it stays final at that height forever.
 //! 3. **Conservation** — every honest node's settlement has folded its
 //!    chain exactly up to the finality horizon, and in its world state the
-//!    insurance deposited equals detector payouts plus what the escrow
-//!    contracts still hold, and the total supply equals the allocation
-//!    plus one block reward per applied block ([`crate::settle::audit`]).
+//!    insurance deposited equals detector payouts plus the refunds of the
+//!    closed detection windows plus what the escrow contracts still hold,
+//!    and the total supply equals the allocation plus one block reward per
+//!    applied block ([`crate::settle::audit`]).
 //! 4. **Convergence** — after the final heal and recovery tail, every
 //!    honest running node — restarted ones included — holds the same best
-//!    tip and the same contract balances and payout list.
+//!    tip and the same contract balances, refunds and payout list.
 
 use crate::settle::audit;
 use smartcrowd_chain::{BlockId, ChainQuery, CONFIRMATION_DEPTH};

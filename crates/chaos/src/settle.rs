@@ -2,11 +2,12 @@
 //!
 //! Every node settles its own confirmed chain
 //! ([`smartcrowd_core::settlement::Settlement`]): escrows are deployed,
-//! funded and drained by the SCVM, not by a model. [`audit`] reads that
-//! state back and checks that every wei of insurance is accounted for:
+//! funded, paid out and — at the end of the detection window — refunded
+//! by the SCVM, not by a model. [`audit`] reads that state back and checks
+//! that every wei of insurance is accounted for:
 //!
 //! ```text
-//! Σ insurance of opened escrows == Σ payouts + Σ escrow contract balances
+//! Σ insurance of opened escrows == Σ payouts + Σ refunds + Σ escrow contract balances
 //! total supply == genesis allocation + one block reward per applied block
 //! ```
 //!
@@ -30,6 +31,8 @@ pub struct Audit {
     pub deposits: Ether,
     /// Total paid to detectors.
     pub payouts: Ether,
+    /// Total returned to providers when detection windows closed.
+    pub refunds: Ether,
     /// Balance of each escrow contract in the node's world state.
     pub escrow_balances: BTreeMap<SraId, Ether>,
     /// The node's payout list, in the order the payouts fired.
@@ -42,12 +45,14 @@ pub struct Audit {
 /// Why an audit failed — each variant is a conservation violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SettleError {
-    /// `deposits != payouts + escrow balances`.
+    /// `deposits != payouts + refunds + escrow balances`.
     Imbalance {
         /// Total insurance deposited.
         deposits: Ether,
         /// Total paid out.
         payouts: Ether,
+        /// Total refunded.
+        refunds: Ether,
         /// Sum of the escrow contract balances.
         remaining: Ether,
     },
@@ -77,10 +82,11 @@ impl std::fmt::Display for SettleError {
             SettleError::Imbalance {
                 deposits,
                 payouts,
+                refunds,
                 remaining,
             } => write!(
                 f,
-                "conservation imbalance: deposits {deposits} != payouts {payouts} + remaining {remaining}"
+                "conservation imbalance: deposits {deposits} != payouts {payouts} + refunds {refunds} + remaining {remaining}"
             ),
             SettleError::CreditMismatch {
                 credited,
@@ -109,6 +115,21 @@ fn check_supply((supply, accounted): (Ether, Ether)) -> Result<(), SettleError> 
     }
 }
 
+/// Checks the conservation identity of an [`Audit`].
+fn check_conservation(audit: &Audit) -> Result<(), SettleError> {
+    let remaining: Ether = audit.escrow_balances.values().copied().sum();
+    if audit.deposits == audit.payouts + audit.refunds + remaining {
+        Ok(())
+    } else {
+        Err(SettleError::Imbalance {
+            deposits: audit.deposits,
+            payouts: audit.payouts,
+            refunds: audit.refunds,
+            remaining,
+        })
+    }
+}
+
 /// Reads `settlement` back and checks the conservation identity, the
 /// supply identity and the per-wallet cross-foot against its world state.
 ///
@@ -124,6 +145,7 @@ pub fn audit(settlement: &Settlement) -> Result<Audit, SettleError> {
     };
     for (sra_id, entry) in settlement.escrows() {
         audit.deposits += entry.insurance;
+        audit.refunds += entry.refunded.unwrap_or_default();
         let balance = entry.escrow.balance(settlement.state());
         audit.escrow_balances.insert(*sra_id, balance);
     }
@@ -132,14 +154,7 @@ pub fn audit(settlement: &Settlement) -> Result<Audit, SettleError> {
         audit.payouts += payout.amount;
         *paid_to.entry(payout.wallet).or_insert(Ether::ZERO) += payout.amount;
     }
-    let remaining: Ether = audit.escrow_balances.values().copied().sum();
-    if audit.deposits != audit.payouts + remaining {
-        return Err(SettleError::Imbalance {
-            deposits: audit.deposits,
-            payouts: audit.payouts,
-            remaining,
-        });
-    }
+    check_conservation(&audit)?;
     check_supply(settlement.audit_supply())?;
     for (wallet, payouts) in paid_to {
         let credited = settlement.state().balance(&wallet);
@@ -161,6 +176,7 @@ mod tests {
     use super::*;
     use smartcrowd_chain::record::{Record, RecordKind};
     use smartcrowd_chain::{Block, ChainQuery, ChainStore, Difficulty, CONFIRMATION_DEPTH};
+    use smartcrowd_core::economics::DETECTION_WINDOW;
     use smartcrowd_core::report::{create_report_pair, Findings};
     use smartcrowd_core::sra::Sra;
     use smartcrowd_crypto::keys::KeyPair;
@@ -207,11 +223,21 @@ mod tests {
     /// A settlement that opened one 1000-ETH escrow and paid one 25-ETH
     /// finding out of it, with the escrow's and the paid wallet's addresses.
     fn settled() -> (Settlement, Address, Address) {
+        settled_over(0)
+    }
+
+    /// Empty blocks after the SRA's block that close its window.
+    const WINDOW_IDLE: usize = (DETECTION_WINDOW - CONFIRMATION_DEPTH - 1) as usize;
+
+    /// [`settled`] with `idle` empty blocks after the SRA's block.
+    fn settled_over(idle: usize) -> (Settlement, Address, Address) {
         let provider = KeyPair::from_seed(b"provider");
         let sra = sra(&provider);
         let (report, wallet) = detailed(&KeyPair::from_seed(b"detector"), &sra, 3, 1);
         let announce = Record::signed(RecordKind::Sra, sra.encode(), FEE, 0, &provider);
-        let settlement = settle(&provider, vec![vec![announce, report]]);
+        let mut blocks = vec![vec![announce, report]];
+        blocks.resize(1 + idle, Vec::new());
+        let settlement = settle(&provider, blocks);
         let escrow = settlement.escrows()[sra.id()].escrow.address;
         (settlement, escrow, wallet)
     }
@@ -223,6 +249,40 @@ mod tests {
         assert_eq!(audit.deposits, Ether::from_ether(1000));
         assert_eq!(audit.payouts, Ether::from_ether(25));
         assert_eq!(settlement.state().balance(&escrow), Ether::from_ether(975));
+    }
+
+    #[test]
+    fn a_settlement_past_its_window_audits_clean() {
+        let eth = Ether::from_ether;
+        let (open, escrow, _) = settled_over(WINDOW_IDLE - 1);
+        let audit_open = audit(&open).unwrap();
+        assert_eq!(audit_open.refunds, Ether::ZERO);
+        assert_eq!(open.state().balance(&escrow), eth(975));
+        let (closed, escrow, _) = settled_over(WINDOW_IDLE);
+        let audit = audit(&closed).unwrap();
+        assert_eq!(
+            (audit.deposits, audit.payouts, audit.refunds),
+            (eth(1000), eth(25), eth(975))
+        );
+        assert_eq!(closed.state().balance(&escrow), Ether::ZERO);
+    }
+
+    #[test]
+    fn a_doctored_refund_is_an_imbalance() {
+        let (settlement, _, _) = settled_over(WINDOW_IDLE);
+        let mut doctored = audit(&settlement).unwrap();
+        assert_eq!(check_conservation(&doctored), Ok(()));
+        doctored.refunds += Ether::from_wei(1);
+        let refunds = Ether::from_ether(975) + Ether::from_wei(1);
+        assert_eq!(
+            check_conservation(&doctored),
+            Err(SettleError::Imbalance {
+                deposits: Ether::from_ether(1000),
+                payouts: Ether::from_ether(25),
+                refunds,
+                remaining: Ether::ZERO,
+            })
+        );
     }
 
     #[test]

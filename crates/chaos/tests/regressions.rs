@@ -21,13 +21,15 @@
 
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_chain::{ChainBackend, ChainStore, Ether};
+use smartcrowd_chain::{Block, ChainBackend, ChainStore, Ether, CONFIRMATION_DEPTH};
 use smartcrowd_chaos::plan::{ByzantineBehavior, FaultEvent, FaultKind, FaultPlan};
 use smartcrowd_chaos::settle::audit;
 use smartcrowd_chaos::sim::{ChaosOutcome, ChaosSim};
+use smartcrowd_core::economics::{DETECTION_WINDOW, PROVIDER_FUNDING};
 use smartcrowd_core::platform::{Platform, PlatformConfig};
 use smartcrowd_core::report::{create_report_pair, DetailedReport, Findings};
 use smartcrowd_core::settlement::Settlement;
+use smartcrowd_core::sra::SraId;
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::Address;
 use smartcrowd_detect::library::VulnLibrary;
@@ -310,18 +312,22 @@ impl Drift {
         p
     }
 
-    /// The same release and reports gossiped through a 3-node fleet,
-    /// mined to finality.
-    fn on_fleet(&self) -> Fleet {
-        let memory = |_, genesis: &_| {
-            Ok::<_, Infallible>(
-                Box::new(ChainStore::new(Clone::clone(genesis))) as Box<dyn ChainBackend>
-            )
-        };
-        let mut fleet = Fleet::boot(3, 11, LinkConfig::default(), "drift-node", |_| true, memory)
+    /// The same release, from node `releaser`, and reports gossiped
+    /// through an `n`-node fleet, mined for `rounds` rounds; `after_round`
+    /// sees the fleet after each.
+    fn on_fleet_of(
+        &self,
+        n: usize,
+        releaser: usize,
+        rounds: usize,
+        mut after_round: impl FnMut(&Fleet, SraId),
+    ) -> Fleet {
+        let mut fleet = Fleet::boot(n, 11, LinkConfig::default(), "drift-node", |_| true, memory)
             .unwrap_or_else(|e| match e {});
         let system = self.system(fleet.library());
-        let sra_id = fleet.release(0, system, self.insurance, self.mu).unwrap();
+        let sra_id = fleet
+            .release(releaser, system, self.insurance, self.mu)
+            .unwrap();
         for (kp, claim) in Self::detectors().iter().zip(&self.claims) {
             let (initial, detailed) =
                 create_report_pair(kp, sra_id, Findings::new(claim.clone(), "x"));
@@ -335,11 +341,21 @@ impl Drift {
                 fleet.inject(1, Message::Record(record)).unwrap();
             }
         }
-        for _ in 0..10 {
+        for _ in 0..rounds {
             fleet.mine_round(|_| true).unwrap();
+            after_round(&fleet, sra_id);
         }
         fleet
     }
+
+    /// [`Drift::on_fleet_of`] three nodes, mined to finality.
+    fn on_fleet(&self) -> Fleet {
+        self.on_fleet_of(3, 0, 10, |_, _| {})
+    }
+}
+
+fn memory(_: usize, genesis: &Block) -> Result<Box<dyn ChainBackend>, Infallible> {
+    Ok(Box::new(ChainStore::new(genesis.clone())))
 }
 
 /// The wallet a detailed-report record pays.
@@ -347,13 +363,15 @@ fn wallet_of(record: &Record) -> Address {
     DetailedReport::decode(record.payload()).unwrap().wallet()
 }
 
-/// `(wallet, amount)` of each payout, then the one escrow's balance.
+/// `(wallet, amount)` of each payout, then what the one escrow did not pay
+/// out: its balance, plus its refund once the detection window closed.
 fn settled(settlement: &Settlement) -> (Vec<(Address, Ether)>, Ether) {
     let payouts = settlement.payouts().iter().map(|p| (p.wallet, p.amount));
     let escrows: Vec<_> = settlement.escrows().values().collect();
     assert_eq!(escrows.len(), 1, "one release, one escrow");
     let balance = escrows[0].escrow.balance(settlement.state());
-    (payouts.collect(), balance)
+    let unpaid = balance + escrows[0].refunded.unwrap_or_default();
+    (payouts.collect(), unpaid)
 }
 
 /// What every replica of the fleet settled, the conservation oracle
@@ -403,4 +421,64 @@ fn duplicate_findings_and_exhausted_escrows_settle_alike_on_both_drivers() {
     let expected = (vec![(a, eth(60))], eth(40));
     assert_eq!(settled(exhausted.on_platform().settlement()), expected);
     assert_eq!(settled_on(&exhausted.on_fleet()), vec![expected; 3]);
+}
+
+#[test]
+fn every_replica_refunds_the_remainder_to_the_releaser_at_one_fold_height() {
+    let eth = Ether::from_ether;
+    let release = Drift {
+        insurance: eth(1000),
+        mu: eth(25),
+        claims: [vec![VulnId(1)], vec![VulnId(2)]],
+    };
+    let remainder = release.insurance - release.mu.scaled(2);
+    let releaser = 2;
+    // Per node, the cursor height at which its settlement first showed the
+    // refund, and the SRA's block height.
+    let mut refunded_at: Vec<Option<(u64, u64)>> = vec![None; 5];
+    let fleet = release.on_fleet_of(5, releaser, 24, |fleet, sra_id| {
+        for (i, node) in fleet.running() {
+            let (chain, settlement) = (node.store(), node.settlement());
+            let Some(entry) = settlement.escrows().get(&sra_id) else {
+                continue;
+            };
+            let sras = chain.records_of_kind(RecordKind::Sra);
+            let sra_height = chain.best_height() + 1 - sras[0].1;
+            // The fold closes the window once the SRA's block has
+            // DETECTION_WINDOW confirmations, not a block earlier.
+            let due = sra_height + DETECTION_WINDOW - CONFIRMATION_DEPTH - 1;
+            let closed = settlement.cursor().0 >= due;
+            assert_eq!(entry.refunded, closed.then_some(remainder), "node {i}");
+            if closed && refunded_at[i].is_none() {
+                refunded_at[i] = Some((settlement.cursor().0, sra_height));
+            }
+        }
+    });
+    let first = refunded_at[0].expect("the window closed");
+    assert_eq!(refunded_at, vec![Some(first); 5], "one fold height");
+    assert_eq!(first.0, first.1 + DETECTION_WINDOW - CONFIRMATION_DEPTH - 1);
+
+    let releaser = fleet.keypair(releaser).address();
+    let audits: Vec<_> = fleet
+        .running()
+        .map(|(i, node)| {
+            let settlement = node.settlement();
+            let audit = audit(settlement).unwrap_or_else(|e| panic!("node {i}: {e}"));
+            assert_eq!(audit.refunds, remainder, "node {i}");
+            // The remainder went back to the releasing node: its balance is
+            // its funding and mining income, less its fees, the insurance
+            // and the escrow's gas, plus the refund.
+            let tally = settlement.tally(&releaser);
+            let escrow = &settlement.escrows().values().next().unwrap().escrow;
+            let spent = tally.fees + release.insurance + escrow.release_cost;
+            assert_eq!(
+                settlement.state().balance(&releaser),
+                PROVIDER_FUNDING + tally.income - spent + remainder,
+                "node {i}"
+            );
+            audit
+        })
+        .collect();
+    assert_eq!(audits.len(), 5);
+    assert!(audits.iter().all(|a| *a == audits[0]), "replicas differ");
 }

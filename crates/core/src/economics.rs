@@ -60,6 +60,9 @@ pub const BLOCK_CAPACITY: usize = 64;
 pub(crate) const REPORTS_PER_BLOCK: u64 = 20;
 /// Vulnerabilities per vulnerable release `N`.
 pub const VULNS_PER_RELEASE: u64 = 10;
+/// Detection window: confirmations of an SRA's block, itself counted, at
+/// which the settlement refunds what its escrow holds (PROTOCOL.md §8.5).
+pub const DETECTION_WINDOW: u64 = 16;
 
 /// Expected mining + fee income for hash share `zeta` over `t` seconds
 /// (the Fig. 4(a) curve).

@@ -179,16 +179,7 @@ impl ProviderNode {
         insurance: Ether,
         incentive_per_vuln: Ether,
     ) -> (SraId, Outbox) {
-        let link = format!("sim://{}/{}", system.name(), system.version());
-        let sra = Sra::create(
-            &self.keypair,
-            system.name(),
-            system.version(),
-            *system.image_hash(),
-            &link,
-            insurance,
-            incentive_per_vuln,
-        );
+        let sra = Sra::announce(&self.keypair, &system, insurance, incentive_per_vuln);
         let sra_id = *sra.id();
         self.hosted.insert(*system.image_hash(), system.clone());
         self.core.hold_artifact(sra_id, system);

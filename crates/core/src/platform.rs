@@ -19,9 +19,10 @@
 //! 4. **Decentralized and automated incentives** — sealing a block lets
 //!    the core's [`Settlement`] fold what it confirmed: at 6-block finality
 //!    the miner is paid its reward and fees, the reports are metered, an
-//!    SRA opens its escrow and a detailed report pays `μ·n` to the
-//!    detector's wallet, with no provider involvement. The platform moves
-//!    no money; it reads the result.
+//!    SRA opens its escrow, a detailed report pays `μ·n` to the
+//!    detector's wallet, and at the end of the detection window the
+//!    remainder returns to the provider, with no provider involvement. The
+//!    platform moves no money; it reads the result.
 
 use crate::economics::{
     BLOCK_CAPACITY, DETECTOR_FUNDING, MIN_INSURANCE, PROVIDER_FUNDING, REPORT_FEE,
@@ -163,12 +164,12 @@ impl Platform {
         self.release_order.clone()
     }
 
-    /// Whether an SRA's detection window has been closed.
+    /// Whether an SRA's detection window has closed and its escrow refunded.
     pub(crate) fn is_settled(&self, sra_id: &SraId) -> bool {
         self.settlement()
             .escrows()
             .get(sra_id)
-            .is_some_and(|e| e.closed)
+            .is_some_and(|e| e.refunded.is_some())
     }
 
     /// The contract state the confirmed chain implies (escrows, payouts,
@@ -272,19 +273,8 @@ impl Platform {
         if insurance < MIN_INSURANCE {
             return Err(CoreError::InsuranceTooLow);
         }
-        let link = format!("sim://{}/{}", system.name(), system.version());
-        let sra = Sra::create(
-            &provider.keypair,
-            system.name(),
-            system.version(),
-            *system.image_hash(),
-            &link,
-            insurance,
-            incentive_per_vuln,
-        );
-        if !sra.image_matches(system.image()) {
-            return Err(CoreError::SraIdMismatch);
-        }
+        // Built from the system's own image hash, the SRA matches its image.
+        let sra = Sra::announce(&provider.keypair, &system, insurance, incentive_per_vuln);
         let id = *sra.id();
         if self.balance(&provider.address) < insurance {
             return Err(VmError::InsufficientCallerFunds.into());
@@ -327,19 +317,6 @@ impl Platform {
             .filter(|p| p.sra_id == *sra_id)
             .map(|p| p.amount)
             .sum()
-    }
-
-    /// Closes an SRA's detection window ([`Settlement::close`]): refunds
-    /// whatever insurance was not forfeited. Idempotent per SRA.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NotFound`] for an SRA with no open escrow and
-    /// [`CoreError::PayoutFailed`] when the refund call fails.
-    pub fn settle_release(&mut self, sra_id: &SraId) -> Result<Ether, CoreError> {
-        let store = self.store();
-        let block = (store.best_block().header().timestamp, store.best_height());
-        self.core.settlement_mut().close(sra_id, block)
     }
 
     /// The shared tail of both report phases: admit the signed record and
@@ -487,7 +464,7 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::economics::INCENTIVE_PER_VULN;
+    use crate::economics::{DETECTION_WINDOW, INCENTIVE_PER_VULN};
     use crate::report::{create_report_pair, Findings};
     use smartcrowd_chain::rng::SimRng;
     use smartcrowd_chain::CONFIRMATION_DEPTH;
@@ -568,7 +545,12 @@ mod tests {
             p.balance(&detector.address()),
             wallet_before + INCENTIVE_PER_VULN.scaled(2) - REPORT_FEE - gas
         );
-        assert_eq!(p.escrow_balance(&sra_id), Some(Ether::from_ether(950)));
+        // The SRA, sealed in block 1, has DETECTION_WINDOW confirmations
+        // now: the escrow refunded what the payout left.
+        assert_eq!(p.store().best_height(), DETECTION_WINDOW);
+        assert_eq!(p.escrow_balance(&sra_id), Some(Ether::ZERO));
+        let remainder = Ether::from_ether(1000) - INCENTIVE_PER_VULN.scaled(2);
+        assert_eq!(p.settlement().escrows()[&sra_id].refunded, Some(remainder));
         assert_eq!(
             p.confirmed_vulnerabilities(&sra_id),
             vec![VulnId(1), VulnId(2)]
@@ -616,7 +598,12 @@ mod tests {
         assert!(matches!(err, CoreError::AutoVerifFailed { .. }));
         assert_eq!(p.scoreboard().score(&cheat.address()).strikes, 1);
         assert!(p.mine_blocks(10).is_empty());
-        assert_eq!(p.escrow_balance(&sra_id), Some(Ether::from_ether(1000)));
+        // Past the window (DETECTION_WINDOW confirmations of block 1), the
+        // whole insurance went back.
+        assert!(p.store().best_height() >= DETECTION_WINDOW);
+        assert_eq!(p.escrow_balance(&sra_id), Some(Ether::ZERO));
+        let refunded = p.settlement().escrows()[&sra_id].refunded;
+        assert_eq!(refunded, Some(Ether::from_ether(1000)));
     }
 
     #[test]

@@ -302,8 +302,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
         &self.settlement
     }
 
-    /// Mutable settlement access (genesis allocation entries,
-    /// [`Settlement::close`]).
+    /// Mutable settlement access (genesis allocation entries).
     pub(crate) fn settlement_mut(&mut self) -> &mut Settlement {
         &mut self.settlement
     }

@@ -87,6 +87,7 @@ pub fn build_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::economics::DETECTION_WINDOW;
     use crate::platform::PlatformConfig;
     use crate::report::{create_report_pair, Findings};
     use smartcrowd_chain::rng::SimRng;
@@ -153,10 +154,14 @@ mod tests {
         let before = dossier_for(&p, "cam-fw").unwrap();
         assert!(!before.versions[0].settled);
         assert!((before.versions[0].escrow_remaining_eth - 500.0).abs() < 1e-9);
-        p.settle_release(&id).unwrap();
+        // The SRA was sealed in block 1: its window closes when that block
+        // has DETECTION_WINDOW confirmations.
+        p.mine_blocks((DETECTION_WINDOW - p.store().best_height()) as usize);
         let after = dossier_for(&p, "cam-fw").unwrap();
         assert!(after.versions[0].settled);
         assert_eq!(after.versions[0].escrow_remaining_eth, 0.0);
+        let refunded = p.settlement().escrows()[&id].refunded;
+        assert_eq!(refunded, Some(Ether::from_ether(500)));
     }
 
     #[test]

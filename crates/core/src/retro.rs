@@ -121,6 +121,7 @@ impl RetroMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::economics::DETECTION_WINDOW;
     use crate::platform::PlatformConfig;
     use crate::report::{create_report_pair, Findings};
     use smartcrowd_chain::rng::SimRng;
@@ -180,8 +181,10 @@ mod tests {
     #[test]
     fn settled_release_notifies_with_closed_bounty() {
         let (mut p, sra_id, _) = setup();
-        p.mine_blocks(8); // the escrow opens when the SRA is final
-        p.settle_release(&sra_id).unwrap();
+        // Sealed in block 1, the SRA's window closes when that block has
+        // DETECTION_WINDOW confirmations.
+        p.mine_blocks(DETECTION_WINDOW as usize);
+        assert!(p.settlement().escrows()[&sra_id].refunded.is_some());
         let mut monitor = RetroMonitor {
             seen_library_len: p.library().len() - 1,
             notified: HashSet::new(),

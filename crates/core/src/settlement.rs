@@ -10,7 +10,9 @@
 //! to the block's miner, every `R†` / `R*` is metered through the registry
 //! at its sender's expense, a confirmed SRA opens and funds its escrow
 //! from the provider's account, a confirmed `R*` is paid out of it, and
-//! the miner is credited [`BLOCK_REWARD`]. The world state is therefore a
+//! the miner is credited [`BLOCK_REWARD`]; once an SRA's block has
+//! [`DETECTION_WINDOW`] confirmations, what its escrow still holds returns
+//! to the provider. The world state is therefore a
 //! function of the genesis allocation and the confirmed chain alone, so
 //! replicas of one confirmed history hold the same balances, and the
 //! total supply is the allocation plus one reward per applied block
@@ -21,8 +23,7 @@
 //! [`crate::protocol::Protocol::check_block`].
 
 use crate::contracts::{ReportRegistry, SraEscrow};
-use crate::economics::BLOCK_REWARD;
-use crate::error::CoreError;
+use crate::economics::{BLOCK_REWARD, DETECTION_WINDOW};
 use crate::report::DetailedReport;
 use crate::sra::{Sra, SraId};
 use smartcrowd_chain::record::{Record, RecordKind};
@@ -30,10 +31,14 @@ use smartcrowd_chain::{BlockId, ChainQuery, Ether, CONFIRMATION_DEPTH};
 use smartcrowd_crypto::Address;
 use smartcrowd_detect::vulnerability::VulnId;
 use smartcrowd_vm::{Vm, WorldState};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Gas float the consensus trigger account holds at genesis.
 const TRIGGER_FLOAT: Ether = Ether::from_ether(1000);
+
+/// The block this far above an SRA's refunds its escrow: applied at
+/// [`CONFIRMATION_DEPTH`], it leaves the SRA's [`DETECTION_WINDOW`] deep.
+const REFUND_LAG: u64 = DETECTION_WINDOW - CONFIRMATION_DEPTH - 1;
 
 /// A completed incentive payout.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,8 +64,9 @@ pub struct OpenEscrow {
     pub mu: Ether,
     /// Vulnerabilities already claimed (first-confirmer-wins dedup).
     pub paid_vulns: HashSet<VulnId>,
-    /// Whether the detection window was closed and the remainder refunded.
-    pub closed: bool,
+    /// What the escrow returned to the provider when the detection window
+    /// closed; `None` while it is open.
+    pub refunded: Option<Ether>,
 }
 
 /// What the fold credited to and charged one account.
@@ -93,6 +99,9 @@ pub struct Settlement {
     /// Genesis balances, the trigger's float first; a refold re-applies them.
     allocations: Vec<(Address, Ether)>,
     escrows: HashMap<SraId, OpenEscrow>,
+    /// Open escrows in the order they opened, each with the height of the
+    /// block whose application refunds it.
+    refunds: VecDeque<(u64, SraId)>,
     /// Confirmed `R*` whose escrow is not open, in confirmation order.
     pending: HashMap<SraId, Vec<DetailedReport>>,
     payouts: Vec<Payout>,
@@ -121,6 +130,7 @@ impl Settlement {
             registry,
             allocations,
             escrows: HashMap::new(),
+            refunds: VecDeque::new(),
             pending: HashMap::new(),
             payouts: Vec::new(),
             tallies: HashMap::new(),
@@ -147,11 +157,12 @@ impl Settlement {
     }
 
     /// Back to genesis: the allocations and the registry, no escrow, no
-    /// payout, no tally, cursor on the genesis block.
+    /// refund due, no payout, no tally, cursor on the genesis block.
     fn reset(&mut self) {
         (self.state, self.registry) =
             Self::genesis_state(&self.vm, &self.allocations, self.trigger);
         self.escrows.clear();
+        self.refunds.clear();
         self.pending.clear();
         self.payouts.clear();
         self.tallies.clear();
@@ -196,6 +207,9 @@ impl Settlement {
             }
             self.state.credit(miner, BLOCK_REWARD);
             self.tallies.entry(miner).or_default().income += BLOCK_REWARD;
+            while let Some((_, sra_id)) = self.refunds.pop_front_if(|r| r.0 <= header.height) {
+                self.refund(&sra_id, ctx);
+            }
             self.cursor = (header.height, block.id());
             self.folded += 1;
         }
@@ -260,9 +274,10 @@ impl Settlement {
                 insurance: sra.insurance(),
                 mu: sra.incentive_per_vuln(),
                 paid_vulns: HashSet::new(),
-                closed: false,
+                refunded: None,
             },
         );
+        self.refunds.push_back((block.1 + REFUND_LAG, *sra.id()));
         for report in self.pending.remove(sra.id()).unwrap_or_default() {
             self.pay(&report, block);
         }
@@ -302,31 +317,22 @@ impl Settlement {
         true
     }
 
-    /// Closes an SRA's detection window: the consensus-approved refund of
-    /// whatever insurance was not forfeited (the paper's insurance "will
-    /// not be refunded once any vulnerability is detected" — payouts come
-    /// out first, the remainder returns to the provider). No record kind
-    /// carries a close: a refold does not repeat it. Idempotent per SRA.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::NotFound`] for an SRA with no open escrow and
-    /// [`CoreError::PayoutFailed`] when the refund call fails.
-    pub fn close(&mut self, sra_id: &SraId, block: (u64, u64)) -> Result<Ether, CoreError> {
-        let entry = self.escrows.get_mut(sra_id).ok_or(CoreError::NotFound)?;
-        if entry.closed {
-            return Ok(Ether::ZERO);
-        }
+    /// Closes an SRA's detection window: what payouts left of the insurance
+    /// returns to the provider. A refused refund is not retried.
+    fn refund(&mut self, sra_id: &SraId, block: (u64, u64)) {
+        let entry = self.escrows.get_mut(sra_id).expect("queued when opened");
         let remaining = entry.escrow.balance(&self.state);
-        if !remaining.is_zero() {
-            entry
+        if !remaining.is_zero()
+            && entry
                 .escrow
-                .refund(&self.vm, &mut self.state, self.trigger, block)?;
+                .refund(&self.vm, &mut self.state, self.trigger, block)
+                .is_err()
+        {
+            return;
         }
-        entry.closed = true;
+        entry.refunded = Some(remaining);
         smartcrowd_telemetry::counter!("core.escrow.refunded_milli").add(milli(remaining));
         smartcrowd_telemetry::counter!("core.sra.settled").inc();
-        Ok(remaining)
     }
 
     /// Height and id of the last confirmed canonical block applied.
@@ -423,17 +429,21 @@ mod tests {
         )
     }
 
+    /// Extends `store` with one block carrying `records`.
+    fn extend(store: &mut ChainStore, records: Vec<Record>) {
+        let parent = store.best_block().clone();
+        let timestamp = parent.header().timestamp + 15;
+        let miner = Address::from_label("miner");
+        let block = Block::assemble(&parent, records, timestamp, Difficulty::from_u64(1), miner);
+        store.insert(block).unwrap();
+    }
+
     /// Extends `store` with one block per entry of `blocks`, then with
     /// enough empty blocks to confirm them all.
     fn confirm(store: &mut ChainStore, blocks: Vec<Vec<Record>>) {
         let empty = vec![Vec::new(); CONFIRMATION_DEPTH as usize];
         for records in blocks.into_iter().chain(empty) {
-            let parent = store.best_block().clone();
-            let timestamp = parent.header().timestamp + 15;
-            let miner = Address::from_label("miner");
-            let block =
-                Block::assemble(&parent, records, timestamp, Difficulty::from_u64(1), miner);
-            store.insert(block).unwrap();
+            extend(store, records);
         }
     }
 
@@ -501,20 +511,35 @@ mod tests {
     }
 
     #[test]
-    fn close_refunds_the_remainder_once() {
+    fn the_window_refunds_the_remainder_to_the_provider_once() {
         let provider = KeyPair::from_seed(b"provider");
+        let detector = KeyPair::from_seed(b"detector");
         let (sra_id, sra) = sra_record(&provider, 1000);
+        let report = detailed_record(&detector, sra_id, vec![3]);
         let mut store = ChainStore::new(Block::genesis(Difficulty::from_u64(1)));
         let mut settlement = funded(&store, &provider);
-        assert_eq!(settlement.close(&sra_id, (0, 0)), Err(CoreError::NotFound));
-        confirm(&mut store, vec![vec![sra]]);
-        settlement.advance(&store);
-        assert_eq!(
-            settlement.close(&sra_id, (0, 0)),
-            Ok(Ether::from_ether(1000))
-        );
-        assert_eq!(settlement.close(&sra_id, (0, 0)), Ok(Ether::ZERO));
+        confirm(&mut store, vec![vec![sra, report]]);
+        let sra_height = 1;
+        let remainder = Ether::from_ether(1000 - 25);
+        // The window closes once the SRA's block has DETECTION_WINDOW
+        // confirmations: when the fold applies the block REFUND_LAG above it.
+        while settlement.cursor().0 < sra_height + REFUND_LAG + 2 {
+            settlement.advance(&store);
+            let refunded = settlement.escrows()[&sra_id].refunded;
+            let closed = settlement.cursor().0 >= sra_height + REFUND_LAG;
+            assert_eq!(refunded, closed.then_some(remainder));
+            if settlement.cursor().0 == sra_height + REFUND_LAG {
+                assert_eq!(store.best_height() - sra_height + 1, DETECTION_WINDOW);
+            }
+            extend(&mut store, Vec::new());
+        }
         assert_eq!(balance(&settlement, &sra_id), Ether::ZERO);
+        let release_cost = settlement.escrows()[&sra_id].escrow.release_cost;
+        let provider_funds = Ether::from_ether(5000) - FEE - release_cost;
+        assert_eq!(
+            settlement.state().balance(&provider.address()),
+            provider_funds - Ether::from_ether(1000) + remainder
+        );
         let (supply, accounted) = settlement.audit_supply();
         assert_eq!(
             supply, accounted,

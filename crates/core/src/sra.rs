@@ -21,6 +21,7 @@ use smartcrowd_crypto::ecdsa::Signature;
 use smartcrowd_crypto::keccak::keccak256;
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::{Address, Digest};
+use smartcrowd_detect::system::IoTSystem;
 
 /// An identifier for an SRA (`Δ_id`).
 pub type SraId = Digest;
@@ -122,6 +123,14 @@ impl Sra {
             id,
             signature,
         }
+    }
+
+    /// Announces `system`, signed by `key`, downloadable at
+    /// `sim://{name}/{version}`.
+    pub(crate) fn announce(key: &KeyPair, system: &IoTSystem, insurance: Ether, mu: Ether) -> Sra {
+        let (name, version, hash) = (system.name(), system.version(), *system.image_hash());
+        let link = format!("sim://{name}/{version}");
+        Sra::create(key, name, version, hash, &link, insurance, mu)
     }
 
     /// The announcing provider.

@@ -11,7 +11,7 @@ use smartcrowd_chain::rng::SimRng;
 use smartcrowd_chain::{
     Block, ChainError, ChainQuery, ChainStore, Difficulty, Ether, CONFIRMATION_DEPTH,
 };
-use smartcrowd_core::economics::{INCENTIVE_PER_VULN, INSURANCE, REPORT_FEE};
+use smartcrowd_core::economics::{DETECTION_WINDOW, INCENTIVE_PER_VULN, INSURANCE, REPORT_FEE};
 use smartcrowd_core::node::ProviderNode;
 use smartcrowd_core::platform::{Platform, PlatformConfig};
 use smartcrowd_core::protocol::Protocol;
@@ -300,14 +300,18 @@ fn node_and_platform_reach_the_same_verdict() {
 }
 
 /// What two replicas of one confirmed history must agree on: per SRA the
-/// escrow contract's balance and the claimed vulnerabilities, and the
-/// payout list.
-type Ledger = (BTreeMap<SraId, (Ether, BTreeSet<VulnId>)>, Vec<Payout>);
+/// escrow contract's balance, its refund and the claimed vulnerabilities,
+/// and the payout list.
+type Ledger = (
+    BTreeMap<SraId, (Ether, Option<Ether>, BTreeSet<VulnId>)>,
+    Vec<Payout>,
+);
 
 fn ledger(settlement: &Settlement) -> Ledger {
     let escrows = settlement.escrows().iter().map(|(id, entry)| {
         let balance = entry.escrow.balance(settlement.state());
-        (*id, (balance, entry.paid_vulns.iter().copied().collect()))
+        let claimed = entry.paid_vulns.iter().copied().collect();
+        (*id, (balance, entry.refunded, claimed))
     });
     (escrows.collect(), settlement.payouts().to_vec())
 }
@@ -413,14 +417,31 @@ fn branch(parent: &Block, records: Vec<Record>, n: u64, skew: u64) -> Vec<Block>
     blocks
 }
 
-#[test]
-fn refold_after_a_deep_reorg_equals_a_replica_that_never_saw_the_losing_branch() {
-    let library = VulnLibrary::synthetic(20, 3);
-    let provider = KeyPair::from_seed(b"prov-0");
-    let detector = KeyPair::from_seed(b"det-0");
-    let release = |version: &str| {
+/// The deep-reorg cast: a funded provider and an unfunded detector over a
+/// small library.
+struct Reorg {
+    library: VulnLibrary,
+    provider: KeyPair,
+    detector: KeyPair,
+    funding: [(Address, Ether); 1],
+}
+
+impl Reorg {
+    fn new() -> Reorg {
+        let provider = KeyPair::from_seed(b"prov-0");
+        Reorg {
+            library: VulnLibrary::synthetic(20, 3),
+            funding: [(provider.address(), Ether::from_ether(5000))],
+            provider,
+            detector: KeyPair::from_seed(b"det-0"),
+        }
+    }
+
+    /// An SRA of `version` (1000 ETH insured, μ = 25 ETH) and the
+    /// detector's `R*` claiming `VulnId(1)` on it, as one block's records.
+    fn release(&self, version: &str) -> (SraId, Vec<Record>) {
         let sra = Sra::create(
-            &provider,
+            &self.provider,
             "fw",
             version,
             [7; 32],
@@ -428,36 +449,42 @@ fn refold_after_a_deep_reorg_equals_a_replica_that_never_saw_the_losing_branch()
             Ether::from_ether(1000),
             Ether::from_ether(25),
         );
-        let (_, detailed) =
-            create_report_pair(&detector, *sra.id(), Findings::new(vec![VulnId(1)], "x"));
+        let findings = Findings::new(vec![VulnId(1)], "x");
+        let (_, detailed) = create_report_pair(&self.detector, *sra.id(), findings);
         let records = vec![
-            Record::signed(RecordKind::Sra, sra.encode(), FEE, 0, &provider),
+            Record::signed(RecordKind::Sra, sra.encode(), FEE, 0, &self.provider),
             Record::signed(
                 RecordKind::DetailedReport,
                 detailed.encode(),
                 FEE,
                 1,
-                &detector,
+                &self.detector,
             ),
         ];
         (*sra.id(), records)
-    };
-    let (losing_sra, losing_records) = release("losing");
-    let (winning_sra, winning_records) = release("winning");
-    let funding = [(provider.address(), Ether::from_ether(5000))];
-    let replica = || {
-        Protocol::new(
-            Box::new(ChainStore::new(genesis())),
-            library.clone(),
-            &funding,
-        )
-    };
-    let extend = |core: &mut Protocol<ChainStore>, blocks: &[Block]| {
-        for block in blocks {
-            core.backend_mut().insert(block.clone()).unwrap();
-            core.connected(block);
-        }
-    };
+    }
+
+    /// A replica at genesis.
+    fn replica(&self) -> Protocol<ChainStore> {
+        let store = Box::new(ChainStore::new(genesis()));
+        Protocol::new(store, self.library.clone(), &self.funding)
+    }
+}
+
+/// Stores and connects `blocks` on `core`, one by one.
+fn extend(core: &mut Protocol<ChainStore>, blocks: &[Block]) {
+    for block in blocks {
+        core.backend_mut().insert(block.clone()).unwrap();
+        core.connected(block);
+    }
+}
+
+#[test]
+fn refold_after_a_deep_reorg_equals_a_replica_that_never_saw_the_losing_branch() {
+    let cast = Reorg::new();
+    let (losing_sra, losing_records) = cast.release("losing");
+    let (winning_sra, winning_records) = cast.release("winning");
+    let replica = || cast.replica();
 
     // The losing branch settles its release well past finality …
     let mut forked = replica();
@@ -488,6 +515,62 @@ fn refold_after_a_deep_reorg_equals_a_replica_that_never_saw_the_losing_branch()
         forked.settlement().folded() > never_forked.settlement().folded(),
         "the refold redid the prefix"
     );
+}
+
+#[test]
+fn a_refold_and_a_restart_refund_once_like_a_fresh_fold() {
+    let cast = Reorg::new();
+    let (losing_sra, losing_records) = cast.release("losing");
+    let (winning_sra, winning_records) = cast.release("winning");
+    // Each branch seals its SRA in block 1; the window closes when that
+    // block has DETECTION_WINDOW confirmations.
+    let remainder = Ether::from_ether(1000 - 25);
+    let winning = branch(&genesis(), winning_records, DETECTION_WINDOW + 4, 20);
+    let mut fresh = cast.replica();
+    extend(&mut fresh, &winning);
+    let fresh = fresh.settlement();
+    let provider = cast.provider.address();
+    let release_cost = fresh.escrows()[&winning_sra].escrow.release_cost;
+    let funds = Ether::from_ether(5000) - FEE - release_cost;
+    assert_eq!(
+        fresh.state().balance(&provider),
+        funds - Ether::from_ether(1000) + remainder
+    );
+    let matches_fresh = |settlement: &Settlement, who: &str| {
+        let refunded = settlement.escrows()[&winning_sra].refunded;
+        assert_eq!(refunded, Some(remainder), "{who}");
+        assert_eq!(ledger(settlement), ledger(fresh), "{who}");
+        assert_eq!(settlement.cursor(), fresh.cursor(), "{who}");
+        let balance = settlement.state().balance(&provider);
+        assert_eq!(balance, fresh.state().balance(&provider), "{who}");
+        assert_eq!(settlement.audit_supply(), fresh.audit_supply(), "{who}");
+    };
+
+    // The losing branch stops one block short of its window (its refund
+    // still queued at the reorg) or closes it (its refund applied).
+    for length in [DETECTION_WINDOW - 1, DETECTION_WINDOW] {
+        let losing = branch(&genesis(), losing_records.clone(), length, 15);
+        let mut forked = cast.replica();
+        extend(&mut forked, &losing);
+        let closed = length == DETECTION_WINDOW;
+        let refunded = forked.settlement().escrows()[&losing_sra].refunded;
+        assert_eq!(refunded, closed.then_some(remainder));
+        // The heavier branch moves the cursor's block off the canonical chain.
+        extend(&mut forked, &winning);
+        assert!(!forked.settlement().escrows().contains_key(&losing_sra));
+        matches_fresh(forked.settlement(), "refold");
+        assert!(forked.settlement().folded() > fresh.folded(), "refolded");
+        // A node restarted over the forked store, both branches in it.
+        let restarted = ProviderNode::restore_backend(
+            KeyPair::from_seed(b"restarted"),
+            Box::new(forked.store().clone()),
+            cast.library.clone(),
+            &cast.funding,
+        );
+        let restarted = restarted.settlement();
+        matches_fresh(restarted, "restart");
+        assert_eq!(restarted.folded(), restarted.cursor().0, "folded once");
+    }
 }
 
 /// One step of a random admit/seal schedule.

@@ -9,7 +9,8 @@
 //! Mining income is paid when a block confirms, so the Fig. 4(a) sample
 //! of block `h` is taken when the settlement reaches `h`, stamped with the
 //! clock at which `h` was mined; the drain's blocks confirm every
-//! main-loop block.
+//! main-loop block. Insurance a release did not forfeit returns to its
+//! provider in the same fold, when its detection window closes.
 
 use crate::config::SimConfig;
 use crate::ledger::{IncomeSample, RunLedger};
@@ -31,6 +32,23 @@ struct PendingReveal {
     detector_index: usize,
     initial_record: Digest,
     detailed: DetailedReport,
+}
+
+/// Phase #2b: submits the `R*` of every pending reveal whose `R†`
+/// confirmed, in the order they wait; the rest keep waiting.
+fn reveal_confirmed(
+    platform: &mut Platform,
+    fleet: &DetectorFleet,
+    pending: &mut Vec<PendingReveal>,
+) {
+    let (ready, waiting): (Vec<_>, Vec<_>) = std::mem::take(pending)
+        .into_iter()
+        .partition(|reveal| platform.store().record_confirmed(&reveal.initial_record));
+    *pending = waiting;
+    for reveal in ready {
+        let detector = &fleet.detectors()[reveal.detector_index];
+        let _ = platform.submit_detailed(detector.keypair(), reveal.detailed);
+    }
 }
 
 /// Takes the income sample of every block in `unsampled` (height, clock
@@ -85,10 +103,6 @@ pub fn simulate_full(config: &SimConfig) -> (RunLedger, Platform) {
     let mut ledger = RunLedger::default();
     let mut pending: Vec<PendingReveal> = Vec::new();
     let mut releases: Vec<(SraId, Address)> = Vec::new();
-    // (sra_id, height when released) — the detection window closes (and the
-    // remaining insurance refunds) WINDOW_BLOCKS after release.
-    let mut open_windows: Vec<(SraId, u64)> = Vec::new();
-    const WINDOW_BLOCKS: u64 = 16;
     let mut next_release = 0.0f64;
     let mut version = 0u64;
     let mut last_clock = 0.0f64;
@@ -116,7 +130,6 @@ pub fn simulate_full(config: &SimConfig) -> (RunLedger, Platform) {
                 }
                 let provider_addr = provider_addrs[config.releasing_provider];
                 releases.push((sra_id, provider_addr));
-                open_windows.push((sra_id, platform.store().best_height()));
                 // --- Phase #2a: distributed detection + initial reports ----
                 let sra = platform.sra(&sra_id).expect("just released").clone();
                 let image = platform
@@ -141,30 +154,9 @@ pub fn simulate_full(config: &SimConfig) -> (RunLedger, Platform) {
         }
 
         // --- Phase #2b: reveal detailed reports once R† confirms -------
-        let mut still_pending = Vec::with_capacity(pending.len());
-        for reveal in pending.drain(..) {
-            if platform.store().record_confirmed(&reveal.initial_record) {
-                let detector = &fleet.detectors()[reveal.detector_index];
-                let _ = platform.submit_detailed(detector.keypair(), reveal.detailed);
-            } else {
-                still_pending.push(reveal);
-            }
-        }
-        pending = still_pending;
+        reveal_confirmed(&mut platform, &fleet, &mut pending);
 
-        // Close detection windows: refund un-forfeited insurance so the
-        // provider can keep releasing (the paper's refundable deposit).
-        let height = platform.store().best_height();
-        open_windows.retain(|(sra_id, released_at)| {
-            if height >= released_at + WINDOW_BLOCKS {
-                let _ = platform.settle_release(sra_id);
-                false
-            } else {
-                true
-            }
-        });
-
-        // --- Phase #3/#4: mine, record, pay ----------------------------
+        // --- Phase #3/#4: mine, record, pay, refund --------------------
         let (miner, _) = platform.mine_block();
         *ledger.blocks_by_provider.entry(miner).or_insert(0) += 1;
         ledger.blocks_mined += 1;
@@ -177,16 +169,7 @@ pub fn simulate_full(config: &SimConfig) -> (RunLedger, Platform) {
 
     // Drain: let outstanding reports finalize without new releases.
     for _ in 0..16 {
-        let mut still_pending = Vec::with_capacity(pending.len());
-        for reveal in pending.drain(..) {
-            if platform.store().record_confirmed(&reveal.initial_record) {
-                let detector = &fleet.detectors()[reveal.detector_index];
-                let _ = platform.submit_detailed(detector.keypair(), reveal.detailed);
-            } else {
-                still_pending.push(reveal);
-            }
-        }
-        pending = still_pending;
+        reveal_confirmed(&mut platform, &fleet, &mut pending);
         let (miner, _) = platform.mine_block();
         *ledger.blocks_by_provider.entry(miner).or_insert(0) += 1;
         ledger.blocks_mined += 1;

@@ -79,7 +79,9 @@ fn main() {
             payouts.len()
         );
         let forfeited = platform.forfeited(&sra_id);
-        let refunded = platform.settle_release(&sra_id).expect("window closes");
+        let refunded = platform.settlement().escrows()[&sra_id]
+            .refunded
+            .expect("window closed");
         println!("  vendor forfeited {forfeited}, refunded {refunded}");
 
         // A consumer checks the advisory before deploying.

@@ -73,9 +73,10 @@ fn main() {
         );
     }
     println!("         detector balance: {before} → {after}");
+    let refunded = platform.settlement().escrows()[&sra_id].refunded;
     println!(
-        "         escrow remaining: {}",
-        platform.escrow_balance(&sra_id).expect("SRA is final")
+        "         window closed: {} refunded to the provider",
+        refunded.expect("the same blocks closed the detection window")
     );
     println!(
         "\nconsumers can now query the chain: confirmed vulnerabilities = {:?}",

@@ -7,7 +7,7 @@
 //! Run: `cargo run --release --example retrospective_detection`
 
 use smartcrowd::chain::rng::SimRng;
-use smartcrowd::chain::Ether;
+use smartcrowd::chain::{Ether, CONFIRMATION_DEPTH};
 use smartcrowd::core::platform::{Platform, PlatformConfig};
 use smartcrowd::core::report::{create_report_pair, Findings};
 use smartcrowd::core::retro::RetroMonitor;
@@ -46,7 +46,7 @@ fn main() {
     platform
         .release_system(1, clean, Ether::from_ether(1000), Ether::from_ether(25))
         .unwrap();
-    platform.mine_blocks(3);
+    platform.mine_blocks(1);
     println!("two systems released; nobody flags anything (no signatures exist yet)\n");
 
     // The monitor was checkpointed *before* the disclosure; the last
@@ -64,7 +64,8 @@ fn main() {
     }
     assert_eq!(notifications.len(), 1, "only the affected system fires");
 
-    // A detector reads the advisory and claims the open bounty.
+    // A detector reads the advisory and claims the open bounty, revealing
+    // as soon as its R† is final so that R* is sealed inside the window.
     let hunter = KeyPair::from_seed(b"retro-hunter");
     platform.fund(hunter.address(), Ether::from_ether(10));
     let (initial, detailed) = create_report_pair(
@@ -73,7 +74,7 @@ fn main() {
         Findings::new(vec![zero_day], "confirmed ECB-mode session keys"),
     );
     platform.submit_initial(&hunter, initial).unwrap();
-    platform.mine_blocks(8);
+    platform.mine_blocks(1 + CONFIRMATION_DEPTH as usize);
     platform.submit_detailed(&hunter, detailed).unwrap();
     let payouts = platform.mine_blocks(8);
     println!("\nbounty claimed retroactively:");

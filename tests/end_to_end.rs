@@ -5,6 +5,7 @@ use smartcrowd::chain::rng::SimRng;
 use smartcrowd::chain::Ether;
 use smartcrowd::core::consumer::{advise, Recommendation, RiskTolerance};
 use smartcrowd::core::detector::DetectorFleet;
+use smartcrowd::core::economics::DETECTION_WINDOW;
 use smartcrowd::core::platform::{Platform, PlatformConfig};
 use smartcrowd::core::report::{create_report_pair, Findings};
 use smartcrowd::crypto::keys::KeyPair;
@@ -68,19 +69,22 @@ fn settlement_refunds_clean_release() {
     let sra_id = p
         .release_system(1, system, Ether::from_ether(500), Ether::from_ether(10))
         .unwrap();
-    p.mine_blocks(10);
-    let refunded = p.settle_release(&sra_id).unwrap();
-    assert_eq!(refunded, Ether::from_ether(500));
-    // Second settlement is a no-op.
-    assert_eq!(p.settle_release(&sra_id).unwrap(), Ether::ZERO);
-    // Net cost to provider = gas only (mining income excluded by design:
-    // provider 1 earned nothing because no blocks were attributed here).
-    let after = p.balance(&provider_addr);
-    let spent = before.saturating_sub(after + p.mining_income(&provider_addr));
+    // Sealed in the next block, the SRA's window closes when that block
+    // has DETECTION_WINDOW confirmations.
+    p.mine_blocks(DETECTION_WINDOW as usize);
+    let refunded = |p: &Platform| p.settlement().escrows()[&sra_id].refunded;
+    assert_eq!(refunded(&p), Some(Ether::from_ether(500)));
+    // Net cost to provider = gas only (its mining income set aside).
+    let net = |p: &Platform| p.balance(&provider_addr) - p.mining_income(&provider_addr);
+    let spent = before - net(&p);
     assert!(
         spent < Ether::from_milliether(200),
         "only gas spent, got {spent}"
     );
+    // The refund fires once.
+    p.mine_blocks(DETECTION_WINDOW as usize);
+    assert_eq!(refunded(&p), Some(Ether::from_ether(500)));
+    assert_eq!(before - net(&p), spent);
 }
 
 #[test]
