@@ -7,7 +7,6 @@ use smartcrowd_chain::rng::SimRng;
 use smartcrowd_chain::Ether;
 use smartcrowd_core::report::{create_report_pair, Findings};
 use smartcrowd_core::sra::Sra;
-use smartcrowd_core::verify::{verify_detailed, verify_initial};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_detect::autoverif::AutoVerifier;
 use smartcrowd_detect::library::VulnLibrary;
@@ -53,7 +52,7 @@ fn bench_reports(c: &mut Criterion) {
     });
     let (initial, detailed) = create_report_pair(&detector, [3u8; 32], findings);
     c.bench_function("protocol/algorithm1-initial", |b| {
-        b.iter(|| verify_initial(black_box(&initial), None, false).unwrap())
+        b.iter(|| black_box(&initial).verify().unwrap())
     });
     c.bench_function("protocol/algorithm1-detailed-structural", |b| {
         b.iter(|| {
@@ -75,15 +74,10 @@ fn bench_autoverif(c: &mut Criterion) {
     let verifier = AutoVerifier::new(&library);
     c.bench_function("protocol/algorithm1+autoverif-10claims", |b| {
         b.iter(|| {
-            verify_detailed(
-                black_box(&detailed),
-                black_box(&initial),
-                black_box(&system),
-                &verifier,
-                None,
-                false,
-            )
-            .unwrap()
+            let detailed = black_box(&detailed);
+            detailed.verify_against(black_box(&initial)).unwrap();
+            let claims = &detailed.findings().vulnerabilities;
+            assert!(verifier.auto_verif(black_box(&system), claims));
         })
     });
 }

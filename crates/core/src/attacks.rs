@@ -11,7 +11,7 @@ use crate::economics::{DETECTOR_FUNDING, INCENTIVE_PER_VULN, INSURANCE, REPORT_F
 use crate::error::CoreError;
 use crate::platform::{Platform, PlatformConfig};
 use crate::report::{create_report_pair, Findings};
-use crate::sra::SraId;
+use crate::sra::{Sra, SraBody, SraId};
 use smartcrowd_chain::pow::Miner;
 use smartcrowd_chain::rng::SimRng;
 use smartcrowd_chain::{Block, ChainStore, Difficulty, Ether};
@@ -54,7 +54,7 @@ fn test_platform() -> (Platform, SraId) {
 pub fn sra_spoofing() -> AttackOutcome {
     let attacker = KeyPair::from_seed(b"attacker");
     let victim = Address::from_label("benign-vendor");
-    let sra = crate::sra::Sra::create(
+    let sra = Sra::create(
         &attacker,
         "malicious-fw",
         "6.6.6",
@@ -67,41 +67,20 @@ pub fn sra_spoofing() -> AttackOutcome {
     // encoding without touching Δ_id. Integrity must catch it.
     let mut bytes = sra.encode();
     bytes[..20].copy_from_slice(victim.as_bytes());
-    let naive = match crate::sra::Sra::decode(&bytes) {
-        Ok(f) => f.verify(),
-        Err(e) => Err(e),
-    };
+    let naive = Sra::decode(&bytes).and_then(|f| f.verify());
     let naive_caught = matches!(
         naive,
         Err(CoreError::SraIdMismatch) | Err(CoreError::Payload { .. })
     );
 
-    // Attack 2 — sophisticated: the attacker also recomputes Δ_id over the
-    // relabelled fields, so only the signature check can catch it.
-    let forged_id = {
-        use smartcrowd_chain::codec::Encoder;
-        use smartcrowd_crypto::keccak::keccak256;
-        let mut enc = Encoder::new();
-        enc.put_array(victim.as_bytes())
-            .put_str(sra.name())
-            .put_str(sra.version())
-            .put_array(sra.image_hash())
-            .put_str(sra.link())
-            .put_u128(sra.insurance().wei())
-            .put_u128(sra.incentive_per_vuln().wei());
-        keccak256(&enc.finish())
+    // Attack 2 — sophisticated: the attacker relabels the fields and
+    // seals them in a well-formed envelope, Δ_id recomputed and signed
+    // under its own key, so only the signature check can catch it.
+    let relabelled = SraBody {
+        provider: victim,
+        ..sra.body.clone()
     };
-    // Splice both provider and id into the encoding. The id sits after the
-    // variable-length fields; compute its offset from the field lengths.
-    let id_offset =
-        20 + 8 + sra.name().len() + 8 + sra.version().len() + 32 + 8 + sra.link().len() + 16 + 16;
-    let mut bytes2 = sra.encode();
-    bytes2[..20].copy_from_slice(victim.as_bytes());
-    bytes2[id_offset..id_offset + 32].copy_from_slice(&forged_id);
-    let crafted = match crate::sra::Sra::decode(&bytes2) {
-        Ok(f) => f.verify(),
-        Err(e) => Err(e),
-    };
+    let crafted = Sra::decode(&Sra::sign(&attacker, relabelled).encode()).and_then(|f| f.verify());
     let crafted_caught = matches!(crafted, Err(CoreError::SraSignatureInvalid));
 
     let defended = naive_caught && crafted_caught;

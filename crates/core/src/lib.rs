@@ -16,15 +16,15 @@
 //!
 //! | Paper concept | Module |
 //! |---|---|
+//! | One signed-payload envelope: the id is the Keccak of the preimage, the signature the signer's over it (`Δ_id`/`P_Sign`, `ID†`/`D†_Sign`, `ID*`/`D*_Sign`) | [`signed`] |
 //! | Insuranced SRA `Δ` (Eq. 1–2), decentralized verification (§V-A) | [`sra`] |
 //! | Two-phase reports `R†`/`R*` (Eq. 3–5, §V-B) | [`report`] |
-//! | Algorithm 1 + `AutoVerif` hook (§V-C) | [`verify`] |
 //! | Incentive equations (Eq. 7–10, §V-D) | [`incentive`] |
 //! | Theoretical model & VPB (Eq. 11–14, §VI-B, Fig. 5); the §VII parameter set | [`economics`] |
 //! | SmartCrowd contracts (the 350-line Solidity analogue, §VII) | [`contracts`] |
 //! | Provider / detector / consumer roles (§IV-A) | [`provider`], [`detector`], [`consumer`] |
 //! | Adversary model & defences (§III-A, §VI-A) | [`attacks`] |
-//! | The protocol core: admit / check-block / seal / replay (§V-C, Phase #3) | [`protocol`] |
+//! | The protocol core: admit / check-block / seal / replay; Algorithm 1, `AutoVerif` and detector isolation (§V-C, Phase #3) | [`protocol`] |
 //! | Settlement: fees, block rewards, report metering, escrow open / payout / refund folded over the confirmed chain (§V-D, Phase #4) | [`settlement`] |
 //! | End-to-end platform facade: the core + mining race + client-side preconditions | [`platform`] |
 //! | A distributed provider node: the core + gossip glue (Phase #3 fault tolerance) | [`node`] |
@@ -58,8 +58,8 @@ pub mod reference;
 pub mod report;
 pub mod retro;
 pub mod settlement;
+pub mod signed;
 pub mod sra;
-pub mod verify;
 
 pub use error::CoreError;
 pub use report::{DetailedReport, Findings, InitialReport};

@@ -24,7 +24,6 @@ use crate::error::CoreError;
 use crate::report::{DetailedReport, InitialReport};
 use crate::settlement::Settlement;
 use crate::sra::{Sra, SraId};
-use crate::verify;
 use smartcrowd_chain::mempool::Mempool;
 use smartcrowd_chain::record::{Claim, Record, RecordKind};
 use smartcrowd_chain::{sigcache, Block, ChainBackend, Difficulty, Ether};
@@ -33,6 +32,7 @@ use smartcrowd_detect::autoverif::AutoVerifier;
 use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_net::Scoreboard;
+use smartcrowd_telemetry::counter;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -233,8 +233,11 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
                 }
             }
             Payload::Initial(report) => {
-                let scoreboard = isolation.then_some(&self.scoreboard);
-                verify::verify_initial(&report, scoreboard, vouched)?;
+                if isolation && !self.scoreboard.admits(&report.detector()) {
+                    counter!("core.verify.isolated_rejections").inc();
+                    return Err(CoreError::DetectorIsolated);
+                }
+                report.verify_vouched(vouched)?;
                 match self.initials.entry((*report.sra_id(), report.detector())) {
                     Entry::Occupied(_) => Err(CoreError::DuplicateReport),
                     Entry::Vacant(slot) => {
@@ -251,10 +254,11 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
         }
     }
 
-    /// Algorithm 1 lines 10–24 against held knowledge: commitment binding
-    /// to the indexed `R†` (none: [`CoreError::InitialNotConfirmed`]), then
-    /// `AutoVerif` against the held artifact (none: [`CoreError::NotFound`]),
-    /// crediting or striking the detector on the scoreboard.
+    /// Algorithm 1 lines 10–24 against held knowledge: the indexed `R†`
+    /// (none: [`CoreError::InitialNotConfirmed`]) and the held artifact
+    /// (none: [`CoreError::NotFound`]), then `ID*` and `D*_Sign`, the
+    /// binding to the `R†`, and `AutoVerif`, which credits the detector on
+    /// the scoreboard or strikes it — the §V-C isolation mechanism.
     fn check_detailed(&mut self, report: &DetailedReport, vouched: bool) -> Result<(), CoreError> {
         let initial = self
             .initials
@@ -264,14 +268,23 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
             .artifacts
             .get(report.sra_id())
             .ok_or(CoreError::NotFound)?;
-        verify::verify_detailed(
-            report,
-            initial,
-            system,
-            &AutoVerifier::new(&self.library),
-            Some(&mut self.scoreboard),
-            vouched,
-        )
+        report.verify_vouched(vouched)?;
+        report.binds_to(initial)?;
+        let verifier = AutoVerifier::new(&self.library);
+        let claims = &report.findings().vulnerabilities;
+        counter!("core.verify.autoverif_runs").inc();
+        if verifier.auto_verif(system, claims) {
+            counter!("core.verify.autoverif_pass").inc();
+            self.scoreboard.record_confirmed(report.detector());
+            Ok(())
+        } else {
+            counter!("core.verify.autoverif_fail").inc();
+            let (_, rejected) = verifier.triage(system, claims);
+            self.scoreboard.record_strike(report.detector());
+            Err(CoreError::AutoVerifFailed {
+                rejected: rejected.iter().map(|v| v.0).collect(),
+            })
+        }
     }
 
     /// Holds an integrity-checked artifact for `AutoVerif`.
@@ -382,5 +395,113 @@ impl Payload {
             Payload::Detailed(report) => report.claim(),
         };
         (signer == sender).then_some(claim)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::{create_report_pair, Findings};
+    use smartcrowd_chain::rng::SimRng;
+    use smartcrowd_chain::ChainStore;
+    use smartcrowd_crypto::keys::KeyPair;
+    use smartcrowd_detect::vulnerability::VulnId;
+    use smartcrowd_net::scoreboard::STRIKE_LIMIT;
+
+    /// A replica holding the artifact of SRA `[7; 32]`, which carries
+    /// vulnerabilities 1–3, and a detector.
+    fn setup() -> (Protocol, KeyPair) {
+        let library = VulnLibrary::synthetic(30, 1);
+        let mut rng = SimRng::seed_from_u64(2);
+        let vulns = vec![VulnId(1), VulnId(2), VulnId(3)];
+        let system = IoTSystem::build("fw", "1", &library, vulns, &mut rng).unwrap();
+        let genesis = Block::genesis(Difficulty::from_u64(1));
+        let mut core: Protocol = Protocol::new(Box::new(ChainStore::new(genesis)), library, &[]);
+        core.hold_artifact([7; 32], system);
+        (core, KeyPair::from_seed(b"detector"))
+    }
+
+    /// Indexes `R†` with isolation applied, then judges `R*`.
+    fn judge(
+        core: &mut Protocol,
+        kp: &KeyPair,
+        sra_id: SraId,
+        claims: Vec<VulnId>,
+    ) -> Result<(), CoreError> {
+        let (initial, detailed) = create_report_pair(kp, sra_id, Findings::new(claims, "x"));
+        core.index(Payload::Initial(Box::new(initial)), false, true)?;
+        core.index(Payload::Detailed(Box::new(detailed)), false, false)
+            .map(|_| ())
+    }
+
+    #[test]
+    fn honest_report_passes_and_earns_credit() {
+        let (mut core, kp) = setup();
+        assert_eq!(
+            judge(&mut core, &kp, [7; 32], vec![VulnId(1), VulnId(3)]),
+            Ok(())
+        );
+        assert_eq!(core.scoreboard().score(&kp.address()).confirmed, 1);
+        assert_eq!(core.scoreboard().score(&kp.address()).strikes, 0);
+    }
+
+    #[test]
+    fn forged_report_strikes_detector() {
+        // Claims a vulnerability that is not in the artifact.
+        let (mut core, kp) = setup();
+        assert_eq!(
+            judge(&mut core, &kp, [7; 32], vec![VulnId(20)]),
+            Err(CoreError::AutoVerifFailed { rejected: vec![20] })
+        );
+        assert_eq!(core.scoreboard().score(&kp.address()).strikes, 1);
+    }
+
+    #[test]
+    fn isolated_detector_rejected_at_phase_one() {
+        let (mut core, kp) = setup();
+        for _ in 0..STRIKE_LIMIT {
+            core.scoreboard.record_strike(kp.address());
+        }
+        let (initial, _) = create_report_pair(&kp, [7; 32], Findings::new(vec![VulnId(1)], ""));
+        let payload = || Payload::Initial(Box::new(initial.clone()));
+        assert!(matches!(
+            core.index(payload(), false, true),
+            Err(CoreError::DetectorIsolated)
+        ));
+        // Without isolation (a block's record) the same report is indexed.
+        assert!(core.index(payload(), false, false).is_ok());
+    }
+
+    #[test]
+    fn repeated_forgeries_lead_to_isolation() {
+        let (mut core, kp) = setup();
+        for round in 0..STRIKE_LIMIT {
+            // A fresh SRA each round, its artifact the same image.
+            let sra_id = [round as u8; 32];
+            let system = core.artifact(&[7; 32]).unwrap().clone();
+            core.hold_artifact(sra_id, system);
+            let verdict = judge(&mut core, &kp, sra_id, vec![VulnId(25)]);
+            assert!(
+                matches!(verdict, Err(CoreError::AutoVerifFailed { .. })),
+                "round {round}"
+            );
+        }
+        // The next submission is filtered before any work happens.
+        assert_eq!(
+            judge(&mut core, &kp, [9; 32], vec![VulnId(1)]),
+            Err(CoreError::DetectorIsolated)
+        );
+    }
+
+    #[test]
+    fn partially_forged_report_lists_only_bad_claims() {
+        let (mut core, kp) = setup();
+        let claims = vec![VulnId(1), VulnId(21), VulnId(22)];
+        assert_eq!(
+            judge(&mut core, &kp, [7; 32], claims),
+            Err(CoreError::AutoVerifFailed {
+                rejected: vec![21, 22]
+            })
+        );
     }
 }

@@ -3,17 +3,22 @@
 //! The split defeats plagiarism: a detector first commits to
 //! `H_{R*}` — the hash of its yet-unrevealed detailed report — inside the
 //! initial report `R†`. Only after the block holding `R†` confirms does it
-//! reveal `R*`. A copycat that sees someone else's `R*` cannot claim it,
-//! because it never registered the matching commitment first (§VI-A).
+//! reveal `R*`. A copycat that sees someone else's `R*` cannot claim that
+//! report, whose commitment it never registered (§VI-A), but it can commit
+//! to the same findings under its own identity and reveal at once: only
+//! the ordering "`R†` confirmed before `R*`" stops it, and only
+//! [`crate::platform::Platform::submit_detailed`] enforces that ordering
+//! (PROTOCOL.md §8.5, "Open: an unjudged `R*` is paid").
+//!
+//! Both reports are [`Signed`] envelopes: `ID†`/`D†_Sign` and
+//! `ID*`/`D*_Sign` are the envelope's id and signature, and `ID*` is also
+//! the `H(R*)` an `R†` commits to.
 
 use crate::error::CoreError;
+use crate::signed::{Body, Signed};
 use crate::sra::SraId;
-use crate::verify::signed_by;
 use smartcrowd_chain::codec::{Decoder, Encoder};
-use smartcrowd_chain::record::Claim;
 use smartcrowd_chain::ChainError;
-use smartcrowd_crypto::ecdsa::Signature;
-use smartcrowd_crypto::keccak::keccak256;
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::{Address, Digest};
 use smartcrowd_detect::vulnerability::VulnId;
@@ -69,43 +74,84 @@ impl Findings {
 }
 
 /// The initial report `R† = {ID†, Δ, D_i, H_{R*}, W_{D_i}, D†_Sign}`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InitialReport {
-    sra_id: SraId,
-    detector: Address,
-    commitment: Digest,
-    wallet: Address,
-    id: Digest,
-    signature: Signature,
-}
+pub type InitialReport = Signed<InitialBody>;
 
 /// The detailed report `R* = {ID*, Δ, D_i, W_{D_i}, Des, D*_Sign}`.
+pub type DetailedReport = Signed<DetailedBody>;
+
+/// The fields of an [`InitialReport`]:
+/// `ID† = H(Δ ‖ D_i ‖ H_{R*} ‖ W_{D_i})` (Eq. 3).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetailedReport {
-    sra_id: SraId,
-    detector: Address,
-    wallet: Address,
-    findings: Findings,
-    id: Digest,
-    signature: Signature,
+pub struct InitialBody {
+    pub(crate) sra_id: SraId,
+    pub(crate) detector: Address,
+    pub(crate) commitment: Digest,
+    pub(crate) wallet: Address,
 }
 
-impl InitialReport {
-    fn compute_id(
-        sra_id: &SraId,
-        detector: &Address,
-        commitment: &Digest,
-        wallet: &Address,
-    ) -> Digest {
-        // ID† = H(Δ ‖ D_i ‖ H_{R*} ‖ W_{D_i})   (Eq. 3)
-        let mut enc = Encoder::new();
-        enc.put_array(sra_id)
-            .put_array(detector.as_bytes())
-            .put_array(commitment)
-            .put_array(wallet.as_bytes());
-        keccak256(&enc.finish())
+/// The fields of a [`DetailedReport`]:
+/// `ID* = H(Δ ‖ D_i ‖ W_{D_i} ‖ Des)` (Eq. 5), which is also the `H(R*)`
+/// an `R†` commits to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DetailedBody {
+    pub(crate) sra_id: SraId,
+    pub(crate) detector: Address,
+    pub(crate) wallet: Address,
+    pub(crate) findings: Findings,
+}
+
+impl Body for InitialBody {
+    const ID_MISMATCH: CoreError = CoreError::InitialReportIdMismatch;
+    const BAD_SIGNATURE: CoreError = CoreError::InitialReportSignatureInvalid;
+
+    fn signer(&self) -> Address {
+        self.detector
     }
 
+    fn encode_fields(&self, enc: &mut Encoder) {
+        enc.put_array(&self.sra_id)
+            .put_array(self.detector.as_bytes())
+            .put_array(&self.commitment)
+            .put_array(self.wallet.as_bytes());
+    }
+
+    fn decode_fields(dec: &mut Decoder<'_>) -> Result<Self, ChainError> {
+        Ok(InitialBody {
+            sra_id: dec.take_array()?,
+            detector: Address::from_bytes(dec.take_array()?),
+            commitment: dec.take_array()?,
+            wallet: Address::from_bytes(dec.take_array()?),
+        })
+    }
+}
+
+impl Body for DetailedBody {
+    const ID_MISMATCH: CoreError = CoreError::DetailedReportIdMismatch;
+    const BAD_SIGNATURE: CoreError = CoreError::DetailedReportSignatureInvalid;
+    const PREFIXED: bool = true;
+
+    fn signer(&self) -> Address {
+        self.detector
+    }
+
+    fn encode_fields(&self, enc: &mut Encoder) {
+        enc.put_array(&self.sra_id)
+            .put_array(self.detector.as_bytes())
+            .put_array(self.wallet.as_bytes());
+        self.findings.encode_into(enc);
+    }
+
+    fn decode_fields(dec: &mut Decoder<'_>) -> Result<Self, ChainError> {
+        Ok(DetailedBody {
+            sra_id: dec.take_array()?,
+            detector: Address::from_bytes(dec.take_array()?),
+            wallet: Address::from_bytes(dec.take_array()?),
+            findings: Findings::decode_from(dec)?,
+        })
+    }
+}
+
+impl InitialBody {
     /// The SRA this report targets.
     pub fn sra_id(&self) -> &SraId {
         &self.sra_id
@@ -125,103 +171,9 @@ impl InitialReport {
     pub fn wallet(&self) -> Address {
         self.wallet
     }
-
-    /// `ID†`.
-    pub fn id(&self) -> &Digest {
-        &self.id
-    }
-
-    /// Algorithm 1, lines 1–9: recompute `ID†` and check `D†_Sign`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InitialReportIdMismatch`] or
-    /// [`CoreError::InitialReportSignatureInvalid`].
-    pub fn verify(&self) -> Result<(), CoreError> {
-        self.verify_vouched(false)
-    }
-
-    /// [`InitialReport::verify`], without recovering `D†_Sign` when
-    /// `vouched`: it was checked in its record sender's pass (PROTOCOL.md
-    /// §4.3).
-    pub(crate) fn verify_vouched(&self, vouched: bool) -> Result<(), CoreError> {
-        let expected =
-            Self::compute_id(&self.sra_id, &self.detector, &self.commitment, &self.wallet);
-        if expected != self.id {
-            return Err(CoreError::InitialReportIdMismatch);
-        }
-        if !vouched && !signed_by(&self.id, &self.signature, self.detector) {
-            return Err(CoreError::InitialReportSignatureInvalid);
-        }
-        Ok(())
-    }
-
-    /// `D†_Sign` as a claim of `D_i`'s: the signer and what it signed.
-    pub(crate) fn claim(&self) -> (Address, Claim<'_>) {
-        (self.detector, (&self.id, &self.signature))
-    }
-
-    /// Canonical payload for a chain record.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_array(&self.sra_id)
-            .put_array(self.detector.as_bytes())
-            .put_array(&self.commitment)
-            .put_array(self.wallet.as_bytes())
-            .put_array(&self.id)
-            .put_array(&self.signature.to_bytes());
-        enc.finish()
-    }
-
-    /// Decodes a chain-record payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Payload`] for malformed bytes.
-    pub fn decode(bytes: &[u8]) -> Result<InitialReport, CoreError> {
-        let mut dec = Decoder::new(bytes);
-        let mut inner = || -> Result<InitialReport, ChainError> {
-            let sra_id = dec.take_array::<32>()?;
-            let detector = Address::from_bytes(dec.take_array::<20>()?);
-            let commitment = dec.take_array::<32>()?;
-            let wallet = Address::from_bytes(dec.take_array::<20>()?);
-            let id = dec.take_array::<32>()?;
-            let sig =
-                Signature::from_bytes(&dec.take_array::<65>()?).map_err(|e| ChainError::Codec {
-                    detail: format!("bad signature: {e}"),
-                })?;
-            dec.expect_end()?;
-            Ok(InitialReport {
-                sra_id,
-                detector,
-                commitment,
-                wallet,
-                id,
-                signature: sig,
-            })
-        };
-        inner().map_err(|e| CoreError::Payload {
-            detail: e.to_string(),
-        })
-    }
 }
 
-impl DetailedReport {
-    fn compute_id(
-        sra_id: &SraId,
-        detector: &Address,
-        wallet: &Address,
-        findings: &Findings,
-    ) -> Digest {
-        // ID* = H(Δ ‖ D_i ‖ W_{D_i} ‖ Des)   (Eq. 5)
-        let mut enc = Encoder::new();
-        enc.put_array(sra_id)
-            .put_array(detector.as_bytes())
-            .put_array(wallet.as_bytes());
-        findings.encode_into(&mut enc);
-        keccak256(&enc.finish())
-    }
-
+impl DetailedBody {
     /// The SRA this report targets.
     pub fn sra_id(&self) -> &SraId {
         &self.sra_id
@@ -241,29 +193,12 @@ impl DetailedReport {
     pub fn findings(&self) -> &Findings {
         &self.findings
     }
+}
 
-    /// `ID*`.
-    pub fn id(&self) -> &Digest {
-        &self.id
-    }
-
-    /// The hash other parties compare against the `H_{R*}` commitment.
-    pub(crate) fn content_hash(&self) -> Digest {
-        keccak256(&self.encode_unsigned())
-    }
-
-    fn encode_unsigned(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_array(&self.sra_id)
-            .put_array(self.detector.as_bytes())
-            .put_array(self.wallet.as_bytes());
-        self.findings.encode_into(&mut enc);
-        enc.finish()
-    }
-
-    /// Algorithm 1, lines 10–24 minus the `AutoVerif` call (which needs the
-    /// artifact — see [`crate::verify`]): recompute `ID*`, check `D*_Sign`,
-    /// and bind against the initial report's commitment and identity.
+impl DetailedReport {
+    /// Algorithm 1, lines 10–24 minus the `AutoVerif` call, which needs
+    /// the artifact and runs in [`crate::protocol::Protocol`]:
+    /// [`Signed::verify`], then the binding to `initial`.
     ///
     /// # Errors
     ///
@@ -273,83 +208,25 @@ impl DetailedReport {
     /// - [`CoreError::PhaseMismatch`] when detector/SRA differ from `R†`;
     /// - [`CoreError::CommitmentMismatch`] when `H(R*) ≠ H_{R*}`.
     pub fn verify_against(&self, initial: &InitialReport) -> Result<(), CoreError> {
-        self.verify_against_vouched(initial, false)
+        self.verify()?;
+        self.binds_to(initial)
     }
 
-    /// [`DetailedReport::verify_against`], without recovering `D*_Sign`
-    /// when `vouched`: it was checked in its record sender's pass
-    /// (PROTOCOL.md §4.3).
-    pub(crate) fn verify_against_vouched(
-        &self,
-        initial: &InitialReport,
-        vouched: bool,
-    ) -> Result<(), CoreError> {
-        let expected = Self::compute_id(&self.sra_id, &self.detector, &self.wallet, &self.findings);
-        if expected != self.id {
-            return Err(CoreError::DetailedReportIdMismatch);
-        }
-        if !vouched && !signed_by(&self.id, &self.signature, self.detector) {
-            return Err(CoreError::DetailedReportSignatureInvalid);
-        }
-        if self.detector != initial.detector()
-            || self.sra_id != *initial.sra_id()
-            || self.wallet != initial.wallet()
+    /// The binding to the initial report: the same SRA, detector and
+    /// wallet, and `H(R*) = H_{R*}`. `H(R*)` is Keccak over the preimage
+    /// `ID*` hashes, so it is `ID*` once the envelope's check passed: call
+    /// this only after that check.
+    pub(crate) fn binds_to(&self, initial: &InitialReport) -> Result<(), CoreError> {
+        if self.detector != initial.detector
+            || self.sra_id != initial.sra_id
+            || self.wallet != initial.wallet
         {
             return Err(CoreError::PhaseMismatch);
         }
-        if self.content_hash() != *initial.commitment() {
+        if self.id != initial.commitment {
             return Err(CoreError::CommitmentMismatch);
         }
         Ok(())
-    }
-
-    /// `D*_Sign` as a claim of `D_i`'s: the signer and what it signed.
-    pub(crate) fn claim(&self) -> (Address, Claim<'_>) {
-        (self.detector, (&self.id, &self.signature))
-    }
-
-    /// Canonical payload for a chain record.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_bytes(&self.encode_unsigned())
-            .put_array(&self.id)
-            .put_array(&self.signature.to_bytes());
-        enc.finish()
-    }
-
-    /// Decodes a chain-record payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Payload`] for malformed bytes.
-    pub fn decode(bytes: &[u8]) -> Result<DetailedReport, CoreError> {
-        let mut dec = Decoder::new(bytes);
-        let mut inner = || -> Result<DetailedReport, ChainError> {
-            let unsigned = dec.take_bytes()?;
-            let id = dec.take_array::<32>()?;
-            let sig =
-                Signature::from_bytes(&dec.take_array::<65>()?).map_err(|e| ChainError::Codec {
-                    detail: format!("bad signature: {e}"),
-                })?;
-            dec.expect_end()?;
-            let mut udec = Decoder::new(unsigned);
-            let sra_id = udec.take_array::<32>()?;
-            let detector = Address::from_bytes(udec.take_array::<20>()?);
-            let wallet = Address::from_bytes(udec.take_array::<20>()?);
-            let findings = Findings::decode_from(&mut udec)?;
-            udec.expect_end()?;
-            Ok(DetailedReport {
-                sra_id,
-                detector,
-                wallet,
-                findings,
-                id,
-                signature: sig,
-            })
-        };
-        inner().map_err(|e| CoreError::Payload {
-            detail: e.to_string(),
-        })
     }
 }
 
@@ -374,29 +251,20 @@ pub(crate) fn create_report_pair_with_wallet(
     findings: Findings,
     wallet: Address,
 ) -> (InitialReport, DetailedReport) {
-    let d_addr = detector.address();
-    let detailed_id = DetailedReport::compute_id(&sra_id, &d_addr, &wallet, &findings);
-    let detailed_sig = detector.sign(&detailed_id);
-    let detailed = DetailedReport {
+    let body = DetailedBody {
         sra_id,
-        detector: d_addr,
+        detector: detector.address(),
         wallet,
         findings,
-        id: detailed_id,
-        signature: detailed_sig,
     };
-    let commitment = detailed.content_hash();
-    let initial_id = InitialReport::compute_id(&sra_id, &d_addr, &commitment, &wallet);
-    let initial_sig = detector.sign(&initial_id);
-    let initial = InitialReport {
+    let detailed = DetailedReport::sign(detector, body);
+    let body = InitialBody {
         sra_id,
-        detector: d_addr,
-        commitment,
+        detector: detector.address(),
+        commitment: detailed.id, // H(R*) is ID*
         wallet,
-        id: initial_id,
-        signature: initial_sig,
     };
-    (initial, detailed)
+    (InitialReport::sign(detector, body), detailed)
 }
 
 #[cfg(test)]
@@ -446,19 +314,13 @@ mod tests {
 
     #[test]
     fn tampered_commitment_detected() {
-        let (_, mut initial, detailed) = pair();
-        initial.commitment[0] ^= 1;
+        let (kp, mut initial, detailed) = pair();
+        initial.body.commitment[0] ^= 1;
         // Tampering the commitment breaks ID† first (integrity).
         assert_eq!(initial.verify(), Err(CoreError::InitialReportIdMismatch));
         // Even with a recomputed id, the signature no longer matches —
         // exactly the "maliciously accusing benign detectors" defence.
-        let fixed_id = InitialReport::compute_id(
-            &initial.sra_id,
-            &initial.detector,
-            &initial.commitment,
-            &initial.wallet,
-        );
-        initial.id = fixed_id;
+        initial.id = *InitialReport::sign(&kp, initial.body.clone()).id();
         assert_eq!(
             initial.verify(),
             Err(CoreError::InitialReportSignatureInvalid)
@@ -498,7 +360,7 @@ mod tests {
         // An attacker intercepts R* and redirects the payout wallet.
         let (_, initial, detailed) = pair();
         let mut redirected = detailed.clone();
-        redirected.wallet = Address::from_label("attacker-wallet");
+        redirected.body.wallet = Address::from_label("attacker-wallet");
         // ID* no longer matches (wallet is hashed into it).
         assert_eq!(
             redirected.verify_against(&initial),

@@ -10,14 +10,13 @@
 //! detected"; the per-vulnerability incentive `μ` is preset in the contract
 //! at release time (§V-D). Verification is decentralized: every receiving
 //! provider checks `U_h`, `Δ_id` and `P_Sign` before propagating, which
-//! "effectively eradicates" counterfeit SRAs.
+//! "effectively eradicates" counterfeit SRAs. An [`Sra`] is a [`Signed`]
+//! [`SraBody`]: `Δ_id` and `P_Sign` are the envelope's id and signature.
 
 use crate::error::CoreError;
-use crate::verify::signed_by;
+use crate::signed::{Body, Signed};
 use smartcrowd_chain::codec::{Decoder, Encoder};
-use smartcrowd_chain::record::Claim;
-use smartcrowd_chain::Ether;
-use smartcrowd_crypto::ecdsa::Signature;
+use smartcrowd_chain::{ChainError, Ether};
 use smartcrowd_crypto::keccak::keccak256;
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::{Address, Digest};
@@ -26,7 +25,7 @@ use smartcrowd_detect::system::IoTSystem;
 /// An identifier for an SRA (`Δ_id`).
 pub type SraId = Digest;
 
-/// A System Release Announcement.
+/// A System Release Announcement: its fields, `Δ_id` and `P_Sign`.
 ///
 /// # Example
 ///
@@ -47,50 +46,59 @@ pub type SraId = Digest;
 /// );
 /// assert!(sra.verify().is_ok());
 /// ```
+pub type Sra = Signed<SraBody>;
+
+/// The announced fields of an [`Sra`], the preimage of `Δ_id`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sra {
+pub struct SraBody {
     /// The announcing provider `P_i`.
-    provider: Address,
+    pub(crate) provider: Address,
     /// System name `U_n`.
-    name: String,
+    pub(crate) name: String,
     /// System version `U_v`.
-    version: String,
+    pub(crate) version: String,
     /// Image hash `U_h`.
-    image_hash: Digest,
+    pub(crate) image_hash: Digest,
     /// Download link `U_l`.
-    link: String,
+    pub(crate) link: String,
     /// Insurance deposit `I_i`.
-    insurance: Ether,
+    pub(crate) insurance: Ether,
     /// Preset per-vulnerability incentive `μ` (§V-D).
-    incentive_per_vuln: Ether,
-    /// `Δ_id`.
-    id: SraId,
-    /// `P_Sign`.
-    signature: Signature,
+    pub(crate) incentive_per_vuln: Ether,
+}
+
+impl Body for SraBody {
+    const ID_MISMATCH: CoreError = CoreError::SraIdMismatch;
+    const BAD_SIGNATURE: CoreError = CoreError::SraSignatureInvalid;
+
+    fn signer(&self) -> Address {
+        self.provider
+    }
+
+    fn encode_fields(&self, enc: &mut Encoder) {
+        enc.put_array(self.provider.as_bytes())
+            .put_str(&self.name)
+            .put_str(&self.version)
+            .put_array(&self.image_hash)
+            .put_str(&self.link)
+            .put_u128(self.insurance.wei())
+            .put_u128(self.incentive_per_vuln.wei());
+    }
+
+    fn decode_fields(dec: &mut Decoder<'_>) -> Result<Self, ChainError> {
+        Ok(SraBody {
+            provider: Address::from_bytes(dec.take_array()?),
+            name: dec.take_str()?.to_string(),
+            version: dec.take_str()?.to_string(),
+            image_hash: dec.take_array()?,
+            link: dec.take_str()?.to_string(),
+            insurance: Ether::from_wei(dec.take_u128()?),
+            incentive_per_vuln: Ether::from_wei(dec.take_u128()?),
+        })
+    }
 }
 
 impl Sra {
-    /// Computes `Δ_id` over the announcement fields.
-    fn compute_id(
-        provider: &Address,
-        name: &str,
-        version: &str,
-        image_hash: &Digest,
-        link: &str,
-        insurance: Ether,
-        incentive_per_vuln: Ether,
-    ) -> SraId {
-        let mut enc = Encoder::new();
-        enc.put_array(provider.as_bytes())
-            .put_str(name)
-            .put_str(version)
-            .put_array(image_hash)
-            .put_str(link)
-            .put_u128(insurance.wei())
-            .put_u128(incentive_per_vuln.wei());
-        keccak256(&enc.finish())
-    }
-
     /// Creates and signs an announcement.
     pub fn create(
         provider: &KeyPair,
@@ -101,28 +109,16 @@ impl Sra {
         insurance: Ether,
         incentive_per_vuln: Ether,
     ) -> Sra {
-        let addr = provider.address();
-        let id = Self::compute_id(
-            &addr,
-            name,
-            version,
-            &image_hash,
-            link,
-            insurance,
-            incentive_per_vuln,
-        );
-        let signature = provider.sign(&id);
-        Sra {
-            provider: addr,
+        let body = SraBody {
+            provider: provider.address(),
             name: name.to_string(),
             version: version.to_string(),
             image_hash,
             link: link.to_string(),
             insurance,
             incentive_per_vuln,
-            id,
-            signature,
-        }
+        };
+        Sra::sign(provider, body)
     }
 
     /// Announces `system`, signed by `key`, downloadable at
@@ -132,7 +128,9 @@ impl Sra {
         let link = format!("sim://{name}/{version}");
         Sra::create(key, name, version, hash, &link, insurance, mu)
     }
+}
 
+impl SraBody {
     /// The announcing provider.
     pub fn provider(&self) -> Address {
         self.provider
@@ -168,114 +166,10 @@ impl Sra {
         self.incentive_per_vuln
     }
 
-    /// `Δ_id`.
-    pub fn id(&self) -> &SraId {
-        &self.id
-    }
-
-    /// The provider signature `P_Sign`.
-    pub fn signature(&self) -> &Signature {
-        &self.signature
-    }
-
-    /// The decentralized verification every receiving provider performs
-    /// (§V-A): recompute `Δ_id` (integrity) and recover `P_Sign`
-    /// (authenticity).
-    ///
-    /// # Errors
-    ///
-    /// - [`CoreError::SraIdMismatch`] when any announced field was altered.
-    /// - [`CoreError::SraSignatureInvalid`] when the signature does not
-    ///   recover to `P_i` — a spoofed SRA framing another provider.
-    pub fn verify(&self) -> Result<(), CoreError> {
-        self.verify_vouched(false)
-    }
-
-    /// [`Sra::verify`], without recovering `P_Sign` when `vouched`: it was
-    /// checked in its record sender's pass (PROTOCOL.md §4.3).
-    pub(crate) fn verify_vouched(&self, vouched: bool) -> Result<(), CoreError> {
-        let expected = Self::compute_id(
-            &self.provider,
-            &self.name,
-            &self.version,
-            &self.image_hash,
-            &self.link,
-            self.insurance,
-            self.incentive_per_vuln,
-        );
-        if expected != self.id {
-            return Err(CoreError::SraIdMismatch);
-        }
-        if !vouched && !signed_by(&self.id, &self.signature, self.provider) {
-            return Err(CoreError::SraSignatureInvalid);
-        }
-        Ok(())
-    }
-
-    /// `P_Sign` as a claim of `P_i`'s: the signer and what it signed.
-    pub(crate) fn claim(&self) -> (Address, Claim<'_>) {
-        (self.provider, (&self.id, &self.signature))
-    }
-
     /// Checks a downloaded image against the announced `U_h` (the detector
     /// integrity step of §V-B).
     pub(crate) fn image_matches(&self, image: &[u8]) -> bool {
         keccak256(image) == self.image_hash
-    }
-
-    /// Canonical payload for embedding in a chain record.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_array(self.provider.as_bytes())
-            .put_str(&self.name)
-            .put_str(&self.version)
-            .put_array(&self.image_hash)
-            .put_str(&self.link)
-            .put_u128(self.insurance.wei())
-            .put_u128(self.incentive_per_vuln.wei())
-            .put_array(&self.id)
-            .put_array(&self.signature.to_bytes());
-        enc.finish()
-    }
-
-    /// Decodes a chain-record payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Payload`] for malformed bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Sra, CoreError> {
-        let mut dec = Decoder::new(bytes);
-        let mut inner = || -> Result<Sra, smartcrowd_chain::ChainError> {
-            let provider = Address::from_bytes(dec.take_array::<20>()?);
-            let name = dec.take_str()?.to_string();
-            let version = dec.take_str()?.to_string();
-            let image_hash = dec.take_array::<32>()?;
-            let link = dec.take_str()?.to_string();
-            let insurance = Ether::from_wei(dec.take_u128()?);
-            let incentive_per_vuln = Ether::from_wei(dec.take_u128()?);
-            let id = dec.take_array::<32>()?;
-            let sig_bytes = dec.take_array::<65>()?;
-            dec.expect_end()?;
-            let signature = Signature::from_bytes(&sig_bytes).map_err(|e| {
-                smartcrowd_chain::ChainError::Codec {
-                    detail: format!("bad signature: {e}"),
-                }
-            })?;
-            Ok(Sra {
-                provider,
-                name,
-                version,
-                image_hash,
-                link,
-                insurance,
-                incentive_per_vuln,
-                id,
-                signature,
-            })
-        };
-        inner().map_err(|e| CoreError::Payload {
-            detail: e.to_string(),
-        })
     }
 }
 
@@ -307,10 +201,10 @@ mod tests {
     fn field_tamper_breaks_id() {
         let (_, sra) = sample();
         let mut forged = sra.clone();
-        forged.insurance = Ether::from_ether(1);
+        forged.body.insurance = Ether::from_ether(1);
         assert_eq!(forged.verify(), Err(CoreError::SraIdMismatch));
         let mut forged = sra.clone();
-        forged.version = "9.9.9".into();
+        forged.body.version = "9.9.9".into();
         assert_eq!(forged.verify(), Err(CoreError::SraIdMismatch));
     }
 
@@ -318,20 +212,15 @@ mod tests {
     fn spoofed_provider_detected() {
         // An attacker re-labels the SRA with a victim provider and fixes up
         // the id — the signature still recovers to the attacker.
-        let (_, sra) = sample();
+        let (attacker, sra) = sample();
         let victim = Address::from_label("victim-vendor");
-        let forged_id = Sra::compute_id(
-            &victim,
-            &sra.name,
-            &sra.version,
-            &sra.image_hash,
-            &sra.link,
-            sra.insurance,
-            sra.incentive_per_vuln,
-        );
+        let relabelled = SraBody {
+            provider: victim,
+            ..sra.body.clone()
+        };
         let mut forged = sra.clone();
-        forged.provider = victim;
-        forged.id = forged_id;
+        forged.id = *Sra::sign(&attacker, relabelled.clone()).id();
+        forged.body = relabelled;
         assert_eq!(forged.verify(), Err(CoreError::SraSignatureInvalid));
     }
 

@@ -1,11 +1,13 @@
 //! Property-based tests for the SmartCrowd protocol structures.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use smartcrowd_chain::Ether;
 use smartcrowd_core::economics;
 use smartcrowd_core::incentive::{detector_cost, detector_incentive, Proportion};
 use smartcrowd_core::report::{create_report_pair, DetailedReport, Findings, InitialReport};
 use smartcrowd_core::sra::Sra;
+use smartcrowd_core::CoreError;
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_detect::vulnerability::VulnId;
 
@@ -17,8 +19,67 @@ fn arb_findings() -> impl Strategy<Value = Findings> {
         .prop_map(|(ids, notes)| Findings::new(ids.into_iter().map(VulnId).collect(), &notes))
 }
 
+/// Every truncation of `bytes`, and every one of its bytes XORed with
+/// `mask`, decodes to a value that encodes back to the input, or fails
+/// with [`CoreError::Payload`]; a panic fails the case.
+fn decoder_is_exact_or_refuses<T>(
+    bytes: &[u8],
+    mask: u8,
+    decode: fn(&[u8]) -> Result<T, CoreError>,
+    encode: fn(&T) -> Vec<u8>,
+) -> Result<(), TestCaseError> {
+    let truncations = (0..bytes.len()).map(|len| bytes[..len].to_vec());
+    let flips = (0..bytes.len()).map(|at| {
+        let mut flipped = bytes.to_vec();
+        flipped[at] ^= mask;
+        flipped
+    });
+    for input in truncations.chain(flips) {
+        match decode(&input) {
+            Ok(value) => prop_assert_eq!(encode(&value), input),
+            Err(CoreError::Payload { .. }) => {}
+            Err(e) => prop_assert!(false, "{e}"),
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn payload_decoders_are_exact_or_refuse(
+        seed in any::<u64>(),
+        name in "[a-z]{0,12}",
+        link in "[a-z /:é€]{0,12}",
+        findings in arb_findings(),
+        mask in 1u8..=255,
+    ) {
+        let kp = KeyPair::from_seed(&seed.to_be_bytes());
+        let sra = Sra::create(
+            &kp,
+            &name,
+            "1.0",
+            [seed as u8; 32],
+            &link,
+            Ether::from_wei(seed as u128),
+            Ether::from_wei(7),
+        );
+        let (initial, detailed) = create_report_pair(&kp, *sra.id(), findings);
+        decoder_is_exact_or_refuses(&sra.encode(), mask, Sra::decode, Sra::encode)?;
+        decoder_is_exact_or_refuses(
+            &initial.encode(),
+            mask,
+            InitialReport::decode,
+            InitialReport::encode,
+        )?;
+        decoder_is_exact_or_refuses(
+            &detailed.encode(),
+            mask,
+            DetailedReport::decode,
+            DetailedReport::encode,
+        )?;
+    }
 
     #[test]
     fn sra_roundtrip_and_verify(

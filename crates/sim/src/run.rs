@@ -17,7 +17,7 @@ use crate::ledger::{IncomeSample, RunLedger};
 use smartcrowd_chain::rng::SimRng;
 use smartcrowd_chain::{ChainQuery, Ether};
 use smartcrowd_core::detector::DetectorFleet;
-use smartcrowd_core::economics::DETECTOR_FUNDING;
+use smartcrowd_core::economics::{DETECTION_WINDOW, DETECTOR_FUNDING};
 use smartcrowd_core::platform::Platform;
 use smartcrowd_core::provider::{generate_release, ReleasePolicy};
 use smartcrowd_core::report::DetailedReport;
@@ -167,8 +167,9 @@ pub fn simulate_full(config: &SimConfig) -> (RunLedger, Platform) {
         sample_income(&platform, &mut unsampled, &provider_addrs, &mut ledger);
     }
 
-    // Drain: let outstanding reports finalize without new releases.
-    for _ in 0..16 {
+    // Drain for one detection window: outstanding reports finalize
+    // without new releases.
+    for _ in 0..DETECTION_WINDOW {
         reveal_confirmed(&mut platform, &fleet, &mut pending);
         let (miner, _) = platform.mine_block();
         *ledger.blocks_by_provider.entry(miner).or_insert(0) += 1;

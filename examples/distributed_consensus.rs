@@ -108,9 +108,8 @@ fn main() {
          of §I, with no coordinator anywhere."
     );
 
-    // The distributed race stores reports; the incentive payout itself is
-    // a contract execution. Run it on the platform so the snapshot below
-    // covers the VM layer too.
+    // The same escrow payout, walked through the single-view platform:
+    // release, `R†` to finality, `R*`, payout.
     println!("\n-- escrow payout (contract execution on the platform) --");
     let mut platform = Platform::new(PlatformConfig::paper());
     let mut rng = SimRng::seed_from_u64(41);
