@@ -119,27 +119,6 @@ fn main() {
          the simulated race reproduces this geometry without the hashing."
     );
 
-    // ---- Parallel seal spot check --------------------------------------
-    // The same nonce search fanned across the worker pool: disjoint nonce
-    // stripes, first winner cancels the rest. Any witness nonce is valid.
-    let pool = smartcrowd_pool::global();
-    let candidate = smartcrowd_chain::Block::assemble(
-        &parent,
-        vec![],
-        parent.header().timestamp + 30,
-        Difficulty::from_u64(1024),
-        Address::from_label("pow-check"),
-    );
-    let sealed = miner
-        .seal_parallel(candidate, pool)
-        .expect("difficulty 1024 is minable");
-    assert!(sealed.header().meets_target());
-    println!(
-        "  parallel seal ({} worker(s)): nonce {} meets the D=1024 target.",
-        pool.threads(),
-        sealed.header().nonce
-    );
-
     let json = serde_json::json!({
         "experiment": "fig3",
         "blocks": BLOCKS,

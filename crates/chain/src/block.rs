@@ -7,14 +7,8 @@ use crate::header::{BlockHeader, BlockId};
 use crate::record::Record;
 use smartcrowd_crypto::merkle::MerkleTree;
 use smartcrowd_crypto::{Address, Digest};
-use smartcrowd_pool::Pool;
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
-
-/// Count of not-yet-hashed Merkle leaves at which hashing them fans out on
-/// the global pool. Fewer stay inline: spawn cost exceeds a handful of
-/// SHA-256d.
-const PAR_LEAF_THRESHOLD: usize = 64;
 
 /// What every handle to one block shares: the record list, frozen at
 /// construction ([`Block::genesis`], [`Block::assemble`] and
@@ -123,27 +117,22 @@ impl Block {
     }
 
     /// Computes the Merkle root over a record list.
-    ///
-    /// Leaves come from each record's memo ([`Record`] hashes its leaf
-    /// once per shared body); a wide run of leaves nobody has hashed yet is
-    /// fanned out on the global pool first. The result is independent of
-    /// the thread count and of which leaves were memoized: they are merged
-    /// in record order before the tree is folded.
     pub(crate) fn merkle_root_of(records: &[Record]) -> Digest {
-        Self::merkle_tree_of(records, smartcrowd_pool::global()).root()
+        Self::merkle_tree_of(records).root()
     }
 
-    fn merkle_tree_of(records: &[Record], pool: &Pool) -> MerkleTree {
-        let cold: Vec<&Record> = records.iter().filter(|r| r.merkle_leaf_is_cold()).collect();
-        if cold.len() >= PAR_LEAF_THRESHOLD {
-            pool.par_map(&cold, |r| r.merkle_leaf());
-        }
+    /// Folds the tree on the calling thread from each record's leaf memo
+    /// ([`Record`] hashes its leaf once per shared body). A leaf is one
+    /// double SHA-256 of a record's few hundred bytes, well below what a
+    /// thread spawn costs, so no block the protocol seals is wide enough
+    /// for a fan-out to pay (DESIGN.md §13).
+    fn merkle_tree_of(records: &[Record]) -> MerkleTree {
         MerkleTree::from_leaf_hashes(records.iter().map(Record::merkle_leaf).collect())
     }
 
     /// Builds the Merkle tree for proof generation.
     pub fn merkle_tree(&self) -> MerkleTree {
-        Self::merkle_tree_of(&self.body.records, smartcrowd_pool::global())
+        Self::merkle_tree_of(&self.body.records)
     }
 
     /// The header.
@@ -398,28 +387,53 @@ mod tests {
     }
 
     #[test]
-    fn parallel_merkle_root_matches_sequential() {
-        // 160 records: enough that the none- and the half-memoized lists
-        // both have PAR_LEAF_THRESHOLD cold leaves and hash them on the
-        // pool. The root must equal the leaf-by-leaf sequential tree
-        // whichever leaves were memoized and at any thread count.
-        let records: Vec<Record> = (0..160).map(record).collect();
-        let seq = MerkleTree::from_leaves(records.iter().map(|r| r.encoded())).root();
-        for threads in [1, 8] {
-            let pool = Pool::new(threads);
-            let none = cold(&records);
-            assert!(none.iter().all(Record::merkle_leaf_is_cold));
-            assert_eq!(Block::merkle_tree_of(&none, &pool).root(), seq);
-            assert!(!none.iter().any(Record::merkle_leaf_is_cold));
-            // `none` is now all-memoized.
-            assert_eq!(Block::merkle_tree_of(&none, &pool).root(), seq);
-            let half = cold(&records);
-            half.iter().step_by(2).for_each(|r| {
+    fn merkle_roots_match_the_reference_tree_at_every_width() {
+        // Every record count from 0 to 600, each with its leaf memos cold,
+        // warm and half-warm: the root `assemble` commits to, and the root
+        // `decode` + `validate_structure` recompute, are the reference tree
+        // over the encodings, whichever leaves were memoized.
+        let kp = KeyPair::from_seed(b"widths");
+        let records: Vec<Record> = (0..600u64)
+            .map(|i| Record::signed(RecordKind::Transfer, vec![i as u8], Ether::ZERO, i, &kp))
+            .collect();
+        records.iter().for_each(|r| {
+            r.merkle_leaf();
+        });
+        let genesis = Block::genesis(Difficulty::from_u64(1));
+        let warm_every = |records: &[Record], step: usize| {
+            records.iter().step_by(step).for_each(|r| {
                 r.merkle_leaf();
-            });
-            assert_eq!(Block::merkle_tree_of(&half, &pool).root(), seq);
+            })
+        };
+        for n in 0..=records.len() {
+            let reference =
+                MerkleTree::from_leaves(records[..n].iter().map(|r| r.encoded())).root();
+            let half = cold(&records[..n]);
+            warm_every(&half, 2);
+            let lists = [
+                ("cold", cold(&records[..n])),
+                ("warm", records[..n].to_vec()),
+                ("half-warm", half),
+            ];
+            for (memos, list) in lists {
+                let block = Block::assemble(
+                    &genesis,
+                    list,
+                    GENESIS_TIMESTAMP + 15,
+                    Difficulty::from_u64(1),
+                    Address::from_label("miner"),
+                );
+                assert_eq!(block.header().merkle_root, reference, "{n} {memos}");
+                let decoded = Block::decode(&block.encode()).unwrap();
+                match memos {
+                    "warm" => warm_every(decoded.records(), 1),
+                    "half-warm" => warm_every(decoded.records(), 2),
+                    _ => {}
+                }
+                assert!(decoded.validate_structure().is_ok(), "{n} {memos}");
+                assert_eq!(decoded.body.merkle_root(), reference, "{n} {memos}");
+            }
         }
-        assert_eq!(Block::merkle_root_of(&records), seq);
     }
 
     #[test]
@@ -460,7 +474,10 @@ mod tests {
         bytes[payload_byte] ^= 0xff;
         let tampered = Block::decode(&bytes).unwrap();
         assert!(tampered.body.merkle_root.get().is_none());
-        assert!(tampered.records().iter().all(Record::merkle_leaf_is_cold));
+        assert!(tampered
+            .records()
+            .iter()
+            .all(|r| r.merkle_leaf_memo().get().is_none()));
         assert_ne!(tampered.records()[0], honest.records()[0]);
         assert!(matches!(
             tampered.validate_structure(),

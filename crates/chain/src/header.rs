@@ -114,7 +114,7 @@ impl BlockHeader {
     }
 
     /// Whether this header's hash satisfies its own difficulty target.
-    pub fn meets_target(&self) -> bool {
+    pub(crate) fn meets_target(&self) -> bool {
         self.difficulty.target_met(self.id().as_digest())
     }
 }

@@ -13,12 +13,6 @@ use crate::block::Block;
 use crate::error::ChainError;
 use crate::record::Record;
 use smartcrowd_crypto::Address;
-use smartcrowd_pool::Pool;
-
-/// How often a parallel seal worker polls the cancellation token. Checking
-/// an atomic every hash would dominate the cheap Keccak loop; every 512
-/// attempts bounds wasted work after a win to microseconds.
-const CANCEL_POLL_INTERVAL: u64 = 512;
 
 /// Default bound on nonce attempts before [`Miner::seal`] gives up.
 pub(crate) const DEFAULT_MAX_ATTEMPTS: u64 = 50_000_000;
@@ -69,50 +63,6 @@ impl Miner {
             }
         }
         Err(ChainError::MiningExhausted {
-            attempts: self.max_attempts,
-        })
-    }
-
-    /// Seals a pre-assembled block with the nonce search fanned out across
-    /// `pool`'s workers.
-    ///
-    /// Each worker owns a disjoint stripe of the nonce space
-    /// (`worker * (u64::MAX / workers)`, the same partitioning contract as
-    /// [`Miner::seal`]'s `start_nonce`) and a `max_attempts / workers` share
-    /// of the attempt budget, so the *total* work bound matches the
-    /// sequential seal. The first worker to find a satisfying nonce cancels
-    /// the rest; any witness is equally valid — the sealed block always
-    /// passes [`Block::validate_structure`], though *which* nonce wins may
-    /// differ from the sequential search.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChainError::MiningExhausted`] when no worker's share of
-    /// the budget yields a satisfying nonce.
-    pub fn seal_parallel(&self, block: Block, pool: &Pool) -> Result<Block, ChainError> {
-        let workers = pool.threads() as u64;
-        if workers <= 1 {
-            return self.seal(block, 0);
-        }
-        let stride = u64::MAX / workers;
-        let budget = self.max_attempts.div_ceil(workers);
-        let template = &block;
-        let found = pool.par_find(|worker, token| {
-            let mut candidate = template.clone();
-            let difficulty = candidate.header().difficulty;
-            let start = stride.wrapping_mul(worker as u64);
-            for i in 0..budget {
-                if i % CANCEL_POLL_INTERVAL == 0 && token.is_cancelled() {
-                    return None;
-                }
-                candidate.header_mut().nonce = start.wrapping_add(i);
-                if difficulty.target_met(candidate.id().as_digest()) {
-                    return Some(candidate);
-                }
-            }
-            None
-        });
-        found.ok_or(ChainError::MiningExhausted {
             attempts: self.max_attempts,
         })
     }
@@ -230,41 +180,6 @@ mod tests {
             total_high > total_low,
             "D=256 attempts {total_high} should exceed D=16 attempts {total_low}"
         );
-    }
-
-    #[test]
-    fn parallel_seal_finds_valid_block() {
-        let genesis = Block::genesis(Difficulty::from_u64(1024));
-        let miner = Miner::new(Address::from_label("p")).with_max_attempts(500_000);
-        let block = Block::assemble(
-            &genesis,
-            vec![],
-            GENESIS_TIMESTAMP + 10,
-            Difficulty::from_u64(1024),
-            Address::from_label("p"),
-        );
-        let sealed = miner
-            .seal_parallel(block, &smartcrowd_pool::Pool::new(4))
-            .unwrap();
-        assert!(sealed.header().meets_target());
-        assert!(sealed.validate_structure().is_ok());
-    }
-
-    #[test]
-    fn parallel_seal_exhaustion_reports_full_budget() {
-        let genesis = Block::genesis(Difficulty::from_u128(u128::MAX));
-        let miner = Miner::new(Address::from_label("p")).with_max_attempts(1_000);
-        let block = Block::assemble(
-            &genesis,
-            vec![],
-            GENESIS_TIMESTAMP + 10,
-            Difficulty::from_u128(u128::MAX),
-            Address::from_label("p"),
-        );
-        let err = miner
-            .seal_parallel(block, &smartcrowd_pool::Pool::new(4))
-            .unwrap_err();
-        assert_eq!(err, ChainError::MiningExhausted { attempts: 1_000 });
     }
 
     #[test]

@@ -239,11 +239,6 @@ impl Record {
             .get_or_init(|| leaf_hash(&self.0.encoded))
     }
 
-    /// Whether [`Record::merkle_leaf`] would hash.
-    pub(crate) fn merkle_leaf_is_cold(&self) -> bool {
-        self.0.merkle_leaf.get().is_none()
-    }
-
     /// Verifies that the signature recovers to the declared sender.
     ///
     /// # Errors
@@ -388,6 +383,15 @@ fn signed_by(key: Result<Point, CryptoError>, sender: Address) -> Result<(), Cha
         });
     }
     Ok(())
+}
+
+#[cfg(test)]
+impl Record {
+    /// The leaf memo cell itself, for block tests that pin which bodies
+    /// start with it empty.
+    pub(crate) fn merkle_leaf_memo(&self) -> &OnceLock<Digest> {
+        &self.0.merkle_leaf
+    }
 }
 
 #[cfg(test)]
@@ -609,10 +613,10 @@ mod tests {
         // A clone taken before either digest exists is the same body…
         let clone = r.clone();
         assert!(Arc::ptr_eq(&r.0, &clone.0));
-        assert!(clone.merkle_leaf_is_cold());
+        assert!(clone.0.merkle_leaf.get().is_none());
         let (id, leaf) = (r.id(), r.merkle_leaf());
         // …so it reads what the original computed.
-        assert!(!clone.merkle_leaf_is_cold());
+        assert!(clone.0.merkle_leaf.get().is_some());
         assert_eq!(clone.0.id.get(), Some(&id));
         assert_eq!((clone.id(), clone.merkle_leaf()), (id, leaf));
         assert_eq!(clone.encoded(), r.encoded());
@@ -620,7 +624,7 @@ mod tests {
         // that hashes to the same digests.
         let decoded = Record::decode(r.encoded()).unwrap();
         assert!(!Arc::ptr_eq(&r.0, &decoded.0));
-        assert!(decoded.0.id.get().is_none() && decoded.merkle_leaf_is_cold());
+        assert!(decoded.0.id.get().is_none() && decoded.0.merkle_leaf.get().is_none());
         assert_eq!(decoded, r);
         assert_eq!((decoded.id(), decoded.merkle_leaf()), (id, leaf));
         assert_eq!(leaf, leaf_hash(&r.encode()));

@@ -48,8 +48,8 @@ fn hash_leaf(data: &[u8]) -> Digest {
 
 /// The domain-separated leaf digest of one serialized record.
 ///
-/// Exposed so callers can precompute leaves (possibly in parallel) and
-/// assemble the tree via [`MerkleTree::from_leaf_hashes`]; the result is
+/// Exposed so callers can precompute (and memoize) leaves and assemble
+/// the tree via [`MerkleTree::from_leaf_hashes`]; the result is
 /// identical to what [`MerkleTree::from_leaves`] computes internally.
 pub fn leaf_hash(data: &[u8]) -> Digest {
     hash_leaf(data)

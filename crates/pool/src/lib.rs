@@ -17,17 +17,21 @@
 //! produces byte-identical results with `SMARTCROWD_THREADS=1` and `=8`,
 //! which the workspace's telemetry-snapshot determinism tests rely on.
 //!
-//! [`Pool::par_find`] is the one deliberately racy primitive: a
-//! first-winner search with cooperative cancellation (PoW nonce hunting),
-//! where *any* returned witness is valid by construction and callers must
-//! not depend on which worker wins.
+//! ## Who works
+//!
+//! The caller is worker 0: it claims chunks off the same cursor as the
+//! `threads − 1` scoped helpers it spawns, so a call pays one spawn fewer
+//! than its width and never leaves the calling thread idle. Spawning still
+//! costs tens of microseconds per helper, so only work well above that
+//! fans out at all: below `MIN_PARALLEL_ITEMS` items the call runs inline,
+//! and callers hand the pool only batches whose items are expensive (ECDSA
+//! recoveries, seed sweeps), never cheap hashing.
 //!
 //! ## Telemetry
 //!
-//! `pool.tasks` counts fanned-out items and `pool.searches` counts
-//! first-winner searches (see `OBSERVABILITY.md`). Both are incremented
-//! once per call on the caller's thread, so the counts are independent of
-//! the thread count.
+//! `pool.tasks` counts the items handed to [`Pool::par_chunks`] (see
+//! `OBSERVABILITY.md`), once per call on the caller's thread, so the count
+//! is independent of the thread count.
 //!
 //! ```
 //! use smartcrowd_pool::Pool;
@@ -45,7 +49,7 @@
 #![warn(clippy::disallowed_methods)]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Environment variable overriding the global pool's thread count.
@@ -64,32 +68,6 @@ pub(crate) const MIN_PARALLEL_ITEMS: usize = 16;
 #[derive(Debug, Clone)]
 pub struct Pool {
     threads: usize,
-}
-
-/// Cooperative cancellation flag shared by [`Pool::par_find`] workers.
-///
-/// Workers should poll [`CancelToken::is_cancelled`] every few hundred
-/// iterations and bail out once another worker has produced a witness.
-#[derive(Debug, Default)]
-pub struct CancelToken {
-    flag: AtomicBool,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Whether some worker already won the search.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-
-    /// Signals every other worker to stop.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
 }
 
 impl Pool {
@@ -139,17 +117,19 @@ impl Pool {
     /// input order**; `f` returns one result per item of its chunk, so
     /// the output is index-aligned with `items`.
     ///
-    /// Workers claim chunks through an atomic cursor and tag each result
-    /// with its chunk's starting index; the join sorts by that index
-    /// before concatenating, so the output is `f` of each chunk in order
-    /// no matter how the OS schedules the workers. Below
-    /// `MIN_PARALLEL_ITEMS` items, or on one thread, the whole slice is
-    /// one chunk on the caller's thread. This is for work that shares a
-    /// cost across a chunk (one inversion for a burst of signatures). The
-    /// chunk boundaries depend on the thread count, so the output is
-    /// thread-count-invariant exactly when `f`'s result for an item
-    /// depends on that item alone. A panic inside `f` is propagated to the
-    /// caller after all workers have stopped.
+    /// The caller is worker 0 and spawns `threads − 1` scoped helpers.
+    /// Every worker claims chunks through one atomic cursor and tags each
+    /// result with its chunk's starting index; the join sorts by that index
+    /// before concatenating, so the output is `f` of each chunk in order no
+    /// matter how the OS schedules the workers or which of them claimed
+    /// what. Below `MIN_PARALLEL_ITEMS` items, or on one thread, the whole
+    /// slice is one chunk on the caller's thread. This is for work that
+    /// shares a cost across a chunk (one inversion for a burst of
+    /// signatures). The chunk boundaries depend on the thread count, so the
+    /// output is thread-count-invariant exactly when `f`'s result for an
+    /// item depends on that item alone. A panic inside `f`, on the caller's
+    /// thread or a helper's, is propagated to the caller after every helper
+    /// has stopped.
     pub fn par_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -164,31 +144,17 @@ impl Pool {
         // 4 chunks per worker balances load without fragmenting the merge.
         let chunk = items.len().div_ceil(workers * 4).max(1);
         let cursor = AtomicUsize::new(0);
-        let mut tagged: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                        loop {
-                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= items.len() {
-                                break;
-                            }
-                            let end = (start + chunk).min(items.len());
-                            local.push((start, f(&items[start..end])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            let mut all = Vec::new();
+        let claim = || claim_chunks(items, chunk, &cursor, &f);
+        let tagged = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+            // Should the caller's own chunk panic, `scope` joins every
+            // helper before it re-raises that panic.
+            let mut all = claim();
             let mut panicked = None;
-            for handle in handles {
-                match handle.join() {
+            for helper in helpers {
+                match helper.join() {
                     Ok(local) => all.extend(local),
-                    // Keep joining the rest so no worker outlives the
+                    // Keep joining the rest so no helper outlives the
                     // scope, then re-raise the first panic.
                     Err(payload) => panicked = panicked.or(Some(payload)),
                 }
@@ -198,68 +164,38 @@ impl Pool {
             }
             all
         });
-        tagged.sort_by_key(|(start, _)| *start);
-        let mut out = Vec::with_capacity(items.len());
-        for (_, mut part) in tagged.drain(..) {
-            out.append(&mut part);
-        }
-        out
+        merge_in_order(tagged)
     }
+}
 
-    /// First-winner search: runs `f(worker_index, token)` on every worker
-    /// and returns a witness from whichever worker produced one first.
-    ///
-    /// The winning worker calls [`CancelToken::cancel`] (the pool does it
-    /// on its behalf as soon as `f` returns `Some`), and well-behaved
-    /// workers poll [`CancelToken::is_cancelled`] periodically so losing
-    /// searches stop early. When several workers race to a witness, the
-    /// lowest worker index wins the tie at join time — but callers must
-    /// treat *any* returned witness as equally valid (PoW: any satisfying
-    /// nonce seals the block). Returns `None` only if every worker
-    /// exhausted its search space.
-    pub fn par_find<R, F>(&self, f: F) -> Option<R>
-    where
-        R: Send,
-        F: Fn(usize, &CancelToken) -> Option<R> + Sync,
-    {
-        smartcrowd_telemetry::counter!("pool.searches").inc();
-        let token = CancelToken::new();
-        if self.threads == 1 {
-            return f(0, &token);
+/// One worker's loop: claims `chunk` items at a time off `cursor` until
+/// `items` is used up and runs `f` on each claim, tagged with its start.
+fn claim_chunks<T, R>(
+    items: &[T],
+    chunk: usize,
+    cursor: &AtomicUsize,
+    f: &impl Fn(&[T]) -> Vec<R>,
+) -> Vec<(usize, Vec<R>)> {
+    let mut local = Vec::new();
+    loop {
+        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+        if start >= items.len() {
+            return local;
         }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads)
-                .map(|worker| {
-                    let token = &token;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let witness = f(worker, token);
-                        if witness.is_some() {
-                            token.cancel();
-                        }
-                        witness
-                    })
-                })
-                .collect();
-            let mut found = None;
-            let mut panicked = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok(Some(witness)) => {
-                        if found.is_none() {
-                            found = Some(witness);
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(payload) => panicked = panicked.or(Some(payload)),
-                }
-            }
-            if let Some(payload) = panicked {
-                std::panic::resume_unwind(payload);
-            }
-            found
-        })
+        let end = (start + chunk).min(items.len());
+        local.push((start, f(&items[start..end])));
     }
+}
+
+/// Concatenates tagged chunk results in start order, whichever worker
+/// produced them.
+fn merge_in_order<R>(mut tagged: Vec<(usize, Vec<R>)>) -> Vec<R> {
+    tagged.sort_by_key(|(start, _)| *start);
+    let mut out = Vec::with_capacity(tagged.iter().map(|(_, part)| part.len()).sum());
+    for (_, mut part) in tagged {
+        out.append(&mut part);
+    }
+    out
 }
 
 impl Default for Pool {
@@ -271,7 +207,8 @@ impl Default for Pool {
 /// The process-wide pool, sized once from `Pool::from_env` on first use.
 ///
 /// Hot paths that cannot thread a `&Pool` parameter through their call
-/// chain (block validation, Merkle leaf hashing) share this instance.
+/// chain (the signature cache's batch checks, mempool batch admission,
+/// block validation) share this instance.
 /// Because every pool API is deterministic in its results, sharing one
 /// global never affects outcomes — only wall-clock time.
 pub fn global() -> &'static Pool {
@@ -352,32 +289,30 @@ mod tests {
     }
 
     #[test]
+    fn chunks_the_caller_claims_before_any_helper_starts_merge_in_order() {
+        // The schedule in which the caller, worker 0, drains the cursor
+        // before a helper thread is running: every helper's loop then
+        // claims nothing, and the merge holds the caller's results alone.
+        let items: Vec<u64> = (0..100).collect();
+        let f = |chunk: &[u64]| chunk.iter().map(|x| x * 3 + 1).collect::<Vec<_>>();
+        let expected = f(&items);
+        for threads in [1, 2, 3, 8] {
+            let chunk = items.len().div_ceil(threads * 4);
+            let cursor = AtomicUsize::new(0);
+            let mut tagged = claim_chunks(&items, chunk, &cursor, &f);
+            assert_eq!(tagged.len(), items.len().div_ceil(chunk));
+            for _ in 1..threads {
+                let late = claim_chunks(&items, chunk, &cursor, &f);
+                assert!(late.is_empty(), "threads = {threads}");
+                tagged.extend(late);
+            }
+            assert_eq!(merge_in_order(tagged), expected, "threads = {threads}");
+        }
+    }
+
+    #[test]
     fn zero_threads_clamps_to_one() {
         assert_eq!(Pool::new(0).threads(), 1);
-    }
-
-    #[test]
-    fn par_find_returns_a_witness_and_cancels() {
-        let pool = Pool::new(4);
-        let found = pool.par_find(|worker, token| {
-            if worker == 2 {
-                Some(42u64)
-            } else {
-                // Losing workers spin until cancelled.
-                while !token.is_cancelled() {
-                    std::hint::spin_loop();
-                }
-                None
-            }
-        });
-        assert_eq!(found, Some(42));
-    }
-
-    #[test]
-    fn par_find_exhausted_returns_none() {
-        let pool = Pool::new(3);
-        let found: Option<u64> = pool.par_find(|_, _| None);
-        assert_eq!(found, None);
     }
 
     #[test]
