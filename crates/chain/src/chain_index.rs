@@ -84,14 +84,20 @@ impl ChainIndex {
         let (genesis, rest) = blocks.split_first().ok_or_else(|| ChainError::Codec {
             detail: "no blocks to replay".to_string(),
         })?;
+        let mut index = Self::rooted_at_untrusted(genesis)?;
+        index.extend_pinned(rest)?;
+        Ok(index)
+    }
+
+    /// An index rooted at the first block of an untrusted sequence; one
+    /// not at height 0 is a [`ChainError::Codec`].
+    pub(crate) fn rooted_at_untrusted(genesis: &Block) -> Result<Self, ChainError> {
         if genesis.header().height != 0 {
             return Err(ChainError::Codec {
                 detail: "first block is not genesis".to_string(),
             });
         }
-        let mut index = Self::rooted_at(genesis);
-        index.extend_pinned(rest)?;
-        Ok(index)
+        Ok(Self::rooted_at(genesis))
     }
 
     /// Inserts untrusted blocks in order, stopping at the first one that

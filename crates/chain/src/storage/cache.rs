@@ -15,6 +15,10 @@
 //! is itself deterministic (commit order plus cold-read order). No clock,
 //! no recency reshuffling, no hash-map iteration order is consulted — so
 //! seeded runs stay byte-identical whatever the capacity.
+//!
+//! Open fills the cache through [`Residents`], which keeps, while the log
+//! streams past, exactly the bodies the cache would hold had every
+//! replayed body been inserted before the floor was set.
 
 use crate::block::Block;
 use crate::header::BlockId;
@@ -108,6 +112,27 @@ impl BlockCache {
         self.publish_resident();
     }
 
+    /// Fills a fresh cache with what a recovery kept, and counts each
+    /// body it dropped as the eviction inserting it would have been.
+    /// Each group is inserted in log order; once the floor is set they
+    /// sit in different queues, so their order relative to each other
+    /// does not matter.
+    pub fn fill(&mut self, residents: Residents) {
+        let Residents {
+            pinned,
+            confirmed,
+            dropped,
+            ..
+        } = residents;
+        for (_, block) in confirmed.into_iter().chain(pinned) {
+            self.insert(block);
+        }
+        if dropped > 0 {
+            counter!("chain.storage.cache.evictions").add(dropped);
+            self.publish_resident();
+        }
+    }
+
     /// Bodies currently resident (pinned + evictable).
     pub fn resident(&self) -> usize {
         self.entries.len()
@@ -127,11 +152,81 @@ impl BlockCache {
     }
 }
 
+/// The bodies a [`BlockCache`] holds after every body of a replay has
+/// been inserted in log order and the pin floor then set once — gathered
+/// as the bodies arrive, so that one the cache would evict is dropped as
+/// soon as that is certain rather than after the whole log is in memory.
+///
+/// The floor only rises during a replay (every block declares the
+/// genesis difficulty, so the heaviest chain is the longest). A body at
+/// or below the running floor therefore ends up confirmed, and one with
+/// `capacity` newer confirmed bodies after it in log order ends up
+/// evicted by the FIFO.
+#[derive(Debug)]
+pub(super) struct Residents {
+    capacity: usize,
+    floor: u64,
+    /// Log position of the next body offered.
+    next: u64,
+    /// Bodies above the floor, with their log positions, in log order.
+    pinned: VecDeque<(u64, Block)>,
+    /// The newest `capacity` bodies at or below the floor, in log order.
+    confirmed: VecDeque<(u64, Block)>,
+    /// Bodies dropped from `confirmed`.
+    dropped: u64,
+}
+
+impl Residents {
+    /// Nothing kept yet, for a cache of `capacity` evictable bodies.
+    pub fn new(capacity: usize) -> Self {
+        Residents {
+            capacity,
+            floor: 0,
+            next: 0,
+            pinned: VecDeque::new(),
+            confirmed: VecDeque::new(),
+            dropped: 0,
+        }
+    }
+
+    /// Takes the next body in log order; `floor` is the pin floor of the
+    /// index the body has just joined.
+    pub fn offer(&mut self, block: Block, floor: u64) {
+        if floor > self.floor {
+            self.floor = floor;
+            while let Some(demoted) = self
+                .pinned
+                .iter()
+                .position(|(_, b)| b.header().height <= floor)
+                .and_then(|at| self.pinned.remove(at))
+            {
+                let to = self
+                    .confirmed
+                    .partition_point(|&(position, _)| position < demoted.0);
+                self.confirmed.insert(to, demoted);
+            }
+        }
+        let height = block.header().height;
+        let entry = (self.next, block);
+        self.next += 1;
+        if height > self.floor {
+            self.pinned.push_back(entry);
+        } else {
+            self.confirmed.push_back(entry);
+        }
+        while self.confirmed.len() > self.capacity {
+            self.confirmed.pop_front();
+            self.dropped += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::difficulty::Difficulty;
     use crate::pow::Miner;
+    use crate::CONFIRMATION_DEPTH;
     use smartcrowd_crypto::Address;
 
     fn chain(n: usize) -> Vec<Block> {
@@ -184,6 +279,81 @@ mod tests {
             "oldest demoted evicted"
         );
         assert!(cache.get(&blocks[5].id()).is_some(), "still pinned");
+    }
+
+    /// A log with forks, in log order (parents first), with the pin
+    /// floor after each block: heaviest is longest, so the best height
+    /// is the highest seen.
+    fn forked_log(seed: u64, len: usize) -> Vec<(Block, u64)> {
+        let mut rng = crate::rng::SimRng::seed_from_u64(seed);
+        let miner = Miner::new(Address::from_label("f"));
+        let mut blocks = vec![Block::genesis(Difficulty::from_u64(1))];
+        let mut log = vec![(blocks[0].clone(), 0)];
+        let mut best = 0;
+        while blocks.len() < len {
+            // Mostly extend one of the newest blocks; now and then fork
+            // deep below the tip.
+            let back = if rng.next_bool(0.2) { 12 } else { 3 };
+            let from = blocks.len().saturating_sub(back) as u64;
+            let at = rng.next_range(from, blocks.len() as u64) as usize;
+            let parent = &blocks[at];
+            let ts = parent.header().timestamp + 1 + rng.next_below(30);
+            let block = miner.mine_next(parent, vec![], ts).unwrap();
+            if blocks.iter().any(|b| b.id() == block.id()) {
+                // The index refuses a duplicate before the cache sees it.
+                continue;
+            }
+            best = block.header().height.max(best);
+            log.push((block.clone(), best.saturating_sub(CONFIRMATION_DEPTH)));
+            blocks.push(block);
+        }
+        log
+    }
+
+    /// Pinned and evictable ids, in queue order.
+    fn queues(cache: &BlockCache) -> (Vec<BlockId>, Vec<BlockId>) {
+        (
+            cache.pinned.iter().map(|&(id, _)| id).collect(),
+            cache.evictable.iter().copied().collect(),
+        )
+    }
+
+    #[test]
+    fn residents_keep_what_inserting_every_body_then_flooring_keeps() {
+        for seed in 0..24 {
+            let log = forked_log(seed, 60);
+            let floor = log.last().map_or(0, |&(_, floor)| floor);
+            for capacity in [0, 1, 2, 5, 17, usize::MAX] {
+                // The open before streaming: every body, then the floor.
+                let mut reference = BlockCache::new(capacity);
+                for (block, _) in &log {
+                    reference.insert(block.clone());
+                }
+                reference.set_floor(floor);
+
+                let mut residents = Residents::new(capacity);
+                for (block, floor) in &log {
+                    residents.offer(block.clone(), *floor);
+                }
+                let dropped = residents.dropped;
+                let held = residents.pinned.len() + residents.confirmed.len();
+                let mut filled = BlockCache::new(capacity);
+                filled.fill(residents);
+                filled.set_floor(floor);
+
+                assert_eq!(
+                    queues(&filled),
+                    queues(&reference),
+                    "seed {seed} cap {capacity}"
+                );
+                assert_eq!(held, reference.resident(), "held only what stays");
+                assert_eq!(
+                    dropped as usize,
+                    log.len() - reference.resident(),
+                    "every dropped body is one the reference evicted"
+                );
+            }
+        }
     }
 
     #[test]

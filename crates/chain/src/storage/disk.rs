@@ -74,24 +74,18 @@ impl DiskFile {
 
     /// Reads `[from, from + len)`.
     pub(crate) fn read_at(&self, from: u64, len: u64) -> Result<Vec<u8>, StorageError> {
-        let mut file = &self.file;
-        file.seek(SeekFrom::Start(from))
-            .map_err(|e| io_err("seek", &self.path, e))?;
         let mut buf = vec![0u8; len as usize];
-        file.read_exact(&mut buf)
-            .map_err(|e| io_err("read", &self.path, e))?;
+        self.read_into(from, &mut buf)?;
         Ok(buf)
     }
 
-    /// Reads from `from` to the end of the file.
-    pub(crate) fn read_from(&self, from: u64) -> Result<Vec<u8>, StorageError> {
+    /// Fills `buf` with the bytes from `from` on.
+    pub(crate) fn read_into(&self, from: u64, buf: &mut [u8]) -> Result<(), StorageError> {
         let mut file = &self.file;
         file.seek(SeekFrom::Start(from))
             .map_err(|e| io_err("seek", &self.path, e))?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)
-            .map_err(|e| io_err("read", &self.path, e))?;
-        Ok(buf)
+        file.read_exact(buf)
+            .map_err(|e| io_err("read", &self.path, e))
     }
 
     /// Writes `bytes` at `offset`, unsynced.

@@ -10,15 +10,18 @@
 //! cold frames back from `blocks.log` with a single seek plus
 //! checksum-verified decode. Reopen cost is O(snapshot + log tail) when a
 //! valid `state.snap` exists, falling back to the full-log scan
-//! otherwise. See DESIGN.md §15 and STORAGE.md.
+//! otherwise. Either way the log streams past one frame at a time, and
+//! open holds no more bodies than the cache will. See DESIGN.md §15 and
+//! STORAGE.md.
 
-use super::cache::BlockCache;
+use super::cache::{BlockCache, Residents};
 use super::disk::{self, write_atomic, DiskFile};
-use super::log::{scan_log, BlockLog, LogEntry};
+use super::log::{BlockLog, FrameReader, LogEntry};
 use super::snapshot::{self, Snapshot, SnapshotEntry, SnapshotRead, SNAPSHOT_FILE};
 use super::{block_frame, ChainBackend, ChainQuery, CrashPoint, StorageError, StoreConfig};
 use crate::block::Block;
 use crate::chain_index::ChainIndex;
+use crate::error::ChainError;
 use crate::header::BlockId;
 use crate::CONFIRMATION_DEPTH;
 use smartcrowd_crypto::sha256::sha256d;
@@ -60,9 +63,9 @@ struct Recovered {
     entries: Vec<LogEntry>,
     valid_len: u64,
     torn: bool,
-    /// Bodies recovery decoded anyway (full scan: all; snapshot path:
-    /// the tail), used to warm the cache.
-    bodies: Vec<Block>,
+    /// The bodies recovery decoded anyway (full scan: all; snapshot
+    /// path: the tail) that the cache keeps once the floor is set.
+    residents: Residents,
     /// A genesis block to append to a freshly-seeded log.
     seeded_genesis: Option<Block>,
 }
@@ -164,10 +167,12 @@ impl DurableStore {
             match snapshot::read_snapshot(&snap_path) {
                 SnapshotRead::Absent => {}
                 SnapshotRead::Invalid { detail } => snapshot_rejection = Some(detail),
-                SnapshotRead::Valid(snap) => match adopt_snapshot(&log, &snap, genesis) {
-                    Ok(recovered) => adopted = Some(recovered),
-                    Err(reason) => snapshot_rejection = Some(reason),
-                },
+                SnapshotRead::Valid(snap) => {
+                    match adopt_snapshot(&log, &snap, genesis, config.cache_capacity) {
+                        Ok(recovered) => adopted = Some(recovered),
+                        Err(reason) => snapshot_rejection = Some(reason),
+                    }
+                }
             }
         }
         let snapshot_loaded = adopted.is_some();
@@ -176,11 +181,11 @@ impl DurableStore {
             entries,
             valid_len,
             torn,
-            bodies,
+            residents,
             seeded_genesis,
         } = match adopted {
             Some(r) => r,
-            None => full_scan_recover(&log, genesis)?,
+            None => full_scan_recover(&log, genesis, config.cache_capacity)?,
         };
         let report = RecoveryReport {
             torn_truncated: torn,
@@ -215,12 +220,9 @@ impl DurableStore {
             disk::sync_parent(&log_path)?;
         }
 
-        // Warm the cache with every body recovery decoded anyway; the
-        // floor advance in `maintain` below demotes and evicts back down
-        // to capacity, in deterministic insertion order.
-        for block in bodies {
-            cache.insert(block);
-        }
+        // Warm the cache with the bodies recovery kept; the floor advance
+        // in `maintain` below demotes them, in log order, and evicts none.
+        cache.fill(residents);
 
         counter!("chain.storage.opens").inc();
         if report.torn_truncated {
@@ -321,7 +323,7 @@ impl DurableStore {
     /// the `checkpoint` file when the checkpoint has advanced a full
     /// [`StoreConfig::snapshot_interval`].
     fn maintain(&mut self) -> Result<(), StorageError> {
-        let confirmed = self.index.best_height().saturating_sub(CONFIRMATION_DEPTH);
+        let confirmed = pin_floor(&self.index);
         self.cache.borrow_mut().set_floor(confirmed);
         if confirmed > self.checkpoint.0 {
             let id =
@@ -555,55 +557,98 @@ impl ChainBackend for DurableStore {
     }
 }
 
-/// The authoritative recovery path: read and scan the whole log, then
-/// replay every block through the check a live commit runs.
-fn full_scan_recover(log: &BlockLog, genesis: Option<&Block>) -> Result<Recovered, StorageError> {
-    let image = log.read_to_end_from(0)?;
-    let scan = match scan_log(&image) {
-        Ok(scan) => scan,
-        Err(e) => {
-            counter!("chain.storage.corrupt_frames").inc();
-            return Err(e);
+/// The highest confirmed height: the cache pins the bodies above it.
+fn pin_floor(index: &ChainIndex) -> u64 {
+    index.best_height().saturating_sub(CONFIRMATION_DEPTH)
+}
+
+/// Counts a damaged frame the full scan read.
+fn count_corrupt(e: &StorageError) {
+    if matches!(e, StorageError::Corrupt { .. }) {
+        counter!("chain.storage.corrupt_frames").inc();
+    }
+}
+
+/// Replays the frames left in `frames` into `index`, one block at a time
+/// through the check a live commit runs, offering each body to
+/// `residents`. A refused block ends the replay but not the scan: the
+/// frames after it are still read, so a damaged frame anywhere in the
+/// log is reported ahead of the refusal, which comes back as the inner
+/// `Err`.
+fn replay_frames(
+    frames: &mut FrameReader<'_>,
+    mut index: Result<ChainIndex, ChainError>,
+    entries: &mut Vec<LogEntry>,
+    residents: &mut Residents,
+) -> Result<Result<ChainIndex, ChainError>, StorageError> {
+    while let Some((entry, block)) = frames.next_block()? {
+        entries.push(entry);
+        if let Ok(chain) = &mut index {
+            match chain.insert_block(&block) {
+                Ok(_) => residents.offer(block, pin_floor(chain)),
+                Err(e) => index = Err(e),
+            }
         }
-    };
-    let mut blocks = scan.blocks;
+    }
+    Ok(index)
+}
+
+/// The authoritative recovery path: stream the whole log, replaying
+/// every block through the check a live commit runs.
+fn full_scan_recover(
+    log: &BlockLog,
+    genesis: Option<&Block>,
+    cache_capacity: usize,
+) -> Result<Recovered, StorageError> {
+    let mut frames = log.frames_from(0);
+    let mut entries = Vec::new();
+    let mut residents = Residents::new(cache_capacity);
     let mut seeded_genesis = None;
-    match (blocks.first(), genesis) {
-        (Some(first), Some(expected)) if first.id() != expected.id() => {
-            return Err(StorageError::Corrupt {
-                file: "blocks.log",
-                offset: 0,
-                detail: format!(
-                    "store genesis {} does not match expected genesis {}",
-                    first.id(),
-                    expected.id()
-                ),
-            });
+    let first = match frames.next_block().inspect_err(count_corrupt)? {
+        Some((entry, block)) => {
+            entries.push(entry);
+            block
         }
-        (Some(_), _) => {}
-        (None, Some(expected)) => {
-            blocks.push(expected.clone());
-            seeded_genesis = Some(expected.clone());
-        }
-        (None, None) => {
-            return Err(StorageError::Corrupt {
+        None => {
+            let expected = genesis.ok_or_else(|| StorageError::Corrupt {
                 file: "blocks.log",
                 offset: 0,
                 detail: "store directory holds no blocks".to_string(),
-            });
+            })?;
+            seeded_genesis = Some(expected.clone());
+            expected.clone()
         }
+    };
+    if let Some(expected) = genesis.filter(|expected| expected.id() != first.id()) {
+        // A damaged frame anywhere in the log outranks the mismatch.
+        while frames.next_block().inspect_err(count_corrupt)?.is_some() {}
+        return Err(StorageError::Corrupt {
+            file: "blocks.log",
+            offset: 0,
+            detail: format!(
+                "store genesis {} does not match expected genesis {}",
+                first.id(),
+                expected.id()
+            ),
+        });
     }
-    let index = ChainIndex::replay_pinned(&blocks).map_err(|e| StorageError::Corrupt {
-        file: "blocks.log",
-        offset: scan.valid_len,
-        detail: format!("log replay failed chain validation: {e}"),
-    })?;
+    let index = ChainIndex::rooted_at_untrusted(&first);
+    if let Ok(index) = &index {
+        residents.offer(first, pin_floor(index));
+    }
+    let index = replay_frames(&mut frames, index, &mut entries, &mut residents)
+        .inspect_err(count_corrupt)?
+        .map_err(|e| StorageError::Corrupt {
+            file: "blocks.log",
+            offset: frames.valid_len(),
+            detail: format!("log replay failed chain validation: {e}"),
+        })?;
     Ok(Recovered {
         index,
-        entries: scan.entries,
-        valid_len: scan.valid_len,
-        torn: scan.torn,
-        bodies: blocks,
+        entries,
+        valid_len: frames.valid_len(),
+        torn: frames.torn(),
+        residents,
         seeded_genesis,
     })
 }
@@ -618,6 +663,7 @@ fn adopt_snapshot(
     log: &BlockLog,
     snap: &Snapshot,
     genesis: Option<&Block>,
+    cache_capacity: usize,
 ) -> Result<Recovered, String> {
     let first = snap.entries.first().ok_or("snapshot holds no entries")?;
     if snap.log_len > log.len_bytes() {
@@ -697,23 +743,20 @@ fn adopt_snapshot(
     }
     // Tail past the snapshot: full-validation replay, as if the prefix
     // had been scanned.
-    let tail = log
-        .read_to_end_from(snap.log_len)
-        .map_err(|e| format!("tail read failed: {e}"))?;
-    let tail_scan = scan_log(&tail).map_err(|e| format!("tail scan failed: {e}"))?;
-    index
-        .extend_pinned(&tail_scan.blocks)
+    let mut frames = log.frames_from(snap.log_len);
+    let mut residents = Residents::new(cache_capacity);
+    let index = replay_frames(&mut frames, Ok(index), &mut entries, &mut residents)
+        .map_err(|e| match e {
+            StorageError::Io { .. } => format!("tail read failed: {e}"),
+            _ => format!("tail scan failed: {e}"),
+        })?
         .map_err(|e| format!("tail replay failed: {e}"))?;
-    entries.extend(tail_scan.entries.iter().map(|tail_entry| LogEntry {
-        offset: snap.log_len + tail_entry.offset,
-        ..*tail_entry
-    }));
     Ok(Recovered {
         index,
         entries,
-        valid_len: snap.log_len + tail_scan.valid_len,
-        torn: tail_scan.torn,
-        bodies: tail_scan.blocks,
+        valid_len: frames.valid_len(),
+        torn: frames.torn(),
+        residents,
         seeded_genesis: None,
     })
 }
@@ -761,4 +804,61 @@ fn write_checkpoint(path: &Path, height: u64, id: BlockId) -> Result<(), Storage
     let checksum = sha256d(&bytes);
     bytes.extend_from_slice(&checksum);
     write_atomic(path, &bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::difficulty::Difficulty;
+    use crate::pow::Miner;
+    use smartcrowd_crypto::Address;
+
+    #[test]
+    fn a_damaged_frame_outranks_an_earlier_refusal() {
+        let genesis = Block::genesis(Difficulty::from_u64(1));
+        let stranger = Block::genesis(Difficulty::from_u64(2));
+        let miner = Miner::new(Address::from_label("order"));
+        let b1 = miner
+            .mine_next(&genesis, vec![], genesis.header().timestamp + 15)
+            .unwrap();
+        let b2 = miner
+            .mine_next(&b1, vec![], b1.header().timestamp + 15)
+            .unwrap();
+        // Block 1 twice: the replay refuses the second copy.
+        let mut log = Vec::new();
+        for block in [&genesis, &b1, &b1, &b2] {
+            log.extend_from_slice(&block_frame(block));
+        }
+        let last = log.len() - block_frame(&b2).len();
+        let dir = std::env::temp_dir().join(format!("sc-refusal-order-{}", std::process::id()));
+        let open = |log: &[u8], expected: &Block| {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("blocks.log"), log).unwrap();
+            match DurableStore::open(&dir, expected) {
+                Err(StorageError::Corrupt { offset, detail, .. }) => (offset, detail),
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        };
+
+        let (offset, detail) = open(&log, &genesis);
+        assert_eq!(offset, log.len() as u64);
+        assert!(
+            detail.starts_with("log replay failed chain validation"),
+            "{detail}"
+        );
+        let (offset, detail) = open(&log, &stranger);
+        assert_eq!(offset, 0);
+        assert!(detail.starts_with("store genesis"), "{detail}");
+
+        log[last + 50] ^= 0x01;
+        for expected in [&genesis, &stranger] {
+            let (offset, detail) = open(&log, expected);
+            assert_eq!(
+                (offset, detail.as_str()),
+                (last as u64, "frame checksum mismatch")
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

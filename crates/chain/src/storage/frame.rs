@@ -108,6 +108,24 @@ pub(crate) fn scan_frame(buf: &[u8], offset: usize) -> FrameScan<'_> {
     }
 }
 
+/// How many bytes from a frame's start [`scan_frame`] looks at, given
+/// the frame's first [`FRAME_HEADER_LEN`] bytes (fewer only at the end
+/// of the image): the whole frame once the magic and the declared length
+/// pass, else just those bytes. A scan over that many bytes, or over all
+/// that is left if fewer, gets the verdict a scan of the whole image
+/// would.
+pub(crate) fn frame_extent(head: &[u8]) -> usize {
+    if head.len() < FRAME_HEADER_LEN || head[..4] != FRAME_MAGIC {
+        return head.len();
+    }
+    let mut len_bytes = [0u8; 8];
+    len_bytes.copy_from_slice(&head[4..12]);
+    match u64::from_be_bytes(len_bytes) {
+        len if len > MAX_FRAME_PAYLOAD => FRAME_HEADER_LEN,
+        len => FRAME_HEADER_LEN + len as usize,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -420,17 +420,24 @@ pub fn export_chain<Q: ChainQuery + ?Sized>(store: &Q) -> Vec<u8> {
 /// an image that is empty, ends mid-frame or does not start at genesis;
 /// any validation error a replayed block triggers.
 pub fn import_chain(bytes: &[u8]) -> Result<ChainStore, ChainError> {
-    let scan = log::scan_log(bytes).map_err(StorageError::into_chain_error)?;
-    if scan.torn {
+    let mut reader = log::FrameReader::image(bytes);
+    let mut blocks = Vec::new();
+    while let Some((_, block)) = reader
+        .next_block()
+        .map_err(StorageError::into_chain_error)?
+    {
+        blocks.push(block);
+    }
+    if reader.torn() {
         return Err(ChainError::Codec {
             detail: format!(
                 "chain image ends mid-frame: {} of {} bytes are whole frames",
-                scan.valid_len,
+                reader.valid_len(),
                 bytes.len()
             ),
         });
     }
-    replay_pinned(scan.blocks)
+    replay_pinned(blocks)
 }
 
 #[cfg(test)]

@@ -789,6 +789,87 @@ fn stale_snapshot_from_before_the_tail_still_fast_paths() {
     assert_eq!(store.best_tip(), tail[3].id());
 }
 
+#[test]
+fn damage_past_the_snapshot_names_its_byte_in_the_file() {
+    // A flipped byte in a frame past the snapshot's prefix: the tail scan
+    // rejects the snapshot and the full scan fails closed, both at the
+    // damaged frame's offset in the file.
+    let tmp = TempDir::new("snap-tail-flip");
+    let dir = tmp.path().join("store");
+    let chain = build_disk_chain_with(&dir, 8, eager_snapshots());
+    let covered = frame_boundaries(&chain)[chain.len()];
+    let frozen = std::fs::read(dir.join("state.snap")).unwrap();
+    let mut store = DurableStore::open_with(&dir, &chain[0], eager_snapshots()).unwrap();
+    let miner = Miner::new(Address::from_label("disk"));
+    let mut parent = chain[8].clone();
+    let mut tail = Vec::new();
+    for _ in 0..3 {
+        let b = miner
+            .mine_next(&parent, vec![], parent.header().timestamp + 15)
+            .unwrap();
+        store.commit(b.clone()).unwrap();
+        tail.push(b.clone());
+        parent = b;
+    }
+    drop(store);
+    std::fs::write(dir.join("state.snap"), &frozen).unwrap();
+    let damaged = covered + FRAME_HEADER_LEN + tail[0].encode().len();
+    let mut log = std::fs::read(dir.join("blocks.log")).unwrap();
+    log[damaged + FRAME_HEADER_LEN + 3] ^= 0x01;
+    std::fs::write(dir.join("blocks.log"), &log).unwrap();
+    match DurableStore::open_with(&dir, &chain[0], eager_snapshots()) {
+        Err(StorageError::Corrupt {
+            file: "blocks.log",
+            offset,
+            ..
+        }) => assert_eq!(offset as usize, damaged),
+        other => panic!("a damaged tail frame produced {other:?}"),
+    }
+
+    // The tail scan's own verdict shows only when the full scan
+    // succeeds: a forged log whose one block past genesis carries the
+    // snapshot's last covered frame inside its payload, at the offset
+    // the snapshot names. The snapshot binds, its tail starts mid-payload,
+    // and the rejection names that byte of the file.
+    let payload_at = |block: &Block| {
+        let frame = encode_frame(&block.encode());
+        let marker = block.records()[0].payload();
+        frame
+            .windows(marker.len())
+            .position(|w| w == marker)
+            .unwrap()
+    };
+    let kp = KeyPair::from_seed(b"forger");
+    let forge = |payload: Vec<u8>| {
+        let record = Record::signed(RecordKind::Transfer, payload, Ether::ZERO, 0, &kp);
+        Miner::new(Address::from_label("forger"))
+            .mine_next(&chain[0], vec![record], chain[0].header().timestamp + 15)
+            .unwrap()
+    };
+    let boundaries = frame_boundaries(&chain);
+    let probe = forge((0..=255u8).collect());
+    let pad = boundaries[8] - boundaries[1] - payload_at(&probe);
+    let mut payload = vec![7u8; pad];
+    payload.extend_from_slice(&encode_frame(&chain[8].encode()));
+    payload.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+    let forged = forge(payload);
+    let mut log = encode_frame(&chain[0].encode());
+    log.extend_from_slice(&encode_frame(&forged.encode()));
+    std::fs::write(dir.join("blocks.log"), &log).unwrap();
+    std::fs::write(dir.join("state.snap"), &frozen).unwrap();
+    // The checkpoint names a block the forged log lacks.
+    std::fs::remove_file(dir.join("checkpoint")).unwrap();
+    let store = DurableStore::open_with(&dir, &chain[0], eager_snapshots()).unwrap();
+    assert_eq!(store.best_tip(), forged.id(), "the log decides");
+    assert_eq!(
+        store.snapshot_rejection(),
+        Some(
+            format!("tail scan failed: corrupt blocks.log at byte {covered}: bad frame magic")
+                .as_str()
+        )
+    );
+}
+
 #[cfg(unix)]
 #[test]
 fn unreadable_checkpoint_refuses_the_open() {

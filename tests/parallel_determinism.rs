@@ -16,8 +16,9 @@ use smartcrowd::crypto::Address;
 use smartcrowd::pool::Pool;
 use smartcrowd::telemetry;
 
-/// Records per block: wide enough that Merkle-leaf hashing and the
-/// signature fan-out both take their parallel paths (thresholds 64/16).
+/// Records per block: wide enough that the signature fan-out takes its
+/// parallel path (threshold 16). Merkle roots fold on the calling thread
+/// at any width.
 const WIDTH: u64 = 70;
 
 fn record(seed: u64) -> Record {
