@@ -6,8 +6,7 @@ use crate::error::ChainError;
 use crate::header::{BlockHeader, BlockId};
 use crate::record::Record;
 use smartcrowd_crypto::merkle::MerkleTree;
-use smartcrowd_crypto::{Address, Digest};
-use std::collections::HashSet;
+use smartcrowd_crypto::{Address, Digest, DigestSet};
 use std::sync::{Arc, OnceLock};
 
 /// What every handle to one block shares: the record list, frozen at
@@ -183,7 +182,8 @@ impl Block {
         if self.body.merkle_root() != self.header.merkle_root {
             return Err(ChainError::MerkleMismatch { id });
         }
-        let mut seen = HashSet::with_capacity(self.body.records.len());
+        let mut seen =
+            DigestSet::with_capacity_and_hasher(self.body.records.len(), Default::default());
         for r in &self.body.records {
             if !seen.insert(r.id()) {
                 return Err(ChainError::DuplicateRecord { id });

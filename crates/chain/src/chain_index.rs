@@ -18,7 +18,7 @@ use crate::error::ChainError;
 use crate::header::{BlockHeader, BlockId};
 use crate::record::Record;
 use crate::store::RecordLocation;
-use smartcrowd_crypto::Digest;
+use smartcrowd_crypto::{Digest, DigestMap};
 use smartcrowd_telemetry::{counter, gauge, histogram};
 use std::collections::HashMap;
 
@@ -37,7 +37,7 @@ struct Entry {
 /// [`crate::storage::ChainQuery`]'s answers.
 #[derive(Debug, Clone)]
 pub struct ChainIndex {
-    entries: HashMap<BlockId, Entry>,
+    entries: DigestMap<BlockId, Entry>,
     genesis_id: BlockId,
     best_tip: BlockId,
     /// Canonical height → block id.
@@ -45,7 +45,7 @@ pub struct ChainIndex {
     /// Record id → location on the canonical chain. An id carried by two
     /// canonical blocks resolves to the lower one, whichever way the
     /// index was built.
-    records: HashMap<Digest, RecordLocation>,
+    records: DigestMap<Digest, RecordLocation>,
 }
 
 fn ids_of(block: &Block) -> Vec<Digest> {
@@ -62,11 +62,11 @@ impl ChainIndex {
             record_ids,
         };
         let mut index = ChainIndex {
-            entries: HashMap::from([(genesis_id, entry)]),
+            entries: DigestMap::from_iter([(genesis_id, entry)]),
             genesis_id,
             best_tip: genesis_id,
             canonical: HashMap::new(),
-            records: HashMap::new(),
+            records: DigestMap::default(),
         };
         index.extend_canonical(genesis_id);
         index

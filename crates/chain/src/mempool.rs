@@ -29,10 +29,10 @@ use crate::amount::Ether;
 use crate::block::Block;
 use crate::error::ChainError;
 use crate::record::Record;
-use smartcrowd_crypto::Digest;
+use smartcrowd_crypto::{Digest, DigestMap};
 use smartcrowd_pool::Pool;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Default capacity (records).
 pub const DEFAULT_CAPACITY: usize = 4096;
@@ -42,9 +42,11 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// ascending as the deterministic tiebreak.
 ///
 /// Every selection and eviction decision in this module — and any future
-/// block-building path — derives from this one comparator.
+/// block-building path — derives from this one comparator. The ids are
+/// compared only on a fee tie: the fee index compares keys on every
+/// insert and removal, and most pairs differ in fee.
 pub fn selection_order(a: &(Ether, Digest), b: &(Ether, Digest)) -> Ordering {
-    b.0.cmp(&a.0).then(a.1.cmp(&b.1))
+    b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1))
 }
 
 /// A fee-index key ordered worst-to-best: ascending iteration yields
@@ -90,7 +92,7 @@ impl PartialOrd for FeeKey {
 #[derive(Debug, Clone)]
 pub struct Mempool {
     /// Pending record bodies by id.
-    records: HashMap<Digest, Record>,
+    records: DigestMap<Digest, Record>,
     /// The key of every pending record, worst first.
     index: BTreeSet<FeeKey>,
     capacity: usize,
@@ -100,7 +102,7 @@ impl Mempool {
     /// Creates a pool bounded at `capacity` records (at least 1).
     pub fn new(capacity: usize) -> Self {
         Mempool {
-            records: HashMap::new(),
+            records: DigestMap::default(),
             index: BTreeSet::new(),
             capacity: capacity.max(1),
         }

@@ -14,8 +14,7 @@ use smartcrowd_crypto::keccak::keccak256;
 use smartcrowd_crypto::keys::{KeyPair, PublicKey};
 use smartcrowd_crypto::merkle::leaf_hash;
 use smartcrowd_crypto::point::Point;
-use smartcrowd_crypto::{Address, CryptoError, Digest};
-use std::collections::HashMap;
+use smartcrowd_crypto::{Address, CryptoError, Digest, DigestMap};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -276,7 +275,7 @@ impl Record {
             .collect();
         // Per sender, in order of first appearance: its members, and the
         // index of each of its records.
-        let mut slot_of: HashMap<Address, usize> = HashMap::new();
+        let mut slot_of: DigestMap<Address, usize> = DigestMap::default();
         let mut senders: Vec<(Address, Vec<Member>, Vec<usize>)> = Vec::new();
         for (index, (record, claim)) in items.iter().enumerate() {
             let sender = record.0.sender;

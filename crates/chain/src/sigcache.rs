@@ -23,9 +23,9 @@
 
 use crate::error::ChainError;
 use crate::record::{Claim, Record};
-use smartcrowd_crypto::{Address, Digest};
+use smartcrowd_crypto::{Address, Digest, DigestMap, DigestSet};
 use smartcrowd_pool::Pool;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Maximum number of verified record ids retained (FIFO eviction).
@@ -33,7 +33,7 @@ pub(crate) const CAPACITY: usize = 16_384;
 
 #[derive(Debug, Default)]
 struct Inner {
-    set: HashSet<Digest>,
+    set: DigestSet<Digest>,
     order: VecDeque<Digest>,
 }
 
@@ -154,7 +154,7 @@ pub fn verify_batch_claimed(
     if misses.is_empty() {
         return results;
     }
-    let mut rank: HashMap<Address, usize> = HashMap::new();
+    let mut rank: DigestMap<Address, usize> = DigestMap::default();
     let mut ranked: Vec<(usize, usize)> = misses
         .iter()
         .map(|&index| {

@@ -22,8 +22,9 @@
 
 use crate::block::Block;
 use crate::header::BlockId;
+use smartcrowd_crypto::DigestMap;
 use smartcrowd_telemetry::{counter, gauge};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Bounded FIFO cache of block bodies, with a pinned unconfirmed region.
 #[derive(Debug)]
@@ -31,7 +32,7 @@ pub(super) struct BlockCache {
     capacity: usize,
     /// Heights strictly above this are pinned.
     floor: u64,
-    entries: HashMap<BlockId, Block>,
+    entries: DigestMap<BlockId, Block>,
     /// Pinned ids with their heights, in insertion order.
     pinned: VecDeque<(BlockId, u64)>,
     /// Evictable ids in insertion (= eviction) order.
@@ -44,7 +45,7 @@ impl BlockCache {
         BlockCache {
             capacity,
             floor: 0,
-            entries: HashMap::new(),
+            entries: DigestMap::default(),
             pinned: VecDeque::new(),
             evictable: VecDeque::new(),
         }

@@ -25,10 +25,10 @@ use crate::error::ChainError;
 use crate::header::BlockId;
 use crate::CONFIRMATION_DEPTH;
 use smartcrowd_crypto::sha256::sha256d;
+use smartcrowd_crypto::DigestMap;
 use smartcrowd_telemetry::counter;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 const CHECKPOINT_MAGIC: &[u8; 8] = b"SCCKPT01";
@@ -86,7 +86,7 @@ pub struct DurableStore {
     dir: PathBuf,
     index: ChainIndex,
     /// Where each indexed block's frame sits in `blocks.log`.
-    locations: HashMap<BlockId, LogEntry>,
+    locations: DigestMap<BlockId, LogEntry>,
     cache: RefCell<BlockCache>,
     log: BlockLog,
     config: StoreConfig,
@@ -375,7 +375,7 @@ impl DurableStore {
         // block is itself one and children follow parents in the log, so
         // one reverse pass over the forks folds each subtree into its root.
         let forks = fork_ids(self.log.entries(), &self.index);
-        let mut deepest: HashMap<BlockId, u64> = HashMap::new();
+        let mut deepest: DigestMap<BlockId, u64> = DigestMap::default();
         for id in forks.iter().rev() {
             let header = self.index.header(id).ok_or_else(|| StorageError::Corrupt {
                 file: "blocks.log",

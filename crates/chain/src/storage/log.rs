@@ -23,7 +23,7 @@ use super::frame::{frame_extent, scan_frame, FrameScan, FRAME_HEADER_LEN};
 use super::StorageError;
 use crate::block::Block;
 use crate::header::BlockId;
-use std::collections::HashSet;
+use smartcrowd_crypto::DigestSet;
 use std::path::Path;
 
 /// Bytes one positioned read of the log asks for. A frame longer than
@@ -295,7 +295,7 @@ impl BlockLog {
     /// The directory fsync makes the rename durable before the next
     /// append: every later commit is fsynced into the new inode, so a
     /// rename lost at power-off would lose every one of them.
-    pub fn compact(&mut self, dead: &HashSet<&BlockId>) -> Result<(), StorageError> {
+    pub fn compact(&mut self, dead: &DigestSet<&BlockId>) -> Result<(), StorageError> {
         let path = self.file.path().to_path_buf();
         let tmp_path = path.with_extension("log.tmp");
         let mut tmp = DiskFile::open(&tmp_path, true)?;

@@ -11,7 +11,7 @@ use crate::chain_index::ChainIndex;
 use crate::error::ChainError;
 use crate::header::BlockId;
 use crate::record::{Record, RecordKind};
-use std::collections::HashMap;
+use smartcrowd_crypto::DigestMap;
 
 /// Where a record landed on the canonical chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +43,7 @@ pub struct RecordLocation {
 #[derive(Debug, Clone)]
 pub struct ChainStore {
     pub(crate) index: ChainIndex,
-    blocks: HashMap<BlockId, Block>,
+    blocks: DigestMap<BlockId, Block>,
 }
 
 impl ChainStore {
@@ -51,7 +51,7 @@ impl ChainStore {
     pub fn new(genesis: Block) -> Self {
         let index = ChainIndex::rooted_at(&genesis);
         ChainStore {
-            blocks: HashMap::from([(index.genesis_id(), genesis)]),
+            blocks: DigestMap::from_iter([(index.genesis_id(), genesis)]),
             index,
         }
     }

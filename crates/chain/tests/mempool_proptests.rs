@@ -1,4 +1,5 @@
 //! Property tests for the fee-indexed mempool (DESIGN.md, *Ingress*):
+//! [`selection_order`] against the order written out on its own,
 //! agreement with a scan-and-sort reference pool (equal-fee eviction churn
 //! included), insertion-order permutation invariance, batch-vs-serial
 //! admission equivalence, and thread-count-invariant batch admission.
@@ -11,6 +12,7 @@ use smartcrowd_chain::{sigcache, ChainError, Ether};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::Digest;
 use smartcrowd_pool::Pool;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// The seed single-`HashMap` pool, kept as the differential reference for
@@ -131,6 +133,38 @@ fn flat_pool_agrees_on_distinct_fees() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// [`selection_order`] is "fee descending, then id ascending", checked
+    /// against that order spelled out as the key `(Reverse(fee), id)`.
+    /// [`FlatMempool`] sorts with the comparator it checks, so only this
+    /// test catches a comparator edit that moves the order. Three fees and
+    /// ids that differ only in their first or last byte make fee ties,
+    /// id ties and full duplicates common.
+    #[test]
+    fn selection_order_is_fee_descending_then_id_ascending(
+        keys in proptest::collection::vec((0u64..3, 0u8..3, 0u8..3), 2..40),
+    ) {
+        let keys: Vec<(Ether, Digest)> = keys
+            .into_iter()
+            .map(|(fee, head, tail)| {
+                let mut id = [0u8; 32];
+                id[0] = head;
+                id[31] = tail;
+                (Ether::from_wei(u128::from(fee)), id)
+            })
+            .collect();
+        let written_out = |k: &(Ether, Digest)| (Reverse(k.0), k.1);
+        for a in &keys {
+            for b in &keys {
+                prop_assert_eq!(selection_order(a, b), written_out(a).cmp(&written_out(b)));
+            }
+        }
+        let mut by_comparator = keys.clone();
+        by_comparator.sort_by(selection_order);
+        let mut by_key = keys;
+        by_key.sort_by_key(written_out);
+        prop_assert_eq!(by_comparator, by_key);
+    }
 
     /// With distinct fees, the final pool contents are the top-`capacity`
     /// records by fee — independent of insertion order.

@@ -30,12 +30,12 @@ use smartcrowd_chain::header::BlockId;
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::{Block, ChainBackend, ChainError, ChainQuery, ChainStore, Ether};
 use smartcrowd_crypto::keys::KeyPair;
-use smartcrowd_crypto::{Address, Digest};
+use smartcrowd_crypto::{Address, Digest, DigestMap, DigestSet};
 use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_net::sync::{SyncBuffer, SyncOutcome};
 use smartcrowd_net::{Message, Scoreboard};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// How many `R*` records a node keeps waiting for an artifact, and how many
 /// refused blocks it remembers; the oldest goes first.
@@ -63,16 +63,16 @@ pub struct ProviderNode {
     core: Protocol,
     sync: SyncBuffer,
     /// Images this node hosts (its own releases).
-    hosted: HashMap<Digest, IoTSystem>,
+    hosted: DigestMap<Digest, IoTSystem>,
     /// Outstanding image downloads.
-    pending_images: HashSet<Digest>,
+    pending_images: DigestSet<Digest>,
     /// `R*` records that arrived before their artifact, oldest first;
     /// submitted again when an image arrives.
     parked: VecDeque<Record>,
     /// Well-formed blocks [`Protocol::check_block`] refused, oldest first.
     refused: VecDeque<BlockId>,
     /// Block ids already requested from peers (ask once).
-    requested_blocks: HashSet<BlockId>,
+    requested_blocks: DigestSet<BlockId>,
     /// Per-sender record sequence for this node's own submissions.
     nonce: u64,
 }
@@ -130,11 +130,11 @@ impl ProviderNode {
             keypair,
             core,
             sync: SyncBuffer::new(),
-            hosted: HashMap::new(),
-            pending_images: HashSet::new(),
+            hosted: DigestMap::default(),
+            pending_images: DigestSet::default(),
             parked: VecDeque::new(),
             refused: VecDeque::new(),
-            requested_blocks: HashSet::new(),
+            requested_blocks: DigestSet::default(),
             nonce,
         }
     }

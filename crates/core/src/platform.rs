@@ -36,14 +36,13 @@ use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::simminer::{SimMiner, SimParticipant, PAPER_HASH_POWERS};
 use smartcrowd_chain::{Block, ChainQuery, ChainStore, Difficulty, Ether};
 use smartcrowd_crypto::keys::KeyPair;
-use smartcrowd_crypto::{Address, Digest};
+use smartcrowd_crypto::{Address, Digest, DigestMap, DigestSet};
 use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_detect::vulnerability::VulnId;
 use smartcrowd_net::Scoreboard;
 use smartcrowd_telemetry::Counter;
 use smartcrowd_vm::VmError;
-use std::collections::{HashMap, HashSet};
 
 /// Platform configuration: what a caller varies. Everything else is the
 /// paper's §VII parameter set, read from [`crate::economics`].
@@ -89,11 +88,11 @@ pub struct Platform {
     /// Release order (released_sras() preserves it).
     release_order: Vec<SraId>,
     /// The record carrying each detector's `R†` (its confirmation gates `R*`).
-    initial_records: HashMap<(SraId, Address), Digest>,
+    initial_records: DigestMap<(SraId, Address), Digest>,
     /// Sim-clock second at which each record was submitted (lifecycle
     /// latency: submit → 6-block confirmation).
-    submit_times: HashMap<Digest, f64>,
-    funded: HashSet<Address>,
+    submit_times: DigestMap<Digest, f64>,
+    funded: DigestSet<Address>,
 }
 
 impl Platform {
@@ -131,9 +130,9 @@ impl Platform {
             core: Protocol::new(Box::new(store), library, &funding),
             sim,
             release_order: Vec::new(),
-            initial_records: HashMap::new(),
-            submit_times: HashMap::new(),
-            funded: HashSet::new(),
+            initial_records: DigestMap::default(),
+            submit_times: DigestMap::default(),
+            funded: DigestSet::default(),
         }
     }
 

@@ -27,14 +27,13 @@ use crate::sra::{Sra, SraId};
 use smartcrowd_chain::mempool::Mempool;
 use smartcrowd_chain::record::{Claim, Record, RecordKind};
 use smartcrowd_chain::{sigcache, Block, ChainBackend, Difficulty, Ether};
-use smartcrowd_crypto::{Address, Digest};
+use smartcrowd_crypto::{Address, Digest, DigestMap};
 use smartcrowd_detect::autoverif::AutoVerifier;
 use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_net::Scoreboard;
 use smartcrowd_telemetry::counter;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// What [`Protocol::admit`] queued.
 #[derive(Debug)]
@@ -54,11 +53,11 @@ pub struct Protocol<B: ChainBackend + ?Sized = dyn ChainBackend> {
     library: VulnLibrary,
     scoreboard: Scoreboard,
     /// Verified SRAs seen so far.
-    sras: HashMap<SraId, Sra>,
+    sras: DigestMap<SraId, Sra>,
     /// Integrity-checked artifacts (`Δ_id` → image).
-    artifacts: HashMap<SraId, IoTSystem>,
+    artifacts: DigestMap<SraId, IoTSystem>,
     /// First verified initial report per (SRA, detector).
-    initials: HashMap<(SraId, Address), InitialReport>,
+    initials: DigestMap<(SraId, Address), InitialReport>,
     settlement: Settlement,
     backend: Box<B>,
 }
@@ -71,9 +70,9 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
             mempool: Mempool::default(),
             library,
             scoreboard: Scoreboard::default(),
-            sras: HashMap::new(),
-            artifacts: HashMap::new(),
-            initials: HashMap::new(),
+            sras: DigestMap::default(),
+            artifacts: DigestMap::default(),
+            initials: DigestMap::default(),
             settlement: Settlement::new(backend.genesis_id(), allocation),
             backend,
         }

@@ -18,8 +18,8 @@
 
 use crate::platform::Platform;
 use crate::sra::SraId;
+use smartcrowd_crypto::DigestSet;
 use smartcrowd_detect::vulnerability::{Severity, VulnId};
-use std::collections::HashSet;
 
 /// A retrospective security notification for consumers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,7 +57,7 @@ pub struct RetroMonitor {
     /// Library size already processed.
     seen_library_len: usize,
     /// (sra, vuln) pairs already notified — each fires once.
-    notified: HashSet<(SraId, VulnId)>,
+    notified: DigestSet<(SraId, VulnId)>,
 }
 
 impl RetroMonitor {
@@ -65,7 +65,7 @@ impl RetroMonitor {
     pub fn new(platform: &Platform) -> Self {
         RetroMonitor {
             seen_library_len: platform.library().len(),
-            notified: HashSet::new(),
+            notified: DigestSet::default(),
         }
     }
 
@@ -76,7 +76,7 @@ impl RetroMonitor {
     pub fn from_checkpoint(library_len: usize) -> Self {
         RetroMonitor {
             seen_library_len: library_len,
-            notified: HashSet::new(),
+            notified: DigestSet::default(),
         }
     }
 
@@ -164,7 +164,7 @@ mod tests {
         // the monitor as if the library were shorter.
         let mut monitor = RetroMonitor {
             seen_library_len: p.library().len() - 1,
-            notified: HashSet::new(),
+            notified: DigestSet::default(),
         };
         p.mine_blocks(2);
         let notes = monitor.rescan(&p);
@@ -187,7 +187,7 @@ mod tests {
         assert!(p.settlement().escrows()[&sra_id].refunded.is_some());
         let mut monitor = RetroMonitor {
             seen_library_len: p.library().len() - 1,
-            notified: HashSet::new(),
+            notified: DigestSet::default(),
         };
         let notes = monitor.rescan(&p);
         assert_eq!(notes.len(), 1);
@@ -239,7 +239,7 @@ mod tests {
         let (mut p, _, _) = setup();
         let mut monitor = RetroMonitor {
             seen_library_len: p.library().len() - 1,
-            notified: HashSet::new(),
+            notified: DigestSet::default(),
         };
         let first_wave = monitor.rescan(&p);
         assert_eq!(first_wave.len(), 1);

@@ -28,10 +28,10 @@ use crate::report::DetailedReport;
 use crate::sra::{Sra, SraId};
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::{BlockId, ChainQuery, Ether, CONFIRMATION_DEPTH};
-use smartcrowd_crypto::Address;
+use smartcrowd_crypto::{Address, DigestMap};
 use smartcrowd_detect::vulnerability::VulnId;
 use smartcrowd_vm::{Vm, WorldState};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Gas float the consensus trigger account holds at genesis.
 const TRIGGER_FLOAT: Ether = Ether::from_ether(1000);
@@ -98,14 +98,14 @@ pub struct Settlement {
     registry: ReportRegistry,
     /// Genesis balances, the trigger's float first; a refold re-applies them.
     allocations: Vec<(Address, Ether)>,
-    escrows: HashMap<SraId, OpenEscrow>,
+    escrows: DigestMap<SraId, OpenEscrow>,
     /// Open escrows in the order they opened, each with the height of the
     /// block whose application refunds it.
     refunds: VecDeque<(u64, SraId)>,
     /// Confirmed `R*` whose escrow is not open, in confirmation order.
-    pending: HashMap<SraId, Vec<DetailedReport>>,
+    pending: DigestMap<SraId, Vec<DetailedReport>>,
     payouts: Vec<Payout>,
-    tallies: HashMap<Address, Tally>,
+    tallies: DigestMap<Address, Tally>,
     genesis: BlockId,
     /// Height and id of the last confirmed canonical block applied.
     cursor: (u64, BlockId),
@@ -129,11 +129,11 @@ impl Settlement {
             trigger,
             registry,
             allocations,
-            escrows: HashMap::new(),
+            escrows: DigestMap::default(),
             refunds: VecDeque::new(),
-            pending: HashMap::new(),
+            pending: DigestMap::default(),
             payouts: Vec::new(),
-            tallies: HashMap::new(),
+            tallies: DigestMap::default(),
             genesis,
             cursor: (0, genesis),
             folded: 0,
@@ -378,7 +378,7 @@ impl Settlement {
     }
 
     /// The open escrows.
-    pub fn escrows(&self) -> &HashMap<SraId, OpenEscrow> {
+    pub fn escrows(&self) -> &DigestMap<SraId, OpenEscrow> {
         &self.escrows
     }
 

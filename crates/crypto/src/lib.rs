@@ -19,6 +19,7 @@
 //!   entity, §V-A) and Ethereum-style 20-byte wallet addresses (`W_{D_i}`).
 //! - [`merkle`] — the Merkle-tree record organisation of SmartCrowd blocks
 //!   (Fig. 2: "organized based on the Merkle tree structure").
+//! - [`digest_map`] — the keyed hash every id-keyed map and set uses.
 //!
 //! # Example
 //!
@@ -38,6 +39,7 @@
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod address;
+pub mod digest_map;
 pub mod ecdsa;
 pub mod error;
 pub mod field;
@@ -52,6 +54,7 @@ pub mod sha256;
 pub mod u256;
 
 pub use address::Address;
+pub use digest_map::{DigestMap, DigestSet};
 pub use ecdsa::Signature;
 pub use error::CryptoError;
 pub use keys::{KeyPair, PrivateKey, PublicKey};

@@ -7,8 +7,7 @@
 //! behaviour — strikes for failed verifications, credit for confirmed
 //! reports, and an isolation threshold.
 
-use smartcrowd_crypto::Address;
-use std::collections::HashMap;
+use smartcrowd_crypto::{Address, DigestMap};
 
 /// Strikes after which a peer is isolated: §V-C's repeated forgeries.
 pub const STRIKE_LIMIT: u32 = 3;
@@ -42,7 +41,7 @@ pub struct PeerScore {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Scoreboard {
-    scores: HashMap<Address, PeerScore>,
+    scores: DigestMap<Address, PeerScore>,
 }
 
 impl Scoreboard {

@@ -10,7 +10,7 @@
 use smartcrowd_chain::header::BlockId;
 use smartcrowd_chain::storage::StorageError;
 use smartcrowd_chain::{Block, ChainBackend, ChainError};
-use std::collections::HashMap;
+use smartcrowd_crypto::DigestMap;
 
 /// Outcome of offering one block to the buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,7 +58,7 @@ pub enum SyncOutcome {
 #[derive(Debug, Default)]
 pub struct SyncBuffer {
     /// parent id → orphan blocks waiting for it.
-    orphans: HashMap<BlockId, Vec<Block>>,
+    orphans: DigestMap<BlockId, Vec<Block>>,
     buffered: usize,
 }
 

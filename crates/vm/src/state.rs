@@ -10,7 +10,7 @@ use crate::error::VmError;
 use smartcrowd_chain::codec::Encoder;
 use smartcrowd_chain::Ether;
 use smartcrowd_crypto::keccak::keccak256;
-use smartcrowd_crypto::{Address, U256};
+use smartcrowd_crypto::{Address, DigestMap, U256};
 use std::collections::HashMap;
 
 /// One undo entry in the transaction journal.
@@ -60,7 +60,7 @@ impl Account {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WorldState {
-    accounts: HashMap<Address, Account>,
+    accounts: DigestMap<Address, Account>,
     /// Undo log; non-empty `Some` while a transaction is open. Rollback is
     /// O(changes made), not O(state size) — the property that keeps
     /// contract calls constant-time as the chain's state grows.
