@@ -2,7 +2,8 @@
 //!
 //! Records (SRAs and both report phases) propagate to "all IoT providers"
 //! (§V-B) and wait here until a provider aggregates them into a block.
-//! Admission verifies the submitter signature; ordering is by fee, so the
+//! The pool takes records whose submitter signature was checked before
+//! they reach it ([`Mempool::insert`]); ordering is by fee, so the
 //! transaction fee `ψ` of Eq. 8 doubles as a spam deterrent — exactly the
 //! "cost for each detector to submit its detection report" of Eq. 10.
 //!
@@ -14,11 +15,13 @@
 //! seals into a block. Every operation is an index operation; nothing
 //! scans or sorts the pool.
 //!
-//! [`Mempool::insert_batch`] admits a gossip burst: signature recoveries
-//! for cache-missing records fan out on a [`smartcrowd_pool::Pool`], then
-//! admissions apply serially in input order, so the outcomes (per-record
-//! verdicts, evictions, final contents) are exactly those of N sequential
-//! [`Mempool::insert`] calls at any thread count.
+//! [`Mempool::insert_batch`] admits a burst on the chain-only path: it
+//! checks every signature in one [`crate::sigcache::verify_batch`] pass
+//! (cache misses fan out on a [`smartcrowd_pool::Pool`]), then inserts the
+//! records that passed serially in input order, so the outcomes
+//! (per-record verdicts, evictions, final contents) are those of a
+//! signature check and an [`Mempool::insert`] per record, at any thread
+//! count.
 //!
 //! `crates/chain/tests/mempool_proptests.rs` pins all of it: agreement
 //! with a scan-and-sort reference pool (`FlatMempool`, equal-fee churn
@@ -123,9 +126,9 @@ impl Mempool {
         self.records.contains_key(id)
     }
 
-    /// Whether [`Mempool::insert`] would take `record`, its signature
-    /// aside: a caller that must not act on a record the pool refuses asks
-    /// this first. Returns the record's id.
+    /// Whether [`Mempool::insert`] would take `record`: a caller that must
+    /// not act on a record the pool refuses asks this first. Returns the
+    /// record's id.
     ///
     /// # Errors
     ///
@@ -150,25 +153,37 @@ impl Mempool {
         Ok(id)
     }
 
-    /// Admits a record after signature verification.
+    /// Admits a record whose signature its caller has checked: the pool
+    /// checks none. Its library callers are `Protocol::admit` and
+    /// [`Mempool::insert_batch_with`], each through [`crate::sigcache`].
     ///
     /// When full, the lowest-fee record (highest id among ties) is evicted
     /// if the newcomer pays strictly more; otherwise admission fails.
     ///
     /// # Errors
     ///
-    /// - [`ChainError::RecordRejected`] for a bad signature.
     /// - [`ChainError::DuplicatePending`] when the id is already pooled.
     /// - [`ChainError::MempoolFull`] when full of higher-fee records.
     pub fn insert(&mut self, record: Record) -> Result<(), ChainError> {
-        // Admission goes through the verified-signature cache: a record
-        // re-gossiped after a restart (or already admitted by a peer path)
-        // skips the ECDSA recovery, and the ids admitted here are hits
-        // when the block that carries them is checked.
-        let sig = crate::sigcache::verify_cached(&record);
-        let result = self.apply_admission(record, sig);
+        let admitted = self.check_admission(&record).map(|id| {
+            if self.len() >= self.capacity {
+                if let Some(victim) = self.index.pop_first() {
+                    self.records.remove(&victim.id);
+                    smartcrowd_telemetry::counter!("chain.mempool.evicted").inc();
+                }
+            }
+            self.index.insert(FeeKey {
+                fee: record.fee(),
+                id,
+            });
+            self.records.insert(id, record);
+        });
+        match &admitted {
+            Ok(()) => smartcrowd_telemetry::counter!("chain.mempool.admitted").inc(),
+            Err(_) => smartcrowd_telemetry::counter!("chain.mempool.rejected").inc(),
+        }
         self.update_occupancy();
-        result
+        admitted
     }
 
     /// Admits a gossip burst through the global worker pool
@@ -178,12 +193,11 @@ impl Mempool {
         self.insert_batch_with(records, smartcrowd_pool::global())
     }
 
-    /// Admits a burst of records: signature recoveries for cache-missing
-    /// records fan out on `pool` (amortizing the per-record ECDSA cost
-    /// across the burst), then admissions apply **serially in input
-    /// order**, so the returned verdicts, the evictions and the final
-    /// pool contents are exactly those of sequential [`Mempool::insert`]
-    /// calls at any thread count.
+    /// Admits a burst of records: one [`crate::sigcache::verify_batch`]
+    /// pass, whose cache misses fan out on `pool`, then [`Mempool::insert`]
+    /// of each record whose signature holds, **serially in input order**;
+    /// a record whose signature fails is refused and counted under
+    /// `chain.mempool.rejected`, as a refused insert is.
     pub fn insert_batch_with(
         &mut self,
         records: Vec<Record>,
@@ -199,49 +213,17 @@ impl Mempool {
             let refs: Vec<&Record> = records.iter().collect();
             crate::sigcache::verify_batch(&refs, pool)
         };
-        let results: Vec<Result<(), ChainError>> = records
+        records
             .into_iter()
             .zip(verdicts)
-            .map(|(record, sig)| self.apply_admission(record, sig))
-            .collect();
-        self.update_occupancy();
-        results
-    }
-
-    /// One serial admission step, shared by the single and batch paths:
-    /// `sig` is the record's (possibly pre-computed) signature verdict.
-    fn apply_admission(
-        &mut self,
-        record: Record,
-        sig: Result<(), ChainError>,
-    ) -> Result<(), ChainError> {
-        let result = self.admit_inner(record, sig);
-        match &result {
-            Ok(()) => smartcrowd_telemetry::counter!("chain.mempool.admitted").inc(),
-            Err(_) => smartcrowd_telemetry::counter!("chain.mempool.rejected").inc(),
-        }
-        result
-    }
-
-    fn admit_inner(
-        &mut self,
-        record: Record,
-        sig: Result<(), ChainError>,
-    ) -> Result<(), ChainError> {
-        sig?;
-        let id = self.check_admission(&record)?;
-        if self.len() >= self.capacity {
-            if let Some(victim) = self.index.pop_first() {
-                self.records.remove(&victim.id);
-                smartcrowd_telemetry::counter!("chain.mempool.evicted").inc();
-            }
-        }
-        self.index.insert(FeeKey {
-            fee: record.fee(),
-            id,
-        });
-        self.records.insert(id, record);
-        Ok(())
+            .map(|(record, signature)| match signature {
+                Ok(()) => self.insert(record),
+                Err(refused) => {
+                    smartcrowd_telemetry::counter!("chain.mempool.rejected").inc();
+                    Err(refused)
+                }
+            })
+            .collect()
     }
 
     fn update_occupancy(&self) {

@@ -1,12 +1,13 @@
 //! Process-wide verified-signature cache.
 //!
-//! Every record's ECDSA recovery used to run at least three times on its
-//! way to confirmation: once at mempool admission, once at gossip ingest
-//! and once (per validating node) inside block validation. Recovery is by
-//! far the most expensive operation in the pipeline, and all three checks
-//! recompute the *same* fact about the *same* bytes — the record id is
-//! the Keccak-256 of the full canonical encoding (signature included), so
-//! "id `d` carries a valid signature" is an immutable property of `d`.
+//! A record's signature is checked where it enters a pool — once per
+//! admission, in `Protocol::admit` or, on the chain-only path,
+//! [`crate::mempool::Mempool::insert_batch`] — and again in the check of
+//! every block that carries it. Recovery is by far the most expensive
+//! operation in the pipeline, and every such check recomputes the *same*
+//! fact about the *same* bytes — the record id is the Keccak-256 of the
+//! full canonical encoding (signature included), so "id `d` carries a
+//! valid signature" is an immutable property of `d`.
 //!
 //! This module memoizes that fact in a bounded FIFO set. A hit proves the
 //! exact same bytes were verified before (any tampering changes the id),
@@ -66,41 +67,22 @@ pub fn insert(id: Digest) {
     }
 }
 
-/// Verifies a record's signature through the cache.
-///
-/// A cache hit returns immediately (the identical bytes were verified
-/// before); a miss runs the full ECDSA recovery and, on success, records
-/// the id for future callers.
+/// Verifies a record's signature through the cache: one item of
+/// [`verify_batch_claimed`], on the calling thread. `claim`, if any, is a
+/// signature by the record's own sender that its payload carries; on a
+/// miss it joins the record's recovery as one group
+/// (`Record::verify_signatures`), and `Ok(true)` says it holds. A hit
+/// checks no signature, so it answers `Ok(false)`, as does a claim that did
+/// not hold: an unvouched claim is left to its owner's own check. The
+/// cache holds record ids only, never a claim's verdict.
 ///
 /// # Errors
 ///
 /// Returns [`ChainError::RecordRejected`] exactly as
-/// [`Record::verify_signature`] would — failures are never cached.
-pub fn verify_cached(record: &Record) -> Result<(), ChainError> {
-    verify_claimed(record, None).map(|_| ())
-}
-
-/// [`verify_cached`] of a record whose payload carries `claim`, a
-/// signature by the record's own sender: on a miss the claim joins the
-/// record's recovery as one group (`Record::verify_signatures`), and
-/// `Ok(true)` says it holds. A hit checks no signature, so it answers
-/// `Ok(false)`, as does a claim that did not hold: an unvouched claim is
-/// left to its owner's own check. The cache holds record ids only, never
-/// a claim's verdict.
-///
-/// # Errors
-///
-/// Those of [`verify_cached`], whatever the claim.
+/// [`Record::verify_signature`] would, whatever the claim — failures are
+/// never cached.
 pub fn verify_claimed(record: &Record, claim: Option<Claim<'_>>) -> Result<bool, ChainError> {
-    let id = record.id();
-    if contains(&id) {
-        smartcrowd_telemetry::counter!("chain.sigcache.hit").inc();
-        return Ok(false);
-    }
-    smartcrowd_telemetry::counter!("chain.sigcache.miss").inc();
-    let vouched = Record::verify_signatures(&[(record, claim)]).remove(0)?;
-    insert(id);
-    Ok(vouched)
+    verify_batch_claimed(&[(record, claim)], &Pool::new(1)).remove(0)
 }
 
 /// Index-aligned signature verdicts for a burst of records, checked
@@ -114,15 +96,15 @@ pub fn verify_batch(records: &[&Record], pool: &Pool) -> Vec<Result<(), ChainErr
         .collect()
 }
 
-/// [`verify_claimed`] of every `(record, claim)`, index-aligned, with the
-/// misses fanned out on `pool`.
+/// Index-aligned verdicts for every `(record, claim)`, each as
+/// [`verify_claimed`] describes, with the misses fanned out on `pool`.
 ///
-/// This is the shared fast path behind block validation,
-/// [`crate::mempool::Mempool::insert_batch_with`] and a replica's block
-/// check. The misses are stably sorted by the position of their sender's
-/// first miss, so that each contiguous chunk a worker takes holds the
-/// records of a few senders. Each chunk is one
-/// `Record::verify_signatures`: one signature group per sender, its
+/// This is the one cache path: behind block validation,
+/// [`crate::mempool::Mempool::insert_batch_with`], a replica's block check
+/// and, one record at a time, its admission. The misses are stably sorted
+/// by the position of their sender's first miss, so that each contiguous
+/// chunk a worker takes holds the records of a few senders. Each chunk is
+/// one `Record::verify_signatures`: one signature group per sender, its
 /// records and claims together, so a repeat sender or a claim costs a
 /// fraction of a recovery. The results are merged back by index.
 /// `chain.sigcache.repeat_sender` counts the misses whose sender already
@@ -179,22 +161,6 @@ pub fn verify_batch_claimed(
     results
 }
 
-/// Pre-warms the cache for a gossip round on the global worker pool: the
-/// uncached records' recoveries run in parallel *now* so the sequential
-/// per-record handling that follows hits the cache instead of paying one
-/// ECDSA recovery at a time.
-///
-/// Purely an accelerator — cache contents never change any admission or
-/// validation *outcome* (a hit only skips recomputing a verdict the miss
-/// path would reach), so seeded simulations stay byte-identical whether
-/// or not a path warms first. Bad signatures are left uncached, exactly
-/// as [`verify_cached`] would.
-pub fn warm(records: &[&Record]) {
-    if records.len() >= 2 {
-        let _ = verify_batch(records, smartcrowd_pool::global());
-    }
-}
-
 /// Current number of cached ids.
 pub fn len() -> usize {
     inner().set.len()
@@ -225,10 +191,10 @@ mod tests {
     fn verified_record_is_cached() {
         let r = record(9001);
         assert!(!contains(&r.id()));
-        verify_cached(&r).unwrap();
+        verify_claimed(&r, None).unwrap();
         assert!(contains(&r.id()));
         // Second pass is served from the cache (still Ok).
-        verify_cached(&r).unwrap();
+        verify_claimed(&r, None).unwrap();
     }
 
     #[test]
@@ -238,7 +204,7 @@ mod tests {
         let payload_start = 1 + 20 + 8;
         bytes[payload_start] ^= 0xff;
         let tampered = Record::decode(&bytes).unwrap();
-        assert!(verify_cached(&tampered).is_err());
+        assert!(verify_claimed(&tampered, None).is_err());
         assert!(!contains(&tampered.id()));
         // The tampered id differs from the original, so a prior
         // verification of the original can never mask the tampering.

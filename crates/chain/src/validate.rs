@@ -17,8 +17,8 @@
 //! ## Fast path: cache + fan-out
 //!
 //! Signature recovery dominates validation cost, so [`validate_block`]
-//! fronts it with the [`crate::sigcache`] (records already admitted by a
-//! mempool or gossip ingest skip re-recovery entirely) and fans the
+//! fronts it with the [`crate::sigcache`] (records whose signature was
+//! checked when they were pooled skip re-recovery entirely) and fans the
 //! remaining recoveries out on a [`smartcrowd_pool::Pool`]. The parallel
 //! path is **observably identical** to the sequential one: cache lookups
 //! and insertions happen on the caller's thread in record order, results

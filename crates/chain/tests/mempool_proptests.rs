@@ -44,10 +44,11 @@ impl FlatMempool {
         self.records.is_empty()
     }
 
-    /// Seed admission: signature check, duplicate check, O(n) eviction
-    /// scan at capacity. Errors as [`Mempool::insert`].
+    /// Seed admission: signature check (through the cache, as the pool's
+    /// callers make it), duplicate check, O(n) eviction scan at capacity.
+    /// Errors as a signature check and then [`Mempool::insert`].
     fn insert(&mut self, record: Record) -> Result<(), ChainError> {
-        sigcache::verify_cached(&record)?;
+        sigcache::verify_claimed(&record, None)?;
         let id = record.id();
         if self.records.contains_key(&id) {
             return Err(ChainError::DuplicatePending { id });
@@ -193,9 +194,10 @@ proptest! {
         prop_assert_eq!(final_ids(&mut ordered), final_ids(&mut permuted));
     }
 
-    /// `insert_batch_with` returns exactly the verdicts of sequential
-    /// `insert` calls and leaves exactly the same pool behind — under
-    /// duplicates, tampered signatures and eviction pressure.
+    /// `insert_batch_with` returns exactly the verdicts of a sequential
+    /// signature check through the cache and `insert` per record, and
+    /// leaves exactly the same pool behind — under duplicates, tampered
+    /// signatures and eviction pressure.
     #[test]
     fn batch_admission_matches_serial(
         fees in proptest::collection::vec(1u64..50, 4..24),
@@ -218,7 +220,10 @@ proptest! {
         let mut serial = Mempool::new(capacity);
         let serial_results: Vec<_> = records
             .iter()
-            .map(|r| serial.insert(r.clone()))
+            .map(|r| {
+                sigcache::verify_claimed(r, None)?;
+                serial.insert(r.clone())
+            })
             .collect();
         let mut batched = Mempool::new(capacity);
         let batch_results = batched.insert_batch_with(records, &Pool::new(4));

@@ -58,7 +58,7 @@ struct Observed {
 fn observe(refs: &[&Record], threads: usize) -> Observed {
     sigcache::reset();
     for record in refs.iter().step_by(9) {
-        let _ = sigcache::verify_cached(record);
+        let _ = sigcache::verify_claimed(record, None);
     }
     let (hits, misses, repeats) = (
         counter("chain.sigcache.hit"),

@@ -263,22 +263,11 @@ impl ProviderNode {
         out
     }
 
-    /// Handles one gossip round's deliveries as a batch: the signature
-    /// recoveries for every record in the round fan out on the worker
-    /// pool first ([`smartcrowd_chain::sigcache::warm`]), then each
-    /// message is handled **sequentially in delivery order** — so the
-    /// outcomes, broadcasts and state transitions are exactly those of
-    /// per-message [`ProviderNode::handle`] calls; only the ECDSA cost is
-    /// amortized across the burst.
+    /// Handles one gossip round's deliveries in delivery order: exactly
+    /// the per-message [`ProviderNode::handle`] calls, their broadcasts
+    /// concatenated. Each record's signature is checked once, in
+    /// `Protocol::admit`, with its payload claim.
     pub fn handle_batch(&mut self, messages: Vec<Message>) -> Outbox {
-        let records: Vec<&Record> = messages
-            .iter()
-            .filter_map(|m| match m {
-                Message::Record(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        smartcrowd_chain::sigcache::warm(&records);
         let mut out = Outbox::default();
         for message in messages {
             out.broadcast.extend(self.handle(message).broadcast);
@@ -582,6 +571,46 @@ mod tests {
             credited,
             "its R* was not judged again"
         );
+    }
+
+    /// A gossip round's records are each looked up in the signature cache
+    /// once, in `Protocol::admit`: a cold transfer and a cold `R†` (its
+    /// `D_Sign` checked in its sender's pass) are one miss each and no hit.
+    /// The counters are process-global and other tests of this binary bump
+    /// them, so look for one quiet round, each with records never seen.
+    #[test]
+    fn gossip_round_looks_up_each_cold_record_once() {
+        use smartcrowd_telemetry::counter;
+        let (mut a, mut b, library) = setup_two_nodes();
+        let sra_id = release_and_sync(&mut a, &mut b, &library, vec![VulnId(1)]);
+        let lookups = || {
+            [
+                counter!("chain.sigcache.miss").get(),
+                counter!("chain.sigcache.hit").get(),
+            ]
+        };
+        let quiet = (0..64).any(|attempt| {
+            let detector = KeyPair::from_seed(format!("round detector {attempt}").as_bytes());
+            let (initial, _) =
+                create_report_pair(&detector, sra_id, Findings::new(vec![VulnId(1)], "one"));
+            let round = vec![
+                Message::Record(transfer(format!("round payer {attempt}").as_bytes(), 11)),
+                Message::Record(Record::signed(
+                    RecordKind::InitialReport,
+                    initial.encode(),
+                    Ether::from_milliether(11),
+                    0,
+                    &detector,
+                )),
+            ];
+            let pooled = b.mempool_len();
+            let before = lookups();
+            b.handle_batch(round);
+            let after = lookups();
+            assert_eq!(b.mempool_len(), pooled + 2, "both records pooled");
+            [after[0] - before[0], after[1] - before[1]] == [2, 0]
+        });
+        assert!(quiet, "no round of two cold records read 2 misses, 0 hits");
     }
 
     #[test]

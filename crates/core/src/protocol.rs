@@ -117,7 +117,9 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
     /// one the pool already holds is byte for byte the record judged when
     /// it was pooled (its id is Keccak over the whole signed encoding), and
     /// one a full pool turns away is neither indexed nor scored. Once the
-    /// switch passes, the pool takes the record.
+    /// switch passes, the pool takes the record: [`Mempool::insert`] checks
+    /// no signature, so this is the one signature check a pooled record
+    /// gets on its way in.
     ///
     /// # Errors
     ///

@@ -966,6 +966,35 @@ fn payload_signatures_checked_with_their_record_keep_every_verdict() {
             judged(admitted, &mut node, &library, make)
         ));
     }
+    // A transfer carries no payload signature: its record signature is all
+    // the gate checks, and nothing behind the gate checks it again. Neither
+    // tamper used here touches the opaque payload.
+    let bad_sigs = || {
+        smartcrowd_telemetry::global()
+            .counter("core.node.records_bad_sig", &[])
+            .get()
+    };
+    for how in [Tamper::Honest, RecordSignatureForged] {
+        let payer = detector("transfer", how);
+        let make =
+            |nonce| tampered_record(RecordKind::Transfer, &[0; 65], &[0; 32], &payer, how, nonce);
+        let mut gate = bare();
+        let admitted = gate.admit(make(10)).map(|_| ());
+        assert_eq!(gate.mempool_len(), usize::from(admitted.is_ok()));
+        if matches!(how, RecordSignatureForged) {
+            // The counter is process-global: look for one quiet refusal.
+            let counted = (0..64).any(|attempt| {
+                let before = bad_sigs();
+                assert!(!node_admits(&mut node, Message::Record(make(20 + attempt))));
+                bad_sigs() - before == 1
+            });
+            assert!(counted, "the node counted no refused record signature");
+        }
+        verdicts.push(format!(
+            "transfer {how:?}: {}",
+            judged(admitted, &mut node, &library, make)
+        ));
+    }
     // What the same cases give when every payload signature has its own
     // recovery.
     let before = [
@@ -990,6 +1019,8 @@ fn payload_signatures_checked_with_their_record_keep_every_verdict() {
         "detailed RecordSignatureForged: chain error: record rejected: signature recovers to 0x5db544c246bd4d588bf6e357caecaadf00a2c326 but record claims sender 0xe6bf66553c2b11faea4c72964e397ced5bec6f55 | pooled false | block chain error: record rejected: signature recovers to 0xe9c1334457823b17333cdeb2500a030b7d11ff08 but record claims sender 0xe6bf66553c2b11faea4c72964e397ced5bec6f55 | node block false",
         "detailed RecordSenderIsNotInnerSigner: ok | pooled true | block ok | node block true",
         "detailed IsolatedSigner: AutoVerif returned FALSE for claims [40] | pooled false | block ok | node block false",
+        "transfer Honest: ok | pooled true | block ok | node block true",
+        "transfer RecordSignatureForged: chain error: record rejected: signature recovers to 0x8706ce53ed604194af9bb5ea1d522b49597648ec but record claims sender 0xcae88de7b53e5a34b88d91fbe2900ba7b4fd4cb6 | pooled false | block chain error: record rejected: signature recovers to 0x0ee9ac6e646b07592dcafcfef630493d89bdba7b but record claims sender 0xcae88de7b53e5a34b88d91fbe2900ba7b4fd4cb6 | node block false",
     ];
     assert_eq!(verdicts, before);
 }

@@ -10,7 +10,7 @@
 //! The fleet is N node slots (running, or vacated by a crash) over one
 //! seeded [`GossipNet`] and one hash-power-weighted mining race. It owns
 //! the mechanics every multi-node harness needs — boot (and reboot) with
-//! the shared genesis allocation, the warm-then-deliver message pump, an
+//! the shared genesis allocation, the in-order message pump, an
 //! honest mining round, anti-entropy. Fault-free scenarios (the
 //! `distributed_consensus` example, the protocol goldens) call it
 //! directly; the chaos harness adds only its faults.
@@ -22,9 +22,8 @@
 //! [`Platform`]: smartcrowd_core::platform::Platform
 
 use crate::error::SimError;
-use smartcrowd_chain::record::Record;
 use smartcrowd_chain::simminer::{SimMiner, SimParticipant, PAPER_HASH_POWERS};
-use smartcrowd_chain::{sigcache, Block, ChainBackend, Difficulty, Ether};
+use smartcrowd_chain::{Block, ChainBackend, Difficulty, Ether};
 use smartcrowd_core::economics::{BLOCK_CAPACITY, PROVIDER_FUNDING};
 use smartcrowd_core::node::{Outbox, ProviderNode};
 use smartcrowd_core::sra::SraId;
@@ -215,20 +214,6 @@ impl Fleet {
                     pending: deliveries.len(),
                 });
             }
-            // Batch admission per delivery round: fan the round's record
-            // signature recoveries out on the worker pool before the
-            // sequential delivery loop below. The warm only populates the
-            // signature cache — it never changes an admission outcome —
-            // so the seeded schedule stays byte-identical at any thread
-            // count while each gossip burst pays ECDSA once, in parallel.
-            let round_records: Vec<&Record> = deliveries
-                .iter()
-                .filter_map(|d| match &d.message {
-                    Message::Record(r) => Some(r),
-                    _ => None,
-                })
-                .collect();
-            sigcache::warm(&round_records);
             for d in deliveries {
                 let idx = d.to.0;
                 if let Some(node) = &mut self.slots[idx] {
@@ -312,7 +297,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartcrowd_chain::record::RecordKind;
+    use smartcrowd_chain::record::{Record, RecordKind};
     use smartcrowd_chain::rng::SimRng;
     use smartcrowd_chain::storage::{export_chain, import_chain};
     use smartcrowd_chain::{ChainStore, CONFIRMATION_DEPTH};
