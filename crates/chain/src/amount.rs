@@ -77,11 +77,6 @@ impl Ether {
         self.0.checked_sub(rhs.0).map(Ether)
     }
 
-    /// Saturating subtraction (floors at zero).
-    pub fn saturating_sub(&self, rhs: Ether) -> Ether {
-        Ether(self.0.saturating_sub(rhs.0))
-    }
-
     /// Checked addition; `None` on overflow.
     pub fn checked_add(&self, rhs: Ether) -> Option<Ether> {
         self.0.checked_add(rhs.0).map(Ether)
@@ -202,7 +197,6 @@ mod tests {
         assert_eq!(b - a, Ether::from_ether(1));
         assert_eq!(a * 4, Ether::from_ether(8));
         assert_eq!(a.checked_sub(b), None);
-        assert_eq!(a.saturating_sub(b), Ether::ZERO);
     }
 
     #[test]

@@ -115,23 +115,14 @@ impl Block {
         Self::with_own_root(header, records)
     }
 
-    /// Computes the Merkle root over a record list.
+    /// Computes the Merkle root over a record list, folding the tree on the
+    /// calling thread from each record's leaf memo ([`Record`] hashes its
+    /// leaf once per shared body). A leaf is one double SHA-256 of a
+    /// record's few hundred bytes, well below what a thread spawn costs, so
+    /// no block the protocol seals is wide enough for a fan-out to pay
+    /// (DESIGN.md §13).
     pub(crate) fn merkle_root_of(records: &[Record]) -> Digest {
-        Self::merkle_tree_of(records).root()
-    }
-
-    /// Folds the tree on the calling thread from each record's leaf memo
-    /// ([`Record`] hashes its leaf once per shared body). A leaf is one
-    /// double SHA-256 of a record's few hundred bytes, well below what a
-    /// thread spawn costs, so no block the protocol seals is wide enough
-    /// for a fan-out to pay (DESIGN.md §13).
-    fn merkle_tree_of(records: &[Record]) -> MerkleTree {
-        MerkleTree::from_leaf_hashes(records.iter().map(Record::merkle_leaf).collect())
-    }
-
-    /// Builds the Merkle tree for proof generation.
-    pub fn merkle_tree(&self) -> MerkleTree {
-        Self::merkle_tree_of(&self.body.records)
+        MerkleTree::from_leaf_hashes(records.iter().map(Record::merkle_leaf).collect()).root()
     }
 
     /// The header.
@@ -250,6 +241,7 @@ mod tests {
     use crate::amount::Ether;
     use crate::record::RecordKind;
     use smartcrowd_crypto::keys::KeyPair;
+    use smartcrowd_crypto::sha256::sha256d;
 
     fn record(i: u64) -> Record {
         let kp = KeyPair::from_seed(format!("d{i}").as_bytes());
@@ -492,13 +484,35 @@ mod tests {
     }
 
     #[test]
-    fn merkle_proofs_cover_all_records() {
-        let b = child_with_records(7);
-        let tree = b.merkle_tree();
-        assert_eq!(tree.root(), b.header().merkle_root);
-        for (i, r) in b.records().iter().enumerate() {
-            let proof = tree.proof(i).unwrap();
-            assert!(proof.verify(&r.encode(), &b.header().merkle_root));
+    fn header_root_is_the_hand_folded_tree() {
+        // Leaf = sha256d(0x00 ‖ record encoding), node = sha256d(0x01 ‖ left
+        // ‖ right), a level of odd width pairs its last node with itself,
+        // and an empty list commits to a fixed sentinel.
+        let widest = child_with_records(8);
+        let encodings: Vec<&[u8]> = widest.records().iter().map(Record::encoded).collect();
+        let l = |i: usize| sha256d(&[&[0u8][..], encodings[i]].concat());
+        let n = |a: Digest, b: Digest| sha256d(&[&[1u8][..], &a, &b].concat());
+        let odd_pair = n(l(4), l(4));
+        let cases = [
+            (0, sha256d(b"smartcrowd-empty-merkle")),
+            (1, l(0)),
+            (2, n(l(0), l(1))),
+            (3, n(n(l(0), l(1)), n(l(2), l(2)))),
+            (5, n(n(n(l(0), l(1)), n(l(2), l(3))), n(odd_pair, odd_pair))),
+            (
+                8,
+                n(
+                    n(n(l(0), l(1)), n(l(2), l(3))),
+                    n(n(l(4), l(5)), n(l(6), l(7))),
+                ),
+            ),
+        ];
+        for (width, root) in cases {
+            assert_eq!(
+                child_with_records(width).header().merkle_root,
+                root,
+                "{width} records"
+            );
         }
     }
 }

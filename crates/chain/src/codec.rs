@@ -74,16 +74,6 @@ impl Encoder {
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
-
-    /// Current encoded length.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been encoded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
 /// A checked reader over canonical bytes.

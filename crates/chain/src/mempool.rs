@@ -244,14 +244,6 @@ impl Mempool {
         taken
     }
 
-    /// Removes one pending record by id (a record that turned out to be
-    /// invalid after admission), returning it if it was pending.
-    pub fn remove(&mut self, id: &Digest) -> Option<Record> {
-        let record = self.unindex(id)?;
-        self.update_occupancy();
-        Some(record)
-    }
-
     /// Drops records that appear in a newly-connected block.
     pub fn remove_included(&mut self, block: &Block) {
         for r in block.records() {

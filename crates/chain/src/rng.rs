@@ -115,12 +115,6 @@ impl SimRng {
             .position(|&c| w <= c)
             .unwrap_or(cumulative.len().saturating_sub(1))
     }
-
-    /// Derives an independent stream (for giving each simulated node its
-    /// own generator from one master seed).
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        SimRng::seed_from_u64(self.next_u64() ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-    }
 }
 
 #[cfg(test)]
@@ -223,14 +217,6 @@ mod tests {
         assert!((counts[0] as f64 / n as f64 - 0.50).abs() < 0.01);
         assert!((counts[1] as f64 / n as f64 - 0.25).abs() < 0.01);
         assert!((counts[2] as f64 / n as f64 - 0.25).abs() < 0.01);
-    }
-
-    #[test]
-    fn forks_are_independent_streams() {
-        let mut master = SimRng::seed_from_u64(11);
-        let mut f1 = master.fork(1);
-        let mut f2 = master.fork(2);
-        assert_ne!(f1.next_u64(), f2.next_u64());
     }
 
     #[test]

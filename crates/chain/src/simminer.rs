@@ -112,11 +112,6 @@ impl SimMiner {
         SimMiner::new(participants, seed)
     }
 
-    /// The participants, in index order.
-    pub fn participants(&self) -> &[SimParticipant] {
-        &self.participants
-    }
-
     /// The current simulated time in seconds.
     pub fn clock(&self) -> f64 {
         self.clock
@@ -228,7 +223,7 @@ mod tests {
         for _ in 0..10 {
             let (miner, timestamp) = sim.next_slot(parent.header().timestamp);
             assert!(timestamp > parent.header().timestamp);
-            assert!(sim.participants().iter().any(|p| p.address == miner));
+            assert!(sim.participants.iter().any(|p| p.address == miner));
             let block = Block::assemble(&parent, vec![], timestamp, Difficulty::from_u64(1), miner);
             assert!(block.validate_structure().is_ok());
             assert_eq!(block.header().prev, parent.id());

@@ -492,16 +492,6 @@ impl DurableStore {
         self.crash = Some(point);
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configuration this store was opened with.
-    pub fn config(&self) -> StoreConfig {
-        self.config
-    }
-
     /// Highest confirmed height. The `checkpoint` file on disk lags it
     /// by at most [`StoreConfig::snapshot_interval`] heights.
     pub fn checkpoint_height(&self) -> u64 {

@@ -22,19 +22,12 @@ use smartcrowd_detect::system::IoTSystem;
 pub struct Detector {
     keypair: KeyPair,
     scanner: Scanner,
-    capability: DetectionCapability,
-    threads: u32,
 }
 
 impl Detector {
-    /// Creates a detector with an explicit scanner and capability.
-    pub fn new(keypair: KeyPair, scanner: Scanner, capability: DetectionCapability) -> Self {
-        Detector {
-            keypair,
-            scanner,
-            capability,
-            threads: 1,
-        }
+    /// Creates a detector with an explicit scanner.
+    pub fn new(keypair: KeyPair, scanner: Scanner) -> Self {
+        Detector { keypair, scanner }
     }
 
     /// The detector's signing keys.
@@ -47,19 +40,9 @@ impl Detector {
         self.keypair.address()
     }
 
-    /// The configured capability `DC_i`.
-    pub fn capability(&self) -> DetectionCapability {
-        self.capability
-    }
-
     /// The detection engine this detector scans with.
     pub fn scanner(&self) -> &Scanner {
         &self.scanner
-    }
-
-    /// Allocated threads (the paper's capability knob).
-    pub fn threads(&self) -> u32 {
-        self.threads
     }
 
     /// Performs the §V-B detection flow against a downloaded image:
@@ -109,9 +92,7 @@ impl DetectorFleet {
                     .expect("coverage fits the library");
                 let scanner = Scanner::new(&format!("detector-{threads}t"), coverage);
                 let keypair = KeyPair::from_seed(format!("fleet-detector-{threads}").as_bytes());
-                let mut d = Detector::new(keypair, scanner, capability);
-                d.threads = threads;
-                d
+                Detector::new(keypair, scanner)
             })
             .collect();
         DetectorFleet { detectors }
@@ -171,7 +152,6 @@ mod tests {
         let d = Detector::new(
             KeyPair::from_seed(b"d"),
             Scanner::new("full", (1..=100).map(VulnId)),
-            DetectionCapability::new(1.0),
         );
         let (initial, detailed) = d.detect(&sra, &system, &library, &mut rng).unwrap();
         assert!(initial.verify().is_ok());
@@ -186,7 +166,6 @@ mod tests {
         let d = Detector::new(
             KeyPair::from_seed(b"d"),
             Scanner::new("full", (1..=100).map(VulnId)),
-            DetectionCapability::new(1.0),
         );
         assert!(d.detect(&sra, &repackaged, &library, &mut rng).is_none());
     }
@@ -194,11 +173,7 @@ mod tests {
     #[test]
     fn empty_scan_yields_no_report() {
         let (library, system, sra, mut rng) = setup();
-        let d = Detector::new(
-            KeyPair::from_seed(b"d"),
-            Scanner::new("blind", []),
-            DetectionCapability::new(0.0),
-        );
+        let d = Detector::new(KeyPair::from_seed(b"d"), Scanner::new("blind", []));
         assert!(d.detect(&sra, &system, &library, &mut rng).is_none());
     }
 
@@ -208,7 +183,7 @@ mod tests {
         let fleet = DetectorFleet::paper_fleet(&library, 0.8, 7);
         assert_eq!(fleet.len(), 8);
         for (i, d) in fleet.detectors().iter().enumerate() {
-            assert_eq!(d.threads(), i as u32 + 1);
+            assert_eq!(d.scanner().name(), format!("detector-{}t", i + 1));
         }
         // Coverage grows with thread count.
         let sizes: Vec<usize> = fleet

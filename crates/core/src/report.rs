@@ -161,16 +161,6 @@ impl InitialBody {
     pub fn detector(&self) -> Address {
         self.detector
     }
-
-    /// The commitment `H_{R*}` to the unrevealed detailed report.
-    pub fn commitment(&self) -> &Digest {
-        &self.commitment
-    }
-
-    /// The payee wallet `W_{D_i}`.
-    pub fn wallet(&self) -> Address {
-        self.wallet
-    }
 }
 
 impl DetailedBody {
@@ -402,7 +392,7 @@ mod wallet_tests {
             Findings::new(vec![VulnId(1)], "x"),
             treasury,
         );
-        assert_eq!(initial.wallet(), treasury);
+        assert_eq!(initial.body.wallet, treasury);
         assert_eq!(detailed.wallet(), treasury);
         assert_ne!(initial.detector(), treasury);
         assert!(initial.verify().is_ok());
@@ -413,6 +403,6 @@ mod wallet_tests {
     fn default_pair_pays_the_detector_itself() {
         let kp = KeyPair::from_seed(b"solo");
         let (initial, _) = create_report_pair(&kp, [2u8; 32], Findings::new(vec![VulnId(1)], "x"));
-        assert_eq!(initial.wallet(), kp.address());
+        assert_eq!(initial.body.wallet, kp.address());
     }
 }

@@ -151,11 +151,6 @@ impl SraBody {
         &self.image_hash
     }
 
-    /// Download link `U_l`.
-    pub fn link(&self) -> &str {
-        &self.link
-    }
-
     /// Insurance deposit `I_i`.
     pub fn insurance(&self) -> Ether {
         self.insurance

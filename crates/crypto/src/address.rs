@@ -40,11 +40,6 @@ impl Address {
         &self.0
     }
 
-    /// Returns `true` for the zero (system) address.
-    pub fn is_zero(&self) -> bool {
-        self.0 == [0u8; 20]
-    }
-
     /// Deterministically derives a labelled address for tests/simulations
     /// (keccak of the label, truncated). Not related to any key pair.
     pub fn from_label(label: &str) -> Self {
@@ -108,8 +103,8 @@ mod tests {
 
     #[test]
     fn zero_address() {
-        assert!(Address::ZERO.is_zero());
-        assert!(!Address::from_label("x").is_zero());
+        assert_eq!(Address::ZERO.0, [0u8; 20]);
+        assert_ne!(Address::from_label("x"), Address::ZERO);
     }
 
     #[test]

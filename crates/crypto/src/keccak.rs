@@ -1,10 +1,10 @@
-//! Keccak-256 and SHA3-256 (the Keccak-f\[1600\] sponge).
+//! Keccak-256 (the Keccak-f\[1600\] sponge).
 //!
 //! The SmartCrowd prototype computes every protocol identifier with "SHA-3"
 //! through the Ethereum stack (§VII), i.e. the original Keccak-256 padding,
 //! which differs from FIPS-202 SHA3-256 only in the domain-separation byte.
-//! Both variants are provided; the platform uses [`keccak256`] everywhere an
-//! Ethereum-compatible hash is required (addresses, `Δ_id`, `ID†`, `ID*`).
+//! The platform uses [`keccak256`] everywhere an Ethereum-compatible hash is
+//! required (addresses, `Δ_id`, `ID†`, `ID*`).
 
 const RC: [u64; 24] = [
     0x0000000000000001,
@@ -81,7 +81,7 @@ fn keccak_f(state: &mut [u64; 25]) {
     }
 }
 
-fn keccak_sponge_256(data: &[u8], domain: u8) -> [u8; 32] {
+fn keccak_sponge_256(data: &[u8]) -> [u8; 32] {
     const RATE: usize = 136; // 1088-bit rate for 256-bit output
     let mut state = [0u64; 25];
     let mut offset = 0;
@@ -95,7 +95,7 @@ fn keccak_sponge_256(data: &[u8], domain: u8) -> [u8; 32] {
     let mut block = [0u8; RATE];
     let tail = &data[offset..];
     block[..tail.len()].copy_from_slice(tail);
-    block[tail.len()] ^= domain;
+    block[tail.len()] ^= 0x01; // Keccak padding, not FIPS-202's 0x06
     block[RATE - 1] ^= 0x80;
     absorb_block(&mut state, &block);
     keccak_f(&mut state);
@@ -129,12 +129,7 @@ fn absorb_block(state: &mut [u64; 25], block: &[u8]) {
 /// );
 /// ```
 pub fn keccak256(data: &[u8]) -> [u8; 32] {
-    keccak_sponge_256(data, 0x01)
-}
-
-/// FIPS-202 SHA3-256 (`0x06` domain padding).
-pub fn sha3_256(data: &[u8]) -> [u8; 32] {
-    keccak_sponge_256(data, 0x06)
+    keccak_sponge_256(data)
 }
 
 #[cfg(test)]
@@ -159,24 +154,12 @@ mod tests {
     }
 
     #[test]
-    fn sha3_256_empty() {
-        assert_eq!(
-            hex::encode(&sha3_256(b"")),
+    fn keccak_differs_from_sha3() {
+        // FIPS-202 SHA3-256 of the empty string: same sponge, 0x06 padding.
+        assert_ne!(
+            hex::encode(&keccak256(b"")),
             "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a"
         );
-    }
-
-    #[test]
-    fn sha3_256_abc() {
-        assert_eq!(
-            hex::encode(&sha3_256(b"abc")),
-            "3a985da74fe225b2045c172d6bd390bd855f086e3e9d525b46bfe24511431532"
-        );
-    }
-
-    #[test]
-    fn keccak_differs_from_sha3() {
-        assert_ne!(keccak256(b"smartcrowd"), sha3_256(b"smartcrowd"));
     }
 
     #[test]

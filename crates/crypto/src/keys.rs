@@ -43,11 +43,6 @@ impl PrivateKey {
         }
     }
 
-    /// The underlying scalar.
-    pub fn scalar(&self) -> Scalar {
-        self.0
-    }
-
     /// Computes the corresponding public key.
     pub(crate) fn public_key(&self) -> PublicKey {
         match Point::mul_generator(&self.0) {
@@ -166,11 +161,6 @@ impl KeyPair {
         Self::from_private(PrivateKey::from_seed(seed))
     }
 
-    /// The private half.
-    pub fn private(&self) -> &PrivateKey {
-        &self.private
-    }
-
     /// The public half.
     pub fn public(&self) -> &PublicKey {
         &self.public
@@ -270,8 +260,7 @@ mod tests {
 
     #[test]
     fn debug_never_leaks_private_scalar() {
-        let kp = KeyPair::from_seed(b"secret");
-        let s = format!("{:?}", kp.private());
+        let s = format!("{:?}", PrivateKey::from_seed(b"secret"));
         assert!(s.contains("redacted"));
         assert!(!s.contains("0x"));
     }

@@ -7,7 +7,7 @@
 //!
 //! The representation is four little-endian `u64` limbs. All arithmetic is
 //! explicit about overflow: callers choose [`U256::overflowing_add`],
-//! [`U256::wrapping_sub`], [`U256::checked_sub`], etc.
+//! [`U256::wrapping_sub`], [`U256::checked_add`], etc.
 
 use crate::error::CryptoError;
 use crate::hex;
@@ -177,14 +177,6 @@ impl U256 {
         self.overflowing_sub(rhs).0
     }
 
-    /// Checked subtraction; `None` on underflow.
-    pub fn checked_sub(&self, rhs: &U256) -> Option<U256> {
-        match self.overflowing_sub(rhs) {
-            (v, false) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Full 256×256 → 512-bit multiplication, returned as eight
     /// little-endian limbs.
     #[inline]
@@ -277,15 +269,6 @@ impl U256 {
             }
         }
         (quotient, remainder)
-    }
-
-    /// `self % modulus` (convenience over [`U256::div_rem`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `modulus` is zero.
-    pub fn rem(&self, modulus: &U256) -> U256 {
-        self.div_rem(modulus).1
     }
 
     /// Inverse of `self` modulo an odd prime `m`, for `self < m`, by the
@@ -506,7 +489,6 @@ mod tests {
         let a = U256([0, 0, 1, 0]);
         let b = U256::ONE;
         assert_eq!(a.wrapping_sub(&b), U256([u64::MAX, u64::MAX, 0, 0]));
-        assert_eq!(U256::ZERO.checked_sub(&U256::ONE), None);
         let (v, borrow) = U256::ZERO.overflowing_sub(&U256::ONE);
         assert!(borrow);
         assert_eq!(v, U256::MAX);

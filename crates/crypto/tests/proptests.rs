@@ -1,15 +1,14 @@
 //! Property-based tests for the cryptographic substrate.
 //!
 //! These pin the algebraic invariants the SmartCrowd protocol relies on:
-//! ring axioms of `U256`, field/group laws of secp256k1, signature
-//! soundness, and Merkle-tree commitment binding.
+//! ring axioms of `U256`, field/group laws of secp256k1 and signature
+//! soundness.
 
 use proptest::prelude::*;
 use smartcrowd_crypto::ecdsa;
 use smartcrowd_crypto::field::FieldElement;
 use smartcrowd_crypto::hex;
 use smartcrowd_crypto::keys::KeyPair;
-use smartcrowd_crypto::merkle::MerkleTree;
 use smartcrowd_crypto::point::Point;
 use smartcrowd_crypto::scalar::Scalar;
 use smartcrowd_crypto::sha256::sha256;
@@ -187,28 +186,4 @@ proptest! {
         prop_assert_eq!(h.finalize(), sha256(&data));
     }
 
-    // ---- Merkle binding ----------------------------------------------------
-
-    #[test]
-    fn merkle_all_leaves_prove(leaves in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 1..24)) {
-        let tree = MerkleTree::from_leaves(leaves.iter().map(|l| l.as_slice()));
-        let root = tree.root();
-        for (i, leaf) in leaves.iter().enumerate() {
-            let proof = tree.proof(i).unwrap();
-            prop_assert!(proof.verify(leaf, &root));
-        }
-    }
-
-    #[test]
-    fn merkle_proof_rejects_other_leaf(
-        leaves in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..32), 2..16),
-        idx in 0usize..16,
-    ) {
-        let idx = idx % leaves.len();
-        let other = (idx + 1) % leaves.len();
-        prop_assume!(leaves[idx] != leaves[other]);
-        let tree = MerkleTree::from_leaves(leaves.iter().map(|l| l.as_slice()));
-        let proof = tree.proof(idx).unwrap();
-        prop_assert!(!proof.verify(&leaves[other], &tree.root()));
-    }
 }

@@ -5,7 +5,7 @@
 
 use smartcrowd_crypto::hex;
 use smartcrowd_crypto::hmac::hmac_sha256;
-use smartcrowd_crypto::keccak::{keccak256, sha3_256};
+use smartcrowd_crypto::keccak::keccak256;
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::sha256::sha256;
 
@@ -32,14 +32,6 @@ fn keccak256_fox() {
     assert_eq!(
         hex::encode(&keccak256(FOX)),
         "4d741b6f1eb29cb2a9b9911c82f56fa8d73b04959d3d9d222895df6c0b28aa15"
-    );
-}
-
-#[test]
-fn sha3_256_fox() {
-    assert_eq!(
-        hex::encode(&sha3_256(FOX)),
-        "69070dda01975c8c120c3aada1b282394e7f032fa9cf32f4cb2259a0897dfc04"
     );
 }
 
@@ -83,11 +75,7 @@ fn signature_is_verifiable_across_fresh_parse() {
 fn empty_input_digests_are_all_distinct() {
     // A classic copy-paste regression: two hash functions accidentally
     // sharing an implementation would collide on the empty string.
-    let digests = [
-        hex::encode(&sha256(b"")),
-        hex::encode(&keccak256(b"")),
-        hex::encode(&sha3_256(b"")),
-    ];
+    let digests = [hex::encode(&sha256(b"")), hex::encode(&keccak256(b""))];
     for i in 0..digests.len() {
         for j in i + 1..digests.len() {
             assert_ne!(digests[i], digests[j], "{i} vs {j}");

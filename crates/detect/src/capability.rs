@@ -42,21 +42,6 @@ impl CapabilityPool {
         self.capabilities.push(capability);
     }
 
-    /// Number of detectors (`m`).
-    pub fn len(&self) -> usize {
-        self.capabilities.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.capabilities.is_empty()
-    }
-
-    /// Per-detector capabilities.
-    pub fn capabilities(&self) -> &[DetectionCapability] {
-        &self.capabilities
-    }
-
     /// The recording proportions `ρ_i`: the probability that detector `i`'s
     /// result is the one recorded for a vulnerability. A result is recorded
     /// only if not submitted before (§VI-B), so `ρ` splits each
@@ -136,7 +121,7 @@ mod tests {
         let small = paper_detectors(0.6);
         let mut large = paper_detectors(0.6);
         for _ in 0..5 {
-            for c in paper_detectors(0.6).capabilities() {
+            for c in &paper_detectors(0.6).capabilities {
                 large.push(*c);
             }
         }
@@ -181,7 +166,7 @@ mod tests {
     #[test]
     fn coverage_dominates_any_single_detector() {
         let pool = paper_detectors(0.8);
-        let best = pool.capabilities().iter().map(|c| c.dc).fold(0.0, f64::max);
+        let best = pool.capabilities.iter().map(|c| c.dc).fold(0.0, f64::max);
         assert!(pool.coverage() > best);
     }
 }

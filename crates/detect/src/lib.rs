@@ -22,9 +22,7 @@
 //! - [`autoverif`] — the `AutoVerif()` engine of Eq. 6 that IoT providers
 //!   run against detailed reports;
 //! - [`corpus`] — the Table-I experiment setup: two apps, six third-party
-//!   scanner profiles calibrated to the published counts;
-//! - [`fuzzer`] — the §VIII dynamic/fuzz-testing path: signature-free
-//!   discovery with a realistic diminishing-returns campaign curve.
+//!   scanner profiles calibrated to the published counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +31,6 @@ pub mod autoverif;
 pub mod capability;
 pub mod corpus;
 pub mod error;
-pub mod fuzzer;
 pub mod library;
 pub mod scanner;
 pub mod scoring;

@@ -124,10 +124,7 @@ pub struct GossipNet {
     /// on a real network, where cutting a link does not recall packets
     /// already on the wire.
     partition: Vec<usize>,
-    sent: u64,
-    dropped: u64,
     duplicated: u64,
-    bytes: u64,
 }
 
 /// The `net.gossip.sent{type=…}` counter for a message's wire type.
@@ -153,10 +150,7 @@ impl GossipNet {
             clock: 0.0,
             seq: 0,
             partition: Vec::new(),
-            sent: 0,
-            dropped: 0,
             duplicated: 0,
-            bytes: 0,
         }
     }
 
@@ -166,26 +160,6 @@ impl GossipNet {
         self.nodes += 1;
         self.partition.push(0);
         id
-    }
-
-    /// Number of registered nodes.
-    pub fn len(&self) -> usize {
-        self.nodes
-    }
-
-    /// Whether no node is registered.
-    pub fn is_empty(&self) -> bool {
-        self.nodes == 0
-    }
-
-    /// The simulated clock (seconds).
-    pub fn clock(&self) -> f64 {
-        self.clock
-    }
-
-    /// `(sent, dropped, bytes)` counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.sent, self.dropped, self.bytes)
     }
 
     /// Messages that were delivered twice by link-level duplication.
@@ -231,12 +205,9 @@ impl GossipNet {
         }
         let link = self.link;
         let size = message.wire_size() as u64;
-        self.sent += 1;
-        self.bytes += size;
         sent_counter(&message).inc();
         smartcrowd_telemetry::counter!("net.gossip.bytes").add(size);
         if !self.reachable(from, to) || self.rng.next_bool(link.drop_rate) {
-            self.dropped += 1;
             smartcrowd_telemetry::counter!("net.gossip.dropped").inc();
             return Ok(());
         }
@@ -346,7 +317,7 @@ mod tests {
         let d = n.drain().pop().unwrap();
         assert_eq!(d.to, b);
         assert!(d.at >= 0.1 && d.at <= 0.15);
-        assert!(n.clock() >= 0.1);
+        assert!(n.clock >= 0.1);
     }
 
     #[test]
@@ -383,9 +354,6 @@ mod tests {
         }
         let delivered = n.drain().len();
         assert!(delivered > 350 && delivered < 650, "delivered {delivered}");
-        let (sent, dropped, _) = n.stats();
-        assert_eq!(sent, 1000);
-        assert_eq!(dropped as usize, 1000 - delivered);
     }
 
     #[test]
@@ -455,8 +423,6 @@ mod tests {
         }
         assert_eq!(n.drain().len(), 20, "every message duplicated");
         assert_eq!(n.duplicated(), 10);
-        let (sent, _, _) = n.stats();
-        assert_eq!(sent, 10, "duplicates are a link fault, not extra sends");
     }
 
     #[test]
@@ -505,15 +471,5 @@ mod tests {
         n.send(a, b, msg()).unwrap();
         n.partition(&[b]);
         assert_eq!(n.drain().len(), 1, "packets on the wire are not recalled");
-    }
-
-    #[test]
-    fn byte_accounting() {
-        let mut n = net(0.0);
-        let a = n.register();
-        let b = n.register();
-        n.send(a, b, msg()).unwrap();
-        let (_, _, bytes) = n.stats();
-        assert_eq!(bytes, 32);
     }
 }

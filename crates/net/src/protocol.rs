@@ -40,17 +40,6 @@ pub enum Message {
 }
 
 impl Message {
-    /// A short tag for logging and statistics.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Message::Record(_) => "record",
-            Message::Block(_) => "block",
-            Message::ImageRequest { .. } => "image-request",
-            Message::ImageResponse { .. } => "image-response",
-            Message::BlockRequest { .. } => "block-request",
-        }
-    }
-
     /// Exact size in bytes (for bandwidth accounting): the length of the
     /// canonical encoding of a record or block, read off the bytes they
     /// already hold rather than by encoding them.
@@ -77,11 +66,9 @@ mod tests {
         let kp = KeyPair::from_seed(b"n");
         let record = Record::signed(RecordKind::Transfer, vec![1, 2, 3], Ether::ZERO, 0, &kp);
         let m = Message::Record(record);
-        assert_eq!(m.tag(), "record");
         assert!(m.wire_size() > 90);
 
         let b = Message::Block(Box::new(Block::genesis(Difficulty::from_u64(1))));
-        assert_eq!(b.tag(), "block");
         assert!(b.wire_size() > 50);
 
         let req = Message::ImageRequest {

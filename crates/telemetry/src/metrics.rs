@@ -157,11 +157,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// The configured bucket upper bounds.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
     /// A point-in-time copy of the histogram state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count.load(Ordering::Relaxed);

@@ -129,7 +129,7 @@ impl Interval {
     }
 
     /// Abstract modulo with the VM's `x % 0 = 0` convention.
-    pub fn rem(&self, rhs: &Interval) -> Interval {
+    pub(crate) fn rem(&self, rhs: &Interval) -> Interval {
         if rhs.is_zero() {
             return Interval::exact(U256::ZERO);
         }

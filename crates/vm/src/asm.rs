@@ -1,4 +1,4 @@
-//! A two-pass assembler (and disassembler) for SCVM bytecode.
+//! A two-pass assembler for SCVM bytecode.
 //!
 //! The SmartCrowd incentive contracts in `smartcrowd-core` are written in
 //! this assembly — the analogue of the paper's 350 lines of Solidity (§VII).
@@ -69,15 +69,6 @@ impl SourceMap {
             return None;
         }
         self.spans.range(..=pc).next_back().map(|(_, s)| *s)
-    }
-
-    /// Human-readable position of `pc`: `"line L, column C"` when mapped,
-    /// `"pc N"` otherwise.
-    pub fn describe(&self, pc: usize) -> String {
-        match self.enclosing(pc) {
-            Some(span) => format!("line {}, column {}", span.line, span.col),
-            None => format!("pc {pc}"),
-        }
     }
 
     /// The program counter a [`VmError`] points at, when it carries one.
@@ -292,42 +283,6 @@ pub fn assemble_with_source_map(source: &str) -> Result<(Vec<u8>, SourceMap), Vm
     Ok((code, map))
 }
 
-/// Disassembles bytecode back into listing form.
-///
-/// # Errors
-///
-/// Returns [`VmError::InvalidOpcode`] or [`VmError::TruncatedImmediate`] on
-/// malformed code.
-pub fn disassemble(code: &[u8]) -> Result<String, VmError> {
-    let mut out = String::new();
-    let mut pc = 0usize;
-    while pc < code.len() {
-        let op = Op::from_byte(code[pc])?;
-        let imm = op.immediate_len();
-        if pc + 1 + imm > code.len() {
-            return Err(VmError::TruncatedImmediate { pc });
-        }
-        out.push_str(&format!("{pc:6}: {}", op.mnemonic()));
-        match op {
-            Op::Push8 => {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&code[pc + 1..pc + 9]);
-                out.push_str(&format!(" {}", u64::from_be_bytes(b)));
-            }
-            Op::Push32 => {
-                let mut b = [0u8; 32];
-                b.copy_from_slice(&code[pc + 1..pc + 33]);
-                out.push_str(&format!(" {}", U256::from_be_bytes(&b).to_hex()));
-            }
-            Op::Dup | Op::Swap => out.push_str(&format!(" {}", code[pc + 1])),
-            _ => {}
-        }
-        out.push('\n');
-        pc += 1 + imm;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,16 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn disassemble_roundtrip_structure() {
-        let source = "PUSH 7\nPUSH 3\nSUB\nRETURNVAL\n";
-        let code = assemble(source).unwrap();
-        let listing = disassemble(&code).unwrap();
-        assert!(listing.contains("PUSH 7"));
-        assert!(listing.contains("SUB"));
-        assert!(listing.contains("RETURNVAL"));
-    }
-
-    #[test]
     fn operand_arity_checked() {
         assert!(matches!(assemble("ADD 1\n"), Err(VmError::Parse { .. })));
         assert!(matches!(assemble("PUSH\n"), Err(VmError::Parse { .. })));
@@ -457,11 +402,7 @@ mod tests {
         // pc 5 is inside the PUSH immediate: report the PUSH's span.
         assert_eq!(map.enclosing(5), Some(Span { line: 1, col: 1 }));
         assert_eq!(map.spans.get(&5), None);
-        assert!(map.describe(5).contains("line 1"));
-        assert!(
-            map.describe(999).contains("pc 999"),
-            "unmapped pc falls back"
-        );
+        assert_eq!(map.enclosing(999), None, "past the end");
     }
 
     #[test]

@@ -111,12 +111,6 @@ impl CoverageMap {
         self.write.fill(0);
     }
 
-    /// Records a synthetic fault edge so distinct trap classes at the
-    /// same pc land in distinct slots.
-    pub fn fault(&mut self, pc: usize, class: u8) {
-        self.edge(pc, usize::MAX - class as usize);
-    }
-
     /// Slots with a nonzero hit count, per map: `(jmp, read, write)`.
     pub fn hit_slots(&self) -> (usize, usize, usize) {
         (
@@ -282,17 +276,19 @@ mod tests {
     fn clear_resets_all_maps() {
         let mut map = CoverageMap::new();
         map.edge(0, 1);
-        map.fault(9, 3);
+        map.read(&U256::ONE);
+        map.write(&U256::ONE);
         map.clear();
         assert_eq!(map.hit_slots(), (0, 0, 0));
     }
 
     #[test]
     fn distinct_fault_classes_hit_distinct_slots() {
+        // The executor's synthetic fault edge runs to `usize::MAX - class`.
         let mut a = CoverageMap::new();
-        a.fault(4, 1);
+        a.edge(4, usize::MAX - 1);
         let mut b = CoverageMap::new();
-        b.fault(4, 2);
+        b.edge(4, usize::MAX - 2);
         let mut acc = CoverageAccumulator::new();
         assert!(acc.add(&a));
         assert!(acc.add(&b));

@@ -214,21 +214,6 @@ impl OpClass {
             OpClass::Halt => 8,
         }
     }
-
-    /// The class's telemetry label value.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpClass::Stack => "stack",
-            OpClass::Arith => "arith",
-            OpClass::Crypto => "crypto",
-            OpClass::Env => "env",
-            OpClass::Storage => "storage",
-            OpClass::Memory => "memory",
-            OpClass::Control => "control",
-            OpClass::Value => "value",
-            OpClass::Halt => "halt",
-        }
-    }
 }
 
 impl Op {
@@ -352,7 +337,7 @@ impl Op {
 ///
 /// Returns [`VmError::InvalidOpcode`] for undecodable bytes and
 /// [`VmError::TruncatedImmediate`] when an immediate runs past the end.
-pub fn analyze_jumpdests(code: &[u8]) -> Result<Vec<usize>, VmError> {
+pub(crate) fn analyze_jumpdests(code: &[u8]) -> Result<Vec<usize>, VmError> {
     let mut targets = Vec::new();
     let mut pc = 0usize;
     while pc < code.len() {

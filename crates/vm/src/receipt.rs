@@ -36,12 +36,6 @@ impl Receipt {
             fault: None,
         }
     }
-
-    /// Whether execution reverted via the `REVERT` opcode (as opposed to a
-    /// VM fault).
-    pub fn reverted(&self) -> bool {
-        self.revert_code.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -52,7 +46,7 @@ mod tests {
     fn success_constructor() {
         let r = Receipt::success(100, Ether::from_wei(100));
         assert!(r.success);
-        assert!(!r.reverted());
+        assert!(r.revert_code.is_none());
         assert!(r.fault.is_none());
     }
 }

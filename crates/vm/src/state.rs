@@ -4,7 +4,7 @@
 //! the same prior state, so deterministic state transition here is what
 //! makes "each detection result … reliable and correct" (§V-C) checkable by
 //! all parties. A change journal gives O(changes) atomic rollback for
-//! failed calls (full snapshots remain available for testing).
+//! failed calls.
 
 use crate::error::VmError;
 use smartcrowd_chain::codec::Encoder;
@@ -258,29 +258,9 @@ impl WorldState {
         prev.is_none()
     }
 
-    /// Takes a full snapshot for atomic revert.
-    pub fn snapshot(&self) -> WorldState {
-        self.clone()
-    }
-
-    /// Restores a snapshot.
-    pub fn restore(&mut self, snapshot: WorldState) {
-        *self = snapshot;
-    }
-
     /// Total currency in circulation (conservation-law checks in tests).
     pub fn total_supply(&self) -> Ether {
         self.accounts.values().map(|a| a.balance).sum()
-    }
-
-    /// Number of accounts ever touched.
-    pub fn len(&self) -> usize {
-        self.accounts.len()
-    }
-
-    /// Whether no account exists.
-    pub fn is_empty(&self) -> bool {
-        self.accounts.is_empty()
     }
 }
 
@@ -378,10 +358,10 @@ mod tests {
     fn snapshot_restore_roundtrip() {
         let mut s = WorldState::new();
         s.credit(addr("a"), Ether::from_ether(1));
-        let snap = s.snapshot();
+        let snap = s.clone();
         s.credit(addr("a"), Ether::from_ether(99));
         s.storage_set(addr("c"), U256::ONE, U256::ONE);
-        s.restore(snap);
+        s = snap;
         assert_eq!(s.balance(&addr("a")), Ether::from_ether(1));
         assert_eq!(s.storage_get(&addr("c"), &U256::ONE), U256::ZERO);
     }

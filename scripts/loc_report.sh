@@ -11,7 +11,9 @@
 # file counts as deleted at its old path and new at its new one).
 #
 # Below the table: the uncalled `pub fn` count of scripts/surface_report.sh
-# at <base-ref> and in the checkout (the checkout's script runs on both).
+# and the unlinked-function count of scripts/reach_report.sh at <base-ref>
+# and in the checkout (the checkout's scripts run on both; the second
+# builds both trees, about a minute each).
 set -euo pipefail
 
 base=${1:?usage: loc_report.sh <base-ref>}
@@ -37,7 +39,9 @@ base_tree=$(mktemp -d)
 trap 'rm -rf "$base_tree"' EXIT
 git archive "$base" | tar -x -C "$base_tree"
 mkdir -p "$base_tree/scripts"
-cp scripts/surface_report.sh "$base_tree/scripts/"
+cp scripts/surface_report.sh scripts/reach_report.sh "$base_tree/scripts/"
 uncalled() { bash "$1/scripts/surface_report.sh" | sed -nE 's/^uncalled pub fn: ([0-9]+) .*/\1/p'; }
+unlinked() { bash "$1/scripts/reach_report.sh" | sed -nE 's/^unlinked fn: ([0-9]+) .*/\1/p'; }
 echo
 echo "uncalled pub fn: $(uncalled "$base_tree") base, $(uncalled .) head"
+echo "unlinked fn: $(unlinked "$base_tree") base, $(unlinked .) head"

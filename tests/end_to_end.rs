@@ -170,3 +170,39 @@ fn detector_without_initial_cannot_reveal() {
     let err = p.submit_detailed(&d, detailed).unwrap_err();
     assert_eq!(err, smartcrowd::core::CoreError::InitialNotConfirmed);
 }
+
+#[test]
+fn double_claims_of_one_vulnerability_are_paid_once() {
+    // Two detectors report the same bug; the platform's first-confirmer
+    // rule pays only once.
+    let mut p = platform();
+    let mut rng = SimRng::seed_from_u64(22);
+    let system = IoTSystem::build("fw", "1", p.library(), vec![VulnId(9)], &mut rng).unwrap();
+    let sra_id = p
+        .release_system(0, system, Ether::from_ether(1000), Ether::from_ether(25))
+        .unwrap();
+
+    let a = KeyPair::from_seed(b"first-finder");
+    let b = KeyPair::from_seed(b"second-finder");
+    for kp in [&a, &b] {
+        p.fund(kp.address(), Ether::from_ether(10));
+        let (initial, _) = create_report_pair(
+            kp,
+            sra_id,
+            Findings::new(vec![VulnId(9)], "same finding, different wording"),
+        );
+        p.submit_initial(kp, initial).unwrap();
+    }
+    p.mine_blocks(8);
+    for kp in [&a, &b] {
+        let (_, detailed) = create_report_pair(
+            kp,
+            sra_id,
+            Findings::new(vec![VulnId(9)], "same finding, different wording"),
+        );
+        p.submit_detailed(kp, detailed).unwrap();
+    }
+    let payouts = p.mine_blocks(10);
+    let total: u64 = payouts.iter().map(|pp| pp.vulnerabilities).sum();
+    assert_eq!(total, 1, "the vulnerability is paid exactly once");
+}

@@ -1,6 +1,6 @@
 //! Cross-substrate integration: records travelling over the gossip
 //! network into provider mempools and onto the chain; the VM applying
-//! block economics; Merkle proofs serving lightweight detectors.
+//! block economics.
 
 use smartcrowd::chain::mempool::Mempool;
 use smartcrowd::chain::pow::Miner;
@@ -95,35 +95,6 @@ fn partitioned_provider_catches_up_via_block_sync() {
     }
     assert_eq!(lagging_store.best_height(), 3);
     assert_eq!(lagging_store.best_tip(), main_store.best_tip());
-}
-
-#[test]
-fn lightweight_detector_verifies_inclusion_by_merkle_proof() {
-    // A detector that stores no chain can verify its report landed: it
-    // needs only the block header and a logarithmic proof (§V-B).
-    let genesis = Block::genesis(Difficulty::from_u64(1));
-    let mut store = ChainStore::new(genesis.clone());
-    let records: Vec<Record> = (0..16).map(record).collect();
-    let mine = Miner::new(Address::from_label("p"));
-    let block = mine
-        .mine_next(&genesis, records.clone(), genesis.header().timestamp + 15)
-        .unwrap();
-    store.insert(block.clone()).unwrap();
-
-    let my_record = &records[9];
-    let tree = block.merkle_tree();
-    let index = block
-        .records()
-        .iter()
-        .position(|r| r.id() == my_record.id())
-        .unwrap();
-    let proof = tree.proof(index).unwrap();
-    // The detector holds: header root + proof + its own record bytes.
-    assert!(proof.verify(&my_record.encode(), &block.header().merkle_root));
-    // And the proof is logarithmic, not linear.
-    assert!(proof.depth() <= 5);
-    // A different record fails against the same proof.
-    assert!(!proof.verify(&records[2].encode(), &block.header().merkle_root));
 }
 
 #[test]
