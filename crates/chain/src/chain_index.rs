@@ -77,18 +77,6 @@ impl ChainIndex {
         Self::new(genesis.header().clone(), ids_of(genesis))
     }
 
-    /// Replays untrusted blocks (genesis first, parents before children)
-    /// into a fresh index through [`ChainIndex::extend_pinned`]; an empty
-    /// sequence or one not starting at height 0 is a [`ChainError::Codec`].
-    pub(crate) fn replay_pinned(blocks: &[Block]) -> Result<Self, ChainError> {
-        let (genesis, rest) = blocks.split_first().ok_or_else(|| ChainError::Codec {
-            detail: "no blocks to replay".to_string(),
-        })?;
-        let mut index = Self::rooted_at_untrusted(genesis)?;
-        index.extend_pinned(rest)?;
-        Ok(index)
-    }
-
     /// An index rooted at the first block of an untrusted sequence; one
     /// not at height 0 is a [`ChainError::Codec`].
     pub(crate) fn rooted_at_untrusted(genesis: &Block) -> Result<Self, ChainError> {
@@ -98,18 +86,6 @@ impl ChainIndex {
             });
         }
         Ok(Self::rooted_at(genesis))
-    }
-
-    /// Inserts untrusted blocks in order, stopping at the first one that
-    /// fails [`ChainIndex::check_block`], the check a live insert runs.
-    pub(crate) fn extend_pinned<'a>(
-        &mut self,
-        blocks: impl IntoIterator<Item = &'a Block>,
-    ) -> Result<(), ChainError> {
-        for block in blocks {
-            self.insert_block(block)?;
-        }
-        Ok(())
     }
 
     /// Every block declares the genesis difficulty.

@@ -10,11 +10,11 @@
 //! cold frames back from `blocks.log` with a single seek plus
 //! checksum-verified decode. Reopen cost is O(snapshot + log tail) when a
 //! valid `state.snap` exists, falling back to the full-log scan
-//! otherwise. Either way the log streams past one frame at a time, and
-//! open holds no more bodies than the cache will. See DESIGN.md §15 and
-//! STORAGE.md.
+//! otherwise. Either way the log streams past one frame at a time into
+//! the cache, as commits fill it, so open holds no more bodies than the
+//! cache will. See DESIGN.md §15 and STORAGE.md.
 
-use super::cache::{BlockCache, Residents};
+use super::cache::BlockCache;
 use super::disk::{self, write_atomic, DiskFile};
 use super::log::{BlockLog, FrameReader, LogEntry};
 use super::snapshot::{self, Snapshot, SnapshotEntry, SnapshotRead, SNAPSHOT_FILE};
@@ -63,9 +63,9 @@ struct Recovered {
     entries: Vec<LogEntry>,
     valid_len: u64,
     torn: bool,
-    /// The bodies recovery decoded anyway (full scan: all; snapshot
-    /// path: the tail) that the cache keeps once the floor is set.
-    residents: Residents,
+    /// The cache the replayed bodies (full scan: all; snapshot path: the
+    /// tail) went into, as each would on commit.
+    cache: BlockCache,
     /// A genesis block to append to a freshly-seeded log.
     seeded_genesis: Option<Block>,
 }
@@ -154,7 +154,6 @@ impl DurableStore {
         let log_path = dir.join("blocks.log");
         let mut log = BlockLog::open(&log_path)?;
         let was_fresh = log.len_bytes() == 0;
-        let mut cache = BlockCache::new(config.cache_capacity);
         let snap_path = dir.join(SNAPSHOT_FILE);
 
         // Classify the snapshot before any replay: a valid one serves
@@ -181,7 +180,7 @@ impl DurableStore {
             entries,
             valid_len,
             torn,
-            residents,
+            cache,
             seeded_genesis,
         } = match adopted {
             Some(r) => r,
@@ -219,10 +218,6 @@ impl DurableStore {
             // A new log's name is durable only once its directory is.
             disk::sync_parent(&log_path)?;
         }
-
-        // Warm the cache with the bodies recovery kept; the floor advance
-        // in `maintain` below demotes them, in log order, and evicts none.
-        cache.fill(residents);
 
         counter!("chain.storage.opens").inc();
         if report.torn_truncated {
@@ -560,8 +555,8 @@ fn count_corrupt(e: &StorageError) {
 }
 
 /// Replays the frames left in `frames` into `index`, one block at a time
-/// through the check a live commit runs, offering each body to
-/// `residents`. A refused block ends the replay but not the scan: the
+/// through the check a live commit runs, then into `cache` as a commit
+/// puts it there. A refused block ends the replay but not the scan: the
 /// frames after it are still read, so a damaged frame anywhere in the
 /// log is reported ahead of the refusal, which comes back as the inner
 /// `Err`.
@@ -569,13 +564,16 @@ fn replay_frames(
     frames: &mut FrameReader<'_>,
     mut index: Result<ChainIndex, ChainError>,
     entries: &mut Vec<LogEntry>,
-    residents: &mut Residents,
+    cache: &mut BlockCache,
 ) -> Result<Result<ChainIndex, ChainError>, StorageError> {
     while let Some((entry, block)) = frames.next_block()? {
         entries.push(entry);
         if let Ok(chain) = &mut index {
             match chain.insert_block(&block) {
-                Ok(_) => residents.offer(block, pin_floor(chain)),
+                Ok(_) => {
+                    cache.insert(block);
+                    cache.set_floor(pin_floor(chain));
+                }
                 Err(e) => index = Err(e),
             }
         }
@@ -592,7 +590,7 @@ fn full_scan_recover(
 ) -> Result<Recovered, StorageError> {
     let mut frames = log.frames_from(0);
     let mut entries = Vec::new();
-    let mut residents = Residents::new(cache_capacity);
+    let mut cache = BlockCache::new(cache_capacity);
     let mut seeded_genesis = None;
     let first = match frames.next_block().inspect_err(count_corrupt)? {
         Some((entry, block)) => {
@@ -624,9 +622,10 @@ fn full_scan_recover(
     }
     let index = ChainIndex::rooted_at_untrusted(&first);
     if let Ok(index) = &index {
-        residents.offer(first, pin_floor(index));
+        cache.insert(first);
+        cache.set_floor(pin_floor(index));
     }
-    let index = replay_frames(&mut frames, index, &mut entries, &mut residents)
+    let index = replay_frames(&mut frames, index, &mut entries, &mut cache)
         .inspect_err(count_corrupt)?
         .map_err(|e| StorageError::Corrupt {
             file: "blocks.log",
@@ -638,7 +637,7 @@ fn full_scan_recover(
         entries,
         valid_len: frames.valid_len(),
         torn: frames.torn(),
-        residents,
+        cache,
         seeded_genesis,
     })
 }
@@ -734,8 +733,8 @@ fn adopt_snapshot(
     // Tail past the snapshot: full-validation replay, as if the prefix
     // had been scanned.
     let mut frames = log.frames_from(snap.log_len);
-    let mut residents = Residents::new(cache_capacity);
-    let index = replay_frames(&mut frames, Ok(index), &mut entries, &mut residents)
+    let mut cache = BlockCache::new(cache_capacity);
+    let index = replay_frames(&mut frames, Ok(index), &mut entries, &mut cache)
         .map_err(|e| match e {
             StorageError::Io { .. } => format!("tail read failed: {e}"),
             _ => format!("tail scan failed: {e}"),
@@ -746,7 +745,7 @@ fn adopt_snapshot(
         entries,
         valid_len: frames.valid_len(),
         torn: frames.torn(),
-        residents,
+        cache,
         seeded_genesis: None,
     })
 }
@@ -801,7 +800,86 @@ mod tests {
     use super::*;
     use crate::difficulty::Difficulty;
     use crate::pow::Miner;
+    use crate::rng::SimRng;
     use smartcrowd_crypto::Address;
+
+    /// Seeded fork trees committed with no reads: a full-scan reopen puts
+    /// each surviving body into the cache and advances the floor as a
+    /// commit does, so it holds exactly the bodies, in queue order, that
+    /// committing the surviving log into a fresh store holds.
+    #[test]
+    fn a_reopened_cache_holds_what_committing_the_surviving_log_holds() {
+        let genesis = Block::genesis(Difficulty::from_u64(1));
+        let miner = Miner::new(Address::from_label("fork tree"));
+        let base = std::env::temp_dir().join(format!("sc-cache-rebuild-{}", std::process::id()));
+        let (dir, fresh) = (base.join("log"), base.join("fresh"));
+        // No snapshot, so every reopen is the full scan.
+        let config = |cache_capacity| StoreConfig {
+            cache_capacity,
+            snapshot_interval: 0,
+        };
+        let mut forked_logs = 0;
+        for seed in 0..12 {
+            let _ = std::fs::remove_dir_all(&base);
+            let mut store = DurableStore::open_with(&dir, &genesis, config(usize::MAX)).unwrap();
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut committed = vec![genesis.clone()];
+            while committed.len() < 60 {
+                // Mostly extend one of the newest blocks; now and then
+                // fork deep below the tip.
+                let back = if rng.next_bool(0.2) { 12 } else { 3 };
+                let from = committed.len().saturating_sub(back) as u64;
+                let parent = &committed[rng.next_range(from, committed.len() as u64) as usize];
+                let ts = parent.header().timestamp + 1 + rng.next_below(30);
+                let block = miner.mine_next(parent, vec![], ts).unwrap();
+                // A duplicate, or a child of a pruned fork, is refused.
+                if store.commit(block.clone()).is_ok() {
+                    committed.push(block);
+                }
+            }
+            // One more block on the tip advances the floor, and the prune
+            // it runs leaves no stale fork for the reopen to drop.
+            let best = store.index.best_tip();
+            let tip = committed.iter().find(|b| b.id() == best).unwrap();
+            let last = miner
+                .mine_next(tip, vec![], tip.header().timestamp + 15)
+                .unwrap();
+            store.commit(last.clone()).unwrap();
+            committed.push(last);
+            let surviving: Vec<Block> = store
+                .log
+                .entries()
+                .iter()
+                .map(|entry| {
+                    committed
+                        .iter()
+                        .find(|b| b.id() == entry.id)
+                        .unwrap()
+                        .clone()
+                })
+                .collect();
+            if surviving.len() > store.index.best_height() as usize + 1 {
+                forked_logs += 1;
+            }
+            drop(store);
+            for capacity in [0, 1, 2, 5, usize::MAX] {
+                let reopened = DurableStore::open_with(&dir, &genesis, config(capacity)).unwrap();
+                let _ = std::fs::remove_dir_all(&fresh);
+                let mut replica =
+                    DurableStore::open_with(&fresh, &genesis, config(capacity)).unwrap();
+                for block in &surviving[1..] {
+                    replica.commit(block.clone()).unwrap();
+                }
+                assert_eq!(
+                    reopened.cache.borrow().queues(),
+                    replica.cache.borrow().queues(),
+                    "seed {seed} capacity {capacity}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&base);
+        assert!(forked_logs > 0, "no log kept a fork");
+    }
 
     #[test]
     fn a_damaged_frame_outranks_an_earlier_refusal() {

@@ -369,28 +369,6 @@ impl ChainBackend for ChainStore {
     }
 }
 
-/// Replays a sequence of untrusted blocks into a fresh [`ChainStore`],
-/// re-validating each one with the check a live insert runs (the genesis
-/// difficulty pin included).
-///
-/// This is the chain index's replay — the same one [`DurableStore`] runs
-/// over `blocks.log` on open — with the bodies kept, so [`import_chain`],
-/// a store open and a live insert accept exactly the same blocks.
-///
-/// # Errors
-///
-/// [`ChainError::Codec`] if the sequence is empty, does not start at
-/// height 0, or drifts from the genesis difficulty; any validation error
-/// a replayed block triggers.
-pub(crate) fn replay_pinned<I>(blocks: I) -> Result<ChainStore, ChainError>
-where
-    I: IntoIterator<Item = Block>,
-{
-    let blocks: Vec<Block> = blocks.into_iter().collect();
-    let index = ChainIndex::replay_pinned(&blocks)?;
-    Ok(ChainStore::from_parts(index, blocks))
-}
-
 /// Serialises the canonical chain (genesis to tip) as concatenated
 /// [`frame`]s: byte for byte the `blocks.log` a fresh [`DurableStore`]
 /// writes when the same blocks are committed in order. Works over any
@@ -406,7 +384,9 @@ pub fn export_chain<Q: ChainQuery + ?Sized>(store: &Q) -> Vec<u8> {
 
 /// Rebuilds an in-memory store from a log image — an [`export_chain`]
 /// result or the bytes of a `blocks.log` (forks included) — through the
-/// scanner and the replay [`DurableStore::open`] uses.
+/// scanner [`DurableStore::open`] uses, then [`ChainStore::insert`] of
+/// each block after genesis: the check a live insert runs, the genesis
+/// difficulty pin included.
 ///
 /// Acceptance is the log's: every byte is covered by a frame checksum,
 /// and a frame-aligned prefix of an image is the image of an ancestor
@@ -418,7 +398,7 @@ pub fn export_chain<Q: ChainQuery + ?Sized>(store: &Q) -> Vec<u8> {
 /// [`ChainError::Storage`] for a frame that fails its magic, length cap
 /// or checksum or does not decode as a block; [`ChainError::Codec`] for
 /// an image that is empty, ends mid-frame or does not start at genesis;
-/// any validation error a replayed block triggers.
+/// any validation error an inserted block triggers.
 pub fn import_chain(bytes: &[u8]) -> Result<ChainStore, ChainError> {
     let mut reader = log::FrameReader::image(bytes);
     let mut blocks = Vec::new();
@@ -437,7 +417,15 @@ pub fn import_chain(bytes: &[u8]) -> Result<ChainStore, ChainError> {
             ),
         });
     }
-    replay_pinned(blocks)
+    let mut blocks = blocks.into_iter();
+    let genesis = blocks.next().filter(|b| b.header().height == 0);
+    let mut store = ChainStore::new(genesis.ok_or_else(|| ChainError::Codec {
+        detail: "chain image does not start with a genesis block".to_string(),
+    })?);
+    for block in blocks {
+        store.insert(block)?;
+    }
+    Ok(store)
 }
 
 #[cfg(test)]
@@ -504,11 +492,8 @@ mod tests {
     }
 
     #[test]
-    fn replay_pinned_rejects_empty_and_non_genesis() {
-        assert!(matches!(
-            replay_pinned(Vec::new()),
-            Err(ChainError::Codec { .. })
-        ));
+    fn import_rejects_empty_and_non_genesis() {
+        assert!(matches!(import_chain(&[]), Err(ChainError::Codec { .. })));
         let genesis = Block::genesis(Difficulty::from_u64(1));
         let store = ChainStore::new(genesis.clone());
         let tip = store.best_block().clone();
@@ -522,7 +507,7 @@ mod tests {
             smartcrowd_crypto::Address::from_label("m"),
         );
         assert!(matches!(
-            replay_pinned(vec![child]),
+            import_chain(&block_frame(&child)),
             Err(ChainError::Codec { .. })
         ));
     }

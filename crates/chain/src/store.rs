@@ -56,14 +56,6 @@ impl ChainStore {
         }
     }
 
-    /// Pairs an index with the bodies of exactly the blocks it holds.
-    pub(crate) fn from_parts(index: ChainIndex, bodies: Vec<Block>) -> Self {
-        ChainStore {
-            index,
-            blocks: bodies.into_iter().map(|b| (b.id(), b)).collect(),
-        }
-    }
-
     /// Height of the best tip.
     pub fn best_height(&self) -> u64 {
         self.index.best_height()

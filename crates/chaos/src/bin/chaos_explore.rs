@@ -12,11 +12,14 @@
 //! - `--out PATH`    write minimized failures (regression-test snippets);
 //!   a telemetry snapshot is written next to it as `PATH.telemetry.json`
 //!
+//! Each plan that passes runs again on durable stores under the system
+//! temporary directory; a failure there is listed with its seed and plan.
+//!
 //! Exits non-zero when any schedule fails, unless `--plant-bug` is set
 //! (where failures are the expected outcome and a *clean* sweep exits
 //! non-zero instead).
 
-use smartcrowd_chaos::{explore, ExploreConfig, PlantedBug};
+use smartcrowd_chaos::{explore, ExploreConfig, FaultPlan, PlantedBug};
 use smartcrowd_telemetry::TimeSource;
 use std::process::ExitCode;
 
@@ -83,13 +86,24 @@ fn main() -> ExitCode {
         cfg.seeds,
         report.failures.len()
     );
+    println!(
+        "durable backend: {} failure(s) of schedules that passed in memory",
+        report.durable_only.len()
+    );
 
-    if !report.failures.is_empty() {
+    let failed = !report.failures.is_empty() || !report.durable_only.is_empty();
+    if failed {
         let mut rendered = String::new();
         for m in &report.failures {
             rendered.push_str(&format!(
                 "// seed {} ({} shrink runs): {}\n{}\n\n",
                 m.seed, m.shrink_runs, m.failure, m
+            ));
+        }
+        for (seed, failure) in &report.durable_only {
+            let plan = FaultPlan::random(*seed);
+            rendered.push_str(&format!(
+                "// seed {seed} on durable stores: {failure}\n{plan}\n\n"
             ));
         }
         match &out {
@@ -116,7 +130,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let failed = !report.failures.is_empty();
     // Under --plant-bug the sweep validates the pipeline: finding
     // failures is success, a clean sweep means the oracles went blind.
     if plant {

@@ -16,8 +16,9 @@
 //! [`MinimizedFailure`]'s `Display`.
 
 use crate::plan::{FaultPlan, RECOVERY_TAIL};
-use crate::sim::{run_plan, ChaosFailure, PlantedBug};
+use crate::sim::{run_plan, ChaosFailure, ChaosSim, PlantedBug};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bounds for an exploration sweep. Plans come from
 /// [`FaultPlan::random`], whose bounds are constants.
@@ -96,9 +97,15 @@ pub struct ExploreReport {
     pub passed: u64,
     /// Minimized failures (empty on a clean sweep).
     pub failures: Vec<MinimizedFailure>,
+    /// Seeds whose plan passed in memory and failed on durable stores,
+    /// with that failure.
+    pub durable_only: Vec<(u64, ChaosFailure)>,
 }
 
-/// Runs `cfg.seeds` randomized schedules; every failure is shrunk.
+/// Runs `cfg.seeds` randomized schedules; every failure is shrunk, and
+/// every pass runs again with each node on a durable store
+/// ([`ChaosSim::new_durable`]), where crash faults tear the real on-disk
+/// format.
 ///
 /// Seeds are independent (a run is a pure function of `(plan, seed)`),
 /// so the sweep fans out on the global worker pool. Results are merged
@@ -111,18 +118,33 @@ pub fn explore(cfg: &ExploreConfig, bug: Option<PlantedBug>) -> ExploreReport {
     let outcomes = smartcrowd_pool::global().par_map(&seeds, |&seed| {
         let plan = FaultPlan::random(seed);
         match run_plan(&plan, seed, bug) {
-            Ok(_) => None,
-            Err(failure) => Some(shrink(plan, seed, failure, bug, cfg.shrink_budget)),
+            Ok(_) => (None, durable_failure(&plan, seed, bug)),
+            Err(failure) => (
+                Some(shrink(plan, seed, failure, bug, cfg.shrink_budget)),
+                None,
+            ),
         }
     });
     let mut report = ExploreReport::default();
-    for outcome in outcomes {
-        match outcome {
+    for (seed, (failure, durable)) in seeds.into_iter().zip(outcomes) {
+        match failure {
             None => report.passed += 1,
             Some(minimized) => report.failures.push(minimized),
         }
+        report.durable_only.extend(durable.map(|f| (seed, f)));
     }
     report
+}
+
+/// How `plan` fails on durable stores, which live in a fresh directory
+/// under the system temporary directory, removed afterwards.
+fn durable_failure(plan: &FaultPlan, seed: u64, bug: Option<PlantedBug>) -> Option<ChaosFailure> {
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let root = std::env::temp_dir().join(format!("chaos-explore-{}-{run}", std::process::id()));
+    let failure = ChaosSim::new_durable(plan, seed, bug, &root).and_then(|mut sim| sim.run());
+    let _ = std::fs::remove_dir_all(&root);
+    failure.err()
 }
 
 /// Greedily shrinks a failing plan: fewer faults, then a shorter
@@ -196,6 +218,7 @@ mod tests {
         let report = explore(&cfg, None);
         assert_eq!(report.passed, 3, "failures: {:?}", report.failures);
         assert!(report.failures.is_empty());
+        assert!(report.durable_only.is_empty(), "{:?}", report.durable_only);
     }
 
     #[test]

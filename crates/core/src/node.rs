@@ -13,13 +13,14 @@
 //! `admit` / `check_block` / `seal` / `connected` / `replay` exactly as
 //! [`crate::platform::Platform`] drives its own — plus the gossip glue
 //! only a networked replica needs: the sync buffer that reassembles
-//! out-of-order blocks, artifact hosting and download, the `R*` records
-//! waiting for an artifact, the refused blocks, and the outbox. A node
-//! moves no money itself: its settlement pays each confirmed block's miner
-//! its reward and fees, as on every replica. Convergence of honest nodes —
-//! tips, and with them every balance, escrow and payout — is a *theorem of
-//! the message handlers*, tested in `sim::fleet` and under faults in
-//! `smartcrowd-chaos`.
+//! out-of-order blocks, serving released images and downloading others',
+//! the `R*` records waiting for an artifact, the refused blocks, and the
+//! outbox. A node boots one way, [`ProviderNode::open`]: a first boot
+//! replays a chain of genesis alone. A node moves no money itself: its
+//! settlement pays each confirmed block's miner its reward and fees, as on
+//! every replica. Convergence of honest nodes — tips, and with them every
+//! balance, escrow and payout — is a *theorem of the message handlers*,
+//! tested in `sim::fleet` and under faults in `smartcrowd-chaos`.
 
 use crate::economics::REPORT_FEE;
 use crate::error::CoreError;
@@ -30,7 +31,7 @@ use smartcrowd_chain::header::BlockId;
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::{Block, ChainBackend, ChainError, ChainQuery, ChainStore, Ether};
 use smartcrowd_crypto::keys::KeyPair;
-use smartcrowd_crypto::{Address, Digest, DigestMap, DigestSet};
+use smartcrowd_crypto::{Address, Digest, DigestSet};
 use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
 use smartcrowd_net::sync::{SyncBuffer, SyncOutcome};
@@ -62,8 +63,6 @@ pub struct ProviderNode {
     address: Address,
     core: Protocol,
     sync: SyncBuffer,
-    /// Images this node hosts (its own releases).
-    hosted: DigestMap<Digest, IoTSystem>,
     /// Outstanding image downloads.
     pending_images: DigestSet<Digest>,
     /// `R*` records that arrived before their artifact, oldest first;
@@ -81,34 +80,23 @@ impl ProviderNode {
     /// Boots a node from the shared genesis and vulnerability library,
     /// on the in-memory backend.
     pub fn new(keypair: KeyPair, genesis: Block, library: VulnLibrary) -> Self {
-        Self::with_backend(keypair, Box::new(ChainStore::new(genesis)), library, &[])
+        Self::open(keypair, Box::new(ChainStore::new(genesis)), library, &[])
     }
 
-    /// Boots a node over an explicit chain backend (e.g. a
-    /// [`smartcrowd_chain::storage::DurableStore`]) with fresh soft state
-    /// and the genesis `allocation` every node of its fleet settles from.
-    pub fn with_backend(
-        keypair: KeyPair,
-        backend: Box<dyn ChainBackend>,
-        library: VulnLibrary,
-        allocation: &[(Address, Ether)],
-    ) -> Self {
-        Self::boot(keypair, Protocol::new(backend, library, allocation), 0)
-    }
-
-    /// Reboots a node from a recovered chain backend — a store
-    /// `storage::import_chain` rebuilt from an export, or a reopened
-    /// [`smartcrowd_chain::storage::DurableStore`] (recovery runs there).
+    /// Opens a node over a chain backend — a fresh store holding only
+    /// genesis, a store `storage::import_chain` rebuilt from an export, or
+    /// a reopened [`smartcrowd_chain::storage::DurableStore`] — with the
+    /// genesis `allocation` every node of its fleet settles from.
     ///
     /// The chain is the only state that survives a crash; all soft state —
-    /// mempool, sync buffer, downloaded artifacts, hosted images,
-    /// scoreboard — is lost. Verified SRAs and initial reports are
-    /// re-derived from the canonical chain ([`Protocol::replay`]) so
-    /// Algorithm 1 can keep running, the settlement is refolded from the
-    /// `allocation` the node booted with, and the record nonce resumes past
-    /// the highest on-chain nonce this key already used (a replayed nonce
-    /// would produce duplicate record ids) — in one walk of the chain.
-    pub fn restore_backend(
+    /// mempool, sync buffer, artifacts, scoreboard — starts empty.
+    /// Verified SRAs and initial reports are re-derived from the canonical
+    /// chain ([`Protocol::replay`]) so Algorithm 1 can keep running, the
+    /// settlement is folded from `allocation`, and the record nonce
+    /// resumes past the highest on-chain nonce this key already used (a
+    /// replayed nonce would produce duplicate record ids) — in one walk of
+    /// the chain, which on a fresh store visits genesis alone.
+    pub fn open(
         keypair: KeyPair,
         backend: Box<dyn ChainBackend>,
         library: VulnLibrary,
@@ -121,16 +109,11 @@ impl ProviderNode {
                 nonce = nonce.max(record.nonce());
             }
         });
-        Self::boot(keypair, core, nonce)
-    }
-
-    fn boot(keypair: KeyPair, core: Protocol, nonce: u64) -> Self {
         ProviderNode {
-            address: keypair.address(),
+            address,
             keypair,
             core,
             sync: SyncBuffer::new(),
-            hosted: DigestMap::default(),
             pending_images: DigestSet::default(),
             parked: VecDeque::new(),
             refused: VecDeque::new(),
@@ -171,8 +154,8 @@ impl ProviderNode {
         self.core.settlement()
     }
 
-    /// Releases a system from this node: hosts the image, signs the SRA,
-    /// and returns the record broadcast.
+    /// Releases a system from this node: holds the image as the SRA's
+    /// artifact, signs the SRA, and returns the record broadcast.
     pub fn release(
         &mut self,
         system: IoTSystem,
@@ -181,7 +164,6 @@ impl ProviderNode {
     ) -> (SraId, Outbox) {
         let sra = Sra::announce(&self.keypair, &system, insurance, incentive_per_vuln);
         let sra_id = *sra.id();
-        self.hosted.insert(*system.image_hash(), system.clone());
         self.core.hold_artifact(sra_id, system);
         self.nonce += 1;
         let record = Record::signed(
@@ -211,8 +193,9 @@ impl ProviderNode {
         match self.core.admit(record.clone()) {
             Ok(Admitted::Verified) => {}
             Ok(Admitted::NewSra { image_hash }) => {
-                // Start the U_l download unless we host it.
-                if !self.hosted.contains_key(&image_hash) && self.pending_images.insert(image_hash)
+                // Start the U_l download unless we released it.
+                if self.released_image(&image_hash).is_none()
+                    && self.pending_images.insert(image_hash)
                 {
                     out.push(Message::ImageRequest { image_hash });
                 }
@@ -244,7 +227,7 @@ impl ProviderNode {
             }
             Message::Block(block) => self.handle_block(*block, &mut out),
             Message::ImageRequest { image_hash } => {
-                if let Some(system) = self.hosted.get(&image_hash) {
+                if let Some(system) = self.released_image(&image_hash) {
                     out.push(Message::ImageResponse {
                         image_hash,
                         image: system.image().to_vec(),
@@ -273,6 +256,16 @@ impl ProviderNode {
             out.broadcast.extend(self.handle(message).broadcast);
         }
         out
+    }
+
+    /// The artifact this node holds for an SRA it announced of `image_hash`.
+    fn released_image(&self, image_hash: &Digest) -> Option<&IoTSystem> {
+        let mut own = self
+            .core
+            .sras()
+            .filter(|sra| sra.provider() == self.address);
+        let sra = own.find(|sra| sra.image_hash() == image_hash)?;
+        self.core.artifact(sra.id())
     }
 
     fn handle_image(&mut self, image_hash: Digest, image: Vec<u8>, out: &mut Outbox) {
@@ -975,7 +968,7 @@ mod tests {
         // Crash b: only the exported chain survives.
         let disk = export_chain(b.store());
         let restored_store = import_chain(&disk).unwrap();
-        let mut b2 = ProviderNode::restore_backend(
+        let mut b2 = ProviderNode::open(
             KeyPair::from_seed(b"node-b"),
             Box::new(restored_store),
             library,
@@ -1009,7 +1002,7 @@ mod tests {
         let disk = smartcrowd_chain::storage::export_chain(a.store());
         let restored = smartcrowd_chain::storage::import_chain(&disk).unwrap();
         let funding = [(a.address(), Ether::from_ether(5000))];
-        let a2 = ProviderNode::restore_backend(
+        let a2 = ProviderNode::open(
             KeyPair::from_seed(b"node-a"),
             Box::new(restored),
             library,
@@ -1037,7 +1030,7 @@ mod tests {
             &smartcrowd_chain::storage::export_chain(a.store()),
         )
         .unwrap();
-        let mut a2 = ProviderNode::restore_backend(
+        let mut a2 = ProviderNode::open(
             KeyPair::from_seed(b"node-a"),
             Box::new(restored),
             library.clone(),

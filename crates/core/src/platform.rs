@@ -215,8 +215,10 @@ impl Platform {
 
     /// Funds a detector/consumer account through the genesis allocation
     /// (a stand-in for pre-existing on-chain funds; detectors need gas
-    /// money, Eq. 10).
+    /// money, Eq. 10). An account is funded once: a detector funded here
+    /// gets no [`DETECTOR_FUNDING`] on its first report.
     pub fn fund(&mut self, addr: Address, amount: Ether) {
+        self.funded.insert(addr);
         self.core.settlement_mut().allocate(addr, amount);
     }
 
@@ -319,7 +321,7 @@ impl Platform {
     }
 
     /// The shared tail of both report phases: admit the signed record and
-    /// fund the detector on first contact. The registry meters the
+    /// fund a detector nobody funded on first contact. The registry meters the
     /// submission (Fig. 6(b)) when the record confirms.
     fn submit_report(
         &mut self,
@@ -330,7 +332,7 @@ impl Platform {
         submitted: &Counter,
     ) -> Result<Digest, CoreError> {
         let record_id = self.admit_signed(kind, payload, signer)?;
-        if self.funded.insert(detector) {
+        if !self.funded.contains(&detector) {
             self.fund(detector, DETECTOR_FUNDING);
         }
         submitted.inc();
@@ -554,6 +556,22 @@ mod tests {
             p.confirmed_vulnerabilities(&sra_id),
             vec![VulnId(1), VulnId(2)]
         );
+    }
+
+    #[test]
+    fn a_funded_detector_is_not_funded_again_on_first_contact() {
+        let mut p = platform();
+        let sra_id = release(&mut p, vec![VulnId(1)]);
+        let funded = KeyPair::from_seed(b"funded detector");
+        let unfunded = KeyPair::from_seed(b"unfunded detector");
+        p.fund(funded.address(), Ether::from_ether(10));
+        for detector in [&funded, &unfunded] {
+            let (initial, _) =
+                create_report_pair(detector, sra_id, Findings::new(vec![VulnId(1)], "one"));
+            p.submit_initial(detector, initial).unwrap();
+        }
+        assert_eq!(p.balance(&funded.address()), Ether::from_ether(10));
+        assert_eq!(p.balance(&unfunded.address()), DETECTOR_FUNDING);
     }
 
     #[test]

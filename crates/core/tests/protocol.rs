@@ -347,7 +347,7 @@ fn platform_and_node_settle_the_same_stream_identically() {
     // The node is handed the platform's signed records, block by block,
     // and mines them itself.
     let provider = platform.providers()[0].address;
-    let mut node = ProviderNode::with_backend(
+    let mut node = ProviderNode::open(
         KeyPair::from_seed(b"peer"),
         Box::new(ChainStore::new(genesis())),
         platform.library().clone(),
@@ -561,7 +561,7 @@ fn a_refold_and_a_restart_refund_once_like_a_fresh_fold() {
         matches_fresh(forked.settlement(), "refold");
         assert!(forked.settlement().folded() > fresh.folded(), "refolded");
         // A node restarted over the forked store, both branches in it.
-        let restarted = ProviderNode::restore_backend(
+        let restarted = ProviderNode::open(
             KeyPair::from_seed(b"restarted"),
             Box::new(forked.store().clone()),
             cast.library.clone(),

@@ -58,8 +58,8 @@ impl Fleet {
     /// Boots `n > 0` nodes keyed `"{key_label}-{i}"` with the paper's
     /// hash-power profile (cycled if `n > 5`), a shared genesis and a
     /// shared library; `backend` opens node `i`'s chain store (its error
-    /// aborts the boot). Handler outboxes reach the wire only where
-    /// `relay` says so.
+    /// aborts the boot), over which [`Fleet::restart`] opens the node.
+    /// Handler outboxes reach the wire only where `relay` says so.
     pub fn boot<E>(
         n: usize,
         seed: u64,
@@ -69,36 +69,37 @@ impl Fleet {
         mut backend: impl FnMut(usize, &Block) -> Result<Box<dyn ChainBackend>, E>,
     ) -> Result<Fleet, E> {
         assert!(n > 0, "need at least one node");
-        let genesis = Block::genesis(Difficulty::from_u64(1));
-        let library = VulnLibrary::synthetic(200, seed ^ 0x11b);
-        let mut net = GossipNet::new(link, seed);
         let keypairs: Vec<KeyPair> = (0..n)
             .map(|i| KeyPair::from_seed(format!("{key_label}-{i}").as_bytes()))
             .collect();
         let accounts = keypairs.iter().map(KeyPair::address);
         let allocation: Vec<_> = accounts.map(|a| (a, PROVIDER_FUNDING)).collect();
-        let (mut slots, mut participants) = (Vec::new(), Vec::new());
-        for (i, keypair) in keypairs.iter().enumerate() {
-            let backend = backend(i, &genesis)?;
-            let node = ProviderNode::with_backend(*keypair, backend, library.clone(), &allocation);
-            participants.push(SimParticipant {
-                address: node.address(),
-                hash_power: PAPER_HASH_POWERS[i % PAPER_HASH_POWERS.len()],
-            });
-            assert_eq!(net.register(), NodeId(i), "gossip ids follow slot order");
-            slots.push(Some(node));
-        }
-        Ok(Fleet {
-            slots,
+        let hash_powers = PAPER_HASH_POWERS.iter().cycle();
+        let participants = allocation.iter().zip(hash_powers);
+        let participants: Vec<_> = participants
+            .map(|(&(address, _), &hash_power)| SimParticipant {
+                address,
+                hash_power,
+            })
+            .collect();
+        let mut fleet = Fleet {
+            slots: (0..n).map(|_| None).collect(),
             keypairs,
             allocation,
-            net,
+            net: GossipNet::new(link, seed),
             race: SimMiner::new(participants, seed ^ 0xace),
-            genesis,
-            library,
+            genesis: Block::genesis(Difficulty::from_u64(1)),
+            library: VulnLibrary::synthetic(200, seed ^ 0x11b),
             relay,
             seed,
-        })
+        };
+        for i in 0..n {
+            let id = fleet.net.register();
+            assert_eq!(id, NodeId(i), "gossip ids follow slot order");
+            let backend = backend(i, &fleet.genesis)?;
+            fleet.restart(i, backend);
+        }
+        Ok(fleet)
     }
 
     /// Node `idx`, unless crashed.
@@ -111,11 +112,11 @@ impl Fleet {
         &mut self.slots[idx]
     }
 
-    /// Reboots crashed node `idx` over its recovered chain `backend`, with
-    /// the same genesis allocation it booted with.
+    /// (Re)boots node `idx` over its chain `backend` through
+    /// [`ProviderNode::open`], with the fleet's genesis allocation.
     pub fn restart(&mut self, idx: usize, backend: Box<dyn ChainBackend>) {
         let (keypair, library) = (self.keypairs[idx], self.library.clone());
-        let node = ProviderNode::restore_backend(keypair, backend, library, &self.allocation);
+        let node = ProviderNode::open(keypair, backend, library, &self.allocation);
         self.slots[idx] = Some(node);
     }
 
