@@ -7,7 +7,7 @@
 //! [`crate::scalar`].
 
 use crate::error::CryptoError;
-use crate::u256::{adc, add4, mac, select4, sub4, sub_mod, U256};
+use crate::u256::{adc, add4, mac, select4, sub4, sub_mod, Modulus62, U256};
 use std::fmt;
 
 /// The secp256k1 field prime `p = 2^256 − 2^32 − 977`.
@@ -23,6 +23,13 @@ const P: U256 = U256([
 
 /// The fold constant `2^256 mod p = 2^32 + 977`.
 const FOLD: u64 = 0x1_0000_03D1;
+
+/// `p` for the inversion: `−FOLD + 2⁸·2²⁴⁸` in signed 62-bit limbs, and
+/// `p⁻¹ mod 2⁶²` (`u256::tests::modulus62_constants` derives both).
+pub(crate) const P_62: Modulus62 = Modulus62 {
+    limbs: [-(FOLD as i64), 0, 0, 0, 256],
+    inv62: 0x27C7_F6E2_2DDA_CACF,
+};
 
 /// `v mod p` for any 256-bit `v` (one subtraction suffices: `2^256 < 2p`).
 #[inline(always)]
@@ -211,7 +218,7 @@ impl FieldElement {
 
     /// Multiplicative inverse (zero maps to zero).
     pub fn invert(&self) -> Self {
-        FieldElement(self.0.inv_mod(&P))
+        FieldElement(self.0.inv_mod(&P_62))
     }
 
     /// Exponentiation by square-and-multiply.
@@ -430,7 +437,7 @@ mod inv_tests {
     use super::*;
 
     #[test]
-    fn binary_inverse_matches_fermat() {
+    fn inverse_matches_fermat() {
         let samples = [
             U256::ONE,
             U256::from_u64(2),

@@ -177,11 +177,17 @@ mod tests {
 
     #[test]
     fn keccak256_long_input_known_vector() {
-        // keccak256 of 200 zero bytes — cross-checked against go-ethereum.
-        let zeros = vec![0u8; 200];
-        let d = keccak256(&zeros);
-        // Self-consistency plus a structural check: not all-zero output.
-        assert_ne!(d, [0u8; 32]);
-        assert_eq!(d, keccak256(&[0u8; 200]));
+        // Multi-block inputs (the rate is 136 bytes). Both values come from
+        // an independent Python Keccak which, given SHA-3's 0x06 padding in
+        // place of 0x01, matches `hashlib.sha3_256` at ten lengths.
+        assert_eq!(
+            hex::encode(&keccak256(&[0u8; 200])),
+            "e1bb54e1bc3af48d01e5dbfc81015c98152a574f6428c6948aa4837c9c0baad9"
+        );
+        let ramp: Vec<u8> = (0..500u32).map(|i| (7 * i + 3) as u8).collect();
+        assert_eq!(
+            hex::encode(&keccak256(&ramp)),
+            "e37163b2a792d9984ce6b739d44dd9b615a802b13ac67f3ac0629aa2dddbc0a1"
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! every SmartCrowd signature (`P_Sign`, `D†_Sign`, `D*_Sign`; Eq. 2, 4, 5).
 
 use crate::error::CryptoError;
-use crate::u256::{sub_mod, U256};
+use crate::u256::{sub_mod, Modulus62, U256};
 use std::fmt;
 
 /// The secp256k1 group order
@@ -29,6 +29,13 @@ const HALF_N: U256 = U256([
 
 /// The fold constant `2^256 mod n = 2^256 − n` (129 bits).
 const FOLD: U256 = U256([0x402D_A173_2FC9_BEBF, 0x4551_2319_50B7_5FC4, 1, 0]);
+
+/// `n` for the inversion, in signed 62-bit limbs (limb 3 is zero), and
+/// `n⁻¹ mod 2⁶²` (`u256::tests::modulus62_constants` derives both).
+pub(crate) const N_62: Modulus62 = Modulus62 {
+    limbs: [0x3FD2_5E8C_D036_4141, 0x2ABB_739A_BD22_80EE, -0x15, 0, 256],
+    inv62: 0x34F2_0099_AA77_4EC1,
+};
 
 /// `λ`, a primitive cube root of unity mod `n`: on the curve
 /// `λ·(x, y) = (β·x, y)` for the cube root of unity `β` mod `p` that
@@ -233,7 +240,7 @@ impl Scalar {
 
     /// Multiplicative inverse mod `n` (zero maps to zero).
     pub fn invert(&self) -> Self {
-        Scalar(self.0.inv_mod(&N))
+        Scalar(self.0.inv_mod(&N_62))
     }
 
     /// Splits `k` into signed halves with `k ≡ k₁ + k₂·λ (mod n)` and

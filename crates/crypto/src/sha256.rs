@@ -142,40 +142,65 @@ impl Sha256 {
         out
     }
 
+    /// One block: 64 unrolled rounds over a rolling 16-word schedule. A
+    /// round renames the eight working variables instead of moving them,
+    /// so each writes only `d` and `h` of its own naming.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        let mut w = [0u32; 16];
+        for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+        // Round `i`; from round 16 on, `w[i % 16]` first becomes schedule
+        // word `i` from words i − 16, i − 15, i − 7 and i − 2.
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+                if $i >= 16 {
+                    let w15 = w[($i + 1) % 16];
+                    let w2 = w[($i + 14) % 16];
+                    let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                    let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                    w[$i % 16] = w[$i % 16]
+                        .wrapping_add(s0)
+                        .wrapping_add(w[($i + 9) % 16])
+                        .wrapping_add(s1);
+                }
+                let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+                // Ch(e, f, g) = (e ∧ f) ⊕ (¬e ∧ g) in three operations.
+                let ch = $g ^ ($e & ($f ^ $g));
+                let t1 = $h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[$i])
+                    .wrapping_add(w[$i % 16]);
+                let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+                // Maj(a, b, c): the bits set in at least two of them.
+                let maj = ($a & $b) | ($c & ($a | $b));
+                $d = $d.wrapping_add(t1);
+                $h = t1.wrapping_add(s0.wrapping_add(maj));
+            };
         }
+        // Eight rounds bring the names back to where they started.
+        macro_rules! eight_rounds {
+            ($i:expr) => {
+                round!(a, b, c, d, e, f, g, h, $i);
+                round!(h, a, b, c, d, e, f, g, $i + 1);
+                round!(g, h, a, b, c, d, e, f, $i + 2);
+                round!(f, g, h, a, b, c, d, e, $i + 3);
+                round!(e, f, g, h, a, b, c, d, $i + 4);
+                round!(d, e, f, g, h, a, b, c, $i + 5);
+                round!(c, d, e, f, g, h, a, b, $i + 6);
+                round!(b, c, d, e, f, g, h, a, $i + 7);
+            };
+        }
+        eight_rounds!(0);
+        eight_rounds!(8);
+        eight_rounds!(16);
+        eight_rounds!(24);
+        eight_rounds!(32);
+        eight_rounds!(40);
+        eight_rounds!(48);
+        eight_rounds!(56);
         self.state[0] = self.state[0].wrapping_add(a);
         self.state[1] = self.state[1].wrapping_add(b);
         self.state[2] = self.state[2].wrapping_add(c);

@@ -272,39 +272,230 @@ impl U256 {
     }
 
     /// Inverse of `self` modulo an odd prime `m`, for `self < m`, by the
-    /// binary extended-GCD algorithm. Serves both secp256k1 moduli.
+    /// Bernstein–Yang safegcd (TCHES 2019) in libsecp256k1's variable-time
+    /// form (`modinv64_var`). Starting from `(f, g) = (m, self)` and
+    /// `(d, e) = (0, 1)`, which keeps `d·self ≡ f` and `e·self ≡ g`
+    /// (mod m), each batch runs 62 divsteps on the low limbs of `f` and `g`
+    /// alone, then applies their 2×2 transition matrix to the full `(f, g)`
+    /// and to `(d, e)` in `i128`, until `g = 0`; then `f = ±1` and `±d` is
+    /// the inverse. Serves both secp256k1 moduli.
     ///
     /// Returns zero for a zero input.
-    pub(crate) fn inv_mod(&self, m: &U256) -> U256 {
-        if self.is_zero() {
-            return U256::ZERO;
-        }
-        let m = &m.0;
-        // Invariant: x1·self ≡ u and x2·self ≡ v (mod m). The halvings and
-        // modular subtractions are branch-free; what the operands decide
-        // is only how many of them run.
-        let (mut u, mut v) = (self.0, *m);
-        let (mut x1, mut x2) = (U256::ONE.0, U256::ZERO.0);
-        while u != U256::ONE.0 && v != U256::ONE.0 {
-            while u[0] & 1 == 0 {
-                u = shr1(&u, 0);
-                x1 = halve_mod(&x1, m);
+    pub(crate) fn inv_mod(&self, m: &Modulus62) -> U256 {
+        let (mut d, mut e) = ([0i64; 5], [1, 0, 0, 0, 0]);
+        let (mut f, mut g) = (m.limbs, to_signed62(self));
+        // Only the low `len` limbs of f and g are live: a top limb of 0 or
+        // −1 in both is folded into the one below it.
+        let mut len = 5;
+        // η = −δ of the divstep; δ starts at 1.
+        let mut eta = -1;
+        loop {
+            let t;
+            (eta, t) = divsteps_62(eta, f[0] as u64, g[0] as u64);
+            update_de(&mut d, &mut e, &t, m);
+            update_fg(len, &mut f, &mut g, &t);
+            if g[..len].iter().all(|&limb| limb == 0) {
+                break;
             }
-            while v[0] & 1 == 0 {
-                v = shr1(&v, 0);
-                x2 = halve_mod(&x2, m);
-            }
-            let (diff, borrow) = sub4(&u, &v);
-            if borrow == 0 {
-                u = diff;
-                x1 = sub_mod(&x1, &x2, m);
-            } else {
-                v = sub4(&v, &u).0;
-                x2 = sub_mod(&x2, &x1, m);
+            let (f_top, g_top) = (f[len - 1], g[len - 1]);
+            if len > 1 && (f_top ^ (f_top >> 63)) | (g_top ^ (g_top >> 63)) == 0 {
+                f[len - 2] |= ((f_top as u64) << 62) as i64;
+                g[len - 2] |= ((g_top as u64) << 62) as i64;
+                len -= 1;
             }
         }
-        U256(if u == U256::ONE.0 { x1 } else { x2 })
+        from_signed62(&normalize(d, f[len - 1], m))
     }
+}
+
+/// A modulus in the form the inversion consumes: five signed 62-bit limbs
+/// with `Σ limbs[i]·2⁶²ⁱ = m` (a limb may be negative, which keeps the
+/// form sparse) and `m⁻¹ mod 2⁶²`.
+pub(crate) struct Modulus62 {
+    pub(crate) limbs: [i64; 5],
+    pub(crate) inv62: u64,
+}
+
+/// The low 62 bits of a limb.
+const M62: u64 = u64::MAX >> 2;
+
+/// The matrix of 62 divsteps, scaled by 2⁶²: they take `(f, g)` to
+/// `((u·f + v·g)/2⁶², (q·f + r·g)/2⁶²)`, and `|u| + |v|`, `|q| + |r|` are
+/// at most 2⁶².
+struct Transition {
+    u: i64,
+    v: i64,
+    q: i64,
+    r: i64,
+}
+
+/// 62 divsteps on the low bits of odd `f` and of `g`, from `eta = −δ`;
+/// returns the new `eta` and the transition matrix. A run of zero bits of
+/// `g` is shifted out at once, and an odd `g` has up to six bits (after a
+/// swap) or four bits cancelled by one multiple of `f`.
+fn divsteps_62(mut eta: i64, f0: u64, g0: u64) -> (i64, Transition) {
+    let (mut u, mut v, mut q, mut r) = (1u64, 0u64, 0u64, 1u64);
+    let (mut f, mut g) = (f0, g0);
+    let mut left = 62u32;
+    loop {
+        // A sentinel bit at `left` stops the count at the steps left.
+        let zeros = (g | (u64::MAX << left)).trailing_zeros();
+        g >>= zeros;
+        u <<= zeros;
+        v <<= zeros;
+        eta -= i64::from(zeros);
+        left -= zeros;
+        if left == 0 {
+            break;
+        }
+        // `g` is odd: add the multiple `w·f` that clears its low bits, six
+        // after a swap and four otherwise, but no more than `left`, nor
+        // more than `eta + 1`, after which the swap condition flips again.
+        let (w, width) = if eta < 0 {
+            eta = -eta;
+            (f, g) = (g, f.wrapping_neg());
+            (u, q) = (q, u.wrapping_neg());
+            (v, r) = (r, v.wrapping_neg());
+            // f·(f² − 2) ≡ −f⁻¹ (mod 2⁶).
+            let w = f
+                .wrapping_mul(g)
+                .wrapping_mul(f.wrapping_mul(f).wrapping_sub(2));
+            (w, 6)
+        } else {
+            // f + 2·((f + 1) & 4) ≡ f⁻¹ (mod 2⁴).
+            let f_inv = f.wrapping_add((f.wrapping_add(1) & 4) << 1);
+            (f_inv.wrapping_neg().wrapping_mul(g), 4)
+        };
+        let limit = (eta + 1).min(i64::from(left)).min(width) as u32;
+        let w = w & (u64::MAX >> (64 - limit));
+        g = g.wrapping_add(f.wrapping_mul(w));
+        q = q.wrapping_add(u.wrapping_mul(w));
+        r = r.wrapping_add(v.wrapping_mul(w));
+    }
+    let t = Transition {
+        u: u as i64,
+        v: v as i64,
+        q: q as i64,
+        r: r as i64,
+    };
+    (eta, t)
+}
+
+/// `(d, e) ← t·(d, e)/2⁶² mod m`, exactly divisible by adding the
+/// multiples of `m` that clear the low 62 bits; keeps both in `(−2m, m)`.
+fn update_de(d: &mut [i64; 5], e: &mut [i64; 5], t: &Transition, m: &Modulus62) {
+    // Start from m·(u, q) when d < 0 and m·(v, r) when e < 0, which keeps
+    // the results above −2m.
+    let (sd, se) = (d[4] >> 63, e[4] >> 63);
+    let mut md = (t.u & sd) + (t.v & se);
+    let mut me = (t.q & sd) + (t.r & se);
+    let (u, v, q, r) = (
+        i128::from(t.u),
+        i128::from(t.v),
+        i128::from(t.q),
+        i128::from(t.r),
+    );
+    let mut cd = u * i128::from(d[0]) + v * i128::from(e[0]);
+    let mut ce = q * i128::from(d[0]) + r * i128::from(e[0]);
+    md -= (m.inv62.wrapping_mul(cd as u64).wrapping_add(md as u64) & M62) as i64;
+    me -= (m.inv62.wrapping_mul(ce as u64).wrapping_add(me as u64) & M62) as i64;
+    cd += i128::from(m.limbs[0]) * i128::from(md);
+    ce += i128::from(m.limbs[0]) * i128::from(me);
+    cd >>= 62;
+    ce >>= 62;
+    for i in 1..5 {
+        let limb = i128::from(m.limbs[i]);
+        cd += u * i128::from(d[i]) + v * i128::from(e[i]) + limb * i128::from(md);
+        ce += q * i128::from(d[i]) + r * i128::from(e[i]) + limb * i128::from(me);
+        d[i - 1] = (cd as u64 & M62) as i64;
+        e[i - 1] = (ce as u64 & M62) as i64;
+        cd >>= 62;
+        ce >>= 62;
+    }
+    d[4] = cd as i64;
+    e[4] = ce as i64;
+}
+
+/// `(f, g) ← t·(f, g)/2⁶²` over the low `len` limbs; the divsteps made the
+/// division exact.
+fn update_fg(len: usize, f: &mut [i64; 5], g: &mut [i64; 5], t: &Transition) {
+    let (u, v, q, r) = (
+        i128::from(t.u),
+        i128::from(t.v),
+        i128::from(t.q),
+        i128::from(t.r),
+    );
+    let mut cf = (u * i128::from(f[0]) + v * i128::from(g[0])) >> 62;
+    let mut cg = (q * i128::from(f[0]) + r * i128::from(g[0])) >> 62;
+    for i in 1..len {
+        cf += u * i128::from(f[i]) + v * i128::from(g[i]);
+        cg += q * i128::from(f[i]) + r * i128::from(g[i]);
+        f[i - 1] = (cf as u64 & M62) as i64;
+        g[i - 1] = (cg as u64 & M62) as i64;
+        cf >>= 62;
+        cg >>= 62;
+    }
+    f[len - 1] = cf as i64;
+    g[len - 1] = cg as i64;
+}
+
+/// `d` in `(−2m, m)`, negated when `sign < 0`, brought into `[0, m)` with
+/// every limb in `[0, 2⁶²)`.
+fn normalize(mut d: [i64; 5], sign: i64, m: &Modulus62) -> [i64; 5] {
+    if d[4] < 0 {
+        add_limbs(&mut d, &m.limbs);
+    }
+    if sign < 0 {
+        for limb in &mut d {
+            *limb = -*limb;
+        }
+    }
+    carry_signed62(&mut d);
+    if d[4] < 0 {
+        add_limbs(&mut d, &m.limbs);
+        carry_signed62(&mut d);
+    }
+    d
+}
+
+fn add_limbs(d: &mut [i64; 5], m: &[i64; 5]) {
+    for (limb, m) in d.iter_mut().zip(m) {
+        *limb += m;
+    }
+}
+
+/// Moves each limb's bits above 62 into the next one, so that every limb
+/// but the top lies in `[0, 2⁶²)`; the value is unchanged.
+fn carry_signed62(d: &mut [i64; 5]) {
+    for i in 0..4 {
+        d[i + 1] += d[i] >> 62;
+        d[i] &= M62 as i64;
+    }
+}
+
+/// `x` as five non-negative 62-bit limbs (the top one holds 8 bits).
+fn to_signed62(x: &U256) -> [i64; 5] {
+    let a = x.0;
+    [
+        a[0] & M62,
+        ((a[0] >> 62) | (a[1] << 2)) & M62,
+        ((a[1] >> 60) | (a[2] << 4)) & M62,
+        ((a[2] >> 58) | (a[3] << 6)) & M62,
+        a[3] >> 56,
+    ]
+    .map(|limb| limb as i64)
+}
+
+/// The inverse of [`to_signed62`] for limbs in `[0, 2⁶²)`, the top one
+/// below 2⁸.
+fn from_signed62(d: &[i64; 5]) -> U256 {
+    let d = d.map(|limb| limb as u64);
+    U256([
+        d[0] | (d[1] << 62),
+        (d[1] >> 2) | (d[2] << 60),
+        (d[2] >> 4) | (d[3] << 58),
+        (d[3] >> 6) | (d[4] << 56),
+    ])
 }
 
 /// `a + b + carry` as `(low limb, carry out)`.
@@ -361,25 +552,6 @@ pub(crate) fn select4(pick_a: u64, a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
         (a[2] & mask) | (b[2] & !mask),
         (a[3] & mask) | (b[3] & !mask),
     ]
-}
-
-/// `x >> 1` with `top` shifted in as bit 255.
-#[inline(always)]
-fn shr1(x: &[u64; 4], top: u64) -> [u64; 4] {
-    [
-        (x[0] >> 1) | (x[1] << 63),
-        (x[1] >> 1) | (x[2] << 63),
-        (x[2] >> 1) | (x[3] << 63),
-        (x[3] >> 1) | (top << 63),
-    ]
-}
-
-/// `x/2 mod m` for odd `m` and `x < m`: `x/2` when even, else `(x+m)/2`,
-/// where the sum's carry out of 256 bits re-enters as the top bit.
-#[inline(always)]
-fn halve_mod(x: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
-    let (sum, carry) = add4(x, &select4(x[0] & 1, m, &[0; 4]));
-    shr1(&sum, carry)
 }
 
 /// `(a − b) mod m` for `a, b < m`, without a branch.
@@ -587,6 +759,29 @@ mod tests {
     #[should_panic(expected = "division by zero")]
     fn div_by_zero_panics() {
         let _ = U256::ONE.div_rem(&U256::ZERO);
+    }
+
+    #[test]
+    fn modulus62_constants() {
+        use crate::field::{FieldElement, P_62};
+        use crate::scalar::{Scalar, N_62};
+        for (form, m) in [(&P_62, FieldElement::prime()), (&N_62, Scalar::order())] {
+            // The limbs are signed 62-bit digits of m: carried into
+            // [0, 2⁶²) they are m's plain 62-bit split.
+            assert!(form.limbs.iter().all(|limb| limb.unsigned_abs() < 1 << 62));
+            let mut carried = form.limbs;
+            carry_signed62(&mut carried);
+            assert_eq!(carried, to_signed62(&m));
+            // m⁻¹ mod 2⁶² by Newton's iteration x ← x·(2 − m·x), which
+            // doubles the correct low bits of x = 1 (m is odd) each round.
+            let m0 = m.0[0];
+            let mut x = 1u64;
+            for _ in 0..6 {
+                x = x.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(x)));
+            }
+            assert_eq!(form.inv62, x & M62);
+            assert_eq!(m0.wrapping_mul(form.inv62) & M62, 1);
+        }
     }
 
     #[test]

@@ -432,6 +432,77 @@ fn field_forced_operand_grid() {
     }
 }
 
+/// Inversion inputs below `m` that stress the divstep batches: 1, 2, 3,
+/// m − 1 and m − 2; 2ᵏ, m − 2ᵏ and 2ᵏ − 1 for every k below 256; values
+/// with k ≥ 62 trailing zero bits, whose first batch only halves; and the
+/// fold constant 2²⁵⁶ − m.
+fn inversion_edges(m: U256) -> Vec<U256> {
+    let small = U256::from_u64;
+    let mut edges = vec![
+        small(1),
+        small(2),
+        small(3),
+        m.wrapping_sub(&small(1)),
+        m.wrapping_sub(&small(2)),
+        U256::ZERO.wrapping_sub(&m),
+    ];
+    for k in 0..256 {
+        let pow = U256::ONE.shl(k);
+        edges.extend([pow, m.wrapping_sub(&pow), pow.wrapping_sub(&U256::ONE)]);
+    }
+    for k in 62..256 {
+        let high_bits = |v: U256| v.shr(k).shl(k);
+        edges.extend([high_bits(m.wrapping_sub(&small(1))), high_bits(m.shr(1))]);
+    }
+    edges
+}
+
+#[test]
+fn inversion_edge_grid() {
+    assert_eq!(FieldElement::ZERO.invert(), FieldElement::ZERO);
+    assert_eq!(Scalar::ZERO.invert(), Scalar::ZERO);
+    let f = reference::fp();
+    for x in inversion_edges(f.modulus) {
+        let a = FieldElement::from_u256_reduced(x);
+        assert_eq!(a.to_u256(), x, "{x:?} is below p");
+        assert_eq!(a.invert().to_u256(), f.inv_fermat(x), "{x:?}⁻¹ mod p");
+    }
+    let n = reference::fn_();
+    for x in inversion_edges(n.modulus) {
+        let k = Scalar::from_u256_reduced(x);
+        assert_eq!(k.to_u256(), x, "{x:?} is below n");
+        assert_eq!(k.invert().to_u256(), n.inv_fermat(x), "{x:?}⁻¹ mod n");
+    }
+}
+
+/// The nightly sweep (`-- --ignored`) of 2²⁰ random inversions per
+/// modulus. An inverse is unique, so `a·a⁻¹ = 1` pins each one; one in
+/// 1 024 is also held to Fermat.
+#[test]
+#[ignore]
+fn inversion_sweep() {
+    let (f, n) = (reference::fp(), reference::fn_());
+    // splitmix64, seeded with the first 64 bits of π's fraction.
+    let mut state = 0x243F_6A88_85A3_08D3u64;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for i in 0..1 << 20 {
+        let x = U256::from_limbs([next(), next(), next(), next()]);
+        let a = FieldElement::from_u256_reduced(x);
+        let k = Scalar::from_u256_reduced(x);
+        assert_eq!(a.mul(&a.invert()), FieldElement::ONE, "{x:?}⁻¹ mod p");
+        assert_eq!(k.mul(&k.invert()), Scalar::ONE, "{x:?}⁻¹ mod n");
+        if i % 1024 == 0 {
+            assert_eq!(a.invert().to_u256(), f.inv_fermat(a.to_u256()));
+            assert_eq!(k.invert().to_u256(), n.inv_fermat(k.to_u256()));
+        }
+    }
+}
+
 #[test]
 fn second_fold_carry_pairs_exist() {
     // The generator above is not vacuous: about half of all deltas yield a

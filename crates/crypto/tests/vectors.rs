@@ -27,6 +27,22 @@ fn sha256_fox_period() {
     );
 }
 
+/// The digests of `m_n[i] = (7i + 3) mod 256` for every length `n` from 0
+/// to 300 (every padding edge, 1–5 compressed blocks), hashed once more
+/// as one concatenation; the value is Python's `hashlib`.
+#[test]
+fn sha256_every_length_to_300() {
+    let mut digests = Vec::with_capacity(301 * 32);
+    for n in 0..=300u32 {
+        let message: Vec<u8> = (0..n).map(|i| (7 * i + 3) as u8).collect();
+        digests.extend_from_slice(&sha256(&message));
+    }
+    assert_eq!(
+        hex::encode(&sha256(&digests)),
+        "7d917fbd2cf49ddff9ad0a8706bba32d204e92e71d2e369c5a03d6af29278c9f"
+    );
+}
+
 #[test]
 fn keccak256_fox() {
     assert_eq!(
