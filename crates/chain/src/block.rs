@@ -188,7 +188,13 @@ impl Block {
 
     /// Canonical encoding of the full block.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        self.encode_onto(Vec::with_capacity(self.encoded_len()))
+    }
+
+    /// Appends the block's encoding to `buf` (a storage frame encodes
+    /// straight into its own buffer).
+    pub(crate) fn encode_onto(&self, buf: Vec<u8>) -> Vec<u8> {
+        let mut enc = Encoder::onto(buf);
         enc.put_bytes(&self.header.encode());
         enc.put_u64(self.body.records.len() as u64);
         for r in &self.body.records {

@@ -34,6 +34,11 @@ impl Encoder {
         Self::default()
     }
 
+    /// An encoder that appends to `buf`.
+    pub(crate) fn onto(buf: Vec<u8>) -> Self {
+        Encoder { buf }
+    }
+
     /// Appends a `u8`.
     pub(crate) fn put_u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);

@@ -15,6 +15,7 @@
 //! cache will. See DESIGN.md §15 and STORAGE.md.
 
 use super::cache::BlockCache;
+use super::crc64::crc64;
 use super::disk::{self, write_atomic, DiskFile};
 use super::log::{BlockLog, FrameReader, LogEntry};
 use super::snapshot::{self, Snapshot, SnapshotEntry, SnapshotRead, SNAPSHOT_FILE};
@@ -24,15 +25,15 @@ use crate::chain_index::ChainIndex;
 use crate::error::ChainError;
 use crate::header::BlockId;
 use crate::CONFIRMATION_DEPTH;
-use smartcrowd_crypto::sha256::sha256d;
 use smartcrowd_crypto::DigestMap;
 use smartcrowd_telemetry::counter;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::path::{Path, PathBuf};
 
-const CHECKPOINT_MAGIC: &[u8; 8] = b"SCCKPT01";
-const CHECKPOINT_LEN: usize = 8 + 8 + 32 + 32;
+const CHECKPOINT_MAGIC: &[u8; 8] = b"SCCKPT02";
+/// magic + height + block id + CRC-64 of the preceding 48 bytes.
+const CHECKPOINT_LEN: usize = 8 + 8 + 32 + 8;
 
 /// What recovery had to repair (or accelerate) during
 /// [`DurableStore::open`].
@@ -764,12 +765,16 @@ fn fork_ids(entries: &[LogEntry], index: &ChainIndex) -> Vec<BlockId> {
 /// or unreadable one is damage, and opening without its floor would
 /// silently drop the confirmed-history veto.
 pub(super) fn read_checkpoint(path: &Path) -> Result<Option<(u64, BlockId)>, StorageError> {
-    let Some(bytes) = disk::read(path)? else {
-        return Ok(None);
-    };
+    disk::read(path)?
+        .map(|bytes| decode_checkpoint(&bytes))
+        .transpose()
+}
+
+/// Decodes and checksum-verifies a `checkpoint` image.
+pub(super) fn decode_checkpoint(bytes: &[u8]) -> Result<(u64, BlockId), StorageError> {
     if bytes.len() != CHECKPOINT_LEN
         || &bytes[..8] != CHECKPOINT_MAGIC
-        || sha256d(&bytes[..48])[..] != bytes[48..]
+        || crc64(&bytes[..48]).to_be_bytes()[..] != bytes[48..]
     {
         return Err(StorageError::Corrupt {
             file: "checkpoint",
@@ -781,7 +786,7 @@ pub(super) fn read_checkpoint(path: &Path) -> Result<Option<(u64, BlockId)>, Sto
     h.copy_from_slice(&bytes[8..16]);
     let mut id = [0u8; 32];
     id.copy_from_slice(&bytes[16..48]);
-    Ok(Some((u64::from_be_bytes(h), BlockId::from_digest(id))))
+    Ok((u64::from_be_bytes(h), BlockId::from_digest(id)))
 }
 
 /// Atomic checkpoint swap.
@@ -790,8 +795,8 @@ fn write_checkpoint(path: &Path, height: u64, id: BlockId) -> Result<(), Storage
     bytes.extend_from_slice(CHECKPOINT_MAGIC);
     bytes.extend_from_slice(&height.to_be_bytes());
     bytes.extend_from_slice(id.as_digest());
-    let checksum = sha256d(&bytes);
-    bytes.extend_from_slice(&checksum);
+    let checksum = crc64(&bytes);
+    bytes.extend_from_slice(&checksum.to_be_bytes());
     write_atomic(path, &bytes)
 }
 

@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! +---------+-----------------+----------------------+-----------------+
-//! | "SCF1"  | payload length  | sha256d(payload)     | payload bytes   |
-//! | 4 bytes | u64 big-endian  | 32 bytes             | length bytes    |
+//! | "SCF2"  | payload length  | CRC-64/XZ(payload)   | payload bytes   |
+//! | 4 bytes | u64 big-endian  | u64 big-endian       | length bytes    |
 //! +---------+-----------------+----------------------+-----------------+
 //! ```
 //!
@@ -18,34 +18,56 @@
 //!   the log recovers by truncating to the last complete frame.
 //! - **Corrupt** — the frame is *complete* (header and payload both
 //!   present) but the magic or checksum does not match. A torn append
-//!   cannot produce this shape, so it is bit damage or forgery and the
-//!   scanner fails closed instead of guessing.
+//!   cannot produce this shape, so it is damage and the scanner fails
+//!   closed instead of guessing.
 //!
 //! The checksum covers only the payload; flips inside the header are
 //! caught by the magic check, the length-consistency check, or (for the
-//! checksum field itself) the checksum comparison.
+//! checksum field itself) the checksum comparison. It detects damage,
+//! not forgery: anyone who can rewrite the log can recompute it. What
+//! binds a frame to the chain is the block-id check on page-in and the
+//! Merkle-root and id checks on replay (STORAGE.md, "Trust boundary").
 
-use smartcrowd_crypto::sha256::sha256d;
+use super::crc64::crc64;
+use crate::block::Block;
 
-/// Magic bytes opening every frame.
-pub(crate) const FRAME_MAGIC: [u8; 4] = *b"SCF1";
+/// Magic bytes opening every frame (format version 2).
+pub(crate) const FRAME_MAGIC: [u8; 4] = *b"SCF2";
 
 /// Size of the fixed frame header: magic + length + checksum.
-pub const FRAME_HEADER_LEN: usize = 4 + 8 + 32;
+pub const FRAME_HEADER_LEN: usize = 4 + 8 + 8;
 
 /// Sanity cap on a single frame's payload (a block far beyond any this
 /// workspace produces). Longer declared lengths are treated as corrupt
 /// headers rather than honoured as allocations.
 pub(crate) const MAX_FRAME_PAYLOAD: u64 = 1 << 28;
 
-/// Encodes one payload as a frame (header + payload).
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-    out.extend_from_slice(&sha256d(payload));
-    out.extend_from_slice(payload);
-    out
+/// A block's frame: the bytes the log and an export hold. The block is
+/// encoded straight into the frame's buffer, after its reserved header.
+pub fn block_frame(block: &Block) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + block.encoded_len());
+    frame.resize(FRAME_HEADER_LEN, 0);
+    seal_frame(block.encode_onto(frame))
+}
+
+/// Writes the header of a frame whose payload follows its reserved
+/// [`FRAME_HEADER_LEN`] bytes: the one frame writer.
+fn seal_frame(mut frame: Vec<u8>) -> Vec<u8> {
+    let payload = &frame[FRAME_HEADER_LEN..];
+    let len = payload.len() as u64;
+    let crc = crc64(payload);
+    frame[..4].copy_from_slice(&FRAME_MAGIC);
+    frame[4..12].copy_from_slice(&len.to_be_bytes());
+    frame[12..20].copy_from_slice(&crc.to_be_bytes());
+    frame
+}
+
+/// Frames an arbitrary payload, through the writer a block frame takes.
+#[cfg(test)]
+pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = vec![0; FRAME_HEADER_LEN];
+    frame.extend_from_slice(payload);
+    seal_frame(frame)
 }
 
 /// Classification of the bytes at one scan offset.
@@ -95,9 +117,9 @@ pub(crate) fn scan_frame(buf: &[u8], offset: usize) -> FrameScan<'_> {
         return FrameScan::TornTail;
     }
     let payload = &remaining[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len];
-    let mut declared = [0u8; 32];
-    declared.copy_from_slice(&remaining[12..44]);
-    if sha256d(payload) != declared {
+    let mut declared = [0u8; 8];
+    declared.copy_from_slice(&remaining[12..20]);
+    if crc64(payload) != u64::from_be_bytes(declared) {
         return FrameScan::Corrupt {
             detail: "frame checksum mismatch".to_string(),
         };

@@ -398,7 +398,7 @@ mod tests {
             for (delta, flip) in [
                 (0, 0x40),
                 (6, 0x01),
-                (20, 0x01),
+                (14, 0x01),
                 (FRAME_HEADER_LEN + 5, 0x01),
             ] {
                 let mut bent = image.clone();
@@ -406,7 +406,7 @@ mod tests {
                 variants.push(bent);
             }
             // Torn inside the header and inside the payload.
-            variants.push(image[..start + 30].to_vec());
+            variants.push(image[..start + 10].to_vec());
             variants.push(image[..start + FRAME_HEADER_LEN + 9].to_vec());
         }
         variants.push(image[..CHUNK + 17].to_vec());

@@ -38,6 +38,7 @@
 pub mod frame;
 
 mod cache;
+mod crc64;
 mod disk;
 mod durable;
 mod log;
@@ -52,6 +53,7 @@ use crate::header::{BlockHeader, BlockId};
 use crate::record::{Record, RecordKind};
 use crate::store::{ChainStore, RecordLocation};
 use crate::CONFIRMATION_DEPTH;
+use frame::block_frame;
 use smartcrowd_crypto::{Address, Digest};
 use std::any::Any;
 use std::fmt;
@@ -121,11 +123,6 @@ fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> StorageError {
         path: path.to_path_buf(),
         detail: e.to_string(),
     }
-}
-
-/// A block's `SCF1` frame: the bytes the log and an export hold.
-fn block_frame(block: &Block) -> Vec<u8> {
-    frame::encode_frame(&block.encode())
 }
 
 impl StorageError {
@@ -433,6 +430,10 @@ pub fn import_chain(bytes: &[u8]) -> Result<ChainStore, ChainError> {
 mod crash;
 
 #[cfg(test)]
+#[path = "tests/decoders.rs"]
+mod decoders;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::difficulty::Difficulty;
@@ -523,7 +524,7 @@ mod tests {
             },
             StorageError::Corrupt {
                 file: "blocks.log",
-                offset: 44,
+                offset: 20,
                 detail: "checksum".into(),
             },
             StorageError::InjectedCrash,

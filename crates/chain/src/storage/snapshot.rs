@@ -17,26 +17,28 @@
 //! ```text
 //! +----------+---------+--------+---------+-----------------+----------+
 //! | magic    | log_len | tip id | count   | count × entry   | checksum |
-//! | SCSNAP01 | u64     | 32     | u64     | (see below)     | sha256d  |
+//! | SCSNAP02 | u64     | 32     | u64     | (see below)     | CRC-64   |
 //! +----------+---------+--------+---------+-----------------+----------+
 //! entry: offset u64 · frame_len u64 · header_len u32 · header bytes ·
 //!        record_count u32 · record ids (32 bytes each)
 //! ```
 //!
-//! All integers big-endian; the checksum covers every preceding byte.
+//! All integers big-endian; the checksum is the CRC-64/XZ of every
+//! preceding byte, as a u64. It detects damage only: the header replay
+//! and the tail's full replay are what the open trusts.
 //! The full spec, including forward-compatibility rules, lives in
 //! STORAGE.md.
 
+use super::crc64::crc64;
 use crate::header::{BlockHeader, BlockId};
-use smartcrowd_crypto::sha256::sha256d;
 use smartcrowd_crypto::Digest;
 use std::path::Path;
 
 /// File name of the snapshot inside a store directory.
 pub(super) const SNAPSHOT_FILE: &str = "state.snap";
 
-const SNAP_MAGIC: &[u8; 8] = b"SCSNAP01";
-const CHECKSUM_LEN: usize = 32;
+const SNAP_MAGIC: &[u8; 8] = b"SCSNAP02";
+const CHECKSUM_LEN: usize = 8;
 /// magic + log_len + tip + count.
 const PREAMBLE_LEN: usize = 8 + 8 + 32 + 8;
 
@@ -98,8 +100,8 @@ pub(super) fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
             bytes.extend_from_slice(id);
         }
     }
-    let checksum = sha256d(&bytes);
-    bytes.extend_from_slice(&checksum);
+    let checksum = crc64(&bytes);
+    bytes.extend_from_slice(&checksum.to_be_bytes());
     bytes
 }
 
@@ -117,7 +119,7 @@ pub(super) fn decode_snapshot(bytes: &[u8]) -> SnapshotRead {
     let content_len = bytes.len() - CHECKSUM_LEN;
     let mut checksum = [0u8; CHECKSUM_LEN];
     checksum.copy_from_slice(&bytes[content_len..]);
-    if sha256d(&bytes[..content_len]) != checksum {
+    if crc64(&bytes[..content_len]) != u64::from_be_bytes(checksum) {
         return invalid("checksum mismatch");
     }
     let mut u64buf = [0u8; 8];

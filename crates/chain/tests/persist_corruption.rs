@@ -8,7 +8,7 @@
 
 use smartcrowd_chain::pow::Miner;
 use smartcrowd_chain::record::{Record, RecordKind};
-use smartcrowd_chain::storage::frame::{encode_frame, FRAME_HEADER_LEN};
+use smartcrowd_chain::storage::frame::{block_frame, FRAME_HEADER_LEN};
 use smartcrowd_chain::storage::{export_chain, import_chain, ChainQuery, StoreConfig};
 use smartcrowd_chain::{Block, ChainStore, CrashPoint, Difficulty, DurableStore, Ether};
 use smartcrowd_chain::{ChainError, StorageError, CONFIRMATION_DEPTH};
@@ -422,7 +422,7 @@ fn a_legacy_wal_never_changes_the_recovered_chain() {
     let inflight = Miner::new(Address::from_label("disk"))
         .mine_next(parent, vec![], parent.header().timestamp + 15)
         .unwrap();
-    let wal = encode_frame(&inflight.encode());
+    let wal = block_frame(&inflight);
 
     let without = DurableStore::open(&master, &genesis).unwrap();
     let expect: Vec<_> = (0..=4).map(|h| without.canonical_id_at(h)).collect();
@@ -558,7 +558,7 @@ fn interrupted_commits_recover_idempotently() {
         .mine_next(parent, vec![], parent.header().timestamp + 15)
         .unwrap();
     let mut log = std::fs::read(dir.join("blocks.log")).unwrap();
-    log.extend_from_slice(&encode_frame(&next.encode()));
+    log.extend_from_slice(&block_frame(&next));
     std::fs::write(dir.join("blocks.log"), &log).unwrap();
     let store = DurableStore::open(&dir, &chain[0]).unwrap();
     assert!(store.last_recovery().clean());
@@ -832,7 +832,7 @@ fn damage_past_the_snapshot_names_its_byte_in_the_file() {
     // the snapshot names. The snapshot binds, its tail starts mid-payload,
     // and the rejection names that byte of the file.
     let payload_at = |block: &Block| {
-        let frame = encode_frame(&block.encode());
+        let frame = block_frame(block);
         let marker = block.records()[0].payload();
         frame
             .windows(marker.len())
@@ -850,11 +850,11 @@ fn damage_past_the_snapshot_names_its_byte_in_the_file() {
     let probe = forge((0..=255u8).collect());
     let pad = boundaries[8] - boundaries[1] - payload_at(&probe);
     let mut payload = vec![7u8; pad];
-    payload.extend_from_slice(&encode_frame(&chain[8].encode()));
+    payload.extend_from_slice(&block_frame(&chain[8]));
     payload.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
     let forged = forge(payload);
-    let mut log = encode_frame(&chain[0].encode());
-    log.extend_from_slice(&encode_frame(&forged.encode()));
+    let mut log = block_frame(&chain[0]);
+    log.extend_from_slice(&block_frame(&forged));
     std::fs::write(dir.join("blocks.log"), &log).unwrap();
     std::fs::write(dir.join("state.snap"), &frozen).unwrap();
     // The checkpoint names a block the forged log lacks.
@@ -983,7 +983,7 @@ fn a_log_that_lowers_a_difficulty_fails_closed() {
         parent = block;
     }
     let mut log = export_chain(&chain);
-    log.extend_from_slice(&encode_frame(&sealed_at(&parent, 1, "forger").encode()));
+    log.extend_from_slice(&block_frame(&sealed_at(&parent, 1, "forger")));
     let dir = tmp.path().join("store");
     store_with_log(&dir, &log);
     match DurableStore::open(&dir, &genesis) {

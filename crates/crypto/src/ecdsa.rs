@@ -20,7 +20,7 @@
 
 use crate::address::Address;
 use crate::error::CryptoError;
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacSha256;
 use crate::point::Point;
 use crate::scalar::{HalfScalar, Scalar};
 use crate::sha256::sha256;
@@ -100,36 +100,33 @@ pub(crate) fn rfc6979_nonce(d: &Scalar, h1: &[u8; 32]) -> Scalar {
     let x = d.to_be_bytes();
     // bits2octets(h1) = int2octets(bits2int(h1) mod n)
     let h_reduced = Scalar::from_digest(h1).to_be_bytes();
+    // V ‖ separator ‖ int2octets(x) ‖ bits2octets(h1).
+    let seed = |v: &[u8; 32], separator: u8| {
+        let mut m = [0u8; 32 + 1 + 32 + 32];
+        m[..32].copy_from_slice(v);
+        m[32] = separator;
+        m[33..65].copy_from_slice(&x);
+        m[65..].copy_from_slice(&h_reduced);
+        m
+    };
 
-    let mut v = [0x01u8; 32];
-    let mut k = [0x00u8; 32];
-
-    let mut buf = Vec::with_capacity(32 + 1 + 32 + 32);
-    buf.extend_from_slice(&v);
-    buf.push(0x00);
-    buf.extend_from_slice(&x);
-    buf.extend_from_slice(&h_reduced);
-    k = hmac_sha256(&k, &buf);
-    v = hmac_sha256(&k, &v);
-
-    buf.clear();
-    buf.extend_from_slice(&v);
-    buf.push(0x01);
-    buf.extend_from_slice(&x);
-    buf.extend_from_slice(&h_reduced);
-    k = hmac_sha256(&k, &buf);
-    v = hmac_sha256(&k, &v);
+    // Each K keys two or more MACs, so its pads are absorbed once; the
+    // first K is all zeros, whose midstates are constants.
+    let v = [0x01u8; 32];
+    let k = HmacSha256::new(&HmacSha256::zero().mac(&seed(&v, 0x00)));
+    let v = k.mac(&v);
+    let mut k = HmacSha256::new(&k.mac(&seed(&v, 0x01)));
+    let mut v = k.mac(&v);
 
     loop {
-        v = hmac_sha256(&k, &v);
+        v = k.mac(&v);
         if let Ok(candidate) = Scalar::from_be_bytes_nonzero(&v) {
             return candidate;
         }
-        let mut retry = Vec::with_capacity(33);
-        retry.extend_from_slice(&v);
-        retry.push(0x00);
-        k = hmac_sha256(&k, &retry);
-        v = hmac_sha256(&k, &v);
+        let mut retry = [0u8; 33];
+        retry[..32].copy_from_slice(&v);
+        k = HmacSha256::new(&k.mac(&retry));
+        v = k.mac(&v);
     }
 }
 

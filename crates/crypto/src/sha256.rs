@@ -92,6 +92,22 @@ impl Sha256 {
         }
     }
 
+    /// A hasher resumed from `state`, the midstate after one 64-byte
+    /// block (HMAC's key pads, [`crate::hmac`]).
+    pub(crate) fn resumed(state: [u32; 8]) -> Self {
+        Sha256 {
+            state,
+            total_len: 64,
+            ..Sha256::new()
+        }
+    }
+
+    /// The chaining state (a midstate once whole blocks are absorbed).
+    #[cfg(test)]
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        self.state
+    }
+
     /// Absorbs `data`.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);

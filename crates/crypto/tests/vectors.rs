@@ -4,7 +4,7 @@
 //! so a regression in any primitive cannot hide behind a single test.
 
 use smartcrowd_crypto::hex;
-use smartcrowd_crypto::hmac::hmac_sha256;
+use smartcrowd_crypto::hmac::HmacSha256;
 use smartcrowd_crypto::keccak::keccak256;
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::sha256::sha256;
@@ -56,7 +56,7 @@ fn hmac_sha256_rfc4231_case4() {
     let key: Vec<u8> = (0x01..=0x19).collect();
     let data = [0xcd; 50];
     assert_eq!(
-        hex::encode(&hmac_sha256(&key, &data)),
+        hex::encode(&HmacSha256::new(&key).mac(&data)),
         "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
     );
 }
