@@ -73,7 +73,7 @@ pub use difficulty::Difficulty;
 pub use error::ChainError;
 pub use header::{BlockHeader, BlockId};
 pub use record::{Record, RecordKind};
-pub use storage::{ChainBackend, ChainQuery, CrashPoint, DurableStore, StorageError, StoreConfig};
+pub use storage::{ChainBackend, ChainQuery, DurableStore, StorageError, StoreConfig};
 pub use store::ChainStore;
 
 /// Number of descendant blocks required before a block is final, matching

@@ -6,7 +6,8 @@
 //! every fsync is counted in `chain.storage.fsyncs`. In the crate's test
 //! build each mutating call is also appended to the calling thread's
 //! crash trace, which the crash-state enumerator (`tests/crash.rs`)
-//! replays under a conservative POSIX persistence model.
+//! replays under a conservative POSIX persistence model, and a test can
+//! make the thread's next write or fsync fail.
 //!
 //! The rule that model enforces: a name a create, mkdir or rename makes
 //! is durable only once its directory is fsynced, so every create and
@@ -27,6 +28,19 @@ macro_rules! trace {
             use super::crash::Op;
             $op
         });
+    };
+}
+
+/// Fails the call with an I/O error when the calling thread armed a
+/// failure of kind `$op` (`crash::fail_next`); expands to nothing outside
+/// the crate's test build.
+macro_rules! fail_point {
+    ($op:literal, $path:expr) => {
+        #[cfg(test)]
+        if super::crash::take_failure($op) {
+            let injected = std::io::Error::other("injected failure");
+            return Err(io_err($op, $path, injected));
+        }
     };
 }
 
@@ -90,6 +104,7 @@ impl DiskFile {
 
     /// Writes `bytes` at `offset`, unsynced.
     pub(crate) fn write_at(&mut self, offset: u64, bytes: &[u8]) -> Result<(), StorageError> {
+        fail_point!("write", &self.path);
         self.file
             .seek(SeekFrom::Start(offset))
             .and_then(|_| self.file.write_all(bytes))
@@ -116,6 +131,7 @@ impl DiskFile {
 
     /// `sync_data`: makes every earlier write and `set_len` durable.
     pub fn sync(&self) -> Result<(), StorageError> {
+        fail_point!("fsync", &self.path);
         counter!("chain.storage.fsyncs").inc();
         self.file
             .sync_data()

@@ -16,10 +16,10 @@
 
 use super::cache::BlockCache;
 use super::crc64::crc64;
-use super::disk::{self, write_atomic, DiskFile};
+use super::disk::{self, write_atomic};
 use super::log::{BlockLog, FrameReader, LogEntry};
 use super::snapshot::{self, Snapshot, SnapshotEntry, SnapshotRead, SNAPSHOT_FILE};
-use super::{block_frame, ChainBackend, ChainQuery, CrashPoint, StorageError, StoreConfig};
+use super::{block_frame, ChainBackend, ChainQuery, StorageError, StoreConfig};
 use crate::block::Block;
 use crate::chain_index::ChainIndex;
 use crate::error::ChainError;
@@ -27,7 +27,6 @@ use crate::header::BlockId;
 use crate::CONFIRMATION_DEPTH;
 use smartcrowd_crypto::DigestMap;
 use smartcrowd_telemetry::counter;
-use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::path::{Path, PathBuf};
 
@@ -100,7 +99,6 @@ pub struct DurableStore {
     last_recovery: RecoveryReport,
     /// Why the last open rejected a snapshot, if it did.
     snapshot_rejection: Option<String>,
-    crash: Option<CrashPoint>,
     poisoned: Cell<bool>,
 }
 
@@ -243,7 +241,6 @@ impl DurableStore {
             has_snapshot: snapshot_loaded,
             last_recovery: report,
             snapshot_rejection,
-            crash: None,
             poisoned: Cell::new(false),
         };
         durable.maintain()?;
@@ -265,10 +262,8 @@ impl DurableStore {
     ///
     /// [`StorageError::Chain`] when validation rejects the block (disk
     /// untouched, handle still usable); [`StorageError::Io`] on filesystem
-    /// failures; [`StorageError::InjectedCrash`] when an armed
-    /// [`CrashPoint`] fires. Any error past validation poisons the store
-    /// until it is reopened — what reached the disk is for recovery to
-    /// decide.
+    /// failures. Any error past validation poisons the store until it is
+    /// reopened — what reached the disk is for recovery to decide.
     pub fn commit(&mut self, block: Block) -> Result<BlockId, StorageError> {
         if self.poisoned.get() {
             return Err(StorageError::Io {
@@ -282,7 +277,6 @@ impl DurableStore {
         self.index.check_block(&block)?;
         let result = self.apply(block);
         if result.is_err() {
-            self.crash = None;
             self.poisoned.set(true);
         }
         result
@@ -290,26 +284,10 @@ impl DurableStore {
 
     /// The write half of [`DurableStore::commit`], for a checked block.
     fn apply(&mut self, block: Block) -> Result<BlockId, StorageError> {
-        let frame = block_frame(&block);
-        if let Some(CrashPoint::TornLogAppend { bytes }) = self.crash {
-            self.log.append_torn(&frame, bytes)?;
-            return Err(StorageError::InjectedCrash);
-        }
-        let entry = self.log.append(&frame, block.id())?;
+        let entry = self.log.append(&block_frame(&block), block.id())?;
         let id = self.index.attach(&block);
         self.locations.insert(id, entry);
         self.cache.borrow_mut().insert(block);
-        if let Some(CrashPoint::TornSnapshotWrite { bytes }) = self.crash {
-            // Simulate a power loss mid-snapshot-rewrite on a filesystem
-            // without atomic rename: a prefix of the new image lands
-            // directly over the final path, clobbering any previous
-            // snapshot. The commit itself is fully durable.
-            let image = snapshot::encode_snapshot(&self.current_snapshot());
-            let keep = (bytes as usize).clamp(1, image.len().saturating_sub(1));
-            let path = self.dir.join(SNAPSHOT_FILE);
-            DiskFile::open(&path, true)?.write_at(0, &image[..keep])?;
-            return Err(StorageError::InjectedCrash);
-        }
         self.maintain()?;
         Ok(id)
     }
@@ -481,13 +459,6 @@ impl DurableStore {
         }
     }
 
-    /// Arms a fault-injection crash point for the next [`commit`].
-    ///
-    /// [`commit`]: DurableStore::commit
-    pub fn inject_crash(&mut self, point: CrashPoint) {
-        self.crash = Some(point);
-    }
-
     /// Highest confirmed height. The `checkpoint` file on disk lags it
     /// by at most [`StoreConfig::snapshot_interval`] heights.
     pub fn checkpoint_height(&self) -> u64 {
@@ -536,10 +507,6 @@ impl ChainQuery for DurableStore {
 impl ChainBackend for DurableStore {
     fn commit(&mut self, block: Block) -> Result<BlockId, StorageError> {
         DurableStore::commit(self, block)
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -884,6 +851,125 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&base);
         assert!(forked_logs > 0, "no log kept a fork");
+    }
+
+    /// A store at height 3, its tip, and the next block on it.
+    fn three_blocks(dir: &Path) -> (DurableStore, Block, Block) {
+        let _ = std::fs::remove_dir_all(dir);
+        let genesis = Block::genesis(Difficulty::from_u64(1));
+        let miner = Miner::new(Address::from_label("poison"));
+        let mut store = DurableStore::open(dir, &genesis).unwrap();
+        let mut parent = genesis;
+        for _ in 0..3 {
+            let block = miner
+                .mine_next(&parent, vec![], parent.header().timestamp + 15)
+                .unwrap();
+            store.commit(block.clone()).unwrap();
+            parent = block;
+        }
+        let next = miner
+            .mine_next(&parent, vec![], parent.header().timestamp + 15)
+            .unwrap();
+        (store, parent, next)
+    }
+
+    /// A commit whose log append fails on a real I/O error leaves the
+    /// handle on the old tip, which it can still serve, and poisons it:
+    /// the same commit is refused until the directory is reopened, and
+    /// the reopen decides from what reached the disk.
+    #[test]
+    fn a_failed_commit_poisons_the_handle_on_the_old_tip() {
+        // A write failure leaves no byte of the frame; a failed fsync
+        // leaves the whole unsynced frame, which the reopen keeps.
+        for (op, survives) in [("write", false), ("fsync", true)] {
+            let dir = std::env::temp_dir().join(format!("sc-poison-{op}-{}", std::process::id()));
+            let (mut store, parent, next) = three_blocks(&dir);
+            super::super::crash::fail_next(op);
+            match store.commit(next.clone()) {
+                Err(StorageError::Io { op: failed, .. }) => assert_eq!(failed, op),
+                other => panic!("{op}: commit returned {other:?}"),
+            }
+            assert_eq!(store.best_tip(), parent.id(), "{op}");
+            assert_eq!(store.best_height(), 3, "{op}");
+            assert_eq!(store.best_block(), parent, "{op}");
+            assert!(!store.contains_block(&next.id()), "{op}");
+            assert!(
+                matches!(
+                    store.commit(next.clone()),
+                    Err(StorageError::Io { op: "commit", .. })
+                ),
+                "{op}: a poisoned store accepted a commit"
+            );
+            drop(store);
+
+            let genesis = Block::genesis(Difficulty::from_u64(1));
+            let mut store = DurableStore::open(&dir, &genesis).unwrap();
+            assert!(store.last_recovery().clean(), "{op}");
+            assert_eq!(store.contains_block(&next.id()), survives, "{op}");
+            if !survives {
+                store.commit(next.clone()).unwrap();
+            }
+            assert_eq!(store.best_tip(), next.id(), "{op}");
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A snapshot is adopted on its headers, and its record ids are bound
+    /// to no body: one that swaps two blocks' ids, with its CRC redone,
+    /// still loads. A lookup through the forged index must not return
+    /// the other block's record as the one asked for.
+    #[test]
+    fn a_forged_snapshot_record_index_never_returns_a_wrong_record() {
+        use crate::record::{Record, RecordKind};
+        use smartcrowd_crypto::keys::KeyPair;
+        let dir = std::env::temp_dir().join(format!("sc-forged-ids-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let genesis = Block::genesis(Difficulty::from_u64(1));
+        let config = StoreConfig {
+            cache_capacity: usize::MAX,
+            snapshot_interval: 1,
+        };
+        let miner = Miner::new(Address::from_label("forged ids"));
+        let mut store = DurableStore::open_with(&dir, &genesis, config).unwrap();
+        let mut chain = vec![genesis.clone()];
+        for i in 0..11u64 {
+            let kp = KeyPair::from_seed(&i.to_be_bytes());
+            let record = Record::signed(
+                RecordKind::InitialReport,
+                vec![i as u8; 4],
+                crate::Ether::from_milliether(11),
+                0,
+                &kp,
+            );
+            let parent = chain.last().unwrap();
+            let block = miner
+                .mine_next(parent, vec![record], parent.header().timestamp + 15)
+                .unwrap();
+            store.commit(block.clone()).unwrap();
+            chain.push(block);
+        }
+        drop(store);
+
+        let path = dir.join(SNAPSHOT_FILE);
+        let SnapshotRead::Valid(mut snap) = snapshot::read_snapshot(&path) else {
+            panic!("no valid snapshot to forge");
+        };
+        assert_eq!(snap.entries.len(), 12);
+        let (low, high) = snap.entries.split_at_mut(3);
+        std::mem::swap(&mut low[2].record_ids, &mut high[0].record_ids);
+        std::fs::write(&path, snapshot::encode_snapshot(&snap)).unwrap();
+
+        let store = DurableStore::open_with(&dir, &genesis, config).unwrap();
+        assert!(store.last_recovery().snapshot_loaded);
+        for block in &chain[2..=3] {
+            let id = block.records()[0].id();
+            assert_eq!(store.record_with_confirmations(&id), None);
+        }
+        let kept = chain[4].records()[0].clone();
+        assert_eq!(store.record_with_confirmations(&kept.id()), Some((kept, 8)));
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

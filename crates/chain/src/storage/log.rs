@@ -278,15 +278,6 @@ impl BlockLog {
         Ok(entry)
     }
 
-    /// Fault injection: writes only the first `keep` bytes of `frame`,
-    /// unsynced — the shape a power loss mid-append leaves.
-    pub(crate) fn append_torn(&mut self, frame: &[u8], keep: u64) -> Result<(), StorageError> {
-        let keep = (keep as usize).clamp(1, frame.len().saturating_sub(1));
-        // Deliberately no sync and no entry bookkeeping: the in-memory
-        // handle is abandoned after an injected crash.
-        self.file.write_at(self.len, &frame[..keep])
-    }
-
     /// Compaction: atomically replaces the log with the frames of every
     /// block except `dead`, copied raw — no decode, no re-validation — so
     /// a compaction can never alter a surviving frame. Writes a temp

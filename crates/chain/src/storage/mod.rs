@@ -55,7 +55,6 @@ use crate::store::{ChainStore, RecordLocation};
 use crate::CONFIRMATION_DEPTH;
 use frame::block_frame;
 use smartcrowd_crypto::{Address, Digest};
-use std::any::Any;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -86,9 +85,6 @@ pub enum StorageError {
         /// Human-readable cause.
         detail: String,
     },
-    /// A fault-injection crash point fired mid-commit (test harnesses
-    /// only); the store is poisoned and must be reopened from disk.
-    InjectedCrash,
 }
 
 impl fmt::Display for StorageError {
@@ -103,7 +99,6 @@ impl fmt::Display for StorageError {
                 offset,
                 detail,
             } => write!(f, "corrupt {file} at byte {offset}: {detail}"),
-            StorageError::InjectedCrash => write!(f, "injected crash point fired mid-commit"),
         }
     }
 }
@@ -161,29 +156,6 @@ impl Default for StoreConfig {
             snapshot_interval: 256,
         }
     }
-}
-
-/// Fault-injection points inside [`DurableStore::commit`], in protocol
-/// order. Arming one makes the next commit stop there, leaving disk
-/// state exactly as a power loss at that instant would.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Crash mid-append to `blocks.log`, before the append's fsync: the
-    /// log holds a torn prefix of the frame and the commit never
-    /// returned, so recovery truncates it away.
-    TornLogAppend {
-        /// How many frame bytes reach the log before the crash.
-        bytes: u64,
-    },
-    /// Crash mid-rewrite of `state.snap` on a filesystem without atomic
-    /// rename: the commit itself is fully durable, but only `bytes` of
-    /// the new snapshot image land, clobbering any previous snapshot.
-    /// Recovery must reject the torn snapshot and fall back to the
-    /// full-log scan.
-    TornSnapshotWrite {
-        /// How many snapshot bytes land before the crash.
-        bytes: u64,
-    },
 }
 
 /// Read-only chain queries shared by every backend.
@@ -267,12 +239,15 @@ pub trait ChainQuery: fmt::Debug {
         self.index().find_record(record_id).cloned()
     }
 
-    /// Fetches a record plus its confirmation count.
+    /// Fetches a record plus its confirmation count. The record index of
+    /// a store opened from a snapshot holds the snapshot's ids, which no
+    /// body has vouched for, so a record whose id is not `record_id` is
+    /// not returned.
     fn record_with_confirmations(&self, record_id: &Digest) -> Option<(Record, u64)> {
         let loc = self.index().find_record(record_id)?;
         let block = self.get_block(&loc.block_id)?;
-        let record = block.records().get(loc.index)?.clone();
-        Some((record, self.confirmations(&loc.block_id)))
+        let record = block.records().get(loc.index)?;
+        (record.id() == *record_id).then(|| (record.clone(), self.confirmations(&loc.block_id)))
     }
 
     /// Whether a block with this id is stored (any fork).
@@ -352,17 +327,11 @@ impl ChainQuery for ChainStore {
 pub trait ChainBackend: ChainQuery + Send {
     /// Validates and applies one block (durably, for disk backends).
     fn commit(&mut self, block: Block) -> Result<BlockId, StorageError>;
-    /// Downcasting hook for harnesses that need the concrete backend.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 impl ChainBackend for ChainStore {
     fn commit(&mut self, block: Block) -> Result<BlockId, StorageError> {
         self.insert(block).map_err(StorageError::Chain)
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -451,7 +420,6 @@ mod tests {
             backend.commit(genesis),
             Err(StorageError::Chain(ChainError::DuplicateBlock { .. }))
         ));
-        assert!(backend.as_any_mut().downcast_mut::<ChainStore>().is_some());
     }
 
     #[test]
@@ -527,7 +495,6 @@ mod tests {
                 offset: 20,
                 detail: "checksum".into(),
             },
-            StorageError::InjectedCrash,
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());

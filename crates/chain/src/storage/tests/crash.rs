@@ -32,7 +32,7 @@ use crate::header::BlockId;
 use crate::pow::Miner;
 use smartcrowd_crypto::sha256::sha256d;
 use smartcrowd_crypto::Address;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -66,6 +66,19 @@ pub(super) enum Op {
 
 thread_local! {
     static TRACE: RefCell<Option<Vec<Op>>> = const { RefCell::new(None) };
+    /// The kind of `storage::disk` call whose next run fails.
+    static FAIL_NEXT: Cell<Option<&'static str>> = const { Cell::new(None) };
+}
+
+/// Makes this thread's next `storage::disk` call of kind `op`
+/// (`"write"` or `"fsync"`) fail with an I/O error instead of running.
+pub(super) fn fail_next(op: &'static str) {
+    FAIL_NEXT.with(|armed| armed.set(Some(op)));
+}
+
+/// Whether this thread's call of kind `op` must fail; disarms it if so.
+pub(super) fn take_failure(op: &'static str) -> bool {
+    FAIL_NEXT.with(|armed| armed.get() == Some(op) && armed.take().is_some())
 }
 
 /// Appends `op` to this thread's trace while one is being recorded.

@@ -10,7 +10,7 @@ use smartcrowd_chain::pow::Miner;
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::storage::frame::{block_frame, FRAME_HEADER_LEN};
 use smartcrowd_chain::storage::{export_chain, import_chain, ChainQuery, StoreConfig};
-use smartcrowd_chain::{Block, ChainStore, CrashPoint, Difficulty, DurableStore, Ether};
+use smartcrowd_chain::{Block, ChainStore, Difficulty, DurableStore, Ether};
 use smartcrowd_chain::{ChainError, StorageError, CONFIRMATION_DEPTH};
 use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::Address;
@@ -506,33 +506,35 @@ fn forged_length_and_checksum_frames_fail_closed_or_truncate() {
     ));
 }
 
+/// Appends the first `bytes` of `frame` to the store's log, as a crash
+/// mid-append leaves it: a strict prefix when `bytes` is shorter.
+fn append_to_log(dir: &Path, frame: &[u8], bytes: usize) {
+    use std::io::Write;
+    let mut log = std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join("blocks.log"))
+        .unwrap();
+    log.write_all(&frame[..bytes]).unwrap();
+}
+
+/// The block a commit on `parent` would have written when the crash hit.
+fn inflight(parent: &Block) -> Block {
+    Miner::new(Address::from_label("disk"))
+        .mine_next(parent, vec![], parent.header().timestamp + 15)
+        .unwrap()
+}
+
 #[test]
 fn interrupted_commits_recover_idempotently() {
     // A crash before the append's fsync leaves a torn tail: recovery
     // truncates it, and the commit — which never returned — is lost.
-    for (i, bytes) in [10u64, 60].into_iter().enumerate() {
+    for (i, bytes) in [10usize, 60].into_iter().enumerate() {
         let tmp = TempDir::new(&format!("crashpoint-{i}"));
         let dir = tmp.path().join("store");
         let chain = build_disk_chain(&dir, 3);
         let genesis = chain[0].clone();
-        let mut store = DurableStore::open(&dir, &genesis).unwrap();
-        let miner = Miner::new(Address::from_label("disk"));
         let parent = chain[3].clone();
-        let next = miner
-            .mine_next(&parent, vec![], parent.header().timestamp + 15)
-            .unwrap();
-        store.inject_crash(CrashPoint::TornLogAppend { bytes });
-        assert_eq!(
-            store.commit(next.clone()),
-            Err(StorageError::InjectedCrash),
-            "case {i}"
-        );
-        // A crashed store is poisoned: no further commits until reopen.
-        assert!(
-            matches!(store.commit(next.clone()), Err(StorageError::Io { .. })),
-            "case {i}: poisoned store accepted a commit"
-        );
-        drop(store);
+        append_to_log(&dir, &block_frame(&inflight(&parent)), bytes);
 
         let store = DurableStore::open(&dir, &genesis)
             .unwrap_or_else(|e| panic!("case {i} failed recovery: {e}"));
@@ -553,13 +555,9 @@ fn interrupted_commits_recover_idempotently() {
     let tmp = TempDir::new("crashpoint-whole");
     let dir = tmp.path().join("store");
     let chain = build_disk_chain(&dir, 3);
-    let parent = &chain[3];
-    let next = Miner::new(Address::from_label("disk"))
-        .mine_next(parent, vec![], parent.header().timestamp + 15)
-        .unwrap();
-    let mut log = std::fs::read(dir.join("blocks.log")).unwrap();
-    log.extend_from_slice(&block_frame(&next));
-    std::fs::write(dir.join("blocks.log"), &log).unwrap();
+    let next = inflight(&chain[3]);
+    let frame = block_frame(&next);
+    append_to_log(&dir, &frame, frame.len());
     let store = DurableStore::open(&dir, &chain[0]).unwrap();
     assert!(store.last_recovery().clean());
     assert_eq!(store.best_tip(), next.id());
@@ -567,28 +565,18 @@ fn interrupted_commits_recover_idempotently() {
 
 #[test]
 fn failed_commit_never_advertises_a_tip_it_cannot_serve() {
-    // The index learns of a block only after its frame is in the log, so
-    // a commit that dies earlier leaves the handle answering the old tip
-    // (it used to name the new block and panic fetching its body).
-    let cases = [
-        CrashPoint::TornLogAppend { bytes: 10 },
-        CrashPoint::TornLogAppend { bytes: 60 },
-    ];
-    for (i, point) in cases.into_iter().enumerate() {
+    // A commit that died mid-append leaves a store that answers the old
+    // tip and serves its body: the torn block is neither indexed nor
+    // half-readable. (The live handle's side of this, and its poisoning,
+    // are the `storage::durable` unit tests.)
+    for (i, bytes) in [10usize, 60].into_iter().enumerate() {
         let tmp = TempDir::new(&format!("commit-order-{i}"));
         let dir = tmp.path().join("store");
         let chain = build_disk_chain(&dir, 3);
-        let mut store = DurableStore::open(&dir, &chain[0]).unwrap();
         let parent = &chain[3];
-        let next = Miner::new(Address::from_label("disk"))
-            .mine_next(parent, vec![], parent.header().timestamp + 15)
-            .unwrap();
-        store.inject_crash(point);
-        assert_eq!(
-            store.commit(next.clone()),
-            Err(StorageError::InjectedCrash),
-            "case {i}"
-        );
+        let next = inflight(parent);
+        append_to_log(&dir, &block_frame(&next), bytes);
+        let store = DurableStore::open(&dir, &chain[0]).unwrap();
         assert_eq!(store.best_tip(), parent.id(), "case {i}");
         assert_eq!(store.best_height(), 3, "case {i}");
         assert_eq!(&store.best_block(), parent, "case {i}");
@@ -728,16 +716,22 @@ fn torn_snapshot_rewrite_never_loses_the_durable_commit() {
         let dir = tmp.path().join("store");
         let mut chain = build_disk_chain_with(&dir, 9, eager_snapshots());
         let genesis = chain[0].clone();
+        let next = inflight(&chain[9]);
         let mut store = DurableStore::open_with(&dir, &genesis, eager_snapshots()).unwrap();
-        let miner = Miner::new(Address::from_label("disk"));
-        let parent = chain[9].clone();
-        let next = miner
-            .mine_next(&parent, vec![], parent.header().timestamp + 15)
-            .unwrap();
-        store.inject_crash(CrashPoint::TornSnapshotWrite { bytes });
-        assert_eq!(store.commit(next.clone()), Err(StorageError::InjectedCrash));
+        store.commit(next.clone()).unwrap();
+        assert_eq!(store.snapshot_height(), 10 - CONFIRMATION_DEPTH);
         drop(store);
         chain.push(next);
+        // The snapshot the commit wrote, torn as a rewrite in place
+        // leaves it on a filesystem without atomic rename.
+        let snap = dir.join("state.snap");
+        let len = std::fs::metadata(&snap).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&snap)
+            .unwrap()
+            .set_len(bytes.clamp(1, len - 1))
+            .unwrap();
 
         // The commit was fully durable before the snapshot tear: recovery
         // must reject the half-written snapshot and replay the whole log.

@@ -19,10 +19,10 @@
 use proptest::prelude::*;
 use smartcrowd_chain::pow::Miner;
 use smartcrowd_chain::record::{Record, RecordKind};
-use smartcrowd_chain::storage::frame::FRAME_HEADER_LEN;
+use smartcrowd_chain::storage::frame::{block_frame, FRAME_HEADER_LEN};
 use smartcrowd_chain::storage::{ChainQuery, StoreConfig};
 use smartcrowd_chain::{
-    Block, ChainError, ChainStore, CrashPoint, Difficulty, DurableStore, Ether, StorageError,
+    Block, ChainError, ChainStore, Difficulty, DurableStore, Ether, StorageError,
     CONFIRMATION_DEPTH,
 };
 use smartcrowd_crypto::keys::KeyPair;
@@ -122,10 +122,11 @@ fn assert_residency_bounded(
 /// no flat_map, so strategies stay scalar and structure lives here):
 ///
 /// - `op % 8 == 6` — close and reopen; recovery must be clean.
-/// - `op % 8 == 7` — tear the next commit's log append before its
-///   fsync, then recover on the loop's trailing reopen. The commit never
-///   returned, so the block is lost and the mirror does not get it; the
-///   tear ends inside the frame header or inside the payload.
+/// - `op % 8 == 7` — crash mid-append: close the store, append a strict
+///   prefix of the next block's frame to `blocks.log`, and reopen, which
+///   must truncate it. The commit never returned, so the block is lost
+///   and the mirror does not get it; the tear ends inside the frame
+///   header or inside the payload.
 /// - `op % 8 == 2` — mine a fork block off a recent canonical parent
 ///   (recent ⇒ never pruned, so both stores see it).
 /// - `op % 8 == 3` — offer a block at a difficulty above or below the
@@ -166,17 +167,19 @@ fn run_sequence_with(ops: &[u64], config: StoreConfig) {
                 } else {
                     FRAME_HEADER_LEN as u64 + (op >> 8) % 200
                 };
-                durable.inject_crash(CrashPoint::TornLogAppend { bytes });
-                match durable.commit(block.clone()) {
-                    Err(StorageError::InjectedCrash) => {}
-                    // A duplicate is rejected before the crash point can
-                    // fire; the armed point dies with the handle at the
-                    // trailing reopen.
-                    Err(StorageError::Chain(_)) => {
-                        assert!(mirror.insert(block).is_err(), "step {step}");
-                    }
-                    other => panic!("step {step}: crashed commit returned {other:?}"),
-                }
+                drop(durable);
+                let frame = block_frame(&block);
+                let keep = (bytes as usize).clamp(1, frame.len() - 1);
+                let mut log = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(dir.join("blocks.log"))
+                    .unwrap();
+                std::io::Write::write_all(&mut log, &frame[..keep]).unwrap();
+                durable = DurableStore::open_with(&dir, &genesis, config).unwrap();
+                assert!(
+                    durable.last_recovery().torn_truncated,
+                    "step {step}: the torn append was not truncated"
+                );
             }
             3 => {
                 let best = mirror.best_height();

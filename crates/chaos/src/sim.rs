@@ -13,9 +13,10 @@
 //!   rebuild verification state and the settlement from it
 //!   ([`Fleet::restart`]). In *durable mode* ([`ChaosSim::new_durable`])
 //!   every node runs on a real [`DurableStore`] directory instead: a crash
-//!   tears the store mid-commit before the append's fsync (a torn frame
-//!   in the log) and a restart reopens from disk, so
-//!   the agreement/finality/conservation oracles run against the actual
+//!   leaves its directory as a power loss in the next commit would (a
+//!   torn frame at the end of `blocks.log`, or a torn `state.snap` after
+//!   a durable append) and a restart reopens from disk, so the
+//!   agreement/finality/conservation oracles run against the actual
 //!   recovery path of the on-disk format.
 //! - **Byzantine behaviours** act when the misbehaving node wins a round
 //!   (withholding, equivocation) or on every round (flooding).
@@ -38,10 +39,8 @@ use crate::plan::{ByzantineBehavior, FaultKind, FaultPlan};
 use crate::settle::{audit, Audit};
 use smartcrowd_chain::record::{Record, RecordKind};
 use smartcrowd_chain::rng::SimRng;
-use smartcrowd_chain::storage::{
-    export_chain, frame, import_chain, CrashPoint, DurableStore, StoreConfig,
-};
-use smartcrowd_chain::{Block, ChainBackend, ChainQuery, ChainStore, Difficulty, Ether};
+use smartcrowd_chain::storage::{export_chain, frame, import_chain, DurableStore, StoreConfig};
+use smartcrowd_chain::{Block, ChainBackend, ChainStore, Difficulty, Ether};
 use smartcrowd_core::economics::{BLOCK_CAPACITY, INCENTIVE_PER_VULN, INSURANCE, REPORT_FEE};
 use smartcrowd_core::report::{create_report_pair, Findings};
 use smartcrowd_crypto::keys::KeyPair;
@@ -52,6 +51,8 @@ use smartcrowd_sim::fleet::Fleet;
 use smartcrowd_sim::SimError;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Extra honest rounds granted after the horizon for convergence
@@ -343,7 +344,7 @@ impl ChaosSim {
                     }
                 }
                 FaultKind::Heal => self.heal()?,
-                FaultKind::Crash { node } => self.crash(node),
+                FaultKind::Crash { node } => self.crash(node, round)?,
                 FaultKind::Restart { node } => self.restart(node, round)?,
                 FaultKind::Byzantine { node, behavior } => {
                     self.byzantine.insert(node, behavior);
@@ -354,45 +355,55 @@ impl ChaosSim {
     }
 
     /// Crashes a node. In-memory mode keeps the chain as an exported log
-    /// image. Durable mode performs a *mid-commit tear* before dropping
-    /// the node: the store's next commit is crashed at an injected sync
-    /// point — usually a torn frame in the log (exactly the state a
-    /// power loss during an append leaves), and on snapshot-enabled
-    /// stores sometimes a torn snapshot rewrite instead, leaving a
-    /// half-written `state.snap` over a fully durable log — which the
-    /// restart's recovery must truncate/reject and replay around.
-    fn crash(&mut self, node: usize) {
-        let Some(mut n) = self.fleet.slot(node).take() else {
-            return;
+    /// image. Durable mode drops the node and leaves its directory as a
+    /// power loss in its next commit would: a strict prefix of the
+    /// in-flight block's frame appended to `blocks.log`, or, on
+    /// snapshot-enabled stores one time in three, the whole frame and a
+    /// strict prefix of the snapshot the store then writes, as a rewrite
+    /// in place leaves `state.snap` on a filesystem without atomic
+    /// rename. The restart's recovery must truncate or reject the tear.
+    fn crash(&mut self, node: usize, round: usize) -> Result<(), ChaosFailure> {
+        let Some(n) = self.fleet.slot(node).take() else {
+            return Ok(());
         };
-        if self.durable_root.is_none() {
+        let Some(root) = &self.durable_root else {
             self.dumps.insert(node, export_chain(n.store()));
-            return;
-        }
-        let address = n.address();
+            return Ok(());
+        };
         let tear = frame::FRAME_HEADER_LEN as u64 + self.rng.next_below(64);
-        let snapshots_on = self.store_config.snapshot_interval > 0;
-        let tear_snapshot = snapshots_on && self.rng.next_below(3) == 0;
-        if let Some(store) = n.backend_mut().as_any_mut().downcast_mut::<DurableStore>() {
-            let parent = store.best_block();
-            let inflight = Block::assemble(
-                &parent,
-                vec![],
-                parent.header().timestamp + 1,
-                Difficulty::from_u64(1),
-                address,
-            );
-            let point = if tear_snapshot {
-                // The commit itself lands durably; the crash hits
-                // while state.snap is being rewritten afterwards.
-                CrashPoint::TornSnapshotWrite { bytes: tear }
-            } else {
-                CrashPoint::TornLogAppend { bytes: tear }
-            };
-            store.inject_crash(point);
-            // The commit dies at the crash point by design.
-            let _ = store.commit(inflight);
-        }
+        let tear_snapshot = self.store_config.snapshot_interval > 0 && self.rng.next_below(3) == 0;
+        let parent = n.store().best_block();
+        let inflight = Block::assemble(
+            &parent,
+            vec![],
+            parent.header().timestamp + 1,
+            Difficulty::from_u64(1),
+            n.address(),
+        );
+        drop(n);
+        let dir = node_dir(root, node);
+        let frame = frame::block_frame(&inflight);
+        let keep = if tear_snapshot {
+            frame.len()
+        } else {
+            (tear as usize).clamp(1, frame.len() - 1)
+        };
+        let (genesis, config) = (self.fleet.genesis(), self.store_config);
+        let power_loss = || -> Result<(), Box<dyn std::error::Error>> {
+            let mut log = OpenOptions::new()
+                .append(true)
+                .open(dir.join("blocks.log"))?;
+            log.write_all(&frame[..keep])?;
+            if tear_snapshot {
+                DurableStore::open_with(&dir, genesis, config)?.write_snapshot()?;
+                let snap = OpenOptions::new()
+                    .write(true)
+                    .open(dir.join("state.snap"))?;
+                snap.set_len(tear.clamp(1, snap.metadata()?.len() - 1))?;
+            }
+            Ok(())
+        };
+        power_loss().map_err(|e| persist_failure(round, e))
     }
 
     fn restart(&mut self, node: usize, round: usize) -> Result<(), ChaosFailure> {

@@ -1,11 +1,12 @@
 //! Durable-backend crash-restart regression: the chaos harness's crash
 //! fault pointed at the real on-disk format.
 //!
-//! In durable mode a crash is not a polite snapshot — the store's next
-//! commit is torn mid-append before its fsync, leaving a partial frame
-//! in the block log, exactly the state a power loss leaves. The restart
-//! reopens the directory and the recovery path must truncate the tear
-//! (the torn commit never returned, so it is lost) before the node
+//! In durable mode a crash is not a polite snapshot — the harness drops
+//! the node and appends a strict prefix of the block it would have
+//! committed next to its `blocks.log`, exactly the state a power loss
+//! mid-append leaves. The restart reopens the directory and the
+//! recovery path must truncate the tear (the torn commit never
+//! returned, so it is lost) before the node
 //! rejoins and catches up from its peers; the agreement/finality/
 //! conservation oracles then run against the recovered state. The plan
 //! below is the shrunk shape of the in-memory
@@ -46,7 +47,7 @@ fn durable_crash_restart_recovers_from_disk() {
         "fleet stalled after durable recovery: height {}",
         outcome.best_height
     );
-    // The injected tear left a partial log append; recovery must have
+    // The tear left a partial log append; recovery must have
     // truncated it (not silently accepted the damaged tail), and the
     // restarted node must have caught up with the fleet.
     assert!(counter!("chain.storage.torn_truncations").get() > torn_before);

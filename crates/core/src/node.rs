@@ -34,7 +34,7 @@ use smartcrowd_crypto::keys::KeyPair;
 use smartcrowd_crypto::{Address, Digest, DigestSet};
 use smartcrowd_detect::library::VulnLibrary;
 use smartcrowd_detect::system::IoTSystem;
-use smartcrowd_net::sync::{SyncBuffer, SyncOutcome};
+use smartcrowd_net::sync::{SyncBuffer, SyncOutcome, MAX_ORPHANS};
 use smartcrowd_net::{Message, Scoreboard};
 use std::collections::VecDeque;
 
@@ -70,8 +70,9 @@ pub struct ProviderNode {
     parked: VecDeque<Record>,
     /// Well-formed blocks [`Protocol::check_block`] refused, oldest first.
     refused: VecDeque<BlockId>,
-    /// Block ids already requested from peers (ask once).
-    requested_blocks: DigestSet<BlockId>,
+    /// Block ids already requested from peers (ask once), oldest first;
+    /// at most [`MAX_ORPHANS`], as many parents as the sync buffer waits on.
+    requested_blocks: VecDeque<BlockId>,
     /// Per-sender record sequence for this node's own submissions.
     nonce: u64,
 }
@@ -117,7 +118,7 @@ impl ProviderNode {
             pending_images: DigestSet::default(),
             parked: VecDeque::new(),
             refused: VecDeque::new(),
-            requested_blocks: DigestSet::default(),
+            requested_blocks: VecDeque::new(),
             nonce,
         }
     }
@@ -131,12 +132,6 @@ impl ProviderNode {
     /// in-memory or paged durable — this node runs on).
     pub fn store(&self) -> &dyn ChainQuery {
         self.core.store()
-    }
-
-    /// Mutable access to the chain backend (fault-injection harnesses
-    /// downcast this to the concrete store).
-    pub fn backend_mut(&mut self) -> &mut dyn ChainBackend {
-        self.core.backend_mut()
     }
 
     /// The node's local scoreboard.
@@ -338,9 +333,14 @@ impl ProviderNode {
             SyncOutcome::Buffered => {
                 // Ask peers for the missing ancestors, once per id.
                 for id in self.sync.missing_parents() {
-                    if self.requested_blocks.insert(id) {
-                        out.push(Message::BlockRequest { id });
+                    if self.requested_blocks.contains(&id) {
+                        continue;
                     }
+                    if self.requested_blocks.len() == MAX_ORPHANS {
+                        self.requested_blocks.pop_front();
+                    }
+                    self.requested_blocks.push_back(id);
+                    out.push(Message::BlockRequest { id });
                 }
             }
             _ => {}
@@ -1065,5 +1065,29 @@ mod tests {
             b.core.artifact(&sra_id).is_none(),
             "U_h mismatch rejected the download"
         );
+    }
+
+    #[test]
+    fn requested_block_ids_stay_bounded() {
+        // Out-of-order deliveries on an honest node: each child arrives
+        // before its parent, is buffered, and its parent is asked for once
+        // and then connects. Every parent is a distinct sibling fork.
+        let (mut node, _, _) = setup_two_nodes();
+        let genesis = node.store().best_block();
+        let assemble = |parent: &Block, timestamp: u64| {
+            let miner = Address::from_label("out of order");
+            Block::assemble(parent, vec![], timestamp, Difficulty::from_u64(1), miner)
+        };
+        for i in 0..4 * MAX_ORPHANS as u64 {
+            let parent = assemble(&genesis, block_time(1) + i);
+            let child = assemble(&parent, block_time(2) + i);
+            let out = node.handle(Message::Block(Box::new(child)));
+            let asked = Message::BlockRequest { id: parent.id() };
+            assert_eq!(out.broadcast, [asked], "orphan {i}");
+            node.handle(Message::Block(Box::new(parent)));
+            assert_eq!(node.sync.buffered(), 0, "orphan {i} connected");
+        }
+        assert_eq!(node.store().block_count(), 1 + 8 * MAX_ORPHANS);
+        assert!(node.requested_blocks.len() <= MAX_ORPHANS);
     }
 }

@@ -305,8 +305,7 @@ impl<B: ChainBackend + ?Sized> Protocol<B> {
         &self.backend
     }
 
-    /// Mutable access to the chain backend (block reassembly and
-    /// fault-injection harnesses).
+    /// Mutable access to the chain backend (block reassembly).
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.backend
     }

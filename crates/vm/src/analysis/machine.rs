@@ -36,9 +36,6 @@
 //! - [`Value::MAX_TRACKED`] (flow, 128 slots): a push past it forgets the
 //!   bottom slot, so mutants that push thousands of words keep joins
 //!   linear.
-//! - [`Value::SWAP0_FORGETS_TOP`] (flow): `SWAP 0` sets the top to `TOP`
-//!   where the other domains swap it with itself. No analysis reaches it:
-//!   the depth domain rejects `SWAP 0` before any value domain runs.
 //! - [`Value::CLOBBER_IS_FINAL`] (loops): once clobbered, every slot reads
 //!   `TOP`, even one written since.
 
@@ -57,8 +54,6 @@ pub trait Value: Clone + PartialEq {
     /// Whether unwritten storage reads `TOP` rather than [`Value::at_entry`]
     /// (and joins keep slots both sides wrote); see the module docs.
     const UNWRITTEN_IS_TOP: bool = false;
-    /// Whether `SWAP 0` sets the top to `TOP` instead of leaving it.
-    const SWAP0_FORGETS_TOP: bool = false;
     /// Whether a clobber hides writes made after it.
     const CLOBBER_IS_FINAL: bool = false;
 
@@ -146,7 +141,7 @@ impl<V: Value> Machine<V> {
             Op::Swap => {
                 let n = usize::from(insn.index_imm);
                 let len = self.stack.len();
-                if n < len && (n > 0 || !V::SWAP0_FORGETS_TOP) {
+                if n < len {
                     self.stack.swap(len - 1, len - 1 - n);
                 } else if let Some(top) = self.stack.last_mut() {
                     *top = V::TOP;

@@ -256,7 +256,6 @@ impl Value for FlowExpr {
     /// Deeper slots are dropped from the *bottom* so mutants that push
     /// thousands of words cannot make joins quadratic.
     const MAX_TRACKED: usize = 128;
-    const SWAP0_FORGETS_TOP: bool = true;
 
     fn constant(c: U256) -> FlowExpr {
         FlowExpr::Const(c)
